@@ -5,7 +5,9 @@ package chaos
 // family. "composed" layers device failure, silent corruption, scrub and
 // GC pressure on top — the schedule the shrinker is pointed at.
 // "zraid-gc" runs the zraid parity engine through PP-slot thrash, ring
-// advances and PP-zone GC.
+// advances and PP-zone GC. "md-gc" rolls one device's partial-parity
+// metadata log over repeatedly with foreground appends landing while the
+// old zone is still being reclaimed.
 
 import (
 	"raizn/internal/raizn"
@@ -16,6 +18,7 @@ func init() {
 	Register(StripeReset())
 	Register(Composed())
 	Register(ZRAIDGC())
+	Register(MDGC())
 }
 
 // StripeReset writes across stripe boundaries, flushes, resets a zone and
@@ -100,4 +103,49 @@ func ZRAIDGC() *Scenario {
 		Finish(1).
 		Flush().
 		Build()
+}
+
+// MDGC runs the metadata-zone roll-over (raizn.mdgc.* crash points) under
+// the crash explorer with the logged engine. As in ZRAIDGC, data zones
+// sit at the stripes whose parity maps to device 4, so every small append
+// logs a nine-sector partial-parity record into that device's 128-sector
+// parity metadata zone: three zones' tail stripes fill and roll it over
+// once, then two more zones' stripes roll it over twice more. The
+// roll-over itself takes no time; its background half (checkpoint flush,
+// then the old zone's reset) spans the next append or two, so crashes
+// land with foreground records behind the checkpoint and no empty
+// metadata zone — the state mount consolidates in place. The tail covers
+// a Maintain-driven roll-over of every log on every device, a reset, and
+// a finish.
+func MDGC() *Scenario {
+	dc := zns.DefaultConfig()
+	dc.NumZones = 8
+	dc.ZoneSize = 160
+	dc.ZoneCap = 128
+	dc.MaxOpenZones = 8
+	dc.MaxActiveZones = 10
+	vc := raizn.Config{StripeUnitSectors: 16, MetadataZones: 3, StripeBuffers: 4}
+	b := New("md-gc").Devices(5, dc).Volume(vc).
+		Write(0, 320). // zone 0 at stripe 5
+		Write(1, 256). // zone 1 at stripe 4
+		Write(2, 192). // zone 2 at stripe 3
+		Flush()
+	for i := 0; i < 7; i++ {
+		b.Write(0, 8).Write(1, 8).Write(2, 8)
+	}
+	b.Flush().
+		Write(0, 8). // eighth append: the stripes complete
+		Write(1, 8).
+		Write(2, 8).
+		Write(3, 128). // zone 3 at stripe 2
+		Write(4, 64)   // zone 4 at stripe 1
+	for i := 0; i < 7; i++ {
+		b.Write(3, 8).Write(4, 8)
+	}
+	b.Maintain(). // rolls every log over and waits for each reclaim
+			Reset(2).
+			Write(2, 64).
+			Finish(1).
+			Flush()
+	return b.Build()
 }

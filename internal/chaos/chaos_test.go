@@ -84,6 +84,57 @@ func TestZRAIDGCExplore(t *testing.T) {
 	}
 }
 
+// TestMDGCExplore runs the metadata-zone roll-over scenario through the
+// explorer: the census must cross every raizn.mdgc.* point with at least
+// two foreground roll-overs before the Maintain-driven ones, foreground
+// partial-parity records must land between a roll-over's begin and done,
+// and recovery must be violation-free at a sampled set of crossings under
+// all three power-loss variants.
+func TestMDGCExplore(t *testing.T) {
+	s := MDGC()
+	census, err := Census(s, 13)
+	if err != nil {
+		t.Fatalf("census: %v", err)
+	}
+	count := map[string]int{}
+	open, inWindow := false, 0
+	for _, cp := range census {
+		count[cp.Name]++
+		switch cp.Name {
+		case "raizn.mdgc.begin":
+			open = true
+		case "raizn.mdgc.done":
+			open = false
+		case "raizn.pp.write":
+			if open {
+				inWindow++
+			}
+		}
+	}
+	for _, name := range []string{"raizn.mdgc.begin", "raizn.mdgc.ckpt", "raizn.mdgc.reset", "raizn.mdgc.done"} {
+		// Maintain alone rolls two logs on each of five devices.
+		if count[name] < 2+10 {
+			t.Errorf("census crossed %s %d times, want at least 2 foreground + 10 Maintain roll-overs", name, count[name])
+		}
+	}
+	if inWindow < 2 {
+		t.Errorf("%d foreground partial-parity appends landed inside a roll-over window, want >= 2", inWindow)
+	}
+
+	res, err := Explore(s, Options{Seed: 13, MaxPoints: 40})
+	if err != nil {
+		t.Fatalf("explore: %v", err)
+	}
+	t.Logf("census=%d explored=%d recovered=%d violations=%d",
+		len(res.Census), res.Explored, res.Recovered, len(res.Violations))
+	for _, v := range res.Violations {
+		t.Errorf("violation: %v", v)
+	}
+	if res.Recovered != res.Explored {
+		t.Errorf("recovered %d of %d runs", res.Recovered, res.Explored)
+	}
+}
+
 // TestExploreDeterminism runs the same bounded exploration twice and
 // requires bit-identical results: census, counters and violations.
 func TestExploreDeterminism(t *testing.T) {

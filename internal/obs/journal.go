@@ -63,13 +63,19 @@ const (
 	// snapshot taken here becomes durable when the flush completes.
 	// A=flush count after.
 	EvDevFlush
+	// EvMetadataGC: a device's metadata log rolled over to a swap zone
+	// (A=1; Zone is the old zone, B the new active zone, C the log kind:
+	// 0 general, 1 partial parity), or the background reclaim of the old
+	// zone ended (A=0; D=1 if it failed and the zone stayed out of the
+	// pool). Foreground appends continue between the two (§4.3).
+	EvMetadataGC
 	numEventTypes
 )
 
 var eventNames = [numEventTypes]string{
 	"zone-state", "zone-reset", "zone-finish", "block-alloc", "gc",
 	"partial-parity", "metadata-write", "relocation", "degraded",
-	"rebuild", "scrub", "dev-write", "dev-flush",
+	"rebuild", "scrub", "dev-write", "dev-flush", "metadata-gc",
 }
 
 func (t EventType) String() string {
@@ -95,6 +101,7 @@ var eventFieldNames = [numEventTypes][4]string{
 	EvScrub:         {"stripes", "mismatches", "repaired", "bytes_read"},
 	EvDevWrite:      {"start", "sectors", "wp_after", "flags"},
 	EvDevFlush:      {"flushes", "", "", ""},
+	EvMetadataGC:    {"begin", "new_zone", "kind", "failed"},
 }
 
 // Event is one journal entry. Src identifies the emitting component: a

@@ -138,16 +138,14 @@ func (v *Volume) checkpointRecords(dev int, kind mdKind) []*record {
 // in-memory state recovered at mount, re-establishing the zone roles
 // (general / partial parity / swap). It never resets a zone before its
 // live content is durably re-checkpointed elsewhere, so a crash at any
-// point leaves at least one complete copy:
+// point — of the run before or of this recovery — leaves a complete copy:
 //
-//  1. Find a resettable zone R1: an empty metadata zone, or — when an
-//     interrupted metadata GC left none empty — a zone holding only
-//     checkpoint-flagged records (which are by construction duplicates
-//     of a source zone that still exists).
+//  1. Take an empty metadata zone R1 (emptyMDZone makes one when a crash
+//     inside a roll-over left none).
 //  2. Write the general checkpoint into R1 and flush.
-//  3. Reset every other zone holding general records (now duplicates).
-//  4. Write the partial-parity checkpoint into a now-empty zone R2 and
-//     flush, then reset the remaining non-empty metadata zones.
+//  3. Reset every other zone holding only general records (now duplicates).
+//  4. Write the partial-parity checkpoint into an empty zone R2 and flush,
+//     then reset the remaining non-empty metadata zones.
 func (v *Volume) consolidateMetadata() error {
 	for dev := range v.devs {
 		d := v.devs[dev]
@@ -166,7 +164,6 @@ type mdZoneInfo struct {
 	empty      bool
 	hasGeneral bool
 	hasParity  bool
-	allCkpt    bool
 }
 
 func (v *Volume) classifyMDZones(dev *zns.Device) ([]mdZoneInfo, error) {
@@ -179,9 +176,8 @@ func (v *Volume) classifyMDZones(dev *zns.Device) ([]mdZoneInfo, error) {
 		z := v.lt.mdZoneIndex(i)
 		zd := dev.Zone(z)
 		infos[i] = mdZoneInfo{
-			phys:    z,
-			empty:   zd.WP == dev.ZoneStart(z) && zd.State != zns.ZoneFull,
-			allCkpt: true,
+			phys:  z,
+			empty: zd.WP == dev.ZoneStart(z) && zd.State != zns.ZoneFull,
 		}
 	}
 	for i := range recs {
@@ -195,76 +191,61 @@ func (v *Volume) classifyMDZones(dev *zns.Device) ([]mdZoneInfo, error) {
 		} else {
 			infos[zi].hasGeneral = true
 		}
-		if r.typ&recCheckpoint == 0 {
-			infos[zi].allCkpt = false
-		}
 	}
 	return infos, nil
 }
 
 func (v *Volume) consolidateDevice(dev int, d *zns.Device) error {
+	// Mount-time compaction may have rolled a log over; its reclaim must
+	// land before the zones change hands.
+	if m := v.md[dev]; m != nil {
+		if err := m.quiesce(); err != nil {
+			return err
+		}
+	}
 	infos, err := v.classifyMDZones(d)
 	if err != nil {
 		return err
 	}
-
-	// Step 1: pick R1.
-	r1 := -1
-	for i, inf := range infos {
-		if inf.empty {
-			r1 = i
-			break
-		}
-	}
-	if r1 == -1 {
-		for i, inf := range infos {
-			if inf.allCkpt {
-				r1 = i
-				break
-			}
-		}
-		if r1 == -1 {
-			return errMDFull
-		}
-		if err := d.ResetZone(infos[r1].phys).Wait(); err != nil {
+	reset := func(i int) error {
+		if err := d.ResetZone(infos[i].phys).Wait(); err != nil {
 			return err
 		}
+		infos[i] = mdZoneInfo{phys: infos[i].phys, empty: true}
+		return nil
 	}
 
-	// Step 2: general checkpoint into R1.
+	// Steps 1-2: general checkpoint into an empty zone R1.
+	r1, err := v.emptyMDZone(dev, d, infos, -1, reset)
+	if err != nil {
+		return err
+	}
 	if err := v.writeCheckpoint(d, infos[r1].phys, dev, mdGeneral); err != nil {
 		return err
 	}
 
-	// Step 3: reset every other zone with general records.
+	// Step 3: reset every other zone with only general records (a zone
+	// checkpointed in place also carries partial parity; it goes last).
 	for i, inf := range infos {
-		if i != r1 && inf.hasGeneral {
-			if err := d.ResetZone(inf.phys).Wait(); err != nil {
+		if i != r1 && inf.hasGeneral && !inf.hasParity {
+			if err := reset(i); err != nil {
 				return err
 			}
-			infos[i].empty = true
-			infos[i].hasGeneral = false
 		}
 	}
 
-	// Step 4: partial-parity checkpoint into a fresh zone, then clear
-	// the old parity zones.
-	r2 := -1
-	for i, inf := range infos {
-		if i != r1 && inf.empty {
-			r2 = i
-			break
-		}
-	}
-	if r2 == -1 {
-		return errMDFull
+	// Step 4: partial-parity checkpoint into an empty zone R2, then clear
+	// everything else.
+	r2, err := v.emptyMDZone(dev, d, infos, r1, reset)
+	if err != nil {
+		return err
 	}
 	if err := v.writeCheckpoint(d, infos[r2].phys, dev, mdParity); err != nil {
 		return err
 	}
 	for i, inf := range infos {
-		if i != r1 && i != r2 && inf.hasParity {
-			if err := d.ResetZone(inf.phys).Wait(); err != nil {
+		if i != r1 && i != r2 && !inf.empty {
+			if err := reset(i); err != nil {
 				return err
 			}
 		}
@@ -292,15 +273,78 @@ func (v *Volume) consolidateDevice(dev int, d *zns.Device) error {
 	return nil
 }
 
-// writeCheckpoint appends the checkpoint records of one kind into the
-// given physical zone and flushes the device.
-func (v *Volume) writeCheckpoint(d *zns.Device, phys int, dev int, kind mdKind) error {
+// emptyMDZone returns the index of an empty metadata zone other than keep.
+// When there is none — with three zones, after a crash inside a roll-over
+// window: the old zone not yet reset, foreground records already behind
+// the checkpoint in the new one — it makes one without ever holding the
+// only copy of anything in memory: both checkpoints are appended in place
+// to the non-full zone (other than keep) with the most room and flushed,
+// which turns every other zone into a duplicate, and those are reset. A
+// crash before the flush leaves the same state with less room; after it, a
+// state the next mount handles the same way.
+func (v *Volume) emptyMDZone(dev int, d *zns.Device, infos []mdZoneInfo, keep int, reset func(int) error) (int, error) {
+	for i, inf := range infos {
+		if i != keep && inf.empty {
+			return i, nil
+		}
+	}
+	t, room := -1, int64(0)
+	for i, inf := range infos {
+		if free := mdZoneRoom(d, inf.phys); i != keep && free > room {
+			t, room = i, free
+		}
+	}
+	if t == -1 {
+		return -1, errMDFull
+	}
+	futs := v.issueCheckpoint(d, infos[t].phys, dev, mdGeneral)
+	futs = append(futs, v.issueCheckpoint(d, infos[t].phys, dev, mdParity)...)
+	if err := vclock.WaitAll(futs...); err != nil {
+		return -1, err
+	}
+	infos[t].hasGeneral, infos[t].hasParity = true, true
+	empty := -1
+	for i := len(infos) - 1; i >= 0; i-- {
+		if i == t || i == keep {
+			continue
+		}
+		if err := reset(i); err != nil {
+			return -1, err
+		}
+		empty = i
+	}
+	return empty, nil
+}
+
+// mdZoneRoom returns how many more sectors fit in physical zone z.
+func mdZoneRoom(d *zns.Device, z int) int64 {
+	zd := d.Zone(z)
+	if zd.State == zns.ZoneFull {
+		return 0
+	}
+	return d.Config().ZoneCap - (zd.WP - d.ZoneStart(z))
+}
+
+// issueCheckpoint appends the checkpoint records of one kind into the
+// given physical zone followed by a device flush, without waiting: once
+// every returned future has completed the checkpoint is durable. A record
+// that does not fit surfaces as that append's error.
+func (v *Volume) issueCheckpoint(d *zns.Device, phys int, dev int, kind mdKind) []*vclock.Future {
 	var futs []*vclock.Future
 	for _, r := range v.checkpointRecords(dev, kind) {
 		r.typ |= recCheckpoint
-		_, fut := d.Append(phys, r.encode(v.sectorSize), 0)
+		buf := r.encode(v.sectorSize)
+		_, fut := d.Append(phys, buf, 0)
+		sectors := int64(len(buf) / v.sectorSize)
+		v.accountMDBytes(r.typ, 1, sectors-1)
+		v.recordMDEvent(dev, phys, r.typ, 1, sectors-1)
 		futs = append(futs, fut)
 	}
-	futs = append(futs, d.Flush())
-	return vclock.WaitAll(futs...)
+	return append(futs, d.Flush())
+}
+
+// writeCheckpoint issues the checkpoint of one kind into the given
+// physical zone and waits until it is durable.
+func (v *Volume) writeCheckpoint(d *zns.Device, phys int, dev int, kind mdKind) error {
+	return vclock.WaitAll(v.issueCheckpoint(d, phys, dev, kind)...)
 }

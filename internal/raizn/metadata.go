@@ -179,18 +179,24 @@ var errMDFull = errors.New("raizn: metadata zone out of space mid-GC")
 // per kind plus a pool of swap zones used for garbage collection.
 //
 // Concurrency: m.mu protects the role assignments and serializes zone
-// appends; it is NEVER held across a blocking wait. While a GC roll-over
-// is in progress (gcBusy), concurrent appends park on the vclock-aware
-// condition so simulated time keeps advancing.
+// appends; it is NEVER held across a blocking wait. A roll-over switches
+// the active zone and issues the checkpoint inside a critical section
+// (gcBusy) in which no simulated time passes; the waiting half — checkpoint
+// durable, old zone reset and returned to the swap pool — runs as a chain
+// of future callbacks (reclaiming). At most one reclaim is in flight per
+// device; an append that needs a second roll-over before it lands parks on
+// the vclock-aware condition.
 type mdManager struct {
 	vol *volumeCore // for checkpoint callbacks and geometry
 	dev int
 
-	mu     sync.Mutex
-	cond   *vclock.Cond
-	gcBusy bool
-	active [mdKinds]int // physical zone index per kind
-	swap   []int        // free metadata zone indices
+	mu         sync.Mutex
+	cond       *vclock.Cond
+	gcBusy     bool         // roll-over critical section in progress
+	reclaiming bool         // a rolled-out zone is not yet back in swap
+	reclaimErr error        // outcome of the last reclaim
+	active     [mdKinds]int // physical zone index per kind
+	swap       []int        // free metadata zone indices
 }
 
 // volumeCore is the narrow view of Volume the metadata manager needs; it
@@ -209,7 +215,7 @@ func newMDManager(v *Volume, dev int) *mdManager {
 }
 
 // append writes a record to the device's metadata log of the appropriate
-// kind, garbage collecting into a swap zone if the active zone is full.
+// kind, rolling the log over to a swap zone if the active zone is full.
 // It returns the completion future and the absolute PBA of the record
 // header. flags is applied to the device append (FUA for write-ahead
 // logging).
@@ -220,118 +226,216 @@ func (m *mdManager) append(r *record, flags zns.Flag) (*vclock.Future, int64, er
 // appendSpan is append with a tracing span; the device marks the span's
 // queue and media phases and ends it when the append completes.
 func (m *mdManager) appendSpan(sp *obs.Span, r *record, flags zns.Flag) (*vclock.Future, int64, error) {
-	dev := m.vol.devs[m.dev]
+	return m.appendEncoded(sp, r.typ, r.encode(m.vol.sectorSize), nil, flags)
+}
+
+// appendEncoded appends an encoded record to the active zone of its kind.
+// A non-nil meta carries the record header in per-block metadata
+// (PPInlineMeta), so buf holds payload sectors only. This is the one place
+// the roll-over protocol meets the foreground: an append that does not fit
+// rolls the log over — which costs no simulated time — and retries in the
+// new zone; only when the previous roll-over's old zone is still being
+// reclaimed does it wait.
+func (m *mdManager) appendEncoded(sp *obs.Span, typ recType, buf, meta []byte, flags zns.Flag) (*vclock.Future, int64, error) {
+	v := m.vol
+	dev := v.devs[m.dev]
 	if dev == nil {
 		sp.End(zns.ErrDeviceFailed)
 		return nil, -1, zns.ErrDeviceFailed
 	}
-	buf := r.encode(m.vol.sectorSize)
-	need := int64(len(buf) / m.vol.sectorSize)
-	kind := kindOf(r.typ)
+	need := int64(len(buf) / v.sectorSize)
+	hdr := int64(1)
+	if meta != nil {
+		hdr = 0
+	}
+	kind := kindOf(typ)
 
+	var err error
+	waited := false
 	m.mu.Lock()
-	for attempt := 0; attempt < 3; attempt++ {
-		for m.gcBusy {
+	for rolls := 0; ; {
+		if m.gcBusy {
 			m.cond.Wait()
+			continue
 		}
 		z := m.active[kind]
-		zd := dev.Zone(z)
-		remaining := dev.Config().ZoneCap - (zd.WP - dev.ZoneStart(z))
-		if remaining >= need && zd.State != zns.ZoneFull {
-			pba, fut := dev.AppendSpan(sp, z, buf, flags)
+		if mdZoneRoom(dev, z) >= need {
+			var pba int64
+			var fut *vclock.Future
+			if meta != nil {
+				pba, fut = dev.AppendMetaSpan(sp, z, buf, meta, flags)
+			} else {
+				pba, fut = dev.AppendSpan(sp, z, buf, flags)
+			}
 			if pba >= 0 {
 				m.mu.Unlock()
-				m.vol.accountMDBytes(r.typ, 1, need-1)
-				m.vol.recordMDEvent(m.dev, z, r.typ, 1, need-1)
+				v.accountMDBytes(typ, hdr, need-hdr)
+				v.recordMDEvent(m.dev, z, typ, hdr, need-hdr)
 				name := "raizn.md.append"
-				if r.typ.base() == recPartialParity {
+				if typ.base() == recPartialParity {
 					name = "raizn.pp.write"
 				}
-				m.vol.fireHook(name, m.dev, z, pba)
+				v.fireHook(name, m.dev, z, pba)
 				return fut, pba, nil
 			}
-			// Fall through to GC on append failure.
+			// Fall through to a roll-over on append failure.
 		}
-		if err := m.gcSlotLocked(kind); err != nil {
-			m.mu.Unlock()
-			sp.End(err)
-			return nil, -1, err
+		if m.reclaiming {
+			// Back-pressure: the swap pool is empty until the previous
+			// roll-over's old zone has been reset. Re-check afterwards —
+			// another waiter may have rolled this log over already.
+			if !waited {
+				waited = true
+				v.stats.mdGCWaits.Add(1)
+			}
+			m.cond.Wait()
+			continue
+		}
+		if rolls == 3 {
+			err = errMDFull
+			break
+		}
+		rolls++
+		if err = m.rollLocked(kind, dev); err != nil {
+			break
 		}
 	}
 	m.mu.Unlock()
-	sp.End(errMDFull)
-	return nil, -1, errMDFull
+	sp.End(err)
+	return nil, -1, err
 }
 
-// gcSlotLocked performs the GC roll-over for kind, temporarily releasing
-// m.mu across the blocking device IO. Caller holds m.mu on entry and on
-// return.
-func (m *mdManager) gcSlotLocked(kind mdKind) error {
-	for m.gcBusy {
+// forceGC runs one roll-over of the given kind and returns once the old
+// zone is back in the swap pool (used by Maintain).
+func (m *mdManager) forceGC(kind mdKind) error {
+	dev := m.vol.devs[m.dev]
+	if dev == nil {
+		return zns.ErrDeviceFailed
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	_ = m.quiesceLocked() // an earlier reclaim's error is not this roll-over's
+	if err := m.rollLocked(kind, dev); err != nil {
+		return err
+	}
+	return m.quiesceLocked()
+}
+
+// quiesce waits for an in-flight reclaim, so that no callback of this
+// manager touches the device's metadata zones afterwards.
+func (m *mdManager) quiesce() error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.quiesceLocked()
+}
+
+func (m *mdManager) quiesceLocked() error {
+	for m.gcBusy || m.reclaiming {
 		m.cond.Wait()
 	}
-	m.gcBusy = true
+	return m.reclaimErr
+}
+
+// rollLocked rolls the active zone of kind over to a swap zone (paper
+// Fig. 4): the swap zone becomes active and the checkpoint of live
+// metadata plus a flush are issued into it, all at one virtual instant, so
+// every checkpoint record precedes every foreground record in the new zone
+// and the caller's append proceeds without waiting. The old zone is reset
+// and returned to the pool by reclaim once the checkpoint is durable.
+//
+// Caller holds m.mu with no roll-over or reclaim in progress; m.mu is
+// released while the checkpoint is built (it takes zone locks) and gcBusy
+// parks concurrent appends meanwhile.
+func (m *mdManager) rollLocked(kind mdKind, dev *zns.Device) error {
+	if len(m.swap) == 0 {
+		if m.reclaimErr != nil {
+			return m.reclaimErr
+		}
+		return errMDFull
+	}
+	old := m.active[kind]
+	next := m.swap[len(m.swap)-1]
+	m.swap = m.swap[:len(m.swap)-1]
+	m.active[kind] = next
+	m.gcBusy, m.reclaiming, m.reclaimErr = true, true, nil
 	m.mu.Unlock()
-	err := m.gc(kind)
+
+	v := m.vol
+	v.stats.metadataGCs.Add(1)
+	v.jrn.Record(obs.EvMetadataGC, m.dev, old, 1, int64(next), int64(kind), 0)
+	v.fireHook("raizn.mdgc.begin", m.dev, old, int64(next))
+	whenAll(v.issueCheckpoint(dev, next, m.dev, kind), func(err error) {
+		m.reclaim(dev, old, err)
+	})
+
 	m.mu.Lock()
 	m.gcBusy = false
 	m.cond.Broadcast()
-	return err
-}
-
-// forceGC runs one GC roll-over of the given kind (used by Maintain).
-func (m *mdManager) forceGC(kind mdKind) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.gcSlotLocked(kind)
-}
-
-// gc rolls the active zone of kind over to a swap zone, checkpointing
-// live metadata into it, then resets the old zone into the swap pool
-// (paper Fig. 4). Called with gcBusy set and m.mu released; gcBusy
-// excludes concurrent appends and role changes.
-func (m *mdManager) gc(kind mdKind) error {
-	m.vol.stats.metadataGCs.Add(1)
-	m.mu.Lock()
-	if len(m.swap) == 0 {
-		m.mu.Unlock()
-		return errMDFull
-	}
-	dev := m.vol.devs[m.dev]
-	if dev == nil {
-		m.mu.Unlock()
-		return zns.ErrDeviceFailed
-	}
-	old := m.active[kind]
-	m.active[kind] = m.swap[len(m.swap)-1]
-	m.swap = m.swap[:len(m.swap)-1]
-	newActive := m.active[kind]
-	m.mu.Unlock()
-
-	// Checkpoint live metadata from memory into the new active zone.
-	var futs []*vclock.Future
-	for _, r := range m.vol.checkpointRecords(m.dev, kind) {
-		r.typ |= recCheckpoint
-		buf := r.encode(m.vol.sectorSize)
-		_, fut := dev.Append(newActive, buf, 0)
-		sectors := int64(len(buf) / m.vol.sectorSize)
-		m.vol.accountMDBytes(r.typ, 1, sectors-1)
-		m.vol.recordMDEvent(m.dev, newActive, r.typ, 1, sectors-1)
-		futs = append(futs, fut)
-	}
-	// The checkpoint must be durable before the old zone disappears;
-	// otherwise a crash could lose both copies.
-	futs = append(futs, dev.Flush())
-	if err := vclock.WaitAll(futs...); err != nil {
-		return err
-	}
-	if err := dev.ResetZone(old).Wait(); err != nil {
-		return err
-	}
-	m.mu.Lock()
-	m.swap = append(m.swap, old)
-	m.mu.Unlock()
 	return nil
+}
+
+// reclaim is the background half of a roll-over. It runs on the goroutine
+// that completed the checkpoint flush and must not block: the old zone is
+// reset only now that the checkpoint is durable (otherwise a crash could
+// lose both copies), and a second callback returns it to the pool. dev is
+// the device the roll-over started on, so a reclaim outliving a device
+// replacement never touches the replacement's zones.
+func (m *mdManager) reclaim(dev *zns.Device, old int, err error) {
+	if err != nil {
+		m.reclaimDone(old, err)
+		return
+	}
+	m.vol.fireHook("raizn.mdgc.ckpt", m.dev, old, 0)
+	fut := dev.ResetZone(old)
+	m.vol.fireHook("raizn.mdgc.reset", m.dev, old, 0)
+	fut.Subscribe(func(err error) { m.reclaimDone(old, err) })
+}
+
+// reclaimDone ends the reclaim: on success the old zone rejoins the swap
+// pool; on failure (device failed, power loss) it stays out and waiters
+// are woken with the error. The journal event and the crash point precede
+// the wake-up, so they are ordered before whatever a woken waiter does at
+// the same virtual instant.
+func (m *mdManager) reclaimDone(old int, err error) {
+	var failed int64
+	if err != nil {
+		failed = 1
+	}
+	m.vol.jrn.Record(obs.EvMetadataGC, m.dev, old, 0, 0, 0, failed)
+	if err == nil {
+		m.vol.fireHook("raizn.mdgc.done", m.dev, old, 0)
+	}
+	m.mu.Lock()
+	if err == nil {
+		m.swap = append(m.swap, old)
+	}
+	m.reclaimErr = err
+	m.reclaiming = false
+	m.cond.Broadcast()
+	m.mu.Unlock()
+}
+
+// whenAll runs fn once every future has completed, with the first error.
+// fn runs on the goroutine completing the last future (inline if all are
+// already complete).
+func whenAll(futs []*vclock.Future, fn func(error)) {
+	var mu sync.Mutex
+	var first error
+	left := len(futs)
+	for _, f := range futs {
+		f.Subscribe(func(err error) {
+			mu.Lock()
+			if err != nil && first == nil {
+				first = err
+			}
+			left--
+			done, e := left == 0, first
+			mu.Unlock()
+			if done {
+				fn(e)
+			}
+		})
+	}
 }
 
 // scan reads every record from all metadata zones of the device,

@@ -46,56 +46,11 @@ func (r *record) encodePayloadOnly(sectorSize int) []byte {
 	return buf
 }
 
-// appendMeta writes a record with its header in block metadata and only
-// the payload in the data sectors. Same GC behaviour as append.
-func (m *mdManager) appendMeta(r *record, flags zns.Flag) (*vclock.Future, int64, error) {
-	return m.appendMetaSpan(nil, r, flags)
-}
-
-// appendMetaSpan is appendMeta with a tracing span.
+// appendMetaSpan writes a record with its header in block metadata and
+// only the payload in the data sectors, ending the tracing span like
+// appendSpan. Same roll-over behaviour as append.
 func (m *mdManager) appendMetaSpan(sp *obs.Span, r *record, flags zns.Flag) (*vclock.Future, int64, error) {
-	dev := m.vol.devs[m.dev]
-	if dev == nil {
-		sp.End(zns.ErrDeviceFailed)
-		return nil, -1, zns.ErrDeviceFailed
-	}
-	buf := r.encodePayloadOnly(m.vol.sectorSize)
-	meta := r.encodeHeaderMeta()
-	need := int64(len(buf) / m.vol.sectorSize)
-	kind := kindOf(r.typ)
-
-	m.mu.Lock()
-	for attempt := 0; attempt < 3; attempt++ {
-		for m.gcBusy {
-			m.cond.Wait()
-		}
-		z := m.active[kind]
-		zd := dev.Zone(z)
-		remaining := dev.Config().ZoneCap - (zd.WP - dev.ZoneStart(z))
-		if remaining >= need && zd.State != zns.ZoneFull {
-			pba, fut := dev.AppendMetaSpan(sp, z, buf, meta, flags)
-			if pba >= 0 {
-				m.mu.Unlock()
-				// Header rides in per-block metadata: zero header sectors.
-				m.vol.accountMDBytes(r.typ, 0, need)
-				m.vol.recordMDEvent(m.dev, z, r.typ, 0, need)
-				name := "raizn.md.append"
-				if r.typ.base() == recPartialParity {
-					name = "raizn.pp.write"
-				}
-				m.vol.fireHook(name, m.dev, z, pba)
-				return fut, pba, nil
-			}
-		}
-		if err := m.gcSlotLocked(kind); err != nil {
-			m.mu.Unlock()
-			sp.End(err)
-			return nil, -1, err
-		}
-	}
-	m.mu.Unlock()
-	sp.End(errMDFull)
-	return nil, -1, errMDFull
+	return m.appendEncoded(sp, r.typ, r.encodePayloadOnly(m.vol.sectorSize), r.encodeHeaderMeta(), flags)
 }
 
 // issueZRWAParityLocked writes the stripe's current prefix parity in

@@ -870,10 +870,22 @@ func (v *Volume) mdm(i int) *mdManager {
 	return v.loadDevs().md[i]
 }
 
-// Unmount flushes all devices. The volume object must not be used
-// afterwards.
+// Unmount waits for in-flight metadata-zone reclaims and flushes all
+// devices. The volume object must not be used afterwards.
 func (v *Volume) Unmount() error {
-	return v.SubmitFlush().Wait()
+	var first error
+	for _, m := range v.loadDevs().md {
+		if m == nil {
+			continue
+		}
+		if err := m.quiesce(); err != nil && first == nil {
+			first = err
+		}
+	}
+	if err := v.SubmitFlush().Wait(); err != nil {
+		return err
+	}
+	return first
 }
 
 // --- Blocking convenience wrappers ---

@@ -18,6 +18,7 @@ type Stats struct {
 	Relocations       int64 // §5.2 relocated fragments created
 	ZoneResets        int64 // logical zone resets completed
 	MetadataGCs       int64 // metadata zone roll-overs
+	MetadataGCWaits   int64 // appends that waited for a swap zone (back-pressure)
 	DegradedReads     int64 // stripe-unit pieces served by reconstruction
 
 	CoalescedSubWrites int64 // sub-IOs merged into a preceding device write
@@ -48,6 +49,7 @@ type statsCounters struct {
 	relocations       *obs.Counter
 	zoneResets        *obs.Counter
 	metadataGCs       *obs.Counter
+	mdGCWaits         *obs.Counter
 	degradedReads     *obs.Counter
 
 	coalescedSubWrites *obs.Counter
@@ -91,6 +93,7 @@ func newStatsCounters(r *obs.Registry, label string) statsCounters {
 		relocations:       r.Counter(n("raizn_relocations_total")),
 		zoneResets:        r.Counter(n("raizn_zone_resets_total")),
 		metadataGCs:       r.Counter(n("raizn_metadata_gcs_total")),
+		mdGCWaits:         r.Counter(n("raizn_md_gc_waits_total")),
 		degradedReads:     r.Counter(n("raizn_degraded_reads_total")),
 
 		coalescedSubWrites: r.Counter(n("raizn_coalesced_sub_writes_total")),
@@ -148,6 +151,7 @@ func registerStatsHelp(r *obs.Registry) {
 	r.Help("raizn_relocations_total", "relocated write fragments created (paper section 5.2)")
 	r.Help("raizn_zone_resets_total", "logical zone resets completed")
 	r.Help("raizn_metadata_gcs_total", "metadata zone garbage-collection roll-overs")
+	r.Help("raizn_md_gc_waits_total", "foreground metadata appends that waited for a swap zone because the previous roll-over's reclaim was still in flight")
 	r.Help("raizn_degraded_reads_total", "stripe-unit pieces served by parity reconstruction")
 	r.Help("raizn_coalesced_sub_writes_total", "device sub-IOs merged into a preceding vectored write")
 	r.Help("raizn_checksum_records_total", "stripe-checksum metadata records written")
@@ -183,6 +187,7 @@ func (v *Volume) Stats() Stats {
 		Relocations:       v.stats.relocations.Load(),
 		ZoneResets:        v.stats.zoneResets.Load(),
 		MetadataGCs:       v.stats.metadataGCs.Load(),
+		MetadataGCWaits:   v.stats.mdGCWaits.Load(),
 		DegradedReads:     v.stats.degradedReads.Load(),
 
 		CoalescedSubWrites: v.stats.coalescedSubWrites.Load(),

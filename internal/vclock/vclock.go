@@ -336,25 +336,32 @@ func (cv *Cond) Wait() {
 	cv.L.Lock()
 }
 
-// Broadcast wakes all parked waiters.
+// Broadcast wakes all parked waiters. The emptied waiter slice keeps its
+// backing array, so a Cond in steady use stops allocating one per Wait.
 func (cv *Cond) Broadcast() {
 	cv.mu.Lock()
-	chs := cv.chs
-	cv.chs = nil
-	cv.mu.Unlock()
-	cv.c.unpark(len(chs))
-	for _, ch := range chs {
-		close(ch)
+	if n := len(cv.chs); n > 0 {
+		cv.c.unpark(n)
+		for i, ch := range cv.chs {
+			close(ch)
+			cv.chs[i] = nil
+		}
+		cv.chs = cv.chs[:0]
 	}
+	cv.mu.Unlock()
 }
 
 // Signal wakes one parked waiter, if any.
 func (cv *Cond) Signal() {
 	cv.mu.Lock()
 	var ch chan struct{}
-	if len(cv.chs) > 0 {
+	if n := len(cv.chs); n > 0 {
 		ch = cv.chs[0]
-		cv.chs = cv.chs[1:]
+		// Copy down rather than re-slice, so the backing array's capacity
+		// is kept for later waiters.
+		copy(cv.chs, cv.chs[1:])
+		cv.chs[n-1] = nil
+		cv.chs = cv.chs[:n-1]
 	}
 	cv.mu.Unlock()
 	if ch != nil {

@@ -416,3 +416,55 @@ func TestSleepOrderingUnderConcurrentSpawns(t *testing.T) {
 		}
 	}
 }
+
+// TestCondWaitAllocs guards the waiter slice reuse: once a Cond is in
+// steady use, a Wait costs its wake-up channel and nothing else, whether
+// it is woken by Signal or by Broadcast. Two goroutines ping-pong a token
+// through two Conds, so one round is two Waits.
+func TestCondWaitAllocs(t *testing.T) {
+	for _, broadcast := range []bool{false, true} {
+		c := New()
+		var mu sync.Mutex
+		ping, pong := c.NewCond(&mu), c.NewCond(&mu)
+		wake := func(cv *Cond) {
+			if broadcast {
+				cv.Broadcast()
+			} else {
+				cv.Signal()
+			}
+		}
+		turn, stop := 0, false // turn 1: echo goroutine's move
+		c.Run(func() {
+			c.Go(func() {
+				mu.Lock()
+				defer mu.Unlock()
+				for {
+					for turn != 1 && !stop {
+						ping.Wait()
+					}
+					if stop {
+						return
+					}
+					turn = 0
+					wake(pong)
+				}
+			})
+			round := func() {
+				mu.Lock()
+				turn = 1
+				wake(ping)
+				for turn != 0 {
+					pong.Wait()
+				}
+				mu.Unlock()
+			}
+			if got := testing.AllocsPerRun(200, round); got > 2 {
+				t.Errorf("broadcast=%v: %.1f allocs per round of two Waits, want <= 2", broadcast, got)
+			}
+			mu.Lock()
+			stop = true
+			ping.Broadcast()
+			mu.Unlock()
+		})
+	}
+}

@@ -228,11 +228,18 @@ func TestAdmissionControlSheds(t *testing.T) {
 		var futs []*vclock.Future
 		var shed int
 		var terr *ThrottledError
+		// A zoned stream must write at the write pointer, so a shed write
+		// is retried at the same LBA: the next LBA only follows an accept.
+		// (Skipping ahead instead would make every later accepted write
+		// fail at the write pointer — whether it does depended on how the
+		// host scheduled the dispatcher against this loop.)
+		lba := int64(0)
 		for i := 0; i < 32; i++ {
-			fut, err := v.SubmitWrite("t0", int64(i), pattern("t0", int64(i), 1, ss), 0)
+			fut, err := v.SubmitWrite("t0", lba, pattern("t0", lba, 1, ss), 0)
 			switch {
 			case err == nil:
 				futs = append(futs, fut)
+				lba++
 			case errors.Is(err, ErrThrottled):
 				shed++
 				if !errors.As(err, &terr) {
