@@ -167,6 +167,8 @@ func main() {
 
 		fmt.Printf("volume: %d logical zones, zone=%d sectors, stripe=%d sectors, su=%d sectors, engine=%v, degraded=%d\n",
 			vol.NumZones(), vol.ZoneSectors(), vol.StripeSectors(), *su, vol.ParityEngineKind(), vol.Degraded())
+		st := vol.Stats()
+		fmt.Printf("fua path: flushes issued=%d joined=%d\n", st.FUAFlushes, st.FUAFlushesJoined)
 		if vol.ParityEngineKind().String() == "zraid" {
 			st := vol.PPEngineStats()
 			fmt.Printf("parity engine: pp_volatile=%dB pp_permanent=%dB fallbacks=%d gc_runs=%d gc_migrated=%d\n",

@@ -146,4 +146,11 @@ func TestMetricHygiene(t *testing.T) {
 			t.Errorf("metric family %q is outside the approved namespaces %v", fam, approvedPrefixes)
 		}
 	}
+	// The FUA-path pair ("why is my fsync slow") must be on the surface
+	// the lint walks, not just defined.
+	for _, fam := range []string{"raizn_fua_flushes_total", "raizn_fua_flushes_joined_total"} {
+		if !seen[fam] {
+			t.Errorf("metric family %q is not registered by the full stack", fam)
+		}
+	}
 }

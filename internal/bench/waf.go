@@ -167,16 +167,20 @@ func devBytes(devs []*zns.Device) devCounters {
 }
 
 // newWafVolume builds a RAIZN array whose devices expose a ZRWA large
-// enough for the zraid engine's PP slots (stride su+1 = 17 sectors,
-// three slots in flight — tight enough that concurrent zones slide the
-// window and exercise the PP-zone GC). The same device model serves the
-// logged runs — the logged engine never touches the ZRWA, so the extra
-// capability is inert there and the comparison stays apples-to-apples.
+// enough for the zraid engine's PP slots (stride su+1 = 17 sectors, four
+// slots in flight — tight enough that concurrent zones slide the window).
+// Varmail's nine zones put two partial stripes on a parity device when
+// they move in step and up to four when they drift; with fewer slots
+// than that, every write of all four appends a slot and programs the one
+// it pushed out (EXPERIMENTS.md, "Parity-engine WAF shootout"). The
+// same device model serves the logged runs — the logged engine never
+// touches the ZRWA, so the extra capability is inert there and the
+// comparison stays apples-to-apples.
 func newWafVolume(clk *vclock.Clock, sc scale, engine raizn.ParityEngine) (*raizn.Volume, []*zns.Device, error) {
 	devs := make([]*zns.Device, sc.numDevices)
 	for i := range devs {
 		cfg := znsConfig(sc, true)
-		cfg.ZRWASectors = 51
+		cfg.ZRWASectors = 68
 		devs[i] = zns.NewDevice(clk, cfg)
 		devs[i].RegisterMetrics(runRegistry, fmt.Sprintf("zns_dev%d", i))
 	}

@@ -7,7 +7,10 @@ package chaos
 // "zraid-gc" runs the zraid parity engine through PP-slot thrash, ring
 // advances and PP-zone GC. "md-gc" rolls one device's partial-parity
 // metadata log over repeatedly with foreground appends landing while the
-// old zone is still being reclaimed.
+// old zone is still being reclaimed. "fua-stream" (and "fua-stream-zraid",
+// the same ops on the zraid engine) is the FUA/flush path: acks that stand
+// on FUA sub-IOs alone, and FUA writes that must find exactly the devices
+// earlier non-FUA writes left dirty.
 
 import (
 	"raizn/internal/raizn"
@@ -19,6 +22,8 @@ func init() {
 	Register(Composed())
 	Register(ZRAIDGC())
 	Register(MDGC())
+	Register(FUAStream())
+	Register(FUAStreamZRAID())
 }
 
 // StripeReset writes across stripe boundaries, flushes, resets a zone and
@@ -148,4 +153,48 @@ func MDGC() *Scenario {
 			Finish(1).
 			Flush()
 	return b.Build()
+}
+
+// fuaStreamOps is the FUA/flush-path schedule. Its first half is an
+// all-FUA stream — inside a unit, to a unit's end, completing a stripe
+// (full parity + checksum row), across a stripe boundary — which the
+// durability ledger serves without a single flush, so under the flushed
+// power-loss variant every ack must be carried by FUA sub-IOs (data,
+// parity, partial parity, checksums). The second half interleaves FUA and
+// non-FUA writes over two zones: a FUA write then flushes the devices its
+// own zone left dirty (and only joins what the other zone's writer has in
+// flight), a Flush in the middle resets the picture, and a Finish takes
+// the same path for what the device finishes do not persist.
+func fuaStreamOps(b *Builder) *Builder {
+	return b.
+		WriteFUA(0, 4).
+		WriteFUA(0, 12). // unit 0 complete
+		WriteFUA(0, 48). // stripe 0 complete
+		WriteFUA(0, 70). // stripe 1 complete, 6 sectors into stripe 2
+		Write(1, 20).
+		WriteFUA(0, 6). // zone 0 is clean; zone 1's dirt is not its business
+		Write(1, 30).
+		WriteFUA(1, 14). // completes zone 1's stripe 0 over non-FUA units
+		Write(0, 24).
+		Write(1, 8).
+		WriteFUA(0, 16).
+		Flush().
+		WriteFUA(1, 5). // after a flush: nothing to do
+		Write(0, 40).
+		WriteFUA(1, 51).
+		Write(1, 9).
+		Finish(1)
+}
+
+// FUAStream runs fuaStreamOps on the paper's partial-parity log.
+func FUAStream() *Scenario { return fuaStreamOps(New("fua-stream")).Build() }
+
+// FUAStreamZRAID runs fuaStreamOps on the zraid engine, whose
+// partial-parity slots are overwritten in place through the ZRWA: a FUA
+// slot write persists its pool zone only up to the slot's end.
+func FUAStreamZRAID() *Scenario {
+	b := New("fua-stream-zraid")
+	b.s.Dev.ZRWASectors = 34 // two 17-sector PP slots in flight
+	b.s.Vol.ParityEngine, b.s.Vol.PPZones = raizn.EngineZRAID, 2
+	return fuaStreamOps(b).Build()
 }

@@ -135,6 +135,51 @@ func TestMDGCExplore(t *testing.T) {
 	}
 }
 
+// TestFUAStreamExplore checks the fua-stream scenarios do what their doc
+// says — the all-FUA half (the first four writes) crosses no device flush,
+// the interleaved half does — and that recovery is violation-free at a
+// sampled set of crossings under all three power-loss variants, on both
+// parity engines.
+func TestFUAStreamExplore(t *testing.T) {
+	for _, s := range []*Scenario{FUAStream(), FUAStreamZRAID()} {
+		census, err := Census(s, 7)
+		if err != nil {
+			t.Fatalf("%s: census: %v", s.Name, err)
+		}
+		writes, early, late := 0, 0, 0
+		for _, cp := range census {
+			switch cp.Name {
+			case "raizn.write.plan":
+				writes++
+			case "zns.cmd.flush":
+				if writes <= 4 {
+					early++
+				} else {
+					late++
+				}
+			}
+		}
+		if early != 0 {
+			t.Errorf("%s: the all-FUA half crossed %d device flushes, want 0", s.Name, early)
+		}
+		if late == 0 {
+			t.Errorf("%s: the interleaved half crossed no device flush", s.Name)
+		}
+		res, err := Explore(s, Options{Seed: 7, MaxPoints: 40})
+		if err != nil {
+			t.Fatalf("%s: explore: %v", s.Name, err)
+		}
+		t.Logf("%s: census=%d explored=%d recovered=%d violations=%d",
+			s.Name, len(res.Census), res.Explored, res.Recovered, len(res.Violations))
+		for _, v := range res.Violations {
+			t.Errorf("%s: violation: %v", s.Name, v)
+		}
+		if res.Recovered != res.Explored {
+			t.Errorf("%s: recovered %d of %d runs", s.Name, res.Recovered, res.Explored)
+		}
+	}
+}
+
 // TestExploreDeterminism runs the same bounded exploration twice and
 // requires bit-identical results: census, counters and violations.
 func TestExploreDeterminism(t *testing.T) {

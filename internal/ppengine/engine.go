@@ -107,12 +107,14 @@ type Engine interface {
 
 	// Persist makes the partial-parity image crash-safe and returns the
 	// completion future the triggering write must wait on (nil when the
-	// engine had nothing to submit, e.g. a degraded parity device).
-	// ok=false means the engine cannot place the image right now (e.g.
-	// PP-zone exhaustion with nothing reclaimable); the caller falls back
-	// to a metadata-log record, so backpressure never blocks the write
-	// path.
-	Persist(a Append) (fut *vclock.Future, ok bool)
+	// engine had nothing to submit, e.g. a degraded parity device)
+	// together with the absolute device sector one past the image's last
+	// written sector, which tells the volume's durability ledger which
+	// physical zone the write landed in and how far. ok=false means the
+	// engine cannot place the image right now (e.g. PP-zone exhaustion
+	// with nothing reclaimable); the caller falls back to a metadata-log
+	// record, so backpressure never blocks the write path.
+	Persist(a Append) (fut *vclock.Future, end int64, ok bool)
 
 	// StripeClosed tells the engine stripe s of logical zone z reached
 	// full parity on media; any PP state for it is dead and reclaimable.

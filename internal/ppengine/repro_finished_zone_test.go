@@ -34,7 +34,7 @@ func TestReproFinishedZoneOverwrite(t *testing.T) {
 
 		// Fill head zone 0 with 7 live slots (stripes 0..6).
 		for s := int64(0); s < 7; s++ {
-			fut, ok := e.Persist(mkAppend(d, 0, s, byte(s), 4))
+			fut, _, ok := e.Persist(mkAppend(d, 0, s, byte(s), 4))
 			if !ok {
 				t.Fatalf("Persist stripe %d refused", s)
 			}
@@ -43,7 +43,7 @@ func TestReproFinishedZoneOverwrite(t *testing.T) {
 			}
 		}
 		// 8th stripe forces the ring advance: zone 0 finished, head=1.
-		fut, ok := e.Persist(mkAppend(d, 0, 7, 7, 4))
+		fut, _, ok := e.Persist(mkAppend(d, 0, 7, 7, 4))
 		if !ok {
 			t.Fatal("Persist stripe 7 refused")
 		}
@@ -53,7 +53,7 @@ func TestReproFinishedZoneOverwrite(t *testing.T) {
 
 		// Re-persist stripe 6: its slot sits at pos 102 in finished
 		// zone 0, inside [wp-ZRWA, wp) by position only.
-		fut, ok = e.Persist(mkAppend(d, 0, 6, 0xEE, 4))
+		fut, _, ok = e.Persist(mkAppend(d, 0, 6, 0xEE, 4))
 		if !ok {
 			t.Fatal("re-Persist refused (expected ok=true with erroring future)")
 		}

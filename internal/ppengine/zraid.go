@@ -25,6 +25,11 @@ import (
 // in place by later stripes. Only slot bytes the window slides past —
 // or that a zone finish commits — become flash programs (pp_permanent).
 //
+// Only the write that appends a slot covers the whole stride (the zone's
+// write pointer has to reach the next slot). An overwrite sends the
+// header and the image's own sectors and nothing else: whatever an older,
+// longer image left behind it lies outside the header's length and CRC.
+//
 // The pool is a ring: the head zone takes appends; advancing the head
 // finishes the old zone and garbage-collects the zone after the new
 // head (migrating its live slots into the head, then resetting it), so
@@ -165,18 +170,18 @@ func (e *zraidEngine) fire(name string, src, zone int, arg int64) {
 // Persist places the image in a PP-zone slot, advancing (and garbage
 // collecting) the device's pool when the head zone is full. ok=false
 // reports backpressure: the pool is exhausted by live slots.
-func (e *zraidEngine) Persist(a Append) (*vclock.Future, bool) {
+func (e *zraidEngine) Persist(a Append) (*vclock.Future, int64, bool) {
 	d := e.cfg.Device(a.Dev)
 	if d == nil {
-		return nil, false
+		return nil, 0, false
 	}
 	e.mu.Lock()
 	for e.gcBusy {
 		e.cond.Wait()
 	}
-	if fut, ok := e.placeLocked(d, a); ok {
+	if fut, end, ok := e.placeLocked(d, a); ok {
 		e.mu.Unlock()
-		return fut, true
+		return fut, end, true
 	}
 	// Head zone full: advance the ring (GC), then retry placement. The
 	// gcBusy flag parks concurrent Persists without holding e.mu across
@@ -188,18 +193,19 @@ func (e *zraidEngine) Persist(a Append) (*vclock.Future, bool) {
 	e.gcBusy = false
 	e.cond.Broadcast()
 	var fut *vclock.Future
+	var end int64
 	ok := false
 	if err == nil {
-		fut, ok = e.placeLocked(d, a)
+		fut, end, ok = e.placeLocked(d, a)
 	}
 	if !ok {
 		e.fallbacks++
 	}
 	e.mu.Unlock()
 	if !ok {
-		return nil, false
+		return nil, 0, false
 	}
-	return fut, true
+	return fut, end, true
 }
 
 // inWindowLocked reports whether the slot can still be overwritten in
@@ -212,7 +218,7 @@ func (e *zraidEngine) inWindowLocked(dv *zrDev, sl *zrSlot) bool {
 // a dead slot still inside a ZRWA window, or a fresh append at the head
 // zone — and submits the write. ok=false means the head zone has no
 // room and the ring must advance. Caller holds e.mu.
-func (e *zraidEngine) placeLocked(d *zns.Device, a Append) (*vclock.Future, bool) {
+func (e *zraidEngine) placeLocked(d *zns.Device, a Append) (*vclock.Future, int64, bool) {
 	dv := &e.devs[a.Dev]
 	key := slotKey{zone: a.Zone, stripe: a.Stripe}
 	ss := int64(e.cfg.SectorSize)
@@ -221,8 +227,8 @@ func (e *zraidEngine) placeLocked(d *zns.Device, a Append) (*vclock.Future, bool
 	// image was superseded inside the window — it never reaches flash.
 	if sl := dv.byKey[key]; sl != nil {
 		if e.inWindowLocked(dv, sl) {
-			e.volatileBytes += e.stride * ss
-			return e.writeSlotLocked(d, a.Dev, dv, sl, a), true
+			fut, end := e.writeSlotLocked(d, a.Dev, dv, sl, a)
+			return fut, end, true
 		}
 		// The slot slid out of the window and can no longer be
 		// overwritten in place; a replacement is written below. Kill the
@@ -242,18 +248,18 @@ func (e *zraidEngine) placeLocked(d *zns.Device, a Append) (*vclock.Future, bool
 			if sl.live || !e.inWindowLocked(dv, sl) {
 				continue
 			}
-			e.volatileBytes += e.stride * ss
 			sl.live = true
 			sl.key = key
 			dv.byKey[key] = sl
-			return e.writeSlotLocked(d, a.Dev, dv, sl, a), true
+			fut, end := e.writeSlotLocked(d, a.Dev, dv, sl, a)
+			return fut, end, true
 		}
 	}
 
 	// Append a fresh slot at the head zone.
 	hz := &dv.pools[dv.head]
 	if hz.wp+e.stride > e.cfg.ZoneCap {
-		return nil, false
+		return nil, 0, false
 	}
 	sl := &zrSlot{pool: dv.head, pos: hz.wp, live: true, key: key}
 	hz.slots = append(hz.slots, sl)
@@ -264,15 +270,20 @@ func (e *zraidEngine) placeLocked(d *zns.Device, a Append) (*vclock.Future, bool
 		hz.mark = m
 	}
 	dv.byKey[key] = sl
-	return e.writeSlotLocked(d, a.Dev, dv, sl, a), true
+	fut, end := e.writeSlotLocked(d, a.Dev, dv, sl, a)
+	return fut, end, true
 }
 
-// writeSlotLocked encodes and submits one full slot write (header +
-// padded payload) at the slot's position through the ZRWA, records the
-// image in memory for GC migration and Scan-free reads, and charges the
-// WA accounting. Caller holds e.mu; the write is asynchronous.
-func (e *zraidEngine) writeSlotLocked(d *zns.Device, dev int, dv *zrDev, sl *zrSlot, a Append) *vclock.Future {
+// writeSlotLocked encodes and submits one slot write at the slot's
+// position through the ZRWA — the whole stride when the slot is new, header
+// plus image when it overwrites one in place, which supersedes that many
+// bytes inside the window — records the image in memory for GC migration
+// and Scan-free reads, and charges the WA accounting. It returns the
+// write's completion and the device sector the write ends at. Caller holds
+// e.mu; the write is asynchronous.
+func (e *zraidEngine) writeSlotLocked(d *zns.Device, dev int, dv *zrDev, sl *zrSlot, a Append) (*vclock.Future, int64) {
 	ss := int64(e.cfg.SectorSize)
+	overwrite := sl.seq != 0
 	e.seq++
 	sl.seq = e.seq
 	sl.rec = Record{
@@ -281,7 +292,10 @@ func (e *zraidEngine) writeSlotLocked(d *zns.Device, dev int, dv *zrDev, sl *zrS
 		Gen:     a.Gen,
 		Payload: append([]byte(nil), a.Payload...),
 	}
-	buf := e.encodeSlot(sl)
+	buf := e.encodeSlot(sl, !overwrite)
+	if overwrite {
+		e.volatileBytes += int64(len(buf))
+	}
 	pz := &dv.pools[sl.pool]
 	pba := d.ZoneStart(pz.zone) + sl.pos
 	var child *obs.Span
@@ -289,21 +303,26 @@ func (e *zraidEngine) writeSlotLocked(d *zns.Device, dev int, dv *zrDev, sl *zrS
 		child = a.Span.Child(obs.OpDevWrite, dev, pba, int64(len(buf)))
 	}
 	fut := d.WriteZRWASpan(child, pba, buf, zns.Flag(a.Flags))
-	e.cfg.Charge(ss, e.cfg.SU*ss)
+	payload := int64(len(buf)) - ss
+	e.cfg.Charge(ss, payload)
 	if e.cfg.Journal != nil && e.cfg.Journal.Enabled() {
-		e.cfg.Journal.Record(obs.EvPartialParity, dev, pz.zone, e.cfg.SU*ss, ss, 0, 0)
+		e.cfg.Journal.Record(obs.EvPartialParity, dev, pz.zone, payload, ss, 0, 0)
 	}
 	e.fire("raizn.pp.write", dev, pz.zone, pba)
-	return fut
+	return fut, pba + int64(len(buf))/ss
 }
 
-// encodeSlot serializes the slot's image into one fixed-size slot:
-// header sector (magic, CRC, key, range, gen, seq) followed by the
-// payload zero-padded to a full stripe unit.
-func (e *zraidEngine) encodeSlot(sl *zrSlot) []byte {
+// encodeSlot serializes the slot's image: header sector (magic, CRC, key,
+// range, gen, seq) followed by the payload rounded up to whole sectors
+// and, with pad, zeroes up to a full stripe unit.
+func (e *zraidEngine) encodeSlot(sl *zrSlot, pad bool) []byte {
 	ss := e.cfg.SectorSize
-	buf := make([]byte, e.stride*int64(ss))
 	payLen := (len(sl.rec.Payload) + ss - 1) / ss
+	size := (1 + payLen) * ss
+	if pad {
+		size = int(e.stride) * ss
+	}
+	buf := make([]byte, size)
 	binary.LittleEndian.PutUint32(buf[0:4], slotMagic)
 	binary.LittleEndian.PutUint32(buf[8:12], uint32(sl.rec.Zone))
 	binary.LittleEndian.PutUint32(buf[12:16], uint32(payLen))
@@ -424,7 +443,8 @@ func (e *zraidEngine) gcZone(dev int, d *zns.Device, victim int) error {
 		}
 		dv.byKey[ns.key] = ns
 		sl.live = false
-		futs = append(futs, e.writeSlotLocked(d, dev, dv, ns, a))
+		fut, _ := e.writeSlotLocked(d, dev, dv, ns, a)
+		futs = append(futs, fut)
 		e.gcMigrated++
 		e.fire("raizn.ppgc.migrate", dev, vz.zone, sl.pos)
 	}
@@ -507,11 +527,15 @@ func (e *zraidEngine) Scan() ([]Record, error) {
 			start := d.ZoneStart(z)
 			fill := d.Zone(z).WP - start
 			buf := make([]byte, e.stride*int64(ss))
-			for pos := int64(0); pos+e.stride <= fill; pos += e.stride {
-				if err := d.Read(start+pos, buf).Wait(); err != nil {
+			for pos := int64(0); pos < fill; pos += e.stride {
+				// A power cut can leave the zone ending inside its last
+				// slot: an overwrite persists the slot only as far as its
+				// own image reaches.
+				slot := buf[:min(e.stride, fill-pos)*int64(ss)]
+				if err := d.Read(start+pos, slot).Wait(); err != nil {
 					return nil, fmt.Errorf("ppengine: pp zone scan dev %d zone %d: %w", i, z, err)
 				}
-				rec, seq, ok := decodeSlot(buf, ss, e.cfg.SU)
+				rec, seq, ok := decodeSlot(slot, ss, e.cfg.SU)
 				if !ok {
 					continue
 				}

@@ -69,7 +69,16 @@ func TestSlotCodecRoundtrip(t *testing.T) {
 				Payload: bytes.Repeat([]byte{0xAB}, 5*ss),
 			},
 		}
-		buf := e.encodeSlot(sl)
+		// An overwrite carries the header and the image only, and decodes
+		// on its own.
+		short := e.encodeSlot(sl, false)
+		if len(short) != 6*ss {
+			t.Fatalf("overwrite size %d, want header + 5 payload sectors (%d)", len(short), 6*ss)
+		}
+		if rec, seq, ok := decodeSlot(short, ss, 16); !ok || seq != 42 || !bytes.Equal(rec.Payload, sl.rec.Payload) {
+			t.Fatal("overwrite image does not decode")
+		}
+		buf := e.encodeSlot(sl, true)
 		if int64(len(buf)) != e.stride*int64(ss) {
 			t.Fatalf("slot size %d, want %d", len(buf), e.stride*int64(ss))
 		}
@@ -116,20 +125,33 @@ func TestPersistOverwriteVolatile(t *testing.T) {
 		ss := int64(d.Config().SectorSize)
 
 		for fillN := 1; fillN <= 4; fillN++ {
-			fut, ok := e.Persist(mkAppend(d, 0, 5, byte(fillN), fillN*4))
+			fut, end, ok := e.Persist(mkAppend(d, 0, 5, byte(fillN), fillN*4))
 			if !ok {
 				t.Fatalf("Persist %d refused", fillN)
 			}
 			if err := fut.Wait(); err != nil {
 				t.Fatalf("Persist %d: %v", fillN, err)
 			}
+			// The append writes the whole stride; an overwrite ends where
+			// its image does.
+			want := d.ZoneStart(0) + e.stride
+			if fillN > 1 {
+				want = d.ZoneStart(0) + 1 + int64(fillN*4)
+			}
+			if end != want {
+				t.Errorf("Persist %d ended at sector %d, want %d", fillN, end, want)
+			}
 		}
 		if wp := d.Zone(0).WP - d.ZoneStart(0); wp != e.stride {
 			t.Errorf("PP zone WP = %d, want one slot (%d)", wp, e.stride)
 		}
+		hw, _, _, _ := d.Counters()
+		if want := (e.stride + 9 + 13 + 17) * ss; hw != want {
+			t.Errorf("device took %d bytes, want %d (one full slot, then header + image three times)", hw, want)
+		}
 		st := e.Stats()
-		if want := 3 * e.stride * ss; st.VolatileBytes != want {
-			t.Errorf("VolatileBytes = %d, want %d (three in-place overwrites)", st.VolatileBytes, want)
+		if want := (9 + 13 + 17) * ss; st.VolatileBytes != want {
+			t.Errorf("VolatileBytes = %d, want %d (three in-place overwrites of header + image)", st.VolatileBytes, want)
 		}
 		if st.PermanentBytes != 0 {
 			t.Errorf("PermanentBytes = %d, want 0 (window never slid)", st.PermanentBytes)
@@ -161,7 +183,7 @@ func TestStaleSlotSuperseded(t *testing.T) {
 
 		persist := func(stripe int64, fill byte) {
 			t.Helper()
-			fut, ok := e.Persist(mkAppend(d, 0, stripe, fill, 8))
+			fut, _, ok := e.Persist(mkAppend(d, 0, stripe, fill, 8))
 			if !ok {
 				t.Fatalf("Persist stripe %d refused", stripe)
 			}
@@ -169,7 +191,7 @@ func TestStaleSlotSuperseded(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		persist(0, 1)          // slot at pos 0
+		persist(0, 1) // slot at pos 0
 		for s := int64(1); s <= 3; s++ {
 			persist(s, byte(s)) // wp=68: window [34,68], slot 0 outside
 		}
@@ -220,7 +242,7 @@ func TestKilledSlotUnmappedAcrossGC(t *testing.T) {
 
 		persist := func(stripe int64, fill byte) bool {
 			t.Helper()
-			fut, ok := e.Persist(mkAppend(d, 0, stripe, fill, 8))
+			fut, _, ok := e.Persist(mkAppend(d, 0, stripe, fill, 8))
 			if ok {
 				if err := fut.Wait(); err != nil {
 					t.Fatalf("Persist stripe %d: %v", stripe, err)
@@ -279,6 +301,44 @@ func TestKilledSlotUnmappedAcrossGC(t *testing.T) {
 	})
 }
 
+// TestScanReadsSlotCutAtItsImage overwrites a slot whose appending write
+// was never flushed with a shorter FUA image, then cuts power keeping only
+// what the device persisted: the zone ends inside the slot, right after
+// the image, and Scan must still return it.
+func TestScanReadsSlotCutAtItsImage(t *testing.T) {
+	c := vclock.New()
+	c.Run(func() {
+		d := zns.NewDevice(c, ppDevConfig())
+		e := newTestEngine(t, c, d)
+		for i, a := range []Append{mkAppend(d, 0, 0, 1, 8), mkAppend(d, 0, 1, 2, 12), mkAppend(d, 0, 1, 3, 4)} {
+			if i == 2 {
+				a.Flags = int(zns.FUA)
+			}
+			fut, _, ok := e.Persist(a)
+			if !ok {
+				t.Fatal("Persist refused")
+			}
+			if err := fut.Wait(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		d.PowerLoss(nil)
+		if wp := d.Zone(0).WP - d.ZoneStart(0); wp != e.stride+5 {
+			t.Fatalf("PP zone WP after the cut = %d, want %d (first slot, header and 4 sectors of the second)", wp, e.stride+5)
+		}
+		recs, err := e.Scan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) != 2 {
+			t.Fatalf("Scan returned %d records, want 2", len(recs))
+		}
+		if r := recs[1]; r.Stripe != 1 || len(r.Payload) != 4*d.Config().SectorSize || r.Payload[0] != 3 {
+			t.Errorf("Scan kept stripe %d len %d fill %d, want stripe 1's 4-sector image", r.Stripe, len(r.Payload), r.Payload[0])
+		}
+	})
+}
+
 // TestScanDropsTornSlot plants garbage between valid slots and checks
 // the scan skips it without losing the neighbors.
 func TestScanDropsTornSlot(t *testing.T) {
@@ -287,7 +347,7 @@ func TestScanDropsTornSlot(t *testing.T) {
 		d := zns.NewDevice(c, ppDevConfig())
 		e := newTestEngine(t, c, d)
 		for s := int64(0); s < 2; s++ {
-			fut, ok := e.Persist(mkAppend(d, 0, s, byte(s+1), 8))
+			fut, _, ok := e.Persist(mkAppend(d, 0, s, byte(s+1), 8))
 			if !ok {
 				t.Fatal("Persist refused")
 			}
@@ -322,7 +382,7 @@ func TestExhaustionBackpressureAndReclaim(t *testing.T) {
 		var placed []int64
 		refused := 0
 		for s := int64(0); s < 40 && refused < 3; s++ {
-			fut, ok := e.Persist(mkAppend(d, 0, s, 1, 8))
+			fut, _, ok := e.Persist(mkAppend(d, 0, s, 1, 8))
 			if !ok {
 				refused++
 				continue
@@ -359,7 +419,7 @@ func TestExhaustionBackpressureAndReclaim(t *testing.T) {
 		// stripes fit a two-zone ring); the ring advance migrates the
 		// live survivors.
 		for s := int64(100); s < 106; s++ {
-			fut, ok := e.Persist(mkAppend(d, 0, s, 2, 8))
+			fut, _, ok := e.Persist(mkAppend(d, 0, s, 2, 8))
 			if !ok {
 				t.Fatalf("Persist stripe %d refused after reclaim", s)
 			}
@@ -403,7 +463,7 @@ func TestFormatClearsPool(t *testing.T) {
 		d := zns.NewDevice(c, ppDevConfig())
 		e := newTestEngine(t, c, d)
 		for s := int64(0); s < 5; s++ {
-			fut, ok := e.Persist(mkAppend(d, 0, s, 3, 8))
+			fut, _, ok := e.Persist(mkAppend(d, 0, s, 3, 8))
 			if !ok {
 				t.Fatal("Persist refused")
 			}
@@ -426,7 +486,7 @@ func TestFormatClearsPool(t *testing.T) {
 		if len(recs) != 0 {
 			t.Errorf("Scan found %d records after Format", len(recs))
 		}
-		fut, ok := e.Persist(mkAppend(d, 0, 77, 4, 8))
+		fut, _, ok := e.Persist(mkAppend(d, 0, 77, 4, 8))
 		if !ok {
 			t.Fatal("Persist refused after Format")
 		}

@@ -1,6 +1,10 @@
 package raizn
 
-import "testing"
+import (
+	"testing"
+
+	"raizn/internal/zns"
+)
 
 // Checked-in allocs/op baselines for the SubmitWrite hot path with
 // tracing disabled. The obs span plumbing threads nil span handles
@@ -8,13 +12,23 @@ import "testing"
 // one of these numbers goes up, something put an allocation (or a live
 // span) on the disabled-tracing path. Lower the baseline when the write
 // path genuinely improves; raise it only for a deliberate trade-off.
+//
+// The same numbers pin the durability ledger (ledger.go): its bookkeeping
+// on the submit path is a few stores under locks the path already takes,
+// so the non-FUA rows did not move when it arrived, and a FUA write in an
+// all-FUA stream — no flush to issue, no predecessor to wait for — costs
+// no more than the same write without the flag (less on the large row: the
+// device model keeps no unflushed-extent list for data FUA persisted).
 var submitWriteAllocBaseline = []struct {
 	name    string
 	sectors int64
+	flags   zns.Flag
 	allocs  int64
 }{
-	{"4K", 1, 27},
-	{"4-stripe", 16 * 16, 100}, // StripeUnitSectors(16) * 16
+	{"4K", 1, 0, 27},
+	{"4-stripe", 16 * 16, 0, 100}, // StripeUnitSectors(16) * 16
+	{"4K-FUA", 1, zns.FUA, 27},
+	{"4-stripe-FUA", 16 * 16, zns.FUA, 98},
 }
 
 // TestSubmitWriteAllocGuard enforces the zero-allocation-when-disabled
@@ -33,7 +47,7 @@ func TestSubmitWriteAllocGuard(t *testing.T) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			r := testing.Benchmark(func(b *testing.B) {
-				benchSeqWrite(b, DefaultConfig(), c.sectors)
+				benchSeqWriteFlags(b, DefaultConfig(), c.sectors, c.flags)
 			})
 			got := r.AllocsPerOp()
 			switch {
@@ -91,6 +105,9 @@ func TestRecorderAllocGuard(t *testing.T) {
 	}
 	for _, c := range submitWriteAllocBaseline {
 		c := c
+		if c.flags != 0 {
+			continue // the recorder is indifferent to write flags
+		}
 		t.Run(c.name, func(t *testing.T) {
 			r := testing.Benchmark(func(b *testing.B) {
 				benchSeqWriteRecorder(b, c.sectors)

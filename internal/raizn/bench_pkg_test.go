@@ -42,6 +42,10 @@ func benchVolumeCfg(b *testing.B, vcfg Config, fn func(c *vclock.Clock, v *Volum
 // allocations per operation — the coalesced path's zero-allocation
 // criterion is measured here.
 func benchSeqWrite(b *testing.B, vcfg Config, nSectors int64) {
+	benchSeqWriteFlags(b, vcfg, nSectors, 0)
+}
+
+func benchSeqWriteFlags(b *testing.B, vcfg Config, nSectors int64, flags zns.Flag) {
 	benchVolumeCfg(b, vcfg, func(c *vclock.Clock, v *Volume) {
 		buf := make([]byte, nSectors*int64(v.SectorSize()))
 		b.SetBytes(int64(len(buf)))
@@ -56,7 +60,7 @@ func benchSeqWrite(b *testing.B, vcfg Config, nSectors int64) {
 				lba = 0
 				b.StartTimer()
 			}
-			if err := v.Write(lba, buf, 0); err != nil {
+			if err := v.Write(lba, buf, flags); err != nil {
 				b.Fatal(err)
 			}
 			lba += nSectors

@@ -328,7 +328,9 @@ func mdZoneRoom(d *zns.Device, z int) int64 {
 // issueCheckpoint appends the checkpoint records of one kind into the
 // given physical zone followed by a device flush, without waiting: once
 // every returned future has completed the checkpoint is durable. A record
-// that does not fit surfaces as that append's error.
+// that does not fit surfaces as that append's error. The flush goes
+// through the durability ledger, so FUA writes that need this device
+// flushed meanwhile join it.
 func (v *Volume) issueCheckpoint(d *zns.Device, phys int, dev int, kind mdKind) []*vclock.Future {
 	var futs []*vclock.Future
 	for _, r := range v.checkpointRecords(dev, kind) {
@@ -340,7 +342,10 @@ func (v *Volume) issueCheckpoint(d *zns.Device, phys int, dev int, kind mdKind) 
 		v.recordMDEvent(dev, phys, r.typ, 1, sectors-1)
 		futs = append(futs, fut)
 	}
-	return append(futs, d.Flush())
+	// The sequence taken after the appends is newer than any flush, so
+	// this always yields one that covers them.
+	flush, _ := v.coverDev(nil, dev, d, v.led[dev].submitted(false), false)
+	return append(futs, flush)
 }
 
 // writeCheckpoint issues the checkpoint of one kind into the given

@@ -30,11 +30,11 @@ func (le *loggedEngine) InPlaceParityPrefix() bool {
 // Persist appends the image as a §5.1 log record. A failed parity
 // device persists nothing (the data units carry the write, §4.2), which
 // is success for the caller — there is nothing to fall back to.
-func (le *loggedEngine) Persist(a ppengine.Append) (*vclock.Future, bool) {
+func (le *loggedEngine) Persist(a ppengine.Append) (*vclock.Future, int64, bool) {
 	v := le.v
 	m := v.mdm(a.Dev)
 	if m == nil {
-		return nil, true // device failed: degraded
+		return nil, 0, true // device failed: degraded
 	}
 	rec := &record{
 		typ:      recPartialParity,
@@ -45,21 +45,23 @@ func (le *loggedEngine) Persist(a ppengine.Append) (*vclock.Future, bool) {
 	}
 	child := a.Span.Child(obs.OpMDAppend, a.Dev, a.StartLBA, int64(len(a.Payload)))
 	var fut *vclock.Future
+	var pba int64
 	var err error
-	if v.cfg.ParityMode == PPInlineMeta {
-		fut, _, err = m.appendMetaSpan(child, rec, zns.Flag(a.Flags))
+	inMeta := v.cfg.ParityMode == PPInlineMeta
+	if inMeta {
+		fut, pba, err = m.appendMetaSpan(child, rec, zns.Flag(a.Flags))
 	} else {
-		fut, _, err = m.appendSpan(child, rec, zns.Flag(a.Flags))
+		fut, pba, err = m.appendSpan(child, rec, zns.Flag(a.Flags))
 	}
 	if err != nil {
 		child.End(err)
 		if errors.Is(err, zns.ErrDeviceFailed) {
 			v.noteDeviceError(a.Dev, err)
-			return nil, true
+			return nil, 0, true
 		}
-		return v.clk.Completed(err), true
+		return v.clk.Completed(err), 0, true
 	}
-	return fut, true
+	return fut, pba + rec.sectors(v.sectorSize, inMeta), true
 }
 
 func (le *loggedEngine) StripeClosed(zone int, stripe int64) {}

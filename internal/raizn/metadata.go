@@ -114,13 +114,23 @@ func (r *record) payloadSectors(l *layout, sectorSize int) int64 {
 	}
 }
 
+// sectors returns how many sectors the record occupies on the device:
+// its payload sectors plus, unless the header rides in per-block metadata
+// (PPInlineMeta), the header sector.
+func (r *record) sectors(sectorSize int, headerInMeta bool) int64 {
+	n := int64((len(r.payload) + sectorSize - 1) / sectorSize)
+	if !headerInMeta {
+		n++
+	}
+	return n
+}
+
 // encode serializes the record into whole sectors.
 func (r *record) encode(sectorSize int) []byte {
 	if len(r.inline) > maxInline {
 		panic("raizn: inline payload too large")
 	}
-	nPayload := (len(r.payload) + sectorSize - 1) / sectorSize
-	buf := make([]byte, (1+nPayload)*sectorSize)
+	buf := make([]byte, r.sectors(sectorSize, false)*int64(sectorSize))
 	binary.LittleEndian.PutUint32(buf[0:4], mdMagic)
 	binary.LittleEndian.PutUint16(buf[4:6], uint16(r.typ))
 	binary.LittleEndian.PutUint16(buf[6:8], uint16(len(r.inline)))
@@ -269,6 +279,7 @@ func (m *mdManager) appendEncoded(sp *obs.Span, typ recType, buf, meta []byte, f
 			}
 			if pba >= 0 {
 				m.mu.Unlock()
+				v.led[m.dev].submitted(flags&zns.FUA != 0)
 				v.accountMDBytes(typ, hdr, need-hdr)
 				v.recordMDEvent(m.dev, z, typ, hdr, need-hdr)
 				name := "raizn.md.append"

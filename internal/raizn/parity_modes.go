@@ -40,8 +40,7 @@ func (r *record) encodeHeaderMeta() []byte {
 // encodePayloadOnly pads the external payload to whole sectors with no
 // header block.
 func (r *record) encodePayloadOnly(sectorSize int) []byte {
-	n := (len(r.payload) + sectorSize - 1) / sectorSize * sectorSize
-	buf := make([]byte, n)
+	buf := make([]byte, r.sectors(sectorSize, true)*int64(sectorSize))
 	copy(buf, r.payload)
 	return buf
 }
@@ -69,6 +68,7 @@ func (v *Volume) issueZRWAParityLocked(sp *obs.Span, lz *logicalZone, s int64, b
 	pba := v.lt.parityPBA(lz.idx, s)
 	child := sp.Child(obs.OpDevWrite, dev, pba, int64(len(img)))
 	fut := d.WriteZRWASpan(child, pba, img, flags)
+	v.noteSubIO(lz, dev, pba+plen, flags&zns.FUA != 0)
 	*futs = append(*futs, subIO{dev: dev, fut: fut})
 }
 

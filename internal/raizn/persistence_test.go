@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"raizn/internal/vclock"
 	"raizn/internal/zns"
@@ -12,36 +13,42 @@ import (
 
 // TestFUANeverLost is the §5.3 guarantee: once a FUA write completes,
 // the write AND every LBA before it in the zone survive any power loss.
+// Two zones are written interleaved, so a FUA write in one zone finds the
+// devices dirtied by the other.
 func TestFUANeverLost(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		runVol(t, func(c *vclock.Clock, v *Volume, devs []*zns.Device) {
 			rng := rand.New(rand.NewSource(seed))
-			lba := int64(0)
-			var fuaHigh int64 // end of the last completed FUA write
-			for lba < 150 {
-				n := int64(1 + rng.Intn(30))
-				if lba+n > 150 {
-					n = 150 - lba
+			zs := v.ZoneSectors()
+			var wp, fuaHigh [2]int64 // per zone: next offset, end of the last completed FUA write
+			for wp[0] < 150 || wp[1] < 150 {
+				z := rng.Intn(2)
+				if wp[z] >= 150 {
+					z = 1 - z
 				}
+				n := min(int64(1+rng.Intn(30)), 150-wp[z])
 				flags := zns.Flag(0)
 				if rng.Intn(3) == 0 {
 					flags = zns.FUA
 				}
-				mustWriteV(t, v, lba, int(n), flags)
+				mustWriteV(t, v, int64(z)*zs+wp[z], int(n), flags)
+				wp[z] += n
 				if flags == zns.FUA {
-					fuaHigh = lba + n
+					fuaHigh[z] = wp[z]
 				}
-				lba += n
 			}
 			for _, d := range devs {
 				d.PowerLoss(rng)
 			}
 			v2 := remount(t, c, devs)
-			if wp := v2.Zone(0).WP; wp < fuaHigh {
-				t.Fatalf("seed %d: FUA data lost: WP=%d < FUA end %d", seed, wp, fuaHigh)
-			}
-			if fuaHigh > 0 {
-				checkReadV(t, v2, 0, int(fuaHigh))
+			for z := range fuaHigh {
+				base := int64(z) * zs
+				if got := v2.Zone(z).WP - base; got < fuaHigh[z] {
+					t.Fatalf("seed %d: FUA data lost: zone %d WP=%d < FUA end %d", seed, z, got, fuaHigh[z])
+				}
+				if fuaHigh[z] > 0 {
+					checkReadV(t, v2, base, int(fuaHigh[z]))
+				}
 			}
 		})
 	}
@@ -93,40 +100,233 @@ func TestPersistenceBitmapTracksFlushes(t *testing.T) {
 	})
 }
 
-// TestFUAFlushesOnlyInvolvedDevices checks the §5.3 optimization: the
-// FUA dependency flushes the devices holding non-persisted stripe units,
-// not the whole array, when the range allows it.
+// TestFUAFlushesOnlyInvolvedDevices pins the §5.3 rule to exact per-device
+// flush counts: a durable write flushes the devices on which its zone has
+// sub-IOs that neither a flush nor one of the write's own FUA sub-IOs to
+// the same physical zone persists — and no other device, and none twice.
 func TestFUAFlushesOnlyInvolvedDevices(t *testing.T) {
-	runVol(t, func(c *vclock.Clock, v *Volume, devs []*zns.Device) {
-		before := make([]int64, len(devs))
-		snap := func() {
-			for i, d := range devs {
-				_, _, f, _ := d.Counters()
-				before[i] = f
-			}
+	const su = 16 // stripe unit of DefaultConfig; a stripe is 4 units
+	type env struct {
+		c    *vclock.Clock
+		v    *Volume
+		devs []*zns.Device
+	}
+	// dataDevs adds one expected flush on the devices holding data units
+	// [0, units) of stripe 0 of zone z.
+	dataDevs := func(e env, want []int64, z, units int) {
+		for u := 0; u < units; u++ {
+			want[e.v.lt.dataDev(z, 0, u)]++
 		}
-		delta := func() []int64 {
+	}
+	cases := []struct {
+		name string
+		prep func(e env)               // before the flush counters are read
+		act  func(e env)               // the durable writes under test
+		want func(e env, want []int64) // expected flushes per device during act
+		// joined is the number of flush needs act must serve by joining.
+		joined func(e env) int64
+	}{
+		{
+			name: "all-FUA stream",
+			act: func(e env) {
+				lba := int64(0)
+				for _, n := range []int{4, 1, 11, 16, 32, 7, 57, 70, 3} { // ends on and crosses stripe boundaries
+					mustWriteV(t, e.v, lba, n, zns.FUA)
+					lba += int64(n)
+				}
+			},
+		},
+		{
+			name: "FUA unit completes a stripe of non-FUA units",
+			prep: func(e env) {
+				for u := int64(0); u < 3; u++ {
+					mustWriteV(t, e.v, u*su, su, 0)
+				}
+			},
+			act: func(e env) { mustWriteV(t, e.v, 3*su, su, zns.FUA) },
+			want: func(e env, want []int64) {
+				// Units 0-2 are dirty; unit 3's device gets only the FUA
+				// write. The parity device's FUA parity unit lands in
+				// the data zone, which does not persist the three
+				// partial-parity records in its metadata zone.
+				dataDevs(e, want, 0, 3)
+				want[e.v.lt.parityDev(0, 0)]++
+			},
+		},
+		{
+			name: "own FUA sub-IOs cover the same physical zone",
+			prep: func(e env) {
+				mustWriteV(t, e.v, 0, su, 0)    // unit 0 + pp record
+				mustWriteV(t, e.v, su, su/4, 0) // start of unit 1 + pp record
+			},
+			act: func(e env) { mustWriteV(t, e.v, su+su/4, su/4, zns.FUA) },
+			want: func(e env, want []int64) {
+				// The FUA data sub-IO persists unit 1's device prefix and
+				// the FUA pp record the parity device's log prefix: only
+				// unit 0's device is left.
+				dataDevs(e, want, 0, 1)
+			},
+		},
+		{
+			name: "after Flush",
+			prep: func(e env) {
+				mustWriteV(t, e.v, 0, 3*su, 0)
+				if err := e.v.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			},
+			act: func(e env) { mustWriteV(t, e.v, 3*su, 4, zns.FUA) },
+		},
+		{
+			name: "Preflush reaches the other zones' devices",
+			prep: func(e env) {
+				if err := e.v.Flush(); err != nil { // the devices start out presumed dirty
+					t.Fatal(err)
+				}
+				mustWriteV(t, e.v, e.v.ZoneSectors(), 2*su, 0) // zone 1, units 0-1
+			},
+			act: func(e env) { mustWriteV(t, e.v, 0, 4, zns.FUA|zns.Preflush) },
+			want: func(e env, want []int64) {
+				dataDevs(e, want, 1, 2)
+				want[e.v.lt.parityDev(1, 0)]++
+			},
+		},
+		{
+			name: "two concurrent FUA writers share one flush per device",
+			prep: func(e env) {
+				for z := int64(0); z < 2; z++ {
+					mustWriteV(t, e.v, z*e.v.ZoneSectors(), 3*su, 0)
+				}
+			},
+			act: func(e env) {
+				a := e.v.SubmitWrite(3*su, lbaPattern(e.v, 3*su, 4), zns.FUA)
+				lba := e.v.ZoneSectors() + 3*su
+				b := e.v.SubmitWrite(lba, lbaPattern(e.v, lba, 4), zns.FUA)
+				if err := vclock.WaitAll(a, b); err != nil {
+					t.Fatal(err)
+				}
+			},
+			want: func(e env, want []int64) {
+				// Each zone needs the devices of its units 0-2 (its FUA pp
+				// record covers the parity device's log); a device both
+				// need is flushed once.
+				dataDevs(e, want, 0, 3)
+				dataDevs(e, want, 1, 3)
+				for i := range want {
+					want[i] = min(want[i], 1)
+				}
+			},
+			joined: func(e env) int64 {
+				both := make([]int64, len(e.devs))
+				dataDevs(e, both, 0, 3)
+				dataDevs(e, both, 1, 3)
+				var n int64
+				for _, k := range both {
+					if k == 2 {
+						n++
+					}
+				}
+				return n
+			},
+		},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			runVol(t, func(c *vclock.Clock, v *Volume, devs []*zns.Device) {
+				e := env{c, v, devs}
+				if tc.prep != nil {
+					tc.prep(e)
+				}
+				before := make([]int64, len(devs))
+				for i, d := range devs {
+					_, _, before[i], _ = d.Counters()
+				}
+				st0 := v.Stats()
+				tc.act(e)
+				want := make([]int64, len(devs))
+				if tc.want != nil {
+					tc.want(e, want)
+				}
+				var issued int64
+				for i, d := range devs {
+					_, _, f, _ := d.Counters()
+					if got := f - before[i]; got != want[i] {
+						t.Errorf("device %d: %d flushes, want %d", i, got, want[i])
+					}
+					issued += want[i]
+				}
+				st := v.Stats()
+				if got := st.FUAFlushes - st0.FUAFlushes; got != issued {
+					t.Errorf("FUAFlushes grew by %d, want %d", got, issued)
+				}
+				var joined int64
+				if tc.joined != nil {
+					joined = tc.joined(e)
+				}
+				if got := st.FUAFlushesJoined - st0.FUAFlushesJoined; got != joined {
+					t.Errorf("FUAFlushesJoined grew by %d, want %d", got, joined)
+				}
+			})
+		})
+	}
+}
+
+// TestFUAFlushOverlapsWrite: the flushes a FUA write needs are issued with
+// its sub-IOs, so the write takes about one flush, not write + flush.
+func TestFUAFlushOverlapsWrite(t *testing.T) {
+	runVol(t, func(c *vclock.Clock, v *Volume, devs []*zns.Device) {
+		for lba := int64(0); lba < 48; lba += 16 {
+			mustWriteV(t, v, lba, 16, 0) // three non-FUA units
+		}
+		flush := devs[0].Config().FlushLatency
+		t0 := c.Now()
+		mustWriteV(t, v, 48, 4, zns.FUA)
+		if took := c.Now() - t0; took < flush || took >= flush+50*time.Microsecond {
+			t.Errorf("non-FUA x3 + FUA: the FUA write took %v, want [%v, %v)", took, flush, flush+50*time.Microsecond)
+		}
+	})
+}
+
+// TestFlushSkipsCleanDevices: SubmitFlush flushes a device only when it
+// holds a write no flush or FUA has persisted.
+func TestFlushSkipsCleanDevices(t *testing.T) {
+	runVol(t, func(c *vclock.Clock, v *Volume, devs []*zns.Device) {
+		flushes := func() []int64 {
 			out := make([]int64, len(devs))
 			for i, d := range devs {
-				_, _, f, _ := d.Counters()
-				out[i] = f - before[i]
+				_, _, out[i], _ = d.Counters()
 			}
 			return out
 		}
-		// A FUA write confined to the first stripe unit + its parity:
-		// only those two devices (plus the pp log device, which is the
-		// parity device) need flushing.
-		snap()
-		mustWriteV(t, v, 0, 4, zns.FUA)
-		d := delta()
-		flushed := 0
-		for _, n := range d {
-			if n > 0 {
-				flushed++
+		step := func(what string, want func(dev int) int64) {
+			t.Helper()
+			before := flushes()
+			if err := v.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			for i, f := range flushes() {
+				if got := f - before[i]; got != want(i) {
+					t.Errorf("%s: device %d flushed %d times, want %d", what, i, got, want(i))
+				}
 			}
 		}
-		if flushed == 0 || flushed > 2 {
-			t.Errorf("FUA flushed %d devices (%v), want 1-2", flushed, d)
+		step("first flush after create", func(int) int64 { return 1 }) // presumed dirty
+		step("nothing written", func(int) int64 { return 0 })
+		mustWriteV(t, v, 0, 8, zns.FUA)
+		step("FUA write only", func(int) int64 { return 0 })
+		if p := v.Zone(0).PersistedWP; p != 8 {
+			t.Errorf("persisted WP = %d, want 8", p)
+		}
+		mustWriteV(t, v, 8, 4, 0)
+		step("one non-FUA unit", func(dev int) int64 {
+			if dev == v.lt.dataDev(0, 0, 0) || dev == v.lt.parityDev(0, 0) {
+				return 1
+			}
+			return 0
+		})
+		if p := v.Zone(0).PersistedWP; p != 12 {
+			t.Errorf("persisted WP = %d, want 12", p)
 		}
 	})
 }
@@ -147,17 +347,22 @@ func TestCrashQuick(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			zs := v.ZoneSectors()
 			written := map[int]int64{}
+			durable := map[int]int64{} // lower bound a crash must keep
 			// Interleave writes across up to 3 zones with random sizes,
-			// flushes, FUAs, and zone resets.
+			// flushes, FUAs, preflushes and zone resets.
 			for op := 0; op < 60; op++ {
 				z := rng.Intn(3)
 				switch rng.Intn(10) {
 				case 0:
 					if v.ResetZone(z) == nil {
-						written[z] = 0
+						written[z], durable[z] = 0, 0
 					}
 				case 1:
-					v.Flush()
+					if v.Flush() == nil {
+						for z, n := range written {
+							durable[z] = n
+						}
+					}
 				default:
 					n := int64(1 + rng.Intn(24))
 					if written[z]+n > zs {
@@ -165,11 +370,22 @@ func TestCrashQuick(t *testing.T) {
 					}
 					lba := int64(z)*zs + written[z]
 					flags := zns.Flag(0)
-					if rng.Intn(5) == 0 {
+					switch rng.Intn(10) {
+					case 0, 1:
 						flags = zns.FUA
+					case 2:
+						flags = zns.Preflush
 					}
 					if v.Write(lba, lbaPattern(v, lba, int(n)), flags) == nil {
 						written[z] += n
+						if flags&zns.FUA != 0 {
+							durable[z] = written[z]
+						}
+						if flags&zns.Preflush != 0 {
+							for z, n := range written {
+								durable[z] = n
+							}
+						}
 					}
 				}
 			}
@@ -184,7 +400,7 @@ func TestCrashQuick(t *testing.T) {
 			for z := 0; z < 3; z++ {
 				zd := v2.Zone(z)
 				wp := zd.WP - int64(z)*zs
-				if wp > written[z] {
+				if wp > written[z] || wp < durable[z] {
 					ok = false
 					return
 				}
@@ -203,7 +419,7 @@ func TestCrashQuick(t *testing.T) {
 		})
 		return ok
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
 	}
 }

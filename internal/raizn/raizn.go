@@ -235,8 +235,16 @@ type logicalZone struct {
 	state       zns.ZoneState
 	wp          int64 // zone-relative sectors claimed by accepted writes
 	submittedWP int64 // zone-relative sectors whose sub-IOs are on the devices
-	persistedWP int64 // zone-relative sectors known durable
+	persistedWP int64 // zone-relative sectors known durable: a view derived from the ledger
 	resetting   bool
+
+	// Durability ledger, zone side (ledger.go): what the zone still owes
+	// each device, the newest durable (FUA/Preflush) write still in flight
+	// — every later one completes behind it — and the number of writes
+	// that have submitted but not yet published their metadata appends.
+	led         []zoneMarks
+	lastDurable *vclock.Future
+	unpublished int
 
 	// Write-submission tickets: every accepted write claims the next
 	// ticket (submitTail) while it claims its wp range, and performs its
@@ -315,11 +323,15 @@ type Volume struct {
 	// instead of taking v.mu per sub-IO.
 	devTable atomic.Pointer[devTable]
 
+	// led is the device side of the durability ledger (ledger.go), one
+	// entry per device slot.
+	led []devLedger
+
 	// Hot-path object pools (see write.go): per-write state including
-	// plan/parity/CRC slices and parity image buffers, and the persistUpTo
-	// device bitmap.
-	wsPool   sync.Pool
-	needPool sync.Pool
+	// plan/parity/CRC slices and parity image buffers, and SubmitFlush's
+	// scratch.
+	wsPool    sync.Pool
+	flushPool sync.Pool
 
 	reg    *obs.Registry
 	tracer *obs.Tracer
@@ -585,6 +597,7 @@ func newVolume(clk *vclock.Clock, devs []*zns.Device, cfg Config) (*Volume, erro
 		arrayID:     arrayID,
 		devs:        append([]*zns.Device(nil), devs...),
 		md:          make([]*mdManager, len(devs)),
+		led:         make([]devLedger, len(devs)),
 		gen:         make([]uint64, numZones),
 		degraded:    -1,
 		reloc:       make(map[int][]relocEntry),
@@ -601,6 +614,9 @@ func newVolume(clk *vclock.Clock, devs []*zns.Device, cfg Config) (*Volume, erro
 		if devs[i] != nil {
 			v.md[i] = newMDManager(v, i)
 		}
+		// A device is presumed dirty until its first flush: mount-time
+		// repairs write to it without going through the ledger.
+		v.led[i].submitted(false)
 	}
 	if cfg.UseRing {
 		v.rings = ring.NewSet(clk, reg, cfg.MetricsLabel, lt.n)
@@ -699,6 +715,7 @@ func (v *Volume) newLogicalZone(z int) *logicalZone {
 		idx:    z,
 		state:  zns.ZoneEmpty,
 		active: make(map[int64]*stripeBuffer),
+		led:    make([]zoneMarks, v.lt.n),
 	}
 	lz.cond = v.clk.NewCond(&lz.mu)
 	for i := 0; i < v.cfg.StripeBuffers; i++ {

@@ -132,6 +132,9 @@ func (v *Volume) doResetZone(sp *obs.Span, lz *logicalZone) error {
 	lz.wp = 0
 	lz.submittedWP = 0
 	lz.persistedWP = 0
+	// The physical zones are empty: the zone owes no device anything.
+	clear(lz.led)
+	lz.lastDurable = nil
 	lz.remapped = false
 	for s, b := range lz.active {
 		b.stripe = -1
@@ -205,8 +208,12 @@ func (v *Volume) FinishZone(z int) error {
 		return nil
 	}
 	// Quiesce in-flight writes so the tail stripe buffer and physical
-	// write pointers are final before sealing.
+	// write pointers are final before sealing, and the ledger has all of
+	// their metadata appends.
 	v.drainSubmitsLocked(lz)
+	for lz.unpublished > 0 {
+		lz.cond.Wait()
+	}
 
 	var futs []subIO
 	var pending []pendingMD
@@ -232,6 +239,9 @@ func (v *Volume) FinishZone(z int) error {
 	for i := range v.devs {
 		if d := v.dev(i); d != nil {
 			futs = append(futs, subIO{dev: i, fut: d.FinishZone(z)})
+			// A device finish persists the zone's contents, like a FUA
+			// sub-IO reaching the end of the physical zone.
+			v.noteSubIO(lz, i, d.ZoneStart(z)+v.lt.physZoneCap, true)
 		}
 	}
 	v.closeZoneSlot(lz, zns.ZoneFull)
@@ -242,19 +252,24 @@ func (v *Volume) FinishZone(z int) error {
 		v.mu.Unlock()
 		v.jrn.Record(obs.EvZoneFinish, obs.SrcLogical, z, persisted, 0, open, open)
 	}
+	lz.unpublished++
 	lz.mu.Unlock()
 
-	futs = v.issuePendingMD(nil, pending, futs)
-	if err := v.awaitSubIOs(futs); err != nil {
+	// What the finishes did not persist — relocated fragments and other
+	// metadata appends of the zone — is flushed like a durable write's
+	// dependencies, so the whole zone is durable when FinishZone returns.
+	futs = v.issuePendingMD(nil, pending, futs, 0)
+	done := v.clk.NewFuture()
+	futs, prev := v.publishWrite(nil, lz, pending, futs, 0, done)
+	err := v.awaitSubIOs(futs)
+	if err == nil {
+		err = v.writeDurable(lz, persisted, prev, done)
+	}
+	done.Complete(err)
+	if err != nil {
 		return err
 	}
 	v.fireHook("raizn.finish.done", obs.SrcLogical, z, persisted)
-	// Device zone finish persists contents; reflect that logically.
-	lz.mu.Lock()
-	if persisted > lz.persistedWP {
-		lz.persistedWP = persisted
-	}
-	lz.mu.Unlock()
 	return nil
 }
 

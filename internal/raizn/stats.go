@@ -20,6 +20,8 @@ type Stats struct {
 	MetadataGCs       int64 // metadata zone roll-overs
 	MetadataGCWaits   int64 // appends that waited for a swap zone (back-pressure)
 	DegradedReads     int64 // stripe-unit pieces served by reconstruction
+	FUAFlushes        int64 // device flushes issued for FUA/Preflush writes and zone finishes
+	FUAFlushesJoined  int64 // flush needs of such writes served by a flush already in flight
 
 	CoalescedSubWrites int64 // sub-IOs merged into a preceding device write
 	// (a vectored command carrying k sub-IOs adds k-1)
@@ -51,6 +53,8 @@ type statsCounters struct {
 	metadataGCs       *obs.Counter
 	mdGCWaits         *obs.Counter
 	degradedReads     *obs.Counter
+	fuaFlushes        *obs.Counter
+	fuaFlushesJoined  *obs.Counter
 
 	coalescedSubWrites *obs.Counter
 
@@ -95,6 +99,8 @@ func newStatsCounters(r *obs.Registry, label string) statsCounters {
 		metadataGCs:       r.Counter(n("raizn_metadata_gcs_total")),
 		mdGCWaits:         r.Counter(n("raizn_md_gc_waits_total")),
 		degradedReads:     r.Counter(n("raizn_degraded_reads_total")),
+		fuaFlushes:        r.Counter(n("raizn_fua_flushes_total")),
+		fuaFlushesJoined:  r.Counter(n("raizn_fua_flushes_joined_total")),
 
 		coalescedSubWrites: r.Counter(n("raizn_coalesced_sub_writes_total")),
 
@@ -153,6 +159,8 @@ func registerStatsHelp(r *obs.Registry) {
 	r.Help("raizn_metadata_gcs_total", "metadata zone garbage-collection roll-overs")
 	r.Help("raizn_md_gc_waits_total", "foreground metadata appends that waited for a swap zone because the previous roll-over's reclaim was still in flight")
 	r.Help("raizn_degraded_reads_total", "stripe-unit pieces served by parity reconstruction")
+	r.Help("raizn_fua_flushes_total", "device flushes issued because a FUA/Preflush write or zone finish found earlier sub-IOs of its zone that nothing had persisted")
+	r.Help("raizn_fua_flushes_joined_total", "flush needs of FUA/Preflush writes served by joining a device flush already in flight (group commit)")
 	r.Help("raizn_coalesced_sub_writes_total", "device sub-IOs merged into a preceding vectored write")
 	r.Help("raizn_checksum_records_total", "stripe-checksum metadata records written")
 	r.Help("raizn_read_error_repairs_total", "foreground reads recovered via reconstruction")
@@ -189,6 +197,8 @@ func (v *Volume) Stats() Stats {
 		MetadataGCs:       v.stats.metadataGCs.Load(),
 		MetadataGCWaits:   v.stats.mdGCWaits.Load(),
 		DegradedReads:     v.stats.degradedReads.Load(),
+		FUAFlushes:        v.stats.fuaFlushes.Load(),
+		FUAFlushesJoined:  v.stats.fuaFlushesJoined.Load(),
 
 		CoalescedSubWrites: v.stats.coalescedSubWrites.Load(),
 

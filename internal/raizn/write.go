@@ -24,7 +24,10 @@ import (
 //     the write is tolerant of a single device failure (§5.1: completion
 //     is not reported before partial parity is written);
 //   - FUA / Preflush: additionally, the write and all preceding data in
-//     the same logical zone are power-loss durable (§5.3).
+//     the same logical zone are power-loss durable (§5.3); Preflush
+//     widens "preceding data" to every write the volume has completed.
+//     The flushes this takes are issued with the write's own sub-IOs,
+//     not after them (ledger.go).
 //
 // The hot path runs in three phases (see DESIGN.md, "write-path lock
 // discipline"):
@@ -40,7 +43,9 @@ import (
 //
 // Metadata appends (partial parity, relocations, checksums) are prepared
 // in the phases but issued after lz.mu is released, because metadata GC
-// takes zone locks while checkpointing.
+// takes zone locks while checkpointing. A short publish step (lz.mu
+// again) then enters them in the durability ledger and, for a FUA/Preflush
+// write, issues the flushes the zone still needs (ledger.go).
 func (v *Volume) SubmitWrite(lba int64, data []byte, flags zns.Flag) *vclock.Future {
 	if len(data) == 0 || len(data)%v.sectorSize != 0 {
 		return v.clk.Completed(ErrUnaligned)
@@ -103,9 +108,11 @@ func (v *Volume) runWrite(sp *obs.Span, lz *logicalZone, off int64, data []byte,
 	ws := v.getWriteState()
 	ws.sp = sp
 	ws.z = lz.idx
-	ws.flags = flags
+	// Device sub-IOs carry FUA only; Preflush is the ledger's business.
+	ws.flags = flags & zns.FUA
 	ws.end = end
 	ws.full = full
+	durable := flags&(zns.FUA|zns.Preflush) != 0
 
 	// Claim the submission ticket at range-claim time: submit-phase order
 	// must equal write-pointer order or device writes would arrive out of
@@ -128,6 +135,10 @@ func (v *Volume) runWrite(sp *obs.Span, lz *logicalZone, off int64, data []byte,
 		lz.cond.Wait()
 	}
 	v.submitWriteLocked(ws, lz, planErr == nil)
+	publish := durable || len(ws.pending) > 0
+	if publish {
+		lz.unpublished++
+	}
 	lz.mu.Unlock()
 	if ws.batch != nil {
 		// Start the completion walker now that no zone lock is held. All
@@ -140,7 +151,21 @@ func (v *Volume) runWrite(sp *obs.Span, lz *logicalZone, off int64, data []byte,
 	}
 	v.fireHook("raizn.write.submit", obs.SrcLogical, ws.z, end)
 
-	ws.futs = v.issuePendingMD(sp, ws.pending, ws.futs)
+	ws.futs = v.issuePendingMD(sp, ws.pending, ws.futs, ws.flags)
+
+	if planErr != nil {
+		// Nothing will wait for this write, so nothing may rely on its
+		// completion: its appends enter the ledger as if none were FUA.
+		flags, durable = 0, false
+	}
+	result := v.clk.NewFuture()
+	var chain, prev *vclock.Future
+	if durable {
+		chain = result
+	}
+	if publish {
+		ws.futs, prev = v.publishWrite(sp, lz, ws.pending, ws.futs, flags, chain)
+	}
 	sp.Mark(obs.PhaseSubmit)
 	v.fireHook("raizn.write.md", obs.SrcLogical, ws.z, end)
 
@@ -156,34 +181,39 @@ func (v *Volume) runWrite(sp *obs.Span, lz *logicalZone, off int64, data []byte,
 		return v.clk.Completed(planErr)
 	}
 
-	result := v.clk.NewFuture()
+	v.completeWrite(sp, lz, end, ws, ws.futs, durable, prev, result)
+	return result
+}
+
+// completeWrite runs a submitted write to completion on its own goroutine:
+// every sub-IO (and, for a durable write, every flush publishWrite
+// arranged and the zone's previous durable write) must finish before
+// result does. ws, when non-nil, returns to the pool once its sub-IOs are
+// done.
+func (v *Volume) completeWrite(sp *obs.Span, lz *logicalZone, end int64, ws *writeState, futs []subIO, durable bool, prev, result *vclock.Future) {
 	v.clk.Go(func() {
-		if err := v.awaitSubIOs(ws.futs); err != nil {
-			// A sub-IO failure that is not a tolerated device death
-			// leaves the logical write pointer ahead of what the host
-			// believes was written; fail stop rather than serve an
-			// inconsistent volume.
+		err := v.awaitSubIOs(futs)
+		if ws != nil {
+			v.putWriteState(ws)
+		}
+		if err == nil && durable {
+			err = v.writeDurable(lz, end, prev, result)
+		}
+		if err != nil {
+			// A failure that is not a tolerated device death leaves the
+			// logical write pointer ahead of what the host believes was
+			// written; fail stop rather than serve an inconsistent volume.
 			v.mu.Lock()
 			v.readOnly = true
 			v.mu.Unlock()
-			v.putWriteState(ws)
 			sp.End(err)
 			result.Complete(err)
 			return
-		}
-		v.putWriteState(ws)
-		if flags&(zns.FUA|zns.Preflush) != 0 {
-			if err := v.persistUpTo(lz, end); err != nil {
-				sp.End(err)
-				result.Complete(err)
-				return
-			}
 		}
 		v.fireHook("raizn.write.done", obs.SrcLogical, lz.idx, end)
 		sp.End(nil)
 		result.Complete(nil)
 	})
-	return result
 }
 
 // plannedIO is one device sub-write prepared during the plan phase and
@@ -576,6 +606,9 @@ func (v *Volume) submitWriteLocked(ws *writeState, lz *logicalZone, ok bool) {
 	ss := int64(v.sectorSize)
 	var dataB, parityB int64 // WA category bytes actually sent to devices
 
+	// A failed plan's sub-IOs are noted as if none were FUA: nobody waits
+	// for that write, so nothing may rely on their completion.
+	fua := ok && ws.flags&zns.FUA != 0
 	if v.rings != nil {
 		// Ring mode: runs become SQEs staged per device; each device
 		// drains its whole group under one lock acquisition when the
@@ -592,6 +625,7 @@ func (v *Volume) submitWriteLocked(ws *writeState, lz *logicalZone, ok bool) {
 		var devWP int64
 		segs := ws.segs[:0]
 		var runStart, runNext int64
+		var devEnd int64 // end of the highest sub-IO issued to this device
 		for i := range ws.plan {
 			e := &ws.plan[i]
 			if e.dev != dev {
@@ -616,6 +650,7 @@ func (v *Volume) submitWriteLocked(ws *writeState, lz *logicalZone, ok bool) {
 					}
 				}
 			}
+			devEnd = max(devEnd, pba+int64(len(data))/ss)
 			if e.zrwa {
 				// In-place parity prefix updates are ordered but never
 				// merged; flush the pending run first so per-device
@@ -644,6 +679,12 @@ func (v *Volume) submitWriteLocked(ws *writeState, lz *logicalZone, ok bool) {
 		}
 		ws.segs = v.flushRun(ws, d, dev, runStart, segs)
 		harvestGroup(ws, d, dev)
+		if devEnd > 0 {
+			// One ledger entry per device: a write's sub-IOs on a device
+			// ascend within one physical zone, and the entry is made only
+			// now that (ring mode included) the device has them all.
+			v.noteSubIO(lz, dev, devEnd, fua)
+		}
 	}
 	if dataB > 0 {
 		v.stats.waDataBytes.Add(dataB)
@@ -778,12 +819,12 @@ type repairCtx struct {
 type pendingMD struct {
 	dev      int
 	rec      *record
-	flags    zns.Flag
 	isReloc  bool // register a relocation entry after the append
 	isParity bool // relocated parity rather than data
 	useMeta  bool // header in per-block metadata (PPInlineMeta)
 	z        int
 	s        int64
+	end      int64 // set by issuePendingMD: device sector the append ended at (0: none made)
 
 	// pp routes the entry through the parity-persistence engine instead
 	// of a direct metadata append (hasPP marks it set; the struct is
@@ -795,9 +836,13 @@ type pendingMD struct {
 }
 
 // issuePendingMD performs the deferred metadata appends, appending their
-// completion futures to futs. The device table is loaded once for the
-// whole batch. Each append gets an OpMDAppend child of sp.
-func (v *Volume) issuePendingMD(sp *obs.Span, pending []pendingMD, futs []subIO) []subIO {
+// completion futures to futs and recording in each entry the device sector
+// its append ended at, for the ledger. flags is the FUA bit of the
+// triggering write:
+// a FUA write's appends (partial parity, checksums, relocated data) are
+// FUA like its data. The device table is loaded once for the whole batch.
+// Each append gets an OpMDAppend child of sp.
+func (v *Volume) issuePendingMD(sp *obs.Span, pending []pendingMD, futs []subIO, flags zns.Flag) []subIO {
 	if len(pending) == 0 {
 		return futs
 	}
@@ -810,9 +855,10 @@ func (v *Volume) issuePendingMD(sp *obs.Span, pending []pendingMD, futs []subIO)
 			// record so the write path never blocks on PP-zone GC.
 			a := p.pp
 			a.Span = sp
-			a.Flags = int(p.flags)
-			if f, ok := v.eng.Persist(a); ok {
+			a.Flags = int(flags)
+			if f, end, ok := v.eng.Persist(a); ok {
 				if f != nil {
+					p.end = end
 					futs = append(futs, subIO{dev: p.dev, fut: f})
 				}
 				continue
@@ -828,9 +874,9 @@ func (v *Volume) issuePendingMD(sp *obs.Span, pending []pendingMD, futs []subIO)
 		var pba int64
 		var err error
 		if p.useMeta {
-			fut, pba, err = m.appendMetaSpan(child, p.rec, p.flags)
+			fut, pba, err = m.appendMetaSpan(child, p.rec, flags)
 		} else {
-			fut, pba, err = m.appendSpan(child, p.rec, p.flags)
+			fut, pba, err = m.appendSpan(child, p.rec, flags)
 		}
 		if err != nil {
 			child.End(err)
@@ -847,6 +893,7 @@ func (v *Volume) issuePendingMD(sp *obs.Span, pending []pendingMD, futs []subIO)
 				dev: p.dev, pba: pba + 1, data: p.rec.payload,
 			}, p.isParity, p.s)
 		}
+		p.end = pba + p.rec.sectors(v.sectorSize, p.useMeta)
 		futs = append(futs, subIO{dev: p.dev, fut: fut})
 	}
 	return futs
@@ -934,7 +981,8 @@ func (v *Volume) stripeBufferLocked(lz *logicalZone, s int64, expectFill int64) 
 // or part of) it to the device's metadata zone when the target PBA range
 // was burned by a crash (below the physical write pointer and thus
 // immutable, §5.2). Failed devices are skipped (degraded write). Used by
-// the legacy write path and the zone-seal path in FinishZone.
+// the legacy write path and the zone-seal path in FinishZone; the caller
+// holds the zone lock.
 func (v *Volume) issueDeviceWrite(sp *obs.Span, dev int, pba int64, data []byte, flags zns.Flag, lba int64, isParity bool, z int, s int64, futs *[]subIO, pending *[]pendingMD) {
 	d := v.devForZone(dev, z)
 	if d == nil {
@@ -962,6 +1010,7 @@ func (v *Volume) issueDeviceWrite(sp *obs.Span, dev int, pba int64, data []byte,
 	}
 	child := sp.Child(obs.OpDevWrite, dev, pba, int64(len(data)))
 	fut := d.WriteSpan(child, pba, data, flags)
+	v.noteSubIO(v.zones[z], dev, pba+int64(len(data))/ss, flags&zns.FUA != 0)
 	*futs = append(*futs, subIO{dev: dev, fut: fut})
 }
 
@@ -1079,104 +1128,67 @@ func insertReloc(list []relocEntry, e relocEntry) []relocEntry {
 	return out
 }
 
-// persistUpTo implements the FUA dependency of Figure 6: ensure every LBA
-// of the zone below end is durable, flushing exactly the devices that
-// hold non-persisted stripe units.
-func (v *Volume) persistUpTo(lz *logicalZone, end int64) error {
-	lz.mu.Lock()
-	from := lz.persistedWP
-	lz.mu.Unlock()
-	if from >= end {
-		return nil
-	}
-
-	// Determine which devices hold sub-IOs in [from, end): the data
-	// devices of the touched stripe units plus the parity devices of
-	// every stripe overlapped (full-stripe parity or partial-parity
-	// log). The bitmap is pooled — this runs on every FUA write.
-	var need []bool
-	if x := v.needPool.Get(); x != nil {
-		need = x.([]bool)
-		for i := range need {
-			need[i] = false
-		}
-	} else {
-		need = make([]bool, v.lt.n)
-	}
-	stripeSec := v.lt.stripeSectors()
-	for s := from / stripeSec; s <= (end-1)/stripeSec; s++ {
-		need[v.lt.parityDev(lz.idx, s)] = true
-		lo := s * stripeSec
-		hi := lo + stripeSec
-		if lo < from {
-			lo = from
-		}
-		if hi > end {
-			hi = end
-		}
-		for u := int((lo % stripeSec) / v.lt.su); u <= int(((hi-1)%stripeSec)/v.lt.su); u++ {
-			need[v.lt.dataDev(lz.idx, s, u)] = true
-		}
-	}
-	var futs []subIO
-	for i, n := range need {
-		if !n {
-			continue
-		}
-		if d := v.dev(i); d != nil {
-			futs = append(futs, subIO{dev: i, fut: d.Flush()})
-		}
-	}
-	v.needPool.Put(need)
-	if err := v.awaitSubIOs(futs); err != nil {
-		return err
-	}
-	lz.mu.Lock()
-	if end > lz.persistedWP {
-		lz.persistedWP = end
-	}
-	lz.mu.Unlock()
-	return nil
+// flushState is SubmitFlush's pooled scratch.
+type flushState struct {
+	snaps []int64          // submitted write pointer per logical zone
+	prevs []*vclock.Future // durable writes in flight at the snapshot
+	futs  []subIO
 }
 
-// SubmitFlush flushes every device; once complete, all previously
-// completed writes are durable.
+// SubmitFlush makes all previously completed writes durable. It flushes
+// only the devices that hold a sub-IO nothing has persisted yet, joining
+// flushes already in flight (ledger.go).
 func (v *Volume) SubmitFlush() *vclock.Future {
 	sp := v.tracer.Begin(obs.OpFlush, 0, 0)
+	fs, _ := v.flushPool.Get().(*flushState)
+	if fs == nil {
+		fs = &flushState{snaps: make([]int64, v.lt.numZones)}
+	}
 	// Snapshot submitted logical write pointers for the persistence
 	// bitmaps: data claimed but not yet on the devices (a write mid
-	// submission) is not covered by this flush.
-	snaps := make([]int64, v.lt.numZones)
+	// submission) is not covered by this flush. A durable write still in
+	// flight below the snapshot persists through its own FUA sub-IOs, so
+	// the flush completes behind it.
 	for z, lz := range v.zones {
 		lz.mu.Lock()
-		snaps[z] = lz.submittedWP
+		fs.snaps[z] = lz.submittedWP
+		if f := lz.lastDurable; f != nil && !f.Done() {
+			fs.prevs = append(fs.prevs, f)
+		}
 		lz.mu.Unlock()
 	}
-	var futs []subIO
-	for i := range v.devs {
-		if d := v.dev(i); d != nil {
-			child := sp.Child(obs.OpDevFlush, i, 0, 0)
-			futs = append(futs, subIO{dev: i, fut: d.FlushSpan(child)})
+	for i, d := range v.loadDevs().devs {
+		if d == nil {
+			continue
+		}
+		if fut, _ := v.coverDev(sp, i, d, 0, true); fut != nil {
+			fs.futs = append(fs.futs, subIO{dev: i, fut: fut})
 		}
 	}
 	sp.Mark(obs.PhaseSubmit)
 	result := v.clk.NewFuture()
 	v.clk.Go(func() {
-		if err := v.awaitSubIOs(futs); err != nil {
-			sp.End(err)
-			result.Complete(err)
-			return
-		}
-		for z, lz := range v.zones {
-			lz.mu.Lock()
-			if snaps[z] > lz.persistedWP {
-				lz.persistedWP = snaps[z]
+		err := v.awaitSubIOs(fs.futs)
+		for _, f := range fs.prevs {
+			if e := f.Wait(); e != nil && err == nil {
+				err = e
 			}
-			lz.mu.Unlock()
 		}
-		v.fireHook("raizn.flush.done", obs.SrcLogical, -1, 0)
-		sp.End(nil)
-		result.Complete(nil)
+		if err == nil {
+			for z, lz := range v.zones {
+				lz.mu.Lock()
+				// The zone may have been reset since the snapshot.
+				lz.persistedWP = max(lz.persistedWP, min(fs.snaps[z], lz.submittedWP))
+				lz.mu.Unlock()
+			}
+			v.fireHook("raizn.flush.done", obs.SrcLogical, -1, 0)
+		}
+		clear(fs.futs)
+		clear(fs.prevs)
+		fs.futs, fs.prevs = fs.futs[:0], fs.prevs[:0]
+		v.flushPool.Put(fs)
+		sp.End(err)
+		result.Complete(err)
 	})
 	return result
 }

@@ -18,7 +18,8 @@ import (
 // pipeline. Caller holds lz.mu (with lz.wp already advanced); the call
 // releases it.
 func (v *Volume) runWriteLegacy(sp *obs.Span, lz *logicalZone, off, end int64, full bool, data []byte, flags zns.Flag) *vclock.Future {
-	futs, pending, err := v.issueWriteLocked(sp, lz, off, data, flags)
+	// Device sub-IOs carry FUA only; Preflush is the ledger's business.
+	futs, pending, err := v.issueWriteLocked(sp, lz, off, data, flags&zns.FUA)
 	if end > lz.submittedWP {
 		lz.submittedWP = end
 	}
@@ -27,37 +28,30 @@ func (v *Volume) runWriteLegacy(sp *obs.Span, lz *logicalZone, off, end int64, f
 		// Every stripe of the zone is complete: sweep all PP state.
 		v.eng.ZoneReset(lz.idx)
 	}
+	durable := err == nil && flags&(zns.FUA|zns.Preflush) != 0
+	publish := err == nil && (durable || len(pending) > 0)
+	if publish {
+		lz.unpublished++
+	}
 	lz.mu.Unlock()
 	if err != nil {
 		sp.End(err)
 		return v.clk.Completed(err)
 	}
 	v.fireHook("raizn.write.submit", obs.SrcLogical, lz.idx, end)
-	futs = v.issuePendingMD(sp, pending, futs)
+	futs = v.issuePendingMD(sp, pending, futs, flags&zns.FUA)
+	result := v.clk.NewFuture()
+	var chain, prev *vclock.Future
+	if durable {
+		chain = result
+	}
+	if publish {
+		futs, prev = v.publishWrite(sp, lz, pending, futs, flags, chain)
+	}
 	sp.Mark(obs.PhaseSubmit)
 	v.fireHook("raizn.write.md", obs.SrcLogical, lz.idx, end)
 
-	result := v.clk.NewFuture()
-	v.clk.Go(func() {
-		if err := v.awaitSubIOs(futs); err != nil {
-			v.mu.Lock()
-			v.readOnly = true
-			v.mu.Unlock()
-			sp.End(err)
-			result.Complete(err)
-			return
-		}
-		if flags&(zns.FUA|zns.Preflush) != 0 {
-			if err := v.persistUpTo(lz, end); err != nil {
-				sp.End(err)
-				result.Complete(err)
-				return
-			}
-		}
-		v.fireHook("raizn.write.done", obs.SrcLogical, lz.idx, end)
-		sp.End(nil)
-		result.Complete(nil)
-	})
+	v.completeWrite(sp, lz, end, nil, futs, durable, prev, result)
 	return result
 }
 
@@ -111,7 +105,7 @@ func (v *Volume) issueWriteLocked(sp *obs.Span, lz *logicalZone, off int64, data
 		} else {
 			// Stripe still partial: log partial parity for the region
 			// this write affected (§5.1).
-			if p := v.partialParityLocked(lz, s, buf, inStripe, inStripe+n, flags); p != nil {
+			if p := v.partialParityLocked(lz, s, buf, inStripe, inStripe+n); p != nil {
 				pending = append(pending, *p)
 			}
 		}
@@ -162,7 +156,7 @@ func (v *Volume) issueParityLocked(sp *obs.Span, lz *logicalZone, s int64, buf *
 // stripe s. The log goes to the partial-parity metadata zone of the
 // device that will eventually hold the stripe's parity (Table 1). Caller
 // holds lz.mu; the append itself happens later.
-func (v *Volume) partialParityLocked(lz *logicalZone, s int64, buf *stripeBuffer, a, b int64, flags zns.Flag) *pendingMD {
+func (v *Volume) partialParityLocked(lz *logicalZone, s int64, buf *stripeBuffer, a, b int64) *pendingMD {
 	dev := v.lt.parityDev(lz.idx, s)
 	if v.mdm(dev) == nil {
 		return nil // parity device failed: data units carry the write

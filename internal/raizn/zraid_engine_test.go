@@ -266,7 +266,7 @@ func TestZRAIDBackpressureFallback(t *testing.T) {
 		ss := v.SectorSize()
 		refused := 0
 		for i := 0; i < 40 && refused < 3; i++ {
-			fut, ok := v.eng.Persist(ppengine.Append{
+			fut, _, ok := v.eng.Persist(ppengine.Append{
 				Dev: 0, Zone: 0, Stripe: int64(1000 + i),
 				StartLBA: 0, EndLBA: 8, Gen: 999,
 				Payload: make([]byte, 8*ss),
@@ -319,7 +319,7 @@ func TestZRAIDGCUnderConcurrentWrites(t *testing.T) {
 		c.Go(func() {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				fut, ok := v.eng.Persist(ppengine.Append{
+				fut, _, ok := v.eng.Persist(ppengine.Append{
 					Dev: 0, Zone: 0, Stripe: int64(2000 + i),
 					StartLBA: 0, EndLBA: 8, Gen: 999,
 					Payload: make([]byte, 8*ss),

@@ -128,3 +128,27 @@ func TestBlockMetaClearedByReset(t *testing.T) {
 		}
 	})
 }
+
+// TestPowerLossDropsBlockMetaWithData: per-block metadata shares the fate
+// of its sector. A header that outlived its lost block would be read back
+// against whatever is appended at that sector next.
+func TestPowerLossDropsBlockMetaWithData(t *testing.T) {
+	cfg := extTestConfig()
+	run(t, cfg, func(c *vclock.Clock, d *Device) {
+		kept, fut := d.AppendMeta(0, pattern(cfg, 1, 1), []byte("kept"), FUA)
+		if err := fut.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		lost, fut := d.AppendMeta(0, pattern(cfg, 1, 2), []byte("lost"), 0)
+		if err := fut.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		d.PowerLoss(nil)
+		if m, _ := d.ReadBlockMeta(kept); string(m) != "kept" {
+			t.Errorf("metadata of the persisted block = %q, want %q", m, "kept")
+		}
+		if m, _ := d.ReadBlockMeta(lost); m != nil {
+			t.Errorf("metadata of the lost block survived: %q", m)
+		}
+	})
+}

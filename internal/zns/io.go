@@ -41,7 +41,7 @@ func (d *Device) schedule(sp *obs.Span, fut *vclock.Future, at time.Duration, ep
 type pendingIO struct {
 	at     time.Duration // absolute completion time
 	err    error         // completion-time error (e.g. ErrReadMedium)
-	snap   []int64       // flush/preflush WP snapshot to persist, or nil
+	snap   []zoneWP      // flush/preflush WP snapshot to persist, or nil
 	fuaZ   int           // zone to persist through fuaEnd, or -1
 	fuaEnd int64
 }
@@ -279,6 +279,14 @@ func (d *Device) writeApplyLocked(sp *obs.Span, sector, nSectors int64, data []b
 		return pendingIO{}, err
 	}
 
+	// A preflush acts on everything written before this command, so the
+	// snapshot is taken before the command's own extent exists; FUA
+	// handling below covers the write itself if requested.
+	var flushSnap []zoneWP
+	if flags&Preflush != 0 {
+		flushSnap = d.snapshotWPsLocked()
+	}
+
 	// Apply payload and advance the write pointer at submit time; zones
 	// are append-only so later readers of [off, off+n) observe exactly
 	// this data until the zone is reset.
@@ -312,15 +320,6 @@ func (d *Device) writeApplyLocked(sp *obs.Span, sector, nSectors int64, data []b
 			fb |= 2
 		}
 		d.jrn.Record(obs.EvDevWrite, d.jslot, z, off, nSectors, end, fb)
-	}
-
-	// A preflush acts on everything written before this command.
-	var flushSnap []int64
-	if flags&Preflush != 0 {
-		flushSnap = d.snapshotWPsLocked()
-		// Exclude this write itself from the snapshot persist; FUA
-		// handling below covers it if requested.
-		flushSnap[z] = off
 	}
 
 	now := d.clk.Now()
@@ -460,9 +459,9 @@ func (d *Device) FlushSpan(sp *obs.Span) *vclock.Future {
 	return fut
 }
 
-// flushApplyLocked is the submit half of Flush: it snapshots every
-// zone's write pointer and charges the write pipe; the snapshot persists
-// at completion. Caller holds d.mu.
+// flushApplyLocked is the submit half of Flush: it snapshots the write
+// pointer of every zone holding unflushed data and charges the write pipe;
+// the snapshot persists at completion. Caller holds d.mu.
 func (d *Device) flushApplyLocked(sp *obs.Span) (pendingIO, error) {
 	if d.failed {
 		return pendingIO{}, ErrDeviceFailed
@@ -477,20 +476,40 @@ func (d *Device) flushApplyLocked(sp *obs.Span) (pendingIO, error) {
 	return pendingIO{at: done, snap: snap, fuaZ: -1}, nil
 }
 
-// snapshotWPsLocked captures every zone's write pointer. Caller holds d.mu.
-func (d *Device) snapshotWPsLocked() []int64 {
-	snap := make([]int64, len(d.zones))
+// zoneWP is one zone's write pointer as captured by a flush snapshot.
+type zoneWP struct {
+	z  int
+	wp int64
+}
+
+// snapshotWPsLocked captures the write pointer of every zone that holds
+// unflushed extents; a clean zone has nothing for the flush to persist, so
+// a flush of a clean device snapshots (and allocates) nothing. Caller
+// holds d.mu.
+func (d *Device) snapshotWPsLocked() []zoneWP {
+	n := 0
 	for i := range d.zones {
-		snap[i] = d.zones[i].wp
+		if len(d.zones[i].unflushed) > 0 {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	snap := make([]zoneWP, 0, n)
+	for i := range d.zones {
+		if len(d.zones[i].unflushed) > 0 {
+			snap = append(snap, zoneWP{z: i, wp: d.zones[i].wp})
+		}
 	}
 	return snap
 }
 
 // persistSnapshotLocked marks each zone persistent up to the snapshot
 // taken at flush submit. Caller holds d.mu.
-func (d *Device) persistSnapshotLocked(snap []int64) {
-	for i := range snap {
-		d.persistZoneLocked(i, snap[i])
+func (d *Device) persistSnapshotLocked(snap []zoneWP) {
+	for _, s := range snap {
+		d.persistZoneLocked(s.z, s.wp)
 	}
 }
 

@@ -177,15 +177,6 @@ func (d *Device) CrashClone(clk *vclock.Clock, rng *rand.Rand, cuts map[int]int6
 		c.applyCutLocked(z, cut)
 	}
 	c.finishPowerCycleLocked()
-	// Per-block metadata shares the fate of its sector's data.
-	if c.meta != nil {
-		for s := range c.meta {
-			z := c.ZoneOf(s)
-			if s-c.ZoneStart(z) >= c.zones[z].wp {
-				delete(c.meta, s)
-			}
-		}
-	}
 	return c
 }
 
@@ -208,6 +199,13 @@ func (d *Device) finishPowerCycleLocked() {
 		default:
 			zo.state = ZoneClosed
 			d.nActive++
+		}
+	}
+	// Per-block metadata shares the fate of its sector's data.
+	for s := range d.meta {
+		z := d.ZoneOf(s)
+		if s-d.ZoneStart(z) >= d.zones[z].wp {
+			delete(d.meta, s)
 		}
 	}
 	d.epoch++

@@ -615,3 +615,37 @@ func TestFlushIsDurableAgainstExactCuts(t *testing.T) {
 		})
 	}
 }
+
+// TestFlushSnapshotsOnlyDirtyZones: a flush captures the write pointer of
+// the zones holding unflushed extents and nothing else, so flushing a
+// clean device allocates no snapshot at all.
+func TestFlushSnapshotsOnlyDirtyZones(t *testing.T) {
+	cfg := testConfig()
+	run(t, cfg, func(c *vclock.Clock, d *Device) {
+		mustWrite(t, d, 0, pattern(cfg, 2, 1), 0)
+		mustWrite(t, d, d.ZoneStart(2), pattern(cfg, 3, 2), FUA) // persisted: clean
+		mustWrite(t, d, d.ZoneStart(5), pattern(cfg, 1, 3), 0)
+		d.mu.Lock()
+		snap := d.snapshotWPsLocked()
+		d.mu.Unlock()
+		want := []zoneWP{{z: 0, wp: 2}, {z: 5, wp: 1}}
+		if len(snap) != len(want) || snap[0] != want[0] || snap[1] != want[1] {
+			t.Fatalf("snapshot = %v, want %v", snap, want)
+		}
+		if err := d.Flush().Wait(); err != nil {
+			t.Fatal(err)
+		}
+		d.mu.Lock()
+		snap = d.snapshotWPsLocked()
+		d.mu.Unlock()
+		if snap != nil {
+			t.Errorf("snapshot of a clean device = %v, want nil", snap)
+		}
+		d.PowerLoss(nil)
+		for z, wp := range map[int]int64{0: 2, 2: 3, 5: 1} {
+			if got := d.Zone(z).WP - d.ZoneStart(z); got != wp {
+				t.Errorf("zone %d WP after flush + power loss = %d, want %d", z, got, wp)
+			}
+		}
+	})
+}
