@@ -4,35 +4,24 @@
 package parity
 
 import (
-	"encoding/binary"
+	"crypto/subtle"
 	"fmt"
 	"hash/crc32"
 )
 
-// XORInto xors src into dst in place. The slices must be the same length.
-func XORInto(dst, src []byte) {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("parity: length mismatch %d != %d", len(dst), len(src)))
+// xor sets dst = a ^ b. It is the package's one kernel: every entry point
+// below reduces to it, and it reduces to subtle.XORBytes (vector assembly
+// on amd64 and arm64). All three slices must have the same length; dst may
+// be exactly a or exactly b.
+func xor(dst, a, b []byte) {
+	if len(a) != len(dst) || len(b) != len(dst) {
+		panic(fmt.Sprintf("parity: length mismatch %d, %d != %d", len(a), len(b), len(dst)))
 	}
-	// Word-at-a-time main loop; the tail is handled bytewise.
-	n := len(dst)
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		d := dst[i : i+8 : i+8]
-		s := src[i : i+8 : i+8]
-		d[0] ^= s[0]
-		d[1] ^= s[1]
-		d[2] ^= s[2]
-		d[3] ^= s[3]
-		d[4] ^= s[4]
-		d[5] ^= s[5]
-		d[6] ^= s[6]
-		d[7] ^= s[7]
-	}
-	for ; i < n; i++ {
-		dst[i] ^= src[i]
-	}
+	subtle.XORBytes(dst, a, b)
 }
+
+// XORInto xors src into dst in place. The slices must be the same length.
+func XORInto(dst, src []byte) { xor(dst, dst, src) }
 
 // Encode computes the XOR parity of units into a freshly allocated slice.
 // All units must have equal length; Encode panics otherwise. Encode of no
@@ -42,21 +31,39 @@ func Encode(units ...[]byte) []byte {
 		return nil
 	}
 	p := make([]byte, len(units[0]))
-	copy(p, units[0])
-	for _, u := range units[1:] {
-		XORInto(p, u)
-	}
+	EncodeInto(p, units...)
 	return p
 }
 
 // EncodeInto computes the XOR parity of units into dst (which must match
-// the unit length). It avoids allocation on hot paths.
+// the unit length; its previous content is ignored). It avoids allocation
+// on hot paths.
 func EncodeInto(dst []byte, units ...[]byte) {
-	for i := range dst {
-		dst[i] = 0
-	}
+	checkLens(len(dst), units)
+	encodeRange(dst, units, 0, len(dst))
+}
+
+func checkLens(n int, units [][]byte) {
 	for _, u := range units {
-		XORInto(dst, u)
+		if len(u) != n {
+			panic(fmt.Sprintf("parity: length mismatch %d != %d", len(u), n))
+		}
+	}
+}
+
+// encodeRange sets dst[lo:hi] to the XOR of the units over the same range.
+func encodeRange(dst []byte, units [][]byte, lo, hi int) {
+	d := dst[lo:hi]
+	switch len(units) {
+	case 0:
+		clear(d)
+	case 1:
+		copy(d, units[0][lo:hi])
+	default:
+		xor(d, units[0][lo:hi], units[1][lo:hi])
+		for _, u := range units[2:] {
+			xor(d, d, u[lo:hi])
+		}
 	}
 }
 
@@ -65,6 +72,20 @@ func EncodeInto(dst []byte, units ...[]byte) {
 // caller simply passes every surviving unit (data and parity alike).
 func Reconstruct(survivors ...[]byte) []byte {
 	return Encode(survivors...)
+}
+
+// ReconstructInto is Reconstruct without the allocation: dst already holds
+// one surviving unit (typically the parity, read straight into the
+// caller's buffer) and every other survivor is XORed into it. A survivor
+// shorter than dst stands for a unit whose tail was never written and
+// counts as zeroes there, as in EncodeRagged; a longer one panics.
+func ReconstructInto(dst []byte, survivors ...[]byte) {
+	for _, s := range survivors {
+		if len(s) > len(dst) {
+			panic(fmt.Sprintf("parity: unit length %d exceeds width %d", len(s), len(dst)))
+		}
+		xor(dst[:len(s)], dst[:len(s)], s)
+	}
 }
 
 // fuseBlock is the chunk size of the fused XOR+CRC pass: small enough
@@ -78,50 +99,19 @@ const fuseBlock = 4096
 // CRC32 of each source (crcs[i] for srcs[i]) and of dst (the last
 // entry), using tab. Equivalent to EncodeInto followed by per-slice
 // crc32.Checksum, but each block of the data is checksummed while still
-// cache-hot from the XOR, and the XOR runs word-at-a-time. All slices
-// must have dst's length.
+// cache-hot from the XOR. All slices must have dst's length.
 func XORCRCInto(dst []byte, srcs [][]byte, crcs []uint32, tab *crc32.Table) {
 	if len(crcs) != len(srcs)+1 {
 		panic(fmt.Sprintf("parity: %d crc slots for %d sources", len(crcs), len(srcs)))
 	}
-	for _, s := range srcs {
-		if len(s) != len(dst) {
-			panic(fmt.Sprintf("parity: length mismatch %d != %d", len(s), len(dst)))
-		}
-	}
+	checkLens(len(dst), srcs)
 	for lo := 0; lo < len(dst); lo += fuseBlock {
-		hi := lo + fuseBlock
-		if hi > len(dst) {
-			hi = len(dst)
-		}
-		db := dst[lo:hi]
-		if len(srcs) == 0 {
-			for i := range db {
-				db[i] = 0
-			}
-		} else {
-			copy(db, srcs[0][lo:hi])
-			for _, s := range srcs[1:] {
-				xorWords(db, s[lo:hi])
-			}
-		}
+		hi := min(lo+fuseBlock, len(dst))
+		encodeRange(dst, srcs, lo, hi)
 		for i, s := range srcs {
 			crcs[i] = crc32.Update(crcs[i], tab, s[lo:hi])
 		}
-		crcs[len(srcs)] = crc32.Update(crcs[len(srcs)], tab, db)
-	}
-}
-
-// xorWords xors src into dst eight bytes at a time (byte-order
-// round-trips, so the result is correct on any architecture).
-func xorWords(dst, src []byte) {
-	n := len(dst) &^ 7
-	for i := 0; i < n; i += 8 {
-		binary.LittleEndian.PutUint64(dst[i:],
-			binary.LittleEndian.Uint64(dst[i:])^binary.LittleEndian.Uint64(src[i:]))
-	}
-	for i := n; i < len(dst); i++ {
-		dst[i] ^= src[i]
+		crcs[len(srcs)] = crc32.Update(crcs[len(srcs)], tab, dst[lo:hi])
 	}
 }
 
@@ -131,11 +121,6 @@ func xorWords(dst, src []byte) {
 // width. Units longer than width panic.
 func EncodeRagged(width int, units ...[]byte) []byte {
 	p := make([]byte, width)
-	for _, u := range units {
-		if len(u) > width {
-			panic(fmt.Sprintf("parity: unit length %d exceeds width %d", len(u), width))
-		}
-		XORInto(p[:len(u)], u)
-	}
+	ReconstructInto(p, units...)
 	return p
 }

@@ -165,34 +165,171 @@ func BenchmarkXOR64K(b *testing.B) {
 	}
 }
 
-func TestXORCRCIntoMatchesSeparatePasses(t *testing.T) {
-	tab := crc32.MakeTable(crc32.Castagnoli)
-	rng := rand.New(rand.NewSource(8))
-	for _, n := range []int{0, 1, 7, 8, 9, 4095, 4096, 4097, 16384, 65536} {
-		for _, d := range []int{0, 1, 3, 4} {
-			srcs := make([][]byte, d)
-			for i := range srcs {
-				srcs[i] = make([]byte, n)
-				rng.Read(srcs[i])
-			}
-			fused := make([]byte, n)
-			crcs := make([]uint32, d+1)
-			XORCRCInto(fused, srcs, crcs, tab)
+// benchUnits returns n random 64 KiB units (the default stripe unit).
+func benchUnits(n int) [][]byte {
+	rng := rand.New(rand.NewSource(3))
+	units := make([][]byte, n)
+	for i := range units {
+		units[i] = make([]byte, 64<<10)
+		rng.Read(units[i])
+	}
+	return units
+}
 
-			want := make([]byte, n)
-			EncodeInto(want, srcs...)
-			if !bytes.Equal(fused, want) {
-				t.Fatalf("n=%d d=%d: fused parity differs from EncodeInto", n, d)
-			}
-			for i, s := range srcs {
-				if got, wantC := crcs[i], crc32.Checksum(s, tab); got != wantC {
-					t.Fatalf("n=%d d=%d: crc[%d] = %08x, want %08x", n, d, i, got, wantC)
+// BenchmarkXORCRCInto is one completed 4+1 stripe: bytes counted are the
+// four data units the fused pass reads.
+func BenchmarkXORCRCInto(b *testing.B) {
+	tab := crc32.MakeTable(crc32.Castagnoli)
+	srcs := benchUnits(4)
+	dst := make([]byte, 64<<10)
+	crcs := make([]uint32, 5)
+	b.SetBytes(4 * 64 << 10)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		clear(crcs)
+		XORCRCInto(dst, srcs, crcs, tab)
+	}
+}
+
+// BenchmarkReconstructInto is one degraded unit of a 4+1 stripe: the
+// parity is in dst, three survivors are XORed in; bytes counted are the
+// four units read.
+func BenchmarkReconstructInto(b *testing.B) {
+	units := benchUnits(4)
+	b.SetBytes(4 * 64 << 10)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ReconstructInto(units[0], units[1:]...)
+	}
+}
+
+// The reference every entry point is compared against: one byte at a
+// time, nothing shared with the package's kernel.
+func refXOR(width int, units ...[]byte) []byte {
+	out := make([]byte, width)
+	for _, u := range units {
+		for i := range u {
+			out[i] ^= u[i]
+		}
+	}
+	return out
+}
+
+var diffLens = []int{0, 1, 7, 8, 9, 4095, 4096, 4097, 65536}
+
+// oddSlices returns n random slices of length l, each starting at a
+// different odd offset of its own backing array, so the kernel sees
+// operands that are aligned neither absolutely nor with each other.
+func oddSlices(rng *rand.Rand, n, l int) [][]byte {
+	out := make([][]byte, n)
+	for i := range out {
+		off := 1 + 2*i
+		back := make([]byte, off+l+3)
+		rng.Read(back)
+		out[i] = back[off : off+l : off+l]
+	}
+	return out
+}
+
+func TestEntryPointsMatchBytewiseReference(t *testing.T) {
+	tab := crc32.MakeTable(crc32.Castagnoli)
+	rng := rand.New(rand.NewSource(16))
+	for _, l := range diffLens {
+		for d := 0; d <= 5; d++ {
+			units := oddSlices(rng, d, l)
+			want := refXOR(l, units...)
+
+			if d > 0 {
+				if got := Encode(units...); !bytes.Equal(got, want) {
+					t.Fatalf("len=%d d=%d: Encode differs", l, d)
+				}
+				if got := Reconstruct(units...); !bytes.Equal(got, want) {
+					t.Fatalf("len=%d d=%d: Reconstruct differs", l, d)
 				}
 			}
-			if got, wantC := crcs[d], crc32.Checksum(want, tab); got != wantC {
-				t.Fatalf("n=%d d=%d: parity crc = %08x, want %08x", n, d, got, wantC)
+
+			dst := oddSlices(rng, 1, l)[0] // stale content must not leak
+			EncodeInto(dst, units...)
+			if !bytes.Equal(dst, want) {
+				t.Fatalf("len=%d d=%d: EncodeInto differs", l, d)
+			}
+
+			dst = oddSlices(rng, 1, l)[0]
+			crcs := make([]uint32, d+1)
+			XORCRCInto(dst, units, crcs, tab)
+			if !bytes.Equal(dst, want) {
+				t.Fatalf("len=%d d=%d: XORCRCInto parity differs", l, d)
+			}
+			for i, u := range append(units[:d:d], want) {
+				if crcs[i] != crc32.Checksum(u, tab) {
+					t.Fatalf("len=%d d=%d: XORCRCInto crc[%d] differs", l, d, i)
+				}
+			}
+
+			if d > 0 {
+				// dst aliasing the first source exactly.
+				acc := append([]byte(nil), units[0]...)
+				for _, u := range units[1:] {
+					XORInto(acc, u)
+				}
+				if !bytes.Equal(acc, want) {
+					t.Fatalf("len=%d d=%d: XORInto chain differs", l, d)
+				}
+				alias := append([][]byte{append([]byte(nil), units[0]...)}, units[1:]...)
+				EncodeInto(alias[0], alias...)
+				if !bytes.Equal(alias[0], want) {
+					t.Fatalf("len=%d d=%d: EncodeInto with dst == units[0] differs", l, d)
+				}
+				rec := append([]byte(nil), units[0]...)
+				ReconstructInto(rec, units[1:]...)
+				if !bytes.Equal(rec, want) {
+					t.Fatalf("len=%d d=%d: ReconstructInto differs", l, d)
+				}
 			}
 		}
+	}
+}
+
+func TestRaggedMatchesBytewiseReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, width := range diffLens {
+		// Unit lengths step down from the full width to nothing.
+		var units [][]byte
+		for _, l := range []int{width, width - width/3, width / 2, min(width, 1), 0} {
+			units = append(units, oddSlices(rng, 1, l)[0])
+		}
+		want := refXOR(width, units...)
+		if got := EncodeRagged(width, units...); !bytes.Equal(got, want) {
+			t.Fatalf("width=%d: EncodeRagged differs", width)
+		}
+		dst := append([]byte(nil), units[0]...)
+		ReconstructInto(dst, units[1:]...)
+		if !bytes.Equal(dst, want) {
+			t.Fatalf("width=%d: ragged ReconstructInto differs", width)
+		}
+	}
+}
+
+func TestLengthMismatchPanics(t *testing.T) {
+	b := func(n int) []byte { return make([]byte, n) }
+	for name, fn := range map[string]func(){
+		"XORInto-short-src":      func() { XORInto(b(8), b(7)) },
+		"XORInto-long-src":       func() { XORInto(b(8), b(9)) },
+		"Encode-second-unit":     func() { Encode(b(8), b(8), b(4)) },
+		"EncodeInto-single-unit": func() { EncodeInto(b(8), b(9)) },
+		"EncodeInto-dst":         func() { EncodeInto(b(4), b(8), b(8)) },
+		"Reconstruct":            func() { Reconstruct(b(8), b(9)) },
+		"ReconstructInto-longer": func() { ReconstructInto(b(8), b(8), b(9)) },
+		"EncodeRagged-longer":    func() { EncodeRagged(8, b(9)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected panic", name)
+				}
+			}()
+			fn()
+		}()
 	}
 }
 

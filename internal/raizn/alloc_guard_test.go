@@ -90,6 +90,24 @@ func TestSubmitReadZCAllocGuard(t *testing.T) {
 	}
 }
 
+// TestDegradedReadAllocGuard pins reconstruction into the caller's
+// buffer: the parity piece is read straight into the destination and the
+// survivors into pooled scratch (read.go submitReconstruct), so a degraded
+// 64 KiB read allocates plumbing only. One per-piece buffer back on the
+// path would add up to 64 KiB/op (the parent of this guard: 56 KB/op).
+func TestDegradedReadAllocGuard(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation sizes are not comparable under the race detector")
+	}
+	if testing.Short() {
+		t.Skip("skipping benchmark-backed guard in -short mode")
+	}
+	const maxBytes = 8 << 10
+	if got := testing.Benchmark(BenchmarkDegradedRead64K).AllocedBytesPerOp(); got > maxBytes {
+		t.Errorf("degraded 64 KiB read: %d B/op, bound %d — a data buffer is being allocated per reconstructed piece", got, maxBytes)
+	}
+}
+
 // TestRecorderAllocGuard extends the write-path guard to the flight
 // recorder: attaching a recorder (as every production array under
 // observation does) must cost zero extra allocs/op on the non-sampled

@@ -103,9 +103,9 @@ type Config struct {
 	// UseRing routes device sub-IOs through the submission/completion
 	// ring (internal/ring): the submit phase stages per-device command
 	// groups that each device drains under one lock acquisition, with
-	// completions reaped by one walker goroutine per batch, and the
-	// compute phase fuses parity XOR and CRC into a single pass. Reads
-	// are batched the same way. Simulated timing is identical to the
+	// completions reaped by one walker goroutine per batch. Reads are
+	// batched the same way. Parity and checksums come from the same fused
+	// kernel on either path. Simulated timing is identical to the
 	// direct path (which remains the default, kept alive for
 	// differential tests); only host-side fixed costs change.
 	UseRing bool
@@ -327,11 +327,12 @@ type Volume struct {
 	// entry per device slot.
 	led []devLedger
 
-	// Hot-path object pools (see write.go): per-write state including
-	// plan/parity/CRC slices and parity image buffers, and SubmitFlush's
-	// scratch.
+	// Hot-path object pools: per-write state including plan/parity/CRC
+	// slices and parity image buffers (write.go), SubmitFlush's scratch,
+	// and the survivor scratch of degraded reads and rebuild (read.go).
 	wsPool    sync.Pool
 	flushPool sync.Pool
+	reconPool sync.Pool // *reconScratch
 
 	reg    *obs.Registry
 	tracer *obs.Tracer

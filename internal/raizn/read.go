@@ -283,40 +283,75 @@ func (v *Volume) degradedReadPiece(sp *obs.Span, z int, s int64, u int, a, b int
 	}
 
 	var futs []subIO
-	nBytes := (b - a) * ss
-	pbuf := make([]byte, nBytes)
-	if err := v.readParityPieceSpan(sp, z, s, a, b, pbuf, &futs, nil); err != nil {
+	sc, err := v.submitReconstruct(sp, z, s, u, a, b, fills, dst, &futs)
+	if err != nil {
 		return v.clk.Completed(err)
 	}
-	survivors := make([][]byte, 0, v.lt.d)
-	for u2 := 0; u2 < v.lt.d; u2++ {
-		if u2 == u || fills[u2] <= a {
-			continue
-		}
-		hi := fills[u2]
-		if hi > b {
-			hi = b
-		}
-		sb := make([]byte, (hi-a)*ss)
-		if err := v.readUnitPieceSpan(sp, z, s, u2, a, hi, sb, &futs, nil); err != nil {
-			return v.clk.Completed(err)
-		}
-		survivors = append(survivors, sb)
-	}
-
 	result := v.clk.NewFuture()
 	v.clk.Go(func() {
-		if err := v.awaitReads(futs); err != nil {
-			result.Complete(err)
-			return
-		}
-		copy(dst, pbuf)
-		for _, sb := range survivors {
-			parity.XORInto(dst[:len(sb)], sb)
-		}
-		result.Complete(nil)
+		result.Complete(v.finishReconstruct(dst, sc, futs))
 	})
 	return result
+}
+
+// reconScratch is the survivor scratch of one reconstruction: the pieces
+// of the surviving data units, read beside the parity piece that goes
+// straight into the caller's buffer. Pooled per volume (reconPool); every
+// backing buffer is a stripe unit long, so any piece fits any of them.
+type reconScratch struct {
+	bufs      [][]byte // backing buffers, kept across uses
+	survivors [][]byte // this reconstruction's pieces, prefixes of bufs
+}
+
+func (v *Volume) getReconScratch() *reconScratch {
+	if sc, ok := v.reconPool.Get().(*reconScratch); ok {
+		return sc
+	}
+	return new(reconScratch)
+}
+
+// scratchPiece returns the scratch's next buffer, n sectors long.
+func (v *Volume) scratchPiece(sc *reconScratch, n int64) []byte {
+	i := len(sc.survivors)
+	if i == len(sc.bufs) {
+		sc.bufs = append(sc.bufs, make([]byte, v.lt.su*int64(v.sectorSize)))
+	}
+	sc.survivors = append(sc.survivors, sc.bufs[i][:n*int64(v.sectorSize)])
+	return sc.survivors[i]
+}
+
+// submitReconstruct issues the device reads that rebuild intra offsets
+// [a, b) of data unit u of stripe s, whose unit fill levels are fills: the
+// parity piece straight into dst, the written part of every other data
+// unit into pooled scratch. finishReconstruct completes the job.
+func (v *Volume) submitReconstruct(sp *obs.Span, z int, s int64, u int, a, b int64, fills []int64, dst []byte, futs *[]subIO) (*reconScratch, error) {
+	if err := v.readParityPieceSpan(sp, z, s, a, b, dst, futs, nil); err != nil {
+		return nil, err
+	}
+	sc := v.getReconScratch()
+	for u2 := 0; u2 < v.lt.d; u2++ {
+		hi := min(fills[u2], b)
+		if u2 == u || hi <= a {
+			continue
+		}
+		if err := v.readUnitPieceSpan(sp, z, s, u2, a, hi, v.scratchPiece(sc, hi-a), futs, nil); err != nil {
+			return nil, err
+		}
+	}
+	return sc, nil
+}
+
+// finishReconstruct waits for the reads submitReconstruct issued, XORs the
+// survivors into dst (a unit tail that was never written counts as zeroes)
+// and returns the scratch to the pool.
+func (v *Volume) finishReconstruct(dst []byte, sc *reconScratch, futs []subIO) error {
+	err := v.awaitReads(futs)
+	if err == nil {
+		parity.ReconstructInto(dst, sc.survivors...)
+	}
+	sc.survivors = sc.survivors[:0]
+	v.reconPool.Put(sc)
+	return err
 }
 
 // readParityPiece reads intra offsets [a, b) of the parity unit of stripe

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"raizn/internal/obs"
-	"raizn/internal/parity"
 	"raizn/internal/zns"
 )
 
@@ -159,6 +158,7 @@ func (v *Volume) rebuildZone(z, slot int, newDev *zns.Device) (int64, error) {
 	su := v.lt.su
 	stripeSec := v.lt.stripeSectors()
 	var written int64
+	unit := make([]byte, su*ss) // reconstructed data units, one at a time
 
 	nStripes := (wp + stripeSec - 1) / stripeSec
 	for s := int64(0); s < nStripes; s++ {
@@ -171,7 +171,7 @@ func (v *Volume) rebuildZone(z, slot int, newDev *zns.Device) (int64, error) {
 			if need == 0 {
 				continue
 			}
-			buf := make([]byte, need*ss)
+			buf := unit[:need*ss]
 			if err := v.reconstructUnitForRebuild(lz, s, u, need, g, buf); err != nil {
 				return written, err
 			}
@@ -257,34 +257,11 @@ func (v *Volume) reconstructUnitForRebuild(lz *logicalZone, s int64, u int, need
 
 	// Otherwise reconstruct from parity + surviving units.
 	var futs []subIO
-	pbuf := make([]byte, need*ss)
-	if err := v.readParityPiece(z, s, 0, need, pbuf, &futs); err != nil {
+	sc, err := v.submitReconstruct(nil, z, s, u, 0, need, v.lt.unitFills(g), dst, &futs)
+	if err != nil {
 		return err
 	}
-	fills := v.lt.unitFills(g)
-	var survivors [][]byte
-	for u2 := 0; u2 < v.lt.d; u2++ {
-		if u2 == u || fills[u2] == 0 {
-			continue
-		}
-		hi := min(fills[u2], need)
-		if hi <= 0 {
-			continue
-		}
-		b := make([]byte, hi*ss)
-		if err := v.readUnitPiece(z, s, u2, 0, hi, b, &futs); err != nil {
-			return err
-		}
-		survivors = append(survivors, b)
-	}
-	if err := v.awaitReads(futs); err != nil {
-		return err
-	}
-	copy(dst, pbuf)
-	for _, b := range survivors {
-		parity.XORInto(dst[:len(b)], b)
-	}
-	return nil
+	return v.finishReconstruct(dst, sc, futs)
 }
 
 // computeParityForRebuild recomputes the parity unit prefix [0, plen) of
@@ -300,25 +277,20 @@ func (v *Volume) computeParityForRebuild(lz *logicalZone, z int, s, g, plen int6
 	}
 	lz.mu.Unlock()
 	fills := v.lt.unitFills(g)
-	img := make([]byte, plen*ss)
 	var futs []subIO
-	var pieces [][]byte
+	sc := v.getReconScratch()
 	for u := 0; u < v.lt.d; u++ {
 		hi := min(fills[u], plen)
 		if hi <= 0 {
 			continue
 		}
-		b := make([]byte, hi*ss)
-		if err := v.readUnitPiece(z, s, u, 0, hi, b, &futs); err != nil {
+		if err := v.readUnitPiece(z, s, u, 0, hi, v.scratchPiece(sc, hi), &futs); err != nil {
 			return nil
 		}
-		pieces = append(pieces, b)
 	}
-	if err := v.awaitReads(futs); err != nil {
+	img := make([]byte, plen*ss) // zeroes: the XOR identity
+	if v.finishReconstruct(img, sc, futs) != nil {
 		return nil
-	}
-	for _, b := range pieces {
-		parity.XORInto(img[:len(b)], b)
 	}
 	return img
 }

@@ -2,7 +2,6 @@ package raizn
 
 import (
 	"errors"
-	"hash/crc32"
 
 	"raizn/internal/obs"
 	"raizn/internal/parity"
@@ -265,7 +264,7 @@ type writeState struct {
 	crcs    []uint32 // completed-stripe CRC rows, stride csSlots()
 	crcS    []int64  // stripe index per CRC row
 	segs    [][]byte // submit-phase gather scratch
-	srcs    [][]byte // fused XOR+CRC source scratch (ring mode)
+	srcs    [][]byte // fused XOR+CRC source scratch
 
 	// Ring mode: staged SQEs keep their gather lists alive until the
 	// device drains them, so runs are parked in segStore (an arena reused
@@ -470,55 +469,30 @@ func (v *Volume) computeWrite(ws *writeState) {
 			plen = t.fill
 		}
 		out := ws.image(i, int(plen*ss))
-		base := len(ws.crcs)
-		if t.complete && v.cfg.UseRing {
-			// Fused single pass: XOR the D units into the parity image and
-			// accumulate all D+1 CRCs while each block is cache-hot
-			// (parity.XORCRCInto). Complete stripes always have the full
-			// stripe payload in one contiguous snapshot.
-			stripe := t.src
-			if t.buf != nil {
-				stripe = t.buf.data
-			}
-			srcs := ws.srcs[:0]
-			for u := 0; u < v.lt.d; u++ {
-				srcs = append(srcs, stripe[int64(u)*suBytes:int64(u+1)*suBytes])
-			}
-			ws.srcs = srcs
-			for u := 0; u <= v.lt.d; u++ {
-				ws.crcs = append(ws.crcs, 0)
-			}
-			parity.XORCRCInto(out, srcs, ws.crcs[base:], crcTable)
-			ws.plan[t.planIdx].data = out
-			ws.crcS = append(ws.crcS, t.s)
-		} else {
-			if t.buf != nil {
-				v.parityInto(t.buf.data, t.fill, 0, plen, out)
-			} else {
-				copy(out, t.src[:plen*ss])
-				for u := 1; u < v.lt.d; u++ {
-					parity.XORInto(out, t.src[int64(u)*suBytes:int64(u)*suBytes+plen*ss])
-				}
-			}
-			ws.plan[t.planIdx].data = out
-
-			if !t.complete {
-				continue
-			}
-			// CRC row of the completed stripe: D data units + the parity
-			// image just computed (shared — parity is XORed exactly once).
-			for u := 0; u < v.lt.d; u++ {
-				var unit []byte
-				if t.buf != nil {
-					unit = t.buf.data[int64(u)*suBytes : int64(u+1)*suBytes]
-				} else {
-					unit = t.src[int64(u)*suBytes : int64(u+1)*suBytes]
-				}
-				ws.crcs = append(ws.crcs, crc32.Checksum(unit, crcTable))
-			}
-			ws.crcs = append(ws.crcs, crc32.Checksum(out, crcTable))
-			ws.crcS = append(ws.crcS, t.s)
+		ws.plan[t.planIdx].data = out
+		if !t.complete {
+			v.parityInto(t.buf.data, t.fill, 0, plen, out)
+			continue
 		}
+		// Completed stripe, one fused pass (parity.XORCRCInto): XOR the D
+		// units into the parity image and accumulate the D+1 CRCs of the
+		// checksum row while each block is cache-hot. A complete stripe
+		// always has its whole payload in one contiguous snapshot.
+		stripe := t.src
+		if t.buf != nil {
+			stripe = t.buf.data
+		}
+		srcs := ws.srcs[:0]
+		for u := 0; u < v.lt.d; u++ {
+			srcs = append(srcs, stripe[int64(u)*suBytes:int64(u+1)*suBytes])
+		}
+		ws.srcs = srcs
+		base := len(ws.crcs)
+		for u := 0; u <= v.lt.d; u++ {
+			ws.crcs = append(ws.crcs, 0)
+		}
+		parity.XORCRCInto(out, srcs, ws.crcs[base:], crcTable)
+		ws.crcS = append(ws.crcS, t.s)
 		v.stats.checksumRecords.Add(1)
 		if v.mdm(csDev) != nil {
 			ws.pending = append(ws.pending, pendingMD{
@@ -574,20 +548,12 @@ func (v *Volume) computeWrite(ws *writeState) {
 // with `fill` data sectors present into out (zeroed first). Unwritten
 // unit tails contribute zeroes.
 func (v *Volume) parityInto(data []byte, fill, a, b int64, out []byte) {
-	for i := range out {
-		out[i] = 0
-	}
+	clear(out)
 	ss := int64(v.sectorSize)
 	for u := 0; u < v.lt.d; u++ {
-		hi := fill - int64(u)*v.lt.su
-		if hi > v.lt.su {
-			hi = v.lt.su
-		}
+		hi := min(fill-int64(u)*v.lt.su, v.lt.su, b)
 		if hi <= a {
 			continue
-		}
-		if hi > b {
-			hi = b
 		}
 		base := int64(u) * v.lt.su * ss
 		src := data[base+a*ss : base+hi*ss]

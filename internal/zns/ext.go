@@ -84,10 +84,7 @@ func (d *Device) WriteZRWASpan(sp *obs.Span, sector int64, data []byte, flags Fl
 		return d.failSpan(sp, err)
 	}
 	if !d.cfg.DiscardData {
-		if zo.data == nil {
-			zo.data = make([]byte, d.cfg.ZoneCap*int64(d.cfg.SectorSize))
-		}
-		copy(zo.data[off*int64(d.cfg.SectorSize):], data)
+		copy(d.zoneBufLocked(zo)[off*int64(d.cfg.SectorSize):], data)
 		if off < zo.wp {
 			zo.zcSeq++ // in-place overwrite invalidates zero-copy views
 		}

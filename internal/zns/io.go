@@ -291,15 +291,13 @@ func (d *Device) writeApplyLocked(sp *obs.Span, sector, nSectors int64, data []b
 	// are append-only so later readers of [off, off+n) observe exactly
 	// this data until the zone is reset.
 	if !d.cfg.DiscardData {
-		if zo.data == nil {
-			zo.data = make([]byte, d.cfg.ZoneCap*int64(d.cfg.SectorSize))
-		}
+		buf := d.zoneBufLocked(zo)
 		if segs == nil {
-			copy(zo.data[off*int64(d.cfg.SectorSize):], data)
+			copy(buf[off*int64(d.cfg.SectorSize):], data)
 		} else {
 			pos := off * int64(d.cfg.SectorSize)
 			for _, s := range segs {
-				copy(zo.data[pos:], s)
+				copy(buf[pos:], s)
 				pos += int64(len(s))
 			}
 		}
@@ -398,25 +396,15 @@ func (d *Device) readApplyLocked(sp *obs.Span, sector, nSectors int64, buf []byt
 	// Snapshot the payload at submit. Zones are immutable below the
 	// write pointer, so this equals completion-time data unless the zone
 	// is concurrently reset — in which case either snapshot is a legal
-	// outcome of the race.
+	// outcome of the race. Bytes at or above the write pointer are never
+	// copied out (zone buffers are recycled unzeroed): the tail of a full
+	// zone reads as zeroes.
 	ss := int64(d.cfg.SectorSize)
-	if d.cfg.DiscardData || zo.data == nil {
-		for i := range buf {
-			buf[i] = 0
-		}
-	} else {
-		written := zo.wp
-		for i := int64(0); i < nSectors; i++ {
-			dst := buf[i*ss : (i+1)*ss]
-			if off+i < written {
-				copy(dst, zo.data[(off+i)*ss:(off+i+1)*ss])
-			} else {
-				for j := range dst {
-					dst[j] = 0
-				}
-			}
-		}
+	n := 0
+	if !d.cfg.DiscardData && zo.data != nil && off < zo.wp {
+		n = copy(buf, zo.data[off*ss:zo.wp*ss])
 	}
+	clear(buf[n:])
 	d.hostReadBytes += nSectors * ss
 
 	// Latent media errors: the transfer is attempted (it occupies the
@@ -594,7 +582,7 @@ func (d *Device) resetApplyLocked(sp *obs.Span, z int) (pendingIO, int64, error)
 	zo.pwp = 0
 	zo.finished = false
 	zo.unflushed = nil
-	zo.data = nil
+	d.releaseBufLocked(zo)
 	zo.zcSeq++
 	// Unprogrammed (in-ZRWA) bytes are discarded without ever reaching
 	// flash; the cumulative program counter never rolls back.
@@ -672,4 +660,37 @@ func (d *Device) finishApplyLocked(sp *obs.Span, z int) (pendingIO, int64, error
 	done := reservePipe(&d.writeBusy, now, d.cfg.FinishLatency)
 	sp.MarkAt(obs.PhaseMedia, done)
 	return pendingIO{at: done, fuaZ: -1}, wpBefore, nil
+}
+
+// zoneBufLocked returns zone zo's backing buffer, giving the zone one on
+// its first write since reset: a buffer a reset returned to the device if
+// there is one, else a new one. A recycled buffer is NOT zeroed and still
+// holds its previous zone's payload; that is sound because no path hands
+// out a byte at or above the write pointer (readApplyLocked zero-fills,
+// readZCApplyLocked refuses, CorruptSector and bit rot stay below it) and
+// every write lands exactly at the write pointer or, through the ZRWA,
+// below it. Caller holds d.mu.
+func (d *Device) zoneBufLocked(zo *zone) []byte {
+	if zo.data == nil {
+		if n := len(d.freeBufs); n > 0 {
+			zo.data, d.freeBufs[n-1] = d.freeBufs[n-1], nil
+			d.freeBufs = d.freeBufs[:n-1]
+		} else {
+			zo.data = make([]byte, d.cfg.ZoneCap*int64(d.cfg.SectorSize))
+		}
+	}
+	return zo.data
+}
+
+// releaseBufLocked detaches a reset zone's backing buffer. The device
+// keeps it for the next first write — every listed buffer left a zone that
+// is now without one, so the list never exceeds NumZones — unless a
+// zero-copy view of it was handed out since the zone's last reset: a lent
+// buffer must stay immutable for its holders (zc.go) and is left to the
+// garbage collector. Caller holds d.mu.
+func (d *Device) releaseBufLocked(zo *zone) {
+	if zo.data != nil && !zo.lent {
+		d.freeBufs = append(d.freeBufs, zo.data)
+	}
+	zo.data, zo.lent = nil, false
 }

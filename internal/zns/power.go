@@ -91,15 +91,14 @@ func (d *Device) pickCutLocked(z int, rng *rand.Rand) int64 {
 }
 
 // applyCutLocked discards all zone data at and beyond the cut point.
+// Pulling the write pointer back is the whole discard: the lost bytes stay
+// in the backing buffer, unreadable above the write pointer like any
+// recycled buffer's residue (zoneBufLocked), until later writes replace
+// them — which is why views over them are invalidated here.
 func (d *Device) applyCutLocked(z int, cut int64) {
 	zo := &d.zones[z]
 	if cut < zo.wp && zo.data != nil {
-		ss := int64(d.cfg.SectorSize)
-		tail := zo.data[cut*ss : zo.wp*ss]
-		for i := range tail {
-			tail[i] = 0
-		}
-		zo.zcSeq++ // in-place truncation invalidates zero-copy views
+		zo.zcSeq++
 	}
 	// A full zone's fullness is durable only if it became full on media;
 	// if the cut rolls back below capacity the zone is no longer full.
@@ -141,6 +140,7 @@ func (d *Device) CrashClone(clk *vclock.Clock, rng *rand.Rand, cuts map[int]int6
 		cz := zo
 		if zo.data != nil {
 			cz.data = append([]byte(nil), zo.data...)
+			cz.lent = false // views of d's buffer do not reach the copy
 		}
 		cz.unflushed = append([]extent(nil), zo.unflushed...)
 		c.zones[z] = cz

@@ -9,21 +9,30 @@ import (
 
 // Zero-copy reads: instead of snapshotting the payload into a caller
 // buffer at submit, the device hands out a subslice of the zone's
-// backing array together with the zone's zc sequence number. The slice
+// backing buffer together with the zone's zc sequence number. The slice
 // is a consistent view of the range as long as the sequence is
-// unchanged; anything that mutates or frees written payload in place
-// bumps it:
+// unchanged; anything that mutates, frees or will let later writes
+// replace written payload bumps it:
 //
-//   - zone reset (backing array detached),
-//   - power loss / crash-clone cuts (tail zeroed in place),
+//   - zone reset (backing buffer detached),
+//   - power loss / crash-clone cuts (write pointer pulled back; the next
+//     writes land on the cut-off bytes),
 //   - bit rot and CorruptSector (bytes flipped in place),
 //   - ZRWA in-place overwrites.
 //
 // Ordinary writes only ever touch bytes at or beyond the write pointer,
 // so views over written data stay intact across appends. A torn sequence
-// never yields garbage memory — the old backing array is immutable once
+// never yields garbage memory — the old backing buffer is immutable once
 // detached — it only means the view no longer reflects zone content, so
 // callers re-read through the copying path.
+//
+// The device owns zone memory and recycles it: a reset hands the zone's
+// buffer to the next zone that takes its first write (zoneBufLocked).
+// "Immutable once detached" therefore needs the lent-view rule: the first
+// zero-copy view of a zone marks its buffer lent until the zone's next
+// reset, and a lent buffer is never recycled — the reset drops it, the
+// view holders keep it alive, the garbage collector frees it. Only
+// buffers that no one outside the device has ever seen are written again.
 
 // ErrZCUnavailable reports that a range cannot be served zero-copy
 // (payload discarded or not materialized, or the range is not fully
@@ -83,6 +92,7 @@ func (d *Device) readZCApplyLocked(sp *obs.Span, sector, nSectors int64) (data [
 	media := reservePipe(&d.readBusy, now, occ)
 	sp.MarkAt(obs.PhaseMedia, media)
 	done := media + d.cfg.ReadLatency
+	zo.lent = true // the buffer now has outside readers: never recycle it
 	return zo.data[off*ss : (off+nSectors)*ss], z, zo.zcSeq, pendingIO{at: done, err: rerr, fuaZ: -1}, nil
 }
 

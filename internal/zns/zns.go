@@ -208,10 +208,11 @@ type extent struct {
 
 type zone struct {
 	state     ZoneState
-	wp        int64 // zone-relative next writable sector
-	pwp       int64 // zone-relative persisted prefix (pwp <= wp)
-	finished  bool  // zone was made full by an explicit (durable) finish
-	data      []byte
+	wp        int64    // zone-relative next writable sector
+	pwp       int64    // zone-relative persisted prefix (pwp <= wp)
+	finished  bool     // zone was made full by an explicit (durable) finish
+	data      []byte   // backing buffer, ZoneCap sectors; only [0, wp) is content (zoneBufLocked)
+	lent      bool     // a zero-copy view of data was handed out since the last reset
 	unflushed []extent // writes in (pwp, wp], in submit order
 	zcSeq     uint64   // bumped whenever payload below wp mutates or is freed
 
@@ -237,6 +238,10 @@ type Device struct {
 	nActive int
 	failed  bool
 	epoch   uint64 // bumped on power loss; stale completions are voided
+
+	// freeBufs holds the backing buffers of reset zones for reuse by the
+	// next first write (zoneBufLocked / releaseBufLocked in io.go).
+	freeBufs [][]byte
 
 	writeBusy time.Duration // write pipe busy-until (virtual time)
 	readBusy  time.Duration // read pipe busy-until
