@@ -515,7 +515,8 @@ func (d *Device) pageData(pp int64) []byte {
 // Write submits a write of data at the absolute sector; overwrites are
 // permitted anywhere in the logical address space. The returned future
 // completes when the transfer (including any garbage collection it
-// triggered) finishes.
+// triggered) finishes. The payload is copied into device memory before the
+// call returns (Writev likewise), so data is the caller's again at once.
 func (d *Device) Write(sector int64, data []byte, flags Flag) *vclock.Future {
 	return d.WriteSpan(nil, sector, data, flags)
 }

@@ -50,6 +50,17 @@ func (k Kind) String() string {
 
 // Append describes one partial-parity image the volume needs persisted
 // before the triggering write may complete.
+//
+// The image travels once, in Frame: one header sector followed by the
+// parity image (whole sectors, at most one stripe unit), built by the
+// caller in the image's on-media layout so an engine that logs it can
+// fill in the header sector and hand the frame to the device as it is.
+// The frame is the engine's for the duration of Persist — it may write
+// the header sector — and the caller's again when Persist returns: the
+// caller reuses it for its next write, so an engine must not retain it,
+// only what it copied out. Devices copy a payload into zone memory at
+// submit, which is what makes an asynchronous device write of the frame
+// safe.
 type Append struct {
 	Dev      int   // device that will hold the stripe's parity unit
 	Zone     int   // logical zone
@@ -57,7 +68,7 @@ type Append struct {
 	StartLBA int64 // logical range the image covers
 	EndLBA   int64
 	Gen      uint64 // generation of the logical zone at persist time
-	Payload  []byte // parity image bytes (at most one stripe unit)
+	Frame    []byte // header sector + parity image; see above
 	Flags    int    // zns.Flag bits of the triggering write
 
 	// Span is the request's root tracing span (nil while tracing is
@@ -113,7 +124,9 @@ type Engine interface {
 	// physical zone the write landed in and how far. ok=false means the
 	// engine cannot place the image right now (e.g. PP-zone exhaustion
 	// with nothing reclaimable); the caller falls back to a metadata-log
-	// record, so backpressure never blocks the write path.
+	// record, so backpressure never blocks the write path. a.Frame is
+	// the engine's until Persist returns and must not be retained (see
+	// Append); after ok=false the caller logs that same frame.
 	Persist(a Append) (fut *vclock.Future, end int64, ok bool)
 
 	// StripeClosed tells the engine stripe s of logical zone z reached

@@ -113,6 +113,7 @@ type zraidEngine struct {
 	gcBusy bool
 	devs   []zrDev
 	seq    uint64
+	buf    []byte // one stride: every slot write is encoded here, under mu
 
 	volatileBytes  int64
 	permanentBytes int64
@@ -133,7 +134,7 @@ func NewZRAID(cfg ZRAIDConfig) (Engine, error) {
 	if cfg.ZoneCap < 2*stride {
 		return nil, errors.New("ppengine: PP zone capacity below two slots")
 	}
-	e := &zraidEngine{cfg: cfg, stride: stride}
+	e := &zraidEngine{cfg: cfg, stride: stride, buf: make([]byte, stride*int64(cfg.SectorSize))}
 	e.cond = cfg.Clock.NewCond(&e.mu)
 	e.devs = make([]zrDev, cfg.NumDevices)
 	for i := range e.devs {
@@ -222,12 +223,13 @@ func (e *zraidEngine) placeLocked(d *zns.Device, a Append) (*vclock.Future, int6
 	dv := &e.devs[a.Dev]
 	key := slotKey{zone: a.Zone, stripe: a.Stripe}
 	ss := int64(e.cfg.SectorSize)
+	image := a.Frame[ss:]
 
 	// The stripe already has a slot: overwrite it in place. The old
 	// image was superseded inside the window — it never reaches flash.
 	if sl := dv.byKey[key]; sl != nil {
 		if e.inWindowLocked(dv, sl) {
-			fut, end := e.writeSlotLocked(d, a.Dev, dv, sl, a)
+			fut, end := e.writeSlotLocked(d, a.Dev, dv, sl, a, image)
 			return fut, end, true
 		}
 		// The slot slid out of the window and can no longer be
@@ -251,7 +253,7 @@ func (e *zraidEngine) placeLocked(d *zns.Device, a Append) (*vclock.Future, int6
 			sl.live = true
 			sl.key = key
 			dv.byKey[key] = sl
-			fut, end := e.writeSlotLocked(d, a.Dev, dv, sl, a)
+			fut, end := e.writeSlotLocked(d, a.Dev, dv, sl, a, image)
 			return fut, end, true
 		}
 	}
@@ -270,18 +272,19 @@ func (e *zraidEngine) placeLocked(d *zns.Device, a Append) (*vclock.Future, int6
 		hz.mark = m
 	}
 	dv.byKey[key] = sl
-	fut, end := e.writeSlotLocked(d, a.Dev, dv, sl, a)
+	fut, end := e.writeSlotLocked(d, a.Dev, dv, sl, a, image)
 	return fut, end, true
 }
 
 // writeSlotLocked encodes and submits one slot write at the slot's
 // position through the ZRWA — the whole stride when the slot is new, header
 // plus image when it overwrites one in place, which supersedes that many
-// bytes inside the window — records the image in memory for GC migration
-// and Scan-free reads, and charges the WA accounting. It returns the
-// write's completion and the device sector the write ends at. Caller holds
-// e.mu; the write is asynchronous.
-func (e *zraidEngine) writeSlotLocked(d *zns.Device, dev int, dv *zrDev, sl *zrSlot, a Append) (*vclock.Future, int64) {
+// bytes inside the window — keeps a copy of the image (in the slot's own
+// capacity, reused from image to image) for GC migration and Scan-free
+// reads, and charges the WA accounting. image is the caller's and is not
+// retained. It returns the write's completion and the device sector the
+// write ends at. Caller holds e.mu; the write is asynchronous.
+func (e *zraidEngine) writeSlotLocked(d *zns.Device, dev int, dv *zrDev, sl *zrSlot, a Append, image []byte) (*vclock.Future, int64) {
 	ss := int64(e.cfg.SectorSize)
 	overwrite := sl.seq != 0
 	e.seq++
@@ -290,9 +293,9 @@ func (e *zraidEngine) writeSlotLocked(d *zns.Device, dev int, dv *zrDev, sl *zrS
 		Zone: a.Zone, Stripe: a.Stripe,
 		StartLBA: a.StartLBA, EndLBA: a.EndLBA,
 		Gen:     a.Gen,
-		Payload: append([]byte(nil), a.Payload...),
+		Payload: append(sl.rec.Payload[:0], image...),
 	}
-	buf := e.encodeSlot(sl, !overwrite)
+	buf := e.encodeSlotLocked(sl, !overwrite)
 	if overwrite {
 		e.volatileBytes += int64(len(buf))
 	}
@@ -312,17 +315,21 @@ func (e *zraidEngine) writeSlotLocked(d *zns.Device, dev int, dv *zrDev, sl *zrS
 	return fut, pba + int64(len(buf))/ss
 }
 
-// encodeSlot serializes the slot's image: header sector (magic, CRC, key,
-// range, gen, seq) followed by the payload rounded up to whole sectors
-// and, with pad, zeroes up to a full stripe unit.
-func (e *zraidEngine) encodeSlot(sl *zrSlot, pad bool) []byte {
+// encodeSlotLocked serializes the slot's image into the engine's stride
+// buffer: header sector (magic, CRC, key, range, gen, seq) followed by the
+// payload rounded up to whole sectors and, with pad, zeroes up to a full
+// stripe unit. The result is valid until the next call; the device copies
+// it at submit. Caller holds e.mu.
+func (e *zraidEngine) encodeSlotLocked(sl *zrSlot, pad bool) []byte {
 	ss := e.cfg.SectorSize
 	payLen := (len(sl.rec.Payload) + ss - 1) / ss
 	size := (1 + payLen) * ss
 	if pad {
 		size = int(e.stride) * ss
 	}
-	buf := make([]byte, size)
+	// Only the first slotHdrSize bytes of the header sector are ever
+	// written, all of them every time: the rest of it stays zero.
+	buf := e.buf[:size]
 	binary.LittleEndian.PutUint32(buf[0:4], slotMagic)
 	binary.LittleEndian.PutUint32(buf[8:12], uint32(sl.rec.Zone))
 	binary.LittleEndian.PutUint32(buf[12:16], uint32(payLen))
@@ -331,7 +338,8 @@ func (e *zraidEngine) encodeSlot(sl *zrSlot, pad bool) []byte {
 	binary.LittleEndian.PutUint64(buf[32:40], uint64(sl.rec.EndLBA))
 	binary.LittleEndian.PutUint64(buf[40:48], sl.rec.Gen)
 	binary.LittleEndian.PutUint64(buf[48:56], sl.seq)
-	copy(buf[ss:], sl.rec.Payload)
+	n := copy(buf[ss:], sl.rec.Payload)
+	clear(buf[ss+n:])
 	crc := crc32.Update(0, crcTable, buf[8:slotHdrSize])
 	crc = crc32.Update(crc, crcTable, buf[ss:ss+payLen*ss])
 	binary.LittleEndian.PutUint32(buf[4:8], crc)
@@ -439,11 +447,11 @@ func (e *zraidEngine) gcZone(dev int, d *zns.Device, victim int) error {
 		a := Append{
 			Dev: dev, Zone: sl.rec.Zone, Stripe: sl.rec.Stripe,
 			StartLBA: sl.rec.StartLBA, EndLBA: sl.rec.EndLBA,
-			Gen: sl.rec.Gen, Payload: sl.rec.Payload,
+			Gen: sl.rec.Gen,
 		}
 		dv.byKey[ns.key] = ns
 		sl.live = false
-		fut, _ := e.writeSlotLocked(d, dev, dv, ns, a)
+		fut, _ := e.writeSlotLocked(d, dev, dv, ns, a, sl.rec.Payload)
 		futs = append(futs, fut)
 		e.gcMigrated++
 		e.fire("raizn.ppgc.migrate", dev, vz.zone, sl.pos)

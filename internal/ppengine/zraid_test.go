@@ -42,16 +42,18 @@ func newTestEngine(t *testing.T, c *vclock.Clock, d *zns.Device) *zraidEngine {
 	return eng.(*zraidEngine)
 }
 
-// mkAppend builds an Append whose payload is n sectors of the fill byte.
+// mkAppend builds an Append whose image is n sectors of the fill byte
+// (behind the frame's header sector).
 func mkAppend(d *zns.Device, zone int, stripe int64, fill byte, n int) Append {
-	payload := make([]byte, n*d.Config().SectorSize)
-	for i := range payload {
-		payload[i] = fill
+	ss := d.Config().SectorSize
+	frame := make([]byte, (1+n)*ss)
+	for i := ss; i < len(frame); i++ {
+		frame[i] = fill
 	}
 	return Append{
 		Dev: 0, Zone: zone, Stripe: stripe,
 		StartLBA: stripe * 64, EndLBA: stripe*64 + int64(n),
-		Gen: 7, Payload: payload,
+		Gen: 7, Frame: frame,
 	}
 }
 
@@ -71,14 +73,14 @@ func TestSlotCodecRoundtrip(t *testing.T) {
 		}
 		// An overwrite carries the header and the image only, and decodes
 		// on its own.
-		short := e.encodeSlot(sl, false)
+		short := e.encodeSlotLocked(sl, false)
 		if len(short) != 6*ss {
 			t.Fatalf("overwrite size %d, want header + 5 payload sectors (%d)", len(short), 6*ss)
 		}
 		if rec, seq, ok := decodeSlot(short, ss, 16); !ok || seq != 42 || !bytes.Equal(rec.Payload, sl.rec.Payload) {
 			t.Fatal("overwrite image does not decode")
 		}
-		buf := e.encodeSlot(sl, true)
+		buf := e.encodeSlotLocked(sl, true)
 		if int64(len(buf)) != e.stride*int64(ss) {
 			t.Fatalf("slot size %d, want %d", len(buf), e.stride*int64(ss))
 		}

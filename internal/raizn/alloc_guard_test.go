@@ -1,8 +1,10 @@
 package raizn
 
 import (
+	"runtime"
 	"testing"
 
+	"raizn/internal/vclock"
 	"raizn/internal/zns"
 )
 
@@ -19,22 +21,39 @@ import (
 // all-FUA stream — no flush to issue, no predecessor to wait for — costs
 // no more than the same write without the flag (less on the large row: the
 // device model keeps no unflushed-extent list for data FUA persisted).
+//
+// The bytes column pins the write-path buffers (DESIGN.md, "Write-path
+// buffers"): parity images, partial-parity frames and checksum-record
+// sectors live in the pooled write state and the engines encode in place,
+// so no row allocates a payload-sized buffer. A partial-parity image that
+// is made, copied or re-encoded per write again shows at once: one 4 KiB
+// image copy is twice the 2 KiB bound of the small rows (before the frames:
+// 13 989 B/op on 4K, 37 019 on 16K). The zraid rows cover that engine's
+// stride buffer and per-slot retained images the same way. The counts also
+// hold completions to callbacks: a goroutine per device command or per
+// write is at least two allocations each.
 var submitWriteAllocBaseline = []struct {
 	name    string
 	sectors int64
 	flags   zns.Flag
+	zraid   bool
 	allocs  int64
+	bytes   int64
 }{
-	{"4K", 1, 0, 27},
-	{"4-stripe", 16 * 16, 0, 100}, // StripeUnitSectors(16) * 16
-	{"4K-FUA", 1, zns.FUA, 27},
-	{"4-stripe-FUA", 16 * 16, zns.FUA, 98},
+	{"4K", 1, 0, false, 9, 2 << 10},
+	{"16K", 4, 0, false, 9, 2 << 10},
+	{"4-stripe", 16 * 16, 0, false, 32, 4 << 10}, // StripeUnitSectors(16) * 16
+	{"4K-FUA", 1, zns.FUA, false, 9, 2 << 10},
+	{"16K-FUA", 4, zns.FUA, false, 9, 2 << 10},
+	{"4-stripe-FUA", 16 * 16, zns.FUA, false, 30, 4 << 10},
+	{"4K-zraid", 1, 0, true, 9, 2 << 10},
+	{"16K-zraid-FUA", 4, zns.FUA, true, 9, 2 << 10},
 }
 
 // TestSubmitWriteAllocGuard enforces the zero-allocation-when-disabled
 // tracing property by benchmarking the coalesced write path and
-// comparing allocs/op against the committed baseline. CI runs this as a
-// dedicated non-race step; the race detector perturbs allocation
+// comparing allocs/op and bytes/op against the committed baseline. CI runs
+// this as a dedicated non-race step; the race detector perturbs allocation
 // counts, so the guard skips itself under -race.
 func TestSubmitWriteAllocGuard(t *testing.T) {
 	if raceEnabled {
@@ -46,8 +65,12 @@ func TestSubmitWriteAllocGuard(t *testing.T) {
 	for _, c := range submitWriteAllocBaseline {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			if c.zraid {
+				cfg = zraidConfig()
+			}
 			r := testing.Benchmark(func(b *testing.B) {
-				benchSeqWriteFlags(b, DefaultConfig(), c.sectors, c.flags)
+				benchSeqWriteFlags(b, cfg, c.sectors, c.flags)
 			})
 			got := r.AllocsPerOp()
 			switch {
@@ -57,8 +80,53 @@ func TestSubmitWriteAllocGuard(t *testing.T) {
 			case got < c.allocs:
 				t.Logf("SubmitWrite %s: %d allocs/op beats baseline %d; consider lowering it", c.name, got, c.allocs)
 			}
+			if got := r.AllocedBytesPerOp(); got >= c.bytes {
+				t.Errorf("SubmitWrite %s: %d B/op, bound %d — a payload-sized buffer is allocated per write",
+					c.name, got, c.bytes)
+			}
 		})
 	}
+}
+
+// TestSubmitReadNoGoroutineGuard pins the read half of callback
+// completions: a healthy 64 KiB read is completed from its last sub-read's
+// device callback, so a stream of them starts no goroutine — the count is
+// taken with a thousand reads in flight — and allocates no more than the
+// 24 allocs/op, 1 428 B/op it did with a goroutine per device command and
+// one per read.
+func TestSubmitReadNoGoroutineGuard(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not comparable under the race detector")
+	}
+	if testing.Short() {
+		t.Skip("skipping benchmark-backed guard in -short mode")
+	}
+	r := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		BenchmarkVolumeRead64K(b)
+	})
+	const maxAllocs, maxBytes = 14, 1100
+	if got := r.AllocsPerOp(); got > maxAllocs {
+		t.Errorf("64 KiB read: %d allocs/op, baseline %d", got, maxAllocs)
+	}
+	if got := r.AllocedBytesPerOp(); got > maxBytes {
+		t.Errorf("64 KiB read: %d B/op, baseline %d", got, maxBytes)
+	}
+
+	runVol(t, func(c *vclock.Clock, v *Volume, _ []*zns.Device) {
+		mustWriteV(t, v, 0, int(v.ZoneSectors()), 0)
+		before := runtime.NumGoroutine()
+		futs := make([]*vclock.Future, 1000)
+		for i := range futs {
+			futs[i] = v.SubmitRead(int64(i)%(v.ZoneSectors()-16), make([]byte, 64<<10))
+		}
+		if during := runtime.NumGoroutine(); during != before {
+			t.Errorf("%d goroutines with 1000 reads in flight, %d before", during, before)
+		}
+		if err := vclock.WaitAll(futs...); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestSubmitReadZCAllocGuard proves the zero-copy read path never
@@ -123,8 +191,8 @@ func TestRecorderAllocGuard(t *testing.T) {
 	}
 	for _, c := range submitWriteAllocBaseline {
 		c := c
-		if c.flags != 0 {
-			continue // the recorder is indifferent to write flags
+		if c.flags != 0 || c.zraid {
+			continue // the recorder is indifferent to write flags and engines
 		}
 		t.Run(c.name, func(t *testing.T) {
 			r := testing.Benchmark(func(b *testing.B) {

@@ -24,6 +24,9 @@ func benchVolumeCfg(b *testing.B, vcfg Config, fn func(c *vclock.Clock, v *Volum
 	c.Run(func() {
 		cfg := zns.DefaultConfig()
 		cfg.DiscardData = true
+		if vcfg.ParityEngine == EngineZRAID {
+			cfg.ZRWASectors = 2 * (vcfg.StripeUnitSectors + 1) // two PP slots
+		}
 		devs := make([]*zns.Device, 5)
 		for i := range devs {
 			devs[i] = zns.NewDevice(c, cfg)
@@ -74,6 +77,9 @@ func benchSeqWriteFlags(b *testing.B, vcfg Config, nSectors int64, flags zns.Fla
 
 func BenchmarkSubmitWrite4K(b *testing.B)  { benchSeqWrite(b, DefaultConfig(), 1) }
 func BenchmarkSubmitWrite16K(b *testing.B) { benchSeqWrite(b, DefaultConfig(), 4) }
+func BenchmarkSubmitWrite16KZRAID(b *testing.B) {
+	benchSeqWriteFlags(b, zraidConfig(), 4, zns.FUA)
+}
 func BenchmarkSubmitWriteStripe(b *testing.B) {
 	benchSeqWrite(b, DefaultConfig(), DefaultConfig().StripeUnitSectors*4)
 }

@@ -119,7 +119,8 @@ func (v *Volume) checkpointRecords(dev int, kind mdKind) []*record {
 					// for the arithmetic location, no log needed.
 					continue
 				}
-				img := v.parityImageLocked(buf, v.lt.intraRegions(0, buf.fill))
+				regions, nreg := v.lt.intraRegions(0, buf.fill)
+				img := v.parityImageLocked(buf, regions[:nreg])
 				out = append(out, &record{
 					typ:      recPartialParity,
 					startLBA: v.lt.stripeStart(z, s),

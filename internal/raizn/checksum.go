@@ -38,7 +38,12 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 const csHeaderBytes = 12
 
 func encodeChecksums(zone int, firstStripe int64, crcs []uint32) []byte {
-	buf := make([]byte, csHeaderBytes+4*len(crcs))
+	return encodeChecksumsInto(make([]byte, csHeaderBytes+4*len(crcs)), zone, firstStripe, crcs)
+}
+
+// encodeChecksumsInto encodes into the front of buf and returns that part.
+func encodeChecksumsInto(buf []byte, zone int, firstStripe int64, crcs []uint32) []byte {
+	buf = buf[:csHeaderBytes+4*len(crcs)]
 	binary.LittleEndian.PutUint32(buf[0:4], uint32(zone))
 	binary.LittleEndian.PutUint32(buf[4:8], uint32(firstStripe))
 	binary.LittleEndian.PutUint32(buf[8:12], uint32(len(crcs)))
@@ -163,7 +168,7 @@ func (v *Volume) recordStripeChecksumsLocked(lz *logicalZone, s int64, buf *stri
 	}
 	*pending = append(*pending, pendingMD{
 		dev: dev,
-		rec: &record{
+		rec: record{
 			typ:    recChecksums,
 			gen:    v.Generation(z),
 			inline: encodeChecksums(z, s, crcs),

@@ -31,37 +31,45 @@ func (le *loggedEngine) InPlaceParityPrefix() bool {
 // device persists nothing (the data units carry the write, §4.2), which
 // is success for the caller — there is nothing to fall back to.
 func (le *loggedEngine) Persist(a ppengine.Append) (*vclock.Future, int64, bool) {
-	v := le.v
+	fut, end := le.v.logPartialParity(a, le.v.cfg.ParityMode == PPInlineMeta)
+	return fut, end, true
+}
+
+// logPartialParity appends the image in a's frame to the parity metadata
+// log of a.Dev: it encodes the record header into the frame's header
+// sector and appends the frame as it stands — or, with inMeta
+// (PPInlineMeta), the image alone with the 32 header bytes as per-block
+// metadata. It returns the append's completion and the device sector it
+// ends at; (nil, 0) when the device has failed.
+func (v *Volume) logPartialParity(a ppengine.Append, inMeta bool) (*vclock.Future, int64) {
 	m := v.mdm(a.Dev)
 	if m == nil {
-		return nil, 0, true // device failed: degraded
+		return nil, 0 // device failed: degraded
 	}
-	rec := &record{
+	ss := v.sectorSize
+	rec := record{
 		typ:      recPartialParity,
 		startLBA: a.StartLBA,
 		endLBA:   a.EndLBA,
 		gen:      a.Gen,
-		payload:  a.Payload,
+		payload:  a.Frame[ss:],
 	}
-	child := a.Span.Child(obs.OpMDAppend, a.Dev, a.StartLBA, int64(len(a.Payload)))
-	var fut *vclock.Future
-	var pba int64
-	var err error
-	inMeta := v.cfg.ParityMode == PPInlineMeta
+	rec.encodeInto(a.Frame[:ss])
+	buf, meta := a.Frame, []byte(nil)
 	if inMeta {
-		fut, pba, err = m.appendMetaSpan(child, rec, zns.Flag(a.Flags))
-	} else {
-		fut, pba, err = m.appendSpan(child, rec, zns.Flag(a.Flags))
+		buf, meta = rec.payload, a.Frame[:headerBytes]
 	}
+	child := a.Span.Child(obs.OpMDAppend, a.Dev, a.StartLBA, int64(len(rec.payload)))
+	fut, pba, err := m.appendEncoded(child, rec.typ, buf, meta, zns.Flag(a.Flags))
 	if err != nil {
 		child.End(err)
 		if errors.Is(err, zns.ErrDeviceFailed) {
 			v.noteDeviceError(a.Dev, err)
-			return nil, 0, true
+			return nil, 0
 		}
-		return v.clk.Completed(err), 0, true
+		return v.clk.Completed(err), 0
 	}
-	return fut, pba + rec.sectors(v.sectorSize, inMeta), true
+	return fut, pba + rec.sectors(ss, inMeta)
 }
 
 func (le *loggedEngine) StripeClosed(zone int, stripe int64) {}

@@ -114,28 +114,24 @@ func (l *layout) ppZoneIndex(i int) int { return l.numZones + l.mdZones + i }
 // intraInterval is a half-open interval of intra-stripe-unit offsets.
 type intraInterval struct{ a, b int64 }
 
-// intraRegions returns the (at most two) intervals of intra-unit offsets
-// whose parity bytes are affected by a write covering zone-relative
+// intraRegions returns, by value, the n <= 2 intervals of intra-unit
+// offsets whose parity bytes are affected by a write covering zone-relative
 // sectors [start, end) of a single stripe. If the write covers a full
 // stripe-unit's worth of offsets the whole [0, su) is affected.
-func (l *layout) intraRegions(start, end int64) []intraInterval {
+func (l *layout) intraRegions(start, end int64) (regs [2]intraInterval, n int) {
 	if end-start >= l.su {
-		return []intraInterval{{0, l.su}}
+		return [2]intraInterval{{0, l.su}}, 1
 	}
 	a := start % l.su
 	b := end % l.su
-	if a < b {
-		return []intraInterval{{a, b}}
+	switch {
+	case a < b:
+		return [2]intraInterval{{a, b}}, 1
+	case b == 0:
+		return [2]intraInterval{{a, l.su}}, 1
 	}
 	// Wraps across a unit boundary.
-	out := make([]intraInterval, 0, 2)
-	if a < l.su {
-		out = append(out, intraInterval{a, l.su})
-	}
-	if b > 0 {
-		out = append(out, intraInterval{0, b})
-	}
-	return out
+	return [2]intraInterval{{a, l.su}, {0, b}}, 2
 }
 
 // unitFills returns, for a stripe with g data sectors written (0 <= g <=

@@ -134,7 +134,8 @@ func TestIntraRegions(t *testing.T) {
 		{28, 32, []intraInterval{{12, 16}}},         // ends at boundary
 	}
 	for _, c := range cases {
-		got := lt.intraRegions(c.a, c.b)
+		regs, n := lt.intraRegions(c.a, c.b)
+		got := regs[:n]
 		if len(got) != len(c.want) {
 			t.Errorf("intraRegions(%d,%d) = %v, want %v", c.a, c.b, got, c.want)
 			continue
@@ -154,7 +155,8 @@ func TestIntraRegionsCoverWriteLength(t *testing.T) {
 		start := rng.Int63n(lt.stripeSectors() - 1)
 		end := start + 1 + rng.Int63n(lt.stripeSectors()-start)
 		var total int64
-		for _, r := range lt.intraRegions(start, end) {
+		regs, n := lt.intraRegions(start, end)
+		for _, r := range regs[:n] {
 			if r.a < 0 || r.b > lt.su || r.a >= r.b {
 				return false
 			}

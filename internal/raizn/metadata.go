@@ -125,21 +125,31 @@ func (r *record) sectors(sectorSize int, headerInMeta bool) int64 {
 	return n
 }
 
-// encode serializes the record into whole sectors.
+// encode serializes the record into freshly allocated whole sectors.
 func (r *record) encode(sectorSize int) []byte {
+	buf := make([]byte, r.sectors(sectorSize, false)*int64(sectorSize))
+	r.encodeInto(buf[:sectorSize])
+	copy(buf[sectorSize:], r.payload)
+	return buf
+}
+
+// encodeInto writes the record's header sector — the 32 header bytes, the
+// inline payload, zeroes — over hdr, whatever hdr held; the payload
+// sectors are the caller's business. It is how a record is encoded in
+// place, in the buffer that goes to the device (hdr may be where r.inline
+// already lives).
+func (r *record) encodeInto(hdr []byte) {
 	if len(r.inline) > maxInline {
 		panic("raizn: inline payload too large")
 	}
-	buf := make([]byte, r.sectors(sectorSize, false)*int64(sectorSize))
-	binary.LittleEndian.PutUint32(buf[0:4], mdMagic)
-	binary.LittleEndian.PutUint16(buf[4:6], uint16(r.typ))
-	binary.LittleEndian.PutUint16(buf[6:8], uint16(len(r.inline)))
-	binary.LittleEndian.PutUint64(buf[8:16], uint64(r.startLBA))
-	binary.LittleEndian.PutUint64(buf[16:24], uint64(r.endLBA))
-	binary.LittleEndian.PutUint64(buf[24:32], r.gen)
-	copy(buf[headerBytes:], r.inline)
-	copy(buf[sectorSize:], r.payload)
-	return buf
+	binary.LittleEndian.PutUint32(hdr[0:4], mdMagic)
+	binary.LittleEndian.PutUint16(hdr[4:6], uint16(r.typ))
+	binary.LittleEndian.PutUint16(hdr[6:8], uint16(len(r.inline)))
+	binary.LittleEndian.PutUint64(hdr[8:16], uint64(r.startLBA))
+	binary.LittleEndian.PutUint64(hdr[16:24], uint64(r.endLBA))
+	binary.LittleEndian.PutUint64(hdr[24:32], r.gen)
+	n := copy(hdr[headerBytes:], r.inline)
+	clear(hdr[headerBytes+n:])
 }
 
 // decodeHeader parses a header sector. It returns false if the sector

@@ -1,11 +1,8 @@
 package raizn
 
 import (
-	"encoding/binary"
-
 	"raizn/internal/obs"
 	"raizn/internal/parity"
-	"raizn/internal/vclock"
 	"raizn/internal/zns"
 )
 
@@ -23,34 +20,6 @@ import (
 //     eliminating parity logs and their metadata-zone churn ("ZRWA …
 //     could potentially be used to allow some parity updates to take
 //     place in-place and avoid the overhead of the parity logs").
-
-// encodeHeaderMeta serializes just the 32-byte record header, for the
-// per-block metadata descriptor.
-func (r *record) encodeHeaderMeta() []byte {
-	buf := make([]byte, headerBytes)
-	binary.LittleEndian.PutUint32(buf[0:4], mdMagic)
-	binary.LittleEndian.PutUint16(buf[4:6], uint16(r.typ))
-	binary.LittleEndian.PutUint16(buf[6:8], 0) // no inline payload in meta form
-	binary.LittleEndian.PutUint64(buf[8:16], uint64(r.startLBA))
-	binary.LittleEndian.PutUint64(buf[16:24], uint64(r.endLBA))
-	binary.LittleEndian.PutUint64(buf[24:32], r.gen)
-	return buf
-}
-
-// encodePayloadOnly pads the external payload to whole sectors with no
-// header block.
-func (r *record) encodePayloadOnly(sectorSize int) []byte {
-	buf := make([]byte, r.sectors(sectorSize, true)*int64(sectorSize))
-	copy(buf, r.payload)
-	return buf
-}
-
-// appendMetaSpan writes a record with its header in block metadata and
-// only the payload in the data sectors, ending the tracing span like
-// appendSpan. Same roll-over behaviour as append.
-func (m *mdManager) appendMetaSpan(sp *obs.Span, r *record, flags zns.Flag) (*vclock.Future, int64, error) {
-	return m.appendEncoded(sp, r.typ, r.encodePayloadOnly(m.vol.sectorSize), r.encodeHeaderMeta(), flags)
-}
 
 // issueZRWAParityLocked writes the stripe's current prefix parity in
 // place at the final parity location via the ZRWA, overwriting the

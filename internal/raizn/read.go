@@ -59,13 +59,37 @@ func (v *Volume) SubmitRead(lba int64, buf []byte) *vclock.Future {
 	}
 	sp.Mark(obs.PhaseSubmit)
 
-	result := v.clk.NewFuture()
-	v.clk.Go(func() {
-		err := v.awaitReads(futs)
-		sp.End(err)
-		result.Complete(err)
-	})
-	return result
+	return v.joinReads(&readJoin{sp: sp, futs: futs})
+}
+
+// readJoin completes a read — or, with sc set, one reconstructed piece —
+// once its sub-reads have (subJoin): in the completion callback of the last
+// one, unless one failed.
+type readJoin struct {
+	v      *Volume
+	sp     *obs.Span
+	futs   []subIO
+	dst    []byte        // reconstruction target and
+	sc     *reconScratch // survivors, for finishReconstruct
+	result *vclock.Future
+	join   subJoin
+}
+
+func (v *Volume) joinReads(r *readJoin) *vclock.Future {
+	r.v, r.result = v, v.clk.NewFuture()
+	r.join.wait(v.clk, r.futs, r)
+	return r.result
+}
+
+func (r *readJoin) finish() {
+	var err error
+	if r.sc != nil {
+		err = r.v.finishReconstruct(r.dst, r.sc, r.futs)
+	} else {
+		err = r.v.awaitReads(r.futs) // none pending: parks only to repair
+	}
+	r.sp.End(err)
+	r.result.Complete(err)
 }
 
 // awaitReads waits for read sub-IOs; a device death mid-read is returned
@@ -287,11 +311,7 @@ func (v *Volume) degradedReadPiece(sp *obs.Span, z int, s int64, u int, a, b int
 	if err != nil {
 		return v.clk.Completed(err)
 	}
-	result := v.clk.NewFuture()
-	v.clk.Go(func() {
-		result.Complete(v.finishReconstruct(dst, sc, futs))
-	})
-	return result
+	return v.joinReads(&readJoin{futs: futs, dst: dst, sc: sc})
 }
 
 // reconScratch is the survivor scratch of one reconstruction: the pieces

@@ -863,9 +863,9 @@ func (v *Volume) parityImageFromLogs(z int, s int64, ppLogs []record) (img []byt
 	for _, r := range logs {
 		a := r.startLBA - lo
 		b := r.endLBA - lo
-		regions := v.lt.intraRegions(a, b)
+		regions, nreg := v.lt.intraRegions(a, b)
 		src := r.payload
-		for _, reg := range regions {
+		for _, reg := range regions[:nreg] {
 			n := (reg.b - reg.a) * ss
 			if int64(len(src)) < n {
 				n = int64(len(src))

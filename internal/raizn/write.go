@@ -2,6 +2,7 @@ package raizn
 
 import (
 	"errors"
+	"sync/atomic"
 
 	"raizn/internal/obs"
 	"raizn/internal/parity"
@@ -180,39 +181,95 @@ func (v *Volume) runWrite(sp *obs.Span, lz *logicalZone, off int64, data []byte,
 		return v.clk.Completed(planErr)
 	}
 
-	v.completeWrite(sp, lz, end, ws, ws.futs, durable, prev, result)
+	v.completeWrite(ws, lz, durable, prev, result)
 	return result
 }
 
-// completeWrite runs a submitted write to completion on its own goroutine:
-// every sub-IO (and, for a durable write, every flush publishWrite
-// arranged and the zone's previous durable write) must finish before
-// result does. ws, when non-nil, returns to the pool once its sub-IOs are
-// done.
-func (v *Volume) completeWrite(sp *obs.Span, lz *logicalZone, end int64, ws *writeState, futs []subIO, durable bool, prev, result *vclock.Future) {
-	v.clk.Go(func() {
-		err := v.awaitSubIOs(futs)
-		if ws != nil {
-			v.putWriteState(ws)
+// completeWrite arranges the completion of a submitted write: every sub-IO
+// in ws.futs (and, for a durable write, every flush publishWrite arranged
+// and prev, the zone's previous durable write) must finish before result
+// does. No goroutine waits for them: the write completes in the completion
+// callback of whichever comes last, and ws returns to the pool there — so
+// ws may be gone when this returns.
+func (v *Volume) completeWrite(ws *writeState, lz *logicalZone, durable bool, prev, result *vclock.Future) {
+	ws.lz, ws.durable, ws.prev, ws.result = lz, durable, prev, result
+	ws.join.wait(v.clk, ws.futs, ws)
+}
+
+// finish runs once every sub-IO of the write has completed (subJoin).
+func (ws *writeState) finish() {
+	err := ws.v.awaitSubIOs(ws.futs) // all complete: classifies errors, waits for nothing
+	if err == nil && ws.prev != nil {
+		ws.prev.Subscribe(ws.prevDone)
+		return
+	}
+	ws.v.endWrite(ws, err)
+}
+
+// endWrite delivers the write's outcome; err is that of its sub-IOs or,
+// failing none, of the zone's previous durable write.
+func (v *Volume) endWrite(ws *writeState, err error) {
+	sp, lz, end, durable, result := ws.sp, ws.lz, ws.end, ws.durable, ws.result
+	v.putWriteState(ws)
+	if err == nil && durable {
+		err = v.writeDurable(lz, end, nil, result)
+	}
+	if err != nil {
+		// A failure that is not a tolerated device death leaves the
+		// logical write pointer ahead of what the host believes was
+		// written; fail stop rather than serve an inconsistent volume.
+		v.mu.Lock()
+		v.readOnly = true
+		v.mu.Unlock()
+		sp.End(err)
+		result.Complete(err)
+		return
+	}
+	v.fireHook("raizn.write.done", obs.SrcLogical, lz.idx, end)
+	sp.End(nil)
+	result.Complete(nil)
+}
+
+// subJoin counts a request's sub-IOs down from their completion callbacks,
+// so that the request is finished by the last of them — in a device's timer
+// callback, mostly — instead of by a goroutine parked on each in turn.
+type subJoin struct {
+	left   atomic.Int32
+	failed atomic.Bool
+	clk    *vclock.Clock
+	owner  interface{ finish() }
+	sub    func(error) // subscribed to every sub-IO; made once per join
+}
+
+// wait calls owner.finish once every future in futs has completed: from
+// the completion callback of the last one (before returning, when none is
+// pending) if all succeeded, so finish must not block in a vclock primitive
+// then; on a goroutine of its own if one failed, because the error paths —
+// the degraded-mode transition, a fail-stop, a latent-sector repair that
+// waits for its reconstruction — are rare and some of them do block. A
+// join can be used again once it has fired.
+func (j *subJoin) wait(clk *vclock.Clock, futs []subIO, owner interface{ finish() }) {
+	j.clk, j.owner = clk, owner
+	if j.sub == nil {
+		j.sub = func(err error) {
+			if err != nil {
+				j.failed.Store(true)
+			}
+			if j.left.Add(-1) != 0 {
+				return
+			}
+			if j.failed.Swap(false) {
+				j.clk.Go(j.owner.finish)
+			} else {
+				j.owner.finish()
+			}
 		}
-		if err == nil && durable {
-			err = v.writeDurable(lz, end, prev, result)
-		}
-		if err != nil {
-			// A failure that is not a tolerated device death leaves the
-			// logical write pointer ahead of what the host believes was
-			// written; fail stop rather than serve an inconsistent volume.
-			v.mu.Lock()
-			v.readOnly = true
-			v.mu.Unlock()
-			sp.End(err)
-			result.Complete(err)
-			return
-		}
-		v.fireHook("raizn.write.done", obs.SrcLogical, lz.idx, end)
-		sp.End(nil)
-		result.Complete(nil)
-	})
+	}
+	j.left.Store(int32(len(futs)) + 1) // +1: not before all are subscribed
+	for i := range futs {
+		futs[i].fut.Subscribe(j.sub)
+	}
+	j.sub(nil)
 }
 
 // plannedIO is one device sub-write prepared during the plan phase and
@@ -248,6 +305,7 @@ type ppTask struct {
 // writeState carries one logical write through its phases. States are
 // pooled per volume; every slice is reused across writes.
 type writeState struct {
+	v      *Volume
 	sp     *obs.Span // request root span; nil while tracing is disabled
 	z      int
 	flags  zns.Flag
@@ -260,11 +318,23 @@ type writeState struct {
 	pp      []ppTask
 	futs    []subIO
 	pending []pendingMD
-	images  [][]byte // parity image backing buffers, reused in place
 	crcs    []uint32 // completed-stripe CRC rows, stride csSlots()
 	crcS    []int64  // stripe index per CRC row
 	segs    [][]byte // submit-phase gather scratch
 	srcs    [][]byte // fused XOR+CRC source scratch
+
+	// Payload buffers the compute phase builds in place and the devices
+	// copy at submit, kept from write to write (reuseBuf): full parity
+	// images, partial-parity frames (header sector + image, the on-media
+	// layout ppengine.Append wants) and encoded checksum-record sectors.
+	images, frames, csRecs [][]byte
+
+	// Completion (completeWrite).
+	lz           *logicalZone
+	durable      bool
+	prev, result *vclock.Future
+	join         subJoin
+	prevDone     func(error) // subscribed to prev; made once per state
 
 	// Ring mode: staged SQEs keep their gather lists alive until the
 	// device drains them, so runs are parked in segStore (an arena reused
@@ -289,7 +359,9 @@ func (v *Volume) getWriteState() *writeState {
 		ws.segStore = ws.segStore[:0]
 		return ws
 	}
-	return &writeState{}
+	ws := &writeState{v: v}
+	ws.prevDone = func(err error) { v.endWrite(ws, err) }
+	return ws
 }
 
 func (v *Volume) putWriteState(ws *writeState) {
@@ -318,21 +390,22 @@ func (v *Volume) putWriteState(ws *writeState) {
 	for i := range ws.segStore {
 		ws.segStore[i] = nil
 	}
-	ws.sp = nil
+	ws.sp, ws.lz, ws.prev, ws.result = nil, nil, nil, nil
 	ws.batch = nil
 	v.wsPool.Put(ws)
 }
 
-// image returns the i-th parity image buffer of the state, sized to
-// size bytes, reusing the backing array across writes.
-func (ws *writeState) image(i, size int) []byte {
-	for len(ws.images) <= i {
-		ws.images = append(ws.images, nil)
+// reuseBuf returns the i-th buffer of bufs sized to size bytes, reusing
+// its backing array across writes. The contents are whatever the last use
+// left there.
+func reuseBuf(bufs *[][]byte, i, size int) []byte {
+	for len(*bufs) <= i {
+		*bufs = append(*bufs, nil)
 	}
-	if cap(ws.images[i]) < size {
-		ws.images[i] = make([]byte, size)
+	if cap((*bufs)[i]) < size {
+		(*bufs)[i] = make([]byte, size)
 	}
-	return ws.images[i][:size]
+	return (*bufs)[i][:size]
 }
 
 // planWriteLocked (phase 1) splits [off, off+len) of zone lz into
@@ -468,7 +541,7 @@ func (v *Volume) computeWrite(ws *writeState) {
 		if !t.complete && t.fill < su {
 			plen = t.fill
 		}
-		out := ws.image(i, int(plen*ss))
+		out := reuseBuf(&ws.images, i, int(plen*ss))
 		ws.plan[t.planIdx].data = out
 		if !t.complete {
 			v.parityInto(t.buf.data, t.fill, 0, plen, out)
@@ -492,71 +565,68 @@ func (v *Volume) computeWrite(ws *writeState) {
 			ws.crcs = append(ws.crcs, 0)
 		}
 		parity.XORCRCInto(out, srcs, ws.crcs[base:], crcTable)
-		ws.crcS = append(ws.crcS, t.s)
 		v.stats.checksumRecords.Add(1)
 		if v.mdm(csDev) != nil {
-			ws.pending = append(ws.pending, pendingMD{
-				dev: csDev,
-				rec: &record{
-					typ:    recChecksums,
-					gen:    gen,
-					inline: encodeChecksums(ws.z, t.s, ws.crcs[base:base+nSlots]),
-				},
-			})
+			// The record is encoded here, into a sector of the state's.
+			sec := reuseBuf(&ws.csRecs, len(ws.crcS), int(ss))
+			rec := record{typ: recChecksums, gen: gen,
+				inline: encodeChecksumsInto(sec[headerBytes:], ws.z, t.s, ws.crcs[base:base+nSlots])}
+			rec.encodeInto(sec)
+			ws.pending = append(ws.pending, pendingMD{dev: csDev, rec: rec, enc: sec})
 		}
+		ws.crcS = append(ws.crcS, t.s)
 	}
 
-	for _, t := range ws.pp {
-		regions := v.lt.intraRegions(t.a, t.b)
-		var total int64
-		for _, r := range regions {
-			total += r.b - r.a
+	for i, t := range ws.pp {
+		// The image is XORed straight into its frame, behind the header
+		// sector the engine fills in: built once, in its on-media layout.
+		regions, n := v.lt.intraRegions(t.a, t.b)
+		total := regions[0].b - regions[0].a + regions[1].b - regions[1].a // an unused interval is empty
+		frame := reuseBuf(&ws.frames, i, int((1+total)*ss))
+		pos := ss
+		for _, r := range regions[:n] {
+			end := pos + (r.b-r.a)*ss
+			v.parityInto(t.buf.data, t.fill, r.a, r.b, frame[pos:end])
+			pos = end
 		}
-		payload := make([]byte, total*ss)
-		pos := int64(0)
-		for _, r := range regions {
-			v.parityInto(t.buf.data, t.fill, r.a, r.b, payload[pos*ss:(pos+r.b-r.a)*ss])
-			pos += r.b - r.a
-		}
+		dev, start := v.lt.parityDev(ws.z, t.s), v.lt.stripeStart(ws.z, t.s)
 		ws.pending = append(ws.pending, pendingMD{
-			dev: v.lt.parityDev(ws.z, t.s),
-			rec: &record{
-				typ:      recPartialParity,
-				startLBA: v.lt.stripeStart(ws.z, t.s) + t.a,
-				endLBA:   v.lt.stripeStart(ws.z, t.s) + t.b,
-				gen:      gen,
-				payload:  payload,
-			},
-			useMeta: v.cfg.ParityMode == PPInlineMeta,
-			z:       ws.z,
-			s:       t.s,
-			hasPP:   true,
+			dev:   dev,
+			z:     ws.z,
+			s:     t.s,
+			hasPP: true,
 			pp: ppengine.Append{
-				Dev:      v.lt.parityDev(ws.z, t.s),
+				Dev:      dev,
 				Zone:     ws.z,
 				Stripe:   t.s,
-				StartLBA: v.lt.stripeStart(ws.z, t.s) + t.a,
-				EndLBA:   v.lt.stripeStart(ws.z, t.s) + t.b,
+				StartLBA: start + t.a,
+				EndLBA:   start + t.b,
 				Gen:      gen,
-				Payload:  payload,
+				Frame:    frame,
 			},
 		})
 	}
 }
 
-// parityInto XORs the parity of intra-unit offsets [a, b) of a stripe
-// with `fill` data sectors present into out (zeroed first). Unwritten
-// unit tails contribute zeroes.
+// parityInto writes the parity of intra-unit offsets [a, b) of a stripe
+// with `fill` data sectors present over out, whatever out held. Unwritten
+// unit tails contribute zeroes. Units fill in order, so unit 0 reaches at
+// least as far as any other: out starts as a copy of its piece, zero
+// beyond it, and the other units are XORed in.
 func (v *Volume) parityInto(data []byte, fill, a, b int64, out []byte) {
-	clear(out)
 	ss := int64(v.sectorSize)
-	for u := 0; u < v.lt.d; u++ {
-		hi := min(fill-int64(u)*v.lt.su, v.lt.su, b)
+	su := v.lt.su
+	n := 0
+	if hi := min(fill, su, b); hi > a {
+		n = copy(out, data[a*ss:hi*ss])
+	}
+	clear(out[n:])
+	for u := int64(1); u < int64(v.lt.d); u++ {
+		hi := min(fill-u*su, su, b)
 		if hi <= a {
-			continue
+			break
 		}
-		base := int64(u) * v.lt.su * ss
-		src := data[base+a*ss : base+hi*ss]
+		src := data[(u*su+a)*ss : (u*su+hi)*ss]
 		parity.XORInto(out[:len(src)], src)
 	}
 }
@@ -784,19 +854,17 @@ type repairCtx struct {
 // after it is released.
 type pendingMD struct {
 	dev      int
-	rec      *record
-	isReloc  bool // register a relocation entry after the append
-	isParity bool // relocated parity rather than data
-	useMeta  bool // header in per-block metadata (PPInlineMeta)
+	rec      record
+	enc      []byte // rec already encoded, in a buffer the write state owns (nil: encoded at issue)
+	isReloc  bool   // register a relocation entry after the append
+	isParity bool   // relocated parity rather than data
 	z        int
 	s        int64
 	end      int64 // set by issuePendingMD: device sector the append ended at (0: none made)
 
 	// pp routes the entry through the parity-persistence engine instead
-	// of a direct metadata append (hasPP marks it set; the struct is
-	// embedded by value to keep the hot path allocation-free). rec stays
-	// populated as the §5.1 log fallback taken when the engine reports
-	// backpressure (ok=false).
+	// of a direct metadata append (hasPP marks it set, and rec unused; the
+	// struct is embedded by value to keep the hot path allocation-free).
 	hasPP bool
 	pp    ppengine.Append
 }
@@ -817,33 +885,31 @@ func (v *Volume) issuePendingMD(sp *obs.Span, pending []pendingMD, futs []subIO,
 		p := &pending[i]
 		if p.hasPP {
 			// Partial parity goes through the engine. On backpressure
-			// (zraid PP-zone exhaustion) fall through to a plain §5.1 log
-			// record so the write path never blocks on PP-zone GC.
+			// (zraid PP-zone exhaustion) it becomes a plain §5.1 log
+			// record, so the write path never blocks on PP-zone GC.
 			a := p.pp
 			a.Span = sp
 			a.Flags = int(flags)
-			if f, end, ok := v.eng.Persist(a); ok {
-				if f != nil {
-					p.end = end
-					futs = append(futs, subIO{dev: p.dev, fut: f})
-				}
-				continue
+			f, end, ok := v.eng.Persist(a)
+			if !ok {
+				f, end = v.logPartialParity(a, false)
 			}
-			p.useMeta = false
+			if f != nil {
+				p.end = end
+				futs = append(futs, subIO{dev: p.dev, fut: f})
+			}
+			continue
 		}
 		m := tbl.md[p.dev]
 		if m == nil {
 			continue // device failed: degraded
 		}
 		child := sp.Child(obs.OpMDAppend, p.dev, p.rec.startLBA, int64(len(p.rec.payload)+len(p.rec.inline)))
-		var fut *vclock.Future
-		var pba int64
-		var err error
-		if p.useMeta {
-			fut, pba, err = m.appendMetaSpan(child, p.rec, flags)
-		} else {
-			fut, pba, err = m.appendSpan(child, p.rec, flags)
+		buf := p.enc
+		if buf == nil {
+			buf = p.rec.encode(v.sectorSize)
 		}
+		fut, pba, err := m.appendEncoded(child, p.rec.typ, buf, nil, flags)
 		if err != nil {
 			child.End(err)
 			if errors.Is(err, zns.ErrDeviceFailed) {
@@ -859,7 +925,7 @@ func (v *Volume) issuePendingMD(sp *obs.Span, pending []pendingMD, futs []subIO,
 				dev: p.dev, pba: pba + 1, data: p.rec.payload,
 			}, p.isParity, p.s)
 		}
-		p.end = pba + p.rec.sectors(v.sectorSize, p.useMeta)
+		p.end = pba + p.rec.sectors(v.sectorSize, false)
 		futs = append(futs, subIO{dev: p.dev, fut: fut})
 	}
 	return futs
@@ -994,7 +1060,7 @@ func (v *Volume) relocationRecord(dev int, data []byte, lba int64, isParity bool
 	}
 	return pendingMD{
 		dev: dev,
-		rec: &record{
+		rec: record{
 			typ:      typ,
 			startLBA: start,
 			endLBA:   end,

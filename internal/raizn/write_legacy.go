@@ -51,7 +51,10 @@ func (v *Volume) runWriteLegacy(sp *obs.Span, lz *logicalZone, off, end int64, f
 	sp.Mark(obs.PhaseSubmit)
 	v.fireHook("raizn.write.md", obs.SrcLogical, lz.idx, end)
 
-	v.completeWrite(sp, lz, end, nil, futs, durable, prev, result)
+	ws := v.getWriteState() // carries the completion only
+	ws.sp, ws.end = sp, end
+	ws.futs = append(ws.futs, futs...)
+	v.completeWrite(ws, lz, durable, prev, result)
 	return result
 }
 
@@ -161,31 +164,25 @@ func (v *Volume) partialParityLocked(lz *logicalZone, s int64, buf *stripeBuffer
 	if v.mdm(dev) == nil {
 		return nil // parity device failed: data units carry the write
 	}
-	regions := v.lt.intraRegions(a, b)
-	payload := v.parityImageLocked(buf, regions)
+	regions, n := v.lt.intraRegions(a, b)
+	img := v.parityImageLocked(buf, regions[:n])
+	frame := make([]byte, v.sectorSize+len(img))
+	copy(frame[v.sectorSize:], img)
 	v.stats.partialParityLogs.Add(1)
-	gen := v.Generation(lz.idx)
+	start := v.lt.stripeStart(lz.idx, s)
 	return &pendingMD{
-		dev: dev,
-		rec: &record{
-			typ:      recPartialParity,
-			startLBA: v.lt.stripeStart(lz.idx, s) + a,
-			endLBA:   v.lt.stripeStart(lz.idx, s) + b,
-			gen:      gen,
-			payload:  payload,
-		},
-		useMeta: v.cfg.ParityMode == PPInlineMeta,
-		z:       lz.idx,
-		s:       s,
-		hasPP:   true,
+		dev:   dev,
+		z:     lz.idx,
+		s:     s,
+		hasPP: true,
 		pp: ppengine.Append{
 			Dev:      dev,
 			Zone:     lz.idx,
 			Stripe:   s,
-			StartLBA: v.lt.stripeStart(lz.idx, s) + a,
-			EndLBA:   v.lt.stripeStart(lz.idx, s) + b,
-			Gen:      gen,
-			Payload:  payload,
+			StartLBA: start + a,
+			EndLBA:   start + b,
+			Gen:      v.Generation(lz.idx),
+			Frame:    frame,
 		},
 	}
 }

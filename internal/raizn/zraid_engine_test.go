@@ -269,7 +269,7 @@ func TestZRAIDBackpressureFallback(t *testing.T) {
 			fut, _, ok := v.eng.Persist(ppengine.Append{
 				Dev: 0, Zone: 0, Stripe: int64(1000 + i),
 				StartLBA: 0, EndLBA: 8, Gen: 999,
-				Payload: make([]byte, 8*ss),
+				Frame: make([]byte, (1+8)*ss),
 			})
 			if !ok {
 				refused++
@@ -322,7 +322,7 @@ func TestZRAIDGCUnderConcurrentWrites(t *testing.T) {
 				fut, _, ok := v.eng.Persist(ppengine.Append{
 					Dev: 0, Zone: 0, Stripe: int64(2000 + i),
 					StartLBA: 0, EndLBA: 8, Gen: 999,
-					Payload: make([]byte, 8*ss),
+					Frame: make([]byte, (1+8)*ss),
 				})
 				if ok {
 					if err := fut.Wait(); err != nil {

@@ -4,30 +4,51 @@
 // Simulated code runs on ordinary goroutines that are registered with a
 // Clock. Whenever every registered goroutine is blocked in one of the
 // package's primitives (Sleep, Future.Wait, Cond.Wait, WaitGroup.Wait),
-// virtual time advances to the next pending timer event and the goroutine
-// owning that event resumes. Real time never passes inside a simulation:
-// the host CPU only bounds how fast the simulation executes, never what it
-// measures.
+// virtual time advances to the next pending timer event. Real time never
+// passes inside a simulation: the host CPU only bounds how fast the
+// simulation executes, never what it measures.
+//
+// Three kinds of code run under a Clock:
+//
+//   - Simulated goroutines, started via Clock.Run or Clock.Go. Only they
+//     may call the blocking primitives.
+//   - Timer callbacks, scheduled by Clock.AfterFunc (and
+//     Future.CompleteAfter). A callback has no goroutine of its own: the
+//     registered goroutine whose blocking call advances the clock to the
+//     callback's instant runs it inline, from inside that call, and counts
+//     as running while it does. Events due at one instant — sleepers and
+//     callbacks alike — are taken in submission order.
+//   - Subscribe callbacks, run by whoever completes the Future: a
+//     simulated goroutine, a timer callback, or another Subscribe callback.
 //
 // Rules for simulated code:
 //
-//   - Only goroutines started via Clock.Run, Clock.Go, or Clock.AfterFunc
-//     may call blocking primitives.
-//   - Never block in a vclock primitive while holding a sync.Mutex that a
-//     peer needs in order to make progress; release locks before waiting
-//     (Cond handles the common monitor pattern).
+//   - Timer and Subscribe callbacks must not block in a vclock primitive:
+//     the goroutine running one is already inside a blocking call of its
+//     own. They may lock mutexes, complete futures, signal, and call Go or
+//     AfterFunc; work that has to wait says Go(func() { Sleep(d); ... }).
+//   - Never block in a vclock primitive while holding a sync.Mutex: a peer
+//     that needs it stays counted as running, so the clock cannot advance
+//     to wake the holder, and a callback that needs it may be run by the
+//     holder itself. Release locks before waiting (Cond handles the common
+//     monitor pattern).
 //   - Cross-goroutine signalling must use Future, Cond or WaitGroup, never
 //     bare channels, or the scheduler's idle detection deadlocks.
 //
 // If every registered goroutine is parked and no timer is pending, the
 // simulation can never progress; the Clock panics with a diagnostic rather
 // than hanging.
+//
+// What is not deterministic: goroutines made runnable at one virtual
+// instant (several waiters of one future, a sleeper woken beside a
+// goroutine started by a callback) run in parallel, so their order at
+// that instant is the host scheduler's.
 package vclock
 
 import (
-	"container/heap"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -35,37 +56,67 @@ import (
 // call New.
 type Clock struct {
 	mu      sync.Mutex
-	now     time.Duration // virtual time since simulation start
-	running int           // registered goroutines currently runnable
-	parked  int           // goroutines blocked on Future/Cond/WaitGroup
-	events  eventHeap     // pending timer events
-	seq     uint64        // FIFO tie-break for simultaneous events
-	dead    bool          // set after a deadlock panic to stop re-dispatching
+	now     atomic.Int64 // virtual time since simulation start; written under mu
+	running int          // registered goroutines currently runnable, plus a callback being run
+	parked  int          // goroutines blocked on Future/Cond/WaitGroup
+	events  []event      // pending timer events: a min-heap on (at, seq)
+	seq     uint64       // FIFO tie-break for simultaneous events
+	dead    bool         // set after a deadlock panic to stop re-dispatching
 }
 
+// event is one pending timer: a sleeping goroutine (ch) or a callback (fn).
 type event struct {
 	at  time.Duration
 	seq uint64
 	ch  chan struct{} // closed to resume the sleeping goroutine
+	fn  func()        // run inline by the dispatching goroutine
 }
 
-type eventHeap []*event
+func (e *event) before(o *event) bool {
+	return e.at < o.at || e.at == o.at && e.seq < o.seq
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// pushLocked queues an event d from now (non-positive: at this instant,
+// behind those already queued for it). Caller holds c.mu.
+func (c *Clock) pushLocked(d time.Duration, ch chan struct{}, fn func()) {
+	if d < 0 {
+		d = 0
 	}
-	return h[i].seq < h[j].seq
+	h := append(c.events, event{at: time.Duration(c.now.Load()) + d, seq: c.seq, ch: ch, fn: fn})
+	c.seq++
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !h[i].before(&h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+	c.events = h
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
+
+// popLocked removes and returns the earliest event. Caller holds c.mu.
+func (c *Clock) popLocked() event {
+	h := c.events
+	n := len(h) - 1
+	ev := h[0]
+	h[0], h[n] = h[n], event{}
+	h = h[:n]
+	for i := 0; ; {
+		l := 2*i + 1
+		if l >= n {
+			break
+		}
+		if r := l + 1; r < n && h[r].before(&h[l]) {
+			l = r
+		}
+		if !h[l].before(&h[i]) {
+			break
+		}
+		h[i], h[l] = h[l], h[i]
+		i = l
+	}
+	c.events = h
 	return ev
 }
 
@@ -73,11 +124,8 @@ func (h *eventHeap) Pop() interface{} {
 func New() *Clock { return &Clock{} }
 
 // Now returns the current virtual time as an offset from simulation start.
-func (c *Clock) Now() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
+// It takes no lock.
+func (c *Clock) Now() time.Duration { return time.Duration(c.now.Load()) }
 
 // Run executes fn on the calling goroutine as a registered simulated
 // goroutine and returns when fn returns. Other registered goroutines may
@@ -103,24 +151,29 @@ func (c *Clock) Go(fn func()) {
 	}()
 }
 
-// AfterFunc runs fn on a new registered goroutine after d of virtual time.
+// AfterFunc schedules fn to run after d of virtual time. fn gets no
+// goroutine: the registered goroutine that advances the clock to that
+// instant calls it (see the package comment), so fn must not block in a
+// vclock primitive. It may be called from simulated or non-simulated code,
+// and never runs fn on the caller's stack.
 func (c *Clock) AfterFunc(d time.Duration, fn func()) {
-	c.Go(func() {
-		c.Sleep(d)
-		fn()
-	})
+	c.mu.Lock()
+	c.pushLocked(d, nil, fn)
+	if c.running == 0 {
+		// Idle clock, unregistered caller: nobody is left to reach
+		// dispatch, so register a goroutine that does nothing but exit.
+		c.running++
+		go c.exit()
+	}
+	c.mu.Unlock()
 }
 
 // Sleep suspends the calling registered goroutine for d of virtual time.
 // Non-positive durations yield without advancing time.
 func (c *Clock) Sleep(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
 	ch := make(chan struct{})
 	c.mu.Lock()
-	heap.Push(&c.events, &event{at: c.now + d, seq: c.seq, ch: ch})
-	c.seq++
+	c.pushLocked(d, ch, nil)
 	c.running--
 	c.dispatchLocked()
 	c.mu.Unlock()
@@ -158,25 +211,35 @@ func (c *Clock) unpark(n int) {
 	c.mu.Unlock()
 }
 
-// dispatchLocked advances virtual time while no goroutine is runnable.
-// Caller holds c.mu.
+// dispatchLocked advances virtual time while no goroutine is runnable:
+// it wakes the next sleeper, or runs the next callback itself with c.mu
+// released. A callback counts as running, so peers it wakes cannot move
+// the clock under it; one that panics unwinds through here with c.mu
+// free. Caller holds c.mu, and holds it again on return.
 func (c *Clock) dispatchLocked() {
 	for c.running == 0 && !c.dead {
-		if c.events.Len() == 0 {
+		if len(c.events) == 0 {
 			if c.parked > 0 {
 				c.dead = true
-				msg := fmt.Sprintf("vclock: deadlock: %d goroutine(s) parked at t=%v with no pending events", c.parked, c.now)
+				msg := fmt.Sprintf("vclock: deadlock: %d goroutine(s) parked at t=%v with no pending events", c.parked, c.Now())
 				c.mu.Unlock() // release so unwinding through exit() cannot self-deadlock
 				panic(msg)
 			}
 			return // simulation idle with nothing registered
 		}
-		ev := heap.Pop(&c.events).(*event)
-		if ev.at > c.now {
-			c.now = ev.at
+		ev := c.popLocked()
+		if int64(ev.at) > c.now.Load() {
+			c.now.Store(int64(ev.at))
 		}
 		c.running++
-		close(ev.ch)
+		if ev.fn == nil {
+			close(ev.ch)
+			continue
+		}
+		c.mu.Unlock()
+		ev.fn()
+		c.mu.Lock()
+		c.running--
 	}
 }
 
@@ -189,7 +252,8 @@ type Future struct {
 	done bool
 	err  error
 	chs  []chan struct{}
-	cbs  []func(error)
+	cb   func(error)   // first subscriber, held inline: the usual count is one
+	cbs  []func(error) // the rest, in subscription order
 }
 
 // NewFuture returns an incomplete Future bound to the clock.
@@ -237,12 +301,15 @@ func (f *Future) Complete(err error) {
 	f.err = err
 	chs := f.chs
 	f.chs = nil
-	cbs := f.cbs
-	f.cbs = nil
+	cb, cbs := f.cb, f.cbs
+	f.cb, f.cbs = nil, nil
 	f.mu.Unlock()
 	f.c.unpark(len(chs))
 	for _, ch := range chs {
 		close(ch)
+	}
+	if cb != nil {
+		cb(err)
 	}
 	for _, cb := range cbs {
 		cb(err)
@@ -251,9 +318,10 @@ func (f *Future) Complete(err error) {
 
 // Subscribe registers fn to run when the future completes, without
 // parking a goroutine on it. If the future is already complete, fn runs
-// inline. Otherwise fn runs on the completing goroutine (a registered
-// simulated goroutine), after waiters have been woken; fn must not block
-// in vclock primitives and must not complete this same future.
+// inline. Otherwise fn runs inside the Complete call — on a simulated
+// goroutine or in a timer callback — after waiters have been woken; fn
+// must not block in vclock primitives and must not complete this same
+// future.
 func (f *Future) Subscribe(fn func(error)) {
 	f.mu.Lock()
 	if f.done {
@@ -262,7 +330,11 @@ func (f *Future) Subscribe(fn func(error)) {
 		fn(err)
 		return
 	}
-	f.cbs = append(f.cbs, fn)
+	if f.cb == nil {
+		f.cb = fn
+	} else {
+		f.cbs = append(f.cbs, fn)
+	}
 	f.mu.Unlock()
 }
 

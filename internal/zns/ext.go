@@ -119,12 +119,11 @@ func (d *Device) WriteZRWASpan(sp *obs.Span, sector int64, data []byte, flags Fl
 	d.mu.Unlock()
 
 	fut := d.clk.NewFuture()
-	fua := flags&FUA != 0
-	d.schedule(sp, fut, done, epoch, nil, func() {
-		if fua {
-			d.persistZoneLocked(z, end)
-		}
-	})
+	pio := pendingIO{at: done, fuaZ: -1}
+	if flags&FUA != 0 {
+		pio.fuaZ, pio.fuaEnd = z, end
+	}
+	d.schedule(sp, fut, epoch, pio)
 	fire(hf)
 	return fut
 }

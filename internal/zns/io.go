@@ -7,27 +7,26 @@ import (
 	"raizn/internal/vclock"
 )
 
-// schedule arranges for fut to complete with err at absolute virtual time
-// at, applying effect (under the device lock) first — unless the device
+// schedule arranges for fut to complete at p.at with p.err, applying p's
+// persistence effects (under the device lock) first — unless the device
 // lost power in the meantime, in which case the IO completes with
-// ErrPowerLoss and the effect is discarded. The span (nil when tracing
-// is off) is ended with the command's outcome at the same instant.
-func (d *Device) schedule(sp *obs.Span, fut *vclock.Future, at time.Duration, epoch uint64, err error, effect func()) {
-	now := d.clk.Now()
-	delay := at - now
-	d.clk.AfterFunc(delay, func() {
+// ErrPowerLoss and the effects are discarded. The span (nil when tracing
+// is off) is ended with the command's outcome at the same instant. The
+// completion is a timer callback (vclock.AfterFunc): one closure per
+// command, no goroutine; whatever is subscribed to fut runs in it.
+func (d *Device) schedule(sp *obs.Span, fut *vclock.Future, epoch uint64, p pendingIO) {
+	d.clk.AfterFunc(p.at-d.clk.Now(), func() {
 		d.mu.Lock()
 		stale := d.epoch != epoch
-		if !stale && effect != nil {
-			effect()
+		if !stale {
+			d.applyEffectLocked(&p)
 		}
 		d.mu.Unlock()
+		err := p.err
 		if stale {
-			sp.EndAt(at, ErrPowerLoss)
-			fut.Complete(ErrPowerLoss)
-			return
+			err = ErrPowerLoss
 		}
-		sp.EndAt(at, err)
+		sp.EndAt(p.at, err)
 		fut.Complete(err)
 	})
 }
@@ -35,9 +34,9 @@ func (d *Device) schedule(sp *obs.Span, fut *vclock.Future, at time.Duration, ep
 // pendingIO is the completion half of a command whose state has already
 // been applied at submit: the absolute virtual finish time, the error to
 // deliver (latent read faults), and the persistence side effects to run
-// under the device lock at completion time. It is what PrepareBatch
-// collects per command so one walker goroutine can deliver a whole
-// batch's completions.
+// under the device lock at completion time. schedule delivers one; it is
+// also what PrepareBatch collects per command so one walker goroutine can
+// deliver a whole batch's completions.
 type pendingIO struct {
 	at     time.Duration // absolute completion time
 	err    error         // completion-time error (e.g. ErrReadMedium)
@@ -128,6 +127,13 @@ func (d *Device) checkSpan(sector int64, nSectors int64) (z int, off int64, err 
 // when the transfer is done. With Preflush, the device cache is flushed
 // first; with FUA, the write and all data before it in the same zone are
 // persistent once the future completes.
+//
+// Copy at submit: the payload is copied into zone memory — the modelled
+// DMA — before the call returns, so data is the caller's again at once,
+// whenever the command completes. The rule holds for every write entry
+// point (Writev, Append, AppendMeta and its metadata blob, WriteZRWA, the
+// batched commands of PrepareBatch); callers reuse their buffers on the
+// strength of it (TestPayloadCopiedAtSubmit).
 func (d *Device) Write(sector int64, data []byte, flags Flag) *vclock.Future {
 	return d.WriteSpan(nil, sector, data, flags)
 }
@@ -239,16 +245,7 @@ func (d *Device) writeLocked(sp *obs.Span, sector, nSectors int64, data []byte, 
 		return nil, err
 	}
 	fut := d.clk.NewFuture()
-	// Capture scalars, not &pio: one closure allocation per command.
-	snap, fuaZ, fuaEnd := pio.snap, pio.fuaZ, pio.fuaEnd
-	d.schedule(sp, fut, pio.at, d.epoch, nil, func() {
-		if snap != nil {
-			d.persistSnapshotLocked(snap)
-		}
-		if fuaZ >= 0 {
-			d.persistZoneLocked(fuaZ, fuaEnd)
-		}
-	})
+	d.schedule(sp, fut, d.epoch, pio)
 	return fut, nil
 }
 
@@ -369,7 +366,7 @@ func (d *Device) ReadSpan(sp *obs.Span, sector int64, buf []byte) *vclock.Future
 	}
 
 	fut := d.clk.NewFuture()
-	d.schedule(sp, fut, pio.at, epoch, pio.err, nil)
+	d.schedule(sp, fut, epoch, pio)
 	return fut
 }
 
@@ -441,8 +438,7 @@ func (d *Device) FlushSpan(sp *obs.Span) *vclock.Future {
 	}
 
 	fut := d.clk.NewFuture()
-	snap := pio.snap
-	d.schedule(sp, fut, pio.at, epoch, nil, func() { d.persistSnapshotLocked(snap) })
+	d.schedule(sp, fut, epoch, pio)
 	fire(hf)
 	return fut
 }
@@ -549,7 +545,7 @@ func (d *Device) ResetZoneSpan(sp *obs.Span, z int) *vclock.Future {
 	}
 
 	fut := d.clk.NewFuture()
-	d.schedule(sp, fut, pio.at, epoch, nil, nil)
+	d.schedule(sp, fut, epoch, pio)
 	fire(hf)
 	return fut
 }
@@ -623,7 +619,7 @@ func (d *Device) FinishZoneSpan(sp *obs.Span, z int) *vclock.Future {
 	}
 
 	fut := d.clk.NewFuture()
-	d.schedule(sp, fut, pio.at, epoch, nil, nil)
+	d.schedule(sp, fut, epoch, pio)
 	fire(hf)
 	return fut
 }

@@ -55,7 +55,7 @@ func (d *Device) ReadZCSpan(sp *obs.Span, sector, nSectors int64) (data []byte, 
 		return nil, 0, 0, d.failSpan(sp, err), err
 	}
 	fut = d.clk.NewFuture()
-	d.schedule(sp, fut, pio.at, epoch, pio.err, nil)
+	d.schedule(sp, fut, epoch, pio)
 	return data, zone, seq, fut, nil
 }
 
