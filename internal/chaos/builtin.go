@@ -7,10 +7,11 @@ package chaos
 // "zraid-gc" runs the zraid parity engine through PP-slot thrash, ring
 // advances and PP-zone GC. "md-gc" rolls one device's partial-parity
 // metadata log over repeatedly with foreground appends landing while the
-// old zone is still being reclaimed. "fua-stream" (and "fua-stream-zraid",
-// the same ops on the zraid engine) is the FUA/flush path: acks that stand
-// on FUA sub-IOs alone, and FUA writes that must find exactly the devices
-// earlier non-FUA writes left dirty.
+// old zone is still being reclaimed, the last time pulling a half-full
+// sibling's log along. "fua-stream" (and "fua-stream-zraid", the same ops
+// on the zraid engine) is the FUA/flush path: acks that stand on FUA
+// sub-IOs alone, FUA writes that must find exactly the devices earlier
+// non-FUA writes left dirty, and a FUA ack in a zone reset a moment before.
 
 import (
 	"raizn/internal/raizn"
@@ -115,13 +116,17 @@ func ZRAIDGC() *Scenario {
 // sit at the stripes whose parity maps to device 4, so every small append
 // logs a nine-sector partial-parity record into that device's 128-sector
 // parity metadata zone: three zones' tail stripes fill and roll it over
-// once, then two more zones' stripes roll it over twice more. The
-// roll-over itself takes no time; its background half (checkpoint flush,
-// then the old zone's reset) spans the next append or two, so crashes
-// land with foreground records behind the checkpoint and no empty
-// metadata zone — the state mount consolidates in place. The tail covers
-// a Maintain-driven roll-over of every log on every device, a reset, and
-// a finish.
+// once, then two more zones' stripes roll it over twice more. Beside the
+// second pair, zone 0 — at a stripe whose parity maps to device 3 by then —
+// takes seven 9-sector appends, which leave device 3's parity log just
+// over half full when device 4's rolls the last time: the roll-over is
+// array-wide, device 3 rolls at the same instant, and crashes land with
+// two devices mid-roll. The roll-over itself takes no time; its background
+// half (the checkpoint durable by its last record's FUA, then the old
+// zone's reset) spans the next append or two, so crashes land with
+// foreground records behind the checkpoint and no empty metadata zone —
+// the state mount consolidates in place. The tail covers a Maintain-driven
+// roll-over of every log on every device, a reset, and a finish.
 func MDGC() *Scenario {
 	dc := zns.DefaultConfig()
 	dc.NumZones = 8
@@ -145,7 +150,7 @@ func MDGC() *Scenario {
 		Write(3, 128). // zone 3 at stripe 2
 		Write(4, 64)   // zone 4 at stripe 1
 	for i := 0; i < 7; i++ {
-		b.Write(3, 8).Write(4, 8)
+		b.Write(0, 9).Write(3, 8).Write(4, 8) // zone 0 at stripe 6: parity on device 3
 	}
 	b.Maintain(). // rolls every log over and waits for each reclaim
 			Reset(2).
@@ -164,7 +169,11 @@ func MDGC() *Scenario {
 // non-FUA writes over two zones: a FUA write then flushes the devices its
 // own zone left dirty (and only joins what the other zone's writer has in
 // flight), a Flush in the middle resets the picture, and a Finish takes
-// the same path for what the device finishes do not persist.
+// the same path for what the device finishes do not persist. The tail
+// resets a zone holding unflushed data and acks a FUA write in its next
+// generation with no flush in between: the ack stands only if the reset's
+// generation counter reached media before it (mount would otherwise find
+// the reset WAL current and finish the reset over the new data).
 func fuaStreamOps(b *Builder) *Builder {
 	return b.
 		WriteFUA(0, 4).
@@ -183,7 +192,10 @@ func fuaStreamOps(b *Builder) *Builder {
 		Write(0, 40).
 		WriteFUA(1, 51).
 		Write(1, 9).
-		Finish(1)
+		Finish(1).
+		Reset(0).
+		Write(0, 15).
+		WriteFUA(0, 2)
 }
 
 // FUAStream runs fuaStreamOps on the paper's partial-parity log.

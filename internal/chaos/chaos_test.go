@@ -88,8 +88,9 @@ func TestZRAIDGCExplore(t *testing.T) {
 // explorer: the census must cross every raizn.mdgc.* point with at least
 // two foreground roll-overs before the Maintain-driven ones, foreground
 // partial-parity records must land between a roll-over's begin and done,
-// and recovery must be violation-free at a sampled set of crossings under
-// all three power-loss variants.
+// one roll-over must pull a sibling device's log along, and recovery must
+// be violation-free at a sampled set of crossings — one of them with two
+// devices mid-roll — under all three power-loss variants.
 func TestMDGCExplore(t *testing.T) {
 	s := MDGC()
 	census, err := Census(s, 13)
@@ -120,8 +121,42 @@ func TestMDGCExplore(t *testing.T) {
 	if inWindow < 2 {
 		t.Errorf("%d foreground partial-parity appends landed inside a roll-over window, want >= 2", inWindow)
 	}
+	// The roll-over is array-wide: the last foreground one pulls a sibling
+	// along, so a second device's begin comes before the first one's
+	// checkpoint completes, and the sampled crossings below include one
+	// with both devices mid-roll.
+	const maxPoints = 40
+	sampled := map[int]bool{}
+	for k := 0; k < maxPoints; k++ {
+		sampled[k*len(census)/maxPoints] = true // Explore's sampling rule
+	}
+	pulled, sampledInside := false, false
+	rolling, prev := map[int]bool{}, ""
+	for i, cp := range census {
+		switch cp.Name {
+		case "raizn.mdgc.begin":
+			if prev != cp.Name {
+				rolling = map[int]bool{} // a new round; an earlier one's reclaim may be in flight still
+			}
+			rolling[cp.Src] = true
+			pulled = pulled || len(rolling) == 2
+			prev = cp.Name
+		case "raizn.mdgc.ckpt", "raizn.mdgc.reset":
+			prev = cp.Name
+		case "raizn.mdgc.done":
+			delete(rolling, cp.Src)
+			prev = cp.Name
+		}
+		sampledInside = sampledInside || len(rolling) == 2 && sampled[i]
+	}
+	if !pulled {
+		t.Error("no roll-over pulled a sibling device along")
+	}
+	if !sampledInside {
+		t.Errorf("none of the %d sampled crossings has two devices mid-roll", maxPoints)
+	}
 
-	res, err := Explore(s, Options{Seed: 13, MaxPoints: 40})
+	res, err := Explore(s, Options{Seed: 13, MaxPoints: maxPoints})
 	if err != nil {
 		t.Fatalf("explore: %v", err)
 	}
@@ -176,6 +211,32 @@ func TestFUAStreamExplore(t *testing.T) {
 		}
 		if res.Recovered != res.Explored {
 			t.Errorf("%s: recovered %d of %d runs", s.Name, res.Recovered, res.Explored)
+		}
+	}
+}
+
+// TestResetThenFUAExplore explores every crossing of the fua-stream tail on
+// its own — a zone with unflushed data is reset, then a FUA write of its
+// next generation is acknowledged with no flush in between — on both parity
+// engines. The sampled exploration above stops short of the scenario's last
+// crossings, which is where the ack stands on the reset's generation
+// counter alone (lost-durable-data at the last two crossings, flushed
+// variant, before that counter was appended FUA).
+func TestResetThenFUAExplore(t *testing.T) {
+	tail := func(b *Builder) *Scenario {
+		return b.Write(0, 35).Reset(0).Write(0, 15).WriteFUA(0, 2).Build()
+	}
+	z := FUAStreamZRAID()
+	zraid := New("reset-then-fua-zraid").Devices(z.NumDev, z.Dev).Volume(z.Vol)
+	for _, s := range []*Scenario{tail(New("reset-then-fua")), tail(zraid)} {
+		res, err := Explore(s, Options{Seed: 7})
+		if err != nil {
+			t.Fatalf("%s: explore: %v", s.Name, err)
+		}
+		t.Logf("%s: census=%d explored=%d recovered=%d violations=%d",
+			s.Name, len(res.Census), res.Explored, res.Recovered, len(res.Violations))
+		for _, v := range res.Violations {
+			t.Errorf("%s: violation: %v", s.Name, v)
 		}
 	}
 }

@@ -143,10 +143,10 @@ func (v *Volume) checkpointRecords(dev int, kind mdKind) []*record {
 //
 //  1. Take an empty metadata zone R1 (emptyMDZone makes one when a crash
 //     inside a roll-over left none).
-//  2. Write the general checkpoint into R1 and flush.
+//  2. Write the general checkpoint into R1, durable by its last record's FUA.
 //  3. Reset every other zone holding only general records (now duplicates).
-//  4. Write the partial-parity checkpoint into an empty zone R2 and flush,
-//     then reset the remaining non-empty metadata zones.
+//  4. Write the partial-parity checkpoint into an empty zone R2 the same
+//     way, then reset the remaining non-empty metadata zones.
 func (v *Volume) consolidateMetadata() error {
 	for dev := range v.devs {
 		d := v.devs[dev]
@@ -279,10 +279,10 @@ func (v *Volume) consolidateDevice(dev int, d *zns.Device) error {
 // window: the old zone not yet reset, foreground records already behind
 // the checkpoint in the new one — it makes one without ever holding the
 // only copy of anything in memory: both checkpoints are appended in place
-// to the non-full zone (other than keep) with the most room and flushed,
-// which turns every other zone into a duplicate, and those are reset. A
-// crash before the flush leaves the same state with less room; after it, a
-// state the next mount handles the same way.
+// to the non-full zone (other than keep) with the most room, each durable
+// by its last record's FUA, which turns every other zone into a duplicate,
+// and those are reset. A crash before that leaves the same state with less
+// room; after it, a state the next mount handles the same way.
 func (v *Volume) emptyMDZone(dev int, d *zns.Device, infos []mdZoneInfo, keep int, reset func(int) error) (int, error) {
 	for i, inf := range infos {
 		if i != keep && inf.empty {
@@ -327,26 +327,27 @@ func mdZoneRoom(d *zns.Device, z int) int64 {
 }
 
 // issueCheckpoint appends the checkpoint records of one kind into the
-// given physical zone followed by a device flush, without waiting: once
-// every returned future has completed the checkpoint is durable. A record
-// that does not fit surfaces as that append's error. The flush goes
-// through the durability ledger, so FUA writes that need this device
-// flushed meanwhile join it.
+// given physical zone without waiting, the last one FUA: a FUA append
+// persists its zone's prefix, so once every returned future has completed
+// the whole checkpoint is durable, with no device flush. A record that does
+// not fit surfaces as that append's error; with nothing live to checkpoint
+// there is nothing to wait for.
 func (v *Volume) issueCheckpoint(d *zns.Device, phys int, dev int, kind mdKind) []*vclock.Future {
-	var futs []*vclock.Future
-	for _, r := range v.checkpointRecords(dev, kind) {
+	recs := v.checkpointRecords(dev, kind)
+	futs := make([]*vclock.Future, len(recs))
+	for i, r := range recs {
 		r.typ |= recCheckpoint
 		buf := r.encode(v.sectorSize)
-		_, fut := d.Append(phys, buf, 0)
+		var flags zns.Flag
+		if i == len(recs)-1 {
+			flags = zns.FUA
+		}
+		_, futs[i] = d.Append(phys, buf, flags)
 		sectors := int64(len(buf) / v.sectorSize)
 		v.accountMDBytes(r.typ, 1, sectors-1)
 		v.recordMDEvent(dev, phys, r.typ, 1, sectors-1)
-		futs = append(futs, fut)
 	}
-	// The sequence taken after the appends is newer than any flush, so
-	// this always yields one that covers them.
-	flush, _ := v.coverDev(nil, dev, d, v.led[dev].submitted(false), false)
-	return append(futs, flush)
+	return futs
 }
 
 // writeCheckpoint issues the checkpoint of one kind into the given

@@ -82,55 +82,6 @@ func TestCrashLosesNothingFlushed(t *testing.T) {
 	})
 }
 
-func TestCrashRandomizedAlwaysReadablePrefix(t *testing.T) {
-	// Property: after a random crash, the recovered zone exposes a
-	// readable prefix of exactly what was written, whatever the cut.
-	for seed := int64(1); seed <= 12; seed++ {
-		c := vclock.New()
-		c.Run(func() {
-			devs := newTestDevices(c, 5)
-			v, err := Create(c, devs, DefaultConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(seed))
-			// Random mix of write sizes, some flushed.
-			lba := int64(0)
-			for lba < 200 {
-				n := int64(1 + rng.Intn(40))
-				if lba+n > 200 {
-					n = 200 - lba
-				}
-				mustWriteV(t, v, lba, int(n), 0)
-				lba += n
-				if rng.Intn(3) == 0 {
-					v.Flush()
-				}
-			}
-			for _, d := range devs {
-				d.PowerLoss(rng)
-			}
-			v2, err := Mount(c, devs, DefaultConfig())
-			if err != nil {
-				t.Fatalf("seed %d: Mount: %v", seed, err)
-			}
-			wp := v2.Zone(0).WP
-			if wp > 200 {
-				t.Fatalf("seed %d: WP %d beyond written data", seed, wp)
-			}
-			if wp > 0 {
-				buf := make([]byte, wp*int64(v2.SectorSize()))
-				if err := v2.Read(0, buf); err != nil {
-					t.Fatalf("seed %d: read of recovered prefix: %v", seed, err)
-				}
-				if !bytes.Equal(buf, lbaPattern(v2, 0, int(wp))) {
-					t.Fatalf("seed %d: recovered prefix corrupted (wp=%d)", seed, wp)
-				}
-			}
-		})
-	}
-}
-
 func TestCrashStripeHoleRepairedByParity(t *testing.T) {
 	// A complete stripe (parity written) where one device lost its data
 	// unit: recovery must rebuild the missing unit from parity.

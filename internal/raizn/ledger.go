@@ -23,6 +23,7 @@ type devLedger struct {
 	flushSeq uint64         // the newest submitted flush covers every sub-IO with seq <= flushSeq
 	flushFut *vclock.Future // that flush's completion; nil once observed complete
 	flushed  uint64         // seq covered by flushes known to have completed
+	retired  []uint64       // per metadata zone: sub-IOs there with seq <= this are dead (retire)
 }
 
 // submitted records a sub-IO that has just been handed to the device and
@@ -39,6 +40,35 @@ func (ld *devLedger) submitted(fua bool) uint64 {
 	}
 	ld.mu.Unlock()
 	return s
+}
+
+// retire records that the device's mdZone-th metadata zone was rolled out
+// and its roll-over's FUA checkpoint is durable: that checkpoint re-logged
+// whatever the zone's records protected, so no logical zone owes them a
+// flush any more (dropRetired).
+func (ld *devLedger) retire(mdZone int) {
+	ld.mu.Lock()
+	ld.retired[mdZone] = ld.seq
+	ld.mu.Unlock()
+}
+
+// dropRetired frees the marks of zm that sit in a retired metadata zone.
+func (ld *devLedger) dropRetired(zm *zoneMarks, lt *layout) {
+	for i := range zm.marks {
+		m := &zm.marks[i]
+		if m.end == 0 {
+			continue
+		}
+		mdZone := int((m.end-1)/lt.physZoneSize) - lt.numZones
+		if mdZone < 0 || mdZone >= len(ld.retired) {
+			continue
+		}
+		ld.mu.Lock()
+		if m.seq <= ld.retired[mdZone] {
+			m.end = 0
+		}
+		ld.mu.Unlock()
+	}
 }
 
 // zoneMarkSlots bounds the physical zones of one device in which a logical
@@ -163,6 +193,7 @@ func (v *Volume) coverDev(sp *obs.Span, dev int, d *zns.Device, need uint64, all
 func (v *Volume) persistZoneLocked(sp *obs.Span, lz *logicalZone, volumeWide bool, futs []subIO) []subIO {
 	tbl := v.loadDevs()
 	for dev := range lz.led {
+		v.led[dev].dropRetired(&lz.led[dev], v.lt)
 		need := lz.led[dev].take()
 		if need == 0 && !volumeWide {
 			continue

@@ -80,6 +80,16 @@ func fuaEnvs() []fuaEnv {
 	}
 }
 
+// create builds a fresh five-device array of the env's flavour.
+func (env fuaEnv) create(c *vclock.Clock) ([]*zns.Device, *Volume, error) {
+	devs := make([]*zns.Device, 5)
+	for i := range devs {
+		devs[i] = zns.NewDevice(c, env.dev)
+	}
+	v, err := Create(c, devs, env.cfg)
+	return devs, v, err
+}
+
 // TestFUAStreamSurvivesPowerLoss is the durability side of the flush-free
 // FUA path: an all-FUA stream never flushes, so every ack must stand on
 // the FUA sub-IOs alone. After EACH ack every device loses power keeping
@@ -106,11 +116,7 @@ func TestFUAStreamSurvivesPowerLoss(t *testing.T) {
 				stream := []int{4, 12, 16, 32, 7, 57, 70, 3, 55}
 				c := vclock.New()
 				c.Run(func() {
-					devs := make([]*zns.Device, 5)
-					for i := range devs {
-						devs[i] = zns.NewDevice(c, env.dev)
-					}
-					v, err := Create(c, devs, env.cfg)
+					devs, v, err := env.create(c)
 					if err != nil {
 						t.Fatalf("Create: %v", err)
 					}
@@ -270,4 +276,50 @@ func TestFUAConcurrentAppendersDurable(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRolledOutZoneOwesNothing: a non-FUA write leaves the zone a mark in
+// the parity device's metadata log; the log rolls over (its checkpoint,
+// durable by FUA, re-logs the stripe's partial parity; the old zone is
+// reset); a FUA write of the same zone — whose own log record lands in the
+// new zone and so cannot retire a mark in the old one — then owes that
+// device nothing and flushes only the data device the first write left
+// dirty. At the parent the checkpoint's device flush covered the mark, so
+// the FUA write asks for the same single flush on both sides, but the
+// parent's roll-over cost a device flush of its own and this one costs
+// none. The acknowledged range survives a pessimistic power cut, with and
+// without the device holding unit 0 (so the stripe stands on the
+// checkpointed image plus the FUA record).
+func TestRolledOutZoneOwesNothing(t *testing.T) {
+	runVol(t, func(c *vclock.Clock, v *Volume, devs []*zns.Device) {
+		pdev, unit0 := v.lt.parityDev(0, 0), v.lt.dataDev(0, 0, 0)
+		flushes0 := deviceFlushes(devs)
+		mustWriteV(t, v, 0, 20, 0) // unit 0 and four sectors of unit 1
+		if err := v.md[pdev].forceGC(mdParity); err != nil {
+			t.Fatal(err)
+		}
+		mustWriteV(t, v, 20, 4, zns.FUA) // its FUA sub-IO persists unit 1's prefix
+		st := v.Stats()
+		if asked, issued := st.FUAFlushes+st.FUAFlushesJoined, deviceFlushes(devs)-flushes0; asked != 1 || issued != 1 {
+			t.Errorf("FUA write after the roll-over asked for %d flushes, devices saw %d, want 1 and 1 (unit 0's device)", asked, issued)
+		}
+		for _, omit := range []int{-1, unit0} {
+			clk, clones := vclock.New(), []*zns.Device{}
+			for i, d := range devs {
+				if i != omit {
+					clones = append(clones, d.CrashClone(clk, nil, nil))
+				}
+			}
+			clk.Run(func() {
+				v2, err := Mount(clk, clones, DefaultConfig())
+				if err != nil {
+					t.Fatalf("Mount without device %d: %v", omit, err)
+				}
+				if wp := v2.Zone(0).WP; wp < 24 {
+					t.Fatalf("without device %d: WP = %d, want the acked 24", omit, wp)
+				}
+				checkReadV(t, v2, 0, 24)
+			})
+		}
+	})
 }

@@ -3,6 +3,7 @@ package raizn
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -234,11 +235,7 @@ func crashInWindow(t *testing.T, kind mdKind, point string) {
 		t.Fatalf("%s never fired", point)
 	}
 
-	for _, variant := range []struct {
-		name string
-		clk  *vclock.Clock
-		devs []*zns.Device
-	}{{"all", cc.allClk, cc.allDevs}, {"flushed", cc.flClk, cc.flDevs}} {
+	for _, variant := range cc.variants() {
 		// With everything submitted surviving, a crash before the old
 		// zone's reset leaves all three metadata zones non-empty, with
 		// foreground records behind the new zone's checkpoint.
@@ -522,4 +519,307 @@ func TestJournalShowsMetadataGC(t *testing.T) {
 			t.Errorf("reclaim took %v, want at least the reset latency", wait)
 		}
 	})
+}
+
+// deviceFlushes sums the devices' flush commands.
+func deviceFlushes(devs []*zns.Device) int64 {
+	var n int64
+	for _, d := range devs {
+		_, _, f, _ := d.Counters()
+		n += f
+	}
+	return n
+}
+
+// ckptRecords counts the checkpoint records at the head of physical zone z.
+func ckptRecords(t *testing.T, v *Volume, d *zns.Device, z int) int {
+	t.Helper()
+	var n int
+	d.Clock().Run(func() {
+		recs, err := scanMDZones(d, v.lt, v.sectorSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range recs {
+			if int(r.pba/v.lt.physZoneSize) != z {
+				continue
+			}
+			if r.typ&recCheckpoint == 0 {
+				break
+			}
+			n++
+		}
+	})
+	return n
+}
+
+// TestRollOverIsFlushFree: an all-FUA stream rolls the partial-parity logs
+// over at least ten times and no device sees a flush command — the
+// checkpoint is durable by the FUA on its last record. At every
+// raizn.mdgc.ckpt, the instant before the old zone's reset, the whole
+// checkpoint is already on media (a power cut keeping only persisted
+// prefixes keeps every checkpoint record that was submitted). Everything
+// acknowledged survives such a cut at the end.
+func TestRollOverIsFlushFree(t *testing.T) {
+	type ckptCut struct {
+		dev, zone int
+		all, fl   *zns.Device
+	}
+	var cuts []ckptCut
+	var live *Volume
+	runVol(t, func(c *vclock.Clock, v *Volume, devs []*zns.Device) {
+		live = v
+		flushes0 := deviceFlushes(devs)
+		next := make(map[int]int)
+		var hmu sync.Mutex
+		v.AttachHook(func(p obs.HookPoint) {
+			hmu.Lock()
+			defer hmu.Unlock()
+			switch p.Name {
+			case "raizn.mdgc.begin":
+				next[p.Src] = int(p.Arg)
+			case "raizn.mdgc.ckpt":
+				cc := captureCrash(devs[p.Src:p.Src+1], 0)
+				cuts = append(cuts, ckptCut{p.Src, next[p.Src], cc.allDevs[0], cc.flDevs[0]})
+			}
+		})
+		zs := v.ZoneSectors()
+		var acked [3]int64
+		for z := 0; v.Stats().MetadataGCs < 10; z = (z + 1) % 3 {
+			if acked[z]+4 > zs {
+				t.Fatalf("zones full after %d roll-overs", v.Stats().MetadataGCs)
+			}
+			mustWriteV(t, v, int64(z)*zs+acked[z], 4, zns.FUA)
+			acked[z] += 4
+		}
+		v.AttachHook(nil)
+		if n := deviceFlushes(devs) - flushes0; n != 0 {
+			t.Errorf("%d device flushes across %d roll-overs of an all-FUA stream, want 0", n, v.Stats().MetadataGCs)
+		}
+		if st := v.Stats(); st.FUAFlushes+st.FUAFlushesJoined != 0 {
+			t.Errorf("FUA writes asked for %d flushes", st.FUAFlushes+st.FUAFlushesJoined)
+		}
+		for _, d := range devs {
+			d.PowerLoss(nil)
+		}
+		verifyAcked(t, remount(t, c, devs), acked)
+	})
+	if len(cuts) < 10 {
+		t.Fatalf("%d checkpoints completed, want at least 10", len(cuts))
+	}
+	nonEmpty := 0
+	for i, cut := range cuts {
+		all, fl := ckptRecords(t, live, cut.all, cut.zone), ckptRecords(t, live, cut.fl, cut.zone)
+		if fl != all {
+			t.Errorf("roll-over %d (device %d, new zone %d): %d of %d checkpoint records on media when the old zone is reset", i, cut.dev, cut.zone, fl, all)
+		}
+		if all > 0 {
+			nonEmpty++
+		}
+	}
+	if nonEmpty == 0 {
+		t.Error("every checkpoint was empty")
+	}
+}
+
+// TestEmptyCheckpointStillReclaims: when nothing of the log is live — every
+// stripe it protected has completed — the roll-over writes no checkpoint,
+// and still resets the old zone and returns it to the pool.
+func TestEmptyCheckpointStillReclaims(t *testing.T) {
+	runVol(t, func(c *vclock.Clock, v *Volume, devs []*zns.Device) {
+		pdev := v.lt.parityDev(0, 0)
+		mustWriteV(t, v, 0, 8, zns.FUA)
+		mustWriteV(t, v, 8, 56, zns.FUA) // stripe 0 complete: its log record is dead
+		m := v.md[pdev]
+		old := m.active[mdParity]
+		if devs[pdev].Zone(old).WP == devs[pdev].ZoneStart(old) {
+			t.Fatal("the partial write logged nothing on the parity device")
+		}
+		if err := m.forceGC(mdParity); err != nil {
+			t.Fatal(err)
+		}
+		if zd := devs[pdev].Zone(m.active[mdParity]); zd.WP != devs[pdev].ZoneStart(m.active[mdParity]) {
+			t.Errorf("new parity zone holds %d sectors, want an empty checkpoint", zd.WP-devs[pdev].ZoneStart(m.active[mdParity]))
+		}
+		if zd := devs[pdev].Zone(old); zd.WP != devs[pdev].ZoneStart(old) {
+			t.Errorf("old zone %d not reset: %+v", old, zd)
+		}
+		mdRoles(t, v)
+		if n := deviceFlushes(devs); n != 0 {
+			t.Errorf("%d device flushes, want 0", n)
+		}
+	})
+}
+
+// ppFiller is a partial-parity log record of n sectors that recovery drops
+// (its generation is never current): ballast for a parity log.
+func ppFiller(v *Volume, n int) *record {
+	return &record{typ: recPartialParity, startLBA: 0, endLBA: int64(n - 1), gen: 1 << 40,
+		payload: make([]byte, (n-1)*v.sectorSize)}
+}
+
+// TestRollOverIsArrayWide: when device 0's partial-parity log rolls over,
+// the sibling whose log is at least half full rolls at the same virtual
+// instant; the emptier sibling, the failed one and the one whose swap zone
+// is still being reclaimed are left alone.
+func TestRollOverIsArrayWide(t *testing.T) {
+	runVol(t, func(c *vclock.Clock, v *Volume, devs []*zns.Device) {
+		fill := func(dev, sectors int) {
+			t.Helper()
+			for ; sectors > 0; sectors -= 10 {
+				if _, _, err := v.md[dev].append(ppFiller(v, min(sectors, 10)), 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		half := int(devs[0].Config().ZoneCap / 2)
+		fill(0, 2*half-4) // the next record does not fit
+		fill(1, half)     // exactly half full: pulled
+		fill(2, half-1)   // just under: left
+		fill(4, half+10)  // over half, but mid-reclaim: left
+		if err := v.FailDevice(3); err != nil {
+			t.Fatal(err)
+		}
+		m4 := v.md[4]
+		m4.mu.Lock()
+		err := m4.rollLocked(mdGeneral, devs[4])
+		m4.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := make([]int, 5)
+		for i, m := range v.md {
+			if m != nil {
+				before[i] = m.active[mdParity]
+			}
+		}
+
+		t0 := c.Now()
+		if _, _, err := v.md[0].append(ppFiller(v, 10), 0); err != nil {
+			t.Fatal(err)
+		}
+		if d := c.Now() - t0; d != 0 {
+			t.Errorf("the array-wide roll-over took %v of simulated time", d)
+		}
+		st := v.Stats()
+		if st.MetadataGCs != 3 || st.MDGCsCoordinated != 1 || st.MetadataGCWaits != 0 {
+			t.Errorf("roll-overs=%d coordinated=%d waits=%d, want 3 (device 4's general log, devices 0 and 1's parity logs), 1, 0",
+				st.MetadataGCs, st.MDGCsCoordinated, st.MetadataGCWaits)
+		}
+		for i, want := range []bool{true, true, false, false, false} {
+			if m := v.md[i]; m != nil && (m.active[mdParity] != before[i]) != want {
+				t.Errorf("device %d parity log rolled = %v, want %v", i, !want, want)
+			}
+		}
+		// Both reclaims run side by side: the two resets overlap.
+		for _, i := range []int{0, 1, 4} {
+			if err := v.md[i].quiesce(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if took, reset := c.Now()-t0, devs[0].Config().ResetLatency; took >= 2*reset {
+			t.Errorf("three reclaims took %v, want them to overlap (one reset is %v)", took, reset)
+		}
+		mdRoles(t, v)
+	})
+}
+
+// TestCrashBetweenSiblingRolls cuts power at every raizn.mdgc.* crossing of
+// an array-wide roll-over of two devices' partial-parity logs — between the
+// two siblings' rolls, after a checkpoint is durable but before its old
+// zone's reset, after one reset and before the other — and mounts what
+// survives, whole and without the device that holds the open stripes'
+// first data unit (so the stripes stand on the partial parity, which after
+// the resets only the checkpoints carry). Every acknowledged sector must
+// read back.
+//
+// The roll-over is set off by a bare log append, with no write in flight:
+// a write whose data sub-IOs reach media before its partial-parity record
+// does, cut there and mounted without a device of that stripe, reads the
+// stripe's acknowledged sectors back wrong at the parent too (the lost unit
+// is rebuilt from images that do not cover the new data) — ROADMAP item 2
+// lists it; TestCrashInMetadataRollOverWindow covers the write-triggered
+// roll-over on whole arrays.
+func TestCrashBetweenSiblingRolls(t *testing.T) {
+	type cut struct {
+		name string
+		cc   *crashCapture
+	}
+	var cuts []cut
+	var acked [3]int64
+	var acked3, zs int64
+	var omit int
+	c := vclock.New()
+	c.Run(func() {
+		r := newMDGCRig(t, c, testDevConfig(), DefaultConfig())
+		v := r.v
+		zs = v.ZoneSectors()
+		omit = v.lt.dataDev(0, 5, 0)
+		// Zone 3's open stripe logs to another device: half fill its log.
+		sibling := v.lt.parityDev(3, 1)
+		if sibling == r.pdev {
+			t.Fatal("zone 3 stripe 1 maps parity to the rig's device")
+		}
+		mustWriteV(t, v, 3*zs, int(v.lt.stripeSectors()), zns.FUA)
+		for acked3 = v.lt.stripeSectors(); mdZoneRoom(r.devs[sibling], v.md[sibling].active[mdParity]) > r.devs[sibling].Config().ZoneCap/2; acked3 += 7 {
+			mustWriteV(t, v, 3*zs+acked3, 7, zns.FUA)
+		}
+		// Fill the rig device's log to within a record of its end.
+		for i := 0; mdZoneRoom(r.devs[r.pdev], v.md[r.pdev].active[mdParity]) >= 9; i++ {
+			r.write(i%3, 8)
+		}
+		if gcs := v.Stats().MetadataGCs; gcs != 0 {
+			t.Fatalf("%d roll-overs during set-up", gcs)
+		}
+		acked = r.acked
+		var hmu sync.Mutex
+		v.AttachHook(func(p obs.HookPoint) {
+			hmu.Lock()
+			defer hmu.Unlock()
+			if strings.HasPrefix(p.Name, "raizn.mdgc.") {
+				cuts = append(cuts, cut{fmt.Sprintf("%s/dev%d", p.Name, p.Src), captureCrash(r.devs, len(cuts))})
+			}
+		})
+		fut, _, err := v.md[r.pdev].append(ppFiller(v, 9), zns.FUA)
+		if err == nil {
+			err = fut.Wait()
+		}
+		if err != nil {
+			t.Fatalf("append: %v", err)
+		}
+		if err := v.Unmount(); err != nil { // lets the reclaims finish
+			t.Fatalf("Unmount: %v", err)
+		}
+		if st := v.Stats(); st.MetadataGCs != 2 || st.MDGCsCoordinated != 1 {
+			t.Fatalf("roll-overs = %d, coordinated = %d: want device %d pulled along by device %d", st.MetadataGCs, st.MDGCsCoordinated, sibling, r.pdev)
+		}
+	})
+	if len(cuts) != 8 {
+		t.Fatalf("crossed %d raizn.mdgc.* points, want 4 on each of two devices", len(cuts))
+	}
+	if !strings.HasPrefix(cuts[0].name, "raizn.mdgc.begin") || !strings.HasPrefix(cuts[1].name, "raizn.mdgc.begin") {
+		t.Errorf("first crossings %s, %s: want both devices' begin before either checkpoint completes", cuts[0].name, cuts[1].name)
+	}
+	check := func(name string, clk *vclock.Clock, devs []*zns.Device) {
+		clk.Run(func() {
+			v, err := Mount(clk, devs, DefaultConfig())
+			if err != nil {
+				t.Fatalf("%s: Mount: %v", name, err)
+			}
+			verifyAcked(t, v, acked)
+			if wp := v.Zone(3).WP - 3*zs; wp < acked3 {
+				t.Fatalf("%s: zone 3 recovered WP %d below acknowledged %d", name, wp, acked3)
+			}
+			checkReadV(t, v, 3*zs, int(acked3))
+		})
+	}
+	for _, cu := range cuts {
+		for _, variant := range cu.cc.variants() {
+			name := cu.name + "/" + variant.name
+			clk, devs := copyDevs(variant.devs)
+			check(name+"/healthy", clk, devs)
+			clk, devs = copyDevs(variant.devs)
+			check(name+"/degraded", clk, append(devs[:omit:omit], devs[omit+1:]...))
+		}
+	}
 }

@@ -205,7 +205,8 @@ var errMDFull = errors.New("raizn: metadata zone out of space mid-GC")
 // durable, old zone reset and returned to the swap pool — runs as a chain
 // of future callbacks (reclaiming). At most one reclaim is in flight per
 // device; an append that needs a second roll-over before it lands parks on
-// the vclock-aware condition.
+// the vclock-aware condition. The devices of an array roll a log together
+// (rollSiblings).
 type mdManager struct {
 	vol *volumeCore // for checkpoint callbacks and geometry
 	dev int
@@ -320,10 +321,37 @@ func (m *mdManager) appendEncoded(sp *obs.Span, typ recType, buf, meta []byte, f
 		if err = m.rollLocked(kind, dev); err != nil {
 			break
 		}
+		m.mu.Unlock()
+		v.rollSiblings(m.dev, kind)
+		m.mu.Lock()
 	}
 	m.mu.Unlock()
 	sp.End(err)
 	return nil, -1, err
+}
+
+// rollSiblings makes a roll-over array-wide: device from has just rolled its
+// log of kind over, and every live sibling whose active zone of that kind is
+// at least half full, with no roll-over or reclaim under way, rolls at the
+// same virtual instant, on this goroutine, in device order. The checkpoints
+// and the 2 ms resets of one round then overlap and the array's writers
+// meet one stall, not one per device. A fixed rule: below half full a
+// freshly replaced or lightly used device would burn a reset for nothing.
+// A sibling that cannot roll (no swap zone) reports it on its own append.
+func (v *Volume) rollSiblings(from int, kind mdKind) {
+	tbl := v.loadDevs()
+	for i, m := range tbl.md {
+		d := tbl.devs[i]
+		if i == from || m == nil || d == nil {
+			continue
+		}
+		m.mu.Lock()
+		if !m.gcBusy && !m.reclaiming && mdZoneRoom(d, m.active[kind]) <= d.Config().ZoneCap/2 &&
+			m.rollLocked(kind, d) == nil {
+			v.stats.mdGCCoordinated.Add(1)
+		}
+		m.mu.Unlock()
+	}
 }
 
 // forceGC runs one roll-over of the given kind and returns once the old
@@ -359,10 +387,11 @@ func (m *mdManager) quiesceLocked() error {
 
 // rollLocked rolls the active zone of kind over to a swap zone (paper
 // Fig. 4): the swap zone becomes active and the checkpoint of live
-// metadata plus a flush are issued into it, all at one virtual instant, so
-// every checkpoint record precedes every foreground record in the new zone
-// and the caller's append proceeds without waiting. The old zone is reset
-// and returned to the pool by reclaim once the checkpoint is durable.
+// metadata, FUA on its last record, is issued into it, all at one virtual
+// instant, so every checkpoint record precedes every foreground record in
+// the new zone and the caller's append proceeds without waiting. The old
+// zone is reset and returned to the pool by reclaim once the checkpoint is
+// durable.
 //
 // Caller holds m.mu with no roll-over or reclaim in progress; m.mu is
 // released while the checkpoint is built (it takes zone locks) and gcBusy
@@ -396,16 +425,18 @@ func (m *mdManager) rollLocked(kind mdKind, dev *zns.Device) error {
 }
 
 // reclaim is the background half of a roll-over. It runs on the goroutine
-// that completed the checkpoint flush and must not block: the old zone is
-// reset only now that the checkpoint is durable (otherwise a crash could
-// lose both copies), and a second callback returns it to the pool. dev is
-// the device the roll-over started on, so a reclaim outliving a device
-// replacement never touches the replacement's zones.
+// that completed the checkpoint's last append and must not block: the old
+// zone is reset only now that the checkpoint is durable (otherwise a crash
+// could lose both copies), which is also when the ledger stops owing the
+// old zone's records anything, and a second callback returns it to the
+// pool. dev is the device the roll-over started on, so a reclaim outliving
+// a device replacement never touches the replacement's zones.
 func (m *mdManager) reclaim(dev *zns.Device, old int, err error) {
 	if err != nil {
 		m.reclaimDone(old, err)
 		return
 	}
+	m.vol.led[m.dev].retire(old - m.vol.lt.numZones)
 	m.vol.fireHook("raizn.mdgc.ckpt", m.dev, old, 0)
 	fut := dev.ResetZone(old)
 	m.vol.fireHook("raizn.mdgc.reset", m.dev, old, 0)
@@ -438,8 +469,12 @@ func (m *mdManager) reclaimDone(old int, err error) {
 
 // whenAll runs fn once every future has completed, with the first error.
 // fn runs on the goroutine completing the last future (inline if all are
-// already complete).
+// already complete, or there are none).
 func whenAll(futs []*vclock.Future, fn func(error)) {
+	if len(futs) == 0 {
+		fn(nil)
+		return
+	}
 	var mu sync.Mutex
 	var first error
 	left := len(futs)

@@ -1,7 +1,6 @@
 package raizn
 
 import (
-	"math/rand"
 	"testing"
 
 	"raizn/internal/vclock"
@@ -297,57 +296,4 @@ func TestZRWATornUnitRepairedFromPrefixParity(t *testing.T) {
 			t.Fatalf("victim read: %v", err)
 		}
 	})
-}
-
-// TestCrashQuickAllModes runs the randomized crash property under every
-// parity mode: any prefix the volume exposes after a crash equals what
-// was written.
-func TestCrashQuickAllModes(t *testing.T) {
-	for _, mode := range []ParityMode{PPLog, PPInlineMeta, PPZRWA} {
-		mode := mode
-		for seed := int64(1); seed <= 6; seed++ {
-			c := vclock.New()
-			c.Run(func() {
-				devs := make([]*zns.Device, 5)
-				for i := range devs {
-					devs[i] = zns.NewDevice(c, extDevConfig())
-				}
-				cfg := DefaultConfig()
-				cfg.ParityMode = mode
-				v, err := Create(c, devs, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rng := rand.New(rand.NewSource(seed))
-				var flushed int64
-				lba := int64(0)
-				for lba < 200 {
-					n := int64(1 + rng.Intn(40))
-					if lba+n > 200 {
-						n = 200 - lba
-					}
-					mustWriteV(t, v, lba, int(n), 0)
-					lba += n
-					if rng.Intn(3) == 0 {
-						v.Flush()
-						flushed = lba
-					}
-				}
-				for _, d := range devs {
-					d.PowerLoss(rng)
-				}
-				v2, err := Mount(c, devs, cfg)
-				if err != nil {
-					t.Fatalf("mode %d seed %d: Mount: %v", mode, seed, err)
-				}
-				wp := v2.Zone(0).WP
-				if wp < flushed || wp > 200 {
-					t.Fatalf("mode %d seed %d: WP=%d (flushed %d)", mode, seed, wp, flushed)
-				}
-				if wp > 0 {
-					checkReadV(t, v2, 0, int(wp))
-				}
-			})
-		}
-	}
 }

@@ -1,10 +1,8 @@
 package raizn
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"raizn/internal/vclock"
@@ -329,99 +327,6 @@ func TestFlushSkipsCleanDevices(t *testing.T) {
 			t.Errorf("persisted WP = %d, want 12", p)
 		}
 	})
-}
-
-// TestCrashQuick is a quick.Check-driven crash property: any prefix the
-// volume exposes after a random crash equals what was written.
-func TestCrashQuick(t *testing.T) {
-	f := func(seed int64) bool {
-		ok := true
-		c := vclock.New()
-		c.Run(func() {
-			devs := newTestDevices(c, 5)
-			v, err := Create(c, devs, DefaultConfig())
-			if err != nil {
-				ok = false
-				return
-			}
-			rng := rand.New(rand.NewSource(seed))
-			zs := v.ZoneSectors()
-			written := map[int]int64{}
-			durable := map[int]int64{} // lower bound a crash must keep
-			// Interleave writes across up to 3 zones with random sizes,
-			// flushes, FUAs, preflushes and zone resets.
-			for op := 0; op < 60; op++ {
-				z := rng.Intn(3)
-				switch rng.Intn(10) {
-				case 0:
-					if v.ResetZone(z) == nil {
-						written[z], durable[z] = 0, 0
-					}
-				case 1:
-					if v.Flush() == nil {
-						for z, n := range written {
-							durable[z] = n
-						}
-					}
-				default:
-					n := int64(1 + rng.Intn(24))
-					if written[z]+n > zs {
-						continue
-					}
-					lba := int64(z)*zs + written[z]
-					flags := zns.Flag(0)
-					switch rng.Intn(10) {
-					case 0, 1:
-						flags = zns.FUA
-					case 2:
-						flags = zns.Preflush
-					}
-					if v.Write(lba, lbaPattern(v, lba, int(n)), flags) == nil {
-						written[z] += n
-						if flags&zns.FUA != 0 {
-							durable[z] = written[z]
-						}
-						if flags&zns.Preflush != 0 {
-							for z, n := range written {
-								durable[z] = n
-							}
-						}
-					}
-				}
-			}
-			for _, d := range devs {
-				d.PowerLoss(rng)
-			}
-			v2, err := Mount(c, devs, DefaultConfig())
-			if err != nil {
-				ok = false
-				return
-			}
-			for z := 0; z < 3; z++ {
-				zd := v2.Zone(z)
-				wp := zd.WP - int64(z)*zs
-				if wp > written[z] || wp < durable[z] {
-					ok = false
-					return
-				}
-				if wp > 0 {
-					buf := make([]byte, wp*int64(v2.SectorSize()))
-					if v2.Read(int64(z)*zs, buf) != nil {
-						ok = false
-						return
-					}
-					if !bytes.Equal(buf, lbaPattern(v2, int64(z)*zs, int(wp))) {
-						ok = false
-						return
-					}
-				}
-			}
-		})
-		return ok
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Error(err)
-	}
 }
 
 // TestCrashDuringMetadataGC forces a metadata GC and crashes right after,

@@ -618,6 +618,7 @@ func newVolume(clk *vclock.Clock, devs []*zns.Device, cfg Config) (*Volume, erro
 		// A device is presumed dirty until its first flush: mount-time
 		// repairs write to it without going through the ledger.
 		v.led[i].submitted(false)
+		v.led[i].retired = make([]uint64, lt.mdZones)
 	}
 	if cfg.UseRing {
 		v.rings = ring.NewSet(clk, reg, cfg.MetricsLabel, lt.n)

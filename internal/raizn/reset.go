@@ -132,7 +132,8 @@ func (v *Volume) doResetZone(sp *obs.Span, lz *logicalZone) error {
 	lz.wp = 0
 	lz.submittedWP = 0
 	lz.persistedWP = 0
-	// The physical zones are empty: the zone owes no device anything.
+	// The physical zones are empty and the new generation is on media
+	// (persistGenCounters, FUA): the zone owes no device anything.
 	clear(lz.led)
 	lz.lastDurable = nil
 	lz.remapped = false
@@ -149,7 +150,10 @@ func (v *Volume) doResetZone(sp *obs.Span, lz *logicalZone) error {
 }
 
 // persistGenCounters appends the generation-counter blocks to the general
-// metadata zone of every live device (Table 1: persisted on all devices).
+// metadata zone of every live device (Table 1: persisted on all devices),
+// FUA: a reset is over only when no power cut can bring the old generation
+// back, or mount would find the reset WAL current again and finish the
+// reset over whatever the new generation has made durable since.
 func (v *Volume) persistGenCounters() error {
 	v.mu.Lock()
 	gens := append([]uint64(nil), v.gen...)
@@ -167,7 +171,7 @@ func (v *Volume) persistGenCounters() error {
 				typ:    recGenCounters,
 				gen:    seq,
 				inline: inline,
-			}, 0)
+			}, zns.FUA)
 			if err != nil {
 				return err
 			}

@@ -196,6 +196,17 @@ func captureCrash(devs []*zns.Device, k int) *crashCapture {
 	return cc
 }
 
+// crashVariant is one of a capture's two clone sets.
+type crashVariant struct {
+	name string // "all" or "flushed"
+	clk  *vclock.Clock
+	devs []*zns.Device
+}
+
+func (cc *crashCapture) variants() []crashVariant {
+	return []crashVariant{{"all", cc.allClk, cc.allDevs}, {"flushed", cc.flClk, cc.flDevs}}
+}
+
 // mountAndSnapshot recovers one clone set and snapshots the result.
 func mountAndSnapshot(t *testing.T, clk *vclock.Clock, devs []*zns.Device, cfg Config) volSnapshot {
 	t.Helper()

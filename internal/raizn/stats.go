@@ -19,6 +19,7 @@ type Stats struct {
 	ZoneResets        int64 // logical zone resets completed
 	MetadataGCs       int64 // metadata zone roll-overs
 	MetadataGCWaits   int64 // appends that waited for a swap zone (back-pressure)
+	MDGCsCoordinated  int64 // of MetadataGCs: started by a sibling device's roll-over, not by a full zone
 	DegradedReads     int64 // stripe-unit pieces served by reconstruction
 	FUAFlushes        int64 // device flushes issued for FUA/Preflush writes and zone finishes
 	FUAFlushesJoined  int64 // flush needs of such writes served by a flush already in flight
@@ -52,6 +53,7 @@ type statsCounters struct {
 	zoneResets        *obs.Counter
 	metadataGCs       *obs.Counter
 	mdGCWaits         *obs.Counter
+	mdGCCoordinated   *obs.Counter
 	degradedReads     *obs.Counter
 	fuaFlushes        *obs.Counter
 	fuaFlushesJoined  *obs.Counter
@@ -98,6 +100,7 @@ func newStatsCounters(r *obs.Registry, label string) statsCounters {
 		zoneResets:        r.Counter(n("raizn_zone_resets_total")),
 		metadataGCs:       r.Counter(n("raizn_metadata_gcs_total")),
 		mdGCWaits:         r.Counter(n("raizn_md_gc_waits_total")),
+		mdGCCoordinated:   r.Counter(n("raizn_md_gc_coordinated_total")),
 		degradedReads:     r.Counter(n("raizn_degraded_reads_total")),
 		fuaFlushes:        r.Counter(n("raizn_fua_flushes_total")),
 		fuaFlushesJoined:  r.Counter(n("raizn_fua_flushes_joined_total")),
@@ -158,6 +161,7 @@ func registerStatsHelp(r *obs.Registry) {
 	r.Help("raizn_zone_resets_total", "logical zone resets completed")
 	r.Help("raizn_metadata_gcs_total", "metadata zone garbage-collection roll-overs")
 	r.Help("raizn_md_gc_waits_total", "foreground metadata appends that waited for a swap zone because the previous roll-over's reclaim was still in flight")
+	r.Help("raizn_md_gc_coordinated_total", "metadata roll-overs started because a sibling device rolled the same log over at that instant")
 	r.Help("raizn_degraded_reads_total", "stripe-unit pieces served by parity reconstruction")
 	r.Help("raizn_fua_flushes_total", "device flushes issued because a FUA/Preflush write or zone finish found earlier sub-IOs of its zone that nothing had persisted")
 	r.Help("raizn_fua_flushes_joined_total", "flush needs of FUA/Preflush writes served by joining a device flush already in flight (group commit)")
@@ -196,6 +200,7 @@ func (v *Volume) Stats() Stats {
 		ZoneResets:        v.stats.zoneResets.Load(),
 		MetadataGCs:       v.stats.metadataGCs.Load(),
 		MetadataGCWaits:   v.stats.mdGCWaits.Load(),
+		MDGCsCoordinated:  v.stats.mdGCCoordinated.Load(),
 		DegradedReads:     v.stats.degradedReads.Load(),
 		FUAFlushes:        v.stats.fuaFlushes.Load(),
 		FUAFlushesJoined:  v.stats.fuaFlushesJoined.Load(),

@@ -665,22 +665,41 @@ func (d *Device) finishApplyLocked(sp *obs.Span, z int) (pendingIO, int64, error
 // out a byte at or above the write pointer (readApplyLocked zero-fills,
 // readZCApplyLocked refuses, CorruptSector and bit rot stay below it) and
 // every write lands exactly at the write pointer or, through the ZRWA,
-// below it. Caller holds d.mu.
+// below it.
+//
+// A zone written for the first time in the device's life does not drain the
+// list: when it takes the last listed buffer a new one takes that one's
+// place. Such a zone adds one to what the device can need at once, and the
+// buffer it would otherwise walk off with is as a rule the one a log zone
+// that is reset and rewritten in turn (raizn's metadata zones) has just
+// returned and asks for again at its next roll-over. That roll-over would
+// then allocate, at whatever moment the log happens to fill, and the pool
+// would keep growing until every log had once rolled while every other
+// zone was open. Made here, the allocation falls where the demand grows,
+// at a zone's first write, and a run that rewrites the zones of its first
+// pass has its buffers by the end of that pass. Buffers never outnumber
+// the zones ever written, and a workload that walks over fresh zones while
+// resetting old ones still runs on two. Caller holds d.mu.
 func (d *Device) zoneBufLocked(zo *zone) []byte {
 	if zo.data == nil {
-		if n := len(d.freeBufs); n > 0 {
+		size := d.cfg.ZoneCap * int64(d.cfg.SectorSize)
+		switch n := len(d.freeBufs); {
+		case n == 0:
+			zo.data = make([]byte, size)
+		case n == 1 && !zo.written:
+			zo.data, d.freeBufs[0] = d.freeBufs[0], make([]byte, size)
+		default:
 			zo.data, d.freeBufs[n-1] = d.freeBufs[n-1], nil
 			d.freeBufs = d.freeBufs[:n-1]
-		} else {
-			zo.data = make([]byte, d.cfg.ZoneCap*int64(d.cfg.SectorSize))
 		}
+		zo.written = true
 	}
 	return zo.data
 }
 
 // releaseBufLocked detaches a reset zone's backing buffer. The device
-// keeps it for the next first write — every listed buffer left a zone that
-// is now without one, so the list never exceeds NumZones — unless a
+// keeps it for the next first write — buffers never outnumber the zones
+// ever written (zoneBufLocked), so the list never exceeds NumZones — unless a
 // zero-copy view of it was handed out since the zone's last reset: a lent
 // buffer must stay immutable for its holders (zc.go) and is left to the
 // garbage collector. Caller holds d.mu.

@@ -87,7 +87,7 @@ func TestRecycledBufferShowsNoOldPayload(t *testing.T) {
 					t.Fatalf("%d buffers on the free list after the reset, want 1", len(d.freeBufs))
 				}
 				mustWait(t, "write B", d.WriteZRWA(d.ZoneStart(1), b, 0))
-				if &d.zones[1].data[0] != old || len(d.freeBufs) != 0 {
+				if &d.zones[1].data[0] != old {
 					t.Fatal("zone 1 did not take the recycled buffer: the test would prove nothing")
 				}
 
@@ -243,4 +243,73 @@ func TestZoneBufferAllocGuard(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestNewZoneDoesNotDrainFreeList is the pool's growth rule. A pair of log
+// zones rolled over (write the empty one, then reset the full one) beside
+// data zones that open one by one allocates only while new zones appear:
+// the roll-overs after the last of them, with every other zone holding a
+// buffer, find the one the roll-over before returned instead of making one
+// at whatever moment the log fills. And a walk over fresh zones that resets
+// each zone it leaves stays on two buffers.
+func TestNewZoneDoesNotDrainFreeList(t *testing.T) {
+	cfg := testConfig()
+	cfg.MaxOpenZones, cfg.MaxActiveZones = cfg.NumZones, cfg.NumZones
+	data := pattern(cfg, 1, 1)
+	// buffers counts the distinct buffers the device has made so far.
+	buffers := func(d *Device, seen map[*byte]bool) int {
+		for z := range d.zones {
+			if d.zones[z].data != nil {
+				seen[&d.zones[z].data[0]] = true
+			}
+		}
+		for _, b := range d.freeBufs {
+			seen[&b[0]] = true
+		}
+		return len(seen)
+	}
+
+	run(t, cfg, func(_ *vclock.Clock, d *Device) {
+		seen := map[*byte]bool{}
+		logA, logB := cfg.NumZones-2, cfg.NumZones-1
+		roll := func() {
+			t.Helper()
+			mustWait(t, "write the new log", d.Write(d.ZoneStart(logB), data, 0))
+			mustWait(t, "reset the old log", d.ResetZone(logA))
+			logA, logB = logB, logA
+		}
+		mustWait(t, "write the log", d.Write(d.ZoneStart(logA), data, 0))
+		const dataZones = 4
+		for z := 0; z < dataZones; z++ {
+			roll()
+			// New to the device, and what the roll-over returned is listed.
+			mustWait(t, "open a data zone", d.Write(d.ZoneStart(z), data, 0))
+			if len(d.freeBufs) != 1 {
+				t.Fatalf("data zone %d left %d buffers listed, want the log's spare", z, len(d.freeBufs))
+			}
+		}
+		grown := buffers(d, seen)
+		if grown != dataZones+2 {
+			t.Fatalf("%d buffers for %d data zones and two log zones", grown, dataZones)
+		}
+		for i := 0; i < 3; i++ {
+			roll()
+		}
+		if n := buffers(d, seen); n != grown {
+			t.Errorf("roll-overs after the last new zone made %d more buffers", n-grown)
+		}
+	})
+
+	run(t, cfg, func(_ *vclock.Clock, d *Device) {
+		seen := map[*byte]bool{}
+		for z := 0; z < cfg.NumZones; z++ {
+			if z > 0 {
+				mustWait(t, "reset", d.ResetZone(z-1))
+			}
+			mustWait(t, "write", d.Write(d.ZoneStart(z), data, 0))
+		}
+		if n := buffers(d, seen); n != 2 {
+			t.Errorf("a walk over %d fresh zones, one written at a time, made %d buffers, want 2", cfg.NumZones, n)
+		}
+	})
 }

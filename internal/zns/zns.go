@@ -213,6 +213,7 @@ type zone struct {
 	finished  bool     // zone was made full by an explicit (durable) finish
 	data      []byte   // backing buffer, ZoneCap sectors; only [0, wp) is content (zoneBufLocked)
 	lent      bool     // a zero-copy view of data was handed out since the last reset
+	written   bool     // has taken a backing buffer at some time; resets do not clear it (zoneBufLocked)
 	unflushed []extent // writes in (pwp, wp], in submit order
 	zcSeq     uint64   // bumped whenever payload below wp mutates or is freed
 
