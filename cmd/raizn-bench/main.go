@@ -107,7 +107,7 @@ func main() {
 }
 
 // metricsPathFor derives a per-experiment snapshot path from the -metrics
-// base path: "m.json" + "writepath" -> "m.writepath.json".
+// base path: "m.json" + "fig9" -> "m.fig9.json".
 func metricsPathFor(base, name string) string {
 	if base == "" {
 		return ""

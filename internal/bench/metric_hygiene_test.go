@@ -18,17 +18,17 @@ import (
 // subsystem earns its prefix by being added here, in the same commit
 // that documents it — anything else is a typo'd or squatting name.
 var approvedPrefixes = []string{
-	"raizn_", "zns_", "blockdev_", "scrub_", "volmgr_", "ring_",
+	"raizn_", "zns_", "blockdev_", "scrub_", "volmgr_",
 }
 
 // buildFullStack registers every metric-producing component in the tree
-// against one registry: two raizn arrays (both parity engines, labeled,
-// one with the submission ring), their zns devices plus the aggregate
+// against one registry: two raizn arrays (both parity engines, labeled),
+// their zns devices plus the aggregate
 // zone-state gauges, a conventional blockdev, a scrubber, and a volmgr
 // with tenants. Light traffic materializes the lazily created series.
 func buildFullStack(t *testing.T, clk *vclock.Clock, reg *obs.Registry) {
 	t.Helper()
-	newArray := func(label string, engine raizn.ParityEngine, useRing bool) *raizn.Volume {
+	newArray := func(label string, engine raizn.ParityEngine) *raizn.Volume {
 		cfg := zns.DefaultConfig()
 		cfg.NumZones = 8
 		cfg.ZoneSize = 160
@@ -48,15 +48,14 @@ func buildFullStack(t *testing.T, clk *vclock.Clock, reg *obs.Registry) {
 		rcfg.Metrics = reg
 		rcfg.MetricsLabel = label
 		rcfg.ParityEngine = engine
-		rcfg.UseRing = useRing
 		v, err := raizn.Create(clk, devs, rcfg)
 		if err != nil {
 			t.Fatalf("Create(%s): %v", label, err)
 		}
 		return v
 	}
-	v0 := newArray("a0", raizn.EngineLogged, true)
-	v1 := newArray("a1", raizn.EngineZRAID, false)
+	v0 := newArray("a0", raizn.EngineLogged)
+	v1 := newArray("a1", raizn.EngineZRAID)
 
 	// Direct traffic lands in v0's last zone so the volmgr volume below
 	// can own the early zones without colliding write pointers.

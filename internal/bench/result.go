@@ -50,72 +50,20 @@ func (r *Report) WriteFile(path string) error {
 	return os.WriteFile(path, append(out, '\n'), 0o644)
 }
 
-// LoadReport reads a bench result file: the standard schema directly,
-// or the legacy PR3 writepath shape (BENCH_pr3.json, which predates the
-// schema) adapted into equivalent cells.
+// LoadReport reads a bench result file in the standard schema.
 func LoadReport(path string) (*Report, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var probe struct {
-		Schema string `json:"schema"`
-	}
-	if err := json.Unmarshal(raw, &probe); err != nil {
+	var r Report
+	if err := json.Unmarshal(raw, &r); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if probe.Schema == SchemaV1 {
-		var r Report
-		if err := json.Unmarshal(raw, &r); err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		return &r, nil
+	if r.Schema != SchemaV1 {
+		return nil, fmt.Errorf("%s: schema %q, want %s", path, r.Schema, SchemaV1)
 	}
-	if probe.Schema != "" {
-		return nil, fmt.Errorf("%s: unknown schema %q", path, probe.Schema)
-	}
-	var legacy wpReport
-	if err := json.Unmarshal(raw, &legacy); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if legacy.Experiment == "" {
-		return nil, fmt.Errorf("%s: neither %s nor legacy writepath shape", path, SchemaV1)
-	}
-	r := &Report{Schema: SchemaV1, Experiment: legacy.Experiment, Quick: legacy.Quick}
-	for _, s := range legacy.Simulated {
-		m := map[string]float64{
-			"legacy_mib_s":     s.LegacyMiBs,
-			"coalesced_mib_s":  s.CoalescedMiB,
-			"legacy_p50_us":    s.LegacyP50us,
-			"coalesced_p50_us": s.CoalP50us,
-			"legacy_p99_us":    s.LegacyP99us,
-			"coalesced_p99_us": s.CoalP99us,
-		}
-		// Degenerate cells (both paths byte-identical) carry no gain
-		// measurement: omitting the metric keeps Compare from treating a
-		// later non-zero gain as a 100% jump, or a measured 0 as honest.
-		if !s.degenerate() {
-			m["gain_pct"] = s.GainPct
-		}
-		r.Cells = append(r.Cells, Cell{
-			Name:    fmt.Sprintf("sim/su=%d/bs=%d/jobs=%d", s.SU, s.BS, s.Jobs),
-			Metrics: m,
-		})
-	}
-	for _, h := range legacy.Host {
-		r.Cells = append(r.Cells, Cell{
-			Name: "host/" + h.Name,
-			Metrics: map[string]float64{
-				"legacy_ns_op":         float64(h.LegacyNsOp),
-				"coalesced_ns_op":      float64(h.CoalescedNsOp),
-				"legacy_allocs_op":     float64(h.LegacyAllocs),
-				"coalesced_allocs_op":  float64(h.CoalescedAllocs),
-				"speedup_pct":          h.SpeedupPct,
-				"allocs_reduction_pct": h.AllocsRedPct,
-			},
-		})
-	}
-	return r, nil
+	return &r, nil
 }
 
 // metricDirection classifies a metric name: +1 higher-is-better, -1

@@ -16,43 +16,6 @@ func writeTemp(t *testing.T, name, content string) string {
 	return p
 }
 
-const legacyJSON = `{
-  "experiment": "writepath",
-  "quick": false,
-  "simulated": [
-    {"su_sectors": 4, "bs_sectors": 16, "jobs": 1,
-     "legacy_mib_s": 100, "coalesced_mib_s": 110, "gain_pct": 10,
-     "legacy_p50_us": 500, "coalesced_p50_us": 450,
-     "legacy_p99_us": 900, "coalesced_p99_us": 800}
-  ],
-  "host": [
-    {"name": "4K", "legacy_ns_op": 1000, "coalesced_ns_op": 400,
-     "legacy_allocs_op": 70, "coalesced_allocs_op": 27,
-     "speedup_pct": 60, "allocs_reduction_pct": 61}
-  ]
-}`
-
-func TestLoadReportLegacyAdapts(t *testing.T) {
-	r, err := LoadReport(writeTemp(t, "legacy.json", legacyJSON))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Schema != SchemaV1 || r.Experiment != "writepath" {
-		t.Fatalf("adapted header = %q/%q", r.Schema, r.Experiment)
-	}
-	sim := r.cell("sim/su=4/bs=16/jobs=1")
-	if sim == nil {
-		t.Fatalf("sim cell missing; cells = %+v", r.Cells)
-	}
-	if sim.Metrics["coalesced_mib_s"] != 110 || sim.Metrics["legacy_p99_us"] != 900 {
-		t.Fatalf("sim metrics = %+v", sim.Metrics)
-	}
-	host := r.cell("host/4K")
-	if host == nil || host.Metrics["coalesced_allocs_op"] != 27 {
-		t.Fatalf("host cell = %+v", host)
-	}
-}
-
 func TestLoadReportV1RoundTrip(t *testing.T) {
 	rep := &Report{Schema: SchemaV1, Experiment: "fig10", Cells: []Cell{
 		{Name: "phase2/raizn", Metrics: map[string]float64{"mean_mib_s": 2800}},
@@ -70,6 +33,9 @@ func TestLoadReportV1RoundTrip(t *testing.T) {
 	}
 	if _, err := LoadReport(writeTemp(t, "bad.json", `{"schema":"other/v9"}`)); err == nil {
 		t.Fatal("unknown schema accepted")
+	}
+	if _, err := LoadReport(writeTemp(t, "none.json", `{"experiment":"writepath"}`)); err == nil {
+		t.Fatal("file without a schema accepted")
 	}
 }
 

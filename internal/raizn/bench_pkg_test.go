@@ -41,9 +41,8 @@ func benchVolumeCfg(b *testing.B, vcfg Config, fn func(c *vclock.Clock, v *Volum
 }
 
 // benchSeqWrite drives sequential whole-volume writes of the given size,
-// resetting all zones on wrap. With allocs set it reports host-side
-// allocations per operation — the coalesced path's zero-allocation
-// criterion is measured here.
+// resetting all zones on wrap, and reports host-side allocations per
+// operation — the write path's allocation guard is measured here.
 func benchSeqWrite(b *testing.B, vcfg Config, nSectors int64) {
 	benchSeqWriteFlags(b, vcfg, nSectors, 0)
 }
@@ -71,9 +70,8 @@ func benchSeqWriteFlags(b *testing.B, vcfg Config, nSectors int64, flags zns.Fla
 	})
 }
 
-// SubmitWrite host-cost benchmarks, coalesced (default) vs the
-// pre-overhaul legacy path. The interesting columns are ns/op and
-// allocs/op: the coalesced path pools its write state and parity images.
+// SubmitWrite host-cost benchmarks. The interesting columns are ns/op and
+// allocs/op: the write path pools its write state and parity images.
 
 func BenchmarkSubmitWrite4K(b *testing.B)  { benchSeqWrite(b, DefaultConfig(), 1) }
 func BenchmarkSubmitWrite16K(b *testing.B) { benchSeqWrite(b, DefaultConfig(), 4) }
@@ -89,15 +87,6 @@ func BenchmarkSubmitWriteStripe(b *testing.B) {
 // command instead of 4 separate ones.
 func BenchmarkSubmitWrite4Stripe(b *testing.B) {
 	benchSeqWrite(b, DefaultConfig(), DefaultConfig().StripeUnitSectors*16)
-}
-
-func BenchmarkSubmitWrite4KLegacy(b *testing.B)  { benchSeqWrite(b, legacyConfig(), 1) }
-func BenchmarkSubmitWrite16KLegacy(b *testing.B) { benchSeqWrite(b, legacyConfig(), 4) }
-func BenchmarkSubmitWriteStripeLegacy(b *testing.B) {
-	benchSeqWrite(b, legacyConfig(), DefaultConfig().StripeUnitSectors*4)
-}
-func BenchmarkSubmitWrite4StripeLegacy(b *testing.B) {
-	benchSeqWrite(b, legacyConfig(), DefaultConfig().StripeUnitSectors*16)
 }
 
 func BenchmarkVolumeWrite4K(b *testing.B) {
@@ -191,8 +180,7 @@ func BenchmarkDegradedRead64K(b *testing.B) {
 }
 
 // benchVolumeData is benchVolumeCfg with payloads materialized
-// (DiscardData off): zero-copy reads need real backing arrays, and the
-// copying baseline must pay the same memory traffic to compare fairly.
+// (DiscardData off), so reads pay the payload copy.
 func benchVolumeData(b *testing.B, vcfg Config, fn func(c *vclock.Clock, v *Volume)) {
 	b.Helper()
 	c := vclock.New()
@@ -210,33 +198,8 @@ func benchVolumeData(b *testing.B, vcfg Config, fn func(c *vclock.Clock, v *Volu
 	})
 }
 
-// benchSeqReadZC measures the zero-copy read path: assemble views,
-// validate pins, release. ZeroCopy must hold on every op — a fallback
-// would silently benchmark the copying path.
-func benchSeqReadZC(b *testing.B, vcfg Config, nSectors int64) {
-	benchVolumeData(b, vcfg, func(c *vclock.Clock, v *Volume) {
-		prefill := make([]byte, v.ZoneSectors()*int64(v.SectorSize()))
-		if err := v.Write(0, prefill, 0); err != nil {
-			b.Fatal(err)
-		}
-		n := v.ZoneSectors() - nSectors
-		b.SetBytes(nSectors * int64(v.SectorSize()))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			r := v.SubmitReadZC(int64(i)%n, nSectors)
-			if err := r.Wait(); err != nil {
-				b.Fatal(err)
-			}
-			if !r.ZeroCopy() {
-				b.Fatal("zero-copy read fell back to copying")
-			}
-			r.Release()
-		}
-	})
-}
-
-// benchSeqReadCopy is the copying counterpart on identical devices.
+// benchSeqReadCopy measures sequential reads of nSectors from one filled
+// zone, payload copied into the caller's buffer.
 func benchSeqReadCopy(b *testing.B, vcfg Config, nSectors int64) {
 	benchVolumeData(b, vcfg, func(c *vclock.Clock, v *Volume) {
 		prefill := make([]byte, v.ZoneSectors()*int64(v.SectorSize()))
@@ -257,8 +220,6 @@ func benchSeqReadCopy(b *testing.B, vcfg Config, nSectors int64) {
 }
 
 func BenchmarkSubmitReadCopy4Unit(b *testing.B) { benchSeqReadCopy(b, DefaultConfig(), 64) }
-func BenchmarkSubmitReadZC4Unit(b *testing.B)   { benchSeqReadZC(b, ringConfig(), 64) }
-func BenchmarkSubmitReadZC1Unit(b *testing.B)   { benchSeqReadZC(b, ringConfig(), 16) }
 
 // benchSeqWriteRecorder is benchSeqWrite with the full observation rig
 // attached — registry, (disabled) tracer, flight recorder as span

@@ -28,17 +28,16 @@ func (v *Volume) checkpointRecords(dev int, kind mdKind) []*record {
 
 		// Generation counters.
 		v.mu.Lock()
-		gens := append([]uint64(nil), v.gen...)
+		gens, seq0 := v.snapshotGensLocked()
 		pendingWALs := make(map[int]uint64, len(v.pendingWALs))
 		for z, g := range v.pendingWALs {
 			pendingWALs[z] = g
 		}
 		v.mu.Unlock()
-		nBlocks := (len(gens) + gensPerBlock - 1) / gensPerBlock
-		for b := 0; b < nBlocks; b++ {
+		for b := range (len(gens) + gensPerBlock - 1) / gensPerBlock {
 			out = append(out, &record{
 				typ:    recGenCounters,
-				gen:    v.nextMDSeq(),
+				gen:    seq0 + uint64(b),
 				inline: encodeGenBlock(b, gens),
 			})
 		}

@@ -144,38 +144,6 @@ func (v *Volume) clampChecksums(z int, limit int64) {
 // zone z's checksum records.
 func (v *Volume) checksumDev(z int) int { return z % v.lt.n }
 
-// recordStripeChecksumsLocked computes the CRC row of the just-completed
-// stripe s from its buffer (data units) and the parity image, installs
-// it in the table, and queues the runtime metadata record. Caller holds
-// lz.mu; buf.fill == stripeSectors.
-func (v *Volume) recordStripeChecksumsLocked(lz *logicalZone, s int64, buf *stripeBuffer, pending *[]pendingMD) {
-	ss := int64(v.sectorSize)
-	suBytes := v.lt.su * ss
-	crcs := make([]uint32, v.csSlots())
-	for u := 0; u < v.lt.d; u++ {
-		crcs[u] = crc32.Checksum(buf.data[int64(u)*suBytes:int64(u+1)*suBytes], crcTable)
-	}
-	p := v.parityImageLocked(buf, []intraInterval{{0, v.lt.su}})
-	crcs[v.lt.d] = crc32.Checksum(p, crcTable)
-
-	z := lz.idx
-	v.setStripeChecksums(z, s, crcs)
-	v.stats.checksumRecords.Add(1)
-	dev := v.checksumDev(z)
-	if v.mdm(dev) == nil {
-		return // device dead: table entry survives in memory; the next
-		// checkpoint after rebuild re-persists it
-	}
-	*pending = append(*pending, pendingMD{
-		dev: dev,
-		rec: record{
-			typ:    recChecksums,
-			gen:    v.Generation(z),
-			inline: encodeChecksums(z, s, crcs),
-		},
-	})
-}
-
 // checksumCheckpointRecords emits packed per-zone checksum records for
 // the zones whose checksum device is dev, splitting rows across records
 // when a zone's full table exceeds the inline limit.
@@ -279,9 +247,9 @@ func (v *Volume) readUnitImage(sp *obs.Span, z int, s int64, u int, need int64) 
 	var futs []subIO
 	var err error
 	if u == v.lt.d {
-		err = v.readParityPieceSpan(sp, z, s, 0, need, buf, &futs, nil)
+		err = v.readParityPiece(sp, z, s, 0, need, buf, &futs)
 	} else {
-		err = v.readUnitPieceSpan(sp, z, s, u, 0, need, buf, &futs, nil)
+		err = v.readUnitPiece(sp, z, s, u, 0, need, buf, &futs)
 	}
 	if err != nil {
 		return nil, err

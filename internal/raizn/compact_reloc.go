@@ -95,7 +95,7 @@ func (v *Volume) compactZone(z int) error {
 				piece = clampI64(g-int64(u)*su, 0, su)
 				if piece > 0 {
 					var futs []subIO
-					if err := v.readUnitPiece(z, s, u, 0, piece, content[off*ss:(off+piece)*ss], &futs); err != nil {
+					if err := v.readUnitPiece(nil, z, s, u, 0, piece, content[off*ss:(off+piece)*ss], &futs); err != nil {
 						return err
 					}
 					if err := v.awaitReads(futs); err != nil {
@@ -113,7 +113,7 @@ func (v *Volume) compactZone(z int) error {
 				if piece > 0 {
 					var futs []subIO
 					buf := content[off*ss : (off+piece)*ss]
-					if err := v.readParityPiece(z, s, 0, piece, buf, &futs); err != nil {
+					if err := v.readParityPiece(nil, z, s, 0, piece, buf, &futs); err != nil {
 						return err
 					}
 					if err := v.awaitReads(futs); err != nil {

@@ -204,78 +204,68 @@ func TestFUAStreamSurvivesPowerLoss(t *testing.T) {
 // whatever a completed FUA append covers must survive a pessimistic power
 // loss. Run under -race.
 func TestFUAConcurrentAppendersDurable(t *testing.T) {
-	for _, legacy := range []bool{false, true} {
-		c := vclock.New()
-		c.Run(func() {
-			devs := newTestDevices(c, 5)
-			cfg := DefaultConfig()
-			cfg.LegacyWritePath = legacy
-			v, err := Create(c, devs, cfg)
-			if err != nil {
-				t.Fatalf("Create: %v", err)
-			}
-			ss := v.SectorSize()
-			zs := v.ZoneSectors()
-			shadow := make([]byte, 2*int(zs)*ss)
-			var mu sync.Mutex
-			var fuaHigh [2]int64 // per zone: highest end of a completed FUA append
-			wg := c.NewWaitGroup()
-			for g := 0; g < 6; g++ {
-				g := g
-				wg.Add(1)
-				c.Go(func() {
-					defer wg.Done()
-					rng := rand.New(rand.NewSource(int64(g)))
-					for i := 0; i < 12; i++ {
-						z := rng.Intn(2)
-						n := 1 + rng.Intn(12)
-						data := make([]byte, n*ss)
-						rng.Read(data)
-						flags := zns.Flag(0)
-						if rng.Intn(2) == 0 {
-							flags = zns.FUA
-						}
-						lba, fut := v.SubmitAppend(z, data, flags)
-						err := fut.Wait()
-						if lba < 0 {
-							continue // the zone filled up
-						}
-						if err != nil {
-							t.Errorf("append: %v", err)
-							return
-						}
-						copy(shadow[lba*int64(ss):], data)
-						if flags == zns.FUA {
-							mu.Lock()
-							fuaHigh[z] = max(fuaHigh[z], lba+int64(n)-int64(z)*zs)
-							mu.Unlock()
-						}
+	runVol(t, func(c *vclock.Clock, v *Volume, devs []*zns.Device) {
+		ss := v.SectorSize()
+		zs := v.ZoneSectors()
+		shadow := make([]byte, 2*int(zs)*ss)
+		var mu sync.Mutex
+		var fuaHigh [2]int64 // per zone: highest end of a completed FUA append
+		wg := c.NewWaitGroup()
+		for g := 0; g < 6; g++ {
+			g := g
+			wg.Add(1)
+			c.Go(func() {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(g)))
+				for i := 0; i < 12; i++ {
+					z := rng.Intn(2)
+					n := 1 + rng.Intn(12)
+					data := make([]byte, n*ss)
+					rng.Read(data)
+					flags := zns.Flag(0)
+					if rng.Intn(2) == 0 {
+						flags = zns.FUA
 					}
-				})
+					lba, fut := v.SubmitAppend(z, data, flags)
+					err := fut.Wait()
+					if lba < 0 {
+						continue // the zone filled up
+					}
+					if err != nil {
+						t.Errorf("append: %v", err)
+						return
+					}
+					copy(shadow[lba*int64(ss):], data)
+					if flags == zns.FUA {
+						mu.Lock()
+						fuaHigh[z] = max(fuaHigh[z], lba+int64(n)-int64(z)*zs)
+						mu.Unlock()
+					}
+				}
+			})
+		}
+		wg.Wait()
+		for _, d := range devs {
+			d.PowerLoss(nil)
+		}
+		v2 := remount(t, c, devs)
+		for z := int64(0); z < 2; z++ {
+			wp := v2.Zone(int(z)).WP - z*zs
+			if wp < fuaHigh[z] {
+				t.Fatalf("zone %d: WP %d below the last acked FUA append's end %d", z, wp, fuaHigh[z])
 			}
-			wg.Wait()
-			for _, d := range devs {
-				d.PowerLoss(nil)
+			buf := make([]byte, wp*int64(ss))
+			if wp == 0 {
+				continue
 			}
-			v2 := remount(t, c, devs)
-			for z := int64(0); z < 2; z++ {
-				wp := v2.Zone(int(z)).WP - z*zs
-				if wp < fuaHigh[z] {
-					t.Fatalf("legacy=%v zone %d: WP %d below the last acked FUA append's end %d", legacy, z, wp, fuaHigh[z])
-				}
-				buf := make([]byte, wp*int64(ss))
-				if wp == 0 {
-					continue
-				}
-				if err := v2.Read(z*zs, buf); err != nil {
-					t.Fatalf("read zone %d: %v", z, err)
-				}
-				if !bytes.Equal(buf, shadow[z*zs*int64(ss):][:len(buf)]) {
-					t.Fatalf("legacy=%v zone %d: data mismatch below WP %d", legacy, z, wp)
-				}
+			if err := v2.Read(z*zs, buf); err != nil {
+				t.Fatalf("read zone %d: %v", z, err)
 			}
-		})
-	}
+			if !bytes.Equal(buf, shadow[z*zs*int64(ss):][:len(buf)]) {
+				t.Fatalf("zone %d: data mismatch below WP %d", z, wp)
+			}
+		}
+	})
 }
 
 // TestRolledOutZoneOwesNothing: a non-FUA write leaves the zone a mark in

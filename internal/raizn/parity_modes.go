@@ -1,13 +1,10 @@
 package raizn
 
-import (
-	"raizn/internal/obs"
-	"raizn/internal/parity"
-	"raizn/internal/zns"
-)
+import "raizn/internal/parity"
 
-// This file implements the two §5.4 alternatives to partial-parity
-// logging, selected by Config.ParityMode:
+// This file holds the recovery helpers of the two §5.4 alternatives to
+// partial-parity logging, selected by Config.ParityMode (their write side
+// is the zrwa plan entries in write.go and Volume.logPartialParity):
 //
 //   - PPInlineMeta: the 32-byte record header rides in per-block logical
 //     metadata instead of occupying a 4 KiB header sector, shrinking
@@ -21,27 +18,7 @@ import (
 //     could potentially be used to allow some parity updates to take
 //     place in-place and avoid the overhead of the parity logs").
 
-// issueZRWAParityLocked writes the stripe's current prefix parity in
-// place at the final parity location via the ZRWA, overwriting the
-// previous prefix. Caller holds lz.mu (device submission order).
-func (v *Volume) issueZRWAParityLocked(sp *obs.Span, lz *logicalZone, s int64, buf *stripeBuffer, flags zns.Flag, futs *[]subIO) {
-	dev := v.lt.parityDev(lz.idx, s)
-	d := v.devForZone(dev, lz.idx)
-	if d == nil {
-		return // degraded: data units carry the write
-	}
-	plen := min(buf.fill, v.lt.su)
-	img := v.parityImageLocked(buf, []intraInterval{{0, plen}})
-	v.stats.zrwaParityWrites.Add(1)
-	v.stats.waParityBytes.Add(int64(len(img)))
-	pba := v.lt.parityPBA(lz.idx, s)
-	child := sp.Child(obs.OpDevWrite, dev, pba, int64(len(img)))
-	fut := d.WriteZRWASpan(child, pba, img, flags)
-	v.noteSubIO(lz, dev, pba+plen, flags&zns.FUA != 0)
-	*futs = append(*futs, subIO{dev: dev, fut: fut})
-}
-
-// parityOnMedia reports, for ZRWA mode, how many parity prefix sectors of
+// parityPrefixLen reports, for ZRWA mode, how many parity prefix sectors of
 // stripe s are on the parity device (its physical fill past the stripe's
 // parity offset).
 func (v *Volume) parityPrefixLen(z int, s int64) int64 {
@@ -68,7 +45,7 @@ func (v *Volume) reconstructUnitRange(z int, s int64, u int, a, b int64, fills [
 	n := b - a
 	img := make([]byte, n*ss)
 	var futs []subIO
-	if err := v.readParityPiece(z, s, a, b, img, &futs); err != nil {
+	if err := v.readParityPiece(nil, z, s, a, b, img, &futs); err != nil {
 		return err
 	}
 	var others [][]byte
@@ -81,7 +58,7 @@ func (v *Volume) reconstructUnitRange(z int, s int64, u int, a, b int64, fills [
 			continue
 		}
 		ob := make([]byte, (hi-a)*ss)
-		if err := v.readUnitPiece(z, s, u2, a, hi, ob, &futs); err != nil {
+		if err := v.readUnitPiece(nil, z, s, u2, a, hi, ob, &futs); err != nil {
 			return err
 		}
 		others = append(others, ob)

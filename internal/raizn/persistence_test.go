@@ -404,6 +404,58 @@ func TestGenerationCounterPersistedAcrossGC(t *testing.T) {
 	})
 }
 
+// TestMaintainZeroedCountersSurviveRemount drives Maintain's counter
+// overflow path: with every generation counter at the ceiling, a FUA write
+// leaves zone 0 a partial stripe whose parity only a partial-parity record
+// holds, and Maintain zeroes the counters. A remount — whole, and without
+// the device holding the stripe's unit 0 — must take the zeroed counters
+// (the newest record), not the larger ones written before, and find the
+// partial parity stamped with the new generation.
+func TestMaintainZeroedCountersSurviveRemount(t *testing.T) {
+	runVol(t, func(c *vclock.Clock, v *Volume, devs []*zns.Device) {
+		v.mu.Lock()
+		for z := range v.gen {
+			v.gen[z] = genCounterCeiling
+		}
+		v.mu.Unlock()
+		if err := v.persistGenCounters(); err != nil {
+			t.Fatal(err)
+		}
+		mustWriteV(t, v, 0, 40, zns.FUA)
+		if err := v.Maintain(); err != nil {
+			t.Fatalf("Maintain: %v", err)
+		}
+		if g := v.Generation(0); g != 0 {
+			t.Fatalf("Generation(0) after Maintain = %d, want 0", g)
+		}
+		if err := v.Unmount(); err != nil {
+			t.Fatalf("Unmount: %v", err)
+		}
+		for _, omit := range []int{-1, v.lt.dataDev(0, 0, 0)} {
+			clk, clones := vclock.New(), []*zns.Device{}
+			for i, d := range devs {
+				if i != omit {
+					clones = append(clones, d.CrashClone(clk, nil, nil))
+				}
+			}
+			clk.Run(func() {
+				v2, err := Mount(clk, clones, DefaultConfig())
+				if err != nil {
+					t.Fatalf("Mount without device %d: %v", omit, err)
+				}
+				// Mount bumps the empty zone 1 once, from the zeroed value.
+				if g0, g1 := v2.Generation(0), v2.Generation(1); g0 != 0 || g1 != 1 {
+					t.Errorf("without device %d: generations %d, %d, want 0, 1", omit, g0, g1)
+				}
+				if wp := v2.Zone(0).WP; wp != 40 {
+					t.Fatalf("without device %d: WP = %d, want 40", omit, wp)
+				}
+				checkReadV(t, v2, 0, 40)
+			})
+		}
+	})
+}
+
 // TestOpenZoneAccounting drives open/close/reset/finish transitions and
 // checks the open-slot count never leaks.
 func TestOpenZoneAccounting(t *testing.T) {

@@ -29,7 +29,6 @@ import (
 
 	"raizn/internal/obs"
 	"raizn/internal/ppengine"
-	"raizn/internal/ring"
 	"raizn/internal/vclock"
 	"raizn/internal/zns"
 )
@@ -94,21 +93,6 @@ type Config struct {
 	// compacted at mount, rewriting the affected physical zones so all
 	// data returns to its arithmetic location. Zero picks the default.
 	RelocationThreshold int
-	// LegacyWritePath disables per-device sub-IO coalescing and the
-	// three-phase (plan/compute/submit) write pipeline, issuing every
-	// stripe-unit sub-IO as its own device command with parity computed
-	// under the zone lock. Kept for differential testing and as the
-	// benchmark baseline; see write_legacy.go.
-	LegacyWritePath bool
-	// UseRing routes device sub-IOs through the submission/completion
-	// ring (internal/ring): the submit phase stages per-device command
-	// groups that each device drains under one lock acquisition, with
-	// completions reaped by one walker goroutine per batch. Reads are
-	// batched the same way. Parity and checksums come from the same fused
-	// kernel on either path. Simulated timing is identical to the
-	// direct path (which remains the default, kept alive for
-	// differential tests); only host-side fixed costs change.
-	UseRing bool
 	// Metrics is the registry the volume's counters are backed by. Nil
 	// creates a private registry (counters still work; they are just not
 	// shared with other components).
@@ -339,15 +323,6 @@ type Volume struct {
 	jrn    *obs.Journal
 	stats  statsCounters
 
-	// rings is the per-array submission/completion ring set, non-nil iff
-	// cfg.UseRing. zcEpoch[z] pins zero-copy reads of logical zone z: it
-	// is bumped by anything that invalidates device payload views or the
-	// relocation overlays a zero-copy read may alias (relocation-map
-	// changes, zone reset, device-table changes); see read_zc.go.
-	rings   *ring.Set
-	zcEpoch []atomic.Uint64
-	zcPool  sync.Pool // *ZCRead
-
 	// Crash-point hook (AttachHook); fired at the write plan/compute/
 	// submit boundaries, metadata and partial-parity appends, reset and
 	// rebuild steps — always outside v.mu and the zone locks. Nil until
@@ -398,27 +373,6 @@ func (v *Volume) publishDevTableLocked() {
 		t.rebuiltZones = append([]bool(nil), v.rebuiltZones...)
 	}
 	v.devTable.Store(t)
-	// Any device-slot change (degrade, rebuild progress, replacement)
-	// redirects reads, so standing zero-copy views must re-validate.
-	v.bumpZCEpoch(-1)
-}
-
-// bumpZCEpoch invalidates outstanding zero-copy read views of logical
-// zone z (z < 0: all zones). Called whenever something a zero-copy read
-// may alias or depend on changes: relocation-map mutations, zone resets,
-// and device-table swaps. Device-side payload mutations are caught
-// separately by the per-physical-zone zc sequence (zns.Device.ZCValid).
-func (v *Volume) bumpZCEpoch(z int) {
-	if v.zcEpoch == nil {
-		return // volume still under construction
-	}
-	if z >= 0 {
-		v.zcEpoch[z].Add(1)
-		return
-	}
-	for i := range v.zcEpoch {
-		v.zcEpoch[i].Add(1)
-	}
 }
 
 // loadDevs returns the current device-table snapshot.
@@ -620,10 +574,6 @@ func newVolume(clk *vclock.Clock, devs []*zns.Device, cfg Config) (*Volume, erro
 		v.led[i].submitted(false)
 		v.led[i].retired = make([]uint64, lt.mdZones)
 	}
-	if cfg.UseRing {
-		v.rings = ring.NewSet(clk, reg, cfg.MetricsLabel, lt.n)
-	}
-	v.zcEpoch = make([]atomic.Uint64, numZones)
 	v.stats = newStatsCounters(reg, cfg.MetricsLabel)
 	registerWAHelp(reg)
 	reg.Help("raizn_degraded_slot", "device slot currently degraded, -1 when the array is healthy")

@@ -2,7 +2,6 @@ package raizn
 
 import (
 	"errors"
-	"sync"
 
 	"raizn/internal/obs"
 	"raizn/internal/parity"
@@ -27,13 +26,6 @@ func (v *Volume) SubmitRead(lba int64, buf []byte) *vclock.Future {
 	// Root span of the request; nil (and free) while tracing is disabled.
 	sp := v.tracer.Begin(obs.OpRead, lba, int64(len(buf)))
 	var futs []subIO
-	var stage *readStage
-	if v.rings != nil {
-		// Ring mode: device sub-reads are staged and drained per device
-		// as one SQ group (see drainReadStage) instead of being issued
-		// one command at a time.
-		stage = newReadStage()
-	}
 	ss := int64(v.sectorSize)
 	pos := lba
 	out := buf
@@ -44,18 +36,12 @@ func (v *Volume) SubmitRead(lba int64, buf []byte) *vclock.Future {
 		if avail := int64(len(out)) / ss; n > avail {
 			n = avail
 		}
-		if err := v.readZonePortion(sp, z, pos, out[:n*ss], &futs, stage); err != nil {
+		if err := v.readZonePortion(sp, z, pos, out[:n*ss], &futs); err != nil {
 			sp.End(err)
-			if stage != nil {
-				v.drainReadStage(stage, &futs) // deliver already-staged SQEs
-			}
 			return v.clk.Completed(err)
 		}
 		pos += n
 		out = out[n*ss:]
-	}
-	if stage != nil {
-		v.drainReadStage(stage, &futs)
 	}
 	sp.Mark(obs.PhaseSubmit)
 
@@ -120,7 +106,7 @@ func (v *Volume) awaitReads(futs []subIO) error {
 }
 
 // readZonePortion plans the sub-reads for [pos, pos+len) inside zone z.
-func (v *Volume) readZonePortion(sp *obs.Span, z int, pos int64, out []byte, futs *[]subIO, stage *readStage) error {
+func (v *Volume) readZonePortion(sp *obs.Span, z int, pos int64, out []byte, futs *[]subIO) error {
 	lz := v.zones[z]
 	lz.mu.Lock()
 	// Read against the submitted write pointer: sectors a concurrent
@@ -165,7 +151,7 @@ func (v *Volume) readZonePortion(sp *obs.Span, z int, pos int64, out []byte, fut
 		if pieceLen > n {
 			pieceLen = n
 		}
-		if err := v.readPiece(sp, z, s, u, intra, intra+pieceLen, out[:pieceLen*ss], wp, futs, stage); err != nil {
+		if err := v.readPiece(sp, z, s, u, intra, intra+pieceLen, out[:pieceLen*ss], wp, futs); err != nil {
 			return err
 		}
 		out = out[pieceLen*ss:]
@@ -177,7 +163,7 @@ func (v *Volume) readZonePortion(sp *obs.Span, z int, pos int64, out []byte, fut
 
 // readPiece reads intra offsets [a, b) of data unit u in stripe s of zone
 // z into dst, choosing between the normal, relocated, and degraded paths.
-func (v *Volume) readPiece(sp *obs.Span, z int, s int64, u int, a, b int64, dst []byte, zoneWP int64, futs *[]subIO, stage *readStage) error {
+func (v *Volume) readPiece(sp *obs.Span, z int, s int64, u int, a, b int64, dst []byte, zoneWP int64, futs *[]subIO) error {
 	dev := v.lt.dataDev(z, s, u)
 	if v.devForZone(dev, z) == nil {
 		fut := v.degradedReadPiece(sp, z, s, u, a, b, dst, zoneWP)
@@ -187,34 +173,20 @@ func (v *Volume) readPiece(sp *obs.Span, z int, s int64, u int, a, b int64, dst 
 	// Tag the device sub-reads with reconstruction context so a latent
 	// sector error is transparently read-repaired in awaitReads.
 	pre := len(*futs)
-	var spre int
-	if stage != nil {
-		spre = len(stage.cmds)
-	}
-	if err := v.readUnitPieceSpan(sp, z, s, u, a, b, dst, futs, stage); err != nil {
+	if err := v.readUnitPiece(sp, z, s, u, a, b, dst, futs); err != nil {
 		return err
 	}
 	ctx := &repairCtx{z: z, s: s, u: u, a: a, b: b, dst: dst, wp: zoneWP}
 	for i := pre; i < len(*futs); i++ {
 		(*futs)[i].repair = ctx
 	}
-	if stage != nil {
-		for i := spre; i < len(stage.cmds); i++ {
-			stage.reps[i] = ctx
-		}
-	}
 	return nil
 }
 
 // readUnitPiece reads from the unit's owning (live) device, overlaying
-// any relocated fragments that shadow parts of the range.
-func (v *Volume) readUnitPiece(z int, s int64, u int, a, b int64, dst []byte, futs *[]subIO) error {
-	return v.readUnitPieceSpan(nil, z, s, u, a, b, dst, futs, nil)
-}
-
-// readUnitPieceSpan is readUnitPiece with a parent span: each device
-// sub-read becomes an OpDevRead child.
-func (v *Volume) readUnitPieceSpan(sp *obs.Span, z int, s int64, u int, a, b int64, dst []byte, futs *[]subIO, stage *readStage) error {
+// any relocated fragments that shadow parts of the range. Each device
+// sub-read becomes an OpDevRead child of sp.
+func (v *Volume) readUnitPiece(sp *obs.Span, z int, s int64, u int, a, b int64, dst []byte, futs *[]subIO) error {
 	ss := int64(v.sectorSize)
 	lbaA := v.lt.stripeStart(z, s) + int64(u)*v.lt.su + a
 	lbaB := lbaA + (b - a)
@@ -260,12 +232,7 @@ func (v *Volume) readUnitPieceSpan(sp *obs.Span, z int, s int64, u int, a, b int
 		pba := int64(z)*v.lt.physZoneSize + s*v.lt.su + intraLo
 		out := dst[(g.lo-lbaA)*ss : (g.hi-lbaA)*ss]
 		child := sp.Child(obs.OpDevRead, dev, pba, int64(len(out)))
-		if stage != nil {
-			stage.push(dev, d, zns.Cmd{Op: zns.CmdRead, Sector: pba, Data: out, Span: child})
-		} else {
-			fut := d.ReadSpan(child, pba, out)
-			*futs = append(*futs, subIO{dev: dev, fut: fut})
-		}
+		*futs = append(*futs, subIO{dev: dev, fut: d.ReadSpan(child, pba, out)})
 	}
 	return nil
 }
@@ -345,7 +312,7 @@ func (v *Volume) scratchPiece(sc *reconScratch, n int64) []byte {
 // parity piece straight into dst, the written part of every other data
 // unit into pooled scratch. finishReconstruct completes the job.
 func (v *Volume) submitReconstruct(sp *obs.Span, z int, s int64, u int, a, b int64, fills []int64, dst []byte, futs *[]subIO) (*reconScratch, error) {
-	if err := v.readParityPieceSpan(sp, z, s, a, b, dst, futs, nil); err != nil {
+	if err := v.readParityPiece(sp, z, s, a, b, dst, futs); err != nil {
 		return nil, err
 	}
 	sc := v.getReconScratch()
@@ -354,7 +321,7 @@ func (v *Volume) submitReconstruct(sp *obs.Span, z int, s int64, u int, a, b int
 		if u2 == u || hi <= a {
 			continue
 		}
-		if err := v.readUnitPieceSpan(sp, z, s, u2, a, hi, v.scratchPiece(sc, hi-a), futs, nil); err != nil {
+		if err := v.readUnitPiece(sp, z, s, u2, a, hi, v.scratchPiece(sc, hi-a), futs); err != nil {
 			return nil, err
 		}
 	}
@@ -375,16 +342,12 @@ func (v *Volume) finishReconstruct(dst []byte, sc *reconScratch, futs []subIO) e
 }
 
 // readParityPiece reads intra offsets [a, b) of the parity unit of stripe
-// s, honoring relocated parity.
-func (v *Volume) readParityPiece(z int, s int64, a, b int64, dst []byte, futs *[]subIO) error {
-	return v.readParityPieceSpan(nil, z, s, a, b, dst, futs, nil)
-}
-
-// readParityPieceSpan is readParityPiece with a parent span. A relocated
-// parity fragment may cover only part of the unit (a burn-split relocates
-// just the burned prefix; the remainder was written in place), so the
-// uncovered intra ranges are still read from the parity device.
-func (v *Volume) readParityPieceSpan(sp *obs.Span, z int, s int64, a, b int64, dst []byte, futs *[]subIO, stage *readStage) error {
+// s, honoring relocated parity; each device sub-read becomes an OpDevRead
+// child of sp. A relocated parity fragment may cover only part of the unit
+// (a burn-split relocates just the burned prefix; the remainder was written
+// in place), so the uncovered intra ranges are still read from the parity
+// device.
+func (v *Volume) readParityPiece(sp *obs.Span, z int, s int64, a, b int64, dst []byte, futs *[]subIO) error {
 	ss := int64(v.sectorSize)
 	type gap struct{ lo, hi int64 } // intra ranges not covered by reloc
 	gaps := []gap{{a, b}}
@@ -427,77 +390,7 @@ func (v *Volume) readParityPieceSpan(sp *obs.Span, z int, s int64, a, b int64, d
 		pba := v.lt.parityPBA(z, s) + g.lo
 		out := dst[(g.lo-a)*ss : (g.hi-a)*ss]
 		child := sp.Child(obs.OpDevRead, dev, pba, int64(len(out)))
-		if stage != nil {
-			stage.push(dev, d, zns.Cmd{Op: zns.CmdRead, Sector: pba, Data: out, Span: child})
-		} else {
-			*futs = append(*futs, subIO{dev: dev, fut: d.ReadSpan(child, pba, out)})
-		}
+		*futs = append(*futs, subIO{dev: dev, fut: d.ReadSpan(child, pba, out)})
 	}
 	return nil
-}
-
-// readStage accumulates device sub-reads for ring-mode submission:
-// instead of one device command per gap, SubmitRead stages every SQE and
-// drainReadStage hands each device its whole group in one drain (one
-// lock acquisition, one future slab), with all completions reaped by a
-// single walker. Stages are pooled; drainReadStage recycles them.
-type readStage struct {
-	cmds []zns.Cmd
-	devs []int         // array slot per staged cmd
-	dh   []*zns.Device // device handle per staged cmd
-	reps []*repairCtx  // read-repair context per staged cmd
-	idx  []int         // per-group scratch: staged indices in drain order
-}
-
-var readStagePool = sync.Pool{New: func() any { return new(readStage) }}
-
-func newReadStage() *readStage {
-	s := readStagePool.Get().(*readStage)
-	s.cmds = s.cmds[:0]
-	s.devs = s.devs[:0]
-	s.dh = s.dh[:0]
-	s.reps = s.reps[:0]
-	s.idx = s.idx[:0]
-	return s
-}
-
-func (s *readStage) push(dev int, d *zns.Device, cmd zns.Cmd) {
-	s.cmds = append(s.cmds, cmd)
-	s.devs = append(s.devs, dev)
-	s.dh = append(s.dh, d)
-	s.reps = append(s.reps, nil)
-}
-
-// drainReadStage drains the staged SQEs through the ring — one group per
-// device, preserving per-device staging order — and appends the
-// resulting sub-IOs (futures plus their read-repair contexts) to futs.
-// The stage is recycled; the batch recycles itself after the completion
-// walker delivers the last CQE.
-func (v *Volume) drainReadStage(stage *readStage, futs *[]subIO) {
-	b := v.rings.Batch()
-	for dev := 0; dev < v.lt.n; dev++ {
-		var d *zns.Device
-		stage.idx = stage.idx[:0]
-		for i := range stage.cmds {
-			if stage.devs[i] == dev {
-				b.Push(stage.cmds[i])
-				stage.idx = append(stage.idx, i)
-				d = stage.dh[i]
-			}
-		}
-		if d == nil {
-			continue
-		}
-		group := b.Flush(d, dev)
-		for k := range group {
-			*futs = append(*futs, subIO{dev: dev, fut: group[k].Fut, repair: stage.reps[stage.idx[k]]})
-		}
-	}
-	b.Submit()
-	for i := range stage.cmds {
-		stage.cmds[i] = zns.Cmd{}
-		stage.dh[i] = nil
-		stage.reps[i] = nil
-	}
-	readStagePool.Put(stage)
 }

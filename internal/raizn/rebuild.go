@@ -217,7 +217,6 @@ func (v *Volume) rebuildZone(z, slot int, newDev *zns.Device) (int64, error) {
 			}
 		}
 		v.reloc[z] = keep
-		v.bumpZCEpoch(z)
 	}
 	if m := v.parityReloc[z]; m != nil {
 		for s, e := range m {
@@ -284,7 +283,7 @@ func (v *Volume) computeParityForRebuild(lz *logicalZone, z int, s, g, plen int6
 		if hi <= 0 {
 			continue
 		}
-		if err := v.readUnitPiece(z, s, u, 0, hi, v.scratchPiece(sc, hi), &futs); err != nil {
+		if err := v.readUnitPiece(nil, z, s, u, 0, hi, v.scratchPiece(sc, hi), &futs); err != nil {
 			return nil
 		}
 	}

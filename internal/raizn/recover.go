@@ -135,8 +135,9 @@ func (v *Volume) recover() error {
 	}
 
 	// Generation counters first: every other record's validity depends
-	// on them. Highest sequence number wins per block.
-	bestGenSeq := make(map[int]uint64)
+	// on them. Per block the record with the highest sequence number is the
+	// current one — not the largest counters, because Maintain zeroes them.
+	newestGens := make(map[int]*record)
 	for i := range all {
 		r := &all[i]
 		if r.gen > v.mdSeq {
@@ -145,19 +146,19 @@ func (v *Volume) recover() error {
 		if r.typ.base() != recGenCounters {
 			continue
 		}
-		blockIdx, gens, ok := decodeGenBlock(r.inline)
-		if !ok {
+		blockIdx, _, ok := decodeGenBlock(r.inline)
+		if !ok || blockIdx < 0 || blockIdx > len(v.gen)/gensPerBlock {
 			continue
 		}
-		if prev, seen := bestGenSeq[blockIdx]; seen && prev >= r.gen {
-			continue
+		if prev := newestGens[blockIdx]; prev == nil || r.gen > prev.gen {
+			newestGens[blockIdx] = r
 		}
-		bestGenSeq[blockIdx] = r.gen
+	}
+	for blockIdx, r := range newestGens {
+		_, gens, _ := decodeGenBlock(r.inline)
 		lo := blockIdx * gensPerBlock
-		for k, g := range gens {
-			if lo+k < len(v.gen) && g > v.gen[lo+k] {
-				v.gen[lo+k] = g
-			}
+		for k := 0; k < gensPerBlock && k < len(gens) && lo+k < len(v.gen); k++ {
+			v.gen[lo+k] = gens[k]
 		}
 	}
 
@@ -680,7 +681,7 @@ func (v *Volume) rewriteParity(z int, s int64, q int64) error {
 	var futs []subIO
 	for u := 0; u < v.lt.d; u++ {
 		units[u] = make([]byte, su*ss)
-		if err := v.readUnitPiece(z, s, u, 0, su, units[u], &futs); err != nil {
+		if err := v.readUnitPiece(nil, z, s, u, 0, su, units[u], &futs); err != nil {
 			return err
 		}
 	}
@@ -708,7 +709,7 @@ func (v *Volume) reconstructUnitTail(z int, s int64, u int, present []int64) err
 	n := su - a
 	img := make([]byte, n*ss)
 	var futs []subIO
-	if err := v.readParityPiece(z, s, a, su, img, &futs); err != nil {
+	if err := v.readParityPiece(nil, z, s, a, su, img, &futs); err != nil {
 		return err
 	}
 	others := make([][]byte, 0, v.lt.d-1)
@@ -717,7 +718,7 @@ func (v *Volume) reconstructUnitTail(z int, s int64, u int, present []int64) err
 			continue
 		}
 		b := make([]byte, n*ss)
-		if err := v.readUnitPiece(z, s, u2, a, su, b, &futs); err != nil {
+		if err := v.readUnitPiece(nil, z, s, u2, a, su, b, &futs); err != nil {
 			return err
 		}
 		others = append(others, b)
@@ -781,7 +782,7 @@ func (v *Volume) rebuildStripeBuffer(lz *logicalZone, s int64, fill int64, ppLog
 			continue
 		}
 		dst := buf.data[int64(u)*su*ss : int64(u)*su*ss+fills[u]*ss]
-		if err := v.readUnitPiece(z, s, u, 0, fills[u], dst, &futs); err != nil {
+		if err := v.readUnitPiece(nil, z, s, u, 0, fills[u], dst, &futs); err != nil {
 			return err
 		}
 	}
@@ -802,7 +803,7 @@ func (v *Volume) rebuildStripeBuffer(lz *logicalZone, s int64, fill int64, ppLog
 		img = make([]byte, v.lt.su*int64(v.sectorSize))
 		if covered > 0 {
 			var futs []subIO
-			if err := v.readParityPiece(z, s, 0, covered, img[:covered*int64(v.sectorSize)], &futs); err != nil {
+			if err := v.readParityPiece(nil, z, s, 0, covered, img[:covered*int64(v.sectorSize)], &futs); err != nil {
 				return err
 			}
 			if err := v.awaitReads(futs); err != nil {

@@ -1,6 +1,8 @@
 package raizn
 
 import (
+	"slices"
+
 	"raizn/internal/obs"
 	"raizn/internal/zns"
 )
@@ -156,13 +158,12 @@ func (v *Volume) doResetZone(sp *obs.Span, lz *logicalZone) error {
 // reset over whatever the new generation has made durable since.
 func (v *Volume) persistGenCounters() error {
 	v.mu.Lock()
-	gens := append([]uint64(nil), v.gen...)
+	gens, seq0 := v.snapshotGensLocked()
 	v.mu.Unlock()
-	nBlocks := (len(gens) + gensPerBlock - 1) / gensPerBlock
 	var futs []subIO
-	for b := 0; b < nBlocks; b++ {
+	for b := range (len(gens) + gensPerBlock - 1) / gensPerBlock {
 		inline := encodeGenBlock(b, gens)
-		seq := v.nextMDSeq()
+		seq := seq0 + uint64(b)
 		for i := range v.devs {
 			if v.md[i] == nil {
 				continue
@@ -181,6 +182,18 @@ func (v *Volume) persistGenCounters() error {
 	return v.awaitSubIOs(futs)
 }
 
+// snapshotGensLocked copies the generation counters and reserves one
+// metadata sequence number per counter block, returning the first. Both
+// happen under v.mu, which the caller holds: mount trusts the counter
+// record with the highest sequence number, so a later number must never
+// carry an older snapshot.
+func (v *Volume) snapshotGensLocked() (gens []uint64, seq0 uint64) {
+	gens = append([]uint64(nil), v.gen...)
+	seq0 = v.mdSeq + 1
+	v.mdSeq += uint64((len(gens) + gensPerBlock - 1) / gensPerBlock)
+	return gens, seq0
+}
+
 // dropRelocEntries discards the relocation state of zone z (its records
 // become stale once the generation counter advances).
 func (v *Volume) dropRelocEntries(z int) {
@@ -188,7 +201,6 @@ func (v *Volume) dropRelocEntries(z int) {
 	delete(v.reloc, z)
 	delete(v.parityReloc, z)
 	v.relocMu.Unlock()
-	v.bumpZCEpoch(z)
 }
 
 // FinishZone transitions logical zone z to full without writing the rest
@@ -314,16 +326,27 @@ func (v *Volume) CloseZone(z int) error {
 	return nil
 }
 
-// maintainFuture is documented in Maintain.
+// genCounterCeiling is the counter value at which Maintain zeroes every
+// generation counter.
 const genCounterCeiling = ^uint64(0) - 1
 
 // Maintain performs the generation-counter maintenance operation (§4.3):
-// it garbage collects every metadata zone, checkpointing live records,
-// and (in the paper, after WAL-protected log rewriting) resets all
-// generation counters. This implementation performs the metadata GC and
-// re-persists counters; counters are only zeroed when one has reached the
-// ceiling, which 64-bit counters make effectively unreachable.
+// it garbage collects every metadata zone, checkpointing live records, and
+// re-persists the generation counters. Counters are zeroed only when one
+// has reached the ceiling, which 64-bit counters make effectively
+// unreachable. They are zeroed before the garbage collection, so the
+// checkpoints stamp every live record (partial parity, relocations,
+// checksums) with the new generation; mount takes the newest counter
+// record, so the zeroed counters and those records survive a remount. The
+// paper protects this rewrite with a WAL; here a crash between the zeroing
+// and the last checkpoint is not covered.
 func (v *Volume) Maintain() error {
+	v.mu.Lock()
+	if slices.Max(v.gen) >= genCounterCeiling {
+		clear(v.gen)
+		v.readOnly = false
+	}
+	v.mu.Unlock()
 	for i := range v.devs {
 		m := v.md[i]
 		if m == nil {
@@ -340,19 +363,5 @@ func (v *Volume) Maintain() error {
 	if err := v.eng.Maintain(); err != nil {
 		return err
 	}
-	v.mu.Lock()
-	reset := false
-	for _, g := range v.gen {
-		if g >= genCounterCeiling {
-			reset = true
-		}
-	}
-	if reset {
-		for z := range v.gen {
-			v.gen[z] = 0
-		}
-		v.readOnly = false
-	}
-	v.mu.Unlock()
 	return v.persistGenCounters()
 }

@@ -29,8 +29,6 @@ type Stats struct {
 
 	ChecksumRecords     int64 // stripe-checksum metadata records written
 	ReadErrorRepairs    int64 // foreground reads recovered via reconstruction
-	ZeroCopyReads       int64 // SubmitReadZC requests served without copying
-	ZeroCopyFallbacks   int64 // SubmitReadZC requests that fell back to a copy
 	ScrubbedStripes     int64 // stripes fully verified by scrub
 	ScrubSkippedStripes int64 // stripes scrub could not verify (partial/racing)
 	ScrubMismatches     int64 // stripes where XOR or CRC verification failed
@@ -62,8 +60,6 @@ type statsCounters struct {
 
 	checksumRecords     *obs.Counter
 	readErrorRepairs    *obs.Counter
-	zcReads             *obs.Counter
-	zcFallbacks         *obs.Counter
 	scrubbedStripes     *obs.Counter
 	scrubSkippedStripes *obs.Counter
 	scrubMismatches     *obs.Counter
@@ -109,8 +105,6 @@ func newStatsCounters(r *obs.Registry, label string) statsCounters {
 
 		checksumRecords:     r.Counter(n("raizn_checksum_records_total")),
 		readErrorRepairs:    r.Counter(n("raizn_read_error_repairs_total")),
-		zcReads:             r.Counter(n("raizn_zero_copy_reads_total")),
-		zcFallbacks:         r.Counter(n("raizn_zero_copy_fallbacks_total")),
 		scrubbedStripes:     r.Counter(n("raizn_scrubbed_stripes_total")),
 		scrubSkippedStripes: r.Counter(n("raizn_scrub_skipped_stripes_total")),
 		scrubMismatches:     r.Counter(n("raizn_scrub_mismatches_total")),
@@ -168,8 +162,6 @@ func registerStatsHelp(r *obs.Registry) {
 	r.Help("raizn_coalesced_sub_writes_total", "device sub-IOs merged into a preceding vectored write")
 	r.Help("raizn_checksum_records_total", "stripe-checksum metadata records written")
 	r.Help("raizn_read_error_repairs_total", "foreground reads recovered via reconstruction")
-	r.Help("raizn_zero_copy_reads_total", "SubmitReadZC requests served without copying")
-	r.Help("raizn_zero_copy_fallbacks_total", "SubmitReadZC requests that fell back to a copy")
 	r.Help("raizn_scrubbed_stripes_total", "stripes fully verified by scrub")
 	r.Help("raizn_scrub_skipped_stripes_total", "stripes scrub could not verify (partial or racing)")
 	r.Help("raizn_scrub_mismatches_total", "stripes where XOR or CRC verification failed")
@@ -209,8 +201,6 @@ func (v *Volume) Stats() Stats {
 
 		ChecksumRecords:     v.stats.checksumRecords.Load(),
 		ReadErrorRepairs:    v.stats.readErrorRepairs.Load(),
-		ZeroCopyReads:       v.stats.zcReads.Load(),
-		ZeroCopyFallbacks:   v.stats.zcFallbacks.Load(),
 		ScrubbedStripes:     v.stats.scrubbedStripes.Load(),
 		ScrubSkippedStripes: v.stats.scrubSkippedStripes.Load(),
 		ScrubMismatches:     v.stats.scrubMismatches.Load(),

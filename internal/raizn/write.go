@@ -7,7 +7,6 @@ import (
 	"raizn/internal/obs"
 	"raizn/internal/parity"
 	"raizn/internal/ppengine"
-	"raizn/internal/ring"
 	"raizn/internal/vclock"
 	"raizn/internal/zns"
 )
@@ -101,10 +100,6 @@ func (v *Volume) runWrite(sp *obs.Span, lz *logicalZone, off int64, data []byte,
 	full := end == v.lt.zoneSectors()
 	v.stats.logicalWriteBytes.Add(int64(len(data)))
 
-	if v.cfg.LegacyWritePath {
-		return v.runWriteLegacy(sp, lz, off, end, full, data, flags)
-	}
-
 	ws := v.getWriteState()
 	ws.sp = sp
 	ws.z = lz.idx
@@ -140,15 +135,6 @@ func (v *Volume) runWrite(sp *obs.Span, lz *logicalZone, off int64, data []byte,
 		lz.unpublished++
 	}
 	lz.mu.Unlock()
-	if ws.batch != nil {
-		// Start the completion walker now that no zone lock is held. All
-		// device state was applied at drain time (under lz.mu, like the
-		// direct path applies at submit); the walker only delivers
-		// completions at their virtual times, so starting it here leaves
-		// simulated timing unchanged.
-		ws.batch.Submit()
-		ws.batch = nil
-	}
 	v.fireHook("raizn.write.submit", obs.SrcLogical, ws.z, end)
 
 	ws.futs = v.issuePendingMD(sp, ws.pending, ws.futs, ws.flags)
@@ -170,8 +156,8 @@ func (v *Volume) runWrite(sp *obs.Span, lz *logicalZone, off int64, data []byte,
 	v.fireHook("raizn.write.md", obs.SrcLogical, ws.z, end)
 
 	if planErr != nil {
-		// Mirror the legacy path: sub-IOs already issued are left to
-		// complete on their own; the caller sees the plan error.
+		// Sub-IOs already issued are left to complete on their own; the
+		// caller sees the plan error.
 		ws := ws
 		v.clk.Go(func() {
 			_ = v.awaitSubIOs(ws.futs)
@@ -335,14 +321,6 @@ type writeState struct {
 	prev, result *vclock.Future
 	join         subJoin
 	prevDone     func(error) // subscribed to prev; made once per state
-
-	// Ring mode: staged SQEs keep their gather lists alive until the
-	// device drains them, so runs are parked in segStore (an arena reused
-	// across writes) instead of the recycled segs scratch, and the batch
-	// itself is carried here so runWrite can Submit it after lz.mu is
-	// released.
-	batch    *ring.Batch
-	segStore [][]byte
 }
 
 func (v *Volume) getWriteState() *writeState {
@@ -356,7 +334,6 @@ func (v *Volume) getWriteState() *writeState {
 		ws.crcs = ws.crcs[:0]
 		ws.crcS = ws.crcS[:0]
 		ws.segs = ws.segs[:0]
-		ws.segStore = ws.segStore[:0]
 		return ws
 	}
 	ws := &writeState{v: v}
@@ -387,11 +364,7 @@ func (v *Volume) putWriteState(ws *writeState) {
 	for i := range ws.srcs {
 		ws.srcs[i] = nil
 	}
-	for i := range ws.segStore {
-		ws.segStore[i] = nil
-	}
 	ws.sp, ws.lz, ws.prev, ws.result = nil, nil, nil, nil
-	ws.batch = nil
 	v.wsPool.Put(ws)
 }
 
@@ -645,13 +618,6 @@ func (v *Volume) submitWriteLocked(ws *writeState, lz *logicalZone, ok bool) {
 	// A failed plan's sub-IOs are noted as if none were FUA: nobody waits
 	// for that write, so nothing may rely on their completion.
 	fua := ok && ws.flags&zns.FUA != 0
-	if v.rings != nil {
-		// Ring mode: runs become SQEs staged per device; each device
-		// drains its whole group under one lock acquisition when the
-		// group is flushed below. runWrite submits the batch (starting
-		// the completion walker) once lz.mu is released.
-		ws.batch = v.rings.Batch()
-	}
 	for dev := 0; dev < v.lt.n; dev++ {
 		d := tbl.zoneDev(dev, z)
 		if d == nil {
@@ -692,7 +658,6 @@ func (v *Volume) submitWriteLocked(ws *writeState, lz *logicalZone, ok bool) {
 				// merged; flush the pending run first so per-device
 				// submission order matches plan order.
 				segs = v.flushRun(ws, d, dev, runStart, segs)
-				harvestGroup(ws, d, dev)
 				v.stats.zrwaParityWrites.Add(1)
 				parityB += int64(len(data))
 				child := ws.sp.Child(obs.OpDevWrite, dev, pba, int64(len(data)))
@@ -714,11 +679,10 @@ func (v *Volume) submitWriteLocked(ws *writeState, lz *logicalZone, ok bool) {
 			}
 		}
 		ws.segs = v.flushRun(ws, d, dev, runStart, segs)
-		harvestGroup(ws, d, dev)
 		if devEnd > 0 {
 			// One ledger entry per device: a write's sub-IOs on a device
 			// ascend within one physical zone, and the entry is made only
-			// now that (ring mode included) the device has them all.
+			// now that the device has them all.
 			v.noteSubIO(lz, dev, devEnd, fua)
 		}
 	}
@@ -770,19 +734,13 @@ func (v *Volume) submitWriteLocked(ws *writeState, lz *logicalZone, ok bool) {
 
 // flushRun issues the accumulated run as one device command (vectored
 // when it merged more than one sub-IO) and returns the reset scratch.
-// In ring mode the run is staged as an SQE on ws.batch instead of being
-// issued directly; harvestGroup later drains the device's staged group.
 func (v *Volume) flushRun(ws *writeState, d *zns.Device, dev int, start int64, segs [][]byte) [][]byte {
 	switch len(segs) {
 	case 0:
 		return segs
 	case 1:
 		child := ws.sp.Child(obs.OpDevWrite, dev, start, int64(len(segs[0])))
-		if ws.batch != nil {
-			ws.batch.Push(zns.Cmd{Op: zns.CmdWrite, Sector: start, Data: segs[0], Flags: ws.flags, Span: child})
-		} else {
-			ws.futs = append(ws.futs, subIO{dev: dev, fut: d.WriteSpan(child, start, segs[0], ws.flags)})
-		}
+		ws.futs = append(ws.futs, subIO{dev: dev, fut: d.WriteSpan(child, start, segs[0], ws.flags)})
 	default:
 		v.stats.coalescedSubWrites.Add(int64(len(segs) - 1))
 		var bytes int64
@@ -790,33 +748,9 @@ func (v *Volume) flushRun(ws *writeState, d *zns.Device, dev int, start int64, s
 			bytes += int64(len(s))
 		}
 		child := ws.sp.Child(obs.OpDevWrite, dev, start, bytes)
-		if ws.batch != nil {
-			// The segs scratch is recycled for the next run, so park the
-			// gather list in the write state's arena: the SQE must stay
-			// valid until the device drains the group.
-			base := len(ws.segStore)
-			ws.segStore = append(ws.segStore, segs...)
-			ws.batch.Push(zns.Cmd{Op: zns.CmdWritev, Sector: start, Segs: ws.segStore[base:len(ws.segStore):len(ws.segStore)], Flags: ws.flags, Span: child})
-		} else {
-			ws.futs = append(ws.futs, subIO{dev: dev, fut: d.WritevSpan(child, start, segs, ws.flags)})
-		}
+		ws.futs = append(ws.futs, subIO{dev: dev, fut: d.WritevSpan(child, start, segs, ws.flags)})
 	}
 	return segs[:0]
-}
-
-// harvestGroup drains the batch's staged SQE group into device d (ring
-// mode only): the device applies the whole group under one lock
-// acquisition, and the commands' completion futures — pre-completed for
-// rejected commands, exactly like the direct path's failSpan futures —
-// join ws.futs for the write's completion wait.
-func harvestGroup(ws *writeState, d *zns.Device, dev int) {
-	if ws.batch == nil || !ws.batch.Pending() {
-		return
-	}
-	group := ws.batch.Flush(d, dev)
-	for i := range group {
-		ws.futs = append(ws.futs, subIO{dev: dev, fut: group[i].Fut})
-	}
 }
 
 // drainSubmitsLocked waits until every claimed write ticket has finished
@@ -1013,8 +947,7 @@ func (v *Volume) stripeBufferLocked(lz *logicalZone, s int64, expectFill int64) 
 // or part of) it to the device's metadata zone when the target PBA range
 // was burned by a crash (below the physical write pointer and thus
 // immutable, §5.2). Failed devices are skipped (degraded write). Used by
-// the legacy write path and the zone-seal path in FinishZone; the caller
-// holds the zone lock.
+// the zone-seal path in FinishZone; the caller holds the zone lock.
 func (v *Volume) issueDeviceWrite(sp *obs.Span, dev int, pba int64, data []byte, flags zns.Flag, lba int64, isParity bool, z int, s int64, futs *[]subIO, pending *[]pendingMD) {
 	d := v.devForZone(dev, z)
 	if d == nil {
@@ -1122,7 +1055,6 @@ func (v *Volume) addReloc(z int, e relocEntry, isParity bool, s int64) {
 		v.reloc[z] = insertReloc(v.reloc[z], e)
 	}
 	v.relocMu.Unlock()
-	v.bumpZCEpoch(z)
 	lz.mu.Unlock()
 }
 

@@ -1,8 +1,6 @@
 package raizn
 
 import (
-	"bytes"
-	"reflect"
 	"testing"
 
 	"raizn/internal/obs"
@@ -10,134 +8,11 @@ import (
 	"raizn/internal/zns"
 )
 
-// Differential tests: the coalesced write path (default) and the legacy
-// per-sub-IO path (Config.LegacyWritePath) must be observationally
-// identical — same bytes, same zone states, same persistence bitmaps,
-// same crash-recovery outcome. Only timing and device command counts may
-// differ, so every comparison here is value-based and the two variants
-// run on separate simulation clocks.
-
-func legacyConfig() Config {
-	cfg := DefaultConfig()
-	cfg.LegacyWritePath = true
-	return cfg
-}
-
-// diffWriteSizes is a deterministic per-zone mix of write shapes:
-// sub-unit, unit-aligned, stripe-completing, exact-stripe (full-stripe
-// bypass), stripe-spanning, and multi-stripe writes, ending in a partial
-// tail. Zone 4 additionally fills to capacity to exercise the ZoneFull
-// transition.
-func diffWriteSizes(z int, fillZone bool) []int64 {
-	sizes := []int64{4, 8, 52, 64, 12, 116, 4, 60, 128, 20} // sums to 468 < 512
-	if z == 4 && fillZone {
-		sizes = append(sizes, 44) // 512: fills the zone
-	}
-	return sizes
-}
-
-// runDiffWorkload drives one writer goroutine per logical zone, each
-// pipelining its zone's write sequence (futures collected, then awaited)
-// so multiple tickets are in flight per zone while zones race on the
-// shared devices. With fua set, every 4th write carries FUA so the
-// persistence bitmap has deterministic structure before any flush. (The
-// crash differential runs without FUA: a FUA write flushes the whole
-// device, and the device refuses to lose persisted sectors to a power
-// cut, so any FUA would defeat the crash cuts.)
-func runDiffWorkload(t *testing.T, c *vclock.Clock, v *Volume, fillZone, fua bool) {
-	t.Helper()
-	wg := c.NewWaitGroup()
-	for z := 0; z < v.NumZones(); z++ {
-		z := z
-		wg.Add(1)
-		c.Go(func() {
-			defer wg.Done()
-			lba := int64(z) * v.ZoneSectors()
-			var futs []*vclock.Future
-			for i, n := range diffWriteSizes(z, fillZone) {
-				var fl zns.Flag
-				if fua && i%4 == 1 {
-					fl = zns.FUA
-				}
-				futs = append(futs, v.SubmitWrite(lba, lbaPattern(v, lba, int(n)), fl))
-				lba += n
-			}
-			if err := vclock.WaitAll(futs...); err != nil {
-				t.Errorf("zone %d workload: %v", z, err)
-			}
-		})
-	}
-	wg.Wait()
-}
-
-type volSnapshot struct {
-	zones   []ZoneDesc
-	data    [][]byte // full readback below each zone's WP
-	bitmaps [][]uint64
-	relocs  int
-}
-
-func snapshotVolume(t *testing.T, v *Volume) volSnapshot {
-	t.Helper()
-	zs := v.ZoneSectors()
-	snap := volSnapshot{relocs: v.RelocationCount()}
-	for z := 0; z < v.NumZones(); z++ {
-		zd := v.Zone(z)
-		snap.zones = append(snap.zones, zd)
-		n := zd.WP - int64(z)*zs
-		buf := make([]byte, n*int64(v.SectorSize()))
-		if n > 0 {
-			if err := v.Read(int64(z)*zs, buf); err != nil {
-				t.Fatalf("zone %d readback (%d sectors): %v", z, n, err)
-			}
-		}
-		snap.data = append(snap.data, buf)
-		snap.bitmaps = append(snap.bitmaps, v.PersistenceBitmap(z))
-	}
-	return snap
-}
-
-func compareSnapshots(t *testing.T, what string, coalesced, legacy volSnapshot) {
-	t.Helper()
-	for z := range coalesced.zones {
-		if coalesced.zones[z] != legacy.zones[z] {
-			t.Errorf("%s: zone %d desc differs: coalesced %+v, legacy %+v",
-				what, z, coalesced.zones[z], legacy.zones[z])
-		}
-		if !bytes.Equal(coalesced.data[z], legacy.data[z]) {
-			t.Errorf("%s: zone %d readback differs between write paths", what, z)
-		}
-		if !reflect.DeepEqual(coalesced.bitmaps[z], legacy.bitmaps[z]) {
-			t.Errorf("%s: zone %d persistence bitmap differs: coalesced %v, legacy %v",
-				what, z, coalesced.bitmaps[z], legacy.bitmaps[z])
-		}
-	}
-	if coalesced.relocs != legacy.relocs {
-		t.Errorf("%s: relocation count differs: coalesced %d, legacy %d",
-			what, coalesced.relocs, legacy.relocs)
-	}
-}
-
-// diffStats compares the counters that identical workloads must drive
-// identically regardless of sub-IO merging.
-func diffStats(t *testing.T, what string, coalesced, legacy Stats) {
-	t.Helper()
-	type pair struct {
-		name string
-		a, b int64
-	}
-	for _, p := range []pair{
-		{"LogicalWriteBytes", coalesced.LogicalWriteBytes, legacy.LogicalWriteBytes},
-		{"FullParityWrites", coalesced.FullParityWrites, legacy.FullParityWrites},
-		{"PartialParityLogs", coalesced.PartialParityLogs, legacy.PartialParityLogs},
-		{"ChecksumRecords", coalesced.ChecksumRecords, legacy.ChecksumRecords},
-		{"Relocations", coalesced.Relocations, legacy.Relocations},
-	} {
-		if p.a != p.b {
-			t.Errorf("%s: %s differs: coalesced %d, legacy %d", what, p.name, p.a, p.b)
-		}
-	}
-}
+// Write-path differential tests: the coalesced three-phase write path
+// against the reference model of its workloads (checkSnapshotPattern) —
+// same bytes below every write pointer, racing writers, crash debris,
+// degraded mode and ZRWA parity included — plus the coalescing counters
+// against the traced device commands.
 
 // devWriteSpanStats walks every retained root span and totals the
 // device-write sub-spans: count is how many dev-write commands were
@@ -165,251 +40,200 @@ func devWriteSpanStats(roots []*obs.Span) (count, merged int64) {
 }
 
 // TestWritePathDifferentialConcurrent races one pipelined writer per
-// zone on both paths and demands identical logical outcomes.
+// zone and checks the outcome against the reference model, then the
+// coalescing counters against the traced device commands.
 func TestWritePathDifferentialConcurrent(t *testing.T) {
-	var snaps [2]volSnapshot
-	var stats [2]Stats
-	var spanCount, spanMerged [2]int64
-	for i, cfg := range []Config{DefaultConfig(), legacyConfig()} {
-		i, cfg := i, cfg
-		c := vclock.New()
-		c.Run(func() {
-			devs := newTestDevices(c, 5)
-			tr := obs.NewTracer(c, obs.Config{})
-			tr.Enable()
-			cfg.Tracer = tr
-			v, err := Create(c, devs, cfg)
-			if err != nil {
-				t.Fatalf("Create: %v", err)
-			}
-			runDiffWorkload(t, c, v, true, true)
-			spanCount[i], spanMerged[i] = devWriteSpanStats(tr.Snapshot())
-			snaps[i] = snapshotVolume(t, v)
-			stats[i] = v.Stats()
+	c := vclock.New()
+	c.Run(func() {
+		devs := newTestDevices(c, 5)
+		tr := obs.NewTracer(c, obs.Config{})
+		tr.Enable()
+		cfg := DefaultConfig()
+		cfg.Tracer = tr
+		v, err := Create(c, devs, cfg)
+		if err != nil {
+			t.Fatalf("Create: %v", err)
+		}
+		runDiffWorkload(t, c, v, true, true)
+		spanCount, spanMerged := devWriteSpanStats(tr.Snapshot())
+		checkSnapshotPattern(t, "concurrent", v, snapshotVolume(t, v))
+		st := v.Stats()
 
-			// Flush and re-check: full persistence on both paths.
-			if err := v.Flush(); err != nil {
-				t.Fatalf("Flush: %v", err)
-			}
-			for z := 0; z < v.NumZones(); z++ {
-				zd := v.Zone(z)
-				if zd.PersistedWP != zd.WP {
-					t.Errorf("zone %d: PersistedWP %d != WP %d after flush", z, zd.PersistedWP, zd.WP)
-				}
-			}
-		})
-	}
-	compareSnapshots(t, "concurrent", snaps[0], snaps[1])
-	diffStats(t, "concurrent", stats[0], stats[1])
-	if stats[0].CoalescedSubWrites == 0 {
-		t.Error("coalesced path merged no sub-IOs")
-	}
-	if stats[1].CoalescedSubWrites != 0 {
-		t.Errorf("legacy path reported %d coalesced sub-IOs", stats[1].CoalescedSubWrites)
-	}
-	// The traced sub-IO view must agree with the counters on both paths:
-	// segment counts recorded on dev-write spans account for exactly the
-	// sub-IOs the stat says were merged, and the legacy path's per-sub-IO
-	// commands show up as strictly more (uncoalesced) dev-write spans.
-	for i, what := range []string{"coalesced", "legacy"} {
-		if spanCount[i] == 0 {
-			t.Errorf("%s: no dev-write spans traced", what)
+		// Flush and re-check: full persistence.
+		if err := v.Flush(); err != nil {
+			t.Fatalf("Flush: %v", err)
 		}
-		if spanMerged[i] != stats[i].CoalescedSubWrites {
-			t.Errorf("%s: span segment surplus %d != CoalescedSubWrites %d",
-				what, spanMerged[i], stats[i].CoalescedSubWrites)
+		for z := 0; z < v.NumZones(); z++ {
+			zd := v.Zone(z)
+			if zd.PersistedWP != zd.WP {
+				t.Errorf("zone %d: PersistedWP %d != WP %d after flush", z, zd.PersistedWP, zd.WP)
+			}
 		}
-	}
-	if spanCount[1] != spanCount[0]+stats[0].CoalescedSubWrites {
-		t.Errorf("legacy traced %d dev-writes, want coalesced %d + merged %d",
-			spanCount[1], spanCount[0], stats[0].CoalescedSubWrites)
-	}
+
+		if st.CoalescedSubWrites == 0 {
+			t.Error("write path merged no sub-IOs")
+		}
+		// The traced sub-IO view must agree with the counters: segment
+		// counts recorded on dev-write spans account for exactly the
+		// sub-IOs the stat says were merged.
+		if spanCount == 0 {
+			t.Error("no dev-write spans traced")
+		}
+		if spanMerged != st.CoalescedSubWrites {
+			t.Errorf("span segment surplus %d != CoalescedSubWrites %d", spanMerged, st.CoalescedSubWrites)
+		}
+	})
 }
 
-// TestWritePathDifferentialCrash cuts the same per-device zone fills out
-// of both variants' devices mid-workload debris and compares the
-// recovered state, then keeps writing over the crash debris (which
-// drives the §5.2 burned-prefix relocation through the coalescing
-// submit planner) and compares again.
+// TestWritePathDifferentialCrash cuts fixed per-device zone fills out of
+// the devices mid-workload and checks the recovered state against the
+// reference model, then keeps writing over the crash debris (which drives
+// the §5.2 burned-prefix relocation through the coalescing submit planner)
+// and checks again.
 func TestWritePathDifferentialCrash(t *testing.T) {
-	var before, after [2]volSnapshot
-	for i, cfg := range []Config{DefaultConfig(), legacyConfig()} {
-		i, cfg := i, cfg
-		c := vclock.New()
-		c.Run(func() {
-			devs := newTestDevices(c, 5)
-			v, err := Create(c, devs, cfg)
-			if err != nil {
-				t.Fatalf("Create: %v", err)
-			}
-			runDiffWorkload(t, c, v, true, false)
+	c := vclock.New()
+	c.Run(func() {
+		devs := newTestDevices(c, 5)
+		cfg := DefaultConfig()
+		v, err := Create(c, devs, cfg)
+		if err != nil {
+			t.Fatalf("Create: %v", err)
+		}
+		runDiffWorkload(t, c, v, true, false)
 
-			// Identical cuts on both variants: persist everything except
-			// data zone 1 on devices 1 and 2 (two holes per stripe — no
-			// redundancy to repair from, so recovery must truncate) and
-			// device 3's data zone 2 (single hole, repairable). The
-			// truncated zone's uncut peers keep debris beyond the
-			// recovered write pointer.
-			for di, d := range devs {
-				m := map[int]int64{}
-				for z := 0; z < d.Config().NumZones; z++ {
-					m[z] = d.Zone(z).WP - d.ZoneStart(z)
-				}
-				if (di == 1 || di == 2) && m[1] > 24 {
-					m[1] = 24
-				}
-				if di == 3 && m[2] > 40 {
-					m[2] = 40
-				}
-				d.PowerLossAt(m)
+		// Persist everything except data zone 1 on devices 1 and 2 (two
+		// holes per stripe — no redundancy to repair from, so recovery
+		// must truncate) and device 3's data zone 2 (single hole,
+		// repairable). The truncated zone's uncut peers keep debris
+		// beyond the recovered write pointer.
+		for di, d := range devs {
+			m := map[int]int64{}
+			for z := 0; z < d.Config().NumZones; z++ {
+				m[z] = d.Zone(z).WP - d.ZoneStart(z)
 			}
-			v2, err := Mount(c, devs, cfg)
-			if err != nil {
-				t.Fatalf("Mount after crash: %v", err)
+			if (di == 1 || di == 2) && m[1] > 24 {
+				m[1] = 24
 			}
-			before[i] = snapshotVolume(t, v2)
+			if di == 3 && m[2] > 40 {
+				m[2] = 40
+			}
+			d.PowerLossAt(m)
+		}
+		v2, err := Mount(c, devs, cfg)
+		if err != nil {
+			t.Fatalf("Mount after crash: %v", err)
+		}
+		checkSnapshotPattern(t, "post-crash", v2, snapshotVolume(t, v2))
 
-			// Continue writing into every recovered zone tail.
-			zs := v2.ZoneSectors()
-			for z := 0; z < v2.NumZones(); z++ {
-				zd := v2.Zone(z)
-				if zd.State == zns.ZoneFull {
-					continue
-				}
-				rel := zd.WP - int64(z)*zs
-				n := int64(32)
-				if rel+n > zs {
-					n = zs - rel
-				}
-				if n <= 0 {
-					continue
-				}
-				mustWriteV(t, v2, zd.WP, int(n), 0)
+		// Continue writing into every recovered zone tail.
+		zs := v2.ZoneSectors()
+		for z := 0; z < v2.NumZones(); z++ {
+			zd := v2.Zone(z)
+			if zd.State == zns.ZoneFull {
+				continue
 			}
-			after[i] = snapshotVolume(t, v2)
-		})
-	}
-	compareSnapshots(t, "post-crash", before[0], before[1])
-	compareSnapshots(t, "post-crash-write", after[0], after[1])
-	if after[0].relocs == 0 {
-		t.Error("writing over crash debris produced no relocations; burn-split path untested")
-	}
+			rel := zd.WP - int64(z)*zs
+			n := min(int64(32), zs-rel)
+			if n <= 0 {
+				continue
+			}
+			mustWriteV(t, v2, zd.WP, int(n), 0)
+		}
+		after := snapshotVolume(t, v2)
+		checkSnapshotPattern(t, "post-crash-write", v2, after)
+		if after.relocs == 0 {
+			t.Error("writing over crash debris produced no relocations; burn-split path untested")
+		}
+	})
 }
 
-// TestWritePathDifferentialDegradedAndScrub checks that scrub results
-// and degraded-mode reads/writes are identical on both paths.
+// TestWritePathDifferentialDegradedAndScrub checks scrub on a healthy
+// volume, then degraded writes and reconstructed reads against the
+// reference model.
 func TestWritePathDifferentialDegradedAndScrub(t *testing.T) {
-	var snaps [2]volSnapshot
-	var degradedReads [2]int64
-	var verified [2]int
-	for i, cfg := range []Config{DefaultConfig(), legacyConfig()} {
-		i, cfg := i, cfg
-		c := vclock.New()
-		c.Run(func() {
-			devs := newTestDevices(c, 5)
-			v, err := Create(c, devs, cfg)
+	c := vclock.New()
+	c.Run(func() {
+		devs := newTestDevices(c, 5)
+		v, err := Create(c, devs, DefaultConfig())
+		if err != nil {
+			t.Fatalf("Create: %v", err)
+		}
+		runDiffWorkload(t, c, v, true, true)
+		if err := v.Flush(); err != nil {
+			t.Fatalf("Flush: %v", err)
+		}
+
+		// Scrub every complete stripe of zone 0 while healthy.
+		verified := 0
+		wp := v.Zone(0).WP
+		for s := int64(0); (s+1)*v.StripeSectors() <= wp; s++ {
+			res, err := v.ScrubStripe(0, s, true)
 			if err != nil {
-				t.Fatalf("Create: %v", err)
+				t.Fatalf("ScrubStripe(0, %d): %v", s, err)
 			}
-			runDiffWorkload(t, c, v, true, true)
-			if err := v.Flush(); err != nil {
-				t.Fatalf("Flush: %v", err)
+			if res.Mismatch {
+				t.Errorf("ScrubStripe(0, %d): mismatch on healthy volume", s)
 			}
+			if res.Verified {
+				verified++
+			}
+		}
+		if verified == 0 {
+			t.Error("scrub verified no stripes")
+		}
 
-			// Scrub every complete stripe of zone 0 while healthy.
-			wp := v.Zone(0).WP
-			for s := int64(0); (s+1)*v.StripeSectors() <= wp; s++ {
-				res, err := v.ScrubStripe(0, s, true)
-				if err != nil {
-					t.Fatalf("ScrubStripe(0, %d): %v", s, err)
-				}
-				if res.Mismatch {
-					t.Errorf("ScrubStripe(0, %d): mismatch on healthy volume", s)
-				}
-				if res.Verified {
-					verified[i]++
-				}
+		// Degrade and keep writing into the open zone tails.
+		if err := v.FailDevice(1); err != nil {
+			t.Fatalf("FailDevice: %v", err)
+		}
+		zs := v.ZoneSectors()
+		for z := 0; z < 3; z++ {
+			zd := v.Zone(z)
+			rel := zd.WP - int64(z)*zs
+			if rel+16 <= zs {
+				mustWriteV(t, v, zd.WP, 16, 0)
 			}
-
-			// Degrade and keep writing into the open zone tails.
-			if err := v.FailDevice(1); err != nil {
-				t.Fatalf("FailDevice: %v", err)
-			}
-			zs := v.ZoneSectors()
-			for z := 0; z < 3; z++ {
-				zd := v.Zone(z)
-				rel := zd.WP - int64(z)*zs
-				if rel+16 <= zs {
-					mustWriteV(t, v, zd.WP, 16, 0)
-				}
-			}
-			snaps[i] = snapshotVolume(t, v) // full readback reconstructs through parity
-			degradedReads[i] = v.Stats().DegradedReads
-		})
-	}
-	compareSnapshots(t, "degraded", snaps[0], snaps[1])
-	if verified[0] != verified[1] {
-		t.Errorf("scrub verified %d stripes coalesced, %d legacy", verified[0], verified[1])
-	}
-	if verified[0] == 0 {
-		t.Error("scrub verified no stripes")
-	}
-	if degradedReads[0] != degradedReads[1] {
-		t.Errorf("DegradedReads differ: coalesced %d, legacy %d", degradedReads[0], degradedReads[1])
-	}
-	if degradedReads[0] == 0 {
-		t.Error("degraded snapshot took no reconstructed reads")
-	}
+		}
+		// The full readback reconstructs through parity.
+		checkSnapshotPattern(t, "degraded", v, snapshotVolume(t, v))
+		if v.Stats().DegradedReads == 0 {
+			t.Error("degraded snapshot took no reconstructed reads")
+		}
+	})
 }
 
-// TestWritePathDifferentialZRWA repeats the differential on PPZRWA-mode
-// devices, where complete stripes update parity in place through the
+// TestWritePathDifferentialZRWA repeats the check on PPZRWA-mode devices,
+// where partial and complete stripes update parity in place through the
 // zone random-write area and must never be merged into a sequential run.
 func TestWritePathDifferentialZRWA(t *testing.T) {
-	var snaps [2]volSnapshot
-	var stats [2]Stats
-	var spanMerged [2]int64
-	for i, legacy := range []bool{false, true} {
-		i, legacy := i, legacy
-		c := vclock.New()
-		c.Run(func() {
-			devs := make([]*zns.Device, 5)
-			for j := range devs {
-				devs[j] = zns.NewDevice(c, extDevConfig())
-			}
-			cfg := DefaultConfig()
-			cfg.ParityMode = PPZRWA
-			cfg.LegacyWritePath = legacy
-			tr := obs.NewTracer(c, obs.Config{})
-			tr.Enable()
-			cfg.Tracer = tr
-			v, err := Create(c, devs, cfg)
-			if err != nil {
-				t.Fatalf("Create: %v", err)
-			}
-			// No zone fills: a partial tail stripe's in-place parity
-			// prefix occupies the zone's last physical unit, and the
-			// simulated device then (correctly) refuses further ZRWA
-			// rewrites once the zone is at capacity.
-			runDiffWorkload(t, c, v, false, true)
-			_, spanMerged[i] = devWriteSpanStats(tr.Snapshot())
-			snaps[i] = snapshotVolume(t, v)
-			stats[i] = v.Stats()
-		})
-	}
-	compareSnapshots(t, "zrwa", snaps[0], snaps[1])
-	diffStats(t, "zrwa", stats[0], stats[1])
-	for i, what := range []string{"coalesced", "legacy"} {
-		if spanMerged[i] != stats[i].CoalescedSubWrites {
-			t.Errorf("zrwa %s: span segment surplus %d != CoalescedSubWrites %d",
-				what, spanMerged[i], stats[i].CoalescedSubWrites)
+	c := vclock.New()
+	c.Run(func() {
+		devs := make([]*zns.Device, 5)
+		for j := range devs {
+			devs[j] = zns.NewDevice(c, extDevConfig())
 		}
-	}
-	if stats[0].ZRWAParityWrites != stats[1].ZRWAParityWrites {
-		t.Errorf("ZRWAParityWrites differ: coalesced %d, legacy %d",
-			stats[0].ZRWAParityWrites, stats[1].ZRWAParityWrites)
-	}
-	if stats[0].ZRWAParityWrites == 0 {
-		t.Error("workload drove no in-place parity updates")
-	}
+		cfg := DefaultConfig()
+		cfg.ParityMode = PPZRWA
+		tr := obs.NewTracer(c, obs.Config{})
+		tr.Enable()
+		cfg.Tracer = tr
+		v, err := Create(c, devs, cfg)
+		if err != nil {
+			t.Fatalf("Create: %v", err)
+		}
+		// No zone fills: a partial tail stripe's in-place parity prefix
+		// occupies the zone's last physical unit, and the simulated device
+		// then (correctly) refuses further ZRWA rewrites once the zone is
+		// at capacity.
+		runDiffWorkload(t, c, v, false, true)
+		_, spanMerged := devWriteSpanStats(tr.Snapshot())
+		checkSnapshotPattern(t, "zrwa", v, snapshotVolume(t, v))
+		st := v.Stats()
+		if spanMerged != st.CoalescedSubWrites {
+			t.Errorf("span segment surplus %d != CoalescedSubWrites %d", spanMerged, st.CoalescedSubWrites)
+		}
+		if st.ZRWAParityWrites == 0 {
+			t.Error("workload drove no in-place parity updates")
+		}
+	})
 }

@@ -385,9 +385,9 @@ func TestZRAIDDegradedMaintain(t *testing.T) {
 	})
 }
 
-// TestEngineParityModesDifferential proves the engine seam preserved
-// the logged behavior: for every ParityMode, the pipelined and legacy
-// write paths produce byte-identical recovered state after a power cut.
+// TestEngineParityModesDifferential runs the sequential crash workload
+// on the logged engine in every ParityMode, cuts power and checks the
+// recovered state against the workload's reference model.
 func TestEngineParityModesDifferential(t *testing.T) {
 	modes := []struct {
 		name string
@@ -400,36 +400,22 @@ func TestEngineParityModesDifferential(t *testing.T) {
 	for _, m := range modes {
 		m := m
 		t.Run(m.name, func(t *testing.T) {
-			var snaps [2]volSnapshot
-			for pathIdx, legacy := range []bool{false, true} {
-				c := vclock.New()
-				c.Run(func() {
-					devs := make([]*zns.Device, 5)
-					for i := range devs {
-						devs[i] = zns.NewDevice(c, extDevConfig())
-					}
-					cfg := DefaultConfig()
-					cfg.ParityMode = m.mode
-					cfg.LegacyWritePath = legacy
-					v, err := Create(c, devs, cfg)
-					if err != nil {
-						t.Fatalf("Create: %v", err)
-					}
-					if v.ParityEngineKind() != ppengine.Logged {
-						t.Fatal("ParityMode runs must use the logged engine")
-					}
-					runSeqDiffWorkload(t, v)
-					for _, d := range devs {
-						d.PowerLoss(nil)
-					}
-					v2, err := Mount(c, devs, cfg)
-					if err != nil {
-						t.Fatalf("Mount after cut: %v", err)
-					}
-					snaps[pathIdx] = snapshotVolume(t, v2)
-				})
-			}
-			compareSnapshots(t, "mode-"+m.name, snaps[0], snaps[1])
+			runModeVol(t, m.mode, func(c *vclock.Clock, v *Volume, devs []*zns.Device) {
+				if v.ParityEngineKind() != ppengine.Logged {
+					t.Fatal("ParityMode runs must use the logged engine")
+				}
+				runSeqDiffWorkload(t, v)
+				for _, d := range devs {
+					d.PowerLoss(nil)
+				}
+				cfg := DefaultConfig()
+				cfg.ParityMode = m.mode
+				v2, err := Mount(c, devs, cfg)
+				if err != nil {
+					t.Fatalf("Mount after cut: %v", err)
+				}
+				checkSnapshotPattern(t, "mode-"+m.name, v2, snapshotVolume(t, v2))
+			})
 		})
 	}
 }

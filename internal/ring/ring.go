@@ -1,12 +1,15 @@
-// Package ring is an io_uring-style submission/completion ring between
-// the RAIZN / volume-manager layers and the simulated ZNS devices. A
-// caller stages typed SQEs (write, writev, read, zero-copy read, append,
-// flush, reset, finish) for each device of an array, the device drains
-// the whole group per scheduling decision (one lock acquisition, one
-// future slab — see zns.PrepareBatch), and every group of the batch
-// shares ONE completion-walker goroutine that reaps the CQ through the
-// vclock.Future machinery. Simulated per-command timing is identical to
-// individual submission; only host-side fixed costs are amortized.
+// Package ring is an io_uring-style submission/completion ring in front of
+// the simulated ZNS devices. A caller stages typed SQEs (write, writev,
+// read, append, flush, reset, finish) for each device of an array, the
+// device drains the whole group per scheduling decision (one lock
+// acquisition, one future slab — see zns.PrepareBatch), and every group of
+// the batch shares ONE completion-walker goroutine that reaps the CQ
+// through the vclock.Future machinery. Simulated per-command timing is
+// identical to individual submission; only host-side fixed costs change.
+// No layer of the stack submits through it: in paired runs of the canonical
+// benchmark it cost more host time per op than direct device calls on
+// every workload, and it remains only as the subject of the benchmark's
+// ring probe.
 //
 // A Batch is single-use and single-goroutine: push SQEs, Flush each
 // device group, harvest the futures, then Submit. The Set recycles batch
@@ -95,7 +98,7 @@ func (b *Batch) Pending() bool { return b.start < len(b.cmds) }
 // Flush drains the current device group into d (slot is d's position in
 // the array, for the depth gauge): the device applies the whole group
 // under one lock acquisition. It returns the drained SQEs with their
-// outputs (futures, assigned sectors, zero-copy views) filled in; the
+// outputs (futures, assigned sectors) filled in; the
 // returned slice is valid until Submit. Commands rejected at submit have
 // Err set and a pre-completed future.
 func (b *Batch) Flush(d *zns.Device, slot int) []zns.Cmd {

@@ -14,8 +14,9 @@ import (
 // and all completions are delivered by ONE walker goroutine instead of
 // one timer goroutine per command — the per-command fixed costs the ring
 // amortizes. Per-command simulated timing (pipe occupancy, latencies) is
-// identical to the equivalent sequence of individual submissions, which
-// is what lets ring and direct paths be compared differentially.
+// identical to the equivalent sequence of individual submissions. No
+// layer of the stack submits through the ring; the canonical benchmark's
+// ring probe measures what a batch costs the host.
 
 // CmdOp is the submission-queue entry type.
 type CmdOp uint8
@@ -24,7 +25,6 @@ const (
 	CmdWrite  CmdOp = iota // sequential write of Data at Sector
 	CmdWritev              // gathered write of Segs at Sector
 	CmdRead                // read into Data from Sector
-	CmdReadZC              // zero-copy read of NSectors at Sector (Data is output)
 	CmdAppend              // zone append of Data to Zone (Sector is output)
 	CmdFlush               // flush the volatile write cache
 	CmdReset               // reset Zone
@@ -35,28 +35,22 @@ const (
 // CmdOp constants); PrepareBatch fills the output fields:
 //
 //   - Fut: the completion future (pre-completed when Err is set).
-//   - Err: the submit-time error, if the command was rejected. A
-//     CmdReadZC that cannot be served zero-copy reports ErrZCUnavailable
-//     here; the caller falls back to a copying read.
+//   - Err: the submit-time error, if the command was rejected.
 //   - Done: the absolute virtual completion time (SQ-to-CQ latency is
 //     Done minus the submit instant).
 //   - Sector (CmdAppend): the device-assigned write position.
-//   - Data, Seq (CmdReadZC): the device-owned payload view and the zone
-//     zc-sequence that pins it (see ReadZCSpan).
 type Cmd struct {
-	Op       CmdOp
-	Sector   int64
-	Zone     int
-	NSectors int64 // CmdReadZC only: view length
-	Data     []byte
-	Segs     [][]byte
-	Flags    Flag
-	Span     *obs.Span
+	Op     CmdOp
+	Sector int64
+	Zone   int
+	Data   []byte
+	Segs   [][]byte
+	Flags  Flag
+	Span   *obs.Span
 
 	Fut  *vclock.Future
 	Err  error
 	Done time.Duration
-	Seq  uint64
 }
 
 // Completion is one batched command's pending completion, produced by
@@ -165,14 +159,6 @@ func (d *Device) PrepareBatch(cmds []Cmd, comps []Completion) []Completion {
 			}
 			n := int64(len(c.Data) / ss)
 			pio, err = d.readApplyLocked(c.Span, c.Sector, n, c.Data)
-		case CmdReadZC:
-			var data []byte
-			var z int
-			var seq uint64
-			data, z, seq, pio, err = d.readZCApplyLocked(c.Span, c.Sector, c.NSectors)
-			if err == nil {
-				c.Data, c.Zone, c.Seq = data, z, seq
-			}
 		case CmdFlush:
 			pio, err = d.flushApplyLocked(c.Span)
 			hook, hookZone, hookArg = "zns.cmd.flush", -1, d.flushCount

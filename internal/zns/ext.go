@@ -85,9 +85,6 @@ func (d *Device) WriteZRWASpan(sp *obs.Span, sector int64, data []byte, flags Fl
 	}
 	if !d.cfg.DiscardData {
 		copy(d.zoneBufLocked(zo)[off*int64(d.cfg.SectorSize):], data)
-		if off < zo.wp {
-			zo.zcSeq++ // in-place overwrite invalidates zero-copy views
-		}
 	}
 	end := off + nSectors
 	if end > zo.wp {

@@ -89,7 +89,6 @@ func (d *Device) corruptSectorLocked(zo *zone, off int64) {
 	ss := int64(d.cfg.SectorSize)
 	byteIdx := off*ss + int64(rng.Intn(d.cfg.SectorSize))
 	zo.data[byteIdx] ^= 1 << uint(rng.Intn(8))
-	zo.zcSeq++ // in-place mutation invalidates zero-copy views
 	d.injectedRot++
 }
 

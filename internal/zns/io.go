@@ -579,7 +579,6 @@ func (d *Device) resetApplyLocked(sp *obs.Span, z int) (pendingIO, int64, error)
 	zo.finished = false
 	zo.unflushed = nil
 	d.releaseBufLocked(zo)
-	zo.zcSeq++
 	// Unprogrammed (in-ZRWA) bytes are discarded without ever reaching
 	// flash; the cumulative program counter never rolls back.
 	zo.prog = 0
@@ -663,9 +662,8 @@ func (d *Device) finishApplyLocked(sp *obs.Span, z int) (pendingIO, int64, error
 // there is one, else a new one. A recycled buffer is NOT zeroed and still
 // holds its previous zone's payload; that is sound because no path hands
 // out a byte at or above the write pointer (readApplyLocked zero-fills,
-// readZCApplyLocked refuses, CorruptSector and bit rot stay below it) and
-// every write lands exactly at the write pointer or, through the ZRWA,
-// below it.
+// CorruptSector and bit rot stay below it) and every write lands exactly
+// at the write pointer or, through the ZRWA, below it.
 //
 // A zone written for the first time in the device's life does not drain the
 // list: when it takes the last listed buffer a new one takes that one's
@@ -697,15 +695,12 @@ func (d *Device) zoneBufLocked(zo *zone) []byte {
 	return zo.data
 }
 
-// releaseBufLocked detaches a reset zone's backing buffer. The device
-// keeps it for the next first write — buffers never outnumber the zones
-// ever written (zoneBufLocked), so the list never exceeds NumZones — unless a
-// zero-copy view of it was handed out since the zone's last reset: a lent
-// buffer must stay immutable for its holders (zc.go) and is left to the
-// garbage collector. Caller holds d.mu.
+// releaseBufLocked detaches a reset zone's backing buffer and keeps it for
+// the next first write. Buffers never outnumber the zones ever written
+// (zoneBufLocked), so the list never exceeds NumZones. Caller holds d.mu.
 func (d *Device) releaseBufLocked(zo *zone) {
-	if zo.data != nil && !zo.lent {
+	if zo.data != nil {
 		d.freeBufs = append(d.freeBufs, zo.data)
 	}
-	zo.data, zo.lent = nil, false
+	zo.data = nil
 }

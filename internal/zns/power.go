@@ -94,12 +94,9 @@ func (d *Device) pickCutLocked(z int, rng *rand.Rand) int64 {
 // Pulling the write pointer back is the whole discard: the lost bytes stay
 // in the backing buffer, unreadable above the write pointer like any
 // recycled buffer's residue (zoneBufLocked), until later writes replace
-// them — which is why views over them are invalidated here.
+// them.
 func (d *Device) applyCutLocked(z int, cut int64) {
 	zo := &d.zones[z]
-	if cut < zo.wp && zo.data != nil {
-		zo.zcSeq++
-	}
 	// A full zone's fullness is durable only if it became full on media;
 	// if the cut rolls back below capacity the zone is no longer full.
 	zo.wp = cut
@@ -140,7 +137,6 @@ func (d *Device) CrashClone(clk *vclock.Clock, rng *rand.Rand, cuts map[int]int6
 		cz := zo
 		if zo.data != nil {
 			cz.data = append([]byte(nil), zo.data...)
-			cz.lent = false // views of d's buffer do not reach the copy
 		}
 		cz.unflushed = append([]extent(nil), zo.unflushed...)
 		c.zones[z] = cz

@@ -9,9 +9,8 @@ import (
 )
 
 // Zone backing buffers are recycled unzeroed (zoneBufLocked), so these
-// tests pin the invariant that makes it sound — nothing at or above a
-// write pointer is ever readable — and the lent-view rule that keeps
-// zero-copy views immutable.
+// tests pin the invariant that makes it sound: nothing at or above a
+// write pointer is ever readable.
 
 // mustWait fails the test unless the command completed without error.
 func mustWait(t *testing.T, what string, fut *vclock.Future) {
@@ -65,9 +64,6 @@ func TestRecycledBufferShowsNoOldPayload(t *testing.T) {
 			if err := d.Read(d.ZoneStart(1), make([]byte, nB*ss)).Wait(); err != ErrReadBeyondWP {
 				t.Fatalf("read of the cut-off sectors = %v, want ErrReadBeyondWP", err)
 			}
-			if _, _, _, _, err := d.ReadZCSpan(nil, d.ZoneStart(1), nB); err != ErrReadBeyondWP {
-				t.Fatalf("zero-copy read of the cut-off sectors = %v, want ErrReadBeyondWP", err)
-			}
 			return d, want(b[:cut*ss])
 		}},
 		{"crash-clone", func(t *testing.T, d *Device) (*Device, []byte) {
@@ -111,61 +107,6 @@ func TestRecycledBufferShowsNoOldPayload(t *testing.T) {
 			})
 		})
 	}
-}
-
-// TestLentBufferIsNotRecycled holds a zero-copy view of zone 0 across the
-// zone's reset while every buffer-taking write the device can do runs
-// beside a goroutine that keeps reading the view: the view must stay
-// pattern A byte for byte (run under -race: a recycled buffer would also be
-// a reported write/read race).
-func TestLentBufferIsNotRecycled(t *testing.T) {
-	cfg := testConfig()
-	a := pattern(cfg, int(cfg.ZoneCap), 0xA5)
-	b := pattern(cfg, int(cfg.ZoneCap), 0x3C)
-	run(t, cfg, func(c *vclock.Clock, d *Device) {
-		mustWait(t, "fill zone 0", d.Write(0, a, 0))
-		view, z, seq, fut, err := d.ReadZCSpan(nil, 0, cfg.ZoneCap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mustWait(t, "zero-copy read", fut)
-
-		wg := c.NewWaitGroup()
-		wg.Add(1)
-		c.Go(func() {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				if !bytes.Equal(view, a) {
-					t.Error("the lent view changed under its reader")
-					return
-				}
-			}
-		})
-
-		mustWait(t, "reset zone 0", d.ResetZone(0))
-		if d.ZCValid(z, seq) {
-			t.Error("view still valid after its zone's reset")
-		}
-		if len(d.freeBufs) != 0 {
-			t.Errorf("a lent buffer went onto the free list (%d entries)", len(d.freeBufs))
-		}
-		for z := 0; z < 4; z++ { // zone 0 again, then zones that never had a buffer
-			mustWait(t, "write B", d.Write(d.ZoneStart(z), b, 0))
-			if &d.zones[z].data[0] == &view[0] {
-				t.Errorf("zone %d writes into the lent buffer", z)
-			}
-		}
-		wg.Wait()
-		if !bytes.Equal(view, a) {
-			t.Error("the lent view no longer reads pattern A")
-		}
-
-		// An unlent zone of the same device still recycles.
-		mustWait(t, "reset zone 1", d.ResetZone(1))
-		if len(d.freeBufs) != 1 {
-			t.Errorf("%d buffers on the free list after resetting an unlent zone, want 1", len(d.freeBufs))
-		}
-	})
 }
 
 // TestFreeListBoundedByZones resets and refills every zone several times:

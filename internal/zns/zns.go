@@ -212,10 +212,8 @@ type zone struct {
 	pwp       int64    // zone-relative persisted prefix (pwp <= wp)
 	finished  bool     // zone was made full by an explicit (durable) finish
 	data      []byte   // backing buffer, ZoneCap sectors; only [0, wp) is content (zoneBufLocked)
-	lent      bool     // a zero-copy view of data was handed out since the last reset
 	written   bool     // has taken a backing buffer at some time; resets do not clear it (zoneBufLocked)
 	unflushed []extent // writes in (pwp, wp], in submit order
-	zcSeq     uint64   // bumped whenever payload below wp mutates or is freed
 
 	// Flash-program accounting (see programLocked). prog is the zone-
 	// relative sector up to which data has been programmed to NAND; zrwa
