@@ -244,14 +244,35 @@ func (p *phaseResult) finish() {
 }
 
 // tenantAlloc hands out the next sequential chunk of one tenant's zone.
-// Allocation and submission happen under the same lock so the engine's
-// per-tenant FIFO sees LBAs in zone order — the volume keeps zoned
-// sequential-write semantics.
+// Allocation and submission happen in one turn (acquire..release) so the
+// engine sees the tenant's LBAs in zone order — the volume keeps zoned
+// sequential-write semantics. The turn is not a sync.Mutex held across
+// SubmitWrite: an idle volume issues on the caller's goroutine, which may
+// park inside the array, and a peer spinning on a mutex would keep the
+// clock from ever waking it. Peers park on the turn instead.
 type tenantAlloc struct {
 	mu    sync.Mutex
+	turn  *vclock.Cond
+	busy  bool
 	base  int64
 	next  int64
 	limit int64
+}
+
+func (a *tenantAlloc) acquire() {
+	a.mu.Lock()
+	for a.busy {
+		a.turn.Wait()
+	}
+	a.busy = true
+	a.mu.Unlock()
+}
+
+func (a *tenantAlloc) release() {
+	a.mu.Lock()
+	a.busy = false
+	a.mu.Unlock()
+	a.turn.Signal()
 }
 
 // runFairPhase runs one closed-loop phase: every tenant's clients write
@@ -291,6 +312,7 @@ func runFairPhase(clk *vclock.Clock, m *volmgr.Manager, sv serveScale, name stri
 	allocs := make([]*tenantAlloc, sv.tenants)
 	for i := range allocs {
 		allocs[i] = &tenantAlloc{base: int64(i) * zs, limit: quota}
+		allocs[i].turn = clk.NewCond(&allocs[i].mu)
 	}
 
 	clients := sv.clients
@@ -305,16 +327,16 @@ func runFairPhase(clk *vclock.Clock, m *volmgr.Manager, sv serveScale, name stri
 			clk.Go(func() {
 				defer wg.Done()
 				for {
-					a.mu.Lock()
+					a.acquire()
 					if a.next+sv.chunk > a.limit {
-						a.mu.Unlock()
+						a.release()
 						return
 					}
 					fut, err := v.SubmitWrite(id, a.base+a.next, buf, 0)
 					if err == nil {
 						a.next += sv.chunk
 					}
-					a.mu.Unlock()
+					a.release()
 					if errors.Is(err, volmgr.ErrThrottled) {
 						clk.Sleep(20 * time.Microsecond)
 						continue

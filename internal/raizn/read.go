@@ -25,7 +25,7 @@ func (v *Volume) SubmitRead(lba int64, buf []byte) *vclock.Future {
 	v.stats.logicalReadBytes.Add(int64(len(buf)))
 	// Root span of the request; nil (and free) while tracing is disabled.
 	sp := v.tracer.Begin(obs.OpRead, lba, int64(len(buf)))
-	var futs []subIO
+	r := v.newReadJoin(sp)
 	ss := int64(v.sectorSize)
 	pos := lba
 	out := buf
@@ -36,7 +36,7 @@ func (v *Volume) SubmitRead(lba int64, buf []byte) *vclock.Future {
 		if avail := int64(len(out)) / ss; n > avail {
 			n = avail
 		}
-		if err := v.readZonePortion(sp, z, pos, out[:n*ss], &futs); err != nil {
+		if err := v.readZonePortion(sp, z, pos, out[:n*ss], r); err != nil {
 			sp.End(err)
 			return v.clk.Completed(err)
 		}
@@ -45,26 +45,47 @@ func (v *Volume) SubmitRead(lba int64, buf []byte) *vclock.Future {
 	}
 	sp.Mark(obs.PhaseSubmit)
 
-	return v.joinReads(&readJoin{sp: sp, futs: futs})
+	return r.start()
 }
 
 // readJoin completes a read — or, with sc set, one reconstructed piece —
 // once its sub-reads have (subJoin): in the completion callback of the last
-// one, unless one failed.
+// one, unless one failed. A healthy read of up to four device pieces is
+// this one allocation: the result future, the sub-read list and the first
+// piece's repair context are all held inline.
 type readJoin struct {
-	v      *Volume
-	sp     *obs.Span
-	futs   []subIO
-	dst    []byte        // reconstruction target and
-	sc     *reconScratch // survivors, for finishReconstruct
-	result *vclock.Future
-	join   subJoin
+	v       *Volume
+	sp      *obs.Span
+	futs    []subIO
+	futBuf  [4]subIO      // futs' backing until a fifth sub-read
+	repair  repairCtx     // the first piece's; later pieces allocate theirs
+	repairs int           // repair contexts handed out
+	dst     []byte        // reconstruction target and
+	sc      *reconScratch // survivors, for finishReconstruct
+	result  vclock.Future
+	join    subJoin
 }
 
-func (v *Volume) joinReads(r *readJoin) *vclock.Future {
-	r.v, r.result = v, v.clk.NewFuture()
-	r.join.wait(v.clk, r.futs, r)
-	return r.result
+func (v *Volume) newReadJoin(sp *obs.Span) *readJoin {
+	r := &readJoin{v: v, sp: sp}
+	r.futs = r.futBuf[:0]
+	v.clk.InitFuture(&r.result)
+	return r
+}
+
+// newRepair returns a repair context for the next planned piece.
+func (r *readJoin) newRepair() *repairCtx {
+	r.repairs++
+	if r.repairs == 1 {
+		return &r.repair
+	}
+	return new(repairCtx)
+}
+
+// start waits for the planned sub-reads and returns the read's future.
+func (r *readJoin) start() *vclock.Future {
+	r.join.wait(r.v.clk, r.futs, r)
+	return &r.result
 }
 
 func (r *readJoin) finish() {
@@ -106,7 +127,7 @@ func (v *Volume) awaitReads(futs []subIO) error {
 }
 
 // readZonePortion plans the sub-reads for [pos, pos+len) inside zone z.
-func (v *Volume) readZonePortion(sp *obs.Span, z int, pos int64, out []byte, futs *[]subIO) error {
+func (v *Volume) readZonePortion(sp *obs.Span, z int, pos int64, out []byte, r *readJoin) error {
 	lz := v.zones[z]
 	lz.mu.Lock()
 	// Read against the submitted write pointer: sectors a concurrent
@@ -151,7 +172,7 @@ func (v *Volume) readZonePortion(sp *obs.Span, z int, pos int64, out []byte, fut
 		if pieceLen > n {
 			pieceLen = n
 		}
-		if err := v.readPiece(sp, z, s, u, intra, intra+pieceLen, out[:pieceLen*ss], wp, futs); err != nil {
+		if err := v.readPiece(sp, z, s, u, intra, intra+pieceLen, out[:pieceLen*ss], wp, r); err != nil {
 			return err
 		}
 		out = out[pieceLen*ss:]
@@ -163,22 +184,23 @@ func (v *Volume) readZonePortion(sp *obs.Span, z int, pos int64, out []byte, fut
 
 // readPiece reads intra offsets [a, b) of data unit u in stripe s of zone
 // z into dst, choosing between the normal, relocated, and degraded paths.
-func (v *Volume) readPiece(sp *obs.Span, z int, s int64, u int, a, b int64, dst []byte, zoneWP int64, futs *[]subIO) error {
+func (v *Volume) readPiece(sp *obs.Span, z int, s int64, u int, a, b int64, dst []byte, zoneWP int64, r *readJoin) error {
 	dev := v.lt.dataDev(z, s, u)
 	if v.devForZone(dev, z) == nil {
 		fut := v.degradedReadPiece(sp, z, s, u, a, b, dst, zoneWP)
-		*futs = append(*futs, subIO{dev: dev, fut: fut})
+		r.futs = append(r.futs, subIO{dev: dev, fut: fut})
 		return nil
 	}
 	// Tag the device sub-reads with reconstruction context so a latent
 	// sector error is transparently read-repaired in awaitReads.
-	pre := len(*futs)
-	if err := v.readUnitPiece(sp, z, s, u, a, b, dst, futs); err != nil {
+	pre := len(r.futs)
+	if err := v.readUnitPiece(sp, z, s, u, a, b, dst, &r.futs); err != nil {
 		return err
 	}
-	ctx := &repairCtx{z: z, s: s, u: u, a: a, b: b, dst: dst, wp: zoneWP}
-	for i := pre; i < len(*futs); i++ {
-		(*futs)[i].repair = ctx
+	ctx := r.newRepair()
+	*ctx = repairCtx{z: z, s: s, u: u, a: a, b: b, dst: dst, wp: zoneWP}
+	for i := pre; i < len(r.futs); i++ {
+		r.futs[i].repair = ctx
 	}
 	return nil
 }
@@ -273,12 +295,13 @@ func (v *Volume) degradedReadPiece(sp *obs.Span, z int, s int64, u int, a, b int
 		return v.clk.Completed(nil)
 	}
 
-	var futs []subIO
-	sc, err := v.submitReconstruct(sp, z, s, u, a, b, fills, dst, &futs)
+	r := v.newReadJoin(nil)
+	sc, err := v.submitReconstruct(sp, z, s, u, a, b, fills, dst, &r.futs)
 	if err != nil {
 		return v.clk.Completed(err)
 	}
-	return v.joinReads(&readJoin{futs: futs, dst: dst, sc: sc})
+	r.dst, r.sc = dst, sc
+	return r.start()
 }
 
 // reconScratch is the survivor scratch of one reconstruction: the pieces

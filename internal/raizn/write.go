@@ -224,7 +224,6 @@ type subJoin struct {
 	failed atomic.Bool
 	clk    *vclock.Clock
 	owner  interface{ finish() }
-	sub    func(error) // subscribed to every sub-IO; made once per join
 }
 
 // wait calls owner.finish once every future in futs has completed: from
@@ -236,26 +235,26 @@ type subJoin struct {
 // join can be used again once it has fired.
 func (j *subJoin) wait(clk *vclock.Clock, futs []subIO, owner interface{ finish() }) {
 	j.clk, j.owner = clk, owner
-	if j.sub == nil {
-		j.sub = func(err error) {
-			if err != nil {
-				j.failed.Store(true)
-			}
-			if j.left.Add(-1) != 0 {
-				return
-			}
-			if j.failed.Swap(false) {
-				j.clk.Go(j.owner.finish)
-			} else {
-				j.owner.finish()
-			}
-		}
-	}
 	j.left.Store(int32(len(futs)) + 1) // +1: not before all are subscribed
 	for i := range futs {
-		futs[i].fut.Subscribe(j.sub)
+		futs[i].fut.SubscribeNotifier(j) // the join itself: no closure per join
 	}
-	j.sub(nil)
+	j.Notify(nil)
+}
+
+// Notify counts one sub-IO down (vclock.Notifier).
+func (j *subJoin) Notify(err error) {
+	if err != nil {
+		j.failed.Store(true)
+	}
+	if j.left.Add(-1) != 0 {
+		return
+	}
+	if j.failed.Swap(false) {
+		j.clk.Go(j.owner.finish)
+	} else {
+		j.owner.finish()
+	}
 }
 
 // plannedIO is one device sub-write prepared during the plan phase and

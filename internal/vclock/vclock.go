@@ -18,8 +18,9 @@
 //     callback's instant runs it inline, from inside that call, and counts
 //     as running while it does. Events due at one instant — sleepers and
 //     callbacks alike — are taken in submission order.
-//   - Subscribe callbacks, run by whoever completes the Future: a
-//     simulated goroutine, a timer callback, or another Subscribe callback.
+//   - Subscribe callbacks (and Notifiers), run by whoever completes the
+//     Future: a simulated goroutine, a timer callback, or another Subscribe
+//     callback.
 //
 // Rules for simulated code:
 //
@@ -68,7 +69,7 @@ type Clock struct {
 type event struct {
 	at  time.Duration
 	seq uint64
-	ch  chan struct{} // closed to resume the sleeping goroutine
+	ch  chan struct{} // park channel of the sleeping goroutine (wake)
 	fn  func()        // run inline by the dispatching goroutine
 }
 
@@ -171,13 +172,13 @@ func (c *Clock) AfterFunc(d time.Duration, fn func()) {
 // Sleep suspends the calling registered goroutine for d of virtual time.
 // Non-positive durations yield without advancing time.
 func (c *Clock) Sleep(d time.Duration) {
-	ch := make(chan struct{})
+	ch := parkChan()
 	c.mu.Lock()
 	c.pushLocked(d, ch, nil)
 	c.running--
 	c.dispatchLocked()
 	c.mu.Unlock()
-	<-ch
+	await(ch)
 }
 
 // exit deregisters the calling goroutine.
@@ -188,19 +189,37 @@ func (c *Clock) exit() {
 	c.mu.Unlock()
 }
 
-// park blocks the calling registered goroutine until ch is closed by a
-// peer (via unpark). It must be called without holding c.mu.
+// Park channels. Every blocking primitive parks its goroutine on a channel
+// that carries exactly one wake-up: the waker sends on it (wake) and the
+// woken goroutine hands it back to parkChans (await), so a channel serves
+// one park/unpark pair at a time and a steady stream of waits allocates
+// none. Buffered, so the waker never blocks.
+var parkChans = sync.Pool{New: func() any { return make(chan struct{}, 1) }}
+
+func parkChan() chan struct{} { return parkChans.Get().(chan struct{}) }
+
+// wake resumes the goroutine parked on ch. Nothing may touch ch after.
+func wake(ch chan struct{}) { ch <- struct{}{} }
+
+// await blocks until ch is woken, then recycles it.
+func await(ch chan struct{}) {
+	<-ch
+	parkChans.Put(ch)
+}
+
+// park blocks the calling registered goroutine until a peer wakes ch (via
+// unpark, then wake). It must be called without holding c.mu.
 func (c *Clock) park(ch chan struct{}) {
 	c.mu.Lock()
 	c.running--
 	c.parked++
 	c.dispatchLocked()
 	c.mu.Unlock()
-	<-ch
+	await(ch)
 }
 
 // unpark marks n parked goroutines runnable again. The caller is
-// responsible for closing their channels afterwards.
+// responsible for waking their channels afterwards.
 func (c *Clock) unpark(n int) {
 	if n == 0 {
 		return
@@ -233,7 +252,7 @@ func (c *Clock) dispatchLocked() {
 		}
 		c.running++
 		if ev.fn == nil {
-			close(ev.ch)
+			wake(ev.ch)
 			continue
 		}
 		c.mu.Unlock()
@@ -251,13 +270,31 @@ type Future struct {
 	mu   sync.Mutex
 	done bool
 	err  error
-	chs  []chan struct{}
-	cb   func(error)   // first subscriber, held inline: the usual count is one
-	cbs  []func(error) // the rest, in subscription order
+	ch   chan struct{}   // first waiter, held inline: the usual count is one
+	chs  []chan struct{} // the rest
+	cb   Notifier        // first subscriber, held inline likewise
+	cbs  []Notifier      // the rest, in subscription order
 }
+
+// Notifier is a subscriber that needs no closure: a pointer to a struct
+// with a Notify method subscribes through SubscribeNotifier without
+// allocating, where Subscribe(func...) usually allocates the func value.
+// Notify runs under the same rules as a Subscribe callback.
+type Notifier interface{ Notify(err error) }
+
+// funcNotifier adapts a Subscribe callback. A func value is pointer
+// shaped, so the conversion to Notifier does not allocate.
+type funcNotifier func(error)
+
+func (fn funcNotifier) Notify(err error) { fn(err) }
 
 // NewFuture returns an incomplete Future bound to the clock.
 func (c *Clock) NewFuture() *Future { return &Future{c: c} }
+
+// InitFuture binds a zero Future held by value — inside a larger struct,
+// so that the future costs no allocation of its own — to the clock. It is
+// then an incomplete future like one from NewFuture.
+func (c *Clock) InitFuture(f *Future) { f.c = c }
 
 // NewFutureSlab returns n incomplete Futures allocated in one block,
 // amortizing allocation across a batch of commands (use &slab[i]).
@@ -299,20 +336,23 @@ func (f *Future) Complete(err error) {
 	}
 	f.done = true
 	f.err = err
-	chs := f.chs
-	f.chs = nil
+	ch, chs := f.ch, f.chs
+	f.ch, f.chs = nil, nil
 	cb, cbs := f.cb, f.cbs
 	f.cb, f.cbs = nil, nil
 	f.mu.Unlock()
-	f.c.unpark(len(chs))
-	for _, ch := range chs {
-		close(ch)
+	if ch != nil {
+		f.c.unpark(1 + len(chs))
+		wake(ch)
+		for _, ch := range chs {
+			wake(ch)
+		}
 	}
 	if cb != nil {
-		cb(err)
+		cb.Notify(err)
 	}
 	for _, cb := range cbs {
-		cb(err)
+		cb.Notify(err)
 	}
 }
 
@@ -322,18 +362,22 @@ func (f *Future) Complete(err error) {
 // goroutine or in a timer callback — after waiters have been woken; fn
 // must not block in vclock primitives and must not complete this same
 // future.
-func (f *Future) Subscribe(fn func(error)) {
+func (f *Future) Subscribe(fn func(error)) { f.SubscribeNotifier(funcNotifier(fn)) }
+
+// SubscribeNotifier is Subscribe for a Notifier: n.Notify runs where fn
+// would.
+func (f *Future) SubscribeNotifier(n Notifier) {
 	f.mu.Lock()
 	if f.done {
 		err := f.err
 		f.mu.Unlock()
-		fn(err)
+		n.Notify(err)
 		return
 	}
 	if f.cb == nil {
-		f.cb = fn
+		f.cb = n
 	} else {
-		f.cbs = append(f.cbs, fn)
+		f.cbs = append(f.cbs, n)
 	}
 	f.mu.Unlock()
 }
@@ -353,8 +397,12 @@ func (f *Future) Wait() error {
 		f.mu.Unlock()
 		return err
 	}
-	ch := make(chan struct{})
-	f.chs = append(f.chs, ch)
+	ch := parkChan()
+	if f.ch == nil {
+		f.ch = ch
+	} else {
+		f.chs = append(f.chs, ch)
+	}
 	f.mu.Unlock()
 	f.c.park(ch)
 	f.mu.Lock()
@@ -399,7 +447,7 @@ func (c *Clock) NewCond(l sync.Locker) *Cond { return &Cond{c: c, L: l} }
 // then relocks before returning. As with sync.Cond, callers must re-check
 // their predicate in a loop.
 func (cv *Cond) Wait() {
-	ch := make(chan struct{})
+	ch := parkChan()
 	cv.mu.Lock()
 	cv.chs = append(cv.chs, ch)
 	cv.mu.Unlock()
@@ -415,7 +463,7 @@ func (cv *Cond) Broadcast() {
 	if n := len(cv.chs); n > 0 {
 		cv.c.unpark(n)
 		for i, ch := range cv.chs {
-			close(ch)
+			wake(ch)
 			cv.chs[i] = nil
 		}
 		cv.chs = cv.chs[:0]
@@ -438,7 +486,7 @@ func (cv *Cond) Signal() {
 	cv.mu.Unlock()
 	if ch != nil {
 		cv.c.unpark(1)
-		close(ch)
+		wake(ch)
 	}
 }
 
@@ -469,7 +517,7 @@ func (w *WaitGroup) Add(delta int) {
 	w.mu.Unlock()
 	w.c.unpark(len(chs))
 	for _, ch := range chs {
-		close(ch)
+		wake(ch)
 	}
 }
 
@@ -483,7 +531,7 @@ func (w *WaitGroup) Wait() {
 		w.mu.Unlock()
 		return
 	}
-	ch := make(chan struct{})
+	ch := parkChan()
 	w.chs = append(w.chs, ch)
 	w.mu.Unlock()
 	w.c.park(ch)

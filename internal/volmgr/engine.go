@@ -54,8 +54,10 @@ const (
 	opRead
 )
 
-// request is one queued client IO. sectors is redundant with len(data)
-// but sits on every scheduling decision, so it is computed once.
+// request is one client IO. sectors is redundant with len(data) but sits
+// on every scheduling decision, so it is computed once. A submitted
+// request's fut points at its own done, so request and future are one
+// allocation.
 type request struct {
 	tn      *tenant
 	tid     string
@@ -66,15 +68,39 @@ type request struct {
 	sectors int64
 	submitT time.Duration
 	fut     *vclock.Future
+	done    vclock.Future
+
+	// Set at issue, for Notify: the request completes itself when it ran
+	// alone, so a single request needs no closure and no run slice.
+	e       *engine
+	arrayID string
+}
+
+// Notify completes a request that was issued as a run of one
+// (vclock.Notifier).
+func (r *request) Notify(err error) {
+	run := [1]*request{r}
+	r.e.completeRun(run[:], r.arrayID, err)
 }
 
 // engine is one volume's submission engine: per-tenant FIFO queues in
-// front, a single dispatcher goroutine in the middle, the volume's
-// extent map and arrays behind. The single dispatcher is what lets
+// front, a dispatcher goroutine in the middle, the volume's extent map
+// and arrays behind. An idle volume issues a request on the submitting
+// goroutine; anything that has to wait — behind a backlog, for the
+// in-flight window or for tokens — is queued, and the single dispatcher
+// decides its scheduling, coalescing and issue order. That is what lets
 // thousands of client goroutines share the ticket-ordered array write
-// path without per-client lock convoys: clients only append to their
-// queue; all scheduling, coalescing, and issue order is decided in one
-// place, which also keeps per-zone write ordering deterministic.
+// path without per-client lock convoys, and it keeps per-zone write
+// order deterministic: a submit is issued inline only when all four of
+//
+//   - no tenant has anything queued (queued == 0),
+//   - the dispatcher is not between dequeuing a batch and handing it to
+//     the arrays (!issuing),
+//   - the in-flight window has room, and
+//   - the tenant's token buckets admit it now,
+//
+// hold, so an inline request never overtakes one that was accepted
+// before it, and DRR has nothing to order.
 type engine struct {
 	v   *Volume
 	cfg EngineConfig
@@ -90,6 +116,7 @@ type engine struct {
 	turn     bool     // the flow at ring has an open (quantum-credited) turn
 	queued   int      // requests in tenant queues
 	inflight int      // requests issued to arrays, not yet completed
+	issuing  bool     // the dispatcher is issuing a dequeued batch
 	started  bool
 	closed   bool
 	done     bool
@@ -97,6 +124,8 @@ type engine struct {
 	dispatched *obs.Counter // requests issued to arrays
 	batches    *obs.Counter // scheduling rounds that issued at least one request
 	coalesced  *obs.Counter // requests merged into a preceding array command
+	inlined    *obs.Counter // requests issued on the submitting goroutine
+	wakes      *obs.Counter // times the dispatcher woke from its Cond
 }
 
 func newEngine(v *Volume, cfg EngineConfig) *engine {
@@ -114,6 +143,8 @@ func newEngine(v *Volume, cfg EngineConfig) *engine {
 	e.dispatched = v.reg.Counter(n("volmgr_dispatched_total"))
 	e.batches = v.reg.Counter(n("volmgr_batches_total"))
 	e.coalesced = v.reg.Counter(n("volmgr_coalesced_requests_total"))
+	e.inlined = v.reg.Counter(n("volmgr_inline_requests_total"))
+	e.wakes = v.reg.Counter(n("volmgr_dispatcher_wakes_total"))
 	v.reg.GaugeFunc(n("volmgr_queued"), func() int64 {
 		e.mu.Lock()
 		defer e.mu.Unlock()
@@ -125,8 +156,10 @@ func newEngine(v *Volume, cfg EngineConfig) *engine {
 		return int64(e.inflight)
 	})
 	v.reg.Help("volmgr_dispatched_total", "requests issued to the hosted arrays")
-	v.reg.Help("volmgr_batches_total", "scheduling rounds that issued at least one request")
+	v.reg.Help("volmgr_batches_total", "scheduling rounds that issued at least one request (an inline request is a round of one)")
 	v.reg.Help("volmgr_coalesced_requests_total", "requests merged into a preceding contiguous array write")
+	v.reg.Help("volmgr_inline_requests_total", "requests an idle volume issued on the submitting goroutine")
+	v.reg.Help("volmgr_dispatcher_wakes_total", "times the dispatcher was woken to look for queued work")
 	v.reg.Help("volmgr_queued", "requests waiting in tenant submission queues")
 	v.reg.Help("volmgr_inflight", "requests issued but not yet completed")
 	return e
@@ -186,9 +219,10 @@ func (e *engine) start() {
 	e.v.clk.Go(e.dispatcherLoop)
 }
 
-// submit validates, admits, and enqueues one request. Validation errors
-// and admission rejections surface synchronously; everything else is
-// reported through the returned future.
+// submit validates, admits, and issues or enqueues one request (see the
+// engine comment for when it is issued on the caller's goroutine).
+// Validation errors and admission rejections surface synchronously;
+// everything else is reported through the returned future.
 func (e *engine) submit(tid string, kind opKind, lba int64, data []byte, flags zns.Flag) (*vclock.Future, error) {
 	ss := int64(e.v.sectorSize)
 	if len(data) == 0 || int64(len(data))%ss != 0 {
@@ -226,10 +260,22 @@ func (e *engine) submit(tid string, kind opKind, lba int64, data []byte, flags z
 		flags:   flags,
 		sectors: sectors,
 		submitT: e.v.clk.Now(),
-		fut:     e.v.clk.NewFuture(),
+	}
+	e.v.clk.InitFuture(&r.done)
+	r.fut = &r.done
+	t.accepted.Inc()
+	if e.queued == 0 && !e.issuing && e.inflight < e.cfg.MaxInflight && t.tokenETA(r, r.submitT) == 0 {
+		t.takeTokens(r, r.submitT)
+		e.inflight++
+		e.batches.Inc()
+		e.dispatched.Inc()
+		e.inlined.Inc()
+		e.mu.Unlock()
+		t.queueDelay.Record(0)
+		e.issueOne(r)
+		return r.fut, nil
 	}
 	t.q = append(t.q, r)
-	t.accepted.Inc()
 	e.queued++
 	e.mu.Unlock()
 	e.work.Signal()
@@ -238,8 +284,8 @@ func (e *engine) submit(tid string, kind opKind, lba int64, data []byte, flags z
 
 // dispatcherLoop is the engine's single scheduling goroutine. Each
 // iteration either issues a batch, sleeps until the earliest token-
-// bucket refill admits someone, or parks until a submit or completion
-// changes the picture.
+// bucket refill admits someone, or parks until a queued submit or a
+// completion with work queued changes the picture.
 func (e *engine) dispatcherLoop() {
 	e.mu.Lock()
 	for {
@@ -249,9 +295,11 @@ func (e *engine) dispatcherLoop() {
 				e.inflight += len(batch)
 				e.batches.Inc()
 				e.dispatched.Add(int64(len(batch)))
+				e.issuing = true
 				e.mu.Unlock()
 				e.issue(batch)
 				e.mu.Lock()
+				e.issuing = false
 				continue
 			}
 			if wait > 0 {
@@ -271,6 +319,7 @@ func (e *engine) dispatcherLoop() {
 			return
 		}
 		e.work.Wait()
+		e.wakes.Inc()
 	}
 }
 
@@ -399,37 +448,51 @@ func (e *engine) issue(batch []*request) {
 }
 
 // issueRun submits one run (a single request, or coalesced contiguous
-// writes) and subscribes run completion onto the volume future — no
+// writes) and subscribes run completion onto the array future — no
 // waiter goroutine per run; the completion callback rides whichever
-// goroutine resolves the future (the ring's CQ walker in ring mode).
+// goroutine resolves the future (a device's timer callback, mostly).
 func (e *engine) issueRun(run []*request) {
+	if len(run) == 1 {
+		e.issueOne(run[0])
+		return
+	}
 	r0 := run[0]
 	ext, arrLBA, err := e.v.locate(r0.lba, r0.sectors) // revalidated at submit; cannot fail
 	if err != nil {
 		e.completeRun(run, "", err)
 		return
 	}
-	var fut *vclock.Future
-	switch {
-	case r0.kind == opRead:
-		fut = ext.arr.vol.SubmitRead(arrLBA, r0.data)
-	case len(run) == 1:
-		fut = ext.arr.vol.SubmitWrite(arrLBA, r0.data, r0.flags)
-	default:
-		total := 0
-		for _, r := range run {
-			total += len(r.data)
-		}
-		buf := make([]byte, 0, total)
-		for _, r := range run {
-			buf = append(buf, r.data...)
-		}
-		fut = ext.arr.vol.SubmitWrite(arrLBA, buf, r0.flags)
-		e.coalesced.Add(int64(len(run) - 1))
+	total := 0
+	for _, r := range run {
+		total += len(r.data)
 	}
+	buf := make([]byte, 0, total)
+	for _, r := range run {
+		buf = append(buf, r.data...)
+	}
+	fut := ext.arr.vol.SubmitWrite(arrLBA, buf, r0.flags)
+	e.coalesced.Add(int64(len(run) - 1))
 	fut.Subscribe(func(err error) {
 		e.completeRun(run, ext.arr.id, err)
 	})
+}
+
+// issueOne submits a run of one request, which completes itself (Notify).
+func (e *engine) issueOne(r *request) {
+	r.e = e
+	ext, arrLBA, err := e.v.locate(r.lba, r.sectors) // revalidated at submit; cannot fail
+	if err != nil {
+		r.Notify(err)
+		return
+	}
+	r.arrayID = ext.arr.id
+	var fut *vclock.Future
+	if r.kind == opRead {
+		fut = ext.arr.vol.SubmitRead(arrLBA, r.data)
+	} else {
+		fut = ext.arr.vol.SubmitWrite(arrLBA, r.data, r.flags)
+	}
+	fut.SubscribeNotifier(r)
 }
 
 // completeRun resolves a run's futures, feeds latency and per-array
@@ -468,8 +531,13 @@ func (e *engine) completeRun(run []*request, arrayID string, err error) {
 	}
 	e.inflight -= len(run)
 	idle := e.inflight == 0
+	// Only queued work (or a close) needs the dispatcher: an idle volume's
+	// completions leave it parked.
+	wake := e.queued > 0 || e.closed
 	e.mu.Unlock()
-	e.work.Signal()
+	if wake {
+		e.work.Signal()
+	}
 	if idle {
 		e.idle.Broadcast()
 	}

@@ -10,12 +10,14 @@
 //     cursor pointed at when the volume was created; each extent is one
 //     logical zone of its array). A volume inherits zoned semantics —
 //     per-zone sequential writes — so the mapping stays pure arithmetic.
-//   - Async request engine: per-volume bounded submission queues (one
-//     FIFO per tenant), a single dispatcher goroutine that dequeues in
-//     batches, coalesces physically contiguous writes into one array
-//     command, and issues against the arrays under a bounded in-flight
-//     window; completions resolve per-request futures on the virtual
-//     clock and feed per-tenant latency accounting.
+//   - Async request engine: an idle volume issues a request to its array
+//     on the submitting goroutine; otherwise it waits in a per-volume
+//     bounded submission queue (one FIFO per tenant) for a single
+//     dispatcher goroutine that dequeues in batches, coalesces physically
+//     contiguous writes into one array command, and issues against the
+//     arrays under a bounded in-flight window. Completions resolve
+//     per-request futures on the virtual clock and feed per-tenant
+//     latency accounting.
 //   - Per-tenant QoS: deficit-round-robin weighted fair scheduling at
 //     dequeue, token-bucket throughput/IOPS limits, and admission
 //     control that sheds load with a typed ErrThrottled once a tenant's
@@ -411,14 +413,22 @@ func (v *Volume) AddTenant(cfg TenantConfig) error {
 	return v.eng.addTenant(cfg)
 }
 
-// SubmitWrite queues a write of data at lba on behalf of tenant and
-// returns a future that resolves when the data is on the devices. A
+// SubmitWrite issues or queues a write of data at lba on behalf of tenant
+// and returns a future that resolves when the data is on the devices. A
 // full tenant queue sheds the request with a ThrottledError.
+//
+// On an idle volume the write is issued to the array on the caller's
+// goroutine, and the array may park there (metadata roll-over
+// back-pressure). Call it from a registered simulated goroutine that holds
+// no mutex — never from a Subscribe or timer callback.
 func (v *Volume) SubmitWrite(tenant string, lba int64, data []byte, flags zns.Flag) (*vclock.Future, error) {
 	return v.eng.submit(tenant, opWrite, lba, data, flags)
 }
 
-// SubmitRead queues a read into buf from lba on behalf of tenant.
+// SubmitRead issues or queues a read into buf from lba on behalf of
+// tenant. Like SubmitWrite it may run the array on the caller's goroutine,
+// under the same rule: a registered goroutine holding no mutex, never a
+// Subscribe or timer callback.
 func (v *Volume) SubmitRead(tenant string, lba int64, buf []byte) (*vclock.Future, error) {
 	return v.eng.submit(tenant, opRead, lba, buf, 0)
 }
