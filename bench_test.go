@@ -58,10 +58,6 @@ func BenchmarkFig13KVS(b *testing.B) { runExperiment(b, "fig13") }
 // BenchmarkFig14OLTP regenerates Figure 14 (sysbench OLTP).
 func BenchmarkFig14OLTP(b *testing.B) { runExperiment(b, "fig14") }
 
-// BenchmarkAblatePartialParity regenerates the §5.4 partial-parity
-// mechanism ablation (pp-log vs inline-meta vs ZRWA).
-func BenchmarkAblatePartialParity(b *testing.B) { runExperiment(b, "ablate-pp") }
-
 // BenchmarkAblateResetWAL regenerates the §5.2 reset-WAL cost ablation.
 func BenchmarkAblateResetWAL(b *testing.B) { runExperiment(b, "ablate-wal") }
 

@@ -8,7 +8,7 @@ import (
 )
 
 func TestRegistryComplete(t *testing.T) {
-	want := []string{"ablate-journal", "ablate-pp", "ablate-wal", "fig10", "fig11", "fig12", "fig13", "fig14", "fig7", "fig8", "fig9", "raw", "scrub", "serve", "table1", "waf"}
+	want := []string{"ablate-journal", "ablate-wal", "fig10", "fig11", "fig12", "fig13", "fig14", "fig7", "fig8", "fig9", "raw", "scrub", "serve", "table1", "waf"}
 	got := Experiments()
 	if len(got) != len(want) {
 		t.Fatalf("registry has %d experiments, want %d", len(got), len(want))

@@ -2,24 +2,28 @@
 // mechanism a RAIZN volume uses to make sub-stripe ("partial") parity
 // crash-safe before a write completes (paper §5.1). Two engines exist:
 //
-//   - logged: the paper's design. Partial parity is appended as log
-//     records to the dedicated parity metadata zone, in one of the three
-//     ParityMode variants (header block, inline per-block metadata, or
-//     in-place ZRWA prefix updates, §5.4). Implemented inside package
-//     raizn as an adapter over its metadata manager.
-//   - zraid: the log-structured design from ZRAID (Li et al.): partial
-//     parity is written into fixed-size slots inside a small pool of
-//     dedicated PP zones through the device's Zone Random Write Area,
-//     where later updates overwrite the slot in place. Slot bytes that
-//     are superseded while still inside the ZRWA window never program to
-//     NAND (pp_volatile); only bytes the window slides past become flash
+//   - logged: the paper's design and the default. Partial parity is
+//     appended as log records (one header sector + the image) to the
+//     dedicated parity metadata zone, needing no optional device
+//     feature. Implemented inside package raizn as an adapter over its
+//     metadata manager.
+//   - zraid: the log-structured design from ZRAID (Li et al.) for
+//     devices with a Zone Random Write Area (ZRWA), and the array's only
+//     user of one. Partial parity is written into fixed-size slots inside
+//     a small pool of dedicated PP zones through the ZRWA, where later
+//     updates overwrite the slot in place. Slot bytes that are superseded
+//     while still inside the ZRWA window never program to NAND
+//     (pp_volatile); only bytes the window slides past become flash
 //     writes (pp_permanent). A PP-zone garbage collector migrates live
 //     slots and resets exhausted zones. Implemented in this package
 //     (zraid.go).
 //
-// The volume talks to whichever engine Config.ParityEngine selected
-// through the Engine interface below; the write pipeline, recovery and
-// the write-amplification accounting are engine-agnostic.
+// Either way a stripe's parity unit is written once, at its final
+// location, when the stripe completes (or its zone is finished); no engine
+// updates it in place. The volume talks to whichever engine
+// Config.ParityEngine selected through the Engine interface below; the
+// write pipeline, recovery and the write-amplification accounting are
+// engine-agnostic.
 package ppengine
 
 import (
@@ -31,7 +35,7 @@ import (
 type Kind int
 
 const (
-	// Logged is the paper's partial-parity logging design (§5.1/§5.4).
+	// Logged is the paper's partial-parity logging design (§5.1).
 	Logged Kind = iota
 	// ZRAID is the log-structured PP-zone design with ZRWA slot reuse.
 	ZRAID
@@ -107,14 +111,6 @@ type Stats struct {
 type Engine interface {
 	// Kind identifies the implementation.
 	Kind() Kind
-
-	// InPlaceParityPrefix reports whether the engine maintains the
-	// partial stripe's parity prefix in place at its final parity
-	// location (the logged engine's PPZRWA variant). The write pipeline
-	// and recovery consult this instead of testing ParityMode: when
-	// true, no PP images are produced and the tail stripe's parity
-	// prefix is expected on media.
-	InPlaceParityPrefix() bool
 
 	// Persist makes the partial-parity image crash-safe and returns the
 	// completion future the triggering write must wait on (nil when the

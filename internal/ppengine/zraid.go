@@ -147,8 +147,7 @@ func NewZRAID(cfg ZRAIDConfig) (Engine, error) {
 	return e, nil
 }
 
-func (e *zraidEngine) Kind() Kind                { return ZRAID }
-func (e *zraidEngine) InPlaceParityPrefix() bool { return false }
+func (e *zraidEngine) Kind() Kind { return ZRAID }
 
 func (e *zraidEngine) Stats() Stats {
 	e.mu.Lock()

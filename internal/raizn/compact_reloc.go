@@ -103,11 +103,11 @@ func (v *Volume) compactZone(z int) error {
 					}
 				}
 			} else {
-				// Parity unit: full stripes carry su; the ZRWA mode
-				// (or a finished zone) carries the prefix.
+				// Parity unit: full stripes carry su; a finished zone
+				// carries the prefix.
 				if g == stripeSec {
 					piece = su
-				} else if v.cfg.ParityMode == PPZRWA || lz.state == zns.ZoneFull {
+				} else if lz.state == zns.ZoneFull {
 					piece = min(g, su)
 				}
 				if piece > 0 {

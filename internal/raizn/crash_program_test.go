@@ -152,22 +152,11 @@ func TestCrashRandomizedAlwaysReadablePrefix(t *testing.T) {
 	runCrashSeeds(t, defaultCrashEnv(), seeds)
 }
 
-// TestCrashQuickAllModes: the fixed list under every parity mode and on the
-// zraid engine.
+// TestCrashQuickAllModes: the fixed list on both parity engines.
 func TestCrashQuickAllModes(t *testing.T) {
 	for _, env := range fuaEnvs() {
 		env := env
-		seeds := crashSeeds
-		if env.name == "PPZRWA" {
-			// The other thirteen programs end a zone on a partial stripe whose
-			// in-place parity prefix is a full unit, and PPZRWA's mount then
-			// puts the write pointer at the stripe end (ROADMAP item 2, open
-			// at the parent too; the loop this test used to run ended every
-			// stripe 8 sectors in and never met it). They join the list when
-			// the mode is fixed or deleted.
-			seeds = []int64{3, 4, 5, 6, 7, 9, 10, 12, 13, 1900215778967351195}
-		}
-		t.Run(env.name, func(t *testing.T) { runCrashSeeds(t, env, seeds) })
+		t.Run(env.name, func(t *testing.T) { runCrashSeeds(t, env, crashSeeds) })
 	}
 }
 

@@ -9,39 +9,33 @@ import (
 	"raizn/internal/zns"
 )
 
-// loggedEngine adapts the paper's partial-parity logging (§5.1 and the
-// §5.4 ParityMode variants) to the ppengine.Engine interface. It is a
-// thin shim over the volume's metadata managers: Persist appends a
-// recPartialParity record to the parity metadata zone of the target
-// device, exactly as the pre-engine write path did. Stripe lifecycle
-// notifications are no-ops — logged records are reclaimed wholesale by
-// the metadata garbage collector, and recovery filters stale ones by
-// generation and stripe state.
+// loggedEngine adapts the paper's partial-parity logging (§5.1) to the
+// ppengine.Engine interface. It is a thin shim over the volume's metadata
+// managers: Persist appends a recPartialParity record to the parity
+// metadata zone of the target device. Stripe lifecycle notifications are
+// no-ops — logged records are reclaimed wholesale by the metadata garbage
+// collector, and recovery filters stale ones by generation and stripe
+// state.
 type loggedEngine struct {
 	v *Volume
 }
 
 func (le *loggedEngine) Kind() ppengine.Kind { return ppengine.Logged }
 
-func (le *loggedEngine) InPlaceParityPrefix() bool {
-	return le.v.cfg.ParityMode == PPZRWA
-}
-
 // Persist appends the image as a §5.1 log record. A failed parity
 // device persists nothing (the data units carry the write, §4.2), which
 // is success for the caller — there is nothing to fall back to.
 func (le *loggedEngine) Persist(a ppengine.Append) (*vclock.Future, int64, bool) {
-	fut, end := le.v.logPartialParity(a, le.v.cfg.ParityMode == PPInlineMeta)
+	fut, end := le.v.logPartialParity(a)
 	return fut, end, true
 }
 
 // logPartialParity appends the image in a's frame to the parity metadata
 // log of a.Dev: it encodes the record header into the frame's header
-// sector and appends the frame as it stands — or, with inMeta
-// (PPInlineMeta), the image alone with the 32 header bytes as per-block
-// metadata. It returns the append's completion and the device sector it
-// ends at; (nil, 0) when the device has failed.
-func (v *Volume) logPartialParity(a ppengine.Append, inMeta bool) (*vclock.Future, int64) {
+// sector and appends the frame as it stands. It returns the append's
+// completion and the device sector it ends at; (nil, 0) when the device
+// has failed.
+func (v *Volume) logPartialParity(a ppengine.Append) (*vclock.Future, int64) {
 	m := v.mdm(a.Dev)
 	if m == nil {
 		return nil, 0 // device failed: degraded
@@ -55,12 +49,8 @@ func (v *Volume) logPartialParity(a ppengine.Append, inMeta bool) (*vclock.Futur
 		payload:  a.Frame[ss:],
 	}
 	rec.encodeInto(a.Frame[:ss])
-	buf, meta := a.Frame, []byte(nil)
-	if inMeta {
-		buf, meta = rec.payload, a.Frame[:headerBytes]
-	}
 	child := a.Span.Child(obs.OpMDAppend, a.Dev, a.StartLBA, int64(len(rec.payload)))
-	fut, pba, err := m.appendEncoded(child, rec.typ, buf, meta, zns.Flag(a.Flags))
+	fut, pba, err := m.appendEncoded(child, rec.typ, a.Frame, zns.Flag(a.Flags))
 	if err != nil {
 		child.End(err)
 		if errors.Is(err, zns.ErrDeviceFailed) {
@@ -69,7 +59,7 @@ func (v *Volume) logPartialParity(a ppengine.Append, inMeta bool) (*vclock.Futur
 		}
 		return v.clk.Completed(err), 0
 	}
-	return fut, pba + rec.sectors(ss, inMeta)
+	return fut, pba + rec.sectors(ss)
 }
 
 func (le *loggedEngine) StripeClosed(zone int, stripe int64) {}

@@ -236,7 +236,7 @@ func TestReusedWriteBuffersLeaveRecordsIntact(t *testing.T) {
 // in place: header, inline and payload copied into a fresh, zeroed buffer.
 // Kept as the reference for what a log record's sectors must hold.
 func encodeRecordRef(r *record, sectorSize int) []byte {
-	buf := make([]byte, r.sectors(sectorSize, false)*int64(sectorSize))
+	buf := make([]byte, r.sectors(sectorSize)*int64(sectorSize))
 	binary.LittleEndian.PutUint32(buf[0:4], mdMagic)
 	binary.LittleEndian.PutUint16(buf[4:6], uint16(r.typ))
 	binary.LittleEndian.PutUint16(buf[6:8], uint16(len(r.inline)))

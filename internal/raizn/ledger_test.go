@@ -67,15 +67,8 @@ type fuaEnv struct {
 }
 
 func fuaEnvs() []fuaEnv {
-	mode := func(m ParityMode) Config {
-		cfg := DefaultConfig()
-		cfg.ParityMode = m
-		return cfg
-	}
 	return []fuaEnv{
-		{"PPLog", testDevConfig(), mode(PPLog)},
-		{"PPInlineMeta", extDevConfig(), mode(PPInlineMeta)},
-		{"PPZRWA", extDevConfig(), mode(PPZRWA)},
+		{"EngineLogged", testDevConfig(), DefaultConfig()},
 		{"EngineZRAID", zraidDevConfig(), zraidConfig()},
 	}
 }
@@ -104,15 +97,6 @@ func TestFUAStreamSurvivesPowerLoss(t *testing.T) {
 		for _, scenario := range []string{"healthy", "degraded", "burned-prefix"} {
 			env, scenario := env, scenario
 			t.Run(env.name+"/"+scenario, func(t *testing.T) {
-				if env.name == "PPZRWA" && scenario == "degraded" {
-					// Fails at the parent commit too: with a data unit on
-					// the failed device, an in-place parity prefix of one
-					// full unit is the same for "unit written" and "unit
-					// not written", so mount cannot place the write
-					// pointer. The logged modes carry the range in the
-					// partial-parity record.
-					t.Skip("PPZRWA cannot recover the write pointer of a partial stripe whose tail unit is on the failed device")
-				}
 				stream := []int{4, 12, 16, 32, 7, 57, 70, 3, 55}
 				c := vclock.New()
 				c.Run(func() {

@@ -308,15 +308,13 @@ func submitTimed(t *testing.T, c *vclock.Clock, v *Volume, lba int64, n int) {
 
 // TestRollOverAddsNoSimulatedTime: a write whose metadata append triggers
 // a roll-over returns from its submit phase at the virtual instant it
-// entered it — for the partial-parity log (header-sector and inline-meta
-// encodings) and for the general log (per-stripe checksum records).
+// entered it — for the partial-parity log and for the general log
+// (per-stripe checksum records).
 func TestRollOverAddsNoSimulatedTime(t *testing.T) {
-	parity := func(devCfg zns.Config, mode ParityMode) {
+	t.Run("parity", func(t *testing.T) {
 		c := vclock.New()
 		c.Run(func() {
-			cfg := DefaultConfig()
-			cfg.ParityMode = mode
-			r := newMDGCRig(t, c, devCfg, cfg)
+			r := newMDGCRig(t, c, testDevConfig(), DefaultConfig())
 			for round := 0; round < 6; round++ {
 				for z := 0; z < 3; z++ {
 					submitTimed(t, c, r.v, int64(z)*r.v.ZoneSectors()+r.acked[z], 8)
@@ -324,15 +322,13 @@ func TestRollOverAddsNoSimulatedTime(t *testing.T) {
 				}
 			}
 			if r.v.Stats().MetadataGCs == 0 {
-				t.Errorf("mode %d: the parity log never rolled over", mode)
+				t.Error("the parity log never rolled over")
 			}
 			if w := r.v.Stats().MetadataGCWaits; w != 0 {
-				t.Errorf("mode %d: %d appends waited for a swap zone", mode, w)
+				t.Errorf("%d appends waited for a swap zone", w)
 			}
 		})
-	}
-	t.Run("parity", func(t *testing.T) { parity(testDevConfig(), PPLog) })
-	t.Run("parity-inline-meta", func(t *testing.T) { parity(extDevConfig(), PPInlineMeta) })
+	})
 
 	t.Run("general", func(t *testing.T) {
 		runVol(t, func(c *vclock.Clock, v *Volume, devs []*zns.Device) {

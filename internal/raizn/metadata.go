@@ -114,20 +114,15 @@ func (r *record) payloadSectors(l *layout, sectorSize int) int64 {
 	}
 }
 
-// sectors returns how many sectors the record occupies on the device:
-// its payload sectors plus, unless the header rides in per-block metadata
-// (PPInlineMeta), the header sector.
-func (r *record) sectors(sectorSize int, headerInMeta bool) int64 {
-	n := int64((len(r.payload) + sectorSize - 1) / sectorSize)
-	if !headerInMeta {
-		n++
-	}
-	return n
+// sectors returns how many sectors the record occupies on the device: its
+// header sector plus its payload sectors.
+func (r *record) sectors(sectorSize int) int64 {
+	return 1 + int64((len(r.payload)+sectorSize-1)/sectorSize)
 }
 
 // encode serializes the record into freshly allocated whole sectors.
 func (r *record) encode(sectorSize int) []byte {
-	buf := make([]byte, r.sectors(sectorSize, false)*int64(sectorSize))
+	buf := make([]byte, r.sectors(sectorSize)*int64(sectorSize))
 	r.encodeInto(buf[:sectorSize])
 	copy(buf[sectorSize:], r.payload)
 	return buf
@@ -247,17 +242,16 @@ func (m *mdManager) append(r *record, flags zns.Flag) (*vclock.Future, int64, er
 // appendSpan is append with a tracing span; the device marks the span's
 // queue and media phases and ends it when the append completes.
 func (m *mdManager) appendSpan(sp *obs.Span, r *record, flags zns.Flag) (*vclock.Future, int64, error) {
-	return m.appendEncoded(sp, r.typ, r.encode(m.vol.sectorSize), nil, flags)
+	return m.appendEncoded(sp, r.typ, r.encode(m.vol.sectorSize), flags)
 }
 
-// appendEncoded appends an encoded record to the active zone of its kind.
-// A non-nil meta carries the record header in per-block metadata
-// (PPInlineMeta), so buf holds payload sectors only. This is the one place
-// the roll-over protocol meets the foreground: an append that does not fit
+// appendEncoded appends an encoded record (header sector + payload
+// sectors) to the active zone of its kind. This is the one place the
+// roll-over protocol meets the foreground: an append that does not fit
 // rolls the log over — which costs no simulated time — and retries in the
 // new zone; only when the previous roll-over's old zone is still being
 // reclaimed does it wait.
-func (m *mdManager) appendEncoded(sp *obs.Span, typ recType, buf, meta []byte, flags zns.Flag) (*vclock.Future, int64, error) {
+func (m *mdManager) appendEncoded(sp *obs.Span, typ recType, buf []byte, flags zns.Flag) (*vclock.Future, int64, error) {
 	v := m.vol
 	dev := v.devs[m.dev]
 	if dev == nil {
@@ -265,10 +259,6 @@ func (m *mdManager) appendEncoded(sp *obs.Span, typ recType, buf, meta []byte, f
 		return nil, -1, zns.ErrDeviceFailed
 	}
 	need := int64(len(buf) / v.sectorSize)
-	hdr := int64(1)
-	if meta != nil {
-		hdr = 0
-	}
 	kind := kindOf(typ)
 
 	var err error
@@ -281,18 +271,11 @@ func (m *mdManager) appendEncoded(sp *obs.Span, typ recType, buf, meta []byte, f
 		}
 		z := m.active[kind]
 		if mdZoneRoom(dev, z) >= need {
-			var pba int64
-			var fut *vclock.Future
-			if meta != nil {
-				pba, fut = dev.AppendMetaSpan(sp, z, buf, meta, flags)
-			} else {
-				pba, fut = dev.AppendSpan(sp, z, buf, flags)
-			}
-			if pba >= 0 {
+			if pba, fut := dev.AppendSpan(sp, z, buf, flags); pba >= 0 {
 				m.mu.Unlock()
 				v.led[m.dev].submitted(flags&zns.FUA != 0)
-				v.accountMDBytes(typ, hdr, need-hdr)
-				v.recordMDEvent(m.dev, z, typ, hdr, need-hdr)
+				v.accountMDBytes(typ, 1, need-1)
+				v.recordMDEvent(m.dev, z, typ, 1, need-1)
 				name := "raizn.md.append"
 				if typ.base() == recPartialParity {
 					name = "raizn.pp.write"
@@ -506,28 +489,6 @@ func scanMDZones(dev *zns.Device, lt *layout, sectorSize int) ([]record, error) 
 		wp := zd.WP
 		sector := make([]byte, sectorSize)
 		for pba := start; pba < wp; {
-			// Inline-meta records (PPInlineMeta, §5.4) carry their header
-			// in the per-block metadata of their first payload sector.
-			if dev.Config().MetaBytes >= headerBytes {
-				if mb, _ := dev.ReadBlockMeta(pba); mb != nil {
-					if r, ok := decodeHeader(mb); ok {
-						np := r.payloadSectors(lt, sectorSize)
-						if pba+np > wp {
-							break // torn record
-						}
-						if np > 0 {
-							r.payload = make([]byte, np*int64(sectorSize))
-							if err := dev.Read(pba, r.payload).Wait(); err != nil {
-								return nil, fmt.Errorf("raizn: metadata payload read: %w", err)
-							}
-						}
-						r.pba = pba
-						out = append(out, r)
-						pba += np
-						continue
-					}
-				}
-			}
 			if err := dev.Read(pba, sector).Wait(); err != nil {
 				return nil, fmt.Errorf("raizn: metadata scan zone %d: %w", z, err)
 			}

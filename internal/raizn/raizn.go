@@ -67,27 +67,16 @@ type Config struct {
 	// ArrayID identifies the array in superblocks; zero picks a value
 	// derived from the geometry.
 	ArrayID uint64
-	// ParityMode selects how sub-stripe parity is made crash-safe. The
-	// default (PPLog) is the paper's design; the alternatives implement
-	// the §5.4 optimizations for devices that support them. ParityMode
-	// only applies to the logged engine; EngineZRAID requires PPLog (the
-	// default) and persists partial parity its own way.
-	ParityMode ParityMode
 	// ParityEngine selects the parity-persistence engine (see
 	// internal/ppengine): EngineLogged (default) appends partial parity
-	// to the metadata zones in one of the ParityMode variants;
-	// EngineZRAID writes it log-structured into a dedicated pool of PP
-	// zones through the devices' ZRWA, where superseded images never
-	// program to flash.
+	// to the metadata zones as log records (§5.1); EngineZRAID writes it
+	// log-structured into a dedicated pool of PP zones through the
+	// devices' ZRWA, where superseded images never program to flash.
 	ParityEngine ParityEngine
 	// PPZones is the number of physical zones per device reserved for
 	// the zraid engine's partial-parity pool (minimum and default 2).
 	// Ignored by the logged engine.
 	PPZones int
-	// DisableResetWAL skips the zone-reset write-ahead log (§5.2). ONLY
-	// for the ablation benchmarks: without the WAL, a crash between the
-	// physical resets of a logical zone is unrecoverable ambiguity.
-	DisableResetWAL bool
 	// RelocationThreshold is the §5.2 "user-modifiable threshold": a
 	// logical zone holding at least this many relocated fragments is
 	// compacted at mount, rewriting the affected physical zones so all
@@ -116,32 +105,13 @@ type Config struct {
 	Journal *obs.Journal
 }
 
-// ParityMode selects the partial-parity crash-safety mechanism.
-type ParityMode int
-
-const (
-	// PPLog writes partial parity as log records (4 KiB header + parity
-	// payload) into the dedicated metadata zone — the paper's design
-	// (§5.1), requiring no optional device features.
-	PPLog ParityMode = iota
-	// PPInlineMeta stores the record header in per-block logical
-	// metadata (NVMe PI area) instead of a header block, shrinking every
-	// log by one sector (§5.4 "logical block metadata"). Requires
-	// devices with MetaBytes >= 32.
-	PPInlineMeta
-	// PPZRWA updates the parity unit in place at its final location
-	// through a Zone Random Write Area, eliminating parity logs entirely
-	// (§5.4 "ZRWA"). Requires devices with ZRWASectors >= the stripe
-	// unit size.
-	PPZRWA
-)
-
 // ParityEngine selects the parity-persistence engine implementation.
 type ParityEngine int
 
 const (
-	// EngineLogged is the paper's partial-parity logging (§5.1),
-	// including its §5.4 ParityMode variants.
+	// EngineLogged is the paper's partial-parity logging (§5.1): log
+	// records (4 KiB header + parity payload) in the dedicated metadata
+	// zone, requiring no optional device features.
 	EngineLogged ParityEngine = iota
 	// EngineZRAID is the ZRAID-style log-structured design: partial
 	// parity lives in fixed slots inside dedicated PP zones, overwritten
@@ -466,9 +436,6 @@ func newVolume(clk *vclock.Clock, devs []*zns.Device, cfg Config) (*Volume, erro
 		if ppZones < 2 {
 			return nil, errors.New("raizn: the zraid engine needs at least 2 PP zones per device")
 		}
-		if cfg.ParityMode != PPLog {
-			return nil, errors.New("raizn: the zraid engine replaces the parity log; ParityMode must be PPLog")
-		}
 		if dc.ZRWASectors < cfg.StripeUnitSectors+1 {
 			return nil, errors.New("raizn: the zraid engine requires a random write area of at least one PP slot (stripe unit + header)")
 		}
@@ -505,16 +472,6 @@ func newVolume(clk *vclock.Clock, devs []*zns.Device, cfg Config) (*Volume, erro
 	// metadata GC cannot make progress.
 	if dc.ZoneCap < int64(maxOpen+2)*(cfg.StripeUnitSectors+1) {
 		return nil, errors.New("raizn: zone capacity too small for metadata checkpoints; increase zone capacity or reduce MaxOpenZones")
-	}
-	switch cfg.ParityMode {
-	case PPInlineMeta:
-		if dc.MetaBytes < headerBytes {
-			return nil, errors.New("raizn: PPInlineMeta requires devices with at least 32 bytes of per-block metadata")
-		}
-	case PPZRWA:
-		if dc.ZRWASectors < cfg.StripeUnitSectors {
-			return nil, errors.New("raizn: PPZRWA requires a random write area of at least one stripe unit")
-		}
 	}
 	arrayID := cfg.ArrayID
 	if arrayID == 0 {

@@ -489,13 +489,9 @@ func (v *Volume) expectedPhysFill(z, i int, wp int64) int64 {
 		s := full
 		if u := v.lt.unitOfDev(z, s, i); u >= 0 {
 			fill += clampI64(tail-int64(u)*v.lt.su, 0, v.lt.su)
-		} else if v.eng.InPlaceParityPrefix() {
-			// In ZRWA mode the tail stripe's parity prefix IS on media.
-			fill += min(tail, v.lt.su)
 		}
-		// Otherwise the tail stripe's parity is not yet written (the
-		// partial parity lives in the metadata zone), so the parity
-		// device expects 0.
+		// The tail stripe's parity is not yet written (its partial parity
+		// lives with the parity engine), so the parity device expects 0.
 	}
 	return fill
 }
@@ -566,45 +562,6 @@ func (v *Volume) repairStripe(z int, s int64, present []int64, q int64, ppLogs [
 		}
 	}
 
-	// In ZRWA mode a partial stripe carries an in-place parity prefix on
-	// media; a single unit torn below that prefix can be repaired from
-	// it even though the stripe never completed (§5.4).
-	if v.eng.InPlaceParityPrefix() && q == v.lt.su {
-		// A unit is torn (rather than simply not yet written) when a
-		// LATER unit holds data: sequential writes fill units in order.
-		torn := -1
-		multi := false
-		for u := 0; u < v.lt.d; u++ {
-			if present[u] < 0 || present[u] == v.lt.su {
-				continue
-			}
-			laterData := false
-			for u2 := u + 1; u2 < v.lt.d; u2++ {
-				if present[u2] > 0 {
-					laterData = true
-				}
-			}
-			if !laterData {
-				continue // legitimate tail fill
-			}
-			if torn >= 0 {
-				multi = true
-			} else {
-				torn = u
-			}
-		}
-		if torn >= 0 && !multi {
-			fills := make([]int64, v.lt.d)
-			for u, p := range present {
-				fills[u] = p
-			}
-			fills[torn] = v.lt.su
-			if err := v.reconstructUnitRange(z, s, torn, present[torn], v.lt.su, fills); err == nil {
-				present[torn] = v.lt.su
-			}
-		}
-	}
-
 	// Partial stripe (or unrecoverable holes): compute the contiguous
 	// data prefix, extending across an unknown (failed) device's unit
 	// when later evidence (data in a later unit, or partial-parity logs)
@@ -615,10 +572,8 @@ func (v *Volume) repairStripe(z int, s int64, present []int64, q int64, ppLogs [
 	// partial-parity log coverage. Counting anything beyond it into the
 	// zone would leave unreadable sectors below the write pointer.
 	recon := q
-	if !v.eng.InPlaceParityPrefix() {
-		if _, ppcov := v.parityImageFromLogs(z, s, ppLogs); ppcov > recon {
-			recon = ppcov
-		}
+	if _, ppcov := v.parityImageFromLogs(z, s, ppLogs); ppcov > recon {
+		recon = ppcov
 	}
 	g = 0
 	for u := 0; u < v.lt.d; u++ {
@@ -658,10 +613,9 @@ func (v *Volume) repairStripe(z int, s int64, present []int64, q int64, ppLogs [
 			trunc = true
 		}
 	}
-	if q > 0 && g < v.lt.stripeSectors() && !finished && !v.eng.InPlaceParityPrefix() {
+	if q > 0 && g < v.lt.stripeSectors() && !finished {
 		// Parity persisted for an incomplete stripe: debris unless the
-		// zone was finished (FinishZone writes prefix parity) or the
-		// array updates parity prefixes in place (PPZRWA, §5.4).
+		// zone was finished (FinishZone writes prefix parity).
 		trunc = true
 	}
 	return g, false, trunc, nil
@@ -793,26 +747,9 @@ func (v *Volume) rebuildStripeBuffer(lz *logicalZone, s int64, fill int64, ppLog
 		return nil
 	}
 
-	// Reconstruct the missing unit: build the parity image (from the
-	// partial-parity logs, §5.1 — or straight from the in-place parity
-	// prefix in ZRWA mode), then XOR with the surviving units.
-	var img []byte
-	var covered int64
-	if v.eng.InPlaceParityPrefix() {
-		covered = v.parityPrefixLen(z, s)
-		img = make([]byte, v.lt.su*int64(v.sectorSize))
-		if covered > 0 {
-			var futs []subIO
-			if err := v.readParityPiece(nil, z, s, 0, covered, img[:covered*int64(v.sectorSize)], &futs); err != nil {
-				return err
-			}
-			if err := v.awaitReads(futs); err != nil {
-				return err
-			}
-		}
-	} else {
-		img, covered = v.parityImageFromLogs(z, s, ppLogs)
-	}
+	// Reconstruct the missing unit: build the parity image from the
+	// partial-parity logs (§5.1), then XOR with the surviving units.
+	img, covered := v.parityImageFromLogs(z, s, ppLogs)
 	u := missingUnit
 	need := fills[u]
 	if covered < need {

@@ -56,12 +56,8 @@ func (v *Volume) doResetZone(sp *obs.Span, lz *logicalZone) error {
 	v.mu.Lock()
 	v.pendingWALs[z] = gen
 	v.mu.Unlock()
-	walDevs := []int{v.lt.dataDev(z, 0, 0), v.lt.parityDev(z, 0)}
-	if v.cfg.DisableResetWAL {
-		walDevs = nil // ablation only: partial resets become ambiguous
-	}
 	var walFuts []subIO
-	for _, dev := range walDevs {
+	for _, dev := range []int{v.lt.dataDev(z, 0, 0), v.lt.parityDev(z, 0)} {
 		if v.md[dev] == nil {
 			continue // degraded: the surviving WAL copy suffices
 		}
@@ -238,11 +234,8 @@ func (v *Volume) FinishZone(z int) error {
 	if tail := lz.wp % stripeSec; tail != 0 {
 		s := lz.wp / stripeSec
 		if buf, ok := lz.active[s]; ok {
-			if !v.eng.InPlaceParityPrefix() {
-				// In ZRWA mode the parity prefix is already in place.
-				img := v.parityImageLocked(buf, []intraInterval{{0, min(buf.fill, v.lt.su)}})
-				v.issueDeviceWrite(nil, v.lt.parityDev(z, s), v.lt.parityPBA(z, s), img, 0, 0, true, z, s, &futs, &pending)
-			}
+			img := v.parityImageLocked(buf, []intraInterval{{0, min(buf.fill, v.lt.su)}})
+			v.issueDeviceWrite(nil, v.lt.parityDev(z, s), v.lt.parityPBA(z, s), img, 0, 0, true, z, s, &futs, &pending)
 			delete(lz.active, s)
 			buf.stripe = -1
 			buf.fill = 0

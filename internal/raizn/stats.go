@@ -12,8 +12,7 @@ import (
 type Stats struct {
 	LogicalWriteBytes int64 // host data accepted by SubmitWrite/Append
 	LogicalReadBytes  int64 // host data returned by SubmitRead
-	PartialParityLogs int64 // §5.1 log records written (PPLog/PPInlineMeta)
-	ZRWAParityWrites  int64 // §5.4 in-place parity updates (PPZRWA)
+	PartialParityLogs int64 // §5.1 log records written
 	FullParityWrites  int64 // full-stripe parity units written
 	Relocations       int64 // §5.2 relocated fragments created
 	ZoneResets        int64 // logical zone resets completed
@@ -45,7 +44,6 @@ type statsCounters struct {
 	logicalWriteBytes *obs.Counter
 	logicalReadBytes  *obs.Counter
 	partialParityLogs *obs.Counter
-	zrwaParityWrites  *obs.Counter
 	fullParityWrites  *obs.Counter
 	relocations       *obs.Counter
 	zoneResets        *obs.Counter
@@ -72,7 +70,7 @@ type statsCounters struct {
 	// summing them reproduces total device host writes and the WAReport
 	// can decompose the amplification by cause.
 	waDataBytes      *obs.Counter // user data at its arithmetic (or relocated) location
-	waParityBytes    *obs.Counter // full-stripe, ZRWA, and relocated parity images
+	waParityBytes    *obs.Counter // full-stripe and relocated parity images
 	waPPHeaderBytes  *obs.Counter // §5.1 partial-parity record header sectors
 	waPPPayloadBytes *obs.Counter // §5.1 partial-parity payload sectors
 	waMetadataBytes  *obs.Counter // superblock/gen/WAL/checksum/checkpoint records + reloc headers
@@ -90,7 +88,6 @@ func newStatsCounters(r *obs.Registry, label string) statsCounters {
 		logicalWriteBytes: r.Counter(n("raizn_logical_write_bytes")),
 		logicalReadBytes:  r.Counter(n("raizn_logical_read_bytes")),
 		partialParityLogs: r.Counter(n("raizn_partial_parity_logs_total")),
-		zrwaParityWrites:  r.Counter(n("raizn_zrwa_parity_writes_total")),
 		fullParityWrites:  r.Counter(n("raizn_full_parity_writes_total")),
 		relocations:       r.Counter(n("raizn_relocations_total")),
 		zoneResets:        r.Counter(n("raizn_zone_resets_total")),
@@ -149,7 +146,6 @@ func registerStatsHelp(r *obs.Registry) {
 	r.Help("raizn_logical_write_bytes", "host data bytes accepted by SubmitWrite/Append")
 	r.Help("raizn_logical_read_bytes", "host data bytes returned by SubmitRead")
 	r.Help("raizn_partial_parity_logs_total", "partial-parity log records written (paper section 5.1)")
-	r.Help("raizn_zrwa_parity_writes_total", "in-place ZRWA parity updates (paper section 5.4)")
 	r.Help("raizn_full_parity_writes_total", "full-stripe parity units written")
 	r.Help("raizn_relocations_total", "relocated write fragments created (paper section 5.2)")
 	r.Help("raizn_zone_resets_total", "logical zone resets completed")
@@ -172,7 +168,7 @@ func registerStatsHelp(r *obs.Registry) {
 
 func registerWAHelp(r *obs.Registry) {
 	r.Help("raizn_wa_data_bytes", "device bytes carrying user data (arithmetic location or relocated payload)")
-	r.Help("raizn_wa_parity_bytes", "device bytes carrying parity images (full-stripe, ZRWA prefix, relocated)")
+	r.Help("raizn_wa_parity_bytes", "device bytes carrying parity images (full-stripe, finish-sealed prefix, relocated)")
 	r.Help("raizn_wa_pp_header_bytes", "device bytes spent on partial-parity record headers (paper section 5.1)")
 	r.Help("raizn_wa_pp_payload_bytes", "device bytes carrying partial-parity payloads (paper section 5.1)")
 	r.Help("raizn_wa_metadata_bytes", "device bytes spent on metadata records: superblock, generations, reset WAL, checksums, checkpoints, relocation headers")
@@ -186,7 +182,6 @@ func (v *Volume) Stats() Stats {
 		LogicalWriteBytes: v.stats.logicalWriteBytes.Load(),
 		LogicalReadBytes:  v.stats.logicalReadBytes.Load(),
 		PartialParityLogs: v.stats.partialParityLogs.Load(),
-		ZRWAParityWrites:  v.stats.zrwaParityWrites.Load(),
 		FullParityWrites:  v.stats.fullParityWrites.Load(),
 		Relocations:       v.stats.relocations.Load(),
 		ZoneResets:        v.stats.zoneResets.Load(),

@@ -266,17 +266,15 @@ type plannedIO struct {
 	data     []byte // payload; parity entries are filled by the compute phase
 	isParity bool
 	s        int64 // zone-relative stripe
-	zrwa     bool  // in-place parity update through the ZRWA; never merged
 }
 
-// parityTask is one parity image the compute phase must produce.
+// parityTask is one completed stripe whose full parity image and CRC row
+// the compute phase must produce.
 type parityTask struct {
-	planIdx  int           // plan entry receiving the image
-	s        int64         // stripe
-	buf      *stripeBuffer // source buffer; nil when src holds the full stripe
-	src      []byte        // caller data covering the whole stripe (buf == nil)
-	fill     int64         // stripe data fill the image covers
-	complete bool          // stripe completed: also CRC the units, recycle buf
+	planIdx int           // plan entry receiving the image
+	s       int64         // stripe
+	buf     *stripeBuffer // source buffer, recycled at submit; nil when src holds the full stripe
+	src     []byte        // caller data covering the whole stripe (buf == nil)
 }
 
 // ppTask is one partial-parity log record the compute phase must build.
@@ -394,7 +392,6 @@ func (v *Volume) planWriteLocked(ws *writeState, lz *logicalZone, off int64, dat
 	ss := int64(v.sectorSize)
 	stripeSec := v.lt.stripeSectors()
 	z := lz.idx
-	ipp := v.eng.InPlaceParityPrefix()
 
 	for len(data) > 0 {
 		s := off / stripeSec
@@ -420,18 +417,12 @@ func (v *Volume) planWriteLocked(ws *writeState, lz *logicalZone, off int64, dat
 		v.planDataLocked(ws, z, s, inStripe, chunk)
 
 		pDev := v.lt.parityDev(z, s)
-		pPBA := v.lt.parityPBA(z, s)
 		switch {
 		case buf == nil || buf.fill == stripeSec:
 			// Stripe complete: one full parity unit plus the CRC row.
-			// (In ZRWA mode the unit goes in place through the random
-			// write area and is counted as such at submit.)
-			if !ipp {
-				v.stats.fullParityWrites.Add(1)
-			}
+			v.stats.fullParityWrites.Add(1)
 			ws.plan = append(ws.plan, plannedIO{
-				dev: pDev, pba: pPBA, isParity: true, s: s,
-				zrwa: ipp,
+				dev: pDev, pba: v.lt.parityPBA(z, s), isParity: true, s: s,
 			})
 			var src []byte
 			if buf == nil {
@@ -439,16 +430,6 @@ func (v *Volume) planWriteLocked(ws *writeState, lz *logicalZone, off int64, dat
 			}
 			ws.parity = append(ws.parity, parityTask{
 				planIdx: len(ws.plan) - 1, s: s, buf: buf, src: src,
-				fill: stripeSec, complete: true,
-			})
-		case ipp:
-			// Stripe still partial: update the parity prefix in place
-			// through the random write area (§5.4).
-			ws.plan = append(ws.plan, plannedIO{
-				dev: pDev, pba: pPBA, isParity: true, s: s, zrwa: true,
-			})
-			ws.parity = append(ws.parity, parityTask{
-				planIdx: len(ws.plan) - 1, s: s, buf: buf, fill: buf.fill,
 			})
 		default:
 			// Stripe still partial: log partial parity for the region
@@ -509,16 +490,8 @@ func (v *Volume) computeWrite(ws *writeState) {
 
 	for i := range ws.parity {
 		t := &ws.parity[i]
-		plen := su
-		if !t.complete && t.fill < su {
-			plen = t.fill
-		}
-		out := reuseBuf(&ws.images, i, int(plen*ss))
+		out := reuseBuf(&ws.images, i, int(suBytes))
 		ws.plan[t.planIdx].data = out
-		if !t.complete {
-			v.parityInto(t.buf.data, t.fill, 0, plen, out)
-			continue
-		}
 		// Completed stripe, one fused pass (parity.XORCRCInto): XOR the D
 		// units into the parity image and accumulate the D+1 CRCs of the
 		// checksum row while each block is cache-hot. A complete stripe
@@ -634,35 +607,22 @@ func (v *Volume) submitWriteLocked(ws *writeState, lz *logicalZone, ok bool) {
 			}
 			data := e.data
 			pba, lba := e.pba, e.lba
-			if !e.zrwa {
-				if !wpKnown {
-					devWP = d.Zone(int(pba / v.lt.physZoneSize)).WP
-					wpKnown = true
-				}
-				if pba < devWP {
-					// Burned prefix: relocate [pba, min(wp, pba+n)).
-					burn := min(devWP-pba, int64(len(data))/ss)
-					ws.pending = append(ws.pending,
-						v.relocationRecord(dev, data[:burn*ss], lba, e.isParity, z, e.s))
-					data = data[burn*ss:]
-					pba += burn
-					if len(data) == 0 {
-						continue
-					}
+			if !wpKnown {
+				devWP = d.Zone(int(pba / v.lt.physZoneSize)).WP
+				wpKnown = true
+			}
+			if pba < devWP {
+				// Burned prefix: relocate [pba, min(wp, pba+n)).
+				burn := min(devWP-pba, int64(len(data))/ss)
+				ws.pending = append(ws.pending,
+					v.relocationRecord(dev, data[:burn*ss], lba, e.isParity, z, e.s))
+				data = data[burn*ss:]
+				pba += burn
+				if len(data) == 0 {
+					continue
 				}
 			}
 			devEnd = max(devEnd, pba+int64(len(data))/ss)
-			if e.zrwa {
-				// In-place parity prefix updates are ordered but never
-				// merged; flush the pending run first so per-device
-				// submission order matches plan order.
-				segs = v.flushRun(ws, d, dev, runStart, segs)
-				v.stats.zrwaParityWrites.Add(1)
-				parityB += int64(len(data))
-				child := ws.sp.Child(obs.OpDevWrite, dev, pba, int64(len(data)))
-				ws.futs = append(ws.futs, subIO{dev: dev, fut: d.WriteZRWASpan(child, pba, data, ws.flags)})
-				continue
-			}
 			if e.isParity {
 				parityB += int64(len(data))
 			} else {
@@ -704,7 +664,7 @@ func (v *Volume) submitWriteLocked(ws *writeState, lz *logicalZone, ok bool) {
 	// while the stripe's media writes were still pending.
 	for i := range ws.parity {
 		t := &ws.parity[i]
-		if t.complete && t.buf != nil {
+		if t.buf != nil {
 			delete(lz.active, t.s)
 			t.buf.stripe = -1
 			t.buf.fill = 0
@@ -825,7 +785,7 @@ func (v *Volume) issuePendingMD(sp *obs.Span, pending []pendingMD, futs []subIO,
 			a.Flags = int(flags)
 			f, end, ok := v.eng.Persist(a)
 			if !ok {
-				f, end = v.logPartialParity(a, false)
+				f, end = v.logPartialParity(a)
 			}
 			if f != nil {
 				p.end = end
@@ -842,7 +802,7 @@ func (v *Volume) issuePendingMD(sp *obs.Span, pending []pendingMD, futs []subIO,
 		if buf == nil {
 			buf = p.rec.encode(v.sectorSize)
 		}
-		fut, pba, err := m.appendEncoded(child, p.rec.typ, buf, nil, flags)
+		fut, pba, err := m.appendEncoded(child, p.rec.typ, buf, flags)
 		if err != nil {
 			child.End(err)
 			if errors.Is(err, zns.ErrDeviceFailed) {
@@ -858,7 +818,7 @@ func (v *Volume) issuePendingMD(sp *obs.Span, pending []pendingMD, futs []subIO,
 				dev: p.dev, pba: pba + 1, data: p.rec.payload,
 			}, p.isParity, p.s)
 		}
-		p.end = pba + p.rec.sectors(v.sectorSize, false)
+		p.end = pba + p.rec.sectors(v.sectorSize)
 		futs = append(futs, subIO{dev: p.dev, fut: fut})
 	}
 	return futs

@@ -11,7 +11,7 @@ import (
 // Write-path differential tests: the coalesced three-phase write path
 // against the reference model of its workloads (checkSnapshotPattern) —
 // same bytes below every write pointer, racing writers, crash debris,
-// degraded mode and ZRWA parity included — plus the coalescing counters
+// degraded mode included — plus the coalescing counters
 // against the traced device commands.
 
 // devWriteSpanStats walks every retained root span and totals the
@@ -198,42 +198,6 @@ func TestWritePathDifferentialDegradedAndScrub(t *testing.T) {
 		checkSnapshotPattern(t, "degraded", v, snapshotVolume(t, v))
 		if v.Stats().DegradedReads == 0 {
 			t.Error("degraded snapshot took no reconstructed reads")
-		}
-	})
-}
-
-// TestWritePathDifferentialZRWA repeats the check on PPZRWA-mode devices,
-// where partial and complete stripes update parity in place through the
-// zone random-write area and must never be merged into a sequential run.
-func TestWritePathDifferentialZRWA(t *testing.T) {
-	c := vclock.New()
-	c.Run(func() {
-		devs := make([]*zns.Device, 5)
-		for j := range devs {
-			devs[j] = zns.NewDevice(c, extDevConfig())
-		}
-		cfg := DefaultConfig()
-		cfg.ParityMode = PPZRWA
-		tr := obs.NewTracer(c, obs.Config{})
-		tr.Enable()
-		cfg.Tracer = tr
-		v, err := Create(c, devs, cfg)
-		if err != nil {
-			t.Fatalf("Create: %v", err)
-		}
-		// No zone fills: a partial tail stripe's in-place parity prefix
-		// occupies the zone's last physical unit, and the simulated device
-		// then (correctly) refuses further ZRWA rewrites once the zone is
-		// at capacity.
-		runDiffWorkload(t, c, v, false, true)
-		_, spanMerged := devWriteSpanStats(tr.Snapshot())
-		checkSnapshotPattern(t, "zrwa", v, snapshotVolume(t, v))
-		st := v.Stats()
-		if spanMerged != st.CoalescedSubWrites {
-			t.Errorf("span segment surplus %d != CoalescedSubWrites %d", spanMerged, st.CoalescedSubWrites)
-		}
-		if st.ZRWAParityWrites == 0 {
-			t.Error("workload drove no in-place parity updates")
 		}
 	})
 }

@@ -63,16 +63,6 @@ func TestZRAIDValidation(t *testing.T) {
 		if _, err := Create(c, devs, zraidConfig()); err == nil {
 			t.Error("zraid on ZRWA-less devices should be rejected")
 		}
-		// ParityMode variants belong to the logged engine.
-		devs2 := make([]*zns.Device, 5)
-		for i := range devs2 {
-			devs2[i] = zns.NewDevice(c, zraidDevConfig())
-		}
-		cfg := zraidConfig()
-		cfg.ParityMode = PPInlineMeta
-		if _, err := Create(c, devs2, cfg); err == nil {
-			t.Error("zraid with ParityMode=PPInlineMeta should be rejected")
-		}
 	})
 }
 
@@ -383,39 +373,4 @@ func TestZRAIDDegradedMaintain(t *testing.T) {
 		mustWriteV(t, v, 160, 24, 0)
 		checkReadV(t, v, 0, 184)
 	})
-}
-
-// TestEngineParityModesDifferential runs the sequential crash workload
-// on the logged engine in every ParityMode, cuts power and checks the
-// recovered state against the workload's reference model.
-func TestEngineParityModesDifferential(t *testing.T) {
-	modes := []struct {
-		name string
-		mode ParityMode
-	}{
-		{"PPLog", PPLog},
-		{"PPInlineMeta", PPInlineMeta},
-		{"PPZRWA", PPZRWA},
-	}
-	for _, m := range modes {
-		m := m
-		t.Run(m.name, func(t *testing.T) {
-			runModeVol(t, m.mode, func(c *vclock.Clock, v *Volume, devs []*zns.Device) {
-				if v.ParityEngineKind() != ppengine.Logged {
-					t.Fatal("ParityMode runs must use the logged engine")
-				}
-				runSeqDiffWorkload(t, v)
-				for _, d := range devs {
-					d.PowerLoss(nil)
-				}
-				cfg := DefaultConfig()
-				cfg.ParityMode = m.mode
-				v2, err := Mount(c, devs, cfg)
-				if err != nil {
-					t.Fatalf("Mount after cut: %v", err)
-				}
-				checkSnapshotPattern(t, "mode-"+m.name, v2, snapshotVolume(t, v2))
-			})
-		})
-	}
 }

@@ -25,8 +25,6 @@ type EngineConfig struct {
 	// QuantumSectors is the deficit-round-robin quantum credited per
 	// unit of tenant weight each scheduling round. Default 64.
 	QuantumSectors int64
-	// NoCoalesce disables merging physically contiguous writes.
-	NoCoalesce bool
 	// SLO configures the volume's per-tenant SLO alarm.
 	SLO obs.SLOConfig
 }
@@ -430,7 +428,7 @@ func (e *engine) issue(batch []*request) {
 	for i := 0; i < len(batch); {
 		r := batch[i]
 		run := batch[i : i+1]
-		if r.kind == opWrite && !e.cfg.NoCoalesce {
+		if r.kind == opWrite {
 			end := r.lba + r.sectors
 			for j := i + 1; j < len(batch); j++ {
 				nx := batch[j]

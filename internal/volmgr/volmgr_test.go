@@ -412,7 +412,7 @@ func TestCoalesceRule(t *testing.T) {
 	clk.Run(func() {
 		m := newTestManager(t, clk, 1)
 		v, err := m.CreateVolume("vol", VolumeSpec{
-			Zones:   1,
+			Zones:   2,
 			Tenants: []TenantConfig{{ID: "t0"}, {ID: "t1"}},
 		})
 		if err != nil {
@@ -476,9 +476,10 @@ func TestCoalesceRule(t *testing.T) {
 			t.Error("data mismatch after coalesced writes")
 		}
 
-		e.cfg.NoCoalesce = true
+		// A same-tenant pair with a gap between them (the second at the
+		// start of the volume's next zone) stays two commands.
 		cmds = nil
-		batch = []*request{req("t0", opWrite, 30, 4, 0), req("t0", opWrite, 34, 4, 0)}
+		batch = []*request{req("t0", opWrite, 30, 4, 0), req("t0", opWrite, e.v.zoneSectors, 4, 0)}
 		e.mu.Lock()
 		e.inflight += len(batch)
 		e.mu.Unlock()
@@ -487,7 +488,7 @@ func TestCoalesceRule(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(cmds) != 2 || e.coalesced.Load() != 4 {
-			t.Errorf("NoCoalesce: %d array commands, coalesced = %d, want 2 and still 4", len(cmds), e.coalesced.Load())
+			t.Errorf("non-contiguous pair: %d array commands, coalesced = %d, want 2 and still 4", len(cmds), e.coalesced.Load())
 		}
 		if err := m.Close(); err != nil {
 			t.Fatalf("Close: %v", err)

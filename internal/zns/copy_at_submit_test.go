@@ -9,44 +9,38 @@ import (
 
 // TestPayloadCopiedAtSubmit states the rule the array's reused write
 // buffers rest on (raizn's parity images and partial-parity frames,
-// ppengine's stride buffer): every write entry point copies its payload —
-// and AppendMeta its metadata blob — into device memory before it returns.
+// ppengine's stride buffer): every write entry point copies its payload
+// into device memory before it returns.
 // Each case scribbles over its source the moment the call returns, before
 // the command has completed, and the device must still hold the original
 // bytes: read back, and again after a power cut that keeps every submitted
 // sector (PowerLossAt) and a remount of the zone.
 func TestPayloadCopiedAtSubmit(t *testing.T) {
 	cfg := extTestConfig()
-	scribble := func(bufs ...[]byte) {
-		for _, b := range bufs {
-			for i := range b {
-				b[i] = 0xEE
-			}
+	scribble := func(b []byte) {
+		for i := range b {
+			b[i] = 0xEE
 		}
 	}
 	cases := []struct {
 		name   string
-		submit func(d *Device, src, meta []byte) *vclock.Future
+		submit func(d *Device, src []byte) *vclock.Future
 	}{
-		{"WriteSpan", func(d *Device, src, _ []byte) *vclock.Future {
+		{"WriteSpan", func(d *Device, src []byte) *vclock.Future {
 			return d.WriteSpan(nil, 0, src, 0)
 		}},
-		{"WritevSpan", func(d *Device, src, _ []byte) *vclock.Future {
+		{"WritevSpan", func(d *Device, src []byte) *vclock.Future {
 			h := len(src) / 2
 			return d.WritevSpan(nil, 0, [][]byte{src[:h], src[h:]}, 0)
 		}},
-		{"AppendSpan", func(d *Device, src, _ []byte) *vclock.Future {
+		{"AppendSpan", func(d *Device, src []byte) *vclock.Future {
 			_, fut := d.AppendSpan(nil, 0, src, 0)
 			return fut
 		}},
-		{"AppendMetaSpan", func(d *Device, src, meta []byte) *vclock.Future {
-			_, fut := d.AppendMetaSpan(nil, 0, src, meta, 0)
-			return fut
-		}},
-		{"WriteZRWASpan", func(d *Device, src, _ []byte) *vclock.Future {
+		{"WriteZRWASpan", func(d *Device, src []byte) *vclock.Future {
 			return d.WriteZRWASpan(nil, 0, src, 0)
 		}},
-		{"SubmitBatch", func(d *Device, src, _ []byte) *vclock.Future {
+		{"SubmitBatch", func(d *Device, src []byte) *vclock.Future {
 			h := len(src) / 2
 			cmds := []Cmd{
 				{Op: CmdWrite, Sector: 0, Data: src[:h]},
@@ -60,11 +54,9 @@ func TestPayloadCopiedAtSubmit(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			run(t, cfg, func(c *vclock.Clock, d *Device) {
 				want := pattern(cfg, 4, 0x35)
-				wantMeta := []byte("header bytes in block metadata")
 				src := bytes.Clone(want)
-				meta := bytes.Clone(wantMeta)
-				fut := tc.submit(d, src, meta)
-				scribble(src, meta)
+				fut := tc.submit(d, src)
+				scribble(src)
 				if fut.Done() {
 					t.Fatal("command completed at submit; the scribble proves nothing")
 				}
@@ -72,12 +64,6 @@ func TestPayloadCopiedAtSubmit(t *testing.T) {
 					t.Helper()
 					if got := mustRead(t, d, 0, 4); !bytes.Equal(got, want) {
 						t.Errorf("%s: device holds the scribbled source, not the submitted bytes", when)
-					}
-					if tc.name != "AppendMetaSpan" {
-						return
-					}
-					if got, err := d.ReadBlockMeta(0); err != nil || !bytes.Equal(got, wantMeta) {
-						t.Errorf("%s: block metadata %q (%v), want the submitted blob", when, got, err)
 					}
 				}
 				check("before completion")

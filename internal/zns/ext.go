@@ -7,27 +7,17 @@ import (
 	"raizn/internal/vclock"
 )
 
-// This file implements two optional ZNS/NVMe features the paper's §5.4
-// discusses as future optimizations for RAIZN:
-//
-//   - Zone Random Write Area (ZRWA): a window of ZRWASectors behind the
-//     write pointer that may be overwritten in place, letting a host
-//     update recently written blocks (e.g. partial parity) without
-//     violating the sequential-write rule.
-//   - Per-block logical metadata (NVMe metadata / protection
-//     information): MetaBytes of out-of-band bytes per sector, written
-//     with the data and readable back, usable for self-describing log
-//     records without a separate header block.
-//
-// Both are disabled by default (ZRWASectors = 0, MetaBytes = 0), matching
-// the devices in the paper's testbed.
+// This file implements the optional Zone Random Write Area (ZRWA), which
+// the paper's §5.4 discusses as a future optimization for RAIZN: a window
+// of ZRWASectors behind the write pointer that may be overwritten in
+// place, letting a host update recently written blocks (e.g. partial
+// parity) without violating the sequential-write rule. It is disabled by
+// default (ZRWASectors = 0), matching the devices in the paper's testbed.
 
 // Extension errors.
 var (
-	ErrNoZRWA       = errors.New("zns: device has no ZRWA configured")
-	ErrOutsideZRWA  = errors.New("zns: overwrite outside the random write area")
-	ErrNoMeta       = errors.New("zns: device has no per-block metadata configured")
-	ErrMetaTooLarge = errors.New("zns: block metadata exceeds configured size")
+	ErrNoZRWA      = errors.New("zns: device has no ZRWA configured")
+	ErrOutsideZRWA = errors.New("zns: overwrite outside the random write area")
 )
 
 // WriteZRWA submits a write that may overwrite data within the zone's
@@ -123,67 +113,4 @@ func (d *Device) WriteZRWASpan(sp *obs.Span, sector int64, data []byte, flags Fl
 	d.schedule(sp, fut, epoch, pio)
 	fire(hf)
 	return fut
-}
-
-// AppendMeta is Append with a per-block metadata blob attached to the
-// first written sector (the record-header use case). meta must fit the
-// configured MetaBytes.
-func (d *Device) AppendMeta(z int, data, meta []byte, flags Flag) (int64, *vclock.Future) {
-	return d.AppendMetaSpan(nil, z, data, meta, flags)
-}
-
-// AppendMetaSpan is AppendMeta with a tracing span.
-func (d *Device) AppendMetaSpan(sp *obs.Span, z int, data, meta []byte, flags Flag) (int64, *vclock.Future) {
-	if d.cfg.MetaBytes <= 0 {
-		return -1, d.failSpan(sp, ErrNoMeta)
-	}
-	if len(meta) > d.cfg.MetaBytes {
-		return -1, d.failSpan(sp, ErrMetaTooLarge)
-	}
-	sector, fut := d.AppendSpan(sp, z, data, flags)
-	if sector < 0 {
-		return sector, fut
-	}
-	d.mu.Lock()
-	if d.meta == nil {
-		d.meta = make(map[int64][]byte)
-	}
-	d.meta[sector] = append([]byte(nil), meta...)
-	d.mu.Unlock()
-	return sector, fut
-}
-
-// ReadBlockMeta returns the metadata blob attached to the sector, or nil
-// if none was written. The lookup is served from the device's metadata
-// region without a data transfer (a simplification of DIF/DIX read
-// paths; the callers that scan logs read the data anyway).
-func (d *Device) ReadBlockMeta(sector int64) ([]byte, error) {
-	if d.cfg.MetaBytes <= 0 {
-		return nil, ErrNoMeta
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.failed {
-		return nil, ErrDeviceFailed
-	}
-	m := d.meta[sector]
-	if m == nil {
-		return nil, nil
-	}
-	return append([]byte(nil), m...), nil
-}
-
-// dropMetaLocked discards block metadata for a reset zone's range.
-// Caller holds d.mu.
-func (d *Device) dropMetaLocked(z int) {
-	if d.meta == nil {
-		return
-	}
-	start := d.ZoneStart(z)
-	end := start + d.cfg.ZoneSize
-	for s := range d.meta {
-		if s >= start && s < end {
-			delete(d.meta, s)
-		}
-	}
 }

@@ -131,7 +131,7 @@ func (d *Device) checkSpan(sector int64, nSectors int64) (z int, off int64, err 
 // Copy at submit: the payload is copied into zone memory — the modelled
 // DMA — before the call returns, so data is the caller's again at once,
 // whenever the command completes. The rule holds for every write entry
-// point (Writev, Append, AppendMeta and its metadata blob, WriteZRWA, the
+// point (Writev, Append, WriteZRWA, the
 // batched commands of PrepareBatch); callers reuse their buffers on the
 // strength of it (TestPayloadCopiedAtSubmit).
 func (d *Device) Write(sector int64, data []byte, flags Flag) *vclock.Future {
@@ -583,7 +583,6 @@ func (d *Device) resetApplyLocked(sp *obs.Span, z int) (pendingIO, int64, error)
 	// flash; the cumulative program counter never rolls back.
 	zo.prog = 0
 	zo.zrwa = false
-	d.dropMetaLocked(z)
 	d.dropFaultsLocked(z)
 	d.resetCount++
 	d.jrn.Record(obs.EvZoneReset, d.jslot, z,

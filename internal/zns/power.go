@@ -147,12 +147,6 @@ func (d *Device) CrashClone(clk *vclock.Clock, rng *rand.Rand, cuts map[int]int6
 			c.latentErrs[s] = v
 		}
 	}
-	if d.meta != nil {
-		c.meta = make(map[int64][]byte, len(d.meta))
-		for s, m := range d.meta {
-			c.meta[s] = append([]byte(nil), m...)
-		}
-	}
 	// The clone is unshared, so its zone mutators run without its lock.
 	for z := range c.zones {
 		cut := c.zones[z].pwp
@@ -195,13 +189,6 @@ func (d *Device) finishPowerCycleLocked() {
 		default:
 			zo.state = ZoneClosed
 			d.nActive++
-		}
-	}
-	// Per-block metadata shares the fate of its sector's data.
-	for s := range d.meta {
-		z := d.ZoneOf(s)
-		if s-d.ZoneStart(z) >= d.zones[z].wp {
-			delete(d.meta, s)
 		}
 	}
 	d.epoch++

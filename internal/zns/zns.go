@@ -130,10 +130,6 @@ type Config struct {
 	// paper's devices). See WriteZRWA.
 	ZRWASectors int64
 
-	// MetaBytes enables per-block logical metadata of this many bytes
-	// (NVMe metadata/PI; 0 = unsupported). See AppendMeta.
-	MetaBytes int
-
 	// DiscardData drops write payloads (reads return zeroes). Used by
 	// large benchmarks where only timing and zone metadata matter.
 	DiscardData bool
@@ -246,8 +242,6 @@ type Device struct {
 	readBusy  time.Duration // read pipe busy-until
 
 	slowFactor float64 // injected service-time multiplier (faults.go); <=1 means none
-
-	meta map[int64][]byte // per-sector logical metadata (ext.go)
 
 	// Fault injection (faults.go).
 	faultRNG         *rand.Rand     // seeded from cfg.FaultSeed, lazily built
