@@ -78,6 +78,12 @@ type Append struct {
 	// Span is the request's root tracing span (nil while tracing is
 	// disabled); engines attach their device sub-IOs as children.
 	Span *obs.Span
+
+	// Fut is the caller's future for the image's device write (nil: the
+	// device allocates one). Persist completes it when it returns ok with
+	// a non-nil future, and leaves it untouched otherwise, so that a
+	// fallback can use it.
+	Fut *vclock.Future
 }
 
 // Record is one partial-parity image recovered by Scan, in the same

@@ -304,7 +304,7 @@ func (e *zraidEngine) writeSlotLocked(d *zns.Device, dev int, dv *zrDev, sl *zrS
 	if a.Span != nil {
 		child = a.Span.Child(obs.OpDevWrite, dev, pba, int64(len(buf)))
 	}
-	fut := d.WriteZRWASpan(child, pba, buf, zns.Flag(a.Flags))
+	fut := d.WriteZRWASpan(child, a.Fut, pba, buf, zns.Flag(a.Flags))
 	payload := int64(len(buf)) - ss
 	e.cfg.Charge(ss, payload)
 	if e.cfg.Journal != nil && e.cfg.Journal.Enabled() {

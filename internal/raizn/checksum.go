@@ -244,17 +244,17 @@ func crcOf(b []byte) uint32 { return crc32.Checksum(b, crcTable) }
 func (v *Volume) readUnitImage(sp *obs.Span, z int, s int64, u int, need int64) ([]byte, error) {
 	ss := int64(v.sectorSize)
 	buf := make([]byte, need*ss)
-	var futs []subIO
+	var rs subReads
 	var err error
 	if u == v.lt.d {
-		err = v.readParityPiece(sp, z, s, 0, need, buf, &futs)
+		err = v.readParityPiece(sp, z, s, 0, need, buf, &rs)
 	} else {
-		err = v.readUnitPiece(sp, z, s, u, 0, need, buf, &futs)
+		err = v.readUnitPiece(sp, z, s, u, 0, need, buf, &rs)
 	}
 	if err != nil {
 		return nil, err
 	}
-	if err := v.awaitReads(futs); err != nil {
+	if err := v.awaitReads(rs.futs); err != nil {
 		return nil, err
 	}
 	return buf, nil

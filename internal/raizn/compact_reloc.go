@@ -94,11 +94,11 @@ func (v *Volume) compactZone(z int) error {
 			if u >= 0 {
 				piece = clampI64(g-int64(u)*su, 0, su)
 				if piece > 0 {
-					var futs []subIO
-					if err := v.readUnitPiece(nil, z, s, u, 0, piece, content[off*ss:(off+piece)*ss], &futs); err != nil {
+					var rs subReads
+					if err := v.readUnitPiece(nil, z, s, u, 0, piece, content[off*ss:(off+piece)*ss], &rs); err != nil {
 						return err
 					}
-					if err := v.awaitReads(futs); err != nil {
+					if err := v.awaitReads(rs.futs); err != nil {
 						return err
 					}
 				}
@@ -111,12 +111,12 @@ func (v *Volume) compactZone(z int) error {
 					piece = min(g, su)
 				}
 				if piece > 0 {
-					var futs []subIO
+					var rs subReads
 					buf := content[off*ss : (off+piece)*ss]
-					if err := v.readParityPiece(nil, z, s, 0, piece, buf, &futs); err != nil {
+					if err := v.readParityPiece(nil, z, s, 0, piece, buf, &rs); err != nil {
 						return err
 					}
-					if err := v.awaitReads(futs); err != nil {
+					if err := v.awaitReads(rs.futs); err != nil {
 						return err
 					}
 				}

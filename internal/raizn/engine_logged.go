@@ -50,7 +50,7 @@ func (v *Volume) logPartialParity(a ppengine.Append) (*vclock.Future, int64) {
 	}
 	rec.encodeInto(a.Frame[:ss])
 	child := a.Span.Child(obs.OpMDAppend, a.Dev, a.StartLBA, int64(len(rec.payload)))
-	fut, pba, err := m.appendEncoded(child, rec.typ, a.Frame, zns.Flag(a.Flags))
+	fut, pba, err := m.appendEncoded(child, a.Fut, rec.typ, a.Frame, zns.Flag(a.Flags))
 	if err != nil {
 		child.End(err)
 		if errors.Is(err, zns.ErrDeviceFailed) {

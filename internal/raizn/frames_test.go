@@ -92,7 +92,7 @@ func submitWith(t *testing.T, v *Volume, ws *writeState, lba int64, data []byte,
 	v.submitWriteLocked(ws, lz, true)
 	lz.unpublished++
 	lz.mu.Unlock()
-	ws.futs = v.issuePendingMD(nil, ws.pending, ws.futs, ws.flags)
+	ws.futs = v.issuePendingMD(nil, ws, ws.pending, ws.futs, ws.flags)
 	ws.futs, _ = v.publishWrite(nil, lz, ws.pending, ws.futs, flags, nil)
 	return append([]subIO(nil), ws.futs...)
 }

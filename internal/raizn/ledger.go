@@ -178,7 +178,7 @@ func (v *Volume) coverDev(sp *obs.Span, dev int, d *zns.Device, need uint64, all
 		return ld.flushFut, true
 	}
 	ld.flushSeq = ld.seq
-	ld.flushFut = d.FlushSpan(sp.Child(obs.OpDevFlush, dev, 0, 0))
+	ld.flushFut = d.FlushSpan(sp.Child(obs.OpDevFlush, dev, 0, 0), nil)
 	return ld.flushFut, false
 }
 

@@ -242,7 +242,7 @@ func (m *mdManager) append(r *record, flags zns.Flag) (*vclock.Future, int64, er
 // appendSpan is append with a tracing span; the device marks the span's
 // queue and media phases and ends it when the append completes.
 func (m *mdManager) appendSpan(sp *obs.Span, r *record, flags zns.Flag) (*vclock.Future, int64, error) {
-	return m.appendEncoded(sp, r.typ, r.encode(m.vol.sectorSize), flags)
+	return m.appendEncoded(sp, nil, r.typ, r.encode(m.vol.sectorSize), flags)
 }
 
 // appendEncoded appends an encoded record (header sector + payload
@@ -251,7 +251,10 @@ func (m *mdManager) appendSpan(sp *obs.Span, r *record, flags zns.Flag) (*vclock
 // rolls the log over — which costs no simulated time — and retries in the
 // new zone; only when the previous roll-over's old zone is still being
 // reclaimed does it wait.
-func (m *mdManager) appendEncoded(sp *obs.Span, typ recType, buf []byte, flags zns.Flag) (*vclock.Future, int64, error) {
+//
+// The append completes fut, the caller's (nil: the device allocates a
+// future), which is returned; an error return leaves fut incomplete.
+func (m *mdManager) appendEncoded(sp *obs.Span, fut *vclock.Future, typ recType, buf []byte, flags zns.Flag) (*vclock.Future, int64, error) {
 	v := m.vol
 	dev := v.devs[m.dev]
 	if dev == nil {
@@ -271,7 +274,8 @@ func (m *mdManager) appendEncoded(sp *obs.Span, typ recType, buf []byte, flags z
 		}
 		z := m.active[kind]
 		if mdZoneRoom(dev, z) >= need {
-			if pba, fut := dev.AppendSpan(sp, z, buf, flags); pba >= 0 {
+			pba, f := dev.AppendSpan(sp, fut, z, buf, flags)
+			if pba >= 0 {
 				m.mu.Unlock()
 				v.led[m.dev].submitted(flags&zns.FUA != 0)
 				v.accountMDBytes(typ, 1, need-1)
@@ -281,9 +285,13 @@ func (m *mdManager) appendEncoded(sp *obs.Span, typ recType, buf []byte, flags z
 					name = "raizn.pp.write"
 				}
 				v.fireHook(name, m.dev, z, pba)
-				return fut, pba, nil
+				return f, pba, nil
 			}
-			// Fall through to a roll-over on append failure.
+			// Fall through to a roll-over on append failure. The device
+			// completed fut with the failure; nobody has seen it yet.
+			if fut != nil {
+				fut.Rearm()
+			}
 		}
 		if m.reclaiming {
 			// Back-pressure: the swap pool is empty until the previous

@@ -287,6 +287,7 @@ type Volume struct {
 	wsPool    sync.Pool
 	flushPool sync.Pool
 	reconPool sync.Pool // *reconScratch
+	readPool  sync.Pool // *readJoin
 
 	reg    *obs.Registry
 	tracer *obs.Tracer

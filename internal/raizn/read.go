@@ -50,27 +50,64 @@ func (v *Volume) SubmitRead(lba int64, buf []byte) *vclock.Future {
 
 // readJoin completes a read — or, with sc set, one reconstructed piece —
 // once its sub-reads have (subJoin): in the completion callback of the last
-// one, unless one failed. A healthy read of up to four device pieces is
-// this one allocation: the result future, the sub-read list and the first
-// piece's repair context are all held inline.
+// one, unless one failed. Joins are pooled (readPool) and go back before the
+// result completes: a healthy read of up to four device pieces allocates
+// its result future alone.
 type readJoin struct {
-	v       *Volume
+	v *Volume
+	subReads
+	futBuf  [4]subIO // futs' backing until a fifth sub-read
 	sp      *obs.Span
-	futs    []subIO
-	futBuf  [4]subIO      // futs' backing until a fifth sub-read
 	repair  repairCtx     // the first piece's; later pieces allocate theirs
 	repairs int           // repair contexts handed out
 	dst     []byte        // reconstruction target and
 	sc      *reconScratch // survivors, for finishReconstruct
-	result  vclock.Future
+	result  *vclock.Future
 	join    subJoin
 }
 
 func (v *Volume) newReadJoin(sp *obs.Span) *readJoin {
-	r := &readJoin{v: v, sp: sp}
-	r.futs = r.futBuf[:0]
-	v.clk.InitFuture(&r.result)
+	r, _ := v.readPool.Get().(*readJoin)
+	if r == nil {
+		r = &readJoin{v: v}
+		r.futs = r.futBuf[:0]
+	}
+	r.sp, r.result = sp, v.clk.NewFuture()
 	return r
+}
+
+// putReadJoin returns a finished join to the pool. Every sub-read has
+// completed and been counted, so nothing can wait on its own futures any
+// more: they are re-armed for the next read.
+func (v *Volume) putReadJoin(r *readJoin) {
+	for i := range r.own[:r.nOwn] {
+		r.own[i].Rearm()
+	}
+	clear(r.futs)
+	r.futs, r.nOwn = r.futs[:0], 0
+	r.repair, r.repairs = repairCtx{}, 0
+	r.sp, r.dst, r.sc, r.result = nil, nil, nil, nil
+	v.readPool.Put(r)
+}
+
+// subReads collects a request's device sub-reads. The futures of the first
+// four are held inline, so that they cost no allocation; later ones let the
+// device allocate theirs.
+type subReads struct {
+	futs []subIO
+	own  [4]vclock.Future
+	nOwn int // own futures handed out
+}
+
+// read issues a read of d (the array's device dev) into out and adds it.
+func (rs *subReads) read(sp *obs.Span, dev int, d *zns.Device, pba int64, out []byte) {
+	var f *vclock.Future
+	if rs.nOwn < len(rs.own) {
+		f = &rs.own[rs.nOwn]
+		rs.nOwn++
+		d.Clock().InitFuture(f)
+	}
+	rs.futs = append(rs.futs, subIO{dev: dev, fut: d.ReadSpan(sp, f, pba, out)})
 }
 
 // newRepair returns a repair context for the next planned piece.
@@ -84,8 +121,9 @@ func (r *readJoin) newRepair() *repairCtx {
 
 // start waits for the planned sub-reads and returns the read's future.
 func (r *readJoin) start() *vclock.Future {
+	res := r.result // r may be back in the pool once wait returns
 	r.join.wait(r.v.clk, r.futs, r)
-	return &r.result
+	return res
 }
 
 func (r *readJoin) finish() {
@@ -95,8 +133,10 @@ func (r *readJoin) finish() {
 	} else {
 		err = r.v.awaitReads(r.futs) // none pending: parks only to repair
 	}
-	r.sp.End(err)
-	r.result.Complete(err)
+	v, sp, res := r.v, r.sp, r.result
+	v.putReadJoin(r)
+	sp.End(err)
+	res.Complete(err)
 }
 
 // awaitReads waits for read sub-IOs; a device death mid-read is returned
@@ -187,14 +227,13 @@ func (v *Volume) readZonePortion(sp *obs.Span, z int, pos int64, out []byte, r *
 func (v *Volume) readPiece(sp *obs.Span, z int, s int64, u int, a, b int64, dst []byte, zoneWP int64, r *readJoin) error {
 	dev := v.lt.dataDev(z, s, u)
 	if v.devForZone(dev, z) == nil {
-		fut := v.degradedReadPiece(sp, z, s, u, a, b, dst, zoneWP)
-		r.futs = append(r.futs, subIO{dev: dev, fut: fut})
+		r.futs = append(r.futs, subIO{dev: dev, fut: v.degradedReadPiece(sp, z, s, u, a, b, dst, zoneWP)})
 		return nil
 	}
 	// Tag the device sub-reads with reconstruction context so a latent
 	// sector error is transparently read-repaired in awaitReads.
 	pre := len(r.futs)
-	if err := v.readUnitPiece(sp, z, s, u, a, b, dst, &r.futs); err != nil {
+	if err := v.readUnitPiece(sp, z, s, u, a, b, dst, &r.subReads); err != nil {
 		return err
 	}
 	ctx := r.newRepair()
@@ -208,7 +247,7 @@ func (v *Volume) readPiece(sp *obs.Span, z int, s int64, u int, a, b int64, dst 
 // readUnitPiece reads from the unit's owning (live) device, overlaying
 // any relocated fragments that shadow parts of the range. Each device
 // sub-read becomes an OpDevRead child of sp.
-func (v *Volume) readUnitPiece(sp *obs.Span, z int, s int64, u int, a, b int64, dst []byte, futs *[]subIO) error {
+func (v *Volume) readUnitPiece(sp *obs.Span, z int, s int64, u int, a, b int64, dst []byte, rs *subReads) error {
 	ss := int64(v.sectorSize)
 	lbaA := v.lt.stripeStart(z, s) + int64(u)*v.lt.su + a
 	lbaB := lbaA + (b - a)
@@ -253,8 +292,7 @@ func (v *Volume) readUnitPiece(sp *obs.Span, z int, s int64, u int, a, b int64, 
 		intraLo := a + (g.lo - lbaA)
 		pba := int64(z)*v.lt.physZoneSize + s*v.lt.su + intraLo
 		out := dst[(g.lo-lbaA)*ss : (g.hi-lbaA)*ss]
-		child := sp.Child(obs.OpDevRead, dev, pba, int64(len(out)))
-		*futs = append(*futs, subIO{dev: dev, fut: d.ReadSpan(child, pba, out)})
+		rs.read(sp.Child(obs.OpDevRead, dev, pba, int64(len(out))), dev, d, pba, out)
 	}
 	return nil
 }
@@ -296,7 +334,7 @@ func (v *Volume) degradedReadPiece(sp *obs.Span, z int, s int64, u int, a, b int
 	}
 
 	r := v.newReadJoin(nil)
-	sc, err := v.submitReconstruct(sp, z, s, u, a, b, fills, dst, &r.futs)
+	sc, err := v.submitReconstruct(sp, z, s, u, a, b, fills, dst, &r.subReads)
 	if err != nil {
 		return v.clk.Completed(err)
 	}
@@ -334,8 +372,8 @@ func (v *Volume) scratchPiece(sc *reconScratch, n int64) []byte {
 // [a, b) of data unit u of stripe s, whose unit fill levels are fills: the
 // parity piece straight into dst, the written part of every other data
 // unit into pooled scratch. finishReconstruct completes the job.
-func (v *Volume) submitReconstruct(sp *obs.Span, z int, s int64, u int, a, b int64, fills []int64, dst []byte, futs *[]subIO) (*reconScratch, error) {
-	if err := v.readParityPiece(sp, z, s, a, b, dst, futs); err != nil {
+func (v *Volume) submitReconstruct(sp *obs.Span, z int, s int64, u int, a, b int64, fills []int64, dst []byte, rs *subReads) (*reconScratch, error) {
+	if err := v.readParityPiece(sp, z, s, a, b, dst, rs); err != nil {
 		return nil, err
 	}
 	sc := v.getReconScratch()
@@ -344,7 +382,7 @@ func (v *Volume) submitReconstruct(sp *obs.Span, z int, s int64, u int, a, b int
 		if u2 == u || hi <= a {
 			continue
 		}
-		if err := v.readUnitPiece(sp, z, s, u2, a, hi, v.scratchPiece(sc, hi-a), futs); err != nil {
+		if err := v.readUnitPiece(sp, z, s, u2, a, hi, v.scratchPiece(sc, hi-a), rs); err != nil {
 			return nil, err
 		}
 	}
@@ -370,7 +408,7 @@ func (v *Volume) finishReconstruct(dst []byte, sc *reconScratch, futs []subIO) e
 // (a burn-split relocates just the burned prefix; the remainder was written
 // in place), so the uncovered intra ranges are still read from the parity
 // device.
-func (v *Volume) readParityPiece(sp *obs.Span, z int, s int64, a, b int64, dst []byte, futs *[]subIO) error {
+func (v *Volume) readParityPiece(sp *obs.Span, z int, s int64, a, b int64, dst []byte, rs *subReads) error {
 	ss := int64(v.sectorSize)
 	type gap struct{ lo, hi int64 } // intra ranges not covered by reloc
 	gaps := []gap{{a, b}}
@@ -412,8 +450,7 @@ func (v *Volume) readParityPiece(sp *obs.Span, z int, s int64, a, b int64, dst [
 	for _, g := range gaps {
 		pba := v.lt.parityPBA(z, s) + g.lo
 		out := dst[(g.lo-a)*ss : (g.hi-a)*ss]
-		child := sp.Child(obs.OpDevRead, dev, pba, int64(len(out)))
-		*futs = append(*futs, subIO{dev: dev, fut: d.ReadSpan(child, pba, out)})
+		rs.read(sp.Child(obs.OpDevRead, dev, pba, int64(len(out))), dev, d, pba, out)
 	}
 	return nil
 }

@@ -255,12 +255,12 @@ func (v *Volume) reconstructUnitForRebuild(lz *logicalZone, s int64, u int, need
 	lz.mu.Unlock()
 
 	// Otherwise reconstruct from parity + surviving units.
-	var futs []subIO
-	sc, err := v.submitReconstruct(nil, z, s, u, 0, need, v.lt.unitFills(g), dst, &futs)
+	var rs subReads
+	sc, err := v.submitReconstruct(nil, z, s, u, 0, need, v.lt.unitFills(g), dst, &rs)
 	if err != nil {
 		return err
 	}
-	return v.finishReconstruct(dst, sc, futs)
+	return v.finishReconstruct(dst, sc, rs.futs)
 }
 
 // computeParityForRebuild recomputes the parity unit prefix [0, plen) of
@@ -276,19 +276,19 @@ func (v *Volume) computeParityForRebuild(lz *logicalZone, z int, s, g, plen int6
 	}
 	lz.mu.Unlock()
 	fills := v.lt.unitFills(g)
-	var futs []subIO
+	var rs subReads
 	sc := v.getReconScratch()
 	for u := 0; u < v.lt.d; u++ {
 		hi := min(fills[u], plen)
 		if hi <= 0 {
 			continue
 		}
-		if err := v.readUnitPiece(nil, z, s, u, 0, hi, v.scratchPiece(sc, hi), &futs); err != nil {
+		if err := v.readUnitPiece(nil, z, s, u, 0, hi, v.scratchPiece(sc, hi), &rs); err != nil {
 			return nil
 		}
 	}
 	img := make([]byte, plen*ss) // zeroes: the XOR identity
-	if v.finishReconstruct(img, sc, futs) != nil {
+	if v.finishReconstruct(img, sc, rs.futs) != nil {
 		return nil
 	}
 	return img

@@ -632,14 +632,14 @@ func (v *Volume) rewriteParity(z int, s int64, q int64) error {
 	ss := int64(v.sectorSize)
 	su := v.lt.su
 	units := make([][]byte, v.lt.d)
-	var futs []subIO
+	var rs subReads
 	for u := 0; u < v.lt.d; u++ {
 		units[u] = make([]byte, su*ss)
-		if err := v.readUnitPiece(nil, z, s, u, 0, su, units[u], &futs); err != nil {
+		if err := v.readUnitPiece(nil, z, s, u, 0, su, units[u], &rs); err != nil {
 			return err
 		}
 	}
-	if err := v.awaitReads(futs); err != nil {
+	if err := v.awaitReads(rs.futs); err != nil {
 		return err
 	}
 	p := parity.Encode(units...)
@@ -662,8 +662,8 @@ func (v *Volume) reconstructUnitTail(z int, s int64, u int, present []int64) err
 	a := present[u] // repair [a, su)
 	n := su - a
 	img := make([]byte, n*ss)
-	var futs []subIO
-	if err := v.readParityPiece(nil, z, s, a, su, img, &futs); err != nil {
+	var rs subReads
+	if err := v.readParityPiece(nil, z, s, a, su, img, &rs); err != nil {
 		return err
 	}
 	others := make([][]byte, 0, v.lt.d-1)
@@ -672,12 +672,12 @@ func (v *Volume) reconstructUnitTail(z int, s int64, u int, present []int64) err
 			continue
 		}
 		b := make([]byte, n*ss)
-		if err := v.readUnitPiece(nil, z, s, u2, a, su, b, &futs); err != nil {
+		if err := v.readUnitPiece(nil, z, s, u2, a, su, b, &rs); err != nil {
 			return err
 		}
 		others = append(others, b)
 	}
-	if err := v.awaitReads(futs); err != nil {
+	if err := v.awaitReads(rs.futs); err != nil {
 		return err
 	}
 	for _, o := range others {
@@ -725,7 +725,7 @@ func (v *Volume) rebuildStripeBuffer(lz *logicalZone, s int64, fill int64, ppLog
 	fills := v.lt.unitFills(fill)
 
 	missingUnit := -1
-	var futs []subIO
+	var rs subReads
 	for u := 0; u < v.lt.d; u++ {
 		if fills[u] == 0 {
 			continue
@@ -736,11 +736,11 @@ func (v *Volume) rebuildStripeBuffer(lz *logicalZone, s int64, fill int64, ppLog
 			continue
 		}
 		dst := buf.data[int64(u)*su*ss : int64(u)*su*ss+fills[u]*ss]
-		if err := v.readUnitPiece(nil, z, s, u, 0, fills[u], dst, &futs); err != nil {
+		if err := v.readUnitPiece(nil, z, s, u, 0, fills[u], dst, &rs); err != nil {
 			return err
 		}
 	}
-	if err := v.awaitReads(futs); err != nil {
+	if err := v.awaitReads(rs.futs); err != nil {
 		return err
 	}
 	if missingUnit < 0 {

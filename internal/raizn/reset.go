@@ -86,7 +86,7 @@ func (v *Volume) doResetZone(sp *obs.Span, lz *logicalZone) error {
 	for i := range v.devs {
 		if d := v.dev(i); d != nil {
 			child := sp.Child(obs.OpDevReset, i, d.ZoneStart(z), 0)
-			futs = append(futs, subIO{dev: i, fut: d.ResetZoneSpan(child, z)})
+			futs = append(futs, subIO{dev: i, fut: d.ResetZoneSpan(child, nil, z)})
 		}
 	}
 	if err := v.awaitSubIOs(futs); err != nil {
@@ -267,7 +267,7 @@ func (v *Volume) FinishZone(z int) error {
 	// What the finishes did not persist — relocated fragments and other
 	// metadata appends of the zone — is flushed like a durable write's
 	// dependencies, so the whole zone is durable when FinishZone returns.
-	futs = v.issuePendingMD(nil, pending, futs, 0)
+	futs = v.issuePendingMD(nil, nil, pending, futs, 0)
 	done := v.clk.NewFuture()
 	futs, prev := v.publishWrite(nil, lz, pending, futs, 0, done)
 	err := v.awaitSubIOs(futs)

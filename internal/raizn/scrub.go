@@ -359,5 +359,5 @@ func (v *Volume) relocateRepairedUnit(z int, s int64, u int, data []byte) error 
 		lba = v.lt.stripeStart(z, s) + int64(u)*v.lt.su
 	}
 	p := v.relocationRecord(dev, data, lba, isParity, z, s)
-	return v.awaitSubIOs(v.issuePendingMD(nil, []pendingMD{p}, nil, 0))
+	return v.awaitSubIOs(v.issuePendingMD(nil, nil, []pendingMD{p}, nil, 0))
 }

@@ -137,7 +137,7 @@ func (v *Volume) runWrite(sp *obs.Span, lz *logicalZone, off int64, data []byte,
 	lz.mu.Unlock()
 	v.fireHook("raizn.write.submit", obs.SrcLogical, ws.z, end)
 
-	ws.futs = v.issuePendingMD(sp, ws.pending, ws.futs, ws.flags)
+	ws.futs = v.issuePendingMD(sp, ws, ws.pending, ws.futs, ws.flags)
 
 	if planErr != nil {
 		// Nothing will wait for this write, so nothing may rely on its
@@ -157,10 +157,14 @@ func (v *Volume) runWrite(sp *obs.Span, lz *logicalZone, off int64, data []byte,
 
 	if planErr != nil {
 		// Sub-IOs already issued are left to complete on their own; the
-		// caller sees the plan error.
+		// caller sees the plan error. The state's next write re-arms its
+		// futures: all must be complete, whatever awaitSubIOs returned.
 		ws := ws
 		v.clk.Go(func() {
 			_ = v.awaitSubIOs(ws.futs)
+			for _, s := range ws.futs {
+				_ = s.fut.Wait()
+			}
 			v.putWriteState(ws)
 		})
 		sp.End(planErr)
@@ -312,6 +316,12 @@ type writeState struct {
 	// layout ppengine.Append wants) and encoded checksum-record sectors.
 	images, frames, csRecs [][]byte
 
+	// own holds the futures of the write's device commands and metadata
+	// appends (subFut), at fixed addresses from write to write: the write
+	// re-arms them instead of having each sub-IO allocate its completion.
+	own  []*vclock.Future
+	nOwn int // handed out to this write
+
 	// Completion (completeWrite).
 	lz           *logicalZone
 	durable      bool
@@ -331,6 +341,7 @@ func (v *Volume) getWriteState() *writeState {
 		ws.crcs = ws.crcs[:0]
 		ws.crcS = ws.crcS[:0]
 		ws.segs = ws.segs[:0]
+		ws.nOwn = 0
 		return ws
 	}
 	ws := &writeState{v: v}
@@ -363,6 +374,24 @@ func (v *Volume) putWriteState(ws *writeState) {
 	}
 	ws.sp, ws.lz, ws.prev, ws.result = nil, nil, nil, nil
 	v.wsPool.Put(ws)
+}
+
+// subFut returns the future for the write's next sub-IO: one of the
+// state's, re-armed if an earlier write (over, as the state was pooled)
+// completed it, or nil — the device allocates — when ws is nil.
+func (ws *writeState) subFut() *vclock.Future {
+	if ws == nil {
+		return nil
+	}
+	if ws.nOwn == len(ws.own) {
+		ws.own = append(ws.own, ws.v.clk.NewFuture())
+	}
+	f := ws.own[ws.nOwn]
+	ws.nOwn++
+	if f.Done() {
+		f.Rearm()
+	}
+	return f
 }
 
 // reuseBuf returns the i-th buffer of bufs sized to size bytes, reusing
@@ -699,7 +728,7 @@ func (v *Volume) flushRun(ws *writeState, d *zns.Device, dev int, start int64, s
 		return segs
 	case 1:
 		child := ws.sp.Child(obs.OpDevWrite, dev, start, int64(len(segs[0])))
-		ws.futs = append(ws.futs, subIO{dev: dev, fut: d.WriteSpan(child, start, segs[0], ws.flags)})
+		ws.futs = append(ws.futs, subIO{dev: dev, fut: d.WriteSpan(child, ws.subFut(), start, segs[0], ws.flags)})
 	default:
 		v.stats.coalescedSubWrites.Add(int64(len(segs) - 1))
 		var bytes int64
@@ -707,7 +736,7 @@ func (v *Volume) flushRun(ws *writeState, d *zns.Device, dev int, start int64, s
 			bytes += int64(len(s))
 		}
 		child := ws.sp.Child(obs.OpDevWrite, dev, start, bytes)
-		ws.futs = append(ws.futs, subIO{dev: dev, fut: d.WritevSpan(child, start, segs, ws.flags)})
+		ws.futs = append(ws.futs, subIO{dev: dev, fut: d.WritevSpan(child, ws.subFut(), start, segs, ws.flags)})
 	}
 	return segs[:0]
 }
@@ -763,13 +792,13 @@ type pendingMD struct {
 }
 
 // issuePendingMD performs the deferred metadata appends, appending their
-// completion futures to futs and recording in each entry the device sector
-// its append ended at, for the ledger. flags is the FUA bit of the
-// triggering write:
+// completion futures — own's (nil: allocated per append) — to futs and
+// recording in each entry the device sector its append ended at, for the
+// ledger. flags is the FUA bit of the triggering write:
 // a FUA write's appends (partial parity, checksums, relocated data) are
 // FUA like its data. The device table is loaded once for the whole batch.
 // Each append gets an OpMDAppend child of sp.
-func (v *Volume) issuePendingMD(sp *obs.Span, pending []pendingMD, futs []subIO, flags zns.Flag) []subIO {
+func (v *Volume) issuePendingMD(sp *obs.Span, own *writeState, pending []pendingMD, futs []subIO, flags zns.Flag) []subIO {
 	if len(pending) == 0 {
 		return futs
 	}
@@ -783,6 +812,7 @@ func (v *Volume) issuePendingMD(sp *obs.Span, pending []pendingMD, futs []subIO,
 			a := p.pp
 			a.Span = sp
 			a.Flags = int(flags)
+			a.Fut = own.subFut()
 			f, end, ok := v.eng.Persist(a)
 			if !ok {
 				f, end = v.logPartialParity(a)
@@ -802,7 +832,7 @@ func (v *Volume) issuePendingMD(sp *obs.Span, pending []pendingMD, futs []subIO,
 		if buf == nil {
 			buf = p.rec.encode(v.sectorSize)
 		}
-		fut, pba, err := m.appendEncoded(child, p.rec.typ, buf, flags)
+		fut, pba, err := m.appendEncoded(child, own.subFut(), p.rec.typ, buf, flags)
 		if err != nil {
 			child.End(err)
 			if errors.Is(err, zns.ErrDeviceFailed) {
@@ -933,7 +963,7 @@ func (v *Volume) issueDeviceWrite(sp *obs.Span, dev int, pba int64, data []byte,
 		v.stats.waDataBytes.Add(int64(len(data)))
 	}
 	child := sp.Child(obs.OpDevWrite, dev, pba, int64(len(data)))
-	fut := d.WriteSpan(child, pba, data, flags)
+	fut := d.WriteSpan(child, nil, pba, data, flags)
 	v.noteSubIO(v.zones[z], dev, pba+int64(len(data))/ss, flags&zns.FUA != 0)
 	*futs = append(*futs, subIO{dev: dev, fut: fut})
 }

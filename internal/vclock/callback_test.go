@@ -211,10 +211,18 @@ func TestCallbackPanicPropagates(t *testing.T) {
 	t.Error("Run returned normally")
 }
 
+// countNotifier counts its notifications; a pointer to one is a Notifier
+// the caller keeps, as a device keeps its command records.
+type countNotifier struct{ n int }
+
+func (cn *countNotifier) Notify(error) { cn.n++ }
+
 // TestTimerCost: a steady-state timer is its caller's closure and nothing
 // else — the event lives by value in the clock's heap — and starts no
 // goroutine. CompleteAfter, the common form, is measured with its future:
-// two allocations.
+// two allocations. AfterNotify with a Notifier the caller keeps costs none.
+// (The 0.05 slack is the Sleep's park channel, which the race detector's
+// sync.Pool drops now and then.)
 func TestTimerCost(t *testing.T) {
 	c := New()
 	c.Run(func() {
@@ -228,6 +236,21 @@ func TestTimerCost(t *testing.T) {
 		fire() // grow the heap once
 		if got := testing.AllocsPerRun(20, fire) / batch; got > 2.05 {
 			t.Errorf("%.2f allocs per CompleteAfter timer (future + closure), want <= 2", got)
+		}
+
+		var cn countNotifier
+		notify := func() {
+			for i := 0; i < batch; i++ {
+				c.AfterNotify(time.Duration(i%7)*time.Microsecond, &cn)
+			}
+			c.Sleep(time.Millisecond)
+		}
+		notify()
+		if got := testing.AllocsPerRun(20, notify) / batch; got > 0.05 {
+			t.Errorf("%.2f allocs per AfterNotify timer, want 0", got)
+		}
+		if want := 22 * batch; cn.n != want { // one warm-up, then AllocsPerRun's own and its 20
+			t.Errorf("%d of %d AfterNotify timers fired", cn.n, want)
 		}
 
 		before := runtime.NumGoroutine()
@@ -245,6 +268,48 @@ func TestTimerCost(t *testing.T) {
 		}
 		if after := runtime.NumGoroutine(); after != before {
 			t.Errorf("%d goroutines after 10000 timers, %d before", after, before)
+		}
+	})
+}
+
+// TestRearmContract: Rearm refuses a future that is still incomplete, and
+// a re-armed future is incomplete again, completes again with its new
+// outcome, and wakes a waiter and a subscriber that came after the re-arm.
+func TestRearmContract(t *testing.T) {
+	c := New()
+	c.Run(func() {
+		f := c.NewFuture()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("Rearm of an incomplete future did not panic")
+				}
+			}()
+			f.Rearm()
+		}()
+
+		f.CompleteAfter(time.Microsecond, errTimer)
+		if err := f.Wait(); !errors.Is(err, errTimer) {
+			t.Fatalf("first completion: %v", err)
+		}
+		f.Rearm()
+		if f.Done() {
+			t.Fatal("a re-armed future reports done")
+		}
+
+		var notified []error
+		f.Subscribe(func(err error) { notified = append(notified, err) })
+		woke := c.NewFuture()
+		c.Go(func() { woke.Complete(f.Wait()) })
+		f.CompleteAfter(time.Millisecond, nil)
+		if err := woke.Wait(); err != nil {
+			t.Errorf("waiter after the re-arm woke with %v, want the second outcome (nil)", err)
+		}
+		if len(notified) != 1 || notified[0] != nil {
+			t.Errorf("subscriber after the re-arm notified %v, want once with nil", notified)
+		}
+		if err := f.Err(); err != nil {
+			t.Errorf("second completion carries %v, want nil", err)
 		}
 	})
 }

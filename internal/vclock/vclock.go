@@ -12,8 +12,10 @@
 //
 //   - Simulated goroutines, started via Clock.Run or Clock.Go. Only they
 //     may call the blocking primitives.
-//   - Timer callbacks, scheduled by Clock.AfterFunc (and
-//     Future.CompleteAfter). A callback has no goroutine of its own: the
+//   - Timer callbacks, scheduled by Clock.AfterNotify (a Notifier, which
+//     the clock calls with a nil error), Clock.AfterFunc (a func, the same
+//     event wrapped) and Future.CompleteAfter. A callback has no goroutine
+//     of its own: the
 //     registered goroutine whose blocking call advances the clock to the
 //     callback's instant runs it inline, from inside that call, and counts
 //     as running while it does. Events due at one instant — sleepers and
@@ -35,6 +37,9 @@
 //     monitor pattern).
 //   - Cross-goroutine signalling must use Future, Cond or WaitGroup, never
 //     bare channels, or the scheduler's idle detection deadlocks.
+//   - A Future completes once. Its owner may Rearm a completed future for
+//     another operation only once nothing can still Wait on it or Subscribe
+//     to it: every waiter has returned and every subscriber has been run.
 //
 // If every registered goroutine is parked and no timer is pending, the
 // simulation can never progress; the Clock panics with a diagnostic rather
@@ -65,12 +70,12 @@ type Clock struct {
 	dead    bool         // set after a deadlock panic to stop re-dispatching
 }
 
-// event is one pending timer: a sleeping goroutine (ch) or a callback (fn).
+// event is one pending timer: a sleeping goroutine (ch) or a callback (n).
 type event struct {
 	at  time.Duration
 	seq uint64
 	ch  chan struct{} // park channel of the sleeping goroutine (wake)
-	fn  func()        // run inline by the dispatching goroutine
+	n   Notifier      // notified inline by the dispatching goroutine
 }
 
 func (e *event) before(o *event) bool {
@@ -79,11 +84,11 @@ func (e *event) before(o *event) bool {
 
 // pushLocked queues an event d from now (non-positive: at this instant,
 // behind those already queued for it). Caller holds c.mu.
-func (c *Clock) pushLocked(d time.Duration, ch chan struct{}, fn func()) {
+func (c *Clock) pushLocked(d time.Duration, ch chan struct{}, n Notifier) {
 	if d < 0 {
 		d = 0
 	}
-	h := append(c.events, event{at: time.Duration(c.now.Load()) + d, seq: c.seq, ch: ch, fn: fn})
+	h := append(c.events, event{at: time.Duration(c.now.Load()) + d, seq: c.seq, ch: ch, n: n})
 	c.seq++
 	for i := len(h) - 1; i > 0; {
 		p := (i - 1) / 2
@@ -152,14 +157,25 @@ func (c *Clock) Go(fn func()) {
 	}()
 }
 
-// AfterFunc schedules fn to run after d of virtual time. fn gets no
-// goroutine: the registered goroutine that advances the clock to that
-// instant calls it (see the package comment), so fn must not block in a
-// vclock primitive. It may be called from simulated or non-simulated code,
-// and never runs fn on the caller's stack.
-func (c *Clock) AfterFunc(d time.Duration, fn func()) {
+// AfterFunc schedules fn to run after d of virtual time; it is AfterNotify
+// with fn as the Notifier.
+func (c *Clock) AfterFunc(d time.Duration, fn func()) { c.AfterNotify(d, timerFunc(fn)) }
+
+// timerFunc adapts an AfterFunc callback. Like funcNotifier, the
+// conversion to Notifier does not allocate.
+type timerFunc func()
+
+func (fn timerFunc) Notify(error) { fn() }
+
+// AfterNotify schedules n.Notify(nil) to run after d of virtual time, with
+// no goroutine and, for a Notifier the caller keeps, no allocation: the
+// registered goroutine that advances the clock to that instant calls it
+// (see the package comment), so it must not block in a vclock primitive.
+// It may be called from simulated or non-simulated code, and never runs n
+// on the caller's stack.
+func (c *Clock) AfterNotify(d time.Duration, n Notifier) {
 	c.mu.Lock()
-	c.pushLocked(d, nil, fn)
+	c.pushLocked(d, nil, n)
 	if c.running == 0 {
 		// Idle clock, unregistered caller: nobody is left to reach
 		// dispatch, so register a goroutine that does nothing but exit.
@@ -251,12 +267,12 @@ func (c *Clock) dispatchLocked() {
 			c.now.Store(int64(ev.at))
 		}
 		c.running++
-		if ev.fn == nil {
+		if ev.n == nil {
 			wake(ev.ch)
 			continue
 		}
 		c.mu.Unlock()
-		ev.fn()
+		ev.n.Notify(nil)
 		c.mu.Lock()
 		c.running--
 	}
@@ -295,6 +311,19 @@ func (c *Clock) NewFuture() *Future { return &Future{c: c} }
 // so that the future costs no allocation of its own — to the clock. It is
 // then an incomplete future like one from NewFuture.
 func (c *Clock) InitFuture(f *Future) { f.c = c }
+
+// Rearm returns a completed future to the incomplete state for its owner's
+// next operation; it panics unless the future is complete. The package
+// comment says when it may be called: a waiter not yet returned would read
+// the next operation's outcome.
+func (f *Future) Rearm() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if !f.done {
+		panic("vclock: Rearm of incomplete Future")
+	}
+	f.done, f.err = false, nil
+}
 
 // NewFutureSlab returns n incomplete Futures allocated in one block,
 // amortizing allocation across a batch of commands (use &slab[i]).

@@ -27,18 +27,18 @@ func TestPayloadCopiedAtSubmit(t *testing.T) {
 		submit func(d *Device, src []byte) *vclock.Future
 	}{
 		{"WriteSpan", func(d *Device, src []byte) *vclock.Future {
-			return d.WriteSpan(nil, 0, src, 0)
+			return d.WriteSpan(nil, nil, 0, src, 0)
 		}},
 		{"WritevSpan", func(d *Device, src []byte) *vclock.Future {
 			h := len(src) / 2
-			return d.WritevSpan(nil, 0, [][]byte{src[:h], src[h:]}, 0)
+			return d.WritevSpan(nil, nil, 0, [][]byte{src[:h], src[h:]}, 0)
 		}},
 		{"AppendSpan", func(d *Device, src []byte) *vclock.Future {
-			_, fut := d.AppendSpan(nil, 0, src, 0)
+			_, fut := d.AppendSpan(nil, nil, 0, src, 0)
 			return fut
 		}},
 		{"WriteZRWASpan", func(d *Device, src []byte) *vclock.Future {
-			return d.WriteZRWASpan(nil, 0, src, 0)
+			return d.WriteZRWASpan(nil, nil, 0, src, 0)
 		}},
 		{"SubmitBatch", func(d *Device, src []byte) *vclock.Future {
 			h := len(src) / 2

@@ -28,37 +28,38 @@ var (
 // overwrite that is lost to power failure reverts to nothing (the zone
 // prefix cut), not to the previous version of the block.
 func (d *Device) WriteZRWA(sector int64, data []byte, flags Flag) *vclock.Future {
-	return d.WriteZRWASpan(nil, sector, data, flags)
+	return d.WriteZRWASpan(nil, nil, sector, data, flags)
 }
 
-// WriteZRWASpan is WriteZRWA with a tracing span.
-func (d *Device) WriteZRWASpan(sp *obs.Span, sector int64, data []byte, flags Flag) *vclock.Future {
+// WriteZRWASpan is WriteZRWA with a tracing span, completing fut (nil: a
+// new future).
+func (d *Device) WriteZRWASpan(sp *obs.Span, fut *vclock.Future, sector int64, data []byte, flags Flag) *vclock.Future {
 	if d.cfg.ZRWASectors <= 0 {
-		return d.failSpan(sp, ErrNoZRWA)
+		return d.failSpan(sp, fut, ErrNoZRWA)
 	}
 	if len(data) == 0 || len(data)%d.cfg.SectorSize != 0 {
-		return d.failSpan(sp, ErrUnaligned)
+		return d.failSpan(sp, fut, ErrUnaligned)
 	}
 	nSectors := int64(len(data) / d.cfg.SectorSize)
 
 	d.mu.Lock()
 	if d.failed {
 		d.mu.Unlock()
-		return d.failSpan(sp, ErrDeviceFailed)
+		return d.failSpan(sp, fut, ErrDeviceFailed)
 	}
 	z, off, err := d.checkSpan(sector, nSectors)
 	if err != nil {
 		d.mu.Unlock()
-		return d.failSpan(sp, err)
+		return d.failSpan(sp, fut, err)
 	}
 	zo := &d.zones[z]
 	switch zo.state {
 	case ZoneFull:
 		d.mu.Unlock()
-		return d.failSpan(sp, ErrZoneFull)
+		return d.failSpan(sp, fut, ErrZoneFull)
 	case ZoneReadOnly, ZoneOffline:
 		d.mu.Unlock()
-		return d.failSpan(sp, ErrZoneUnavailable)
+		return d.failSpan(sp, fut, ErrZoneUnavailable)
 	}
 	// The write must start within (or at the end of) the window.
 	lo := zo.wp - d.cfg.ZRWASectors
@@ -67,11 +68,11 @@ func (d *Device) WriteZRWASpan(sp *obs.Span, sector int64, data []byte, flags Fl
 	}
 	if off < lo || off > zo.wp {
 		d.mu.Unlock()
-		return d.failSpan(sp, ErrOutsideZRWA)
+		return d.failSpan(sp, fut, ErrOutsideZRWA)
 	}
 	if err := d.transitionToOpenLocked(z); err != nil {
 		d.mu.Unlock()
-		return d.failSpan(sp, err)
+		return d.failSpan(sp, fut, err)
 	}
 	if !d.cfg.DiscardData {
 		copy(d.zoneBufLocked(zo)[off*int64(d.cfg.SectorSize):], data)
@@ -101,16 +102,12 @@ func (d *Device) WriteZRWASpan(sp *obs.Span, sector int64, data []byte, flags Fl
 	markPipe(sp, d.writeBusy, now)
 	media := reservePipe(&d.writeBusy, now, occ)
 	sp.MarkAt(obs.PhaseMedia, media)
-	done := media + d.cfg.WriteLatency
-	epoch := d.epoch
-	d.mu.Unlock()
-
-	fut := d.clk.NewFuture()
-	pio := pendingIO{at: done, fuaZ: -1}
+	pio := pendingIO{at: media + d.cfg.WriteLatency, fuaZ: -1}
 	if flags&FUA != 0 {
 		pio.fuaZ, pio.fuaEnd = z, end
 	}
-	d.schedule(sp, fut, epoch, pio)
+	fut = d.scheduleLocked(sp, fut, pio)
+	d.mu.Unlock()
 	fire(hf)
 	return fut
 }

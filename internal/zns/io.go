@@ -7,28 +7,60 @@ import (
 	"raizn/internal/vclock"
 )
 
-// schedule arranges for fut to complete at p.at with p.err, applying p's
-// persistence effects (under the device lock) first — unless the device
-// lost power in the meantime, in which case the IO completes with
-// ErrPowerLoss and the effects are discarded. The span (nil when tracing
-// is off) is ended with the command's outcome at the same instant. The
-// completion is a timer callback (vclock.AfterFunc): one closure per
-// command, no goroutine; whatever is subscribed to fut runs in it.
-func (d *Device) schedule(sp *obs.Span, fut *vclock.Future, epoch uint64, p pendingIO) {
-	d.clk.AfterFunc(p.at-d.clk.Now(), func() {
-		d.mu.Lock()
-		stale := d.epoch != epoch
-		if !stale {
-			d.applyEffectLocked(&p)
-		}
-		d.mu.Unlock()
-		err := p.err
-		if stale {
-			err = ErrPowerLoss
-		}
-		sp.EndAt(p.at, err)
-		fut.Complete(err)
-	})
+// scheduleLocked arranges for fut (nil: a new future, returned) to
+// complete at p.at with p.err, applying p's persistence effects (under the
+// device lock) first — unless the device lost power in the meantime, in
+// which case the IO completes with ErrPowerLoss and the effects are
+// discarded. The span (nil when tracing is off) is ended with the
+// command's outcome at the same instant. The completion is a timer
+// callback (vclock.AfterNotify) on a command record from the device's free
+// list: no closure, no goroutine, and no allocation once the list has
+// grown to the device's peak queue depth; whatever is subscribed to fut
+// runs in it. Caller holds d.mu.
+func (d *Device) scheduleLocked(sp *obs.Span, fut *vclock.Future, p pendingIO) *vclock.Future {
+	if fut == nil {
+		fut = d.clk.NewFuture()
+	}
+	var c *command
+	if n := len(d.cmds); n > 0 {
+		c, d.cmds = d.cmds[n-1], d.cmds[:n-1]
+	} else {
+		c = &command{d: d}
+	}
+	c.sp, c.fut, c.epoch, c.p = sp, fut, d.epoch, p
+	d.clk.AfterNotify(p.at-d.clk.Now(), c)
+	return fut
+}
+
+// command is one device command in flight, and the timer event that
+// completes it.
+type command struct {
+	d     *Device
+	sp    *obs.Span
+	fut   *vclock.Future
+	epoch uint64 // d.epoch at submit: a power loss since voids the command
+	p     pendingIO
+}
+
+// Notify completes the command (vclock.Notifier). The record is back on
+// the free list before the future completes, because a subscriber may
+// submit to this device from inside Complete.
+func (c *command) Notify(error) {
+	d := c.d
+	d.mu.Lock()
+	stale := d.epoch != c.epoch
+	if !stale {
+		d.applyEffectLocked(&c.p)
+	}
+	sp, fut, at, err := c.sp, c.fut, c.p.at, c.p.err
+	if stale {
+		err = ErrPowerLoss
+	}
+	*c = command{d: d}
+	d.cmds = append(d.cmds, c)
+	d.mu.Unlock()
+	sp.EndAt(at, err)
+	fut.Complete(err)
 }
 
 // pendingIO is the completion half of a command whose state has already
@@ -85,14 +117,15 @@ func (d *Device) xferTime(n int, bw float64) time.Duration {
 	return time.Duration(float64(n) / bw * float64(time.Second))
 }
 
-// fail returns a pre-completed future carrying err.
-func (d *Device) fail(err error) *vclock.Future { return d.clk.Completed(err) }
-
-// failSpan ends the span with an immediate submission error and returns
-// a pre-completed future carrying it.
-func (d *Device) failSpan(sp *obs.Span, err error) *vclock.Future {
+// failSpan ends the span with an immediate submission error and completes
+// fut with it; a nil fut gets a pre-completed future.
+func (d *Device) failSpan(sp *obs.Span, fut *vclock.Future, err error) *vclock.Future {
 	sp.End(err)
-	return d.fail(err)
+	if fut == nil {
+		return d.clk.Completed(err)
+	}
+	fut.Complete(err)
+	return fut
 }
 
 // slowLocked inflates a pipe occupancy by the injected slowdown factor
@@ -134,27 +167,35 @@ func (d *Device) checkSpan(sector int64, nSectors int64) (z int, off int64, err 
 // point (Writev, Append, WriteZRWA, the
 // batched commands of PrepareBatch); callers reuse their buffers on the
 // strength of it (TestPayloadCopiedAtSubmit).
+//
+// Caller-owned completion: a command allocates nothing when the caller
+// supplies its future (the fut argument of every Span variant: WriteSpan,
+// WritevSpan, AppendSpan, ReadSpan, WriteZRWASpan, FlushSpan,
+// ResetZoneSpan, FinishZoneSpan). The device completes exactly that
+// future — with the submission error too, when it rejects the command —
+// and returns it; a nil fut makes the device allocate one.
 func (d *Device) Write(sector int64, data []byte, flags Flag) *vclock.Future {
-	return d.WriteSpan(nil, sector, data, flags)
+	return d.WriteSpan(nil, nil, sector, data, flags)
 }
 
-// WriteSpan is Write with a tracing span: the device marks the span's
-// queue and media phases and ends it when the command completes.
-func (d *Device) WriteSpan(sp *obs.Span, sector int64, data []byte, flags Flag) *vclock.Future {
+// WriteSpan is Write with a tracing span, completing fut (nil: a new
+// future): the device marks the span's queue and media phases and ends it
+// when the command completes.
+func (d *Device) WriteSpan(sp *obs.Span, fut *vclock.Future, sector int64, data []byte, flags Flag) *vclock.Future {
 	if len(data) == 0 || len(data)%d.cfg.SectorSize != 0 {
-		return d.failSpan(sp, ErrUnaligned)
+		return d.failSpan(sp, fut, ErrUnaligned)
 	}
 	nSectors := int64(len(data) / d.cfg.SectorSize)
 
 	d.mu.Lock()
-	fut, err := d.writeLocked(sp, sector, nSectors, data, nil, flags)
+	fut, err := d.writeLocked(sp, fut, sector, nSectors, data, nil, flags)
 	var hf func()
 	if err == nil {
 		hf = d.hookLocked("zns.cmd.write", d.ZoneOf(sector), sector)
 	}
 	d.mu.Unlock()
 	if err != nil {
-		return d.failSpan(sp, err)
+		return d.failSpan(sp, fut, err)
 	}
 	fire(hf)
 	return fut
@@ -167,35 +208,35 @@ func (d *Device) WriteSpan(sp *obs.Span, sector int64, data []byte, flags Flag) 
 // sub-IO coalescing visible in simulated time. Semantics are otherwise
 // identical to Write of the concatenated payload.
 func (d *Device) Writev(sector int64, segs [][]byte, flags Flag) *vclock.Future {
-	return d.WritevSpan(nil, sector, segs, flags)
+	return d.WritevSpan(nil, nil, sector, segs, flags)
 }
 
-// WritevSpan is Writev with a tracing span; the span additionally
-// records the scatter-list segment count.
-func (d *Device) WritevSpan(sp *obs.Span, sector int64, segs [][]byte, flags Flag) *vclock.Future {
+// WritevSpan is Writev with a tracing span, completing fut (nil: a new
+// future); the span additionally records the scatter-list segment count.
+func (d *Device) WritevSpan(sp *obs.Span, fut *vclock.Future, sector int64, segs [][]byte, flags Flag) *vclock.Future {
 	if len(segs) == 0 {
-		return d.failSpan(sp, ErrUnaligned)
+		return d.failSpan(sp, fut, ErrUnaligned)
 	}
 	if len(segs) == 1 {
-		return d.WriteSpan(sp, sector, segs[0], flags)
+		return d.WriteSpan(sp, fut, sector, segs[0], flags)
 	}
 	var nSectors int64
 	for _, s := range segs {
 		if len(s) == 0 || len(s)%d.cfg.SectorSize != 0 {
-			return d.failSpan(sp, ErrUnaligned)
+			return d.failSpan(sp, fut, ErrUnaligned)
 		}
 		nSectors += int64(len(s) / d.cfg.SectorSize)
 	}
 
 	d.mu.Lock()
-	fut, err := d.writeLocked(sp, sector, nSectors, nil, segs, flags)
+	fut, err := d.writeLocked(sp, fut, sector, nSectors, nil, segs, flags)
 	var hf func()
 	if err == nil {
 		hf = d.hookLocked("zns.cmd.write", d.ZoneOf(sector), sector)
 	}
 	d.mu.Unlock()
 	if err != nil {
-		return d.failSpan(sp, err)
+		return d.failSpan(sp, fut, err)
 	}
 	fire(hf)
 	return fut
@@ -208,45 +249,45 @@ func (d *Device) WritevSpan(sp *obs.Span, sector int64, segs [][]byte, flags Fla
 // processing is serialized, which is strictly less reordering than the
 // spec permits.
 func (d *Device) Append(z int, data []byte, flags Flag) (int64, *vclock.Future) {
-	return d.AppendSpan(nil, z, data, flags)
+	return d.AppendSpan(nil, nil, z, data, flags)
 }
 
-// AppendSpan is Append with a tracing span.
-func (d *Device) AppendSpan(sp *obs.Span, z int, data []byte, flags Flag) (int64, *vclock.Future) {
+// AppendSpan is Append with a tracing span, completing fut (nil: a new
+// future).
+func (d *Device) AppendSpan(sp *obs.Span, fut *vclock.Future, z int, data []byte, flags Flag) (int64, *vclock.Future) {
 	if len(data) == 0 || len(data)%d.cfg.SectorSize != 0 {
-		return -1, d.failSpan(sp, ErrUnaligned)
+		return -1, d.failSpan(sp, fut, ErrUnaligned)
 	}
 	if z < 0 || z >= d.cfg.NumZones {
-		return -1, d.failSpan(sp, ErrOutOfRange)
+		return -1, d.failSpan(sp, fut, ErrOutOfRange)
 	}
 	nSectors := int64(len(data) / d.cfg.SectorSize)
 
 	d.mu.Lock()
 	sector := d.ZoneStart(z) + d.zones[z].wp
-	fut, err := d.writeLocked(sp, sector, nSectors, data, nil, flags)
+	fut, err := d.writeLocked(sp, fut, sector, nSectors, data, nil, flags)
 	var hf func()
 	if err == nil {
 		hf = d.hookLocked("zns.cmd.append", z, sector)
 	}
 	d.mu.Unlock()
 	if err != nil {
-		return -1, d.failSpan(sp, err)
+		return -1, d.failSpan(sp, fut, err)
 	}
 	fire(hf)
 	return sector, fut
 }
 
 // writeLocked performs validation and state transition for Write, Writev
-// and Append. The payload is either data (single segment) or segs
-// (gathered); exactly one is non-nil. Caller holds d.mu.
-func (d *Device) writeLocked(sp *obs.Span, sector, nSectors int64, data []byte, segs [][]byte, flags Flag) (*vclock.Future, error) {
+// and Append, and schedules the completion of fut (nil: a new future). The
+// payload is either data (single segment) or segs (gathered); exactly one
+// is non-nil. On error fut is returned untouched. Caller holds d.mu.
+func (d *Device) writeLocked(sp *obs.Span, fut *vclock.Future, sector, nSectors int64, data []byte, segs [][]byte, flags Flag) (*vclock.Future, error) {
 	pio, err := d.writeApplyLocked(sp, sector, nSectors, data, segs, flags)
 	if err != nil {
-		return nil, err
+		return fut, err
 	}
-	fut := d.clk.NewFuture()
-	d.schedule(sp, fut, d.epoch, pio)
-	return fut, nil
+	return d.scheduleLocked(sp, fut, pio), nil
 }
 
 // writeApplyLocked is the submit half of writeLocked: it validates the
@@ -347,26 +388,26 @@ func (d *Device) writeApplyLocked(sp *obs.Span, sector, nSectors int64, data []b
 // except in full (finished) zones where unwritten sectors read as zeroes
 // (deallocated blocks).
 func (d *Device) Read(sector int64, buf []byte) *vclock.Future {
-	return d.ReadSpan(nil, sector, buf)
+	return d.ReadSpan(nil, nil, sector, buf)
 }
 
-// ReadSpan is Read with a tracing span.
-func (d *Device) ReadSpan(sp *obs.Span, sector int64, buf []byte) *vclock.Future {
+// ReadSpan is Read with a tracing span, completing fut (nil: a new
+// future).
+func (d *Device) ReadSpan(sp *obs.Span, fut *vclock.Future, sector int64, buf []byte) *vclock.Future {
 	if len(buf) == 0 || len(buf)%d.cfg.SectorSize != 0 {
-		return d.failSpan(sp, ErrUnaligned)
+		return d.failSpan(sp, fut, ErrUnaligned)
 	}
 	nSectors := int64(len(buf) / d.cfg.SectorSize)
 
 	d.mu.Lock()
 	pio, err := d.readApplyLocked(sp, sector, nSectors, buf)
-	epoch := d.epoch
+	if err == nil {
+		fut = d.scheduleLocked(sp, fut, pio)
+	}
 	d.mu.Unlock()
 	if err != nil {
-		return d.failSpan(sp, err)
+		return d.failSpan(sp, fut, err)
 	}
-
-	fut := d.clk.NewFuture()
-	d.schedule(sp, fut, epoch, pio)
 	return fut
 }
 
@@ -420,25 +461,23 @@ func (d *Device) readApplyLocked(sp *obs.Span, sector, nSectors int64, buf []byt
 // Flush persists the device's volatile write cache: every write submitted
 // before the flush is durable once the returned future completes.
 func (d *Device) Flush() *vclock.Future {
-	return d.FlushSpan(nil)
+	return d.FlushSpan(nil, nil)
 }
 
-// FlushSpan is Flush with a tracing span.
-func (d *Device) FlushSpan(sp *obs.Span) *vclock.Future {
+// FlushSpan is Flush with a tracing span, completing fut (nil: a new
+// future).
+func (d *Device) FlushSpan(sp *obs.Span, fut *vclock.Future) *vclock.Future {
 	d.mu.Lock()
 	pio, err := d.flushApplyLocked(sp)
-	epoch := d.epoch
 	var hf func()
 	if err == nil {
+		fut = d.scheduleLocked(sp, fut, pio)
 		hf = d.hookLocked("zns.cmd.flush", -1, d.flushCount)
 	}
 	d.mu.Unlock()
 	if err != nil {
-		return d.failSpan(sp, err)
+		return d.failSpan(sp, fut, err)
 	}
-
-	fut := d.clk.NewFuture()
-	d.schedule(sp, fut, epoch, pio)
 	fire(hf)
 	return fut
 }
@@ -527,25 +566,23 @@ func (d *Device) persistZoneLocked(z int, upTo int64) {
 // devices — the case RAIZN must handle — is still fully expressible by
 // resetting a subset of devices before PowerLoss).
 func (d *Device) ResetZone(z int) *vclock.Future {
-	return d.ResetZoneSpan(nil, z)
+	return d.ResetZoneSpan(nil, nil, z)
 }
 
-// ResetZoneSpan is ResetZone with a tracing span.
-func (d *Device) ResetZoneSpan(sp *obs.Span, z int) *vclock.Future {
+// ResetZoneSpan is ResetZone with a tracing span, completing fut (nil: a
+// new future).
+func (d *Device) ResetZoneSpan(sp *obs.Span, fut *vclock.Future, z int) *vclock.Future {
 	d.mu.Lock()
 	pio, hookArg, err := d.resetApplyLocked(sp, z)
-	epoch := d.epoch
 	var hf func()
 	if err == nil {
+		fut = d.scheduleLocked(sp, fut, pio)
 		hf = d.hookLocked("zns.zone.reset", z, hookArg)
 	}
 	d.mu.Unlock()
 	if err != nil {
-		return d.failSpan(sp, err)
+		return d.failSpan(sp, fut, err)
 	}
-
-	fut := d.clk.NewFuture()
-	d.schedule(sp, fut, epoch, pio)
 	fire(hf)
 	return fut
 }
@@ -577,7 +614,7 @@ func (d *Device) resetApplyLocked(sp *obs.Span, z int) (pendingIO, int64, error)
 	zo.wp = 0
 	zo.pwp = 0
 	zo.finished = false
-	zo.unflushed = nil
+	zo.unflushed = zo.unflushed[:0] // keeps its capacity for the zone's next writes
 	d.releaseBufLocked(zo)
 	// Unprogrammed (in-ZRWA) bytes are discarded without ever reaching
 	// flash; the cumulative program counter never rolls back.
@@ -599,25 +636,23 @@ func (d *Device) resetApplyLocked(sp *obs.Span, z int) (pendingIO, int64, error)
 // capacity. Unwritten sectors subsequently read as zeroes. Finishing also
 // persists the zone's contents.
 func (d *Device) FinishZone(z int) *vclock.Future {
-	return d.FinishZoneSpan(nil, z)
+	return d.FinishZoneSpan(nil, nil, z)
 }
 
-// FinishZoneSpan is FinishZone with a tracing span.
-func (d *Device) FinishZoneSpan(sp *obs.Span, z int) *vclock.Future {
+// FinishZoneSpan is FinishZone with a tracing span, completing fut (nil: a
+// new future).
+func (d *Device) FinishZoneSpan(sp *obs.Span, fut *vclock.Future, z int) *vclock.Future {
 	d.mu.Lock()
 	pio, hookArg, err := d.finishApplyLocked(sp, z)
-	epoch := d.epoch
 	var hf func()
 	if err == nil {
+		fut = d.scheduleLocked(sp, fut, pio)
 		hf = d.hookLocked("zns.zone.finish", z, hookArg)
 	}
 	d.mu.Unlock()
 	if err != nil {
-		return d.failSpan(sp, err)
+		return d.failSpan(sp, fut, err)
 	}
-
-	fut := d.clk.NewFuture()
-	d.schedule(sp, fut, epoch, pio)
 	fire(hf)
 	return fut
 }

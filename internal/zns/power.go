@@ -101,7 +101,9 @@ func (d *Device) applyCutLocked(z int, cut int64) {
 	// if the cut rolls back below capacity the zone is no longer full.
 	zo.wp = cut
 	zo.pwp = cut
-	zo.unflushed = nil
+	// Emptied in place, keeping its capacity: no other device shares the
+	// backing array, as CrashClone gives a clone a copy of its own.
+	zo.unflushed = zo.unflushed[:0]
 	// In-ZRWA bytes past the cut are gone; the cumulative flash counter
 	// never rolls back, but the zone's programmed pointer cannot exceed
 	// its surviving contents.

@@ -238,6 +238,10 @@ type Device struct {
 	// next first write (zoneBufLocked / releaseBufLocked in io.go).
 	freeBufs [][]byte
 
+	// cmds holds the completion records of finished commands for reuse by
+	// the next (scheduleLocked / command.Notify in io.go).
+	cmds []*command
+
 	writeBusy time.Duration // write pipe busy-until (virtual time)
 	readBusy  time.Duration // read pipe busy-until
 
