@@ -61,7 +61,7 @@ func main() {
 		case "logged":
 		case "zraid":
 			rcfg.ParityEngine = raizn.EngineZRAID
-			// Three PP slots (stride su+1) in flight per pool zone.
+			// Three PP slots (stride su+1) in each device's PP zone.
 			cfg.ZRWASectors = 3 * (*su + 1)
 		default:
 			fmt.Fprintf(os.Stderr, "unknown -engine %q (want logged or zraid)\n", *engine)
@@ -171,8 +171,8 @@ func main() {
 		fmt.Printf("fua path: flushes issued=%d joined=%d\n", st.FUAFlushes, st.FUAFlushesJoined)
 		if vol.ParityEngineKind().String() == "zraid" {
 			st := vol.PPEngineStats()
-			fmt.Printf("parity engine: pp_volatile=%dB pp_permanent=%dB fallbacks=%d gc_runs=%d gc_migrated=%d\n",
-				st.VolatileBytes, st.PermanentBytes, st.FallbackTotal, st.GCRuns, st.GCMigrated)
+			fmt.Printf("parity engine: pp_volatile=%dB pp_permanent=%dB fallbacks=%d\n",
+				st.VolatileBytes, st.PermanentBytes, st.FallbackTotal)
 		}
 		fmt.Println("\nlogical zones:")
 		for _, zd := range vol.ReportZones() {

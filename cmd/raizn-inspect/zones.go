@@ -48,8 +48,8 @@ func runZones(vol *raizn.Volume, devs []*zns.Device, clk *vclock.Clock, jrn *obs
 	fmt.Printf("=== zones: journal holds %d events (%d dropped) ===\n", jrn.Len(), jrn.Dropped())
 	if vol.ParityEngineKind().String() == "zraid" {
 		st := vol.PPEngineStats()
-		fmt.Printf("parity engine: zraid  pp_volatile=%dB pp_permanent=%dB fallbacks=%d gc_runs=%d gc_migrated=%d\n",
-			st.VolatileBytes, st.PermanentBytes, st.FallbackTotal, st.GCRuns, st.GCMigrated)
+		fmt.Printf("parity engine: zraid  pp_volatile=%dB pp_permanent=%dB fallbacks=%d\n",
+			st.VolatileBytes, st.PermanentBytes, st.FallbackTotal)
 	}
 
 	rows := []obs.ZoneRow{logicalZoneRow(vol)}

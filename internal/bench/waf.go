@@ -24,10 +24,10 @@ func init() {
 // written) next to the host WAF and the engine's own partial-parity
 // accounting. The logged engine pays for every partial-parity image with
 // a metadata-log append that programs flash; the zraid engine overwrites
-// the image in place inside the ZRWA of its PP pool, so superseded
-// images never reach NAND and only window slides and GC migrations
-// program. ZRAID's claim shape: logged ~2.4x flash WAF on small-write
-// workloads, log-structured PP ~1.6x.
+// the image in place in a slot inside the ZRWA of its PP zone, so
+// superseded images never reach NAND and only the images its slot table
+// has no room for, logged instead, program. ZRAID's claim shape: logged
+// ~2.4x flash WAF on small-write workloads, ZRAID ~1.6x.
 func runWAF(w io.Writer, quick bool) error {
 	sc := scaleFor(quick)
 
@@ -80,13 +80,12 @@ func runWAF(w io.Writer, quick bool) error {
 	}
 
 	fmt.Fprintln(w, "\nflash WAF = NAND bytes programmed / user bytes; host WAF = host bytes written / user bytes")
-	t := newTable(w, "workload", "engine", "flash_waf", "host_waf", "pp_volatile", "pp_permanent", "fallbacks", "gc_runs", "gc_migrated")
+	t := newTable(w, "workload", "engine", "flash_waf", "host_waf", "pp_volatile", "pp_permanent", "fallbacks")
 	for _, r := range results {
 		t.row(r.workload, r.engine,
 			f2(waf(r.flashBytes, r.userBytes)), f2(waf(r.hostBytes, r.userBytes)),
 			fmt.Sprintf("%d", r.st.VolatileBytes), fmt.Sprintf("%d", r.st.PermanentBytes),
-			fmt.Sprintf("%d", r.st.FallbackTotal),
-			fmt.Sprintf("%d", r.st.GCRuns), fmt.Sprintf("%d", r.st.GCMigrated))
+			fmt.Sprintf("%d", r.st.FallbackTotal))
 	}
 
 	// Claim shape: on both workloads the log-structured engine's flash
@@ -108,7 +107,7 @@ func runWAF(w io.Writer, quick bool) error {
 		fmt.Fprintf(w, "%s: zraid flash WAF %.2f vs logged %.2f -> %.0f%% lower [%s]\n",
 			lg.workload, zw, lw, gap, status)
 	}
-	fmt.Fprintln(w, "claim (ZRAID): logged partial-parity logging ~2.4x flash WAF, log-structured PP ~1.6x on small-write workloads.")
+	fmt.Fprintln(w, "claim (ZRAID): logged partial-parity logging ~2.4x flash WAF, ZRAID ~1.6x on small-write workloads.")
 	if !ok {
 		return fmt.Errorf("waf: zraid flash WAF gap below the 25%% claim threshold")
 	}
@@ -128,8 +127,6 @@ func runWAF(w io.Writer, quick bool) error {
 				"pp_volatile_bytes":  float64(r.st.VolatileBytes),
 				"pp_permanent_bytes": float64(r.st.PermanentBytes),
 				"pp_fallback_total":  float64(r.st.FallbackTotal),
-				"gc_count":           float64(r.st.GCRuns),
-				"gc_migrated":        float64(r.st.GCMigrated),
 			},
 		})
 	}
@@ -166,21 +163,19 @@ func devBytes(devs []*zns.Device) devCounters {
 	return c
 }
 
-// newWafVolume builds a RAIZN array whose devices expose a ZRWA large
-// enough for the zraid engine's PP slots (stride su+1 = 17 sectors, four
-// slots in flight — tight enough that concurrent zones slide the window).
-// Varmail's nine zones put two partial stripes on a parity device when
-// they move in step and up to four when they drift; with fewer slots
-// than that, every write of all four appends a slot and programs the one
-// it pushed out (EXPERIMENTS.md, "Parity-engine WAF shootout"). The
-// same device model serves the logged runs — the logged engine never
-// touches the ZRWA, so the extra capability is inert there and the
-// comparison stays apples-to-apples.
+// newWafVolume builds a RAIZN array whose devices expose a ZRWA of three
+// zraid PP slots (stride su+1 = 17 sectors), the canonical benchmark's
+// size. Varmail's nine zones put two partial stripes on a parity device
+// when they move in step and up to four when they drift; the fourth
+// stripe's images then go to the log (EXPERIMENTS.md, "Parity-engine WAF
+// shootout"). The same device model serves the logged runs — the logged
+// engine never touches the ZRWA, so the extra capability is inert there
+// and the comparison stays apples-to-apples.
 func newWafVolume(clk *vclock.Clock, sc scale, engine raizn.ParityEngine) (*raizn.Volume, []*zns.Device, error) {
 	devs := make([]*zns.Device, sc.numDevices)
 	for i := range devs {
 		cfg := znsConfig(sc, true)
-		cfg.ZRWASectors = 68
+		cfg.ZRWASectors = 51
 		devs[i] = zns.NewDevice(clk, cfg)
 		devs[i].RegisterMetrics(runRegistry, fmt.Sprintf("zns_dev%d", i))
 	}
@@ -193,7 +188,7 @@ func newWafVolume(clk *vclock.Clock, sc scale, engine raizn.ParityEngine) (*raiz
 }
 
 // wafZones returns the zone count both engine configurations can serve:
-// the zraid layout gives up PPZones extra zones per device, and both
+// the zraid layout gives up one more zone per device, and both
 // engines must write the same workload for the WAF numbers to compare.
 func wafZones(sc scale) int {
 	cfg := raizn.DefaultConfig()
@@ -238,8 +233,8 @@ func wafFillseq(clk *vclock.Clock, v *raizn.Volume, sc scale) int64 {
 // periodic flushes, then finishing the zone at ~3/4 full. Stripes stay
 // partial across many commands, so partial parity dominates the
 // metadata traffic; concurrent zones keep several PP images live per
-// parity device, which is what slides the zraid window and exercises
-// its GC. Returns the user bytes written.
+// parity device, which is what can fill a zraid slot table. Returns the
+// user bytes written.
 func wafVarmail(clk *vclock.Clock, v *raizn.Volume, sc scale) int64 {
 	writers := wafZones(sc)
 	if writers > 9 {

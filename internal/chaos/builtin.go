@@ -4,11 +4,11 @@ package chaos
 // stripe writes, metadata flushes and zone lifecycle to cross every hook
 // family. "composed" layers device failure, silent corruption, scrub and
 // GC pressure on top — the schedule the shrinker is pointed at.
-// "zraid-gc" runs the zraid parity engine through PP-slot thrash, ring
-// advances and PP-zone GC. "md-gc" rolls one device's partial-parity
-// metadata log over repeatedly with foreground appends landing while the
-// old zone is still being reclaimed, the last time pulling a half-full
-// sibling's log along. "fua-stream" (and "fua-stream-zraid", the same ops
+// "zraid-overflow" runs the zraid parity engine with more live partial
+// stripes on one device than its slot table holds. "md-gc" rolls one
+// device's partial-parity metadata log over repeatedly with foreground
+// appends landing while the old zone is still being reclaimed, the last
+// time pulling a half-full sibling's log along. "fua-stream" (and "fua-stream-zraid", the same ops
 // on the zraid engine) is the FUA/flush path: acks that stand on FUA
 // sub-IOs alone, FUA writes that must find exactly the devices earlier
 // non-FUA writes left dirty, and a FUA ack in a zone reset a moment before.
@@ -21,7 +21,7 @@ import (
 func init() {
 	Register(StripeReset())
 	Register(Composed())
-	Register(ZRAIDGC())
+	Register(ZRAIDOverflow())
 	Register(MDGC())
 	Register(FUAStream())
 	Register(FUAStreamZRAID())
@@ -68,34 +68,34 @@ func Composed() *Scenario {
 	return b.Build()
 }
 
-// ZRAIDGC runs the zraid parity engine's whole PP-zone lifecycle under
-// the crash explorer. The three data zones are positioned so their tail
-// stripes all map their parity to device 4 (stripe indices 5, 4, 3:
-// (z+s)%5 == 0), then small interleaved appends keep three partial-
-// parity images live against a two-slot ZRWA window — every persist
-// appends a fresh slot, the 7-slot head zone fills twice, and the ring
-// advance garbage-collects live slots across zones (raizn.ppgc.* crash
-// points). The tail covers slot death (stripes closing), a zone reset's
-// PP sweep, a finish, and a Maintain-driven reclaim.
-func ZRAIDGC() *Scenario {
+// ZRAIDOverflow runs the zraid parity engine's slot table past its width
+// under the crash explorer. The three data zones are positioned so their
+// tail stripes all map their parity to device 4 (stripe indices 5, 4, 3:
+// (z+s)%5 == 0), then small interleaved appends keep three partial-parity
+// images live against a two-slot ZRWA window: zones 0 and 1 overwrite
+// their slots in place, and every round's third image, zone 2's, overflows
+// to device 4's parity log (a raizn.pp.write crossing in a metadata zone).
+// The tail covers slot death (stripes closing), a Maintain, a zone reset's
+// slot sweep and a finish.
+func ZRAIDOverflow() *Scenario {
 	dc := zns.DefaultConfig()
 	dc.NumZones = 8
 	dc.ZoneSize = 160
 	dc.ZoneCap = 128
 	dc.MaxOpenZones = 8
 	dc.MaxActiveZones = 10
-	dc.ZRWASectors = 34 // two 17-sector PP slots in flight
+	dc.ZRWASectors = 34 // a table of two 17-sector PP slots
 	vc := raizn.Config{
 		StripeUnitSectors: 16, MetadataZones: 3, StripeBuffers: 4,
-		ParityEngine: raizn.EngineZRAID, PPZones: 2,
+		ParityEngine: raizn.EngineZRAID,
 	}
-	b := New("zraid-gc").Devices(5, dc).Volume(vc).
+	b := New("zraid-overflow").Devices(5, dc).Volume(vc).
 		Write(0, 320). // zone 0 at stripe 5
 		Write(1, 256). // zone 1 at stripe 4
 		Write(2, 192). // zone 2 at stripe 3
 		Flush()
 	// Seven interleaved rounds of 8-sector appends: 21 partial-parity
-	// persists thrashing one pool, two head advances, two GCs.
+	// persists on device 4, seven of them overflowing to its log.
 	for i := 0; i < 7; i++ {
 		b.Write(0, 8).Write(1, 8).Write(2, 8)
 	}
@@ -103,8 +103,8 @@ func ZRAIDGC() *Scenario {
 		Write(0, 8). // eighth append: the stripes complete, slots die
 		Write(1, 8).
 		Write(2, 8).
-		Maintain(). // reclaims the dead non-head pool + metadata GC
-		Reset(2).   // reset WAL + the engine's per-zone PP sweep
+		Maintain(). // metadata GC: rolls the logs holding the overflow records
+		Reset(2).   // reset WAL + the engine's per-zone slot sweep
 		Write(2, 64).
 		Finish(1).
 		Flush().
@@ -112,7 +112,7 @@ func ZRAIDGC() *Scenario {
 }
 
 // MDGC runs the metadata-zone roll-over (raizn.mdgc.* crash points) under
-// the crash explorer with the logged engine. As in ZRAIDGC, data zones
+// the crash explorer with the logged engine. As in ZRAIDOverflow, data zones
 // sit at the stripes whose parity maps to device 4, so every small append
 // logs a nine-sector partial-parity record into that device's 128-sector
 // parity metadata zone: three zones' tail stripes fill and roll it over
@@ -206,7 +206,7 @@ func FUAStream() *Scenario { return fuaStreamOps(New("fua-stream")).Build() }
 // slot write persists its pool zone only up to the slot's end.
 func FUAStreamZRAID() *Scenario {
 	b := New("fua-stream-zraid")
-	b.s.Dev.ZRWASectors = 34 // two 17-sector PP slots in flight
-	b.s.Vol.ParityEngine, b.s.Vol.PPZones = raizn.EngineZRAID, 2
+	b.s.Dev.ZRWASectors = 34 // a table of two 17-sector PP slots
+	b.s.Vol.ParityEngine = raizn.EngineZRAID
 	return fuaStreamOps(b).Build()
 }

@@ -42,32 +42,35 @@ func TestComposedExplore(t *testing.T) {
 	}
 }
 
-// TestZRAIDGCExplore runs the zraid parity-engine scenario through the
-// explorer: the census must include the PP-zone GC crash points (the
-// schedule is built to advance the PP ring twice), and recovery must be
-// violation-free at a sampled set of crossings under all three
-// power-loss variants.
-func TestZRAIDGCExplore(t *testing.T) {
-	s := ZRAIDGC()
+// TestZRAIDOverflowExplore runs the zraid parity-engine scenario through
+// the explorer: the census must cross both slot writes into device 4's PP
+// zone and overflow appends to device 4's parity log (the schedule keeps
+// three partial stripes live against two slots), and recovery must be
+// violation-free at a sampled set of crossings under all three power-loss
+// variants.
+func TestZRAIDOverflowExplore(t *testing.T) {
+	s := ZRAIDOverflow()
 	census, err := Census(s, 11)
 	if err != nil {
 		t.Fatalf("census: %v", err)
 	}
-	want := map[string]int{
-		"raizn.pp.write":     0,
-		"raizn.ppgc.begin":   0,
-		"raizn.ppgc.migrate": 0,
-		"raizn.ppgc.done":    0,
-	}
+	ppZone := s.Dev.NumZones - 1 // the last physical zone; metadata sits below it
+	slots, overflows := 0, 0
 	for _, cp := range census {
-		if _, ok := want[cp.Name]; ok {
-			want[cp.Name]++
+		if cp.Name != "raizn.pp.write" || cp.Src != 4 {
+			continue
+		}
+		if cp.Zone == ppZone {
+			slots++
+		} else {
+			overflows++
 		}
 	}
-	for name, n := range want {
-		if n == 0 {
-			t.Errorf("census never crossed %s", name)
-		}
+	if slots == 0 {
+		t.Error("census never crossed a slot write on device 4")
+	}
+	if overflows < 7 {
+		t.Errorf("census crossed %d overflow log appends on device 4, want one per round (7)", overflows)
 	}
 
 	res, err := Explore(s, Options{Seed: 11, MaxPoints: 40})

@@ -22,8 +22,8 @@ const (
 	TrigDeviceHealth
 	// TrigOracle: the chaos recovery oracle found a contract violation.
 	TrigOracle
-	// TrigPPFallback: the ZRAID parity engine ran out of PP-zone space
-	// and fell back to the logged engine.
+	// TrigPPFallback: the ZRAID parity engine's slot table was full and
+	// an image went to the partial-parity log.
 	TrigPPFallback
 )
 

@@ -7,16 +7,15 @@
 //     dedicated parity metadata zone, needing no optional device
 //     feature. Implemented inside package raizn as an adapter over its
 //     metadata manager.
-//   - zraid: the log-structured design from ZRAID (Li et al.) for
-//     devices with a Zone Random Write Area (ZRWA), and the array's only
-//     user of one. Partial parity is written into fixed-size slots inside
-//     a small pool of dedicated PP zones through the ZRWA, where later
-//     updates overwrite the slot in place. Slot bytes that are superseded
-//     while still inside the ZRWA window never program to NAND
-//     (pp_volatile); only bytes the window slides past become flash
-//     writes (pp_permanent). A PP-zone garbage collector migrates live
-//     slots and resets exhausted zones. Implemented in this package
-//     (zraid.go).
+//   - zraid: the slot design from ZRAID (ASPLOS '25) for devices with a
+//     Zone Random Write Area (ZRWA), and the array's only user of one.
+//     Partial parity is written into a fixed table of slots at the start
+//     of one dedicated PP zone per device, small enough that every slot
+//     stays inside the ZRWA window: a stripe's later images overwrite its
+//     slot in place and never program NAND (pp_volatile). An image that
+//     finds every slot live is appended to the §5.1 log instead
+//     (pp_permanent). Nothing is garbage-collected. Implemented in this
+//     package (zraid.go).
 //
 // Either way a stripe's parity unit is written once, at its final
 // location, when the stripe completes (or its zone is finished); no engine
@@ -37,7 +36,7 @@ type Kind int
 const (
 	// Logged is the paper's partial-parity logging design (§5.1).
 	Logged Kind = iota
-	// ZRAID is the log-structured PP-zone design with ZRWA slot reuse.
+	// ZRAID is the fixed slot table inside a PP zone's ZRWA.
 	ZRAID
 )
 
@@ -80,9 +79,8 @@ type Append struct {
 	Span *obs.Span
 
 	// Fut is the caller's future for the image's device write (nil: the
-	// device allocates one). Persist completes it when it returns ok with
-	// a non-nil future, and leaves it untouched otherwise, so that a
-	// fallback can use it.
+	// device allocates one). Persist completes it when it returns a
+	// non-nil future.
 	Fut *vclock.Future
 }
 
@@ -101,13 +99,16 @@ type Record struct {
 // Stats are the engine's lifetime counters. For the logged engine the
 // volume derives the byte counters from its write-amplification
 // categories (every logged PP byte is a flash write); the zraid engine
-// tracks the volatile/permanent split and its GC activity here.
+// tracks the volatile/permanent split here.
 type Stats struct {
 	VolatileBytes  int64 // PP bytes superseded inside the ZRWA window (never programmed)
-	PermanentBytes int64 // PP bytes the window slid past (programmed to NAND)
-	FallbackTotal  int64 // Persist refusals that fell back to the metadata log
-	GCRuns         int64 // PP-zone garbage collections completed
-	GCMigrated     int64 // live slots migrated by GC
+	PermanentBytes int64 // PP bytes programmed to NAND: every logged image
+	FallbackTotal  int64 // zraid images the slot table had no room for, logged instead
+	// GCRuns and GCMigrated are 0 by construction: no engine
+	// garbage-collects partial parity. They stay for reports that print
+	// the ZRAID artifact's gc_count.
+	GCRuns     int64
+	GCMigrated int64
 }
 
 // Engine is the parity-persistence mechanism a volume plugs into its
@@ -123,13 +124,10 @@ type Engine interface {
 	// engine had nothing to submit, e.g. a degraded parity device)
 	// together with the absolute device sector one past the image's last
 	// written sector, which tells the volume's durability ledger which
-	// physical zone the write landed in and how far. ok=false means the
-	// engine cannot place the image right now (e.g. PP-zone exhaustion
-	// with nothing reclaimable); the caller falls back to a metadata-log
-	// record, so backpressure never blocks the write path. a.Frame is
-	// the engine's until Persist returns and must not be retained (see
-	// Append); after ok=false the caller logs that same frame.
-	Persist(a Append) (fut *vclock.Future, end int64, ok bool)
+	// physical zone the write landed in and how far. a.Frame is the
+	// engine's until Persist returns and must not be retained (see
+	// Append).
+	Persist(a Append) (fut *vclock.Future, end int64)
 
 	// StripeClosed tells the engine stripe s of logical zone z reached
 	// full parity on media; any PP state for it is dead and reclaimable.
@@ -149,12 +147,8 @@ type Engine interface {
 	// Stats returns the engine's lifetime counters.
 	Stats() Stats
 
-	// Maintain runs the engine's housekeeping (PP-zone GC for zraid);
-	// called from Volume.Maintain.
-	Maintain() error
-
-	// Format discards all engine persistence state (resetting PP zones
-	// for zraid). Called once after mount-time recovery has replayed and
+	// Format discards all engine persistence state (resetting the PP
+	// zones for zraid). Called once after mount-time recovery has replayed and
 	// re-checkpointed everything live, so the engine starts fresh.
 	Format() error
 }

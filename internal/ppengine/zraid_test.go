@@ -8,9 +8,9 @@ import (
 	"raizn/internal/zns"
 )
 
-// ppDevConfig is a small ZNS device whose first zones serve as the PP
-// pool: ZoneCap 128 holds 7 slots at su=16 (stride 17), and the ZRWA
-// window covers exactly two slots.
+// ppDevConfig is a small ZNS device whose first zone serves as the PP
+// zone: the ZRWA window covers exactly two slots at su=16 (stride 17), so
+// the slot table is two wide.
 func ppDevConfig() zns.Config {
 	cfg := zns.DefaultConfig()
 	cfg.NumZones = 4
@@ -25,16 +25,18 @@ func ppDevConfig() zns.Config {
 func newTestEngine(t *testing.T, c *vclock.Clock, d *zns.Device) *zraidEngine {
 	t.Helper()
 	eng, err := NewZRAID(ZRAIDConfig{
-		Clock:       c,
 		NumDevices:  1,
 		Device:      func(int) *zns.Device { return d },
-		PPZone:      func(i int) int { return i },
-		PPZones:     2,
+		PPZone:      0,
 		SectorSize:  d.Config().SectorSize,
 		SU:          16,
 		ZoneCap:     128,
 		ZRWASectors: 34,
-		Charge:      func(hdr, pay int64) {},
+		Log: func(a Append) (*vclock.Future, int64) {
+			t.Errorf("stripe %d overflowed to the log", a.Stripe)
+			return c.Completed(nil), 0
+		},
+		Charge: func(hdr, pay int64) {},
 	})
 	if err != nil {
 		t.Fatalf("NewZRAID: %v", err)
@@ -63,24 +65,21 @@ func TestSlotCodecRoundtrip(t *testing.T) {
 		d := zns.NewDevice(c, ppDevConfig())
 		e := newTestEngine(t, c, d)
 		ss := d.Config().SectorSize
-		sl := &zrSlot{
-			seq: 42,
-			rec: Record{
-				Zone: 3, Stripe: 9, StartLBA: 576, EndLBA: 581,
-				Gen:     11,
-				Payload: bytes.Repeat([]byte{0xAB}, 5*ss),
-			},
+		a := Append{
+			Zone: 3, Stripe: 9, StartLBA: 576, EndLBA: 581, Gen: 11,
+			Frame: append(make([]byte, ss), bytes.Repeat([]byte{0xAB}, 5*ss)...),
 		}
+		image := a.Frame[ss:]
 		// An overwrite carries the header and the image only, and decodes
 		// on its own.
-		short := e.encodeSlotLocked(sl, false)
+		short := e.encodeSlotLocked(a, 42, false)
 		if len(short) != 6*ss {
 			t.Fatalf("overwrite size %d, want header + 5 payload sectors (%d)", len(short), 6*ss)
 		}
-		if rec, seq, ok := decodeSlot(short, ss, 16); !ok || seq != 42 || !bytes.Equal(rec.Payload, sl.rec.Payload) {
+		if rec, seq, ok := decodeSlot(short, ss, 16); !ok || seq != 42 || !bytes.Equal(rec.Payload, image) {
 			t.Fatal("overwrite image does not decode")
 		}
-		buf := e.encodeSlotLocked(sl, true)
+		buf := e.encodeSlotLocked(a, 42, true)
 		if int64(len(buf)) != e.stride*int64(ss) {
 			t.Fatalf("slot size %d, want %d", len(buf), e.stride*int64(ss))
 		}
@@ -92,7 +91,7 @@ func TestSlotCodecRoundtrip(t *testing.T) {
 			rec.StartLBA != 576 || rec.EndLBA != 581 || rec.Gen != 11 {
 			t.Fatalf("decoded header mismatch: %+v seq %d", rec, seq)
 		}
-		if !bytes.Equal(rec.Payload, sl.rec.Payload) {
+		if !bytes.Equal(rec.Payload, image) {
 			t.Fatal("decoded payload mismatch")
 		}
 
@@ -127,10 +126,7 @@ func TestPersistOverwriteVolatile(t *testing.T) {
 		ss := int64(d.Config().SectorSize)
 
 		for fillN := 1; fillN <= 4; fillN++ {
-			fut, end, ok := e.Persist(mkAppend(d, 0, 5, byte(fillN), fillN*4))
-			if !ok {
-				t.Fatalf("Persist %d refused", fillN)
-			}
+			fut, end := e.Persist(mkAppend(d, 0, 5, byte(fillN), fillN*4))
 			if err := fut.Wait(); err != nil {
 				t.Fatalf("Persist %d: %v", fillN, err)
 			}
@@ -156,7 +152,7 @@ func TestPersistOverwriteVolatile(t *testing.T) {
 			t.Errorf("VolatileBytes = %d, want %d (three in-place overwrites of header + image)", st.VolatileBytes, want)
 		}
 		if st.PermanentBytes != 0 {
-			t.Errorf("PermanentBytes = %d, want 0 (window never slid)", st.PermanentBytes)
+			t.Errorf("PermanentBytes = %d, want 0 (nothing logged)", st.PermanentBytes)
 		}
 
 		// Scan returns the newest image only.
@@ -174,131 +170,39 @@ func TestPersistOverwriteVolatile(t *testing.T) {
 	})
 }
 
-// TestStaleSlotSuperseded pushes a stripe's slot out of the ZRWA window,
-// re-persists the stripe, and checks both Scan and the GC see only the
-// replacement.
+// persistWait persists a stripe image of n sectors of fill and waits for
+// it.
+func persistWait(t *testing.T, e *zraidEngine, d *zns.Device, stripe int64, fill byte, n int) {
+	t.Helper()
+	fut, _ := e.Persist(mkAppend(d, 0, stripe, fill, n))
+	if err := fut.Wait(); err != nil {
+		t.Fatalf("Persist stripe %d: %v", stripe, err)
+	}
+}
+
+// TestStaleSlotSuperseded leaves a dead slot holding an older image of a
+// stripe on the device — a zone reset kills every slot of the zone — and
+// places the stripe's next image in another slot: Scan must return the
+// replacement, by sequence number, not the first slot it reads.
 func TestStaleSlotSuperseded(t *testing.T) {
 	c := vclock.New()
 	c.Run(func() {
 		d := zns.NewDevice(c, ppDevConfig())
 		e := newTestEngine(t, c, d)
-
-		persist := func(stripe int64, fill byte) {
-			t.Helper()
-			fut, _, ok := e.Persist(mkAppend(d, 0, stripe, fill, 8))
-			if !ok {
-				t.Fatalf("Persist stripe %d refused", stripe)
-			}
-			if err := fut.Wait(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		persist(0, 1) // slot at pos 0
-		for s := int64(1); s <= 3; s++ {
-			persist(s, byte(s)) // wp=68: window [34,68], slot 0 outside
-		}
-		persist(0, 9) // replacement slot, old one must die
-
-		e.mu.Lock()
-		liveFor0 := 0
-		for _, pz := range e.devs[0].pools {
-			for _, sl := range pz.slots {
-				if sl.live && sl.key == (slotKey{zone: 0, stripe: 0}) {
-					liveFor0++
-				}
-			}
-		}
-		e.mu.Unlock()
-		if liveFor0 != 1 {
-			t.Errorf("stripe 0 has %d live slots, want 1", liveFor0)
-		}
+		persistWait(t, e, d, 0, 1, 8) // slot 0
+		persistWait(t, e, d, 1, 2, 8) // slot 1
+		e.ZoneReset(0)
+		persistWait(t, e, d, 1, 9, 8) // the first dead slot, 0: slot 1 keeps the old image
 
 		recs, err := e.Scan()
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := map[int64]byte{}
-		for _, r := range recs {
-			got[r.Stripe] = r.Payload[0]
+		if len(recs) != 1 {
+			t.Fatalf("Scan returned %d records, want 1", len(recs))
 		}
-		if got[0] != 9 {
-			t.Errorf("Scan kept stale image for stripe 0: fill %d, want 9", got[0])
-		}
-		if len(recs) != 4 {
-			t.Errorf("Scan returned %d records, want 4", len(recs))
-		}
-	})
-}
-
-// TestKilledSlotUnmappedAcrossGC reproduces a write-path crash: a
-// stripe's slot slides out of the window, its re-persist cannot place a
-// replacement (pool exhausted -> fallback), and the pool holding the
-// dead slot is later GC-reset. The next re-persist of the stripe must
-// not treat the stale mapping as an in-place overwrite target — the
-// slot's position no longer exists on the device.
-func TestKilledSlotUnmappedAcrossGC(t *testing.T) {
-	c := vclock.New()
-	c.Run(func() {
-		d := zns.NewDevice(c, ppDevConfig())
-		e := newTestEngine(t, c, d)
-
-		persist := func(stripe int64, fill byte) bool {
-			t.Helper()
-			fut, _, ok := e.Persist(mkAppend(d, 0, stripe, fill, 8))
-			if ok {
-				if err := fut.Wait(); err != nil {
-					t.Fatalf("Persist stripe %d: %v", stripe, err)
-				}
-			}
-			return ok
-		}
-
-		// Fill pool 0 (stripes 0-6), then pool 1 (stripes 8-14). Stripe
-		// 7's placement advances the head but falls back: the GC aborts
-		// because everything is live.
-		for s := int64(0); s <= 6; s++ {
-			if !persist(s, 1) {
-				t.Fatalf("Persist stripe %d refused during fill", s)
-			}
-		}
-		refused := 0
-		for s := int64(7); s <= 14; s++ {
-			if !persist(s, 1) {
-				refused++
-			}
-		}
-		if refused != 1 {
-			t.Fatalf("fill refused %d persists, want 1 (the head advance)", refused)
-		}
-
-		// Stripe 4's slot (pool 0, pos 68) is out of the window
-		// ([85,119]). Its re-persist kills the slot and, with both pools
-		// packed live, falls back to the metadata log.
-		if persist(4, 2) {
-			t.Fatal("Persist stripe 4 placed despite an exhausted pool")
-		}
-
-		// Close everything and reclaim: pool 0 (all dead) resets.
-		for s := int64(0); s <= 14; s++ {
-			e.StripeClosed(0, s)
-		}
-		if err := e.Maintain(); err != nil {
-			t.Fatalf("Maintain: %v", err)
-		}
-
-		// Re-persisting stripe 4 must place a fresh slot, not revive the
-		// mapping into the reset pool.
-		if !persist(4, 9) {
-			t.Fatal("Persist stripe 4 refused after reclaim")
-		}
-		recs, err := e.Scan()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range recs {
-			if r.Stripe == 4 && r.Payload[0] != 9 {
-				t.Errorf("stripe 4 image fill %d, want 9", r.Payload[0])
-			}
+		if recs[0].Stripe != 1 || recs[0].Payload[0] != 9 {
+			t.Errorf("Scan kept stripe %d fill %d, want stripe 1's replacement (fill 9)", recs[0].Stripe, recs[0].Payload[0])
 		}
 	})
 }
@@ -316,10 +220,7 @@ func TestScanReadsSlotCutAtItsImage(t *testing.T) {
 			if i == 2 {
 				a.Flags = int(zns.FUA)
 			}
-			fut, _, ok := e.Persist(a)
-			if !ok {
-				t.Fatal("Persist refused")
-			}
+			fut, _ := e.Persist(a)
 			if err := fut.Wait(); err != nil {
 				t.Fatal(err)
 			}
@@ -349,13 +250,7 @@ func TestScanDropsTornSlot(t *testing.T) {
 		d := zns.NewDevice(c, ppDevConfig())
 		e := newTestEngine(t, c, d)
 		for s := int64(0); s < 2; s++ {
-			fut, _, ok := e.Persist(mkAppend(d, 0, s, byte(s+1), 8))
-			if !ok {
-				t.Fatal("Persist refused")
-			}
-			if err := fut.Wait(); err != nil {
-				t.Fatal(err)
-			}
+			persistWait(t, e, d, s, byte(s+1), 8)
 		}
 		// Garbage the size of one slot appended directly to the zone.
 		junk := bytes.Repeat([]byte{0x5A}, int(e.stride)*d.Config().SectorSize)
@@ -372,114 +267,84 @@ func TestScanDropsTornSlot(t *testing.T) {
 	})
 }
 
-// TestExhaustionBackpressureAndReclaim fills both PP zones with live
-// slots until Persist refuses, then closes the stripes and checks
-// Maintain and the ring GC reclaim the pool.
-func TestExhaustionBackpressureAndReclaim(t *testing.T) {
+// TestOverflowGoesToLog fills the two-slot table with live stripes, sends
+// a third stripe's images through Log, and checks the PP zone never grows
+// past the table or programs a byte, and that closing a stripe frees its
+// slot for the next stripe in place.
+func TestOverflowGoesToLog(t *testing.T) {
 	c := vclock.New()
 	c.Run(func() {
 		d := zns.NewDevice(c, ppDevConfig())
 		e := newTestEngine(t, c, d)
+		ss := int64(d.Config().SectorSize)
+		var logged []int64
+		e.cfg.Log = func(a Append) (*vclock.Future, int64) {
+			logged = append(logged, a.Stripe)
+			return c.Completed(nil), 0
+		}
+		wp := func() int64 { return d.Zone(0).WP - d.ZoneStart(0) }
 
-		var placed []int64
-		refused := 0
-		for s := int64(0); s < 40 && refused < 3; s++ {
-			fut, _, ok := e.Persist(mkAppend(d, 0, s, 1, 8))
-			if !ok {
-				refused++
-				continue
-			}
-			if err := fut.Wait(); err != nil {
-				t.Fatal(err)
-			}
-			placed = append(placed, s)
+		persistWait(t, e, d, 0, 1, 8)
+		persistWait(t, e, d, 1, 2, 8)
+		if e.width != 2 || wp() != 2*e.stride {
+			t.Fatalf("width %d, PP zone WP %d: want two slots (%d sectors)", e.width, wp(), 2*e.stride)
 		}
-		if refused == 0 {
-			t.Fatal("pool never reported backpressure")
+		persistWait(t, e, d, 2, 3, 8)
+		persistWait(t, e, d, 2, 4, 12)
+		if len(logged) != 2 || logged[0] != 2 || logged[1] != 2 {
+			t.Fatalf("logged stripes %v, want [2 2]", logged)
 		}
-		// Both zones hold 7 slots each; every one is live.
-		if len(placed) != 14 {
-			t.Errorf("placed %d live slots, want 14", len(placed))
+		st := e.Stats()
+		if st.FallbackTotal != 2 {
+			t.Errorf("FallbackTotal = %d, want 2", st.FallbackTotal)
 		}
-		if st := e.Stats(); st.FallbackTotal == 0 {
-			t.Error("FallbackTotal not counted")
-		}
-
-		// Closing every stripe makes the pool fully reclaimable.
-		for _, s := range placed {
-			e.StripeClosed(0, s)
-		}
-		if err := e.Maintain(); err != nil {
-			t.Fatalf("Maintain after close: %v", err)
-		}
-		before := e.Stats()
-		if before.GCRuns == 0 {
-			t.Error("Maintain reclaimed nothing")
+		if want := (9 + 13) * ss; st.PermanentBytes != want {
+			t.Errorf("PermanentBytes = %d, want %d (both logged frames)", st.PermanentBytes, want)
 		}
 
-		// New stripes place again without refusals (six concurrent live
-		// stripes fit a two-zone ring); the ring advance migrates the
-		// live survivors.
-		for s := int64(100); s < 106; s++ {
-			fut, _, ok := e.Persist(mkAppend(d, 0, s, 2, 8))
-			if !ok {
-				t.Fatalf("Persist stripe %d refused after reclaim", s)
-			}
-			if err := fut.Wait(); err != nil {
-				t.Fatal(err)
-			}
+		// Stripe 0 closes: stripe 3 takes its slot, 0, in place.
+		e.StripeClosed(0, 0)
+		fut, end := e.Persist(mkAppend(d, 0, 3, 5, 8))
+		if err := fut.Wait(); err != nil {
+			t.Fatal(err)
 		}
-		after := e.Stats()
-		if after.FallbackTotal != before.FallbackTotal {
-			t.Errorf("fallbacks grew after reclaim: %d -> %d", before.FallbackTotal, after.FallbackTotal)
+		if want := d.ZoneStart(0) + 9; end != want {
+			t.Errorf("stripe 3 ended at sector %d, want %d (an overwrite of slot 0)", end, want)
 		}
-		if after.GCRuns <= before.GCRuns {
-			t.Errorf("ring advance ran no GC: runs %d -> %d", before.GCRuns, after.GCRuns)
+		if len(logged) != 2 {
+			t.Errorf("stripe 3 went to the log with a dead slot free")
 		}
-		if after.GCMigrated == 0 {
-			t.Error("GC migrated no live slots")
+		if wp() != 2*e.stride {
+			t.Errorf("PP zone WP = %d, want it to stay at %d", wp(), 2*e.stride)
 		}
-
-		// The migrated images are intact.
+		if n := d.FlashProgramBytes(); n != 0 {
+			t.Errorf("PP zone programmed %d bytes to flash, want 0", n)
+		}
 		recs, err := e.Scan()
 		if err != nil {
 			t.Fatal(err)
 		}
-		seen := map[int64]bool{}
-		for _, r := range recs {
-			seen[r.Stripe] = true
-		}
-		for s := int64(100); s < 106; s++ {
-			if !seen[s] {
-				t.Errorf("stripe %d image lost across GC", s)
-			}
+		if len(recs) != 2 || recs[0].Stripe != 3 || recs[1].Stripe != 1 {
+			t.Errorf("Scan = %v, want stripes 3 and 1", recs)
 		}
 	})
 }
 
-// TestFormatClearsPool persists slots, formats, and expects empty zones
-// and zeroed mirrors.
+// TestFormatClearsPool persists slots, formats, and expects an empty zone
+// and an empty table.
 func TestFormatClearsPool(t *testing.T) {
 	c := vclock.New()
 	c.Run(func() {
 		d := zns.NewDevice(c, ppDevConfig())
 		e := newTestEngine(t, c, d)
-		for s := int64(0); s < 5; s++ {
-			fut, _, ok := e.Persist(mkAppend(d, 0, s, 3, 8))
-			if !ok {
-				t.Fatal("Persist refused")
-			}
-			if err := fut.Wait(); err != nil {
-				t.Fatal(err)
-			}
+		for s := int64(0); s < 2; s++ {
+			persistWait(t, e, d, s, 3, 8)
 		}
 		if err := e.Format(); err != nil {
 			t.Fatalf("Format: %v", err)
 		}
-		for p := 0; p < 2; p++ {
-			if st := d.Zone(p).State; st != zns.ZoneEmpty {
-				t.Errorf("PP zone %d state %v after Format, want empty", p, st)
-			}
+		if st := d.Zone(0).State; st != zns.ZoneEmpty {
+			t.Errorf("PP zone state %v after Format, want empty", st)
 		}
 		recs, err := e.Scan()
 		if err != nil {
@@ -488,12 +353,8 @@ func TestFormatClearsPool(t *testing.T) {
 		if len(recs) != 0 {
 			t.Errorf("Scan found %d records after Format", len(recs))
 		}
-		fut, _, ok := e.Persist(mkAppend(d, 0, 77, 4, 8))
-		if !ok {
-			t.Fatal("Persist refused after Format")
-		}
-		if err := fut.Wait(); err != nil {
-			t.Fatal(err)
+		for s := int64(77); s < 79; s++ {
+			persistWait(t, e, d, s, 4, 8)
 		}
 	})
 }

@@ -79,18 +79,7 @@ func (v *Volume) ReadBlackBox() (data []byte, ok bool) {
 // simulated goroutine of the device's clock.
 func RecoverBlackBox(dev *zns.Device, cfg Config) (data []byte, ok bool, err error) {
 	cfg = cfg.withDefaults()
-	dc := dev.Config()
-	ppZones := 0
-	if cfg.ParityEngine == EngineZRAID {
-		ppZones = cfg.PPZones
-	}
-	lt := &layout{
-		n: 1, d: 1, su: cfg.StripeUnitSectors,
-		physZoneSize: dc.ZoneSize, physZoneCap: dc.ZoneCap,
-		numZones: dc.NumZones - cfg.MetadataZones - ppZones,
-		mdZones:  cfg.MetadataZones, ppZones: ppZones,
-	}
-	recs, err := scanMDZones(dev, lt, dc.SectorSize)
+	recs, err := scanMDZones(dev, deviceLayout(dev.Config(), cfg), dev.Config().SectorSize)
 	if err != nil {
 		return nil, false, err
 	}

@@ -24,10 +24,9 @@ func (le *loggedEngine) Kind() ppengine.Kind { return ppengine.Logged }
 
 // Persist appends the image as a §5.1 log record. A failed parity
 // device persists nothing (the data units carry the write, §4.2), which
-// is success for the caller — there is nothing to fall back to.
-func (le *loggedEngine) Persist(a ppengine.Append) (*vclock.Future, int64, bool) {
-	fut, end := le.v.logPartialParity(a)
-	return fut, end, true
+// is success for the caller.
+func (le *loggedEngine) Persist(a ppengine.Append) (*vclock.Future, int64) {
+	return le.v.logPartialParity(a)
 }
 
 // logPartialParity appends the image in a's frame to the parity metadata
@@ -77,5 +76,4 @@ func (le *loggedEngine) Stats() ppengine.Stats {
 	}
 }
 
-func (le *loggedEngine) Maintain() error { return nil }
-func (le *loggedEngine) Format() error   { return nil }
+func (le *loggedEngine) Format() error { return nil }

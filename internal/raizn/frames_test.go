@@ -250,8 +250,8 @@ func encodeRecordRef(r *record, sectorSize int) []byte {
 
 // TestLogRecordBytesMatchReference reads back, sector for sector, the
 // records the write path now encodes in place — a partial-parity frame the
-// logged engine appended, one the zraid engine refused (pool exhausted,
-// ok=false) and the write path logged instead, and a completed stripe's
+// logged engine appended, one the zraid engine had no slot for (table full)
+// and logged instead, and a completed stripe's
 // checksum record — and compares each with encodeRecordRef of the same
 // record. The frames are dirty by then: every volume below has written
 // before, so a header sector or an image tail that is not rewritten in full
@@ -311,20 +311,16 @@ func TestLogRecordBytesMatchReference(t *testing.T) {
 	})
 	t.Run("zraid-fallback", func(t *testing.T) {
 		runZraidVol(t, func(c *vclock.Clock, v *Volume, devs []*zns.Device) {
-			// Pack device 0's pool with live slots the volume never closes.
+			// Fill device 0's two-slot table with live stripes the volume
+			// never closes.
 			ss := v.SectorSize()
-			for i, refused := 0, 0; refused < 3; i++ {
-				if i == 40 {
-					t.Fatal("PP pool never exhausted")
-				}
-				fut, _, ok := v.eng.Persist(ppengine.Append{
+			for i := 0; i < 2; i++ {
+				fut, _ := v.eng.Persist(ppengine.Append{
 					Dev: 0, Zone: 0, Stripe: int64(1000 + i),
 					StartLBA: 0, EndLBA: 8, Gen: 999,
 					Frame: make([]byte, (1+8)*ss),
 				})
-				if !ok {
-					refused++
-				} else if err := fut.Wait(); err != nil {
+				if err := fut.Wait(); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -336,7 +332,7 @@ func TestLogRecordBytesMatchReference(t *testing.T) {
 			mustWriteV(t, v, 256, 20, 0)
 			mustWriteV(t, v, 276, 6, 0)
 			if got := v.PPEngineStats().FallbackTotal - before; got != 2 {
-				t.Fatalf("%d of 2 partial-parity images fell back to the log", got)
+				t.Fatalf("%d of 2 partial-parity images overflowed to the log", got)
 			}
 			check(t, v, devs[0], ppRecord(v, 4, 0, 20))
 			check(t, v, devs[0], ppRecord(v, 4, 20, 26))

@@ -8,6 +8,8 @@ package raizn
 //
 // All quantities are in sectors unless suffixed Bytes.
 
+import "raizn/internal/zns"
+
 // layout captures the immutable geometry of an array.
 type layout struct {
 	n  int   // total devices (D data + 1 parity per stripe)
@@ -18,7 +20,7 @@ type layout struct {
 	physZoneCap  int64 // writable sectors per physical zone
 	numZones     int   // logical zones (= physical data zones per device)
 	mdZones      int   // reserved metadata zones per device (after data zones)
-	ppZones      int   // reserved partial-parity zones per device (zraid engine; after md zones)
+	ppZones      int   // reserved partial-parity zones per device (1 for the zraid engine, after md zones)
 }
 
 // stripeSectors returns the data sectors carried by one stripe.
@@ -106,10 +108,18 @@ func (l *layout) stripeStart(z int, s int64) int64 {
 // metadata zone (0 <= i < mdZones), which live after the data zones.
 func (l *layout) mdZoneIndex(i int) int { return l.numZones + i }
 
-// ppZoneIndex returns the physical zone index of the i-th reserved
-// partial-parity zone (0 <= i < ppZones), which live after the metadata
-// zones. Only the zraid engine reserves any.
-func (l *layout) ppZoneIndex(i int) int { return l.numZones + l.mdZones + i }
+// deviceLayout is one device's layout on its own, enough to find its
+// metadata zones (between the data zones and the zraid engine's PP zone)
+// before the array is assembled. cfg has its defaults applied.
+func deviceLayout(dc zns.Config, cfg Config) *layout {
+	pp := cfg.ppZones()
+	return &layout{
+		n: 1, d: 1, su: cfg.StripeUnitSectors,
+		physZoneSize: dc.ZoneSize, physZoneCap: dc.ZoneCap,
+		numZones: dc.NumZones - cfg.MetadataZones - pp,
+		mdZones:  cfg.MetadataZones, ppZones: pp,
+	}
+}
 
 // intraInterval is a half-open interval of intra-stripe-unit offsets.
 type intraInterval struct{ a, b int64 }

@@ -69,14 +69,10 @@ type Config struct {
 	ArrayID uint64
 	// ParityEngine selects the parity-persistence engine (see
 	// internal/ppengine): EngineLogged (default) appends partial parity
-	// to the metadata zones as log records (§5.1); EngineZRAID writes it
-	// log-structured into a dedicated pool of PP zones through the
-	// devices' ZRWA, where superseded images never program to flash.
+	// to the metadata zones as log records (§5.1); EngineZRAID overwrites
+	// it in place in slots inside the ZRWA of one dedicated PP zone per
+	// device, where superseded images never program to flash.
 	ParityEngine ParityEngine
-	// PPZones is the number of physical zones per device reserved for
-	// the zraid engine's partial-parity pool (minimum and default 2).
-	// Ignored by the logged engine.
-	PPZones int
 	// RelocationThreshold is the §5.2 "user-modifiable threshold": a
 	// logical zone holding at least this many relocated fragments is
 	// compacted at mount, rewriting the affected physical zones so all
@@ -113,30 +109,33 @@ const (
 	// records (4 KiB header + parity payload) in the dedicated metadata
 	// zone, requiring no optional device features.
 	EngineLogged ParityEngine = iota
-	// EngineZRAID is the ZRAID-style log-structured design: partial
-	// parity lives in fixed slots inside dedicated PP zones, overwritten
-	// in place through the ZRWA and reclaimed by a PP-zone garbage
-	// collector. Requires devices with ZRWASectors >= StripeUnitSectors+1.
+	// EngineZRAID is the ZRAID design: partial parity lives in a fixed
+	// table of slots that never leaves the ZRWA window of one dedicated
+	// PP zone per device, overwritten in place; an image the table has no
+	// room for is logged as with EngineLogged. Requires devices with
+	// ZRWASectors >= StripeUnitSectors+1.
 	EngineZRAID
 )
 
 // ReservedZones returns how many physical zones per device the
 // configuration reserves outside the logical address space: the metadata
-// zones plus, for the zraid engine, the partial-parity pool. Usable
-// before withDefaults is applied.
+// zones plus, for the zraid engine, the PP zone. Usable before
+// withDefaults is applied.
 func (c Config) ReservedZones() int {
 	r := c.MetadataZones
 	if r == 0 {
 		r = 3
 	}
+	return r + c.ppZones()
+}
+
+// ppZones returns the number of PP zones per device: one for the zraid
+// engine, none for the logged engine.
+func (c Config) ppZones() int {
 	if c.ParityEngine == EngineZRAID {
-		p := c.PPZones
-		if p == 0 {
-			p = 2
-		}
-		r += p
+		return 1
 	}
-	return r
+	return 0
 }
 
 // DefaultConfig returns the paper's evaluation configuration: 64 KiB
@@ -162,9 +161,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.RelocationThreshold == 0 {
 		out.RelocationThreshold = 64
-	}
-	if out.ParityEngine == EngineZRAID && out.PPZones == 0 {
-		out.PPZones = 2
 	}
 	return out
 }
@@ -431,15 +427,9 @@ func newVolume(clk *vclock.Clock, devs []*zns.Device, cfg Config) (*Volume, erro
 	if dc.ZoneCap%cfg.StripeUnitSectors != 0 {
 		return nil, errors.New("raizn: zone capacity not a multiple of the stripe unit")
 	}
-	ppZones := 0
-	if cfg.ParityEngine == EngineZRAID {
-		ppZones = cfg.PPZones
-		if ppZones < 2 {
-			return nil, errors.New("raizn: the zraid engine needs at least 2 PP zones per device")
-		}
-		if dc.ZRWASectors < cfg.StripeUnitSectors+1 {
-			return nil, errors.New("raizn: the zraid engine requires a random write area of at least one PP slot (stripe unit + header)")
-		}
+	ppZones := cfg.ppZones()
+	if ppZones > 0 && dc.ZRWASectors < cfg.StripeUnitSectors+1 {
+		return nil, errors.New("raizn: the zraid engine requires a random write area of at least one PP slot (stripe unit + header)")
 	}
 	numZones := dc.NumZones - cfg.MetadataZones - ppZones
 	if numZones < 1 {
@@ -458,11 +448,8 @@ func newVolume(clk *vclock.Clock, devs []*zns.Device, cfg Config) (*Volume, erro
 	maxOpen := cfg.MaxOpenZones
 	if maxOpen == 0 {
 		maxOpen = dc.MaxOpenZones - cfg.MetadataZones
-		if ppZones > 0 {
-			// The zraid engine keeps at most one PP zone open per device
-			// (the pool head; advancing finishes the old head).
-			maxOpen--
-		}
+		// The zraid engine keeps its PP zone open on every device.
+		maxOpen -= ppZones
 		if maxOpen < 1 {
 			maxOpen = 1
 		}
@@ -559,15 +546,14 @@ func newVolume(clk *vclock.Clock, devs []*zns.Device, cfg Config) (*Volume, erro
 	v.publishDevTableLocked()
 	if cfg.ParityEngine == EngineZRAID {
 		eng, err := ppengine.NewZRAID(ppengine.ZRAIDConfig{
-			Clock:       clk,
 			NumDevices:  lt.n,
 			Device:      v.dev,
-			PPZone:      lt.ppZoneIndex,
-			PPZones:     ppZones,
+			PPZone:      lt.numZones + lt.mdZones,
 			SectorSize:  dc.SectorSize,
 			SU:          lt.su,
 			ZoneCap:     dc.ZoneCap,
 			ZRWASectors: dc.ZRWASectors,
+			Log:         v.logPartialParity,
 			Charge: func(hdr, pay int64) {
 				v.stats.waPPHeaderBytes.Add(hdr)
 				v.stats.waPPPayloadBytes.Add(pay)
@@ -591,7 +577,7 @@ func newVolume(clk *vclock.Clock, devs []*zns.Device, cfg Config) (*Volume, erro
 func (v *Volume) ParityEngineKind() ppengine.Kind { return v.eng.Kind() }
 
 // PPEngineStats returns the parity-persistence engine's lifetime
-// counters (volatile/permanent byte split, fallbacks, GC activity).
+// counters (volatile/permanent byte split, images logged on overflow).
 func (v *Volume) PPEngineStats() ppengine.Stats { return v.eng.Stats() }
 
 // Tracer returns the volume's span tracer (never nil; disabled unless
@@ -664,8 +650,8 @@ func (v *Volume) NumSectors() int64 { return v.lt.numSectors() }
 
 // PhysZoneRole reports how the array uses physical zone index z on every
 // device: "data" (striped user data + parity), "md" (reserved metadata
-// log), or "pp" (dedicated partial-parity pool; only the zraid engine
-// reserves any). Zones past the reserved region are "data" — the layout
+// log), or "pp" (the dedicated partial-parity zone; only the zraid engine
+// reserves one). Zones past the reserved region are "data" — the layout
 // never addresses them.
 func (v *Volume) PhysZoneRole(z int) string {
 	switch {

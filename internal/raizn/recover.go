@@ -31,18 +31,7 @@ func Mount(clk *vclock.Clock, devs []*zns.Device, cfg Config) (*Volume, error) {
 		if d == nil {
 			continue
 		}
-		dc := d.Config()
-		ppZones := 0
-		if cfg.ParityEngine == EngineZRAID {
-			ppZones = cfg.PPZones // metadata zones sit below the PP pool
-		}
-		lt := &layout{
-			n: 1, d: 1, su: cfg.StripeUnitSectors,
-			physZoneSize: dc.ZoneSize, physZoneCap: dc.ZoneCap,
-			numZones: dc.NumZones - cfg.MetadataZones - ppZones,
-			mdZones:  cfg.MetadataZones, ppZones: ppZones,
-		}
-		recs, err := scanMDZones(d, lt, dc.SectorSize)
+		recs, err := scanMDZones(d, deviceLayout(d.Config(), cfg), d.Config().SectorSize)
 		if err != nil {
 			return nil, err
 		}

@@ -352,9 +352,5 @@ func (v *Volume) Maintain() error {
 			return err
 		}
 	}
-	// Engine housekeeping: the zraid engine force-reclaims its PP zones.
-	if err := v.eng.Maintain(); err != nil {
-		return err
-	}
 	return v.persistGenCounters()
 }

@@ -125,10 +125,8 @@ func newStatsCounters(r *obs.Registry, label string) statsCounters {
 // registered under the bare names, shared by all arrays.
 func registerEngineMetrics(r *obs.Registry, label string, eng ppengine.Engine) {
 	r.Help("raizn_pp_volatile_bytes", "partial-parity bytes superseded inside the ZRWA window, never programmed to flash (zraid engine)")
-	r.Help("raizn_pp_permanent_bytes", "partial-parity bytes programmed to flash (the ZRWA window slid past them, or every logged PP byte)")
-	r.Help("raizn_pp_fallback_total", "partial-parity persists refused by the engine (PP-zone exhaustion) and diverted to the metadata log")
-	r.Help("raizn_gc_runs_total", "PP-zone garbage collections completed (zraid engine)")
-	r.Help("raizn_gc_migrated_total", "live partial-parity slots migrated by PP-zone garbage collection (zraid engine)")
+	r.Help("raizn_pp_permanent_bytes", "partial-parity bytes programmed to flash (every logged PP byte)")
+	r.Help("raizn_pp_fallback_total", "partial-parity images the zraid slot table had no room for, appended to the metadata log instead")
 	n := func(name string) string { return obs.LabeledName(name, "array", label) }
 	g := func(name string, f func(ppengine.Stats) int64) {
 		r.GaugeFunc(n(name), func() int64 { return f(eng.Stats()) })
@@ -136,8 +134,6 @@ func registerEngineMetrics(r *obs.Registry, label string, eng ppengine.Engine) {
 	g("raizn_pp_volatile_bytes", func(s ppengine.Stats) int64 { return s.VolatileBytes })
 	g("raizn_pp_permanent_bytes", func(s ppengine.Stats) int64 { return s.PermanentBytes })
 	g("raizn_pp_fallback_total", func(s ppengine.Stats) int64 { return s.FallbackTotal })
-	g("raizn_gc_runs_total", func(s ppengine.Stats) int64 { return s.GCRuns })
-	g("raizn_gc_migrated_total", func(s ppengine.Stats) int64 { return s.GCMigrated })
 }
 
 // registerStatsHelp attaches HELP text to every statsCounters family

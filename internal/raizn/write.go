@@ -806,18 +806,12 @@ func (v *Volume) issuePendingMD(sp *obs.Span, own *writeState, pending []pending
 	for i := range pending {
 		p := &pending[i]
 		if p.hasPP {
-			// Partial parity goes through the engine. On backpressure
-			// (zraid PP-zone exhaustion) it becomes a plain §5.1 log
-			// record, so the write path never blocks on PP-zone GC.
+			// Partial parity goes through the engine.
 			a := p.pp
 			a.Span = sp
 			a.Flags = int(flags)
 			a.Fut = own.subFut()
-			f, end, ok := v.eng.Persist(a)
-			if !ok {
-				f, end = v.logPartialParity(a)
-			}
-			if f != nil {
+			if f, end := v.eng.Persist(a); f != nil {
 				p.end = end
 				futs = append(futs, subIO{dev: p.dev, fut: f})
 			}

@@ -24,7 +24,7 @@ func zraidConfig() Config {
 }
 
 // runZraidVol runs fn on a 5-device zraid volume: 8 zones - 3 metadata
-// - 2 PP = 3 logical zones of 512 sectors.
+// - 1 PP = 4 logical zones of 512 sectors.
 func runZraidVol(t *testing.T, fn func(c *vclock.Clock, v *Volume, devs []*zns.Device)) {
 	t.Helper()
 	c := vclock.New()
@@ -43,14 +43,14 @@ func runZraidVol(t *testing.T, fn func(c *vclock.Clock, v *Volume, devs []*zns.D
 
 func TestZRAIDCreateGeometry(t *testing.T) {
 	runZraidVol(t, func(c *vclock.Clock, v *Volume, devs []*zns.Device) {
-		if got := v.NumZones(); got != 3 {
-			t.Errorf("NumZones = %d, want 3 (8 phys - 3 md - 2 pp)", got)
+		if got := v.NumZones(); got != 4 {
+			t.Errorf("NumZones = %d, want 4 (8 phys - 3 md - 1 pp)", got)
 		}
 		if k := v.ParityEngineKind(); k != ppengine.ZRAID {
 			t.Errorf("engine kind = %v, want zraid", k)
 		}
-		if got := zraidConfig().ReservedZones(); got != 5 {
-			t.Errorf("ReservedZones = %d, want 5", got)
+		if got := zraidConfig().ReservedZones(); got != 4 {
+			t.Errorf("ReservedZones = %d, want 4", got)
 		}
 	})
 }
@@ -131,13 +131,13 @@ func TestZRAIDCrashRecovery(t *testing.T) {
 		checkReadV(t, v2, 0, int(wp))
 
 		// Recovery re-checkpoints live parity into the metadata zones and
-		// formats the engine: the PP pool starts empty.
+		// formats the engine: the PP zones start empty.
 		recs, err := v2.eng.Scan()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(recs) != 0 {
-			t.Errorf("PP pool not formatted after recovery: %d records", len(recs))
+			t.Errorf("PP zones not formatted after recovery: %d records", len(recs))
 		}
 
 		mustWriteV(t, v2, wp, 40, 0)
@@ -180,7 +180,7 @@ func TestZRAIDCrashAllSubmitted(t *testing.T) {
 
 // TestZRAIDWAAccountingCloses replays the logged engine's closure
 // invariant on zraid: every byte the raizn layer puts on a device —
-// including PP slot writes and GC migrations — lands in exactly one
+// including PP slot writes — lands in exactly one
 // category, so the category sum equals device host bytes.
 func TestZRAIDWAAccountingCloses(t *testing.T) {
 	c := vclock.New()
@@ -232,10 +232,10 @@ func TestZRAIDWAAccountingCloses(t *testing.T) {
 	})
 }
 
-// TestZRAIDBackpressureFallback exhausts one device's PP pool with live
-// slots and checks the write path falls back to the metadata log — the
-// write succeeds, FallbackTotal grows, and the WA accounting still
-// closes.
+// TestZRAIDBackpressureFallback fills one device's slot table with live
+// stripes and checks the next stripe's partial parity overflows to the
+// metadata log — the write succeeds, FallbackTotal grows, and the WA
+// accounting still closes.
 func TestZRAIDBackpressureFallback(t *testing.T) {
 	c := vclock.New()
 	c.Run(func() {
@@ -252,25 +252,18 @@ func TestZRAIDBackpressureFallback(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		// Pack device 0's pool with live slots the volume never closes.
+		// Fill device 0's two-slot table with live stripes the volume never
+		// closes.
 		ss := v.SectorSize()
-		refused := 0
-		for i := 0; i < 40 && refused < 3; i++ {
-			fut, _, ok := v.eng.Persist(ppengine.Append{
+		for i := 0; i < 2; i++ {
+			fut, _ := v.eng.Persist(ppengine.Append{
 				Dev: 0, Zone: 0, Stripe: int64(1000 + i),
 				StartLBA: 0, EndLBA: 8, Gen: 999,
 				Frame: make([]byte, (1+8)*ss),
 			})
-			if !ok {
-				refused++
-				continue
-			}
 			if err := fut.Wait(); err != nil {
 				t.Fatal(err)
 			}
-		}
-		if refused == 0 {
-			t.Fatal("PP pool never exhausted")
 		}
 		before := v.PPEngineStats()
 
@@ -296,70 +289,33 @@ func TestZRAIDBackpressureFallback(t *testing.T) {
 	})
 }
 
-// TestZRAIDGCUnderConcurrentWrites races zone writers against a driver
-// that churns device 0's PP pool: it appends a fresh slot per step and
-// closes each stripe only after it has slid out of the ZRWA window, so
-// the slots die unreusable, the head fills, and the ring advance must
-// garbage-collect while real writes are in flight.
-func TestZRAIDGCUnderConcurrentWrites(t *testing.T) {
+// TestZRAIDWriteAfterRebuild replaces the parity device of two partial
+// stripes, one of them in its second slot, and writes to that stripe again:
+// the replacement's PP zone is empty, so the engine must place the image
+// afresh there rather than overwrite the slot the old device held.
+func TestZRAIDWriteAfterRebuild(t *testing.T) {
 	runZraidVol(t, func(c *vclock.Clock, v *Volume, devs []*zns.Device) {
-		ss := v.SectorSize()
-		wg := c.NewWaitGroup()
-		wg.Add(1)
-		c.Go(func() {
-			defer wg.Done()
-			for i := 0; i < 25; i++ {
-				fut, _, ok := v.eng.Persist(ppengine.Append{
-					Dev: 0, Zone: 0, Stripe: int64(2000 + i),
-					StartLBA: 0, EndLBA: 8, Gen: 999,
-					Frame: make([]byte, (1+8)*ss),
-				})
-				if ok {
-					if err := fut.Wait(); err != nil {
-						t.Errorf("driver persist %d: %v", i, err)
-						return
-					}
-				}
-				if i >= 2 {
-					// Two slots behind the head: outside the window, so
-					// the dead slot is reclaimable only by GC.
-					v.eng.StripeClosed(0, int64(2000+i-2))
-				}
-			}
-		})
-		for z := 0; z < v.NumZones(); z++ {
-			z := z
-			wg.Add(1)
-			c.Go(func() {
-				defer wg.Done()
-				lba := int64(z) * v.ZoneSectors()
-				var futs []*vclock.Future
-				for _, n := range []int64{4, 8, 52, 64, 12, 116, 4, 60, 128, 20} {
-					futs = append(futs, v.SubmitWrite(lba, lbaPattern(v, lba, int(n)), 0))
-					lba += n
-				}
-				if err := vclock.WaitAll(futs...); err != nil {
-					t.Errorf("zone %d workload: %v", z, err)
-				}
-			})
+		p := v.lt.parityDev(0, 0)
+		zs := v.ZoneSectors()
+		mustWriteV(t, v, 0, 8, 0)      // zone 0 stripe 0: slot 0 on p
+		mustWriteV(t, v, zs, 256+8, 0) // zone 1 stripe 4, parity on p too: slot 1
+		if err := v.Flush(); err != nil {
+			t.Fatal(err)
 		}
-		wg.Wait()
-
-		for z := 0; z < v.NumZones(); z++ {
-			checkReadV(t, v, int64(z)*v.ZoneSectors(), 468)
+		v.FailDevice(p)
+		if _, err := v.ReplaceDevice(zns.NewDevice(c, zraidDevConfig())); err != nil {
+			t.Fatalf("rebuild: %v", err)
 		}
-		st := v.PPEngineStats()
-		if st.GCRuns == 0 {
-			t.Error("head zones filled but no PP-zone GC ran")
+		if err := v.SubmitWrite(zs+264, lbaPattern(v, zs+264, 8), 0).Wait(); err != nil {
+			t.Fatalf("write after rebuild: %v", err)
 		}
-		if st.GCMigrated == 0 {
-			t.Error("GC ran but migrated no live slots")
-		}
+		checkReadV(t, v, 0, 8)
+		checkReadV(t, v, zs, 272)
 	})
 }
 
 // TestZRAIDDegradedMaintain fails a device mid-workload and checks
-// writes, reads, and the engine's GC tolerate the hole.
+// writes, reads, and Maintain tolerate the hole.
 func TestZRAIDDegradedMaintain(t *testing.T) {
 	runZraidVol(t, func(c *vclock.Clock, v *Volume, devs []*zns.Device) {
 		mustWriteV(t, v, 0, 100, 0)
