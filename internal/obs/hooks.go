@@ -7,7 +7,7 @@ package obs
 //
 // Names are dotted paths, layer-first:
 //
-//	raizn.write.plan / .compute / .submit / .md / .done
+//	raizn.write.plan / .submit / .md / .done
 //	raizn.flush.done, raizn.reset.wal / .phys / .done, raizn.finish.done
 //	raizn.md.append, raizn.pp.write, raizn.rebuild.zone, raizn.scrub.stripe
 //	zns.cmd.write / .append / .zrwa / .flush

@@ -27,6 +27,8 @@ func (v *Volume) SubmitAppend(zone int, data []byte, flags zns.Flag) (int64, *vc
 	if v.ReadOnly() {
 		return -1, v.clk.Completed(ErrReadOnly)
 	}
+	// The position is not known until the lock is held: Arg is -1.
+	v.fireHook("raizn.write.plan", obs.SrcLogical, zone, -1)
 
 	lz := v.zones[zone]
 	lz.mu.Lock()

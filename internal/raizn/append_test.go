@@ -1,6 +1,9 @@
 package raizn
 
 import (
+	"bytes"
+	"errors"
+	"sort"
 	"testing"
 
 	"raizn/internal/vclock"
@@ -24,17 +27,26 @@ func TestAppendAssignsSequentialLBAs(t *testing.T) {
 	})
 }
 
+// TestConcurrentAppendsSerialize races 16 appenders on one zone with sizes
+// that, in whatever order they land, start, complete and span stripes
+// (64 sectors here). The appends must tile the zone's prefix, read back
+// what each wrote, before and after a flush and a power cut, and leave the
+// zone with its stripe buffers all accounted for and at most one partial
+// stripe buffered.
 func TestConcurrentAppendsSerialize(t *testing.T) {
 	runVol(t, func(c *vclock.Clock, v *Volume, devs []*zns.Device) {
-		const n = 16
+		sizes := []int64{4, 8, 64, 12, 70, 20, 4, 36, 64, 8, 100, 4, 16, 28, 4, 60}
+		// Each appender writes the pattern of its own base address, so a
+		// misplaced or torn append reads back as a mismatch.
+		pattern := func(i int) []byte { return lbaPattern(v, int64(i+1)*1000, int(sizes[i])) }
 		wg := c.NewWaitGroup()
-		lbas := make([]int64, n)
-		for i := 0; i < n; i++ {
+		lbas := make([]int64, len(sizes))
+		for i := range sizes {
 			i := i
 			wg.Add(1)
 			c.Go(func() {
 				defer wg.Done()
-				lba, fut := v.SubmitAppend(1, make([]byte, 4*v.SectorSize()), 0)
+				lba, fut := v.SubmitAppend(1, pattern(i), 0)
 				if err := fut.Wait(); err != nil {
 					t.Errorf("append %d: %v", i, err)
 				}
@@ -42,22 +54,83 @@ func TestConcurrentAppendsSerialize(t *testing.T) {
 			})
 		}
 		wg.Wait()
-		// All assignments are distinct, 4-sector aligned, and cover
-		// exactly [zoneStart, zoneStart+64).
+
+		// The assignments tile [zoneStart, zoneStart+total) exactly.
 		zs := v.ZoneSectors()
-		seen := map[int64]bool{}
-		for _, lba := range lbas {
-			if lba < zs || lba >= zs+4*n {
-				t.Fatalf("append landed at %d, outside the expected range", lba)
-			}
-			if seen[lba] {
-				t.Fatalf("duplicate append LBA %d", lba)
-			}
-			seen[lba] = true
+		order := make([]int, len(sizes))
+		for i := range order {
+			order[i] = i
 		}
-		if wp := v.Zone(1).WP - zs; wp != 4*n {
-			t.Errorf("zone WP = %d, want %d", wp, 4*n)
+		sort.Slice(order, func(a, b int) bool { return lbas[order[a]] < lbas[order[b]] })
+		next := zs
+		for _, i := range order {
+			if lbas[i] != next {
+				t.Fatalf("append %d (%d sectors) landed at %d, want %d", i, sizes[i], lbas[i], next)
+			}
+			next += sizes[i]
 		}
+		total := next - zs
+		if wp := v.Zone(1).WP - zs; wp != total {
+			t.Errorf("zone WP = %d, want %d", wp, total)
+		}
+
+		lz := v.zones[1]
+		lz.mu.Lock()
+		free, active := len(lz.free), len(lz.active)
+		lz.mu.Unlock()
+		if free+active != stripeBuffersPerZone || active > 1 {
+			t.Errorf("stripe buffers: %d free + %d active, want %d in all and at most 1 active",
+				free, active, stripeBuffersPerZone)
+		}
+
+		check := func(v *Volume) {
+			t.Helper()
+			for i, lba := range lbas {
+				buf := make([]byte, sizes[i]*int64(v.SectorSize()))
+				if err := v.Read(lba, buf); err != nil {
+					t.Fatalf("Read(append %d at %d): %v", i, lba, err)
+				}
+				if !bytes.Equal(buf, pattern(i)) {
+					t.Fatalf("append %d at %d: data mismatch", i, lba)
+				}
+			}
+		}
+		check(v)
+		if err := v.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range devs {
+			d.PowerLoss(nil)
+		}
+		v2 := remount(t, c, devs)
+		if wp := v2.Zone(1).WP - zs; wp != total {
+			t.Errorf("zone WP after remount = %d, want %d", wp, total)
+		}
+		check(v2)
+	})
+}
+
+// TestPlanErrorFailsStop: a write whose plan finds the zone's stripe
+// buffers out of step with its write pointer issues nothing and puts the
+// volume in read-only mode, as a failed sub-IO does; the zone's write
+// pointer stays over written data only.
+func TestPlanErrorFailsStop(t *testing.T) {
+	runVol(t, func(c *vclock.Clock, v *Volume, devs []*zns.Device) {
+		mustWriteV(t, v, 0, 8, 0)
+		lz := v.zones[0]
+		lz.mu.Lock()
+		lz.active[0].fill = 5
+		lz.mu.Unlock()
+		if err := v.Write(8, lbaPattern(v, 8, 8), 0); !errors.Is(err, ErrInconsistent) {
+			t.Fatalf("write over an out-of-step stripe buffer: %v, want %v", err, ErrInconsistent)
+		}
+		if !v.ReadOnly() {
+			t.Error("volume still writable after a plan error")
+		}
+		if wp := v.Zone(0).WP; wp != 8 {
+			t.Errorf("zone WP = %d after the failed write, want 8", wp)
+		}
+		checkReadV(t, v, 0, 8)
 	})
 }
 

@@ -112,12 +112,6 @@ func (v *Volume) checkpointRecords(dev int, kind mdKind) []*record {
 				if v.lt.parityDev(z, s) != dev || buf.fill == 0 {
 					continue
 				}
-				if buf.fill == v.lt.stripeSectors() {
-					// Completed stripe whose buffer is still pinned for a
-					// pending submit phase: its full parity unit is queued
-					// for the arithmetic location, no log needed.
-					continue
-				}
 				regions, nreg := v.lt.intraRegions(0, buf.fill)
 				img := v.parityImageLocked(buf, regions[:nreg])
 				out = append(out, &record{

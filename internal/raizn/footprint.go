@@ -47,7 +47,7 @@ func (v *Volume) Footprint() MetadataFootprint {
 		PartialParityStorageMax: ss + suBytes,
 		SuperblockStorage:       ss,
 		StripeBufferBytes:       int64(v.lt.d) * suBytes,
-		StripeBuffersPerZone:    v.cfg.StripeBuffers,
+		StripeBuffersPerZone:    stripeBuffersPerZone,
 		PersistBitmapPerZone:    (nSU + 7) / 8,
 		ZoneDescriptorBytes:     64,
 	}

@@ -63,10 +63,10 @@ func TestParityIntoMatchesReference(t *testing.T) {
 	}
 }
 
-// submitWith carries one write through the phases of runWrite — plan,
-// compute, submit, metadata appends, publish — on the write state it is
-// given instead of one from the pool, and returns the sub-IOs without
-// waiting for them.
+// submitWith carries one write through the steps of runWrite — plan,
+// compute and submit under lz.mu, then metadata appends and publish — on
+// the write state it is given instead of one from the pool, and returns
+// the sub-IOs without waiting for them.
 func submitWith(t *testing.T, v *Volume, ws *writeState, lba int64, data []byte, flags zns.Flag) []subIO {
 	t.Helper()
 	z := v.lt.zoneOf(lba)
@@ -81,15 +81,11 @@ func submitWith(t *testing.T, v *Volume, ws *writeState, lba int64, data []byte,
 	ws.z, ws.flags = z, flags&zns.FUA
 	ws.end = off + int64(len(data)/v.sectorSize)
 	lz.wp = ws.end
-	lz.submitTail++
-	ws.ticket = lz.submitTail
 	if err := v.planWriteLocked(ws, lz, off, data); err != nil {
 		t.Fatal(err)
 	}
-	lz.mu.Unlock()
 	v.computeWrite(ws)
-	lz.mu.Lock()
-	v.submitWriteLocked(ws, lz, true)
+	v.submitWriteLocked(ws, lz)
 	lz.unpublished++
 	lz.mu.Unlock()
 	ws.futs = v.issuePendingMD(nil, ws, ws.pending, ws.futs, ws.flags)

@@ -42,7 +42,6 @@ var (
 	ErrOutOfRange    = errors.New("raizn: address out of range")
 	ErrUnaligned     = errors.New("raizn: IO not sector aligned")
 	ErrReadBeyondWP  = errors.New("raizn: read beyond logical write pointer")
-	ErrZoneResetting = errors.New("raizn: zone reset in progress")
 	ErrDegraded      = errors.New("raizn: array already degraded")
 	ErrReadOnly      = errors.New("raizn: volume is read-only")
 	ErrInconsistent  = errors.New("raizn: array metadata inconsistent")
@@ -58,9 +57,6 @@ type Config struct {
 	// for metadata, minimum 3: one for partial parity, one for general
 	// metadata, and at least one swap zone for metadata GC (§4.3).
 	MetadataZones int
-	// StripeBuffers is the number of pre-allocated stripe buffers per
-	// open logical zone (8 in the paper's experiments, §5.1).
-	StripeBuffers int
 	// MaxOpenZones bounds simultaneously open logical zones. Zero means
 	// the device limit minus the reserved metadata zones.
 	MaxOpenZones int
@@ -139,12 +135,11 @@ func (c Config) ppZones() int {
 }
 
 // DefaultConfig returns the paper's evaluation configuration: 64 KiB
-// stripe units, 3 metadata zones, 8 stripe buffers per open zone.
+// stripe units, 3 metadata zones.
 func DefaultConfig() Config {
 	return Config{
 		StripeUnitSectors: 16,
 		MetadataZones:     3,
-		StripeBuffers:     8,
 	}
 }
 
@@ -156,14 +151,17 @@ func (c *Config) withDefaults() Config {
 	if out.MetadataZones == 0 {
 		out.MetadataZones = 3
 	}
-	if out.StripeBuffers == 0 {
-		out.StripeBuffers = 8
-	}
 	if out.RelocationThreshold == 0 {
 		out.RelocationThreshold = 64
 	}
 	return out
 }
+
+// stripeBuffersPerZone is the number of stripe buffers each logical zone
+// owns: a write holds at most two, the stripe it completes and the one it
+// leaves partial, and frees the first once its sub-IOs are issued, before
+// it releases the zone. (The paper's kernel target keeps 8, §5.1.)
+const stripeBuffersPerZone = 2
 
 // stripeBuffer accumulates the data of one in-progress stripe so parity
 // can be computed without device reads (§5.1).
@@ -180,7 +178,7 @@ type logicalZone struct {
 	idx int
 
 	mu   sync.Mutex
-	cond *vclock.Cond // waits: stripe buffer free, reset completion
+	cond *vclock.Cond // waits: reset completion, unpublished writes
 
 	state       zns.ZoneState
 	wp          int64 // zone-relative sectors claimed by accepted writes
@@ -195,14 +193,6 @@ type logicalZone struct {
 	led         []zoneMarks
 	lastDurable *vclock.Future
 	unpublished int
-
-	// Write-submission tickets: every accepted write claims the next
-	// ticket (submitTail) while it claims its wp range, and performs its
-	// device-submit phase only when submitHead has reached the ticket
-	// before it — so device sub-IOs hit each physical zone in wp order
-	// even though parity/CRC computation runs outside the lock.
-	submitTail uint64 // tickets claimed
-	submitHead uint64 // tickets whose submit phase completed
 
 	free   []*stripeBuffer         // buffer pool
 	active map[int64]*stripeBuffer // stripe index -> buffer in use
@@ -290,8 +280,8 @@ type Volume struct {
 	jrn    *obs.Journal
 	stats  statsCounters
 
-	// Crash-point hook (AttachHook); fired at the write plan/compute/
-	// submit boundaries, metadata and partial-parity appends, reset and
+	// Crash-point hook (AttachHook); fired at the write plan/submit
+	// boundaries, metadata and partial-parity appends, reset and
 	// rebuild steps — always outside v.mu and the zone locks. Nil until
 	// attached.
 	hook obs.Hook
@@ -614,7 +604,7 @@ func (v *Volume) newLogicalZone(z int) *logicalZone {
 		led:    make([]zoneMarks, v.lt.n),
 	}
 	lz.cond = v.clk.NewCond(&lz.mu)
-	for i := 0; i < v.cfg.StripeBuffers; i++ {
+	for range stripeBuffersPerZone {
 		lz.free = append(lz.free, &stripeBuffer{
 			stripe: -1,
 			data:   make([]byte, v.lt.stripeSectors()*int64(v.sectorSize)),

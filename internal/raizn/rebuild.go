@@ -141,9 +141,6 @@ func (v *Volume) rebuildZone(z, slot int, newDev *zns.Device) (int64, error) {
 		lz.cond.Wait()
 	}
 	lz.resetting = true
-	// Wait out in-flight writes so the stripe buffers and survivor media
-	// reflect everything below wp before reconstruction reads them.
-	v.drainSubmitsLocked(lz)
 	wp := lz.wp
 	state := lz.state
 	lz.mu.Unlock()

@@ -30,9 +30,6 @@ func (v *Volume) ResetZone(z int) error {
 		return nil
 	}
 	lz.resetting = true
-	// In-flight writes already claimed their range; wait for their device
-	// submissions so the physical zones are quiescent before resetting.
-	v.drainSubmitsLocked(lz)
 	lz.mu.Unlock()
 
 	sp := v.tracer.Begin(obs.OpReset, v.lt.zoneStart(z), 0)
@@ -219,10 +216,8 @@ func (v *Volume) FinishZone(z int) error {
 		lz.mu.Unlock()
 		return nil
 	}
-	// Quiesce in-flight writes so the tail stripe buffer and physical
-	// write pointers are final before sealing, and the ledger has all of
-	// their metadata appends.
-	v.drainSubmitsLocked(lz)
+	// Wait until the ledger has every metadata append of the zone's
+	// writes before sealing.
 	for lz.unpublished > 0 {
 		lz.cond.Wait()
 	}
@@ -240,7 +235,6 @@ func (v *Volume) FinishZone(z int) error {
 			buf.stripe = -1
 			buf.fill = 0
 			lz.free = append(lz.free, buf)
-			lz.cond.Broadcast()
 		}
 	}
 	// The sealed zone has no in-progress stripes: all PP state is dead.

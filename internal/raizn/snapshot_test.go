@@ -26,7 +26,7 @@ func diffWriteSizes(z int, fillZone bool) []int64 {
 
 // runDiffWorkload drives one writer goroutine per logical zone, each
 // pipelining its zone's write sequence (futures collected, then awaited)
-// so multiple tickets are in flight per zone while zones race on the
+// so multiple writes are in flight per zone while zones race on the
 // shared devices. With fua set, every 4th write carries FUA so the
 // persistence bitmap has deterministic structure before any flush. (Crash
 // tests run without FUA: a FUA write persists its zone's prefix, and the

@@ -28,23 +28,23 @@ import (
 //     The flushes this takes are issued with the write's own sub-IOs,
 //     not after them (ledger.go).
 //
-// The hot path runs in three phases (see DESIGN.md, "write-path lock
-// discipline"):
+// A write holds lz.mu from claiming its range until its device sub-IOs
+// are issued (see DESIGN.md, "Write path: one critical section per
+// write"), so a zone's writes reach its devices one after another, in
+// write-pointer order:
 //
-//  1. plan (under lz.mu): validate, claim the range and a submission
-//     ticket, copy partial-stripe payloads into stripe buffers, and
-//     record every device sub-IO as a plan entry;
-//  2. compute (no locks): parity XOR, partial-parity images and CRC32-C
-//     rows over the now-immutable snapshot;
-//  3. submit (under lz.mu, in ticket order): coalesce physically
-//     adjacent plan entries per device into single (vectored) write
-//     commands and issue them, then publish the submitted write pointer.
+//  1. plan: validate, claim the range, copy partial-stripe payloads into
+//     stripe buffers, and record every device sub-IO as a plan entry;
+//  2. compute: parity XOR, partial-parity images and CRC32-C rows;
+//  3. submit: coalesce physically adjacent plan entries per device into
+//     single (vectored) write commands and issue them, then advance the
+//     submitted write pointer.
 //
 // Metadata appends (partial parity, relocations, checksums) are prepared
-// in the phases but issued after lz.mu is released, because metadata GC
-// takes zone locks while checkpointing. A short publish step (lz.mu
-// again) then enters them in the durability ledger and, for a FUA/Preflush
-// write, issues the flushes the zone still needs (ledger.go).
+// under lz.mu but issued after it is released, because metadata GC takes
+// zone locks while checkpointing. A short publish step (lz.mu again) then
+// enters them in the durability ledger and, for a FUA/Preflush write,
+// issues the flushes the zone still needs (ledger.go).
 func (v *Volume) SubmitWrite(lba int64, data []byte, flags zns.Flag) *vclock.Future {
 	if len(data) == 0 || len(data)%v.sectorSize != 0 {
 		return v.clk.Completed(ErrUnaligned)
@@ -61,6 +61,9 @@ func (v *Volume) SubmitWrite(lba int64, data []byte, flags zns.Flag) *vclock.Fut
 	if v.ReadOnly() {
 		return v.clk.Completed(ErrReadOnly)
 	}
+	// Crash point before any of the write reaches a device; hooks fire
+	// outside the zone lock.
+	v.fireHook("raizn.write.plan", obs.SrcLogical, z, off)
 
 	// Root span of the request; nil (and free) while tracing is disabled.
 	sp := v.tracer.Begin(obs.OpWrite, lba, int64(len(data)))
@@ -94,7 +97,7 @@ func (v *Volume) SubmitWrite(lba int64, data []byte, flags zns.Flag) *vclock.Fut
 
 // runWrite carries a validated, range-claimed write through issue and
 // completion. Caller holds lz.mu (with lz.wp already advanced); runWrite
-// releases it.
+// releases it once the write's device sub-IOs are issued.
 func (v *Volume) runWrite(sp *obs.Span, lz *logicalZone, off int64, data []byte, flags zns.Flag) *vclock.Future {
 	end := off + int64(len(data))/int64(v.sectorSize)
 	full := end == v.lt.zoneSectors()
@@ -109,27 +112,22 @@ func (v *Volume) runWrite(sp *obs.Span, lz *logicalZone, off int64, data []byte,
 	ws.full = full
 	durable := flags&(zns.FUA|zns.Preflush) != 0
 
-	// Claim the submission ticket at range-claim time: submit-phase order
-	// must equal write-pointer order or device writes would arrive out of
-	// sequence. A failed plan still runs its (possibly empty) submit
-	// phase so the ticket line keeps moving.
-	lz.submitTail++
-	ws.ticket = lz.submitTail
-
-	planErr := v.planWriteLocked(ws, lz, off, data)
-	lz.mu.Unlock()
+	if err := v.planWriteLocked(ws, lz, off, data); err != nil {
+		// The stripe buffers disagree with the write pointer: release
+		// the range, issue nothing and fail stop, as endWrite does.
+		lz.wp = off
+		lz.mu.Unlock()
+		v.putWriteState(ws)
+		v.mu.Lock()
+		v.readOnly = true
+		v.mu.Unlock()
+		sp.End(err)
+		return v.clk.Completed(err)
+	}
 	sp.Mark(obs.PhasePlan)
-	v.fireHook("raizn.write.plan", obs.SrcLogical, ws.z, off)
-
 	v.computeWrite(ws)
 	sp.Mark(obs.PhaseCompute)
-	v.fireHook("raizn.write.compute", obs.SrcLogical, ws.z, off)
-
-	lz.mu.Lock()
-	for lz.submitHead != ws.ticket-1 {
-		lz.cond.Wait()
-	}
-	v.submitWriteLocked(ws, lz, planErr == nil)
+	v.submitWriteLocked(ws, lz)
 	publish := durable || len(ws.pending) > 0
 	if publish {
 		lz.unpublished++
@@ -139,11 +137,6 @@ func (v *Volume) runWrite(sp *obs.Span, lz *logicalZone, off int64, data []byte,
 
 	ws.futs = v.issuePendingMD(sp, ws, ws.pending, ws.futs, ws.flags)
 
-	if planErr != nil {
-		// Nothing will wait for this write, so nothing may rely on its
-		// completion: its appends enter the ledger as if none were FUA.
-		flags, durable = 0, false
-	}
 	result := v.clk.NewFuture()
 	var chain, prev *vclock.Future
 	if durable {
@@ -154,22 +147,6 @@ func (v *Volume) runWrite(sp *obs.Span, lz *logicalZone, off int64, data []byte,
 	}
 	sp.Mark(obs.PhaseSubmit)
 	v.fireHook("raizn.write.md", obs.SrcLogical, ws.z, end)
-
-	if planErr != nil {
-		// Sub-IOs already issued are left to complete on their own; the
-		// caller sees the plan error. The state's next write re-arms its
-		// futures: all must be complete, whatever awaitSubIOs returned.
-		ws := ws
-		v.clk.Go(func() {
-			_ = v.awaitSubIOs(ws.futs)
-			for _, s := range ws.futs {
-				_ = s.fut.Wait()
-			}
-			v.putWriteState(ws)
-		})
-		sp.End(planErr)
-		return v.clk.Completed(planErr)
-	}
 
 	v.completeWrite(ws, lz, durable, prev, result)
 	return result
@@ -292,13 +269,12 @@ type ppTask struct {
 // writeState carries one logical write through its phases. States are
 // pooled per volume; every slice is reused across writes.
 type writeState struct {
-	v      *Volume
-	sp     *obs.Span // request root span; nil while tracing is disabled
-	z      int
-	flags  zns.Flag
-	end    int64
-	full   bool
-	ticket uint64
+	v     *Volume
+	sp    *obs.Span // request root span; nil while tracing is disabled
+	z     int
+	flags zns.Flag
+	end   int64
+	full  bool
 
 	plan    []plannedIO
 	parity  []parityTask
@@ -415,8 +391,8 @@ func reuseBuf(bufs *[][]byte, i, size int) []byte {
 // Full-stripe chunks bypass the stripe buffers: their parity and CRCs
 // are computed straight from the caller's data, which remains valid
 // until the submit phase finishes (all phases run inside SubmitWrite).
-// Only head/tail partial stripes occupy a buffer, so a single write can
-// never exhaust the buffer pool against itself.
+// Only the head stripe (which the zone's previous write left partial)
+// and the tail stripe occupy a buffer, so stripeBuffersPerZone suffice.
 func (v *Volume) planWriteLocked(ws *writeState, lz *logicalZone, off int64, data []byte) error {
 	ss := int64(v.sectorSize)
 	stripeSec := v.lt.stripeSectors()
@@ -504,11 +480,8 @@ func (v *Volume) planDataLocked(ws *writeState, z int, s, inStripe int64, chunk 
 }
 
 // computeWrite (phase 2) produces every parity image, partial-parity
-// payload and CRC row the plan needs. It runs with no locks held: the
-// stripe-buffer bytes it reads were written under lz.mu before the plan
-// phase released it (our own copies, or a predecessor's — ordered by the
-// buffer hand-off in stripeBufferLocked), and concurrent writers only
-// touch disjoint byte ranges above our fill snapshots.
+// payload and CRC row the plan needs. Caller holds lz.mu: the stripe
+// buffers it reads are the zone's.
 func (v *Volume) computeWrite(ws *writeState) {
 	ss := int64(v.sectorSize)
 	su := v.lt.su
@@ -605,20 +578,17 @@ func (v *Volume) parityInto(data []byte, fill, a, b int64, out []byte) {
 	}
 }
 
-// submitWriteLocked (phase 3) issues the plan in ticket order: plan
-// entries to the same device at physically adjacent addresses merge into
-// one vectored write command, burned address ranges split off into
-// relocation records (§5.2), and the submitted write pointer advances.
-// Caller holds lz.mu and has waited for its ticket.
-func (v *Volume) submitWriteLocked(ws *writeState, lz *logicalZone, ok bool) {
+// submitWriteLocked (phase 3) issues the plan: plan entries to the same
+// device at physically adjacent addresses merge into one vectored write
+// command, burned address ranges split off into relocation records
+// (§5.2), and the submitted write pointer advances. Caller holds lz.mu.
+func (v *Volume) submitWriteLocked(ws *writeState, lz *logicalZone) {
 	tbl := v.loadDevs()
 	z := lz.idx
 	ss := int64(v.sectorSize)
 	var dataB, parityB int64 // WA category bytes actually sent to devices
 
-	// A failed plan's sub-IOs are noted as if none were FUA: nobody waits
-	// for that write, so nothing may rely on their completion.
-	fua := ok && ws.flags&zns.FUA != 0
+	fua := ws.flags&zns.FUA != 0
 	for dev := 0; dev < v.lt.n; dev++ {
 		d := tbl.zoneDev(dev, z)
 		if d == nil {
@@ -688,9 +658,8 @@ func (v *Volume) submitWriteLocked(ws *writeState, lz *logicalZone, ok bool) {
 		v.setStripeChecksums(z, s, ws.crcs[i*nSlots:(i+1)*nSlots])
 	}
 
-	// Recycle buffers of completed stripes. They stayed in lz.active
-	// until now so concurrent degraded reads could be served from memory
-	// while the stripe's media writes were still pending.
+	// Recycle buffers of completed stripes: their payload is on the
+	// devices now (writes take effect at submit).
 	for i := range ws.parity {
 		t := &ws.parity[i]
 		if t.buf != nil {
@@ -705,19 +674,12 @@ func (v *Volume) submitWriteLocked(ws *writeState, lz *logicalZone, ok bool) {
 			v.eng.StripeClosed(z, t.s)
 		}
 	}
-	if ws.full && ok {
+	lz.submittedWP = ws.end
+	if ws.full {
 		// Every stripe of the zone is complete: sweep all PP state.
 		v.eng.ZoneReset(z)
-	}
-
-	if lz.submittedWP < ws.end {
-		lz.submittedWP = ws.end
-	}
-	if ws.full && ok {
 		v.closeZoneSlot(lz, zns.ZoneFull)
 	}
-	lz.submitHead++
-	lz.cond.Broadcast()
 }
 
 // flushRun issues the accumulated run as one device command (vectored
@@ -739,16 +701,6 @@ func (v *Volume) flushRun(ws *writeState, d *zns.Device, dev int, start int64, s
 		ws.futs = append(ws.futs, subIO{dev: dev, fut: d.WritevSpan(child, ws.subFut(), start, segs, ws.flags)})
 	}
 	return segs[:0]
-}
-
-// drainSubmitsLocked waits until every claimed write ticket has finished
-// its submit phase, so the zone's media state matches lz.wp. Reset,
-// finish and rebuild take this barrier before touching physical zones.
-// Caller holds lz.mu.
-func (v *Volume) drainSubmitsLocked(lz *logicalZone) {
-	for lz.submitHead != lz.submitTail {
-		lz.cond.Wait()
-	}
 }
 
 // subIO pairs a completion future with the device it went to, so device
@@ -900,30 +852,26 @@ func (v *Volume) closeZoneSlot(lz *logicalZone, to zns.ZoneState) {
 }
 
 // stripeBufferLocked returns the buffer accumulating stripe s, whose fill
-// must reach expectFill before this writer may extend it. When the stripe
-// has no buffer yet: a writer starting the stripe (expectFill == 0)
-// claims one from the pool, blocking while the pool is empty (paper §5.1
-// notes this backpressure); a writer continuing a stripe waits for its
-// predecessor — which holds an earlier submission ticket and therefore
-// cannot be waiting on us — to claim and fill it. Caller holds lz.mu.
+// must be expectFill; a writer starting the stripe (expectFill == 0) takes
+// one from the pool. Anything else — a fill that differs, a continued
+// stripe without a buffer, an empty pool — means the buffers are out of
+// sync with the zone's write pointer. Caller holds lz.mu.
 func (v *Volume) stripeBufferLocked(lz *logicalZone, s int64, expectFill int64) (*stripeBuffer, error) {
-	for {
-		if b, ok := lz.active[s]; ok {
-			if b.fill != expectFill {
-				return nil, ErrInconsistent // buffer out of sync with zone WP
-			}
-			return b, nil
+	if b, ok := lz.active[s]; ok {
+		if b.fill != expectFill {
+			return nil, ErrInconsistent
 		}
-		if expectFill == 0 && len(lz.free) > 0 {
-			b := lz.free[len(lz.free)-1]
-			lz.free = lz.free[:len(lz.free)-1]
-			b.stripe = s
-			b.fill = 0
-			lz.active[s] = b
-			return b, nil
-		}
-		lz.cond.Wait()
+		return b, nil
 	}
+	if expectFill != 0 || len(lz.free) == 0 {
+		return nil, ErrInconsistent
+	}
+	b := lz.free[len(lz.free)-1]
+	lz.free = lz.free[:len(lz.free)-1]
+	b.stripe = s
+	b.fill = 0
+	lz.active[s] = b
+	return b, nil
 }
 
 // issueDeviceWrite sends one device write, transparently relocating (all

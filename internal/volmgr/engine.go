@@ -87,8 +87,9 @@ func (r *request) Notify(err error) {
 // goroutine; anything that has to wait — behind a backlog, for the
 // in-flight window or for tokens — is queued, and the single dispatcher
 // decides its scheduling, coalescing and issue order. That is what lets
-// thousands of client goroutines share the ticket-ordered array write
-// path without per-client lock convoys, and it keeps per-zone write
+// thousands of client goroutines share the arrays' write path, which
+// issues one zone's writes one at a time, without per-client lock
+// convoys, and it keeps per-zone write
 // order deterministic: a submit is issued inline only when all four of
 //
 //   - no tenant has anything queued (queued == 0),

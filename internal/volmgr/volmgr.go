@@ -1,6 +1,7 @@
 // Package volmgr is the multi-tenant serving front end: it hosts many
 // RAIZN arrays behind a volume abstraction and decouples thousands of
-// concurrent client goroutines from the ticket-ordered write path.
+// concurrent client goroutines from the arrays' per-zone sequential write
+// path.
 //
 // Three layers, top to bottom:
 //
