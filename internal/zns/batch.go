@@ -158,7 +158,10 @@ func (d *Device) PrepareBatch(cmds []Cmd, comps []Completion) []Completion {
 				break
 			}
 			n := int64(len(c.Data) / ss)
-			pio, err = d.readApplyLocked(c.Span, c.Sector, n, c.Data)
+			var src []byte
+			if pio, src, err = d.readApplyLocked(c.Span, c.Sector, n); err == nil {
+				fillRead(c.Data, src, 0, len(c.Data))
+			}
 		case CmdFlush:
 			pio, err = d.flushApplyLocked(c.Span)
 			hook, hookZone, hookArg = "zns.cmd.flush", -1, d.flushCount

@@ -75,6 +75,9 @@ func (d *Device) WriteZRWASpan(sp *obs.Span, fut *vclock.Future, sector int64, d
 		return d.failSpan(sp, fut, err)
 	}
 	if !d.cfg.DiscardData {
+		if off < zo.wp {
+			d.drainCopiesLocked() // an overwrite in place
+		}
 		copy(d.zoneBufLocked(zo)[off*int64(d.cfg.SectorSize):], data)
 	}
 	end := off + nSectors

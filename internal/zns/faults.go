@@ -83,8 +83,11 @@ func (d *Device) CorruptSector(sector int64) error {
 }
 
 // corruptSectorLocked flips a deterministic-by-rng bit of zone-relative
-// sector off. Caller holds d.mu and has validated off < wp.
+// sector off, after the reads in flight have their copies (explicit
+// CorruptSector and bit rot at persist alike). Caller holds d.mu and has
+// validated off < wp.
 func (d *Device) corruptSectorLocked(zo *zone, off int64) {
+	d.drainCopiesLocked()
 	rng := d.faultRNGLocked()
 	ss := int64(d.cfg.SectorSize)
 	byteIdx := off*ss + int64(rng.Intn(d.cfg.SectorSize))

@@ -18,6 +18,15 @@ import (
 // grown to the device's peak queue depth; whatever is subscribed to fut
 // runs in it. Caller holds d.mu.
 func (d *Device) scheduleLocked(sp *obs.Span, fut *vclock.Future, p pendingIO) *vclock.Future {
+	c := d.commandLocked(sp, fut, p)
+	d.clk.AfterNotify(p.at-d.clk.Now(), c)
+	return c.fut
+}
+
+// commandLocked takes a command record off the free list (or makes one)
+// and fills it for the command scheduleLocked describes, without
+// scheduling it. Caller holds d.mu.
+func (d *Device) commandLocked(sp *obs.Span, fut *vclock.Future, p pendingIO) *command {
 	if fut == nil {
 		fut = d.clk.NewFuture()
 	}
@@ -25,29 +34,40 @@ func (d *Device) scheduleLocked(sp *obs.Span, fut *vclock.Future, p pendingIO) *
 	if n := len(d.cmds); n > 0 {
 		c, d.cmds = d.cmds[n-1], d.cmds[:n-1]
 	} else {
-		c = &command{d: d}
+		c = &command{d: d, ci: -1}
 	}
 	c.sp, c.fut, c.epoch, c.p = sp, fut, d.epoch, p
-	d.clk.AfterNotify(p.at-d.clk.Now(), c)
-	return fut
+	return c
 }
 
 // command is one device command in flight, and the timer event that
-// completes it.
+// completes it. A read's copy into the host buffer rides on it as cp
+// (readcopy.go); ci is the record's index in d.copying while that copy is
+// in flight, else -1.
 type command struct {
 	d     *Device
 	sp    *obs.Span
 	fut   *vclock.Future
 	epoch uint64 // d.epoch at submit: a power loss since voids the command
 	p     pendingIO
+	ci    int
+	cp    readCopy
 }
 
-// Notify completes the command (vclock.Notifier). The record is back on
-// the free list before the future completes, because a subscriber may
-// submit to this device from inside Complete.
+// Notify completes the command (vclock.Notifier). A read's copy is
+// finished first, outside the device lock: the future never completes with
+// its buffer unfilled. The record is back on the free list before the
+// future completes, because a subscriber may submit to this device from
+// inside Complete.
 func (c *command) Notify(error) {
 	d := c.d
+	if c.cp.dst != nil {
+		c.cp.finish()
+	}
 	d.mu.Lock()
+	if c.ci >= 0 {
+		d.unlistCopyLocked(c)
+	}
 	stale := d.epoch != c.epoch
 	if !stale {
 		d.applyEffectLocked(&c.p)
@@ -56,7 +76,8 @@ func (c *command) Notify(error) {
 	if stale {
 		err = ErrPowerLoss
 	}
-	*c = command{d: d}
+	c.sp, c.fut, c.p = nil, nil, pendingIO{}
+	c.cp.dst, c.cp.src = nil, nil
 	d.cmds = append(d.cmds, c)
 	d.mu.Unlock()
 	sp.EndAt(at, err)
@@ -387,12 +408,21 @@ func (d *Device) writeApplyLocked(sp *obs.Span, sector, nSectors int64, data []b
 // the write pointer return the written payload; reads above it fail,
 // except in full (finished) zones where unwritten sectors read as zeroes
 // (deallocated blocks).
+//
+// Snapshot at submit, fill by completion: what the read returns is the
+// zone's content at the submit instant, but the bytes move into buf — the
+// modelled DMA — beside the simulation, any time up to the completion
+// (readcopy.go). buf belongs to the device until the returned future
+// completes: the caller must not read or reuse it before, and has it back,
+// filled, once the future is done, whatever the outcome (a command voided
+// by power loss still fills it).
 func (d *Device) Read(sector int64, buf []byte) *vclock.Future {
 	return d.ReadSpan(nil, nil, sector, buf)
 }
 
 // ReadSpan is Read with a tracing span, completing fut (nil: a new
-// future).
+// future). The copy is a job on the command record: the package's copier
+// goroutine and the command's completion split it.
 func (d *Device) ReadSpan(sp *obs.Span, fut *vclock.Future, sector int64, buf []byte) *vclock.Future {
 	if len(buf) == 0 || len(buf)%d.cfg.SectorSize != 0 {
 		return d.failSpan(sp, fut, ErrUnaligned)
@@ -400,49 +430,60 @@ func (d *Device) ReadSpan(sp *obs.Span, fut *vclock.Future, sector int64, buf []
 	nSectors := int64(len(buf) / d.cfg.SectorSize)
 
 	d.mu.Lock()
-	pio, err := d.readApplyLocked(sp, sector, nSectors, buf)
+	pio, src, err := d.readApplyLocked(sp, sector, nSectors)
+	var ref copyRef
 	if err == nil {
-		fut = d.scheduleLocked(sp, fut, pio)
+		c := d.commandLocked(sp, fut, pio)
+		ref = c.cp.start(buf, src)
+		d.listCopyLocked(c)
+		d.clk.AfterNotify(pio.at-d.clk.Now(), c)
+		fut = c.fut
 	}
 	d.mu.Unlock()
 	if err != nil {
 		return d.failSpan(sp, fut, err)
 	}
+	select {
+	case copyJobs <- ref:
+	default: // the copier is far behind: the completion copies
+	}
 	return fut
 }
 
 // readApplyLocked is the submit half of Read: it validates the span,
-// snapshots the payload into buf, charges the read pipe and returns the
+// captures the payload source — the zone's bytes from the read's start to
+// the lesser of its end and the write pointer; fillRead copies them and
+// zeroes the rest of the buffer — charges the read pipe and returns the
 // pending completion (whose err field carries any latent media error).
 // Caller holds d.mu.
-func (d *Device) readApplyLocked(sp *obs.Span, sector, nSectors int64, buf []byte) (pendingIO, error) {
+func (d *Device) readApplyLocked(sp *obs.Span, sector, nSectors int64) (pendingIO, []byte, error) {
 	if d.failed {
-		return pendingIO{}, ErrDeviceFailed
+		return pendingIO{}, nil, ErrDeviceFailed
 	}
 	z, off, err := d.checkSpan(sector, nSectors)
 	if err != nil {
-		return pendingIO{}, err
+		return pendingIO{}, nil, err
 	}
 	zo := &d.zones[z]
 	if zo.state == ZoneOffline {
-		return pendingIO{}, ErrZoneUnavailable
+		return pendingIO{}, nil, ErrZoneUnavailable
 	}
 	if off+nSectors > zo.wp && zo.state != ZoneFull {
-		return pendingIO{}, ErrReadBeyondWP
+		return pendingIO{}, nil, ErrReadBeyondWP
 	}
 
-	// Snapshot the payload at submit. Zones are immutable below the
-	// write pointer, so this equals completion-time data unless the zone
-	// is concurrently reset — in which case either snapshot is a legal
-	// outcome of the race. Bytes at or above the write pointer are never
-	// copied out (zone buffers are recycled unzeroed): the tail of a full
-	// zone reads as zeroes.
+	// The source is fixed at submit. Zones are immutable below the write
+	// pointer, and every operation that changes or recycles bytes there
+	// first finishes the copies in flight (drainCopiesLocked), so the read
+	// returns exactly these bytes, even if the zone is reset, rewritten or
+	// rotted before it completes. Bytes at or above the write pointer are
+	// never copied out (zone buffers are recycled unzeroed): the tail of a
+	// full zone reads as zeroes.
 	ss := int64(d.cfg.SectorSize)
-	n := 0
+	var src []byte
 	if !d.cfg.DiscardData && zo.data != nil && off < zo.wp {
-		n = copy(buf, zo.data[off*ss:zo.wp*ss])
+		src = zo.data[off*ss : min(off+nSectors, zo.wp)*ss]
 	}
-	clear(buf[n:])
 	d.hostReadBytes += nSectors * ss
 
 	// Latent media errors: the transfer is attempted (it occupies the
@@ -455,7 +496,7 @@ func (d *Device) readApplyLocked(sp *obs.Span, sector, nSectors int64, buf []byt
 	media := reservePipe(&d.readBusy, now, occ)
 	sp.MarkAt(obs.PhaseMedia, media)
 	done := media + d.cfg.ReadLatency
-	return pendingIO{at: done, err: rerr, fuaZ: -1}, nil
+	return pendingIO{at: done, err: rerr, fuaZ: -1}, src, nil
 }
 
 // Flush persists the device's volatile write cache: every write submitted
@@ -602,6 +643,7 @@ func (d *Device) resetApplyLocked(sp *obs.Span, z int) (pendingIO, int64, error)
 	if zo.state == ZoneReadOnly || zo.state == ZoneOffline {
 		return pendingIO{}, 0, ErrZoneUnavailable
 	}
+	d.drainCopiesLocked() // the buffer goes to the free list, for any zone's next write
 	switch zo.state {
 	case ZoneOpen:
 		d.nOpen--
@@ -695,7 +737,7 @@ func (d *Device) finishApplyLocked(sp *obs.Span, z int) (pendingIO, int64, error
 // its first write since reset: a buffer a reset returned to the device if
 // there is one, else a new one. A recycled buffer is NOT zeroed and still
 // holds its previous zone's payload; that is sound because no path hands
-// out a byte at or above the write pointer (readApplyLocked zero-fills,
+// out a byte at or above the write pointer (fillRead zero-fills,
 // CorruptSector and bit rot stay below it) and every write lands exactly
 // at the write pointer or, through the ZRWA, below it.
 //

@@ -41,6 +41,7 @@ func (d *Device) Failed() bool {
 func (d *Device) PowerLoss(rng *rand.Rand) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	d.drainCopiesLocked() // rewrites below the cut replace bytes reads may copy
 	for z := range d.zones {
 		cut := d.zones[z].pwp
 		if rng != nil {
@@ -59,6 +60,7 @@ func (d *Device) PowerLoss(rng *rand.Rand) {
 func (d *Device) PowerLossAt(cuts map[int]int64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	d.drainCopiesLocked()
 	for z := range d.zones {
 		cut := d.zones[z].pwp
 		if c, ok := cuts[z]; ok {

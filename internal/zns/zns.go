@@ -242,6 +242,11 @@ type Device struct {
 	// the next (scheduleLocked / command.Notify in io.go).
 	cmds []*command
 
+	// copying holds the records of reads whose copy into the host buffer
+	// may still be in flight (readcopy.go); drainCopiesLocked finishes
+	// them before a mutation of bytes they may copy.
+	copying []*command
+
 	writeBusy time.Duration // write pipe busy-until (virtual time)
 	readBusy  time.Duration // read pipe busy-until
 
@@ -287,6 +292,7 @@ func NewDevice(clk *vclock.Clock, cfg Config) *Device {
 	if err := cfg.validate(); err != nil {
 		panic(err)
 	}
+	startCopier()
 	return &Device{
 		cfg:   cfg,
 		clk:   clk,
