@@ -140,7 +140,9 @@ func sabotage(s *Scenario, cap *capture) {
 			for i := range buf {
 				buf[i] = 0xA5
 			}
-			// Payload and wp advance apply at submit; no completion needed.
+			// The wp advances at submit and any access to the bytes
+			// finishes their copy first; buf is never reused, so no
+			// completion is needed.
 			c.Write(zd.WP, buf, 0)
 			return
 		}

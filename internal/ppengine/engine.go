@@ -58,12 +58,12 @@ func (k Kind) String() string {
 // parity image (whole sectors, at most one stripe unit), built by the
 // caller in the image's on-media layout so an engine that logs it can
 // fill in the header sector and hand the frame to the device as it is.
-// The frame is the engine's for the duration of Persist — it may write
-// the header sector — and the caller's again when Persist returns: the
-// caller reuses it for its next write, so an engine must not retain it,
-// only what it copied out. Devices copy a payload into zone memory at
-// submit, which is what makes an asynchronous device write of the frame
-// safe.
+// The frame is lent to the engine until the future Persist returns
+// completes (until Persist returns, when that future is nil): the engine
+// may write the header sector and may hand the frame to a device write as
+// it stands, and a device write's payload is the device's until the
+// command completes. The caller reuses the frame for its next write only
+// after that, so an engine must not keep it past its own command.
 type Append struct {
 	Dev      int   // device that will hold the stripe's parity unit
 	Zone     int   // logical zone
@@ -125,7 +125,7 @@ type Engine interface {
 	// together with the absolute device sector one past the image's last
 	// written sector, which tells the volume's durability ledger which
 	// physical zone the write landed in and how far. a.Frame is the
-	// engine's until Persist returns and must not be retained (see
+	// engine's until fut completes and must not be retained past it (see
 	// Append).
 	Persist(a Append) (fut *vclock.Future, end int64)
 

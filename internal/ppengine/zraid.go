@@ -204,7 +204,7 @@ func (e *zraidEngine) writeSlotLocked(d *zns.Device, a Append, i int, fresh bool
 // encodeSlotLocked serializes the image in a's frame into the engine's
 // stride buffer: header sector (magic, CRC, key, range, gen, seq) followed
 // by the payload rounded up to whole sectors and, with pad, zeroes up to a
-// full stripe unit. The result is valid until the next call; the device
+// full stripe unit. The result is valid until the next call; WriteZRWA
 // copies it at submit. Caller holds e.mu.
 func (e *zraidEngine) encodeSlotLocked(a Append, seq uint64, pad bool) []byte {
 	ss := e.cfg.SectorSize

@@ -14,8 +14,9 @@ import (
 // freely the way a single device reorders them — an on-device reordering
 // of stripe units would be unrecoverable after a crash — so RAIZN
 // serializes appends per logical zone: the position is assigned under the
-// zone lock and the data takes the ordinary write path. Appends to
-// different zones proceed concurrently.
+// zone lock and the data takes the ordinary write path — so, as for
+// SubmitWrite, data must not change until the returned future completes.
+// Appends to different zones proceed concurrently.
 func (v *Volume) SubmitAppend(zone int, data []byte, flags zns.Flag) (int64, *vclock.Future) {
 	if zone < 0 || zone >= v.lt.numZones {
 		return -1, v.clk.Completed(ErrOutOfRange)

@@ -64,10 +64,12 @@ func TestParityIntoMatchesReference(t *testing.T) {
 }
 
 // submitWith carries one write through the steps of runWrite — plan,
-// compute and submit under lz.mu, then metadata appends and publish — on
-// the write state it is given instead of one from the pool, and returns
-// the sub-IOs without waiting for them.
-func submitWith(t *testing.T, v *Volume, ws *writeState, lba int64, data []byte, flags zns.Flag) []subIO {
+// compute and submit under lz.mu, metadata appends, publish, and the
+// completion join — on the write state it is given instead of one from the
+// pool. It returns the sub-IOs, without waiting for them, and the write's
+// result future, completed like runWrite's once the last sub-IO has: ws is
+// back in the pool by then.
+func submitWith(t *testing.T, v *Volume, ws *writeState, lba int64, data []byte, flags zns.Flag) ([]subIO, *vclock.Future) {
 	t.Helper()
 	z := v.lt.zoneOf(lba)
 	off := lba - v.lt.zoneStart(z)
@@ -89,32 +91,45 @@ func submitWith(t *testing.T, v *Volume, ws *writeState, lba int64, data []byte,
 	lz.unpublished++
 	lz.mu.Unlock()
 	ws.futs = v.issuePendingMD(nil, ws, ws.pending, ws.futs, ws.flags)
-	ws.futs, _ = v.publishWrite(nil, lz, ws.pending, ws.futs, flags, nil)
-	return append([]subIO(nil), ws.futs...)
+	durable := flags&(zns.FUA|zns.Preflush) != 0
+	result := v.clk.NewFuture()
+	var chain, prev *vclock.Future
+	if durable {
+		chain = result
+	}
+	ws.futs, prev = v.publishWrite(nil, lz, ws.pending, ws.futs, flags, chain)
+	futs := append([]subIO(nil), ws.futs...)
+	v.completeWrite(ws, lz, durable, prev, result)
+	return futs, result
 }
 
-// TestReusedWriteBuffersLeaveRecordsIntact is the array's side of the
-// copy-at-submit rule. The parity images, partial-parity frames and
-// checksum-record sectors of a write state are reused by the next write;
-// here the second write builds its payloads in the very buffers of the
-// first while every sub-IO of the first is still in flight, and then all of
-// them are scribbled over, still before anything has completed. Each write
-// is a full stripe plus a partial one reaching into the unit of one chosen
-// device, in zones of its own. Whatever a device, an engine or the metadata
-// log kept a reference to instead of a copy now reads 0xEE. After a power
-// cut that keeps only persisted data, the partial-parity images on media
-// must equal the bytewise reference, and the remounted array — without the
-// chosen device, when it had failed before the writes, so that its share
-// exists nowhere but in parity — must read everything back.
+// TestReusedWriteBuffersLeaveRecordsIntact is the array's side of the rule
+// that a device write's payload is the device's until the command
+// completes. The parity images, partial-parity frames and checksum-record
+// sectors of a write state are reused by the next write, so the write's
+// result must not complete before every device command that carries one of
+// them has. Here each write's buffers are scribbled over from its result
+// future's Subscribe — the instant the write releases them — and the second
+// write then builds its payloads in the very buffers of the first. Each
+// write is a full stripe plus a partial one reaching into the unit of one
+// chosen device, in zones of its own. Whatever a device, an engine or the
+// metadata log had not taken in by then reads 0xEE. After a power cut that
+// keeps only persisted data, the partial-parity images on media must equal
+// the bytewise reference, and the remounted array — without the chosen
+// device, when it failed before the writes or while the first was in
+// flight, so that its share exists nowhere but in parity — must read
+// everything back.
 func TestReusedWriteBuffersLeaveRecordsIntact(t *testing.T) {
 	const victim = 1
 	for _, env := range []fuaEnv{
 		{"logged", testDevConfig(), DefaultConfig()},
 		{"zraid", zraidDevConfig(), zraidConfig()},
 	} {
-		for _, degraded := range []bool{false, true} {
+		// degraded: the victim fails before the writes ("true"), while the
+		// first is in flight ("mid-write"), or not at all.
+		for _, degraded := range []string{"false", "true", "mid-write"} {
 			env, degraded := env, degraded
-			t.Run(fmt.Sprintf("%s/degraded=%v", env.name, degraded), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/degraded=%s", env.name, degraded), func(t *testing.T) {
 				c := vclock.New()
 				c.Run(func() {
 					devs := make([]*zns.Device, 5)
@@ -125,7 +140,7 @@ func TestReusedWriteBuffersLeaveRecordsIntact(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if degraded {
+					if degraded == "true" {
 						if err := v.FailDevice(victim); err != nil {
 							t.Fatal(err)
 						}
@@ -142,32 +157,60 @@ func TestReusedWriteBuffersLeaveRecordsIntact(t *testing.T) {
 					}
 					n0, n1 := length(0), length(1)
 					lba1 := v.lt.zoneStart(1)
+					// write submits one write on ws and scribbles over its
+					// buffers the moment its result completes; mid runs
+					// while the write's sub-IOs are in flight.
+					write := func(ws *writeState, lba int64, n int64, mid func()) {
+						futs, result := submitWith(t, v, ws, lba, lbaPattern(v, lba, int(n)), zns.FUA)
+						for _, s := range futs {
+							if s.fut.Done() {
+								t.Fatal("a sub-IO completed at submit; the scribble proves nothing")
+							}
+						}
+						owned := [][][]byte{ws.images, ws.frames, ws.csRecs}
+						result.Subscribe(func(error) {
+							// The copier may have landed every payload
+							// already; what the contract needs is that no
+							// command is still in flight.
+							for _, s := range futs {
+								if !s.fut.Done() {
+									t.Error("the write completed before one of its device commands")
+								}
+							}
+							for _, bufs := range owned {
+								for _, b := range bufs {
+									b = b[:cap(b)]
+									for i := range b {
+										b[i] = 0xEE
+									}
+								}
+							}
+						})
+						if mid != nil {
+							mid()
+						}
+						if err := result.Wait(); err != nil {
+							t.Fatal(err)
+						}
+					}
+					var mid func()
+					if degraded == "mid-write" {
+						mid = func() {
+							if err := v.FailDevice(victim); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
 					ws1, ws2 := v.getWriteState(), v.getWriteState()
-					futs := submitWith(t, v, ws1, 0, lbaPattern(v, 0, int(n0)), zns.FUA)
+					write(ws1, 0, n0, mid)
 					ws2.images, ws2.frames, ws2.csRecs = ws1.images, ws1.frames, ws1.csRecs
-					futs = append(futs, submitWith(t, v, ws2, lba1, lbaPattern(v, lba1, int(n1)), zns.FUA)...)
+					write(ws2, lba1, n1, nil)
 					if len(ws2.images) == 0 || len(ws2.frames) == 0 || len(ws2.csRecs) == 0 {
 						t.Fatalf("writes built %d images, %d frames, %d checksum sectors; want each kind reused",
 							len(ws2.images), len(ws2.frames), len(ws2.csRecs))
 					}
 					if &ws1.images[0][0] != &ws2.images[0][0] || &ws1.frames[0][0] != &ws2.frames[0][0] || &ws1.csRecs[0][0] != &ws2.csRecs[0][0] {
 						t.Fatal("the second write did not build its payloads in the first one's buffers")
-					}
-					for _, bufs := range [][][]byte{ws2.images, ws2.frames, ws2.csRecs} {
-						for _, b := range bufs {
-							b = b[:cap(b)]
-							for i := range b {
-								b[i] = 0xEE
-							}
-						}
-					}
-					for _, s := range futs {
-						if s.fut.Done() {
-							t.Fatal("a sub-IO completed at submit; the reuse proves nothing")
-						}
-					}
-					if err := v.awaitSubIOs(futs); err != nil {
-						t.Fatal(err)
 					}
 
 					for _, d := range devs {
@@ -205,7 +248,7 @@ func TestReusedWriteBuffersLeaveRecordsIntact(t *testing.T) {
 					}
 
 					live := devs
-					if degraded {
+					if degraded != "false" {
 						live = append(devs[:victim:victim], devs[victim+1:]...)
 					}
 					v2, err := Mount(c, live, env.cfg)
@@ -215,7 +258,7 @@ func TestReusedWriteBuffersLeaveRecordsIntact(t *testing.T) {
 					checkReadV(t, v2, 0, int(n0))
 					checkReadV(t, v2, lba1, int(n1))
 					for z := 0; z < 2; z++ {
-						if degraded && v.checksumDev(z) == victim {
+						if degraded != "false" && v.checksumDev(z) == victim {
 							continue // the zone's checksum log died with the device
 						}
 						if v2.StripeChecksums(z, 0) == nil {

@@ -16,8 +16,12 @@ import (
 // a write must not cross a logical zone boundary.
 //
 // The call validates, claims the zone range, and issues all sub-IOs
-// (data, parity, partial-parity logs) before returning; the future
-// completes when enough state is durable for the write's flags:
+// (data, parity, partial-parity logs) before returning. The data sub-IOs
+// carry slices of data itself, and a device write's payload is the
+// device's until the command completes (zns.Device.Write), so data must
+// not change until the returned future completes — which it does only
+// after the write's last device command has. The future completes when
+// enough state is durable for the write's flags:
 //
 //   - no flags: data + (partial) parity submitted and transferred, i.e.
 //     the write is tolerant of a single device failure (§5.1: completion
@@ -287,9 +291,11 @@ type writeState struct {
 	srcs    [][]byte // fused XOR+CRC source scratch
 
 	// Payload buffers the compute phase builds in place and the devices
-	// copy at submit, kept from write to write (reuseBuf): full parity
-	// images, partial-parity frames (header sector + image, the on-media
-	// layout ppengine.Append wants) and encoded checksum-record sectors.
+	// copy before the commands carrying them complete, kept from write to
+	// write (reuseBuf) — the state is pooled only once every command has:
+	// full parity images, partial-parity frames (header sector + image,
+	// the on-media layout ppengine.Append wants) and encoded
+	// checksum-record sectors.
 	images, frames, csRecs [][]byte
 
 	// own holds the futures of the write's device commands and metadata
@@ -390,7 +396,7 @@ func reuseBuf(bufs *[][]byte, i, size int) []byte {
 //
 // Full-stripe chunks bypass the stripe buffers: their parity and CRCs
 // are computed straight from the caller's data, which remains valid
-// until the submit phase finishes (all phases run inside SubmitWrite).
+// until the write completes (SubmitWrite).
 // Only the head stripe (which the zone's previous write left partial)
 // and the tail stripe occupy a buffer, so stripeBuffersPerZone suffice.
 func (v *Volume) planWriteLocked(ws *writeState, lz *logicalZone, off int64, data []byte) error {

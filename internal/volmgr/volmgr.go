@@ -415,8 +415,10 @@ func (v *Volume) AddTenant(cfg TenantConfig) error {
 }
 
 // SubmitWrite issues or queues a write of data at lba on behalf of tenant
-// and returns a future that resolves when the data is on the devices. A
-// full tenant queue sheds the request with a ThrottledError.
+// and returns a future that resolves when the data is on the devices. data
+// must not change until that future completes: the array's devices copy
+// it by then, not at submit (raizn.Volume.SubmitWrite). A full tenant
+// queue sheds the request with a ThrottledError.
 //
 // On an idle volume the write is issued to the array on the caller's
 // goroutine, and the array may park there (metadata roll-over

@@ -70,8 +70,10 @@ func (c *Completion) At() time.Duration { return c.pio.at }
 
 // PrepareBatch validates and applies every command in cmds under a
 // single device-lock acquisition, appends their pending completions to
-// comps and returns it. State (write pointers, payloads, snapshots) is
-// applied at submit exactly as in the individual command methods; crash-
+// comps and returns it. State (write pointers, snapshots) is applied at
+// submit exactly as in the individual command methods; payloads, unlike
+// theirs, are copied at submit too (a batch has no command records to
+// carry a copy job), so a batch's buffers are the caller's at return; crash-
 // point hooks fire per command, after the whole batch is applied, plus
 // one "zns.ring.drain" crossing carrying the accepted-command count.
 //
@@ -105,7 +107,10 @@ func (d *Device) PrepareBatch(cmds []Cmd, comps []Completion) []Completion {
 				break
 			}
 			n := int64(len(c.Data) / ss)
-			pio, err = d.writeApplyLocked(c.Span, c.Sector, n, c.Data, nil, c.Flags)
+			var dst []byte
+			if pio, dst, err = d.writeApplyLocked(c.Span, c.Sector, n, nil, c.Flags); err == nil {
+				copy(dst, c.Data)
+			}
 			hook, hookZone, hookArg = "zns.cmd.write", d.ZoneOf(c.Sector), c.Sector
 		case CmdWritev:
 			if len(c.Segs) == 0 {
@@ -119,7 +124,10 @@ func (d *Device) PrepareBatch(cmds []Cmd, comps []Completion) []Completion {
 					break
 				}
 				n := int64(len(c.Segs[0]) / ss)
-				pio, err = d.writeApplyLocked(c.Span, c.Sector, n, c.Segs[0], nil, c.Flags)
+				var dst []byte
+				if pio, dst, err = d.writeApplyLocked(c.Span, c.Sector, n, nil, c.Flags); err == nil {
+					copy(dst, c.Segs[0])
+				}
 				hook, hookZone, hookArg = "zns.cmd.write", d.ZoneOf(c.Sector), c.Sector
 				break
 			}
@@ -134,7 +142,10 @@ func (d *Device) PrepareBatch(cmds []Cmd, comps []Completion) []Completion {
 			if err != nil {
 				break
 			}
-			pio, err = d.writeApplyLocked(c.Span, c.Sector, n, nil, c.Segs, c.Flags)
+			var dst []byte
+			if pio, dst, err = d.writeApplyLocked(c.Span, c.Sector, n, c.Segs, c.Flags); err == nil {
+				fill(dst, c.Segs, 0, len(dst))
+			}
 			hook, hookZone, hookArg = "zns.cmd.write", d.ZoneOf(c.Sector), c.Sector
 		case CmdAppend:
 			if len(c.Data) == 0 || len(c.Data)%ss != 0 {
@@ -147,8 +158,9 @@ func (d *Device) PrepareBatch(cmds []Cmd, comps []Completion) []Completion {
 			}
 			n := int64(len(c.Data) / ss)
 			sector := d.ZoneStart(c.Zone) + d.zones[c.Zone].wp
-			pio, err = d.writeApplyLocked(c.Span, sector, n, c.Data, nil, c.Flags)
-			if err == nil {
+			var dst []byte
+			if pio, dst, err = d.writeApplyLocked(c.Span, sector, n, nil, c.Flags); err == nil {
+				copy(dst, c.Data)
 				c.Sector = sector
 			}
 			hook, hookZone, hookArg = "zns.cmd.append", c.Zone, sector
@@ -160,7 +172,7 @@ func (d *Device) PrepareBatch(cmds []Cmd, comps []Completion) []Completion {
 			n := int64(len(c.Data) / ss)
 			var src []byte
 			if pio, src, err = d.readApplyLocked(c.Span, c.Sector, n); err == nil {
-				fillRead(c.Data, src, 0, len(c.Data))
+				fill(c.Data, [][]byte{src}, 0, len(c.Data))
 			}
 		case CmdFlush:
 			pio, err = d.flushApplyLocked(c.Span)

@@ -85,3 +85,47 @@ func BenchmarkDeviceReadClients(b *testing.B) {
 		wg.Wait()
 	})
 }
+
+// BenchmarkDeviceWriteClients is BenchmarkDeviceReadClients's twin for
+// writes, the shape of the benchmark's seqwrite at the device: four vclock
+// clients, each appending 64 or 256 KiB to a zone of its own (reset when it
+// has no room left) and waiting for the append before the next. ns/op is
+// host time per append, its copy into zone memory included (readcopy.go).
+func BenchmarkDeviceWriteClients(b *testing.B) {
+	const clients = 4
+	cfg := DefaultConfig()
+	c := vclock.New()
+	c.Run(func() {
+		d := NewDevice(c, cfg)
+		sizes := []int64{16, 64} // sectors: 64 and 256 KiB
+		var left atomic.Int64
+		left.Store(int64(b.N))
+		wg := c.NewWaitGroup()
+		b.ResetTimer()
+		for i := 0; i < clients; i++ {
+			wg.Add(1)
+			rng := rand.New(rand.NewSource(int64(i)))
+			buf := make([]byte, 64*cfg.SectorSize)
+			rng.Read(buf)
+			fut := c.NewFuture()
+			c.Go(func() {
+				defer wg.Done()
+				for left.Add(-1) >= 0 {
+					n := sizes[rng.Intn(len(sizes))]
+					if zd := d.Zone(i); zd.WP+n > d.ZoneStart(i)+cfg.ZoneCap {
+						if err := d.ResetZoneSpan(nil, rearmed(fut), i).Wait(); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+					_, f := d.AppendSpan(nil, rearmed(fut), i, buf[:n*int64(cfg.SectorSize)], 0)
+					if err := f.Wait(); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			})
+		}
+		wg.Wait()
+	})
+}

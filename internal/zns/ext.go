@@ -23,10 +23,12 @@ var (
 // WriteZRWA submits a write that may overwrite data within the zone's
 // random write area: the window [wp-ZRWASectors, wp). Writes may also
 // extend past the write pointer (advancing it), so a caller can grow and
-// re-grow a record in place. Crash semantics simplification: like normal
-// writes, the payload is applied at submit; an unflushed in-place
-// overwrite that is lost to power failure reverts to nothing (the zone
-// prefix cut), not to the previous version of the block.
+// re-grow a record in place. Unlike Write, it copies its payload into
+// zone memory at submit, so data is the caller's again at return (the
+// zraid engine encodes every slot write in one reused buffer). Crash
+// semantics simplification: an unflushed in-place overwrite that is lost
+// to power failure reverts to nothing (the zone prefix cut), not to the
+// previous version of the block.
 func (d *Device) WriteZRWA(sector int64, data []byte, flags Flag) *vclock.Future {
 	return d.WriteZRWASpan(nil, nil, sector, data, flags)
 }
@@ -76,7 +78,7 @@ func (d *Device) WriteZRWASpan(sp *obs.Span, fut *vclock.Future, sector int64, d
 	}
 	if !d.cfg.DiscardData {
 		if off < zo.wp {
-			d.drainCopiesLocked() // an overwrite in place
+			d.drainCopiesLocked(z) // an overwrite in place
 		}
 		copy(d.zoneBufLocked(zo)[off*int64(d.cfg.SectorSize):], data)
 	}

@@ -78,20 +78,21 @@ func (d *Device) CorruptSector(sector int64) error {
 	if off >= zo.wp || zo.data == nil {
 		return ErrReadBeyondWP
 	}
-	d.corruptSectorLocked(zo, off)
+	d.corruptSectorLocked(z, off)
 	return nil
 }
 
 // corruptSectorLocked flips a deterministic-by-rng bit of zone-relative
-// sector off, after the reads in flight have their copies (explicit
+// sector off of zone z, after the zone's copies in flight have finished:
+// the reads have their bytes and the writes' have landed (explicit
 // CorruptSector and bit rot at persist alike). Caller holds d.mu and has
 // validated off < wp.
-func (d *Device) corruptSectorLocked(zo *zone, off int64) {
-	d.drainCopiesLocked()
+func (d *Device) corruptSectorLocked(z int, off int64) {
+	d.drainCopiesLocked(z)
 	rng := d.faultRNGLocked()
 	ss := int64(d.cfg.SectorSize)
 	byteIdx := off*ss + int64(rng.Intn(d.cfg.SectorSize))
-	zo.data[byteIdx] ^= 1 << uint(rng.Intn(8))
+	d.zones[z].data[byteIdx] ^= 1 << uint(rng.Intn(8))
 	d.injectedRot++
 }
 
@@ -101,14 +102,13 @@ func (d *Device) applyBitRotLocked(z int, from, to int64) {
 	if d.cfg.BitRotRate <= 0 || d.cfg.DiscardData {
 		return
 	}
-	zo := &d.zones[z]
-	if zo.data == nil {
+	if d.zones[z].data == nil {
 		return
 	}
 	rng := d.faultRNGLocked()
 	for s := from; s < to; s++ {
 		if rng.Float64() < d.cfg.BitRotRate {
-			d.corruptSectorLocked(zo, s)
+			d.corruptSectorLocked(z, s)
 		}
 	}
 }

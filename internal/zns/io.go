@@ -41,9 +41,10 @@ func (d *Device) commandLocked(sp *obs.Span, fut *vclock.Future, p pendingIO) *c
 }
 
 // command is one device command in flight, and the timer event that
-// completes it. A read's copy into the host buffer rides on it as cp
-// (readcopy.go); ci is the record's index in d.copying while that copy is
-// in flight, else -1.
+// completes it. A read's copy into the host buffer, or a write's into zone
+// memory, rides on it as cp (readcopy.go); while that copy is in flight ci
+// is the record's index in d.copying (else -1), cz the zone the copy
+// touches and cw whether it is a write's.
 type command struct {
 	d     *Device
 	sp    *obs.Span
@@ -51,14 +52,16 @@ type command struct {
 	epoch uint64 // d.epoch at submit: a power loss since voids the command
 	p     pendingIO
 	ci    int
+	cz    int
+	cw    bool
 	cp    readCopy
 }
 
-// Notify completes the command (vclock.Notifier). A read's copy is
-// finished first, outside the device lock: the future never completes with
-// its buffer unfilled. The record is back on the free list before the
-// future completes, because a subscriber may submit to this device from
-// inside Complete.
+// Notify completes the command (vclock.Notifier). The command's copy is
+// finished first, outside the device lock, and before a write's FUA
+// persists anything: the future never completes with its copy unfinished.
+// The record is back on the free list before the future completes, because
+// a subscriber may submit to this device from inside Complete.
 func (c *command) Notify(error) {
 	d := c.d
 	if c.cp.dst != nil {
@@ -77,7 +80,7 @@ func (c *command) Notify(error) {
 		err = ErrPowerLoss
 	}
 	c.sp, c.fut, c.p = nil, nil, pendingIO{}
-	c.cp.dst, c.cp.src = nil, nil
+	c.cp.reset()
 	d.cmds = append(d.cmds, c)
 	d.mu.Unlock()
 	sp.EndAt(at, err)
@@ -176,18 +179,23 @@ func (d *Device) checkSpan(sector int64, nSectors int64) (z int, off int64, err 
 }
 
 // Write submits a sequential write of data at the absolute sector. The
-// write must start exactly at the zone's write pointer. State (write
-// pointer, payload) is applied at submit; the returned future completes
-// when the transfer is done. With Preflush, the device cache is flushed
-// first; with FUA, the write and all data before it in the same zone are
-// persistent once the future completes.
+// write must start exactly at the zone's write pointer. Its state (write
+// pointer, durability bookkeeping) is applied at submit; the returned
+// future completes when the transfer is done. With Preflush, the device
+// cache is flushed first; with FUA, the write and all data before it in the
+// same zone are persistent once the future completes.
 //
-// Copy at submit: the payload is copied into zone memory — the modelled
-// DMA — before the call returns, so data is the caller's again at once,
-// whenever the command completes. The rule holds for every write entry
-// point (Writev, Append, WriteZRWA, the
-// batched commands of PrepareBatch); callers reuse their buffers on the
-// strength of it (TestPayloadCopiedAtSubmit).
+// Fill by completion: what the zone holds from the write's submit instant
+// on is data, but the bytes move into zone memory — the modelled DMA —
+// beside the simulation, any time up to the completion (readcopy.go); an
+// access to them before that finishes the copy first. data belongs to the
+// device until the returned future completes, as a bio's pages belong to
+// the block layer: the caller must not change it before, and has it back
+// once the future is done, whatever the outcome. The rule holds for Writev
+// (whose scatter list, but not the bytes it points at, is the caller's
+// again at return) and Append; WriteZRWA and the batched commands of
+// PrepareBatch still copy at submit (TestPayloadOwnedUntilCompletion,
+// TestPayloadCopiedAtSubmit).
 //
 // Caller-owned completion: a command allocates nothing when the caller
 // supplies its future (the fut argument of every Span variant: WriteSpan,
@@ -209,7 +217,7 @@ func (d *Device) WriteSpan(sp *obs.Span, fut *vclock.Future, sector int64, data 
 	nSectors := int64(len(data) / d.cfg.SectorSize)
 
 	d.mu.Lock()
-	fut, err := d.writeLocked(sp, fut, sector, nSectors, data, nil, flags)
+	fut, ref, err := d.writeLocked(sp, fut, sector, nSectors, data, nil, flags)
 	var hf func()
 	if err == nil {
 		hf = d.hookLocked("zns.cmd.write", d.ZoneOf(sector), sector)
@@ -218,6 +226,7 @@ func (d *Device) WriteSpan(sp *obs.Span, fut *vclock.Future, sector int64, data 
 	if err != nil {
 		return d.failSpan(sp, fut, err)
 	}
+	sendCopy(ref)
 	fire(hf)
 	return fut
 }
@@ -227,7 +236,9 @@ func (d *Device) WriteSpan(sp *obs.Span, fut *vclock.Future, sector int64, data 
 // command: it pays WriteOpOverhead once and occupies the write pipe for
 // one transfer of the combined length, which is what makes host-side
 // sub-IO coalescing visible in simulated time. Semantics are otherwise
-// identical to Write of the concatenated payload.
+// identical to Write of the concatenated payload. The command record keeps
+// its own copy of segs: the caller may reuse the list itself at once, the
+// segments' bytes only once the future completes.
 func (d *Device) Writev(sector int64, segs [][]byte, flags Flag) *vclock.Future {
 	return d.WritevSpan(nil, nil, sector, segs, flags)
 }
@@ -250,7 +261,7 @@ func (d *Device) WritevSpan(sp *obs.Span, fut *vclock.Future, sector int64, segs
 	}
 
 	d.mu.Lock()
-	fut, err := d.writeLocked(sp, fut, sector, nSectors, nil, segs, flags)
+	fut, ref, err := d.writeLocked(sp, fut, sector, nSectors, nil, segs, flags)
 	var hf func()
 	if err == nil {
 		hf = d.hookLocked("zns.cmd.write", d.ZoneOf(sector), sector)
@@ -259,6 +270,7 @@ func (d *Device) WritevSpan(sp *obs.Span, fut *vclock.Future, sector int64, segs
 	if err != nil {
 		return d.failSpan(sp, fut, err)
 	}
+	sendCopy(ref)
 	fire(hf)
 	return fut
 }
@@ -268,7 +280,7 @@ func (d *Device) WritevSpan(sp *obs.Span, fut *vclock.Future, sector int64, segs
 // with the completion future. Real devices report the assigned LBA at
 // completion; the simulator can assign it at submit because command
 // processing is serialized, which is strictly less reordering than the
-// spec permits.
+// spec permits. data is the device's until the future completes (Write).
 func (d *Device) Append(z int, data []byte, flags Flag) (int64, *vclock.Future) {
 	return d.AppendSpan(nil, nil, z, data, flags)
 }
@@ -286,7 +298,7 @@ func (d *Device) AppendSpan(sp *obs.Span, fut *vclock.Future, z int, data []byte
 
 	d.mu.Lock()
 	sector := d.ZoneStart(z) + d.zones[z].wp
-	fut, err := d.writeLocked(sp, fut, sector, nSectors, data, nil, flags)
+	fut, ref, err := d.writeLocked(sp, fut, sector, nSectors, data, nil, flags)
 	var hf func()
 	if err == nil {
 		hf = d.hookLocked("zns.cmd.append", z, sector)
@@ -295,47 +307,65 @@ func (d *Device) AppendSpan(sp *obs.Span, fut *vclock.Future, z int, data []byte
 	if err != nil {
 		return -1, d.failSpan(sp, fut, err)
 	}
+	sendCopy(ref)
 	fire(hf)
 	return sector, fut
 }
 
 // writeLocked performs validation and state transition for Write, Writev
-// and Append, and schedules the completion of fut (nil: a new future). The
+// and Append, arms the payload's copy into zone memory on the command
+// record and schedules the completion of fut (nil: a new future). The
 // payload is either data (single segment) or segs (gathered); exactly one
-// is non-nil. On error fut is returned untouched. Caller holds d.mu.
-func (d *Device) writeLocked(sp *obs.Span, fut *vclock.Future, sector, nSectors int64, data []byte, segs [][]byte, flags Flag) (*vclock.Future, error) {
-	pio, err := d.writeApplyLocked(sp, sector, nSectors, data, segs, flags)
+// is non-nil. The caller offers the returned job to the copier once it has
+// released the lock (sendCopy). On error fut is returned untouched. Caller
+// holds d.mu.
+func (d *Device) writeLocked(sp *obs.Span, fut *vclock.Future, sector, nSectors int64, data []byte, segs [][]byte, flags Flag) (*vclock.Future, copyRef, error) {
+	pio, dst, err := d.writeApplyLocked(sp, sector, nSectors, segs, flags)
 	if err != nil {
-		return fut, err
+		return fut, copyRef{}, err
 	}
-	return d.scheduleLocked(sp, fut, pio), nil
+	c := d.commandLocked(sp, fut, pio)
+	var ref copyRef
+	if dst != nil {
+		if segs == nil {
+			ref = c.cp.start(dst, data)
+		} else {
+			ref = c.cp.start(dst, segs...)
+		}
+		d.listCopyLocked(c, d.ZoneOf(sector), true)
+	}
+	d.clk.AfterNotify(pio.at-d.clk.Now(), c)
+	return c.fut, ref, nil
 }
 
-// writeApplyLocked is the submit half of writeLocked: it validates the
-// command, applies payload and write-pointer state, and reserves the
-// write pipe, returning the pending completion. Caller holds d.mu and is
-// responsible for delivering the completion (schedule or a batch
-// walker).
-func (d *Device) writeApplyLocked(sp *obs.Span, sector, nSectors int64, data []byte, segs [][]byte, flags Flag) (pendingIO, error) {
+// writeApplyLocked is the submit half of a write: it validates the
+// command, applies write-pointer state and reserves the write pipe,
+// returning the pending completion and the zone bytes the payload goes to
+// (nil with DiscardData), which the caller fills: by a copy job
+// (writeLocked) or at once (PrepareBatch). segs is the gathered payload,
+// nil for a single segment; only its segment count is used. Caller holds
+// d.mu and is responsible for delivering the completion (schedule or a
+// batch walker).
+func (d *Device) writeApplyLocked(sp *obs.Span, sector, nSectors int64, segs [][]byte, flags Flag) (pendingIO, []byte, error) {
 	if d.failed {
-		return pendingIO{}, ErrDeviceFailed
+		return pendingIO{}, nil, ErrDeviceFailed
 	}
 	z, off, err := d.checkSpan(sector, nSectors)
 	if err != nil {
-		return pendingIO{}, err
+		return pendingIO{}, nil, err
 	}
 	zo := &d.zones[z]
 	switch zo.state {
 	case ZoneFull:
-		return pendingIO{}, ErrZoneFull
+		return pendingIO{}, nil, ErrZoneFull
 	case ZoneReadOnly, ZoneOffline:
-		return pendingIO{}, ErrZoneUnavailable
+		return pendingIO{}, nil, ErrZoneUnavailable
 	}
 	if off != zo.wp {
-		return pendingIO{}, ErrNotSequential
+		return pendingIO{}, nil, ErrNotSequential
 	}
 	if err := d.transitionToOpenLocked(z); err != nil {
-		return pendingIO{}, err
+		return pendingIO{}, nil, err
 	}
 
 	// A preflush acts on everything written before this command, so the
@@ -346,22 +376,15 @@ func (d *Device) writeApplyLocked(sp *obs.Span, sector, nSectors int64, data []b
 		flushSnap = d.snapshotWPsLocked()
 	}
 
-	// Apply payload and advance the write pointer at submit time; zones
-	// are append-only so later readers of [off, off+n) observe exactly
-	// this data until the zone is reset.
-	if !d.cfg.DiscardData {
-		buf := d.zoneBufLocked(zo)
-		if segs == nil {
-			copy(buf[off*int64(d.cfg.SectorSize):], data)
-		} else {
-			pos := off * int64(d.cfg.SectorSize)
-			for _, s := range segs {
-				copy(buf[pos:], s)
-				pos += int64(len(s))
-			}
-		}
-	}
+	// Advance the write pointer at submit time; zones are append-only, so
+	// from now until the zone is reset [off, off+n) holds this write's
+	// payload, once its copy lands (the drain rule, readcopy.go).
+	var dst []byte
 	end := off + nSectors
+	if !d.cfg.DiscardData {
+		ss := int64(d.cfg.SectorSize)
+		dst = d.zoneBufLocked(zo)[off*ss : end*ss]
+	}
 	zo.wp = end
 	zo.unflushed = append(zo.unflushed, extent{start: off, end: end})
 	d.finalizeFullLocked(z)
@@ -401,7 +424,7 @@ func (d *Device) writeApplyLocked(sp *obs.Span, sector, nSectors int64, data []b
 	if flags&FUA != 0 {
 		pio.fuaZ, pio.fuaEnd = z, end
 	}
-	return pio, nil
+	return pio, dst, nil
 }
 
 // Read fills buf with data starting at the absolute sector. Reads below
@@ -435,7 +458,7 @@ func (d *Device) ReadSpan(sp *obs.Span, fut *vclock.Future, sector int64, buf []
 	if err == nil {
 		c := d.commandLocked(sp, fut, pio)
 		ref = c.cp.start(buf, src)
-		d.listCopyLocked(c)
+		d.listCopyLocked(c, d.ZoneOf(sector), false)
 		d.clk.AfterNotify(pio.at-d.clk.Now(), c)
 		fut = c.fut
 	}
@@ -443,16 +466,13 @@ func (d *Device) ReadSpan(sp *obs.Span, fut *vclock.Future, sector int64, buf []
 	if err != nil {
 		return d.failSpan(sp, fut, err)
 	}
-	select {
-	case copyJobs <- ref:
-	default: // the copier is far behind: the completion copies
-	}
+	sendCopy(ref)
 	return fut
 }
 
 // readApplyLocked is the submit half of Read: it validates the span,
 // captures the payload source — the zone's bytes from the read's start to
-// the lesser of its end and the write pointer; fillRead copies them and
+// the lesser of its end and the write pointer; fill copies them and
 // zeroes the rest of the buffer — charges the read pipe and returns the
 // pending completion (whose err field carries any latent media error).
 // Caller holds d.mu.
@@ -473,15 +493,19 @@ func (d *Device) readApplyLocked(sp *obs.Span, sector, nSectors int64) (pendingI
 	}
 
 	// The source is fixed at submit. Zones are immutable below the write
-	// pointer, and every operation that changes or recycles bytes there
-	// first finishes the copies in flight (drainCopiesLocked), so the read
-	// returns exactly these bytes, even if the zone is reset, rewritten or
-	// rotted before it completes. Bytes at or above the write pointer are
-	// never copied out (zone buffers are recycled unzeroed): the tail of a
-	// full zone reads as zeroes.
+	// pointer once the writes' copies have landed — finished here first
+	// if the zone still has some in flight — and every operation that
+	// changes or recycles bytes there first finishes the copies in flight
+	// (drainCopiesLocked), so the read returns exactly these bytes, even if
+	// the zone is reset, rewritten or rotted before it completes. Bytes at
+	// or above the write pointer are never copied out (zone buffers are
+	// recycled unzeroed): the tail of a full zone reads as zeroes.
 	ss := int64(d.cfg.SectorSize)
 	var src []byte
 	if !d.cfg.DiscardData && zo.data != nil && off < zo.wp {
+		if zo.wcopies > 0 {
+			d.drainCopiesLocked(z)
+		}
 		src = zo.data[off*ss : min(off+nSectors, zo.wp)*ss]
 	}
 	d.hostReadBytes += nSectors * ss
@@ -643,7 +667,7 @@ func (d *Device) resetApplyLocked(sp *obs.Span, z int) (pendingIO, int64, error)
 	if zo.state == ZoneReadOnly || zo.state == ZoneOffline {
 		return pendingIO{}, 0, ErrZoneUnavailable
 	}
-	d.drainCopiesLocked() // the buffer goes to the free list, for any zone's next write
+	d.drainCopiesLocked(z) // the buffer goes to the free list, for any zone's next write
 	switch zo.state {
 	case ZoneOpen:
 		d.nOpen--
@@ -737,7 +761,7 @@ func (d *Device) finishApplyLocked(sp *obs.Span, z int) (pendingIO, int64, error
 // its first write since reset: a buffer a reset returned to the device if
 // there is one, else a new one. A recycled buffer is NOT zeroed and still
 // holds its previous zone's payload; that is sound because no path hands
-// out a byte at or above the write pointer (fillRead zero-fills,
+// out a byte at or above the write pointer (fill zero-fills,
 // CorruptSector and bit rot stay below it) and every write lands exactly
 // at the write pointer or, through the ZRWA, below it.
 //

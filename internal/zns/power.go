@@ -41,7 +41,7 @@ func (d *Device) Failed() bool {
 func (d *Device) PowerLoss(rng *rand.Rand) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.drainCopiesLocked() // rewrites below the cut replace bytes reads may copy
+	d.drainCopiesLocked(-1) // rewrites below the cut replace bytes copies may touch
 	for z := range d.zones {
 		cut := d.zones[z].pwp
 		if rng != nil {
@@ -60,7 +60,7 @@ func (d *Device) PowerLoss(rng *rand.Rand) {
 func (d *Device) PowerLossAt(cuts map[int]int64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.drainCopiesLocked()
+	d.drainCopiesLocked(-1)
 	for z := range d.zones {
 		cut := d.zones[z].pwp
 		if c, ok := cuts[z]; ok {
@@ -127,6 +127,7 @@ func (d *Device) applyCutLocked(z int, cut int64) {
 func (d *Device) CrashClone(clk *vclock.Clock, rng *rand.Rand, cuts map[int]int64) *Device {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	d.drainCopiesLocked(-1) // the clone copies zone memory: writes' copies land first
 	if clk == nil {
 		clk = d.clk
 	}
@@ -143,6 +144,7 @@ func (d *Device) CrashClone(clk *vclock.Clock, rng *rand.Rand, cuts map[int]int6
 			cz.data = append([]byte(nil), zo.data...)
 		}
 		cz.unflushed = append([]extent(nil), zo.unflushed...)
+		cz.wcopies = 0
 		c.zones[z] = cz
 	}
 	if d.latentErrs != nil {

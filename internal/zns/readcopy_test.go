@@ -33,11 +33,13 @@ func TestReadSnapshotSurvivesMutation(t *testing.T) {
 		mutate  func(t *testing.T, d *Device, a []byte) []byte
 		wantErr error // the snapshot read's own outcome
 	}{
-		{name: "reset-then-reuse", mutate: func(t *testing.T, d *Device, a []byte) []byte {
+		{name: "reset-then-reuse", cfg: func(c *Config) { c.ZRWASectors = 8 }, mutate: func(t *testing.T, d *Device, a []byte) []byte {
 			old := &d.zones[0].data[0]
 			d.ResetZone(0)
+			// Takes zone 0's buffer and, unlike Write, fills it at submit:
+			// long before the read completes.
 			b := pattern(d.cfg, n, 0x3C)
-			d.Write(d.ZoneStart(1), b, 0) // takes zone 0's buffer
+			d.WriteZRWA(d.ZoneStart(1), b, 0)
 			if &d.zones[1].data[0] != old {
 				t.Fatal("zone 1 did not take the recycled buffer: the case would prove nothing")
 			}

@@ -210,6 +210,7 @@ type zone struct {
 	data      []byte   // backing buffer, ZoneCap sectors; only [0, wp) is content (zoneBufLocked)
 	written   bool     // has taken a backing buffer at some time; resets do not clear it (zoneBufLocked)
 	unflushed []extent // writes in (pwp, wp], in submit order
+	wcopies   int      // writes whose payload copy into data is still listed in d.copying (readcopy.go)
 
 	// Flash-program accounting (see programLocked). prog is the zone-
 	// relative sector up to which data has been programmed to NAND; zrwa
@@ -242,9 +243,10 @@ type Device struct {
 	// the next (scheduleLocked / command.Notify in io.go).
 	cmds []*command
 
-	// copying holds the records of reads whose copy into the host buffer
-	// may still be in flight (readcopy.go); drainCopiesLocked finishes
-	// them before a mutation of bytes they may copy.
+	// copying holds the records of commands whose copy — a read's into
+	// the host buffer, a write's into zone memory — may still be in flight
+	// (readcopy.go); drainCopiesLocked finishes a zone's before an access
+	// they must not be overtaken by.
 	copying []*command
 
 	writeBusy time.Duration // write pipe busy-until (virtual time)
