@@ -68,7 +68,7 @@ func (v *Volume) compactZone(z int) error {
 			continue
 		}
 		fill, _ := v.physFill(i, z)
-		if fill != v.expectedPhysFill(z, i, wp) {
+		if fill != expectedPhysFill(v.lt, z, i, wp) {
 			affected[i] = true
 		}
 	}
@@ -83,7 +83,7 @@ func (v *Volume) compactZone(z int) error {
 		}
 		// Reconstruct the device's correct zone content from the
 		// volume's logical state (reads use the relocation overlays).
-		target := v.expectedPhysFill(z, dev, wp)
+		target := expectedPhysFill(v.lt, z, dev, wp)
 		content := make([]byte, target*ss)
 		nStripes := (wp + stripeSec - 1) / stripeSec
 		var off int64

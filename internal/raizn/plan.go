@@ -1,0 +1,274 @@
+package raizn
+
+import (
+	"cmp"
+	"slices"
+)
+
+// Mount repairs every logical zone in three steps (recover.go): gather
+// reads what the devices hold about the zone into a zoneEvidence, planZone
+// decides from that evidence alone, and apply issues the plan's device
+// commands. This file is the middle step. It takes no *Volume, issues no
+// command and imports neither zns nor vclock (TestPlanFileIsPure), so
+// every rule below is testable from hand-written evidence (TestPlanZone).
+
+// ppImage is one partial-parity image of a stripe (§5.1). The logged
+// engine's metadata records and the zraid engine's slots take this one
+// form.
+type ppImage struct {
+	stripe  int64
+	a, b    int64  // stripe-relative data sectors [a, b) the image covers
+	payload []byte // parity of the intra-unit regions intraRegions(a, b), in order
+}
+
+// zoneEvidence is everything mount knows about one logical zone. Every
+// record in it is of the zone's current generation.
+type zoneEvidence struct {
+	zone       int
+	sectorSize int64
+	fills      []int64   // per device: physical fill in sectors, -1 for the missing device
+	finished   []bool    // per device: the physical zone was finished
+	resetWALs  int       // valid zone-reset WALs
+	pp         []ppImage // in scan order: metadata records, then engine slots
+	relocs     []record  // relocated data and parity fragments, in scan order
+}
+
+// stripeRepair is one repair write: with unit -1, recompute the stripe's
+// parity and append it from intra offset from; otherwise rebuild data unit
+// unit from intra offset from onward out of parity and the other units.
+type stripeRepair struct {
+	stripe int64
+	unit   int
+	from   int64
+}
+
+// tailPlan is the partial tail stripe whose buffer apply reloads so
+// appends can go on computing parity without device reads (§5.1).
+type tailPlan struct {
+	stripe, fill int64
+	missing      int    // data unit with data on the missing device, or -1
+	img          []byte // parity image of the stripe's partial-parity logs
+	recon        int64  // sectors of unit missing the image rebuilds
+}
+
+// zonePlan is what planZone decides for one zone.
+type zonePlan struct {
+	reset          bool     // finish an interrupted reset on every device
+	genDelta       uint64   // generation counter increment
+	relocs         []record // relocation records that stay live
+	empty          bool     // the zone is empty: drop its relocation entries
+	wp             int64    // recovered logical write pointer
+	full, remapped bool
+	repairs        []stripeRepair // in stripe order
+	tail           *tailPlan      // nil: no partial tail stripe
+}
+
+// planZone derives a logical zone's state from its evidence (§4.3 "zone
+// descriptors", §5.1, §5.2): the readable logical prefix of the physical
+// fills, the stripe holes parity can close, and where unrecoverable holes
+// or debris truncate the zone.
+func planZone(lt *layout, ev zoneEvidence) zonePlan {
+	hasData, allFinished := false, true
+	for i, f := range ev.fills {
+		if f > 0 || ev.finished[i] {
+			hasData = true
+		}
+		if f >= 0 && !ev.finished[i] {
+			allFinished = false
+		}
+	}
+	// A valid reset WAL is a reset the crash interrupted: finish it
+	// (§5.2). Each WAL bumps the generation, which makes every record of
+	// the old incarnation stale, relocations included; the zone is empty.
+	if ev.resetWALs > 0 {
+		return zonePlan{reset: hasData, genDelta: uint64(ev.resetWALs) + 1, empty: true}
+	}
+	p := zonePlan{relocs: ev.relocs, remapped: len(ev.relocs) > 0}
+	if !hasData {
+		// §4.3: an empty zone's generation is bumped on mount, making
+		// straggler metadata of the old incarnation stale.
+		p.genDelta, p.empty = 1, true
+		return p
+	}
+
+	su, stripeSec := lt.su, lt.stripeSectors()
+	degraded := slices.Contains(ev.fills, -1)
+	smax := int64(0)
+	for _, f := range ev.fills {
+		smax = max(smax, (f+su-1)/su)
+	}
+	present := make([]int64, lt.d) // data sectors per unit, -1 on the missing device
+	for s := int64(0); s < smax; s++ {
+		for u := range present {
+			present[u] = -1
+			if f := ev.fills[lt.dataDev(ev.zone, s, u)]; f >= 0 {
+				present[u] = clampI64(f-s*su, 0, su)
+			}
+		}
+		q := int64(-1) // parity sectors present, -1 on the missing device
+		if f := ev.fills[lt.parityDev(ev.zone, s)]; f >= 0 {
+			q = clampI64(f-s*su, 0, su)
+		}
+		// Relocated parity counts as parity present; of several records
+		// for the stripe the last is the live one.
+		pl := int64(-1)
+		for _, r := range ev.relocs {
+			if r.typ.base() == recRelocParity && lt.stripeOf(r.startLBA) == s {
+				pl = int64(len(r.payload)) / ev.sectorSize
+			}
+		}
+		g := planStripe(lt, &ev, &p, s, present, max(q, pl), degraded)
+		p.wp += g
+		if g < stripeSec {
+			break // a short stripe ends the logical prefix
+		}
+	}
+
+	// Debris: a physical fill beyond what the write pointer implies is
+	// burned PBAs (data past the prefix, parity of an incomplete stripe —
+	// on a finished zone too, where FinishZone wrote prefix parity). Flag
+	// the zone so later writes take the relocation path.
+	for i, f := range ev.fills {
+		if f > expectedPhysFill(lt, ev.zone, i, p.wp) {
+			p.remapped = true
+		}
+	}
+	p.full = allFinished || p.wp == lt.zoneSectors()
+	if tail := p.wp % stripeSec; !p.full && tail != 0 {
+		t := &tailPlan{stripe: p.wp / stripeSec, fill: tail, missing: -1}
+		for u, f := range lt.unitFills(tail) {
+			if f > 0 && ev.fills[lt.dataDev(ev.zone, t.stripe, u)] < 0 {
+				// Data at and beyond the logs' coverage is lost with the
+				// device (§5.1); the prefix rule has already capped the
+				// write pointer there.
+				_, covered := ppExtent(ev.pp, t.stripe, lt.su)
+				t.missing, t.img, t.recon = u, ppParity(lt, ev.pp, t.stripe, ev.sectorSize), min(f, covered)
+			}
+		}
+		p.tail = t
+	}
+	return p
+}
+
+// planStripe decides stripe s of the walk from the data present per unit
+// and the parity sectors present q: its recovered data fill, and the
+// repair it needs (appended to p). A fill short of the stripe ends the
+// zone's logical prefix; data or parity past it is debris, which planZone
+// flags from the physical fills.
+func planStripe(lt *layout, ev *zoneEvidence, p *zonePlan, s int64, present []int64, q int64, degraded bool) (g int64) {
+	su, stripeSec := lt.su, lt.stripeSectors()
+	shorts, short, unknown := 0, 0, false
+	for u, f := range present {
+		switch {
+		case f < 0:
+			unknown = true
+		case f < su:
+			shorts, short = shorts+1, u
+		}
+	}
+	switch {
+	case shorts == 0 && (q < 0 || q == su):
+		return stripeSec
+	case shorts == 0 && !degraded:
+		// Parity hole: data complete, parity torn (§5.2 write hole).
+		// Degraded, the unknown unit cannot be assumed full: the prefix
+		// rule below counts it only as far as parity rebuilds it.
+		p.repairs = append(p.repairs, stripeRepair{stripe: s, unit: -1, from: q})
+		return stripeSec
+	case q == su && shorts == 1 && !unknown:
+		// Full parity: the stripe was complete at the crash. Rebuild its
+		// one short unit (§4.3); two erasures truncate below.
+		p.repairs = append(p.repairs, stripeRepair{stripe: s, unit: short, from: present[short]})
+		return stripeSec
+	}
+
+	// The contiguous data prefix. A missing device's unit counts as far as
+	// later evidence shows it was written (data in a later unit, the
+	// partial-parity logs), capped by what parity can rebuild: the media
+	// parity prefix or the logs' coverage. Counting more would leave
+	// unreadable sectors below the write pointer.
+	ppEnd, covered := ppExtent(ev.pp, s, su)
+	recon := max(q, covered)
+	for u, f := range present {
+		if f < 0 {
+			f = clampI64(ppEnd-int64(u)*su, 0, su)
+			for _, later := range present[u+1:] {
+				if later > 0 {
+					f = su
+				}
+			}
+			f = min(f, recon)
+		}
+		g += f
+		if f < su {
+			break
+		}
+	}
+	return g
+}
+
+// ppExtent returns the stripe-relative data fill stripe s's partial-parity
+// images imply (-1: none) and how many intra-unit offsets of parity they
+// cover.
+func ppExtent(pp []ppImage, s, su int64) (end, covered int64) {
+	end = -1
+	for _, r := range pp {
+		if r.stripe != s {
+			continue
+		}
+		end = max(end, r.b)
+		if r.b-r.a >= su {
+			covered = su
+		} else {
+			covered = max(covered, clampI64(r.b, 0, su))
+		}
+	}
+	return end, covered
+}
+
+// ppParity replays stripe s's partial-parity images in offset order (the
+// sort is stable: of two images of one offset the later wins) into the
+// stripe's parity image over intra-unit offsets [0, su).
+func ppParity(lt *layout, pp []ppImage, s, ss int64) []byte {
+	img := make([]byte, lt.su*ss)
+	var logs []ppImage
+	for _, r := range pp {
+		if r.stripe == s {
+			logs = append(logs, r)
+		}
+	}
+	slices.SortStableFunc(logs, func(x, y ppImage) int { return cmp.Compare(x.a, y.a) })
+	for _, r := range logs {
+		regions, n := lt.intraRegions(r.a, r.b)
+		src := r.payload
+		for _, reg := range regions[:n] {
+			k := min((reg.b-reg.a)*ss, int64(len(src)))
+			copy(img[reg.a*ss:reg.a*ss+k], src[:k])
+			src = src[k:]
+		}
+	}
+	return img
+}
+
+// expectedPhysFill returns how many sectors of physical zone z on device
+// i a logical fill of wp implies: one unit per complete stripe, and the
+// device's data in the tail stripe. The tail stripe's parity is not on
+// media yet (its partial parity lives with the parity engine).
+func expectedPhysFill(lt *layout, z, i int, wp int64) int64 {
+	stripeSec := lt.stripeSectors()
+	fill := wp / stripeSec * lt.su
+	if u := lt.unitOfDev(z, wp/stripeSec, i); u >= 0 {
+		fill += clampI64(wp%stripeSec-int64(u)*lt.su, 0, lt.su)
+	}
+	return fill
+}
+
+func clampI64(x, lo, hi int64) int64 {
+	if x < lo {
+		return lo
+	}
+	if x > hi {
+		return hi
+	}
+	return x
+}
