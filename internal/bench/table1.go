@@ -61,7 +61,7 @@ func runTable1(w io.Writer, quick bool) error {
 		fmt.Sprintf("%s (header) + <=%s", kb(int64(fp.HeaderBytes)), kb(fp.StripeUnitBytes)), "-")
 	t.row("superblock", "all devices", kb(fp.SuperblockStorage), kb(fp.SuperblockStorage))
 	t.row("stripe buffers", "-", "-",
-		fmt.Sprintf("%s x %d per open zone", kb(fp.StripeBufferBytes), fp.StripeBuffersPerZone))
+		fmt.Sprintf("(%s + %d B) x %d per open zone", kb(fp.StripeUnitBytes), fp.StripeBufferBytes-fp.StripeUnitBytes, fp.StripeBuffersPerZone))
 	t.row("persistence bitmaps", "-", "-", fmt.Sprintf("%s per logical zone", kb(fp.PersistBitmapPerZone)))
 	t.row("zone descriptors", "-", "-", fmt.Sprintf("%d B per zone per device + per logical zone", fp.ZoneDescriptorBytes))
 
@@ -69,6 +69,6 @@ func runTable1(w io.Writer, quick bool) error {
 		fp.Devices, fp.DataDevices, kb(fp.StripeUnitBytes), fp.PhysZoneCapBytes>>20, fp.LogicalZoneBytes>>20)
 	fmt.Fprintln(w, "paper: header 4 KiB, remapped unit 4+64 KiB, reset log 4 KiB (all devices), gen counters 8.05 B/zone,")
 	fmt.Fprintln(w, "partial parity 4 KiB + <=64 KiB, superblock 4 KiB, stripe buffers 320 KiB x 8/open zone (incl. parity slot;")
-	fmt.Fprintln(w, "this implementation buffers the D=4 data units: 256 KiB), persistence bitmap ~2 KiB/zone, descriptors 64 B.")
+	fmt.Fprintln(w, "this implementation keeps only that slot, a running parity, and D unit CRCs), persistence bitmap ~2 KiB/zone, descriptors 64 B.")
 	return nil
 }

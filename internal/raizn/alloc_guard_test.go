@@ -144,10 +144,12 @@ func TestSubmitReadNoGoroutineGuard(t *testing.T) {
 }
 
 // TestDegradedReadAllocGuard pins reconstruction into the caller's
-// buffer: the parity piece is read straight into the destination and the
-// survivors into pooled scratch (read.go submitReconstruct), so a degraded
-// 64 KiB read allocates plumbing only. One per-piece buffer back on the
-// path would add up to 64 KiB/op (the parent of this guard: 56 KB/op).
+// buffer: the parity piece is read straight into the destination — or, in
+// an open stripe, copied there from the stripe buffer's running parity —
+// and the survivors into pooled scratch (read.go submitReconstruct), so a
+// degraded 64 KiB read allocates plumbing only. One per-piece buffer back
+// on the path would add up to 64 KiB/op (the parent of this guard: 56
+// KB/op).
 func TestDegradedReadAllocGuard(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation sizes are not comparable under the race detector")
@@ -156,8 +158,18 @@ func TestDegradedReadAllocGuard(t *testing.T) {
 		t.Skip("skipping benchmark-backed guard in -short mode")
 	}
 	const maxBytes = 8 << 10
-	if got := testing.Benchmark(BenchmarkDegradedRead64K).AllocedBytesPerOp(); got > maxBytes {
-		t.Errorf("degraded 64 KiB read: %d B/op, bound %d — a data buffer is being allocated per reconstructed piece", got, maxBytes)
+	for _, c := range []struct {
+		name  string
+		bench func(*testing.B)
+	}{
+		{"complete stripes", BenchmarkDegradedRead64K},
+		{"open stripe", BenchmarkDegradedReadOpenStripe64K},
+	} {
+		if got := testing.Benchmark(c.bench).AllocedBytesPerOp(); got > maxBytes {
+			t.Errorf("degraded 64 KiB read, %s: %d B/op, bound %d — a data buffer is being allocated per reconstructed piece", c.name, got, maxBytes)
+		} else {
+			t.Logf("degraded 64 KiB read, %s: %d B/op", c.name, got)
+		}
 	}
 }
 

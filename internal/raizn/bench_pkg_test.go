@@ -179,6 +179,30 @@ func BenchmarkDegradedRead64K(b *testing.B) {
 	})
 }
 
+// BenchmarkDegradedReadOpenStripe64K reads 64 KiB from an open stripe
+// (63 of 64 sectors written) with its unit 1 device failed: every read
+// rebuilds part of unit 1 from the stripe buffer's running parity and the
+// survivors' device reads.
+func BenchmarkDegradedReadOpenStripe64K(b *testing.B) {
+	benchVolume(b, func(c *vclock.Clock, v *Volume) {
+		fill := v.StripeSectors() - 1
+		if err := v.Write(0, make([]byte, fill*int64(v.SectorSize())), 0); err != nil {
+			b.Fatal(err)
+		}
+		v.FailDevice(v.lt.dataDev(0, 0, 1))
+		buf := make([]byte, 64<<10)
+		su := v.lt.su
+		b.SetBytes(int64(len(buf)))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			// Every start in [1, 2su) overlaps unit 1.
+			if err := v.Read(1+int64(i)%(2*su-1), buf); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // benchVolumeData is benchVolumeCfg with payloads materialized
 // (DiscardData off), so reads pay the payload copy.
 func benchVolumeData(b *testing.B, vcfg Config, fn func(c *vclock.Clock, v *Volume)) {

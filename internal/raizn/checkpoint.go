@@ -100,7 +100,7 @@ func (v *Volume) checkpointRecords(dev int, kind mdKind) []*record {
 
 	case mdParity:
 		// Partial parity for every in-progress stripe whose parity this
-		// device will hold, recomputed from the stripe buffers ("the
+		// device will hold, copied from the stripe buffers ("the
 		// latter of which is calculated by XOR'ing the contents of the
 		// stripe buffer of each open logical zone", §4.3).
 		//

@@ -15,9 +15,10 @@ import (
 //
 // Coverage rules:
 //
-//   - CRCs are computed at stripe completion, when the whole stripe
-//     (data in the stripe buffer + computed parity) is in memory, so
-//     they cost no extra device reads.
+//   - CRCs cost no extra device reads: a stripe written through its
+//     stripe buffer has each data unit's CRC taken as its chunks are
+//     folded in and the parity's at completion; a stripe written whole
+//     from the caller's data has all of them taken in the parity pass.
 //   - Partial tail stripes are not covered: their content is still
 //     mutable (the next write extends it) and protected by the stripe
 //     buffer + partial-parity log instead. The scrubber skips them.

@@ -2,6 +2,7 @@ package raizn
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"raizn/internal/vclock"
@@ -24,12 +25,74 @@ func TestDegradedReadFullStripes(t *testing.T) {
 	})
 }
 
+// TestDegradedReadPartialStripe reads back an open stripe, written in
+// 13-sector pieces behind one complete stripe, with each of its devices
+// failed in turn, on both engines and at tail fills around every unit
+// edge. A lost unit of the open stripe is the buffer's running parity XOR
+// the survivors read from their devices, by a degraded read and by the
+// rebuild onto a replacement; afterwards the next device is failed, so the
+// rebuilt unit is read back as a survivor too.
 func TestDegradedReadPartialStripe(t *testing.T) {
-	runVol(t, func(c *vclock.Clock, v *Volume, devs []*zns.Device) {
-		mustWriteV(t, v, 0, 40, 0) // partial stripe: lives in the buffer
-		v.FailDevice(v.lt.dataDev(0, 0, 1))
-		checkReadV(t, v, 0, 40)
-	})
+	const su, stripe = 16, 64 // testDevConfig's array
+	for _, env := range fuaEnvs() {
+		for _, tail := range []int64{1, su - 1, su, su + 1, 2*su + 7, stripe - 1} {
+			for victim := 0; victim < 5; victim++ {
+				env, tail, victim := env, tail, victim
+				t.Run(fmt.Sprintf("%s/tail%d/dev%d", env.name, tail, victim), func(t *testing.T) {
+					c := vclock.New()
+					c.Run(func() { degradedOpenStripe(t, c, env, tail, victim) })
+				})
+			}
+		}
+	}
+}
+
+// degradedOpenStripe runs one TestDegradedReadPartialStripe case: zone 0
+// holds stripe 0 and tail sectors of stripe 1, and victim is the index,
+// among stripe 1's devices in unit order, parity last, of the one failed.
+func degradedOpenStripe(t *testing.T, c *vclock.Clock, env fuaEnv, tail int64, victim int) {
+	devs, v, err := env.create(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.lt.su != 16 || v.lt.n != 5 {
+		t.Fatalf("array is %d devices with %d-sector units, the table assumes 5 and 16", v.lt.n, v.lt.su)
+	}
+	n := v.lt.stripeSectors() + tail
+	for lba := int64(0); lba < n; lba += 13 {
+		mustWriteV(t, v, lba, int(min(13, n-lba)), 0)
+	}
+	readAll := func(when string) {
+		t.Helper()
+		checkReadV(t, v, 0, int(n))
+		for lba := int64(0); lba < n; lba++ {
+			checkReadV(t, v, lba, 1)
+		}
+		for lba := int64(3); lba < n; lba += 5 {
+			checkReadV(t, v, lba, int(min(7, n-lba)))
+		}
+		if t.Failed() {
+			t.Fatalf("%s: read back wrong", when)
+		}
+	}
+	stripeDev := func(k int) int {
+		if k == v.lt.d {
+			return v.lt.parityDev(0, 1)
+		}
+		return v.lt.dataDev(0, 1, k)
+	}
+	if err := v.FailDevice(stripeDev(victim)); err != nil {
+		t.Fatal(err)
+	}
+	readAll("degraded")
+	if _, err := v.ReplaceDevice(zns.NewDevice(c, devs[0].Config())); err != nil {
+		t.Fatalf("ReplaceDevice: %v", err)
+	}
+	readAll("rebuilt")
+	if err := v.FailDevice(stripeDev((victim + 1) % v.lt.n)); err != nil {
+		t.Fatal(err)
+	}
+	readAll("rebuilt, next device failed")
 }
 
 func TestDegradedWriteContinues(t *testing.T) {

@@ -19,7 +19,7 @@ type MetadataFootprint struct {
 	GenCounterMemPerZone    float64
 	PartialParityStorageMax int64 // header + <= stripe unit, parity device
 	SuperblockStorage       int64 // header sector, all devices
-	StripeBufferBytes       int64 // per buffer (D stripe units)
+	StripeBufferBytes       int64 // per buffer: the running-parity unit and D unit CRCs
 	StripeBuffersPerZone    int
 	PersistBitmapPerZone    int64 // bytes, one bit per stripe unit
 	ZoneDescriptorBytes     int   // per zone (physical and logical alike)
@@ -46,7 +46,7 @@ func (v *Volume) Footprint() MetadataFootprint {
 		GenCounterMemPerZone:    8 + float64(headerBytes)/float64(gensPerBlock),
 		PartialParityStorageMax: ss + suBytes,
 		SuperblockStorage:       ss,
-		StripeBufferBytes:       int64(v.lt.d) * suBytes,
+		StripeBufferBytes:       suBytes + 4*int64(v.lt.d),
 		StripeBuffersPerZone:    stripeBuffersPerZone,
 		PersistBitmapPerZone:    (nSU + 7) / 8,
 		ZoneDescriptorBytes:     64,

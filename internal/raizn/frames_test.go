@@ -11,9 +11,10 @@ import (
 	"raizn/internal/zns"
 )
 
-// refParity is the bytewise definition parityInto is checked against: the
-// XOR, over the data units of a stripe with `fill` sectors written, of
-// intra-unit offsets [a, b); what a unit has not written counts as zeroes.
+// refParity is the bytewise definition a stripe buffer's running parity is
+// checked against: the XOR, over the data units of a stripe with `fill`
+// sectors written, of intra-unit offsets [a, b); what a unit has not
+// written counts as zeroes.
 func refParity(lt *layout, ss int64, data []byte, fill, a, b int64) []byte {
 	out := make([]byte, (b-a)*ss)
 	for u := int64(0); u < int64(lt.d); u++ {
@@ -29,13 +30,15 @@ func refParity(lt *layout, ss int64, data []byte, fill, a, b int64) []byte {
 	return out
 }
 
-// TestParityIntoMatchesReference checks parityInto against refParity for
-// every (fill, a, b) of a 4+1 array with 4-sector units — fill 0, ranges a
-// short unit ends inside and ranges wholly past it included — writing into
-// a frame left dirty by its last use: the copy-then-XOR form has no clear
-// of its own to hide behind, so what unit 0 does not reach must still come
-// out zero.
-func TestParityIntoMatchesReference(t *testing.T) {
+// TestFoldMatchesReference checks foldLocked against refParity and crcOf
+// for every fill of a 4+1 array with 4-sector units, the prefix folded
+// once sector by sector and once in a single piece. Each slot comes from
+// stripeBufferLocked with its parity and CRCs left dirty by a last use:
+// unit 0 must overwrite the parity, not XOR into it, and the CRCs must
+// start over. The parity is checked over every intra range [a, b) inside
+// [0, min(fill, su)), where it is valid, and each unit's CRC against its
+// written prefix.
+func TestFoldMatchesReference(t *testing.T) {
 	const ss = 32
 	lt := &layout{n: 5, d: 4, su: 4}
 	v := &Volume{lt: lt, sectorSize: ss}
@@ -43,20 +46,39 @@ func TestParityIntoMatchesReference(t *testing.T) {
 	for i := range data {
 		data[i] = byte(i*7 + i>>8 + 1)
 	}
-	frame := make([]byte, lt.su*ss)
+	slot := func() *stripeBuffer {
+		buf := &stripeBuffer{stripe: -1, par: bytes.Repeat([]byte{0xEE}, int(lt.su*ss)), crcs: make([]uint32, lt.d)}
+		for u := range buf.crcs {
+			buf.crcs[u] = 0xDEADBEEF
+		}
+		lz := &logicalZone{free: []*stripeBuffer{buf}, active: map[int64]*stripeBuffer{}}
+		got, err := v.stripeBufferLocked(lz, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
 	for fill := int64(0); fill <= lt.stripeSectors(); fill++ {
-		for a := int64(0); a < lt.su; a++ {
-			for b := a + 1; b <= lt.su; b++ {
-				for i := range frame {
-					frame[i] = 0xEE
+		bySector, whole := slot(), slot()
+		for sec := int64(0); sec < fill; sec++ {
+			v.foldLocked(bySector, data[sec*ss:(sec+1)*ss])
+		}
+		v.foldLocked(whole, data[:fill*ss])
+		for name, buf := range map[string]*stripeBuffer{"sector by sector": bySector, "in one piece": whole} {
+			if buf.fill != fill {
+				t.Fatalf("fill %d folded %s: buffer fill %d", fill, name, buf.fill)
+			}
+			for a := int64(0); a < min(fill, lt.su); a++ {
+				for b := a + 1; b <= min(fill, lt.su); b++ {
+					if !bytes.Equal(buf.par[a*ss:b*ss], refParity(lt, ss, data, fill, a, b)) {
+						t.Fatalf("fill %d folded %s: parity over [%d,%d) differs from the bytewise reference", fill, name, a, b)
+					}
 				}
-				out := frame[:(b-a)*ss]
-				v.parityInto(data, fill, a, b, out)
-				if !bytes.Equal(out, refParity(lt, ss, data, fill, a, b)) {
-					t.Fatalf("parityInto(fill=%d, a=%d, b=%d) differs from the bytewise reference", fill, a, b)
-				}
-				if rest := frame[len(out):]; len(rest) > 0 && rest[0] != 0xEE {
-					t.Fatalf("parityInto(fill=%d, a=%d, b=%d) wrote past its output", fill, a, b)
+			}
+			for u, f := range lt.unitFills(fill) {
+				lo := int64(u) * lt.su * ss
+				if want := crcOf(data[lo : lo+f*ss]); buf.crcs[u] != want {
+					t.Fatalf("fill %d folded %s: unit %d CRC %08x, want %08x", fill, name, u, buf.crcs[u], want)
 				}
 			}
 		}

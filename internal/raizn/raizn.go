@@ -163,12 +163,15 @@ func (c *Config) withDefaults() Config {
 // it releases the zone. (The paper's kernel target keeps 8, §5.1.)
 const stripeBuffersPerZone = 2
 
-// stripeBuffer accumulates the data of one in-progress stripe so parity
-// can be computed without device reads (§5.1).
+// stripeBuffer accumulates one in-progress stripe so its parity needs no
+// device reads (§5.1). It holds the stripe's running parity, not its data:
+// each write folds its chunk in once (foldLocked), and a partial-parity
+// frame or the completed stripe's parity image is a copy of par.
 type stripeBuffer struct {
-	stripe int64  // zone-relative stripe index, -1 when free
-	fill   int64  // data sectors present, always a dense prefix
-	data   []byte // d*su sectors
+	stripe int64    // zone-relative stripe index, -1 when free
+	fill   int64    // data sectors present, always a dense prefix
+	par    []byte   // one unit: the parity of the written prefix, valid over [0, min(fill, su))
+	crcs   []uint32 // CRC32-C of each data unit's written prefix
 }
 
 // logicalZone is the in-memory descriptor of one logical zone (paper
@@ -607,7 +610,8 @@ func (v *Volume) newLogicalZone(z int) *logicalZone {
 	for range stripeBuffersPerZone {
 		lz.free = append(lz.free, &stripeBuffer{
 			stripe: -1,
-			data:   make([]byte, v.lt.stripeSectors()*int64(v.sectorSize)),
+			par:    make([]byte, v.lt.su*int64(v.sectorSize)),
+			crcs:   make([]uint32, v.lt.d),
 		})
 	}
 	return lz

@@ -298,33 +298,11 @@ func (v *Volume) readUnitPiece(sp *obs.Span, z int, s int64, u int, a, b int64, 
 }
 
 // degradedReadPiece reconstructs intra offsets [a, b) of the missing data
-// unit u from the stripe buffer (partial stripes) or from parity plus the
-// surviving units (complete stripes).
+// unit u from parity plus the surviving units: the parity of an open
+// stripe is its buffer's, that of a complete one is on media.
 func (v *Volume) degradedReadPiece(sp *obs.Span, z int, s int64, u int, a, b int64, dst []byte, zoneWP int64) *vclock.Future {
 	v.stats.degradedReads.Add(1)
-	ss := int64(v.sectorSize)
-	lz := v.zones[z]
-
-	// Partial tail stripes live in a stripe buffer; serve from memory.
-	lz.mu.Lock()
-	if buf, ok := lz.active[s]; ok {
-		base := int64(u) * v.lt.su * ss
-		copy(dst, buf.data[base+a*ss:base+b*ss])
-		lz.mu.Unlock()
-		return v.clk.Completed(nil)
-	}
-	lz.mu.Unlock()
-
-	// Complete stripe (or finished zone): reconstruct from media.
-	stripeSec := v.lt.stripeSectors()
-	g := zoneWP - s*stripeSec
-	if g < 0 {
-		g = 0
-	}
-	if g > stripeSec {
-		g = stripeSec
-	}
-	fills := v.lt.unitFills(g)
+	fills, open := v.openParity(v.zones[z], s, a, b, zoneWP-s*v.lt.stripeSectors(), dst)
 	if fills[u] <= a {
 		// The missing unit was never written here: zeroes.
 		for i := range dst {
@@ -334,7 +312,7 @@ func (v *Volume) degradedReadPiece(sp *obs.Span, z int, s int64, u int, a, b int
 	}
 
 	r := v.newReadJoin(nil)
-	sc, err := v.submitReconstruct(sp, z, s, u, a, b, fills, dst, &r.subReads)
+	sc, err := v.submitReconstruct(sp, z, s, u, a, b, fills, dst, open, &r.subReads)
 	if err != nil {
 		return v.clk.Completed(err)
 	}
@@ -368,13 +346,31 @@ func (v *Volume) scratchPiece(sc *reconScratch, n int64) []byte {
 	return sc.survivors[i]
 }
 
+// openParity sizes a reconstruction of intra offsets [a, b) of stripe s,
+// whose fill on media is g (clamped to the stripe). An open stripe's
+// parity is its buffer's running parity: it is copied into dst, and the
+// fills are the buffer's, which that parity covers.
+func (v *Volume) openParity(lz *logicalZone, s, a, b, g int64, dst []byte) (fills []int64, open bool) {
+	lz.mu.Lock()
+	if buf, ok := lz.active[s]; ok {
+		ss := int64(v.sectorSize)
+		copy(dst, buf.par[a*ss:b*ss])
+		g, open = buf.fill, true
+	}
+	lz.mu.Unlock()
+	return v.lt.unitFills(clampI64(g, 0, v.lt.stripeSectors())), open
+}
+
 // submitReconstruct issues the device reads that rebuild intra offsets
 // [a, b) of data unit u of stripe s, whose unit fill levels are fills: the
-// parity piece straight into dst, the written part of every other data
-// unit into pooled scratch. finishReconstruct completes the job.
-func (v *Volume) submitReconstruct(sp *obs.Span, z int, s int64, u int, a, b int64, fills []int64, dst []byte, rs *subReads) (*reconScratch, error) {
-	if err := v.readParityPiece(sp, z, s, a, b, dst, rs); err != nil {
-		return nil, err
+// parity piece straight into dst (unless parityInDst: openParity put it
+// there), the written part of every other data unit into pooled scratch.
+// finishReconstruct completes the job.
+func (v *Volume) submitReconstruct(sp *obs.Span, z int, s int64, u int, a, b int64, fills []int64, dst []byte, parityInDst bool, rs *subReads) (*reconScratch, error) {
+	if !parityInDst {
+		if err := v.readParityPiece(sp, z, s, a, b, dst, rs); err != nil {
+			return nil, err
+		}
 	}
 	sc := v.getReconScratch()
 	for u2 := 0; u2 < v.lt.d; u2++ {

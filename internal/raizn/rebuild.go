@@ -185,7 +185,7 @@ func (v *Volume) rebuildZone(z, slot int, newDev *zns.Device) (int64, error) {
 			if plen == 0 {
 				continue
 			}
-			content = v.computeParityForRebuild(lz, z, s, g, plen)
+			content = v.computeParityForRebuild(z, s, g, plen)
 			if content == nil {
 				return written, ErrInconsistent
 			}
@@ -234,26 +234,14 @@ func (v *Volume) rebuildZone(z, slot int, newDev *zns.Device) (int64, error) {
 }
 
 // reconstructUnitForRebuild produces the first `need` sectors of data
-// unit u of stripe s. The zone's resetting gate is held (no concurrent
-// writers); lz.mu is taken only around buffer-map access.
+// unit u of stripe s from parity and the surviving units; an open
+// stripe's parity is its buffer's (openParity). The zone's resetting gate
+// is held (no concurrent writers); lz.mu is taken only around buffer-map
+// access.
 func (v *Volume) reconstructUnitForRebuild(lz *logicalZone, s int64, u int, need, g int64, dst []byte) error {
-	z := lz.idx
-	ss := int64(v.sectorSize)
-	su := v.lt.su
-
-	// Partial tail stripes live in the stripe buffer.
-	lz.mu.Lock()
-	if buf, ok := lz.active[s]; ok {
-		base := int64(u) * su * ss
-		copy(dst, buf.data[base:base+need*ss])
-		lz.mu.Unlock()
-		return nil
-	}
-	lz.mu.Unlock()
-
-	// Otherwise reconstruct from parity + surviving units.
+	fills, open := v.openParity(lz, s, 0, need, g, dst)
 	var rs subReads
-	sc, err := v.submitReconstruct(nil, z, s, u, 0, need, v.lt.unitFills(g), dst, &rs)
+	sc, err := v.submitReconstruct(nil, lz.idx, s, u, 0, need, fills, dst, open, &rs)
 	if err != nil {
 		return err
 	}
@@ -262,16 +250,10 @@ func (v *Volume) reconstructUnitForRebuild(lz *logicalZone, s int64, u int, need
 
 // computeParityForRebuild recomputes the parity unit prefix [0, plen) of
 // stripe s from the surviving data units (all alive: only the parity
-// device failed). Caller holds lz.mu.
-func (v *Volume) computeParityForRebuild(lz *logicalZone, z int, s, g, plen int64) []byte {
+// device failed). Only complete stripes and a finished zone's sealed tail
+// have parity on media, and neither keeps a stripe buffer.
+func (v *Volume) computeParityForRebuild(z int, s, g, plen int64) []byte {
 	ss := int64(v.sectorSize)
-	lz.mu.Lock()
-	if buf, ok := lz.active[s]; ok {
-		img := v.parityImageLocked(buf, []intraInterval{{0, plen}})
-		lz.mu.Unlock()
-		return img
-	}
-	lz.mu.Unlock()
 	fills := v.lt.unitFills(g)
 	var rs subReads
 	sc := v.getReconScratch()

@@ -399,40 +399,39 @@ func (v *Volume) reconstructUnitTail(z int, s int64, u int, a int64) error {
 
 // rebuildStripeBuffer reloads the partial tail stripe t into a stripe
 // buffer: present units are read from their devices, a missing device's
-// unit is the partial-parity image XOR the surviving units (§5.1).
+// unit is the partial-parity image XOR the surviving units (§5.1), and the
+// units are folded into the buffer in unit order.
 func (v *Volume) rebuildStripeBuffer(lz *logicalZone, t *tailPlan) error {
 	ss := int64(v.sectorSize)
-	unit := v.lt.su * ss
 	buf, err := v.stripeBufferLocked(lz, t.stripe, 0) // single-threaded during mount
 	if err != nil {
 		return err
 	}
-	buf.fill = t.fill
 	fills := v.lt.unitFills(t.fill)
+	units := make([][]byte, len(fills))
 	var rs subReads
 	for u, f := range fills {
+		units[u] = make([]byte, f*ss)
 		if f == 0 || u == t.missing {
 			continue
 		}
-		dst := buf.data[int64(u)*unit : int64(u)*unit+f*ss]
-		if err := v.readUnitPiece(nil, lz.idx, t.stripe, u, 0, f, dst, &rs); err != nil {
+		if err := v.readUnitPiece(nil, lz.idx, t.stripe, u, 0, f, units[u], &rs); err != nil {
 			return err
 		}
 	}
 	if err := v.awaitReads(rs.futs); err != nil {
 		return err
 	}
-	if t.missing < 0 {
-		return nil
-	}
-	dst := buf.data[int64(t.missing)*unit : int64(t.missing+1)*unit]
-	copy(dst, t.img)
-	for u, f := range fills {
-		if u == t.missing || f == 0 {
-			continue
+	if m := t.missing; m >= 0 {
+		copy(units[m], t.img)
+		for u, f := range fills {
+			if n := min(f, t.recon) * ss; u != m {
+				parity.XORInto(units[m][:n], units[u][:n])
+			}
 		}
-		n := min(f, t.recon) * ss
-		parity.XORInto(dst[:n], buf.data[int64(u)*unit:int64(u)*unit+n])
+	}
+	for _, unit := range units {
+		v.foldLocked(buf, unit)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package raizn
 
 import (
 	"errors"
+	"hash/crc32"
 	"sync/atomic"
 
 	"raizn/internal/obs"
@@ -37,7 +38,7 @@ import (
 // write"), so a zone's writes reach its devices one after another, in
 // write-pointer order:
 //
-//  1. plan: validate, claim the range, copy partial-stripe payloads into
+//  1. plan: validate, claim the range, fold partial-stripe payloads into
 //     stripe buffers, and record every device sub-IO as a plan entry;
 //  2. compute: parity XOR, partial-parity images and CRC32-C rows;
 //  3. submit: coalesce physically adjacent plan entries per device into
@@ -266,7 +267,6 @@ type parityTask struct {
 type ppTask struct {
 	s    int64
 	buf  *stripeBuffer
-	fill int64 // buffer fill snapshot
 	a, b int64 // zone-relative stripe offsets this write covered
 }
 
@@ -390,7 +390,7 @@ func reuseBuf(bufs *[][]byte, i, size int) []byte {
 }
 
 // planWriteLocked (phase 1) splits [off, off+len) of zone lz into
-// per-stripe work: copy partial-stripe payloads into stripe buffers and
+// per-stripe work: fold partial-stripe payloads into stripe buffers and
 // record every device sub-IO, parity image and partial-parity log the
 // write needs. Caller holds lz.mu.
 //
@@ -421,8 +421,7 @@ func (v *Volume) planWriteLocked(ws *writeState, lz *logicalZone, off int64, dat
 			if err != nil {
 				return err
 			}
-			copy(buf.data[inStripe*ss:], chunk)
-			buf.fill = inStripe + n
+			v.foldLocked(buf, chunk)
 		}
 
 		v.planDataLocked(ws, z, s, inStripe, chunk)
@@ -449,9 +448,7 @@ func (v *Volume) planWriteLocked(ws *writeState, lz *logicalZone, off int64, dat
 			// if that device is dead the data units carry the write.
 			if v.mdm(pDev) != nil {
 				v.stats.partialParityLogs.Add(1)
-				ws.pp = append(ws.pp, ppTask{
-					s: s, buf: buf, fill: buf.fill, a: inStripe, b: inStripe + n,
-				})
+				ws.pp = append(ws.pp, ppTask{s: s, buf: buf, a: inStripe, b: inStripe + n})
 			}
 		}
 
@@ -499,25 +496,32 @@ func (v *Volume) computeWrite(ws *writeState) {
 	for i := range ws.parity {
 		t := &ws.parity[i]
 		out := reuseBuf(&ws.images, i, int(suBytes))
-		ws.plan[t.planIdx].data = out
-		// Completed stripe, one fused pass (parity.XORCRCInto): XOR the D
-		// units into the parity image and accumulate the D+1 CRCs of the
-		// checksum row while each block is cache-hot. A complete stripe
-		// always has its whole payload in one contiguous snapshot.
-		stripe := t.src
-		if t.buf != nil {
-			stripe = t.buf.data
-		}
-		srcs := ws.srcs[:0]
-		for u := 0; u < v.lt.d; u++ {
-			srcs = append(srcs, stripe[int64(u)*suBytes:int64(u+1)*suBytes])
-		}
-		ws.srcs = srcs
 		base := len(ws.crcs)
-		for u := 0; u <= v.lt.d; u++ {
-			ws.crcs = append(ws.crcs, 0)
+		if t.buf != nil {
+			// Completed buffered stripe: its running parity is the image
+			// and its unit CRCs were taken as the chunks were folded in.
+			// The image is swapped out of the buffer, which takes the
+			// state's idle one in exchange (no command holds it: states
+			// are pooled only once every command has completed).
+			ws.images[i], t.buf.par = t.buf.par, out
+			out = ws.images[i]
+			ws.crcs = append(append(ws.crcs, t.buf.crcs...), crcOf(out))
+		} else {
+			// Completed stripe from the caller's data, one fused pass
+			// (parity.XORCRCInto): XOR the D units into the parity image
+			// and accumulate the D+1 CRCs of the checksum row while each
+			// block is cache-hot.
+			srcs := ws.srcs[:0]
+			for u := 0; u < v.lt.d; u++ {
+				srcs = append(srcs, t.src[int64(u)*suBytes:int64(u+1)*suBytes])
+			}
+			ws.srcs = srcs
+			for u := 0; u <= v.lt.d; u++ {
+				ws.crcs = append(ws.crcs, 0)
+			}
+			parity.XORCRCInto(out, srcs, ws.crcs[base:], crcTable)
 		}
-		parity.XORCRCInto(out, srcs, ws.crcs[base:], crcTable)
+		ws.plan[t.planIdx].data = out
 		v.stats.checksumRecords.Add(1)
 		if v.mdm(csDev) != nil {
 			// The record is encoded here, into a sector of the state's.
@@ -531,16 +535,16 @@ func (v *Volume) computeWrite(ws *writeState) {
 	}
 
 	for i, t := range ws.pp {
-		// The image is XORed straight into its frame, behind the header
-		// sector the engine fills in: built once, in its on-media layout.
+		// The image is copied from the running parity straight into its
+		// frame, behind the header sector the engine fills in. The write's
+		// regions lie inside the stripe's written prefix, where par is
+		// valid.
 		regions, n := v.lt.intraRegions(t.a, t.b)
 		total := regions[0].b - regions[0].a + regions[1].b - regions[1].a // an unused interval is empty
 		frame := reuseBuf(&ws.frames, i, int((1+total)*ss))
 		pos := ss
 		for _, r := range regions[:n] {
-			end := pos + (r.b-r.a)*ss
-			v.parityInto(t.buf.data, t.fill, r.a, r.b, frame[pos:end])
-			pos = end
+			pos += int64(copy(frame[pos:], t.buf.par[r.a*ss:r.b*ss]))
 		}
 		dev, start := v.lt.parityDev(ws.z, t.s), v.lt.stripeStart(ws.z, t.s)
 		ws.pending = append(ws.pending, pendingMD{
@@ -558,29 +562,6 @@ func (v *Volume) computeWrite(ws *writeState) {
 				Frame:    frame,
 			},
 		})
-	}
-}
-
-// parityInto writes the parity of intra-unit offsets [a, b) of a stripe
-// with `fill` data sectors present over out, whatever out held. Unwritten
-// unit tails contribute zeroes. Units fill in order, so unit 0 reaches at
-// least as far as any other: out starts as a copy of its piece, zero
-// beyond it, and the other units are XORed in.
-func (v *Volume) parityInto(data []byte, fill, a, b int64, out []byte) {
-	ss := int64(v.sectorSize)
-	su := v.lt.su
-	n := 0
-	if hi := min(fill, su, b); hi > a {
-		n = copy(out, data[a*ss:hi*ss])
-	}
-	clear(out[n:])
-	for u := int64(1); u < int64(v.lt.d); u++ {
-		hi := min(fill-u*su, su, b)
-		if hi <= a {
-			break
-		}
-		src := data[(u*su+a)*ss : (u*su+hi)*ss]
-		parity.XORInto(out[:len(src)], src)
 	}
 }
 
@@ -876,8 +857,31 @@ func (v *Volume) stripeBufferLocked(lz *logicalZone, s int64, expectFill int64) 
 	lz.free = lz.free[:len(lz.free)-1]
 	b.stripe = s
 	b.fill = 0
+	clear(b.crcs)
 	lz.active[s] = b
 	return b, nil
+}
+
+// foldLocked appends chunk, the stripe's next sectors, to buf. Units fill
+// in order, so unit 0's bytes are copied into the running parity and every
+// later unit's are XORed over a prefix unit 0 has already written; each
+// piece is added to its unit's CRC while it is still hot. Caller holds
+// lz.mu.
+func (v *Volume) foldLocked(buf *stripeBuffer, chunk []byte) {
+	ss, su := int64(v.sectorSize), v.lt.su
+	for len(chunk) > 0 {
+		u, intra := buf.fill/su, buf.fill%su
+		n := min(su-intra, int64(len(chunk))/ss)
+		piece, dst := chunk[:n*ss], buf.par[intra*ss:(intra+n)*ss]
+		if u == 0 {
+			copy(dst, piece)
+		} else {
+			parity.XORInto(dst, piece)
+		}
+		buf.crcs[u] = crc32.Update(buf.crcs[u], crcTable, piece)
+		buf.fill += n
+		chunk = chunk[n*ss:]
+	}
 }
 
 // issueDeviceWrite sends one device write, transparently relocating (all
@@ -944,20 +948,18 @@ func (v *Volume) relocationRecord(dev int, data []byte, lba int64, isParity bool
 	}
 }
 
-// parityImageLocked computes the stripe's current parity bytes over the
-// given intra-unit regions into a single allocation, treating unwritten
-// unit tails as zeroes. Caller holds lz.mu (it reads the live buffer).
+// parityImageLocked copies the stripe's running parity over the given
+// intra-unit regions, which must lie in [0, min(fill, su)), into a single
+// allocation. Caller holds lz.mu (it reads the live buffer).
 func (v *Volume) parityImageLocked(buf *stripeBuffer, regions []intraInterval) []byte {
 	ss := int64(v.sectorSize)
 	var total int64
 	for _, reg := range regions {
 		total += reg.b - reg.a
 	}
-	out := make([]byte, total*ss)
-	pos := int64(0)
+	out := make([]byte, 0, total*ss)
 	for _, reg := range regions {
-		v.parityInto(buf.data, buf.fill, reg.a, reg.b, out[pos*ss:(pos+reg.b-reg.a)*ss])
-		pos += reg.b - reg.a
+		out = append(out, buf.par[reg.a*ss:reg.b*ss]...)
 	}
 	return out
 }
