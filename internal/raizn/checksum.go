@@ -3,8 +3,6 @@ package raizn
 import (
 	"encoding/binary"
 	"hash/crc32"
-
-	"raizn/internal/obs"
 )
 
 // Stripe-unit checksums make silent bit-rot *detectable*: parity alone
@@ -237,26 +235,3 @@ func (v *Volume) noteCorruption(i int) {
 
 // crcOf returns the CRC32-C of a stripe-unit image.
 func crcOf(b []byte) uint32 { return crc32.Checksum(b, crcTable) }
-
-// readUnitImage synchronously reads the full `need`-sector prefix of
-// data unit u of stripe s (or the parity unit when u == d) into a fresh
-// buffer, honoring relocation overlays. It is the scrubber's media
-// view of a unit.
-func (v *Volume) readUnitImage(sp *obs.Span, z int, s int64, u int, need int64) ([]byte, error) {
-	ss := int64(v.sectorSize)
-	buf := make([]byte, need*ss)
-	var rs subReads
-	var err error
-	if u == v.lt.d {
-		err = v.readParityPiece(sp, z, s, 0, need, buf, &rs)
-	} else {
-		err = v.readUnitPiece(sp, z, s, u, 0, need, buf, &rs)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if err := v.awaitReads(rs.futs); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}

@@ -12,12 +12,16 @@ import (
 // back with the remapped stripe unit written to the correct address."
 //
 // This implementation rewrites each affected physical zone from the
-// volume's own redundant state (relocation overlays + parity) rather
-// than a literal swap-zone copy: the reconstructed content is identical,
-// and a crash at any point mid-rewrite leaves the zone recoverable
-// through the standard stripe-hole repair — every sector erased by the
-// reset is still covered by parity on the other devices, so no separate
-// operation log is required for resumability.
+// volume's own redundant state rather than a literal swap-zone copy: the
+// new content is the device's piece of every stripe below the logical
+// write pointer (stripePiece, with a finished zone's sealed tail parity),
+// read through the relocation overlays (devPieces, the walk rebuild also
+// takes). That is not the old zone byte for byte: debris past the write
+// pointer is dropped, and each fragment's payload replaces the debris it
+// shadowed at its arithmetic home. A crash at any point mid-rewrite leaves the zone recoverable through the
+// standard stripe-hole repair — every sector erased by the reset is still
+// covered by parity on the other devices, so no separate operation log
+// is required for resumability.
 
 // compactRemappedZones runs during mount, after zone recovery and before
 // metadata consolidation, so dropped relocation entries simply vanish
@@ -50,78 +54,30 @@ func (v *Volume) compactZone(z int) error {
 	lz := v.zones[z]
 	wp := lz.wp
 
-	// Which devices are affected? Any holding a fragment payload or any
-	// whose physical fill deviates from the arithmetic expectation.
-	affected := map[int]bool{}
+	// Which devices are affected? Any whose unit a fragment shadows, and
+	// any whose physical fill deviates from the arithmetic expectation.
+	affected := make([]bool, len(v.devs))
 	v.relocMu.Lock()
 	for _, e := range v.reloc[z] {
-		// The fragment shadows the arithmetic home of [startLBA,endLBA):
-		// the AFFECTED device is the one holding that range's unit.
 		affected[v.lt.locate(e.startLBA).dev] = true
 	}
 	for s := range v.parityReloc[z] {
 		affected[v.lt.parityDev(z, s)] = true
 	}
 	v.relocMu.Unlock()
-	for i := range v.devs {
-		if v.devs[i] == nil {
-			continue
-		}
-		fill, _ := v.physFill(i, z)
-		if fill != expectedPhysFill(v.lt, z, i, wp) {
-			affected[i] = true
-		}
-	}
 
-	ss := int64(v.sectorSize)
-	su := v.lt.su
-	stripeSec := v.lt.stripeSectors()
-	for dev := range affected {
-		d := v.devs[dev]
-		if d == nil {
+	sealed := lz.state == zns.ZoneFull
+	for dev, d := range v.devs {
+		if fill, _ := v.physFill(dev, z); d == nil || !affected[dev] && fill == expectedPhysFill(v.lt, z, dev, wp) {
 			continue
 		}
-		// Reconstruct the device's correct zone content from the
-		// volume's logical state (reads use the relocation overlays).
-		target := expectedPhysFill(v.lt, z, dev, wp)
-		content := make([]byte, target*ss)
-		nStripes := (wp + stripeSec - 1) / stripeSec
-		var off int64
-		for s := int64(0); s < nStripes && off < target; s++ {
-			g := clampI64(wp-s*stripeSec, 0, stripeSec)
-			u := v.lt.unitOfDev(z, s, dev)
-			var piece int64
-			if u >= 0 {
-				piece = clampI64(g-int64(u)*su, 0, su)
-				if piece > 0 {
-					var rs subReads
-					if err := v.readUnitPiece(nil, z, s, u, 0, piece, content[off*ss:(off+piece)*ss], &rs); err != nil {
-						return err
-					}
-					if err := v.awaitReads(rs.futs); err != nil {
-						return err
-					}
-				}
-			} else {
-				// Parity unit: full stripes carry su; a finished zone
-				// carries the prefix.
-				if g == stripeSec {
-					piece = su
-				} else if lz.state == zns.ZoneFull {
-					piece = min(g, su)
-				}
-				if piece > 0 {
-					var rs subReads
-					buf := content[off*ss : (off+piece)*ss]
-					if err := v.readParityPiece(nil, z, s, 0, piece, buf, &rs); err != nil {
-						return err
-					}
-					if err := v.awaitReads(rs.futs); err != nil {
-						return err
-					}
-				}
-			}
-			off += piece
+		// The device's correct zone content, read through the overlays.
+		var content []byte
+		if err := v.devPieces(z, dev, wp, sealed, func(_ int64, img []byte) error {
+			content = append(content, img...)
+			return nil
+		}); err != nil {
+			return err
 		}
 
 		// Reset and rewrite. A crash here leaves this device's zone
@@ -130,12 +86,12 @@ func (v *Volume) compactZone(z int) error {
 		if err := d.ResetZone(z).Wait(); err != nil {
 			return err
 		}
-		if target > 0 {
-			if err := d.Write(d.ZoneStart(z), content[:target*ss], 0).Wait(); err != nil {
+		if len(content) > 0 {
+			if err := d.Write(d.ZoneStart(z), content, 0).Wait(); err != nil {
 				return err
 			}
 		}
-		if lz.state == zns.ZoneFull {
+		if sealed {
 			if err := d.FinishZone(z).Wait(); err != nil {
 				return err
 			}

@@ -67,6 +67,25 @@ func (l *layout) unitOfDev(z int, s int64, dev int) int {
 	return (dev - p - 1 + l.n) % l.n
 }
 
+// stripePiece returns which unit device dev holds of stripe s in zone z
+// (a data unit, or d for the parity unit) and how many sectors of it are
+// on media when the stripe's data fill is g (0 <= g <= stripeSectors): a
+// data unit's fill, or for the parity unit su once the stripe is complete
+// and, when the zone is sealed (finished), the prefix min(g, su) that
+// FinishZone wrote. An open stripe's parity lives with the parity engine.
+func (l *layout) stripePiece(z int, s int64, dev int, g int64, sealed bool) (unit int, sectors int64) {
+	if u := l.unitOfDev(z, s, dev); u >= 0 {
+		return u, min(max(g-int64(u)*l.su, 0), l.su)
+	}
+	switch {
+	case g == l.stripeSectors():
+		return l.d, l.su
+	case sealed:
+		return l.d, min(g, l.su)
+	}
+	return l.d, 0
+}
+
 // addr is a fully resolved physical location of a logical sector.
 type addr struct {
 	dev int   // device index

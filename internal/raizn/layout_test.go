@@ -192,6 +192,34 @@ func TestUnitFills(t *testing.T) {
 	}
 }
 
+// TestStripePiece pins which sectors of stripe 0 of zone 0 (data units 0..3
+// on devices 0..3, parity on device 4) each device holds.
+func TestStripePiece(t *testing.T) {
+	lt := testLayout()
+	for _, c := range []struct {
+		g      int64
+		sealed bool
+		want   [5]int64 // sectors per device
+	}{
+		{0, false, [5]int64{0, 0, 0, 0, 0}},
+		{0, true, [5]int64{0, 0, 0, 0, 0}},
+		{20, false, [5]int64{16, 4, 0, 0, 0}},     // open: parity with the engine
+		{20, true, [5]int64{16, 4, 0, 0, 16}},     // sealed: prefix parity
+		{9, true, [5]int64{9, 0, 0, 0, 9}},        // sealed prefix shorter than a unit
+		{64, false, [5]int64{16, 16, 16, 16, 16}}, // complete
+	} {
+		for dev, want := range c.want {
+			wantUnit := dev
+			if dev == 4 {
+				wantUnit = lt.d
+			}
+			if u, n := lt.stripePiece(0, 0, dev, c.g, c.sealed); u != wantUnit || n != want {
+				t.Errorf("stripePiece(g=%d, sealed=%v, dev %d) = (%d, %d), want (%d, %d)", c.g, c.sealed, dev, u, n, wantUnit, want)
+			}
+		}
+	}
+}
+
 func TestMDZoneIndex(t *testing.T) {
 	lt := testLayout()
 	if got := lt.mdZoneIndex(0); got != 5 {

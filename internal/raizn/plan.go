@@ -175,9 +175,11 @@ func planStripe(lt *layout, ev *zoneEvidence, p *zonePlan, s int64, present []in
 		// rule below counts it only as far as parity rebuilds it.
 		p.repairs = append(p.repairs, stripeRepair{stripe: s, unit: -1, from: q})
 		return stripeSec
-	case q == su && shorts == 1 && !unknown:
+	case q == su && shorts == 1 && !unknown && !ev.finished[lt.dataDev(ev.zone, s, short)]:
 		// Full parity: the stripe was complete at the crash. Rebuild its
-		// one short unit (§4.3); two erasures truncate below.
+		// one short unit (§4.3); two erasures truncate below. On a
+		// finished device the short unit is a sealed tail under
+		// FinishZone's prefix parity, not a hole: the prefix rule below.
 		p.repairs = append(p.repairs, stripeRepair{stripe: s, unit: short, from: present[short]})
 		return stripeSec
 	}
@@ -252,15 +254,13 @@ func ppParity(lt *layout, pp []ppImage, s, ss int64) []byte {
 
 // expectedPhysFill returns how many sectors of physical zone z on device
 // i a logical fill of wp implies: one unit per complete stripe, and the
-// device's data in the tail stripe. The tail stripe's parity is not on
-// media yet (its partial parity lives with the parity engine).
+// device's piece of the tail stripe (stripePiece, unsealed: the tail
+// stripe's parity is not on media yet, its partial parity lives with the
+// parity engine).
 func expectedPhysFill(lt *layout, z, i int, wp int64) int64 {
 	stripeSec := lt.stripeSectors()
-	fill := wp / stripeSec * lt.su
-	if u := lt.unitOfDev(z, wp/stripeSec, i); u >= 0 {
-		fill += clampI64(wp%stripeSec-int64(u)*lt.su, 0, lt.su)
-	}
-	return fill
+	_, tail := lt.stripePiece(z, wp/stripeSec, i, wp%stripeSec, false)
+	return wp/stripeSec*lt.su + tail
 }
 
 func clampI64(x, lo, hi int64) int64 {

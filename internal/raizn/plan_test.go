@@ -86,6 +86,10 @@ func TestPlanZone(t *testing.T) {
 		ev:   finished(planEvidence(4, 2, 0, 0, 2)),
 		want: zonePlan{wp: 6, full: true, remapped: true},
 	}, {
+		name: "one short unit under sealed prefix parity on a finished zone: a tail, not a hole",
+		ev:   finished(planEvidence(4, 4, 4, 3, 4)),
+		want: zonePlan{wp: 15, full: true, remapped: true},
+	}, {
 		name: "pending reset WAL over data: reset, one bump per WAL and one for the empty zone",
 		ev:   withWALs(planEvidence(4, 4, 0, 0, 4), 2),
 		want: zonePlan{reset: true, genDelta: 3, empty: true},

@@ -250,38 +250,12 @@ func (v *Volume) readPiece(sp *obs.Span, z int, s int64, u int, a, b int64, dst 
 func (v *Volume) readUnitPiece(sp *obs.Span, z int, s int64, u int, a, b int64, dst []byte, rs *subReads) error {
 	ss := int64(v.sectorSize)
 	lbaA := v.lt.stripeStart(z, s) + int64(u)*v.lt.su + a
-	lbaB := lbaA + (b - a)
-
-	type gap struct{ lo, hi int64 } // LBA ranges not covered by reloc
-	gaps := []gap{{lbaA, lbaB}}
-	{
-		v.relocMu.Lock()
-		frags := v.reloc[z]
-		for _, f := range frags {
-			if f.endLBA <= lbaA || f.startLBA >= lbaB {
-				continue
-			}
-			// Copy the overlapping part from the in-memory cache.
-			lo, hi := max(f.startLBA, lbaA), min(f.endLBA, lbaB)
-			copy(dst[(lo-lbaA)*ss:(hi-lbaA)*ss], f.data[(lo-f.startLBA)*ss:(hi-f.startLBA)*ss])
-			// Remove [lo,hi) from the gaps.
-			var ng []gap
-			for _, g := range gaps {
-				if hi <= g.lo || lo >= g.hi {
-					ng = append(ng, g)
-					continue
-				}
-				if g.lo < lo {
-					ng = append(ng, gap{g.lo, lo})
-				}
-				if hi < g.hi {
-					ng = append(ng, gap{hi, g.hi})
-				}
-			}
-			gaps = ng
-		}
-		v.relocMu.Unlock()
+	gaps := []gap{{lbaA, lbaA + (b - a)}} // LBA ranges not covered by reloc
+	v.relocMu.Lock()
+	for _, f := range v.reloc[z] {
+		gaps = overlay(gaps, dst, lbaA, f.startLBA, f.data, ss)
 	}
+	v.relocMu.Unlock()
 
 	dev := v.lt.dataDev(z, s, u)
 	d := v.devForZone(dev, z)
@@ -295,6 +269,35 @@ func (v *Volume) readUnitPiece(sp *obs.Span, z int, s int64, u int, a, b int64, 
 		rs.read(sp.Child(obs.OpDevRead, dev, pba, int64(len(out))), dev, d, pba, out)
 	}
 	return nil
+}
+
+// gap is a range of sectors a piece still has to read from its device.
+type gap struct{ lo, hi int64 }
+
+// overlay copies the part of a relocated fragment (data, whose first
+// sector is start) that falls inside the piece dst (whose first sector is
+// base) into dst, and returns gaps less that part.
+func overlay(gaps []gap, dst []byte, base, start int64, data []byte, ss int64) []gap {
+	lo := max(start, base)
+	hi := min(start+int64(len(data))/ss, base+int64(len(dst))/ss)
+	if lo >= hi {
+		return gaps
+	}
+	copy(dst[(lo-base)*ss:(hi-base)*ss], data[(lo-start)*ss:(hi-start)*ss])
+	var left []gap
+	for _, g := range gaps {
+		if hi <= g.lo || lo >= g.hi {
+			left = append(left, g)
+			continue
+		}
+		if g.lo < lo {
+			left = append(left, gap{g.lo, lo})
+		}
+		if hi < g.hi {
+			left = append(left, gap{hi, g.hi})
+		}
+	}
+	return left
 }
 
 // degradedReadPiece reconstructs intra offsets [a, b) of the missing data
@@ -362,12 +365,15 @@ func (v *Volume) openParity(lz *logicalZone, s, a, b, g int64, dst []byte) (fill
 }
 
 // submitReconstruct issues the device reads that rebuild intra offsets
-// [a, b) of data unit u of stripe s, whose unit fill levels are fills: the
-// parity piece straight into dst (unless parityInDst: openParity put it
-// there), the written part of every other data unit into pooled scratch.
-// finishReconstruct completes the job.
+// [a, b) of unit u of stripe s, whose data unit fill levels are fills: for
+// a data unit the parity piece straight into dst (unless parityInDst:
+// openParity put it there), for the parity unit (u == d) nothing, dst
+// cleared; and the written part of every other data unit into pooled
+// scratch. finishReconstruct completes the job.
 func (v *Volume) submitReconstruct(sp *obs.Span, z int, s int64, u int, a, b int64, fills []int64, dst []byte, parityInDst bool, rs *subReads) (*reconScratch, error) {
-	if !parityInDst {
+	if u == v.lt.d {
+		clear(dst)
+	} else if !parityInDst {
 		if err := v.readParityPiece(sp, z, s, a, b, dst, rs); err != nil {
 			return nil, err
 		}
@@ -398,6 +404,53 @@ func (v *Volume) finishReconstruct(dst []byte, sc *reconScratch, futs []subIO) e
 	return err
 }
 
+// reconstruct rebuilds intra offsets [a, b) of unit u of stripe s in zone
+// z (the parity unit when u == d) from the other units into dst, against
+// the zone's write pointer, and waits for it.
+func (v *Volume) reconstruct(z int, s int64, u int, a, b int64, dst []byte) error {
+	lz := v.zones[z]
+	lz.mu.Lock()
+	g := lz.wp - s*v.lt.stripeSectors()
+	lz.mu.Unlock()
+	fills, open := v.openParity(lz, s, a, b, g, dst)
+	var rs subReads
+	sc, err := v.submitReconstruct(nil, z, s, u, a, b, fills, dst, open, &rs)
+	if err != nil {
+		return err
+	}
+	return v.finishReconstruct(dst, sc, rs.futs)
+}
+
+// unitImage fills dst with intra offsets [a, b) of unit u of stripe s in
+// zone z (the parity unit when u == d): read through the relocation
+// overlays when the unit's device is live for the zone, reconstructed
+// otherwise. A read error is returned, not repaired.
+func (v *Volume) unitImage(sp *obs.Span, z int, s int64, u int, a, b int64, dst []byte) error {
+	if v.devForZone(v.unitDevice(z, s, u), z) == nil {
+		return v.reconstruct(z, s, u, a, b, dst)
+	}
+	var rs subReads
+	var err error
+	if u == v.lt.d {
+		err = v.readParityPiece(sp, z, s, a, b, dst, &rs)
+	} else {
+		err = v.readUnitPiece(sp, z, s, u, a, b, dst, &rs)
+	}
+	if err != nil {
+		return err
+	}
+	return v.awaitReads(rs.futs)
+}
+
+// unitDevice maps a unit of stripe s (data unit index, or d for parity)
+// to the owning device.
+func (v *Volume) unitDevice(z int, s int64, u int) int {
+	if u == v.lt.d {
+		return v.lt.parityDev(z, s)
+	}
+	return v.lt.dataDev(z, s, u)
+}
+
 // readParityPiece reads intra offsets [a, b) of the parity unit of stripe
 // s, honoring relocated parity; each device sub-read becomes an OpDevRead
 // child of sp. A relocated parity fragment may cover only part of the unit
@@ -406,32 +459,10 @@ func (v *Volume) finishReconstruct(dst []byte, sc *reconScratch, futs []subIO) e
 // device.
 func (v *Volume) readParityPiece(sp *obs.Span, z int, s int64, a, b int64, dst []byte, rs *subReads) error {
 	ss := int64(v.sectorSize)
-	type gap struct{ lo, hi int64 } // intra ranges not covered by reloc
-	gaps := []gap{{a, b}}
+	gaps := []gap{{a, b}} // intra ranges not covered by reloc
 	v.relocMu.Lock()
-	if m := v.parityReloc[z]; m != nil {
-		if e, ok := m[s]; ok {
-			lo := e.startLBA - v.lt.stripeStart(z, s)
-			hi := lo + int64(len(e.data))/ss
-			cl, ch := max(lo, a), min(hi, b)
-			if cl < ch {
-				copy(dst[(cl-a)*ss:(ch-a)*ss], e.data[(cl-lo)*ss:(ch-lo)*ss])
-				var ng []gap
-				for _, g := range gaps {
-					if ch <= g.lo || cl >= g.hi {
-						ng = append(ng, g)
-						continue
-					}
-					if g.lo < cl {
-						ng = append(ng, gap{g.lo, cl})
-					}
-					if ch < g.hi {
-						ng = append(ng, gap{ch, g.hi})
-					}
-				}
-				gaps = ng
-			}
-		}
+	if e, ok := v.parityReloc[z][s]; ok {
+		gaps = overlay(gaps, dst, a, e.startLBA-v.lt.stripeStart(z, s), e.data, ss)
 	}
 	v.relocMu.Unlock()
 	if len(gaps) == 0 {

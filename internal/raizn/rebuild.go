@@ -151,50 +151,18 @@ func (v *Volume) rebuildZone(z, slot int, newDev *zns.Device) (int64, error) {
 		lz.mu.Unlock()
 	}()
 
-	ss := int64(v.sectorSize)
-	su := v.lt.su
-	stripeSec := v.lt.stripeSectors()
+	// One command per piece the replacement holds, at its arithmetic home.
 	var written int64
-	unit := make([]byte, su*ss) // reconstructed data units, one at a time
-
-	nStripes := (wp + stripeSec - 1) / stripeSec
-	for s := int64(0); s < nStripes; s++ {
-		g := clampI64(wp-s*stripeSec, 0, stripeSec) // stripe data fill
-		fills := v.lt.unitFills(g)
-		u := v.lt.unitOfDev(z, s, slot)
-		var content []byte
-		if u >= 0 {
-			need := fills[u]
-			if need == 0 {
-				continue
-			}
-			buf := unit[:need*ss]
-			if err := v.reconstructUnitForRebuild(lz, s, u, need, g, buf); err != nil {
-				return written, err
-			}
-			content = buf
-		} else {
-			// Parity unit: present on media only for complete stripes
-			// (or the sealed tail of a finished zone).
-			var plen int64
-			if g == stripeSec {
-				plen = su
-			} else if state == zns.ZoneFull && g > 0 {
-				plen = min(g, su)
-			}
-			if plen == 0 {
-				continue
-			}
-			content = v.computeParityForRebuild(z, s, g, plen)
-			if content == nil {
-				return written, ErrInconsistent
-			}
+	err := v.devPieces(z, slot, wp, state == zns.ZoneFull, func(s int64, img []byte) error {
+		pba := int64(z)*v.lt.physZoneSize + s*v.lt.su
+		if err := newDev.Write(pba, img, 0).Wait(); err != nil {
+			return err
 		}
-		pba := int64(z)*v.lt.physZoneSize + s*su
-		if err := newDev.Write(pba, content, 0).Wait(); err != nil {
-			return written, err
-		}
-		written += int64(len(content))
+		written += int64(len(img))
+		return nil
+	})
+	if err != nil {
+		return written, err
 	}
 
 	if state == zns.ZoneFull {
@@ -233,42 +201,26 @@ func (v *Volume) rebuildZone(z, slot int, newDev *zns.Device) (int64, error) {
 	return written, nil
 }
 
-// reconstructUnitForRebuild produces the first `need` sectors of data
-// unit u of stripe s from parity and the surviving units; an open
-// stripe's parity is its buffer's (openParity). The zone's resetting gate
-// is held (no concurrent writers); lz.mu is taken only around buffer-map
-// access.
-func (v *Volume) reconstructUnitForRebuild(lz *logicalZone, s int64, u int, need, g int64, dst []byte) error {
-	fills, open := v.openParity(lz, s, 0, need, g, dst)
-	var rs subReads
-	sc, err := v.submitReconstruct(nil, lz.idx, s, u, 0, need, fills, dst, open, &rs)
-	if err != nil {
-		return err
-	}
-	return v.finishReconstruct(dst, sc, rs.futs)
-}
-
-// computeParityForRebuild recomputes the parity unit prefix [0, plen) of
-// stripe s from the surviving data units (all alive: only the parity
-// device failed). Only complete stripes and a finished zone's sealed tail
-// have parity on media, and neither keeps a stripe buffer.
-func (v *Volume) computeParityForRebuild(z int, s, g, plen int64) []byte {
-	ss := int64(v.sectorSize)
-	fills := v.lt.unitFills(g)
-	var rs subReads
-	sc := v.getReconScratch()
-	for u := 0; u < v.lt.d; u++ {
-		hi := min(fills[u], plen)
-		if hi <= 0 {
+// devPieces calls fn with device dev's piece of every stripe of zone z
+// below the logical fill wp, in stripe order (stripePiece; sealed for a
+// finished zone). A piece is read where dev is live for the zone and
+// reconstructed from the other devices where it is not; img is valid
+// until fn returns. Rebuild and compaction share this walk.
+func (v *Volume) devPieces(z, dev int, wp int64, sealed bool, fn func(s int64, img []byte) error) error {
+	stripeSec := v.lt.stripeSectors()
+	buf := make([]byte, v.lt.su*int64(v.sectorSize))
+	for s := int64(0); s*stripeSec < wp; s++ {
+		u, n := v.lt.stripePiece(z, s, dev, min(wp-s*stripeSec, stripeSec), sealed)
+		if n == 0 {
 			continue
 		}
-		if err := v.readUnitPiece(nil, z, s, u, 0, hi, v.scratchPiece(sc, hi), &rs); err != nil {
-			return nil
+		img := buf[:n*int64(v.sectorSize)]
+		if err := v.unitImage(nil, z, s, u, 0, n, img); err != nil {
+			return err
+		}
+		if err := fn(s, img); err != nil {
+			return err
 		}
 	}
-	img := make([]byte, plen*ss) // zeroes: the XOR identity
-	if v.finishReconstruct(img, sc, rs.futs) != nil {
-		return nil
-	}
-	return img
+	return nil
 }

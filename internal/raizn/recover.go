@@ -303,19 +303,17 @@ func (v *Volume) applyZone(lz *logicalZone, p *zonePlan) error {
 	if p.empty {
 		v.dropRelocEntries(z)
 	}
+	lz.wp, lz.submittedWP = p.wp, p.wp // repairs reconstruct against it
+	lz.persistedWP = p.wp              // post-crash, everything on media is durable
 	for _, r := range p.repairs {
-		var err error
-		if r.unit < 0 {
-			err = v.rewriteParity(z, r.stripe, r.from)
-		} else {
-			err = v.reconstructUnitTail(z, r.stripe, r.unit, r.from)
+		u := r.unit
+		if u < 0 {
+			u = v.lt.d // the stripe's parity
 		}
-		if err != nil {
+		if err := v.repairTail(z, r.stripe, u, r.from); err != nil {
 			return err
 		}
 	}
-	lz.wp, lz.submittedWP = p.wp, p.wp
-	lz.persistedWP = p.wp // post-crash, everything on media is durable
 	lz.remapped = p.remapped
 	switch {
 	case p.full:
@@ -331,70 +329,21 @@ func (v *Volume) applyZone(lz *logicalZone, p *zonePlan) error {
 	return v.rebuildStripeBuffer(lz, p.tail)
 }
 
-// rewriteParity recomputes the parity of a data-complete stripe and
-// appends the missing region [q, su) at the parity device's write
-// pointer.
-func (v *Volume) rewriteParity(z int, s int64, q int64) error {
-	ss := int64(v.sectorSize)
-	su := v.lt.su
-	units := make([][]byte, v.lt.d)
-	var rs subReads
-	for u := 0; u < v.lt.d; u++ {
-		units[u] = make([]byte, su*ss)
-		if err := v.readUnitPiece(nil, z, s, u, 0, su, units[u], &rs); err != nil {
-			return err
-		}
-	}
-	if err := v.awaitReads(rs.futs); err != nil {
+// repairTail rebuilds unit u of complete stripe s (the parity unit when
+// u == d) from intra offset from on out of the other units, and writes it
+// at the owning device's write pointer (§4.3: "rebuilding the missing
+// stripe units using parity"; §5.2's torn parity).
+func (v *Volume) repairTail(z int, s int64, u int, from int64) error {
+	su, ss := v.lt.su, int64(v.sectorSize)
+	img := make([]byte, (su-from)*ss)
+	if err := v.reconstruct(z, s, u, from, su, img); err != nil {
 		return err
 	}
-	p := parity.Encode(units...)
-	dev := v.lt.parityDev(z, s)
-	d := v.devs[dev]
-	if d == nil {
-		return nil
-	}
-	fut := d.Write(v.lt.parityPBA(z, s)+q, p[q*ss:], 0)
-	return fut.Wait()
-}
-
-// reconstructUnitTail repairs data unit u of a stripe whose parity is
-// fully present from intra offset a on, writing the reconstructed tail at
-// the owning device's write pointer (§4.3: "rebuilding the missing stripe
-// units using parity").
-func (v *Volume) reconstructUnitTail(z int, s int64, u int, a int64) error {
-	ss := int64(v.sectorSize)
-	su := v.lt.su
-	n := su - a
-	img := make([]byte, n*ss)
-	var rs subReads
-	if err := v.readParityPiece(nil, z, s, a, su, img, &rs); err != nil {
-		return err
-	}
-	others := make([][]byte, 0, v.lt.d-1)
-	for u2 := 0; u2 < v.lt.d; u2++ {
-		if u2 == u {
-			continue
-		}
-		b := make([]byte, n*ss)
-		if err := v.readUnitPiece(nil, z, s, u2, a, su, b, &rs); err != nil {
-			return err
-		}
-		others = append(others, b)
-	}
-	if err := v.awaitReads(rs.futs); err != nil {
-		return err
-	}
-	for _, o := range others {
-		parity.XORInto(img, o)
-	}
-	dev := v.lt.dataDev(z, s, u)
-	d := v.devs[dev]
+	d := v.devs[v.unitDevice(z, s, u)]
 	if d == nil {
 		return ErrInconsistent
 	}
-	pba := int64(z)*v.lt.physZoneSize + s*su + a
-	return d.Write(pba, img, 0).Wait()
+	return d.Write(int64(z)*v.lt.physZoneSize+s*su+from, img, 0).Wait()
 }
 
 // rebuildStripeBuffer reloads the partial tail stripe t into a stripe

@@ -2,6 +2,7 @@ package raizn
 
 import (
 	"errors"
+	"slices"
 
 	"raizn/internal/obs"
 	"raizn/internal/parity"
@@ -114,8 +115,8 @@ func (v *Volume) ScrubStripe(z int, s int64, repair bool) (StripeScrubResult, er
 	imgs := make([][]byte, v.lt.n)
 	var unreadable []int
 	for u := 0; u <= v.lt.d; u++ {
-		img, err := v.readUnitImage(sp, z, s, u, su)
-		if err != nil {
+		img := make([]byte, su*ss)
+		if err := v.unitImage(sp, z, s, u, 0, su, img); err != nil {
 			if v.Generation(z) != gen0 {
 				sp.End(nil)
 				return skip() // the zone was reset under us
@@ -145,10 +146,7 @@ func (v *Volume) ScrubStripe(z int, s int64, repair bool) (StripeScrubResult, er
 		v.repairUnreadableUnit(z, s, unreadable[0], imgs, crcs, repair, &res)
 	default:
 		// Multiple unreadable units: beyond single-parity redundancy.
-		res.Mismatch = true
-		res.Unrepaired = true
-		v.stats.scrubMismatches.Add(1)
-		v.stats.scrubUnrepaired.Add(1)
+		v.scrubFlag(&res, true, true)
 	}
 	sp.Mark(obs.PhaseCompute)
 
@@ -182,10 +180,7 @@ func (v *Volume) verifyStripeImages(z int, s int64, gen uint64, imgs [][]byte, c
 		}
 		// Inconsistent with nothing to attribute the damage: repairing
 		// would guess which unit is wrong. Leave the data alone.
-		res.Mismatch = true
-		res.Unrepaired = true
-		v.stats.scrubMismatches.Add(1)
-		v.stats.scrubUnrepaired.Add(1)
+		v.scrubFlag(res, true, true)
 		return
 	}
 
@@ -195,91 +190,52 @@ func (v *Volume) verifyStripeImages(z int, s int64, gen uint64, imgs [][]byte, c
 			bad = append(bad, u)
 		}
 	}
-	if len(bad) == 0 {
-		if xorOK {
-			res.Verified = true
-			return
-		}
-		// Every unit matches its CRC yet the XOR fails: the row itself
+	switch {
+	case len(bad) == 0 && xorOK:
+		res.Verified = true
+	case len(bad) != 1:
+		// Every unit matches its CRC yet the XOR fails, so the row itself
 		// is inconsistent (e.g. adopted from a previously damaged
-		// stripe). Not attributable.
-		res.Mismatch = true
-		res.Unrepaired = true
-		v.stats.scrubMismatches.Add(1)
-		v.stats.scrubUnrepaired.Add(1)
-		return
+		// stripe), or several units are bad. Not attributable.
+		v.scrubFlag(res, true, true)
+	default:
+		v.scrubFlag(res, true, false)
+		v.noteCorruption(v.unitDevice(z, s, bad[0]))
+		v.repairUnit(z, s, bad[0], imgs, crcs, repair, res)
 	}
-
-	res.Mismatch = true
-	v.stats.scrubMismatches.Add(1)
-	if len(bad) > 1 {
-		res.Unrepaired = true
-		v.stats.scrubUnrepaired.Add(1)
-		return
-	}
-
-	u := bad[0]
-	v.noteCorruption(v.unitDevice(z, s, u))
-	want := reconstructUnit(imgs, u)
-	if crcOf(want) != crcs[u] {
-		// The reconstruction does not match the recorded CRC either:
-		// more than one unit is wrong in a way the CRCs cannot pin down.
-		res.Unrepaired = true
-		v.stats.scrubUnrepaired.Add(1)
-		return
-	}
-	if !repair {
-		return
-	}
-	if err := v.relocateRepairedUnit(z, s, u, want); err != nil {
-		res.Unrepaired = true
-		v.stats.scrubUnrepaired.Add(1)
-		return
-	}
-	if u == v.lt.d {
-		res.RepairedParity = true
-		v.stats.scrubRepairedParity.Add(1)
-	} else {
-		res.RepairedData = true
-		v.stats.scrubRepairedData.Add(1)
-	}
-	res.Verified = true
 }
 
 // repairUnreadableUnit reconstructs the single unit that failed with a
 // latent read error from the surviving units.
 func (v *Volume) repairUnreadableUnit(z int, s int64, u int, imgs [][]byte, crcs []uint32, repair bool, res *StripeScrubResult) {
 	v.noteCorruption(v.unitDevice(z, s, u))
-	if crcs != nil {
-		// Verify the survivors first: silent rot in a survivor would
-		// poison the reconstruction.
-		for u2, img := range imgs {
-			if u2 == u || img == nil {
-				continue
-			}
-			if crcOf(img) != crcs[u2] {
-				res.Mismatch = true
-				res.Unrepaired = true
-				v.stats.scrubMismatches.Add(1)
-				v.stats.scrubUnrepaired.Add(1)
-				return
-			}
+	// Verify the survivors first: silent rot in a survivor would poison
+	// the reconstruction.
+	for u2, img := range imgs {
+		if crcs != nil && u2 != u && crcOf(img) != crcs[u2] {
+			v.scrubFlag(res, true, true)
+			return
 		}
 	}
-	want := reconstructUnit(imgs, u)
+	v.repairUnit(z, s, u, imgs, crcs, repair, res)
+}
+
+// repairUnit reconstructs unit u from the other units and checks it
+// against its recorded CRC, if the stripe has a row: a reconstruction
+// that contradicts it means more than one unit is wrong in a way the CRCs
+// cannot pin down. With repair set, the unit is then relocated and the
+// repair counted.
+func (v *Volume) repairUnit(z int, s int64, u int, imgs [][]byte, crcs []uint32, repair bool, res *StripeScrubResult) {
+	want := parity.Reconstruct(slices.Delete(slices.Clone(imgs), u, u+1)...)
 	if crcs != nil && crcOf(want) != crcs[u] {
-		res.Mismatch = true
-		res.Unrepaired = true
-		v.stats.scrubMismatches.Add(1)
-		v.stats.scrubUnrepaired.Add(1)
+		v.scrubFlag(res, !res.Mismatch, true) // a read error's first mismatch
 		return
 	}
 	if !repair {
 		return
 	}
 	if err := v.relocateRepairedUnit(z, s, u, want); err != nil {
-		res.Unrepaired = true
-		v.stats.scrubUnrepaired.Add(1)
+		v.scrubFlag(res, false, true)
 		return
 	}
 	if u == v.lt.d {
@@ -292,13 +248,17 @@ func (v *Volume) repairUnreadableUnit(z int, s int64, u int, imgs [][]byte, crcs
 	res.Verified = true
 }
 
-// unitDevice maps a CRC slot (data unit index, or d for parity) to the
-// owning device.
-func (v *Volume) unitDevice(z int, s int64, u int) int {
-	if u == v.lt.d {
-		return v.lt.parityDev(z, s)
+// scrubFlag records, in res and the volume's counters, that the stripe
+// failed verification (mismatch) and that its damage stays unrepaired.
+func (v *Volume) scrubFlag(res *StripeScrubResult, mismatch, unrepaired bool) {
+	if mismatch {
+		res.Mismatch = true
+		v.stats.scrubMismatches.Add(1)
 	}
-	return v.lt.dataDev(z, s, u)
+	if unrepaired {
+		res.Unrepaired = true
+		v.stats.scrubUnrepaired.Add(1)
+	}
 }
 
 // allZero reports whether every byte of b is zero.
@@ -309,23 +269,6 @@ func allZero(b []byte) bool {
 		}
 	}
 	return true
-}
-
-// reconstructUnit XORs every unit image except slot u — by the parity
-// equation that is slot u's content.
-func reconstructUnit(imgs [][]byte, u int) []byte {
-	var out []byte
-	for u2, img := range imgs {
-		if u2 == u || img == nil {
-			continue
-		}
-		if out == nil {
-			out = append([]byte(nil), img...)
-			continue
-		}
-		parity.XORInto(out, img)
-	}
-	return out
 }
 
 // adoptChecksums records the observed CRC row of an XOR-consistent but
