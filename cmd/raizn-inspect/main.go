@@ -169,7 +169,7 @@ func main() {
 			vol.NumZones(), vol.ZoneSectors(), vol.StripeSectors(), *su, vol.ParityEngineKind(), vol.Degraded())
 		st := vol.Stats()
 		fmt.Printf("fua path: flushes issued=%d joined=%d\n", st.FUAFlushes, st.FUAFlushesJoined)
-		if vol.ParityEngineKind().String() == "zraid" {
+		if vol.ParityEngineKind() == raizn.EngineZRAID {
 			st := vol.PPEngineStats()
 			fmt.Printf("parity engine: pp_volatile=%dB pp_permanent=%dB fallbacks=%d\n",
 				st.VolatileBytes, st.PermanentBytes, st.FallbackTotal)

@@ -46,7 +46,7 @@ func runZones(vol *raizn.Volume, devs []*zns.Device, clk *vclock.Clock, jrn *obs
 	evs := jrn.Events()
 	endT := clk.Now()
 	fmt.Printf("=== zones: journal holds %d events (%d dropped) ===\n", jrn.Len(), jrn.Dropped())
-	if vol.ParityEngineKind().String() == "zraid" {
+	if vol.ParityEngineKind() == raizn.EngineZRAID {
 		st := vol.PPEngineStats()
 		fmt.Printf("parity engine: zraid  pp_volatile=%dB pp_permanent=%dB fallbacks=%d\n",
 			st.VolatileBytes, st.PermanentBytes, st.FallbackTotal)

@@ -44,7 +44,7 @@ func runWAF(w io.Writer, quick bool) error {
 		clk := vclock.New()
 		var res cellResult
 		res.workload = workload
-		res.engine = engineName(engine)
+		res.engine = engine.String()
 		clk.Run(func() {
 			v, devs, err := newWafVolume(clk, sc, engine)
 			if err != nil {
@@ -74,7 +74,7 @@ func runWAF(w io.Writer, quick bool) error {
 
 	for _, workload := range []string{"fillseq", "varmail"} {
 		for _, engine := range []raizn.ParityEngine{raizn.EngineLogged, raizn.EngineZRAID} {
-			fmt.Fprintf(w, "running %s/%s...\n", workload, engineName(engine))
+			fmt.Fprintf(w, "running %s/%s...\n", workload, engine.String())
 			results = append(results, run(workload, engine))
 		}
 	}
@@ -135,13 +135,6 @@ func runWAF(w io.Writer, quick bool) error {
 	}
 	fmt.Fprintf(w, "\nwrote BENCH_pr9.json\n")
 	return nil
-}
-
-func engineName(e raizn.ParityEngine) string {
-	if e == raizn.EngineZRAID {
-		return "zraid"
-	}
-	return "logged"
 }
 
 func waf(amplified, user int64) float64 {

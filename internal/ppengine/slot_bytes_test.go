@@ -11,7 +11,7 @@ import (
 )
 
 // encodeSlotRef is the slot encoder as it stood before slot writes were
-// encoded in the engine's reused stride buffer: a fresh, zeroed buffer per
+// encoded in the table's reused stride buffer: a fresh, zeroed buffer per
 // call. Kept as the reference the in-place encoder's device bytes are
 // compared against.
 func encodeSlotRef(ss int, stride int64, rec Record, seq uint64, pad bool) []byte {
@@ -41,12 +41,12 @@ func encodeSlotRef(ss int, stride int64, rec Record, seq uint64, pad bool) []byt
 // slot reused in place — and after each step compares every live slot's
 // bytes on the device with encodeSlotRef of the test's own copy of the
 // image. The caller's frame is scribbled over as soon as Persist returns,
-// before the write completes: the engine may keep nothing of it.
+// before the write completes: the table may keep nothing of it.
 func TestSlotBytesMatchReference(t *testing.T) {
 	c := vclock.New()
 	c.Run(func() {
 		d := zns.NewDevice(c, ppDevConfig())
-		e := newTestEngine(t, c, d)
+		e := newTestEngine(t, d)
 		ss := d.Config().SectorSize
 		stride := int(e.stride) * ss
 
@@ -64,7 +64,7 @@ func TestSlotBytesMatchReference(t *testing.T) {
 			}
 			own := bytes.Clone(a.Frame[ss:])
 			wp := d.Zone(0).WP
-			fut, _ := e.Persist(a)
+			fut, _ := persist(t, e, a)
 			for i := range a.Frame {
 				a.Frame[i] = 0xEE
 			}

@@ -12,7 +12,7 @@ import (
 	"raizn/internal/zns"
 )
 
-// This file implements the zraid engine: partial parity in a fixed table of
+// This file implements the zraid slot table: partial parity in a fixed table of
 // slots inside the Zone Random Write Area of one dedicated PP zone per
 // device, after ZRAID (ASPLOS '25; its artifact is SNIPPETS.md Snippet 1).
 //
@@ -24,9 +24,9 @@ import (
 // garbage-collected. A stripe's successive images overwrite its slot in
 // place (pp_volatile); once the stripe closes the slot is dead and the next
 // stripe reuses it in place. An image that finds all W slots live goes to
-// the §5.1 log instead (ZRAIDConfig.Log): those are the engine's only
-// partial-parity bytes that program NAND (pp_permanent), and FallbackTotal
-// counts them.
+// the §5.1 log instead: Persist reports that and writes nothing, and the
+// caller logs the image. Those are the table's only partial-parity bytes
+// that program NAND (pp_permanent), and FallbackTotal counts them.
 //
 // Only the write that appends a slot covers the whole stride (the zone's
 // write pointer has to reach the next slot). An overwrite sends the
@@ -38,8 +38,8 @@ const (
 	slotHdrSize = 56         // used bytes of the header sector
 )
 
-// ZRAIDConfig wires a zraid engine to its array.
-type ZRAIDConfig struct {
+// SlotConfig wires a slot table to its array.
+type SlotConfig struct {
 	NumDevices int
 	// Device returns the device at array slot i, or nil when failed.
 	Device func(i int) *zns.Device
@@ -49,17 +49,6 @@ type ZRAIDConfig struct {
 	SU          int64 // stripe unit sectors = max payload per slot
 	ZoneCap     int64 // writable sectors of the PP zone
 	ZRWASectors int64 // device ZRWA window, >= SU+1
-
-	// Log persists an image the slot table has no room for as a §5.1 log
-	// record, under Persist's contract. Never nil.
-	Log func(a Append) (*vclock.Future, int64)
-	// Charge adds a slot write's bytes to the volume's layered WA
-	// accounting (header and payload separately). Never nil.
-	Charge func(headerBytes, payloadBytes int64)
-	// Journal receives EvPartialParity events (may be disabled).
-	Journal *obs.Journal
-	// Hook fires the raizn.pp.write crash point; nil ok.
-	Hook func(name string, src, zone int, arg int64)
 }
 
 type slotKey struct {
@@ -81,8 +70,11 @@ type zrDev struct {
 	slots []zrSlot
 }
 
-type zraidEngine struct {
-	cfg    ZRAIDConfig
+// SlotTable holds an array's zraid slot tables, one per device. A logged array
+// has none: on a nil table Persist finds no slot, and StripeClosed,
+// ZoneReset, Scan and Format do nothing.
+type SlotTable struct {
+	cfg    SlotConfig
 	stride int64 // slot size in sectors: 1 header + SU payload
 	width  int   // W: slots per device
 
@@ -96,8 +88,8 @@ type zraidEngine struct {
 	fallbacks      int64
 }
 
-// NewZRAID builds a zraid engine over the array's PP zones.
-func NewZRAID(cfg ZRAIDConfig) (Engine, error) {
+// NewSlotTable builds the slot tables over the array's PP zones.
+func NewSlotTable(cfg SlotConfig) (*SlotTable, error) {
 	stride := cfg.SU + 1
 	if cfg.ZRWASectors < stride {
 		return nil, fmt.Errorf("ppengine: zraid needs a ZRWA of at least %d sectors (one PP slot)", stride)
@@ -105,7 +97,7 @@ func NewZRAID(cfg ZRAIDConfig) (Engine, error) {
 	if cfg.ZoneCap < stride {
 		return nil, errors.New("ppengine: PP zone capacity below one slot")
 	}
-	return &zraidEngine{
+	return &SlotTable{
 		cfg:    cfg,
 		stride: stride,
 		width:  int(min(cfg.ZRWASectors, cfg.ZoneCap) / stride),
@@ -114,9 +106,8 @@ func NewZRAID(cfg ZRAIDConfig) (Engine, error) {
 	}, nil
 }
 
-func (e *zraidEngine) Kind() Kind { return ZRAID }
-
-func (e *zraidEngine) Stats() Stats {
+// Stats returns the table's lifetime counters.
+func (e *SlotTable) Stats() Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return Stats{
@@ -128,11 +119,19 @@ func (e *zraidEngine) Stats() Stats {
 
 // Persist places the image in a slot of its parity device's table: the
 // stripe's own live slot, else the first dead slot, else a new slot while
-// fewer than W exist. With all W slots live the image goes to the log.
-func (e *zraidEngine) Persist(a Append) (*vclock.Future, int64) {
+// fewer than W exist. It returns the slot write's completion, the device
+// sector the write starts at and its length in sectors (header included);
+// n is 0 when the device has failed and nothing was written. noSlot
+// reports that the image has no slot — all W are live (the image counts
+// as a fallback), or the table is nil — so nothing was written and the
+// caller logs it. a.Frame is lent as Append describes.
+func (e *SlotTable) Persist(a Append) (fut *vclock.Future, pba, n int64, noSlot bool) {
+	if e == nil {
+		return nil, 0, 0, true
+	}
 	d := e.cfg.Device(a.Dev)
 	if d == nil {
-		return nil, 0 // device failed: degraded
+		return nil, 0, 0, false // device failed: degraded
 	}
 	key := slotKey{zone: a.Zone, stripe: a.Stripe}
 	e.mu.Lock()
@@ -163,21 +162,21 @@ func (e *zraidEngine) Persist(a Append) (*vclock.Future, int64) {
 		e.fallbacks++
 		e.permanentBytes += int64(len(a.Frame))
 		e.mu.Unlock()
-		return e.cfg.Log(a)
+		return nil, 0, 0, true
 	}
 	dv.slots[own] = zrSlot{key: key, live: true}
-	fut, end := e.writeSlotLocked(d, a, own, fresh)
+	fut, pba, n = e.writeSlotLocked(d, a, own, fresh)
 	e.mu.Unlock()
-	return fut, end
+	return fut, pba, n, false
 }
 
 // writeSlotLocked encodes and submits one slot write at slot i through the
 // ZRWA — the whole stride when the slot is fresh, header plus image when it
 // overwrites one in place, which supersedes that many bytes inside the
-// window — and charges the WA accounting. It returns the write's completion
-// and the device sector the write ends at. Caller holds e.mu; the write is
+// window. It returns the write's completion, the device sector it starts
+// at and its length in sectors. Caller holds e.mu; the write is
 // asynchronous.
-func (e *zraidEngine) writeSlotLocked(d *zns.Device, a Append, i int, fresh bool) (*vclock.Future, int64) {
+func (e *SlotTable) writeSlotLocked(d *zns.Device, a Append, i int, fresh bool) (*vclock.Future, int64, int64) {
 	ss := int64(e.cfg.SectorSize)
 	e.seq++
 	buf := e.encodeSlotLocked(a, e.seq, fresh)
@@ -190,23 +189,15 @@ func (e *zraidEngine) writeSlotLocked(d *zns.Device, a Append, i int, fresh bool
 		child = a.Span.Child(obs.OpDevWrite, a.Dev, pba, int64(len(buf)))
 	}
 	fut := d.WriteZRWASpan(child, a.Fut, pba, buf, zns.Flag(a.Flags))
-	payload := int64(len(buf)) - ss
-	e.cfg.Charge(ss, payload)
-	if e.cfg.Journal != nil && e.cfg.Journal.Enabled() {
-		e.cfg.Journal.Record(obs.EvPartialParity, a.Dev, e.cfg.PPZone, payload, ss, 0, 0)
-	}
-	if e.cfg.Hook != nil {
-		e.cfg.Hook("raizn.pp.write", a.Dev, e.cfg.PPZone, pba)
-	}
-	return fut, pba + int64(len(buf))/ss
+	return fut, pba, int64(len(buf)) / ss
 }
 
-// encodeSlotLocked serializes the image in a's frame into the engine's
+// encodeSlotLocked serializes the image in a's frame into the table's
 // stride buffer: header sector (magic, CRC, key, range, gen, seq) followed
 // by the payload rounded up to whole sectors and, with pad, zeroes up to a
 // full stripe unit. The result is valid until the next call; WriteZRWA
 // copies it at submit. Caller holds e.mu.
-func (e *zraidEngine) encodeSlotLocked(a Append, seq uint64, pad bool) []byte {
+func (e *SlotTable) encodeSlotLocked(a Append, seq uint64, pad bool) []byte {
 	ss := e.cfg.SectorSize
 	image := a.Frame[ss:]
 	payLen := (len(image) + ss - 1) / ss
@@ -265,17 +256,23 @@ func decodeSlot(buf []byte, ss int, su int64) (rec Record, seq uint64, ok bool) 
 
 // StripeClosed marks the stripe's slot (if any) dead on every device.
 // Cheap: a scan of W slots per device, safe under the caller's zone lock.
-func (e *zraidEngine) StripeClosed(zone int, stripe int64) {
+func (e *SlotTable) StripeClosed(zone int, stripe int64) {
+	if e == nil {
+		return
+	}
 	key := slotKey{zone: zone, stripe: stripe}
 	e.kill(func(k slotKey) bool { return k == key })
 }
 
 // ZoneReset marks every slot of the logical zone dead on every device.
-func (e *zraidEngine) ZoneReset(zone int) {
+func (e *SlotTable) ZoneReset(zone int) {
+	if e == nil {
+		return
+	}
 	e.kill(func(k slotKey) bool { return k.zone == zone })
 }
 
-func (e *zraidEngine) kill(match func(slotKey) bool) {
+func (e *SlotTable) kill(match func(slotKey) bool) {
 	e.mu.Lock()
 	for i := range e.devs {
 		for j := range e.devs[i].slots {
@@ -290,8 +287,11 @@ func (e *zraidEngine) kill(match func(slotKey) bool) {
 // Scan walks the PP zone of every live device in slot strides, decoding
 // and CRC-validating each slot; torn slots drop out. When several slots
 // carry the same (zone, stripe) the highest sequence number wins. Runs
-// single-threaded at mount time.
-func (e *zraidEngine) Scan() ([]Record, error) {
+// single-threaded at mount time. A nil table has none.
+func (e *SlotTable) Scan() ([]Record, error) {
+	if e == nil {
+		return nil, nil
+	}
 	type best struct {
 		rec Record
 		seq uint64
@@ -338,8 +338,11 @@ func (e *zraidEngine) Scan() ([]Record, error) {
 
 // Format resets every PP zone that holds data on the devices and empties
 // the slot tables. Called after mount-time recovery replayed and
-// re-checkpointed everything live: the engine starts fresh.
-func (e *zraidEngine) Format() error {
+// re-checkpointed everything live: the tables start fresh.
+func (e *SlotTable) Format() error {
+	if e == nil {
+		return nil
+	}
 	var futs []*vclock.Future
 	for i := 0; i < e.cfg.NumDevices; i++ {
 		if d := e.cfg.Device(i); d != nil && d.Zone(e.cfg.PPZone).State != zns.ZoneEmpty {

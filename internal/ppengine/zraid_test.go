@@ -22,9 +22,9 @@ func ppDevConfig() zns.Config {
 	return cfg
 }
 
-func newTestEngine(t *testing.T, c *vclock.Clock, d *zns.Device) *zraidEngine {
+func newTestEngine(t *testing.T, d *zns.Device) *SlotTable {
 	t.Helper()
-	eng, err := NewZRAID(ZRAIDConfig{
+	e, err := NewSlotTable(SlotConfig{
 		NumDevices:  1,
 		Device:      func(int) *zns.Device { return d },
 		PPZone:      0,
@@ -32,16 +32,21 @@ func newTestEngine(t *testing.T, c *vclock.Clock, d *zns.Device) *zraidEngine {
 		SU:          16,
 		ZoneCap:     128,
 		ZRWASectors: 34,
-		Log: func(a Append) (*vclock.Future, int64) {
-			t.Errorf("stripe %d overflowed to the log", a.Stripe)
-			return c.Completed(nil), 0
-		},
-		Charge: func(hdr, pay int64) {},
 	})
 	if err != nil {
-		t.Fatalf("NewZRAID: %v", err)
+		t.Fatalf("NewSlotTable: %v", err)
 	}
-	return eng.(*zraidEngine)
+	return e
+}
+
+// persist persists a and fails the test if the table had no slot for it.
+func persist(t *testing.T, e *SlotTable, a Append) (fut *vclock.Future, end int64) {
+	t.Helper()
+	fut, pba, n, noSlot := e.Persist(a)
+	if noSlot {
+		t.Fatalf("stripe %d found no slot", a.Stripe)
+	}
+	return fut, pba + n
 }
 
 // mkAppend builds an Append whose image is n sectors of the fill byte
@@ -63,7 +68,7 @@ func TestSlotCodecRoundtrip(t *testing.T) {
 	c := vclock.New()
 	c.Run(func() {
 		d := zns.NewDevice(c, ppDevConfig())
-		e := newTestEngine(t, c, d)
+		e := newTestEngine(t, d)
 		ss := d.Config().SectorSize
 		a := Append{
 			Zone: 3, Stripe: 9, StartLBA: 576, EndLBA: 581, Gen: 11,
@@ -122,11 +127,11 @@ func TestPersistOverwriteVolatile(t *testing.T) {
 	c := vclock.New()
 	c.Run(func() {
 		d := zns.NewDevice(c, ppDevConfig())
-		e := newTestEngine(t, c, d)
+		e := newTestEngine(t, d)
 		ss := int64(d.Config().SectorSize)
 
 		for fillN := 1; fillN <= 4; fillN++ {
-			fut, end := e.Persist(mkAppend(d, 0, 5, byte(fillN), fillN*4))
+			fut, end := persist(t, e, mkAppend(d, 0, 5, byte(fillN), fillN*4))
 			if err := fut.Wait(); err != nil {
 				t.Fatalf("Persist %d: %v", fillN, err)
 			}
@@ -172,9 +177,9 @@ func TestPersistOverwriteVolatile(t *testing.T) {
 
 // persistWait persists a stripe image of n sectors of fill and waits for
 // it.
-func persistWait(t *testing.T, e *zraidEngine, d *zns.Device, stripe int64, fill byte, n int) {
+func persistWait(t *testing.T, e *SlotTable, d *zns.Device, stripe int64, fill byte, n int) {
 	t.Helper()
-	fut, _ := e.Persist(mkAppend(d, 0, stripe, fill, n))
+	fut, _ := persist(t, e, mkAppend(d, 0, stripe, fill, n))
 	if err := fut.Wait(); err != nil {
 		t.Fatalf("Persist stripe %d: %v", stripe, err)
 	}
@@ -188,7 +193,7 @@ func TestStaleSlotSuperseded(t *testing.T) {
 	c := vclock.New()
 	c.Run(func() {
 		d := zns.NewDevice(c, ppDevConfig())
-		e := newTestEngine(t, c, d)
+		e := newTestEngine(t, d)
 		persistWait(t, e, d, 0, 1, 8) // slot 0
 		persistWait(t, e, d, 1, 2, 8) // slot 1
 		e.ZoneReset(0)
@@ -215,12 +220,12 @@ func TestScanReadsSlotCutAtItsImage(t *testing.T) {
 	c := vclock.New()
 	c.Run(func() {
 		d := zns.NewDevice(c, ppDevConfig())
-		e := newTestEngine(t, c, d)
+		e := newTestEngine(t, d)
 		for i, a := range []Append{mkAppend(d, 0, 0, 1, 8), mkAppend(d, 0, 1, 2, 12), mkAppend(d, 0, 1, 3, 4)} {
 			if i == 2 {
 				a.Flags = int(zns.FUA)
 			}
-			fut, _ := e.Persist(a)
+			fut, _ := persist(t, e, a)
 			if err := fut.Wait(); err != nil {
 				t.Fatal(err)
 			}
@@ -248,7 +253,7 @@ func TestScanDropsTornSlot(t *testing.T) {
 	c := vclock.New()
 	c.Run(func() {
 		d := zns.NewDevice(c, ppDevConfig())
-		e := newTestEngine(t, c, d)
+		e := newTestEngine(t, d)
 		for s := int64(0); s < 2; s++ {
 			persistWait(t, e, d, s, byte(s+1), 8)
 		}
@@ -267,21 +272,17 @@ func TestScanDropsTornSlot(t *testing.T) {
 	})
 }
 
-// TestOverflowGoesToLog fills the two-slot table with live stripes, sends
-// a third stripe's images through Log, and checks the PP zone never grows
-// past the table or programs a byte, and that closing a stripe frees its
-// slot for the next stripe in place.
+// TestOverflowGoesToLog fills the two-slot table with live stripes, checks
+// that Persist reports no slot for a third stripe's images (the caller
+// logs them) and counts them, that the PP zone never grows past the table
+// or programs a byte, and that closing a stripe frees its slot for the
+// next stripe in place.
 func TestOverflowGoesToLog(t *testing.T) {
 	c := vclock.New()
 	c.Run(func() {
 		d := zns.NewDevice(c, ppDevConfig())
-		e := newTestEngine(t, c, d)
+		e := newTestEngine(t, d)
 		ss := int64(d.Config().SectorSize)
-		var logged []int64
-		e.cfg.Log = func(a Append) (*vclock.Future, int64) {
-			logged = append(logged, a.Stripe)
-			return c.Completed(nil), 0
-		}
 		wp := func() int64 { return d.Zone(0).WP - d.ZoneStart(0) }
 
 		persistWait(t, e, d, 0, 1, 8)
@@ -289,10 +290,10 @@ func TestOverflowGoesToLog(t *testing.T) {
 		if e.width != 2 || wp() != 2*e.stride {
 			t.Fatalf("width %d, PP zone WP %d: want two slots (%d sectors)", e.width, wp(), 2*e.stride)
 		}
-		persistWait(t, e, d, 2, 3, 8)
-		persistWait(t, e, d, 2, 4, 12)
-		if len(logged) != 2 || logged[0] != 2 || logged[1] != 2 {
-			t.Fatalf("logged stripes %v, want [2 2]", logged)
+		for _, n := range []int{8, 12} {
+			if fut, _, _, noSlot := e.Persist(mkAppend(d, 0, 2, 3, n)); !noSlot || fut != nil {
+				t.Fatalf("stripe 2's %d-sector image: noSlot %v, future %v; want no slot and no write", n, noSlot, fut)
+			}
 		}
 		st := e.Stats()
 		if st.FallbackTotal != 2 {
@@ -304,15 +305,12 @@ func TestOverflowGoesToLog(t *testing.T) {
 
 		// Stripe 0 closes: stripe 3 takes its slot, 0, in place.
 		e.StripeClosed(0, 0)
-		fut, end := e.Persist(mkAppend(d, 0, 3, 5, 8))
+		fut, end := persist(t, e, mkAppend(d, 0, 3, 5, 8))
 		if err := fut.Wait(); err != nil {
 			t.Fatal(err)
 		}
 		if want := d.ZoneStart(0) + 9; end != want {
 			t.Errorf("stripe 3 ended at sector %d, want %d (an overwrite of slot 0)", end, want)
-		}
-		if len(logged) != 2 {
-			t.Errorf("stripe 3 went to the log with a dead slot free")
 		}
 		if wp() != 2*e.stride {
 			t.Errorf("PP zone WP = %d, want it to stay at %d", wp(), 2*e.stride)
@@ -336,7 +334,7 @@ func TestFormatClearsPool(t *testing.T) {
 	c := vclock.New()
 	c.Run(func() {
 		d := zns.NewDevice(c, ppDevConfig())
-		e := newTestEngine(t, c, d)
+		e := newTestEngine(t, d)
 		for s := int64(0); s < 2; s++ {
 			persistWait(t, e, d, s, 3, 8)
 		}

@@ -259,11 +259,6 @@ func (v *Volume) consolidateDevice(dev int, d *zns.Device) error {
 	v.md[dev] = m
 	v.publishDevTableLocked()
 	v.mu.Unlock()
-
-	// Relocation records rewritten by the checkpoint now live at new
-	// PBAs; refresh the in-memory pointers is unnecessary because reads
-	// are served from the cached payloads, and the next mount re-learns
-	// the PBAs from the checkpoint records.
 	return nil
 }
 

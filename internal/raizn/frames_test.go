@@ -241,7 +241,7 @@ func TestReusedWriteBuffersLeaveRecordsIntact(t *testing.T) {
 					// The images as the media hold them, per zone.
 					images := map[int][]byte{}
 					if env.cfg.ParityEngine == EngineZRAID {
-						recs, err := v.eng.Scan()
+						recs, err := v.slots.Scan()
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -376,14 +376,11 @@ func TestLogRecordBytesMatchReference(t *testing.T) {
 			// never closes.
 			ss := v.SectorSize()
 			for i := 0; i < 2; i++ {
-				fut, _ := v.eng.Persist(ppengine.Append{
+				persistPP(t, v, ppengine.Append{
 					Dev: 0, Zone: 0, Stripe: int64(1000 + i),
 					StartLBA: 0, EndLBA: 8, Gen: 999,
 					Frame: make([]byte, (1+8)*ss),
 				})
-				if err := fut.Wait(); err != nil {
-					t.Fatal(err)
-				}
 			}
 			// Stripe 4 of zone 0 sends its partial parity to device 0.
 			for s := int64(0); s < 4; s++ {

@@ -72,7 +72,7 @@ func (l *layout) unitOfDev(z int, s int64, dev int) int {
 // on media when the stripe's data fill is g (0 <= g <= stripeSectors): a
 // data unit's fill, or for the parity unit su once the stripe is complete
 // and, when the zone is sealed (finished), the prefix min(g, su) that
-// FinishZone wrote. An open stripe's parity lives with the parity engine.
+// FinishZone wrote. An open stripe's parity lives in its partial-parity images.
 func (l *layout) stripePiece(z int, s int64, dev int, g int64, sealed bool) (unit int, sectors int64) {
 	if u := l.unitOfDev(z, s, dev); u >= 0 {
 		return u, min(max(g-int64(u)*l.su, 0), l.su)

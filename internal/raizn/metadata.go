@@ -203,7 +203,7 @@ var errMDFull = errors.New("raizn: metadata zone out of space mid-GC")
 // the vclock-aware condition. The devices of an array roll a log together
 // (rollSiblings).
 type mdManager struct {
-	vol *volumeCore // for checkpoint callbacks and geometry
+	vol *Volume // for checkpoint callbacks and geometry
 	dev int
 
 	mu         sync.Mutex
@@ -214,10 +214,6 @@ type mdManager struct {
 	active     [mdKinds]int // physical zone index per kind
 	swap       []int        // free metadata zone indices
 }
-
-// volumeCore is the narrow view of Volume the metadata manager needs; it
-// exists to keep the dependency direction explicit.
-type volumeCore = Volume
 
 func newMDManager(v *Volume, dev int) *mdManager {
 	m := &mdManager{vol: v, dev: dev}

@@ -255,8 +255,8 @@ func ppParity(lt *layout, pp []ppImage, s, ss int64) []byte {
 // expectedPhysFill returns how many sectors of physical zone z on device
 // i a logical fill of wp implies: one unit per complete stripe, and the
 // device's piece of the tail stripe (stripePiece, unsealed: the tail
-// stripe's parity is not on media yet, its partial parity lives with the
-// parity engine).
+// stripe's parity is not on media yet, its partial parity lives in the
+// §5.1 log or a zraid slot).
 func expectedPhysFill(lt *layout, z, i int, wp int64) int64 {
 	stripeSec := lt.stripeSectors()
 	_, tail := lt.stripePiece(z, wp/stripeSec, i, wp%stripeSec, false)

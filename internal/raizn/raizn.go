@@ -63,11 +63,11 @@ type Config struct {
 	// ArrayID identifies the array in superblocks; zero picks a value
 	// derived from the geometry.
 	ArrayID uint64
-	// ParityEngine selects the parity-persistence engine (see
-	// internal/ppengine): EngineLogged (default) appends partial parity
-	// to the metadata zones as log records (§5.1); EngineZRAID overwrites
-	// it in place in slots inside the ZRWA of one dedicated PP zone per
-	// device, where superseded images never program to flash.
+	// ParityEngine selects how partial parity is persisted (see
+	// internal/ppengine): EngineLogged (default) appends it to the
+	// metadata zones as log records (§5.1); EngineZRAID overwrites it in
+	// place in slots inside the ZRWA of one dedicated PP zone per device,
+	// where superseded images never program to flash.
 	ParityEngine ParityEngine
 	// RelocationThreshold is the §5.2 "user-modifiable threshold": a
 	// logical zone holding at least this many relocated fragments is
@@ -97,7 +97,7 @@ type Config struct {
 	Journal *obs.Journal
 }
 
-// ParityEngine selects the parity-persistence engine implementation.
+// ParityEngine selects how partial parity is persisted.
 type ParityEngine int
 
 const (
@@ -112,6 +112,14 @@ const (
 	// ZRWASectors >= StripeUnitSectors+1.
 	EngineZRAID
 )
+
+// String names the design as reports print it: "logged" or "zraid".
+func (e ParityEngine) String() string {
+	if e == EngineZRAID {
+		return "zraid"
+	}
+	return "logged"
+}
 
 // ReservedZones returns how many physical zones per device the
 // configuration reserves outside the logical address space: the metadata
@@ -208,7 +216,6 @@ type logicalZone struct {
 type relocEntry struct {
 	startLBA, endLBA int64
 	dev              int    // device holding the relocated payload
-	pba              int64  // payload location (sector after the header)
 	data             []byte // in-memory cache (authoritative for reads)
 }
 
@@ -255,10 +262,10 @@ type Volume struct {
 
 	maxOpen int
 
-	// eng is the parity-persistence engine (Config.ParityEngine): the
-	// logged adapter in engine_logged.go or the zraid engine in
-	// internal/ppengine. Immutable after construction.
-	eng ppengine.Engine
+	// slots is the zraid slot table partial parity goes to first (nil
+	// unless Config.ParityEngine is EngineZRAID). Immutable after
+	// construction.
+	slots *ppengine.SlotTable
 
 	// devTable is an immutable snapshot of the device/metadata-manager
 	// slots, swapped atomically whenever v.devs/v.md/rebuild state change
@@ -538,7 +545,7 @@ func newVolume(clk *vclock.Clock, devs []*zns.Device, cfg Config) (*Volume, erro
 	}
 	v.publishDevTableLocked()
 	if cfg.ParityEngine == EngineZRAID {
-		eng, err := ppengine.NewZRAID(ppengine.ZRAIDConfig{
+		slots, err := ppengine.NewSlotTable(ppengine.SlotConfig{
 			NumDevices:  lt.n,
 			Device:      v.dev,
 			PPZone:      lt.numZones + lt.mdZones,
@@ -546,32 +553,29 @@ func newVolume(clk *vclock.Clock, devs []*zns.Device, cfg Config) (*Volume, erro
 			SU:          lt.su,
 			ZoneCap:     dc.ZoneCap,
 			ZRWASectors: dc.ZRWASectors,
-			Log:         v.logPartialParity,
-			Charge: func(hdr, pay int64) {
-				v.stats.waPPHeaderBytes.Add(hdr)
-				v.stats.waPPPayloadBytes.Add(pay)
-			},
-			Journal: jrn,
-			Hook:    v.fireHook,
 		})
 		if err != nil {
 			return nil, err
 		}
-		v.eng = eng
-	} else {
-		v.eng = &loggedEngine{v: v}
+		v.slots = slots
 	}
-	registerEngineMetrics(reg, cfg.MetricsLabel, v.eng)
+	registerEngineMetrics(reg, cfg.MetricsLabel, v.PPEngineStats)
 	return v, nil
 }
 
-// ParityEngineKind reports which parity-persistence engine the volume
-// runs.
-func (v *Volume) ParityEngineKind() ppengine.Kind { return v.eng.Kind() }
+// ParityEngineKind reports how the volume persists partial parity.
+func (v *Volume) ParityEngineKind() ParityEngine { return v.cfg.ParityEngine }
 
-// PPEngineStats returns the parity-persistence engine's lifetime
-// counters (volatile/permanent byte split, images logged on overflow).
-func (v *Volume) PPEngineStats() ppengine.Stats { return v.eng.Stats() }
+// PPEngineStats returns the partial-parity lifetime counters
+// (volatile/permanent byte split, images logged on overflow). A logged
+// array's are its WA accounting: every logged PP byte is programmed to
+// flash.
+func (v *Volume) PPEngineStats() ppengine.Stats {
+	if v.slots == nil {
+		return ppengine.Stats{PermanentBytes: v.stats.waPPHeaderBytes.Load() + v.stats.waPPPayloadBytes.Load()}
+	}
+	return v.slots.Stats()
+}
 
 // Tracer returns the volume's span tracer (never nil; disabled unless
 // the caller enabled it or supplied an enabled one via Config).

@@ -150,12 +150,12 @@ func (v *Volume) recover() error {
 		return err
 	}
 	// Everything live — including partial parity for in-progress stripes
-	// — is re-checkpointed in the metadata zones now; the engine's own
-	// persistence (the zraid PP zones) is stale and starts fresh.
-	return v.eng.Format()
+	// — is re-checkpointed in the metadata zones now; the zraid PP zones
+	// are stale and start fresh.
+	return v.slots.Format()
 }
 
-// gather scans every live device's metadata zones and the parity engine
+// gather scans every live device's metadata zones and the zraid slot tables
 // once. It restores the generation counters, the metadata sequence number
 // and the newest flight-recorder box, and returns per logical zone its
 // evidence (records of the zone's current generation only), the zones
@@ -263,13 +263,13 @@ func (v *Volume) gather() (ev []zoneEvidence, walOrder []int, cs []record, err e
 		}
 	}
 
-	// The parity engine's own scan: zraid PP-zone slots (nil for logged,
-	// whose records surfaced in the metadata scan above).
-	engRecs, err := v.eng.Scan()
+	// The zraid PP-zone slots (none on a logged array, whose records
+	// surfaced in the metadata scan above).
+	slotRecs, err := v.slots.Scan()
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	for _, r := range engRecs {
+	for _, r := range slotRecs {
 		if current(r.Zone, r.Gen) {
 			addPP(r.Zone, r.StartLBA, r.EndLBA, r.Payload)
 		}
@@ -297,7 +297,7 @@ func (v *Volume) applyZone(lz *logicalZone, p *zonePlan) error {
 	for _, r := range p.relocs {
 		v.addReloc(z, relocEntry{
 			startLBA: r.startLBA, endLBA: r.endLBA,
-			dev: r.dev, pba: r.pba + 1, data: r.payload,
+			dev: r.dev, data: r.payload,
 		}, r.typ.base() == recRelocParity, v.lt.stripeOf(r.startLBA))
 	}
 	if p.empty {

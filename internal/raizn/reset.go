@@ -104,10 +104,10 @@ func (v *Volume) doResetZone(sp *obs.Span, lz *logicalZone) error {
 	v.fireHook("raizn.reset.done", obs.SrcLogical, z, int64(gen+1))
 
 	// 4. Reset the in-memory zone state. The generation bump made every
-	// partial-parity image for the zone stale; tell the engine so zraid
-	// slots become reclaimable (no-op for logged records, which the gen
-	// filter invalidates).
-	v.eng.ZoneReset(z)
+	// partial-parity image for the zone stale; tell the slot table so
+	// zraid slots become reclaimable (no-op for logged records, which the
+	// gen filter invalidates).
+	v.slots.ZoneReset(z)
 	v.dropRelocEntries(z)
 	v.clearZoneChecksums(z)
 	lz.mu.Lock()
@@ -222,15 +222,18 @@ func (v *Volume) FinishZone(z int) error {
 		lz.cond.Wait()
 	}
 
-	var futs []subIO
-	var pending []pendingMD
-	// Seal the partial tail stripe's parity.
+	// Seal the partial tail stripe's parity: one plan entry, submitted as
+	// a write's are, so a burned parity PBA is relocated (§5.2).
+	ws := &writeState{v: v}
 	stripeSec := v.lt.stripeSectors()
 	if tail := lz.wp % stripeSec; tail != 0 {
 		s := lz.wp / stripeSec
 		if buf, ok := lz.active[s]; ok {
-			img := v.parityImageLocked(buf, []intraInterval{{0, min(buf.fill, v.lt.su)}})
-			v.issueDeviceWrite(nil, v.lt.parityDev(z, s), v.lt.parityPBA(z, s), img, 0, 0, true, z, s, &futs, &pending)
+			ws.plan = append(ws.plan, plannedIO{
+				dev: v.lt.parityDev(z, s), pba: v.lt.parityPBA(z, s), isParity: true, s: s,
+				data: v.parityImageLocked(buf, []intraInterval{{0, min(buf.fill, v.lt.su)}}),
+			})
+			v.submitPlanLocked(ws, lz)
 			delete(lz.active, s)
 			buf.stripe = -1
 			buf.fill = 0
@@ -238,10 +241,10 @@ func (v *Volume) FinishZone(z int) error {
 		}
 	}
 	// The sealed zone has no in-progress stripes: all PP state is dead.
-	v.eng.ZoneReset(z)
+	v.slots.ZoneReset(z)
 	for i := range v.devs {
 		if d := v.dev(i); d != nil {
-			futs = append(futs, subIO{dev: i, fut: d.FinishZone(z)})
+			ws.futs = append(ws.futs, subIO{dev: i, fut: d.FinishZone(z)})
 			// A device finish persists the zone's contents, like a FUA
 			// sub-IO reaching the end of the physical zone.
 			v.noteSubIO(lz, i, d.ZoneStart(z)+v.lt.physZoneCap, true)
@@ -261,9 +264,9 @@ func (v *Volume) FinishZone(z int) error {
 	// What the finishes did not persist — relocated fragments and other
 	// metadata appends of the zone — is flushed like a durable write's
 	// dependencies, so the whole zone is durable when FinishZone returns.
-	futs = v.issuePendingMD(nil, nil, pending, futs, 0)
+	futs := v.issuePendingMD(nil, nil, ws.pending, ws.futs, 0)
 	done := v.clk.NewFuture()
-	futs, prev := v.publishWrite(nil, lz, pending, futs, 0, done)
+	futs, prev := v.publishWrite(nil, lz, ws.pending, futs, 0, done)
 	err := v.awaitSubIOs(futs)
 	if err == nil {
 		err = v.writeDurable(lz, persisted, prev, done)

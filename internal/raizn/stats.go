@@ -118,18 +118,18 @@ func newStatsCounters(r *obs.Registry, label string) statsCounters {
 	}
 }
 
-// registerEngineMetrics publishes the parity-persistence engine's
-// counters as pull-style gauges. Like the statsCounters, a non-empty
+// registerEngineMetrics publishes the partial-parity counters as
+// pull-style gauges. Like the statsCounters, a non-empty
 // array label namespaces every series (name{array="..."}) so arrays
 // sharing a volume-manager registry stay collision-free; HELP text is
 // registered under the bare names, shared by all arrays.
-func registerEngineMetrics(r *obs.Registry, label string, eng ppengine.Engine) {
+func registerEngineMetrics(r *obs.Registry, label string, stats func() ppengine.Stats) {
 	r.Help("raizn_pp_volatile_bytes", "partial-parity bytes superseded inside the ZRWA window, never programmed to flash (zraid engine)")
 	r.Help("raizn_pp_permanent_bytes", "partial-parity bytes programmed to flash (every logged PP byte)")
 	r.Help("raizn_pp_fallback_total", "partial-parity images the zraid slot table had no room for, appended to the metadata log instead")
 	n := func(name string) string { return obs.LabeledName(name, "array", label) }
 	g := func(name string, f func(ppengine.Stats) int64) {
-		r.GaugeFunc(n(name), func() int64 { return f(eng.Stats()) })
+		r.GaugeFunc(n(name), func() int64 { return f(stats()) })
 	}
 	g("raizn_pp_volatile_bytes", func(s ppengine.Stats) int64 { return s.VolatileBytes })
 	g("raizn_pp_permanent_bytes", func(s ppengine.Stats) int64 { return s.PermanentBytes })

@@ -536,7 +536,7 @@ func (v *Volume) computeWrite(ws *writeState) {
 
 	for i, t := range ws.pp {
 		// The image is copied from the running parity straight into its
-		// frame, behind the header sector the engine fills in. The write's
+		// frame, behind the header sector issuePendingMD fills in. The write's
 		// regions lie inside the stripe's written prefix, where par is
 		// valid.
 		regions, n := v.lt.intraRegions(t.a, t.b)
@@ -565,11 +565,52 @@ func (v *Volume) computeWrite(ws *writeState) {
 	}
 }
 
-// submitWriteLocked (phase 3) issues the plan: plan entries to the same
-// device at physically adjacent addresses merge into one vectored write
-// command, burned address ranges split off into relocation records
-// (§5.2), and the submitted write pointer advances. Caller holds lz.mu.
+// submitWriteLocked (phase 3) issues the plan (submitPlanLocked),
+// publishes the completed stripes' CRC rows, recycles their buffers, and
+// advances the submitted write pointer. Caller holds lz.mu.
 func (v *Volume) submitWriteLocked(ws *writeState, lz *logicalZone) {
+	z := lz.idx
+	v.submitPlanLocked(ws, lz)
+
+	// Publish the CRC rows now that the stripe payloads are applied on
+	// the devices (writes take effect at submit).
+	nSlots := v.csSlots()
+	for i, s := range ws.crcS {
+		v.setStripeChecksums(z, s, ws.crcs[i*nSlots:(i+1)*nSlots])
+	}
+
+	// Recycle buffers of completed stripes: their payload is on the
+	// devices now (writes take effect at submit).
+	for i := range ws.parity {
+		t := &ws.parity[i]
+		if t.buf != nil {
+			delete(lz.active, t.s)
+			t.buf.stripe = -1
+			t.buf.fill = 0
+			lz.free = append(lz.free, t.buf)
+			// The stripe's full parity is on media: its partial-parity
+			// state is dead. (A pp append still in flight for this stripe
+			// may slip past this and linger live; the zone-full sweep
+			// below and zone reset/finish reclaim such strays.)
+			v.slots.StripeClosed(z, t.s)
+		}
+	}
+	lz.submittedWP = ws.end
+	if ws.full {
+		// Every stripe of the zone is complete: sweep all PP state.
+		v.slots.ZoneReset(z)
+		v.closeZoneSlot(lz, zns.ZoneFull)
+	}
+}
+
+// submitPlanLocked sends ws.plan to the devices, one device at a time:
+// entries to the same device at physically adjacent addresses merge into
+// one vectored write command, burned address ranges (below the device's
+// write pointer, §5.2) split off into relocation records in ws.pending,
+// the bytes sent are charged to the WA categories, and each device gets
+// one ledger entry. Failed devices are skipped (degraded write). Caller
+// holds lz.mu.
+func (v *Volume) submitPlanLocked(ws *writeState, lz *logicalZone) {
 	tbl := v.loadDevs()
 	z := lz.idx
 	ss := int64(v.sectorSize)
@@ -637,36 +678,6 @@ func (v *Volume) submitWriteLocked(ws *writeState, lz *logicalZone) {
 	if parityB > 0 {
 		v.stats.waParityBytes.Add(parityB)
 	}
-
-	// Publish the CRC rows now that the stripe payloads are applied on
-	// the devices (writes take effect at submit).
-	nSlots := v.csSlots()
-	for i, s := range ws.crcS {
-		v.setStripeChecksums(z, s, ws.crcs[i*nSlots:(i+1)*nSlots])
-	}
-
-	// Recycle buffers of completed stripes: their payload is on the
-	// devices now (writes take effect at submit).
-	for i := range ws.parity {
-		t := &ws.parity[i]
-		if t.buf != nil {
-			delete(lz.active, t.s)
-			t.buf.stripe = -1
-			t.buf.fill = 0
-			lz.free = append(lz.free, t.buf)
-			// The stripe's full parity is on media: its partial-parity
-			// state is dead. (A pp append still in flight for this stripe
-			// may slip past this and linger live; the zone-full sweep
-			// below and zone reset/finish reclaim such strays.)
-			v.eng.StripeClosed(z, t.s)
-		}
-	}
-	lz.submittedWP = ws.end
-	if ws.full {
-		// Every stripe of the zone is complete: sweep all PP state.
-		v.eng.ZoneReset(z)
-		v.closeZoneSlot(lz, zns.ZoneFull)
-	}
 }
 
 // flushRun issues the accumulated run as one device command (vectored
@@ -723,9 +734,9 @@ type pendingMD struct {
 	s        int64
 	end      int64 // set by issuePendingMD: device sector the append ended at (0: none made)
 
-	// pp routes the entry through the parity-persistence engine instead
-	// of a direct metadata append (hasPP marks it set, and rec unused; the
-	// struct is embedded by value to keep the hot path allocation-free).
+	// pp is a partial-parity image to persist instead of a direct
+	// metadata append (hasPP marks it set, and rec unused; the struct is
+	// embedded by value to keep the hot path allocation-free).
 	hasPP bool
 	pp    ppengine.Append
 }
@@ -737,6 +748,12 @@ type pendingMD struct {
 // a FUA write's appends (partial parity, checksums, relocated data) are
 // FUA like its data. The device table is loaded once for the whole batch.
 // Each append gets an OpMDAppend child of sp.
+//
+// A partial-parity image goes to the zraid slot table when the array has
+// one and to the §5.1 log otherwise, which is also where it goes when the
+// table has no room. A slot write is accounted here as appendEncoded
+// accounts a logged image: WA charge, EvPartialParity event and the
+// raizn.pp.write crash point.
 func (v *Volume) issuePendingMD(sp *obs.Span, own *writeState, pending []pendingMD, futs []subIO, flags zns.Flag) []subIO {
 	if len(pending) == 0 {
 		return futs
@@ -745,13 +762,21 @@ func (v *Volume) issuePendingMD(sp *obs.Span, own *writeState, pending []pending
 	for i := range pending {
 		p := &pending[i]
 		if p.hasPP {
-			// Partial parity goes through the engine.
 			a := p.pp
 			a.Span = sp
 			a.Flags = int(flags)
 			a.Fut = own.subFut()
-			if f, end := v.eng.Persist(a); f != nil {
-				p.end = end
+			f, pba, n, noSlot := v.slots.Persist(a)
+			if noSlot {
+				f, p.end = v.logPartialParity(a)
+			} else if n > 0 {
+				z := int(pba / v.lt.physZoneSize)
+				v.accountMDBytes(recPartialParity, 1, n-1)
+				v.recordMDEvent(a.Dev, z, recPartialParity, 1, n-1)
+				v.fireHook("raizn.pp.write", a.Dev, z, pba)
+				p.end = pba + n
+			}
+			if f != nil {
 				futs = append(futs, subIO{dev: p.dev, fut: f})
 			}
 			continue
@@ -778,13 +803,45 @@ func (v *Volume) issuePendingMD(sp *obs.Span, own *writeState, pending []pending
 		if p.isReloc {
 			v.addReloc(p.z, relocEntry{
 				startLBA: p.rec.startLBA, endLBA: p.rec.endLBA,
-				dev: p.dev, pba: pba + 1, data: p.rec.payload,
+				dev: p.dev, data: p.rec.payload,
 			}, p.isParity, p.s)
 		}
 		p.end = pba + p.rec.sectors(v.sectorSize)
 		futs = append(futs, subIO{dev: p.dev, fut: fut})
 	}
 	return futs
+}
+
+// logPartialParity appends the image in a's frame to the parity metadata
+// log of a.Dev (§5.1): it encodes the record header into the frame's header
+// sector and appends the frame as it stands. It returns the append's
+// completion and the device sector it ends at; (nil, 0) when the device
+// has failed.
+func (v *Volume) logPartialParity(a ppengine.Append) (*vclock.Future, int64) {
+	m := v.mdm(a.Dev)
+	if m == nil {
+		return nil, 0 // device failed: degraded
+	}
+	ss := v.sectorSize
+	rec := record{
+		typ:      recPartialParity,
+		startLBA: a.StartLBA,
+		endLBA:   a.EndLBA,
+		gen:      a.Gen,
+		payload:  a.Frame[ss:],
+	}
+	rec.encodeInto(a.Frame[:ss])
+	child := a.Span.Child(obs.OpMDAppend, a.Dev, a.StartLBA, int64(len(rec.payload)))
+	fut, pba, err := m.appendEncoded(child, a.Fut, rec.typ, a.Frame, zns.Flag(a.Flags))
+	if err != nil {
+		child.End(err)
+		if errors.Is(err, zns.ErrDeviceFailed) {
+			v.noteDeviceError(a.Dev, err)
+			return nil, 0
+		}
+		return v.clk.Completed(err), 0
+	}
+	return fut, pba + rec.sectors(ss)
 }
 
 // awaitSubIOs waits for all sub-IOs. A sub-IO that failed because its
@@ -882,42 +939,6 @@ func (v *Volume) foldLocked(buf *stripeBuffer, chunk []byte) {
 		buf.fill += n
 		chunk = chunk[n*ss:]
 	}
-}
-
-// issueDeviceWrite sends one device write, transparently relocating (all
-// or part of) it to the device's metadata zone when the target PBA range
-// was burned by a crash (below the physical write pointer and thus
-// immutable, §5.2). Failed devices are skipped (degraded write). Used by
-// the zone-seal path in FinishZone; the caller holds the zone lock.
-func (v *Volume) issueDeviceWrite(sp *obs.Span, dev int, pba int64, data []byte, flags zns.Flag, lba int64, isParity bool, z int, s int64, futs *[]subIO, pending *[]pendingMD) {
-	d := v.devForZone(dev, z)
-	if d == nil {
-		return
-	}
-	ss := int64(v.sectorSize)
-	n := int64(len(data)) / ss
-	physZone := int(pba / v.lt.physZoneSize)
-	wp := d.Zone(physZone).WP // absolute
-	if pba < wp {
-		// Burned prefix: relocate [pba, min(wp, pba+n)).
-		burn := min(wp-pba, n)
-		*pending = append(*pending, v.relocationRecord(dev, data[:burn*ss], lba, isParity, z, s))
-		data = data[burn*ss:]
-		pba += burn
-		lba += burn
-		if len(data) == 0 {
-			return
-		}
-	}
-	if isParity {
-		v.stats.waParityBytes.Add(int64(len(data)))
-	} else {
-		v.stats.waDataBytes.Add(int64(len(data)))
-	}
-	child := sp.Child(obs.OpDevWrite, dev, pba, int64(len(data)))
-	fut := d.WriteSpan(child, nil, pba, data, flags)
-	v.noteSubIO(v.zones[z], dev, pba+int64(len(data))/ss, flags&zns.FUA != 0)
-	*futs = append(*futs, subIO{dev: dev, fut: fut})
 }
 
 // relocationRecord builds the metadata append that relocates data (or a

@@ -46,7 +46,7 @@ func TestZRAIDCreateGeometry(t *testing.T) {
 		if got := v.NumZones(); got != 4 {
 			t.Errorf("NumZones = %d, want 4 (8 phys - 3 md - 1 pp)", got)
 		}
-		if k := v.ParityEngineKind(); k != ppengine.ZRAID {
+		if k := v.ParityEngineKind(); k != EngineZRAID {
 			t.Errorf("engine kind = %v, want zraid", k)
 		}
 		if got := zraidConfig().ReservedZones(); got != 4 {
@@ -121,7 +121,7 @@ func TestZRAIDCrashRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Mount: %v", err)
 		}
-		if k := v2.ParityEngineKind(); k != ppengine.ZRAID {
+		if k := v2.ParityEngineKind(); k != EngineZRAID {
 			t.Fatalf("recovered volume engine = %v", k)
 		}
 		wp := v2.Zone(0).WP
@@ -131,8 +131,8 @@ func TestZRAIDCrashRecovery(t *testing.T) {
 		checkReadV(t, v2, 0, int(wp))
 
 		// Recovery re-checkpoints live parity into the metadata zones and
-		// formats the engine: the PP zones start empty.
-		recs, err := v2.eng.Scan()
+		// formats the slot table: the PP zones start empty.
+		recs, err := v2.slots.Scan()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,14 +256,11 @@ func TestZRAIDBackpressureFallback(t *testing.T) {
 		// closes.
 		ss := v.SectorSize()
 		for i := 0; i < 2; i++ {
-			fut, _ := v.eng.Persist(ppengine.Append{
+			persistPP(t, v, ppengine.Append{
 				Dev: 0, Zone: 0, Stripe: int64(1000 + i),
 				StartLBA: 0, EndLBA: 8, Gen: 999,
 				Frame: make([]byte, (1+8)*ss),
 			})
-			if err := fut.Wait(); err != nil {
-				t.Fatal(err)
-			}
 		}
 		before := v.PPEngineStats()
 
@@ -291,7 +288,7 @@ func TestZRAIDBackpressureFallback(t *testing.T) {
 
 // TestZRAIDWriteAfterRebuild replaces the parity device of two partial
 // stripes, one of them in its second slot, and writes to that stripe again:
-// the replacement's PP zone is empty, so the engine must place the image
+// the replacement's PP zone is empty, so the slot table must place the image
 // afresh there rather than overwrite the slot the old device held.
 func TestZRAIDWriteAfterRebuild(t *testing.T) {
 	runZraidVol(t, func(c *vclock.Clock, v *Volume, devs []*zns.Device) {
@@ -329,4 +326,14 @@ func TestZRAIDDegradedMaintain(t *testing.T) {
 		mustWriteV(t, v, 160, 24, 0)
 		checkReadV(t, v, 0, 184)
 	})
+}
+
+// persistPP persists one partial-parity image through issuePendingMD, the
+// write path's one persistence step, and waits for it.
+func persistPP(t *testing.T, v *Volume, a ppengine.Append) {
+	t.Helper()
+	p := []pendingMD{{dev: a.Dev, z: a.Zone, s: a.Stripe, hasPP: true, pp: a}}
+	if err := v.awaitSubIOs(v.issuePendingMD(nil, nil, p, nil, 0)); err != nil {
+		t.Fatal(err)
+	}
 }
