@@ -7,6 +7,7 @@ import (
 	"crypto/subtle"
 	"fmt"
 	"hash/crc32"
+	"sync"
 )
 
 // xor sets dst = a ^ b. It is the package's one kernel: every entry point
@@ -95,11 +96,12 @@ const fuseBlock = 4096
 
 // XORCRCInto fuses parity encoding and per-unit checksumming into a
 // single pass: dst receives the XOR of srcs, and crcs — which must have
-// len(srcs)+1 entries, zero-initialized by the caller — accumulates the
+// len(srcs)+1 entries, zero-initialized by the caller — receives the
 // CRC32 of each source (crcs[i] for srcs[i]) and of dst (the last
 // entry), using tab. Equivalent to EncodeInto followed by per-slice
 // crc32.Checksum, but each block of the data is checksummed while still
-// cache-hot from the XOR. All slices must have dst's length.
+// cache-hot from the XOR, and dst's CRC is derived from the sources'
+// (XORCRC) instead of read back. All slices must have dst's length.
 func XORCRCInto(dst []byte, srcs [][]byte, crcs []uint32, tab *crc32.Table) {
 	if len(crcs) != len(srcs)+1 {
 		panic(fmt.Sprintf("parity: %d crc slots for %d sources", len(crcs), len(srcs)))
@@ -111,8 +113,54 @@ func XORCRCInto(dst []byte, srcs [][]byte, crcs []uint32, tab *crc32.Table) {
 		for i, s := range srcs {
 			crcs[i] = crc32.Update(crcs[i], tab, s[lo:hi])
 		}
-		crcs[len(srcs)] = crc32.Update(crcs[len(srcs)], tab, dst[lo:hi])
 	}
+	crcs[len(srcs)] = XORCRC(crcs[:len(srcs)], len(dst), tab)
+}
+
+// XORCRC returns the CRC32 (under tab) of the XOR of len(crcs) units of n
+// bytes each, given the units' CRCs. A CRC is affine over GF(2): for
+// equal lengths crc(a^b) = crc(a) ^ crc(b) ^ crc(0ⁿ), so the XOR of D
+// units has crc ⊕crc(uᵢ), xored once more with crc(0ⁿ) when D is even.
+func XORCRC(crcs []uint32, n int, tab *crc32.Table) uint32 {
+	var c uint32
+	for _, x := range crcs {
+		c ^= x
+	}
+	if len(crcs)%2 == 0 {
+		c ^= zeroCRC(n, tab)
+	}
+	return c
+}
+
+// zeroCRCs caches crc(0ⁿ) per table and length: computed once each.
+var zeroCRCs struct {
+	sync.Mutex
+	m map[zeroKey]uint32
+}
+
+type zeroKey struct {
+	tab *crc32.Table
+	n   int
+}
+
+var zeroBlock [fuseBlock]byte
+
+// zeroCRC returns the CRC32 under tab of n zero bytes.
+func zeroCRC(n int, tab *crc32.Table) uint32 {
+	k := zeroKey{tab, n}
+	zeroCRCs.Lock()
+	defer zeroCRCs.Unlock()
+	c, ok := zeroCRCs.m[k]
+	if !ok {
+		for left := n; left > 0; left -= fuseBlock {
+			c = crc32.Update(c, tab, zeroBlock[:min(left, fuseBlock)])
+		}
+		if zeroCRCs.m == nil {
+			zeroCRCs.m = make(map[zeroKey]uint32)
+		}
+		zeroCRCs.m[k] = c
+	}
+	return c
 }
 
 // EncodeRagged computes parity over units that may be shorter than width;

@@ -177,7 +177,8 @@ func benchUnits(n int) [][]byte {
 }
 
 // BenchmarkXORCRCInto is one completed 4+1 stripe: bytes counted are the
-// four data units the fused pass reads.
+// four data units the fused pass reads, and the only bytes it checksums;
+// the parity's CRC is derived from theirs.
 func BenchmarkXORCRCInto(b *testing.B) {
 	tab := crc32.MakeTable(crc32.Castagnoli)
 	srcs := benchUnits(4)
@@ -188,6 +189,27 @@ func BenchmarkXORCRCInto(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		clear(crcs)
 		XORCRCInto(dst, srcs, crcs, tab)
+	}
+}
+
+// TestXORCRCMatchesChecksum is XORCRC's property: for D = 1…6 units of
+// several lengths, the CRC derived from the units' CRCs equals the CRC of
+// their XOR, under both tables the repository uses.
+func TestXORCRCMatchesChecksum(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	for _, tab := range []*crc32.Table{crc32.MakeTable(crc32.Castagnoli), crc32.IEEETable} {
+		for _, l := range append(diffLens, 3*fuseBlock+5, 16<<10) {
+			for d := 1; d <= 6; d++ {
+				units := oddSlices(rng, d, l)
+				crcs := make([]uint32, d)
+				for i, u := range units {
+					crcs[i] = crc32.Checksum(u, tab)
+				}
+				if got, want := XORCRC(crcs, l, tab), crc32.Checksum(refXOR(l, units...), tab); got != want {
+					t.Fatalf("len=%d d=%d: XORCRC = %08x, crc of the XOR = %08x", l, d, got, want)
+				}
+			}
+		}
 	}
 }
 
