@@ -319,7 +319,8 @@ func mdZoneRoom(d *zns.Device, z int) int64 {
 // persists its zone's prefix, so once every returned future has completed
 // the whole checkpoint is durable, with no device flush. A record that does
 // not fit surfaces as that append's error; with nothing live to checkpoint
-// there is nothing to wait for.
+// there is nothing to wait for. Once a general checkpoint is durable, the
+// checksum rows it carries leave their zones' pending runs.
 func (v *Volume) issueCheckpoint(d *zns.Device, phys int, dev int, kind mdKind) []*vclock.Future {
 	recs := v.checkpointRecords(dev, kind)
 	futs := make([]*vclock.Future, len(recs))
@@ -334,6 +335,13 @@ func (v *Volume) issueCheckpoint(d *zns.Device, phys int, dev int, kind mdKind) 
 		sectors := int64(len(buf) / v.sectorSize)
 		v.accountMDBytes(r.typ, 1, sectors-1)
 		v.recordMDEvent(dev, phys, r.typ, 1, sectors-1)
+	}
+	if kind == mdGeneral {
+		whenAll(futs, func(err error) {
+			if err == nil {
+				v.checksumsCheckpointed(recs)
+			}
+		})
 	}
 	return futs
 }

@@ -21,19 +21,22 @@ import (
 //     mutable (the next write extends it) and protected by the stripe
 //     buffer + partial-parity log instead. The scrubber skips them.
 //   - Checksums persist as recChecksums metadata records on device
-//     (zone % n), one small record per completed stripe at runtime and
-//     packed per-zone records at metadata-GC checkpoint. At mount they
-//     are replayed after generation counters, dropped when stale
-//     (r.gen != zone gen), and clamped to the stripes below the
-//     recovered write pointer.
-//   - A zone reset clears its table entries; the generation bump
-//     invalidates any stale records still in the logs.
+//     (zone % n). A completed stripe's row waits in the table behind the
+//     zone's cursor (csNext) until the zone's data is made durable; then
+//     the pending run goes to the log, one record per csRunRows rows
+//     (takeRun; DESIGN.md's durability table says when). Metadata-GC
+//     checkpoints pack every row and, once durable, move the cursors past
+//     them. At mount they are replayed after generation counters,
+//     dropped when stale (r.gen != zone gen), and clamped to the stripes
+//     below the recovered write pointer, where each zone's cursor starts.
+//   - A zone reset clears its table entries and its cursor; the
+//     generation bump invalidates any stale records still in the logs.
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // recChecksums inline payload: zone(4) firstStripe(4) count(4) then
 // count * n CRC32 values. The record is inline-only (no payload
-// sectors), so one runtime record costs one metadata sector.
+// sectors), so one record costs one metadata sector.
 const csHeaderBytes = 12
 
 func encodeChecksums(zone int, firstStripe int64, crcs []uint32) []byte {
@@ -119,16 +122,19 @@ func (v *Volume) ChecksumCoverage(z int) int64 {
 	return n
 }
 
-// clearZoneChecksums drops zone z's table after a reset.
+// clearZoneChecksums drops zone z's table and pending run after a reset.
 func (v *Volume) clearZoneChecksums(z int) {
 	v.csMu.Lock()
 	v.cs[z] = nil
 	v.csHave[z] = nil
+	v.csNext[z] = 0
 	v.csMu.Unlock()
 }
 
 // clampChecksums drops coverage at and beyond stripe limit — used at
-// mount when the recovered write pointer rolled back mid-stripe.
+// mount when the recovered write pointer rolled back mid-stripe — and
+// starts the zone's cursor there: the mount's consolidation checkpoint
+// carries every row below it.
 func (v *Volume) clampChecksums(z int, limit int64) {
 	v.csMu.Lock()
 	if v.csHave[z] != nil {
@@ -136,7 +142,76 @@ func (v *Volume) clampChecksums(z int, limit int64) {
 			v.csHave[z][s] = false
 		}
 	}
+	v.csNext[z] = limit
 	v.csMu.Unlock()
+}
+
+// csRunRows is how many rows one recChecksums record holds: 202 at n = 5.
+func (v *Volume) csRunRows() int64 {
+	return max(1, int64((maxInline-csHeaderBytes)/(4*v.csSlots())))
+}
+
+// takeRun moves zone z's pending checksum run — its rows from the cursor
+// up to the last stripe complete below wp — to pending, one recChecksums
+// append per csRunRows rows, each encoded into a sector of bufs (fresh
+// ones when bufs is nil), and advances the cursor. With whole unset only
+// full records go. The rows of a failed checksum device are passed over;
+// a later checkpoint packs them.
+func (v *Volume) takeRun(pending []pendingMD, z int, wp int64, whole bool, bufs *[][]byte) []pendingMD {
+	gen := v.Generation(z) // before csMu, which nests inside v.mu
+	v.csMu.Lock()
+	defer v.csMu.Unlock()
+	lo, hi, per := v.csNext[z], wp/v.lt.stripeSectors(), v.csRunRows()
+	if !whole && hi > lo {
+		hi -= (hi - lo) % per
+	}
+	if hi <= lo {
+		return pending
+	}
+	v.csNext[z] = hi
+	dev := v.checksumDev(z)
+	if v.mdm(dev) == nil {
+		return pending
+	}
+	for i := 0; lo < hi; i++ {
+		var sec []byte
+		if bufs != nil {
+			sec = reuseBuf(bufs, i, v.sectorSize)
+		} else {
+			sec = make([]byte, v.sectorSize)
+		}
+		rows := min(per, hi-lo)
+		pending = append(pending, pendingMD{dev: dev, z: z, rec: v.checksumRecordLocked(sec, z, gen, lo, rows), enc: sec})
+		lo += rows
+	}
+	return pending
+}
+
+// checksumRecordLocked encodes the recChecksums record of zone z's rows
+// [first, first+rows) into the sector sec. Caller holds csMu.
+func (v *Volume) checksumRecordLocked(sec []byte, z int, gen uint64, first, rows int64) record {
+	n := int64(v.csSlots())
+	rec := record{typ: recChecksums, gen: gen,
+		inline: encodeChecksumsInto(sec[headerBytes:], z, first, v.cs[z][first*n:(first+rows)*n])}
+	rec.encodeInto(sec)
+	return rec
+}
+
+// checksumsCheckpointed moves each zone's cursor past the rows that recs,
+// checkpoint records now durable, carry — unless the zone was reset since.
+func (v *Volume) checksumsCheckpointed(recs []*record) {
+	v.mu.Lock() // the generations hold still
+	defer v.mu.Unlock()
+	v.csMu.Lock()
+	defer v.csMu.Unlock()
+	for _, r := range recs {
+		if r.typ.base() != recChecksums {
+			continue
+		}
+		if z, first, crcs, ok := decodeChecksums(r.inline); ok && r.gen == v.gen[z] && first <= v.csNext[z] {
+			v.csNext[z] = max(v.csNext[z], first+int64(len(crcs)/v.csSlots()))
+		}
+	}
 }
 
 // checksumDev returns the device whose general metadata log persists
@@ -148,18 +223,13 @@ func (v *Volume) checksumDev(z int) int { return z % v.lt.n }
 // when a zone's full table exceeds the inline limit.
 func (v *Volume) checksumCheckpointRecords(dev int) []*record {
 	var out []*record
-	rowBytes := 4 * v.csSlots()
-	maxRows := (maxInline - csHeaderBytes) / rowBytes
-	if maxRows < 1 {
-		maxRows = 1
-	}
+	maxRows := v.csRunRows()
 	v.csMu.Lock()
 	for z := 0; z < v.lt.numZones; z++ {
 		if v.checksumDev(z) != dev || v.csHave[z] == nil {
 			continue
 		}
 		gen := v.gen[z]
-		n := int64(v.csSlots())
 		// Emit contiguous covered runs.
 		for s := int64(0); s < int64(len(v.csHave[z])); {
 			if !v.csHave[z][s] {
@@ -167,16 +237,11 @@ func (v *Volume) checksumCheckpointRecords(dev int) []*record {
 				continue
 			}
 			first := s
-			for s < int64(len(v.csHave[z])) && v.csHave[z][s] && s-first < int64(maxRows) {
+			for s < int64(len(v.csHave[z])) && v.csHave[z][s] && s-first < maxRows {
 				s++
 			}
-			crcs := make([]uint32, (s-first)*n)
-			copy(crcs, v.cs[z][first*n:s*n])
-			out = append(out, &record{
-				typ:    recChecksums,
-				gen:    gen,
-				inline: encodeChecksums(z, first, crcs),
-			})
+			rec := v.checksumRecordLocked(make([]byte, v.sectorSize), z, gen, first, s-first)
+			out = append(out, &rec)
 		}
 	}
 	v.csMu.Unlock()

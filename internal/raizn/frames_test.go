@@ -357,11 +357,11 @@ func TestLogRecordBytesMatchReference(t *testing.T) {
 
 	t.Run("logged", func(t *testing.T) {
 		runVol(t, func(c *vclock.Clock, v *Volume, devs []*zns.Device) {
-			mustWriteV(t, v, 0, 20, 0)  // a 17-sector frame
-			mustWriteV(t, v, 20, 6, 0)  // a shorter image in the same frame
-			mustWriteV(t, v, 26, 38, 0) // completes the stripe: checksum record
-			mustWriteV(t, v, 64, 14, 0) // stripe 1
-			mustWriteV(t, v, 78, 6, 0)  // wraps a unit boundary: two regions
+			mustWriteV(t, v, 0, 20, 0)        // a 17-sector frame
+			mustWriteV(t, v, 20, 6, 0)        // a shorter image in the same frame
+			mustWriteV(t, v, 26, 38, zns.FUA) // completes the stripe, durably: checksum record
+			mustWriteV(t, v, 64, 14, 0)       // stripe 1
+			mustWriteV(t, v, 78, 6, 0)        // wraps a unit boundary: two regions
 			check(t, v, devs[v.lt.parityDev(0, 0)], ppRecord(v, 0, 20, 26))
 			check(t, v, devs[v.lt.parityDev(0, 1)], ppRecord(v, 1, 0, 14))
 			check(t, v, devs[v.lt.parityDev(0, 1)], ppRecord(v, 1, 14, 20))

@@ -224,17 +224,8 @@ func (v *Volume) persistZoneLocked(sp *obs.Span, lz *logicalZone, volumeWide boo
 // complete only after every returned sub-IO and after prev, the zone's
 // previous durable write (nil: none in flight).
 func (v *Volume) publishWrite(sp *obs.Span, lz *logicalZone, pending []pendingMD, futs []subIO, flags zns.Flag, result *vclock.Future) ([]subIO, *vclock.Future) {
-	fua := flags&zns.FUA != 0
 	lz.mu.Lock()
-	for i := range pending {
-		if p := &pending[i]; p.end > 0 {
-			lz.led[p.dev].note(p.end, v.led[p.dev].submitted(fua), fua, v.lt.physZoneSize)
-		}
-	}
-	lz.unpublished--
-	if lz.unpublished == 0 {
-		lz.cond.Broadcast()
-	}
+	v.publishLocked(lz, pending, flags&zns.FUA != 0)
 	var prev *vclock.Future
 	if result != nil {
 		// Writes that have submitted but not yet published may still owe
@@ -247,6 +238,21 @@ func (v *Volume) publishWrite(sp *obs.Span, lz *logicalZone, pending []pendingMD
 	}
 	lz.mu.Unlock()
 	return futs, prev
+}
+
+// publishLocked enters the metadata appends issuePendingMD made for
+// pending in lz's ledger and ends the unpublished span of the writer that
+// made them. Caller holds lz.mu.
+func (v *Volume) publishLocked(lz *logicalZone, pending []pendingMD, fua bool) {
+	for i := range pending {
+		if p := &pending[i]; p.end > 0 {
+			lz.led[p.dev].note(p.end, v.led[p.dev].submitted(fua), fua, v.lt.physZoneSize)
+		}
+	}
+	lz.unpublished--
+	if lz.unpublished == 0 {
+		lz.cond.Broadcast()
+	}
 }
 
 // writeDurable finishes a durable write whose sub-IOs and flushes have

@@ -293,10 +293,10 @@ func crashInWindow(t *testing.T, kind mdKind, point string) {
 
 // submitTimed issues one write and fails the test if the submit phase —
 // everything up to SubmitWrite returning its future — took simulated time.
-func submitTimed(t *testing.T, c *vclock.Clock, v *Volume, lba int64, n int) {
+func submitTimed(t *testing.T, c *vclock.Clock, v *Volume, lba int64, n int, flags zns.Flag) {
 	t.Helper()
 	t0 := c.Now()
-	fut := v.SubmitWrite(lba, lbaPattern(v, lba, n), 0)
+	fut := v.SubmitWrite(lba, lbaPattern(v, lba, n), flags)
 	if d := c.Now() - t0; d != 0 {
 		t.Errorf("SubmitWrite(%d) submit phase took %v of simulated time (roll-overs so far: %d)",
 			lba, d, v.Stats().MetadataGCs)
@@ -309,7 +309,7 @@ func submitTimed(t *testing.T, c *vclock.Clock, v *Volume, lba int64, n int) {
 // TestRollOverAddsNoSimulatedTime: a write whose metadata append triggers
 // a roll-over returns from its submit phase at the virtual instant it
 // entered it — for the partial-parity log and for the general log
-// (per-stripe checksum records).
+// (checksum records: a FUA write appends one per stripe it completes).
 func TestRollOverAddsNoSimulatedTime(t *testing.T) {
 	t.Run("parity", func(t *testing.T) {
 		c := vclock.New()
@@ -317,7 +317,7 @@ func TestRollOverAddsNoSimulatedTime(t *testing.T) {
 			r := newMDGCRig(t, c, testDevConfig(), DefaultConfig())
 			for round := 0; round < 6; round++ {
 				for z := 0; z < 3; z++ {
-					submitTimed(t, c, r.v, int64(z)*r.v.ZoneSectors()+r.acked[z], 8)
+					submitTimed(t, c, r.v, int64(z)*r.v.ZoneSectors()+r.acked[z], 8, 0)
 					r.acked[z] += 8
 				}
 			}
@@ -344,7 +344,7 @@ func TestRollOverAddsNoSimulatedTime(t *testing.T) {
 			}
 			stripe := int(v.lt.stripeSectors())
 			for s := 0; s < 8; s++ {
-				submitTimed(t, c, v, int64(s*stripe), stripe)
+				submitTimed(t, c, v, int64(s*stripe), stripe, zns.FUA)
 			}
 			if v.Stats().MetadataGCs == 0 {
 				t.Error("the general log never rolled over")

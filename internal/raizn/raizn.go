@@ -246,10 +246,12 @@ type Volume struct {
 	parityReloc map[int]map[int64]relocEntry // logical zone -> stripe -> relocated parity unit
 
 	// Stripe-unit checksum tables (see checksum.go): per logical zone,
-	// n CRC32-C values per complete stripe plus a per-stripe valid flag.
+	// n CRC32-C values per complete stripe plus a per-stripe valid flag,
+	// and the cursor: the first stripe whose row no log record holds yet.
 	csMu   sync.Mutex
 	cs     [][]uint32
 	csHave [][]bool
+	csNext []int64
 
 	// scrubPos[z] is one past the last stripe the scrubber verified in
 	// zone z this pass epoch (see scrub.go); devErrs holds per-device
@@ -505,6 +507,7 @@ func newVolume(clk *vclock.Clock, devs []*zns.Device, cfg Config) (*Volume, erro
 		pendingWALs: make(map[int]uint64),
 		cs:          make([][]uint32, numZones),
 		csHave:      make([][]bool, numZones),
+		csNext:      make([]int64, numZones),
 		scrubPos:    make([]int64, numZones),
 		devErrs:     make([]deviceErrors, len(devs)),
 		zones:       make([]*logicalZone, numZones),
@@ -781,10 +784,12 @@ func (v *Volume) mdm(i int) *mdManager {
 	return v.loadDevs().md[i]
 }
 
-// Unmount waits for in-flight metadata-zone reclaims and flushes all
-// devices. The volume object must not be used afterwards.
+// Unmount appends every zone's pending checksum run, waits for in-flight
+// metadata-zone reclaims — one of those appends may have rolled a log
+// over — and flushes all devices. The volume object must not be used
+// afterwards.
 func (v *Volume) Unmount() error {
-	var first error
+	first := v.awaitSubIOs(v.persistRuns(nil, nil, 0))
 	for _, m := range v.loadDevs().md {
 		if m == nil {
 			continue

@@ -242,6 +242,8 @@ func (v *Volume) FinishZone(z int) error {
 	}
 	// The sealed zone has no in-progress stripes: all PP state is dead.
 	v.slots.ZoneReset(z)
+	// Its checksum run is appended and flushed with its other metadata.
+	ws.pending = v.takeRun(ws.pending, z, lz.submittedWP, true, nil)
 	for i := range v.devs {
 		if d := v.dev(i); d != nil {
 			ws.futs = append(ws.futs, subIO{dev: i, fut: d.FinishZone(z)})

@@ -275,7 +275,6 @@ func allZero(b []byte) bool {
 // uncovered stripe, in memory and in the metadata log.
 func (v *Volume) adoptChecksums(z int, s int64, gen uint64, crcs []uint32) {
 	v.setStripeChecksums(z, s, crcs)
-	v.stats.checksumRecords.Add(1)
 	m := v.mdm(v.checksumDev(z))
 	if m == nil {
 		return
@@ -286,6 +285,7 @@ func (v *Volume) adoptChecksums(z int, s int64, gen uint64, crcs []uint32) {
 		inline: encodeChecksums(z, s, crcs),
 	}, 0)
 	if err == nil {
+		v.stats.checksumRecords.Add(1)
 		_ = fut.Wait()
 	}
 }

@@ -50,3 +50,41 @@ func TestStatsDegradedAndWA(t *testing.T) {
 		}
 	})
 }
+
+// TestChecksumRecordsCountAppends: raizn_checksum_records_total counts
+// the records appended to a log, not rows computed. A zone whose checksum
+// device has failed appends none; a healthy one appends one per FUA write
+// that completes a stripe and one run per flush.
+func TestChecksumRecordsCountAppends(t *testing.T) {
+	runVol(t, func(c *vclock.Clock, v *Volume, devs []*zns.Device) {
+		stripe := int(v.lt.stripeSectors())
+		if err := v.FailDevice(v.checksumDev(0)); err != nil {
+			t.Fatal(err)
+		}
+		mustWriteV(t, v, 0, stripe, zns.FUA)
+		mustWriteV(t, v, int64(stripe), stripe, zns.FUA)
+		if got := v.Stats().ChecksumRecords; got != 0 {
+			t.Errorf("ChecksumRecords = %d with the checksum device failed, want 0", got)
+		}
+
+		z1 := v.ZoneSectors()
+		if v.checksumDev(1) == v.Degraded() {
+			t.Fatal("zone 1's checksum device is the failed one")
+		}
+		mustWriteV(t, v, z1, stripe, zns.FUA)
+		mustWriteV(t, v, z1+int64(stripe), stripe, zns.FUA)
+		if got := v.Stats().ChecksumRecords; got != 2 {
+			t.Errorf("ChecksumRecords = %d after two FUA stripes, want 2", got)
+		}
+		mustWriteV(t, v, z1+2*int64(stripe), 3*stripe, 0)
+		if got := v.Stats().ChecksumRecords; got != 2 {
+			t.Errorf("ChecksumRecords = %d after non-FUA stripes, want 2 (the run waits)", got)
+		}
+		if err := v.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if got := v.Stats().ChecksumRecords; got != 3 {
+			t.Errorf("ChecksumRecords = %d after the flush, want 3", got)
+		}
+	})
+}
