@@ -22,8 +22,6 @@ func main() {
 	quick := flag.Bool("quick", false, "shrink workloads for a fast smoke run")
 	metrics := flag.String("metrics", "", "write a JSON metrics-registry snapshot per experiment to this path (-all inserts the experiment name before the extension)")
 	flight := flag.String("flight", "", "ride a flight recorder on each experiment's raizn arrays and write the sampled time series (raizn-flight/v1 JSON) to this path (-all inserts the experiment name before the extension)")
-	compare := flag.Bool("compare", false, "compare two bench result files: raizn-bench -compare old.json new.json")
-	threshold := flag.Float64("threshold", 5, "regression threshold in percent for -compare")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile at exit to this file")
 	flag.Parse()
@@ -59,25 +57,6 @@ func main() {
 	}()
 
 	switch {
-	case *compare:
-		args := flag.Args()
-		if len(args) != 2 {
-			fmt.Fprintln(os.Stderr, "usage: raizn-bench -compare [-threshold pct] old.json new.json")
-			os.Exit(2)
-		}
-		old, err := bench.LoadReport(args[0])
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		cur, err := bench.LoadReport(args[1])
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if bench.Compare(os.Stdout, old, cur, *threshold) > 0 {
-			os.Exit(1)
-		}
 	case *list:
 		for _, e := range bench.Experiments() {
 			fmt.Printf("%-8s %s\n", e.Name, e.Title)

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"strings"
 	"time"
 
 	"raizn/internal/blockdev"
@@ -12,14 +13,6 @@ import (
 	"raizn/internal/vclock"
 	"raizn/internal/zns"
 )
-
-func init() {
-	register(Experiment{
-		Name:  "ablate-wal",
-		Title: "Ablation: zone-reset write-ahead log cost (§5.2)",
-		Run:   runAblateWAL,
-	})
-}
 
 // runAblateWAL measures what the §5.2 zone-reset write-ahead log costs
 // per reset ("this introduces additional latency to zone resets"): the
@@ -78,14 +71,6 @@ func runAblateWAL(w io.Writer, quick bool) error {
 	return nil
 }
 
-func init() {
-	register(Experiment{
-		Name:  "ablate-journal",
-		Title: "Ablation: mdraid write-journal cost vs RAIZN's built-in write-hole closure (§2.2/§5.4)",
-		Run:   runAblateJournal,
-	})
-}
-
 // runAblateJournal quantifies why the paper ran mdraid without a journal
 // ("ensuring maximum performance"): with the journal attached every
 // stripe write is first made durable in the log, doubling write traffic;
@@ -93,41 +78,20 @@ func init() {
 // was already paid in Figure 9.
 func runAblateJournal(w io.Writer, quick bool) error {
 	sc := scaleFor(quick)
-	jobs, qd := 8, 64
-	if quick {
-		jobs, qd = 4, 16
-	}
+	jobs, qd := microJobs(quick)
 	t := newTable(w, "config", "seqwrite MiB/s", "randwrite 16K MiB/s")
 	for _, mode := range []string{"mdraid", "mdraid+journal", "raizn"} {
 		clk := vclock.New()
 		var seq, rnd float64
 		clk.Run(func() {
-			var tgt fio.Target
-			switch mode {
-			case "raizn":
-				v, _, err := newRaizn(clk, sc, true, 16)
-				if err != nil {
-					panic(err)
-				}
-				tgt = fio.RaiznTarget{V: v}
-			default:
-				v, _, err := newMdraid(clk, sc, true, 16)
-				if err != nil {
-					panic(err)
-				}
-				if mode == "mdraid+journal" {
-					v.AttachJournal(blockdevNew(clk, sc))
-				}
-				tgt = fio.MdraidTarget{V: v}
+			s := newStack(clk, sc, strings.TrimSuffix(mode, "+journal"), true, 16)
+			if mode == "mdraid+journal" {
+				s.md.AttachJournal(blockdevNew(clk, sc))
 			}
+			tgt := s.tgt
 			size := tgt.NumSectors()
 			per := size / int64(jobs) / 16 * 16
-			var js []fio.Job
-			for j := 0; j < jobs; j++ {
-				js = append(js, fio.Job{Pattern: fio.SeqWrite, BlockSectors: 32, QueueDepth: qd,
-					Offset: int64(j) * per, Size: per, Seed: int64(j)})
-			}
-			seq = fio.Run(clk, tgt, js, fio.Options{}).Throughput
+			seq = fio.Run(clk, tgt, stripedJobs(jobs, per, fio.Job{Pattern: fio.SeqWrite, BlockSectors: 32, QueueDepth: qd}), fio.Options{}).Throughput
 
 			if mode != "raizn" { // random overwrites need a block volume
 				rnd = fio.Run(clk, tgt, []fio.Job{{Pattern: fio.RandWrite, BlockSectors: 4,

@@ -14,19 +14,6 @@ import (
 	"raizn/internal/vclock"
 )
 
-func init() {
-	register(Experiment{
-		Name:  "fig13",
-		Title: "Figure 13: RocksDB-style db_bench workloads on F2FS-style filesystem",
-		Run:   runDBBench,
-	})
-	register(Experiment{
-		Name:  "fig14",
-		Title: "Figure 14: sysbench OLTP on the KV store (MySQL/MyRocks analog)",
-		Run:   runOLTP,
-	})
-}
-
 // appScale returns device geometry for the application benchmarks (data
 // must be stored: the KV store reads it back).
 func appScale(quick bool) scale {
@@ -37,20 +24,11 @@ func appScale(quick bool) scale {
 }
 
 // newAppStack builds fs + db on the requested volume stack.
-func newAppStack(clk *vclock.Clock, sc scale, stack string) (*kvs.DB, error) {
-	var dev lfs.Device
-	if stack == "raizn" {
-		v, _, err := newRaizn(clk, sc, false, 16)
-		if err != nil {
-			return nil, err
-		}
-		dev = fio.RaiznTarget{V: v}
-	} else {
-		v, _, err := newMdraid(clk, sc, false, 16)
-		if err != nil {
-			return nil, err
-		}
-		dev = lfs.NewBlockDevice(fio.MdraidTarget{V: v}, sc.znsZoneCap*4)
+func newAppStack(clk *vclock.Clock, sc scale, kind string) (*kvs.DB, error) {
+	s := newStack(clk, sc, kind, false, 16)
+	var dev lfs.Device = fio.RaiznTarget{V: s.rz}
+	if s.md != nil {
+		dev = lfs.NewBlockDevice(fio.MdraidTarget{V: s.md}, sc.znsZoneCap*4)
 	}
 	fsys, err := lfs.Format(clk, dev)
 	if err != nil {
@@ -89,13 +67,13 @@ func runDBBench(w io.Writer, quick bool) error {
 		t := newTable(w, "workload", "md ops/s", "rz ops/s", "rz/md", "md p99", "rz p99")
 		for _, wl := range []string{"fillseq", "fillrandom", "overwrite", "readwhilewriting"} {
 			var res [2]dbBenchResult
-			for i, stack := range []string{"mdraid", "raizn"} {
+			for i, kind := range []string{"mdraid", "raizn"} {
 				clk := vclock.New()
 				var r dbBenchResult
 				var err error
 				clk.Run(func() {
 					var db *kvs.DB
-					db, err = newAppStack(clk, sc, stack)
+					db, err = newAppStack(clk, sc, kind)
 					if err != nil {
 						return
 					}
@@ -240,12 +218,12 @@ func runOLTP(w io.Writer, quick bool) error {
 		t := newTable(w, "threads", "md TPS", "rz TPS", "rz/md", "md avg", "rz avg", "md p95", "rz p95")
 		for _, th := range threads {
 			var res [2]oltp.Result
-			for i, stack := range []string{"mdraid", "raizn"} {
+			for i, kind := range []string{"mdraid", "raizn"} {
 				clk := vclock.New()
 				var err error
 				clk.Run(func() {
 					var db *kvs.DB
-					db, err = newAppStack(clk, sc, stack)
+					db, err = newAppStack(clk, sc, kind)
 					if err != nil {
 						return
 					}

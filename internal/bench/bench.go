@@ -11,10 +11,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
+	"slices"
 	"time"
 
 	"raizn/internal/blockdev"
+	"raizn/internal/fio"
 	"raizn/internal/mdraid"
 	"raizn/internal/obs"
 	"raizn/internal/obs/flight"
@@ -30,16 +31,29 @@ type Experiment struct {
 	Run   func(w io.Writer, quick bool) error
 }
 
-var registry []Experiment
-
-func register(e Experiment) { registry = append(registry, e) }
-
-// Experiments lists all registered experiments in a stable order.
-func Experiments() []Experiment {
-	out := append([]Experiment(nil), registry...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+// experiments is the registry, sorted by name.
+var experiments = []Experiment{
+	{"ablate-journal", "Ablation: mdraid write-journal cost vs RAIZN's built-in write-hole closure (§2.2/§5.4)", runAblateJournal},
+	{"ablate-wal", "Ablation: zone-reset write-ahead log cost (§5.2)", runAblateWAL},
+	{"fig10", "Figure 10: full-device overwrite time series (on-device GC cliff)", runGCTimeseries},
+	{"fig11", "Figure 11: degraded (single device failed) read performance", runDegraded},
+	{"fig12", "Figure 12: time to repair a replaced device vs valid data", runRebuildTTR},
+	{"fig13", "Figure 13: RocksDB-style db_bench workloads on F2FS-style filesystem", runDBBench},
+	{"fig14", "Figure 14: sysbench OLTP on the KV store (MySQL/MyRocks analog)", runOLTP},
+	{"fig7", "Figure 7: mdraid throughput vs block size across stripe unit sizes",
+		func(w io.Writer, quick bool) error { return runStripeSweep(w, quick, "mdraid") }},
+	{"fig8", "Figure 8: RAIZN throughput vs block size across stripe unit sizes",
+		func(w io.Writer, quick bool) error { return runStripeSweep(w, quick, "raizn") }},
+	{"fig9", "Figure 9: RAIZN vs mdraid throughput, median and p99.9 latency (64 KiB stripe units)", runHeadToHead},
+	{"raw", "§6.1 raw device microbenchmarks (ZNS vs conventional SSD)", runRaw},
+	{"scrub", "background scrub: foreground interference vs rate limit, and rot repair coverage vs mdraid", runScrub},
+	{"serve", "Multi-tenant serving: fairness, weighted shares, open-loop tail latency", runServe},
+	{"table1", "Table 1: location and size of RAIZN metadata (5 devices, 64 KiB SU, 1077 MiB zones)", runTable1},
+	{"waf", "flash write amplification: logged vs zraid parity engines", runWAF},
 }
+
+// Experiments lists all registered experiments, sorted by name.
+func Experiments() []Experiment { return slices.Clone(experiments) }
 
 // Options configures one experiment run.
 type Options struct {
@@ -79,7 +93,7 @@ func Run(name string, w io.Writer, quick bool) error {
 
 // RunOpts executes the named experiment with the given options.
 func RunOpts(name string, w io.Writer, opts Options) error {
-	for _, e := range registry {
+	for _, e := range experiments {
 		if e.Name == name {
 			fmt.Fprintf(w, "=== %s: %s ===\n", e.Name, e.Title)
 			runRegistry = obs.NewRegistry()
@@ -117,8 +131,7 @@ func writeMetricsSnapshot(path string) error {
 	return f.Close()
 }
 
-// FlightSchemaV1 versions -flight output, like SchemaV1 versions bench
-// result files.
+// FlightSchemaV1 versions -flight output.
 const FlightSchemaV1 = "raizn-flight/v1"
 
 // FlightReport is the serialized form of a -flight run: the experiment
@@ -154,7 +167,7 @@ func writeFlightReport(path, exp string, quick bool) error {
 
 func names() []string {
 	var out []string
-	for _, e := range Experiments() {
+	for _, e := range experiments {
 		out = append(out, e.Name)
 	}
 	return out
@@ -248,6 +261,45 @@ func newMdraid(clk *vclock.Clock, sc scale, discard bool, chunk int64) (*mdraid.
 	return v, devs, err
 }
 
+// stack is one array under test: a RAIZN or an mdraid volume.
+type stack struct {
+	tgt    fio.Target
+	rz     *raizn.Volume      // nil on mdraid
+	md     *mdraid.Volume     // nil on RAIZN
+	mdDevs []*blockdev.Device // mdraid's member devices
+}
+
+// newStack builds a fresh array of the named kind, "raizn" or "mdraid",
+// with su-sector stripe units. Like the experiments, it panics on error.
+func newStack(clk *vclock.Clock, sc scale, kind string, discard bool, su int64) stack {
+	if kind == "raizn" {
+		v, _, err := newRaizn(clk, sc, discard, su)
+		if err != nil {
+			panic(err)
+		}
+		return stack{tgt: fio.RaiznTarget{V: v}, rz: v}
+	}
+	v, devs, err := newMdraid(clk, sc, discard, su)
+	if err != nil {
+		panic(err)
+	}
+	return stack{tgt: fio.MdraidTarget{V: v}, md: v, mdDevs: devs}
+}
+
+// stripedJobs clones job n times, clone j at offset j*stride with seed
+// j. A zero Size becomes stride.
+func stripedJobs(n int, stride int64, job fio.Job) []fio.Job {
+	js := make([]fio.Job, n)
+	for j := range js {
+		js[j] = job
+		js[j].Offset, js[j].Seed = int64(j)*stride, int64(j)
+		if job.Size == 0 {
+			js[j].Size = stride
+		}
+	}
+	return js
+}
+
 // table is a tiny fixed-width text table writer.
 type table struct {
 	w      io.Writer
@@ -267,19 +319,17 @@ func newTable(w io.Writer, headers ...string) *table {
 	return t
 }
 
+// row pads each cell to its column's width and always leaves at least
+// one space before the next cell.
 func (t *table) row(cells ...string) {
 	for i, c := range cells {
 		w := 12
 		if i < len(t.widths) {
 			w = t.widths[i]
 		}
-		fmt.Fprintf(t.w, "%-*s", w, c)
+		fmt.Fprintf(t.w, "%-*s ", w-1, c)
 	}
 	fmt.Fprintln(t.w)
-}
-
-func (t *table) rowf(format string, args ...interface{}) {
-	fmt.Fprintf(t.w, format+"\n", args...)
 }
 
 func f1(v float64) string { return fmt.Sprintf("%.1f", v) }

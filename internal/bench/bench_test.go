@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"io"
+	"math"
 	"strings"
 	"testing"
 )
@@ -53,30 +54,33 @@ func TestQuickExperimentsProduceOutput(t *testing.T) {
 	}
 }
 
+// TestRawDeviceCalibration checks the raw-device model against the
+// paper's §6.1 numbers: ZNS within 5 % of 1052 MiB/s write and 3265 MiB/s
+// read, each below the conventional device.
 func TestRawDeviceCalibration(t *testing.T) {
-	// The raw-device model must hit the paper's §6.1 numbers within a
-	// few percent: ZNS ~1052 MiB/s write, ~3265 MiB/s read, slightly
-	// below the conventional device.
-	var buf bytes.Buffer
-	if err := Run("raw", &buf, true); err != nil {
-		t.Fatal(err)
+	z, c := measureRaw(true)
+	near := func(what string, got, paper float64) {
+		if math.Abs(got/paper-1) > 0.05 {
+			t.Errorf("zns %s %.1f MiB/s, want within 5%% of the paper's %.0f", what, got, paper)
+		}
 	}
-	out := buf.String()
-	if !strings.Contains(out, "zns") || !strings.Contains(out, "conventional") {
-		t.Fatalf("unexpected raw report:\n%s", out)
+	near("write", z.write, 1052)
+	near("read", z.read, 3265)
+	if z.write >= c.write || z.read >= c.read {
+		t.Errorf("zns write/read %.1f/%.1f MiB/s, want both below conventional %.1f/%.1f", z.write, z.read, c.write, c.read)
 	}
 }
 
+// TestFig12ShapeTTRScales checks Figure 12's headline property: RAIZN's
+// time to repair grows with fill, mdraid's full resync does not.
 func TestFig12ShapeTTRScales(t *testing.T) {
-	// The headline Figure 12 property: RAIZN's TTR at 100% fill must
-	// exceed its TTR at 25% fill, while mdraid's stays flat.
-	var buf bytes.Buffer
-	if err := Run("fig12", &buf, true); err != nil {
-		t.Fatal(err)
+	sc := scaleFor(true)
+	rz25, md25 := measureTTR(sc, 0.25)
+	rz100, md100 := measureTTR(sc, 1.0)
+	if rz100.ttr <= rz25.ttr {
+		t.Errorf("raizn TTR %v at 100%% fill, want above %v at 25%%", rz100.ttr, rz25.ttr)
 	}
-	// Parsed loosely: the quick table has two rows (25%, 100%).
-	out := buf.String()
-	if !strings.Contains(out, "25%") || !strings.Contains(out, "100%") {
-		t.Fatalf("fig12 report missing fill rows:\n%s", out)
+	if md100.ttr != md25.ttr {
+		t.Errorf("mdraid TTR %v at 100%% fill, want equal to %v at 25%%", md100.ttr, md25.ttr)
 	}
 }

@@ -11,14 +11,6 @@ import (
 	"raizn/internal/vclock"
 )
 
-func init() {
-	register(Experiment{
-		Name:  "fig10",
-		Title: "Figure 10: full-device overwrite time series (on-device GC cliff)",
-		Run:   runGCTimeseries,
-	})
-}
-
 // runGCTimeseries reproduces the paper's two-phase overwrite benchmark:
 // phase 1 fills the array with five concurrent writers on disjoint 20%
 // regions (interleaving their data inside each erase block of the
@@ -43,44 +35,28 @@ func runGCTimeseries(w io.Writer, quick bool) error {
 		dropped    uint64
 	}
 
-	run := func(stack string) phaseStats {
+	run := func(kind string) phaseStats {
 		var ps phaseStats
 		var jrn *obs.Journal
 		clk := vclock.New()
 		clk.Run(func() {
-			var tgt fio.Target
-			if stack == "raizn" {
-				v, _, err := newRaizn(clk, sc, true, 16)
-				if err != nil {
-					panic(err)
-				}
-				tgt = fio.RaiznTarget{V: v}
-			} else {
-				v, devs, err := newMdraid(clk, sc, true, 16)
-				if err != nil {
-					panic(err)
-				}
+			s := newStack(clk, sc, kind, true, 16)
+			tgt := s.tgt
+			if s.md != nil {
 				// Journal the FTLs so the phase-2 table can show the
 				// free-block drain and the device WA climbing as GC
 				// copies valid pages (the cliff's cause, not just its
 				// throughput symptom).
 				jrn = obs.NewJournal(clk, obs.JournalConfig{Capacity: 65536})
 				jrn.Enable()
-				for i, d := range devs {
+				for i, d := range s.mdDevs {
 					d.AttachJournal(jrn, i)
 				}
-				tgt = fio.MdraidTarget{V: v}
 			}
 
 			// Phase 1: five writers on disjoint 20% regions.
-			size := tgt.NumSectors()
-			per := size / 5 / 16 * 16
-			var jobs []fio.Job
-			for j := 0; j < 5; j++ {
-				jobs = append(jobs, fio.Job{Pattern: fio.SeqWrite, BlockSectors: 32, QueueDepth: 16,
-					Offset: int64(j) * per, Size: per, Seed: int64(j)})
-			}
-			res := fio.Run(clk, tgt, jobs, fio.Options{SampleInterval: interval})
+			per := tgt.NumSectors() / 5 / 16 * 16
+			res := fio.Run(clk, tgt, stripedJobs(5, per, fio.Job{Pattern: fio.SeqWrite, BlockSectors: 32, QueueDepth: 16}), fio.Options{SampleInterval: interval})
 			ps.p1 = res.Series
 
 			// Phase 2: one writer overwrites the whole address space.
@@ -97,7 +73,7 @@ func runGCTimeseries(w io.Writer, quick bool) error {
 			if zr, ok := tgt.(fio.ZoneResetter); ok {
 				overwriteZoned(clk, tgt, zr, ps.p2)
 			} else {
-				overwriteFlat(clk, tgt, ps.p2)
+				overwriteRange(clk, tgt, 0, tgt.NumSectors(), ps.p2)
 			}
 			done = true
 		})
@@ -161,34 +137,6 @@ func runGCTimeseries(w io.Writer, quick bool) error {
 		fmt.Fprintf(w, "mdraid FTL at end of run: %d free erase blocks (min across devices), device WA %.2f\n", endFree, endWA)
 	}
 	fmt.Fprintln(w, "paper: mdraid throughput drops up to 93% once FTL GC starts; RAIZN is flat (no on-device GC).")
-
-	if quick {
-		fmt.Fprintf(w, "\nquick run: BENCH_pr5.json not written\n")
-		return nil
-	}
-	rep := &Report{Schema: SchemaV1, Experiment: "fig10"}
-	rep.Cells = []Cell{
-		{Name: "phase2/mdraid", Metrics: map[string]float64{
-			"mean_mib_s":    mdMean,
-			"floor_mib_s":   md.p2min,
-			"ceiling_mib_s": md.p2steady,
-			"drop_pct":      (1 - md.p2min/md.p2steady) * 100,
-		}},
-		{Name: "phase2/raizn", Metrics: map[string]float64{
-			"mean_mib_s":    rzMean,
-			"floor_mib_s":   rz.p2min,
-			"ceiling_mib_s": rz.p2steady,
-			"drop_pct":      (1 - rz.p2min/rz.p2steady) * 100,
-		}},
-		{Name: "ftl/mdraid", Metrics: map[string]float64{
-			"final_free_blocks": float64(endFree),
-			"final_device_wa":   endWA,
-		}},
-	}
-	if err := rep.WriteFile("BENCH_pr5.json"); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "\nwrote BENCH_pr5.json\n")
 	return nil
 }
 
@@ -245,43 +193,20 @@ func (f *ftlSeries) at(t time.Duration) (minFree int64, wa float64, ok bool) {
 // overwriteZoned rewrites the zoned volume zone by zone: reset, then
 // sequential writes.
 func overwriteZoned(clk *vclock.Clock, tgt fio.Target, zr fio.ZoneResetter, series *stats.Series) {
-	const bs = 32
-	buf := make([]byte, bs*tgt.SectorSize())
 	zs := zr.ZoneSectors()
 	for z := 0; z < zr.NumZones(); z++ {
 		if err := zr.ResetZone(z); err != nil {
 			panic(err)
 		}
-		base := int64(z) * zs
-		// Keep a small window of writes outstanding.
-		const window = 8
-		futs := make([]*vclock.Future, 0, window)
-		starts := make([]time.Duration, 0, window)
-		drainOne := func() {
-			futs[0].Wait()
-			series.Observe(int64(len(buf)), clk.Now()-starts[0])
-			futs = futs[1:]
-			starts = starts[1:]
-		}
-		for off := int64(0); off+bs <= zs; off += bs {
-			if len(futs) == window {
-				drainOne()
-			}
-			starts = append(starts, clk.Now())
-			futs = append(futs, tgt.SubmitWrite(base+off, buf))
-		}
-		for len(futs) > 0 {
-			drainOne()
-		}
+		overwriteRange(clk, tgt, int64(z)*zs, zs, series)
 	}
 }
 
-// overwriteFlat overwrites a block volume sequentially in place.
-func overwriteFlat(clk *vclock.Clock, tgt fio.Target, series *stats.Series) {
-	const bs = 32
+// overwriteRange writes [base, base+n) in 32-sector commands, keeping a
+// window of eight outstanding, and records each one in series.
+func overwriteRange(clk *vclock.Clock, tgt fio.Target, base, n int64, series *stats.Series) {
+	const bs, window = 32, 8
 	buf := make([]byte, bs*tgt.SectorSize())
-	size := tgt.NumSectors()
-	const window = 8
 	futs := make([]*vclock.Future, 0, window)
 	starts := make([]time.Duration, 0, window)
 	drainOne := func() {
@@ -290,12 +215,12 @@ func overwriteFlat(clk *vclock.Clock, tgt fio.Target, series *stats.Series) {
 		futs = futs[1:]
 		starts = starts[1:]
 	}
-	for off := int64(0); off+bs <= size; off += bs {
+	for off := int64(0); off+bs <= n; off += bs {
 		if len(futs) == window {
 			drainOne()
 		}
 		starts = append(starts, clk.Now())
-		futs = append(futs, tgt.SubmitWrite(off, buf))
+		futs = append(futs, tgt.SubmitWrite(base+off, buf))
 	}
 	for len(futs) > 0 {
 		drainOne()

@@ -11,29 +11,6 @@ import (
 	"raizn/internal/zns"
 )
 
-func init() {
-	register(Experiment{
-		Name:  "raw",
-		Title: "§6.1 raw device microbenchmarks (ZNS vs conventional SSD)",
-		Run:   runRaw,
-	})
-	register(Experiment{
-		Name:  "fig7",
-		Title: "Figure 7: mdraid throughput vs block size across stripe unit sizes",
-		Run:   func(w io.Writer, quick bool) error { return runStripeSweep(w, quick, false) },
-	})
-	register(Experiment{
-		Name:  "fig8",
-		Title: "Figure 8: RAIZN throughput vs block size across stripe unit sizes",
-		Run:   func(w io.Writer, quick bool) error { return runStripeSweep(w, quick, true) },
-	})
-	register(Experiment{
-		Name:  "fig9",
-		Title: "Figure 9: RAIZN vs mdraid throughput, median and p99.9 latency (64 KiB stripe units)",
-		Run:   runHeadToHead,
-	})
-}
-
 // paper block-size sweep, in sectors (4 KiB each).
 func blockSizes(quick bool) []int64 {
 	if quick {
@@ -50,150 +27,113 @@ func stripeUnits(quick bool) []int64 {
 	return []int64{2, 4, 8, 16, 32}
 }
 
-// runRaw measures a single raw device of each kind, reproducing the §6.1
-// numbers: ZNS 1052 MiB/s write / 3265 MiB/s read, each a few percent
-// below the conventional device.
-func runRaw(w io.Writer, quick bool) error {
+// rawResult is one raw device's §6.1 throughputs, in MiB/s.
+type rawResult struct{ write, read, randread float64 }
+
+// measureRaw measures a single raw device of each kind, reproducing the
+// §6.1 numbers: ZNS 1052 MiB/s write / 3265 MiB/s read, each a few
+// percent below the conventional device.
+func measureRaw(quick bool) (znsDev, conv rawResult) {
 	sc := scaleFor(quick)
-
-	measure := func(tgt fio.Target, clk *vclock.Clock) (wr, rd, rrd float64) {
+	measure := func(clk *vclock.Clock, tgt fio.Target) (r rawResult) {
 		size := tgt.NumSectors()
-		res := fio.Run(clk, tgt, []fio.Job{{Pattern: fio.SeqWrite, BlockSectors: 32, QueueDepth: 32, Size: size}}, fio.Options{})
-		wr = res.Throughput
-		res = fio.Run(clk, tgt, []fio.Job{{Pattern: fio.SeqRead, BlockSectors: 32, QueueDepth: 32, Size: size}}, fio.Options{})
-		rd = res.Throughput
-		res = fio.Run(clk, tgt, []fio.Job{{Pattern: fio.RandRead, BlockSectors: 1, QueueDepth: 64, TotalBytes: size * 4096 / 4}}, fio.Options{})
-		rrd = res.Throughput
-		return
+		r.write = fio.Run(clk, tgt, []fio.Job{{Pattern: fio.SeqWrite, BlockSectors: 32, QueueDepth: 32, Size: size}}, fio.Options{}).Throughput
+		r.read = fio.Run(clk, tgt, []fio.Job{{Pattern: fio.SeqRead, BlockSectors: 32, QueueDepth: 32, Size: size}}, fio.Options{}).Throughput
+		r.randread = fio.Run(clk, tgt, []fio.Job{{Pattern: fio.RandRead, BlockSectors: 1, QueueDepth: 64, TotalBytes: size * 4096 / 4}}, fio.Options{}).Throughput
+		return r
 	}
-
-	var zwr, zrd, zrr, cwr, crd, crr float64
 	clk := vclock.New()
-	clk.Run(func() {
-		d := zns.NewDevice(clk, znsConfig(sc, true))
-		zwr, zrd, zrr = measure(fio.ZNSFlatTarget{D: d}, clk)
-	})
-	clk2 := vclock.New()
-	clk2.Run(func() {
-		d := blockdev.NewDevice(clk2, blockConfig(sc, true))
-		cwr, crd, crr = measure(fio.BlockTarget{D: d}, clk2)
-	})
+	clk.Run(func() { znsDev = measure(clk, fio.ZNSFlatTarget{D: zns.NewDevice(clk, znsConfig(sc, true))}) })
+	clk = vclock.New()
+	clk.Run(func() { conv = measure(clk, fio.BlockTarget{D: blockdev.NewDevice(clk, blockConfig(sc, true))}) })
+	return znsDev, conv
+}
 
+func runRaw(w io.Writer, quick bool) error {
+	z, c := measureRaw(quick)
 	t := newTable(w, "device", "seqwrite MiB/s", "seqread MiB/s", "randread MiB/s")
-	t.row("zns", f1(zwr), f1(zrd), f1(zrr))
-	t.row("conventional", f1(cwr), f1(crd), f1(crr))
+	t.row("zns", f1(z.write), f1(z.read), f1(z.randread))
+	t.row("conventional", f1(c.write), f1(c.read), f1(c.randread))
 	fmt.Fprintf(w, "paper: ZNS write 1052 MiB/s (-2%% vs conv), read 3265 MiB/s (-4%% vs conv)\n")
 	fmt.Fprintf(w, "measured deltas: write %+.1f%%, read %+.1f%%\n",
-		(zwr-cwr)/cwr*100, (zrd-crd)/crd*100)
+		(z.write-c.write)/c.write*100, (z.read-c.read)/c.read*100)
 	return nil
 }
 
-// volumeBench runs the paper's three microbenchmark workloads at one
-// block size against a primed target: sequential read and random read on
-// the primed volume; sequential write on a fresh one (the caller
-// provides fresh targets via mk).
+// volumeResult is the paper's three microbenchmark workloads at one
+// block size: sequential write on a fresh volume, sequential and random
+// read on a primed one.
 type volumeResult struct {
 	write, seqread, randread float64       // MiB/s
 	wp50, wp999, rp50, rp999 time.Duration // write/read latencies
 }
 
-// mkTarget builds a fresh volume (and its clock) for a write trial or the
-// priming pass.
-type mkTarget func() (*vclock.Clock, fio.Target)
-
-func runWorkloads(mk mkTarget, bs int64, quick bool) volumeResult {
-	var out volumeResult
-	jobs := 8
-	qd := 64
+// microJobs is the closed-loop job count and queue depth of the
+// microbenchmarks.
+func microJobs(quick bool) (jobs, qd int) {
 	if quick {
-		jobs, qd = 4, 16
+		return 4, 16
+	}
+	return 8, 64
+}
+
+func runWorkloads(sc scale, kind string, su, bs int64, quick bool) volumeResult {
+	var out volumeResult
+	jobs, qd := microJobs(quick)
+	// fresh builds the array on a new clock; the clock drains the build
+	// before the workload starts.
+	fresh := func() (*vclock.Clock, fio.Target) {
+		clk := vclock.New()
+		var s stack
+		clk.Run(func() { s = newStack(clk, sc, kind, true, su) })
+		return clk, s.tgt
 	}
 
 	// Sequential write on a fresh volume (paper: devices reformatted
 	// before each write trial).
-	clk, tgt := mk()
+	clk, tgt := fresh()
+	per := tgt.NumSectors() / int64(jobs) / bs * bs
 	clk.Run(func() {
-		size := tgt.NumSectors()
-		per := size / int64(jobs)
-		per = per / bs * bs
-		var js []fio.Job
-		for j := 0; j < jobs; j++ {
-			js = append(js, fio.Job{Pattern: fio.SeqWrite, BlockSectors: bs, QueueDepth: qd,
-				Offset: int64(j) * per, Size: per, Seed: int64(j)})
-		}
-		res := fio.Run(clk, tgt, js, fio.Options{})
+		res := fio.Run(clk, tgt, stripedJobs(jobs, per, fio.Job{Pattern: fio.SeqWrite, BlockSectors: bs, QueueDepth: qd}), fio.Options{})
 		out.write = res.Throughput
 		out.wp50 = res.Hist.Percentile(50)
 		out.wp999 = res.Hist.Percentile(99.9)
 	})
 
 	// Prime a fresh volume, then sequential + random read.
-	clk, tgt = mk()
+	clk, tgt = fresh()
 	clk.Run(func() {
-		size := tgt.NumSectors()
-		per := size / int64(jobs)
-		per = per / bs * bs
-		prime := []fio.Job{}
-		for j := 0; j < jobs; j++ {
-			prime = append(prime, fio.Job{Pattern: fio.SeqWrite, BlockSectors: 16, QueueDepth: qd,
-				Offset: int64(j) * per, Size: per, Seed: int64(j)})
-		}
-		fio.Run(clk, tgt, prime, fio.Options{})
-
-		var js []fio.Job
-		for j := 0; j < jobs; j++ {
-			js = append(js, fio.Job{Pattern: fio.SeqRead, BlockSectors: bs, QueueDepth: qd,
-				Offset: int64(j) * per, Size: per, Seed: int64(j)})
-		}
-		res := fio.Run(clk, tgt, js, fio.Options{})
+		fio.Run(clk, tgt, stripedJobs(jobs, per, fio.Job{Pattern: fio.SeqWrite, BlockSectors: 16, QueueDepth: qd}), fio.Options{})
+		res := fio.Run(clk, tgt, stripedJobs(jobs, per, fio.Job{Pattern: fio.SeqRead, BlockSectors: bs, QueueDepth: qd}), fio.Options{})
 		out.seqread = res.Throughput
 		out.rp50 = res.Hist.Percentile(50)
 		out.rp999 = res.Hist.Percentile(99.9)
-
-		randBytes := size * 4096 / 8
-		if quick {
-			randBytes /= 4
-		}
-		res = fio.Run(clk, tgt, []fio.Job{{Pattern: fio.RandRead, BlockSectors: bs, QueueDepth: 256,
-			Size: per * int64(jobs), TotalBytes: randBytes}}, fio.Options{})
-		out.randread = res.Throughput
+		out.randread = fio.Run(clk, tgt, []fio.Job{randReadJob(tgt.NumSectors(), per*int64(jobs), bs, quick)}, fio.Options{}).Throughput
 	})
 	return out
+}
+
+// randReadJob is the microbenchmarks' random read of the first span
+// sectors of a size-sector volume: an eighth of the volume's bytes, a
+// quarter of that under quick.
+func randReadJob(size, span, bs int64, quick bool) fio.Job {
+	total := size * 4096 / 8
+	if quick {
+		total /= 4
+	}
+	return fio.Job{Pattern: fio.RandRead, BlockSectors: bs, QueueDepth: 256, Size: span, TotalBytes: total}
 }
 
 // runStripeSweep reproduces Figures 7 (mdraid) and 8 (RAIZN): throughput
 // of the three workloads across block sizes, one series per stripe unit
 // size.
-func runStripeSweep(w io.Writer, quick bool, useRaizn bool) error {
+func runStripeSweep(w io.Writer, quick bool, kind string) error {
 	sc := scaleFor(quick)
 	for _, su := range stripeUnits(quick) {
 		fmt.Fprintf(w, "\n-- stripe unit %d KiB --\n", su*4)
 		t := newTable(w, "bs", "write MiB/s", "seqread MiB/s", "randread MiB/s")
 		for _, bs := range blockSizes(quick) {
-			mk := func() (*vclock.Clock, fio.Target) {
-				clk := vclock.New()
-				if useRaizn {
-					var tgt fio.Target
-					clk.Run(func() {
-						v, _, err := newRaizn(clk, sc, true, su)
-						if err != nil {
-							panic(err)
-						}
-						tgt = fio.RaiznTarget{V: v}
-					})
-					return clk, tgt
-				}
-				var tgt fio.Target
-				clk.Run(func() {
-					v, _, err := newMdraid(clk, sc, true, su)
-					if err != nil {
-						panic(err)
-					}
-					tgt = fio.MdraidTarget{V: v}
-				})
-				return clk, tgt
-			}
-			r := runWorkloads(mk, bs, quick)
+			r := runWorkloads(sc, kind, su, bs, quick)
 			t.row(kib(bs), f1(r.write), f1(r.seqread), f1(r.randread))
 		}
 	}
@@ -206,31 +146,11 @@ func runHeadToHead(w io.Writer, quick bool) error {
 	sc := scaleFor(quick)
 	const su = 16 // 64 KiB
 
-	for _, stack := range []string{"mdraid", "raizn"} {
-		fmt.Fprintf(w, "\n-- %s (64 KiB stripe units) --\n", stack)
+	for _, kind := range []string{"mdraid", "raizn"} {
+		fmt.Fprintf(w, "\n-- %s (64 KiB stripe units) --\n", kind)
 		t := newTable(w, "bs", "write MiB/s", "seqread MiB/s", "randrd MiB/s", "w p50", "w p99.9", "r p50", "r p99.9")
 		for _, bs := range blockSizes(quick) {
-			mk := func() (*vclock.Clock, fio.Target) {
-				clk := vclock.New()
-				var tgt fio.Target
-				clk.Run(func() {
-					if stack == "raizn" {
-						v, _, err := newRaizn(clk, sc, true, su)
-						if err != nil {
-							panic(err)
-						}
-						tgt = fio.RaiznTarget{V: v}
-					} else {
-						v, _, err := newMdraid(clk, sc, true, su)
-						if err != nil {
-							panic(err)
-						}
-						tgt = fio.MdraidTarget{V: v}
-					}
-				})
-				return clk, tgt
-			}
-			r := runWorkloads(mk, bs, quick)
+			r := runWorkloads(sc, kind, su, bs, quick)
 			t.row(kib(bs), f1(r.write), f1(r.seqread), f1(r.randread),
 				r.wp50.String(), r.wp999.String(), r.rp50.String(), r.rp999.String())
 		}

@@ -12,14 +12,6 @@ import (
 	"raizn/internal/vclock"
 )
 
-func init() {
-	register(Experiment{
-		Name:  "scrub",
-		Title: "background scrub: foreground interference vs rate limit, and rot repair coverage vs mdraid",
-		Run:   runScrub,
-	})
-}
-
 func runScrub(w io.Writer, quick bool) error {
 	if err := runScrubInterference(w, quick); err != nil {
 		return err

@@ -16,14 +16,6 @@ import (
 	"raizn/internal/zns"
 )
 
-func init() {
-	register(Experiment{
-		Name:  "serve",
-		Title: "Multi-tenant serving: fairness, weighted shares, open-loop tail latency",
-		Run:   runServe,
-	})
-}
-
 // serveScale sizes the serving workload. The full run matches the PR's
 // acceptance bar: >= 64 tenants and >= 1000 concurrent client
 // goroutines sharing four RAIZN arrays behind one volume manager.
@@ -150,56 +142,17 @@ func runServe(w io.Writer, quick bool) error {
 	fmt.Fprintf(w, "\nphase 4 — single-tenant engine overhead:\n")
 	fmt.Fprintf(w, "through engine %.1f MiB/s, direct array %.1f MiB/s, overhead %.1f%% (negative = engine coalescing wins)\n",
 		engMiB, dirMiB, (1-engMiB/dirMiB)*100)
-
-	if quick {
-		fmt.Fprintf(w, "\nquick run: BENCH_pr7.json not written\n")
-		return nil
-	}
-	rep := &Report{Schema: SchemaV1, Experiment: "serve"}
-	rep.Cells = []Cell{
-		{Name: fmt.Sprintf("fairness/n=%d", sv.tenants), Metrics: map[string]float64{
-			"jain":      fair.jain,
-			"agg_mib_s": fair.aggMiB,
-			"p50_us":    fair.p50us,
-			"p99_us":    fair.p99us,
-			"p999_us":   fair.p999us,
-		}},
-		{Name: "weighted/2to1", Metrics: map[string]float64{
-			"ratio_x":       ratio,
-			"ratio_err_pct": math.Abs(ratio/2-1) * 100,
-			"agg_mib_s":     wtd.aggMiB,
-		}},
-		{Name: "openloop/zipf-poisson", Metrics: map[string]float64{
-			"agg_mib_s":    open.aggMiB,
-			"shed_pct":     open.shedPct,
-			"jain":         open.jain,
-			"p50_us":       open.p50us,
-			"p99_us":       open.p99us,
-			"p999_us":      open.p999us,
-			"slo_breaches": float64(breach),
-		}},
-		{Name: "overhead/single-tenant", Metrics: map[string]float64{
-			"engine_mib_s": engMiB,
-			"direct_mib_s": dirMiB,
-			"overhead_pct": (1 - engMiB/dirMiB) * 100,
-		}},
-	}
-	if err := rep.WriteFile("BENCH_pr7.json"); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "\nwrote BENCH_pr7.json\n")
 	return nil
 }
 
 // phaseResult carries one phase's steady-state window measurements.
 type phaseResult struct {
-	stats                []volmgr.TenantStats // final snapshot (for percentiles, shed)
-	winB                 []int64              // per-tenant bytes completed inside the window
-	t1, t2               time.Duration        // window bounds (virtual)
-	aggMiB               float64
-	jain                 float64
-	p50us, p99us, p999us float64
-	shedPct              float64
+	stats   []volmgr.TenantStats // final snapshot (for percentiles, shed)
+	winB    []int64              // per-tenant bytes completed inside the window
+	t1, t2  time.Duration        // window bounds (virtual)
+	aggMiB  float64
+	jain    float64
+	shedPct float64
 }
 
 // finish derives the aggregates from the window and final snapshot.
@@ -212,32 +165,11 @@ func (p *phaseResult) finish() {
 	}
 	p.jain = volmgr.JainIndex(xs)
 	p.aggMiB = stats.MiBps(winTotal, p.t2-p.t1)
-	all := stats.NewHistogram()
 	var acc, shed int64
 	for _, t := range p.stats {
 		acc += t.Accepted
 		shed += t.Shed
-		// Merge per-tenant distributions through a sampled re-record:
-		// 32 quantile points per tenant, each replayed in proportion to
-		// the tenant's sample count. Exact merge needs bucket access;
-		// this keeps the aggregate honest without widening the stats API.
-		if n := int64(t.Latency.Count()); n > 0 {
-			rep := n / 32
-			if rep < 1 {
-				rep = 1
-			}
-			for k := 0; k < 32; k++ {
-				q := (float64(k) + 0.5) / 32 * 100
-				lat := t.Latency.Percentile(q)
-				for r := int64(0); r < rep; r++ {
-					all.Record(lat)
-				}
-			}
-		}
 	}
-	p.p50us = us(all.Percentile(50))
-	p.p99us = us(all.Percentile(99))
-	p.p999us = us(all.Percentile(99.9))
 	if acc+shed > 0 {
 		p.shedPct = float64(shed) / float64(acc+shed) * 100
 	}

@@ -9,14 +9,6 @@ import (
 	"raizn/internal/zns"
 )
 
-func init() {
-	register(Experiment{
-		Name:  "table1",
-		Title: "Table 1: location and size of RAIZN metadata (5 devices, 64 KiB SU, 1077 MiB zones)",
-		Run:   runTable1,
-	})
-}
-
 // runTable1 instantiates a volume with the paper's exact geometry (data
 // payloads discarded, so the multi-terabyte address space costs nothing)
 // and prints the metadata footprint beside the paper's figures.

@@ -10,14 +10,6 @@ import (
 	"raizn/internal/zns"
 )
 
-func init() {
-	register(Experiment{
-		Name:  "waf",
-		Title: "flash write amplification: logged vs zraid parity engines",
-		Run:   runWAF,
-	})
-}
-
 // runWAF is the parity-engine shootout: the same two workloads run once
 // per engine on identical device arrays, and the table reports the flash
 // write-amplification factor (NAND bytes programmed / user bytes
@@ -111,29 +103,6 @@ func runWAF(w io.Writer, quick bool) error {
 	if !ok {
 		return fmt.Errorf("waf: zraid flash WAF gap below the 25%% claim threshold")
 	}
-
-	if quick {
-		fmt.Fprintf(w, "\nquick run: BENCH_pr9.json not written\n")
-		return nil
-	}
-	rep := &Report{Schema: SchemaV1, Experiment: "waf"}
-	for _, r := range results {
-		rep.Cells = append(rep.Cells, Cell{
-			Name: r.workload + "/" + r.engine,
-			Metrics: map[string]float64{
-				"flash_waf":          waf(r.flashBytes, r.userBytes),
-				"host_waf":           waf(r.hostBytes, r.userBytes),
-				"user_mib":           float64(r.userBytes) / (1 << 20),
-				"pp_volatile_bytes":  float64(r.st.VolatileBytes),
-				"pp_permanent_bytes": float64(r.st.PermanentBytes),
-				"pp_fallback_total":  float64(r.st.FallbackTotal),
-			},
-		})
-	}
-	if err := rep.WriteFile("BENCH_pr9.json"); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "\nwrote BENCH_pr9.json\n")
 	return nil
 }
 

@@ -180,11 +180,8 @@ type Device struct {
 	unflushed map[int64]struct{} // logical pages written since last flush
 
 	// Fault injection (faults.go).
-	faultRNG         *rand.Rand
-	latentErrs       map[int64]bool // logical sectors with latent read errors
-	injectedReadErrs int64
-	injectedRot      int64
-	readMediumErrs   int64
+	faultRNG   *rand.Rand
+	latentErrs map[int64]bool // logical sectors with latent read errors
 
 	// Lifetime counters.
 	hostWriteBytes int64

@@ -32,10 +32,7 @@ func (d *Device) InjectReadError(sector int64) error {
 	if d.latentErrs == nil {
 		d.latentErrs = make(map[int64]bool)
 	}
-	if !d.latentErrs[sector] {
-		d.latentErrs[sector] = true
-		d.injectedReadErrs++
-	}
+	d.latentErrs[sector] = true
 	return nil
 }
 
@@ -69,7 +66,6 @@ func (d *Device) corruptPageLocked(pp int64) {
 	rng := d.faultRNGLocked()
 	pg := d.pageData(pp)
 	pg[rng.Intn(len(pg))] ^= 1 << uint(rng.Intn(8))
-	d.injectedRot++
 }
 
 // applyBitRotLocked draws rot for one freshly programmed page. Caller
@@ -89,7 +85,6 @@ func (d *Device) applyBitRotLocked(pp int64) {
 func (d *Device) readFaultLocked(sector, nSectors int64) error {
 	for s := sector; s < sector+nSectors; s++ {
 		if d.latentErrs[s] {
-			d.readMediumErrs++
 			return ErrReadMedium
 		}
 	}
@@ -101,19 +96,8 @@ func (d *Device) readFaultLocked(sector, nSectors int64) error {
 				d.latentErrs = make(map[int64]bool)
 			}
 			d.latentErrs[bad] = true
-			d.injectedReadErrs++
-			d.readMediumErrs++
 			return ErrReadMedium
 		}
 	}
 	return nil
-}
-
-// FaultCounters returns lifetime fault-injection counters: sectors
-// marked as latent read errors, pages hit by bit-rot, and reads that
-// completed with ErrReadMedium.
-func (d *Device) FaultCounters() (latentSectors, rottedPages, readMediumErrors int64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.injectedReadErrs, d.injectedRot, d.readMediumErrs
 }

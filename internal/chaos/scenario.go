@@ -187,12 +187,6 @@ func (b *Builder) FailDevice(dev int) *Builder {
 	return b
 }
 
-// ReadError injects a latent read error at the absolute device sector.
-func (b *Builder) ReadError(dev int, sector int64) *Builder {
-	b.s.Ops = append(b.s.Ops, Op{Kind: OpInjectReadError, Dev: dev, Sector: sector})
-	return b
-}
-
 // Corrupt flips a bit of the absolute device sector (silent rot). The
 // logical zone backed by that physical zone has its content checks
 // suspended until a repairing scrub or reset.

@@ -5,8 +5,8 @@ import (
 	"fmt"
 )
 
-// SchemaV1 versions the serialized black box, like raizn-bench/v1
-// versions bench reports. Unmarshal rejects anything else.
+// SchemaV1 versions the serialized black box. Unmarshal rejects
+// anything else.
 const SchemaV1 = "raizn-blackbox/v1"
 
 // TriggerKind classifies what froze the recorder.

@@ -127,17 +127,6 @@ func (a *SLOAlarm) Check() []SLOBreach {
 	return out
 }
 
-// TenantHist returns the running histogram for tenant, or nil if it has
-// never been observed.
-func (a *SLOAlarm) TenantHist(tenant string) *stats.Histogram {
-	if a == nil {
-		return nil
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.tenants[tenant]
-}
-
 // Tenants returns the observed tenant ids in sorted order.
 func (a *SLOAlarm) Tenants() []string {
 	if a == nil {

@@ -114,14 +114,6 @@ func (w *Watchdog) Flagged() (spans []*Span, dropped int) {
 	return append([]*Span(nil), w.flagged...), w.dropped
 }
 
-// Running returns the watchdog's latency histogram for op — the
-// baseline flagged spans were compared against.
-func (w *Watchdog) Running(op Op) *stats.Histogram {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.hists[op]
-}
-
 // Threshold reports the current flagging threshold for op, or false
 // while still warming up.
 func (w *Watchdog) Threshold(op Op) (time.Duration, bool) {

@@ -219,19 +219,6 @@ func WriteZoneLifetimes(w io.Writer, lives []ZoneLife) {
 	}
 }
 
-// FreeBlockTimeline extracts one FTL's free-erase-block count over time
-// from its block-allocation events.
-func FreeBlockTimeline(evs []Event, src int) []DepthPoint {
-	var out []DepthPoint
-	for _, e := range evs {
-		if int(e.Src) != src || e.Type != EvBlockAlloc {
-			continue
-		}
-		out = append(out, DepthPoint{e.T, int(e.A)})
-	}
-	return out
-}
-
 // WACategory is one slice of the raizn physical-write breakdown.
 type WACategory struct {
 	Name  string

@@ -93,15 +93,6 @@ func (m *Monitor) State(i int) HealthState {
 	return m.states[i]
 }
 
-// States returns a snapshot of all device states.
-func (m *Monitor) States() []HealthState {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]HealthState, len(m.states))
-	copy(out, m.states)
-	return out
-}
-
 // Poll evaluates every device's counters once, applying state
 // transitions and firing the auto-fail hook where warranted.
 func (m *Monitor) Poll() {

@@ -117,7 +117,6 @@ type Scrubber struct {
 	lastRefill time.Duration
 
 	passes     int64
-	lastPass   PassStats
 	totals     PassStats
 	scannedAll int64 // bytes read across all passes, including the current one
 }
@@ -196,7 +195,6 @@ func (s *Scrubber) RunPass() (PassStats, error) {
 	stats.Elapsed = s.clk.Now() - start
 	s.mu.Lock()
 	s.passes++
-	s.lastPass = stats
 	s.totals.Stripes += stats.Stripes
 	s.totals.Skipped += stats.Skipped
 	s.totals.Mismatches += stats.Mismatches
@@ -274,13 +272,6 @@ func (s *Scrubber) Passes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.passes
-}
-
-// LastPass returns the most recently completed pass's stats.
-func (s *Scrubber) LastPass() PassStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastPass
 }
 
 // Totals returns stats accumulated over all completed passes.

@@ -5,7 +5,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -165,12 +164,6 @@ func (h *Histogram) Snapshot() *Histogram {
 	c := make([]uint64, len(h.counts))
 	copy(c, h.counts)
 	return &Histogram{counts: c, total: h.total, sum: h.sum, min: h.min, max: h.max}
-}
-
-// Summary renders count/mean/p50/p99/p99.9/max on one line.
-func (h *Histogram) Summary() string {
-	return fmt.Sprintf("n=%d mean=%v p50=%v p99=%v p99.9=%v max=%v",
-		h.Count(), h.Mean(), h.Percentile(50), h.Percentile(99), h.Percentile(99.9), h.Max())
 }
 
 // Counter accumulates bytes and operations for throughput reporting.

@@ -155,12 +155,3 @@ func (d *Device) dropFaultsLocked(z int) {
 		}
 	}
 }
-
-// FaultCounters returns lifetime fault-injection counters: sectors
-// marked as latent read errors, sectors hit by bit-rot, and reads that
-// completed with ErrReadMedium.
-func (d *Device) FaultCounters() (latentSectors, rottedSectors, readMediumErrors int64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.injectedReadErrs, d.injectedRot, d.readMediumErrs
-}
