@@ -33,14 +33,16 @@ import (
 // hold completions to callbacks: a goroutine per device command or per
 // write is at least two allocations each.
 //
-// What is left is the write's result future, the one object the caller
-// keeps: every sub-IO — data and parity commands, partial-parity and
-// checksum appends — completes one of the pooled write state's own
-// futures, re-armed from write to write, through a device command record
-// from the device's free list. Each device command cost three allocations
-// before (its future, the completion closure and the pendingIO the closure
-// held), which made the small rows 7 and the 4-stripe rows 30 and 28; one
-// sub-IO back on an allocated future shows as a row of 2.
+// What is left is the future SubmitWrite allocates for its caller, which
+// SubmitWriteTo takes from the caller instead (TestPooledStateSurvivesGC
+// counts that path's 0): every sub-IO — data and parity commands,
+// partial-parity and checksum appends — completes one of the pooled write
+// state's own futures, re-armed from write to write, through a device
+// command record from the device's free list. Each device command cost
+// three allocations before (its future, the completion closure and the
+// pendingIO the closure held), which made the small rows 7 and the
+// 4-stripe rows 30 and 28; one sub-IO back on an allocated future shows as
+// a row of 2.
 var submitWriteAllocBaseline = []struct {
 	name    string
 	sectors int64
@@ -105,9 +107,10 @@ func TestSubmitWriteAllocGuard(t *testing.T) {
 // before the read join (readJoin) became one allocation and a parked Wait
 // none, and 7, 925 B/op while each device command still allocated its
 // future, closure and pendingIO and the join was not pooled. What is left
-// is the read's result future: the pooled join holds its first four
-// sub-reads' futures inline and the devices complete them through pooled
-// command records.
+// is the future SubmitRead allocates for its caller; through SubmitReadTo,
+// with one caller future re-armed between reads, nothing: the pooled join
+// holds its first four sub-reads' futures inline and the devices complete
+// them through pooled command records.
 func TestSubmitReadNoGoroutineGuard(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not comparable under the race detector")
@@ -115,16 +118,24 @@ func TestSubmitReadNoGoroutineGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping benchmark-backed guard in -short mode")
 	}
-	r := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		BenchmarkVolumeRead64K(b)
-	})
-	const maxAllocs, maxBytes = 1, 256
-	if got := r.AllocsPerOp(); got > maxAllocs {
-		t.Errorf("64 KiB read: %d allocs/op, baseline %d", got, maxAllocs)
-	}
-	if got := r.AllocedBytesPerOp(); got > maxBytes {
-		t.Errorf("64 KiB read: %d B/op, baseline %d", got, maxBytes)
+	for _, c := range []struct {
+		name                string
+		bench               func(*testing.B)
+		maxAllocs, maxBytes int64
+	}{
+		{"SubmitRead", BenchmarkVolumeRead64K, 1, 256},
+		{"SubmitReadTo", BenchmarkVolumeReadTo64K, 0, 144}, // 256 less the 112 B future
+	} {
+		r := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			c.bench(b)
+		})
+		if got := r.AllocsPerOp(); got > c.maxAllocs {
+			t.Errorf("64 KiB read, %s: %d allocs/op, baseline %d", c.name, got, c.maxAllocs)
+		}
+		if got := r.AllocedBytesPerOp(); got > c.maxBytes {
+			t.Errorf("64 KiB read, %s: %d B/op, baseline %d", c.name, got, c.maxBytes)
+		}
 	}
 
 	runVol(t, func(c *vclock.Clock, v *Volume, _ []*zns.Device) {
@@ -147,9 +158,13 @@ func TestSubmitReadNoGoroutineGuard(t *testing.T) {
 // buffer: the parity piece is read straight into the destination — or, in
 // an open stripe, copied there from the stripe buffer's running parity —
 // and the survivors into pooled scratch (read.go submitReconstruct), so a
-// degraded 64 KiB read allocates plumbing only. One per-piece buffer back
+// degraded 64 KiB read allocates no data buffer. One per-piece buffer back
 // on the path would add up to 64 KiB/op (the parent of this guard: 56
-// KB/op).
+// KB/op). Through SubmitReadTo, with one caller future re-armed between
+// reads, it allocates nothing at all: a reconstructed piece completes one
+// of its read join's own futures and fills the join's unit-fill buffer.
+// Each piece allocated its own result future and its unit fills before
+// (2 and 3 allocs/op, 214 and 260 B/op, through SubmitRead).
 func TestDegradedReadAllocGuard(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation sizes are not comparable under the race detector")
@@ -157,7 +172,7 @@ func TestDegradedReadAllocGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping benchmark-backed guard in -short mode")
 	}
-	const maxBytes = 8 << 10
+	const maxAllocs, maxBytes = 0, 8 << 10
 	for _, c := range []struct {
 		name  string
 		bench func(*testing.B)
@@ -165,12 +180,67 @@ func TestDegradedReadAllocGuard(t *testing.T) {
 		{"complete stripes", BenchmarkDegradedRead64K},
 		{"open stripe", BenchmarkDegradedReadOpenStripe64K},
 	} {
-		if got := testing.Benchmark(c.bench).AllocedBytesPerOp(); got > maxBytes {
+		r := testing.Benchmark(c.bench)
+		if got := r.AllocsPerOp(); got > maxAllocs {
+			t.Errorf("degraded 64 KiB read, %s: %d allocs/op, baseline %d", c.name, got, maxAllocs)
+		}
+		if got := r.AllocedBytesPerOp(); got > maxBytes {
 			t.Errorf("degraded 64 KiB read, %s: %d B/op, bound %d — a data buffer is being allocated per reconstructed piece", c.name, got, maxBytes)
 		} else {
-			t.Logf("degraded 64 KiB read, %s: %d B/op", c.name, got)
+			t.Logf("degraded 64 KiB read, %s: %d allocs/op, %d B/op", c.name, r.AllocsPerOp(), got)
 		}
 	}
+}
+
+// TestPooledStateSurvivesGC pins the volume's free lists (freeList): the
+// write state a full-stripe write takes, with its parity image and sub-IO
+// futures, is still there after two garbage collections, so submitting
+// the next such write through SubmitWriteTo, its future made beforehand,
+// allocates nothing. In a sync.Pool, which collections empty, the write
+// state and its 64 KiB image would be made anew. The zone stays open, so
+// the measured write takes the same path as the four before it.
+func TestPooledStateSurvivesGC(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not comparable under the race detector")
+	}
+	c := vclock.New()
+	c.Run(func() {
+		cfg := zns.DefaultConfig()
+		cfg.DiscardData = true
+		devs := make([]*zns.Device, 5)
+		for i := range devs {
+			devs[i] = zns.NewDevice(c, cfg)
+		}
+		v, err := Create(c, devs, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		stripe := make([]byte, v.StripeSectors()*int64(v.SectorSize()))
+		var lba int64
+		for ; lba < 4*v.StripeSectors(); lba += v.StripeSectors() {
+			if err := v.SubmitWriteTo(c.NewFuture(), lba, stripe, 0).Wait(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// A flush empties the devices' unflushed-extent lists and keeps
+		// their room, so the measured write grows none of them either.
+		if err := v.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		runtime.GC()
+		fut := c.NewFuture()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		v.SubmitWriteTo(fut, lba, stripe, 0)
+		runtime.ReadMemStats(&after)
+		if n := after.Mallocs - before.Mallocs; n != 0 {
+			t.Errorf("full-stripe SubmitWriteTo after two collections: %d allocations, want 0", n)
+		}
+		if err := fut.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestRecorderAllocGuard extends the write-path guard to the flight

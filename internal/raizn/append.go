@@ -55,7 +55,7 @@ func (v *Volume) SubmitAppend(zone int, data []byte, flags zns.Flag) (int64, *vc
 	lz.wp = off + nSectors
 	sp := v.tracer.Begin(obs.OpWrite, lba, int64(len(data)))
 	// runWrite unlocks lz.mu; appends share the whole write pipeline.
-	return lba, v.runWrite(sp, lz, off, data, flags)
+	return lba, v.runWrite(sp, lz, off, data, flags, v.clk.NewFuture())
 }
 
 // Append appends data to the logical zone and blocks until completion,

@@ -166,17 +166,17 @@ func (l *layout) intraRegions(start, end int64) (regs [2]intraInterval, n int) {
 // unitFills returns, for a stripe with g data sectors written (0 <= g <=
 // stripeSectors), the fill level of each data unit: units 0..j-1 full,
 // unit j partially filled, the rest empty.
-func (l *layout) unitFills(g int64) []int64 {
-	fills := make([]int64, l.d)
-	for u := 0; u < l.d; u++ {
-		f := g - int64(u)*l.su
-		if f < 0 {
-			f = 0
-		}
-		if f > l.su {
-			f = l.su
-		}
-		fills[u] = f
+func (l *layout) unitFills(g int64) []int64 { return l.unitFillsInto(nil, g) }
+
+// unitFillsInto is unitFills in fills' backing array, which it allocates
+// only when that is shorter than a stripe's data units.
+func (l *layout) unitFillsInto(fills []int64, g int64) []int64 {
+	if cap(fills) < l.d {
+		fills = make([]int64, l.d)
+	}
+	fills = fills[:l.d]
+	for u := range fills {
+		fills[u] = clampI64(g-int64(u)*l.su, 0, l.su)
 	}
 	return fills
 }

@@ -279,13 +279,14 @@ type Volume struct {
 	// entry per device slot.
 	led []devLedger
 
-	// Hot-path object pools: per-write state including plan/parity/CRC
+	// Hot-path free lists: per-write state including plan/parity/CRC
 	// slices and parity image buffers (write.go), SubmitFlush's scratch,
-	// and the survivor scratch of degraded reads and rebuild (read.go).
-	wsPool    sync.Pool
-	flushPool sync.Pool
-	reconPool sync.Pool // *reconScratch
-	readPool  sync.Pool // *readJoin
+	// read joins and the survivor scratch of degraded reads and rebuild
+	// (read.go).
+	wsPool    freeList[writeState]
+	flushPool freeList[flushState]
+	reconPool freeList[reconScratch]
+	readPool  freeList[readJoin]
 
 	reg    *obs.Registry
 	tracer *obs.Tracer
@@ -304,6 +305,36 @@ type Volume struct {
 	// forensic record survives log roll-over. Guarded by v.mu.
 	blackBox    []byte
 	blackBoxGen uint64
+}
+
+// freeList is a mutex-guarded LIFO of reusable objects. Unlike a
+// sync.Pool it is not emptied by a garbage collection and keeps no
+// per-P slot, so how many objects a workload allocates does not depend
+// on the scheduler: it is the most that were ever out at once.
+type freeList[T any] struct {
+	mu    sync.Mutex
+	items []*T
+}
+
+// get returns the object put back last, or nil when the list is empty.
+func (l *freeList[T]) get() *T {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.items)
+	if n == 0 {
+		return nil
+	}
+	x := l.items[n-1]
+	l.items[n-1] = nil
+	l.items = l.items[:n-1]
+	return x
+}
+
+// put returns x to the list.
+func (l *freeList[T]) put(x *T) {
+	l.mu.Lock()
+	l.items = append(l.items, x)
+	l.mu.Unlock()
 }
 
 // devTable is the immutable device-slot snapshot published under v.mu.

@@ -14,18 +14,29 @@ import (
 // reconstruction (degraded read, §4.2); ranges relocated by crash
 // recovery are served from the relocation map (§5.2).
 func (v *Volume) SubmitRead(lba int64, buf []byte) *vclock.Future {
+	return v.SubmitReadTo(nil, lba, buf)
+}
+
+// SubmitReadTo is SubmitRead completing fut, an incomplete future the
+// caller owns (nil: a new one), and returning it; a rejected read
+// completes fut with the error before returning. Once fut has completed,
+// the caller may re-arm it for its next read.
+func (v *Volume) SubmitReadTo(fut *vclock.Future, lba int64, buf []byte) *vclock.Future {
+	if fut == nil {
+		fut = v.clk.NewFuture()
+	}
 	if len(buf) == 0 || len(buf)%v.sectorSize != 0 {
-		return v.clk.Completed(ErrUnaligned)
+		return completed(fut, ErrUnaligned)
 	}
 	nSectors := int64(len(buf) / v.sectorSize)
 	if lba < 0 || lba+nSectors > v.lt.numSectors() {
-		return v.clk.Completed(ErrOutOfRange)
+		return completed(fut, ErrOutOfRange)
 	}
 
 	v.stats.logicalReadBytes.Add(int64(len(buf)))
 	// Root span of the request; nil (and free) while tracing is disabled.
 	sp := v.tracer.Begin(obs.OpRead, lba, int64(len(buf)))
-	r := v.newReadJoin(sp)
+	r := v.newReadJoin(sp, fut)
 	ss := int64(v.sectorSize)
 	pos := lba
 	out := buf
@@ -38,7 +49,7 @@ func (v *Volume) SubmitRead(lba int64, buf []byte) *vclock.Future {
 		}
 		if err := v.readZonePortion(sp, z, pos, out[:n*ss], r); err != nil {
 			sp.End(err)
-			return v.clk.Completed(err)
+			return completed(fut, err)
 		}
 		pos += n
 		out = out[n*ss:]
@@ -51,8 +62,9 @@ func (v *Volume) SubmitRead(lba int64, buf []byte) *vclock.Future {
 // readJoin completes a read — or, with sc set, one reconstructed piece —
 // once its sub-reads have (subJoin): in the completion callback of the last
 // one, unless one failed. Joins are pooled (readPool) and go back before the
-// result completes: a healthy read of up to four device pieces allocates
-// its result future alone.
+// result completes, and a reconstructed piece completes one of its read's
+// own futures: a read of up to four pieces, degraded or not, allocates
+// nothing when its caller supplies the result future (SubmitReadTo).
 type readJoin struct {
 	v *Volume
 	subReads
@@ -60,19 +72,20 @@ type readJoin struct {
 	sp      *obs.Span
 	repair  repairCtx     // the first piece's; later pieces allocate theirs
 	repairs int           // repair contexts handed out
-	dst     []byte        // reconstruction target and
+	fills   []int64       // a reconstruction's unit fills (openParity),
+	dst     []byte        // its target and
 	sc      *reconScratch // survivors, for finishReconstruct
 	result  *vclock.Future
 	join    subJoin
 }
 
-func (v *Volume) newReadJoin(sp *obs.Span) *readJoin {
-	r, _ := v.readPool.Get().(*readJoin)
+func (v *Volume) newReadJoin(sp *obs.Span, result *vclock.Future) *readJoin {
+	r := v.readPool.get()
 	if r == nil {
 		r = &readJoin{v: v}
 		r.futs = r.futBuf[:0]
 	}
-	r.sp, r.result = sp, v.clk.NewFuture()
+	r.sp, r.result = sp, result
 	return r
 }
 
@@ -87,7 +100,7 @@ func (v *Volume) putReadJoin(r *readJoin) {
 	r.futs, r.nOwn = r.futs[:0], 0
 	r.repair, r.repairs = repairCtx{}, 0
 	r.sp, r.dst, r.sc, r.result = nil, nil, nil, nil
-	v.readPool.Put(r)
+	v.readPool.put(r)
 }
 
 // subReads collects a request's device sub-reads. The futures of the first
@@ -99,15 +112,21 @@ type subReads struct {
 	nOwn int // own futures handed out
 }
 
+// next returns the next own future, bound to clk, or nil — the callee
+// allocates — once all four are handed out.
+func (rs *subReads) next(clk *vclock.Clock) *vclock.Future {
+	if rs.nOwn == len(rs.own) {
+		return nil
+	}
+	f := &rs.own[rs.nOwn]
+	rs.nOwn++
+	clk.InitFuture(f)
+	return f
+}
+
 // read issues a read of d (the array's device dev) into out and adds it.
 func (rs *subReads) read(sp *obs.Span, dev int, d *zns.Device, pba int64, out []byte) {
-	var f *vclock.Future
-	if rs.nOwn < len(rs.own) {
-		f = &rs.own[rs.nOwn]
-		rs.nOwn++
-		d.Clock().InitFuture(f)
-	}
-	rs.futs = append(rs.futs, subIO{dev: dev, fut: d.ReadSpan(sp, f, pba, out)})
+	rs.futs = append(rs.futs, subIO{dev: dev, fut: d.ReadSpan(sp, rs.next(d.Clock()), pba, out)})
 }
 
 // newRepair returns a repair context for the next planned piece.
@@ -154,7 +173,7 @@ func (v *Volume) awaitReads(futs []subIO) error {
 			// Latent sector error on a foreground read: reconstruct the
 			// whole piece from parity + surviving units (§4.2 machinery).
 			c := s.repair
-			if rerr := v.degradedReadPiece(nil, c.z, c.s, c.u, c.a, c.b, c.dst, c.wp).Wait(); rerr == nil {
+			if rerr := v.degradedReadPiece(nil, nil, c.z, c.s, c.u, c.a, c.b, c.dst, c.wp).Wait(); rerr == nil {
 				v.stats.readErrorRepairs.Add(1)
 				continue
 			}
@@ -227,7 +246,8 @@ func (v *Volume) readZonePortion(sp *obs.Span, z int, pos int64, out []byte, r *
 func (v *Volume) readPiece(sp *obs.Span, z int, s int64, u int, a, b int64, dst []byte, zoneWP int64, r *readJoin) error {
 	dev := v.lt.dataDev(z, s, u)
 	if v.devForZone(dev, z) == nil {
-		r.futs = append(r.futs, subIO{dev: dev, fut: v.degradedReadPiece(sp, z, s, u, a, b, dst, zoneWP)})
+		fut := v.degradedReadPiece(sp, r.next(v.clk), z, s, u, a, b, dst, zoneWP)
+		r.futs = append(r.futs, subIO{dev: dev, fut: fut})
 		return nil
 	}
 	// Tag the device sub-reads with reconstruction context so a latent
@@ -301,23 +321,26 @@ func overlay(gaps []gap, dst []byte, base, start int64, data []byte, ss int64) [
 }
 
 // degradedReadPiece reconstructs intra offsets [a, b) of the missing data
-// unit u from parity plus the surviving units: the parity of an open
-// stripe is its buffer's, that of a complete one is on media.
-func (v *Volume) degradedReadPiece(sp *obs.Span, z int, s int64, u int, a, b int64, dst []byte, zoneWP int64) *vclock.Future {
+// unit u from parity plus the surviving units, completing fut (nil: a new
+// future): the parity of an open stripe is its buffer's, that of a
+// complete one is on media.
+func (v *Volume) degradedReadPiece(sp *obs.Span, fut *vclock.Future, z int, s int64, u int, a, b int64, dst []byte, zoneWP int64) *vclock.Future {
 	v.stats.degradedReads.Add(1)
-	fills, open := v.openParity(v.zones[z], s, a, b, zoneWP-s*v.lt.stripeSectors(), dst)
-	if fills[u] <= a {
-		// The missing unit was never written here: zeroes.
-		for i := range dst {
-			dst[i] = 0
-		}
-		return v.clk.Completed(nil)
+	if fut == nil {
+		fut = v.clk.NewFuture()
 	}
-
-	r := v.newReadJoin(nil)
-	sc, err := v.submitReconstruct(sp, z, s, u, a, b, fills, dst, open, &r.subReads)
+	r := v.newReadJoin(nil, fut)
+	var open bool
+	r.fills, open = v.openParity(v.zones[z], s, a, b, zoneWP-s*v.lt.stripeSectors(), dst, r.fills)
+	if r.fills[u] <= a {
+		// The missing unit was never written here: zeroes.
+		clear(dst)
+		v.putReadJoin(r)
+		return completed(fut, nil)
+	}
+	sc, err := v.submitReconstruct(sp, z, s, u, a, b, r.fills, dst, open, &r.subReads)
 	if err != nil {
-		return v.clk.Completed(err)
+		return completed(fut, err)
 	}
 	r.dst, r.sc = dst, sc
 	return r.start()
@@ -333,7 +356,7 @@ type reconScratch struct {
 }
 
 func (v *Volume) getReconScratch() *reconScratch {
-	if sc, ok := v.reconPool.Get().(*reconScratch); ok {
+	if sc := v.reconPool.get(); sc != nil {
 		return sc
 	}
 	return new(reconScratch)
@@ -350,10 +373,12 @@ func (v *Volume) scratchPiece(sc *reconScratch, n int64) []byte {
 }
 
 // openParity sizes a reconstruction of intra offsets [a, b) of stripe s,
-// whose fill on media is g (clamped to the stripe). An open stripe's
-// parity is its buffer's running parity: it is copied into dst, and the
-// fills are the buffer's, which that parity covers.
-func (v *Volume) openParity(lz *logicalZone, s, a, b, g int64, dst []byte) (fills []int64, open bool) {
+// whose fill on media is g (clamped to the stripe), returning the unit
+// fills in fills' backing array. An open stripe's parity is its buffer's
+// running parity: it is copied into dst, and the fills are the buffer's,
+// which that parity covers.
+func (v *Volume) openParity(lz *logicalZone, s, a, b, g int64, dst []byte, fills []int64) ([]int64, bool) {
+	open := false
 	lz.mu.Lock()
 	if buf, ok := lz.active[s]; ok {
 		ss := int64(v.sectorSize)
@@ -361,7 +386,7 @@ func (v *Volume) openParity(lz *logicalZone, s, a, b, g int64, dst []byte) (fill
 		g, open = buf.fill, true
 	}
 	lz.mu.Unlock()
-	return v.lt.unitFills(clampI64(g, 0, v.lt.stripeSectors())), open
+	return v.lt.unitFillsInto(fills, clampI64(g, 0, v.lt.stripeSectors())), open
 }
 
 // submitReconstruct issues the device reads that rebuild intra offsets
@@ -400,7 +425,7 @@ func (v *Volume) finishReconstruct(dst []byte, sc *reconScratch, futs []subIO) e
 		parity.ReconstructInto(dst, sc.survivors...)
 	}
 	sc.survivors = sc.survivors[:0]
-	v.reconPool.Put(sc)
+	v.reconPool.put(sc)
 	return err
 }
 
@@ -412,7 +437,7 @@ func (v *Volume) reconstruct(z int, s int64, u int, a, b int64, dst []byte) erro
 	lz.mu.Lock()
 	g := lz.wp - s*v.lt.stripeSectors()
 	lz.mu.Unlock()
-	fills, open := v.openParity(lz, s, a, b, g, dst)
+	fills, open := v.openParity(lz, s, a, b, g, dst, nil)
 	var rs subReads
 	sc, err := v.submitReconstruct(nil, z, s, u, a, b, fills, dst, open, &rs)
 	if err != nil {

@@ -51,20 +51,33 @@ import (
 // enters them in the durability ledger and, for a FUA/Preflush write,
 // issues the flushes the zone still needs (ledger.go).
 func (v *Volume) SubmitWrite(lba int64, data []byte, flags zns.Flag) *vclock.Future {
+	return v.SubmitWriteTo(nil, lba, data, flags)
+}
+
+// SubmitWriteTo is SubmitWrite completing fut, an incomplete future the
+// caller owns (nil: a new one), and returning it; a rejected write
+// completes fut with the error before returning. The caller must never
+// re-arm fut: the durability ledger may keep a durable write's future as
+// its zone's last durable write after it completes (lastDurable), and a
+// later flush or durable write reads its outcome there.
+func (v *Volume) SubmitWriteTo(fut *vclock.Future, lba int64, data []byte, flags zns.Flag) *vclock.Future {
+	if fut == nil {
+		fut = v.clk.NewFuture()
+	}
 	if len(data) == 0 || len(data)%v.sectorSize != 0 {
-		return v.clk.Completed(ErrUnaligned)
+		return completed(fut, ErrUnaligned)
 	}
 	nSectors := int64(len(data) / v.sectorSize)
 	if lba < 0 || lba+nSectors > v.lt.numSectors() {
-		return v.clk.Completed(ErrOutOfRange)
+		return completed(fut, ErrOutOfRange)
 	}
 	z := v.lt.zoneOf(lba)
 	off := lba - v.lt.zoneStart(z)
 	if off+nSectors > v.lt.zoneSectors() {
-		return v.clk.Completed(ErrZoneBoundary)
+		return completed(fut, ErrZoneBoundary)
 	}
 	if v.ReadOnly() {
-		return v.clk.Completed(ErrReadOnly)
+		return completed(fut, ErrReadOnly)
 	}
 	// Crash point before any of the write reaches a device; hooks fire
 	// outside the zone lock.
@@ -81,29 +94,36 @@ func (v *Volume) SubmitWrite(lba int64, data []byte, flags zns.Flag) *vclock.Fut
 	if lz.state == zns.ZoneFull {
 		lz.mu.Unlock()
 		sp.End(ErrZoneFull)
-		return v.clk.Completed(ErrZoneFull)
+		return completed(fut, ErrZoneFull)
 	}
 	if off != lz.wp {
 		lz.mu.Unlock()
 		sp.End(ErrNotSequential)
-		return v.clk.Completed(ErrNotSequential)
+		return completed(fut, ErrNotSequential)
 	}
 	if lz.state == zns.ZoneEmpty || lz.state == zns.ZoneClosed {
 		if err := v.openZoneSlot(lz); err != nil {
 			lz.mu.Unlock()
 			sp.End(err)
-			return v.clk.Completed(err)
+			return completed(fut, err)
 		}
 	}
 	lz.wp = off + nSectors
 	// runWrite unlocks lz.mu.
-	return v.runWrite(sp, lz, off, data, flags)
+	return v.runWrite(sp, lz, off, data, flags, fut)
+}
+
+// completed completes fut with err and returns it.
+func completed(fut *vclock.Future, err error) *vclock.Future {
+	fut.Complete(err)
+	return fut
 }
 
 // runWrite carries a validated, range-claimed write through issue and
-// completion. Caller holds lz.mu (with lz.wp already advanced); runWrite
-// releases it once the write's device sub-IOs are issued.
-func (v *Volume) runWrite(sp *obs.Span, lz *logicalZone, off int64, data []byte, flags zns.Flag) *vclock.Future {
+// completion, which it reports on result. Caller holds lz.mu (with lz.wp
+// already advanced); runWrite releases it once the write's device sub-IOs
+// are issued.
+func (v *Volume) runWrite(sp *obs.Span, lz *logicalZone, off int64, data []byte, flags zns.Flag, result *vclock.Future) *vclock.Future {
 	end := off + int64(len(data))/int64(v.sectorSize)
 	full := end == v.lt.zoneSectors()
 	v.stats.logicalWriteBytes.Add(int64(len(data)))
@@ -127,7 +147,7 @@ func (v *Volume) runWrite(sp *obs.Span, lz *logicalZone, off int64, data []byte,
 		v.readOnly = true
 		v.mu.Unlock()
 		sp.End(err)
-		return v.clk.Completed(err)
+		return completed(result, err)
 	}
 	sp.Mark(obs.PhasePlan)
 	v.computeWrite(ws)
@@ -147,7 +167,6 @@ func (v *Volume) runWrite(sp *obs.Span, lz *logicalZone, off int64, data []byte,
 		ws.futs = v.persistRuns(sp, ws.futs, ws.flags)
 	}
 
-	result := v.clk.NewFuture()
 	var chain, prev *vclock.Future
 	if durable {
 		chain = result
@@ -317,8 +336,7 @@ type writeState struct {
 }
 
 func (v *Volume) getWriteState() *writeState {
-	if x := v.wsPool.Get(); x != nil {
-		ws := x.(*writeState)
+	if ws := v.wsPool.get(); ws != nil {
 		ws.plan = ws.plan[:0]
 		ws.parity = ws.parity[:0]
 		ws.pp = ws.pp[:0]
@@ -357,7 +375,7 @@ func (v *Volume) putWriteState(ws *writeState) {
 		ws.srcs[i] = nil
 	}
 	ws.sp, ws.lz, ws.prev, ws.result = nil, nil, nil, nil
-	v.wsPool.Put(ws)
+	v.wsPool.put(ws)
 }
 
 // subFut returns the future for the write's next sub-IO: one of the
@@ -1086,7 +1104,7 @@ type flushState struct {
 // flushes already in flight (ledger.go).
 func (v *Volume) SubmitFlush() *vclock.Future {
 	sp := v.tracer.Begin(obs.OpFlush, 0, 0)
-	fs, _ := v.flushPool.Get().(*flushState)
+	fs := v.flushPool.get()
 	if fs == nil {
 		fs = &flushState{snaps: make([]int64, v.lt.numZones)}
 	}
@@ -1135,7 +1153,7 @@ func (v *Volume) SubmitFlush() *vclock.Future {
 		clear(fs.futs)
 		clear(fs.prevs)
 		fs.futs, fs.prevs = fs.futs[:0], fs.prevs[:0]
-		v.flushPool.Put(fs)
+		v.flushPool.put(fs)
 		sp.End(err)
 		result.Complete(err)
 	})

@@ -54,8 +54,10 @@ const (
 
 // request is one client IO. sectors is redundant with len(data) but sits
 // on every scheduling decision, so it is computed once. A submitted
-// request's fut points at its own done, so request and future are one
-// allocation.
+// request's fut points at its own done, and a request issued alone hands
+// arr to its array to complete, so request and both futures are one
+// allocation. A request is never reused: the array may keep a durable
+// write's arr after it completes (raizn.Volume.SubmitWriteTo).
 type request struct {
 	tn      *tenant
 	tid     string
@@ -67,6 +69,7 @@ type request struct {
 	submitT time.Duration
 	fut     *vclock.Future
 	done    vclock.Future
+	arr     vclock.Future // the array's completion of a run of one
 
 	// Set at issue, for Notify: the request completes itself when it ran
 	// alone, so a single request needs no closure and no run slice.
@@ -485,13 +488,13 @@ func (e *engine) issueOne(r *request) {
 		return
 	}
 	r.arrayID = ext.arr.id
-	var fut *vclock.Future
+	e.v.clk.InitFuture(&r.arr)
 	if r.kind == opRead {
-		fut = ext.arr.vol.SubmitRead(arrLBA, r.data)
+		ext.arr.vol.SubmitReadTo(&r.arr, arrLBA, r.data)
 	} else {
-		fut = ext.arr.vol.SubmitWrite(arrLBA, r.data, r.flags)
+		ext.arr.vol.SubmitWriteTo(&r.arr, arrLBA, r.data, r.flags)
 	}
-	fut.SubscribeNotifier(r)
+	r.arr.SubscribeNotifier(r)
 }
 
 // completeRun resolves a run's futures, feeds latency and per-array
