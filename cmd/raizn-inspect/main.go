@@ -6,8 +6,9 @@
 // multi-tenant serving stack: a volume's extent map across hosted
 // arrays, the per-tenant QoS table, and the SLO alarm. With -incident it
 // runs the incident-forensics demo: the flight recorder rides a workload
-// whose tail slows one device, the slow-IO watchdog trips, and the
-// frozen black box renders its deterministic incident report.
+// whose tail slows one device, its tail sampler keeps the first slow
+// span and trips, and the frozen black box renders its deterministic
+// incident report.
 package main
 
 import (
@@ -33,10 +34,10 @@ func main() {
 	rot := flag.Int("rot", 0, "seeded single-sector corruptions to inject into filled zones")
 	rotSeed := flag.Int64("rot-seed", 1, "seed for corruption placement")
 	doScrub := flag.Bool("scrub", false, "run one repair scrub pass before dumping")
-	trace := flag.Bool("trace", false, "trace a mixed read/write workload: per-phase breakdown, queue-depth timeline, watchdog-flagged slow IOs")
+	trace := flag.Bool("trace", false, "trace a mixed read/write workload: per-phase breakdown, queue-depth timeline, slow IOs the flight recorder's tail sampler kept")
 	zones := flag.Bool("zones", false, "zone-state observability: heatmap, occupancy timeline, lifetime stats, layered WA report")
 	serve := flag.Bool("serve", false, "multi-tenant serving view: extent map, per-tenant QoS table, SLO alarm breaches")
-	incident := flag.Bool("incident", false, "incident-forensics demo: flight-record a workload, trip the slow-IO watchdog, print the deterministic incident report")
+	incident := flag.Bool("incident", false, "incident-forensics demo: flight-record a workload, freeze on the first span the tail sampler keeps as slow, print the deterministic incident report")
 	slowDev := flag.Int("slow-dev", 2, "device to slow during the traced workload (with -trace/-incident)")
 	slowFactor := flag.Float64("slow-factor", 8, "service-time multiplier applied to -slow-dev (with -trace/-incident)")
 	flag.Parse()
@@ -71,7 +72,7 @@ func main() {
 		for i := range devs {
 			devs[i] = zns.NewDevice(clk, cfg)
 		}
-		tr := obs.NewTracer(clk, obs.Config{Watchdog: obs.WatchdogConfig{MinSamples: 32}})
+		tr := obs.NewTracer(clk, obs.Config{})
 		rcfg.Tracer = tr
 		jrn := obs.NewJournal(clk, obs.JournalConfig{Capacity: 16384})
 		if *zones {
@@ -108,7 +109,7 @@ func main() {
 				fmt.Fprintf(os.Stderr, "trace: -slow-dev %d out of range\n", *slowDev)
 				os.Exit(1)
 			}
-			runTrace(vol, devs, tr, *fillZones, *slowDev, *slowFactor)
+			runTrace(clk, vol, devs, tr, *fillZones, *slowDev, *slowFactor)
 		}
 
 		if *zones {
@@ -230,14 +231,21 @@ func main() {
 	})
 }
 
+// The slow-IO views' tail sampler: a root span is kept when it ran
+// longer than tailMultiple× the running p99 of its op's earlier spans,
+// once tailWarmup of them have completed.
+const (
+	tailMultiple = 3
+	tailWarmup   = 32
+)
+
 // runIncident is the end-to-end forensics demo: the full black-box
 // stack — metrics registry, event journal, enabled tracer, flight
-// recorder — rides a demo array through a mixed workload whose tail
-// slows one device. The slow-IO watchdog flags the stragglers, the
-// first flag freezes the recorder with a slow-io trigger, and the
-// incident report renders to stdout. Everything runs on the virtual
-// clock, so two invocations print byte-identical reports (CI diffs
-// them).
+// recorder — rides a demo array through the mixed workload, whose tail
+// slows one device. The first span the recorder's tail sampler keeps
+// freezes it with a slow-io trigger, and the incident report renders to
+// stdout. Everything runs on the virtual clock, so two invocations print
+// byte-identical reports (CI diffs them).
 func runIncident(clk *vclock.Clock, slowDev int, factor float64) {
 	cfg := zns.DefaultConfig()
 	cfg.NumZones = 12
@@ -254,7 +262,7 @@ func runIncident(clk *vclock.Clock, slowDev int, factor float64) {
 	reg := obs.NewRegistry()
 	jrn := obs.NewJournal(clk, obs.JournalConfig{Capacity: 16384})
 	jrn.Enable()
-	tr := obs.NewTracer(clk, obs.Config{Watchdog: obs.WatchdogConfig{MinSamples: 32}})
+	tr := obs.NewTracer(clk, obs.Config{})
 	tr.Enable()
 	rcfg := raizn.DefaultConfig()
 	rcfg.Metrics = reg
@@ -267,51 +275,28 @@ func runIncident(clk *vclock.Clock, slowDev int, factor float64) {
 	}
 	rec := flight.New(flight.Config{
 		Clock: clk, Registry: reg, Journal: jrn, Label: "demo",
-		Degraded:   func() bool { return vol.Degraded() >= 0 },
-		MinSamples: 32,
+		Degraded: func() bool { return vol.Degraded() >= 0 },
+		Multiple: tailMultiple, MinSamples: tailWarmup,
 	})
 	tr.SetObserver(rec)
 
-	const chunk = 32
-	ops := int(vol.ZoneSectors() / chunk)
-	if ops > 128 {
-		ops = 128
-	}
-	slowAt := ops * 3 / 4
-	wbuf := make([]byte, chunk*vol.SectorSize())
-	rbuf := make([]byte, chunk*vol.SectorSize())
-	rng := rand.New(rand.NewSource(7))
 	var inc *flight.Incident
-	for i := 0; i < ops; i++ {
-		if i == slowAt {
-			devs[slowDev].SetSlowdown(factor)
+	runMixed(vol, devs[slowDev], 0, factor, func(slowAt int) {
+		if inc != nil {
+			return
 		}
-		if err := vol.Write(int64(i)*chunk, wbuf, 0); err != nil {
-			fmt.Fprintln(os.Stderr, "incident write:", err)
-			os.Exit(1)
+		if kept := len(rec.Spans()); kept > 0 {
+			inc = rec.Incident(flight.Trigger{
+				Kind: flight.TrigSlowIO,
+				Detail: fmt.Sprintf("flight recorder kept %d IO(s) over %dx the running p99; dev%d running %.0fx slow since op %d",
+					kept, tailMultiple, slowDev, factor, slowAt),
+				Dev:  slowDev,
+				Zone: -1,
+			})
 		}
-		if i > 0 {
-			off := int64(rng.Intn(i)) * chunk
-			if err := vol.Read(off, rbuf); err != nil {
-				fmt.Fprintln(os.Stderr, "incident read:", err)
-				os.Exit(1)
-			}
-		}
-		if inc == nil {
-			if flagged, _ := tr.Watchdog().Flagged(); len(flagged) > 0 {
-				inc = rec.Incident(flight.Trigger{
-					Kind: flight.TrigSlowIO,
-					Detail: fmt.Sprintf("watchdog flagged %d slow IO(s); dev%d running %.0fx slow since op %d",
-						len(flagged), slowDev, factor, slowAt),
-					Dev:  slowDev,
-					Zone: -1,
-				})
-			}
-		}
-	}
-	devs[slowDev].SetSlowdown(1)
+	})
 	if inc == nil {
-		fmt.Fprintln(os.Stderr, "incident: watchdog never fired; try a higher -slow-factor")
+		fmt.Fprintln(os.Stderr, "incident: no span was kept as slow; try a higher -slow-factor")
 		os.Exit(1)
 	}
 	if err := inc.WriteReport(os.Stdout); err != nil {
@@ -320,11 +305,10 @@ func runIncident(clk *vclock.Clock, slowDev int, factor float64) {
 	}
 }
 
-// runTrace drives a mixed read/write workload with tracing enabled,
-// slows one device three quarters of the way through, and prints the
-// critical-path breakdown, the device queue-depth timeline, and the span
-// trees the slow-IO watchdog flagged.
-func runTrace(vol *raizn.Volume, devs []*zns.Device, tr *obs.Tracer, fillZones, slowDev int, factor float64) {
+// runTrace drives the mixed workload with tracing enabled and a flight
+// recorder attached, and prints the critical-path breakdown, the device
+// queue-depth timeline, and the span trees the recorder kept as slow.
+func runTrace(clk *vclock.Clock, vol *raizn.Volume, devs []*zns.Device, tr *obs.Tracer, fillZones, slowDev int, factor float64) {
 	// Write into a fresh zone past the partial one so the sequential-write
 	// constraint holds whatever -fill/-partial were.
 	zone := fillZones + 1
@@ -332,37 +316,12 @@ func runTrace(vol *raizn.Volume, devs []*zns.Device, tr *obs.Tracer, fillZones, 
 		fmt.Fprintln(os.Stderr, "trace: no free zone left after -fill")
 		os.Exit(1)
 	}
-	const chunk = 32
-	ops := int(vol.ZoneSectors() / chunk)
-	if ops > 128 {
-		ops = 128
-	}
-	slowAt := ops * 3 / 4
-
+	rec := flight.New(flight.Config{Clock: clk, Multiple: tailMultiple, MinSamples: tailWarmup})
+	tr.SetObserver(rec)
 	tr.Enable()
-	defer tr.Disable()
-
-	base := int64(zone) * vol.ZoneSectors()
-	wbuf := make([]byte, chunk*vol.SectorSize())
-	rbuf := make([]byte, chunk*vol.SectorSize())
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < ops; i++ {
-		if i == slowAt {
-			devs[slowDev].SetSlowdown(factor)
-		}
-		if err := vol.Write(base+int64(i)*chunk, wbuf, 0); err != nil {
-			fmt.Fprintln(os.Stderr, "trace write:", err)
-			os.Exit(1)
-		}
-		if i > 0 {
-			off := int64(rng.Intn(i)) * chunk
-			if err := vol.Read(base+off, rbuf); err != nil {
-				fmt.Fprintln(os.Stderr, "trace read:", err)
-				os.Exit(1)
-			}
-		}
-	}
-	devs[slowDev].SetSlowdown(1)
+	ops, slowAt := runMixed(vol, devs[slowDev], int64(zone)*vol.ZoneSectors(), factor, nil)
+	tr.Disable()
+	tr.SetObserver(nil)
 
 	fmt.Printf("=== trace: %d writes + %d reads (32 sectors each) in zone %d; dev%d slowed %.0fx from op %d ===\n",
 		ops, ops-1, zone, slowDev, factor, slowAt)
@@ -374,23 +333,52 @@ func runTrace(vol *raizn.Volume, devs []*zns.Device, tr *obs.Tracer, fillZones, 
 	fmt.Println("\ndevice queue depth:")
 	obs.WriteTimeline(os.Stdout, obs.QueueDepthTimeline(roots), 24)
 
-	flagged, dropped := tr.Watchdog().Flagged()
-	if thr, ok := tr.Watchdog().Threshold(obs.OpWrite); ok {
-		fmt.Printf("\nwatchdog: write threshold %v", thr)
-		if rthr, rok := tr.Watchdog().Threshold(obs.OpRead); rok {
-			fmt.Printf(", read threshold %v", rthr)
-		}
-		fmt.Println()
-	}
-	fmt.Printf("watchdog flagged %d slow IOs (%d more dropped):\n", len(flagged), dropped)
+	kept := rec.Spans()
+	fmt.Printf("\nflight recorder kept %d slow IOs (over %dx the running per-op p99, after %d warm-up spans):\n",
+		len(kept), tailMultiple, tailWarmup)
 	const maxTrees = 3
-	for i, s := range flagged {
+	for i, s := range kept {
 		if i == maxTrees {
-			fmt.Printf("... %d more flagged span trees omitted\n", len(flagged)-maxTrees)
+			fmt.Printf("... %d more kept span trees omitted\n", len(kept)-maxTrees)
 			break
 		}
 		fmt.Println()
 		fmt.Print(obs.FormatSpanTree(s))
 	}
 	fmt.Println()
+}
+
+// runMixed is the workload of -trace and -incident: up to 128 writes of
+// 32 sectors from base, each but the first followed by a read of a
+// random chunk already written (fixed seed), with dev running factor×
+// slower from three quarters of the way through. after, when non-nil,
+// runs after every op.
+func runMixed(vol *raizn.Volume, dev *zns.Device, base int64, factor float64, after func(slowAt int)) (ops, slowAt int) {
+	const chunk = 32
+	ops = int(min(vol.ZoneSectors()/chunk, 128))
+	slowAt = ops * 3 / 4
+	wbuf := make([]byte, chunk*vol.SectorSize())
+	rbuf := make([]byte, chunk*vol.SectorSize())
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < ops; i++ {
+		if i == slowAt {
+			dev.SetSlowdown(factor)
+		}
+		if err := vol.Write(base+int64(i)*chunk, wbuf, 0); err != nil {
+			fmt.Fprintln(os.Stderr, "write:", err)
+			os.Exit(1)
+		}
+		if i > 0 {
+			off := int64(rng.Intn(i)) * chunk
+			if err := vol.Read(base+off, rbuf); err != nil {
+				fmt.Fprintln(os.Stderr, "read:", err)
+				os.Exit(1)
+			}
+		}
+		if after != nil {
+			after(slowAt)
+		}
+	}
+	dev.SetSlowdown(1)
+	return ops, slowAt
 }

@@ -17,9 +17,8 @@ import (
 // The -serve view builds a small multi-tenant serving stack — RAIZN
 // arrays hosted behind a volume manager — drives one deterministic
 // burst, and dumps the serving-side state: the volume's extent map,
-// the per-tenant QoS table, and the SLO alarm, which extends the
-// slow-IO watchdog from "which IO was slow" to "which tenant's tail
-// is out of line".
+// the per-tenant QoS table, and the SLO alarm, which answers "which
+// tenant's tail is out of line" from the tenants' latency histograms.
 const (
 	serveArrays  = 2
 	serveDevs    = 5

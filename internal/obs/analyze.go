@@ -180,7 +180,7 @@ func WriteTimeline(w io.Writer, pts []DepthPoint, buckets int) {
 }
 
 // FormatSpanTree renders a span and its children as an indented tree
-// with times relative to the root's start — the watchdog's dump format.
+// with times relative to the root's start.
 func FormatSpanTree(s *Span) string {
 	var sb strings.Builder
 	writeSpanTree(&sb, s, s.start, 0)

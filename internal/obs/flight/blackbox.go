@@ -13,7 +13,7 @@ const SchemaV1 = "raizn-blackbox/v1"
 type TriggerKind int
 
 const (
-	// TrigSlowIO: the slow-IO watchdog flagged requests far above the
+	// TrigSlowIO: the tail sampler kept requests far above the
 	// running p99.
 	TrigSlowIO TriggerKind = iota
 	// TrigSLOBreach: a tenant's latency SLO alarm fired.
@@ -44,8 +44,8 @@ type Trigger struct {
 	TNs    int64       `json:"t_ns"`
 	Detail string      `json:"detail"`
 	// Dev/Zone are the trigger's own suspect coordinates when it has
-	// them (a watchdog knows the slow device, the oracle knows the
-	// violated zone); -1 when unknown. They seed the suspect ranking.
+	// them (a slow-IO trigger knows the slowed device, the oracle knows
+	// the violated zone); -1 when unknown. They seed the suspect ranking.
 	Dev  int `json:"dev"`
 	Zone int `json:"zone"`
 	// Tenant/Array attribute a volmgr SLO breach.

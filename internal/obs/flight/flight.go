@@ -165,6 +165,13 @@ func (r *Recorder) ObserveSpan(s *obs.Span) {
 	r.mu.Unlock()
 }
 
+// Spans returns the span trees the tail sampler retains, oldest first.
+func (r *Recorder) Spans() []*obs.Span {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]*obs.Span(nil), retainedSpans(r.spans, r.spanPos, r.spanTot)...)
+}
+
 // Poll takes a metric sample if a sample-interval boundary has been
 // crossed since the last one. Owners with phases of no span traffic
 // (bench loops, chaos op boundaries) call it to keep the series moving.

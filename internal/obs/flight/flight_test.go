@@ -89,35 +89,64 @@ func feedSpan(clk *vclock.Clock, tr *obs.Tracer, lba int64, d time.Duration, err
 	sp.End(err)
 }
 
-// TestTailSamplingKeepsOutliersOnly checks the three keep conditions:
-// uniform-latency spans are never retained, erred spans always are, and
-// post-warmup latency outliers are.
+// TestTailSamplingKeepsOutliersOnly checks the keep conditions: no span
+// is judged slow before MinSamples spans of its op have completed, however
+// far each outruns the ones before it; after that a span is kept only
+// above Multiple× the rolling p99 of its op; an erred span is always
+// kept; and a detached recorder judges nothing.
 func TestTailSamplingKeepsOutliersOnly(t *testing.T) {
 	clk := vclock.New()
 	clk.Run(func() {
 		tr := obs.NewTracer(clk, obs.Config{SinkCapacity: 4})
 		tr.Enable()
-		rec := New(Config{Clock: clk, MinSamples: 8})
+		rec := New(Config{Clock: clk, Multiple: 3, MinSamples: 8})
 		tr.SetObserver(rec)
+		read := func(lba int64, d time.Duration) {
+			sp := tr.Begin(obs.OpRead, lba, 4096)
+			clk.Sleep(d)
+			sp.End(nil)
+		}
+
+		// Warm-up: each read is 4x the slowest before it, so a p99 over
+		// the few samples seen so far would keep every one of them.
+		d := time.Millisecond
+		for i := 0; i < 8; i++ {
+			read(int64(i), d)
+			d *= 4
+		}
+		if n := len(rec.Spans()); n != 0 {
+			t.Fatalf("warm-up retained %d spans, want 0", n)
+		}
+		read(8, d) // the first judged read, 4x the p99 of the eight before
+		if kept := rec.Spans(); len(kept) != 1 || kept[0].LBA != 8 {
+			t.Fatalf("retained %d spans after warm-up, want the read at LBA 8", len(kept))
+		}
 
 		for i := 0; i < 20; i++ {
 			feedSpan(clk, tr, int64(i), time.Millisecond, nil)
 		}
-		if n := len(rec.Snapshot().Spans); n != 0 {
-			t.Fatalf("uniform latencies retained %d spans, want 0", n)
+		feedSpan(clk, tr, 99, 2*time.Millisecond, nil) // above the p99, under 3x it
+		if n := len(rec.Snapshot().Spans); n != 1 {
+			t.Fatalf("uniform and sub-Multiple latencies retained %d more spans, want 0", n-1)
 		}
 
 		feedSpan(clk, tr, 100, time.Millisecond, errSpanFailed)
-		feedSpan(clk, tr, 101, 10*time.Millisecond, nil) // >> rolling p99
+		feedSpan(clk, tr, 101, 10*time.Millisecond, nil) // >> 3x the rolling p99
 		box := rec.Snapshot()
-		if len(box.Spans) != 2 {
-			t.Fatalf("retained %d spans, want erred + outlier", len(box.Spans))
+		if len(box.Spans) != 3 {
+			t.Fatalf("retained %d spans, want warm-up boundary + erred + outlier", len(box.Spans))
 		}
-		if box.Spans[0].Err == "" {
-			t.Error("first retained span should carry the error")
+		if box.Spans[1].Err == "" {
+			t.Error("second retained span should carry the error")
 		}
-		if box.Spans[1].LBA != 101 {
-			t.Errorf("second retained span LBA = %d, want the outlier 101", box.Spans[1].LBA)
+		if box.Spans[2].LBA != 101 {
+			t.Errorf("third retained span LBA = %d, want the outlier 101", box.Spans[2].LBA)
+		}
+
+		tr.SetObserver(nil)
+		feedSpan(clk, tr, 102, time.Hour, errSpanFailed)
+		if n := len(rec.Spans()); n != 3 {
+			t.Fatalf("detached recorder retained %d spans, want still 3", n)
 		}
 	})
 }

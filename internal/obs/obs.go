@@ -1,8 +1,9 @@
 // Package obs is the end-to-end IO observability subsystem: per-request
 // tracing spans timestamped on the virtual clock, a named metrics
 // registry the device models and the RAIZN layer register into, JSON and
-// Prometheus-text exporters, critical-path analysis, and a slow-IO
-// watchdog that flags requests far above the running p99.
+// Prometheus-text exporters and critical-path analysis. Judging which
+// requests were slow is the flight recorder's tail sampler
+// (internal/obs/flight), attached as the tracer's SpanObserver.
 //
 // Tracing is strictly zero-cost when disabled: Tracer.Begin returns a
 // nil *Span while the atomic enable flag is off, and every Span method
@@ -108,8 +109,8 @@ type Span struct {
 	children []*Span
 }
 
-// Tracer owns the enable flag, the bounded trace sink, and the
-// watchdog. The sink is sharded — spans hash to one of sinkShards
+// Tracer owns the enable flag, the bounded trace sink, and the span
+// observer. The sink is sharded — spans hash to one of sinkShards
 // fixed-size rings, each with its own mutex — which approximates a
 // per-goroutine ring buffer: concurrent submitters almost always land
 // on different shards, so recording a finished root span is one
@@ -119,13 +120,12 @@ type Tracer struct {
 	enabled  atomic.Bool
 	nextID   atomic.Uint64
 	shards   [sinkShards]sinkShard
-	wd       *Watchdog
 	observer atomic.Pointer[SpanObserver]
 }
 
-// SpanObserver receives every finished root span, after the sink and the
-// watchdog have seen it. Observers run on the completing goroutine and
-// must not block; the flight recorder's tail sampler is the canonical
+// SpanObserver receives every finished root span, after the sink has
+// stored it. Observers run on the completing goroutine and must not
+// block; the flight recorder's tail sampler is the canonical
 // implementation. The observer is only consulted when tracing is
 // enabled — a disabled tracer never produces root spans, so an attached
 // observer costs nothing on that path.
@@ -146,7 +146,6 @@ type Config struct {
 	// SinkCapacity bounds the number of retained root spans across all
 	// shards. Default 4096. Oldest spans are overwritten.
 	SinkCapacity int
-	Watchdog     WatchdogConfig
 }
 
 // NewTracer returns a disabled tracer bound to the virtual clock.
@@ -155,7 +154,7 @@ func NewTracer(clk *vclock.Clock, cfg Config) *Tracer {
 		cfg.SinkCapacity = 4096
 	}
 	per := (cfg.SinkCapacity + sinkShards - 1) / sinkShards
-	t := &Tracer{clk: clk, wd: newWatchdog(cfg.Watchdog)}
+	t := &Tracer{clk: clk}
 	for i := range t.shards {
 		t.shards[i].ring = make([]*Span, per)
 	}
@@ -170,9 +169,6 @@ func (t *Tracer) Disable() { t.enabled.Store(false) }
 
 // Enabled reports the atomic enable flag.
 func (t *Tracer) Enabled() bool { return t != nil && t.enabled.Load() }
-
-// Watchdog returns the tracer's slow-IO watchdog.
-func (t *Tracer) Watchdog() *Watchdog { return t.wd }
 
 // SetObserver attaches o as the tracer's span observer (nil detaches).
 // At most one observer is active; the last call wins.
@@ -207,7 +203,6 @@ func (t *Tracer) record(s *Span) {
 	sh.ring[sh.pos] = s
 	sh.pos = (sh.pos + 1) % len(sh.ring)
 	sh.mu.Unlock()
-	t.wd.observe(s)
 	if ob := t.observer.Load(); ob != nil {
 		(*ob).ObserveSpan(s)
 	}
@@ -233,7 +228,7 @@ func (t *Tracer) Snapshot() []*Span {
 	return out
 }
 
-// Reset drops all retained spans (watchdog state is kept).
+// Reset drops all retained spans.
 func (t *Tracer) Reset() {
 	if t == nil {
 		return
@@ -315,7 +310,7 @@ func (s *Span) End(err error) {
 }
 
 // EndAt completes the span at virtual time t. Ending a root span hands
-// it to the sink and the watchdog; double-End is idempotent.
+// it to the sink and the span observer; double-End is idempotent.
 func (s *Span) EndAt(t time.Duration, err error) {
 	if s == nil {
 		return

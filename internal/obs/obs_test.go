@@ -145,67 +145,6 @@ func TestDoubleEndIdempotent(t *testing.T) {
 	})
 }
 
-func TestWatchdogFlagsOutliers(t *testing.T) {
-	clk := vclock.New()
-	clk.Run(func() {
-		tr := NewTracer(clk, Config{Watchdog: WatchdogConfig{Multiple: 3, MinSamples: 10, MaxFlagged: 4}})
-		tr.Enable()
-		wd := tr.Watchdog()
-		end := func(d time.Duration) {
-			sp := tr.Begin(OpWrite, 0, 4096)
-			sp.EndAt(clk.Now()+d, nil)
-		}
-		for i := 0; i < 50; i++ {
-			end(time.Millisecond)
-		}
-		if flagged, _ := wd.Flagged(); len(flagged) != 0 {
-			t.Fatalf("uniform latency flagged %d spans", len(flagged))
-		}
-		th, ok := wd.Threshold(OpWrite)
-		if !ok || th < time.Millisecond {
-			t.Fatalf("threshold = %v, %v", th, ok)
-		}
-		end(100 * time.Millisecond)
-		flagged, dropped := wd.Flagged()
-		if len(flagged) != 1 || dropped != 0 {
-			t.Fatalf("flagged=%d dropped=%d, want 1/0", len(flagged), dropped)
-		}
-		if flagged[0].Duration() != 100*time.Millisecond {
-			t.Fatalf("flagged wrong span: %v", flagged[0].Duration())
-		}
-		// The flagged list is bounded; overflow counts as dropped. Each
-		// outlier must outrun the p99 the previous one dragged up, so
-		// escalate geometrically.
-		for i := 0; i < 10; i++ {
-			end(time.Second << uint(2*i))
-		}
-		flagged, dropped = wd.Flagged()
-		if len(flagged) != 4 || dropped == 0 {
-			t.Fatalf("flagged=%d dropped=%d, want 4/>0", len(flagged), dropped)
-		}
-	})
-}
-
-func TestWatchdogWarmup(t *testing.T) {
-	clk := vclock.New()
-	clk.Run(func() {
-		tr := NewTracer(clk, Config{Watchdog: WatchdogConfig{MinSamples: 64}})
-		tr.Enable()
-		// Slow spans during warmup must not be flagged: a two-sample p99
-		// would flag nearly everything.
-		for i := 0; i < 63; i++ {
-			sp := tr.Begin(OpRead, 0, 0)
-			sp.EndAt(clk.Now()+time.Duration(1+i%7)*time.Millisecond, nil)
-		}
-		if flagged, _ := tr.Watchdog().Flagged(); len(flagged) != 0 {
-			t.Fatalf("warmup flagged %d spans", len(flagged))
-		}
-		if _, ok := tr.Watchdog().Threshold(OpRead); ok {
-			t.Fatal("threshold available before MinSamples")
-		}
-	})
-}
-
 func TestRegistryMetrics(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("raizn_writes_total")
@@ -397,57 +336,6 @@ func BenchmarkEnabledTracing(b *testing.B) {
 			c.SetSegs(1)
 			c.EndAt(0, nil)
 			sp.End(nil)
-		}
-	})
-}
-
-// TestWatchdogWindowBudget: under a sustained breach the watchdog keeps
-// at most MaxPerWindow span trees per virtual-time window, counts the
-// rest as dropped, and mirrors the drop count into a bound gauge; a new
-// window reopens the budget.
-func TestWatchdogWindowBudget(t *testing.T) {
-	clk := vclock.New()
-	clk.Run(func() {
-		tr := NewTracer(clk, Config{Watchdog: WatchdogConfig{
-			Multiple: 3, MinSamples: 8, MaxFlagged: 64,
-			Window: 10 * time.Millisecond, MaxPerWindow: 2,
-		}})
-		tr.Enable()
-		wd := tr.Watchdog()
-		g := &Gauge{}
-		wd.BindDropGauge(g)
-		end := func(d time.Duration) {
-			sp := tr.Begin(OpWrite, 0, 4096)
-			sp.EndAt(clk.Now()+d, nil)
-		}
-		for i := 0; i < 20; i++ {
-			end(time.Microsecond) // warm the p99 near zero
-		}
-		// Sustained breach inside one 10ms window. Each outlier raises
-		// the rolling p99 it contributes to, so later ones escalate past
-		// 3x the previous to keep breaching; all end before t=10ms.
-		for _, d := range []time.Duration{
-			100 * time.Microsecond, 400 * time.Microsecond,
-			1300 * time.Microsecond, 4 * time.Millisecond,
-		} {
-			end(d)
-		}
-		flagged, dropped := wd.Flagged()
-		if len(flagged) != 2 {
-			t.Fatalf("window retained %d spans, want MaxPerWindow=2", len(flagged))
-		}
-		if dropped != 2 {
-			t.Fatalf("dropped = %d, want 2", dropped)
-		}
-		if g.Load() != 2 {
-			t.Fatalf("drop gauge = %d, want 2", g.Load())
-		}
-		// Advance into the next window: the budget reopens.
-		clk.Sleep(20 * time.Millisecond)
-		end(15 * time.Millisecond)
-		flagged, dropped = wd.Flagged()
-		if len(flagged) != 3 || dropped != 2 {
-			t.Fatalf("after window roll: flagged=%d dropped=%d, want 3/2", len(flagged), dropped)
 		}
 	})
 }

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"sort"
-	"sync"
 	"time"
 
 	"raizn/internal/stats"
@@ -22,20 +21,16 @@ type SLOConfig struct {
 	MinSamples uint64
 }
 
-// SLOAlarm is the slow-IO watchdog generalized to a tenant population:
-// where the Watchdog flags individual requests far above the running
-// p99, the alarm keeps a running latency histogram per tenant plus one
-// across all tenants, and reports the tenants whose p99 sits above
-// Factor× the reference — the "which tenant is being starved or is
-// dragging the fleet" question a multi-tenant front end has to answer
-// continuously. Observe is safe for concurrent use; evaluation happens
-// on demand in Check so the hot path pays one histogram insert.
+// SLOAlarm reports the tenants whose running p99 sits above Factor× a
+// reference — the "which tenant is being starved or is dragging the
+// fleet" question a multi-tenant front end has to answer continuously.
+// It keeps no latencies of its own: Check and Bar read the per-tenant
+// histograms its owner already records (volmgr's volmgr_request_latency),
+// and the fleet reference is their union. Evaluation happens on demand,
+// so the request path pays nothing for the alarm.
 type SLOAlarm struct {
-	cfg SLOConfig
-
-	mu      sync.Mutex
-	global  *stats.Histogram
-	tenants map[string]*stats.Histogram
+	cfg     SLOConfig
+	tenants func() map[string]*stats.Histogram
 }
 
 // SLOBreach reports one tenant over its objective at Check time.
@@ -46,49 +41,38 @@ type SLOBreach struct {
 	Samples uint64
 }
 
-// NewSLOAlarm returns an empty alarm.
-func NewSLOAlarm(cfg SLOConfig) *SLOAlarm {
+// NewSLOAlarm returns an alarm over the histograms tenants returns,
+// keyed by tenant id. tenants is called once per Check or Bar and must
+// be safe to call concurrently with the recording of new latencies.
+func NewSLOAlarm(cfg SLOConfig, tenants func() map[string]*stats.Histogram) *SLOAlarm {
 	if cfg.Factor <= 0 {
 		cfg.Factor = 3
 	}
 	if cfg.MinSamples == 0 {
 		cfg.MinSamples = 64
 	}
-	return &SLOAlarm{
-		cfg:     cfg,
-		global:  stats.NewHistogram(),
-		tenants: make(map[string]*stats.Histogram),
-	}
-}
-
-// Observe feeds one completed-request latency for tenant. Nil-safe so
-// callers can thread an optional alarm unconditionally.
-func (a *SLOAlarm) Observe(tenant string, lat time.Duration) {
-	if a == nil {
-		return
-	}
-	a.mu.Lock()
-	h, ok := a.tenants[tenant]
-	if !ok {
-		h = stats.NewHistogram()
-		a.tenants[tenant] = h
-	}
-	a.mu.Unlock()
-	h.Record(lat)
-	a.global.Record(lat)
+	return &SLOAlarm{cfg: cfg, tenants: tenants}
 }
 
 // Bar returns the current breach threshold: Factor × TargetP99 when an
 // absolute objective is configured, else Factor × the running p99 across
 // every tenant. ok is false while the reference is still warming up.
 func (a *SLOAlarm) Bar() (bar time.Duration, ok bool) {
+	return a.bar(a.tenants())
+}
+
+func (a *SLOAlarm) bar(hists map[string]*stats.Histogram) (time.Duration, bool) {
 	if a.cfg.TargetP99 > 0 {
 		return time.Duration(a.cfg.Factor * float64(a.cfg.TargetP99)), true
 	}
-	if a.global.Count() < a.cfg.MinSamples {
+	fleet := stats.NewHistogram()
+	for _, h := range hists {
+		fleet.Merge(h)
+	}
+	if fleet.Count() < a.cfg.MinSamples {
 		return 0, false
 	}
-	return time.Duration(a.cfg.Factor * float64(a.global.Percentile(99))), true
+	return time.Duration(a.cfg.Factor * float64(fleet.Percentile(99))), true
 }
 
 // Check evaluates every tenant against the current bar and returns the
@@ -98,16 +82,11 @@ func (a *SLOAlarm) Check() []SLOBreach {
 	if a == nil {
 		return nil
 	}
-	bar, ok := a.Bar()
+	hists := a.tenants()
+	bar, ok := a.bar(hists)
 	if !ok {
 		return nil
 	}
-	a.mu.Lock()
-	hists := make(map[string]*stats.Histogram, len(a.tenants))
-	for t, h := range a.tenants {
-		hists[t] = h
-	}
-	a.mu.Unlock()
 	var out []SLOBreach
 	for t, h := range hists {
 		n := h.Count()
@@ -124,20 +103,5 @@ func (a *SLOAlarm) Check() []SLOBreach {
 		}
 		return out[i].Tenant < out[j].Tenant
 	})
-	return out
-}
-
-// Tenants returns the observed tenant ids in sorted order.
-func (a *SLOAlarm) Tenants() []string {
-	if a == nil {
-		return nil
-	}
-	a.mu.Lock()
-	out := make([]string, 0, len(a.tenants))
-	for t := range a.tenants {
-		out = append(out, t)
-	}
-	a.mu.Unlock()
-	sort.Strings(out)
 	return out
 }

@@ -60,9 +60,6 @@ type Config struct {
 	// MaxOpenZones bounds simultaneously open logical zones. Zero means
 	// the device limit minus the reserved metadata zones.
 	MaxOpenZones int
-	// ArrayID identifies the array in superblocks; zero picks a value
-	// derived from the geometry.
-	ArrayID uint64
 	// ParityEngine selects how partial parity is persisted (see
 	// internal/ppengine): EngineLogged (default) appends it to the
 	// metadata zones as log records (§5.1); EngineZRAID overwrites it in
@@ -494,10 +491,9 @@ func newVolume(clk *vclock.Clock, devs []*zns.Device, cfg Config) (*Volume, erro
 	if dc.ZoneCap < int64(maxOpen+2)*(cfg.StripeUnitSectors+1) {
 		return nil, errors.New("raizn: zone capacity too small for metadata checkpoints; increase zone capacity or reduce MaxOpenZones")
 	}
-	arrayID := cfg.ArrayID
-	if arrayID == 0 {
-		arrayID = uint64(lt.n)<<32 ^ uint64(lt.su)<<16 ^ uint64(lt.numZones)
-	}
+	// The array id written into every superblock is derived from the
+	// geometry; mount checks that all devices' superblocks agree on it.
+	arrayID := uint64(lt.n)<<32 ^ uint64(lt.su)<<16 ^ uint64(lt.numZones)
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -567,13 +563,6 @@ func newVolume(clk *vclock.Clock, devs []*zns.Device, cfg Config) (*Volume, erro
 		defer v.mu.Unlock()
 		return int64(v.openCount)
 	})
-	if cfg.Tracer != nil {
-		// Satellite of the flight recorder: the watchdog's per-window
-		// span-dump cap surfaces its drop count through the registry.
-		reg.Help("raizn_obs_dropped_spans", "slow-IO watchdog span trees dropped by the per-window and overall retention caps")
-		cfg.Tracer.Watchdog().BindDropGauge(
-			reg.Gauge(obs.LabeledName("raizn_obs_dropped_spans", "array", cfg.MetricsLabel)))
-	}
 	for z := range v.zones {
 		v.zones[z] = v.newLogicalZone(z)
 	}

@@ -144,6 +144,21 @@ func (h *Histogram) clampLocked(v time.Duration) time.Duration {
 	return v
 }
 
+// Merge adds o's observations to h: afterwards h's count, min, max and
+// percentiles are those of one histogram that recorded both sets.
+func (h *Histogram) Merge(o *Histogram) {
+	o = o.Snapshot() // never hold two histograms' locks at once
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for i, c := range o.counts {
+		h.counts[i] += c
+	}
+	h.total += o.total
+	h.sum += o.sum
+	h.min = min(h.min, o.min)
+	h.max = max(h.max, o.max)
+}
+
 // Reset discards all observations.
 func (h *Histogram) Reset() {
 	h.mu.Lock()

@@ -131,6 +131,35 @@ func TestHistogramSnapshotIsolation(t *testing.T) {
 	}
 }
 
+// TestHistogramMergeEqualsUnion: histograms merged into one answer
+// exactly as one histogram that recorded every observation, empty parts
+// included.
+func TestHistogramMergeEqualsUnion(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	union := NewHistogram()
+	merged := NewHistogram()
+	parts := []*Histogram{NewHistogram(), NewHistogram(), NewHistogram(), NewHistogram()}
+	for i, p := range parts[:3] {
+		for j := 0; j < 500*(i+1); j++ {
+			d := time.Duration(rng.ExpFloat64() * float64(time.Duration(i+1)*time.Millisecond))
+			p.Record(d)
+			union.Record(d)
+		}
+	}
+	for _, p := range parts {
+		merged.Merge(p)
+	}
+	if merged.Count() != union.Count() || merged.Min() != union.Min() || merged.Max() != union.Max() {
+		t.Fatalf("merged count/min/max = %d/%v/%v, union %d/%v/%v",
+			merged.Count(), merged.Min(), merged.Max(), union.Count(), union.Min(), union.Max())
+	}
+	for _, q := range []float64{50, 99, 99.9} {
+		if m, u := merged.Percentile(q), union.Percentile(q); m != u {
+			t.Errorf("p%v: merged %v, union %v", q, m, u)
+		}
+	}
+}
+
 func TestHistogramPercentileMonotonic(t *testing.T) {
 	// Property: percentiles are non-decreasing in p for any input set.
 	f := func(seed int64) bool {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"raizn/internal/obs"
+	"raizn/internal/stats"
 	"raizn/internal/vclock"
 	"raizn/internal/zns"
 )
@@ -60,7 +61,6 @@ const (
 // write's arr after it completes (raizn.Volume.SubmitWriteTo).
 type request struct {
 	tn      *tenant
-	tid     string
 	kind    opKind
 	lba     int64
 	data    []byte
@@ -135,9 +135,9 @@ func newEngine(v *Volume, cfg EngineConfig) *engine {
 	e := &engine{
 		v:       v,
 		cfg:     cfg,
-		alarm:   obs.NewSLOAlarm(cfg.SLO),
 		tenants: make(map[string]*tenant),
 	}
+	e.alarm = obs.NewSLOAlarm(cfg.SLO, e.latencies)
 	e.work = v.clk.NewCond(&e.mu)
 	e.idle = v.clk.NewCond(&e.mu)
 
@@ -208,6 +208,18 @@ func (e *engine) addTenant(cfg TenantConfig) error {
 	return nil
 }
 
+// latencies returns each tenant's request-latency histogram, the series
+// the SLO alarm evaluates.
+func (e *engine) latencies() map[string]*stats.Histogram {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	out := make(map[string]*stats.Histogram, len(e.tenants))
+	for id, t := range e.tenants {
+		out[id] = t.lat
+	}
+	return out
+}
+
 // start launches the dispatcher. Must be called exactly once, from the
 // manager, before any submission.
 func (e *engine) start() {
@@ -255,7 +267,6 @@ func (e *engine) submit(tid string, kind opKind, lba int64, data []byte, flags z
 	}
 	r := &request{
 		tn:      t,
-		tid:     tid,
 		kind:    kind,
 		lba:     lba,
 		data:    data,
@@ -505,9 +516,7 @@ func (e *engine) completeRun(run []*request, arrayID string, err error) {
 	now := e.v.clk.Now()
 	ss := int64(e.v.sectorSize)
 	for _, r := range run {
-		lat := now - r.submitT
-		r.tn.lat.Record(lat)
-		e.alarm.Observe(r.tid, lat)
+		r.tn.lat.Record(now - r.submitT)
 		if err != nil {
 			r.tn.errored.Inc()
 		} else {

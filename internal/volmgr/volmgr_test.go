@@ -10,6 +10,7 @@ import (
 	"raizn/internal/obs"
 	"raizn/internal/obs/flight"
 	"raizn/internal/raizn"
+	"raizn/internal/stats"
 	"raizn/internal/vclock"
 	"raizn/internal/zns"
 )
@@ -435,7 +436,7 @@ func TestCoalesceRule(t *testing.T) {
 			if kind == opRead {
 				data = make([]byte, int(n)*ss)
 			}
-			return &request{tn: e.tenants[tid], tid: tid, kind: kind, lba: lba, data: data,
+			return &request{tn: e.tenants[tid], kind: kind, lba: lba, data: data,
 				flags: flags, sectors: n, submitT: clk.Now(), fut: clk.NewFuture()}
 		}
 		batch := []*request{
@@ -747,6 +748,119 @@ func TestCheckIncidentsFreezesAttributedArray(t *testing.T) {
 			t.Errorf("second sweep filed %d incidents against a frozen recorder", len(again))
 		}
 		if err := v.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	})
+}
+
+// TestSLOAlarmReadsTenantLatencies: the SLO alarm judges the latencies
+// the tenants' own histograms recorded. Four tenants each own a zone on
+// their own array, and the slow tenant's array runs on devices 20x
+// slower. Each tenant measures its requests from submit to completion,
+// and the alarm's Bar and Check must equal what the same rule gives over
+// reference histograms of those measurements.
+func TestSLOAlarmReadsTenantLatencies(t *testing.T) {
+	clk := vclock.New()
+	clk.Run(func() {
+		m := NewManager(clk, Config{})
+		for i := 0; i < 4; i++ {
+			devs := make([]*zns.Device, 3)
+			for d := range devs {
+				devs[d] = zns.NewDevice(clk, testDevConfig())
+				if i == 3 {
+					devs[d].SetSlowdown(20)
+				}
+			}
+			id := fmt.Sprintf("a%d", i)
+			rcfg := raizn.DefaultConfig()
+			rcfg.Metrics = m.Metrics()
+			rcfg.MetricsLabel = id
+			arr, err := raizn.Create(clk, devs, rcfg)
+			if err != nil {
+				t.Fatalf("raizn.Create: %v", err)
+			}
+			if _, err := m.AddArray(id, arr); err != nil {
+				t.Fatalf("AddArray: %v", err)
+			}
+		}
+		cfg := obs.SLOConfig{Factor: 2, MinSamples: 4}
+		v, err := m.CreateVolume("slo", VolumeSpec{
+			Zones:   4, // zone i on array ai
+			Engine:  EngineConfig{SLO: cfg},
+			Tenants: []TenantConfig{{ID: "f0"}, {ID: "f1"}, {ID: "f2"}, {ID: "slow"}},
+		})
+		if err != nil {
+			t.Fatalf("CreateVolume: %v", err)
+		}
+		ss := v.SectorSize()
+		zs := v.ZoneSectors()
+		const chunk = 16
+		fleet := stats.NewHistogram()
+		ref := map[string]*stats.Histogram{}
+		wg := clk.NewWaitGroup()
+		run := func(id string, h *stats.Histogram, zone int64, ops int) {
+			defer wg.Done()
+			base := zone * zs
+			buf := make([]byte, chunk*ss)
+			for i := 0; i < ops; i++ {
+				lba := base + int64(i)%(zs/chunk)*chunk
+				t0 := clk.Now()
+				var fut *vclock.Future
+				var err error
+				if int64(i) < zs/chunk {
+					fut, err = v.SubmitWrite(id, lba, pattern(id, lba, chunk, ss), 0)
+				} else {
+					fut, err = v.SubmitRead(id, lba, buf)
+				}
+				if err == nil {
+					err = fut.Wait()
+				}
+				if err != nil {
+					t.Errorf("%s op %d: %v", id, i, err)
+					return
+				}
+				h.Record(clk.Now() - t0)
+				fleet.Record(clk.Now() - t0)
+			}
+		}
+		ids := []string{"f0", "f1", "f2", "slow"}
+		for _, id := range ids {
+			ref[id] = stats.NewHistogram()
+		}
+		for z, id := range ids {
+			ops := 200
+			if id == "slow" {
+				ops = 5 // under 1% of the fleet: the fleet p99 stays a fast tenant's
+			}
+			wg.Add(1)
+			h := ref[id]
+			clk.Go(func() { run(id, h, int64(z), ops) })
+		}
+		wg.Wait()
+
+		wantBar := time.Duration(cfg.Factor * float64(fleet.Percentile(99)))
+		if bar, ok := v.Alarm().Bar(); !ok || bar != wantBar {
+			t.Fatalf("Bar = %v/%v, want %v (2 x the p99 of every measured latency)", bar, ok, wantBar)
+		}
+		var want []obs.SLOBreach
+		for _, id := range ids {
+			if p99 := ref[id].Percentile(99); p99 > wantBar {
+				want = append(want, obs.SLOBreach{Tenant: id, P99: p99, Bar: wantBar, Samples: ref[id].Count()})
+			}
+		}
+		got := v.Alarm().Check()
+		if len(want) != 1 || want[0].Tenant != "slow" {
+			t.Fatalf("reference breaches = %+v, want exactly the slowed tenant", want)
+		}
+		if len(got) != len(want) || got[0] != want[0] {
+			t.Fatalf("Check = %+v, want %+v", got, want)
+		}
+		for _, st := range v.TenantStats() {
+			if n := st.Latency.Count(); n != ref[st.ID].Count() {
+				t.Errorf("tenant %s histogram holds %d latencies, %d requests completed", st.ID, n, ref[st.ID].Count())
+			}
+		}
+		if err := m.Close(); err != nil {
 			t.Fatalf("Close: %v", err)
 		}
 	})

@@ -515,8 +515,8 @@ func (d *Device) OpenZone(z int) error {
 // SetSlowdown injects a service-time multiplier: every subsequent
 // command occupies its pipe factor× longer, modelling a device stalled
 // by internal housekeeping (GC, wear levelling, thermal throttling).
-// factor <= 1 restores normal speed. Used to provoke the slow-IO
-// watchdog deterministically.
+// factor <= 1 restores normal speed. Used to provoke the flight
+// recorder's tail sampler deterministically.
 func (d *Device) SetSlowdown(factor float64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
