@@ -75,20 +75,6 @@ func Reconstruct(survivors ...[]byte) []byte {
 	return Encode(survivors...)
 }
 
-// ReconstructInto is Reconstruct without the allocation: dst already holds
-// one surviving unit (typically the parity, read straight into the
-// caller's buffer) and every other survivor is XORed into it. A survivor
-// shorter than dst stands for a unit whose tail was never written and
-// counts as zeroes there, as in EncodeRagged; a longer one panics.
-func ReconstructInto(dst []byte, survivors ...[]byte) {
-	for _, s := range survivors {
-		if len(s) > len(dst) {
-			panic(fmt.Sprintf("parity: unit length %d exceeds width %d", len(s), len(dst)))
-		}
-		xor(dst[:len(s)], dst[:len(s)], s)
-	}
-}
-
 // fuseBlock is the chunk size of the fused XOR+CRC pass: small enough
 // that one chunk of every unit plus the parity chunk stays cache-hot
 // between the XOR and the CRC update over the same bytes.
@@ -161,14 +147,4 @@ func zeroCRC(n int, tab *crc32.Table) uint32 {
 		zeroCRCs.m[k] = c
 	}
 	return c
-}
-
-// EncodeRagged computes parity over units that may be shorter than width;
-// missing bytes are treated as zeroes, exactly as RAIZN treats the
-// unwritten tail of a partially written stripe. The result has length
-// width. Units longer than width panic.
-func EncodeRagged(width int, units ...[]byte) []byte {
-	p := make([]byte, width)
-	ReconstructInto(p, units...)
-	return p
 }

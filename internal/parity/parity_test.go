@@ -114,47 +114,6 @@ func TestEncodeInto(t *testing.T) {
 	}
 }
 
-func TestEncodeRagged(t *testing.T) {
-	full := []byte{1, 2, 3, 4}
-	part := []byte{5, 6}
-	p := EncodeRagged(4, full, part)
-	want := []byte{1 ^ 5, 2 ^ 6, 3, 4}
-	if !bytes.Equal(p, want) {
-		t.Errorf("EncodeRagged = %x, want %x", p, want)
-	}
-}
-
-func TestEncodeRaggedMatchesZeroPadding(t *testing.T) {
-	// Property: ragged encoding equals encoding with explicit zero padding.
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		width := 1 + rng.Intn(256)
-		n := 1 + rng.Intn(5)
-		ragged := make([][]byte, n)
-		padded := make([][]byte, n)
-		for i := range ragged {
-			l := rng.Intn(width + 1)
-			ragged[i] = make([]byte, l)
-			rng.Read(ragged[i])
-			padded[i] = make([]byte, width)
-			copy(padded[i], ragged[i])
-		}
-		return bytes.Equal(EncodeRagged(width, ragged...), Encode(padded...))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestEncodeRaggedTooLongPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for unit longer than width")
-		}
-	}()
-	EncodeRagged(2, []byte{1, 2, 3})
-}
-
 func BenchmarkXOR64K(b *testing.B) {
 	dst := make([]byte, 64<<10)
 	src := make([]byte, 64<<10)
@@ -210,18 +169,6 @@ func TestXORCRCMatchesChecksum(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// BenchmarkReconstructInto is one degraded unit of a 4+1 stripe: the
-// parity is in dst, three survivors are XORed in; bytes counted are the
-// four units read.
-func BenchmarkReconstructInto(b *testing.B) {
-	units := benchUnits(4)
-	b.SetBytes(4 * 64 << 10)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ReconstructInto(units[0], units[1:]...)
 	}
 }
 
@@ -302,32 +249,7 @@ func TestEntryPointsMatchBytewiseReference(t *testing.T) {
 				if !bytes.Equal(alias[0], want) {
 					t.Fatalf("len=%d d=%d: EncodeInto with dst == units[0] differs", l, d)
 				}
-				rec := append([]byte(nil), units[0]...)
-				ReconstructInto(rec, units[1:]...)
-				if !bytes.Equal(rec, want) {
-					t.Fatalf("len=%d d=%d: ReconstructInto differs", l, d)
-				}
 			}
-		}
-	}
-}
-
-func TestRaggedMatchesBytewiseReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for _, width := range diffLens {
-		// Unit lengths step down from the full width to nothing.
-		var units [][]byte
-		for _, l := range []int{width, width - width/3, width / 2, min(width, 1), 0} {
-			units = append(units, oddSlices(rng, 1, l)[0])
-		}
-		want := refXOR(width, units...)
-		if got := EncodeRagged(width, units...); !bytes.Equal(got, want) {
-			t.Fatalf("width=%d: EncodeRagged differs", width)
-		}
-		dst := append([]byte(nil), units[0]...)
-		ReconstructInto(dst, units[1:]...)
-		if !bytes.Equal(dst, want) {
-			t.Fatalf("width=%d: ragged ReconstructInto differs", width)
 		}
 	}
 }
@@ -341,8 +263,6 @@ func TestLengthMismatchPanics(t *testing.T) {
 		"EncodeInto-single-unit": func() { EncodeInto(b(8), b(9)) },
 		"EncodeInto-dst":         func() { EncodeInto(b(4), b(8), b(8)) },
 		"Reconstruct":            func() { Reconstruct(b(8), b(9)) },
-		"ReconstructInto-longer": func() { ReconstructInto(b(8), b(8), b(9)) },
-		"EncodeRagged-longer":    func() { EncodeRagged(8, b(9)) },
 	} {
 		func() {
 			defer func() {

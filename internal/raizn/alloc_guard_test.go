@@ -155,10 +155,11 @@ func TestSubmitReadNoGoroutineGuard(t *testing.T) {
 }
 
 // TestDegradedReadAllocGuard pins reconstruction into the caller's
-// buffer: the parity piece is read straight into the destination — or, in
-// an open stripe, copied there from the stripe buffer's running parity —
-// and the survivors into pooled scratch (read.go submitReconstruct), so a
-// degraded 64 KiB read allocates no data buffer. One per-piece buffer back
+// buffer: the destination starts cleared — or, in an open stripe, as the
+// stripe buffer's running parity — and the parity piece and the survivors
+// are XORed into it by their device reads, one job of the read join's
+// pooled zns.XORRead (read.go submitReconstruct), so a degraded 64 KiB
+// read allocates no data buffer. One per-piece buffer back
 // on the path would add up to 64 KiB/op (the parent of this guard: 56
 // KB/op). Through SubmitReadTo, with one caller future re-armed between
 // reads, it allocates nothing at all: a reconstructed piece completes one

@@ -1,6 +1,8 @@
 package raizn
 
 import (
+	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"raizn/internal/obs"
@@ -211,6 +213,54 @@ func BenchmarkDegradedReadOpenStripe64K(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	})
+}
+
+// BenchmarkDegradedReadClients is the canonical benchmark's degraded
+// workload in small: four vclock clients, each reading 4, 16 or 64 KiB at
+// random size-aligned offsets of two filled zones with device 0 failed,
+// through SubmitReadTo, and waiting for the read before the next. Payloads
+// are materialized, so a fifth of the units are rebuilt by reconstruction
+// jobs that the copier and the reads' completions split. ns/op is host
+// time per read.
+func BenchmarkDegradedReadClients(b *testing.B) {
+	const clients, zones = 4, 2
+	benchVolumeData(b, DefaultConfig(), func(c *vclock.Clock, v *Volume) {
+		b.StopTimer()
+		ss := int64(v.SectorSize())
+		fill := make([]byte, v.ZoneSectors()*ss)
+		for z := int64(0); z < zones; z++ {
+			for i := range fill {
+				fill[i] = byte(int64(i)/ss + z)
+			}
+			if err := v.Write(z*v.ZoneSectors(), fill, 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+		v.FailDevice(0)
+		sizes := []int64{1, 4, 16} // sectors: 4, 16 and 64 KiB
+		var left atomic.Int64
+		left.Store(int64(b.N))
+		wg := c.NewWaitGroup()
+		b.StartTimer()
+		for i := 0; i < clients; i++ {
+			wg.Add(1)
+			rng := rand.New(rand.NewSource(int64(i)))
+			buf := make([]byte, 16*ss)
+			fut := c.NewFuture()
+			c.Go(func() {
+				defer wg.Done()
+				for left.Add(-1) >= 0 {
+					n := sizes[rng.Intn(len(sizes))]
+					lba := rng.Int63n(zones*v.ZoneSectors()/n) * n
+					if err := readTo(v, fut, lba, buf[:n*ss]); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			})
+		}
+		wg.Wait()
 	})
 }
 

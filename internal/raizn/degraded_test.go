@@ -347,3 +347,45 @@ func TestDegradedDataMatchesParityReconstruction(t *testing.T) {
 		}
 	})
 }
+
+// TestDegradedEmptyReconstructionReusesJoin reads, back to back through
+// one re-armed future and so through one pooled read join, a piece whose
+// reconstruction issues no device read — the open stripe's lost unit is
+// the only one written, so the buffer's running parity is the whole
+// answer — and a piece of a complete stripe rebuilt from four device
+// reads. The empty reconstruction must not offer its job to the copier
+// (zns.XORRead.Seal): a job the copier still held when the join was taken
+// for the next piece would be XORed into that piece's buffer twice.
+func TestDegradedEmptyReconstructionReusesJoin(t *testing.T) {
+	runVol(t, func(c *vclock.Clock, v *Volume, devs []*zns.Device) {
+		const open, tail = 5, 7 // stripe 5 holds 7 sectors of its unit 0
+		stripe := v.lt.stripeSectors()
+		mustWriteV(t, v, 0, int(open*stripe+tail), 0)
+		failed := v.lt.dataDev(0, open, 0)
+		if err := v.FailDevice(failed); err != nil {
+			t.Fatal(err)
+		}
+		full := int64(-1) // a complete stripe's data unit on the failed device
+		for s := int64(0); s < open && full < 0; s++ {
+			for u := 0; u < v.lt.d; u++ {
+				if v.lt.dataDev(0, s, u) == failed {
+					full = s*stripe + int64(u)*v.lt.su
+					break
+				}
+			}
+		}
+		pieces := []struct{ lba, n int64 }{{open * stripe, tail}, {full, v.lt.su}, {open*stripe + 2, 3}, {full + 5, 9}}
+		fut := c.NewFuture()
+		buf := make([]byte, v.lt.su*int64(v.SectorSize()))
+		for i := 0; i < 400; i++ {
+			p := pieces[i%len(pieces)]
+			out := buf[:p.n*int64(v.SectorSize())]
+			if err := readTo(v, fut, p.lba, out); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(out, lbaPattern(v, p.lba, int(p.n))) {
+				t.Fatalf("read %d of [%d, +%d): wrong bytes", i, p.lba, p.n)
+			}
+		}
+	})
+}

@@ -278,11 +278,10 @@ type Volume struct {
 
 	// Hot-path free lists: per-write state including plan/parity/CRC
 	// slices and parity image buffers (write.go), SubmitFlush's scratch,
-	// read joins and the survivor scratch of degraded reads and rebuild
-	// (read.go).
+	// and read joins, each with the reconstruction job of a degraded piece
+	// or of rebuild (read.go).
 	wsPool    freeList[writeState]
 	flushPool freeList[flushState]
-	reconPool freeList[reconScratch]
 	readPool  freeList[readJoin]
 
 	reg    *obs.Registry

@@ -4,7 +4,6 @@ import (
 	"errors"
 
 	"raizn/internal/obs"
-	"raizn/internal/parity"
 	"raizn/internal/vclock"
 	"raizn/internal/zns"
 )
@@ -59,22 +58,22 @@ func (v *Volume) SubmitReadTo(fut *vclock.Future, lba int64, buf []byte) *vclock
 	return r.start()
 }
 
-// readJoin completes a read — or, with sc set, one reconstructed piece —
-// once its sub-reads have (subJoin): in the completion callback of the last
-// one, unless one failed. Joins are pooled (readPool) and go back before the
-// result completes, and a reconstructed piece completes one of its read's
-// own futures: a read of up to four pieces, degraded or not, allocates
-// nothing when its caller supplies the result future (SubmitReadTo).
+// readJoin completes a read — or one reconstructed piece, whose device
+// reads XOR into its target as xr's job — once its sub-reads have
+// (subJoin): in the completion callback of the last one, unless one
+// failed. Joins are pooled (readPool) and go back before the result
+// completes, and a reconstructed piece completes one of its read's own
+// futures: a read of up to four pieces, degraded or not, allocates nothing
+// when its caller supplies the result future (SubmitReadTo).
 type readJoin struct {
 	v *Volume
 	subReads
 	futBuf  [4]subIO // futs' backing until a fifth sub-read
 	sp      *obs.Span
-	repair  repairCtx     // the first piece's; later pieces allocate theirs
-	repairs int           // repair contexts handed out
-	fills   []int64       // a reconstruction's unit fills (openParity),
-	dst     []byte        // its target and
-	sc      *reconScratch // survivors, for finishReconstruct
+	repair  repairCtx // the first piece's; later pieces allocate theirs
+	repairs int       // repair contexts handed out
+	fills   []int64   // a reconstruction's unit fills (openParity)
+	xr      zns.XORRead
 	result  *vclock.Future
 	join    subJoin
 }
@@ -99,7 +98,7 @@ func (v *Volume) putReadJoin(r *readJoin) {
 	clear(r.futs)
 	r.futs, r.nOwn = r.futs[:0], 0
 	r.repair, r.repairs = repairCtx{}, 0
-	r.sp, r.dst, r.sc, r.result = nil, nil, nil, nil
+	r.sp, r.result = nil, nil
 	v.readPool.put(r)
 }
 
@@ -124,9 +123,17 @@ func (rs *subReads) next(clk *vclock.Clock) *vclock.Future {
 	return f
 }
 
-// read issues a read of d (the array's device dev) into out and adds it.
-func (rs *subReads) read(sp *obs.Span, dev int, d *zns.Device, pba int64, out []byte) {
-	rs.futs = append(rs.futs, subIO{dev: dev, fut: d.ReadSpan(sp, rs.next(d.Clock()), pba, out)})
+// read issues a read of d (the array's device dev) into out and adds it;
+// with x set, the read's bytes are XORed into x's target at byte offset at
+// (out's own offset there) instead.
+func (rs *subReads) read(sp *obs.Span, dev int, d *zns.Device, pba int64, out []byte, x *zns.XORRead, at int64) {
+	f := rs.next(d.Clock())
+	if x == nil {
+		f = d.ReadSpan(sp, f, pba, out)
+	} else {
+		f = d.ReadXORSpan(sp, f, pba, x, int(at), len(out))
+	}
+	rs.futs = append(rs.futs, subIO{dev: dev, fut: f})
 }
 
 // newRepair returns a repair context for the next planned piece.
@@ -146,12 +153,7 @@ func (r *readJoin) start() *vclock.Future {
 }
 
 func (r *readJoin) finish() {
-	var err error
-	if r.sc != nil {
-		err = r.v.finishReconstruct(r.dst, r.sc, r.futs)
-	} else {
-		err = r.v.awaitReads(r.futs) // none pending: parks only to repair
-	}
+	err := r.v.awaitReads(r.futs) // none pending: parks only to repair
 	v, sp, res := r.v, r.sp, r.result
 	v.putReadJoin(r)
 	sp.End(err)
@@ -253,7 +255,7 @@ func (v *Volume) readPiece(sp *obs.Span, z int, s int64, u int, a, b int64, dst 
 	// Tag the device sub-reads with reconstruction context so a latent
 	// sector error is transparently read-repaired in awaitReads.
 	pre := len(r.futs)
-	if err := v.readUnitPiece(sp, z, s, u, a, b, dst, &r.subReads); err != nil {
+	if err := v.readUnitPiece(sp, z, s, u, a, b, dst, &r.subReads, nil); err != nil {
 		return err
 	}
 	ctx := r.newRepair()
@@ -266,14 +268,15 @@ func (v *Volume) readPiece(sp *obs.Span, z int, s int64, u int, a, b int64, dst 
 
 // readUnitPiece reads from the unit's owning (live) device, overlaying
 // any relocated fragments that shadow parts of the range. Each device
-// sub-read becomes an OpDevRead child of sp.
-func (v *Volume) readUnitPiece(sp *obs.Span, z int, s int64, u int, a, b int64, dst []byte, rs *subReads) error {
+// sub-read becomes an OpDevRead child of sp. With x set, dst is the start
+// of x's target and the piece is XORed into it, overlays included.
+func (v *Volume) readUnitPiece(sp *obs.Span, z int, s int64, u int, a, b int64, dst []byte, rs *subReads, x *zns.XORRead) error {
 	ss := int64(v.sectorSize)
 	lbaA := v.lt.stripeStart(z, s) + int64(u)*v.lt.su + a
 	gaps := []gap{{lbaA, lbaA + (b - a)}} // LBA ranges not covered by reloc
 	v.relocMu.Lock()
 	for _, f := range v.reloc[z] {
-		gaps = overlay(gaps, dst, lbaA, f.startLBA, f.data, ss)
+		gaps = overlay(gaps, dst, x, lbaA, f.startLBA, f.data, ss)
 	}
 	v.relocMu.Unlock()
 
@@ -286,7 +289,7 @@ func (v *Volume) readUnitPiece(sp *obs.Span, z int, s int64, u int, a, b int64, 
 		intraLo := a + (g.lo - lbaA)
 		pba := int64(z)*v.lt.physZoneSize + s*v.lt.su + intraLo
 		out := dst[(g.lo-lbaA)*ss : (g.hi-lbaA)*ss]
-		rs.read(sp.Child(obs.OpDevRead, dev, pba, int64(len(out))), dev, d, pba, out)
+		rs.read(sp.Child(obs.OpDevRead, dev, pba, int64(len(out))), dev, d, pba, out, x, (g.lo-lbaA)*ss)
 	}
 	return nil
 }
@@ -296,14 +299,19 @@ type gap struct{ lo, hi int64 }
 
 // overlay copies the part of a relocated fragment (data, whose first
 // sector is start) that falls inside the piece dst (whose first sector is
-// base) into dst, and returns gaps less that part.
-func overlay(gaps []gap, dst []byte, base, start int64, data []byte, ss int64) []gap {
+// base) into dst, or XORs it in through x when x is set, and returns gaps
+// less that part.
+func overlay(gaps []gap, dst []byte, x *zns.XORRead, base, start int64, data []byte, ss int64) []gap {
 	lo := max(start, base)
 	hi := min(start+int64(len(data))/ss, base+int64(len(dst))/ss)
 	if lo >= hi {
 		return gaps
 	}
-	copy(dst[(lo-base)*ss:(hi-base)*ss], data[(lo-start)*ss:(hi-start)*ss])
+	if frag := data[(lo-start)*ss : (hi-start)*ss]; x == nil {
+		copy(dst[(lo-base)*ss:(hi-base)*ss], frag)
+	} else {
+		x.Fold(int((lo-base)*ss), frag)
+	}
 	var left []gap
 	for _, g := range gaps {
 		if hi <= g.lo || lo >= g.hi {
@@ -338,38 +346,10 @@ func (v *Volume) degradedReadPiece(sp *obs.Span, fut *vclock.Future, z int, s in
 		v.putReadJoin(r)
 		return completed(fut, nil)
 	}
-	sc, err := v.submitReconstruct(sp, z, s, u, a, b, r.fills, dst, open, &r.subReads)
-	if err != nil {
+	if err := v.submitReconstruct(sp, z, s, u, a, b, r.fills, dst, open, &r.xr, &r.subReads); err != nil {
 		return completed(fut, err)
 	}
-	r.dst, r.sc = dst, sc
 	return r.start()
-}
-
-// reconScratch is the survivor scratch of one reconstruction: the pieces
-// of the surviving data units, read beside the parity piece that goes
-// straight into the caller's buffer. Pooled per volume (reconPool); every
-// backing buffer is a stripe unit long, so any piece fits any of them.
-type reconScratch struct {
-	bufs      [][]byte // backing buffers, kept across uses
-	survivors [][]byte // this reconstruction's pieces, prefixes of bufs
-}
-
-func (v *Volume) getReconScratch() *reconScratch {
-	if sc := v.reconPool.get(); sc != nil {
-		return sc
-	}
-	return new(reconScratch)
-}
-
-// scratchPiece returns the scratch's next buffer, n sectors long.
-func (v *Volume) scratchPiece(sc *reconScratch, n int64) []byte {
-	i := len(sc.survivors)
-	if i == len(sc.bufs) {
-		sc.bufs = append(sc.bufs, make([]byte, v.lt.su*int64(v.sectorSize)))
-	}
-	sc.survivors = append(sc.survivors, sc.bufs[i][:n*int64(v.sectorSize)])
-	return sc.survivors[i]
 }
 
 // openParity sizes a reconstruction of intra offsets [a, b) of stripe s,
@@ -389,44 +369,33 @@ func (v *Volume) openParity(lz *logicalZone, s, a, b, g int64, dst []byte, fills
 	return v.lt.unitFillsInto(fills, clampI64(g, 0, v.lt.stripeSectors())), open
 }
 
-// submitReconstruct issues the device reads that rebuild intra offsets
-// [a, b) of unit u of stripe s, whose data unit fill levels are fills: for
-// a data unit the parity piece straight into dst (unless parityInDst:
-// openParity put it there), for the parity unit (u == d) nothing, dst
-// cleared; and the written part of every other data unit into pooled
-// scratch. finishReconstruct completes the job.
-func (v *Volume) submitReconstruct(sp *obs.Span, z int, s int64, u int, a, b int64, fills []int64, dst []byte, parityInDst bool, rs *subReads) (*reconScratch, error) {
-	if u == v.lt.d {
-		clear(dst)
-	} else if !parityInDst {
-		if err := v.readParityPiece(sp, z, s, a, b, dst, rs); err != nil {
-			return nil, err
+// submitReconstruct rebuilds intra offsets [a, b) of unit u of stripe s,
+// whose data unit fill levels are fills, into dst as one reconstruction
+// read x: dst starts as the open stripe's running parity when parityInDst
+// (openParity put it there) and u is a data unit, as zeroes otherwise; the
+// parity piece (for a data unit, unless parityInDst) and the written part
+// of every other data unit are XORed in by their device reads, relocated
+// fragments by Fold at submit. x is sealed once every read is issued: dst
+// holds the result when the reads have completed.
+func (v *Volume) submitReconstruct(sp *obs.Span, z int, s int64, u int, a, b int64, fills []int64, dst []byte, parityInDst bool, x *zns.XORRead, rs *subReads) error {
+	x.Start(dst, !parityInDst || u == v.lt.d)
+	if u != v.lt.d && !parityInDst {
+		if err := v.readParityPiece(sp, z, s, a, b, dst, rs, x); err != nil {
+			return err
 		}
 	}
-	sc := v.getReconScratch()
+	ss := int64(v.sectorSize)
 	for u2 := 0; u2 < v.lt.d; u2++ {
 		hi := min(fills[u2], b)
 		if u2 == u || hi <= a {
 			continue
 		}
-		if err := v.readUnitPiece(sp, z, s, u2, a, hi, v.scratchPiece(sc, hi-a), rs); err != nil {
-			return nil, err
+		if err := v.readUnitPiece(sp, z, s, u2, a, hi, dst[:(hi-a)*ss], rs, x); err != nil {
+			return err
 		}
 	}
-	return sc, nil
-}
-
-// finishReconstruct waits for the reads submitReconstruct issued, XORs the
-// survivors into dst (a unit tail that was never written counts as zeroes)
-// and returns the scratch to the pool.
-func (v *Volume) finishReconstruct(dst []byte, sc *reconScratch, futs []subIO) error {
-	err := v.awaitReads(futs)
-	if err == nil {
-		parity.ReconstructInto(dst, sc.survivors...)
-	}
-	sc.survivors = sc.survivors[:0]
-	v.reconPool.put(sc)
-	return err
+	x.Seal()
+	return nil
 }
 
 // reconstruct rebuilds intra offsets [a, b) of unit u of stripe s in zone
@@ -437,13 +406,15 @@ func (v *Volume) reconstruct(z int, s int64, u int, a, b int64, dst []byte) erro
 	lz.mu.Lock()
 	g := lz.wp - s*v.lt.stripeSectors()
 	lz.mu.Unlock()
-	fills, open := v.openParity(lz, s, a, b, g, dst, nil)
-	var rs subReads
-	sc, err := v.submitReconstruct(nil, z, s, u, a, b, fills, dst, open, &rs)
-	if err != nil {
+	r := v.newReadJoin(nil, nil)
+	var open bool
+	r.fills, open = v.openParity(lz, s, a, b, g, dst, r.fills)
+	if err := v.submitReconstruct(nil, z, s, u, a, b, r.fills, dst, open, &r.xr, &r.subReads); err != nil {
 		return err
 	}
-	return v.finishReconstruct(dst, sc, rs.futs)
+	err := v.awaitReads(r.futs)
+	v.putReadJoin(r)
+	return err
 }
 
 // unitImage fills dst with intra offsets [a, b) of unit u of stripe s in
@@ -457,9 +428,9 @@ func (v *Volume) unitImage(sp *obs.Span, z int, s int64, u int, a, b int64, dst 
 	var rs subReads
 	var err error
 	if u == v.lt.d {
-		err = v.readParityPiece(sp, z, s, a, b, dst, &rs)
+		err = v.readParityPiece(sp, z, s, a, b, dst, &rs, nil)
 	} else {
-		err = v.readUnitPiece(sp, z, s, u, a, b, dst, &rs)
+		err = v.readUnitPiece(sp, z, s, u, a, b, dst, &rs, nil)
 	}
 	if err != nil {
 		return err
@@ -477,17 +448,18 @@ func (v *Volume) unitDevice(z int, s int64, u int) int {
 }
 
 // readParityPiece reads intra offsets [a, b) of the parity unit of stripe
-// s, honoring relocated parity; each device sub-read becomes an OpDevRead
+// s, honoring relocated parity, into dst (XORed into x's target, which
+// dst starts, when x is set); each device sub-read becomes an OpDevRead
 // child of sp. A relocated parity fragment may cover only part of the unit
 // (a burn-split relocates just the burned prefix; the remainder was written
 // in place), so the uncovered intra ranges are still read from the parity
 // device.
-func (v *Volume) readParityPiece(sp *obs.Span, z int, s int64, a, b int64, dst []byte, rs *subReads) error {
+func (v *Volume) readParityPiece(sp *obs.Span, z int, s int64, a, b int64, dst []byte, rs *subReads, x *zns.XORRead) error {
 	ss := int64(v.sectorSize)
 	gaps := []gap{{a, b}} // intra ranges not covered by reloc
 	v.relocMu.Lock()
 	if e, ok := v.parityReloc[z][s]; ok {
-		gaps = overlay(gaps, dst, a, e.startLBA-v.lt.stripeStart(z, s), e.data, ss)
+		gaps = overlay(gaps, dst, x, a, e.startLBA-v.lt.stripeStart(z, s), e.data, ss)
 	}
 	v.relocMu.Unlock()
 	if len(gaps) == 0 {
@@ -502,7 +474,7 @@ func (v *Volume) readParityPiece(sp *obs.Span, z int, s int64, a, b int64, dst [
 	for _, g := range gaps {
 		pba := v.lt.parityPBA(z, s) + g.lo
 		out := dst[(g.lo-a)*ss : (g.hi-a)*ss]
-		rs.read(sp.Child(obs.OpDevRead, dev, pba, int64(len(out))), dev, d, pba, out)
+		rs.read(sp.Child(obs.OpDevRead, dev, pba, int64(len(out))), dev, d, pba, out, x, (g.lo-a)*ss)
 	}
 	return nil
 }

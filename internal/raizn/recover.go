@@ -364,7 +364,7 @@ func (v *Volume) rebuildStripeBuffer(lz *logicalZone, t *tailPlan) error {
 		if f == 0 || u == t.missing {
 			continue
 		}
-		if err := v.readUnitPiece(nil, lz.idx, t.stripe, u, 0, f, units[u], &rs); err != nil {
+		if err := v.readUnitPiece(nil, lz.idx, t.stripe, u, 0, f, units[u], &rs, nil); err != nil {
 			return err
 		}
 	}

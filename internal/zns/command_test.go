@@ -27,7 +27,8 @@ func listed(d *Device) []*command {
 // once warm: nothing when the caller supplies its future, the future alone
 // when it passes nil. The completion is a command record from the device's
 // free list (scheduleLocked); the closure and pendingIO each command
-// allocated before show up here as two more. A write → reset → write cycle
+// allocated before show up here as two more. A reconstruction read adds
+// its term to a reused XORRead, whose term lists keep their room. A write → reset → write cycle
 // allocates nothing either: the reset hands the zone's buffer to the free
 // list and keeps the zone's unflushed-extent list (a list made again after
 // every reset is one more per cycle).
@@ -40,6 +41,7 @@ func TestDeviceCommandAllocGuard(t *testing.T) {
 	data := pattern(cfg, 1, 0x3C)
 	segs := [][]byte{data, data}
 	buf := make([]byte, cfg.SectorSize)
+	var x XORRead // a reconstruction read's job, reused as a pooled one is
 	run(t, cfg, func(c *vclock.Clock, d *Device) {
 		wp := make([]int64, 4)
 		next := func(z int, n int64) int64 {
@@ -58,6 +60,12 @@ func TestDeviceCommandAllocGuard(t *testing.T) {
 				return f
 			}},
 			{"Read", func(f *vclock.Future) *vclock.Future { return d.ReadSpan(nil, f, d.ZoneStart(0), buf) }},
+			{"ReadXOR", func(f *vclock.Future) *vclock.Future {
+				x.Start(buf, true)
+				f = d.ReadXORSpan(nil, f, d.ZoneStart(0), &x, 0, len(buf))
+				x.Seal()
+				return f
+			}},
 			{"WriteZRWA", func(f *vclock.Future) *vclock.Future { return d.WriteZRWASpan(nil, f, next(3, 1), data, 0) }},
 		}
 		own := c.NewFuture()

@@ -42,7 +42,8 @@ func (d *Device) commandLocked(sp *obs.Span, fut *vclock.Future, p pendingIO) *c
 
 // command is one device command in flight, and the timer event that
 // completes it. A read's copy into the host buffer, or a write's into zone
-// memory, rides on it as cp (readcopy.go); while that copy is in flight ci
+// memory, rides on it as cp (readcopy.go); a reconstruction read's rides
+// on its XORRead x as term xt (-1: none). While that copy is in flight ci
 // is the record's index in d.copying (else -1), cz the zone the copy
 // touches and cw whether it is a write's.
 type command struct {
@@ -55,16 +56,21 @@ type command struct {
 	cz    int
 	cw    bool
 	cp    readCopy
+	x     *XORRead
+	xt    int
 }
 
 // Notify completes the command (vclock.Notifier). The command's copy is
 // finished first, outside the device lock, and before a write's FUA
-// persists anything: the future never completes with its copy unfinished.
+// persists anything: the future never completes with its copy unfinished
+// (a reconstruction read's copy is its XORRead's whole job, once sealed).
 // The record is back on the free list before the future completes, because
 // a subscriber may submit to this device from inside Complete.
 func (c *command) Notify(error) {
 	d := c.d
-	if c.cp.dst != nil {
+	if c.x != nil {
+		c.x.release(c.xt, true)
+	} else if c.cp.dst != nil {
 		c.cp.finish()
 	}
 	d.mu.Lock()
@@ -79,7 +85,7 @@ func (c *command) Notify(error) {
 	if stale {
 		err = ErrPowerLoss
 	}
-	c.sp, c.fut, c.p = nil, nil, pendingIO{}
+	c.sp, c.fut, c.p, c.x = nil, nil, pendingIO{}, nil
 	c.cp.reset()
 	d.cmds = append(d.cmds, c)
 	d.mu.Unlock()
@@ -467,6 +473,33 @@ func (d *Device) ReadSpan(sp *obs.Span, fut *vclock.Future, sector int64, buf []
 		return d.failSpan(sp, fut, err)
 	}
 	sendCopy(ref)
+	return fut
+}
+
+// ReadXORSpan is ReadSpan for a reconstruction: the size bytes at sector,
+// as Read would return them, are XORed into x's buffer at byte offset at
+// (a span past a finished zone's write pointer adds zeroes there). The
+// bytes are captured at submit, as a read's; the XOR runs as x's job once
+// its owner seals it (XORRead). Completes fut (nil: a new future).
+func (d *Device) ReadXORSpan(sp *obs.Span, fut *vclock.Future, sector int64, x *XORRead, at, size int) *vclock.Future {
+	if size <= 0 || size%d.cfg.SectorSize != 0 || at < 0 || at+size > len(x.job.dst) {
+		return d.failSpan(sp, fut, ErrUnaligned)
+	}
+	d.mu.Lock()
+	pio, src, err := d.readApplyLocked(sp, sector, int64(size/d.cfg.SectorSize))
+	if err == nil {
+		c := d.commandLocked(sp, fut, pio)
+		c.x, c.xt = x, x.add(src, at)
+		if c.xt >= 0 {
+			d.listCopyLocked(c, d.ZoneOf(sector), false)
+		}
+		d.clk.AfterNotify(pio.at-d.clk.Now(), c)
+		fut = c.fut
+	}
+	d.mu.Unlock()
+	if err != nil {
+		return d.failSpan(sp, fut, err)
+	}
 	return fut
 }
 
