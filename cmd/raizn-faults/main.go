@@ -1,11 +1,9 @@
-// Command raizn-faults runs scripted crash and failure scenarios against
-// a RAIZN array and verifies the §5 recovery guarantees end to end:
-// random power loss during writes, partial zone resets, crash + device
-// failure, and rebuild under load. It exits non-zero if any scenario's
-// invariant is violated.
+// Command raizn-faults drives the deterministic crash-point explorer
+// (internal/chaos) over the registered chaos scenarios: it crashes each
+// scenario's workload at its recorded crossings and checks the §5
+// recovery guarantees on every remount.
 //
-// Chaos mode drives the deterministic crash-point explorer instead:
-//
+//	raizn-faults                                   explore every scenario
 //	raizn-faults -chaos <scenario>                 enumerate crash points
 //	raizn-faults -chaos <scenario> -explore        crash at each, check recovery
 //	raizn-faults -chaos <scenario> -forensics N    crash at crossing N, recover the
@@ -13,62 +11,23 @@
 //	raizn-faults -replay <seed-string>             replay a printed repro
 //
 // Every run prints its seed; the same seed reproduces the same run bit
-// for bit, and every violation prints a replay seed string.
+// for bit, and every violation prints a replay seed string. The command
+// exits 1 if any exploration or replay finds a violation.
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
-	"time"
 
 	"raizn/internal/chaos"
-	"raizn/internal/raizn"
-	"raizn/internal/scrub"
-	"raizn/internal/vclock"
-	"raizn/internal/zns"
 )
 
-var failures int
-
-func check(ok bool, format string, args ...interface{}) {
-	status := "ok  "
-	if !ok {
-		status = "FAIL"
-		failures++
-	}
-	fmt.Printf("  [%s] %s\n", status, fmt.Sprintf(format, args...))
-}
-
-func devConfig() zns.Config {
-	cfg := zns.DefaultConfig()
-	cfg.NumZones = 12
-	cfg.ZoneSize = 320
-	cfg.ZoneCap = 256
-	return cfg
-}
-
-// pattern is per-sector deterministic: the bytes of a sector depend only
-// on its own LBA, so content written in any chunking verifies the same.
-func pattern(lba int64, n, ss int) []byte {
-	b := make([]byte, n*ss)
-	for s := 0; s < n; s++ {
-		cur := lba + int64(s)
-		for k := 0; k < ss; k++ {
-			b[s*ss+k] = byte(cur) ^ byte(k) ^ byte(cur>>8)
-		}
-	}
-	return b
-}
-
 func main() {
-	seeds := flag.Int("seeds", 10, "random crash seeds per scenario")
 	seed := flag.Int64("seed", 1, "base seed; the same seed reproduces the same run")
 	chaosName := flag.String("chaos", "", "run the named chaos scenario (see -explore); lists crash points without it")
 	explore := flag.Bool("explore", false, "with -chaos: crash at every sampled crossing and check recovery")
-	maxPoints := flag.Int("max", 0, "with -explore: cap explored crash points, sampled evenly (0 = all)")
+	maxPoints := flag.Int("max", 0, "explored crash points per scenario, sampled evenly (0 = all)")
 	forensics := flag.Int("forensics", -1, "with -chaos: crash at census crossing N, recover the persisted flight black box from the clones, and print its incident report")
 	replay := flag.String("replay", "", "replay a chaos repro seed string as printed for a violation")
 	flag.Parse()
@@ -79,28 +38,11 @@ func main() {
 	if *chaosName != "" {
 		os.Exit(runChaos(*chaosName, *explore, *maxPoints, *forensics, *seed))
 	}
-
-	fmt.Printf("seed=%d\n", *seed)
-	fmt.Println("scenario 1: random power loss during mixed writes/flushes")
-	for i := int64(0); i < int64(*seeds); i++ {
-		scenarioRandomCrash(*seed + i)
+	code := 0
+	for _, name := range chaos.Names() {
+		code = max(code, runChaos(name, true, *maxPoints, -1, *seed))
 	}
-	fmt.Println("scenario 2: crash between the physical resets of a logical zone")
-	scenarioPartialReset()
-	fmt.Println("scenario 3: crash followed by device loss (partial-parity recovery)")
-	scenarioCrashPlusFailure()
-	fmt.Println("scenario 4: writes racing a device rebuild")
-	scenarioRebuildUnderLoad()
-	fmt.Println("scenario 5: scrub repairs injected rot and latent read errors")
-	scenarioScrubRepair()
-	fmt.Println("scenario 6: health monitor auto-fails an erroring device and rebuilds")
-	scenarioHealthAutoRebuild()
-
-	if failures > 0 {
-		fmt.Printf("%d failure(s)\n", failures)
-		os.Exit(1)
-	}
-	fmt.Println("all scenarios passed")
+	os.Exit(code)
 }
 
 // runChaos drives the crash-point explorer over a registered scenario.
@@ -187,317 +129,4 @@ func runReplay(seedStr string) int {
 	}
 	fmt.Println("no violations reproduced")
 	return 0
-}
-
-func scenarioRandomCrash(seed int64) {
-	clk := vclock.New()
-	clk.Run(func() {
-		devs := make([]*zns.Device, 5)
-		for i := range devs {
-			devs[i] = zns.NewDevice(clk, devConfig())
-		}
-		vol, err := raizn.Create(clk, devs, raizn.DefaultConfig())
-		if err != nil {
-			check(false, "create: %v", err)
-			return
-		}
-		rng := rand.New(rand.NewSource(seed))
-		ss := vol.SectorSize()
-		var flushedWP int64
-		lba := int64(0)
-		for lba < 400 {
-			n := int64(1 + rng.Intn(48))
-			if lba+n > 400 {
-				n = 400 - lba
-			}
-			vol.Write(lba, pattern(lba, int(n), ss), 0)
-			lba += n
-			if rng.Intn(4) == 0 {
-				vol.Flush()
-				flushedWP = lba
-			}
-		}
-		for _, d := range devs {
-			d.PowerLoss(rng)
-		}
-		vol2, err := raizn.Mount(clk, devs, raizn.DefaultConfig())
-		if err != nil {
-			check(false, "seed %d: mount: %v", seed, err)
-			return
-		}
-		wp := vol2.Zone(0).WP
-		okWP := wp >= flushedWP && wp <= 400
-		okData := true
-		if wp > 0 {
-			buf := make([]byte, wp*int64(ss))
-			if err := vol2.Read(0, buf); err != nil {
-				okData = false
-			} else {
-				for at := int64(0); at < wp; at++ {
-					want := pattern(at, 1, ss)
-					if !bytes.Equal(buf[at*int64(ss):(at+1)*int64(ss)], want) {
-						okData = false
-						break
-					}
-				}
-			}
-		}
-		check(okWP && okData, "seed %d: recovered WP=%d (flushed %d), prefix intact=%v", seed, wp, flushedWP, okData)
-	})
-}
-
-func scenarioPartialReset() {
-	clk := vclock.New()
-	clk.Run(func() {
-		devs := make([]*zns.Device, 5)
-		for i := range devs {
-			devs[i] = zns.NewDevice(clk, devConfig())
-		}
-		vol, _ := raizn.Create(clk, devs, raizn.DefaultConfig())
-		ss := vol.SectorSize()
-		zs := vol.ZoneSectors()
-		vol.Write(0, pattern(0, int(zs), ss), 0)
-		vol.Flush()
-
-		// Start a reset on another goroutine and cut power while the
-		// physical resets are propagating.
-		resetStarted := clk.NewFuture()
-		clk.Go(func() {
-			resetStarted.Complete(nil)
-			vol.ResetZone(0) // will be interrupted by power loss
-		})
-		resetStarted.Wait()
-		clk.Sleep(devs[0].Config().ResetLatency / 2)
-		for _, d := range devs {
-			d.PowerLoss(nil)
-		}
-		vol2, err := raizn.Mount(clk, devs, raizn.DefaultConfig())
-		if err != nil {
-			check(false, "mount after interrupted reset: %v", err)
-			return
-		}
-		st := vol2.Zone(0).State
-		// Either the reset completed everywhere (WAL replay) or it
-		// never touched any zone; both leave a consistent zone.
-		okState := st == zns.ZoneEmpty || st == zns.ZoneClosed || st == zns.ZoneFull
-		var okUse bool
-		if st == zns.ZoneEmpty {
-			okUse = vol2.Write(0, pattern(0, 16, ss), 0) == nil
-		} else {
-			buf := make([]byte, 16*ss)
-			okUse = vol2.Read(0, buf) == nil
-		}
-		check(okState && okUse, "post-reset-crash zone state %v, usable=%v", st, okUse)
-	})
-}
-
-func scenarioCrashPlusFailure() {
-	clk := vclock.New()
-	clk.Run(func() {
-		devs := make([]*zns.Device, 5)
-		for i := range devs {
-			devs[i] = zns.NewDevice(clk, devConfig())
-		}
-		vol, _ := raizn.Create(clk, devs, raizn.DefaultConfig())
-		ss := vol.SectorSize()
-		// Partial stripe, flushed (so partial parity is durable).
-		vol.Write(0, pattern(0, 40, ss), 0)
-		vol.Flush()
-		// Crash, then mount WITHOUT one of the data devices.
-		for _, d := range devs {
-			d.PowerLoss(nil)
-		}
-		avail := []*zns.Device{devs[0], devs[1], devs[3], devs[4]}
-		vol2, err := raizn.Mount(clk, avail, raizn.DefaultConfig())
-		if err != nil {
-			check(false, "degraded mount after crash: %v", err)
-			return
-		}
-		wp := vol2.Zone(0).WP
-		buf := make([]byte, wp*int64(ss))
-		okRead := vol2.Read(0, buf) == nil
-		okData := okRead && bytes.Equal(buf, pattern(0, int(wp), ss))
-		check(wp == 40 && okData, "degraded+crash recovery: WP=%d (want 40), data intact=%v", wp, okData)
-	})
-}
-
-// unitSector maps (zone, stripe, data unit, intra offset) to the owning
-// device and its absolute sector, mirroring the volume's arithmetic
-// layout (su=16, 5 devices, physical zone stride = cfg.ZoneSize).
-func unitSector(cfg zns.Config, z, u int, s, intra int64) (int, int64) {
-	const n = 5
-	pd := n - 1 - int((s+int64(z))%int64(n))
-	dev := (pd + 1 + u) % n
-	return dev, int64(z)*cfg.ZoneSize + s*16 + intra
-}
-
-func scenarioScrubRepair() {
-	clk := vclock.New()
-	clk.Run(func() {
-		devs := make([]*zns.Device, 5)
-		for i := range devs {
-			devs[i] = zns.NewDevice(clk, devConfig())
-		}
-		vol, _ := raizn.Create(clk, devs, raizn.DefaultConfig())
-		ss := vol.SectorSize()
-		zs := vol.ZoneSectors()
-		for z := int64(0); z < 3; z++ {
-			vol.Write(z*zs, pattern(z*zs, int(zs), ss), 0)
-		}
-		vol.Flush()
-
-		// Bit-rot in four distinct stripes plus two latent read errors.
-		type hit struct {
-			z, u     int
-			s, intra int64
-		}
-		rots := []hit{{0, 0, 0, 0}, {0, 2, 3, 7}, {1, 1, 9, 15}, {2, 3, 14, 4}}
-		lats := []hit{{1, 0, 2, 6}, {2, 2, 7, 11}}
-		for _, h := range rots {
-			dev, pba := unitSector(devConfig(), h.z, h.u, h.s, h.intra)
-			if err := devs[dev].CorruptSector(pba); err != nil {
-				check(false, "corrupt: %v", err)
-				return
-			}
-		}
-		for _, h := range lats {
-			dev, pba := unitSector(devConfig(), h.z, h.u, h.s, h.intra)
-			if err := devs[dev].InjectReadError(pba); err != nil {
-				check(false, "inject: %v", err)
-				return
-			}
-		}
-
-		sb := scrub.New(scrub.Config{Clock: clk, Target: scrub.RaiznTarget{V: vol}, Repair: true})
-		stats, err := sb.RunPass()
-		okPass := err == nil && stats.Mismatches == int64(len(rots)) &&
-			stats.ReadErrors == int64(len(lats)) &&
-			stats.RepairedData == int64(len(rots)+len(lats)) && stats.Unrepaired == 0
-		check(okPass, "scrub pass repaired %d/%d damaged stripes (%d read errors, %d unrepaired)",
-			stats.RepairedData, len(rots)+len(lats), stats.ReadErrors, stats.Unrepaired)
-
-		// Full readback: every acked sector still holds its pattern.
-		okData := true
-		buf := make([]byte, zs*int64(ss))
-		for z := int64(0); z < 3; z++ {
-			if vol.Read(z*zs, buf) != nil || !bytes.Equal(buf, pattern(z*zs, int(zs), ss)) {
-				okData = false
-				break
-			}
-		}
-		check(okData, "full readback intact after repair")
-
-		stats, err = sb.RunPass()
-		check(err == nil && stats.Mismatches == 0 && stats.ReadErrors == 0,
-			"second pass clean (%d mismatches, %d read errors)", stats.Mismatches, stats.ReadErrors)
-	})
-}
-
-func scenarioHealthAutoRebuild() {
-	clk := vclock.New()
-	clk.Run(func() {
-		devs := make([]*zns.Device, 5)
-		for i := range devs {
-			devs[i] = zns.NewDevice(clk, devConfig())
-		}
-		vol, _ := raizn.Create(clk, devs, raizn.DefaultConfig())
-		ss := vol.SectorSize()
-		zs := vol.ZoneSectors()
-		for z := int64(0); z < 2; z++ {
-			vol.Write(z*zs, pattern(z*zs, int(zs), ss), 0)
-		}
-		vol.Flush()
-
-		rebuilt := clk.NewFuture()
-		var mon *scrub.Monitor
-		mon = scrub.NewMonitor(scrub.MonitorConfig{
-			Clock: clk, Array: scrub.RaiznArray{V: vol},
-			SuspectThreshold: 2, FailThreshold: 5,
-			Interval: 10 * time.Millisecond,
-			OnFail: func(dev int) {
-				if _, err := vol.ReplaceDevice(zns.NewDevice(clk, devConfig())); err != nil {
-					rebuilt.Complete(err)
-					return
-				}
-				mon.MarkReplaced(dev)
-				rebuilt.Complete(nil)
-			},
-		})
-
-		// A persistent latent sector: every foreground read of that unit
-		// errors (and is transparently repaired), driving the counter up.
-		dev, pba := unitSector(devConfig(), 0, 1, 4, 3)
-		if err := devs[dev].InjectReadError(pba); err != nil {
-			check(false, "inject: %v", err)
-			return
-		}
-		lba := 4*vol.StripeSectors() + 16 // unit 1 of stripe 4
-		buf := make([]byte, 16*ss)
-		for i := 0; i < 2; i++ {
-			if err := vol.Read(lba, buf); err != nil {
-				check(false, "read: %v", err)
-				return
-			}
-		}
-		mon.Poll()
-		okSuspect := mon.State(dev) == scrub.Suspect && vol.Degraded() < 0
-		check(okSuspect, "device %d suspect after 2 read errors, array still whole", dev)
-
-		for i := 0; i < 3; i++ {
-			if err := vol.Read(lba, buf); err != nil {
-				check(false, "read: %v", err)
-				return
-			}
-		}
-		mon.Start()
-		err := rebuilt.Wait()
-		mon.Stop()
-		okRebuild := err == nil && vol.Degraded() < 0 && mon.State(dev) == scrub.Healthy
-		check(okRebuild, "device %d auto-failed at threshold and rebuilt onto replacement (err=%v)", dev, err)
-
-		okData := true
-		buf2 := make([]byte, zs*int64(ss))
-		for z := int64(0); z < 2; z++ {
-			if vol.Read(z*zs, buf2) != nil || !bytes.Equal(buf2, pattern(z*zs, int(zs), ss)) {
-				okData = false
-				break
-			}
-		}
-		check(okData, "data intact after health-driven rebuild")
-	})
-}
-
-func scenarioRebuildUnderLoad() {
-	clk := vclock.New()
-	clk.Run(func() {
-		devs := make([]*zns.Device, 5)
-		for i := range devs {
-			devs[i] = zns.NewDevice(clk, devConfig())
-		}
-		vol, _ := raizn.Create(clk, devs, raizn.DefaultConfig())
-		ss := vol.SectorSize()
-		zs := vol.ZoneSectors()
-		for z := int64(0); z < 4; z++ {
-			vol.Write(z*zs, pattern(z*zs, int(zs), ss), 0)
-		}
-		vol.FailDevice(1)
-		done := clk.NewFuture()
-		clk.Go(func() {
-			_, err := vol.ReplaceDevice(zns.NewDevice(clk, devConfig()))
-			done.Complete(err)
-		})
-		// Concurrent writes to a fresh zone while the rebuild runs.
-		base := 4 * zs
-		for off := int64(0); off < 128; off += 16 {
-			vol.Write(base+off, pattern(base+off, 16, ss), 0)
-		}
-		err := done.Wait()
-		okRebuild := err == nil && vol.Degraded() == -1
-		buf := make([]byte, 128*ss)
-		okData := vol.Read(base, buf) == nil && bytes.Equal(buf, pattern(base, 128, ss))
-		// Verify redundancy of the racing writes.
-		vol.FailDevice(0)
-		okDeg := vol.Read(base, buf) == nil && bytes.Equal(buf, pattern(base, 128, ss))
-		check(okRebuild && okData && okDeg, "rebuild under load: rebuilt=%v data=%v redundant=%v", okRebuild, okData, okDeg)
-	})
 }

@@ -140,9 +140,8 @@ func main() {
 				}
 				u := rng.Intn(n - 1)
 				intra := rng.Int63n(*su)
-				pd := n - 1 - int((s+z)%int64(n))
-				dev := (pd + 1 + u) % n
-				if err := devs[dev].CorruptSector(z*cfg.ZoneSize + s**su + intra); err != nil {
+				dev, sector := vol.UnitLocation(int(z), s, u)
+				if err := devs[dev].CorruptSector(sector + intra); err != nil {
 					fmt.Fprintln(os.Stderr, "corrupt:", err)
 					os.Exit(1)
 				}

@@ -55,8 +55,10 @@ func main() {
 		// lost with the cache.
 		keepOnly := map[int]bool{}
 		for u := 0; u < 3; u++ {
-			keepOnly[dataDev(vol, 0, 1, u)] = u == 2
+			dev, _ := vol.UnitLocation(0, 1, u)
+			keepOnly[dev] = u == 2
 		}
+		parityDev, _ := vol.UnitLocation(0, 1, 4) // unit D=4: the parity unit
 		for i, d := range devs {
 			cuts := map[int]int64{}
 			for z := 0; z < cfg.NumZones; z++ {
@@ -66,11 +68,12 @@ func main() {
 			if keep, involved := keepOnly[i]; involved && !keep {
 				cuts[0] = 16 // ...except stripe 1's unit on two devices
 			}
-			if i == parityDev(vol, 0, 1) {
+			if i == parityDev {
 				// Drop the unflushed partial-parity log.
-				for z := cfg.NumZones - 3; z < cfg.NumZones; z++ {
-					zd := d.Zone(z)
-					cuts[z] = zd.PersistedWP - d.ZoneStart(z)
+				for z := 0; z < cfg.NumZones; z++ {
+					if vol.PhysZoneRole(z) == "md" {
+						cuts[z] = d.Zone(z).PersistedWP - d.ZoneStart(z)
+					}
 				}
 			}
 			d.PowerLossAt(cuts)
@@ -121,15 +124,4 @@ func must(err error) {
 	if err != nil {
 		log.Fatal(err)
 	}
-}
-
-// dataDev / parityDev mirror the volume's layout arithmetic for the demo
-// (zone z, stripe s): parity rotates per stripe and per zone.
-func parityDev(v *raizn.Volume, z int, s int) int {
-	n := 5
-	return n - 1 - (s+z)%n
-}
-
-func dataDev(v *raizn.Volume, z, s, u int) int {
-	return (parityDev(v, z, s) + 1 + u) % 5
 }

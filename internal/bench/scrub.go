@@ -121,7 +121,6 @@ func runScrubCoverage(w io.Writer, quick bool) error {
 
 			rng := rand.New(rand.NewSource(seed))
 			n := len(devs)
-			physZone := znsConfig(sc, false).ZoneSize
 			su := int64(16)
 			seen := map[[2]int64]bool{}
 			for i := 0; i < k; i++ {
@@ -136,9 +135,8 @@ func runScrubCoverage(w io.Writer, quick bool) error {
 				}
 				u := rng.Intn(n - 1)
 				intra := rng.Int63n(su)
-				pd := n - 1 - int((s+z)%int64(n))
-				dev := (pd + 1 + u) % n
-				if err := devs[dev].CorruptSector(z*physZone + s*su + intra); err != nil {
+				dev, sector := v.UnitLocation(int(z), s, u)
+				if err := devs[dev].CorruptSector(sector + intra); err != nil {
 					panic(err)
 				}
 			}

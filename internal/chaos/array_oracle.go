@@ -49,93 +49,27 @@ type ZoneWatermarks struct {
 }
 
 // CheckArrayCrash validates one array's recovery contracts against its
-// crash snapshot:
-//
-//   - "open-after-cycle" and J1 "unexplained-bytes" on the raw clones
-//     (the latter only with a complete journal), exactly as the scenario
-//     runner's oracle checks them;
-//   - the array must mount writable ("recovery-failed" /
-//     "recovery-readonly");
-//   - per logical zone with watermarks: "lost-durable-data" (recovered
-//     wp below the durable prefix) and "phantom-data" (above everything
-//     submitted).
-//
-// It returns the violations (Rule and Detail populated) plus the
-// mounted volume for caller follow-up checks, or nil if mounting
-// failed. The caller must not be inside Clk.Run.
+// crash snapshot with the scenario oracle's rules: mountCrash's clone and
+// mount rules, then checkWatermarks on every logical zone the caller has
+// watermarks for. It returns the violations (Rule and Detail populated)
+// plus the mounted volume for caller follow-up checks, or nil if
+// mounting failed. The caller must not be inside Clk.Run.
 func CheckArrayCrash(ac ArrayCrash, marks map[int]ZoneWatermarks) ([]Violation, *raizn.Volume) {
 	var vios []Violation
 	add := func(rule, format string, args ...interface{}) {
 		vios = append(vios, Violation{Rule: rule, Detail: fmt.Sprintf(format, args...)})
 	}
-
-	view := journalView(ac.Events, len(ac.Clones))
-	for i, c := range ac.Clones {
-		descs := c.ReportZones()
-		for _, zd := range descs {
-			if zd.State == zns.ZoneOpen {
-				add("open-after-cycle", "dev %d zone %d open after power cycle", i, zd.Index)
-			}
-		}
-		if c.Failed() || ac.Dropped > 0 {
-			continue
-		}
-		for _, zd := range descs {
-			if zd.State == zns.ZoneFull && view[i].finished[zd.Index] {
-				continue
-			}
-			rel := zd.WP - c.ZoneStart(zd.Index)
-			if max := view[i].maxEnd[zd.Index]; rel > max {
-				add("unexplained-bytes",
-					"dev %d zone %d: wp %d survives but journal explains only %d",
-					i, zd.Index, rel, max)
-			}
-		}
-	}
-
-	var live []*zns.Device
-	for _, c := range ac.Clones {
-		if !c.Failed() {
-			live = append(live, c)
-		}
-	}
-	if len(ac.Clones)-len(live) > 1 {
-		add("unmountable", "%d failed devices", len(ac.Clones)-len(live))
+	_, vol := mountCrash(ac, add)
+	if vol == nil {
 		return vios, nil
 	}
-	var vol *raizn.Volume
-	var merr error
-	ac.Clk.Run(func() { vol, merr = raizn.Mount(ac.Clk, live, ac.Config) })
-	if merr != nil {
-		add("recovery-failed", "mount: %v", merr)
-		return vios, nil
-	}
-	if vol.ReadOnly() {
-		add("recovery-readonly", "array mounted read-only")
-	}
-
 	for z, wm := range marks {
 		if z < 0 || z >= vol.NumZones() {
 			add("bad-watermark", "zone %d out of range", z)
 			continue
 		}
 		desc := vol.Zone(z)
-		wp := desc.WP - int64(z)*vol.ZoneSectors()
-		if wp < wm.Durable {
-			add("lost-durable-data",
-				"zone %d: wp %d below durable prefix %d", z, wp, wm.Durable)
-		}
-		if wm.Finished {
-			if desc.State != zns.ZoneFull {
-				add("finish-durability",
-					"zone %d: finished zone recovered in state %v", z, desc.State)
-			}
-			continue
-		}
-		if wp > wm.Submitted {
-			add("phantom-data",
-				"zone %d: wp %d beyond everything submitted (%d)", z, wp, wm.Submitted)
-		}
+		checkWatermarks(add, z, desc.WP-int64(z)*vol.ZoneSectors(), desc.State, wm)
 	}
 	return vios, vol
 }

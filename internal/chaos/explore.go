@@ -121,7 +121,7 @@ func Explore(s *Scenario, opt Options) (*Result, error) {
 // deterministic so a broken-recovery repro replays exactly.
 func sabotage(s *Scenario, cap *capture) {
 	dataZones := s.Dev.NumZones - s.Vol.ReservedZones()
-	for _, c := range cap.clones {
+	for _, c := range cap.Clones {
 		if c.Failed() {
 			continue
 		}

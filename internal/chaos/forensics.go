@@ -22,8 +22,8 @@ import (
 func recoverBox(s *Scenario, cap *capture) ([]byte, bool) {
 	var data []byte
 	var ok bool
-	cap.clk.Run(func() {
-		for _, c := range cap.clones {
+	cap.Clk.Run(func() {
+		for _, c := range cap.Clones {
 			if c.Failed() {
 				continue
 			}

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"fmt"
+	"math"
 
 	"raizn/internal/obs"
 	"raizn/internal/raizn"
@@ -58,50 +59,36 @@ func journalView(events []obs.Event, numDev int) []devJournalState {
 	return view
 }
 
-// checkRecovery mounts the captured crash snapshot and validates every
-// recovery contract:
+// mountCrash applies the rules that need no workload model to one
+// array's crash snapshot and mounts it:
 //
+//   - "open-after-cycle": no zone may be open after a power cycle.
 //   - J1 "unexplained-bytes": no device zone survives the power cut with
 //     a write pointer beyond the highest journaled write (persistence
 //     ordering — every surviving byte is explainable by a recorded,
-//     submitted command). Checked pre-mount, on the raw clones.
-//   - "open-after-cycle": no zone may be open after a power cycle.
-//   - "recovery-failed" / "recovery-readonly": the array must mount and
-//     stay writable after any single crash.
-//   - "lost-durable-data": a zone's recovered write pointer may not fall
-//     below its known-durable prefix (flush/FUA/finish completed).
-//   - "phantom-data": nor may it exceed everything ever submitted.
-//   - "reset-atomicity": a crash during ResetZone leaves the zone either
-//     fully reset (mandatory once the reset WAL is durable) or untouched
-//     at its pre-reset generation.
-//   - "finish-durability": a completed FinishZone survives as a full zone.
-//   - "content-mismatch": recovered bytes must match the generation-
-//     stamped pattern the workload wrote.
-//   - "unexplained-stripe-unit": every recovered logical sector beyond
-//     the durable prefix maps (via the stripe layout arithmetic) to a
-//     journaled device write covering its stripe unit.
-//   - "probe-failed": the recovered array must accept and serve a fresh
-//     write.
+//     submitted command). Checked on the raw clones, with a complete
+//     journal only.
+//   - "unmountable" / "recovery-failed" / "recovery-readonly": the array
+//     must mount and stay writable after any single crash.
 //
-// The returned violations carry only Rule and Detail; the caller stamps
-// crash-point coordinates.
-func checkRecovery(s *Scenario, cap *capture) []Violation {
-	var vios []Violation
-	add := func(rule, format string, args ...interface{}) {
-		vios = append(vios, Violation{Rule: rule, Detail: fmt.Sprintf(format, args...)})
-	}
-
-	// --- Pre-mount: raw clone contracts -----------------------------
-	view := journalView(cap.events, len(cap.clones))
-	for i, c := range cap.clones {
+// It returns the journal view and the mounted volume, nil when mounting
+// failed. The caller must not be inside ac.Clk.Run.
+func mountCrash(ac ArrayCrash, add func(string, string, ...interface{})) ([]devJournalState, *raizn.Volume) {
+	view := journalView(ac.Events, len(ac.Clones))
+	var live []*zns.Device
+	for i, c := range ac.Clones {
 		descs := c.ReportZones()
 		for _, zd := range descs {
 			if zd.State == zns.ZoneOpen {
 				add("open-after-cycle", "dev %d zone %d open after power cycle", i, zd.Index)
 			}
 		}
-		if c.Failed() || cap.dropped > 0 {
-			continue // stale pre-failure state / incomplete journal
+		if c.Failed() {
+			continue // stale pre-failure state
+		}
+		live = append(live, c)
+		if ac.Dropped > 0 {
+			continue // incomplete journal
 		}
 		for _, zd := range descs {
 			if zd.State == zns.ZoneFull && view[i].finished[zd.Index] {
@@ -117,33 +104,96 @@ func checkRecovery(s *Scenario, cap *capture) []Violation {
 			}
 		}
 	}
-
-	// --- Mount ------------------------------------------------------
-	var live []*zns.Device
-	for _, c := range cap.clones {
-		if !c.Failed() {
-			live = append(live, c)
-		}
-	}
-	if len(cap.clones)-len(live) > 1 {
-		add("unmountable", "%d failed devices", len(cap.clones)-len(live))
-		return vios
+	if len(ac.Clones)-len(live) > 1 {
+		add("unmountable", "%d failed devices", len(ac.Clones)-len(live))
+		return view, nil
 	}
 	var vol *raizn.Volume
 	var merr error
-	cap.clk.Run(func() { vol, merr = raizn.Mount(cap.clk, live, s.volConfig()) })
+	ac.Clk.Run(func() { vol, merr = raizn.Mount(ac.Clk, live, ac.Config) })
 	if merr != nil {
 		add("recovery-failed", "mount: %v", merr)
-		return vios
+		return view, nil
 	}
 	if vol.ReadOnly() {
 		add("recovery-readonly", "array mounted read-only")
+	}
+	return view, vol
+}
+
+// checkWatermarks applies the write-pointer rules to logical zone z,
+// recovered with zone-relative write pointer wp in state st:
+//
+//   - "lost-durable-data": wp may not fall below the known-durable prefix
+//     (flush/FUA/finish completed).
+//   - "finish-durability": a completed FinishZone survives as a full zone.
+//   - "phantom-data": nor may wp exceed everything ever submitted; a
+//     finished zone's wp reads capacity whatever it holds, so it is
+//     exempt.
+func checkWatermarks(add func(string, string, ...interface{}), z int, wp int64, st zns.ZoneState, wm ZoneWatermarks) {
+	if wp < wm.Durable {
+		add("lost-durable-data",
+			"zone %d: wp %d below durable prefix %d", z, wp, wm.Durable)
+	}
+	if wm.Finished {
+		if st != zns.ZoneFull {
+			add("finish-durability",
+				"zone %d: finished zone recovered in state %v", z, st)
+		}
+		return
+	}
+	if wp > wm.Submitted {
+		add("phantom-data",
+			"zone %d: wp %d beyond everything submitted (%d)", z, wp, wm.Submitted)
+	}
+}
+
+// watermarks projects the model onto checkWatermarks: the flushed prefix
+// is durable, and the furthest accepted or in-flight write end bounds
+// what may survive unless a finish, which pads to capacity, is in flight.
+func (zm *ZoneModel) watermarks() ZoneWatermarks {
+	wm := ZoneWatermarks{
+		Durable:   zm.FlushedWP,
+		Submitted: max(zm.WrittenWP, zm.PendingEnd),
+		Finished:  zm.Finished,
+	}
+	if zm.Finishing {
+		wm.Submitted = math.MaxInt64
+	}
+	return wm
+}
+
+// checkRecovery mounts the captured crash snapshot and validates every
+// recovery contract: mountCrash's clone and mount rules, checkWatermarks'
+// write-pointer rules against the workload model, and
+//
+//   - "reset-atomicity": a crash during ResetZone leaves the zone either
+//     fully reset (mandatory once the reset WAL is durable) or untouched
+//     at its pre-reset generation.
+//   - "content-mismatch": recovered bytes must match the generation-
+//     stamped pattern the workload wrote.
+//   - "unexplained-stripe-unit": every recovered logical sector beyond
+//     the durable prefix maps (via the stripe layout arithmetic) to a
+//     journaled device write covering its stripe unit.
+//   - "probe-failed": the recovered array must accept and serve a fresh
+//     write.
+//
+// The returned violations carry only Rule and Detail; the caller stamps
+// crash-point coordinates.
+func checkRecovery(s *Scenario, cap *capture) []Violation {
+	var vios []Violation
+	add := func(rule, format string, args ...interface{}) {
+		vios = append(vios, Violation{Rule: rule, Detail: fmt.Sprintf(format, args...)})
+	}
+	view, vol := mountCrash(cap.ArrayCrash, add)
+	if vol == nil {
+		return vios
 	}
 
 	// --- Post-mount: logical contracts vs the workload model --------
 	m := cap.model
 	ss := vol.SectorSize()
-	cap.clk.Run(func() {
+	cap.Clk.Run(func() {
 		for z := range m.Zones {
 			zm := &m.Zones[z]
 			zoneStart := int64(z) * m.ZoneSectors
@@ -166,22 +216,7 @@ func checkRecovery(s *Scenario, cap *capture) []Violation {
 				continue
 			}
 
-			if wp < zm.FlushedWP {
-				add("lost-durable-data",
-					"zone %d: wp %d below durable prefix %d", z, wp, zm.FlushedWP)
-			}
-			high := zm.WrittenWP
-			if zm.PendingEnd > high {
-				high = zm.PendingEnd
-			}
-			if wp > high && !(zm.Finished || zm.Finishing) {
-				add("phantom-data",
-					"zone %d: wp %d beyond everything submitted (%d)", z, wp, high)
-			}
-			if zm.Finished && desc.State != zns.ZoneFull {
-				add("finish-durability",
-					"zone %d: finished zone recovered in state %v", z, desc.State)
-			}
+			checkWatermarks(add, z, wp, desc.State, zm.watermarks())
 
 			end := wp
 			if end > zm.WrittenWP {
@@ -225,15 +260,15 @@ func checkContent(vol *raizn.Volume, add func(string, string, ...interface{}), z
 // write pointer covers it. Skipped when relocation has moved units off
 // their arithmetic location or the journal is incomplete.
 func checkStripeUnits(s *Scenario, cap *capture, view []devJournalState, add func(string, string, ...interface{}), z int, zm *ZoneModel, wp int64, desc raizn.ZoneDesc) {
-	if cap.dropped > 0 || desc.Remapped || zm.Suspect {
+	if cap.Dropped > 0 || desc.Remapped || zm.Suspect {
 		return
 	}
-	for _, e := range cap.events {
+	for _, e := range cap.Events {
 		if e.Type == obs.EvRelocation {
 			return
 		}
 	}
-	n := int64(len(cap.clones))
+	n := int64(len(cap.Clones))
 	su := s.Vol.StripeUnitSectors
 	stripeSec := su * (n - 1)
 	for lba := zm.FlushedWP; lba < wp; {
@@ -245,7 +280,8 @@ func checkStripeUnits(s *Scenario, cap *capture, view []devJournalState, add fun
 		if lba+step > wp {
 			step = wp - lba
 		}
-		// Left-symmetric rotation (layout.dataDev).
+		// Left-symmetric rotation, kept apart from raizn's UnitLocation as
+		// an independent reference.
 		pdev := n - 1 - (st+int64(z))%n
 		dev := int((pdev + 1 + u) % n)
 		if !cap.model.FailedDevs[dev] {
@@ -282,7 +318,7 @@ func checkStripeUnits(s *Scenario, cap *capture, view []devJournalState, add fun
 }
 
 // probeWrite appends a fresh write to the first writable zone of the
-// recovered array and reads it back. Must run inside cap.clk.Run.
+// recovered array and reads it back. Must run inside cap.Clk.Run.
 func probeWrite(vol *raizn.Volume, m *Model, add func(string, string, ...interface{}), ss int) {
 	for z := range m.Zones {
 		zm := &m.Zones[z]

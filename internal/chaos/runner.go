@@ -61,16 +61,14 @@ func parseVariant(s string) (Variant, error) {
 }
 
 // capture is the frozen state of a run at the instant of a crash: the
-// post-power-loss device clones (bound to a fresh clock recovery will run
-// on), the event journal up to the crash, and the workload model.
+// array's crash snapshot (post-power-loss clones bound to a fresh clock
+// recovery will run on, the event journal up to the crash, the mount
+// config) and the workload model.
 type capture struct {
-	clk     *vclock.Clock
-	clones  []*zns.Device
-	events  []obs.Event
-	dropped uint64
-	model   *Model
-	point   CrashPoint
-	index   int // census index of the crossing
+	ArrayCrash
+	model *Model
+	point CrashPoint
+	index int // census index of the crossing
 }
 
 // runCtx is the mutable state of one scenario execution. The hook runs on
@@ -191,13 +189,16 @@ func (rc *runCtx) captureLocked(cp CrashPoint, idx int) {
 		clones[i] = d.CrashClone(clk, rng, cuts)
 	}
 	rc.cap = &capture{
-		clk:     clk,
-		clones:  clones,
-		events:  rc.jrn.Events(),
-		dropped: rc.jrn.Dropped(),
-		model:   rc.model.clone(),
-		point:   cp,
-		index:   idx,
+		ArrayCrash: ArrayCrash{
+			Clk:     clk,
+			Clones:  clones,
+			Events:  rc.jrn.Events(),
+			Dropped: rc.jrn.Dropped(),
+			Config:  rc.s.volConfig(),
+		},
+		model: rc.model.clone(),
+		point: cp,
+		index: idx,
 	}
 }
 

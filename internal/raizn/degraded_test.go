@@ -125,29 +125,40 @@ func TestDegradedWriteThenRemountDegraded(t *testing.T) {
 func TestDegradedMountPartialStripeUsesPartialParity(t *testing.T) {
 	// §5.1's recovery story: crash with a partial stripe, then the
 	// device holding one of its data units fails. The stripe buffer is
-	// reconstructed from the partial-parity logs.
-	runVol(t, func(c *vclock.Clock, v *Volume, devs []*zns.Device) {
-		mustWriteV(t, v, 0, 40, 0) // units 0,1 full; unit 2 half
-		v.Flush()
-		victim := v.lt.dataDev(0, 0, 1)
-		avail := make([]*zns.Device, 0, 4)
-		for i, d := range devs {
-			if i != victim {
-				avail = append(avail, d)
+	// reconstructed from the partial-parity logs. Lost in turn: a full
+	// unit, and after a power cycle the half-written unit itself.
+	for _, tc := range []struct {
+		unit      int
+		powerLoss bool
+	}{{1, false}, {2, true}} {
+		runVol(t, func(c *vclock.Clock, v *Volume, devs []*zns.Device) {
+			mustWriteV(t, v, 0, 40, 0) // units 0,1 full; unit 2 half
+			v.Flush()
+			if tc.powerLoss {
+				for _, d := range devs {
+					d.PowerLoss(nil)
+				}
 			}
-		}
-		v2, err := Mount(c, avail, DefaultConfig())
-		if err != nil {
-			t.Fatalf("Mount: %v", err)
-		}
-		if wp := v2.Zone(0).WP; wp != 40 {
-			t.Errorf("WP = %d, want 40 (from pp logs)", wp)
-		}
-		checkReadV(t, v2, 0, 40)
-		// Appends must continue correctly (buffer reconstructed).
-		mustWriteV(t, v2, 40, 24, 0) // completes the stripe
-		checkReadV(t, v2, 0, 64)
-	})
+			victim := v.lt.dataDev(0, 0, tc.unit)
+			avail := make([]*zns.Device, 0, 4)
+			for i, d := range devs {
+				if i != victim {
+					avail = append(avail, d)
+				}
+			}
+			v2, err := Mount(c, avail, DefaultConfig())
+			if err != nil {
+				t.Fatalf("unit %d lost: Mount: %v", tc.unit, err)
+			}
+			if wp := v2.Zone(0).WP; wp != 40 {
+				t.Errorf("unit %d lost: WP = %d, want 40 (from pp logs)", tc.unit, wp)
+			}
+			checkReadV(t, v2, 0, 40)
+			// Appends must continue correctly (buffer reconstructed).
+			mustWriteV(t, v2, 40, 24, 0) // completes the stripe
+			checkReadV(t, v2, 0, 64)
+		})
+	}
 }
 
 func TestSecondFailureGoesReadOnly(t *testing.T) {
@@ -247,35 +258,48 @@ func TestRebuildTimeScalesWithData(t *testing.T) {
 }
 
 func TestWritesDuringRebuildStayConsistent(t *testing.T) {
-	runVol(t, func(c *vclock.Clock, v *Volume, devs []*zns.Device) {
-		zs := v.ZoneSectors()
-		for z := int64(0); z < 4; z++ {
-			mustWriteV(t, v, z*zs, int(zs), 0)
-		}
-		mustWriteV(t, v, 4*zs, 20, 0)
-		v.FailDevice(4)
+	// Writes race the rebuild: small appends to a zone the rebuild has to
+	// copy, and full stripes into a zone it finds empty.
+	for _, tc := range []struct {
+		pre, chunk, n  int64 // zone 4: sectors written before, then n writes of chunk
+		failed, second int   // device rebuilt, device failed afterwards
+	}{{20, 4, 10, 4, 2}, {0, 16, 8, 1, 0}} {
+		runVol(t, func(c *vclock.Clock, v *Volume, devs []*zns.Device) {
+			zs := v.ZoneSectors()
+			for z := int64(0); z < 4; z++ {
+				mustWriteV(t, v, z*zs, int(zs), 0)
+			}
+			if tc.pre > 0 {
+				mustWriteV(t, v, 4*zs, int(tc.pre), 0)
+			}
+			v.FailDevice(tc.failed)
 
-		replacement := zns.NewDevice(c, testDevConfig())
-		done := c.NewFuture()
-		c.Go(func() {
-			_, err := v.ReplaceDevice(replacement)
-			done.Complete(err)
+			replacement := zns.NewDevice(c, testDevConfig())
+			done := c.NewFuture()
+			c.Go(func() {
+				_, err := v.ReplaceDevice(replacement)
+				done.Complete(err)
+			})
+			// Concurrent writes while the rebuild runs.
+			for i := int64(0); i < tc.n; i++ {
+				mustWriteV(t, v, 4*zs+tc.pre+i*tc.chunk, int(tc.chunk), 0)
+			}
+			if err := done.Wait(); err != nil {
+				t.Fatalf("rebuild: %v", err)
+			}
+			if d := v.Degraded(); d != -1 {
+				t.Errorf("Degraded() = %d after the rebuild, want -1", d)
+			}
+			end := int(tc.pre + tc.n*tc.chunk)
+			for z := int64(0); z < 4; z++ {
+				checkReadV(t, v, z*zs, int(zs))
+			}
+			checkReadV(t, v, 4*zs, end)
+			// Verify redundancy of the data written during rebuild.
+			v.FailDevice(tc.second)
+			checkReadV(t, v, 4*zs, end)
 		})
-		// Concurrent writes while the rebuild runs.
-		for i := int64(0); i < 10; i++ {
-			mustWriteV(t, v, 4*zs+20+i*4, 4, 0)
-		}
-		if err := done.Wait(); err != nil {
-			t.Fatalf("rebuild: %v", err)
-		}
-		for z := int64(0); z < 4; z++ {
-			checkReadV(t, v, z*zs, int(zs))
-		}
-		checkReadV(t, v, 4*zs, 60)
-		// Verify redundancy of the data written during rebuild.
-		v.FailDevice(2)
-		checkReadV(t, v, 4*zs, 60)
-	})
+	}
 }
 
 func TestRebuildOfRemappedZone(t *testing.T) {

@@ -1,9 +1,13 @@
 package raizn
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"raizn/internal/vclock"
+	"raizn/internal/zns"
 )
 
 func testLayout() *layout {
@@ -228,4 +232,43 @@ func TestMDZoneIndex(t *testing.T) {
 	if got := lt.mdZoneIndex(2); got != 7 {
 		t.Errorf("mdZoneIndex(2) = %d, want 7", got)
 	}
+}
+
+// TestUnitLocationHoldsUnitBytes reads every stripe unit of a full zone
+// straight off the device and sector UnitLocation names: data unit u
+// holds its LBAs' bytes and unit d the XOR of the data units.
+func TestUnitLocationHoldsUnitBytes(t *testing.T) {
+	runVol(t, func(c *vclock.Clock, v *Volume, devs []*zns.Device) {
+		const z = 1 // a zone whose rotation does not start on device n-1
+		zs := v.ZoneSectors()
+		mustWriteV(t, v, int64(z)*zs, int(zs), 0)
+		if err := v.Flush(); err != nil {
+			t.Fatalf("Flush: %v", err)
+		}
+		su := v.lt.su
+		unitBytes := int(su) * v.SectorSize()
+		for s := int64(0); s < v.StripesPerZone(); s++ {
+			parity := make([]byte, unitBytes)
+			for u := 0; u <= v.lt.d; u++ {
+				dev, sector := v.UnitLocation(z, s, u)
+				got := make([]byte, unitBytes)
+				if err := devs[dev].Read(sector, got).Wait(); err != nil {
+					t.Fatalf("stripe %d unit %d: read dev %d sector %d: %v", s, u, dev, sector, err)
+				}
+				if u == v.lt.d {
+					if !bytes.Equal(got, parity) {
+						t.Errorf("stripe %d: dev %d sector %d does not hold the XOR of the data units", s, dev, sector)
+					}
+					continue
+				}
+				lba := int64(z)*zs + s*v.StripeSectors() + int64(u)*su
+				if !bytes.Equal(got, lbaPattern(v, lba, int(su))) {
+					t.Errorf("stripe %d unit %d: dev %d sector %d does not hold LBAs %d..%d", s, u, dev, sector, lba, lba+su)
+				}
+				for i := range parity {
+					parity[i] ^= got[i]
+				}
+			}
+		}
+	})
 }

@@ -684,6 +684,19 @@ func (v *Volume) PhysZoneRole(z int) string {
 	}
 }
 
+// UnitLocation returns the device and device-absolute sector where stripe
+// unit u of stripe s in logical zone z starts: a data unit for u < D, the
+// parity unit for u == D (stripePiece's numbering). Every unit of a stripe
+// starts at the same offset of its device's physical zone. It is the
+// arithmetic location; relocated fragments are not followed.
+func (v *Volume) UnitLocation(z int, s int64, u int) (dev int, sector int64) {
+	dev = v.lt.parityDev(z, s)
+	if u < v.lt.d {
+		dev = v.lt.dataDev(z, s, u)
+	}
+	return dev, v.lt.parityPBA(z, s)
+}
+
 // StripeSectors returns the data sectors per stripe (D stripe units).
 func (v *Volume) StripeSectors() int64 { return v.lt.stripeSectors() }
 

@@ -11,10 +11,8 @@ import (
 // `intra` of data unit u (or the parity unit when u == d) of stripe s in
 // logical zone z.
 func unitSectorPBA(v *Volume, z int, s int64, u int, intra int64) (int, int64) {
-	if u == v.lt.d {
-		return v.lt.parityDev(z, s), v.lt.parityPBA(z, s) + intra
-	}
-	return v.lt.dataDev(z, s, u), int64(z)*v.lt.physZoneSize + s*v.lt.su + intra
+	dev, sector := v.UnitLocation(z, s, u)
+	return dev, sector + intra
 }
 
 func TestScrubVerifiesCleanStripes(t *testing.T) {

@@ -80,64 +80,79 @@ func checkRead(t *testing.T, v *raizn.Volume, lba int64, n int) {
 }
 
 func TestPassRepairsAllInjectedRot(t *testing.T) {
-	c := vclock.New()
-	c.Run(func() {
-		v, devs := newVol(t, c)
-		// Fill two logical zones (8 complete stripes each).
-		zoneSec := int(v.ZoneSectors())
-		mustWrite(t, v, 0, zoneSec)
-		mustWrite(t, v, v.ZoneSectors(), zoneSec)
-		if err := v.Flush(); err != nil {
-			t.Fatalf("Flush: %v", err)
-		}
-
-		// Inject corruption across zones, stripes, and units — one bad
-		// unit per stripe so every instance is attributable.
-		type hit struct {
-			z     int
-			s     int64
-			u     int
-			intra int64
-		}
-		hits := []hit{
-			{0, 0, 0, 0}, {0, 2, 3, 7}, {0, 5, 1, 15},
-			{1, 1, 2, 3}, {1, 7, 0, 9}, {1, 4, 3, 12},
-		}
-		for _, h := range hits {
-			dev, pba := dataSector(h.z, h.s, h.u, h.intra)
-			if err := devs[dev].CorruptSector(pba); err != nil {
-				t.Fatalf("CorruptSector(%+v): %v", h, err)
+	type hit struct {
+		z     int
+		s     int64
+		u     int
+		intra int64
+	}
+	// One bad unit per stripe so every instance is attributable: rot
+	// across zones, stripes and units, and in the second case latent read
+	// errors beside it in the same pass, over three zones.
+	for _, tc := range []struct {
+		zones      int64
+		rots, lats []hit
+	}{
+		{2, []hit{{0, 0, 0, 0}, {0, 2, 3, 7}, {0, 5, 1, 15}, {1, 1, 2, 3}, {1, 7, 0, 9}, {1, 4, 3, 12}}, nil},
+		{3, []hit{{0, 0, 0, 0}, {0, 3, 2, 7}, {1, 6, 1, 15}, {2, 7, 3, 4}}, []hit{{1, 2, 0, 6}, {2, 5, 2, 11}}},
+	} {
+		c := vclock.New()
+		c.Run(func() {
+			v, devs := newVol(t, c)
+			// Fill the logical zones (8 complete stripes each).
+			zoneSec := int(v.ZoneSectors())
+			for z := int64(0); z < tc.zones; z++ {
+				mustWrite(t, v, z*v.ZoneSectors(), zoneSec)
 			}
-		}
+			if err := v.Flush(); err != nil {
+				t.Fatalf("Flush: %v", err)
+			}
+			for _, h := range tc.rots {
+				dev, pba := dataSector(h.z, h.s, h.u, h.intra)
+				if err := devs[dev].CorruptSector(pba); err != nil {
+					t.Fatalf("CorruptSector(%+v): %v", h, err)
+				}
+			}
+			for _, h := range tc.lats {
+				dev, pba := dataSector(h.z, h.s, h.u, h.intra)
+				if err := devs[dev].InjectReadError(pba); err != nil {
+					t.Fatalf("InjectReadError(%+v): %v", h, err)
+				}
+			}
 
-		s := New(Config{Clock: c, Target: RaiznTarget{V: v}, Repair: true})
-		stats, err := s.RunPass()
-		if err != nil {
-			t.Fatalf("RunPass: %v", err)
-		}
-		if stats.Mismatches != int64(len(hits)) {
-			t.Errorf("Mismatches = %d, want %d", stats.Mismatches, len(hits))
-		}
-		if stats.RepairedData != int64(len(hits)) {
-			t.Errorf("RepairedData = %d, want %d", stats.RepairedData, len(hits))
-		}
-		if stats.Unrepaired != 0 {
-			t.Errorf("Unrepaired = %d, want 0", stats.Unrepaired)
-		}
+			s := New(Config{Clock: c, Target: RaiznTarget{V: v}, Repair: true})
+			stats, err := s.RunPass()
+			if err != nil {
+				t.Fatalf("RunPass: %v", err)
+			}
+			if stats.Mismatches != int64(len(tc.rots)) {
+				t.Errorf("Mismatches = %d, want %d", stats.Mismatches, len(tc.rots))
+			}
+			if stats.ReadErrors != int64(len(tc.lats)) {
+				t.Errorf("ReadErrors = %d, want %d", stats.ReadErrors, len(tc.lats))
+			}
+			if stats.RepairedData != int64(len(tc.rots)+len(tc.lats)) {
+				t.Errorf("RepairedData = %d, want %d", stats.RepairedData, len(tc.rots)+len(tc.lats))
+			}
+			if stats.Unrepaired != 0 {
+				t.Errorf("Unrepaired = %d, want 0", stats.Unrepaired)
+			}
 
-		// Full-volume readback: every acked LBA intact.
-		checkRead(t, v, 0, zoneSec)
-		checkRead(t, v, v.ZoneSectors(), zoneSec)
+			// Full-volume readback: every acked LBA intact.
+			for z := int64(0); z < tc.zones; z++ {
+				checkRead(t, v, z*v.ZoneSectors(), zoneSec)
+			}
 
-		// A second pass is clean.
-		stats, err = s.RunPass()
-		if err != nil {
-			t.Fatalf("RunPass (2nd): %v", err)
-		}
-		if stats.Mismatches != 0 || stats.RepairedData != 0 {
-			t.Errorf("second pass not clean: %+v", stats)
-		}
-	})
+			// A second pass is clean.
+			stats, err = s.RunPass()
+			if err != nil {
+				t.Fatalf("RunPass (2nd): %v", err)
+			}
+			if stats.Mismatches != 0 || stats.ReadErrors != 0 || stats.RepairedData != 0 {
+				t.Errorf("second pass not clean: %+v", stats)
+			}
+		})
+	}
 }
 
 func TestRateLimitBoundsScrubRate(t *testing.T) {
@@ -289,12 +304,18 @@ func TestMonitorAutoRebuild(t *testing.T) {
 		// Drive the device's error counter over the fail threshold with
 		// repeated foreground reads of the latent unit (the sector stays
 		// latent: foreground read-repair reconstructs but does not
-		// relocate).
+		// relocate). At the first error the device is only suspect.
 		buf := make([]byte, 16*v.SectorSize())
 		lba := int64(1)*v.StripeSectors() + int64(2)*testSU // LBA of the latent unit
 		for i := 0; i < 3; i++ {
 			if err := v.Read(lba, buf); err != nil {
 				t.Fatalf("Read: %v", err)
+			}
+			if i == 0 {
+				m.Poll()
+				if m.State(dev) != Suspect || v.Degraded() >= 0 {
+					t.Fatalf("after 1 error: state %v, Degraded() %d, want suspect on a whole array", m.State(dev), v.Degraded())
+				}
 			}
 		}
 

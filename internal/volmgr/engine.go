@@ -113,12 +113,14 @@ type engine struct {
 	work     *vclock.Cond // dispatcher parks here for new work / freed window
 	idle     *vclock.Cond // drain/close waiters park here
 	tenants  map[string]*tenant
-	order    []string // registration order; also the DRR ring order
-	ring     int      // persistent DRR ring position
-	turn     bool     // the flow at ring has an open (quantum-credited) turn
-	queued   int      // requests in tenant queues
-	inflight int      // requests issued to arrays, not yet completed
-	issuing  bool     // the dispatcher is issuing a dequeued batch
+	order    []string      // registration order; also the DRR ring order
+	ring     int           // persistent DRR ring position
+	turn     bool          // the flow at ring has an open (quantum-credited) turn
+	queued   int           // requests in tenant queues
+	inflight int           // requests issued to arrays, not yet completed
+	issuing  bool          // the dispatcher is issuing a dequeued batch
+	refillAt time.Duration // deadline of the last refill timer armed; pending while ahead of now
+	refill   func()        // the refill timer's callback: wakes the dispatcher
 	started  bool
 	closed   bool
 	done     bool
@@ -140,6 +142,7 @@ func newEngine(v *Volume, cfg EngineConfig) *engine {
 	e.alarm = obs.NewSLOAlarm(cfg.SLO, e.latencies)
 	e.work = v.clk.NewCond(&e.mu)
 	e.idle = v.clk.NewCond(&e.mu)
+	e.refill = e.work.Signal
 
 	n := func(name string) string { return obs.LabeledName(name, "volume", v.name) }
 	e.dispatched = v.reg.Counter(n("volmgr_dispatched_total"))
@@ -296,9 +299,9 @@ func (e *engine) submit(tid string, kind opKind, lba int64, data []byte, flags z
 }
 
 // dispatcherLoop is the engine's single scheduling goroutine. Each
-// iteration either issues a batch, sleeps until the earliest token-
-// bucket refill admits someone, or parks until a queued submit or a
-// completion with work queued changes the picture.
+// iteration either issues a batch or parks until a queued submit, a
+// completion with work queued, or the earliest token-bucket refill
+// changes the picture.
 func (e *engine) dispatcherLoop() {
 	e.mu.Lock()
 	for {
@@ -316,13 +319,14 @@ func (e *engine) dispatcherLoop() {
 				continue
 			}
 			if wait > 0 {
-				// Every backlogged tenant is token-limited; the earliest
-				// refill is the next interesting instant. New submissions
-				// during the sleep are picked up on the rescan.
-				e.mu.Unlock()
-				e.v.clk.Sleep(wait)
-				e.mu.Lock()
-				continue
+				// Every backlogged tenant is token-limited. Park on
+				// e.work, not in Sleep: another tenant's submit must
+				// still wake the dispatcher. A timer wakes it at the
+				// earliest refill unless one due no later is pending.
+				if now := e.v.clk.Now(); e.refillAt <= now || now+wait < e.refillAt {
+					e.refillAt = now + wait
+					e.v.clk.AfterFunc(wait, e.refill)
+				}
 			}
 		}
 		if e.closed && e.queued == 0 && e.inflight == 0 {

@@ -865,3 +865,82 @@ func TestSLOAlarmReadsTenantLatencies(t *testing.T) {
 		}
 	})
 }
+
+// TestThrottledTenantDoesNotStallOthers keeps one tenant backlogged
+// behind a 50-IOPS bucket (burst 1) while three unlimited tenants write
+// and read their own zones, one request a millisecond. The throttled
+// tenant's next refill is up to 20 ms away; the others' requests must
+// not wait for it. They write whole stripes, which log no partial
+// parity, so no metadata roll-over lands in their service times.
+func TestThrottledTenantDoesNotStallOthers(t *testing.T) {
+	clk := vclock.New()
+	clk.Run(func() {
+		m := newTestManager(t, clk, 1)
+		v, err := m.CreateVolume("vol", VolumeSpec{
+			Zones: 4,
+			Tenants: []TenantConfig{
+				{ID: "slow", IOPS: 50, IOPSBurst: 1},
+				{ID: "u0"}, {ID: "u1"}, {ID: "u2"},
+			},
+		})
+		if err != nil {
+			t.Fatalf("CreateVolume: %v", err)
+		}
+		ss := v.SectorSize()
+		zs := v.ZoneSectors()
+		const stripe = 32 // two data units of 16 sectors
+		wg := clk.NewWaitGroup()
+		wg.Add(4)
+		clk.Go(func() { // slow: 16 one-sector writes, up to 8 queued at once
+			defer wg.Done()
+			var futs []*vclock.Future
+			for lba := int64(0); lba < 16; lba++ {
+				fut, err := v.SubmitWrite("slow", lba, pattern("slow", lba, 1, ss), 0)
+				if err != nil {
+					t.Errorf("slow SubmitWrite: %v", err)
+					return
+				}
+				if futs = append(futs, fut); len(futs) == 8 {
+					if err := futs[0].Wait(); err != nil {
+						t.Errorf("slow write: %v", err)
+					}
+					futs = futs[1:]
+				}
+			}
+			if err := vclock.WaitAll(futs...); err != nil {
+				t.Errorf("slow write: %v", err)
+			}
+		})
+		for i := 1; i <= 3; i++ {
+			id := fmt.Sprintf("u%d", i-1)
+			base := int64(i) * zs
+			clk.Go(func() { // fill the zone a stripe at a time, then read it back
+				defer wg.Done()
+				buf := make([]byte, stripe*ss)
+				for off := int64(0); off < 2*zs; off += stripe {
+					clk.Sleep(time.Millisecond)
+					lba := base + off%zs
+					var err error
+					if off < zs {
+						err = v.Write(id, lba, pattern(id, lba, stripe, ss), 0)
+					} else if err = v.Read(id, lba, buf); err == nil && !bytes.Equal(buf, pattern(id, lba, stripe, ss)) {
+						err = fmt.Errorf("read-back mismatch at %d", lba)
+					}
+					if err != nil {
+						t.Errorf("%s: %v", id, err)
+						return
+					}
+				}
+			})
+		}
+		wg.Wait()
+		for _, st := range v.TenantStats() {
+			if p99 := st.Latency.Percentile(99); st.ID != "slow" && p99 >= time.Millisecond {
+				t.Errorf("tenant %s: p99 %v beside a throttled tenant, want < 1ms", st.ID, p99)
+			}
+		}
+		if err := m.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	})
+}
