@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+	"time"
 
 	"raizn/internal/vclock"
 	"raizn/internal/zns"
@@ -298,6 +299,68 @@ func TestWritesDuringRebuildStayConsistent(t *testing.T) {
 			// Verify redundancy of the data written during rebuild.
 			v.FailDevice(tc.second)
 			checkReadV(t, v, 4*zs, end)
+		})
+	}
+}
+
+// TestWritesAfterRebuildStartReachReplacement: a zone that is empty when
+// the rebuild takes its order, and first written some time after the
+// rebuild started, must end up on the replacement too; and a queued zone
+// reset before its turn must be rebuilt from its new generation. Each
+// case fails the replacement's neighbour afterwards and reads everything
+// back through reconstruction.
+func TestWritesAfterRebuildStartReachReplacement(t *testing.T) {
+	for _, delay := range []time.Duration{0, time.Millisecond, 5 * time.Millisecond} {
+		t.Run(delay.String(), func(t *testing.T) {
+			runVol(t, func(c *vclock.Clock, v *Volume, devs []*zns.Device) {
+				zs := v.ZoneSectors()
+				for z := int64(0); z < 4; z++ {
+					mustWriteV(t, v, z*zs, int(zs), 0)
+				}
+				v.FailDevice(1)
+
+				replacement := zns.NewDevice(c, testDevConfig())
+				done := c.NewFuture()
+				c.Go(func() {
+					_, err := v.ReplaceDevice(replacement)
+					done.Complete(err)
+				})
+				c.Sleep(delay)
+				// Zone 4 was empty at the start; zone 3, full, is last
+				// in the order, and its new generation differs in every
+				// byte from its old one.
+				mustWriteV(t, v, 4*zs, 128, 0)
+				if err := v.ResetZone(3); err != nil {
+					t.Fatalf("ResetZone(3): %v", err)
+				}
+				newGen := lbaPattern(v, 3*zs, 40)
+				for i := range newGen {
+					newGen[i] ^= 0xff
+				}
+				if err := v.Write(3*zs, newGen, 0); err != nil {
+					t.Fatalf("write zone 3 after its reset: %v", err)
+				}
+				if err := done.Wait(); err != nil {
+					t.Fatalf("rebuild: %v", err)
+				}
+				if d := v.Degraded(); d != -1 {
+					t.Fatalf("Degraded() = %d after the rebuild, want -1", d)
+				}
+				if err := v.FailDevice(2); err != nil {
+					t.Fatal(err)
+				}
+				checkReadV(t, v, 4*zs, 128)
+				for z := int64(0); z < 3; z++ {
+					checkReadV(t, v, z*zs, int(zs))
+				}
+				got := make([]byte, len(newGen))
+				if err := v.Read(3*zs, got); err != nil {
+					t.Fatalf("read zone 3 degraded: %v", err)
+				}
+				if !bytes.Equal(got, newGen) {
+					t.Fatal("zone 3 reads back other bytes than its new generation")
+				}
+			})
 		})
 	}
 }

@@ -70,22 +70,29 @@ func (v *Volume) ReplaceDevice(newDev *zns.Device) (RebuildStats, error) {
 	if err := v.writeCheckpoint(newDev, m.active[mdParity], slot, mdParity); err != nil {
 		return stats, v.abortRebuild(slot, err)
 	}
-	v.mu.Lock()
-	v.md[slot] = m
-	v.publishDevTableLocked()
-	v.mu.Unlock()
-
-	// Rebuild zone by zone, active zones first (§4.2).
+	// Rebuild zone by zone, active zones first (§4.2). The order is taken
+	// in the critical section that marks every zone outside it — the
+	// empty ones — rebuilt. A zone's state changes under v.mu, and its
+	// first write opens it (openZoneSlot) before loading the device table,
+	// so that write either made the zone part of the order or is sent to
+	// the replacement too. A queued zone reset before its turn is copied
+	// as it stands at its turn: its new generation, or nothing.
 	order := make([]int, 0, v.lt.numZones)
 	var fullZones []int
+	v.mu.Lock()
+	v.md[slot] = m
 	for z := 0; z < v.lt.numZones; z++ {
 		switch v.zones[z].state {
 		case zns.ZoneOpen, zns.ZoneClosed:
 			order = append(order, z)
 		case zns.ZoneFull:
 			fullZones = append(fullZones, z)
+		default:
+			v.rebuiltZones[z] = true
 		}
 	}
+	v.publishDevTableLocked()
+	v.mu.Unlock()
 	order = append(order, fullZones...)
 
 	for _, z := range order {
@@ -100,11 +107,7 @@ func (v *Volume) ReplaceDevice(newDev *zns.Device) (RebuildStats, error) {
 			int64(stats.Zones), int64(len(order)), stats.BytesWritten, 0)
 		v.fireHook("raizn.rebuild.zone", slot, z, int64(stats.Zones))
 	}
-	// Empty zones need no data; mark everything rebuilt.
 	v.mu.Lock()
-	for z := range v.rebuiltZones {
-		v.rebuiltZones[z] = true
-	}
 	v.degraded = -1
 	v.rebuilding = false
 	v.rebuiltZones = nil

@@ -111,19 +111,14 @@ func (v *Volume) doResetZone(sp *obs.Span, lz *logicalZone) error {
 	v.dropRelocEntries(z)
 	v.clearZoneChecksums(z)
 	lz.mu.Lock()
+	v.mu.Lock() // a zone's state changes under both locks (ReplaceDevice)
 	if lz.state == zns.ZoneOpen {
-		v.mu.Lock()
 		v.openCount--
-		v.mu.Unlock()
-	}
-	if v.jrn.Enabled() {
-		v.mu.Lock()
-		open := int64(v.openCount)
-		v.mu.Unlock()
-		v.jrn.Record(obs.EvZoneReset, obs.SrcLogical, z,
-			lz.wp, int64(v.Generation(z)), open, open)
 	}
 	lz.state = zns.ZoneEmpty
+	open, newGen := int64(v.openCount), int64(v.gen[z])
+	v.mu.Unlock()
+	v.jrn.Record(obs.EvZoneReset, obs.SrcLogical, z, lz.wp, newGen, open, open)
 	lz.wp = 0
 	lz.submittedWP = 0
 	lz.persistedWP = 0
