@@ -19,11 +19,12 @@ import (
 // several devices: each ReadXORSpan captures its zone bytes at submit as a
 // term, and once the owner seals it the job XORs every term into the
 // caller's buffer. One package-level copier goroutine, outside the virtual
-// clock and touching no device state, claims a job's chunks as it gets to
-// them; the command's completion claims whatever is left and waits only
-// for a chunk already being copied, so no future completes with its copy
-// unfinished and the copier may fall arbitrarily behind (with
-// GOMAXPROCS=1 the completions do all the work, as at copy-at-submit).
+// clock and touching no device state, claims a job's chunks one at a time
+// as it gets to them; the command's completion claims whatever is left in
+// one step and waits only for a chunk already being copied, so no future
+// completes with its copy unfinished and the copier may fall arbitrarily
+// behind (with GOMAXPROCS=1 the completions do all the work, as at
+// copy-at-submit).
 // Virtual time, event order and device state do not depend on who copied.
 //
 // The drain rule: no access to zone bytes may see or overtake a copy still
@@ -44,16 +45,36 @@ import (
 // chunks that the copier and the completion can split between them.
 const copyChunk = 16 << 10
 
-// copierPoll is how long the copier, out of jobs, keeps polling for the
-// next before it parks, when the job it last waited for came within that
-// long of its going idle. A parked copier started an offered job a median
-// 9–12 µs later (p90 ≈ 63 µs, on 2 cores, for randread, smallsync and
-// smallsync_zraid), while those jobs came a median 0.7–2.4 µs after the
-// copier went idle: parked, it lost most of them to the completions, on
-// the clock's path. The window is below that wake latency, so polling
-// costs less than a wake whenever the next job is close; a copier that
-// never parked cost smallsync_zraid 18–40 % more CPU per op.
-const copierPoll = 5 * time.Microsecond
+// copierPollCap caps the copier's poll budget (pollBudget): a parked
+// copier started an offered job a median 9–12 µs later (p90 ≈ 63 µs, on 2
+// cores, for randread, smallsync and smallsync_zraid), so polling longer
+// than that costs more than the wake it saves, and a copier that never
+// parked cost smallsync_zraid 52 % more CPU per op.
+const copierPollCap = 50 * time.Microsecond
+
+// pollBudget is the copier's earned poll time: out of jobs, it polls for
+// the next for as long as it has spent copying multi-chunk jobs since it
+// last parked, net of what it has polled, up to copierPollCap. A one-chunk
+// job earns nothing: it is the kind the wake rule leaves to its
+// completion, and a budget that every job earned cost smallsync_zraid
+// 8 % more CPU per op where this one costs 3 %.
+type pollBudget struct{ d time.Duration }
+
+// earn adds the time spent copying a job of n chunks.
+func (b *pollBudget) earn(n uint32, spent time.Duration) {
+	if n > 1 {
+		b.d = min(b.d+spent, copierPollCap)
+	}
+}
+
+// spend takes polled time off the budget.
+func (b *pollBudget) spend(polled time.Duration) { b.d = max(b.d-polled, 0) }
+
+// reset empties the budget: the copier parked.
+func (b *pollBudget) reset() { b.d = 0 }
+
+// left is how long the copier may still poll.
+func (b *pollBudget) left() time.Duration { return b.d }
 
 // The wake rule: a copier parked on its channel is not woken for a job of
 // one chunk (at most copyChunk bytes); that job's completion copies it.
@@ -61,13 +82,11 @@ const copierPoll = 5 * time.Microsecond
 // and a parked copier mostly reached the job after its completion had.
 
 // copyRef names one job for the copier: the record and the generation the
-// job was started under, and the host time it was offered at (sent, read
-// only by the copier's poll rule). A record recycled since carries a newer
+// job was started under. A record recycled since carries a newer
 // generation and the copier leaves it alone.
 type copyRef struct {
-	j    *readCopy
-	gen  uint32
-	sent time.Duration
+	j   *readCopy
+	gen uint32
 }
 
 var (
@@ -87,27 +106,30 @@ func startCopier() {
 	copierStart.Do(func() { go copier(copyJobs) })
 }
 
-// copier claims the jobs offered on jobs. Out of jobs, it polls for up to
-// copierPoll if the last job it went idle for came within copierPoll, and
-// parks otherwise, saying so in copierParked for the wake rule.
+// copier claims the jobs offered on jobs a chunk at a time. Out of jobs, it
+// polls while its pollBudget lasts and then parks, saying so in
+// copierParked for the wake rule.
 func copier(jobs <-chan copyRef) {
-	poll := false
+	var b pollBudget
 	for {
 		r, ok := tryJob(jobs)
 		if !ok {
 			idle := hostNow()
-			for poll && !ok && hostNow()-idle < copierPoll {
+			for !ok && hostNow()-idle < b.left() {
 				runtime.Gosched()
 				r, ok = tryJob(jobs)
 			}
-			if !ok {
+			if ok {
+				b.spend(hostNow() - idle)
+			} else {
+				b.reset()
 				copierParked.Store(true)
 				r = <-jobs
 				copierParked.Store(false)
 			}
-			poll = r.sent-idle <= copierPoll
 		}
-		r.j.claim(r.gen)
+		t := hostNow()
+		b.earn(r.j.claim(r.gen, 1), hostNow()-t)
 	}
 }
 
@@ -127,7 +149,6 @@ func sendCopy(ref copyRef) {
 	if ref.j == nil || len(ref.j.dst) <= copyChunk && copierParked.Load() {
 		return
 	}
-	ref.sent = hostNow()
 	select {
 	case copyJobs <- ref:
 	default:
@@ -172,36 +193,38 @@ func (j *readCopy) arm() copyRef {
 	return copyRef{j: j, gen: j.gen}
 }
 
-// claim copies chunks of generation gen until none is left unclaimed and
-// returns the job's chunk count (0 if gen is not the job's generation).
-func (j *readCopy) claim(gen uint32) uint32 {
+// claim copies chunks of generation gen, taking up to most unclaimed ones
+// per CAS, until none is left, and returns the job's chunk count (0 if gen
+// was not the job's generation when claim began).
+func (j *readCopy) claim(gen, most uint32) (n uint32) {
 	for {
 		s := j.state.Load()
-		n, k := uint32(s>>16)&0xffff, int(s&0xffff)
 		if uint32(s>>32) != gen {
-			return 0
-		}
-		if k >= int(n) {
 			return n
 		}
-		if j.state.CompareAndSwap(s, s+1) {
-			lo := k * j.cs
-			hi := min(lo+j.cs, len(j.dst))
+		k := uint32(s) & 0xffff
+		if n = uint32(s>>16) & 0xffff; k >= n {
+			return n
+		}
+		t := min(most, n-k)
+		if j.state.CompareAndSwap(s, s+uint64(t)) {
+			lo, hi := int(k)*j.cs, min(int(k+t)*j.cs, len(j.dst))
 			if j.xor {
 				xorTerms(j.dst, j.src, j.at, lo, hi, j.zero)
 			} else {
 				fill(j.dst, j.src, lo, hi)
 			}
-			j.done.Add(1)
+			j.done.Add(t)
 		}
 	}
 }
 
-// finish copies whatever the job has left and waits for chunks another
-// goroutine is copying. Only the record's owner calls it: its completion,
-// or a drain under the device lock.
+// finish takes every chunk the job has left in one claim, publishes them
+// in done at once, and waits for chunks another goroutine is copying. Only
+// the record's owner calls it: its completion, or a drain under the device
+// lock.
 func (j *readCopy) finish() {
-	n := j.claim(j.gen)
+	n := j.claim(j.gen, 0xffff)
 	for j.done.Load() < n {
 		runtime.Gosched()
 	}

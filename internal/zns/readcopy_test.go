@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"raizn/internal/vclock"
 )
@@ -153,4 +155,155 @@ func TestReadFilledWithCopierStarved(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestPollBudget pins the copier's poll rule (pollBudget): only multi-chunk
+// jobs earn poll time, earning stops at copierPollCap, polling spends it
+// and parking empties it.
+func TestPollBudget(t *testing.T) {
+	const us = time.Microsecond
+	type step struct {
+		op     string // earn, spend or reset
+		chunks uint32 // earn: the job's chunk count
+		d      time.Duration
+	}
+	cases := []struct {
+		name  string
+		steps []step
+		left  time.Duration
+	}{
+		{"one-chunk job earns nothing", []step{{op: "earn", chunks: 1, d: 30 * us}}, 0},
+		{"stale job earns nothing", []step{{op: "earn", chunks: 0, d: 30 * us}}, 0},
+		{"multi-chunk jobs earn their copy time", []step{{op: "earn", chunks: 4, d: 7 * us}, {op: "earn", chunks: 64, d: 5 * us}}, 12 * us},
+		{"earning stops at the cap", []step{{op: "earn", chunks: 64, d: 40 * us}, {op: "earn", chunks: 64, d: 40 * us}}, copierPollCap},
+		{"polling spends the budget", []step{{op: "earn", chunks: 4, d: 20 * us}, {op: "spend", d: 8 * us}}, 12 * us},
+		{"spending stops at zero", []step{{op: "earn", chunks: 4, d: 5 * us}, {op: "spend", d: 8 * us}}, 0},
+		{"parking empties it", []step{{op: "earn", chunks: 64, d: 40 * us}, {op: "reset"}}, 0},
+		{"earned again after parking", []step{{op: "earn", chunks: 64, d: 40 * us}, {op: "reset"}, {op: "earn", chunks: 2, d: 3 * us}}, 3 * us},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var b pollBudget
+			for _, s := range tc.steps {
+				switch s.op {
+				case "earn":
+					b.earn(s.chunks, s.d)
+				case "spend":
+					b.spend(s.d)
+				case "reset":
+					b.reset()
+				}
+			}
+			if got := b.left(); got != tc.left {
+				t.Fatalf("left %v, want %v", got, tc.left)
+			}
+		})
+	}
+}
+
+// TestFinishTakesTheRestInOneClaim has a holder goroutine claim chunk 0 of
+// a four-chunk job, as the copier would, and keep it while the test
+// goroutine runs the job's finish. finish must copy chunks 1–3 and publish
+// them in done at once, not return before the holder publishes chunk 0,
+// and leave dst equal to the source. On more than one core the holder
+// busy-waits once it has closed held, so the test goroutine that the close
+// wakes runs finish on another core while the holder watches its claim
+// happen; the round repeats because where the scheduler runs the two is
+// not up to the test.
+func TestFinishTakesTheRestInOneClaim(t *testing.T) {
+	wait := func() {
+		if runtime.GOMAXPROCS(0) == 1 {
+			runtime.Gosched()
+		}
+	}
+	src := make([]byte, 4*copyChunk)
+	for i := range src {
+		src[i] = byte(i*7 + i>>14)
+	}
+	dst := make([]byte, len(src))
+	var j readCopy
+	for round := 0; round < 20; round++ {
+		clear(dst)
+		j.start(dst, src)
+		if n := j.state.Load() >> 16 & 0xffff; n != 4 {
+			t.Fatalf("the job has %d chunks, want 4", n)
+		}
+		var returned atomic.Bool
+		held, failed := make(chan struct{}), make(chan string, 2) // room for both of its sends
+		go func() {
+			defer close(failed)
+			j.state.Add(1) // chunk 0: claimed, not yet copied or published
+			close(held)
+			var first uint32
+			for deadline := time.Now().Add(10 * time.Second); first == 0; first = j.done.Load() {
+				if time.Now().After(deadline) {
+					j.done.Store(4) // let finish return
+					failed <- "finish did not copy chunks 1-3"
+					return
+				}
+				wait()
+			}
+			switch {
+			case first != 3:
+				failed <- fmt.Sprintf("done first read %d: finish published chunks 1-3 one at a time", first)
+			case j.state.Load()&0xffff != 4:
+				failed <- fmt.Sprintf("claimed up to chunk %d after finish's claim, want 4", j.state.Load()&0xffff)
+			case !bytes.Equal(dst[copyChunk:], src[copyChunk:]):
+				failed <- "chunks 1-3 published but not copied"
+			}
+			copy(dst[:copyChunk], src)
+			runtime.Gosched()
+			if returned.Load() {
+				failed <- "finish returned while chunk 0 was still being copied"
+			}
+			j.done.Add(1)
+		}()
+		<-held
+		j.finish()
+		returned.Store(true)
+		if msg, ok := <-failed; ok {
+			t.Fatalf("round %d: %s", round, msg)
+		}
+		if !bytes.Equal(dst, src) {
+			t.Fatal("dst differs from the source")
+		}
+	}
+}
+
+// TestCopierParksAfterBurst keeps the copier busy with multi-chunk jobs,
+// as large reads offer them, for 30 ms of host time and then offers
+// nothing: having earned its whole poll budget, the copier must park
+// within 10 ms, on one core and on two. An uncapped budget would have it
+// poll for about as long as it copied.
+func TestCopierParksAfterBurst(t *testing.T) {
+	startCopier()
+	src := make([]byte, 1<<20)
+	for i := range src {
+		src[i] = byte(i)
+	}
+	dst := make([]byte, len(src))
+	for _, procs := range []int{1, 2} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			var j readCopy
+			for end := time.Now().Add(30 * time.Millisecond); time.Now().Before(end); {
+				ref := j.start(dst, src)
+				sendCopy(ref)
+				n := j.state.Load() >> 16 & 0xffff
+				for deadline := time.Now().Add(10 * time.Second); j.done.Load() < uint32(n); {
+					if time.Now().After(deadline) {
+						t.Fatal("the copier did not take an offered job")
+					}
+					runtime.Gosched()
+				}
+			}
+			idle := time.Now()
+			for !copierParked.Load() {
+				if d := time.Since(idle); d > 10*time.Millisecond {
+					t.Fatalf("the copier still polls %v after its last job", d)
+				}
+				runtime.Gosched()
+			}
+		})
+	}
 }
