@@ -291,6 +291,9 @@ func TestWritesDuringRebuildStayConsistent(t *testing.T) {
 			if d := v.Degraded(); d != -1 {
 				t.Errorf("Degraded() = %d after the rebuild, want -1", d)
 			}
+			if err := v.CheckRedundancy(); err != nil {
+				t.Fatalf("after the rebuild: %v", err)
+			}
 			end := int(tc.pre + tc.n*tc.chunk)
 			for z := int64(0); z < 4; z++ {
 				checkReadV(t, v, z*zs, int(zs))
@@ -345,6 +348,9 @@ func TestWritesAfterRebuildStartReachReplacement(t *testing.T) {
 				}
 				if d := v.Degraded(); d != -1 {
 					t.Fatalf("Degraded() = %d after the rebuild, want -1", d)
+				}
+				if err := v.CheckRedundancy(); err != nil {
+					t.Fatalf("after the rebuild: %v", err)
 				}
 				if err := v.FailDevice(2); err != nil {
 					t.Fatal(err)

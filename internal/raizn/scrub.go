@@ -1,8 +1,9 @@
 package raizn
 
 import (
+	"bytes"
 	"errors"
-	"slices"
+	"fmt"
 
 	"raizn/internal/obs"
 	"raizn/internal/parity"
@@ -115,8 +116,8 @@ func (v *Volume) ScrubStripe(z int, s int64, repair bool) (StripeScrubResult, er
 	imgs := make([][]byte, v.lt.n)
 	var unreadable []int
 	for u := 0; u <= v.lt.d; u++ {
-		img := make([]byte, su*ss)
-		if err := v.unitImage(sp, z, s, u, 0, su, img); err != nil {
+		imgs[u] = make([]byte, su*ss)
+		if err := v.unitImage(sp, z, s, u, 0, su, imgs[u]); err != nil {
 			if v.Generation(z) != gen0 {
 				sp.End(nil)
 				return skip() // the zone was reset under us
@@ -129,7 +130,6 @@ func (v *Volume) ScrubStripe(z int, s int64, repair bool) (StripeScrubResult, er
 			sp.End(err)
 			return res, err
 		}
-		imgs[u] = img
 		res.BytesRead += su * ss
 	}
 	sp.Mark(obs.PhasePlan)
@@ -220,13 +220,16 @@ func (v *Volume) repairUnreadableUnit(z int, s int64, u int, imgs [][]byte, crcs
 	v.repairUnit(z, s, u, imgs, crcs, repair, res)
 }
 
-// repairUnit reconstructs unit u from the other units and checks it
-// against its recorded CRC, if the stripe has a row: a reconstruction
-// that contradicts it means more than one unit is wrong in a way the CRCs
+// repairUnit reconstructs unit u from the other units into u's own image
+// buffer (its bytes, rotten or unread, are not needed again) and checks it
+// against its recorded CRC, if the stripe has a row: a reconstruction that
+// contradicts it means more than one unit is wrong in a way the CRCs
 // cannot pin down. With repair set, the unit is then relocated and the
 // repair counted.
 func (v *Volume) repairUnit(z int, s int64, u int, imgs [][]byte, crcs []uint32, repair bool, res *StripeScrubResult) {
-	want := parity.Reconstruct(slices.Delete(slices.Clone(imgs), u, u+1)...)
+	var buf [8][]byte
+	want := imgs[u]
+	parity.EncodeInto(want, append(append(buf[:0], imgs[:u]...), imgs[u+1:]...)...)
 	if crcs != nil && crcOf(want) != crcs[u] {
 		v.scrubFlag(res, !res.Mismatch, true) // a read error's first mismatch
 		return
@@ -246,6 +249,46 @@ func (v *Volume) repairUnit(z int, s int64, u int, imgs [][]byte, crcs []uint32,
 		v.stats.scrubRepairedData.Add(1)
 	}
 	res.Verified = true
+}
+
+// CheckRedundancy checks, on a whole array, every complete stripe below
+// each logical zone's write pointer: every device yields its piece (read
+// through the relocation overlays), the parity unit is the XOR of the
+// data units, and each unit matches the stripe's checksum row where it
+// has one. It returns the first violation, or nil. The array must be
+// quiet: a stripe written or reset during the check may be reported.
+func (v *Volume) CheckRedundancy() error {
+	if dev := v.Degraded(); dev >= 0 {
+		return fmt.Errorf("raizn: redundancy check: device %d is missing", dev)
+	}
+	imgs := make([][]byte, v.lt.n+1) // data units, parity, and their XOR
+	for u := range imgs {
+		imgs[u] = make([]byte, v.lt.su*int64(v.sectorSize))
+	}
+	d, xor := v.lt.d, imgs[v.lt.n]
+	for z, lz := range v.zones {
+		lz.mu.Lock()
+		wp := lz.wp
+		lz.mu.Unlock()
+		for s := int64(0); (s+1)*v.lt.stripeSectors() <= wp; s++ {
+			for u := 0; u <= d; u++ {
+				if err := v.unitImage(nil, z, s, u, 0, v.lt.su, imgs[u]); err != nil {
+					return fmt.Errorf("raizn: redundancy check: zone %d stripe %d unit %d (device %d): %w",
+						z, s, u, v.unitDevice(z, s, u), err)
+				}
+			}
+			if parity.EncodeInto(xor, imgs[:d]...); !bytes.Equal(xor, imgs[d]) {
+				return fmt.Errorf("raizn: redundancy check: zone %d stripe %d: parity is not the XOR of the data", z, s)
+			}
+			crcs := v.StripeChecksums(z, s)
+			for u := 0; crcs != nil && u <= d; u++ {
+				if crcOf(imgs[u]) != crcs[u] {
+					return fmt.Errorf("raizn: redundancy check: zone %d stripe %d unit %d does not match its checksum row", z, s, u)
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // scrubFlag records, in res and the volume's counters, that the stripe

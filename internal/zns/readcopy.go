@@ -17,14 +17,14 @@ import (
 // at submit and hand its copy into zone memory to the record the same way.
 // A reconstruction (XORRead) is one job shared by several commands, on
 // several devices: each ReadXORSpan captures its zone bytes at submit as a
-// term, and once the owner seals it the job XORs every term into the
-// caller's buffer. One package-level copier goroutine, outside the virtual
-// clock and touching no device state, claims a job's chunks one at a time
-// as it gets to them; the command's completion claims whatever is left in
-// one step and waits only for a chunk already being copied, so no future
-// completes with its copy unfinished and the copier may fall arbitrarily
-// behind (with GOMAXPROCS=1 the completions do all the work, as at
-// copy-at-submit).
+// term, and once the owner seals it the job XORs the terms into the
+// caller's buffer, all terms block by block (xorTerms). One package-level
+// copier goroutine, outside the virtual clock and touching no device
+// state, claims a job's chunks one at a time as it gets to them; the
+// command's completion claims whatever is left in one step and waits only
+// for a chunk already being copied, so no future completes with its copy
+// unfinished and the copier may fall arbitrarily behind (with
+// GOMAXPROCS=1 the completions do all the work, as at copy-at-submit).
 // Virtual time, event order and device state do not depend on who copied.
 //
 // The drain rule: no access to zone bytes may see or overtake a copy still
@@ -44,6 +44,9 @@ import (
 // copyChunk is the unit a copy is claimed in: a 64 KiB command is four
 // chunks that the copier and the completion can split between them.
 const copyChunk = 16 << 10
+
+// xorBlock is the step in which xorTerms goes through a segment's terms.
+const xorBlock = 512
 
 // copierPollCap caps the copier's poll budget (pollBudget): a parked
 // copier started an offered job a median 9–12 µs later (p90 ≈ 63 µs, on 2
@@ -256,24 +259,37 @@ func fill(dst []byte, src [][]byte, lo, hi int) {
 
 // xorTerms XORs into dst[lo:hi] the part there of every term src[i], which
 // starts at dst offset at[i]; dst past a term's end is left as it is. With
-// zero, dst[lo:hi] counts as zeroes whatever it holds: the first term
-// there is copied rather than XORed in, and what it leaves is cleared.
+// zero, dst[lo:hi] counts as zeroes whatever it holds: the first term is
+// copied rather than XORed in, and a segment no term covers is cleared.
+// Split at the terms' ends, each segment goes xorBlock bytes at a time
+// through every term covering it: the terms sit in cold zone memory, where
+// that measured faster than a pass per term over the whole chunk
+// (EXPERIMENTS.md, PR 48).
 func xorTerms(dst []byte, src [][]byte, at []int, lo, hi int, zero bool) {
-	for i, s := range src {
-		p, q := max(lo, at[i]), min(hi, at[i]+len(s))
-		switch {
-		case p >= q:
-		case zero:
-			clear(dst[lo:p])
-			copy(dst[p:q], s[p-at[i]:])
-			clear(dst[q:hi])
-			zero = false
-		default:
-			parity.XORInto(dst[p:q], s[p-at[i]:q-at[i]])
+	var buf [8][]byte
+	for p := lo; p < hi; {
+		q, terms := hi, buf[:0]
+		for i, s := range src {
+			if at[i] > p {
+				q = min(q, at[i])
+			} else if e := at[i] + len(s); e > p {
+				q, terms = min(q, e), append(terms, s[p-at[i]:])
+			}
 		}
-	}
-	if zero {
-		clear(dst[lo:hi])
+		if zero && len(terms) == 0 {
+			clear(dst[p:q])
+		}
+		for b := p; b < q; b += xorBlock {
+			e := min(q, b+xorBlock)
+			for j, s := range terms {
+				if j == 0 && zero {
+					copy(dst[b:e], s[b-p:])
+				} else {
+					parity.XORInto(dst[b:e], s[b-p:e-p])
+				}
+			}
+		}
+		p = q
 	}
 }
 

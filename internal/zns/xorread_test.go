@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -258,6 +259,119 @@ func TestXORReadWithoutDeviceRead(t *testing.T) {
 			if want := xorAt(bytes.Clone(first), 0, a); !bytes.Equal(dst, want) {
 				t.Fatalf("round %d: wrong reconstruction", i)
 			}
+		}
+	})
+}
+
+// xorLayout is one reconstruction job's terms over a dst of n bytes, with
+// junk in dst that must not leak through when zero is set. A nil term was
+// XORed in before Seal and covers nothing.
+type xorLayout struct {
+	n, chunk int
+	zero     bool
+	src      [][]byte
+	at       []int
+}
+
+// checkXORTerms runs xorTerms over l chunk by chunk and compares dst with
+// the bytewise definition: dst (or zeroes) XORed with every term at its
+// offset.
+func checkXORTerms(t *testing.T, l xorLayout, rng *rand.Rand) {
+	t.Helper()
+	dst := make([]byte, l.n)
+	rng.Read(dst)
+	want := bytes.Clone(dst)
+	if l.zero {
+		clear(want)
+	}
+	for i, s := range l.src {
+		xorAt(want, l.at[i], s)
+	}
+	for lo := 0; lo < l.n; lo += l.chunk {
+		xorTerms(dst, l.src, l.at, lo, min(lo+l.chunk, l.n), l.zero)
+	}
+	if !bytes.Equal(dst, want) {
+		i := 0
+		for dst[i] == want[i] {
+			i++
+		}
+		t.Fatalf("n=%d chunk=%d zero=%v at=%v lens=%v: byte %d is %#x, want %#x",
+			l.n, l.chunk, l.zero, l.at, termLens(l.src), i, dst[i], want[i])
+	}
+}
+
+// termLens lists the terms' lengths, -1 for a released term.
+func termLens(src [][]byte) []int {
+	out := make([]int, len(src))
+	for i, s := range src {
+		out[i] = len(s)
+		if s == nil {
+			out[i] = -1
+		}
+	}
+	return out
+}
+
+// add appends to l a term of n bytes at offset at, each term at an
+// odd offset of its own backing array; nil when released is set.
+func (l *xorLayout) add(rng *rand.Rand, at, n int, released bool) {
+	var s []byte
+	if !released {
+		back := make([]byte, n+1+2*len(l.src))
+		rng.Read(back)
+		s = back[1+2*len(l.src):]
+	}
+	l.src, l.at = append(l.src, s), append(l.at, at)
+}
+
+// TestXORTermsMatchesReference checks a reconstruction job's XOR, chunk by
+// chunk, against its bytewise definition over random layouts of 1 to 6
+// terms: terms that start inside a chunk, end before dst does, cover
+// nothing (released before Seal), or overlap in every way, over dst's
+// content and over zeroes.
+func TestXORTermsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	for round := 0; round < 2000; round++ {
+		l := xorLayout{n: 1 + rng.Intn(3*copyChunk), zero: rng.Intn(2) == 0}
+		l.chunk = []int{copyChunk, 1 + rng.Intn(l.n), 4096}[rng.Intn(3)]
+		for k := 1 + rng.Intn(6); len(l.src) < k; {
+			at := 0
+			if rng.Intn(3) > 0 {
+				at = rng.Intn(l.n)
+			}
+			n := l.n - at
+			if rng.Intn(3) == 0 {
+				n = rng.Intn(n + 1)
+			}
+			l.add(rng, at, n, rng.Intn(6) == 0)
+		}
+		checkXORTerms(t, l, rng)
+	}
+}
+
+// FuzzXORTerms decodes its input into a layout checked as in
+// TestXORTermsMatchesReference: two bytes of dst length (at most 64 KiB),
+// one of flags (bit 1: zero; bit 0: use the chunk size in the next two
+// bytes, else copyChunk), then three bytes per term, at most six: its
+// offset and length as fractions of what dst has room for, and 0xff to
+// have it released. Its seeds are the committed corpus in
+// testdata/fuzz/FuzzXORTerms.
+func FuzzXORTerms(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) < 5 {
+			return
+		}
+		l := xorLayout{n: 1 + (int(in[0])<<8 | int(in[1])), zero: in[2]&2 != 0, chunk: copyChunk}
+		if in[2]&1 != 0 {
+			l.chunk = 1 + (int(in[3])<<8|int(in[4]))%l.n
+		}
+		rng := rand.New(rand.NewSource(int64(len(in))))
+		for in = in[5:]; len(in) >= 3 && len(l.src) < 6; in = in[3:] {
+			at := int(in[0]) * l.n / 256
+			l.add(rng, at, int(in[1]&0x7f)*(l.n-at)/127, in[2] == 0xff)
+		}
+		if len(l.src) > 0 {
+			checkXORTerms(t, l, rng)
 		}
 	})
 }
