@@ -226,7 +226,8 @@ func (e *SlotTable) encodeSlotLocked(a Append, seq uint64, pad bool) []byte {
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// decodeSlot parses and validates one slot read back from a PP zone.
+// decodeSlot parses and validates one slot read back from a PP zone. The
+// record's payload aliases buf.
 func decodeSlot(buf []byte, ss int, su int64) (rec Record, seq uint64, ok bool) {
 	if binary.LittleEndian.Uint32(buf[0:4]) != slotMagic {
 		return Record{}, 0, false
@@ -249,7 +250,7 @@ func decodeSlot(buf []byte, ss int, su int64) (rec Record, seq uint64, ok bool) 
 		StartLBA: int64(binary.LittleEndian.Uint64(buf[24:32])),
 		EndLBA:   int64(binary.LittleEndian.Uint64(buf[32:40])),
 		Gen:      binary.LittleEndian.Uint64(buf[40:48]),
-		Payload:  append([]byte(nil), buf[ss:int64(ss)+payLen*int64(ss)]...),
+		Payload:  buf[ss : int64(ss)+payLen*int64(ss)],
 	}
 	return rec, binary.LittleEndian.Uint64(buf[48:56]), true
 }
@@ -284,13 +285,28 @@ func (e *SlotTable) kill(match func(slotKey) bool) {
 	e.mu.Unlock()
 }
 
-// Scan walks the PP zone of every live device in slot strides, decoding
-// and CRC-validating each slot; torn slots drop out. When several slots
-// carry the same (zone, stripe) the highest sequence number wins. Runs
+// Scan reads the PP zone of every live device in one command each, all
+// issued before any is waited for, and decodes and CRC-validates it slot
+// stride by slot stride; torn slots drop out. When several slots carry the
+// same (zone, stripe) the highest sequence number wins. Runs
 // single-threaded at mount time. A nil table has none.
 func (e *SlotTable) Scan() ([]Record, error) {
 	if e == nil {
 		return nil, nil
+	}
+	ss := int64(e.cfg.SectorSize)
+	bufs := make([][]byte, e.cfg.NumDevices)
+	futs := make([]*vclock.Future, e.cfg.NumDevices)
+	for i := range bufs {
+		d := e.cfg.Device(i)
+		if d == nil {
+			continue
+		}
+		start := d.ZoneStart(e.cfg.PPZone)
+		if fill := d.Zone(e.cfg.PPZone).WP - start; fill > 0 {
+			bufs[i] = make([]byte, fill*ss)
+			futs[i] = d.Read(start, bufs[i])
+		}
 	}
 	type best struct {
 		rec Record
@@ -298,25 +314,19 @@ func (e *SlotTable) Scan() ([]Record, error) {
 	}
 	found := make(map[slotKey]best)
 	var order []slotKey
-	ss := e.cfg.SectorSize
-	buf := make([]byte, e.stride*int64(ss))
-	for i := 0; i < e.cfg.NumDevices; i++ {
-		d := e.cfg.Device(i)
-		if d == nil {
+	for i, fut := range futs {
+		if fut == nil {
 			continue
 		}
-		z := e.cfg.PPZone
-		start := d.ZoneStart(z)
-		fill := d.Zone(z).WP - start
-		for pos := int64(0); pos < fill; pos += e.stride {
+		if err := fut.Wait(); err != nil {
+			return nil, fmt.Errorf("ppengine: pp zone scan dev %d zone %d: %w", i, e.cfg.PPZone, err)
+		}
+		zone := bufs[i]
+		for pos := int64(0); pos < int64(len(zone)); pos += e.stride * ss {
 			// A power cut can leave the zone ending inside its last slot:
 			// an overwrite persists the slot only as far as its own image
 			// reaches.
-			slot := buf[:min(e.stride, fill-pos)*int64(ss)]
-			if err := d.Read(start+pos, slot).Wait(); err != nil {
-				return nil, fmt.Errorf("ppengine: pp zone scan dev %d zone %d: %w", i, z, err)
-			}
-			rec, seq, ok := decodeSlot(slot, ss, e.cfg.SU)
+			rec, seq, ok := decodeSlot(zone[pos:min(pos+e.stride*ss, int64(len(zone)))], int(ss), e.cfg.SU)
 			if !ok {
 				continue
 			}

@@ -140,13 +140,13 @@ func (v *Volume) checkpointRecords(dev int, kind mdKind) []*record {
 //  3. Reset every other zone holding only general records (now duplicates).
 //  4. Write the partial-parity checkpoint into an empty zone R2 the same
 //     way, then reset the remaining non-empty metadata zones.
-func (v *Volume) consolidateMetadata() error {
+func (v *Volume) consolidateMetadata(logs []*mdLog) error {
 	for dev := range v.devs {
 		d := v.devs[dev]
 		if d == nil {
 			continue
 		}
-		if err := v.consolidateDevice(dev, d); err != nil {
+		if err := v.consolidateDevice(dev, d, logs[dev]); err != nil {
 			return err
 		}
 	}
@@ -160,47 +160,50 @@ type mdZoneInfo struct {
 	hasParity  bool
 }
 
-func (v *Volume) classifyMDZones(dev *zns.Device) ([]mdZoneInfo, error) {
-	recs, err := scanMDZones(dev, v.lt, v.sectorSize)
-	if err != nil {
-		return nil, err
-	}
-	infos := make([]mdZoneInfo, v.lt.mdZones)
+// classifyMDZones says, from the device's zone report and the records a
+// read of its metadata zones found, which zones are empty and which kinds
+// of record each holds. It issues no command.
+func classifyMDZones(d *zns.Device, lt *layout, recs []record) []mdZoneInfo {
+	infos := make([]mdZoneInfo, lt.mdZones)
 	for i := range infos {
-		z := v.lt.mdZoneIndex(i)
-		zd := dev.Zone(z)
+		z := lt.mdZoneIndex(i)
+		zd := d.Zone(z)
 		infos[i] = mdZoneInfo{
 			phys:  z,
-			empty: zd.WP == dev.ZoneStart(z) && zd.State != zns.ZoneFull,
+			empty: zd.WP == d.ZoneStart(z) && zd.State != zns.ZoneFull,
 		}
 	}
 	for i := range recs {
-		r := &recs[i]
-		zi := int(r.pba/v.lt.physZoneSize) - v.lt.numZones
-		if zi < 0 || zi >= len(infos) {
-			continue
-		}
-		if kindOf(r.typ) == mdParity {
-			infos[zi].hasParity = true
-		} else {
-			infos[zi].hasGeneral = true
+		if zi := int(recs[i].pba/lt.physZoneSize) - lt.numZones; zi >= 0 && zi < len(infos) {
+			parity := kindOf(recs[i].typ) == mdParity
+			infos[zi].hasParity = infos[zi].hasParity || parity
+			infos[zi].hasGeneral = infos[zi].hasGeneral || !parity
 		}
 	}
-	return infos, nil
+	return infos
 }
 
-func (v *Volume) consolidateDevice(dev int, d *zns.Device) error {
-	// Mount-time compaction may have rolled a log over; its reclaim must
-	// land before the zones change hands.
+func (v *Volume) consolidateDevice(dev int, d *zns.Device, log *mdLog) error {
+	// A roll-over during the mount must finish its reclaim before the
+	// zones change hands.
 	if m := v.md[dev]; m != nil {
 		if err := m.quiesce(); err != nil {
 			return err
 		}
 	}
-	infos, err := v.classifyMDZones(d)
-	if err != nil {
-		return err
+	// The zones are classified from Mount's read of them: nothing since
+	// appends metadata (WAL resets, repairs and compaction write data
+	// zones). Should an append or a reset move a zone's fill, read again.
+	for i, buf := range log.bufs {
+		if z := v.lt.mdZoneIndex(i); d.Zone(z).WP-d.ZoneStart(z) != int64(len(buf)/v.sectorSize) {
+			log = readMDZones(d, v.lt, v.sectorSize)
+			if err := log.wait(); err != nil {
+				return err
+			}
+			break
+		}
 	}
+	infos := classifyMDZones(d, v.lt, log.recs)
 	reset := func(i int) error {
 		if err := d.ResetZone(infos[i].phys).Wait(); err != nil {
 			return err

@@ -117,10 +117,11 @@ func mdRoles(t *testing.T, v *Volume) [][mdKinds]int {
 		if d == nil || m == nil {
 			continue
 		}
-		infos, err := v.classifyMDZones(d)
+		recs, err := scanMDZones(d, v.lt, v.sectorSize)
 		if err != nil {
-			t.Fatalf("classify dev %d: %v", i, err)
+			t.Fatalf("scan dev %d: %v", i, err)
 		}
+		infos := classifyMDZones(d, v.lt, recs)
 		m.mu.Lock()
 		if m.reclaiming || len(m.swap) != v.lt.mdZones-2 {
 			t.Errorf("dev %d: reclaiming=%v swap=%v, want idle with %d swap zones", i, m.reclaiming, m.swap, v.lt.mdZones-2)
@@ -241,10 +242,12 @@ func crashInWindow(t *testing.T, kind mdKind, point string) {
 		// foreground records behind the new zone's checkpoint.
 		if variant.name == "all" && (point == "raizn.mdgc.begin" || point == "raizn.mdgc.ckpt") {
 			variant.clk.Run(func() {
-				infos, err := live.classifyMDZones(variant.devs[rolled])
+				d := variant.devs[rolled]
+				recs, err := scanMDZones(d, live.lt, live.sectorSize)
 				if err != nil {
 					t.Fatal(err)
 				}
+				infos := classifyMDZones(d, live.lt, recs)
 				for _, inf := range infos {
 					if inf.empty {
 						t.Errorf("%s: expected no empty metadata zone, got %+v", variant.name, infos)

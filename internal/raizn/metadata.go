@@ -40,9 +40,9 @@ const (
 	recChecksums
 	// recFlightBox carries a serialized flight-recorder black box
 	// (internal/obs/flight). startLBA holds the box byte length; the box
-	// rides as external payload sectors. The newest generation wins on
-	// recovery; recover() itself ignores the record — the box is plain
-	// forensic cargo, not array state.
+	// rides as external payload sectors. The newest intact box
+	// (newestFlightBox) wins on recovery; it is forensic cargo, not array
+	// state.
 	recFlightBox
 
 	// recCheckpoint flags a record written by the metadata garbage
@@ -51,27 +51,15 @@ const (
 )
 
 func (t recType) base() recType { return t &^ recCheckpoint }
+
+var recNames = [...]string{recSuperblock: "superblock", recGenCounters: "gen-counters",
+	recResetWAL: "reset-wal", recPartialParity: "partial-parity", recRelocData: "reloc-data",
+	recRelocParity: "reloc-parity", recChecksums: "stripe-checksums", recFlightBox: "flight-box"}
+
 func (t recType) String() string {
-	s := ""
-	switch t.base() {
-	case recSuperblock:
-		s = "superblock"
-	case recGenCounters:
-		s = "gen-counters"
-	case recResetWAL:
-		s = "reset-wal"
-	case recPartialParity:
-		s = "partial-parity"
-	case recRelocData:
-		s = "reloc-data"
-	case recRelocParity:
-		s = "reloc-parity"
-	case recChecksums:
-		s = "stripe-checksums"
-	case recFlightBox:
-		s = "flight-box"
-	default:
-		s = fmt.Sprintf("recType(%d)", uint16(t))
+	s := fmt.Sprintf("recType(%d)", uint16(t))
+	if b := t.base(); int(b) < len(recNames) && recNames[b] != "" {
+		s = recNames[b]
 	}
 	if t&recCheckpoint != 0 {
 		s += "+ckpt"
@@ -88,7 +76,7 @@ type record struct {
 	inline   []byte // inline payload (<= maxInline)
 	payload  []byte // external payload sectors, if any
 
-	dev int   // device the record was read from (set by scan)
+	dev int   // array slot of the device the record was read from (set by gather)
 	pba int64 // absolute sector of the record header (set by scan)
 }
 
@@ -99,11 +87,7 @@ func (r *record) payloadSectors(l *layout, sectorSize int) int64 {
 	case recPartialParity:
 		// Parity image bytes cover the affected intra-unit region(s):
 		// min(write length, one stripe unit), rounded up to sectors.
-		n := r.endLBA - r.startLBA
-		if n > l.su {
-			n = l.su
-		}
-		return n
+		return min(r.endLBA-r.startLBA, l.su)
 	case recRelocData, recRelocParity:
 		return r.endLBA - r.startLBA
 	case recFlightBox:
@@ -145,29 +129,6 @@ func (r *record) encodeInto(hdr []byte) {
 	binary.LittleEndian.PutUint64(hdr[24:32], r.gen)
 	n := copy(hdr[headerBytes:], r.inline)
 	clear(hdr[headerBytes+n:])
-}
-
-// decodeHeader parses a header sector. It returns false if the sector
-// does not begin with a valid record header.
-func decodeHeader(sector []byte) (record, bool) {
-	if len(sector) < headerBytes {
-		return record{}, false
-	}
-	if binary.LittleEndian.Uint32(sector[0:4]) != mdMagic {
-		return record{}, false
-	}
-	r := record{
-		typ:      recType(binary.LittleEndian.Uint16(sector[4:6])),
-		startLBA: int64(binary.LittleEndian.Uint64(sector[8:16])),
-		endLBA:   int64(binary.LittleEndian.Uint64(sector[16:24])),
-		gen:      binary.LittleEndian.Uint64(sector[24:32]),
-	}
-	n := int(binary.LittleEndian.Uint16(sector[6:8]))
-	if n > maxInline || headerBytes+n > len(sector) {
-		return record{}, false
-	}
-	r.inline = append([]byte(nil), sector[headerBytes:headerBytes+n]...)
-	return r, true
 }
 
 // mdKind selects which metadata log a record belongs to. Partial parity
@@ -481,47 +442,90 @@ func whenAll(futs []*vclock.Future, fn func(error)) {
 	}
 }
 
-// scan reads every record from all metadata zones of the device,
-// tolerating torn tails (records cut off by the zone write pointer are
-// dropped).
-func scanMDZones(dev *zns.Device, lt *layout, sectorSize int) ([]record, error) {
-	var out []record
-	for i := 0; i < lt.mdZones; i++ {
+// mdLog is one read of a device's metadata zones: one Read of [start, wp)
+// per non-empty zone, and, once wait returns, the records decodeLog found
+// in them, their payloads aliasing the read buffers.
+type mdLog struct {
+	lt   *layout
+	ss   int
+	bufs [][]byte // per zone; its length is the zone's fill when read
+	futs []*vclock.Future
+	recs []record
+}
+
+// readMDZones issues the reads and returns without waiting, so that a
+// mount reads every device at once.
+func readMDZones(dev *zns.Device, lt *layout, sectorSize int) *mdLog {
+	l := &mdLog{lt: lt, ss: sectorSize, bufs: make([][]byte, lt.mdZones), futs: make([]*vclock.Future, lt.mdZones)}
+	for i := range l.bufs {
 		z := lt.mdZoneIndex(i)
-		zd := dev.Zone(z)
-		start := dev.ZoneStart(z)
-		wp := zd.WP
-		sector := make([]byte, sectorSize)
-		for pba := start; pba < wp; {
-			if err := dev.Read(pba, sector).Wait(); err != nil {
-				return nil, fmt.Errorf("raizn: metadata scan zone %d: %w", z, err)
-			}
-			r, ok := decodeHeader(sector)
-			if !ok {
-				// Not a record header: skip one sector. (Occurs only
-				// if a torn multi-sector record left payload sectors
-				// behind a dropped header, which prefix persistence
-				// prevents; scanning defensively regardless.)
-				pba++
-				continue
-			}
-			np := r.payloadSectors(lt, sectorSize)
-			if pba+1+np > wp {
-				// Torn record: header persisted but payload lost.
-				break
-			}
-			if np > 0 {
-				r.payload = make([]byte, np*int64(sectorSize))
-				if err := dev.Read(pba+1, r.payload).Wait(); err != nil {
-					return nil, fmt.Errorf("raizn: metadata payload read: %w", err)
-				}
-			}
-			r.pba = pba
-			out = append(out, r)
-			pba += 1 + np
+		if fill := dev.Zone(z).WP - dev.ZoneStart(z); fill > 0 {
+			l.bufs[i] = make([]byte, fill*int64(sectorSize))
+			l.futs[i] = dev.Read(dev.ZoneStart(z), l.bufs[i])
 		}
 	}
-	return out, nil
+	return l
+}
+
+func (l *mdLog) wait() error {
+	for i, fut := range l.futs {
+		if fut == nil {
+			continue
+		}
+		z := l.lt.mdZoneIndex(i)
+		if err := fut.Wait(); err != nil {
+			return fmt.Errorf("raizn: metadata scan zone %d: %w", z, err)
+		}
+		for _, r := range decodeLog(l.bufs[i], l.lt, l.ss) {
+			r.pba += int64(z) * l.lt.physZoneSize
+			l.recs = append(l.recs, r)
+		}
+	}
+	return nil
+}
+
+// scanMDZones reads every record from all metadata zones of the device.
+func scanMDZones(dev *zns.Device, lt *layout, sectorSize int) ([]record, error) {
+	l := readMDZones(dev, lt, sectorSize)
+	err := l.wait()
+	return l.recs, err
+}
+
+// decodeLog decodes one metadata zone's bytes, [start, wp), into its
+// records in log order, each with its header's sector offset as pba. It is
+// pure and never panics. It skips a sector that is not a record header
+// (garbage, or a dropped header's payload) and a header whose payload
+// length is negative, and stops at a record whose payload runs past the
+// zone: a torn tail. So every record ends inside zone, positions strictly
+// increase, and payloads alias zone.
+func decodeLog(zone []byte, lt *layout, sectorSize int) []record {
+	var out []record
+	le := binary.LittleEndian
+	ss, n := int64(sectorSize), int64(len(zone)/sectorSize)
+	for pba := int64(0); pba < n; pba++ {
+		h := zone[pba*ss : (pba+1)*ss]
+		if len(h) < headerBytes || le.Uint32(h) != mdMagic {
+			continue
+		}
+		r := record{
+			typ:      recType(le.Uint16(h[4:6])),
+			startLBA: int64(le.Uint64(h[8:16])),
+			endLBA:   int64(le.Uint64(h[16:24])),
+			gen:      le.Uint64(h[24:32]),
+			pba:      pba,
+		}
+		inl, np := int(le.Uint16(h[6:8])), r.payloadSectors(lt, sectorSize)
+		if inl > maxInline || headerBytes+inl > len(h) || np < 0 {
+			continue
+		}
+		if np > n-pba-1 {
+			break
+		}
+		r.inline, r.payload = h[headerBytes:headerBytes+inl], zone[(pba+1)*ss:(pba+1+np)*ss]
+		out = append(out, r)
+		pba += np
+	}
+	return out
 }
 
 // genCounterBlock encodes a block of generation counters (paper §4.3:

@@ -1,6 +1,7 @@
 package raizn
 
 import (
+	"bytes"
 	"fmt"
 
 	"raizn/internal/parity"
@@ -21,27 +22,27 @@ func Mount(clk *vclock.Clock, devs []*zns.Device, cfg Config) (*Volume, error) {
 		return nil, ErrNotEnoughDevs
 	}
 
-	// Phase 1: read superblocks to recover device order.
-	type found struct {
-		dev *zns.Device
-		sb  superblock
+	// Phase 1: read every device's metadata zones at once; each device's
+	// newest superblock gives its array position.
+	logs := make([]*mdLog, len(devs))
+	for i, d := range devs {
+		if d != nil {
+			logs[i] = readMDZones(d, deviceLayout(d.Config(), cfg), d.Config().SectorSize)
+		}
 	}
-	var sbs []found
-	for _, d := range devs {
-		if d == nil {
+	var ref *superblock
+	var ordered []*zns.Device
+	var ordLogs []*mdLog
+	for i, l := range logs {
+		if l == nil {
 			continue
 		}
-		recs, err := scanMDZones(d, deviceLayout(d.Config(), cfg), d.Config().SectorSize)
-		if err != nil {
+		if err := l.wait(); err != nil {
 			return nil, err
 		}
 		var best *record
-		for i := range recs {
-			r := &recs[i]
-			if r.typ.base() != recSuperblock {
-				continue
-			}
-			if best == nil || r.gen > best.gen {
+		for j := range l.recs {
+			if r := &l.recs[j]; r.typ.base() == recSuperblock && (best == nil || r.gen > best.gen) {
 				best = r
 			}
 		}
@@ -52,21 +53,19 @@ func Mount(clk *vclock.Clock, devs []*zns.Device, cfg Config) (*Volume, error) {
 		if !ok {
 			return nil, ErrInconsistent
 		}
-		sbs = append(sbs, found{dev: d, sb: sb})
-	}
-	if len(sbs) == 0 {
-		return nil, ErrNotEnoughDevs
-	}
-	ref := sbs[0].sb
-	ordered := make([]*zns.Device, ref.numDev)
-	for _, f := range sbs {
-		if f.sb.arrayID != ref.arrayID || f.sb.numDev != ref.numDev || f.sb.su != cfg.StripeUnitSectors {
+		if ref == nil {
+			ref, ordered, ordLogs = &sb, make([]*zns.Device, sb.numDev), make([]*mdLog, sb.numDev)
+		}
+		if sb.arrayID != ref.arrayID || sb.numDev != ref.numDev || sb.su != cfg.StripeUnitSectors {
 			return nil, fmt.Errorf("raizn: device superblock mismatch: %w", ErrInconsistent)
 		}
-		if int(f.sb.devIndex) >= len(ordered) || ordered[f.sb.devIndex] != nil {
+		if int(sb.devIndex) >= len(ordered) || ordered[sb.devIndex] != nil {
 			return nil, ErrInconsistent
 		}
-		ordered[f.sb.devIndex] = f.dev
+		ordered[sb.devIndex], ordLogs[sb.devIndex] = devs[i], l
+	}
+	if ref == nil {
+		return nil, ErrNotEnoughDevs
 	}
 	missing := -1
 	for i, d := range ordered {
@@ -87,7 +86,7 @@ func Mount(clk *vclock.Clock, devs []*zns.Device, cfg Config) (*Volume, error) {
 	if missing >= 0 {
 		v.degraded = missing
 	}
-	if err := v.recover(); err != nil {
+	if err := v.recover(ordLogs); err != nil {
 		return nil, err
 	}
 	return v, nil
@@ -96,9 +95,10 @@ func Mount(clk *vclock.Clock, devs []*zns.Device, cfg Config) (*Volume, error) {
 // recover replays the metadata logs and repairs every logical zone (paper
 // §4.3 "zone descriptors", §5.1, §5.2) in three steps: gather reads what
 // the devices hold about each zone, planZone (plan.go) decides from that
-// evidence alone, and apply issues the plans' device commands.
-func (v *Volume) recover() error {
-	ev, walOrder, cs, err := v.gather()
+// evidence alone, and apply issues the plans' device commands. logs, by
+// array slot, is Mount's read of the metadata zones, for the whole mount.
+func (v *Volume) recover(logs []*mdLog) error {
+	ev, walOrder, cs, err := v.gather(logs)
 	if err != nil {
 		return err
 	}
@@ -146,7 +146,7 @@ func (v *Volume) recover() error {
 	if err := v.compactRemappedZones(); err != nil {
 		return err
 	}
-	if err := v.consolidateMetadata(); err != nil {
+	if err := v.consolidateMetadata(logs); err != nil {
 		return err
 	}
 	// Everything live — including partial parity for in-progress stripes
@@ -155,26 +155,23 @@ func (v *Volume) recover() error {
 	return v.slots.Format()
 }
 
-// gather scans every live device's metadata zones and the zraid slot tables
-// once. It restores the generation counters, the metadata sequence number
-// and the newest flight-recorder box, and returns per logical zone its
-// evidence (records of the zone's current generation only), the zones
-// with a valid reset WAL in the order the first was found, and the
-// checksum records for replay once the generations are final.
-func (v *Volume) gather() (ev []zoneEvidence, walOrder []int, cs []record, err error) {
+// gather collects the records of every live device's log and scans the
+// zraid slot tables once. It restores the generation counters, the
+// metadata sequence number and the newest flight-recorder box, and returns
+// per logical zone its evidence (records of the zone's current generation
+// only), the zones with a valid reset WAL in the order the first was
+// found, and the checksum records for replay once the generations are
+// final. It issues no metadata read of its own.
+func (v *Volume) gather(logs []*mdLog) (ev []zoneEvidence, walOrder []int, cs []record, err error) {
 	var all []record
-	for i, d := range v.devs {
-		if d == nil {
+	for i, l := range logs {
+		if l == nil {
 			continue
 		}
-		recs, err := scanMDZones(d, v.lt, v.sectorSize)
-		if err != nil {
-			return nil, nil, nil, err
+		for j := range l.recs {
+			l.recs[j].dev = i
 		}
-		for j := range recs {
-			recs[j].dev = i
-		}
-		all = append(all, recs...)
+		all = append(all, l.recs...)
 	}
 
 	// Generation counters first: every other record's validity depends
@@ -183,18 +180,13 @@ func (v *Volume) gather() (ev []zoneEvidence, walOrder []int, cs []record, err e
 	newestGens := make(map[int]*record)
 	for i := range all {
 		r := &all[i]
-		if r.gen > v.mdSeq {
-			v.mdSeq = r.gen // advance past every persisted sequence number
-		}
+		v.mdSeq = max(v.mdSeq, r.gen) // advance past every persisted sequence number
 		if r.typ.base() != recGenCounters {
 			continue
 		}
-		blockIdx, _, ok := decodeGenBlock(r.inline)
-		if !ok || blockIdx < 0 || blockIdx > len(v.gen)/gensPerBlock {
-			continue
-		}
-		if prev := newestGens[blockIdx]; prev == nil || r.gen > prev.gen {
-			newestGens[blockIdx] = r
+		b, _, ok := decodeGenBlock(r.inline)
+		if ok && b >= 0 && b <= len(v.gen)/gensPerBlock && (newestGens[b] == nil || r.gen > newestGens[b].gen) {
+			newestGens[b] = r
 		}
 	}
 	for blockIdx, r := range newestGens {
@@ -250,17 +242,15 @@ func (v *Volume) gather() (ev []zoneEvidence, walOrder []int, cs []record, err e
 			// Generation validity is checked at replay, after the plans'
 			// generation bumps.
 			cs = append(cs, r)
-		case recFlightBox:
-			// Forensic cargo, not array state: keep the newest intact box
-			// in memory so consolidateMetadata re-emits it — consolidation
-			// rewrites every metadata zone, and the crash evidence must
-			// survive the remount that follows the crash.
-			if r.startLBA > 0 && int64(len(r.payload)) >= r.startLBA &&
-				(v.blackBox == nil || r.gen > v.blackBoxGen) {
-				v.blackBox = append([]byte(nil), r.payload[:r.startLBA]...)
-				v.blackBoxGen = r.gen
-			}
 		}
+	}
+	// Forensic cargo, not array state: keep the newest intact box in
+	// memory so consolidateMetadata re-emits it — consolidation rewrites
+	// every metadata zone, and the crash evidence must survive the remount
+	// that follows the crash.
+	if best := newestFlightBox(all); best != nil {
+		v.blackBox = append([]byte(nil), best.payload[:best.startLBA]...)
+		v.blackBoxGen = best.gen
 	}
 
 	// The zraid PP-zone slots (none on a logged array, whose records
@@ -297,7 +287,7 @@ func (v *Volume) applyZone(lz *logicalZone, p *zonePlan) error {
 	for _, r := range p.relocs {
 		v.addReloc(z, relocEntry{
 			startLBA: r.startLBA, endLBA: r.endLBA,
-			dev: r.dev, data: r.payload,
+			dev: r.dev, data: bytes.Clone(r.payload), // not the whole zone's read buffer
 		}, r.typ.base() == recRelocParity, v.lt.stripeOf(r.startLBA))
 	}
 	if p.empty {

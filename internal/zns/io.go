@@ -524,6 +524,7 @@ func (d *Device) readApplyLocked(sp *obs.Span, sector, nSectors int64) (pendingI
 	if off+nSectors > zo.wp && zo.state != ZoneFull {
 		return pendingIO{}, nil, ErrReadBeyondWP
 	}
+	zo.reads++
 
 	// The source is fixed at submit. Zones are immutable below the write
 	// pointer once the writes' copies have landed — finished here first

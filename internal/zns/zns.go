@@ -220,6 +220,8 @@ type zone struct {
 	// pwp/unflushed.
 	prog int64
 	zrwa bool
+
+	reads int64 // read commands accepted in the zone (ZoneReads)
 }
 
 // Device is a simulated ZNS SSD. All exported methods are safe for
@@ -386,6 +388,15 @@ func (d *Device) WriteCommands() int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.writeCmds
+}
+
+// ZoneReads returns the number of read commands the device has accepted in
+// zone z. Real devices do not expose this; it is simulator-only
+// introspection, so that a test can count how often a host reads a zone.
+func (d *Device) ZoneReads(z int) int64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.zones[z].reads
 }
 
 // FlashProgramBytes returns the cumulative bytes programmed to NAND. For
