@@ -81,7 +81,7 @@ type SlotTable struct {
 	mu   sync.Mutex
 	devs []zrDev
 	seq  uint64
-	buf  []byte // one stride: every slot write is encoded here, under mu
+	buf  []byte // one stride: a fresh slot's padded write is built here, under mu
 
 	volatileBytes  int64
 	permanentBytes int64
@@ -192,36 +192,36 @@ func (e *SlotTable) writeSlotLocked(d *zns.Device, a Append, i int, fresh bool) 
 	return fut, pba, int64(len(buf)) / ss
 }
 
-// encodeSlotLocked serializes the image in a's frame into the table's
-// stride buffer: header sector (magic, CRC, key, range, gen, seq) followed
-// by the payload rounded up to whole sectors and, with pad, zeroes up to a
-// full stripe unit. The result is valid until the next call; WriteZRWA
-// copies it at submit. Caller holds e.mu.
+// encodeSlotLocked writes the slot header (magic, CRC, key, range, gen,
+// seq) into the header sector of a's frame, whose image is whole sectors,
+// and returns the slot write's bytes: the frame as it stands for an
+// overwrite in place or, with pad, the frame copied into the table's
+// stride buffer and zero-padded to a full stripe unit. The stride buffer
+// is valid until the next call; WriteZRWA copies either at submit. Caller
+// holds e.mu.
 func (e *SlotTable) encodeSlotLocked(a Append, seq uint64, pad bool) []byte {
 	ss := e.cfg.SectorSize
-	image := a.Frame[ss:]
-	payLen := (len(image) + ss - 1) / ss
-	size := (1 + payLen) * ss
-	if pad {
-		size = int(e.stride) * ss
+	hdr := a.Frame[:ss]
+	binary.LittleEndian.PutUint32(hdr[0:4], slotMagic)
+	binary.LittleEndian.PutUint32(hdr[8:12], uint32(a.Zone))
+	binary.LittleEndian.PutUint32(hdr[12:16], uint32(len(a.Frame)/ss-1))
+	binary.LittleEndian.PutUint64(hdr[16:24], uint64(a.Stripe))
+	binary.LittleEndian.PutUint64(hdr[24:32], uint64(a.StartLBA))
+	binary.LittleEndian.PutUint64(hdr[32:40], uint64(a.EndLBA))
+	binary.LittleEndian.PutUint64(hdr[40:48], a.Gen)
+	binary.LittleEndian.PutUint64(hdr[48:56], seq)
+	// Only the first slotHdrSize bytes of the header sector are used: the
+	// rest of it is zero, whatever the caller's frame held there.
+	clear(hdr[slotHdrSize:])
+	crc := crc32.Update(0, crcTable, hdr[8:slotHdrSize])
+	crc = crc32.Update(crc, crcTable, a.Frame[ss:])
+	binary.LittleEndian.PutUint32(hdr[4:8], crc)
+	if !pad {
+		return a.Frame
 	}
-	// Only the first slotHdrSize bytes of the header sector are ever
-	// written, all of them every time: the rest of it stays zero.
-	buf := e.buf[:size]
-	binary.LittleEndian.PutUint32(buf[0:4], slotMagic)
-	binary.LittleEndian.PutUint32(buf[8:12], uint32(a.Zone))
-	binary.LittleEndian.PutUint32(buf[12:16], uint32(payLen))
-	binary.LittleEndian.PutUint64(buf[16:24], uint64(a.Stripe))
-	binary.LittleEndian.PutUint64(buf[24:32], uint64(a.StartLBA))
-	binary.LittleEndian.PutUint64(buf[32:40], uint64(a.EndLBA))
-	binary.LittleEndian.PutUint64(buf[40:48], a.Gen)
-	binary.LittleEndian.PutUint64(buf[48:56], seq)
-	n := copy(buf[ss:], image)
-	clear(buf[ss+n:])
-	crc := crc32.Update(0, crcTable, buf[8:slotHdrSize])
-	crc = crc32.Update(crc, crcTable, buf[ss:ss+payLen*ss])
-	binary.LittleEndian.PutUint32(buf[4:8], crc)
-	return buf
+	n := copy(e.buf, a.Frame)
+	clear(e.buf[n:])
+	return e.buf
 }
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)

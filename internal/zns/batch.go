@@ -109,7 +109,7 @@ func (d *Device) PrepareBatch(cmds []Cmd, comps []Completion) []Completion {
 			n := int64(len(c.Data) / ss)
 			var dst []byte
 			if pio, dst, err = d.writeApplyLocked(c.Span, c.Sector, n, nil, c.Flags); err == nil {
-				copy(dst, c.Data)
+				dmaCopy(dst, c.Data)
 			}
 			hook, hookZone, hookArg = "zns.cmd.write", d.ZoneOf(c.Sector), c.Sector
 		case CmdWritev:
@@ -126,7 +126,7 @@ func (d *Device) PrepareBatch(cmds []Cmd, comps []Completion) []Completion {
 				n := int64(len(c.Segs[0]) / ss)
 				var dst []byte
 				if pio, dst, err = d.writeApplyLocked(c.Span, c.Sector, n, nil, c.Flags); err == nil {
-					copy(dst, c.Segs[0])
+					dmaCopy(dst, c.Segs[0])
 				}
 				hook, hookZone, hookArg = "zns.cmd.write", d.ZoneOf(c.Sector), c.Sector
 				break
@@ -144,7 +144,7 @@ func (d *Device) PrepareBatch(cmds []Cmd, comps []Completion) []Completion {
 			}
 			var dst []byte
 			if pio, dst, err = d.writeApplyLocked(c.Span, c.Sector, n, c.Segs, c.Flags); err == nil {
-				fill(dst, c.Segs, 0, len(dst))
+				fill(dst, c.Segs, 0, len(dst), true)
 			}
 			hook, hookZone, hookArg = "zns.cmd.write", d.ZoneOf(c.Sector), c.Sector
 		case CmdAppend:
@@ -160,7 +160,7 @@ func (d *Device) PrepareBatch(cmds []Cmd, comps []Completion) []Completion {
 			sector := d.ZoneStart(c.Zone) + d.zones[c.Zone].wp
 			var dst []byte
 			if pio, dst, err = d.writeApplyLocked(c.Span, sector, n, nil, c.Flags); err == nil {
-				copy(dst, c.Data)
+				dmaCopy(dst, c.Data)
 				c.Sector = sector
 			}
 			hook, hookZone, hookArg = "zns.cmd.append", c.Zone, sector
@@ -172,7 +172,7 @@ func (d *Device) PrepareBatch(cmds []Cmd, comps []Completion) []Completion {
 			n := int64(len(c.Data) / ss)
 			var src []byte
 			if pio, src, err = d.readApplyLocked(c.Span, c.Sector, n); err == nil {
-				fill(c.Data, [][]byte{src}, 0, len(c.Data))
+				fill(c.Data, [][]byte{src}, 0, len(c.Data), false)
 			}
 		case CmdFlush:
 			pio, err = d.flushApplyLocked(c.Span)

@@ -25,10 +25,10 @@ var (
 // extend past the write pointer (advancing it), so a caller can grow and
 // re-grow a record in place. Unlike Write, it copies its payload into
 // zone memory at submit, so data is the caller's again at return (the
-// zraid engine encodes every slot write in one reused buffer). Crash
-// semantics simplification: an unflushed in-place overwrite that is lost
-// to power failure reverts to nothing (the zone prefix cut), not to the
-// previous version of the block.
+// zraid engine builds every fresh slot's padded write in one reused
+// buffer). Crash semantics simplification: an unflushed in-place
+// overwrite that is lost to power failure reverts to nothing (the zone
+// prefix cut), not to the previous version of the block.
 func (d *Device) WriteZRWA(sector int64, data []byte, flags Flag) *vclock.Future {
 	return d.WriteZRWASpan(nil, nil, sector, data, flags)
 }
@@ -80,7 +80,7 @@ func (d *Device) WriteZRWASpan(sp *obs.Span, fut *vclock.Future, sector int64, d
 		if off < zo.wp {
 			d.drainCopiesLocked(z) // an overwrite in place
 		}
-		copy(d.zoneBufLocked(zo)[off*int64(d.cfg.SectorSize):], data)
+		dmaCopy(d.zoneBufLocked(zo)[off*int64(d.cfg.SectorSize):], data)
 	}
 	end := off + nSectors
 	if end > zo.wp {

@@ -334,9 +334,9 @@ func (d *Device) writeLocked(sp *obs.Span, fut *vclock.Future, sector, nSectors 
 	var ref copyRef
 	if dst != nil {
 		if segs == nil {
-			ref = c.cp.start(dst, data)
+			ref = c.cp.start(dst, true, data)
 		} else {
-			ref = c.cp.start(dst, segs...)
+			ref = c.cp.start(dst, true, segs...)
 		}
 		d.listCopyLocked(c, d.ZoneOf(sector), true)
 	}
@@ -463,7 +463,7 @@ func (d *Device) ReadSpan(sp *obs.Span, fut *vclock.Future, sector int64, buf []
 	var ref copyRef
 	if err == nil {
 		c := d.commandLocked(sp, fut, pio)
-		ref = c.cp.start(buf, src)
+		ref = c.cp.start(buf, false, src)
 		d.listCopyLocked(c, d.ZoneOf(sector), false)
 		d.clk.AfterNotify(pio.at-d.clk.Now(), c)
 		fut = c.fut

@@ -26,6 +26,9 @@ import (
 // unfinished and the copier may fall arbitrarily behind (with
 // GOMAXPROCS=1 the completions do all the work, as at copy-at-submit).
 // Virtual time, event order and device state do not depend on who copied.
+// A copy into zone memory goes through dmaCopy, which streams its stores
+// past the cache; a copy into a host buffer, which its caller reads next,
+// is a plain copy.
 //
 // The drain rule: no access to zone bytes may see or overtake a copy still
 // in flight. A device operation that changes or recycles bytes below a
@@ -173,16 +176,18 @@ type readCopy struct {
 	at    []int
 	xor   bool
 	zero  bool
-	cs    int // chunk size
+	zone  bool // dst is zone memory: a write's job, filled through dmaCopy
+	cs    int  // chunk size
 	gen   uint32
 	state atomic.Uint64
 	done  atomic.Uint32
 }
 
-// start arms the job for a new command and returns the reference the
-// copier needs. Caller owns the record (d.mu held, not yet scheduled).
-func (j *readCopy) start(dst []byte, src ...[]byte) copyRef {
-	j.dst, j.src = dst, append(j.src[:0], src...)
+// start arms the job for a new command, whose dst is zone memory with zone
+// set, and returns the reference the copier needs. Caller owns the record
+// (d.mu held, not yet scheduled).
+func (j *readCopy) start(dst []byte, zone bool, src ...[]byte) copyRef {
+	j.dst, j.zone, j.src = dst, zone, append(j.src[:0], src...)
 	return j.arm()
 }
 
@@ -215,7 +220,7 @@ func (j *readCopy) claim(gen, most uint32) (n uint32) {
 			if j.xor {
 				xorTerms(j.dst, j.src, j.at, lo, hi, j.zero)
 			} else {
-				fill(j.dst, j.src, lo, hi)
+				fill(j.dst, j.src, lo, hi, j.zone)
 			}
 			j.done.Add(t)
 		}
@@ -241,16 +246,21 @@ func (j *readCopy) reset() {
 }
 
 // fill is the DMA for dst[lo:hi]: the bytes there of the concatenation of
-// src, zeroes past its end. The jobs run it a chunk at a time, PrepareBatch
-// once for the whole command at submit.
-func fill(dst []byte, src [][]byte, lo, hi int) {
+// src, zeroes past its end; with zone, dst is zone memory and the segments
+// go through dmaCopy. The jobs run it a chunk at a time, PrepareBatch once
+// for the whole command at submit.
+func fill(dst []byte, src [][]byte, lo, hi int, zone bool) {
 	pos := 0
 	for _, s := range src {
 		if lo >= hi {
 			return
 		}
 		if end := pos + len(s); lo < end {
-			lo += copy(dst[lo:hi], s[lo-pos:])
+			if zone {
+				lo += dmaCopy(dst[lo:hi], s[lo-pos:])
+			} else {
+				lo += copy(dst[lo:hi], s[lo-pos:])
+			}
 		}
 		pos += len(s)
 	}

@@ -224,7 +224,7 @@ func TestFinishTakesTheRestInOneClaim(t *testing.T) {
 	var j readCopy
 	for round := 0; round < 20; round++ {
 		clear(dst)
-		j.start(dst, src)
+		j.start(dst, false, src)
 		if n := j.state.Load() >> 16 & 0xffff; n != 4 {
 			t.Fatalf("the job has %d chunks, want 4", n)
 		}
@@ -287,7 +287,7 @@ func TestCopierParksAfterBurst(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			var j readCopy
 			for end := time.Now().Add(30 * time.Millisecond); time.Now().Before(end); {
-				ref := j.start(dst, src)
+				ref := j.start(dst, false, src)
 				sendCopy(ref)
 				n := j.state.Load() >> 16 & 0xffff
 				for deadline := time.Now().Add(10 * time.Second); j.done.Load() < uint32(n); {

@@ -330,8 +330,9 @@ func (d *Device) ZoneStart(z int) int64 {
 type ZoneDesc struct {
 	Index int
 	State ZoneState
-	// WP is the absolute sector of the write pointer. For full zones it
-	// equals ZoneStart+ZoneCap.
+	// WP is the absolute sector of the write pointer. A zone filled to
+	// capacity reports ZoneStart+ZoneCap; a zone finished early reports
+	// its fill, the sectors written before FinishZone.
 	WP int64
 	// PersistedWP is the absolute sector up to which data would survive
 	// an immediate power loss. Real devices do not expose this; it is

@@ -267,6 +267,23 @@ func TestFinishZoneReadsZeroes(t *testing.T) {
 	})
 }
 
+// TestFinishedZoneReportsItsFill pins ZoneDesc.WP for a zone finished
+// early: full, with the write pointer where the writes left it, not at the
+// zone's capacity (raizn reads a finished zone's fill from it).
+func TestFinishedZoneReportsItsFill(t *testing.T) {
+	cfg := testConfig()
+	run(t, cfg, func(c *vclock.Clock, d *Device) {
+		mustWrite(t, d, d.ZoneStart(1), pattern(cfg, 5, 3), 0)
+		if err := d.FinishZone(1).Wait(); err != nil {
+			t.Fatal(err)
+		}
+		zd := d.Zone(1)
+		if zd.State != ZoneFull || zd.WP != d.ZoneStart(1)+5 {
+			t.Errorf("finished zone: state %v, WP %d; want full, WP %d (start + 5, cap %d)", zd.State, zd.WP, d.ZoneStart(1)+5, cfg.ZoneCap)
+		}
+	})
+}
+
 func TestPowerLossDropsUnflushedData(t *testing.T) {
 	cfg := testConfig()
 	run(t, cfg, func(c *vclock.Clock, d *Device) {
