@@ -75,9 +75,9 @@ func Reconstruct(survivors ...[]byte) []byte {
 	return Encode(survivors...)
 }
 
-// fuseBlock is the chunk size of the fused XOR+CRC pass: small enough
+// fuseBlock is the chunk size of the fused XOR+CRC Go path: small enough
 // that one chunk of every unit plus the parity chunk stays cache-hot
-// between the XOR and the CRC update over the same bytes.
+// between the CRC update and the XOR over the same bytes.
 const fuseBlock = 4096
 
 // XORCRCInto fuses parity encoding and per-unit checksumming into a
@@ -85,22 +85,46 @@ const fuseBlock = 4096
 // len(srcs)+1 entries, zero-initialized by the caller — receives the
 // CRC32 of each source (crcs[i] for srcs[i]) and of dst (the last
 // entry), using tab. Equivalent to EncodeInto followed by per-slice
-// crc32.Checksum, but each block of the data is checksummed while still
-// cache-hot from the XOR, and dst's CRC is derived from the sources'
-// (XORCRC) instead of read back. All slices must have dst's length.
+// crc32.Checksum, but each block of the data is checksummed while it is
+// read for the XOR, and dst's CRC is derived from the sources' (XORCRC)
+// instead of read back. All slices must have dst's length; dst may be
+// exactly srcs[0].
+//
+// On amd64 with SSE4.2 and the Castagnoli table, an assembly kernel
+// (xorCRCKernel) takes the first four sources over every whole 8-byte
+// word; their tail under 8 bytes, and every other source, go through
+// foldRange.
 func XORCRCInto(dst []byte, srcs [][]byte, crcs []uint32, tab *crc32.Table) {
 	if len(crcs) != len(srcs)+1 {
 		panic(fmt.Sprintf("parity: %d crc slots for %d sources", len(crcs), len(srcs)))
 	}
 	checkLens(len(dst), srcs)
-	for lo := 0; lo < len(dst); lo += fuseBlock {
+	k, m := xorCRCKernel(dst, srcs, crcs, tab)
+	if k > 0 {
+		foldRange(dst, srcs[:k], crcs[:k], tab, m, false)
+	}
+	foldRange(dst, srcs[k:], crcs[k:], tab, 0, k > 0)
+	crcs[len(srcs)] = XORCRC(crcs[:len(srcs)], len(dst), tab)
+}
+
+// foldRange sets dst[lo:] to the XOR of srcs over the same range, or XORs
+// them into it when acc, and continues each source's CRC over the range,
+// a fuseBlock at a time. Each block is checksummed before dst is written,
+// so dst may be exactly srcs[0].
+func foldRange(dst []byte, srcs [][]byte, crcs []uint32, tab *crc32.Table, lo int, acc bool) {
+	for ; lo < len(dst); lo += fuseBlock {
 		hi := min(lo+fuseBlock, len(dst))
-		encodeRange(dst, srcs, lo, hi)
 		for i, s := range srcs {
 			crcs[i] = crc32.Update(crcs[i], tab, s[lo:hi])
 		}
+		if !acc {
+			encodeRange(dst, srcs, lo, hi)
+			continue
+		}
+		for _, s := range srcs {
+			xor(dst[lo:hi], dst[lo:hi], s[lo:hi])
+		}
 	}
-	crcs[len(srcs)] = XORCRC(crcs[:len(srcs)], len(dst), tab)
 }
 
 // XORCRC returns the CRC32 (under tab) of the XOR of len(crcs) units of n

@@ -2,6 +2,8 @@ package parity
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"math/rand"
 	"testing"
@@ -135,19 +137,26 @@ func benchUnits(n int) [][]byte {
 	return units
 }
 
-// BenchmarkXORCRCInto is one completed 4+1 stripe: bytes counted are the
-// four data units the fused pass reads, and the only bytes it checksums;
-// the parity's CRC is derived from theirs.
+// BenchmarkXORCRCInto is one completed stripe of D data units: bytes
+// counted are the D units the fused pass reads, and the only bytes it
+// checksums; the parity's CRC is derived from theirs. D = 4 is the 4+1
+// stripe of the benchmark's arrays, D = 5 the five images scrub verifies
+// (the kernel's four and one source on the Go path), and D = 3 a stripe
+// too narrow for the kernel, all on the Go path.
 func BenchmarkXORCRCInto(b *testing.B) {
 	tab := crc32.MakeTable(crc32.Castagnoli)
-	srcs := benchUnits(4)
-	dst := make([]byte, 64<<10)
-	crcs := make([]uint32, 5)
-	b.SetBytes(4 * 64 << 10)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		clear(crcs)
-		XORCRCInto(dst, srcs, crcs, tab)
+	for _, d := range []int{3, 4, 5} {
+		b.Run(fmt.Sprintf("D=%d", d), func(b *testing.B) {
+			srcs := benchUnits(d)
+			dst := make([]byte, 64<<10)
+			crcs := make([]uint32, d+1)
+			b.SetBytes(int64(d) * 64 << 10)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				clear(crcs)
+				XORCRCInto(dst, srcs, crcs, tab)
+			}
+		})
 	}
 }
 
@@ -159,7 +168,7 @@ func TestXORCRCMatchesChecksum(t *testing.T) {
 	for _, tab := range []*crc32.Table{crc32.MakeTable(crc32.Castagnoli), crc32.IEEETable} {
 		for _, l := range append(diffLens, 3*fuseBlock+5, 16<<10) {
 			for d := 1; d <= 6; d++ {
-				units := oddSlices(rng, d, l)
+				units := offsetSlices(rng, d, l, oddOffs)
 				crcs := make([]uint32, d)
 				for i, u := range units {
 					crcs[i] = crc32.Checksum(u, tab)
@@ -186,13 +195,17 @@ func refXOR(width int, units ...[]byte) []byte {
 
 var diffLens = []int{0, 1, 7, 8, 9, 4095, 4096, 4097, 65536}
 
-// oddSlices returns n random slices of length l, each starting at a
-// different odd offset of its own backing array, so the kernel sees
-// operands that are aligned neither absolutely nor with each other.
-func oddSlices(rng *rand.Rand, n, l int) [][]byte {
+// oddOffs starts each operand at a different odd offset of its own
+// backing array, so the kernel sees operands that are aligned neither
+// absolutely nor with each other.
+var oddOffs = []int{1, 3, 5, 7, 9, 11}
+
+// offsetSlices returns n random slices of length l, slice i starting at
+// byte offs[i%len(offs)] of its own backing array.
+func offsetSlices(rng *rand.Rand, n, l int, offs []int) [][]byte {
 	out := make([][]byte, n)
 	for i := range out {
-		off := 1 + 2*i
+		off := offs[i%len(offs)]
 		back := make([]byte, off+l+3)
 		rng.Read(back)
 		out[i] = back[off : off+l : off+l]
@@ -200,12 +213,14 @@ func oddSlices(rng *rand.Rand, n, l int) [][]byte {
 	return out
 }
 
+// TestEntryPointsMatchBytewiseReference covers Encode, EncodeInto,
+// Reconstruct and XORInto; TestXORCRCIntoMatchesBytewiseReference covers
+// XORCRCInto.
 func TestEntryPointsMatchBytewiseReference(t *testing.T) {
-	tab := crc32.MakeTable(crc32.Castagnoli)
 	rng := rand.New(rand.NewSource(16))
 	for _, l := range diffLens {
 		for d := 0; d <= 5; d++ {
-			units := oddSlices(rng, d, l)
+			units := offsetSlices(rng, d, l, oddOffs)
 			want := refXOR(l, units...)
 
 			if d > 0 {
@@ -217,22 +232,10 @@ func TestEntryPointsMatchBytewiseReference(t *testing.T) {
 				}
 			}
 
-			dst := oddSlices(rng, 1, l)[0] // stale content must not leak
+			dst := offsetSlices(rng, 1, l, oddOffs)[0] // stale content must not leak
 			EncodeInto(dst, units...)
 			if !bytes.Equal(dst, want) {
 				t.Fatalf("len=%d d=%d: EncodeInto differs", l, d)
-			}
-
-			dst = oddSlices(rng, 1, l)[0]
-			crcs := make([]uint32, d+1)
-			XORCRCInto(dst, units, crcs, tab)
-			if !bytes.Equal(dst, want) {
-				t.Fatalf("len=%d d=%d: XORCRCInto parity differs", l, d)
-			}
-			for i, u := range append(units[:d:d], want) {
-				if crcs[i] != crc32.Checksum(u, tab) {
-					t.Fatalf("len=%d d=%d: XORCRCInto crc[%d] differs", l, d, i)
-				}
 			}
 
 			if d > 0 {
@@ -290,4 +293,97 @@ func TestXORCRCIntoPanics(t *testing.T) {
 			fn()
 		}()
 	}
+}
+
+// refCRC is the bytewise CRC32 reference: one table lookup per byte, none
+// of hash/crc32's slicing or hardware paths, nor the package's kernel.
+func refCRC(tab *crc32.Table, p []byte) uint32 {
+	c := ^uint32(0)
+	for _, b := range p {
+		c = tab[byte(c)^b] ^ c>>8
+	}
+	return ^c
+}
+
+// checkXORCRCInto runs XORCRCInto over units (each one starting at its own
+// offset) into a fresh dst holding stale bytes, or into units[0] itself
+// when alias, and compares the parity and every CRC with the bytewise
+// references.
+func checkXORCRCInto(t *testing.T, tab *crc32.Table, units [][]byte, l int, alias bool) {
+	t.Helper()
+	want := refXOR(l, units...)
+	wantCRC := make([]uint32, 0, len(units)+1)
+	for _, u := range units {
+		wantCRC = append(wantCRC, refCRC(tab, u))
+	}
+	wantCRC = append(wantCRC, refCRC(tab, want))
+	dst := bytes.Repeat([]byte{0xa5}, l)
+	if alias {
+		dst = units[0]
+	}
+	crcs := make([]uint32, len(units)+1)
+	XORCRCInto(dst, units, crcs, tab)
+	name := fmt.Sprintf("len=%d d=%d alias=%t ieee=%t", l, len(units), alias, tab == crc32.IEEETable)
+	if !bytes.Equal(dst, want) {
+		t.Fatalf("%s: parity differs", name)
+	}
+	for i := range crcs {
+		if crcs[i] != wantCRC[i] {
+			t.Fatalf("%s: crc[%d] = %08x, want %08x", name, i, crcs[i], wantCRC[i])
+		}
+	}
+}
+
+// TestXORCRCIntoMatchesBytewiseReference covers the kernel's whole input
+// space against the bytewise references: D = 0…9 (below the kernel's four
+// sources, and every count beyond them), lengths around the 8-byte word
+// and the 4 KiB block, source offsets 0–7, dst apart and dst == srcs[0],
+// and the IEEE table (always the Go path) beside Castagnoli.
+func TestXORCRCIntoMatchesBytewiseReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(51))
+	lens := append(append([]int(nil), diffLens...), 8191, 8192, 8193) // diffLens has 64 KiB
+	for _, tab := range []*crc32.Table{crc32.MakeTable(crc32.Castagnoli), crc32.IEEETable} {
+		for _, l := range lens {
+			for d := 0; d <= 9; d++ {
+				for off := 0; off < 8; off++ {
+					// Every source at offset off; at 7, each at its own.
+					offs := []int{off}
+					if off == 7 {
+						offs = []int{0, 1, 2, 3, 4, 5, 6, 7}
+					}
+					checkXORCRCInto(t, tab, offsetSlices(rng, d, l, offs), l, false)
+					if d > 0 && off%4 == 0 {
+						checkXORCRCInto(t, tab, offsetSlices(rng, d, l, offs), l, true)
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzXORCRCInto decodes a stripe from the fuzzer's bytes: data[0] gives
+// D (0…9), data[1] the flags (bit 0: dst == srcs[0]; bit 1: IEEE table;
+// bit 2: the length's bit 16), data[2:4] the length's low 16 bits (the
+// length is capped at 64 KiB + 15), data[4:12] each source's
+// offset (low 3 bits), and the rest seeds the contents. The committed
+// corpus under testdata/fuzz/FuzzXORCRCInto/ is replayed by go test.
+func FuzzXORCRCInto(f *testing.F) {
+	f.Add([]byte{4, 0, 0x00, 0x01, 0, 0, 0, 0, 0, 0, 0, 0, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var hdr [12]byte
+		copy(hdr[:], data)
+		d := int(hdr[0]) % 10
+		alias := hdr[1]&1 != 0 && d > 0
+		tab := crc32.MakeTable(crc32.Castagnoli)
+		if hdr[1]&2 != 0 {
+			tab = crc32.IEEETable
+		}
+		l := min(int(binary.LittleEndian.Uint16(hdr[2:4]))|int(hdr[1]>>2&1)<<16, 64<<10+15)
+		offs := make([]int, 8)
+		for i := range offs {
+			offs[i] = int(hdr[4+i] & 7)
+		}
+		seed := int64(crc32.ChecksumIEEE(data))
+		checkXORCRCInto(t, tab, offsetSlices(rand.New(rand.NewSource(seed)), d, l, offs), l, alias)
+	})
 }

@@ -1,0 +1,154 @@
+package raizn
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"os"
+	"strings"
+	"testing"
+
+	"raizn/internal/vclock"
+	"raizn/internal/zns"
+)
+
+// knownLossesGolden is the ledger of the acked-write losses that still
+// reproduce: one row per repro and engine. A fix flips its own row to the
+// acked WP, err=none and match=true in the same change. A row may only be
+// re-recorded toward match=true; any other move is a regression.
+const knownLossesGolden = "testdata/known_losses.golden"
+
+// lossOutcome is what a repro's final read saw: the zone's WP on the
+// volume that served it (after the repro's mount, if it has one), the
+// read's error class and whether the acked bytes came back.
+type lossOutcome struct {
+	wp    int64
+	err   string
+	match bool
+}
+
+func (o lossOutcome) String() string {
+	wp := "-"
+	if o.wp >= 0 {
+		wp = fmt.Sprint(o.wp)
+	}
+	return fmt.Sprintf("wp=%s err=%s match=%t", wp, o.err, o.match)
+}
+
+// readLoss reads back zone 0's first n sectors, all acked with
+// lbaPattern, and classifies the result.
+func readLoss(v *Volume, n int) lossOutcome {
+	buf := make([]byte, n*v.SectorSize())
+	err := v.Read(0, buf)
+	o := lossOutcome{wp: v.Zone(0).WP, err: "none", match: err == nil && bytes.Equal(buf, lbaPattern(v, 0, n))}
+	switch {
+	case errors.Is(err, ErrReadBeyondWP):
+		o.err = "beyond-wp"
+	case err != nil:
+		o.err = "other"
+	}
+	return o
+}
+
+// mountLoss mounts devs without device missing and reads back n sectors.
+func mountLoss(c *vclock.Clock, env fuaEnv, devs []*zns.Device, missing, n int) lossOutcome {
+	var avail []*zns.Device
+	for i, d := range devs {
+		if i != missing {
+			avail = append(avail, d)
+		}
+	}
+	v, err := Mount(c, avail, env.cfg)
+	if err != nil {
+		return lossOutcome{wp: -1, err: "mount"}
+	}
+	return readLoss(v, n)
+}
+
+// The repros, each from the ROADMAP item it is named after.
+var knownLosses = []struct {
+	item    string
+	engines []string // fuaEnv names
+	run     func(t *testing.T, c *vclock.Clock, env fuaEnv, devs []*zns.Device, v *Volume) lossOutcome
+}{
+	// 2(c): 8 sectors, then 4 with FUA, all in unit 0; power cut; mount
+	// without unit 0's device. No surviving data device wrote the zone.
+	{"2c", []string{"EngineLogged", "EngineZRAID"}, func(t *testing.T, c *vclock.Clock, env fuaEnv, devs []*zns.Device, v *Volume) lossOutcome {
+		mustWriteV(t, v, 0, 8, 0)
+		mustWriteV(t, v, 8, 4, zns.FUA)
+		for _, d := range devs {
+			d.PowerLoss(nil)
+		}
+		return mountLoss(c, env, devs, v.lt.dataDev(0, 0, 0), 12)
+	}},
+	// 2(a): unit 1's device fails; FUA writes of 16, 4, 3 and 2 sectors;
+	// power cut on the others; mount without the failed device.
+	{"2a", []string{"EngineLogged", "EngineZRAID"}, func(t *testing.T, c *vclock.Clock, env fuaEnv, devs []*zns.Device, v *Volume) lossOutcome {
+		victim := v.lt.dataDev(0, 0, 1)
+		if err := v.FailDevice(victim); err != nil {
+			t.Fatal(err)
+		}
+		lba := int64(0)
+		for _, n := range []int{16, 4, 3, 2} {
+			mustWriteV(t, v, lba, n, zns.FUA)
+			lba += int64(n)
+		}
+		for i, d := range devs {
+			if i != victim {
+				d.PowerLoss(nil)
+			}
+		}
+		return mountLoss(c, env, devs, victim, int(lba))
+	}},
+	// 13: a flushed stripe; one sector of unit 2 rots; unit 0's device
+	// fails; a degraded read of [0,16) rebuilds unit 0 from the rot.
+	{"13", []string{"EngineLogged"}, func(t *testing.T, c *vclock.Clock, env fuaEnv, devs []*zns.Device, v *Volume) lossOutcome {
+		mustWriteV(t, v, 0, 64, 0)
+		if err := v.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		dev, pba := unitSectorPBA(v, 0, 0, 2, 5)
+		if err := devs[dev].CorruptSector(pba); err != nil {
+			t.Fatal(err)
+		}
+		if err := v.FailDevice(v.lt.dataDev(0, 0, 0)); err != nil {
+			t.Fatal(err)
+		}
+		return readLoss(v, 16)
+	}},
+}
+
+// TestKnownLosses runs every repro of knownLosses on each engine it
+// applies to and compares one row per run with knownLossesGolden.
+func TestKnownLosses(t *testing.T) {
+	envs := map[string]fuaEnv{}
+	for _, env := range fuaEnvs() {
+		envs[env.name] = env
+	}
+	var got []string
+	for _, l := range knownLosses {
+		for _, name := range l.engines {
+			env := envs[name]
+			c := vclock.New()
+			var o lossOutcome
+			c.Run(func() {
+				devs, v, err := env.create(c)
+				if err != nil {
+					t.Fatalf("%s %s: Create: %v", l.item, name, err)
+				}
+				o = l.run(t, c, env, devs, v)
+			})
+			got = append(got, fmt.Sprintf("%s %s %s", l.item, strings.ToLower(strings.TrimPrefix(name, "Engine")), o))
+		}
+	}
+	want := readGolden(t, knownLossesGolden)
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("loss rows differ from %s (a row may only move toward match=true, in the change that fixes it):\n got:\n  %s\n want:\n  %s",
+			knownLossesGolden, strings.Join(got, "\n  "), strings.Join(want, "\n  "))
+		if f, err := os.CreateTemp("", "known_losses-*.golden"); err == nil {
+			fmt.Fprintln(f, strings.Join(got, "\n"))
+			f.Close()
+			t.Logf("rows of this run: %s", f.Name())
+		}
+	}
+}

@@ -89,10 +89,13 @@ func (b *pollBudget) left() time.Duration { return b.d }
 
 // copyRef names one job for the copier: the record and the generation the
 // job was started under. A record recycled since carries a newer
-// generation and the copier leaves it alone.
+// generation and the copier leaves it alone. n is the job's chunk count,
+// taken with the record: sendCopy runs after d.mu is released, when the
+// command may already have completed and reset the record's dst.
 type copyRef struct {
 	j   *readCopy
 	gen uint32
+	n   uint32
 }
 
 var (
@@ -152,7 +155,7 @@ func tryJob(jobs <-chan copyRef) (copyRef, bool) {
 // is far behind, or parked and the job is one chunk (the wake rule), or ref
 // names no job, the completion copies.
 func sendCopy(ref copyRef) {
-	if ref.j == nil || len(ref.j.dst) <= copyChunk && copierParked.Load() {
+	if ref.j == nil || ref.n <= 1 && copierParked.Load() {
 		return
 	}
 	select {
@@ -198,7 +201,7 @@ func (j *readCopy) arm() copyRef {
 	j.gen++
 	j.done.Store(0)
 	j.state.Store(uint64(j.gen)<<32 | uint64(n)<<16)
-	return copyRef{j: j, gen: j.gen}
+	return copyRef{j: j, gen: j.gen, n: uint32(n)}
 }
 
 // claim copies chunks of generation gen, taking up to most unclaimed ones
