@@ -162,6 +162,51 @@ func TestDegradedMountPartialStripeUsesPartialParity(t *testing.T) {
 	}
 }
 
+// TestDegradedMountZoneOnlyTheMissingDeviceWrote is ROADMAP item 2(c):
+// 8 sectors, then 4 with FUA, all in unit 0; a power cut; a mount without
+// unit 0's device. No surviving data device wrote the zone, so only the
+// partial-parity images say it holds data. The logged engine's log keeps
+// every image and recovers all 12 acked sectors, which appends then
+// extend. A zraid slot keeps only the newest image, a delta that rebuilds
+// no sector from offset 0, so the zone mounts empty: an error on read,
+// never wrong bytes with a nil error.
+func TestDegradedMountZoneOnlyTheMissingDeviceWrote(t *testing.T) {
+	for _, env := range fuaEnvs() {
+		t.Run(env.name, func(t *testing.T) {
+			c := vclock.New()
+			c.Run(func() {
+				devs, v, err := env.create(c)
+				if err != nil {
+					t.Fatalf("Create: %v", err)
+				}
+				mustWriteV(t, v, 0, 8, 0)
+				mustWriteV(t, v, 8, 4, zns.FUA)
+				for _, d := range devs {
+					d.PowerLoss(nil)
+				}
+				victim := v.lt.dataDev(0, 0, 0)
+				avail := append(devs[:victim:victim], devs[victim+1:]...)
+				v2, err := Mount(c, avail, env.cfg)
+				if err != nil {
+					t.Fatalf("Mount: %v", err)
+				}
+				o := readLoss(v2, 12)
+				if o.err == "none" && !o.match {
+					t.Fatalf("read back wrong bytes with a nil error: %v", o)
+				}
+				if env.cfg.ParityEngine == EngineZRAID {
+					return
+				}
+				if !o.match || o.wp != 12 {
+					t.Fatalf("got %v, want wp=12 err=none match=true", o)
+				}
+				mustWriteV(t, v2, 12, 52, 0) // completes the stripe
+				checkReadV(t, v2, 0, 64)
+			})
+		})
+	}
+}
+
 func TestSecondFailureGoesReadOnly(t *testing.T) {
 	runVol(t, func(c *vclock.Clock, v *Volume, devs []*zns.Device) {
 		mustWriteV(t, v, 0, 64, 0)

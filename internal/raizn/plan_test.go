@@ -138,6 +138,18 @@ func TestPlanZone(t *testing.T) {
 			ppImage{stripe: 0, a: 0, b: 4, payload: []byte{1, 2, 3, 4}},
 			ppImage{stripe: 1, a: 0, b: 2, payload: []byte{7, 7}}),
 		want: zonePlan{wp: 7, tail: &tailPlan{stripe: 0, fill: 7, missing: 1, img: []byte{5, 6, 3, 4}, recon: 3}},
+	}, {
+		name: "partial-parity images alone: the missing device wrote the zone's only data",
+		ev:   withPP(planEvidence(-1, 0, 0, 0, 0), ppImage{stripe: 0, a: 0, b: 2, payload: []byte{1, 2}}, ppImage{stripe: 0, a: 2, b: 3, payload: []byte{3}}),
+		want: zonePlan{wp: 3, tail: &tailPlan{stripe: 0, fill: 3, missing: 0, img: []byte{1, 2, 3, 0}, recon: 3}},
+	}, {
+		name: "partial-parity images bound the stripe walk past the survivors' data",
+		ev:   withPP(planEvidence(4, 4, 4, 4, -1), ppImage{stripe: 1, a: 0, b: 2, payload: []byte{7, 7}}),
+		want: zonePlan{wp: 18, tail: &tailPlan{stripe: 1, fill: 2, missing: 0, img: []byte{7, 7, 0, 0}, recon: 2}},
+	}, {
+		name: "a lone delta image recovers no sector: the empty plan",
+		ev:   withPP(planEvidence(-1, 0, 0, 0, 0), ppImage{stripe: 0, a: 2, b: 3, payload: []byte{9}}),
+		want: zonePlan{genDelta: 1, empty: true},
 	}}
 	lt := planLayout()
 	for _, c := range cases {
