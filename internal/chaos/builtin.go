@@ -125,7 +125,7 @@ func ZRAIDOverflow() *Scenario {
 // half (the checkpoint durable by its last record's FUA, then the old
 // zone's reset) spans the next append or two, so crashes land with
 // foreground records behind the checkpoint and no empty metadata zone —
-// the state mount consolidates in place. The tail covers a Maintain-driven
+// the state in which the mount's roll-over checkpoints in place. The tail covers a Maintain-driven
 // roll-over of every log on every device, a reset, and a finish.
 func MDGC() *Scenario {
 	dc := zns.DefaultConfig()

@@ -11,7 +11,7 @@ import (
 // record, FUA-appended to the general metadata log so it is durable the
 // moment the append completes — a crash capture taken right afterwards
 // recovers it even when only flushed data survives. The newest
-// generation wins; metadata GC and mount-time consolidation re-emit the
+// generation wins; metadata GC and the mount's roll-overs re-emit the
 // latest box (see checkpointRecords), so forensics survive log
 // roll-over and remount.
 

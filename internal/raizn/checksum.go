@@ -133,8 +133,8 @@ func (v *Volume) clearZoneChecksums(z int) {
 
 // clampChecksums drops coverage at and beyond stripe limit — used at
 // mount when the recovered write pointer rolled back mid-stripe — and
-// starts the zone's cursor there: the mount's consolidation checkpoint
-// carries every row below it.
+// starts the zone's cursor there: the mount's general checkpoint carries
+// every row below it.
 func (v *Volume) clampChecksums(z int, limit int64) {
 	v.csMu.Lock()
 	if v.csHave[z] != nil {

@@ -24,7 +24,7 @@ import (
 // is required for resumability.
 
 // compactRemappedZones runs during mount, after zone recovery and before
-// metadata consolidation, so dropped relocation entries simply vanish
+// the metadata roll-overs, so dropped relocation entries simply vanish
 // from the fresh checkpoints.
 func (v *Volume) compactRemappedZones() error {
 	if v.cfg.RelocationThreshold <= 0 {

@@ -139,14 +139,14 @@ func (v *Volume) recover(logs []*mdLog) error {
 	for z := 0; z < v.lt.numZones; z++ {
 		v.clampChecksums(z, v.zones[z].wp/v.lt.stripeSectors())
 	}
-	// Compact zones whose relocation count passed the threshold (§5.2),
-	// then consolidate the metadata zones: re-checkpoint everything live
-	// (including the generation counters bumped above) and re-establish
-	// the zone roles.
+	// Compact zones whose relocation count passed the threshold (§5.2).
 	if err := v.compactRemappedZones(); err != nil {
 		return err
 	}
-	if err := v.consolidateMetadata(logs); err != nil {
+	// Roll the metadata logs over: the checkpoints re-log everything live
+	// (the generation counters bumped above included), and reclaim resets
+	// every zone they make redundant. Nothing above appends metadata.
+	if err := v.rollMount(logs); err != nil {
 		return err
 	}
 	// Everything live — including partial parity for in-progress stripes
@@ -245,9 +245,9 @@ func (v *Volume) gather(logs []*mdLog) (ev []zoneEvidence, walOrder []int, cs []
 		}
 	}
 	// Forensic cargo, not array state: keep the newest intact box in
-	// memory so consolidateMetadata re-emits it — consolidation rewrites
-	// every metadata zone, and the crash evidence must survive the remount
-	// that follows the crash.
+	// memory so the mount's general checkpoint re-emits it — the mount's
+	// roll-overs reset every older metadata zone, and the crash evidence
+	// must survive the remount that follows the crash.
 	if best := newestFlightBox(all); best != nil {
 		v.blackBox = append([]byte(nil), best.payload[:best.startLBA]...)
 		v.blackBoxGen = best.gen
