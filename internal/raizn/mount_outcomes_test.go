@@ -29,14 +29,15 @@ const mountOutcomeStride = 31
 // captures a crash every mountOutcomeStride device commands (all submitted
 // sectors kept, only flushed ones kept, and a seeded cut per device and
 // zone), mounts each capture whole and once without each device, and
-// compares one row per mount with the golden file.
+// compares one row per mount with the golden file. After each mount the
+// metadata zones must be consolidated (mdRoles).
 func TestMountOutcomesGolden(t *testing.T) {
 	var got []string
 	for _, env := range fuaEnvs() {
 		for _, cc := range mountOutcomeCaptures(t, env) {
 			for _, variant := range cc.variants {
 				for missing := -1; missing < len(variant.devs); missing++ {
-					got = append(got, fmt.Sprintf("%s k=%d %s %s", env.name, cc.k, variant.name, mountOutcome(env, variant.devs, missing)))
+					got = append(got, fmt.Sprintf("%s k=%d %s %s", env.name, cc.k, variant.name, mountOutcome(t, env, variant.devs, missing)))
 				}
 			}
 		}
@@ -115,8 +116,9 @@ func mountOutcomeCaptures(t *testing.T, env fuaEnv) []outcomeCapture {
 // whole) and renders the result as one row: per zone its descriptor,
 // generation and the SHA-256 prefix of its read-back (or the read error);
 // the relocation count; per device the lifetime counters of the mount's
-// own commands; and the mount's simulated duration.
-func mountOutcome(env fuaEnv, devs []*zns.Device, missing int) string {
+// own commands; and the mount's simulated duration. It then checks the
+// consolidated-state invariant of the metadata zones (mdRoles).
+func mountOutcome(t *testing.T, env fuaEnv, devs []*zns.Device, missing int) string {
 	clk, copies := copyDevs(devs)
 	var avail []*zns.Device
 	for i, d := range copies {
@@ -167,6 +169,7 @@ func mountOutcome(env fuaEnv, devs []*zns.Device, missing int) string {
 			}
 		}
 		fmt.Fprintf(&b, " relocs=%d dev=%s now=%d", v.RelocationCount(), dev.String(), now)
+		mdRoles(t, v)
 	})
 	return b.String()
 }
