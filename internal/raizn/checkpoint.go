@@ -185,9 +185,3 @@ func (v *Volume) issueCheckpoint(d *zns.Device, phys int, dev int, kind mdKind, 
 	}
 	return futs
 }
-
-// writeCheckpoint issues the checkpoint of one kind into the given
-// physical zone and waits until it is durable.
-func (v *Volume) writeCheckpoint(d *zns.Device, phys int, dev int, kind mdKind) error {
-	return vclock.WaitAll(v.issueCheckpoint(d, phys, dev, kind, v.checkpointRecords(dev, kind))...)
-}

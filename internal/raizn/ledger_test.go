@@ -269,7 +269,7 @@ func TestRolledOutZoneOwesNothing(t *testing.T) {
 		pdev, unit0 := v.lt.parityDev(0, 0), v.lt.dataDev(0, 0, 0)
 		flushes0 := deviceFlushes(devs)
 		mustWriteV(t, v, 0, 20, 0) // unit 0 and four sectors of unit 1
-		if err := v.md[pdev].forceGC(mdParity); err != nil {
+		if _, err := v.rollRound([]*mdManager{v.md[pdev]}, mdParity, true, nil); err != nil {
 			t.Fatal(err)
 		}
 		mustWriteV(t, v, 20, 4, zns.FUA) // its FUA sub-IO persists unit 1's prefix

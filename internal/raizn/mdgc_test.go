@@ -388,6 +388,9 @@ func TestRollOverAddsNoSimulatedTime(t *testing.T) {
 	})
 }
 
+// anyIdle is rollRound's pick for a roll-over that is not waited for.
+func anyIdle(*mdManager, *zns.Device) bool { return true }
+
 // bigRecord is a general-log record of n sectors in total.
 func bigRecord(v *Volume, n int) *record {
 	size := (n - 1) * v.sectorSize
@@ -403,10 +406,7 @@ func TestSwapPoolBackPressure(t *testing.T) {
 		if _, _, err := m.append(bigRecord(v, 100), 0); err != nil {
 			t.Fatal(err)
 		}
-		m.mu.Lock()
-		err := m.rollLocked(mdParity, devs[0])
-		m.mu.Unlock()
-		if err != nil {
+		if _, err := v.rollRound([]*mdManager{m}, mdParity, true, anyIdle); err != nil {
 			t.Fatal(err)
 		}
 		t0 := c.Now()
@@ -459,10 +459,7 @@ func TestReclaimFailureWakesWaiters(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				m.mu.Lock()
-				err = m.rollLocked(mdParity, devs[0])
-				m.mu.Unlock()
-				if err != nil {
+				if _, err := v.rollRound([]*mdManager{m}, mdParity, true, anyIdle); err != nil {
 					t.Fatal(err)
 				}
 				wg := c.NewWaitGroup()
@@ -502,8 +499,8 @@ func TestMaintainAndUnmountQuiesce(t *testing.T) {
 		}
 
 		m := r.v.md[r.pdev]
+		_, err := r.v.rollRound([]*mdManager{m}, mdGeneral, true, anyIdle)
 		m.mu.Lock()
-		err := m.rollLocked(mdGeneral, r.devs[r.pdev])
 		inFlight := m.reclaiming
 		m.mu.Unlock()
 		if err != nil || !inFlight {
@@ -526,7 +523,7 @@ func TestMaintainAndUnmountQuiesce(t *testing.T) {
 func TestJournalShowsMetadataGC(t *testing.T) {
 	runVolJournal(t, func(c *vclock.Clock, v *Volume, j *obs.Journal) {
 		old := v.md[2].active[mdParity]
-		if err := v.md[2].forceGC(mdParity); err != nil {
+		if _, err := v.rollRound([]*mdManager{v.md[2]}, mdParity, true, nil); err != nil {
 			t.Fatal(err)
 		}
 		var evs []obs.Event
@@ -666,7 +663,7 @@ func TestEmptyCheckpointStillReclaims(t *testing.T) {
 		if devs[pdev].Zone(old).WP == devs[pdev].ZoneStart(old) {
 			t.Fatal("the partial write logged nothing on the parity device")
 		}
-		if err := m.forceGC(mdParity); err != nil {
+		if _, err := v.rollRound([]*mdManager{m}, mdParity, true, nil); err != nil {
 			t.Fatal(err)
 		}
 		if zd := devs[pdev].Zone(m.active[mdParity]); zd.WP != devs[pdev].ZoneStart(m.active[mdParity]) {
@@ -711,11 +708,7 @@ func TestRollOverIsArrayWide(t *testing.T) {
 		if err := v.FailDevice(3); err != nil {
 			t.Fatal(err)
 		}
-		m4 := v.md[4]
-		m4.mu.Lock()
-		err := m4.rollLocked(mdGeneral, devs[4])
-		m4.mu.Unlock()
-		if err != nil {
+		if _, err := v.rollRound([]*mdManager{v.md[4]}, mdGeneral, true, anyIdle); err != nil {
 			t.Fatal(err)
 		}
 		before := make([]int, 5)
@@ -1008,4 +1001,149 @@ func TestCheckpointOrderIsDeterministic(t *testing.T) {
 			}
 		}
 	}
+}
+
+// maintainAtCeiling mounts devs (cleanBothLogs' image), sets every
+// generation counter to the ceiling and persists them, then runs Maintain,
+// which zeroes them. With cut >= 0 it captures a crash at Maintain's
+// device command number cut. It returns Maintain's simulated duration, its
+// device commands, the volume's generation of zone 0 afterwards and the
+// capture.
+func maintainAtCeiling(t *testing.T, devs []*zns.Device, cut int) (took time.Duration, cmds int, gen uint64, cc *crashCapture) {
+	t.Helper()
+	clk, copies := copyDevs(devs)
+	clk.Run(func() {
+		v, err := Mount(clk, copies, DefaultConfig())
+		if err != nil {
+			t.Fatalf("Mount: %v", err)
+		}
+		v.mu.Lock()
+		for z := range v.gen {
+			v.gen[z] = genCounterCeiling
+		}
+		v.mu.Unlock()
+		if err := v.persistGenCounters(); err != nil {
+			t.Fatal(err)
+		}
+		for i, d := range copies {
+			d.AttachHook(func(obs.HookPoint) {
+				if cmds == cut {
+					cc = captureCrash(copies, cut)
+				}
+				cmds++
+			}, i)
+		}
+		t0 := clk.Now()
+		if err := v.Maintain(); err != nil {
+			t.Fatalf("Maintain: %v", err)
+		}
+		took, gen = clk.Now()-t0, v.Generation(0)
+		for i, d := range copies {
+			d.AttachHook(nil, i)
+		}
+		mdRoles(t, v)
+	})
+	return took, cmds, gen, cc
+}
+
+// TestMaintainOverlapsDevices: Maintain rolls each metadata log on every
+// device at once, so on a clean five-device array whose every device
+// resets a zone per log it takes two resets of simulated time, not two per
+// device. A power cut at every device command of Maintain, followed by a
+// mount, must leave every acknowledged sector readable and the roles
+// consolidated; the counters Maintain zeroed read back zeroed from the
+// first cut that finds them durable on.
+func TestMaintainOverlapsDevices(t *testing.T) {
+	devs, zones := cleanBothLogs(t)
+	took, cmds, gen, _ := maintainAtCeiling(t, devs, -1)
+	t.Logf("clean Maintain: %v of simulated time, %d device commands", took, cmds)
+	if limit := 3 * devs[0].Config().ResetLatency; took >= limit {
+		t.Errorf("clean Maintain took %v of simulated time, want under %v (three resets)", took, limit)
+	}
+	if gen != 0 {
+		t.Errorf("generation after Maintain = %d, want 0", gen)
+	}
+
+	zeroed := map[string]bool{}
+	for k := 0; k < cmds; k++ {
+		_, _, _, cc := maintainAtCeiling(t, devs, k)
+		if cc == nil {
+			t.Fatalf("Maintain command %d never reached", k)
+		}
+		for _, variant := range cc.variants() {
+			t.Run(fmt.Sprintf("cmd%d/%s", k, variant.name), func(t *testing.T) {
+				variant.clk.Run(func() {
+					v, err := Mount(variant.clk, variant.devs, DefaultConfig())
+					if err != nil {
+						t.Fatalf("Mount: %v", err)
+					}
+					for z := range zones {
+						checkReadV(t, v, int64(z)*v.ZoneSectors(), 8)
+					}
+					mdRoles(t, v)
+					switch g := v.Generation(0); {
+					case g == 0:
+						zeroed[variant.name] = true
+					case g != genCounterCeiling || zeroed[variant.name]:
+						t.Errorf("zone 0 generation %d, want 0 or, before the zeroed counters are durable, the ceiling", g)
+					}
+				})
+			})
+		}
+	}
+	for _, name := range []string{"all", "flushed"} {
+		if !zeroed[name] {
+			t.Errorf("%s: no cut found the zeroed counters durable", name)
+		}
+	}
+}
+
+// TestReplacementMetadataLayout: a replacement device's metadata is one
+// roll-over per kind from its empty zones: the general checkpoint alone in
+// the first metadata zone, the partial-parity checkpoint alone in the
+// second, the third empty in the swap pool, and records in the order
+// checkpointRecords emits them.
+func TestReplacementMetadataLayout(t *testing.T) {
+	runVol(t, func(c *vclock.Clock, v *Volume, devs []*zns.Device) {
+		const slot = 1
+		var want [mdKinds][]string
+		for z := range v.NumZones() {
+			mustWriteV(t, v, int64(z)*v.ZoneSectors(), 8, zns.FUA) // an open stripe per zone
+			if v.lt.parityDev(z, 0) == slot {
+				want[mdParity] = append(want[mdParity], fmt.Sprintf("partial-parity+ckpt [%d,%d)", v.lt.stripeStart(z, 0), v.lt.stripeStart(z, 0)+8))
+			}
+		}
+		want[mdGeneral] = []string{"superblock+ckpt", "gen-counters+ckpt"}
+		if err := v.FailDevice(slot); err != nil {
+			t.Fatal(err)
+		}
+		nd := zns.NewDevice(c, testDevConfig())
+		if _, err := v.ReplaceDevice(nd); err != nil {
+			t.Fatalf("ReplaceDevice: %v", err)
+		}
+		recs, err := scanMDZones(nd, v.lt, v.sectorSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([][]string, v.lt.mdZones)
+		for _, r := range recs {
+			s := r.typ.String()
+			if r.typ.base() == recPartialParity {
+				s += fmt.Sprintf(" [%d,%d)", r.startLBA, r.endLBA)
+			}
+			zi := int(r.pba/v.lt.physZoneSize) - v.lt.numZones
+			got[zi] = append(got[zi], s)
+		}
+		for kind, w := range want {
+			if fmt.Sprint(got[kind]) != fmt.Sprint(w) {
+				t.Errorf("metadata zone %d holds %v, want %v", kind, got[kind], w)
+			}
+		}
+		if len(got[2]) != 0 {
+			t.Errorf("metadata zone 2 holds %v, want nothing", got[2])
+		}
+		if roles := mdRoles(t, v); roles[slot] != [mdKinds]int{v.lt.mdZoneIndex(0), v.lt.mdZoneIndex(1)} {
+			t.Errorf("replacement roles %v, want general in metadata zone 0 and parity in zone 1", roles[slot])
+		}
+	})
 }

@@ -162,9 +162,9 @@ var errMDFull = errors.New("raizn: metadata zone out of space mid-GC")
 // durable, redundant zones reset and returned to the swap pool — runs as a
 // chain of future callbacks (reclaiming). At most one reclaim is in flight
 // per device; an append that needs a second roll-over before it lands
-// parks on the vclock-aware condition. The devices of an array roll a log
-// together (rollSiblings); a mount rolls both logs of every device
-// (rollMount).
+// parks on the vclock-aware condition. Every roll-over but a full log's own
+// is one round of rollRound: a full log's siblings (rollSiblings), a mount
+// (rollMount), Maintain and a device replacement.
 type mdManager struct {
 	vol *Volume // for checkpoint callbacks and geometry
 	dev int
@@ -235,7 +235,7 @@ func (m *mdManager) appendSpan(sp *obs.Span, r *record, flags zns.Flag) (*vclock
 // future), which is returned; an error return leaves fut incomplete.
 func (m *mdManager) appendEncoded(sp *obs.Span, fut *vclock.Future, typ recType, buf []byte, flags zns.Flag) (*vclock.Future, int64, error) {
 	v := m.vol
-	dev := v.devs[m.dev]
+	dev := v.loadDevs().devs[m.dev]
 	if dev == nil {
 		sp.End(zns.ErrDeviceFailed)
 		return nil, -1, zns.ErrDeviceFailed
@@ -288,7 +288,7 @@ func (m *mdManager) appendEncoded(sp *obs.Span, fut *vclock.Future, typ recType,
 			break
 		}
 		rolls++
-		if err = m.rollLocked(kind, dev); err != nil {
+		if err = m.rollOverLocked(kind, dev, true); err != nil {
 			break
 		}
 		m.mu.Unlock()
@@ -309,28 +309,72 @@ func (m *mdManager) appendEncoded(sp *obs.Span, fut *vclock.Future, typ recType,
 // freshly replaced or lightly used device would burn a reset for nothing.
 // A sibling that cannot roll (no swap zone) reports it on its own append.
 func (v *Volume) rollSiblings(from int, kind mdKind) {
-	tbl := v.loadDevs()
-	for i, m := range tbl.md {
-		d := tbl.devs[i]
-		if i == from || m == nil || d == nil {
+	n, _ := v.rollRound(v.loadDevs().md, kind, true, func(m *mdManager, d *zns.Device) bool {
+		return m.dev != from && mdZoneRoom(d, m.active[kind]) <= d.Config().ZoneCap/2
+	})
+	v.stats.mdGCCoordinated.Add(int64(n))
+}
+
+// rollRound is the one way a metadata log rolls over but a full log's own:
+// the log of kind rolls over (rollOverLocked; gc marks metadata GCs) on each
+// manager of ms with a live device, in order, at one virtual instant when
+// none has a roll-over under way. With pick nil each manager rolls once its
+// previous reclaim has finished, and rollRound waits for every reclaim;
+// otherwise only the idle managers pick accepts (under m.mu) roll, and
+// nothing is waited for. It returns how many rolled and the first error.
+func (v *Volume) rollRound(ms []*mdManager, kind mdKind, gc bool, pick func(*mdManager, *zns.Device) bool) (rolled int, first error) {
+	for _, m := range ms {
+		if m == nil {
 			continue
 		}
 		m.mu.Lock()
-		if !m.gcBusy && !m.reclaiming && mdZoneRoom(d, m.active[kind]) <= d.Config().ZoneCap/2 &&
-			m.rollLocked(kind, d) == nil {
-			v.stats.mdGCCoordinated.Add(1)
+		for pick == nil && (m.gcBusy || m.reclaiming) {
+			m.cond.Wait()
+		}
+		if d := v.loadDevs().devs[m.dev]; d != nil && !m.gcBusy && !m.reclaiming && (pick == nil || pick(m, d)) {
+			if err := m.rollOverLocked(kind, d, gc); err == nil {
+				rolled++
+			} else if first == nil {
+				first = err
+			}
 		}
 		m.mu.Unlock()
 	}
+	for _, m := range ms {
+		if m == nil || pick != nil {
+			continue
+		}
+		if err := m.quiesce(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return rolled, first
+}
+
+// newRollManager builds device dev's metadata manager from what its zones
+// hold, recs (a mount's read of them; nil on a blank replacement): a zone
+// holds the kinds of the records found in it, the empty zones are the pool,
+// and no zone is active until rolled into. A non-empty zone holding no
+// record (a torn tail alone) is in neither role, so the first reclaim
+// resets it.
+func newRollManager(v *Volume, dev int, d *zns.Device, recs []record) *mdManager {
+	m := &mdManager{vol: v, dev: dev, held: make([]uint8, v.lt.mdZones), dropped: make([]uint8, v.lt.mdZones), active: [mdKinds]int{-1, -1}}
+	m.cond = v.clk.NewCond(&m.mu)
+	for _, r := range recs {
+		m.held[int(r.pba/v.lt.physZoneSize)-v.lt.numZones] |= 1 << kindOf(r.typ)
+	}
+	for j := range m.held {
+		if z := v.lt.mdZoneIndex(j); d.Zone(z).WP == d.ZoneStart(z) && d.Zone(z).State != zns.ZoneFull {
+			m.swap = append(m.swap, z)
+		}
+	}
+	return m
 }
 
 // rollMount rolls both metadata logs of every live device over (Mount),
 // general first, each kind on every device at once, and waits for every
-// reclaim. Each device's manager is built from Mount's read of its zones:
-// a zone holds the kinds of the records found in it, the empty zones are
-// the pool, and no zone is active until rolled into; a non-empty zone
-// holding no record (a torn tail alone) is in neither role, so the first
-// reclaim resets it. A device left with an active zone holding the other
+// reclaim. Each device's manager is built from Mount's read of its zones
+// (newRollManager). A device left with an active zone holding the other
 // kind's records, where a checkpoint went in place for want of room, rolls
 // both again, into the swap zones the first round freed. These roll-overs
 // are the mount's own: not counted as metadata GCs, journaled or crossing
@@ -339,37 +383,17 @@ func (v *Volume) rollMount(logs []*mdLog) error {
 	var ms []*mdManager
 	v.mu.Lock()
 	for i, d := range v.devs {
-		if d == nil {
-			continue
+		if d != nil {
+			v.md[i] = newRollManager(v, i, d, logs[i].recs)
+			ms = append(ms, v.md[i])
 		}
-		m := &mdManager{vol: v, dev: i, held: make([]uint8, v.lt.mdZones), dropped: make([]uint8, v.lt.mdZones), active: [mdKinds]int{-1, -1}}
-		m.cond = v.clk.NewCond(&m.mu)
-		for _, r := range logs[i].recs {
-			m.held[int(r.pba/v.lt.physZoneSize)-v.lt.numZones] |= 1 << kindOf(r.typ)
-		}
-		for j := range m.held {
-			if z := v.lt.mdZoneIndex(j); d.Zone(z).WP == d.ZoneStart(z) && d.Zone(z).State != zns.ZoneFull {
-				m.swap = append(m.swap, z)
-			}
-		}
-		v.md[i], ms = m, append(ms, m)
 	}
 	v.publishDevTableLocked()
 	v.mu.Unlock()
 	for round := 0; round < 2 && len(ms) > 0; round++ {
 		for kind := range mdKinds {
-			for _, m := range ms {
-				m.mu.Lock()
-				err := m.rollOverLocked(kind, v.devs[m.dev], false)
-				m.mu.Unlock()
-				if err != nil {
-					return err
-				}
-			}
-			for _, m := range ms {
-				if err := m.quiesce(); err != nil {
-					return err
-				}
+			if _, err := v.rollRound(ms, kind, false, nil); err != nil {
+				return err
 			}
 		}
 		ms = slices.DeleteFunc(ms, func(m *mdManager) bool {
@@ -378,22 +402,6 @@ func (v *Volume) rollMount(logs []*mdLog) error {
 		})
 	}
 	return nil
-}
-
-// forceGC runs one roll-over of the given kind and returns once the old
-// zone is back in the swap pool (used by Maintain).
-func (m *mdManager) forceGC(kind mdKind) error {
-	dev := m.vol.devs[m.dev]
-	if dev == nil {
-		return zns.ErrDeviceFailed
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	_ = m.quiesceLocked() // an earlier reclaim's error is not this roll-over's
-	if err := m.rollLocked(kind, dev); err != nil {
-		return err
-	}
-	return m.quiesceLocked()
 }
 
 // quiesce waits for an in-flight reclaim, so that no callback of this
@@ -409,11 +417,6 @@ func (m *mdManager) quiesceLocked() error {
 		m.cond.Wait()
 	}
 	return m.reclaimErr
-}
-
-// rollLocked runs one metadata GC: a roll-over of the log of kind.
-func (m *mdManager) rollLocked(kind mdKind, dev *zns.Device) error {
-	return m.rollOverLocked(kind, dev, true)
 }
 
 // rollOverLocked rolls the log of kind over (paper Fig. 4): the checkpoint

@@ -62,13 +62,13 @@ func (v *Volume) ReplaceDevice(newDev *zns.Device) (RebuildStats, error) {
 
 	// Re-create the replacement's metadata: superblock + current
 	// checkpoints (the failed device's non-replicated metadata is gone
-	// and, per §4.3, inconsequential).
-	m := newMDManager(v, slot)
-	if err := v.writeCheckpoint(newDev, m.active[mdGeneral], slot, mdGeneral); err != nil {
-		return stats, v.abortRebuild(slot, err)
-	}
-	if err := v.writeCheckpoint(newDev, m.active[mdParity], slot, mdParity); err != nil {
-		return stats, v.abortRebuild(slot, err)
+	// and, per §4.3, inconsequential), one roll-over per kind from its
+	// empty zones, so general lands in the first and parity in the second.
+	m := newRollManager(v, slot, newDev, nil)
+	for kind := range mdKinds {
+		if _, err := v.rollRound([]*mdManager{m}, kind, false, nil); err != nil {
+			return stats, v.abortRebuild(slot, err)
+		}
 	}
 	// Rebuild zone by zone, active zones first (§4.2). The order is taken
 	// in the critical section that marks every zone outside it — the

@@ -318,15 +318,17 @@ func (v *Volume) CloseZone(z int) error {
 const genCounterCeiling = ^uint64(0) - 1
 
 // Maintain performs the generation-counter maintenance operation (§4.3):
-// it garbage collects every metadata zone, checkpointing live records, and
-// re-persists the generation counters. Counters are zeroed only when one
-// has reached the ceiling, which 64-bit counters make effectively
-// unreachable. They are zeroed before the garbage collection, so the
-// checkpoints stamp every live record (partial parity, relocations,
-// checksums) with the new generation; mount takes the newest counter
-// record, so the zeroed counters and those records survive a remount. The
-// paper protects this rewrite with a WAL; here a crash between the zeroing
-// and the last checkpoint is not covered.
+// it garbage collects every metadata zone, checkpointing live records: one
+// round of rollRound per log kind, general first, on every live device at
+// once. Counters are zeroed only when one has reached the ceiling, which
+// 64-bit counters make effectively unreachable. They are zeroed before the
+// garbage collection, so the checkpoints stamp every live record (partial
+// parity, relocations, checksums) with the new generation, and the general
+// checkpoint carries the zeroed counters under a newer sequence number than
+// any counter record before it; mount takes the newest counter record, so
+// the zeroed counters and those records survive a remount. The paper
+// protects this rewrite with a WAL; here a crash between the zeroing and
+// the last checkpoint is not covered.
 func (v *Volume) Maintain() error {
 	v.mu.Lock()
 	if slices.Max(v.gen) >= genCounterCeiling {
@@ -334,17 +336,11 @@ func (v *Volume) Maintain() error {
 		v.readOnly = false
 	}
 	v.mu.Unlock()
-	for i := range v.devs {
-		m := v.md[i]
-		if m == nil {
-			continue
-		}
-		if err := m.forceGC(mdGeneral); err != nil {
-			return err
-		}
-		if err := m.forceGC(mdParity); err != nil {
+	ms := v.loadDevs().md
+	for kind := range mdKinds {
+		if _, err := v.rollRound(ms, kind, true, nil); err != nil {
 			return err
 		}
 	}
-	return v.persistGenCounters()
+	return nil
 }
