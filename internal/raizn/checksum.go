@@ -298,5 +298,38 @@ func (v *Volume) noteCorruption(i int) {
 	}
 }
 
+// checkUnit compares the CRC32-C of img, the whole of unit u of stripe s in
+// zone z (the parity unit when u == d), with the stripe's checksum row:
+// ErrChecksumMismatch when they differ, nil when they agree or the stripe
+// has no row. It allocates nothing.
+func (v *Volume) checkUnit(z int, s int64, u int, img []byte) error {
+	v.csMu.Lock()
+	have := v.csHave[z] != nil && s < int64(len(v.csHave[z])) && v.csHave[z][s]
+	var want uint32
+	if have {
+		want = v.cs[z][s*int64(v.csSlots())+int64(u)]
+	}
+	v.csMu.Unlock()
+	if have && crcOf(img) != want {
+		return ErrChecksumMismatch
+	}
+	return nil
+}
+
+// checkRebuilt checks a reconstruction of intra offsets [a, b) of unit u
+// against the stripe's checksum row (checkUnit) and counts a mismatch. Only
+// a whole unit can be checked: a part of one passes unchecked, and so does
+// everything on devices that drop payloads (their reads are zeroes).
+func (v *Volume) checkRebuilt(z int, s int64, u int, a, b int64, dst []byte) error {
+	if v.discard || a != 0 || b != v.lt.su {
+		return nil
+	}
+	err := v.checkUnit(z, s, u, dst)
+	if err != nil {
+		v.stats.reconstructMismatches.Add(1)
+	}
+	return err
+}
+
 // crcOf returns the CRC32-C of a stripe-unit image.
 func crcOf(b []byte) uint32 { return crc32.Checksum(b, crcTable) }

@@ -2,6 +2,7 @@ package raizn
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -524,6 +525,49 @@ func TestDegradedEmptyReconstructionReusesJoin(t *testing.T) {
 			if !bytes.Equal(out, lbaPattern(v, p.lba, int(p.n))) {
 				t.Fatalf("read %d of [%d, +%d): wrong bytes", i, p.lba, p.n)
 			}
+		}
+	})
+}
+
+// TestReconstructionCheckedAgainstRow: one sector of a survivor rots, then
+// a device fails. A degraded read of the lost unit whole, and the rebuild
+// onto a replacement, check the reconstruction against the stripe's
+// checksum row and fail with ErrChecksumMismatch instead of returning or
+// writing wrong bytes; each mismatch is counted. A read of part of the
+// unit is not checked (DESIGN.md states the limit).
+func TestReconstructionCheckedAgainstRow(t *testing.T) {
+	runVol(t, func(c *vclock.Clock, v *Volume, devs []*zns.Device) {
+		su := int(v.lt.su)
+		mustWriteV(t, v, 0, int(v.lt.stripeSectors()), 0)
+		if err := v.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		dev, pba := unitSectorPBA(v, 0, 0, 2, 5)
+		if err := devs[dev].CorruptSector(pba); err != nil {
+			t.Fatal(err)
+		}
+		victim := v.lt.dataDev(0, 0, 0)
+		if err := v.FailDevice(victim); err != nil {
+			t.Fatal(err)
+		}
+		if err := v.Read(0, make([]byte, su*v.SectorSize())); !errors.Is(err, ErrChecksumMismatch) {
+			t.Errorf("whole-unit degraded read: %v, want ErrChecksumMismatch", err)
+		}
+		if err := v.Read(0, make([]byte, (su/2)*v.SectorSize())); err != nil {
+			t.Errorf("half-unit degraded read: %v, want it unchecked", err)
+		}
+		nd := zns.NewDevice(c, testDevConfig())
+		if _, err := v.ReplaceDevice(nd); !errors.Is(err, ErrChecksumMismatch) {
+			t.Errorf("ReplaceDevice: %v, want ErrChecksumMismatch", err)
+		}
+		if z := nd.Zone(0); z.WP != nd.ZoneStart(0) {
+			t.Errorf("replacement zone 0 holds %d sectors, want none written", z.WP-nd.ZoneStart(0))
+		}
+		if got := v.Degraded(); got != victim {
+			t.Errorf("Degraded() = %d after the aborted rebuild, want %d", got, victim)
+		}
+		if n := v.Stats().ReconstructMismatches; n != 2 {
+			t.Errorf("ReconstructMismatches = %d, want 2 (the read and the rebuild)", n)
 		}
 	})
 }

@@ -72,6 +72,7 @@ type readJoin struct {
 	sp      *obs.Span
 	repair  repairCtx // the first piece's; later pieces allocate theirs
 	repairs int       // repair contexts handed out
+	rebuilt repairCtx // a reconstructed piece's unit and range (checkRebuilt)
 	fills   []int64   // a reconstruction's unit fills (openParity)
 	xr      zns.XORRead
 	result  *vclock.Future
@@ -97,7 +98,7 @@ func (v *Volume) putReadJoin(r *readJoin) {
 	}
 	clear(r.futs)
 	r.futs, r.nOwn = r.futs[:0], 0
-	r.repair, r.repairs = repairCtx{}, 0
+	r.repair, r.repairs, r.rebuilt = repairCtx{}, 0, repairCtx{}
 	r.sp, r.result = nil, nil
 	v.readPool.put(r)
 }
@@ -154,6 +155,9 @@ func (r *readJoin) start() *vclock.Future {
 
 func (r *readJoin) finish() {
 	err := r.v.awaitReads(r.futs) // none pending: parks only to repair
+	if c := &r.rebuilt; err == nil && c.dst != nil {
+		err = r.v.checkRebuilt(c.z, c.s, c.u, c.a, c.b, c.dst)
+	}
 	v, sp, res := r.v, r.sp, r.result
 	v.putReadJoin(r)
 	sp.End(err)
@@ -331,7 +335,8 @@ func overlay(gaps []gap, dst []byte, x *zns.XORRead, base, start int64, data []b
 // degradedReadPiece reconstructs intra offsets [a, b) of the missing data
 // unit u from parity plus the surviving units, completing fut (nil: a new
 // future): the parity of an open stripe is its buffer's, that of a
-// complete one is on media.
+// complete one is on media. A whole unit that disagrees with its checksum
+// row fails the piece (checkRebuilt, in the join's finish).
 func (v *Volume) degradedReadPiece(sp *obs.Span, fut *vclock.Future, z int, s int64, u int, a, b int64, dst []byte, zoneWP int64) *vclock.Future {
 	v.stats.degradedReads.Add(1)
 	if fut == nil {
@@ -349,6 +354,7 @@ func (v *Volume) degradedReadPiece(sp *obs.Span, fut *vclock.Future, z int, s in
 	if err := v.submitReconstruct(sp, z, s, u, a, b, r.fills, dst, open, &r.xr, &r.subReads); err != nil {
 		return completed(fut, err)
 	}
+	r.rebuilt = repairCtx{z: z, s: s, u: u, a: a, b: b, dst: dst}
 	return r.start()
 }
 
@@ -400,7 +406,8 @@ func (v *Volume) submitReconstruct(sp *obs.Span, z int, s int64, u int, a, b int
 
 // reconstruct rebuilds intra offsets [a, b) of unit u of stripe s in zone
 // z (the parity unit when u == d) from the other units into dst, against
-// the zone's write pointer, and waits for it.
+// the zone's write pointer, and waits for it; a whole unit that disagrees
+// with its checksum row fails (checkRebuilt).
 func (v *Volume) reconstruct(z int, s int64, u int, a, b int64, dst []byte) error {
 	lz := v.zones[z]
 	lz.mu.Lock()
@@ -414,6 +421,9 @@ func (v *Volume) reconstruct(z int, s int64, u int, a, b int64, dst []byte) erro
 	}
 	err := v.awaitReads(r.futs)
 	v.putReadJoin(r)
+	if err == nil {
+		err = v.checkRebuilt(z, s, u, a, b, dst)
+	}
 	return err
 }
 

@@ -26,6 +26,8 @@ type Stats struct {
 	CoalescedSubWrites int64 // sub-IOs merged into a preceding device write
 	// (a vectored command carrying k sub-IOs adds k-1)
 
+	ReconstructMismatches int64 // whole-unit reconstructions failed for disagreeing with their checksum row (ErrChecksumMismatch)
+
 	ChecksumRecords     int64 // stripe-checksum metadata records written
 	ReadErrorRepairs    int64 // foreground reads recovered via reconstruction
 	ScrubbedStripes     int64 // stripes fully verified by scrub
@@ -55,6 +57,8 @@ type statsCounters struct {
 	fuaFlushesJoined  *obs.Counter
 
 	coalescedSubWrites *obs.Counter
+
+	reconstructMismatches *obs.Counter
 
 	checksumRecords     *obs.Counter
 	readErrorRepairs    *obs.Counter
@@ -99,6 +103,8 @@ func newStatsCounters(r *obs.Registry, label string) statsCounters {
 		fuaFlushesJoined:  r.Counter(n("raizn_fua_flushes_joined_total")),
 
 		coalescedSubWrites: r.Counter(n("raizn_coalesced_sub_writes_total")),
+
+		reconstructMismatches: r.Counter(n("raizn_reconstruct_mismatch_total")),
 
 		checksumRecords:     r.Counter(n("raizn_checksum_records_total")),
 		readErrorRepairs:    r.Counter(n("raizn_read_error_repairs_total")),
@@ -149,6 +155,7 @@ func registerStatsHelp(r *obs.Registry) {
 	r.Help("raizn_md_gc_waits_total", "foreground metadata appends that waited for a swap zone because the previous roll-over's reclaim was still in flight")
 	r.Help("raizn_md_gc_coordinated_total", "metadata roll-overs started because a sibling device rolled the same log over at that instant")
 	r.Help("raizn_degraded_reads_total", "stripe-unit pieces served by parity reconstruction")
+	r.Help("raizn_reconstruct_mismatch_total", "whole stripe-unit reconstructions failed for disagreeing with their checksum row")
 	r.Help("raizn_fua_flushes_total", "device flushes issued because a FUA/Preflush write or zone finish found earlier sub-IOs of its zone that nothing had persisted")
 	r.Help("raizn_fua_flushes_joined_total", "flush needs of FUA/Preflush writes served by joining a device flush already in flight (group commit)")
 	r.Help("raizn_coalesced_sub_writes_total", "device sub-IOs merged into a preceding vectored write")
@@ -189,6 +196,8 @@ func (v *Volume) Stats() Stats {
 		FUAFlushesJoined:  v.stats.fuaFlushesJoined.Load(),
 
 		CoalescedSubWrites: v.stats.coalescedSubWrites.Load(),
+
+		ReconstructMismatches: v.stats.reconstructMismatches.Load(),
 
 		ChecksumRecords:     v.stats.checksumRecords.Load(),
 		ReadErrorRepairs:    v.stats.readErrorRepairs.Load(),
