@@ -687,7 +687,8 @@ func (d *Device) ResetZoneSpan(sp *obs.Span, fut *vclock.Future, z int) *vclock.
 }
 
 // resetApplyLocked is the submit half of ResetZone: the erase is applied
-// at submit (durable immediately) and the reset occupies the write pipe.
+// at submit (durable immediately) and the reset completes ResetLatency
+// later without occupying the write pipe (Config.ResetLatency).
 // Returns the zone's prior write pointer for the crash-point hook.
 // Caller holds d.mu.
 func (d *Device) resetApplyLocked(sp *obs.Span, z int) (pendingIO, int64, error) {
@@ -726,8 +727,8 @@ func (d *Device) resetApplyLocked(sp *obs.Span, z int) (pendingIO, int64, error)
 		wpBefore, d.resetCount, int64(d.nOpen), int64(d.nActive))
 
 	now := d.clk.Now()
-	markPipe(sp, d.writeBusy, now)
-	done := reservePipe(&d.writeBusy, now, d.cfg.ResetLatency)
+	done := now + d.cfg.ResetLatency
+	sp.MarkAt(obs.PhaseQueue, now)
 	sp.MarkAt(obs.PhaseMedia, done)
 	return pendingIO{at: done, fuaZ: -1}, wpBefore, nil
 }

@@ -114,14 +114,19 @@ type Config struct {
 	// Performance model. A read and a write pipe each serialize their
 	// transfers at the configured bandwidth; every op additionally
 	// occupies its pipe for the per-op overhead (this bounds IOPS) and
-	// completes an extra fixed latency after leaving the pipe.
+	// completes an extra fixed latency after leaving the pipe. A zone
+	// reset completes ResetLatency after submit and holds neither pipe:
+	// Doekemeijer et al. ("Performance Characterization of NVMe Flash
+	// Devices with Zoned Namespaces", CLUSTER '23) measured on a ZN540
+	// that resets barely disturb concurrent I/O. A finish stays on the
+	// write pipe (it pads the zone, as ConfZNS++ models it).
 	WriteBandwidth  float64       // bytes/second
 	ReadBandwidth   float64       // bytes/second
 	WriteOpOverhead time.Duration // pipe occupancy per write op
 	ReadOpOverhead  time.Duration // pipe occupancy per read op
 	WriteLatency    time.Duration // post-pipe completion delay
 	ReadLatency     time.Duration // post-pipe completion delay
-	ResetLatency    time.Duration // zone reset service time
+	ResetLatency    time.Duration // zone reset service time, beside the pipes
 	FinishLatency   time.Duration // zone finish service time
 	FlushLatency    time.Duration // cache flush service time
 

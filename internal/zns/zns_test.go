@@ -497,6 +497,32 @@ func TestWriteLatencyModel(t *testing.T) {
 	})
 }
 
+// TestResetLeavesWritePipeFree: a write to zone B issued just after a
+// reset of zone A completes in write time, not behind the reset, and the
+// reset itself completes ResetLatency after submit.
+func TestResetLeavesWritePipeFree(t *testing.T) {
+	cfg := testConfig()
+	run(t, cfg, func(c *vclock.Clock, d *Device) {
+		mustWrite(t, d, d.ZoneStart(1), pattern(cfg, 4, 1), 0)
+		start := c.Now()
+		var resetAt, writeAt time.Duration
+		reset := d.ResetZone(1)
+		reset.Subscribe(func(error) { resetAt = c.Now() - start })
+		write := d.Write(d.ZoneStart(0), pattern(cfg, 1, 2), 0)
+		write.Subscribe(func(error) { writeAt = c.Now() - start })
+		if err := vclock.WaitAll(reset, write); err != nil {
+			t.Fatal(err)
+		}
+		xfer := time.Duration(float64(cfg.SectorSize) / cfg.WriteBandwidth * float64(time.Second))
+		if want := cfg.WriteOpOverhead + xfer + cfg.WriteLatency; writeAt != want {
+			t.Errorf("write behind a reset of another zone took %v, want the write time %v", writeAt, want)
+		}
+		if resetAt != cfg.ResetLatency {
+			t.Errorf("reset took %v, want %v", resetAt, cfg.ResetLatency)
+		}
+	})
+}
+
 func TestBandwidthSerialization(t *testing.T) {
 	cfg := testConfig()
 	cfg.ZoneCap = 48
