@@ -1,6 +1,7 @@
 package raizn
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -37,7 +38,8 @@ func TestMountOutcomesGolden(t *testing.T) {
 		for _, cc := range mountOutcomeCaptures(t, env) {
 			for _, variant := range cc.variants {
 				for missing := -1; missing < len(variant.devs); missing++ {
-					got = append(got, fmt.Sprintf("%s k=%d %s %s", env.name, cc.k, variant.name, mountOutcome(t, env, variant.devs, missing)))
+					row, _ := mountOutcome(t, env, variant.devs, missing)
+					got = append(got, fmt.Sprintf("%s k=%d %s %s", env.name, cc.k, variant.name, row))
 				}
 			}
 		}
@@ -117,8 +119,10 @@ func mountOutcomeCaptures(t *testing.T, env fuaEnv) []outcomeCapture {
 // generation and the SHA-256 prefix of its read-back (or the read error);
 // the relocation count; per device the lifetime counters of the mount's
 // own commands; and the mount's simulated duration. It then checks the
-// consolidated-state invariant of the metadata zones (mdRoles).
-func mountOutcome(t *testing.T, env fuaEnv, devs []*zns.Device, missing int) string {
+// consolidated-state invariant of the metadata zones (mdRoles). It also
+// returns how many zones read back without error but not as
+// runSeqDiffWorkload wrote them (lbaPattern).
+func mountOutcome(t *testing.T, env fuaEnv, devs []*zns.Device, missing int) (string, int) {
 	clk, copies := copyDevs(devs)
 	var avail []*zns.Device
 	for i, d := range copies {
@@ -127,6 +131,7 @@ func mountOutcome(t *testing.T, env fuaEnv, devs []*zns.Device, missing int) str
 		}
 	}
 	var b strings.Builder
+	wrong := 0
 	if missing < 0 {
 		b.WriteString("whole")
 	} else {
@@ -166,10 +171,13 @@ func mountOutcome(t *testing.T, env fuaEnv, devs []*zns.Device, missing int) str
 			} else {
 				sum := sha256.Sum256(buf)
 				b.WriteString(hex.EncodeToString(sum[:8]))
+				if !bytes.Equal(buf, lbaPattern(v, start, len(buf)/v.SectorSize())) {
+					wrong++
+				}
 			}
 		}
 		fmt.Fprintf(&b, " relocs=%d dev=%s now=%d", v.RelocationCount(), dev.String(), now)
 		mdRoles(t, v)
 	})
-	return b.String()
+	return b.String(), wrong
 }
