@@ -86,8 +86,8 @@ func ZRAIDOverflow() *Scenario {
 	dc.MaxActiveZones = 10
 	dc.ZRWASectors = 34 // a table of two 17-sector PP slots
 	vc := raizn.Config{
-		StripeUnitSectors: 16, MetadataZones: 3,
-		ParityEngine: raizn.EngineZRAID,
+		StripeUnitSectors: 16,
+		ParityEngine:      raizn.EngineZRAID,
 	}
 	b := New("zraid-overflow").Devices(5, dc).Volume(vc).
 		Write(0, 320). // zone 0 at stripe 5
@@ -134,7 +134,7 @@ func MDGC() *Scenario {
 	dc.ZoneCap = 128
 	dc.MaxOpenZones = 8
 	dc.MaxActiveZones = 10
-	vc := raizn.Config{StripeUnitSectors: 16, MetadataZones: 3}
+	vc := raizn.Config{StripeUnitSectors: 16}
 	b := New("md-gc").Devices(5, dc).Volume(vc).
 		Write(0, 320). // zone 0 at stripe 5
 		Write(1, 256). // zone 1 at stripe 4

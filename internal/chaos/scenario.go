@@ -131,7 +131,7 @@ func New(name string) *Builder {
 	dc.MaxOpenZones = 8
 	dc.MaxActiveZones = 10
 	b := &Builder{s: Scenario{Name: name, NumDev: 5, Dev: dc}}
-	b.s.Vol = raizn.Config{StripeUnitSectors: 16, MetadataZones: 3}
+	b.s.Vol = raizn.Config{StripeUnitSectors: 16}
 	return b
 }
 

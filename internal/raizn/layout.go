@@ -123,6 +123,11 @@ func (l *layout) stripeStart(z int, s int64) int64 {
 	return l.zoneStart(z) + s*l.stripeSectors()
 }
 
+// metadataZones is the number of physical zones reserved per device for
+// metadata: one for general metadata, one for partial parity and one swap
+// zone for metadata GC (§4.3).
+const metadataZones = 3
+
 // mdZoneIndex returns the physical zone index of the i-th reserved
 // metadata zone (0 <= i < mdZones), which live after the data zones.
 func (l *layout) mdZoneIndex(i int) int { return l.numZones + i }
@@ -135,8 +140,8 @@ func deviceLayout(dc zns.Config, cfg Config) *layout {
 	return &layout{
 		n: 1, d: 1, su: cfg.StripeUnitSectors,
 		physZoneSize: dc.ZoneSize, physZoneCap: dc.ZoneCap,
-		numZones: dc.NumZones - cfg.MetadataZones - pp,
-		mdZones:  cfg.MetadataZones, ppZones: pp,
+		numZones: dc.NumZones - metadataZones - pp,
+		mdZones:  metadataZones, ppZones: pp,
 	}
 }
 

@@ -14,8 +14,8 @@ import (
 // any order; their array positions are recovered from the superblocks. A
 // single missing device is tolerated: the volume mounts degraded.
 //
-// cfg must carry the same StripeUnitSectors and MetadataZones the array
-// was created with (they are validated against the superblocks).
+// cfg must carry the StripeUnitSectors the array was created with; it and
+// the metadata zone count are validated against the superblocks.
 func Mount(clk *vclock.Clock, devs []*zns.Device, cfg Config) (*Volume, error) {
 	cfg = cfg.withDefaults()
 	if len(devs) == 0 {
@@ -56,7 +56,7 @@ func Mount(clk *vclock.Clock, devs []*zns.Device, cfg Config) (*Volume, error) {
 		if ref == nil {
 			ref, ordered, ordLogs = &sb, make([]*zns.Device, sb.numDev), make([]*mdLog, sb.numDev)
 		}
-		if sb.arrayID != ref.arrayID || sb.numDev != ref.numDev || sb.su != cfg.StripeUnitSectors {
+		if sb.arrayID != ref.arrayID || sb.numDev != ref.numDev || sb.su != cfg.StripeUnitSectors || sb.mdZones != metadataZones {
 			return nil, fmt.Errorf("raizn: device superblock mismatch: %w", ErrInconsistent)
 		}
 		if int(sb.devIndex) >= len(ordered) || ordered[sb.devIndex] != nil {
