@@ -336,21 +336,12 @@ func (d *Device) RegisterMetrics(r *obs.Registry, prefix string) {
 			return f()
 		}
 	}
-	r.Help(prefix+"_host_write_bytes", "bytes the host wrote to the device")
 	r.GaugeFunc(prefix+"_host_write_bytes", lockedInt(func() int64 { return d.hostWriteBytes }))
-	r.Help(prefix+"_host_read_bytes", "bytes the host read from the device")
 	r.GaugeFunc(prefix+"_host_read_bytes", lockedInt(func() int64 { return d.hostReadBytes }))
-	r.Help(prefix+"_gc_copied_pages_total", "valid flash pages relocated by FTL garbage collection")
 	r.GaugeFunc(prefix+"_gc_copied_pages_total", lockedInt(func() int64 { return d.gcCopiedPages }))
-	r.Help(prefix+"_gc_erases_total", "erase-block erasures performed by FTL garbage collection")
 	r.GaugeFunc(prefix+"_gc_erases_total", lockedInt(func() int64 { return d.gcEraseCount }))
-	r.Help(prefix+"_flushes_total", "flush commands the device completed")
 	r.GaugeFunc(prefix+"_flushes_total", lockedInt(func() int64 { return d.flushCount }))
-	r.Help(prefix+"_gc_free_blocks", "erase blocks currently on the FTL free list")
 	r.GaugeFunc(prefix+"_gc_free_blocks", lockedInt(func() int64 { return int64(len(d.free)) }))
-	r.Help(prefix+"_free_blocks", "erase blocks currently on the FTL free list")
-	r.GaugeFunc(prefix+"_free_blocks", lockedInt(func() int64 { return int64(len(d.free)) }))
-	r.Help(prefix+"_gc_wa_milli", "device write amplification (total programs / host programs) in thousandths")
 	r.GaugeFunc(prefix+"_gc_wa_milli", lockedInt(func() int64 {
 		hostPages := d.hostWriteBytes / int64(d.cfg.SectorSize)
 		if hostPages == 0 {

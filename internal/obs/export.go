@@ -2,10 +2,7 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
-	"sort"
-	"strings"
 	"time"
 )
 
@@ -27,7 +24,6 @@ type Snapshot struct {
 	Counters   map[string]int64        `json:"counters"`
 	Gauges     map[string]int64        `json:"gauges"`
 	Histograms map[string]HistSnapshot `json:"histograms"`
-	Help       map[string]string       `json:"-"`
 }
 
 // Snapshot captures every registered metric, evaluating gauge funcs.
@@ -36,15 +32,11 @@ func (r *Registry) Snapshot() *Snapshot {
 		Counters:   make(map[string]int64),
 		Gauges:     make(map[string]int64),
 		Histograms: make(map[string]HistSnapshot),
-		Help:       make(map[string]string),
 	}
 	if r == nil {
 		return s
 	}
 	r.mu.Lock()
-	for k, v := range r.help {
-		s.Help[k] = v
-	}
 	counters := make(map[string]*Counter, len(r.counters))
 	for k, v := range r.counters {
 		counters[k] = v
@@ -87,157 +79,4 @@ func (s *Snapshot) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(s)
-}
-
-// WritePrometheus writes the snapshot in the Prometheus text exposition
-// format: counters and gauges verbatim, histograms as summaries with
-// quantile labels, durations converted to seconds. Labeled series (see
-// LabeledName) are grouped under their metric family: one HELP/TYPE pair
-// per family followed by every series, as the format requires. A
-// registry with only bare names — the single-array case — produces the
-// exact output this exporter always produced.
-func (s *Snapshot) WritePrometheus(w io.Writer) error {
-	for _, fam := range familyOrder(sortedKeys(s.Counters)) {
-		if err := s.writeFamilyHead(w, fam.name, "counter"); err != nil {
-			return err
-		}
-		for _, name := range fam.series {
-			if _, err := fmt.Fprintf(w, "%s %d\n", name, s.Counters[name]); err != nil {
-				return err
-			}
-		}
-	}
-	for _, fam := range familyOrder(sortedKeys(s.Gauges)) {
-		if err := s.writeFamilyHead(w, fam.name, "gauge"); err != nil {
-			return err
-		}
-		for _, name := range fam.series {
-			if _, err := fmt.Fprintf(w, "%s %d\n", name, s.Gauges[name]); err != nil {
-				return err
-			}
-		}
-	}
-	histNames := make([]string, 0, len(s.Histograms))
-	for name := range s.Histograms {
-		histNames = append(histNames, name)
-	}
-	sort.Strings(histNames)
-	for _, fam := range familyOrder(histNames) {
-		if err := s.writeFamilyHead(w, fam.name, "summary"); err != nil {
-			return err
-		}
-		for _, name := range fam.series {
-			h := s.Histograms[name]
-			_, err := fmt.Fprintf(w,
-				"%s %g\n%s %g\n%s %g\n%s %g\n%s %g\n%s %d\n",
-				seriesWithLabel(name, `quantile="0.5"`), h.P50.Seconds(),
-				seriesWithLabel(name, `quantile="0.9"`), h.P90.Seconds(),
-				seriesWithLabel(name, `quantile="0.99"`), h.P99.Seconds(),
-				seriesWithLabel(name, `quantile="0.999"`), h.P999.Seconds(),
-				seriesSuffixed(name, "_sum"), h.Mean.Seconds()*float64(h.Count),
-				seriesSuffixed(name, "_count"), h.Count)
-			if err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// family is one metric family: the bare name plus its series in sorted
-// order (a single bare series for unlabeled metrics).
-type family struct {
-	name   string
-	series []string
-}
-
-// familyOrder groups sorted series names into families ordered by family
-// name. With no labeled series every family is a singleton and the
-// ordering equals plain sorted-name order.
-func familyOrder(names []string) []family {
-	byFam := make(map[string]*family)
-	var order []string
-	for _, n := range names {
-		f := MetricFamily(n)
-		g, ok := byFam[f]
-		if !ok {
-			g = &family{name: f}
-			byFam[f] = g
-			order = append(order, f)
-		}
-		g.series = append(g.series, n)
-	}
-	sort.Strings(order)
-	out := make([]family, 0, len(order))
-	for _, f := range order {
-		sort.Strings(byFam[f].series)
-		out = append(out, *byFam[f])
-	}
-	return out
-}
-
-// writeFamilyHead emits the # HELP line (when registered, under either
-// the family name or — legacy — the exact series name) and the # TYPE
-// line for one metric family.
-func (s *Snapshot) writeFamilyHead(w io.Writer, fam, typ string) error {
-	if err := s.writeHelp(w, fam); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "# TYPE %s %s\n", fam, typ)
-	return err
-}
-
-// seriesWithLabel adds one label pair to a series name, merging into an
-// existing label set: `h{t="a"}` + `quantile="0.5"` ->
-// `h{t="a",quantile="0.5"}`.
-func seriesWithLabel(name, label string) string {
-	if strings.HasSuffix(name, "}") {
-		return name[:len(name)-1] + "," + label + "}"
-	}
-	return name + "{" + label + "}"
-}
-
-// seriesSuffixed appends a name suffix before any label set: `h{t="a"}`
-// + `_sum` -> `h_sum{t="a"}`.
-func seriesSuffixed(name, suffix string) string {
-	if i := strings.IndexByte(name, '{'); i >= 0 {
-		return name[:i] + suffix + name[i:]
-	}
-	return name + suffix
-}
-
-// writeHelp emits the # HELP line for name if help text was registered.
-func (s *Snapshot) writeHelp(w io.Writer, name string) error {
-	text, ok := s.Help[name]
-	if !ok || text == "" {
-		return nil
-	}
-	_, err := fmt.Fprintf(w, "# HELP %s %s\n", name, escapeHelp(text))
-	return err
-}
-
-// escapeHelp escapes HELP text per the Prometheus text exposition
-// format: backslash and newline.
-func escapeHelp(s string) string {
-	return helpEscaper.Replace(s)
-}
-
-// escapeLabelValue escapes a label value per the text exposition
-// format: backslash, newline, and double quote.
-func escapeLabelValue(s string) string {
-	return labelEscaper.Replace(s)
-}
-
-var (
-	helpEscaper  = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
-	labelEscaper = strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
-)
-
-func sortedKeys(m map[string]int64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
-	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -83,25 +81,6 @@ func (t EventType) String() string {
 		return eventNames[t]
 	}
 	return "event?"
-}
-
-// eventFieldNames maps each event type's A–D payload slots to the JSON
-// field names used by WriteJSON. Empty string = slot unused.
-var eventFieldNames = [numEventTypes][4]string{
-	EvZoneState:     {"state", "wp", "open", "active"},
-	EvZoneReset:     {"wp_before", "count", "open", "active"},
-	EvZoneFinish:    {"wp_before", "", "open", "active"},
-	EvBlockAlloc:    {"free_after", "", "", ""},
-	EvGC:            {"victim", "copied", "host_pages", "programs"},
-	EvPartialParity: {"payload_bytes", "header_bytes", "", ""},
-	EvMetadataWrite: {"payload_bytes", "header_bytes", "rec_type", ""},
-	EvRelocation:    {"sectors", "parity", "", ""},
-	EvDegraded:      {"entered", "", "", ""},
-	EvRebuild:       {"zones_done", "zones_total", "bytes", ""},
-	EvScrub:         {"stripes", "mismatches", "repaired", "bytes_read"},
-	EvDevWrite:      {"start", "sectors", "wp_after", "flags"},
-	EvDevFlush:      {"flushes", "", "", ""},
-	EvMetadataGC:    {"begin", "new_zone", "kind", "failed"},
 }
 
 // Event is one journal entry. Src identifies the emitting component: a
@@ -250,45 +229,4 @@ func (j *Journal) Reset() {
 	j.pos = 0
 	j.total = 0
 	j.mu.Unlock()
-}
-
-// jsonEvent is the export shape of one event: fixed identity fields
-// plus the per-type payload slots under their documented names.
-type jsonEvent struct {
-	Seq    uint64           `json:"seq"`
-	TNs    int64            `json:"t_ns"`
-	Type   string           `json:"type"`
-	Src    int16            `json:"src"`
-	Zone   int32            `json:"zone,omitempty"`
-	Fields map[string]int64 `json:"fields,omitempty"`
-}
-
-// WriteJSON exports the retained events oldest-first as indented JSON,
-// with each event's A–D slots expanded under their per-type field names.
-func (j *Journal) WriteJSON(w io.Writer) error {
-	evs := j.Events()
-	out := make([]jsonEvent, len(evs))
-	for i, e := range evs {
-		je := jsonEvent{
-			Seq: e.Seq, TNs: int64(e.T), Type: e.Type.String(),
-			Src: e.Src, Zone: e.Zone,
-		}
-		if int(e.Type) < len(eventFieldNames) {
-			names := eventFieldNames[e.Type]
-			vals := [4]int64{e.A, e.B, e.C, e.D}
-			for s, name := range names {
-				if name == "" {
-					continue
-				}
-				if je.Fields == nil {
-					je.Fields = make(map[string]int64, 4)
-				}
-				je.Fields[name] = vals[s]
-			}
-		}
-		out[i] = je
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }

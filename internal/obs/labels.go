@@ -11,7 +11,7 @@ import (
 // a shared registry (multiple RAIZN arrays under a volume manager,
 // per-tenant engine counters) label their series so same-name metrics no
 // longer collide, while single-instance registrations keep their bare
-// names and their exporter output byte-for-byte unchanged.
+// names.
 
 // LabeledName renders base plus key/value label pairs in the Prometheus
 // text exposition syntax: LabeledName("raizn_zone_resets_total", "array",
@@ -50,13 +50,10 @@ func LabeledName(base string, kv ...string) string {
 	return b.String()
 }
 
-// MetricFamily returns the bare metric name of a possibly-labeled series
-// name: `raizn_x{array="a0"}` -> "raizn_x". Help text and exporter TYPE
-// lines attach to the family, so every labeled series of a family shares
-// one registration.
-func MetricFamily(name string) string {
-	if i := strings.IndexByte(name, '{'); i >= 0 {
-		return name[:i]
-	}
-	return name
+// escapeLabelValue escapes a label value per the text exposition
+// format: backslash, newline, and double quote.
+func escapeLabelValue(s string) string {
+	return labelEscaper.Replace(s)
 }
+
+var labelEscaper = strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)

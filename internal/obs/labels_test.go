@@ -1,10 +1,6 @@
 package obs
 
-import (
-	"strings"
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestLabeledName(t *testing.T) {
 	cases := []struct {
@@ -43,77 +39,6 @@ func TestLabeledNameOddPairsPanics(t *testing.T) {
 	LabeledName("x", "key_without_value")
 }
 
-func TestMetricFamily(t *testing.T) {
-	cases := map[string]string{
-		"raizn_writes_total":             "raizn_writes_total",
-		`raizn_writes_total{array="a0"}`: "raizn_writes_total",
-		`v{tenant="t1",volume="v"}`:      "v",
-	}
-	for in, want := range cases {
-		if got := MetricFamily(in); got != want {
-			t.Errorf("MetricFamily(%q) = %q, want %q", in, got, want)
-		}
-	}
-}
-
-// TestPrometheusLabeledFamilies checks the exporter groups labeled
-// series under one HELP/TYPE pair per family, and that a registry with
-// only bare names keeps the historical one-head-per-metric output.
-func TestPrometheusLabeledFamilies(t *testing.T) {
-	r := NewRegistry()
-	r.Counter(LabeledName("raizn_full_writes_total", "array", "a1")).Add(2)
-	r.Counter(LabeledName("raizn_full_writes_total", "array", "a0")).Add(1)
-	r.Help("raizn_full_writes_total", "full-stripe writes")
-	r.Gauge("plain_gauge").Set(7)
-
-	var b strings.Builder
-	if err := r.Snapshot().WritePrometheus(&b); err != nil {
-		t.Fatalf("WritePrometheus: %v", err)
-	}
-	out := b.String()
-
-	if n := strings.Count(out, "# TYPE raizn_full_writes_total counter"); n != 1 {
-		t.Errorf("want exactly one TYPE line for the family, got %d\n%s", n, out)
-	}
-	if n := strings.Count(out, "# HELP raizn_full_writes_total full-stripe writes"); n != 1 {
-		t.Errorf("want exactly one HELP line for the family, got %d\n%s", n, out)
-	}
-	// Series sorted within the family, directly after the head.
-	a0 := strings.Index(out, `raizn_full_writes_total{array="a0"} 1`)
-	a1 := strings.Index(out, `raizn_full_writes_total{array="a1"} 2`)
-	ty := strings.Index(out, "# TYPE raizn_full_writes_total")
-	if a0 < 0 || a1 < 0 || !(ty < a0 && a0 < a1) {
-		t.Errorf("labeled series missing or out of order:\n%s", out)
-	}
-	if !strings.Contains(out, "plain_gauge 7") {
-		t.Errorf("bare series lost:\n%s", out)
-	}
-}
-
-// TestPrometheusLabeledHistogram checks quantile labels merge into an
-// existing label set and _sum/_count suffixes go before the labels.
-func TestPrometheusLabeledHistogram(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram(LabeledName("volmgr_request_latency", "tenant", "t1"))
-	h.Record(time.Millisecond)
-
-	var b strings.Builder
-	if err := r.Snapshot().WritePrometheus(&b); err != nil {
-		t.Fatalf("WritePrometheus: %v", err)
-	}
-	out := b.String()
-	for _, want := range []string{
-		`volmgr_request_latency{tenant="t1",quantile="0.5"}`,
-		`volmgr_request_latency_sum{tenant="t1"}`,
-		`volmgr_request_latency_count{tenant="t1"} 1`,
-		"# TYPE volmgr_request_latency summary",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q:\n%s", want, out)
-		}
-	}
-}
-
 // TestLabeledCountersDistinct is the collision regression test: two
 // components registering the same base name with different labels must
 // get independent counters, not a silently shared one.
@@ -132,5 +57,14 @@ func TestLabeledCountersDistinct(t *testing.T) {
 	}
 	if got := s.Counters[`raizn_writes_total{array="a1"}`]; got != 9 {
 		t.Errorf("a1 = %d, want 9", got)
+	}
+}
+
+func TestEscapeHelpers(t *testing.T) {
+	if got := escapeLabelValue("say \"hi\"\\\n"); got != `say \"hi\"\\\n` {
+		t.Fatalf("escapeLabelValue = %q", got)
+	}
+	if got := escapeLabelValue("plain"); got != "plain" {
+		t.Fatalf("escapeLabelValue = %q", got)
 	}
 }

@@ -1,7 +1,7 @@
 // Package obs is the end-to-end IO observability subsystem: per-request
 // tracing spans timestamped on the virtual clock, a named metrics
-// registry the device models and the RAIZN layer register into, JSON and
-// Prometheus-text exporters and critical-path analysis. Judging which
+// registry the device models and the RAIZN layer register into, its JSON
+// snapshot and critical-path analysis. Judging which
 // requests were slow is the flight recorder's tail sampler
 // (internal/obs/flight), attached as the tracer's SpanObserver.
 //

@@ -205,24 +205,6 @@ func TestExporters(t *testing.T) {
 	if back.Counters["zns_write_cmds_total"] != 42 {
 		t.Fatalf("round-trip counters = %+v", back.Counters)
 	}
-
-	var pbuf bytes.Buffer
-	if err := snap.WritePrometheus(&pbuf); err != nil {
-		t.Fatal(err)
-	}
-	text := pbuf.String()
-	for _, want := range []string{
-		"# TYPE zns_write_cmds_total counter",
-		"zns_write_cmds_total 42",
-		"# TYPE raizn_degraded gauge",
-		"# TYPE raizn_read_latency_seconds summary",
-		`raizn_read_latency_seconds{quantile="0.99"}`,
-		"raizn_read_latency_seconds_count 1",
-	} {
-		if !strings.Contains(text, want) {
-			t.Fatalf("prometheus output missing %q:\n%s", want, text)
-		}
-	}
 }
 
 func TestAnalyzeBreakdown(t *testing.T) {

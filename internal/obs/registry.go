@@ -45,7 +45,6 @@ type Registry struct {
 	gauges     map[string]*Gauge
 	gaugeFuncs map[string]func() int64
 	hists      map[string]*stats.Histogram
-	help       map[string]string
 }
 
 // NewRegistry returns an empty registry.
@@ -55,21 +54,7 @@ func NewRegistry() *Registry {
 		gauges:     make(map[string]*Gauge),
 		gaugeFuncs: make(map[string]func() int64),
 		hists:      make(map[string]*stats.Histogram),
-		help:       make(map[string]string),
 	}
-}
-
-// Help attaches a one-line description to a metric name; the
-// Prometheus exporter emits it as a # HELP line (with backslashes and
-// newlines escaped per the text exposition format). Re-registering
-// replaces the text.
-func (r *Registry) Help(name, text string) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.help[name] = text
-	r.mu.Unlock()
 }
 
 // Counter returns the named counter, creating it on first use. A nil

@@ -82,9 +82,6 @@ func TestWAAccountingCloses(t *testing.T) {
 		if got := snap.Counters["raizn_wa_data_bytes"]; got != byName["data"] {
 			t.Errorf("raizn_wa_data_bytes = %d, report says %d", got, byName["data"])
 		}
-		if _, ok := snap.Help["raizn_wa_data_bytes"]; !ok {
-			t.Error("no HELP registered for raizn_wa_data_bytes")
-		}
 	})
 }
 

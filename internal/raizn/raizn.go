@@ -538,14 +538,11 @@ func newVolume(clk *vclock.Clock, devs []*zns.Device, cfg Config) (*Volume, erro
 		v.led[i].retired = make([]uint64, lt.mdZones)
 	}
 	v.stats = newStatsCounters(reg, cfg.MetricsLabel)
-	registerWAHelp(reg)
-	reg.Help("raizn_degraded_slot", "device slot currently degraded, -1 when the array is healthy")
 	reg.GaugeFunc(obs.LabeledName("raizn_degraded_slot", "array", cfg.MetricsLabel), func() int64 {
 		v.mu.Lock()
 		defer v.mu.Unlock()
 		return int64(v.degraded)
 	})
-	reg.Help("raizn_open_zones", "logical zones currently open on the array")
 	reg.GaugeFunc(obs.LabeledName("raizn_open_zones", "array", cfg.MetricsLabel), func() int64 {
 		v.mu.Lock()
 		defer v.mu.Unlock()

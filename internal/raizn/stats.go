@@ -82,7 +82,6 @@ type statsCounters struct {
 }
 
 func newStatsCounters(r *obs.Registry, label string) statsCounters {
-	registerStatsHelp(r)
 	// A non-empty array label turns every series into name{array="..."}
 	// so multiple arrays sharing one registry keep distinct counters; an
 	// empty label preserves the original bare names (see Config.
@@ -127,12 +126,8 @@ func newStatsCounters(r *obs.Registry, label string) statsCounters {
 // registerEngineMetrics publishes the partial-parity counters as
 // pull-style gauges. Like the statsCounters, a non-empty
 // array label namespaces every series (name{array="..."}) so arrays
-// sharing a volume-manager registry stay collision-free; HELP text is
-// registered under the bare names, shared by all arrays.
+// sharing a volume-manager registry stay collision-free.
 func registerEngineMetrics(r *obs.Registry, label string, stats func() ppengine.Stats) {
-	r.Help("raizn_pp_volatile_bytes", "partial-parity bytes superseded inside the ZRWA window, never programmed to flash (zraid engine)")
-	r.Help("raizn_pp_permanent_bytes", "partial-parity bytes programmed to flash (every logged PP byte)")
-	r.Help("raizn_pp_fallback_total", "partial-parity images the zraid slot table had no room for, appended to the metadata log instead")
 	n := func(name string) string { return obs.LabeledName(name, "array", label) }
 	g := func(name string, f func(ppengine.Stats) int64) {
 		r.GaugeFunc(n(name), func() int64 { return f(stats()) })
@@ -140,42 +135,6 @@ func registerEngineMetrics(r *obs.Registry, label string, stats func() ppengine.
 	g("raizn_pp_volatile_bytes", func(s ppengine.Stats) int64 { return s.VolatileBytes })
 	g("raizn_pp_permanent_bytes", func(s ppengine.Stats) int64 { return s.PermanentBytes })
 	g("raizn_pp_fallback_total", func(s ppengine.Stats) int64 { return s.FallbackTotal })
-}
-
-// registerStatsHelp attaches HELP text to every statsCounters family
-// (under the bare names — labeled series share the family's help).
-func registerStatsHelp(r *obs.Registry) {
-	r.Help("raizn_logical_write_bytes", "host data bytes accepted by SubmitWrite/Append")
-	r.Help("raizn_logical_read_bytes", "host data bytes returned by SubmitRead")
-	r.Help("raizn_partial_parity_logs_total", "partial-parity log records written (paper section 5.1)")
-	r.Help("raizn_full_parity_writes_total", "full-stripe parity units written")
-	r.Help("raizn_relocations_total", "relocated write fragments created (paper section 5.2)")
-	r.Help("raizn_zone_resets_total", "logical zone resets completed")
-	r.Help("raizn_metadata_gcs_total", "metadata zone garbage-collection roll-overs")
-	r.Help("raizn_md_gc_waits_total", "foreground metadata appends that waited for a swap zone because the previous roll-over's reclaim was still in flight")
-	r.Help("raizn_md_gc_coordinated_total", "metadata roll-overs started because a sibling device rolled the same log over at that instant")
-	r.Help("raizn_degraded_reads_total", "stripe-unit pieces served by parity reconstruction")
-	r.Help("raizn_reconstruct_mismatch_total", "whole stripe-unit reconstructions failed for disagreeing with their checksum row")
-	r.Help("raizn_fua_flushes_total", "device flushes issued because a FUA/Preflush write or zone finish found earlier sub-IOs of its zone that nothing had persisted")
-	r.Help("raizn_fua_flushes_joined_total", "flush needs of FUA/Preflush writes served by joining a device flush already in flight (group commit)")
-	r.Help("raizn_coalesced_sub_writes_total", "device sub-IOs merged into a preceding vectored write")
-	r.Help("raizn_checksum_records_total", "stripe-checksum metadata records written")
-	r.Help("raizn_read_error_repairs_total", "foreground reads recovered via reconstruction")
-	r.Help("raizn_scrubbed_stripes_total", "stripes fully verified by scrub")
-	r.Help("raizn_scrub_skipped_stripes_total", "stripes scrub could not verify (partial or racing)")
-	r.Help("raizn_scrub_mismatches_total", "stripes where XOR or CRC verification failed")
-	r.Help("raizn_scrub_repaired_data_total", "corrupted data units repaired by scrub")
-	r.Help("raizn_scrub_repaired_parity_total", "corrupted parity units repaired by scrub")
-	r.Help("raizn_scrub_unrepaired_total", "mismatched stripes scrub could not attribute or repair")
-}
-
-func registerWAHelp(r *obs.Registry) {
-	r.Help("raizn_wa_data_bytes", "device bytes carrying user data (arithmetic location or relocated payload)")
-	r.Help("raizn_wa_parity_bytes", "device bytes carrying parity images (full-stripe, finish-sealed prefix, relocated)")
-	r.Help("raizn_wa_pp_header_bytes", "device bytes spent on partial-parity record headers (paper section 5.1)")
-	r.Help("raizn_wa_pp_payload_bytes", "device bytes carrying partial-parity payloads (paper section 5.1)")
-	r.Help("raizn_wa_metadata_bytes", "device bytes spent on metadata records: superblock, generations, reset WAL, checksums, checkpoints, relocation headers")
-	r.Help("raizn_wa_rebuild_bytes", "device bytes written to a replacement device during rebuild")
 }
 
 // Stats returns a snapshot of the volume's lifetime counters. It is a
@@ -282,24 +241,4 @@ func (v *Volume) WAReport() *obs.WAReport {
 		rep.Devices = append(rep.Devices, obs.WADevice{Name: fmt.Sprintf("dev%d", i), HostBytes: w})
 	}
 	return rep
-}
-
-// DeviceWriteAmplification returns total device writes (data + parity +
-// metadata) divided by host writes, or 0 before any host write. The
-// RAID-5 floor is n/d.
-func (v *Volume) DeviceWriteAmplification() float64 {
-	host := v.stats.logicalWriteBytes.Load()
-	if host == 0 {
-		return 0
-	}
-	var dev int64
-	for i := range v.devs {
-		d := v.dev(i)
-		if d == nil {
-			continue
-		}
-		w, _, _, _ := d.Counters()
-		dev += w
-	}
-	return float64(dev) / float64(host)
 }

@@ -40,7 +40,8 @@ func TestStatsCounters(t *testing.T) {
 func TestStatsDegradedAndWA(t *testing.T) {
 	runVol(t, func(c *vclock.Clock, v *Volume, devs []*zns.Device) {
 		mustWriteV(t, v, 0, 128, 0)
-		if wa := v.DeviceWriteAmplification(); wa < 1.24 {
+		rep := v.WAReport()
+		if wa := float64(rep.DeviceHostBytes()) / float64(rep.UserBytes); wa < 1.24 {
 			t.Errorf("WA = %f, want >= n/d", wa)
 		}
 		v.FailDevice(1)

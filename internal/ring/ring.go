@@ -56,10 +56,6 @@ func NewSet(clk *vclock.Clock, reg *obs.Registry, label string, n int) *Set {
 		sqes:    reg.Counter(name("ring_sqes_total")),
 		lat:     reg.Histogram(name("ring_sq_to_cq_us")),
 	}
-	reg.Help("ring_batches_total", "Device SQ groups drained by the submission ring.")
-	reg.Help("ring_sqes_total", "SQEs drained by the submission ring.")
-	reg.Help("ring_sq_to_cq_us", "Virtual time from SQ drain to CQ delivery.")
-	reg.Help("ring_sq_depth", "SQEs currently queued per device submission ring.")
 	for i := range s.depth {
 		kv := []string{"dev", strconv.Itoa(i)}
 		if label != "" {

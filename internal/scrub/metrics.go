@@ -14,17 +14,16 @@ func (s *Scrubber) RegisterMetrics(r *obs.Registry) {
 			return f()
 		}
 	}
-	g := func(name, help string, f func() int64) {
-		r.Help(name, help)
+	g := func(name string, f func() int64) {
 		r.GaugeFunc(name, locked(f))
 	}
-	g("scrub_passes_total", "full scrub passes completed over the array", func() int64 { return s.passes })
-	g("scrub_verified_stripes_total", "stripes fully verified across all passes", func() int64 { return s.totals.Stripes })
-	g("scrub_skipped_stripes_total", "stripes scrub could not verify (partial or racing writes)", func() int64 { return s.totals.Skipped })
-	g("scrub_mismatches_total", "stripes failing XOR or CRC verification", func() int64 { return s.totals.Mismatches })
-	g("scrub_repaired_data_total", "corrupted data units repaired", func() int64 { return s.totals.RepairedData })
-	g("scrub_repaired_parity_total", "corrupted parity units repaired", func() int64 { return s.totals.RepairedParity })
-	g("scrub_read_errors_total", "read errors encountered while scrubbing", func() int64 { return s.totals.ReadErrors })
-	g("scrub_unrepaired_total", "mismatched stripes scrub could not attribute or repair", func() int64 { return s.totals.Unrepaired })
-	g("scrub_bytes_read_total", "bytes read from devices by scrub verification", func() int64 { return s.scannedAll })
+	g("scrub_passes_total", func() int64 { return s.passes })
+	g("scrub_verified_stripes_total", func() int64 { return s.totals.Stripes })
+	g("scrub_skipped_stripes_total", func() int64 { return s.totals.Skipped })
+	g("scrub_mismatches_total", func() int64 { return s.totals.Mismatches })
+	g("scrub_repaired_data_total", func() int64 { return s.totals.RepairedData })
+	g("scrub_repaired_parity_total", func() int64 { return s.totals.RepairedParity })
+	g("scrub_read_errors_total", func() int64 { return s.totals.ReadErrors })
+	g("scrub_unrepaired_total", func() int64 { return s.totals.Unrepaired })
+	g("scrub_bytes_read_total", func() int64 { return s.scannedAll })
 }

@@ -160,13 +160,6 @@ func newEngine(v *Volume, cfg EngineConfig) *engine {
 		defer e.mu.Unlock()
 		return int64(e.inflight)
 	})
-	v.reg.Help("volmgr_dispatched_total", "requests issued to the hosted arrays")
-	v.reg.Help("volmgr_batches_total", "scheduling rounds that issued at least one request (an inline request is a round of one)")
-	v.reg.Help("volmgr_coalesced_requests_total", "requests merged into a preceding contiguous array write")
-	v.reg.Help("volmgr_inline_requests_total", "requests an idle volume issued on the submitting goroutine")
-	v.reg.Help("volmgr_dispatcher_wakes_total", "times the dispatcher was woken to look for queued work")
-	v.reg.Help("volmgr_queued", "requests waiting in tenant submission queues")
-	v.reg.Help("volmgr_inflight", "requests issued but not yet completed")
 	return e
 }
 
@@ -199,13 +192,6 @@ func (e *engine) addTenant(cfg TenantConfig) error {
 		queueDelay:     e.v.reg.Histogram(n("volmgr_queue_delay")),
 		perArray:       make(map[string]*arrayAgg),
 	}
-	e.v.reg.Help("volmgr_requests_accepted_total", "requests admitted into a tenant submission queue")
-	e.v.reg.Help("volmgr_requests_shed_total", "requests shed by admission control (tenant queue full)")
-	e.v.reg.Help("volmgr_requests_completed_total", "requests completed successfully")
-	e.v.reg.Help("volmgr_completed_bytes", "bytes moved by successfully completed requests")
-	e.v.reg.Help("volmgr_requests_errored_total", "requests completed with an error")
-	e.v.reg.Help("volmgr_request_latency", "submit-to-completion latency (queue plus service)")
-	e.v.reg.Help("volmgr_queue_delay", "submit-to-array-issue delay")
 	e.tenants[cfg.ID] = t
 	e.order = append(e.order, cfg.ID)
 	return nil

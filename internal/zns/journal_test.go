@@ -1,8 +1,6 @@
 package zns
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 
 	"raizn/internal/obs"
@@ -88,47 +86,6 @@ func TestDeviceJournalsZoneLifecycle(t *testing.T) {
 		// After reset, open/active are back to zero.
 		if resets[0].C != 0 || resets[0].D != 0 {
 			t.Fatalf("reset open/active = %d/%d, want 0/0", resets[0].C, resets[0].D)
-		}
-	})
-}
-
-func TestZoneStateMetrics(t *testing.T) {
-	cfg := testConfig()
-	run(t, cfg, func(c *vclock.Clock, d *Device) {
-		r := obs.NewRegistry()
-		RegisterZoneStateMetrics(r, []*Device{d})
-		mustWrite(t, d, d.ZoneStart(0), pattern(cfg, 2, 1), 0)
-		mustWrite(t, d, d.ZoneStart(1), pattern(cfg, 2, 2), 0)
-		if err := d.CloseZone(1); err != nil {
-			t.Fatal(err)
-		}
-		snap := r.Snapshot()
-		if got := snap.Gauges["zns_zone_state_open_zones"]; got != 1 {
-			t.Errorf("open zones = %d, want 1", got)
-		}
-		if got := snap.Gauges["zns_zone_state_closed_zones"]; got != 1 {
-			t.Errorf("closed zones = %d, want 1", got)
-		}
-		if got := snap.Gauges["zns_zone_state_empty_zones"]; got != int64(cfg.NumZones)-2 {
-			t.Errorf("empty zones = %d, want %d", got, cfg.NumZones-2)
-		}
-		if got := snap.Gauges["zns_zone_state_open_total"]; got != 1 {
-			t.Errorf("open total = %d, want 1", got)
-		}
-		if got := snap.Gauges["zns_zone_state_active_total"]; got != 2 {
-			t.Errorf("active total = %d, want 2", got)
-		}
-		d.SetZoneState(2, ZoneReadOnly)
-		snap = r.Snapshot()
-		if got := snap.Gauges["zns_zone_state_read_only_zones"]; got != 1 {
-			t.Errorf("read-only zones = %d, want 1", got)
-		}
-		var buf bytes.Buffer
-		if err := snap.WritePrometheus(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if !strings.Contains(buf.String(), "# HELP zns_zone_state_open_zones ") {
-			t.Errorf("HELP line missing for zns_zone_state_open_zones:\n%s", buf.String())
 		}
 	})
 }

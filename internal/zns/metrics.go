@@ -1,10 +1,6 @@
 package zns
 
-import (
-	"strings"
-
-	"raizn/internal/obs"
-)
+import "raizn/internal/obs"
 
 // RegisterMetrics publishes the device's lifetime counters into the
 // registry as pull-style gauges under the given prefix (conventionally
@@ -18,60 +14,20 @@ func (d *Device) RegisterMetrics(r *obs.Registry, prefix string) {
 			return f()
 		}
 	}
-	g := func(name, help string, f func() int64) {
-		r.Help(prefix+name, help)
+	g := func(name string, f func() int64) {
 		r.GaugeFunc(prefix+name, lockedInt(f))
 	}
-	g("_host_write_bytes", "bytes the host wrote to the device (write/append commands)", func() int64 { return d.hostWriteBytes })
-	g("_flash_program_bytes", "bytes actually programmed to flash (host writes minus ZRWA overwrites never programmed)", func() int64 { return d.flashProgramBytes })
-	g("_host_read_bytes", "bytes the host read from the device", func() int64 { return d.hostReadBytes })
-	g("_write_cmds_total", "write/append commands the device accepted", func() int64 { return d.writeCmds })
-	g("_flushes_total", "flush commands the device completed", func() int64 { return d.flushCount })
-	g("_resets_total", "zone resets the device completed", func() int64 { return d.resetCount })
-	g("_latent_sectors_total", "sectors carrying an injected latent read error", func() int64 { return d.injectedReadErrs })
-	g("_bitrot_sectors_total", "sectors carrying injected bit rot", func() int64 { return d.injectedRot })
-	g("_read_medium_errs_total", "read commands failed with a medium error", func() int64 { return d.readMediumErrs })
-	g("_open_zones", "zones currently open on the device", func() int64 { return int64(d.nOpen) })
-	g("_active_zones", "zones currently active (open or closed) on the device", func() int64 { return int64(d.nActive) })
-}
-
-// stateCountLocked counts zones currently in state st. Caller holds d.mu.
-func (d *Device) stateCountLocked(st ZoneState) int64 {
-	var n int64
-	for i := range d.zones {
-		if d.zones[i].state == st {
-			n++
-		}
-	}
-	return n
-}
-
-// RegisterZoneStateMetrics publishes aggregate zone-lifecycle gauges —
-// zns_zone_state_<state>_zones plus total open/active counts — summed
-// over the given devices. One registration covers a whole array.
-func RegisterZoneStateMetrics(r *obs.Registry, devs []*Device) {
-	sum := func(f func(d *Device) int64) func() int64 {
-		return func() int64 {
-			var n int64
-			for _, d := range devs {
-				d.mu.Lock()
-				n += f(d)
-				d.mu.Unlock()
-			}
-			return n
-		}
-	}
-	for st := ZoneEmpty; st <= ZoneOffline; st++ {
-		st := st
-		// Metric names must be snake_case: "read-only" -> "read_only".
-		name := "zns_zone_state_" + strings.ReplaceAll(st.String(), "-", "_") + "_zones"
-		r.Help(name, "zones currently in the "+st.String()+" lifecycle state, summed over array devices")
-		r.GaugeFunc(name, sum(func(d *Device) int64 { return d.stateCountLocked(st) }))
-	}
-	r.Help("zns_zone_state_open_total", "open zones summed over array devices (open/active limit pressure)")
-	r.GaugeFunc("zns_zone_state_open_total", sum(func(d *Device) int64 { return int64(d.nOpen) }))
-	r.Help("zns_zone_state_active_total", "active (open+closed) zones summed over array devices")
-	r.GaugeFunc("zns_zone_state_active_total", sum(func(d *Device) int64 { return int64(d.nActive) }))
+	g("_host_write_bytes", func() int64 { return d.hostWriteBytes })
+	g("_flash_program_bytes", func() int64 { return d.flashProgramBytes })
+	g("_host_read_bytes", func() int64 { return d.hostReadBytes })
+	g("_write_cmds_total", func() int64 { return d.writeCmds })
+	g("_flushes_total", func() int64 { return d.flushCount })
+	g("_resets_total", func() int64 { return d.resetCount })
+	g("_latent_sectors_total", func() int64 { return d.injectedReadErrs })
+	g("_bitrot_sectors_total", func() int64 { return d.injectedRot })
+	g("_read_medium_errs_total", func() int64 { return d.readMediumErrs })
+	g("_open_zones", func() int64 { return int64(d.nOpen) })
+	g("_active_zones", func() int64 { return int64(d.nActive) })
 }
 
 // AttachJournal points the device at a shared event journal: zone
