@@ -238,7 +238,9 @@ func TestReusedWriteBuffersLeaveRecordsIntact(t *testing.T) {
 					for _, d := range devs {
 						d.PowerLoss(nil)
 					}
-					// The images as the media hold them, per zone.
+					// The images as the media hold them, per zone: a whole
+					// zraid array's in its slots, every other array's in
+					// the log.
 					images := map[int][]byte{}
 					if env.cfg.ParityEngine == EngineZRAID {
 						recs, err := v.slots.Scan()
@@ -248,16 +250,15 @@ func TestReusedWriteBuffersLeaveRecordsIntact(t *testing.T) {
 						for _, r := range recs {
 							images[r.Zone] = r.Payload
 						}
-					} else {
-						for z := 0; z < 2; z++ {
-							recs, err := scanMDZones(devs[v.lt.parityDev(z, 1)], v.lt, v.sectorSize)
-							if err != nil {
-								t.Fatal(err)
-							}
-							for _, r := range recs {
-								if r.typ == recPartialParity && r.startLBA == v.lt.stripeStart(z, 1) {
-									images[z] = r.payload
-								}
+					}
+					for z := 0; z < 2; z++ {
+						recs, err := scanMDZones(devs[v.lt.parityDev(z, 1)], v.lt, v.sectorSize)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for _, r := range recs {
+							if r.typ == recPartialParity && r.startLBA == v.lt.stripeStart(z, 1) {
+								images[z] = r.payload
 							}
 						}
 					}

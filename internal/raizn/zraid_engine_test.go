@@ -328,6 +328,42 @@ func TestZRAIDDegradedMaintain(t *testing.T) {
 	})
 }
 
+// TestZRAIDDegradedLogsPartialParity: a degraded zraid array appends
+// every partial-parity image to the §5.1 log and none to a slot. The
+// logged bytes count as pp_permanent, not as fallbacks.
+func TestZRAIDDegradedLogsPartialParity(t *testing.T) {
+	runZraidVol(t, func(c *vclock.Clock, v *Volume, devs []*zns.Device) {
+		if err := v.FailDevice(v.lt.dataDev(0, 0, 1)); err != nil {
+			t.Fatal(err)
+		}
+		var lba int64
+		for _, n := range []int{16, 4, 3, 2} {
+			mustWriteV(t, v, lba, n, zns.FUA)
+			lba += int64(n)
+		}
+		st, rep := v.PPEngineStats(), v.WAReport()
+		var logged int64
+		for _, cat := range rep.Categories {
+			if cat.Name == "pp-header" || cat.Name == "pp-payload" {
+				logged += cat.Bytes
+			}
+		}
+		if logged == 0 || st.PermanentBytes != logged {
+			t.Errorf("PermanentBytes = %d, logged partial parity = %d bytes; want equal and non-zero", st.PermanentBytes, logged)
+		}
+		if st.FallbackTotal != 0 || st.VolatileBytes != 0 {
+			t.Errorf("FallbackTotal = %d, VolatileBytes = %d; want 0 and 0", st.FallbackTotal, st.VolatileBytes)
+		}
+		recs, err := v.slots.Scan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) != 0 {
+			t.Errorf("%d images in slots; a degraded array logs them all", len(recs))
+		}
+	})
+}
+
 // persistPP persists one partial-parity image through issuePendingMD, the
 // write path's one persistence step, and waits for it.
 func persistPP(t *testing.T, v *Volume, a ppengine.Append) {
