@@ -62,13 +62,18 @@ func runGCTimeseries(w io.Writer, quick bool) error {
 			// Phase 2: one writer overwrites the whole address space.
 			// RAIZN (a zoned volume) overwrites by resetting each zone
 			// then rewriting it; mdraid overwrites in place.
+			// The sampler closes the overwrite's last, partial interval
+			// on its next wake; the root waits for that before it
+			// returns, so no detached driver ticks the series while
+			// the host reads it.
 			ps.p2 = stats.NewSeries(interval)
-			done := false
+			done, stopped := false, clk.NewFuture()
 			clk.Go(func() {
 				for !done {
 					clk.Sleep(interval)
 					ps.p2.Tick(clk.Now())
 				}
+				stopped.Complete(nil)
 			})
 			if zr, ok := tgt.(fio.ZoneResetter); ok {
 				overwriteZoned(clk, tgt, zr, ps.p2)
@@ -76,6 +81,7 @@ func runGCTimeseries(w io.Writer, quick bool) error {
 				overwriteRange(clk, tgt, 0, tgt.NumSectors(), ps.p2)
 			}
 			done = true
+			stopped.Wait()
 		})
 		if jrn != nil {
 			ps.evs = jrn.Events()
