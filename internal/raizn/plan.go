@@ -46,9 +46,10 @@ type stripeRepair struct {
 // appends can go on computing parity without device reads (§5.1).
 type tailPlan struct {
 	stripe, fill int64
-	missing      int    // data unit with data on the missing device, or -1
-	img          []byte // parity image of the stripe's partial-parity logs
-	recon        int64  // sectors of unit missing the image rebuilds
+	missing      int     // data unit with data on the missing device, or -1
+	img          []byte  // parity image of the stripe's partial-parity logs
+	reach        []int64 // per intra offset: the data end b of the image img holds there
+	recon        int64   // sectors of unit missing the image rebuilds
 }
 
 // zonePlan is what planZone decides for one zone.
@@ -147,8 +148,9 @@ func planZone(lt *layout, ev zoneEvidence) zonePlan {
 				// Data at and beyond the logs' coverage is lost with the
 				// device (§5.1); the prefix rule has already capped the
 				// write pointer there.
-				_, covered := ppExtent(lt, ev.pp, t.stripe)
-				t.missing, t.img, t.recon = u, ppParity(lt, ev.pp, t.stripe, ev.sectorSize), min(f, covered)
+				_, covered := ppExtent(lt, ev.pp, t.stripe, u)
+				t.img, t.reach = ppParity(lt, ev.pp, t.stripe, ev.sectorSize)
+				t.missing, t.recon = u, min(f, covered)
 			}
 		}
 		p.tail = t
@@ -193,19 +195,18 @@ func planStripe(lt *layout, ev *zoneEvidence, p *zonePlan, s int64, present []in
 	// The contiguous data prefix. A missing device's unit counts as far as
 	// later evidence shows it was written (data in a later unit, the
 	// partial-parity logs), capped by what parity can rebuild: the media
-	// parity prefix or the logs' coverage. Counting more would leave
-	// unreadable sectors below the write pointer.
-	ppEnd, covered := ppExtent(lt, ev.pp, s)
-	recon := max(q, covered)
+	// parity prefix or the logs' coverage of that unit. Counting more
+	// would leave unreadable sectors below the write pointer.
 	for u, f := range present {
 		if f < 0 {
+			ppEnd, covered := ppExtent(lt, ev.pp, s, u)
 			f = clampI64(ppEnd-int64(u)*su, 0, su)
 			for _, later := range present[u+1:] {
 				if later > 0 {
 					f = su
 				}
 			}
-			f = min(f, recon)
+			f = min(f, max(q, covered))
 		}
 		g += f
 		if f < su {
@@ -217,11 +218,14 @@ func planStripe(lt *layout, ev *zoneEvidence, p *zonePlan, s int64, present []in
 
 // ppExtent returns the stripe-relative data fill stripe s's partial-parity
 // images imply (-1: none) and the prefix of intra-unit offsets [0,
-// covered) the union of their regions covers: how far their parity
-// rebuilds a lost unit. The logged engine's log keeps every image since
-// the last checkpoint, so its union is a prefix; a zraid slot keeps only
-// the newest image, whose delta region alone may leave offset 0 bare.
-func ppExtent(lt *layout, pp []ppImage, s int64) (end, covered int64) {
+// covered) over which their parity rebuilds lost data unit u. An image of
+// [a, b) is the parity of the stripe's first b data sectors, so it holds
+// unit u's sector at offset i only when u·su + i < b: an image taken
+// before the unit was written rebuilds none of it. The logged engine's
+// log keeps every image since the last checkpoint, so the union of their
+// regions is a prefix; a zraid slot keeps only the newest image, whose
+// delta region alone may leave offset 0 bare.
+func ppExtent(lt *layout, pp []ppImage, s int64, u int) (end, covered int64) {
 	end = -1
 	var regs []intraInterval
 	for _, r := range pp {
@@ -231,7 +235,11 @@ func ppExtent(lt *layout, pp []ppImage, s int64) (end, covered int64) {
 		end = max(end, r.b)
 		if r.b > r.a {
 			rs, n := lt.intraRegions(r.a, r.b)
-			regs = append(regs, rs[:n]...)
+			for _, reg := range rs[:n] {
+				if reg.b = min(reg.b, r.b-int64(u)*lt.su); reg.b > reg.a {
+					regs = append(regs, reg)
+				}
+			}
 		}
 	}
 	slices.SortFunc(regs, func(x, y intraInterval) int { return cmp.Compare(x.a, y.a) })
@@ -246,9 +254,12 @@ func ppExtent(lt *layout, pp []ppImage, s int64) (end, covered int64) {
 
 // ppParity replays stripe s's partial-parity images in offset order (the
 // sort is stable: of two images of one offset the later wins) into the
-// stripe's parity image over intra-unit offsets [0, su).
-func ppParity(lt *layout, pp []ppImage, s, ss int64) []byte {
-	img := make([]byte, lt.su*ss)
+// stripe's parity image over intra-unit offsets [0, su). reach holds, per
+// offset, the data end b of the image kept there (0: none): the image is
+// the parity of the stripe's first b data sectors, so a unit's sector at
+// that offset is in it only below b.
+func ppParity(lt *layout, pp []ppImage, s, ss int64) (img []byte, reach []int64) {
+	img, reach = make([]byte, lt.su*ss), make([]int64, lt.su)
 	var logs []ppImage
 	for _, r := range pp {
 		if r.stripe == s {
@@ -262,10 +273,13 @@ func ppParity(lt *layout, pp []ppImage, s, ss int64) []byte {
 		for _, reg := range regions[:n] {
 			k := min((reg.b-reg.a)*ss, int64(len(src)))
 			copy(img[reg.a*ss:reg.a*ss+k], src[:k])
+			for i := reg.a; i < reg.a+k/ss; i++ {
+				reach[i] = r.b
+			}
 			src = src[k:]
 		}
 	}
-	return img
+	return img, reach
 }
 
 // expectedPhysFill returns how many sectors of physical zone z on device

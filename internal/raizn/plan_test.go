@@ -116,36 +116,46 @@ func TestPlanZone(t *testing.T) {
 	}, {
 		name: "missing unit beside a short unit under full parity",
 		ev:   planEvidence(4, -1, 1, 4, 4),
-		want: zonePlan{wp: 9, remapped: true, tail: &tailPlan{stripe: 0, fill: 9, missing: 1, img: make([]byte, 4)}},
+		want: zonePlan{wp: 9, remapped: true, tail: &tailPlan{stripe: 0, fill: 9, missing: 1, img: make([]byte, 4), reach: make([]int64, 4)}},
 	}, {
 		// DESIGN.md "Chaos harness", Findings (1): known-full peers do
 		// not make the missing unit readable past the parity prefix.
 		name: "missing unit capped by the media parity prefix",
 		ev:   planEvidence(4, -1, 4, 4, 1),
-		want: zonePlan{wp: 5, remapped: true, tail: &tailPlan{stripe: 0, fill: 5, missing: 1, img: make([]byte, 4)}},
+		want: zonePlan{wp: 5, remapped: true, tail: &tailPlan{stripe: 0, fill: 5, missing: 1, img: make([]byte, 4), reach: make([]int64, 4)}},
 	}, {
+		// The image of [0,2) was taken before unit 1 was written: it holds
+		// none of unit 1, so unit 1 counts nothing and unit 2's data is
+		// debris.
 		name: "missing unit capped by partial-parity coverage",
 		ev:   withPP(planEvidence(4, -1, 2, 0, 0), ppImage{stripe: 0, a: 0, b: 2, payload: []byte{1, 2}}),
-		want: zonePlan{wp: 6, remapped: true, tail: &tailPlan{stripe: 0, fill: 6, missing: 1, img: []byte{1, 2, 0, 0}, recon: 2}},
+		want: zonePlan{wp: 4, remapped: true, tail: &tailPlan{stripe: 0, fill: 4, missing: -1}},
+	}, {
+		// A completing write's units 0 and 2 reached media and its parity
+		// did not; the stripe's only image, of [0,2), predates unit 1.
+		// Counting unit 1 up to the image's region read back wrong bytes.
+		name: "partial-parity image taken before the missing unit was written",
+		ev:   withPP(planEvidence(-1, 8, 4, 4, 8), ppImage{stripe: 1, a: 0, b: 2, payload: []byte{1, 2}}),
+		want: zonePlan{wp: 20, remapped: true, tail: &tailPlan{stripe: 1, fill: 4, missing: -1}},
 	}, {
 		name: "partial-parity coverage shorter than the tail unit's fill",
-		ev:   withPP(planEvidence(4, -1, 2, 0, 3), ppImage{stripe: 0, a: 0, b: 1, payload: []byte{9}}),
-		want: zonePlan{wp: 7, remapped: true, tail: &tailPlan{stripe: 0, fill: 7, missing: 1, img: []byte{9, 0, 0, 0}, recon: 1}},
+		ev:   withPP(planEvidence(4, -1, 2, 0, 3), ppImage{stripe: 0, a: 4, b: 5, payload: []byte{9}}),
+		want: zonePlan{wp: 7, remapped: true, tail: &tailPlan{stripe: 0, fill: 7, missing: 1, img: []byte{9, 0, 0, 0}, reach: []int64{5, 0, 0, 0}, recon: 1}},
 	}, {
 		name: "partial-parity payload shorter than its region, images replayed in offset order",
 		ev: withPP(planEvidence(4, -1, 0, 0, 0),
 			ppImage{stripe: 0, a: 4, b: 7, payload: []byte{5, 6}},
 			ppImage{stripe: 0, a: 0, b: 4, payload: []byte{1, 2, 3, 4}},
 			ppImage{stripe: 1, a: 0, b: 2, payload: []byte{7, 7}}),
-		want: zonePlan{wp: 7, tail: &tailPlan{stripe: 0, fill: 7, missing: 1, img: []byte{5, 6, 3, 4}, recon: 3}},
+		want: zonePlan{wp: 7, tail: &tailPlan{stripe: 0, fill: 7, missing: 1, img: []byte{5, 6, 3, 4}, reach: []int64{7, 7, 4, 4}, recon: 3}},
 	}, {
 		name: "partial-parity images alone: the missing device wrote the zone's only data",
 		ev:   withPP(planEvidence(-1, 0, 0, 0, 0), ppImage{stripe: 0, a: 0, b: 2, payload: []byte{1, 2}}, ppImage{stripe: 0, a: 2, b: 3, payload: []byte{3}}),
-		want: zonePlan{wp: 3, tail: &tailPlan{stripe: 0, fill: 3, missing: 0, img: []byte{1, 2, 3, 0}, recon: 3}},
+		want: zonePlan{wp: 3, tail: &tailPlan{stripe: 0, fill: 3, missing: 0, img: []byte{1, 2, 3, 0}, reach: []int64{2, 2, 3, 0}, recon: 3}},
 	}, {
 		name: "partial-parity images bound the stripe walk past the survivors' data",
 		ev:   withPP(planEvidence(4, 4, 4, 4, -1), ppImage{stripe: 1, a: 0, b: 2, payload: []byte{7, 7}}),
-		want: zonePlan{wp: 18, tail: &tailPlan{stripe: 1, fill: 2, missing: 0, img: []byte{7, 7, 0, 0}, recon: 2}},
+		want: zonePlan{wp: 18, tail: &tailPlan{stripe: 1, fill: 2, missing: 0, img: []byte{7, 7, 0, 0}, reach: []int64{2, 2, 0, 0}, recon: 2}},
 	}, {
 		name: "a lone delta image recovers no sector: the empty plan",
 		ev:   withPP(planEvidence(-1, 0, 0, 0, 0), ppImage{stripe: 0, a: 2, b: 3, payload: []byte{9}}),

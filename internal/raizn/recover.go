@@ -338,8 +338,9 @@ func (v *Volume) repairTail(z int, s int64, u int, from int64) error {
 
 // rebuildStripeBuffer reloads the partial tail stripe t into a stripe
 // buffer: present units are read from their devices, a missing device's
-// unit is the partial-parity image XOR the surviving units (§5.1), and the
-// units are folded into the buffer in unit order.
+// unit is the partial-parity image XOR the surviving units' sectors the
+// image holds (§5.1; those below its reach), and the units are folded into
+// the buffer in unit order.
 func (v *Volume) rebuildStripeBuffer(lz *logicalZone, t *tailPlan) error {
 	ss := int64(v.sectorSize)
 	buf, err := v.stripeBufferLocked(lz, t.stripe, 0) // single-threaded during mount
@@ -363,9 +364,11 @@ func (v *Volume) rebuildStripeBuffer(lz *logicalZone, t *tailPlan) error {
 	}
 	if m := t.missing; m >= 0 {
 		copy(units[m], t.img)
-		for u, f := range fills {
-			if n := min(f, t.recon) * ss; u != m {
-				parity.XORInto(units[m][:n], units[u][:n])
+		for i := int64(0); i < t.recon; i++ {
+			for u, f := range fills {
+				if u != m && i < f && int64(u)*v.lt.su+i < t.reach[i] {
+					parity.XORInto(units[m][i*ss:(i+1)*ss], units[u][i*ss:(i+1)*ss])
+				}
 			}
 		}
 	}
