@@ -12,10 +12,10 @@
 //     table writes it into a fixed slot at the start of one dedicated PP
 //     zone per device, small enough that every slot stays inside the ZRWA
 //     window: a stripe's later images overwrite its slot in place and never
-//     program NAND (pp_volatile). When every slot is live, Persist reports
-//     so and writes nothing, and the volume appends the image to the §5.1
-//     log as the logged design does (pp_permanent). Nothing is
-//     garbage-collected.
+//     program NAND (pp_volatile). When every slot is live, or the array is
+//     degraded, Persist reports so and writes nothing, and the volume
+//     appends the image to the §5.1 log as the logged design does
+//     (pp_permanent). Nothing is garbage-collected.
 //
 // Either way a stripe's parity unit is written once, at its final
 // location, when the stripe completes (or its zone is finished); partial

@@ -42,7 +42,7 @@ func newTestEngine(t *testing.T, d *zns.Device) *SlotTable {
 // persist persists a and fails the test if the table had no slot for it.
 func persist(t *testing.T, e *SlotTable, a Append) (fut *vclock.Future, end int64) {
 	t.Helper()
-	fut, pba, n, noSlot := e.Persist(a)
+	fut, pba, n, noSlot := e.Persist(a, true)
 	if noSlot {
 		t.Fatalf("stripe %d found no slot", a.Stripe)
 	}
@@ -291,7 +291,7 @@ func TestOverflowGoesToLog(t *testing.T) {
 			t.Fatalf("width %d, PP zone WP %d: want two slots (%d sectors)", e.width, wp(), 2*e.stride)
 		}
 		for _, n := range []int{8, 12} {
-			if fut, _, _, noSlot := e.Persist(mkAppend(d, 0, 2, 3, n)); !noSlot || fut != nil {
+			if fut, _, _, noSlot := e.Persist(mkAppend(d, 0, 2, 3, n), true); !noSlot || fut != nil {
 				t.Fatalf("stripe 2's %d-sector image: noSlot %v, future %v; want no slot and no write", n, noSlot, fut)
 			}
 		}
