@@ -150,7 +150,7 @@ func main() {
 		}
 
 		if *doScrub {
-			sb := scrub.New(scrub.Config{Clock: clk, Target: scrub.RaiznTarget{V: vol}, Repair: true})
+			sb := scrub.New(scrub.Config{Clock: clk, Volume: vol, Repair: true})
 			stats, err := sb.RunPass()
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "scrub:", err)
@@ -193,7 +193,7 @@ func main() {
 		}
 
 		mon := scrub.NewMonitor(scrub.MonitorConfig{
-			Clock: clk, Array: scrub.RaiznArray{V: vol},
+			Clock: clk, Volume: vol,
 			SuspectThreshold: 1, FailThreshold: 100,
 		})
 		mon.Poll()

@@ -65,7 +65,7 @@ func buildFullStack(t *testing.T, clk *vclock.Clock, reg *obs.Registry) {
 		t.Fatalf("write a1: %v", err)
 	}
 
-	sb := scrub.New(scrub.Config{Clock: clk, Target: scrub.RaiznTarget{V: v0}})
+	sb := scrub.New(scrub.Config{Clock: clk, Volume: v0})
 	sb.RegisterMetrics(reg)
 	if _, err := sb.RunPass(); err != nil {
 		t.Fatalf("scrub pass: %v", err)

@@ -60,7 +60,7 @@ func runScrubInterference(w io.Writer, quick bool) error {
 			var s *scrub.Scrubber
 			if m.on {
 				s = scrub.New(scrub.Config{
-					Clock: clk, Target: scrub.RaiznTarget{V: v},
+					Clock: clk, Volume: v,
 					Repair: true, RateLimit: m.rate,
 					PassInterval: time.Millisecond,
 				})
@@ -141,7 +141,7 @@ func runScrubCoverage(w io.Writer, quick bool) error {
 				}
 			}
 
-			sb := scrub.New(scrub.Config{Clock: clk, Target: scrub.RaiznTarget{V: v}, Repair: true})
+			sb := scrub.New(scrub.Config{Clock: clk, Volume: v, Repair: true})
 			sb.RegisterMetrics(runRegistry)
 			stats, err := sb.RunPass()
 			if err != nil {

@@ -71,15 +71,6 @@ type Config struct {
 	EraseLatency    time.Duration // per erase-block erase
 
 	DiscardData bool // drop payloads; reads return zeroes
-
-	// Fault-injection model (faults.go), mirroring the zns package:
-	// FaultSeed seeds the dedicated fault RNG, ReadErrorRate is the
-	// per-sector probability that a read grows a latent unreadable
-	// sector, BitRotRate the per-sector probability of silent bit-rot
-	// applied as data is written. Both default to 0.
-	FaultSeed     int64
-	ReadErrorRate float64
-	BitRotRate    float64
 }
 
 // DefaultConfig returns a scaled-down model of the conventional SSDs in
@@ -121,8 +112,6 @@ func (c *Config) validate() error {
 		return errors.New("blockdev: negative overprovision")
 	case c.WriteBandwidth <= 0 || c.ReadBandwidth <= 0:
 		return errors.New("blockdev: bandwidths must be positive")
-	case c.ReadErrorRate < 0 || c.ReadErrorRate > 1 || c.BitRotRate < 0 || c.BitRotRate > 1:
-		return errors.New("blockdev: fault rates must be in [0, 1]")
 	}
 	if c.GCLowWater <= 0 {
 		c.GCLowWater = 2
@@ -534,7 +523,6 @@ func (d *Device) WriteSpan(sp *obs.Span, sector int64, data []byte, flags Flag) 
 		pp := d.programLocked(lp, &d.hostActive)
 		if d.data != nil {
 			copy(d.pageData(pp), data[i*int64(d.cfg.SectorSize):(i+1)*int64(d.cfg.SectorSize)])
-			d.applyBitRotLocked(pp)
 		}
 		// Rewriting a latent sector repairs it (the FTL programs a fresh
 		// page; the grown defect is remapped away).
@@ -617,7 +605,6 @@ func (d *Device) WritevSpan(sp *obs.Span, sector int64, segs [][]byte, flags Fla
 			pp := d.programLocked(lp, &d.hostActive)
 			if d.data != nil {
 				copy(d.pageData(pp), seg[i*ss:(i+1)*ss])
-				d.applyBitRotLocked(pp)
 			}
 			if d.latentErrs[lp] {
 				delete(d.latentErrs, lp)

@@ -5,11 +5,10 @@
 // counts into a healthy → suspect → failed state machine with an
 // auto-rebuild hook.
 //
-// The scrubber is volume-agnostic: anything that can enumerate regions
-// of stripes and verify one stripe at a time (RAIZN logical zones,
-// mdraid device-stripes) plugs in through the Target interface. Rate
-// limiting is a token bucket over scrubbed bytes on the virtual clock,
-// so scrub interference with foreground IO is bounded and measurable.
+// The scrubber walks a RAIZN volume's logical zones stripe by stripe
+// through the volume's checksum-aware ScrubStripe. Rate limiting is a
+// token bucket over scrubbed bytes on the virtual clock, so scrub
+// interference with foreground IO is bounded and measurable.
 package scrub
 
 import (
@@ -18,39 +17,14 @@ import (
 	"time"
 
 	"raizn/internal/obs"
+	"raizn/internal/raizn"
 	"raizn/internal/vclock"
 )
-
-// StripeResult is the outcome of verifying one stripe.
-type StripeResult struct {
-	BytesRead      int64
-	Skipped        bool
-	Mismatch       bool
-	ReadErrors     int
-	RepairedData   bool
-	RepairedParity bool
-	Unrepaired     bool
-}
-
-// Target is a scrubbable volume.
-type Target interface {
-	// Regions returns how many stripe regions (logical zones, stripe
-	// groups) the volume has.
-	Regions() int
-	// RegionStripes returns the number of stripes region r can hold.
-	RegionStripes(r int) int64
-	// ScrubStripe verifies stripe s of region r, repairing damage when
-	// repair is set. Unverifiable stripes report Skipped, not an error.
-	ScrubStripe(r int, s int64, repair bool) (StripeResult, error)
-	// ResetProgress clears the volume's scrub-progress bookkeeping at
-	// the start of a pass.
-	ResetProgress()
-}
 
 // Config configures a Scrubber.
 type Config struct {
 	Clock  *vclock.Clock
-	Target Target
+	Volume *raizn.Volume
 	// Repair makes scrub fix what it can attribute; off = verify only.
 	Repair bool
 	// RateLimit bounds scrub reads in bytes per (virtual) second;
@@ -58,9 +32,6 @@ type Config struct {
 	RateLimit int64
 	// PassInterval is the idle time between background passes.
 	PassInterval time.Duration
-	// Journal, when non-nil and enabled, receives one EvScrub event per
-	// completed pass (stripes, mismatches, repairs, bytes read).
-	Journal *obs.Journal
 }
 
 // PassStats aggregates one scrub pass.
@@ -76,7 +47,7 @@ type PassStats struct {
 	Elapsed        time.Duration
 }
 
-func (p *PassStats) add(r StripeResult) {
+func (p *PassStats) add(r raizn.StripeScrubResult) {
 	if r.Skipped {
 		p.Skipped++
 	} else {
@@ -101,7 +72,7 @@ func (p *PassStats) add(r StripeResult) {
 // ErrStopped is returned by RunPass when Stop interrupts it.
 var ErrStopped = errors.New("scrub: stopped")
 
-// Scrubber drives scrub passes over a Target.
+// Scrubber drives scrub passes over a volume.
 type Scrubber struct {
 	cfg Config
 	clk *vclock.Clock
@@ -121,7 +92,7 @@ type Scrubber struct {
 	scannedAll int64 // bytes read across all passes, including the current one
 }
 
-// New builds a Scrubber. Config.Clock and Config.Target are required.
+// New builds a Scrubber. Config.Clock and Config.Volume are required.
 func New(cfg Config) *Scrubber {
 	s := &Scrubber{cfg: cfg, clk: cfg.Clock}
 	s.lastRefill = s.clk.Now()
@@ -158,19 +129,17 @@ func (s *Scrubber) acquire(n int64) {
 	}
 }
 
-// stripeCost estimates the bytes one ScrubStripe will read, for
-// throttling before the IO is issued.
-func (s *Scrubber) stripeCost(r StripeResult) int64 { return r.BytesRead }
-
-// RunPass scrubs every stripe of every region once, blocking until the
-// pass completes. Safe to call from any simulated goroutine.
+// RunPass scrubs every stripe of every logical zone once, blocking until
+// the pass completes, and records the pass as one EvScrub event in the
+// volume's journal (stripes, mismatches, repairs, bytes read). Safe to
+// call from any simulated goroutine.
 func (s *Scrubber) RunPass() (PassStats, error) {
+	v := s.cfg.Volume
 	start := s.clk.Now()
-	s.cfg.Target.ResetProgress()
+	v.ResetScrubProgress()
 	var stats PassStats
-	for r := 0; r < s.cfg.Target.Regions(); r++ {
-		n := s.cfg.Target.RegionStripes(r)
-		for st := int64(0); st < n; st++ {
+	for z := 0; z < v.NumZones(); z++ {
+		for st := int64(0); st < v.StripesPerZone(); st++ {
 			s.mu.Lock()
 			stopping := s.stopping
 			s.mu.Unlock()
@@ -178,7 +147,7 @@ func (s *Scrubber) RunPass() (PassStats, error) {
 				stats.Elapsed = s.clk.Now() - start
 				return stats, ErrStopped
 			}
-			res, err := s.cfg.Target.ScrubStripe(r, st, s.cfg.Repair)
+			res, err := v.ScrubStripe(z, st, s.cfg.Repair)
 			if err != nil {
 				stats.Elapsed = s.clk.Now() - start
 				return stats, err
@@ -189,7 +158,7 @@ func (s *Scrubber) RunPass() (PassStats, error) {
 			s.mu.Unlock()
 			// Pay for the bytes just read; the next stripe waits until
 			// the bucket refills, bounding the average scrub rate.
-			s.acquire(s.stripeCost(res))
+			s.acquire(res.BytesRead)
 		}
 	}
 	stats.Elapsed = s.clk.Now() - start
@@ -204,7 +173,7 @@ func (s *Scrubber) RunPass() (PassStats, error) {
 	s.totals.Unrepaired += stats.Unrepaired
 	s.totals.BytesRead += stats.BytesRead
 	s.mu.Unlock()
-	s.cfg.Journal.Record(obs.EvScrub, obs.SrcLogical, -1,
+	v.Journal().Record(obs.EvScrub, obs.SrcLogical, -1,
 		stats.Stripes, stats.Mismatches,
 		stats.RepairedData+stats.RepairedParity, stats.BytesRead)
 	return stats, nil
@@ -267,22 +236,8 @@ func (s *Scrubber) Stop() {
 	s.mu.Unlock()
 }
 
-// Passes returns how many passes completed.
-func (s *Scrubber) Passes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.passes
-}
-
-// Totals returns stats accumulated over all completed passes.
-func (s *Scrubber) Totals() PassStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.totals
-}
-
 // BytesScanned returns bytes read by scrub so far, including the pass
-// in progress (Totals only counts completed passes).
+// in progress (the scrub_ gauges' other totals count completed passes).
 func (s *Scrubber) BytesScanned() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"raizn/internal/obs"
 	"raizn/internal/raizn"
 	"raizn/internal/vclock"
 	"raizn/internal/zns"
@@ -120,7 +121,7 @@ func TestPassRepairsAllInjectedRot(t *testing.T) {
 				}
 			}
 
-			s := New(Config{Clock: c, Target: RaiznTarget{V: v}, Repair: true})
+			s := New(Config{Clock: c, Volume: v, Repair: true})
 			stats, err := s.RunPass()
 			if err != nil {
 				t.Fatalf("RunPass: %v", err)
@@ -155,6 +156,58 @@ func TestPassRepairsAllInjectedRot(t *testing.T) {
 	}
 }
 
+// TestPassJournaled: a pass over a volume whose journal is enabled
+// records exactly one EvScrub event, carrying the pass's counts.
+func TestPassJournaled(t *testing.T) {
+	c := vclock.New()
+	c.Run(func() {
+		jrn := obs.NewJournal(c, obs.JournalConfig{})
+		jrn.Enable()
+		cfg := raizn.DefaultConfig()
+		cfg.Journal = jrn
+		devs := make([]*zns.Device, testDevs)
+		for i := range devs {
+			devs[i] = zns.NewDevice(c, testDevConfig())
+		}
+		v, err := raizn.Create(c, devs, cfg)
+		if err != nil {
+			t.Fatalf("Create: %v", err)
+		}
+		mustWrite(t, v, 0, int(v.ZoneSectors()))
+		if err := v.Flush(); err != nil {
+			t.Fatalf("Flush: %v", err)
+		}
+		for _, s := range []int64{1, 6} {
+			dev, pba := dataSector(0, s, 2, 3)
+			if err := devs[dev].CorruptSector(pba); err != nil {
+				t.Fatalf("CorruptSector: %v", err)
+			}
+		}
+
+		stats, err := New(Config{Clock: c, Volume: v, Repair: true}).RunPass()
+		if err != nil {
+			t.Fatalf("RunPass: %v", err)
+		}
+		if stats.Mismatches != 2 || stats.RepairedData != 2 {
+			t.Fatalf("pass %+v: want 2 mismatches, 2 data repairs", stats)
+		}
+		var got []obs.Event
+		for _, e := range jrn.Events() {
+			if e.Type == obs.EvScrub {
+				got = append(got, e)
+			}
+		}
+		if len(got) != 1 {
+			t.Fatalf("journal holds %d scrub events, want 1", len(got))
+		}
+		e := got[0]
+		want := [4]int64{stats.Stripes, stats.Mismatches, stats.RepairedData + stats.RepairedParity, stats.BytesRead}
+		if e.Src != obs.SrcLogical || e.Zone != -1 || [4]int64{e.A, e.B, e.C, e.D} != want {
+			t.Errorf("scrub event %+v, want src %d zone -1 counts %v", e, obs.SrcLogical, want)
+		}
+	})
+}
+
 func TestRateLimitBoundsScrubRate(t *testing.T) {
 	c := vclock.New()
 	c.Run(func() {
@@ -162,7 +215,7 @@ func TestRateLimitBoundsScrubRate(t *testing.T) {
 		mustWrite(t, v, 0, int(v.ZoneSectors()))
 
 		// Unthrottled baseline.
-		fast := New(Config{Clock: c, Target: RaiznTarget{V: v}, Repair: true})
+		fast := New(Config{Clock: c, Volume: v, Repair: true})
 		fstats, err := fast.RunPass()
 		if err != nil {
 			t.Fatalf("RunPass: %v", err)
@@ -174,7 +227,7 @@ func TestRateLimitBoundsScrubRate(t *testing.T) {
 		// Throttled: elapsed must be at least BytesRead/rate (minus the
 		// one-second initial burst allowance).
 		rate := int64(1 << 20) // 1 MiB/s
-		slow := New(Config{Clock: c, Target: RaiznTarget{V: v}, Repair: true, RateLimit: rate})
+		slow := New(Config{Clock: c, Volume: v, Repair: true, RateLimit: rate})
 		sstats, err := slow.RunPass()
 		if err != nil {
 			t.Fatalf("RunPass (limited): %v", err)
@@ -201,17 +254,20 @@ func TestBackgroundScrubStartStop(t *testing.T) {
 		}
 
 		s := New(Config{
-			Clock: c, Target: RaiznTarget{V: v}, Repair: true,
+			Clock: c, Volume: v, Repair: true,
 			PassInterval: 10 * time.Millisecond,
 		})
 		s.Start()
 		c.Sleep(500 * time.Millisecond)
 		s.Stop()
 
-		if s.Passes() == 0 {
+		s.mu.Lock()
+		passes, totals := s.passes, s.totals
+		s.mu.Unlock()
+		if passes == 0 {
 			t.Fatal("background scrubber completed no passes")
 		}
-		if s.Totals().RepairedData == 0 {
+		if totals.RepairedData == 0 {
 			t.Error("background scrubber did not repair the injected rot")
 		}
 		checkRead(t, v, 0, int(v.ZoneSectors()))
@@ -230,7 +286,7 @@ func TestMonitorStateMachine(t *testing.T) {
 		mustWrite(t, v, 0, int(v.ZoneSectors()))
 
 		m := NewMonitor(MonitorConfig{
-			Clock: c, Array: RaiznArray{V: v},
+			Clock: c, Volume: v,
 			SuspectThreshold: 2, FailThreshold: 5,
 		})
 		if m.State(1) != Healthy {
@@ -283,7 +339,7 @@ func TestMonitorAutoRebuild(t *testing.T) {
 		rebuilt := c.NewFuture()
 		var m *Monitor
 		m = NewMonitor(MonitorConfig{
-			Clock: c, Array: RaiznArray{V: v},
+			Clock: c, Volume: v,
 			SuspectThreshold: 1, FailThreshold: 3,
 			Interval: 10 * time.Millisecond,
 			OnFail: func(dev int) {
@@ -342,7 +398,7 @@ func TestMonitorHoldsSecondFailure(t *testing.T) {
 		mustWrite(t, v, 0, int(v.ZoneSectors()))
 
 		m := NewMonitor(MonitorConfig{
-			Clock: c, Array: RaiznArray{V: v},
+			Clock: c, Volume: v,
 			SuspectThreshold: 1, FailThreshold: 2,
 		})
 

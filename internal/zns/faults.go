@@ -8,28 +8,22 @@ import "math/rand"
 // fail the device, they corrupt or withhold individual sectors, and
 // they accumulate silently between whole-device failures.
 //
-// Faults are injected two ways:
-//
-//   - Explicitly, via InjectReadError / CorruptSector, for targeted
-//     tests ("corrupt exactly this stripe unit").
-//   - At a configured rate (ReadErrorRate, BitRotRate), drawn from a
-//     dedicated *rand.Rand seeded with Config.FaultSeed, so whole fault
-//     campaigns replay bit-identically.
-//
-// Semantics chosen to match real media:
+// The device injects only the faults a caller names, through
+// InjectReadError and CorruptSector ("corrupt exactly this stripe
+// unit"). Semantics chosen to match real media:
 //
 //   - A latent read error is persistent: every read covering the sector
 //     fails with ErrReadMedium until the zone is reset (zoned media
 //     cannot rewrite in place; the host must relocate around it).
-//   - Bit-rot mutates the at-rest payload and is applied when data
-//     becomes persistent (rot is an at-rest phenomenon; data still in
-//     the volatile write cache is not exposed to it). Reads return the
-//     rotted bytes without error — detection is the host's problem.
+//   - Bit-rot mutates the at-rest payload. Reads return the rotted bytes
+//     without error — detection is the host's problem.
 
-// faultRNGLocked lazily builds the fault RNG. Caller holds d.mu.
+// faultRNGLocked lazily builds the RNG that picks which bit
+// CorruptSector flips, seeded alike on every device so injected rot
+// replays bit-identically. Caller holds d.mu.
 func (d *Device) faultRNGLocked() *rand.Rand {
 	if d.faultRNG == nil {
-		d.faultRNG = rand.New(rand.NewSource(d.cfg.FaultSeed + 1))
+		d.faultRNG = rand.New(rand.NewSource(1))
 	}
 	return d.faultRNG
 }
@@ -84,9 +78,8 @@ func (d *Device) CorruptSector(sector int64) error {
 
 // corruptSectorLocked flips a deterministic-by-rng bit of zone-relative
 // sector off of zone z, after the zone's copies in flight have finished:
-// the reads have their bytes and the writes' have landed (explicit
-// CorruptSector and bit rot at persist alike). Caller holds d.mu and has
-// validated off < wp.
+// the reads have their bytes and the writes' have landed. Caller holds
+// d.mu and has validated off < wp.
 func (d *Device) corruptSectorLocked(z int, off int64) {
 	d.drainCopiesLocked(z)
 	rng := d.faultRNGLocked()
@@ -96,43 +89,12 @@ func (d *Device) corruptSectorLocked(z int, off int64) {
 	d.injectedRot++
 }
 
-// applyBitRotLocked draws per-sector rot for the newly persisted range
-// [from, to) of zone z. Caller holds d.mu.
-func (d *Device) applyBitRotLocked(z int, from, to int64) {
-	if d.cfg.BitRotRate <= 0 || d.cfg.DiscardData {
-		return
-	}
-	if d.zones[z].data == nil {
-		return
-	}
-	rng := d.faultRNGLocked()
-	for s := from; s < to; s++ {
-		if rng.Float64() < d.cfg.BitRotRate {
-			d.corruptSectorLocked(z, s)
-		}
-	}
-}
-
 // readFaultLocked decides whether a read of [sector, sector+n) fails
-// with a latent error. Rate-injected errors are sticky: the first rate
-// hit marks a concrete sector latent, so retries fail the same way
-// until the host relocates around it. Caller holds d.mu.
+// with a latent error: it does while it covers a latent sector. Caller
+// holds d.mu.
 func (d *Device) readFaultLocked(sector, nSectors int64) error {
 	for s := sector; s < sector+nSectors; s++ {
 		if d.latentErrs[s] {
-			d.readMediumErrs++
-			return ErrReadMedium
-		}
-	}
-	if d.cfg.ReadErrorRate > 0 {
-		rng := d.faultRNGLocked()
-		if rng.Float64() < d.cfg.ReadErrorRate*float64(nSectors) {
-			bad := sector + rng.Int63n(nSectors)
-			if d.latentErrs == nil {
-				d.latentErrs = make(map[int64]bool)
-			}
-			d.latentErrs[bad] = true
-			d.injectedReadErrs++
 			d.readMediumErrs++
 			return ErrReadMedium
 		}

@@ -645,7 +645,6 @@ func (d *Device) persistZoneLocked(z int, upTo int64) {
 	if upTo > zo.wp {
 		upTo = zo.wp
 	}
-	d.applyBitRotLocked(z, zo.pwp, upTo)
 	zo.pwp = upTo
 	keep := zo.unflushed[:0]
 	for _, e := range zo.unflushed {

@@ -65,12 +65,6 @@ func TestReadSnapshotSurvivesMutation(t *testing.T) {
 			}
 			return nil
 		}},
-		{name: "bit-rot-on-fua-persist", cfg: func(c *Config) { c.BitRotRate = 1 }, mutate: func(t *testing.T, d *Device, a []byte) []byte {
-			// Persisting [0, n+1) rots every sector of it, A included; the
-			// FUA write completes before the read does.
-			d.Write(n, pattern(d.cfg, 1, 0x3C), FUA)
-			return nil
-		}},
 		{name: "zrwa-overwrite", cfg: func(c *Config) { c.ZRWASectors = 8 }, mutate: func(t *testing.T, d *Device, a []byte) []byte {
 			c := pattern(d.cfg, 2, 0x77)
 			d.WriteZRWA(1, c, 0)

@@ -34,20 +34,6 @@ func flippedBits(got, want []byte) int {
 	return n
 }
 
-// checkRotted checks that every sector of a, written from sector 0, reads
-// back with exactly one bit flipped (BitRotRate 1 rots each persisted
-// sector once).
-func checkRotted(t *testing.T, d *Device, a []byte) {
-	t.Helper()
-	ss := d.cfg.SectorSize
-	got := mustRead(t, d, 0, len(a)/ss)
-	for s := 0; s < len(a)/ss; s++ {
-		if n := flippedBits(got[s*ss:(s+1)*ss], a[s*ss:(s+1)*ss]); n != 1 {
-			t.Fatalf("sector %d: %d bits flipped, want 1", s, n)
-		}
-	}
-}
-
 // TestWriteSnapshotSurvivesMutation pins the drain rule from the write side
 // (readcopy.go): a write's payload lands in zone memory beside the
 // simulation, yet every access to those bytes behaves as if it had landed
@@ -60,16 +46,13 @@ func checkRotted(t *testing.T, d *Device, a []byte) {
 // Each case runs twice: with GOMAXPROCS=1, where the copier cannot run
 // before the test goroutine parks, so the access always comes before the
 // copy and a case whose drain is deleted fails every time; and with the
-// process's own setting, where the copier races the access. fua-bit-rot
-// has no drain of its own: the write's completion finishing the copy
-// before it persists (command.Notify) is what it pins.
+// process's own setting, where the copier races the access.
 func TestWriteSnapshotSurvivesMutation(t *testing.T) {
 	ss := testConfig().SectorSize
 	cases := []struct {
 		name    string
 		cfg     func(*Config)
-		n       int  // sectors of A (8 when 0)
-		flags   Flag // A's flags
+		n       int // sectors of A (8 when 0)
 		wantErr error
 		// access runs right after A is submitted and returns the check to
 		// run once A has completed.
@@ -148,16 +131,6 @@ func TestWriteSnapshotSurvivesMutation(t *testing.T) {
 				}
 			}
 		}},
-		{name: "finish-bit-rot", cfg: func(c *Config) { c.BitRotRate = 1 }, access: func(t *testing.T, d *Device, a []byte) func() {
-			fut := d.FinishZone(0) // persists, and so rots, A at submit
-			return func() {
-				mustWait(t, "finish", fut)
-				checkRotted(t, d, a)
-			}
-		}},
-		{name: "fua-bit-rot", cfg: func(c *Config) { c.BitRotRate = 1 }, flags: FUA, access: func(t *testing.T, d *Device, a []byte) func() {
-			return func() { checkRotted(t, d, a) }
-		}},
 		{name: "zrwa-overwrite", cfg: func(c *Config) { c.ZRWASectors = 8 }, n: 4, access: func(t *testing.T, d *Device, a []byte) func() {
 			c := pattern(d.cfg, 2, 0x77)
 			fut := d.WriteZRWA(1, c, 0)
@@ -194,7 +167,7 @@ func TestWriteSnapshotSurvivesMutation(t *testing.T) {
 				}
 				run(t, cfg, func(_ *vclock.Clock, d *Device) {
 					a := pattern(cfg, n, 0xA5)
-					fut := d.Write(0, a, tc.flags)
+					fut := d.Write(0, a, 0)
 					if procs == 1 && !copyUnclaimed(d, 0) {
 						t.Fatal("the copy started before the access: the case would prove nothing")
 					}

@@ -138,16 +138,6 @@ type Config struct {
 	// DiscardData drops write payloads (reads return zeroes). Used by
 	// large benchmarks where only timing and zone metadata matter.
 	DiscardData bool
-
-	// Fault-injection model (faults.go). FaultSeed seeds the dedicated
-	// fault RNG so injected campaigns replay bit-identically.
-	// ReadErrorRate is the per-sector probability that a read grows a
-	// latent (persistent) unreadable sector; BitRotRate is the
-	// per-sector probability of silent bit-rot applied when data
-	// reaches media. Both default to 0 (no spontaneous faults).
-	FaultSeed     int64
-	ReadErrorRate float64
-	BitRotRate    float64
 }
 
 // DefaultConfig returns a scaled-down model of the paper's WD Ultrastar DC
@@ -187,8 +177,6 @@ func (c *Config) validate() error {
 		return errors.New("zns: MaxOpenZones must be positive")
 	case c.WriteBandwidth <= 0 || c.ReadBandwidth <= 0:
 		return errors.New("zns: bandwidths must be positive")
-	case c.ReadErrorRate < 0 || c.ReadErrorRate > 1 || c.BitRotRate < 0 || c.BitRotRate > 1:
-		return errors.New("zns: fault rates must be in [0, 1]")
 	}
 	if c.MaxActiveZones == 0 {
 		c.MaxActiveZones = c.MaxOpenZones
@@ -262,10 +250,10 @@ type Device struct {
 	slowFactor float64 // injected service-time multiplier (faults.go); <=1 means none
 
 	// Fault injection (faults.go).
-	faultRNG         *rand.Rand     // seeded from cfg.FaultSeed, lazily built
+	faultRNG         *rand.Rand     // picks CorruptSector's bit, lazily built
 	latentErrs       map[int64]bool // absolute sectors with latent read errors
-	injectedReadErrs int64          // sectors marked latent (explicit + rate)
-	injectedRot      int64          // sectors hit by bit-rot (explicit + rate)
+	injectedReadErrs int64          // sectors marked latent
+	injectedRot      int64          // sectors hit by bit-rot
 	readMediumErrs   int64          // reads completed with ErrReadMedium
 
 	// Lifetime counters, for write-amplification accounting in tests
