@@ -148,8 +148,8 @@ func planZone(lt *layout, ev zoneEvidence) zonePlan {
 				// Data at and beyond the logs' coverage is lost with the
 				// device (§5.1); the prefix rule has already capped the
 				// write pointer there.
-				_, covered := ppExtent(lt, ev.pp, t.stripe, u)
 				t.img, t.reach = ppParity(lt, ev.pp, t.stripe, ev.sectorSize)
+				_, covered := ppExtent(lt, ev.pp, t.stripe, u, t.reach)
 				t.missing, t.recon = u, min(f, covered)
 			}
 		}
@@ -199,7 +199,8 @@ func planStripe(lt *layout, ev *zoneEvidence, p *zonePlan, s int64, present []in
 	// would leave unreadable sectors below the write pointer.
 	for u, f := range present {
 		if f < 0 {
-			ppEnd, covered := ppExtent(lt, ev.pp, s, u)
+			_, reach := ppParity(lt, ev.pp, s, ev.sectorSize)
+			ppEnd, covered := ppExtent(lt, ev.pp, s, u, reach)
 			f = clampI64(ppEnd-int64(u)*su, 0, su)
 			for _, later := range present[u+1:] {
 				if later > 0 {
@@ -218,36 +219,22 @@ func planStripe(lt *layout, ev *zoneEvidence, p *zonePlan, s int64, present []in
 
 // ppExtent returns the stripe-relative data fill stripe s's partial-parity
 // images imply (-1: none) and the prefix of intra-unit offsets [0,
-// covered) over which their parity rebuilds lost data unit u. An image of
-// [a, b) is the parity of the stripe's first b data sectors, so it holds
-// unit u's sector at offset i only when u·su + i < b: an image taken
-// before the unit was written rebuilds none of it. The logged engine's
-// log keeps every image since the last checkpoint, so the union of their
-// regions is a prefix; a zraid slot keeps only the newest image, whose
-// delta region alone may leave offset 0 bare.
-func ppExtent(lt *layout, pp []ppImage, s int64, u int) (end, covered int64) {
+// covered) over which their parity rebuilds lost data unit u. It reads
+// coverage off the image ppParity keeps at each offset, whose data end
+// reach holds: an image of [a, b) is the parity of the stripe's first b
+// data sectors, so it holds unit u's sector at offset i only when u·su +
+// i < b. An image taken before the unit was written rebuilds none of it,
+// and an older image's bytes left where a newer payload fell short count
+// only as far as that older image reached.
+func ppExtent(lt *layout, pp []ppImage, s int64, u int, reach []int64) (end, covered int64) {
 	end = -1
-	var regs []intraInterval
 	for _, r := range pp {
-		if r.stripe != s {
-			continue
-		}
-		end = max(end, r.b)
-		if r.b > r.a {
-			rs, n := lt.intraRegions(r.a, r.b)
-			for _, reg := range rs[:n] {
-				if reg.b = min(reg.b, r.b-int64(u)*lt.su); reg.b > reg.a {
-					regs = append(regs, reg)
-				}
-			}
+		if r.stripe == s {
+			end = max(end, r.b)
 		}
 	}
-	slices.SortFunc(regs, func(x, y intraInterval) int { return cmp.Compare(x.a, y.a) })
-	for _, reg := range regs {
-		if reg.a > covered {
-			break
-		}
-		covered = max(covered, reg.b)
+	for covered < lt.su && int64(u)*lt.su+covered < reach[covered] {
+		covered++
 	}
 	return end, covered
 }

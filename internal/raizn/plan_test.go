@@ -147,7 +147,10 @@ func TestPlanZone(t *testing.T) {
 			ppImage{stripe: 0, a: 4, b: 7, payload: []byte{5, 6}},
 			ppImage{stripe: 0, a: 0, b: 4, payload: []byte{1, 2, 3, 4}},
 			ppImage{stripe: 1, a: 0, b: 2, payload: []byte{7, 7}}),
-		want: zonePlan{wp: 7, tail: &tailPlan{stripe: 0, fill: 7, missing: 1, img: []byte{5, 6, 3, 4}, reach: []int64{7, 7, 4, 4}, recon: 3}},
+		// Offset 2 keeps the older image's byte, taken before unit 1's
+		// sector there (stripe sector 6 ≥ 4) was written: unit 1 counts to
+		// offset 2 only.
+		want: zonePlan{wp: 6, tail: &tailPlan{stripe: 0, fill: 6, missing: 1, img: []byte{5, 6, 3, 4}, reach: []int64{7, 7, 4, 4}, recon: 2}},
 	}, {
 		name: "partial-parity images alone: the missing device wrote the zone's only data",
 		ev:   withPP(planEvidence(-1, 0, 0, 0, 0), ppImage{stripe: 0, a: 0, b: 2, payload: []byte{1, 2}}, ppImage{stripe: 0, a: 2, b: 3, payload: []byte{3}}),
