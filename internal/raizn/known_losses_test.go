@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 
+	"raizn/internal/obs"
 	"raizn/internal/vclock"
 	"raizn/internal/zns"
 )
@@ -103,6 +105,48 @@ var knownLosses = []struct {
 			}
 		}
 		return mountLoss(c, env, devs, victim, int(lba))
+	}},
+	// 2(b): the metadata-GC rig's zones 0-2 each hold an open stripe whose
+	// partial parity logs to one device. FUA-write 8 sectors round-robin
+	// over them until that log has under 18 sectors of room, then 8 more
+	// into zone 0 until a roll-over starts, capturing at every
+	// raizn.mdgc.* crossing; mount each capture's all and flushed variant
+	// without the device of zone 0's open stripe's first unit. A write's
+	// data can reach media before its image does. Its row is the first
+	// mount that reads back wrong, or else the last.
+	{"2b", []string{"EngineLogged"}, func(t *testing.T, c *vclock.Clock, env fuaEnv, _ []*zns.Device, _ *Volume) lossOutcome {
+		r := newMDGCRig(t, c, env.dev, env.cfg)
+		v := r.v
+		for i := 0; mdZoneRoom(r.devs[r.pdev], v.md[r.pdev].active[mdParity]) >= 18; i++ {
+			r.write(i%3, 8)
+		}
+		acked := int(r.acked[0])
+		var mu sync.Mutex
+		var cuts []*crashCapture
+		v.AttachHook(func(p obs.HookPoint) {
+			mu.Lock()
+			defer mu.Unlock()
+			if strings.HasPrefix(p.Name, "raizn.mdgc.") {
+				cuts = append(cuts, captureCrash(r.devs, len(cuts)))
+			}
+		})
+		for v.Stats().MetadataGCs == 0 {
+			r.write(0, 8)
+		}
+		if err := v.Unmount(); err != nil { // lets the reclaims finish
+			t.Fatal(err)
+		}
+		omit := v.lt.dataDev(0, 5, 0)
+		var o lossOutcome
+		for _, cc := range cuts {
+			for _, variant := range cc.variants() {
+				variant.clk.Run(func() { o = mountLoss(variant.clk, env, variant.devs, omit, acked) })
+				if !o.match {
+					return o
+				}
+			}
+		}
+		return o
 	}},
 	// 13: a flushed stripe; one sector of unit 2 rots; unit 0's device
 	// fails; a degraded read of [0,16) rebuilds unit 0 from the rot.

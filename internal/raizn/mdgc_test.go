@@ -757,13 +757,12 @@ func TestRollOverIsArrayWide(t *testing.T) {
 // the resets only the checkpoints carry). Every acknowledged sector must
 // read back.
 //
-// The roll-over is set off by a bare log append, with no write in flight:
-// a write whose data sub-IOs reach media before its partial-parity record
-// does, cut there and mounted without a device of that stripe, reads the
-// stripe's acknowledged sectors back wrong at the parent too (the lost unit
-// is rebuilt from images that do not cover the new data) — ROADMAP item 2
-// lists it; TestCrashInMetadataRollOverWindow covers the write-triggered
-// roll-over on whole arrays.
+// The roll-over is set off by a bare log append, with no write in flight.
+// The write-triggered roll-over, where a write's data sub-IOs can reach
+// media before its partial-parity record does, is TestKnownLosses' 2b
+// repro, mounted without a device of the stripe; it reads back right since
+// an image rebuilds a lost unit only where it was taken after that unit was
+// written. TestCrashInMetadataRollOverWindow covers it on whole arrays.
 func TestCrashBetweenSiblingRolls(t *testing.T) {
 	type cut struct {
 		name string
