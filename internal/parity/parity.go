@@ -1,6 +1,15 @@
 // Package parity implements the XOR erasure coding used by RAID-5-style
 // arrays: encoding a parity unit over D data units and reconstructing any
-// single missing unit from the survivors.
+// single missing unit from the survivors, and the CRC32-C every stripe
+// unit, checksum row and zraid slot is checked by.
+//
+// Every CRC32-C the data path takes goes through one kernel family: on
+// amd64 CPUs with AVX512F, AVX512VL, VPCLMULQDQ and SSE4.2 (and an OS
+// that saves the ZMM state), carry-less-multiply folding over ZMM
+// registers (crc_amd64.s), one stream in UpdateCRC and four sources
+// beside their XOR in XORCRCInto. Elsewhere, and in race and purego
+// builds, UpdateCRC is hash/crc32 and XORCRCInto's four sources take the
+// SSE4.2 CRC32Q kernel or the Go path; the bytes and CRCs are the same.
 package parity
 
 import (
@@ -75,6 +84,27 @@ func Reconstruct(survivors ...[]byte) []byte {
 	return Encode(survivors...)
 }
 
+// Castagnoli is the CRC32-C table: pass it to XORCRCInto and XORCRC for
+// the checksums UpdateCRC computes, and their kernels run.
+var Castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// UpdateCRC returns crc continued over p under CRC32-C, with
+// crc32.Update's convention: UpdateCRC(0, p) is p's checksum. The
+// VPCLMULQDQ kernel takes p's whole 256-byte steps where the CPU has it;
+// hash/crc32 takes the rest.
+func UpdateCRC(crc uint32, p []byte) uint32 {
+	crc, n := crcKernel(crc, p)
+	return crc32.Update(crc, Castagnoli, p[n:])
+}
+
+// updateCRC is crc32.Update, through UpdateCRC's kernel under Castagnoli.
+func updateCRC(crc uint32, tab *crc32.Table, p []byte) uint32 {
+	if tab == Castagnoli {
+		return UpdateCRC(crc, p)
+	}
+	return crc32.Update(crc, tab, p)
+}
+
 // fuseBlock is the chunk size of the fused XOR+CRC Go path: small enough
 // that one chunk of every unit plus the parity chunk stays cache-hot
 // between the CRC update and the XOR over the same bytes.
@@ -90,10 +120,11 @@ const fuseBlock = 4096
 // instead of read back. All slices must have dst's length; dst may be
 // exactly srcs[0].
 //
-// On amd64 with SSE4.2 and the Castagnoli table, an assembly kernel
-// (xorCRCKernel) takes the first four sources over every whole 8-byte
-// word; their tail under 8 bytes, and every other source, go through
-// foldRange.
+// Under the Castagnoli table a four-source kernel (xorCRCKernel) takes the
+// first four sources: on VPCLMULQDQ CPUs over every whole 256-byte step
+// (xorCRC4Vec), otherwise, with SSE4.2, over every whole 8-byte word
+// (xorCRC4). Their tail, and every other source, go through foldRange,
+// whose CRCs are UpdateCRC's.
 func XORCRCInto(dst []byte, srcs [][]byte, crcs []uint32, tab *crc32.Table) {
 	if len(crcs) != len(srcs)+1 {
 		panic(fmt.Sprintf("parity: %d crc slots for %d sources", len(crcs), len(srcs)))
@@ -115,7 +146,7 @@ func foldRange(dst []byte, srcs [][]byte, crcs []uint32, tab *crc32.Table, lo in
 	for ; lo < len(dst); lo += fuseBlock {
 		hi := min(lo+fuseBlock, len(dst))
 		for i, s := range srcs {
-			crcs[i] = crc32.Update(crcs[i], tab, s[lo:hi])
+			crcs[i] = updateCRC(crcs[i], tab, s[lo:hi])
 		}
 		if !acc {
 			encodeRange(dst, srcs, lo, hi)

@@ -141,12 +141,19 @@ func benchUnits(n int) [][]byte {
 // counted are the D units the fused pass reads, and the only bytes it
 // checksums; the parity's CRC is derived from theirs. D = 4 is the 4+1
 // stripe of the benchmark's arrays, D = 5 the five images scrub verifies
-// (the kernel's four and one source on the Go path), and D = 3 a stripe
-// too narrow for the kernel, all on the Go path.
+// (the four-source kernel and one source on the Go path), and D = 3 a
+// stripe too narrow for it, all on the Go path. Each runs on the CPU's
+// kernel and on the fallback (vector=false).
 func BenchmarkXORCRCInto(b *testing.B) {
 	tab := crc32.MakeTable(crc32.Castagnoli)
-	for _, d := range []int{3, 4, 5} {
-		b.Run(fmt.Sprintf("D=%d", d), func(b *testing.B) {
+	for _, c := range []struct {
+		d   int
+		vec bool
+	}{{3, vector}, {4, vector}, {5, vector}, {3, false}, {4, false}, {5, false}} {
+		b.Run(fmt.Sprintf("D=%d/vector=%t", c.d, c.vec), func(b *testing.B) {
+			defer func(v bool) { vector = v }(vector)
+			vector = c.vec
+			d := c.d
 			srcs := benchUnits(d)
 			dst := make([]byte, 64<<10)
 			crcs := make([]uint32, d+1)
@@ -334,14 +341,19 @@ func checkXORCRCInto(t *testing.T, tab *crc32.Table, units [][]byte, l int, alia
 	}
 }
 
-// TestXORCRCIntoMatchesBytewiseReference covers the kernel's whole input
-// space against the bytewise references: D = 0…9 (below the kernel's four
-// sources, and every count beyond them), lengths around the 8-byte word
-// and the 4 KiB block, source offsets 0–7, dst apart and dst == srcs[0],
-// and the IEEE table (always the Go path) beside Castagnoli.
+// TestXORCRCIntoMatchesBytewiseReference covers the kernels' whole input
+// space against the bytewise references, on both kernels: D = 0…9 (below
+// the four-source kernel, and every count beyond it), lengths around the
+// 8-byte word, the 256-byte vector step and the 4 KiB block, source
+// offsets 0–7, dst apart and dst == srcs[0], and the IEEE table (always
+// the Go path) beside Castagnoli.
 func TestXORCRCIntoMatchesBytewiseReference(t *testing.T) {
+	withKernels(t, testXORCRCIntoMatchesBytewiseReference)
+}
+
+func testXORCRCIntoMatchesBytewiseReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
-	lens := append(append([]int(nil), diffLens...), 8191, 8192, 8193) // diffLens has 64 KiB
+	lens := append(append([]int(nil), diffLens...), 255, 256, 257, 4104, 8191, 8192, 8193) // diffLens has 64 KiB
 	for _, tab := range []*crc32.Table{crc32.MakeTable(crc32.Castagnoli), crc32.IEEETable} {
 		for _, l := range lens {
 			for d := 0; d <= 9; d++ {
@@ -361,7 +373,8 @@ func TestXORCRCIntoMatchesBytewiseReference(t *testing.T) {
 	}
 }
 
-// FuzzXORCRCInto decodes a stripe from the fuzzer's bytes: data[0] gives
+// FuzzXORCRCInto decodes a stripe from the fuzzer's bytes, and checks it
+// on both kernels: data[0] gives
 // D (0…9), data[1] the flags (bit 0: dst == srcs[0]; bit 1: IEEE table;
 // bit 2: the length's bit 16), data[2:4] the length's low 16 bits (the
 // length is capped at 64 KiB + 15), data[4:12] each source's
@@ -384,6 +397,8 @@ func FuzzXORCRCInto(f *testing.F) {
 			offs[i] = int(hdr[4+i] & 7)
 		}
 		seed := int64(crc32.ChecksumIEEE(data))
-		checkXORCRCInto(t, tab, offsetSlices(rand.New(rand.NewSource(seed)), d, l, offs), l, alias)
+		withKernels(t, func(t *testing.T) {
+			checkXORCRCInto(t, tab, offsetSlices(rand.New(rand.NewSource(seed)), d, l, offs), l, alias)
+		})
 	})
 }

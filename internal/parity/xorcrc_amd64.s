@@ -58,12 +58,20 @@ loop:
 	MOVL R13, 12(R11)
 	RET
 
-// func hasSSE42() bool
-TEXT ·hasSSE42(SB), NOSPLIT, $0-1
-	MOVL  $1, AX
-	XORL  CX, CX
+// func cpuid(leaf, sub uint32) (a, b, c, d uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL leaf+0(FP), AX
+	MOVL sub+4(FP), CX
 	CPUID
-	SHRL  $20, CX
-	ANDL  $1, CX
-	MOVB  CX, ret+0(FP)
+	MOVL AX, a+8(FP)
+	MOVL BX, b+12(FP)
+	MOVL CX, c+16(FP)
+	MOVL DX, d+20(FP)
+	RET
+
+// func xgetbv() uint32
+TEXT ·xgetbv(SB), NOSPLIT, $0-4
+	XORL CX, CX
+	XGETBV
+	MOVL AX, ret+0(FP)
 	RET

@@ -30,8 +30,8 @@ func encodeSlotRef(ss int, stride int64, rec Record, seq uint64, pad bool) []byt
 	binary.LittleEndian.PutUint64(buf[40:48], rec.Gen)
 	binary.LittleEndian.PutUint64(buf[48:56], seq)
 	copy(buf[ss:], rec.Payload)
-	crc := crc32.Update(0, crcTable, buf[8:slotHdrSize])
-	crc = crc32.Update(crc, crcTable, buf[ss:ss+payLen*ss])
+	crc := crc32.Update(0, crc32.MakeTable(crc32.Castagnoli), buf[8:slotHdrSize])
+	crc = crc32.Update(crc, crc32.MakeTable(crc32.Castagnoli), buf[ss:ss+payLen*ss])
 	binary.LittleEndian.PutUint32(buf[4:8], crc)
 	return buf
 }

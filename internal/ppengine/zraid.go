@@ -4,10 +4,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"sync"
 
 	"raizn/internal/obs"
+	"raizn/internal/parity"
 	"raizn/internal/vclock"
 	"raizn/internal/zns"
 )
@@ -220,8 +220,8 @@ func (e *SlotTable) encodeSlotLocked(a Append, seq uint64, pad bool) []byte {
 	// Only the first slotHdrSize bytes of the header sector are used: the
 	// rest of it is zero, whatever the caller's frame held there.
 	clear(hdr[slotHdrSize:])
-	crc := crc32.Update(0, crcTable, hdr[8:slotHdrSize])
-	crc = crc32.Update(crc, crcTable, a.Frame[ss:])
+	crc := parity.UpdateCRC(0, hdr[8:slotHdrSize])
+	crc = parity.UpdateCRC(crc, a.Frame[ss:])
 	binary.LittleEndian.PutUint32(hdr[4:8], crc)
 	if !pad {
 		return a.Frame
@@ -230,8 +230,6 @@ func (e *SlotTable) encodeSlotLocked(a Append, seq uint64, pad bool) []byte {
 	clear(e.buf[n:])
 	return e.buf
 }
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // decodeSlot parses and validates one slot read back from a PP zone. The
 // record's payload aliases buf.
@@ -246,8 +244,8 @@ func decodeSlot(buf []byte, ss int, su int64) (rec Record, seq uint64, ok bool) 
 	if int64(len(buf)) < int64(ss)+payLen*int64(ss) {
 		return Record{}, 0, false
 	}
-	crc := crc32.Update(0, crcTable, buf[8:slotHdrSize])
-	crc = crc32.Update(crc, crcTable, buf[ss:int64(ss)+payLen*int64(ss)])
+	crc := parity.UpdateCRC(0, buf[8:slotHdrSize])
+	crc = parity.UpdateCRC(crc, buf[ss:int64(ss)+payLen*int64(ss)])
 	if crc != binary.LittleEndian.Uint32(buf[4:8]) {
 		return Record{}, 0, false
 	}

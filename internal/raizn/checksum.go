@@ -2,7 +2,8 @@ package raizn
 
 import (
 	"encoding/binary"
-	"hash/crc32"
+
+	"raizn/internal/parity"
 )
 
 // Stripe-unit checksums make silent bit-rot *detectable*: parity alone
@@ -31,8 +32,6 @@ import (
 //     below the recovered write pointer, where each zone's cursor starts.
 //   - A zone reset clears its table entries and its cursor; the
 //     generation bump invalidates any stale records still in the logs.
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // recChecksums inline payload: zone(4) firstStripe(4) count(4) then
 // count * n CRC32 values. The record is inline-only (no payload
@@ -332,4 +331,4 @@ func (v *Volume) checkRebuilt(z int, s int64, u int, a, b int64, dst []byte) err
 }
 
 // crcOf returns the CRC32-C of a stripe-unit image.
-func crcOf(b []byte) uint32 { return crc32.Checksum(b, crcTable) }
+func crcOf(b []byte) uint32 { return parity.UpdateCRC(0, b) }

@@ -168,7 +168,7 @@ func (v *Volume) verifyStripeImages(z int, s int64, gen uint64, imgs [][]byte, c
 	// per-unit CRCs serve both mismatch attribution and adoption.
 	acc := make([]byte, len(imgs[0]))
 	obsCRC := make([]uint32, len(imgs)+1)
-	parity.XORCRCInto(acc, imgs, obsCRC, crcTable)
+	parity.XORCRCInto(acc, imgs, obsCRC, parity.Castagnoli)
 	xorOK := allZero(acc)
 	if crcs == nil {
 		if xorOK {

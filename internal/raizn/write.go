@@ -2,7 +2,6 @@ package raizn
 
 import (
 	"errors"
-	"hash/crc32"
 	"sync/atomic"
 
 	"raizn/internal/obs"
@@ -524,7 +523,7 @@ func (v *Volume) computeWrite(ws *writeState) {
 			// states are pooled only once every command has completed).
 			ws.images[i], t.buf.par = t.buf.par, out
 			out = ws.images[i]
-			row = append(append(row, t.buf.crcs...), parity.XORCRC(t.buf.crcs, int(suBytes), crcTable))
+			row = append(append(row, t.buf.crcs...), parity.XORCRC(t.buf.crcs, int(suBytes), parity.Castagnoli))
 		} else {
 			// Completed stripe from the caller's data, one fused pass
 			// (parity.XORCRCInto): XOR the D units into the parity image
@@ -538,7 +537,7 @@ func (v *Volume) computeWrite(ws *writeState) {
 			for u := 0; u <= v.lt.d; u++ {
 				row = append(row, 0)
 			}
-			parity.XORCRCInto(out, srcs, row, crcTable)
+			parity.XORCRCInto(out, srcs, row, parity.Castagnoli)
 		}
 		ws.plan[t.planIdx].data = out
 		ws.crcs = row
@@ -975,7 +974,7 @@ func (v *Volume) foldLocked(buf *stripeBuffer, chunk []byte) {
 		} else {
 			parity.XORInto(dst, piece)
 		}
-		buf.crcs[u] = crc32.Update(buf.crcs[u], crcTable, piece)
+		buf.crcs[u] = parity.UpdateCRC(buf.crcs[u], piece)
 		buf.fill += n
 		chunk = chunk[n*ss:]
 	}
@@ -1158,19 +1157,4 @@ func (v *Volume) SubmitFlush() *vclock.Future {
 		result.Complete(err)
 	})
 	return result
-}
-
-// PersistenceBitmap returns the persistence bitmap of zone z: one bit per
-// stripe unit, set when that unit's written data is known durable (§5.3).
-func (v *Volume) PersistenceBitmap(z int) []uint64 {
-	lz := v.zones[z]
-	lz.mu.Lock()
-	persisted := lz.persistedWP
-	lz.mu.Unlock()
-	nSU := v.lt.zoneSectors() / v.lt.su
-	bm := make([]uint64, (nSU+63)/64)
-	for su := int64(0); su < nSU && su*v.lt.su < persisted; su++ {
-		bm[su/64] |= 1 << (su % 64)
-	}
-	return bm
 }
