@@ -168,16 +168,16 @@ var knownLosses = []struct {
 
 // moDegradedLosses mounts every crash image of TestMountOutcomesGolden on
 // env, whole and without each device, and renders as one row how many
-// zones of the degraded mounts read back wrong bytes with a nil error. A
-// whole mount must read every zone back right, and so must every mount of
-// an "all" capture, which keeps every submitted sector.
+// zones of the degraded mounts read back wrong bytes with a nil error.
+// Every mount must read every zone back right: the count is 0, and a
+// wrong zone also fails the test by name.
 func moDegradedLosses(t *testing.T, env fuaEnv) string {
 	n := 0
 	for _, cc := range mountOutcomeCaptures(t, env) {
 		for _, variant := range cc.variants {
 			for missing := -1; missing < len(variant.devs); missing++ {
 				_, wrong := mountOutcome(t, env, variant.devs, missing)
-				if wrong > 0 && (missing < 0 || variant.name == "all") {
+				if wrong > 0 {
 					t.Errorf("%s k=%d %s missing dev %d: %d zones read back wrong", env.name, cc.k, variant.name, missing, wrong)
 				}
 				n += wrong

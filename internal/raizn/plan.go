@@ -47,9 +47,10 @@ type stripeRepair struct {
 type tailPlan struct {
 	stripe, fill int64
 	missing      int     // data unit with data on the missing device, or -1
+	parity       int64   // sectors of unit missing the parity on media rebuilds
 	img          []byte  // parity image of the stripe's partial-parity logs
 	reach        []int64 // per intra offset: the data end b of the image img holds there
-	recon        int64   // sectors of unit missing the image rebuilds
+	recon        int64   // sectors of unit missing the image rebuilds, where parity does not
 }
 
 // zonePlan is what planZone decides for one zone.
@@ -94,7 +95,10 @@ func planZone(lt *layout, ev zoneEvidence) zonePlan {
 	for _, r := range ev.pp {
 		smax = max(smax, r.stripe+1)
 	}
+	// The last stripe walked is the tail stripe, if there is one: present
+	// and q are its evidence when the walk ends.
 	present := make([]int64, lt.d) // data sectors per unit, -1 on the missing device
+	q := int64(-1)                 // parity sectors present, -1 on the missing device
 	for s := int64(0); s < smax; s++ {
 		for u := range present {
 			present[u] = -1
@@ -102,7 +106,7 @@ func planZone(lt *layout, ev zoneEvidence) zonePlan {
 				present[u] = clampI64(f-s*su, 0, su)
 			}
 		}
-		q := int64(-1) // parity sectors present, -1 on the missing device
+		q = -1
 		if f := ev.fills[lt.parityDev(ev.zone, s)]; f >= 0 {
 			q = clampI64(f-s*su, 0, su)
 		}
@@ -114,7 +118,8 @@ func planZone(lt *layout, ev zoneEvidence) zonePlan {
 				pl = int64(len(r.payload)) / ev.sectorSize
 			}
 		}
-		g := planStripe(lt, &ev, &p, s, present, max(q, pl), degraded)
+		q = max(q, pl)
+		g := planStripe(lt, &ev, &p, s, present, q, degraded)
 		p.wp += g
 		if g < stripeSec {
 			break // a short stripe ends the logical prefix
@@ -145,12 +150,14 @@ func planZone(lt *layout, ev zoneEvidence) zonePlan {
 		t := &tailPlan{stripe: p.wp / stripeSec, fill: tail, missing: -1}
 		for u, f := range lt.unitFills(tail) {
 			if f > 0 && ev.fills[lt.dataDev(ev.zone, t.stripe, u)] < 0 {
-				// Data at and beyond the logs' coverage is lost with the
-				// device (§5.1); the prefix rule has already capped the
-				// write pointer there.
+				// The unit is rebuilt from parity on media where that
+				// reaches, from the logs' image past it; data beyond both
+				// is lost with the device (§5.1), and the prefix rule has
+				// already capped the write pointer there.
 				t.img, t.reach = ppParity(lt, ev.pp, t.stripe, ev.sectorSize)
 				_, covered := ppExtent(lt, ev.pp, t.stripe, u, t.reach)
-				t.missing, t.recon = u, min(f, covered)
+				t.missing, t.parity = u, min(f, parityExtent(lt, &ev, t.stripe, present, q, u))
+				t.recon = min(f, covered)
 			}
 		}
 		p.tail = t
@@ -195,8 +202,9 @@ func planStripe(lt *layout, ev *zoneEvidence, p *zonePlan, s int64, present []in
 	// The contiguous data prefix. A missing device's unit counts as far as
 	// later evidence shows it was written (data in a later unit, the
 	// partial-parity logs), capped by what parity can rebuild: the media
-	// parity prefix or the logs' coverage of that unit. Counting more
-	// would leave unreadable sectors below the write pointer.
+	// parity where every survivor holds its offsets (parityExtent) or the
+	// logs' coverage of that unit. Counting more would leave unreadable
+	// sectors below the write pointer.
 	for u, f := range present {
 		if f < 0 {
 			_, reach := ppParity(lt, ev.pp, s, ev.sectorSize)
@@ -207,7 +215,7 @@ func planStripe(lt *layout, ev *zoneEvidence, p *zonePlan, s int64, present []in
 					f = su
 				}
 			}
-			f = min(f, max(q, covered))
+			f = min(f, max(parityExtent(lt, ev, s, present, q, u), covered))
 		}
 		g += f
 		if f < su {
@@ -215,6 +223,22 @@ func planStripe(lt *layout, ev *zoneEvidence, p *zonePlan, s int64, present []in
 		}
 	}
 	return g
+}
+
+// parityExtent returns the prefix of intra offsets [0, n) over which
+// stripe s's parity on media, q sectors of it, rebuilds lost data unit u.
+// Parity on media is a complete stripe's, so it holds every data unit: it
+// rebuilds offset i only where every surviving unit holds offset i. The
+// exception is a finished device's short unit, a sealed tail FinishZone's
+// prefix parity never held, which caps nothing.
+func parityExtent(lt *layout, ev *zoneEvidence, s int64, present []int64, q int64, u int) int64 {
+	n := max(q, 0)
+	for u2, f := range present {
+		if u2 != u && !ev.finished[lt.dataDev(ev.zone, s, u2)] {
+			n = min(n, f)
+		}
+	}
+	return n
 }
 
 // ppExtent returns the stripe-relative data fill stripe s's partial-parity

@@ -114,15 +114,32 @@ func TestPlanZone(t *testing.T) {
 		ev:   planEvidence(4, 4, 4, -1, 2),
 		want: zonePlan{wp: 12, remapped: true, tail: &tailPlan{stripe: 0, fill: 12, missing: -1}},
 	}, {
+		// Full parity holds unit 2's torn offsets 1–3 too: it rebuilds
+		// unit 1 at offset 0 only, where unit 2 holds its sector.
 		name: "missing unit beside a short unit under full parity",
 		ev:   planEvidence(4, -1, 1, 4, 4),
-		want: zonePlan{wp: 9, remapped: true, tail: &tailPlan{stripe: 0, fill: 9, missing: 1, img: make([]byte, 4), reach: make([]int64, 4)}},
+		want: zonePlan{wp: 5, remapped: true, tail: &tailPlan{stripe: 0, fill: 5, missing: 1, parity: 1, img: make([]byte, 4), reach: make([]int64, 4)}},
+	}, {
+		// TestMountOutcomesGolden's "k=0 seeded -dev0" zone 0 (fills - 10
+		// 32 43 57 of 16-sector units): stripe 0's parity is on media and
+		// unit 1 is torn at offset 10. Unit 0 was counted whole to WP 26
+		// and rebuilt from its (empty) image; parity rebuilds it to
+		// offset 10, and the tail takes it from there.
+		name: "missing unit under full parity beside a torn survivor: parity rebuilds the survivors' common prefix",
+		ev:   planEvidence(-1, 2, 8, 11, 14),
+		want: zonePlan{wp: 2, remapped: true, tail: &tailPlan{stripe: 0, fill: 2, missing: 0, parity: 2, img: make([]byte, 4), reach: make([]int64, 4)}},
+	}, {
+		// FinishZone's prefix parity holds each unit only as far as it was
+		// written: the finished survivors' short units cap nothing.
+		name: "missing unit under a finished zone's prefix parity",
+		ev:   finished(planEvidence(-1, 2, 0, 0, 4)),
+		want: zonePlan{wp: 6, full: true, remapped: true},
 	}, {
 		// DESIGN.md "Chaos harness", Findings (1): known-full peers do
 		// not make the missing unit readable past the parity prefix.
 		name: "missing unit capped by the media parity prefix",
 		ev:   planEvidence(4, -1, 4, 4, 1),
-		want: zonePlan{wp: 5, remapped: true, tail: &tailPlan{stripe: 0, fill: 5, missing: 1, img: make([]byte, 4), reach: make([]int64, 4)}},
+		want: zonePlan{wp: 5, remapped: true, tail: &tailPlan{stripe: 0, fill: 5, missing: 1, parity: 1, img: make([]byte, 4), reach: make([]int64, 4)}},
 	}, {
 		// The image of [0,2) was taken before unit 1 was written: it holds
 		// none of unit 1, so unit 1 counts nothing and unit 2's data is
@@ -138,9 +155,11 @@ func TestPlanZone(t *testing.T) {
 		ev:   withPP(planEvidence(-1, 8, 4, 4, 8), ppImage{stripe: 1, a: 0, b: 2, payload: []byte{1, 2}}),
 		want: zonePlan{wp: 20, remapped: true, tail: &tailPlan{stripe: 1, fill: 4, missing: -1}},
 	}, {
+		// The torn parity on media is a complete stripe's, and unit 3
+		// holds nothing of it: only the image rebuilds unit 1.
 		name: "partial-parity coverage shorter than the tail unit's fill",
 		ev:   withPP(planEvidence(4, -1, 2, 0, 3), ppImage{stripe: 0, a: 4, b: 5, payload: []byte{9}}),
-		want: zonePlan{wp: 7, remapped: true, tail: &tailPlan{stripe: 0, fill: 7, missing: 1, img: []byte{9, 0, 0, 0}, reach: []int64{5, 0, 0, 0}, recon: 1}},
+		want: zonePlan{wp: 5, remapped: true, tail: &tailPlan{stripe: 0, fill: 5, missing: 1, img: []byte{9, 0, 0, 0}, reach: []int64{5, 0, 0, 0}, recon: 1}},
 	}, {
 		name: "partial-parity payload shorter than its region, images replayed in offset order",
 		ev: withPP(planEvidence(4, -1, 0, 0, 0),

@@ -338,9 +338,10 @@ func (v *Volume) repairTail(z int, s int64, u int, from int64) error {
 
 // rebuildStripeBuffer reloads the partial tail stripe t into a stripe
 // buffer: present units are read from their devices, a missing device's
-// unit is the partial-parity image XOR the surviving units' sectors the
-// image holds (§5.1; those below its reach), and the units are folded into
-// the buffer in unit order.
+// unit is the stripe's parity on media XOR every other unit over the
+// offsets that parity rebuilds, and past them the partial-parity image
+// XOR the surviving units' sectors the image holds (§5.1; those below its
+// reach); the units are folded into the buffer in unit order.
 func (v *Volume) rebuildStripeBuffer(lz *logicalZone, t *tailPlan) error {
 	ss := int64(v.sectorSize)
 	buf, err := v.stripeBufferLocked(lz, t.stripe, 0) // single-threaded during mount
@@ -364,16 +365,41 @@ func (v *Volume) rebuildStripeBuffer(lz *logicalZone, t *tailPlan) error {
 	}
 	if m := t.missing; m >= 0 {
 		copy(units[m], t.img)
-		for i := int64(0); i < t.recon; i++ {
+		for i := t.parity; i < t.recon; i++ {
 			for u, f := range fills {
 				if u != m && i < f && int64(u)*v.lt.su+i < t.reach[i] {
 					parity.XORInto(units[m][i*ss:(i+1)*ss], units[u][i*ss:(i+1)*ss])
 				}
 			}
 		}
+		if err := v.rebuildFromParity(lz.idx, t.stripe, m, units[m][:t.parity*ss]); err != nil {
+			return err
+		}
 	}
 	for _, unit := range units {
 		v.foldLocked(buf, unit)
 	}
 	return nil
+}
+
+// rebuildFromParity sets dst to intra offsets [0, len(dst)) of data unit u
+// of stripe s, rebuilt from the parity on media and every other data unit,
+// all of which hold those offsets (parityExtent): the stripe's data past
+// the write pointer is read too.
+func (v *Volume) rebuildFromParity(z int, s int64, u int, dst []byte) error {
+	n := int64(len(dst)) / int64(v.sectorSize)
+	if n == 0 {
+		return nil
+	}
+	r := v.newReadJoin(nil, nil)
+	r.fills = r.fills[:0]
+	for range v.lt.d {
+		r.fills = append(r.fills, n)
+	}
+	if err := v.submitReconstruct(nil, z, s, u, 0, n, r.fills, dst, false, &r.xr, &r.subReads); err != nil {
+		return err
+	}
+	err := v.awaitReads(r.futs)
+	v.putReadJoin(r)
+	return err
 }
