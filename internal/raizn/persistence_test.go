@@ -540,3 +540,18 @@ func TestReadOnlyModeRejectsMutations(t *testing.T) {
 		}
 	})
 }
+
+// PersistenceBitmap returns the persistence bitmap of zone z: one bit per
+// stripe unit, set when that unit's written data is known durable (§5.3).
+func (v *Volume) PersistenceBitmap(z int) []uint64 {
+	lz := v.zones[z]
+	lz.mu.Lock()
+	persisted := lz.persistedWP
+	lz.mu.Unlock()
+	nSU := v.lt.zoneSectors() / v.lt.su
+	bm := make([]uint64, (nSU+63)/64)
+	for su := int64(0); su < nSU && su*v.lt.su < persisted; su++ {
+		bm[su/64] |= 1 << (su % 64)
+	}
+	return bm
+}

@@ -692,3 +692,20 @@ func TestFlushSnapshotsOnlyDirtyZones(t *testing.T) {
 		}
 	})
 }
+
+// SetZoneState force-sets a zone's failure state (read-only / offline) for
+// fault-injection tests. It is not part of the device's normal command
+// set.
+func (d *Device) SetZoneState(z int, s ZoneState) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	zo := &d.zones[z]
+	if zo.state == ZoneOpen {
+		d.nOpen--
+		d.nActive--
+	} else if zo.state == ZoneClosed {
+		d.nActive--
+	}
+	zo.state = s
+	d.jStateLocked(z)
+}
