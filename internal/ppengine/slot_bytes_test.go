@@ -11,9 +11,8 @@ import (
 )
 
 // encodeSlotRef is the slot encoder as it stood before slot writes were
-// encoded in the table's reused stride buffer: a fresh, zeroed buffer per
-// call. Kept as the reference the in-place encoder's device bytes are
-// compared against.
+// encoded in the caller's frame: a fresh, zeroed buffer per call. Kept as
+// the reference the in-place encoder's device bytes are compared against.
 func encodeSlotRef(ss int, stride int64, rec Record, seq uint64, pad bool) []byte {
 	payLen := (len(rec.Payload) + ss - 1) / ss
 	size := (1 + payLen) * ss

@@ -81,7 +81,7 @@ type SlotTable struct {
 	mu   sync.Mutex
 	devs []zrDev
 	seq  uint64
-	buf  []byte // one stride: a fresh slot's padded write is built here, under mu
+	pad  []byte // zeroes, never written: a fresh slot's padding to the stride
 
 	volatileBytes  int64
 	permanentBytes int64
@@ -102,7 +102,7 @@ func NewSlotTable(cfg SlotConfig) (*SlotTable, error) {
 		stride: stride,
 		width:  int(min(cfg.ZRWASectors, cfg.ZoneCap) / stride),
 		devs:   make([]zrDev, cfg.NumDevices),
-		buf:    make([]byte, stride*int64(cfg.SectorSize)),
+		pad:    make([]byte, cfg.SU*int64(cfg.SectorSize)),
 	}, nil
 }
 
@@ -178,35 +178,35 @@ func (e *SlotTable) Persist(a Append, whole bool) (fut *vclock.Future, pba, n in
 }
 
 // writeSlotLocked encodes and submits one slot write at slot i through the
-// ZRWA — the whole stride when the slot is fresh, header plus image when it
-// overwrites one in place, which supersedes that many bytes inside the
-// window. It returns the write's completion, the device sector it starts
-// at and its length in sectors. Caller holds e.mu; the write is
-// asynchronous.
+// ZRWA — the whole stride when the slot is fresh (the frame, then zeroes
+// from the table's pad), header plus image when it overwrites one in place,
+// which supersedes that many bytes inside the window. It returns the
+// write's completion, the device sector it starts at and its length in
+// sectors. A ZRWA write copies its payload at submit, so the frame is the
+// caller's again at return. Caller holds e.mu; the write is asynchronous.
 func (e *SlotTable) writeSlotLocked(d *zns.Device, a Append, i int, fresh bool) (*vclock.Future, int64, int64) {
 	ss := int64(e.cfg.SectorSize)
 	e.seq++
-	buf := e.encodeSlotLocked(a, e.seq, fresh)
+	e.encodeSlotLocked(a, e.seq)
+	segs, nseg, size := [2][]byte{a.Frame}, 1, int64(len(a.Frame))
 	if !fresh {
-		e.volatileBytes += int64(len(buf))
+		e.volatileBytes += size
+	} else if size < e.stride*ss {
+		segs[1], nseg, size = e.pad[:e.stride*ss-size], 2, e.stride*ss
 	}
 	pba := d.ZoneStart(e.cfg.PPZone) + int64(i)*e.stride
 	var child *obs.Span
 	if a.Span != nil {
-		child = a.Span.Child(obs.OpDevWrite, a.Dev, pba, int64(len(buf)))
+		child = a.Span.Child(obs.OpDevWrite, a.Dev, pba, size)
 	}
-	fut := d.WriteZRWASpan(child, a.Fut, pba, buf, zns.Flag(a.Flags))
-	return fut, pba, int64(len(buf)) / ss
+	fut := d.WritevSpan(child, a.Fut, pba, segs[:nseg], zns.Flag(a.Flags)|zns.ZRWA)
+	return fut, pba, size / ss
 }
 
 // encodeSlotLocked writes the slot header (magic, CRC, key, range, gen,
-// seq) into the header sector of a's frame, whose image is whole sectors,
-// and returns the slot write's bytes: the frame as it stands for an
-// overwrite in place or, with pad, the frame copied into the table's
-// stride buffer and zero-padded to a full stripe unit. The stride buffer
-// is valid until the next call; WriteZRWA copies either at submit. Caller
-// holds e.mu.
-func (e *SlotTable) encodeSlotLocked(a Append, seq uint64, pad bool) []byte {
+// seq) into the header sector of a's frame, whose image is whole sectors.
+// Caller holds e.mu.
+func (e *SlotTable) encodeSlotLocked(a Append, seq uint64) {
 	ss := e.cfg.SectorSize
 	hdr := a.Frame[:ss]
 	binary.LittleEndian.PutUint32(hdr[0:4], slotMagic)
@@ -223,12 +223,6 @@ func (e *SlotTable) encodeSlotLocked(a Append, seq uint64, pad bool) []byte {
 	crc := parity.UpdateCRC(0, hdr[8:slotHdrSize])
 	crc = parity.UpdateCRC(crc, a.Frame[ss:])
 	binary.LittleEndian.PutUint32(hdr[4:8], crc)
-	if !pad {
-		return a.Frame
-	}
-	n := copy(e.buf, a.Frame)
-	clear(e.buf[n:])
-	return e.buf
 }
 
 // decodeSlot parses and validates one slot read back from a PP zone. The

@@ -29,7 +29,7 @@ import (
 // is made, copied or re-encoded per write again shows at once: one 4 KiB
 // image copy is twice the 2 KiB bound of the small rows (before the frames:
 // 13 989 B/op on 4K, 37 019 on 16K). The zraid rows cover that engine's
-// stride buffer and per-slot retained images the same way. The counts also
+// zero pad and per-slot retained images the same way. The counts also
 // hold completions to callbacks: a goroutine per device command or per
 // write is at least two allocations each.
 //

@@ -148,6 +148,41 @@ var knownLosses = []struct {
 		}
 		return o
 	}},
+	// 2(d): the metadata-GC rig's zone 0 holds an open stripe whose first
+	// 8 sectors were FUA-appended, their image logged on the parity
+	// device. A non-FUA write completes the stripe, so its full parity
+	// unit is submitted but not flushed, and the partial-parity log rolls
+	// over. Power is cut keeping every data device's submitted sectors and
+	// only the parity device's flushed prefix; mount without the device of
+	// the stripe's first unit. The parity unit was not durable and the
+	// checkpoint skipped the completed stripe, so its acked units have
+	// neither parity nor image (DESIGN.md, "Known exposure").
+	{"2d", []string{"EngineLogged"}, func(t *testing.T, c *vclock.Clock, env fuaEnv, _ []*zns.Device, _ *Volume) lossOutcome {
+		r := newMDGCRig(t, c, env.dev, env.cfg)
+		v := r.v
+		acked, ss := r.acked[0], v.lt.stripeSectors()
+		stripe := acked / ss
+		mustWriteV(t, v, acked, int(ss-acked%ss), 0)
+		r.acked[0] += ss - acked%ss
+		r.roll(mdParity)
+		for _, m := range v.md {
+			if err := m.quiesce(); err != nil { // lets the reclaim reset the old log
+				t.Fatal(err)
+			}
+		}
+		all := map[int]int64{}
+		for z := 0; z < r.devs[0].Config().NumZones; z++ {
+			all[z] = 1 << 62 // clamped to the zone's submitted wp
+		}
+		for i, d := range r.devs {
+			if i == r.pdev {
+				d.PowerLossAt(nil)
+			} else {
+				d.PowerLossAt(all)
+			}
+		}
+		return mountLoss(c, env, r.devs, v.lt.dataDev(0, stripe, 0), int(acked))
+	}},
 	// 13: a flushed stripe; one sector of unit 2 rots; unit 0's device
 	// fails; a degraded read of [0,16) rebuilds unit 0 from the rot.
 	{"13", []string{"EngineLogged", "EngineZRAID"}, func(t *testing.T, c *vclock.Clock, env fuaEnv, devs []*zns.Device, v *Volume) lossOutcome {

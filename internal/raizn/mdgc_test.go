@@ -87,6 +87,9 @@ func (r *mdgcRig) roll(kind mdKind) {
 			continue
 		}
 		z := i % 3
+		if r.v.lt.parityDev(z, r.acked[z]/r.v.lt.stripeSectors()) != r.pdev {
+			continue // its image would not go to pdev's log
+		}
 		if r.acked[z]%r.v.lt.stripeSectors() == r.v.lt.stripeSectors()-8 {
 			r.t.Fatalf("stripe of zone %d would complete before the log rolled", z)
 		}

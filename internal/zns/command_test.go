@@ -66,7 +66,7 @@ func TestDeviceCommandAllocGuard(t *testing.T) {
 				x.Seal()
 				return f
 			}},
-			{"WriteZRWA", func(f *vclock.Future) *vclock.Future { return d.WriteZRWASpan(nil, f, next(3, 1), data, 0) }},
+			{"ZRWAWrite", func(f *vclock.Future) *vclock.Future { return d.WriteSpan(nil, f, next(3, 1), data, ZRWA) }},
 		}
 		own := c.NewFuture()
 		for _, cmd := range cmds {

@@ -82,8 +82,8 @@ func TestPayloadOwnedUntilCompletion(t *testing.T) {
 }
 
 // TestPayloadCopiedAtSubmit states the rule the two write paths that still
-// copy at submit keep: WriteZRWA, because the zraid engine encodes every
-// slot write in one stride buffer it reuses at once, and the batched
+// copy at submit keep: a ZRWA write (the ZRWA flag on WriteSpan or
+// WritevSpan), which the zraid engine's slot writes are, and the batched
 // commands of PrepareBatch. Each case scribbles over its source the moment
 // the call returns, before the command has completed, and the device must
 // still hold the original bytes: read back, and again after a power cut
@@ -94,8 +94,12 @@ func TestPayloadCopiedAtSubmit(t *testing.T) {
 		name   string
 		submit func(d *Device, src []byte) *vclock.Future
 	}{
-		{"WriteZRWASpan", func(d *Device, src []byte) *vclock.Future {
-			return d.WriteZRWASpan(nil, nil, 0, src, 0)
+		{"ZRWAWriteSpan", func(d *Device, src []byte) *vclock.Future {
+			return d.WriteSpan(nil, nil, 0, src, ZRWA)
+		}},
+		{"ZRWAWritevSpan", func(d *Device, src []byte) *vclock.Future {
+			h := len(src) / 2
+			return d.WritevSpan(nil, nil, 0, [][]byte{src[:h], src[h:]}, ZRWA)
 		}},
 		{"SubmitBatch", func(d *Device, src []byte) *vclock.Future {
 			h := len(src) / 2

@@ -15,7 +15,7 @@ func extTestConfig() Config {
 
 func TestZRWADisabledByDefault(t *testing.T) {
 	run(t, testConfig(), func(c *vclock.Clock, d *Device) {
-		if err := d.WriteZRWA(0, pattern(testConfig(), 1, 1), 0).Wait(); err != ErrNoZRWA {
+		if err := d.Write(0, pattern(testConfig(), 1, 1), ZRWA).Wait(); err != ErrNoZRWA {
 			t.Errorf("error = %v, want ErrNoZRWA", err)
 		}
 	})
@@ -26,7 +26,7 @@ func TestZRWAOverwriteWithinWindow(t *testing.T) {
 	run(t, cfg, func(c *vclock.Clock, d *Device) {
 		mustWrite(t, d, 0, pattern(cfg, 6, 1), 0)
 		// Overwrite the last 4 sectors (inside the 8-sector window).
-		if err := d.WriteZRWA(2, pattern(cfg, 4, 9), 0).Wait(); err != nil {
+		if err := d.Write(2, pattern(cfg, 4, 9), ZRWA).Wait(); err != nil {
 			t.Fatal(err)
 		}
 		got := mustRead(t, d, 0, 6)
@@ -45,7 +45,7 @@ func TestZRWAExtendsWritePointer(t *testing.T) {
 	run(t, cfg, func(c *vclock.Clock, d *Device) {
 		mustWrite(t, d, 0, pattern(cfg, 4, 1), 0)
 		// Overwrite 2 and extend by 3.
-		if err := d.WriteZRWA(2, pattern(cfg, 5, 7), 0).Wait(); err != nil {
+		if err := d.Write(2, pattern(cfg, 5, 7), ZRWA).Wait(); err != nil {
 			t.Fatal(err)
 		}
 		if wp := d.Zone(0).WP; wp != 7 {
@@ -58,10 +58,10 @@ func TestZRWARejectsOutsideWindow(t *testing.T) {
 	cfg := extTestConfig() // window = 8
 	run(t, cfg, func(c *vclock.Clock, d *Device) {
 		mustWrite(t, d, 0, pattern(cfg, 12, 1), 0)
-		if err := d.WriteZRWA(2, pattern(cfg, 2, 9), 0).Wait(); err != ErrOutsideZRWA {
+		if err := d.Write(2, pattern(cfg, 2, 9), ZRWA).Wait(); err != ErrOutsideZRWA {
 			t.Errorf("below-window overwrite error = %v", err)
 		}
-		if err := d.WriteZRWA(13, pattern(cfg, 1, 9), 0).Wait(); err != ErrOutsideZRWA {
+		if err := d.Write(13, pattern(cfg, 1, 9), ZRWA).Wait(); err != ErrOutsideZRWA {
 			t.Errorf("gap write error = %v", err)
 		}
 	})
@@ -71,7 +71,7 @@ func TestZRWAFullZoneRejected(t *testing.T) {
 	cfg := extTestConfig()
 	run(t, cfg, func(c *vclock.Clock, d *Device) {
 		mustWrite(t, d, 0, pattern(cfg, int(cfg.ZoneCap), 1), 0)
-		if err := d.WriteZRWA(cfg.ZoneCap-2, pattern(cfg, 1, 9), 0).Wait(); err != ErrZoneFull {
+		if err := d.Write(cfg.ZoneCap-2, pattern(cfg, 1, 9), ZRWA).Wait(); err != ErrZoneFull {
 			t.Errorf("full-zone ZRWA error = %v", err)
 		}
 	})

@@ -185,7 +185,8 @@ func (d *Device) checkSpan(sector int64, nSectors int64) (z int, off int64, err 
 }
 
 // Write submits a sequential write of data at the absolute sector. The
-// write must start exactly at the zone's write pointer. Its state (write
+// write must start exactly at the zone's write pointer, or with the ZRWA
+// flag inside the zone's random write area (ext.go). Its state (write
 // pointer, durability bookkeeping) is applied at submit; the returned
 // future completes when the transfer is done. With Preflush, the device
 // cache is flushed first; with FUA, the write and all data before it in the
@@ -199,16 +200,17 @@ func (d *Device) checkSpan(sector int64, nSectors int64) (z int, off int64, err 
 // the block layer: the caller must not change it before, and has it back
 // once the future is done, whatever the outcome. The rule holds for Writev
 // (whose scatter list, but not the bytes it points at, is the caller's
-// again at return) and Append; WriteZRWA and the batched commands of
+// again at return) and Append; a ZRWA write and the batched commands of
 // PrepareBatch still copy at submit (TestPayloadOwnedUntilCompletion,
 // TestPayloadCopiedAtSubmit).
 //
 // Caller-owned completion: a command allocates nothing when the caller
 // supplies its future (the fut argument of every Span variant: WriteSpan,
-// WritevSpan, AppendSpan, ReadSpan, WriteZRWASpan, FlushSpan,
-// ResetZoneSpan, FinishZoneSpan). The device completes exactly that
-// future — with the submission error too, when it rejects the command —
-// and returns it; a nil fut makes the device allocate one.
+// WritevSpan, AppendSpan, ReadSpan, FlushSpan, ResetZoneSpan,
+// FinishZoneSpan; a ZRWA write is one of the first three). The device
+// completes exactly that future — with the submission error too, when it
+// rejects the command — and returns it; a nil fut makes the device
+// allocate one.
 func (d *Device) Write(sector int64, data []byte, flags Flag) *vclock.Future {
 	return d.WriteSpan(nil, nil, sector, data, flags)
 }
@@ -217,23 +219,7 @@ func (d *Device) Write(sector int64, data []byte, flags Flag) *vclock.Future {
 // future): the device marks the span's queue and media phases and ends it
 // when the command completes.
 func (d *Device) WriteSpan(sp *obs.Span, fut *vclock.Future, sector int64, data []byte, flags Flag) *vclock.Future {
-	if len(data) == 0 || len(data)%d.cfg.SectorSize != 0 {
-		return d.failSpan(sp, fut, ErrUnaligned)
-	}
-	nSectors := int64(len(data) / d.cfg.SectorSize)
-
-	d.mu.Lock()
-	fut, ref, err := d.writeLocked(sp, fut, sector, nSectors, data, nil, flags)
-	var hf func()
-	if err == nil {
-		hf = d.hookLocked("zns.cmd.write", d.ZoneOf(sector), sector)
-	}
-	d.mu.Unlock()
-	if err != nil {
-		return d.failSpan(sp, fut, err)
-	}
-	sendCopy(ref)
-	fire(hf)
+	_, fut = d.submitWrite(sp, fut, -1, sector, data, nil, flags)
 	return fut
 }
 
@@ -252,32 +238,10 @@ func (d *Device) Writev(sector int64, segs [][]byte, flags Flag) *vclock.Future 
 // WritevSpan is Writev with a tracing span, completing fut (nil: a new
 // future); the span additionally records the scatter-list segment count.
 func (d *Device) WritevSpan(sp *obs.Span, fut *vclock.Future, sector int64, segs [][]byte, flags Flag) *vclock.Future {
-	if len(segs) == 0 {
-		return d.failSpan(sp, fut, ErrUnaligned)
-	}
 	if len(segs) == 1 {
 		return d.WriteSpan(sp, fut, sector, segs[0], flags)
 	}
-	var nSectors int64
-	for _, s := range segs {
-		if len(s) == 0 || len(s)%d.cfg.SectorSize != 0 {
-			return d.failSpan(sp, fut, ErrUnaligned)
-		}
-		nSectors += int64(len(s) / d.cfg.SectorSize)
-	}
-
-	d.mu.Lock()
-	fut, ref, err := d.writeLocked(sp, fut, sector, nSectors, nil, segs, flags)
-	var hf func()
-	if err == nil {
-		hf = d.hookLocked("zns.cmd.write", d.ZoneOf(sector), sector)
-	}
-	d.mu.Unlock()
-	if err != nil {
-		return d.failSpan(sp, fut, err)
-	}
-	sendCopy(ref)
-	fire(hf)
+	_, fut = d.submitWrite(sp, fut, -1, sector, nil, segs, flags)
 	return fut
 }
 
@@ -294,41 +258,40 @@ func (d *Device) Append(z int, data []byte, flags Flag) (int64, *vclock.Future) 
 // AppendSpan is Append with a tracing span, completing fut (nil: a new
 // future).
 func (d *Device) AppendSpan(sp *obs.Span, fut *vclock.Future, z int, data []byte, flags Flag) (int64, *vclock.Future) {
-	if len(data) == 0 || len(data)%d.cfg.SectorSize != 0 {
-		return -1, d.failSpan(sp, fut, ErrUnaligned)
-	}
 	if z < 0 || z >= d.cfg.NumZones {
 		return -1, d.failSpan(sp, fut, ErrOutOfRange)
 	}
-	nSectors := int64(len(data) / d.cfg.SectorSize)
-
-	d.mu.Lock()
-	sector := d.ZoneStart(z) + d.zones[z].wp
-	fut, ref, err := d.writeLocked(sp, fut, sector, nSectors, data, nil, flags)
-	var hf func()
-	if err == nil {
-		hf = d.hookLocked("zns.cmd.append", z, sector)
-	}
-	d.mu.Unlock()
-	if err != nil {
-		return -1, d.failSpan(sp, fut, err)
-	}
-	sendCopy(ref)
-	fire(hf)
-	return sector, fut
+	return d.submitWrite(sp, fut, z, 0, data, nil, flags)
 }
 
-// writeLocked performs validation and state transition for Write, Writev
-// and Append, arms the payload's copy into zone memory on the command
-// record and schedules the completion of fut (nil: a new future). The
-// payload is either data (single segment) or segs (gathered); exactly one
-// is non-nil. The caller offers the returned job to the copier once it has
-// released the lock (sendCopy). On error fut is returned untouched. Caller
-// holds d.mu.
-func (d *Device) writeLocked(sp *obs.Span, fut *vclock.Future, sector, nSectors int64, data []byte, segs [][]byte, flags Flag) (*vclock.Future, copyRef, error) {
-	pio, dst, err := d.writeApplyLocked(sp, sector, nSectors, segs, flags)
+// submitWrite is every write command: at sector or, with z >= 0, appended
+// at zone z's write pointer. The payload is data, or segs gathered (nil for
+// one segment). writeApplyLocked applies it; its copy into zone memory is
+// armed on the command record and offered to the copier once the lock is
+// released, except a ZRWA write's, which is copied here at submit (ext.go).
+// Returns the sector written at (-1 on error) and fut (nil: a new future).
+func (d *Device) submitWrite(sp *obs.Span, fut *vclock.Future, z int, sector int64, data []byte, segs [][]byte, flags Flag) (int64, *vclock.Future) {
+	n, ss := len(data), d.cfg.SectorSize
+	ok := segs != nil || n%ss == 0
+	for _, s := range segs {
+		ok = ok && len(s) > 0 && len(s)%ss == 0
+		n += len(s)
+	}
+	if n == 0 || !ok {
+		return -1, d.failSpan(sp, fut, ErrUnaligned)
+	}
+	hook := "zns.cmd.write"
+	d.mu.Lock()
+	if z >= 0 {
+		sector, hook = d.ZoneStart(z)+d.zones[z].wp, "zns.cmd.append"
+	}
+	if flags&ZRWA != 0 {
+		hook = "zns.cmd.zrwa"
+	}
+	pio, dst, err := d.writeApplyLocked(sp, sector, int64(n/ss), segs, flags)
 	if err != nil {
-		return fut, copyRef{}, err
+		d.mu.Unlock()
+		return -1, d.failSpan(sp, fut, err)
 	}
 	c := d.commandLocked(sp, fut, pio)
 	var ref copyRef
@@ -338,20 +301,32 @@ func (d *Device) writeLocked(sp *obs.Span, fut *vclock.Future, sector, nSectors 
 		} else {
 			ref = c.cp.start(dst, true, segs...)
 		}
-		d.listCopyLocked(c, d.ZoneOf(sector), true)
+		if flags&ZRWA != 0 {
+			c.cp.finish()
+			ref = copyRef{}
+		} else {
+			d.listCopyLocked(c, d.ZoneOf(sector), true)
+		}
 	}
 	d.clk.AfterNotify(pio.at-d.clk.Now(), c)
-	return c.fut, ref, nil
+	hf := d.hookLocked(hook, d.ZoneOf(sector), sector)
+	d.mu.Unlock()
+	sendCopy(ref)
+	fire(hf)
+	return sector, c.fut
 }
 
 // writeApplyLocked is the submit half of a write: it validates the
 // command, applies write-pointer state and reserves the write pipe,
 // returning the pending completion and the zone bytes the payload goes to
-// (nil with DiscardData), which the caller fills: by a copy job
-// (writeLocked) or at once (PrepareBatch). segs is the gathered payload,
-// nil for a single segment; only its segment count is used. Caller holds
-// d.mu and is responsible for delivering the completion (schedule or a
-// batch walker).
+// (nil with DiscardData), which the caller fills: by a copy job or at once
+// (submitWrite, PrepareBatch). A write starts at the write pointer or,
+// with ZRWA, anywhere in the window [wp-ZRWASectors, wp]; an overwrite in
+// place first drains the zone's copies, and only the part past the write
+// pointer advances it and joins the unflushed extents. segs is the
+// gathered payload, nil for a single segment; only its segment count is
+// used. Caller holds d.mu and is responsible for delivering the
+// completion (schedule or a batch walker).
 func (d *Device) writeApplyLocked(sp *obs.Span, sector, nSectors int64, segs [][]byte, flags Flag) (pendingIO, []byte, error) {
 	if d.failed {
 		return pendingIO{}, nil, ErrDeviceFailed
@@ -367,8 +342,15 @@ func (d *Device) writeApplyLocked(sp *obs.Span, sector, nSectors int64, segs [][
 	case ZoneReadOnly, ZoneOffline:
 		return pendingIO{}, nil, ErrZoneUnavailable
 	}
-	if off != zo.wp {
-		return pendingIO{}, nil, ErrNotSequential
+	switch {
+	case flags&ZRWA == 0:
+		if off != zo.wp {
+			return pendingIO{}, nil, ErrNotSequential
+		}
+	case d.cfg.ZRWASectors <= 0:
+		return pendingIO{}, nil, ErrNoZRWA
+	case off < max(zo.wp-d.cfg.ZRWASectors, 0) || off > zo.wp:
+		return pendingIO{}, nil, ErrOutsideZRWA
 	}
 	if err := d.transitionToOpenLocked(z); err != nil {
 		return pendingIO{}, nil, err
@@ -382,31 +364,28 @@ func (d *Device) writeApplyLocked(sp *obs.Span, sector, nSectors int64, segs [][
 		flushSnap = d.snapshotWPsLocked()
 	}
 
-	// Advance the write pointer at submit time; zones are append-only, so
-	// from now until the zone is reset [off, off+n) holds this write's
+	// Advance the write pointer at submit time; from now until the zone is
+	// reset (or the ZRWA overwrites it) [off, end) holds this write's
 	// payload, once its copy lands (the drain rule, readcopy.go).
-	var dst []byte
 	end := off + nSectors
+	if off < zo.wp {
+		d.drainCopiesLocked(z) // an overwrite in place
+	}
+	var dst []byte
 	if !d.cfg.DiscardData {
 		ss := int64(d.cfg.SectorSize)
 		dst = d.zoneBufLocked(zo)[off*ss : end*ss]
 	}
-	zo.wp = end
-	zo.unflushed = append(zo.unflushed, extent{start: off, end: end})
+	if end > zo.wp {
+		zo.unflushed = append(zo.unflushed, extent{start: zo.wp, end: end})
+		zo.wp = end
+	}
+	zo.zrwa = zo.zrwa || flags&ZRWA != 0
 	d.finalizeFullLocked(z)
 	d.programLocked(z)
 	d.hostWriteBytes += nSectors * int64(d.cfg.SectorSize)
 	d.writeCmds++
-	if d.jrn.Enabled() {
-		var fb int64
-		if flags&FUA != 0 {
-			fb |= 1
-		}
-		if flags&Preflush != 0 {
-			fb |= 2
-		}
-		d.jrn.Record(obs.EvDevWrite, d.jslot, z, off, nSectors, end, fb)
-	}
+	d.jrn.Record(obs.EvDevWrite, d.jslot, z, off, nSectors, zo.wp, int64(flags&(FUA|Preflush)))
 
 	now := d.clk.Now()
 	occ := d.cfg.WriteOpOverhead + d.xferTime(int(nSectors)*d.cfg.SectorSize, d.cfg.WriteBandwidth)

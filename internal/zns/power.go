@@ -42,14 +42,7 @@ func (d *Device) PowerLoss(rng *rand.Rand) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.drainCopiesLocked(-1) // rewrites below the cut replace bytes copies may touch
-	for z := range d.zones {
-		cut := d.zones[z].pwp
-		if rng != nil {
-			cut = d.pickCutLocked(z, rng)
-		}
-		d.applyCutLocked(z, cut)
-	}
-	d.finishPowerCycleLocked()
+	d.powerCycleLocked(rng, nil)
 }
 
 // PowerLossAt simulates power loss with an exact survival point per zone:
@@ -61,69 +54,17 @@ func (d *Device) PowerLossAt(cuts map[int]int64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.drainCopiesLocked(-1)
-	for z := range d.zones {
-		cut := d.zones[z].pwp
-		if c, ok := cuts[z]; ok {
-			if c < d.zones[z].pwp {
-				c = d.zones[z].pwp
-			}
-			if c > d.zones[z].wp {
-				c = d.zones[z].wp
-			}
-			cut = c
-		}
-		d.applyCutLocked(z, cut)
-	}
-	d.finishPowerCycleLocked()
-}
-
-// pickCutLocked chooses a random survival point for zone z among the
-// valid candidates: the persisted prefix, the end of each unflushed
-// write, and atomic-granularity boundaries inside unflushed writes.
-func (d *Device) pickCutLocked(z int, rng *rand.Rand) int64 {
-	zo := &d.zones[z]
-	candidates := []int64{zo.pwp}
-	for _, e := range zo.unflushed {
-		for b := e.start + d.cfg.AtomicWriteSectors; b < e.end; b += d.cfg.AtomicWriteSectors {
-			candidates = append(candidates, b)
-		}
-		candidates = append(candidates, e.end)
-	}
-	return candidates[rng.Intn(len(candidates))]
-}
-
-// applyCutLocked discards all zone data at and beyond the cut point.
-// Pulling the write pointer back is the whole discard: the lost bytes stay
-// in the backing buffer, unreadable above the write pointer like any
-// recycled buffer's residue (zoneBufLocked), until later writes replace
-// them.
-func (d *Device) applyCutLocked(z int, cut int64) {
-	zo := &d.zones[z]
-	// A full zone's fullness is durable only if it became full on media;
-	// if the cut rolls back below capacity the zone is no longer full.
-	zo.wp = cut
-	zo.pwp = cut
-	// Emptied in place, keeping its capacity: no other device shares the
-	// backing array, as CrashClone gives a clone a copy of its own.
-	zo.unflushed = zo.unflushed[:0]
-	// In-ZRWA bytes past the cut are gone; the cumulative flash counter
-	// never rolls back, but the zone's programmed pointer cannot exceed
-	// its surviving contents.
-	if zo.prog > cut {
-		zo.prog = cut
-	}
+	d.powerCycleLocked(nil, cuts)
 }
 
 // CrashClone returns a new device, bound to clk, whose state is this
 // device's state after an abrupt power loss — without disturbing the
 // receiver. It is the explorer's snapshot primitive: the live run keeps
-// executing while recovery is exercised against the clone.
-//
-// Cut-point selection per zone, in precedence order: an entry in cuts
-// (PowerLossAt semantics — clamped to [pwp, wp]); else a draw from rng
-// (PowerLoss semantics); else the persisted prefix only (the most
-// pessimistic legal outcome). The clone carries no journal, metrics or
-// hook attachments, and its lifetime counters start at zero.
+// executing while recovery is exercised against the clone. The cuts are
+// chosen as powerCycleLocked says: PowerLoss(rng) and PowerLossAt(cuts)
+// leave the device as CrashClone(nil, rng, nil) and CrashClone(nil, nil,
+// cuts) leave their clones. The clone carries no journal, metrics or hook
+// attachments, and its lifetime counters start at zero.
 func (d *Device) CrashClone(clk *vclock.Clock, rng *rand.Rand, cuts map[int]int64) *Device {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -153,41 +94,48 @@ func (d *Device) CrashClone(clk *vclock.Clock, rng *rand.Rand, cuts map[int]int6
 			c.latentErrs[s] = v
 		}
 	}
-	// The clone is unshared, so its zone mutators run without its lock.
-	for z := range c.zones {
-		cut := c.zones[z].pwp
-		switch {
-		case cuts != nil:
-			if x, ok := cuts[z]; ok {
-				if x < cut {
-					x = cut
-				}
-				if x > c.zones[z].wp {
-					x = c.zones[z].wp
-				}
-				cut = x
-			}
-		case rng != nil:
-			cut = c.pickCutLocked(z, rng)
-		}
-		c.applyCutLocked(z, cut)
-	}
-	c.finishPowerCycleLocked()
+	c.powerCycleLocked(rng, cuts) // the clone is unshared: no lock needed
 	return c
 }
 
-// finishPowerCycleLocked recomputes zone states and resets volatile
-// device state after the cut points are applied.
-func (d *Device) finishPowerCycleLocked() {
-	d.nOpen = 0
-	d.nActive = 0
+// powerCycleLocked is the one power-cut rule. Each zone, in zone order,
+// keeps the prefix up to its cut: an entry in cuts, clamped to [pwp, wp];
+// else a draw from rng among the persisted prefix, the end of each
+// unflushed write and the atomic-granularity boundaries inside one; else
+// the persisted prefix only (the most pessimistic legal outcome). Pulling
+// the write pointer back is the whole discard: the lost bytes stay in the
+// backing buffer, unreadable above the write pointer like any recycled
+// buffer's residue (zoneBufLocked), until later writes replace them. Then
+// zone states are recomputed from what survived, in-flight commands are
+// voided and the pipes go idle. Caller holds d.mu.
+func (d *Device) powerCycleLocked(rng *rand.Rand, cuts map[int]int64) {
+	d.nOpen, d.nActive = 0, 0
 	for z := range d.zones {
 		zo := &d.zones[z]
-		switch zo.state {
-		case ZoneReadOnly, ZoneOffline:
-			continue // media failure states survive power cycles
+		cut := zo.pwp
+		if c, ok := cuts[z]; ok {
+			cut = min(max(c, zo.pwp), zo.wp)
+		} else if rng != nil {
+			candidates := []int64{zo.pwp}
+			for _, e := range zo.unflushed {
+				for b := e.start + d.cfg.AtomicWriteSectors; b < e.end; b += d.cfg.AtomicWriteSectors {
+					candidates = append(candidates, b)
+				}
+				candidates = append(candidates, e.end)
+			}
+			cut = candidates[rng.Intn(len(candidates))]
 		}
+		// A full zone's fullness is durable only if it became full on
+		// media; if the cut rolls back below capacity it is no longer full.
+		// unflushed is emptied in place, keeping its capacity: no other
+		// device shares the backing array, as CrashClone gives a clone a
+		// copy of its own. In-ZRWA bytes past the cut are gone; the
+		// cumulative flash counter never rolls back, but the zone's
+		// programmed pointer cannot exceed its surviving contents.
+		zo.wp, zo.pwp, zo.unflushed, zo.prog = cut, cut, zo.unflushed[:0], min(zo.prog, cut)
 		switch {
+		case zo.state == ZoneReadOnly || zo.state == ZoneOffline:
+			// media failure states survive power cycles
 		case zo.finished || zo.wp >= d.cfg.ZoneCap:
 			zo.state = ZoneFull
 		case zo.wp == 0:

@@ -2,6 +2,8 @@ package zns
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"raizn/internal/vclock"
@@ -185,6 +187,90 @@ func TestPowerLossAtEdges(t *testing.T) {
 				d.PowerLossAt(tc.cuts)
 				tc.verify(t, d)
 			})
+		})
+	}
+}
+
+// TestPowerCutEntryPointsAgree checks that the three power-cut entry points
+// state one rule: from one seeded device state, PowerLoss(rand(s)) leaves
+// the device as CrashClone(nil, rand(s), nil) leaves its clone, and
+// PowerLossAt(cuts) as CrashClone(nil, nil, cuts) does — the same write
+// pointer, persisted write pointer and state in every zone, and the same
+// bytes below each write pointer. The state mixes flushed, FUA, unflushed,
+// in-flight, ZRWA-overwritten, full, finished and empty zones, with an
+// atomic write unit of two sectors.
+func TestPowerCutEntryPointsAgree(t *testing.T) {
+	cfg := extTestConfig()
+	cfg.MaxOpenZones, cfg.MaxActiveZones = 8, 8
+	cfg.AtomicWriteSectors = 2
+	build := func(t *testing.T, d *Device, s int64) {
+		t.Helper()
+		rng := rand.New(rand.NewSource(s))
+		n := func(lo int) int { return lo + rng.Intn(6) }
+		z := func(i int) int64 { return d.ZoneStart(i) }
+		mustWrite(t, d, z(0), pattern(cfg, n(1), 1), FUA)
+		mustWrite(t, d, d.Zone(0).WP, pattern(cfg, n(1), 2), 0)
+		mustWrite(t, d, z(1), pattern(cfg, n(2), 3), 0)
+		if err := d.Flush().Wait(); err != nil {
+			t.Fatal(err)
+		}
+		mustWrite(t, d, d.Zone(1).WP, pattern(cfg, n(3), 4), 0)
+		mustWrite(t, d, z(2), pattern(cfg, n(6), 5), 0)
+		mustWrite(t, d, d.Zone(2).WP-3, pattern(cfg, n(4), 6), ZRWA)
+		mustWrite(t, d, z(3), pattern(cfg, int(cfg.ZoneCap), 7), 0)
+		mustWrite(t, d, z(4), pattern(cfg, n(1), 8), 0)
+		if err := d.FinishZone(4).Wait(); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			if _, fut := d.Append(6, pattern(cfg, n(1), byte(9+i)), 0); i < 2 {
+				mustWait(t, "append", fut)
+			} // the last append is still in flight at the cut
+		}
+	}
+	type zoneState struct {
+		desc  ZoneDesc
+		bytes []byte
+	}
+	capture := func(t *testing.T, d *Device) []zoneState {
+		t.Helper()
+		out := make([]zoneState, cfg.NumZones)
+		for i := range out {
+			out[i].desc = d.Zone(i)
+			if n := int(out[i].desc.WP - d.ZoneStart(i)); n > 0 {
+				out[i].bytes = mustRead(t, d, d.ZoneStart(i), n)
+			}
+		}
+		return out
+	}
+	compare := func(t *testing.T, what string, got, want []zoneState) {
+		t.Helper()
+		for i := range want {
+			if got[i].desc != want[i].desc || !bytes.Equal(got[i].bytes, want[i].bytes) {
+				t.Errorf("%s zone %d: device %+v, clone %+v (bytes equal %v)",
+					what, i, got[i].desc, want[i].desc, bytes.Equal(got[i].bytes, want[i].bytes))
+			}
+		}
+	}
+	for s := int64(1); s <= 20; s++ {
+		run(t, cfg, func(c *vclock.Clock, d *Device) {
+			build(t, d, s)
+			cl := d.CrashClone(nil, rand.New(rand.NewSource(s)), nil)
+			d.PowerLoss(rand.New(rand.NewSource(s)))
+			compare(t, fmt.Sprintf("seed %d PowerLoss", s), capture(t, d), capture(t, cl))
+		})
+		run(t, cfg, func(c *vclock.Clock, d *Device) {
+			build(t, d, s)
+			rng := rand.New(rand.NewSource(-s))
+			cuts := map[int]int64{}
+			for z := 0; z < cfg.NumZones; z++ {
+				if rng.Intn(4) > 0 {
+					cuts[z] = int64(rng.Intn(int(cfg.ZoneCap) + 4))
+				}
+			}
+			cl := d.CrashClone(nil, nil, cuts)
+			d.PowerLossAt(cuts)
+			compare(t, fmt.Sprintf("seed %d PowerLossAt", s), capture(t, d), capture(t, cl))
 		})
 	}
 }

@@ -34,7 +34,7 @@ import (
 // in flight. A device operation that changes or recycles bytes below a
 // write pointer, or captures them, first finishes the copies that touch
 // them (drainCopiesLocked): ResetZone, CorruptSector and bit rot at persist
-// and WriteZRWA below the write pointer drain the zone they change;
+// and a ZRWA write below the write pointer drain the zone they change;
 // PowerLoss/PowerLossAt and CrashClone every zone; a read drains its zone
 // only while writes to it are still copying (zone.wcopies), so reads of
 // other zones pay nothing. A reconstruction's command is listed on the

@@ -38,10 +38,10 @@ func TestReadSnapshotSurvivesMutation(t *testing.T) {
 		{name: "reset-then-reuse", cfg: func(c *Config) { c.ZRWASectors = 8 }, mutate: func(t *testing.T, d *Device, a []byte) []byte {
 			old := &d.zones[0].data[0]
 			d.ResetZone(0)
-			// Takes zone 0's buffer and, unlike Write, fills it at submit:
+			// Takes zone 0's buffer and, as a ZRWA write, fills it at submit:
 			// long before the read completes.
 			b := pattern(d.cfg, n, 0x3C)
-			d.WriteZRWA(d.ZoneStart(1), b, 0)
+			d.Write(d.ZoneStart(1), b, ZRWA)
 			if &d.zones[1].data[0] != old {
 				t.Fatal("zone 1 did not take the recycled buffer: the case would prove nothing")
 			}
@@ -67,7 +67,7 @@ func TestReadSnapshotSurvivesMutation(t *testing.T) {
 		}},
 		{name: "zrwa-overwrite", cfg: func(c *Config) { c.ZRWASectors = 8 }, mutate: func(t *testing.T, d *Device, a []byte) []byte {
 			c := pattern(d.cfg, 2, 0x77)
-			d.WriteZRWA(1, c, 0)
+			d.Write(1, c, ZRWA)
 			ss := d.cfg.SectorSize
 			return append(append(append([]byte(nil), a[:ss]...), c...), a[3*ss:]...)
 		}},

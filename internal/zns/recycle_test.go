@@ -70,7 +70,7 @@ func TestRecycledBufferShowsNoOldPayload(t *testing.T) {
 			return d.CrashClone(nil, nil, map[int]int64{1: cut}), want(b[:cut*ss])
 		}},
 		{"zrwa-overwrite", func(t *testing.T, d *Device) (*Device, []byte) {
-			mustWait(t, "zrwa overwrite", d.WriteZRWA(d.ZoneStart(1)+2, c2, 0))
+			mustWait(t, "zrwa overwrite", d.Write(d.ZoneStart(1)+2, c2, ZRWA))
 			return d, want(b[:2*ss], c2, b[4*ss:])
 		}},
 	} {
@@ -82,7 +82,7 @@ func TestRecycledBufferShowsNoOldPayload(t *testing.T) {
 				if len(d.freeBufs) != 1 {
 					t.Fatalf("%d buffers on the free list after the reset, want 1", len(d.freeBufs))
 				}
-				mustWait(t, "write B", d.WriteZRWA(d.ZoneStart(1), b, 0))
+				mustWait(t, "write B", d.Write(d.ZoneStart(1), b, ZRWA))
 				if &d.zones[1].data[0] != old {
 					t.Fatal("zone 1 did not take the recycled buffer: the test would prove nothing")
 				}

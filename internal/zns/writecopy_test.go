@@ -82,10 +82,10 @@ func TestWriteSnapshotSurvivesMutation(t *testing.T) {
 		{name: "reset-then-reuse", cfg: func(c *Config) { c.ZRWASectors = 8 }, access: func(t *testing.T, d *Device, a []byte) func() {
 			old := &d.zones[0].data[0]
 			d.ResetZone(0)
-			// WriteZRWA copies at submit: zone 1 holds b at once, in the
+			// A ZRWA write copies at submit: zone 1 holds b at once, in the
 			// buffer A's copy targeted.
 			b := pattern(d.cfg, 2, 0x3C)
-			fut := d.WriteZRWA(d.ZoneStart(1), b, 0)
+			fut := d.Write(d.ZoneStart(1), b, ZRWA)
 			if &d.zones[1].data[0] != old {
 				t.Fatal("zone 1 did not take the recycled buffer: the case would prove nothing")
 			}
@@ -133,7 +133,7 @@ func TestWriteSnapshotSurvivesMutation(t *testing.T) {
 		}},
 		{name: "zrwa-overwrite", cfg: func(c *Config) { c.ZRWASectors = 8 }, n: 4, access: func(t *testing.T, d *Device, a []byte) func() {
 			c := pattern(d.cfg, 2, 0x77)
-			fut := d.WriteZRWA(1, c, 0)
+			fut := d.Write(1, c, ZRWA)
 			return func() {
 				mustWait(t, "zrwa write", fut)
 				want := append(append(bytes.Clone(a[:ss]), c...), a[3*ss:]...)

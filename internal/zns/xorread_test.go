@@ -69,7 +69,7 @@ func TestXORReadSurvivesMutation(t *testing.T) {
 			old := &d.zones[0].data[0]
 			d.ResetZone(0)
 			// Takes zone 0's buffer and fills it at submit.
-			d.WriteZRWA(d.ZoneStart(1), pattern(d.cfg, n, 0x3C), 0)
+			d.Write(d.ZoneStart(1), pattern(d.cfg, n, 0x3C), ZRWA)
 			if &d.zones[1].data[0] != old {
 				t.Fatal("zone 1 did not take the recycled buffer: the case would prove nothing")
 			}
@@ -95,7 +95,7 @@ func TestXORReadSurvivesMutation(t *testing.T) {
 		}},
 		{name: "zrwa-overwrite", cfg: zrwa, mutate: func(t *testing.T, d *Device, a []byte) ([]byte, func()) {
 			c := pattern(d.cfg, 2, 0x77)
-			d.WriteZRWA(5, c, 0)
+			d.Write(5, c, ZRWA)
 			ss := d.cfg.SectorSize
 			return append(append(bytes.Clone(a[:5*ss]), c...), a[7*ss:]...), nil
 		}},

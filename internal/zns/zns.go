@@ -70,6 +70,10 @@ const (
 	// Preflush flushes the device's volatile cache before the write is
 	// executed.
 	Preflush
+	// ZRWA writes through the zone's random write area (ext.go): the
+	// write may start anywhere in [wp-ZRWASectors, wp] and overwrite the
+	// window in place. Its payload is copied at submit.
+	ZRWA
 )
 
 // Errors returned by device operations (as future completions).
@@ -132,7 +136,7 @@ type Config struct {
 
 	// ZRWASectors enables a Zone Random Write Area of this many sectors
 	// behind each zone's write pointer (0 = unsupported, as on the
-	// paper's devices). See WriteZRWA.
+	// paper's devices). See the ZRWA flag.
 	ZRWASectors int64
 
 	// DiscardData drops write payloads (reads return zeroes). Used by
@@ -207,7 +211,7 @@ type zone struct {
 
 	// Flash-program accounting (see programLocked). prog is the zone-
 	// relative sector up to which data has been programmed to NAND; zrwa
-	// marks a zone that has seen a WriteZRWA since its last reset, whose
+	// marks a zone that has taken a ZRWA write since its last reset, whose
 	// tail therefore lingers in the device's ZRWA buffer until it slides
 	// out of the window. Pure accounting: durability is governed solely by
 	// pwp/unflushed.
