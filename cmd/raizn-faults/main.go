@@ -6,8 +6,8 @@
 //	raizn-faults                                   explore every scenario
 //	raizn-faults -chaos <scenario>                 enumerate crash points
 //	raizn-faults -chaos <scenario> -explore        crash at each, check recovery
-//	raizn-faults -chaos <scenario> -forensics N    crash at crossing N, recover the
-//	                                               persisted black box, print report
+//	raizn-faults -chaos <scenario> -forensics N    crash at crossing N, print the incident
+//	                                               report of the black box captured there
 //	raizn-faults -replay <seed-string>             replay a printed repro
 //
 // Every run prints its seed; the same seed reproduces the same run bit
@@ -28,7 +28,7 @@ func main() {
 	chaosName := flag.String("chaos", "", "run the named chaos scenario (see -explore); lists crash points without it")
 	explore := flag.Bool("explore", false, "with -chaos: crash at every sampled crossing and check recovery")
 	maxPoints := flag.Int("max", 0, "explored crash points per scenario, sampled evenly (0 = all)")
-	forensics := flag.Int("forensics", -1, "with -chaos: crash at census crossing N, recover the persisted flight black box from the clones, and print its incident report")
+	forensics := flag.Int("forensics", -1, "with -chaos: crash at census crossing N and print the incident report of the flight black box captured at the crash")
 	replay := flag.String("replay", "", "replay a chaos repro seed string as printed for a violation")
 	flag.Parse()
 
@@ -90,8 +90,8 @@ func runChaos(name string, explore bool, maxPoints, forensics int, seed int64) i
 	for _, v := range res.Violations {
 		fmt.Printf("violation: %v\n", v)
 		fmt.Printf("  replay: %s\n", chaos.ReproFor(s, v, opt).SeedString())
-		// File the incident: recover the black box the crashed run
-		// persisted and print the forensics a deployment would see.
+		// File the incident: render the black box captured at the
+		// crash and print the forensics a deployment would see.
 		if rep, err := chaos.ForensicsFor(s, v, opt); err == nil {
 			fmt.Print(rep)
 		} else {

@@ -5,61 +5,31 @@ import (
 	"strings"
 
 	"raizn/internal/obs/flight"
-	"raizn/internal/raizn"
 )
 
-// Automated incident forensics: every chaos run periodically persists
-// its flight recorder through the array's metadata path, so a crash
-// capture carries a recent black box on its clones. The functions here
-// replay a crash, recover that box from the surviving clones, and
-// render the deterministic incident report a real deployment would
-// file — trigger, suspect ranking, merged span/journal timeline,
-// metric deltas, and the replay seed that reproduces the crash.
+// Automated incident forensics: a crash capture snapshots the run's
+// flight recorder at the crash instant. The functions here replay a
+// crash and render that black box as the deterministic incident report
+// a real deployment would file — trigger, suspect ranking, merged
+// span/journal timeline, metric deltas, and the replay seed that
+// reproduces the crash.
 
-// recoverBox pulls the newest persisted flight black box off a crash
-// snapshot's clones: devices are scanned in slot order and the first
-// intact copy wins. Runs on the capture's clock.
-func recoverBox(s *Scenario, cap *capture) ([]byte, bool) {
-	var data []byte
-	var ok bool
-	cap.Clk.Run(func() {
-		for _, c := range cap.Clones {
-			if c.Failed() {
-				continue
-			}
-			d, found, err := raizn.RecoverBlackBox(c, s.volConfig())
-			if err == nil && found {
-				data, ok = d, true
-				return
-			}
-		}
-	})
-	return data, ok
-}
-
-// renderForensics recovers the black box from a crash capture and
-// renders the incident report under trig.
-func renderForensics(s *Scenario, cap *capture, trig flight.Trigger) (string, error) {
-	data, ok := recoverBox(s, cap)
-	if !ok {
-		return "", fmt.Errorf("chaos: no persisted black box survived the crash at %s", cap.point)
-	}
-	box, err := flight.Unmarshal(data)
-	if err != nil {
-		return "", fmt.Errorf("chaos: recovered black box: %w", err)
-	}
+// renderForensics renders the capture's black box under trig, stamped
+// with the crash instant.
+func renderForensics(cap *capture, trig flight.Trigger) (string, error) {
+	trig.TNs = cap.box.FrozenAtNs
 	var sb strings.Builder
-	if err := flight.FromBox(box, &trig).WriteReport(&sb); err != nil {
+	if err := flight.FromBox(cap.box, &trig).WriteReport(&sb); err != nil {
 		return "", err
 	}
 	return sb.String(), nil
 }
 
 // CrashForensics crashes the scenario at census crossing index with the
-// given power-loss variant, recovers the persisted black box from the
-// post-crash clones, and renders its incident report. The report is a
-// pure function of (scenario, index, variant, seed) — two identically
-// seeded calls render byte-identical output, which CI diffs.
+// given power-loss variant and renders the incident report of the black
+// box captured at the crash. The report is a pure function of (scenario,
+// index, variant, seed) — two identically seeded calls render
+// byte-identical output, which CI diffs.
 func CrashForensics(s *Scenario, index int, vr Variant, opt Options) (string, error) {
 	census, _, err := runScenario(s, nil, -1, VarFlushed, opt.Seed)
 	if err != nil {
@@ -77,7 +47,7 @@ func CrashForensics(s *Scenario, index int, vr Variant, opt Options) (string, er
 		Point: cap.point.Name, Occ: occOf(census, index),
 		Variant: vr, Seed: opt.Seed,
 	}
-	return renderForensics(s, cap, flight.Trigger{
+	return renderForensics(cap, flight.Trigger{
 		Kind: flight.TrigDeviceHealth,
 		Detail: fmt.Sprintf("simulated power loss at %s (crossing %d, variant %s)",
 			cap.point, index, vr),
@@ -88,10 +58,9 @@ func CrashForensics(s *Scenario, index int, vr Variant, opt Options) (string, er
 }
 
 // ForensicsFor renders the incident report for an oracle violation: the
-// crash is replayed at the violation's coordinates, the persisted black
-// box recovered from the clones, and the report filed under an
-// oracle-violation trigger carrying the violated rule and the replay
-// seed that reproduces it.
+// crash is replayed at the violation's coordinates and the black box
+// captured at the crash is filed under an oracle-violation trigger
+// carrying the violated rule and the replay seed that reproduces it.
 func ForensicsFor(s *Scenario, v Violation, opt Options) (string, error) {
 	census, _, err := runScenario(s, nil, -1, VarFlushed, opt.Seed)
 	if err != nil {
@@ -104,7 +73,7 @@ func ForensicsFor(s *Scenario, v Violation, opt Options) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return renderForensics(s, cap, flight.Trigger{
+	return renderForensics(cap, flight.Trigger{
 		Kind:       flight.TrigOracle,
 		Detail:     fmt.Sprintf("%s: %s", v.Rule, v.Detail),
 		Dev:        cap.point.Src,

@@ -6,52 +6,57 @@ import (
 )
 
 // TestCrashForensicsDeterministic is the acceptance property for the
-// incident pipeline: the report recovered from a chaos crash-clone's
-// black box is byte-identical across two same-seed runs, and carries the
-// three kinds of evidence — at least one span, one journal event, one
-// metric delta — plus a replay seed for the crash.
+// incident pipeline: the report of the black box captured at a chaos
+// crash is byte-identical across two same-seed runs at any crossing, the
+// first one included, and names the crash and its replay seed. Late in
+// the schedule it also carries the three kinds of evidence — at least
+// one span, one journal event, one metric delta.
 func TestCrashForensicsDeterministic(t *testing.T) {
 	s := Lookup("composed")
 	census, err := Census(s, 1)
 	if err != nil {
 		t.Fatalf("Census: %v", err)
 	}
-	// Crash late in the schedule: several persist cadences have passed
-	// (so a black box is durably on the first device) and the composed
-	// scenario's injected device failure has pushed spans onto the
-	// degraded path, where tail sampling always keeps them.
-	idx := len(census) * 3 / 4
-
-	r1, err := CrashForensics(s, idx, VarFlushed, Options{Seed: 1})
-	if err != nil {
-		t.Fatalf("CrashForensics: %v", err)
-	}
-	r2, err := CrashForensics(s, idx, VarFlushed, Options{Seed: 1})
-	if err != nil {
-		t.Fatalf("CrashForensics (second run): %v", err)
-	}
-	if r1 != r2 {
-		t.Fatalf("same-seed forensics reports differ:\n%s\n---\n%s", r1, r2)
-	}
-
-	for _, want := range []string{
-		"incident report",
-		"device-health",        // trigger kind for a bare crash capture
-		"simulated power loss", // trigger detail
-		"replay: v1:composed:", // replay seed for the crash run
-		"span",                 // >=1 span in the merged timeline
-		"event",                // >=1 journal event
-		"metric deltas",        // >=1 metric delta section
-	} {
-		if !strings.Contains(r1, want) {
-			t.Errorf("forensics report missing %q:\n%s", want, r1)
+	// Late in the schedule the composed scenario's injected device
+	// failure has pushed spans onto the degraded path, where tail
+	// sampling always keeps them.
+	late := len(census) * 3 / 4
+	for _, idx := range []int{0, late} {
+		r1, err := CrashForensics(s, idx, VarFlushed, Options{Seed: 1})
+		if err != nil {
+			t.Fatalf("CrashForensics(%d): %v", idx, err)
 		}
-	}
-	// The timeline header counts its evidence; both counts must be
-	// non-zero (an empty timeline would still satisfy the plain
-	// substring checks above).
-	if strings.Contains(r1, "(0 spans") || strings.Contains(r1, ", 0 journal events)") {
-		t.Errorf("forensics report has an empty timeline:\n%s", r1)
+		r2, err := CrashForensics(s, idx, VarFlushed, Options{Seed: 1})
+		if err != nil {
+			t.Fatalf("CrashForensics(%d) (second run): %v", idx, err)
+		}
+		if r1 != r2 {
+			t.Fatalf("same-seed forensics reports at crossing %d differ:\n%s\n---\n%s", idx, r1, r2)
+		}
+		want := []string{
+			"incident report",
+			"device-health",        // trigger kind for a bare crash capture
+			"simulated power loss", // trigger detail
+			"replay: v1:composed:", // replay seed for the crash run
+		}
+		if idx == late {
+			want = append(want,
+				"span",          // >=1 span in the merged timeline
+				"event",         // >=1 journal event
+				"metric deltas", // >=1 metric delta section
+			)
+			// The timeline header counts its evidence; both counts must
+			// be non-zero (an empty timeline would still satisfy the
+			// plain substring checks).
+			if strings.Contains(r1, "(0 spans") || strings.Contains(r1, ", 0 journal events)") {
+				t.Errorf("forensics report has an empty timeline:\n%s", r1)
+			}
+		}
+		for _, w := range want {
+			if !strings.Contains(r1, w) {
+				t.Errorf("forensics report at crossing %d missing %q:\n%s", idx, w, r1)
+			}
+		}
 	}
 }
 

@@ -63,10 +63,11 @@ func parseVariant(s string) (Variant, error) {
 // capture is the frozen state of a run at the instant of a crash: the
 // array's crash snapshot (post-power-loss clones bound to a fresh clock
 // recovery will run on, the event journal up to the crash, the mount
-// config) and the workload model.
+// config), the workload model and the flight recorder's black box.
 type capture struct {
 	ArrayCrash
 	model *Model
+	box   *flight.BlackBox
 	point CrashPoint
 	index int // census index of the crossing
 }
@@ -169,8 +170,8 @@ func (rc *runCtx) hook(p obs.HookPoint) {
 }
 
 // captureLocked snapshots every device with the variant's power-loss cut
-// applied, plus the journal and model. Caller holds rc.mu; device locks
-// are free (hooks fire outside them).
+// applied, plus the journal, the model and the flight recorder. Caller
+// holds rc.mu; device locks are free (hooks fire outside them).
 func (rc *runCtx) captureLocked(cp CrashPoint, idx int) {
 	clk := vclock.New()
 	clones := make([]*zns.Device, len(rc.devs))
@@ -197,20 +198,10 @@ func (rc *runCtx) captureLocked(cp CrashPoint, idx int) {
 			Config:  rc.s.volConfig(),
 		},
 		model: rc.model.clone(),
+		box:   rc.rec.Snapshot(),
 		point: cp,
 		index: idx,
 	}
-}
-
-// persistBox snapshots the flight recorder and writes it through the
-// raizn metadata path. Failures are non-fatal: a degraded array keeps
-// running without a flight log rather than aborting the workload.
-func (rc *runCtx) persistBox() {
-	data, err := rc.rec.Snapshot().Marshal()
-	if err != nil {
-		return
-	}
-	_ = rc.vol.PersistBlackBox(data)
 }
 
 // applyFault applies an anchored fault to the live run. Errors are
@@ -261,9 +252,8 @@ func runScenario(s *Scenario, expect []CrashPoint, target int, variant Variant, 
 	cfg.Journal = jrn
 	// Every scenario flies with the full black-box stack: metrics
 	// registry, enabled tracer, and a flight recorder tail-sampling the
-	// traffic. The recorder's state is periodically persisted through the
-	// array's metadata path (see the op loop below), so any crash capture
-	// can recover a recent black box from the surviving clones.
+	// traffic. A crash capture snapshots the recorder at the crash
+	// instant, so forensics can render it for any crossing.
 	reg := obs.NewRegistry()
 	tr := obs.NewTracer(clk, obs.Config{SinkCapacity: 256})
 	tr.Enable()
@@ -301,24 +291,13 @@ func runScenario(s *Scenario, expect []CrashPoint, target int, variant Variant, 
 		d.AttachHook(rc.hook, i)
 	}
 
-	// Persist the black box a few times across the schedule, so crashes
-	// anywhere past the first quarter recover a recent one. The cadence
-	// is a pure function of the op count — census and crash runs persist
-	// at identical crossings, keeping the census valid.
-	persistEvery := len(s.Ops) / 4
-	if persistEvery < 1 {
-		persistEvery = 1
-	}
 	clk.Run(func() {
-		for i, op := range s.Ops {
+		for _, op := range s.Ops {
 			if rc.stopped() {
 				return
 			}
 			rc.applyOp(op)
 			rec.Poll() // keep metric series moving between spans
-			if (i+1)%persistEvery == 0 && !rc.stopped() {
-				rc.persistBox()
-			}
 		}
 	})
 

@@ -1,12 +1,7 @@
 package flight
 
-import (
-	"encoding/json"
-	"fmt"
-)
-
-// SchemaV1 versions the serialized black box. Unmarshal rejects
-// anything else.
+// SchemaV1 versions the black box's JSON form (raizn-bench -flight
+// writes it).
 const SchemaV1 = "raizn-blackbox/v1"
 
 // TriggerKind classifies what froze the recorder.
@@ -88,9 +83,9 @@ type EventDump struct {
 	D    int64  `json:"d"`
 }
 
-// BlackBox is the persistable form of a flight recorder: everything an
-// incident report needs, serialized deterministically (fixed field
-// order, series sorted by name, spans and events oldest-first).
+// BlackBox is a snapshot of a flight recorder: everything an incident
+// report needs, in a deterministic order (series sorted by name, spans
+// and events oldest-first), so its JSON form is byte-deterministic too.
 type BlackBox struct {
 	Schema        string       `json:"schema"`
 	Label         string       `json:"label,omitempty"`
@@ -102,23 +97,4 @@ type BlackBox struct {
 	SpansTotal    uint64       `json:"spans_total"`
 	Events        []EventDump  `json:"events"`
 	EventsDropped uint64       `json:"events_dropped,omitempty"`
-}
-
-// Marshal serializes the box. The output is byte-deterministic for a
-// given box: field order is fixed by the struct and every slice is
-// emitted in its stored (sorted or chronological) order.
-func (b *BlackBox) Marshal() ([]byte, error) {
-	return json.Marshal(b)
-}
-
-// Unmarshal parses and schema-checks a serialized black box.
-func Unmarshal(data []byte) (*BlackBox, error) {
-	var b BlackBox
-	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, fmt.Errorf("flight: unmarshal black box: %w", err)
-	}
-	if b.Schema != SchemaV1 {
-		return nil, fmt.Errorf("flight: unknown black box schema %q", b.Schema)
-	}
-	return &b, nil
 }

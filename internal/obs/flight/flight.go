@@ -1,13 +1,13 @@
 // Package flight is the black-box flight recorder: an always-on,
 // bounded collector that turns the three volatile telemetry streams —
 // the metrics registry, the tracer's root spans, and the event journal —
-// into a persistable post-mortem artifact. It continuously samples every
-// registered metric family into ring-buffered time series, tail-samples
-// span trees (only requests above a rolling p99, erroring, or on the
-// degraded path are kept — the fast path stays allocation-free, like the
-// nil-span discipline), and captures the journal tail when frozen. The
-// serialized form (see BlackBox) is persisted through the raizn metadata
-// path so it survives simulated power loss; the incident engine (see
+// into a post-mortem artifact. It continuously samples every registered
+// metric family into ring-buffered time series, tail-samples span trees
+// (only requests above a rolling p99, erroring, or on the degraded path
+// are kept — the fast path stays allocation-free, like the nil-span
+// discipline), and captures the journal tail when frozen. Its owner
+// takes a snapshot (see BlackBox) when an incident happens — the chaos
+// harness at a simulated power cut — and the incident engine (see
 // Incident) freezes the recorder on a trigger and renders a
 // deterministic merged-timeline report.
 //

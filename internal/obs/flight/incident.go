@@ -9,8 +9,8 @@ import (
 
 // Incident is a frozen black box plus the trigger that froze it. The
 // report renderer works purely from the BlackBox, so an incident built
-// from a box recovered off a crash clone renders exactly like one built
-// from the live recorder.
+// from a snapshot taken at a crash renders exactly like one built from
+// the frozen recorder.
 type Incident struct {
 	Box *BlackBox
 }
@@ -27,7 +27,7 @@ func (r *Recorder) Incident(trig Trigger) *Incident {
 	return &Incident{Box: r.Snapshot()}
 }
 
-// FromBox wraps a recovered black box as an incident. When the box
+// FromBox wraps a black box snapshot as an incident. When the box
 // carries no trigger (a bare crash capture) and trig is non-nil, trig
 // is adopted.
 func FromBox(b *BlackBox, trig *Trigger) *Incident {

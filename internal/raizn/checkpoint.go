@@ -87,20 +87,6 @@ func (v *Volume) checkpointRecords(dev int, kind mdKind) []*record {
 		// Stripe-unit checksum tables of the zones this device persists.
 		out = append(out, v.checksumCheckpointRecords(dev)...)
 
-		// Latest flight-recorder black box: forensic cargo that must
-		// survive metadata GC and the mount's roll-overs. Copied under
-		// v.mu because PersistBlackBox reuses the backing slice.
-		v.mu.Lock()
-		if len(v.blackBox) > 0 {
-			out = append(out, &record{
-				typ:      recFlightBox,
-				startLBA: int64(len(v.blackBox)),
-				gen:      v.blackBoxGen,
-				payload:  append([]byte(nil), v.blackBox...),
-			})
-		}
-		v.mu.Unlock()
-
 	case mdParity:
 		// Partial parity for every in-progress stripe whose parity this
 		// device will hold, copied from the stripe buffers ("the

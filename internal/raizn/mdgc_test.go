@@ -370,13 +370,17 @@ func TestRollOverAddsNoSimulatedTime(t *testing.T) {
 
 	t.Run("general", func(t *testing.T) {
 		runVol(t, func(c *vclock.Clock, v *Volume, devs []*zns.Device) {
-			// Zone 0's checksum records and black boxes share device 0's
-			// general log: fill it to within a few sectors with boxes.
+			// Zone 0's checksum records go to device 0's general log:
+			// fill it to within a few sectors with records mount ignores.
 			if v.checksumDev(0) != 0 {
 				t.Fatal("zone 0 checksums expected on device 0")
 			}
 			for i := 0; i < 4; i++ {
-				if err := v.PersistBlackBox(make([]byte, 29*v.sectorSize)); err != nil {
+				fut, _, err := v.md[0].append(bigRecord(v, 30), zns.FUA)
+				if err == nil {
+					err = fut.Wait()
+				}
+				if err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -394,10 +398,12 @@ func TestRollOverAddsNoSimulatedTime(t *testing.T) {
 // anyIdle is rollRound's pick for a roll-over that is not waited for.
 func anyIdle(*mdManager, *zns.Device) bool { return true }
 
-// bigRecord is a general-log record of n sectors in total.
+// bigRecord is a general-log record of n sectors in total that mount
+// ignores: a relocation past the array's last sector.
 func bigRecord(v *Volume, n int) *record {
-	size := (n - 1) * v.sectorSize
-	return &record{typ: recFlightBox, startLBA: int64(size), gen: v.nextMDSeq(), payload: make([]byte, size)}
+	end := v.lt.numSectors() + int64(n-1)
+	return &record{typ: recRelocData, startLBA: v.lt.numSectors(), endLBA: end,
+		gen: v.nextMDSeq(), payload: make([]byte, (n-1)*v.sectorSize)}
 }
 
 // TestSwapPoolBackPressure: a second roll-over on a device while the

@@ -39,12 +39,8 @@ const (
 	recRelocData
 	recRelocParity
 	recChecksums
-	// recFlightBox carries a serialized flight-recorder black box
-	// (internal/obs/flight). startLBA holds the box byte length; the box
-	// rides as external payload sectors. The newest intact box
-	// (newestFlightBox) wins on recovery; it is forensic cargo, not array
-	// state.
-	recFlightBox
+	// Type 8 is retired (it carried the flight recorder's black box): a
+	// header of that type decodes with no payload and mount ignores it.
 
 	// recCheckpoint flags a record written by the metadata garbage
 	// collector rather than by normal operation (paper Fig. 4).
@@ -55,7 +51,7 @@ func (t recType) base() recType { return t &^ recCheckpoint }
 
 var recNames = [...]string{recSuperblock: "superblock", recGenCounters: "gen-counters",
 	recResetWAL: "reset-wal", recPartialParity: "partial-parity", recRelocData: "reloc-data",
-	recRelocParity: "reloc-parity", recChecksums: "stripe-checksums", recFlightBox: "flight-box"}
+	recRelocParity: "reloc-parity", recChecksums: "stripe-checksums"}
 
 func (t recType) String() string {
 	s := fmt.Sprintf("recType(%d)", uint16(t))
@@ -83,7 +79,7 @@ type record struct {
 
 // payloadSectors returns how many external payload sectors follow the
 // header sector for this record type, derived from the header fields.
-func (r *record) payloadSectors(l *layout, sectorSize int) int64 {
+func (r *record) payloadSectors(l *layout) int64 {
 	switch r.typ.base() {
 	case recPartialParity:
 		// Parity image bytes cover the affected intra-unit region(s):
@@ -91,9 +87,6 @@ func (r *record) payloadSectors(l *layout, sectorSize int) int64 {
 		return min(r.endLBA-r.startLBA, l.su)
 	case recRelocData, recRelocParity:
 		return r.endLBA - r.startLBA
-	case recFlightBox:
-		// startLBA is the box byte length, carried as payload sectors.
-		return (r.startLBA + int64(sectorSize) - 1) / int64(sectorSize)
 	default:
 		return 0
 	}
@@ -631,13 +624,6 @@ func (l *mdLog) wait() error {
 	return nil
 }
 
-// scanMDZones reads every record from all metadata zones of the device.
-func scanMDZones(dev *zns.Device, lt *layout, sectorSize int) ([]record, error) {
-	l := readMDZones(dev, lt, sectorSize)
-	err := l.wait()
-	return l.recs, err
-}
-
 // decodeLog decodes one metadata zone's bytes, [start, wp), into its
 // records in log order, each with its header's sector offset as pba. It is
 // pure and never panics. It skips a sector that is not a record header
@@ -661,7 +647,7 @@ func decodeLog(zone []byte, lt *layout, sectorSize int) []record {
 			gen:      le.Uint64(h[24:32]),
 			pba:      pba,
 		}
-		inl, np := int(le.Uint16(h[6:8])), r.payloadSectors(lt, sectorSize)
+		inl, np := int(le.Uint16(h[6:8])), r.payloadSectors(lt)
 		if inl > maxInline || headerBytes+inl > len(h) || np < 0 {
 			continue
 		}

@@ -285,13 +285,6 @@ type Volume struct {
 	// rebuild steps — always outside v.mu and the zone locks. Nil until
 	// attached.
 	hook obs.Hook
-
-	// blackBox holds the newest flight-recorder black box persisted via
-	// PersistBlackBox or recovered by the mount-time metadata scan;
-	// metadata GC checkpoints re-emit it (checkpointRecords) so the
-	// forensic record survives log roll-over. Guarded by v.mu.
-	blackBox    []byte
-	blackBoxGen uint64
 }
 
 // freeList is a mutex-guarded LIFO of reusable objects. Unlike a

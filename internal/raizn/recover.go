@@ -244,15 +244,6 @@ func (v *Volume) gather(logs []*mdLog) (ev []zoneEvidence, walOrder []int, cs []
 			cs = append(cs, r)
 		}
 	}
-	// Forensic cargo, not array state: keep the newest intact box in
-	// memory so the mount's general checkpoint re-emits it — the mount's
-	// roll-overs reset every older metadata zone, and the crash evidence
-	// must survive the remount that follows the crash.
-	if best := newestFlightBox(all); best != nil {
-		v.blackBox = append([]byte(nil), best.payload[:best.startLBA]...)
-		v.blackBoxGen = best.gen
-	}
-
 	// The zraid PP-zone slots (none on a logged array, whose records
 	// surfaced in the metadata scan above).
 	slotRecs, err := v.slots.Scan()
