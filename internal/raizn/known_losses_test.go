@@ -150,13 +150,13 @@ var knownLosses = []struct {
 	}},
 	// 2(d): the metadata-GC rig's zone 0 holds an open stripe whose first
 	// 8 sectors were FUA-appended, their image logged on the parity
-	// device. A non-FUA write completes the stripe, so its full parity
-	// unit is submitted but not flushed, and the partial-parity log rolls
-	// over. Power is cut keeping every data device's submitted sectors and
-	// only the parity device's flushed prefix; mount without the device of
-	// the stripe's first unit. The parity unit was not durable and the
-	// checkpoint skipped the completed stripe, so its acked units have
-	// neither parity nor image (DESIGN.md, "Known exposure").
+	// device. A non-FUA write completes the stripe, and the partial-parity
+	// log rolls over. Power is cut keeping every data device's submitted
+	// sectors and only the parity device's flushed prefix; mount without
+	// the device of the stripe's first unit. The checkpoint skips the
+	// completed stripe, so its acked units keep their parity only because
+	// the completing write went to the devices with FUA (planWriteLocked):
+	// without it they had neither parity nor image.
 	{"2d", []string{"EngineLogged"}, func(t *testing.T, c *vclock.Clock, env fuaEnv, _ []*zns.Device, _ *Volume) lossOutcome {
 		r := newMDGCRig(t, c, env.dev, env.cfg)
 		v := r.v

@@ -167,6 +167,7 @@ type stripeBuffer struct {
 	fill   int64    // data sectors present, always a dense prefix
 	par    []byte   // one unit: the parity of the written prefix, valid over [0, min(fill, su))
 	crcs   []uint32 // CRC32-C of each data unit's written prefix
+	fua    bool     // a FUA write folded in: the write completing the stripe is FUA
 }
 
 // logicalZone is the in-memory descriptor of one logical zone (paper

@@ -422,6 +422,7 @@ func (v *Volume) planWriteLocked(ws *writeState, lz *logicalZone, off int64, dat
 	ss := int64(v.sectorSize)
 	stripeSec := v.lt.stripeSectors()
 	z := lz.idx
+	fua := ws.flags&zns.FUA != 0 // the caller's flag, before a completed stripe adds it
 
 	for len(data) > 0 {
 		s := off / stripeSec
@@ -441,6 +442,7 @@ func (v *Volume) planWriteLocked(ws *writeState, lz *logicalZone, off int64, dat
 				return err
 			}
 			v.foldLocked(buf, chunk)
+			buf.fua = buf.fua || fua
 		}
 
 		v.planDataLocked(ws, z, s, inStripe, chunk)
@@ -449,6 +451,15 @@ func (v *Volume) planWriteLocked(ws *writeState, lz *logicalZone, off int64, dat
 		switch {
 		case buf == nil || buf.fill == stripeSec:
 			// Stripe complete: one full parity unit plus the CRC row.
+			// FUA-acked sectors in the buffer make the write FUA: their
+			// partial-parity records are their only durable redundancy
+			// until the parity unit is, and the next parity roll-over's
+			// checkpoint drops them (it covers buffered stripes only).
+			// On the FIFO write pipe a FUA parity unit is on media
+			// before that checkpoint is.
+			if buf != nil && buf.fua {
+				ws.flags |= zns.FUA
+			}
 			v.stats.fullParityWrites.Add(1)
 			ws.plan = append(ws.plan, plannedIO{
 				dev: pDev, pba: v.lt.parityPBA(z, s), isParity: true, s: s,
@@ -953,6 +964,7 @@ func (v *Volume) stripeBufferLocked(lz *logicalZone, s int64, expectFill int64) 
 	lz.free = lz.free[:len(lz.free)-1]
 	b.stripe = s
 	b.fill = 0
+	b.fua = false
 	clear(b.crcs)
 	lz.active[s] = b
 	return b, nil
