@@ -32,11 +32,9 @@ const mountOutcomeStride = 31
 // zone), mounts each capture whole and once without each device, and
 // compares one row per mount with the golden file. After each mount the
 // metadata zones must be consolidated (mdRoles), and no degraded mount may
-// recover a zone past the whole mount of the same image, except those
-// named in degradedPastWhole.
+// recover a zone past the whole mount of the same image.
 func TestMountOutcomesGolden(t *testing.T) {
 	var got []string
-	past := map[string]bool{}
 	for _, env := range fuaEnvs() {
 		for _, cc := range mountOutcomeCaptures(t, env) {
 			for _, variant := range cc.variants {
@@ -51,22 +49,13 @@ func TestMountOutcomesGolden(t *testing.T) {
 						continue
 					}
 					for z, wp := range wps {
-						if wp <= whole[z] {
-							continue
-						}
-						at := fmt.Sprintf("%s -dev%d zone %d", image, missing, z)
-						past[at] = true
-						if !degradedPastWhole[at] {
-							t.Errorf("%s: the degraded mount recovers WP %d, past the whole mount's %d", at, wp, whole[z])
+						if wp > whole[z] {
+							t.Errorf("%s -dev%d zone %d: the degraded mount recovers WP %d, past the whole mount's %d",
+								image, missing, z, wp, whole[z])
 						}
 					}
 				}
 			}
-		}
-	}
-	for at := range degradedPastWhole {
-		if !past[at] {
-			t.Errorf("%s no longer recovers past the whole mount: delete it from degradedPastWhole", at)
 		}
 	}
 	if t.Failed() {
@@ -95,17 +84,6 @@ func TestMountOutcomesGolden(t *testing.T) {
 			t.Logf("rows of this run: %s", f.Name())
 		}
 	}
-}
-
-// degradedPastWhole names the zones where a degraded mount of a golden
-// image recovers past the whole mount of the same image. Each reads back
-// right: there the whole mount is the more conservative one, not the
-// degraded mount the less.
-var degradedPastWhole = map[string]bool{
-	"EngineLogged k=1 seeded -dev3 zone 1": true,
-	"EngineZRAID k=1 seeded -dev3 zone 1":  true,
-	"EngineLogged k=4 seeded -dev2 zone 3": true,
-	"EngineLogged k=5 seeded -dev3 zone 2": true,
 }
 
 // rowWPs returns the write pointer of each zone in a mountOutcome row.

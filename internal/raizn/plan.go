@@ -33,13 +33,16 @@ type zoneEvidence struct {
 	relocs     []record  // relocated data and parity fragments, in scan order
 }
 
-// stripeRepair is one repair write: with unit -1, recompute the stripe's
-// parity and append it from intra offset from; otherwise rebuild data unit
-// unit from intra offset from onward out of parity and the other units.
+// stripeRepair is one repair write over intra offsets [from, to): with
+// unit -1, recompute the stripe's parity and append it; otherwise rebuild
+// data unit unit out of the parity on media and the other units, or, when
+// img is set, out of that partial-parity image (ppParity's, one unit long)
+// and the units before it.
 type stripeRepair struct {
-	stripe int64
-	unit   int
-	from   int64
+	stripe   int64
+	unit     int
+	from, to int64
+	img      []byte
 }
 
 // tailPlan is the partial tail stripe whose buffer apply reloads so
@@ -188,14 +191,14 @@ func planStripe(lt *layout, ev *zoneEvidence, p *zonePlan, s int64, present []in
 		// Parity hole: data complete, parity torn (§5.2 write hole).
 		// Degraded, the unknown unit cannot be assumed full: the prefix
 		// rule below counts it only as far as parity rebuilds it.
-		p.repairs = append(p.repairs, stripeRepair{stripe: s, unit: -1, from: q})
+		p.repairs = append(p.repairs, stripeRepair{stripe: s, unit: -1, from: q, to: su})
 		return stripeSec
 	case q == su && shorts == 1 && !unknown && !ev.finished[lt.dataDev(ev.zone, s, short)]:
 		// Full parity: the stripe was complete at the crash. Rebuild its
 		// one short unit (§4.3); two erasures truncate below. On a
 		// finished device the short unit is a sealed tail under
 		// FinishZone's prefix parity, not a hole: the prefix rule below.
-		p.repairs = append(p.repairs, stripeRepair{stripe: s, unit: short, from: present[short]})
+		p.repairs = append(p.repairs, stripeRepair{stripe: s, unit: short, from: present[short], to: su})
 		return stripeSec
 	}
 
@@ -204,9 +207,32 @@ func planStripe(lt *layout, ev *zoneEvidence, p *zonePlan, s int64, present []in
 	// partial-parity logs), capped by what parity can rebuild: the media
 	// parity where every survivor holds its offsets (parityExtent) or the
 	// logs' coverage of that unit. Counting more would leave unreadable
-	// sectors below the write pointer.
+	// sectors below the write pointer. A short unit of a stripe with no
+	// unit missing, in a zone no device finished (so no FinishZone prefix
+	// parity), is torn where that evidence holds it: it counts as far as
+	// the media parity or an image rebuilds it, and the rebuilt sectors
+	// are written back (one short unit under full parity is the case
+	// above).
+	sealed := slices.Contains(ev.finished, true)
 	for u, f := range present {
-		if f < 0 {
+		switch {
+		case f >= 0 && f < su && !unknown && !sealed:
+			r := stripeRepair{stripe: s, unit: u, from: f, to: parityExtent(lt, ev, s, present, q, u)}
+			// An image rebuilds offset n when it holds unit u there and no
+			// later unit: it is then unit u XOR the units before it.
+			img, reach := ppParity(lt, ev.pp, s, ev.sectorSize)
+			n, lo := f, int64(u)*su
+			for n < su && lo+n < reach[n] && reach[n] <= lo+su+n {
+				n++
+			}
+			if n > r.to {
+				r.to, r.img = n, img
+			}
+			if r.to > f {
+				p.repairs = append(p.repairs, r)
+				f = r.to
+			}
+		case f < 0:
 			_, reach := ppParity(lt, ev.pp, s, ev.sectorSize)
 			ppEnd, covered := ppExtent(lt, ev.pp, s, u, reach)
 			f = clampI64(ppEnd-int64(u)*su, 0, su)

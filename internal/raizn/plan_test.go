@@ -68,15 +68,41 @@ func TestPlanZone(t *testing.T) {
 	}, {
 		name: "healthy parity hole: parity rewritten from q",
 		ev:   planEvidence(4, 4, 4, 4, 2),
-		want: zonePlan{wp: 16, repairs: []stripeRepair{{stripe: 0, unit: -1, from: 2}}},
+		want: zonePlan{wp: 16, repairs: []stripeRepair{{stripe: 0, unit: -1, from: 2, to: 4}}},
 	}, {
 		name: "one short unit under full parity: unit rebuilt from its fill",
 		ev:   planEvidence(4, 4, 1, 4, 4),
-		want: zonePlan{wp: 16, repairs: []stripeRepair{{stripe: 0, unit: 2, from: 1}}},
+		want: zonePlan{wp: 16, repairs: []stripeRepair{{stripe: 0, unit: 2, from: 1, to: 4}}},
 	}, {
+		// Full parity rebuilds unit 1 only where unit 2 holds the offset,
+		// and unit 2 holds less than unit 1 already does.
 		name: "two erasures truncate at the first",
-		ev:   planEvidence(4, 1, 2, 4, 4),
-		want: zonePlan{wp: 5, remapped: true, tail: &tailPlan{stripe: 0, fill: 5, missing: -1}},
+		ev:   planEvidence(4, 2, 1, 4, 4),
+		want: zonePlan{wp: 6, remapped: true, tail: &tailPlan{stripe: 0, fill: 6, missing: -1}},
+	}, {
+		// TestMountOutcomesGolden's "k=1 seeded" zone 1, stripe 2 (units
+		// 16 0 6 9 of 16 sectors, parity torn at 7): the whole mount
+		// stopped at unit 1 while a mount without unit 1's device
+		// rebuilt 6 sectors of it. The complete stripe's parity rebuilds
+		// unit 1 at offset 1, where every other unit holds its sector,
+		// and that sector is written back.
+		name: "a torn unit beside parity on media counts as far as that parity rebuilds it",
+		ev:   planEvidence(4, 1, 2, 4, 3),
+		want: zonePlan{wp: 6, remapped: true, repairs: []stripeRepair{{stripe: 0, unit: 1, from: 1, to: 2}},
+			tail: &tailPlan{stripe: 0, fill: 6, missing: -1}},
+	}, {
+		// The image of [4,7) is the parity of units 0 and 1 at offsets
+		// 0–2: unit 1 is that image XOR unit 0 there.
+		name: "a torn unit counts as far as an image that holds it rebuilds it",
+		ev:   withPP(planEvidence(4, 1, 0, 0, 0), ppImage{stripe: 0, a: 4, b: 7, payload: []byte{5, 6, 7}}),
+		want: zonePlan{wp: 7, repairs: []stripeRepair{{stripe: 0, unit: 1, from: 1, to: 3, img: []byte{5, 6, 7, 0}}},
+			tail: &tailPlan{stripe: 0, fill: 7, missing: -1}},
+	}, {
+		// The image of [0,9) also holds unit 1 (and unit 2 at offset 0),
+		// which unit 0 cannot be told apart from: it rebuilds none of it.
+		name: "an image that holds a later unit too rebuilds nothing of a torn unit",
+		ev:   withPP(planEvidence(1, 4, 1, 0, 0), ppImage{stripe: 0, a: 0, b: 9, payload: []byte{1, 2, 3, 4}}),
+		want: zonePlan{wp: 1, remapped: true, tail: &tailPlan{stripe: 0, fill: 1, missing: -1}},
 	}, {
 		name: "debris past the prefix",
 		ev:   planEvidence(4, 2, 0, 3, 0),

@@ -61,7 +61,9 @@ func TestPPAccountingGolden(t *testing.T) {
 //   - reset: zone 2 takes a partial stripe and is reset;
 //   - finish: zone 1 takes a partial stripe and is finished;
 //   - mount: zone 0 takes an unflushed partial stripe, every device loses
-//     power and the array is mounted.
+//     power and the array is mounted. On zraid the stripe's slot image
+//     survives, and mount rebuilds the torn unit from it (WP 396, 384 on
+//     the logged engine, whose log record was not flushed).
 func ppAccountingRows(t *testing.T, c *vclock.Clock, env fuaEnv) []string {
 	devs, v, err := env.create(c)
 	if err != nil {

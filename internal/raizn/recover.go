@@ -291,7 +291,7 @@ func (v *Volume) applyZone(lz *logicalZone, p *zonePlan) error {
 		if u < 0 {
 			u = v.lt.d // the stripe's parity
 		}
-		if err := v.repairTail(z, r.stripe, u, r.from); err != nil {
+		if err := v.repairTail(z, r.stripe, u, r.from, r.to, r.img); err != nil {
 			return err
 		}
 	}
@@ -310,14 +310,18 @@ func (v *Volume) applyZone(lz *logicalZone, p *zonePlan) error {
 	return v.rebuildStripeBuffer(lz, p.tail)
 }
 
-// repairTail rebuilds unit u of complete stripe s (the parity unit when
-// u == d) from intra offset from on out of the other units, and writes it
+// repairTail rebuilds intra offsets [from, to) of unit u of stripe s (the
+// parity unit when u == d) from the parity on media, or from the
+// partial-parity image img when it is set (rebuildUnit), and writes them
 // at the owning device's write pointer (§4.3: "rebuilding the missing
 // stripe units using parity"; §5.2's torn parity).
-func (v *Volume) repairTail(z int, s int64, u int, from int64) error {
+func (v *Volume) repairTail(z int, s int64, u int, from, to int64, pp []byte) error {
 	su, ss := v.lt.su, int64(v.sectorSize)
-	img := make([]byte, (su-from)*ss)
-	if err := v.reconstruct(z, s, u, from, su, img); err != nil {
+	img := make([]byte, (to-from)*ss)
+	if err := v.rebuildUnit(z, s, u, from, pp, img); err != nil {
+		return err
+	}
+	if err := v.checkRebuilt(z, s, u, from, to, img); err != nil {
 		return err
 	}
 	d := v.devs[v.unitDevice(z, s, u)]
@@ -363,7 +367,7 @@ func (v *Volume) rebuildStripeBuffer(lz *logicalZone, t *tailPlan) error {
 				}
 			}
 		}
-		if err := v.rebuildFromParity(lz.idx, t.stripe, m, units[m][:t.parity*ss]); err != nil {
+		if err := v.rebuildUnit(lz.idx, t.stripe, m, 0, nil, units[m][:t.parity*ss]); err != nil {
 			return err
 		}
 	}
@@ -373,21 +377,31 @@ func (v *Volume) rebuildStripeBuffer(lz *logicalZone, t *tailPlan) error {
 	return nil
 }
 
-// rebuildFromParity sets dst to intra offsets [0, len(dst)) of data unit u
-// of stripe s, rebuilt from the parity on media and every other data unit,
-// all of which hold those offsets (parityExtent): the stripe's data past
-// the write pointer is read too.
-func (v *Volume) rebuildFromParity(z int, s int64, u int, dst []byte) error {
-	n := int64(len(dst)) / int64(v.sectorSize)
+// rebuildUnit sets dst to intra offsets [a, a+len(dst)) of unit u of
+// stripe s (the parity unit when u == d). With img nil it is rebuilt from
+// the parity on media and every other data unit, all of which hold those
+// offsets (parityExtent): the stripe's data past the write pointer is read
+// too. Otherwise img is a partial-parity image that holds units 0..u at
+// those offsets and no later one, and units 0..u-1 are XORed out of it.
+func (v *Volume) rebuildUnit(z int, s int64, u int, a int64, img, dst []byte) error {
+	ss := int64(v.sectorSize)
+	n := int64(len(dst)) / ss
 	if n == 0 {
 		return nil
 	}
+	if img != nil {
+		copy(dst, img[a*ss:])
+	}
 	r := v.newReadJoin(nil, nil)
 	r.fills = r.fills[:0]
-	for range v.lt.d {
-		r.fills = append(r.fills, n)
+	for w := range v.lt.d {
+		if img != nil && w > u {
+			r.fills = append(r.fills, 0)
+		} else {
+			r.fills = append(r.fills, a+n)
+		}
 	}
-	if err := v.submitReconstruct(nil, z, s, u, 0, n, r.fills, dst, false, &r.xr, &r.subReads); err != nil {
+	if err := v.submitReconstruct(nil, z, s, u, a, a+n, r.fills, dst, img != nil, &r.xr, &r.subReads); err != nil {
 		return err
 	}
 	err := v.awaitReads(r.futs)
