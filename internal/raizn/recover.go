@@ -287,11 +287,7 @@ func (v *Volume) applyZone(lz *logicalZone, p *zonePlan) error {
 	lz.wp, lz.submittedWP = p.wp, p.wp // repairs reconstruct against it
 	lz.persistedWP = p.wp              // post-crash, everything on media is durable
 	for _, r := range p.repairs {
-		u := r.unit
-		if u < 0 {
-			u = v.lt.d // the stripe's parity
-		}
-		if err := v.repairTail(z, r.stripe, u, r.from, r.to, r.img); err != nil {
+		if err := v.repairTail(z, r); err != nil {
 			return err
 		}
 	}
@@ -310,25 +306,28 @@ func (v *Volume) applyZone(lz *logicalZone, p *zonePlan) error {
 	return v.rebuildStripeBuffer(lz, p.tail)
 }
 
-// repairTail rebuilds intra offsets [from, to) of unit u of stripe s (the
-// parity unit when u == d) from the parity on media, or from the
-// partial-parity image img when it is set (rebuildUnit), and writes them
-// at the owning device's write pointer (§4.3: "rebuilding the missing
-// stripe units using parity"; §5.2's torn parity).
-func (v *Volume) repairTail(z int, s int64, u int, from, to int64, pp []byte) error {
-	su, ss := v.lt.su, int64(v.sectorSize)
-	img := make([]byte, (to-from)*ss)
-	if err := v.rebuildUnit(z, s, u, from, pp, img); err != nil {
+// repairTail carries out repair r of zone z: it rebuilds the repair's
+// offsets from the parity on media, or from its partial-parity image
+// (rebuildUnit), and writes them at the owning device's write pointer
+// (§4.3: "rebuilding the missing stripe units using parity"; §5.2's torn
+// parity).
+func (v *Volume) repairTail(z int, r stripeRepair) error {
+	u := r.unit
+	if u < 0 {
+		u = v.lt.d // the stripe's parity
+	}
+	buf := make([]byte, (r.to-r.from)*int64(v.sectorSize))
+	if err := v.rebuildUnit(z, r.stripe, u, r.from, r.img, buf); err != nil {
 		return err
 	}
-	if err := v.checkRebuilt(z, s, u, from, to, img); err != nil {
+	if err := v.checkRebuilt(z, r.stripe, u, r.from, r.to, buf); err != nil {
 		return err
 	}
-	d := v.devs[v.unitDevice(z, s, u)]
+	d := v.devs[v.unitDevice(z, r.stripe, u)]
 	if d == nil {
 		return ErrInconsistent
 	}
-	return d.Write(int64(z)*v.lt.physZoneSize+s*su+from, img, 0).Wait()
+	return d.Write(int64(z)*v.lt.physZoneSize+r.stripe*v.lt.su+r.from, buf, 0).Wait()
 }
 
 // rebuildStripeBuffer reloads the partial tail stripe t into a stripe
