@@ -21,7 +21,6 @@ func main() {
 	list := flag.Bool("list", false, "list experiments")
 	quick := flag.Bool("quick", false, "shrink workloads for a fast smoke run")
 	metrics := flag.String("metrics", "", "write a JSON metrics-registry snapshot per experiment to this path (-all inserts the experiment name before the extension)")
-	flight := flag.String("flight", "", "ride a flight recorder on each experiment's raizn arrays and write the sampled time series (raizn-flight/v1 JSON) to this path (-all inserts the experiment name before the extension)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile at exit to this file")
 	flag.Parse()
@@ -66,7 +65,6 @@ func main() {
 			opts := bench.Options{
 				Quick:       *quick,
 				MetricsPath: metricsPathFor(*metrics, e.Name),
-				FlightPath:  metricsPathFor(*flight, e.Name),
 			}
 			if err := bench.RunOpts(e.Name, os.Stdout, opts); err != nil {
 				fmt.Fprintf(os.Stderr, "%s: %v\n", e.Name, err)
@@ -75,7 +73,7 @@ func main() {
 			fmt.Println()
 		}
 	case *exp != "":
-		if err := bench.RunOpts(*exp, os.Stdout, bench.Options{Quick: *quick, MetricsPath: *metrics, FlightPath: *flight}); err != nil {
+		if err := bench.RunOpts(*exp, os.Stdout, bench.Options{Quick: *quick, MetricsPath: *metrics}); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

@@ -279,7 +279,7 @@ func runIncident(clk *vclock.Clock, slowDev int, factor float64) {
 	})
 	tr.SetObserver(rec)
 
-	var inc *flight.Incident
+	var inc *flight.Recorder
 	runMixed(vol, devs[slowDev], 0, factor, func(slowAt int) {
 		if inc != nil {
 			return

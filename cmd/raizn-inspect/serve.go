@@ -227,7 +227,7 @@ func runServeView(clk *vclock.Clock) {
 	incidents := m.CheckIncidents()
 	fmt.Printf("\nincidents filed: %d\n", len(incidents))
 	for _, inc := range incidents {
-		t := inc.Box.Trigger
+		t := inc.Trigger()
 		fmt.Printf("  %-10s tenant=%-7s array=%s  %s\n", t.Kind, t.Tenant, t.Array, t.Detail)
 	}
 

@@ -7,7 +7,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -18,7 +17,6 @@ import (
 	"raizn/internal/fio"
 	"raizn/internal/mdraid"
 	"raizn/internal/obs"
-	"raizn/internal/obs/flight"
 	"raizn/internal/raizn"
 	"raizn/internal/vclock"
 	"raizn/internal/zns"
@@ -62,12 +60,6 @@ type Options struct {
 	// MetricsPath, when non-empty, receives a JSON snapshot of the run's
 	// metrics registry when the experiment finishes.
 	MetricsPath string
-	// FlightPath, when non-empty, rides a flight recorder on the run's
-	// raizn arrays and writes the sampled time series (a FlightReport)
-	// when the experiment finishes. Experiments that build several
-	// arrays report the last one built; mdraid-only sides of a compare
-	// are not recorded.
-	FlightPath string
 }
 
 // runRegistry collects the metrics of every volume, device and scrubber
@@ -77,13 +69,6 @@ type Options struct {
 // name counters accumulate across the sweep, and pull-style device
 // gauges reflect the most recently built array (GaugeFunc replaces).
 var runRegistry = obs.NewRegistry()
-
-// runFlight is the flight recorder attached to the most recent raizn
-// array of the current run, when Options.FlightPath asked for one.
-var (
-	runFlight    *flight.Recorder
-	flightWanted bool
-)
 
 // Run executes the named experiment, writing its report to w. quick
 // shrinks the workload for smoke tests.
@@ -97,7 +82,6 @@ func RunOpts(name string, w io.Writer, opts Options) error {
 		if e.Name == name {
 			fmt.Fprintf(w, "=== %s: %s ===\n", e.Name, e.Title)
 			runRegistry = obs.NewRegistry()
-			runFlight, flightWanted = nil, opts.FlightPath != ""
 			if err := e.Run(w, opts.Quick); err != nil {
 				return err
 			}
@@ -106,12 +90,6 @@ func RunOpts(name string, w io.Writer, opts Options) error {
 					return err
 				}
 				fmt.Fprintf(w, "\nwrote metrics snapshot to %s\n", opts.MetricsPath)
-			}
-			if opts.FlightPath != "" {
-				if err := writeFlightReport(opts.FlightPath, e.Name, opts.Quick); err != nil {
-					return err
-				}
-				fmt.Fprintf(w, "\nwrote flight time series to %s\n", opts.FlightPath)
 			}
 			return nil
 		}
@@ -125,40 +103,6 @@ func writeMetricsSnapshot(path string) error {
 		return err
 	}
 	if err := runRegistry.Snapshot().WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// FlightSchemaV1 versions -flight output.
-const FlightSchemaV1 = "raizn-flight/v1"
-
-// FlightReport is the serialized form of a -flight run: the experiment
-// coordinates plus the recorder's black box (sampled metric time
-// series, tail-sampled spans, journal tail).
-type FlightReport struct {
-	Schema     string           `json:"schema"`
-	Experiment string           `json:"experiment"`
-	Quick      bool             `json:"quick"`
-	Box        *flight.BlackBox `json:"box"`
-}
-
-func writeFlightReport(path, exp string, quick bool) error {
-	if runFlight == nil {
-		return fmt.Errorf("bench: -flight: experiment %q built no raizn array to record", exp)
-	}
-	rep := FlightReport{
-		Schema: FlightSchemaV1, Experiment: exp, Quick: quick,
-		Box: runFlight.Snapshot(),
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
 		f.Close()
 		return err
 	}
@@ -213,9 +157,7 @@ func blockConfig(sc scale, discard bool) blockdev.Config {
 }
 
 // newRaizn builds a fresh RAIZN array wired into the run's metrics
-// registry. Under -flight it also rides a flight recorder on the array:
-// an enabled tracer and journal feed it, and the recorder replaces
-// runFlight (a sweep's last array is the one reported).
+// registry.
 func newRaizn(clk *vclock.Clock, sc scale, discard bool, su int64) (*raizn.Volume, []*zns.Device, error) {
 	devs := make([]*zns.Device, sc.numDevices)
 	for i := range devs {
@@ -225,25 +167,7 @@ func newRaizn(clk *vclock.Clock, sc scale, discard bool, su int64) (*raizn.Volum
 	rcfg := raizn.DefaultConfig()
 	rcfg.StripeUnitSectors = su
 	rcfg.Metrics = runRegistry
-	var tr *obs.Tracer
-	var jrn *obs.Journal
-	if flightWanted {
-		jrn = obs.NewJournal(clk, obs.JournalConfig{Capacity: 1 << 14})
-		jrn.Enable()
-		tr = obs.NewTracer(clk, obs.Config{SinkCapacity: 256})
-		tr.Enable()
-		rcfg.Tracer = tr
-		rcfg.Journal = jrn
-	}
 	v, err := raizn.Create(clk, devs, rcfg)
-	if err == nil && flightWanted {
-		rec := flight.New(flight.Config{
-			Clock: clk, Registry: runRegistry, Journal: jrn, Label: "bench",
-			Degraded: func() bool { return v.Degraded() >= 0 },
-		})
-		tr.SetObserver(rec)
-		runFlight = rec
-	}
 	return v, devs, err
 }
 

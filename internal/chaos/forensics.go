@@ -14,12 +14,11 @@ import (
 // span/journal timeline, metric deltas, and the replay seed that
 // reproduces the crash.
 
-// renderForensics renders the capture's black box under trig, stamped
-// with the crash instant.
+// renderForensics renders the capture's frozen recorder under trig,
+// stamped with the crash instant.
 func renderForensics(cap *capture, trig flight.Trigger) (string, error) {
-	trig.TNs = cap.box.FrozenAtNs
 	var sb strings.Builder
-	if err := flight.FromBox(cap.box, &trig).WriteReport(&sb); err != nil {
+	if err := cap.rec.Incident(trig).WriteReport(&sb); err != nil {
 		return "", err
 	}
 	return sb.String(), nil

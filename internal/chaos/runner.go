@@ -63,11 +63,11 @@ func parseVariant(s string) (Variant, error) {
 // capture is the frozen state of a run at the instant of a crash: the
 // array's crash snapshot (post-power-loss clones bound to a fresh clock
 // recovery will run on, the event journal up to the crash, the mount
-// config), the workload model and the flight recorder's black box.
+// config), the workload model and a frozen copy of the flight recorder.
 type capture struct {
 	ArrayCrash
 	model *Model
-	box   *flight.BlackBox
+	rec   *flight.Recorder
 	point CrashPoint
 	index int // census index of the crossing
 }
@@ -198,7 +198,7 @@ func (rc *runCtx) captureLocked(cp CrashPoint, idx int) {
 			Config:  rc.s.volConfig(),
 		},
 		model: rc.model.clone(),
-		box:   rc.rec.Snapshot(),
+		rec:   rc.rec.Snapshot(),
 		point: cp,
 		index: idx,
 	}

@@ -6,8 +6,8 @@
 // (only requests above a rolling p99, erroring, or on the degraded path
 // are kept — the fast path stays allocation-free, like the nil-span
 // discipline), and captures the journal tail when frozen. Its owner
-// takes a snapshot (see BlackBox) when an incident happens — the chaos
-// harness at a simulated power cut — and the incident engine (see
+// takes a frozen copy (see Snapshot) when an incident happens — the
+// chaos harness at a simulated power cut — and the incident engine (see
 // Incident) freezes the recorder on a trigger and renders a
 // deterministic merged-timeline report.
 //
@@ -27,6 +27,16 @@ import (
 	"raizn/internal/vclock"
 )
 
+// The recorder's fixed sizes. Samples are stamped at multiples of
+// sampleInterval so two runs of the same seed sample at identical
+// instants; the rings overwrite their oldest entry.
+const (
+	sampleInterval = time.Millisecond
+	seriesCapacity = 64  // samples retained per metric series
+	spanCapacity   = 64  // tail-sampled span trees retained
+	journalTail    = 256 // journal events captured at freeze
+)
+
 // Config wires a Recorder to one array's telemetry.
 type Config struct {
 	// Clock is the virtual clock; required.
@@ -35,24 +45,11 @@ type Config struct {
 	Registry *obs.Registry
 	// Journal supplies the event tail captured at freeze time. Optional.
 	Journal *obs.Journal
-	// Label identifies the array/volume in reports and persisted boxes.
+	// Label identifies the array/volume in reports.
 	Label string
 	// Degraded, when set, reports whether the array is currently on a
 	// degraded path; spans completing while true are always kept.
 	Degraded func() bool
-	// SampleInterval is the metric sampling period on the virtual
-	// clock; sample timestamps are aligned to its multiples so two runs
-	// of the same seed sample at identical instants. Default 1ms.
-	SampleInterval time.Duration
-	// SeriesCapacity bounds the samples retained per metric series
-	// (ring; oldest overwritten). Default 64.
-	SeriesCapacity int
-	// SpanCapacity bounds the tail-sampled span trees retained
-	// (ring; oldest overwritten). Default 64.
-	SpanCapacity int
-	// JournalTail bounds the journal events copied into the black box.
-	// Default 256.
-	JournalTail int
 	// Multiple of the rolling per-op p99 a span must exceed to be
 	// tail-sampled. Default 1 (anything above the p99).
 	Multiple float64
@@ -63,8 +60,8 @@ type Config struct {
 
 // Sample is one point of a metric time series.
 type Sample struct {
-	TNs int64 `json:"t_ns"`
-	V   int64 `json:"v"`
+	TNs int64
+	V   int64
 }
 
 // series is one metric's bounded sample ring.
@@ -101,18 +98,6 @@ func New(cfg Config) *Recorder {
 	if cfg.Clock == nil {
 		panic("flight: Config.Clock is required")
 	}
-	if cfg.SampleInterval <= 0 {
-		cfg.SampleInterval = time.Millisecond
-	}
-	if cfg.SeriesCapacity <= 0 {
-		cfg.SeriesCapacity = 64
-	}
-	if cfg.SpanCapacity <= 0 {
-		cfg.SpanCapacity = 64
-	}
-	if cfg.JournalTail <= 0 {
-		cfg.JournalTail = 256
-	}
 	if cfg.Multiple <= 0 {
 		cfg.Multiple = 1
 	}
@@ -123,16 +108,13 @@ func New(cfg Config) *Recorder {
 		cfg:      cfg,
 		lastTick: -1,
 		series:   make(map[string]*series),
-		spans:    make([]*obs.Span, cfg.SpanCapacity),
+		spans:    make([]*obs.Span, spanCapacity),
 	}
 	for i := range r.hists {
 		r.hists[i] = stats.NewHistogram()
 	}
 	return r
 }
-
-// Label returns the recorder's configured label.
-func (r *Recorder) Label() string { return r.cfg.Label }
 
 // ObserveSpan feeds one finished root span: it is judged for tail
 // sampling against the rolling p99 of the spans BEFORE it, and its
@@ -169,7 +151,16 @@ func (r *Recorder) ObserveSpan(s *obs.Span) {
 func (r *Recorder) Spans() []*obs.Span {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]*obs.Span(nil), retainedSpans(r.spans, r.spanPos, r.spanTot)...)
+	return r.spansLocked()
+}
+
+// spansLocked returns the span ring's entries oldest-first, in a new
+// slice.
+func (r *Recorder) spansLocked() []*obs.Span {
+	if r.spanTot < uint64(len(r.spans)) {
+		return append([]*obs.Span(nil), r.spans[:r.spanTot]...)
+	}
+	return append(append([]*obs.Span(nil), r.spans[r.spanPos:]...), r.spans[:r.spanPos]...)
 }
 
 // Poll takes a metric sample if a sample-interval boundary has been
@@ -192,7 +183,7 @@ func (r *Recorder) Poll() {
 // instant — floor(now/interval)*interval — so sample times are a pure
 // function of the virtual clock, not of which span happened to cross.
 func (r *Recorder) maybeSampleLocked(now time.Duration) {
-	tick := now - now%r.cfg.SampleInterval
+	tick := now - now%sampleInterval
 	if tick <= r.lastTick && r.lastTick >= 0 {
 		return
 	}
@@ -225,7 +216,7 @@ func (r *Recorder) sampleLocked(t time.Duration) {
 func (r *Recorder) appendLocked(name string, t time.Duration, v int64) {
 	se := r.series[name]
 	if se == nil {
-		se = &series{ring: make([]Sample, r.cfg.SeriesCapacity)}
+		se = &series{ring: make([]Sample, seriesCapacity)}
 		r.series[name] = se
 	}
 	se.ring[se.pos] = Sample{TNs: int64(t), V: v}
@@ -256,14 +247,20 @@ func (r *Recorder) Freeze(trig *Trigger) {
 	r.frozen = true
 	r.frozenAt = now
 	r.trigger = trig
-	if r.cfg.Journal != nil {
-		evs := r.cfg.Journal.Events()
-		if len(evs) > r.cfg.JournalTail {
-			evs = evs[len(evs)-r.cfg.JournalTail:]
-		}
-		r.events = append([]obs.Event(nil), evs...)
-		r.evDrop = r.cfg.Journal.Dropped()
+	r.events, r.evDrop = r.journalTail()
+}
+
+// journalTail copies the newest journalTail events of the attached
+// journal and the count the journal itself dropped.
+func (r *Recorder) journalTail() ([]obs.Event, uint64) {
+	if r.cfg.Journal == nil {
+		return nil, 0
 	}
+	evs := r.cfg.Journal.Events()
+	if len(evs) > journalTail {
+		evs = evs[len(evs)-journalTail:]
+	}
+	return evs, r.cfg.Journal.Dropped()
 }
 
 // Frozen reports whether the recorder has been frozen.
@@ -273,111 +270,43 @@ func (r *Recorder) Frozen() bool {
 	return r.frozen
 }
 
-// Snapshot serializes the recorder's current state into a BlackBox.
-// Works live (the journal tail is captured on the fly) or frozen.
-func (r *Recorder) Snapshot() *BlackBox {
+// Snapshot returns a frozen copy of the recorder: its series rings, its
+// kept spans and the journal tail, as of now (or as of the freeze, when
+// the recorder is frozen), with no trigger. The live recorder runs on.
+//
+// Snapshot takes no metric sample. A sample evaluates every GaugeFunc,
+// and the chaos harness snapshots from a crash hook, which can fire
+// while the component that fired it holds a lock one of its own gauges
+// takes (the zraid engine's slot write holds the engine's mutex, which
+// SlotTable.Stats needs).
+func (r *Recorder) Snapshot() *Recorder {
 	now := r.cfg.Clock.Now()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	b := &BlackBox{
-		Schema:     SchemaV1,
-		Label:      r.cfg.Label,
-		Frozen:     r.frozen,
-		FrozenAtNs: int64(now),
-		Trigger:    r.trigger,
-		SpansTotal: r.spanTot,
+	cp := &Recorder{
+		cfg:      r.cfg,
+		frozen:   true,
+		frozenAt: r.frozenAt,
+		series:   make(map[string]*series, len(r.series)),
+		spans:    r.spansLocked(),
+		spanTot:  r.spanTot,
+		events:   r.events,
+		evDrop:   r.evDrop,
 	}
-	if r.frozen {
-		b.FrozenAtNs = int64(r.frozenAt)
+	if !r.frozen {
+		cp.frozenAt = now
+		cp.events, cp.evDrop = r.journalTail()
 	}
-
-	names := make([]string, 0, len(r.series))
-	for k := range r.series {
-		names = append(names, k)
+	for k, se := range r.series {
+		cp.series[k] = &series{ring: append([]Sample(nil), se.ring...), pos: se.pos, total: se.total}
 	}
-	sortStrings(names)
-	for _, k := range names {
-		se := r.series[k]
-		sd := SeriesDump{Name: k, Samples: retained(se)}
-		if se.total > uint64(len(sd.Samples)) {
-			sd.Dropped = se.total - uint64(len(sd.Samples))
-		}
-		b.Series = append(b.Series, sd)
-	}
-
-	for _, s := range retainedSpans(r.spans, r.spanPos, r.spanTot) {
-		b.Spans = append(b.Spans, dumpSpan(s))
-	}
-
-	evs := r.events
-	drop := r.evDrop
-	if !r.frozen && r.cfg.Journal != nil {
-		evs = r.cfg.Journal.Events()
-		if len(evs) > r.cfg.JournalTail {
-			evs = evs[len(evs)-r.cfg.JournalTail:]
-		}
-		drop = r.cfg.Journal.Dropped()
-	}
-	for _, e := range evs {
-		b.Events = append(b.Events, dumpEvent(e))
-	}
-	b.EventsDropped = drop
-	return b
+	return cp
 }
 
 // retained returns a series ring's samples oldest-first.
 func retained(se *series) []Sample {
 	if se.total < uint64(len(se.ring)) {
-		return append([]Sample(nil), se.ring[:se.total]...)
+		return se.ring[:se.total]
 	}
-	out := make([]Sample, 0, len(se.ring))
-	out = append(out, se.ring[se.pos:]...)
-	return append(out, se.ring[:se.pos]...)
-}
-
-// retainedSpans returns a span ring's entries oldest-first.
-func retainedSpans(ring []*obs.Span, pos int, total uint64) []*obs.Span {
-	if total < uint64(len(ring)) {
-		return ring[:total]
-	}
-	out := make([]*obs.Span, 0, len(ring))
-	out = append(out, ring[pos:]...)
-	return append(out, ring[:pos]...)
-}
-
-// sortStrings is an insertion sort; series maps are small and this
-// avoids importing sort for one call site.
-func sortStrings(a []string) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j-1] > a[j]; j-- {
-			a[j-1], a[j] = a[j], a[j-1]
-		}
-	}
-}
-
-func dumpSpan(s *obs.Span) SpanDump {
-	end, _ := s.EndTime()
-	d := SpanDump{
-		Op:      s.Op.String(),
-		Dev:     s.Dev,
-		LBA:     s.LBA,
-		Bytes:   s.Bytes,
-		StartNs: int64(s.Start()),
-		EndNs:   int64(end),
-	}
-	if err := s.Err(); err != nil {
-		d.Err = err.Error()
-	}
-	for _, c := range s.Children() {
-		d.Children = append(d.Children, dumpSpan(c))
-	}
-	return d
-}
-
-func dumpEvent(e obs.Event) EventDump {
-	return EventDump{
-		Seq: e.Seq, TNs: int64(e.T), Type: e.Type.String(),
-		Src: int(e.Src), Zone: int(e.Zone),
-		A: e.A, B: e.B, C: e.C, D: e.D,
-	}
+	return append(append([]Sample(nil), se.ring[se.pos:]...), se.ring[:se.pos]...)
 }

@@ -1,9 +1,8 @@
 package flight
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -13,46 +12,43 @@ import (
 )
 
 // TestSeriesRingWraparound drives the Poll-based sampler past the ring
-// capacity and checks that the retained window is the newest N samples,
-// oldest-first, with the overwritten remainder counted as dropped.
+// capacity and checks that the retained window is the newest
+// seriesCapacity samples, oldest-first, the rest overwritten.
 func TestSeriesRingWraparound(t *testing.T) {
 	clk := vclock.New()
 	clk.Run(func() {
 		reg := obs.NewRegistry()
 		ctr := reg.Counter("raizn_test_total")
-		rec := New(Config{Clock: clk, Registry: reg, SeriesCapacity: 4})
+		rec := New(Config{Clock: clk, Registry: reg})
 
-		const polls = 10
+		const polls = seriesCapacity + 6
 		for i := 0; i < polls; i++ {
 			ctr.Inc()
 			rec.Poll()
 			clk.Sleep(time.Millisecond) // one sample boundary per loop
 		}
 
-		box := rec.Snapshot()
-		var got *SeriesDump
-		for i := range box.Series {
-			if box.Series[i].Name == "raizn_test_total" {
-				got = &box.Series[i]
-			}
-		}
-		if got == nil {
+		se := rec.Snapshot().series["raizn_test_total"]
+		if se == nil {
 			t.Fatal("counter series missing from snapshot")
 		}
-		if len(got.Samples) != 4 {
-			t.Fatalf("retained %d samples, want ring capacity 4", len(got.Samples))
+		if se.total != polls {
+			t.Fatalf("sampled %d times, want %d", se.total, polls)
 		}
-		if got.Dropped != polls-4 {
-			t.Fatalf("Dropped = %d, want %d", got.Dropped, polls-4)
+		got := retained(se)
+		if len(got) != seriesCapacity {
+			t.Fatalf("retained %d samples, want ring capacity %d", len(got), seriesCapacity)
 		}
-		for i := 1; i < len(got.Samples); i++ {
-			if got.Samples[i].TNs <= got.Samples[i-1].TNs {
-				t.Fatalf("samples not oldest-first: %+v", got.Samples)
+		for i := 1; i < len(got); i++ {
+			if got[i].TNs <= got[i-1].TNs {
+				t.Fatalf("samples not oldest-first: %+v", got)
 			}
 		}
-		// The newest retained sample saw the final counter value.
-		if last := got.Samples[len(got.Samples)-1]; last.V != polls {
-			t.Fatalf("newest sample V = %d, want %d", last.V, polls)
+		// The oldest retained sample is the first not overwritten; the
+		// newest saw the final counter value.
+		if got[0].V != polls-seriesCapacity+1 || got[len(got)-1].V != polls {
+			t.Fatalf("retained V %d..%d, want %d..%d",
+				got[0].V, got[len(got)-1].V, polls-seriesCapacity+1, polls)
 		}
 	})
 }
@@ -64,13 +60,12 @@ func TestPollAlignsToInterval(t *testing.T) {
 	clk.Run(func() {
 		reg := obs.NewRegistry()
 		reg.Counter("raizn_test_total").Inc()
-		rec := New(Config{Clock: clk, Registry: reg, SampleInterval: time.Millisecond})
+		rec := New(Config{Clock: clk, Registry: reg})
 		clk.Sleep(2500 * time.Microsecond) // mid-interval
 		rec.Poll()
 		clk.Sleep(300 * time.Microsecond) // same interval: no new sample
 		rec.Poll()
-		box := rec.Snapshot()
-		s := box.Series[0].Samples
+		s := retained(rec.Snapshot().series["raizn_test_total"])
 		if len(s) != 1 {
 			t.Fatalf("got %d samples, want 1 (second poll in same interval)", len(s))
 		}
@@ -127,21 +122,21 @@ func TestTailSamplingKeepsOutliersOnly(t *testing.T) {
 			feedSpan(clk, tr, int64(i), time.Millisecond, nil)
 		}
 		feedSpan(clk, tr, 99, 2*time.Millisecond, nil) // above the p99, under 3x it
-		if n := len(rec.Snapshot().Spans); n != 1 {
+		if n := len(rec.Spans()); n != 1 {
 			t.Fatalf("uniform and sub-Multiple latencies retained %d more spans, want 0", n-1)
 		}
 
 		feedSpan(clk, tr, 100, time.Millisecond, errSpanFailed)
 		feedSpan(clk, tr, 101, 10*time.Millisecond, nil) // >> 3x the rolling p99
-		box := rec.Snapshot()
-		if len(box.Spans) != 3 {
-			t.Fatalf("retained %d spans, want warm-up boundary + erred + outlier", len(box.Spans))
+		kept := rec.Spans()
+		if len(kept) != 3 {
+			t.Fatalf("retained %d spans, want warm-up boundary + erred + outlier", len(kept))
 		}
-		if box.Spans[1].Err == "" {
+		if kept[1].Err() == nil {
 			t.Error("second retained span should carry the error")
 		}
-		if box.Spans[2].LBA != 101 {
-			t.Errorf("third retained span LBA = %d, want the outlier 101", box.Spans[2].LBA)
+		if kept[2].LBA != 101 {
+			t.Errorf("third retained span LBA = %d, want the outlier 101", kept[2].LBA)
 		}
 
 		tr.SetObserver(nil)
@@ -153,37 +148,42 @@ func TestTailSamplingKeepsOutliersOnly(t *testing.T) {
 }
 
 // TestSpanRingWraparound overflows the span ring with erred spans (always
-// kept) and checks oldest-first retention of the newest window.
+// kept) and checks oldest-first retention of the newest window, in the
+// live recorder and in its frozen copy.
 func TestSpanRingWraparound(t *testing.T) {
 	clk := vclock.New()
 	clk.Run(func() {
 		tr := obs.NewTracer(clk, obs.Config{SinkCapacity: 2})
 		tr.Enable()
-		rec := New(Config{Clock: clk, SpanCapacity: 3})
+		rec := New(Config{Clock: clk})
 		tr.SetObserver(rec)
-		for i := 0; i < 8; i++ {
+		const fed = spanCapacity + 5
+		for i := 0; i < fed; i++ {
 			feedSpan(clk, tr, int64(i), time.Millisecond, errSpanFailed)
 		}
-		box := rec.Snapshot()
-		if box.SpansTotal != 8 {
-			t.Fatalf("SpansTotal = %d, want 8", box.SpansTotal)
+		snap := rec.Snapshot()
+		if snap.spanTot != fed {
+			t.Fatalf("kept %d spans in all, want %d", snap.spanTot, fed)
 		}
-		if len(box.Spans) != 3 {
-			t.Fatalf("retained %d spans, want 3", len(box.Spans))
-		}
-		for i, want := range []int64{5, 6, 7} {
-			if box.Spans[i].LBA != want {
-				t.Fatalf("retained[%d].LBA = %d, want %d (oldest-first)", i, box.Spans[i].LBA, want)
+		for _, r := range []*Recorder{rec, snap} {
+			kept := r.Spans()
+			if len(kept) != spanCapacity {
+				t.Fatalf("retained %d spans, want %d", len(kept), spanCapacity)
+			}
+			for i, sp := range kept {
+				if want := int64(fed - spanCapacity + i); sp.LBA != want {
+					t.Fatalf("retained[%d].LBA = %d, want %d (oldest-first)", i, sp.LBA, want)
+				}
 			}
 		}
 	})
 }
 
 // runScripted drives one fixed workload — mixed-latency spans, journal
-// events, a moving counter — and returns the frozen box's bytes.
-func runScripted(t *testing.T) []byte {
+// events, a moving counter — and returns the frozen recorder's report.
+func runScripted(t *testing.T) string {
 	t.Helper()
-	var out []byte
+	var out string
 	clk := vclock.New()
 	clk.Run(func() {
 		reg := obs.NewRegistry()
@@ -194,7 +194,7 @@ func runScripted(t *testing.T) []byte {
 		tr.Enable()
 		rec := New(Config{
 			Clock: clk, Registry: reg, Journal: jrn,
-			Label: "det", MinSamples: 8, SeriesCapacity: 16,
+			Label: "det", MinSamples: 8,
 		})
 		tr.SetObserver(rec)
 
@@ -205,38 +205,39 @@ func runScripted(t *testing.T) []byte {
 			feedSpan(clk, tr, int64(i), l*time.Millisecond, nil)
 		}
 		rec.Freeze(&Trigger{Kind: TrigSlowIO, Detail: "scripted", Dev: 2, Zone: -1})
-		data, err := json.Marshal(rec.Snapshot())
-		if err != nil {
-			t.Fatalf("Marshal: %v", err)
-		}
-		out = data
+		out = report(t, rec)
 	})
 	return out
 }
 
+func report(t *testing.T, r *Recorder) string {
+	t.Helper()
+	var sb strings.Builder
+	if err := r.WriteReport(&sb); err != nil {
+		t.Fatalf("WriteReport: %v", err)
+	}
+	return sb.String()
+}
+
 // TestTailSamplingDeterminism runs the identical scripted workload on two
-// fresh clocks and requires byte-identical serialized boxes — the
-// property CI's incident double-run diff rests on.
+// fresh clocks and requires byte-identical reports — the property CI's
+// incident double-run diff rests on.
 func TestTailSamplingDeterminism(t *testing.T) {
 	a := runScripted(t)
 	b := runScripted(t)
-	if !bytes.Equal(a, b) {
-		t.Fatalf("same-seed boxes differ:\n%s\n---\n%s", a, b)
+	if a != b {
+		t.Fatalf("same-seed reports differ:\n%s\n---\n%s", a, b)
 	}
-	var box BlackBox
-	if err := json.Unmarshal(a, &box); err != nil {
-		t.Fatalf("Unmarshal: %v", err)
+	if !strings.Contains(a, "] span ") {
+		t.Errorf("scripted workload retained no spans; outliers should be tail-sampled:\n%s", a)
 	}
-	if len(box.Spans) == 0 {
-		t.Error("scripted workload retained no spans; outliers should be tail-sampled")
-	}
-	if len(box.Events) == 0 {
-		t.Error("frozen box carries no journal events")
+	if !strings.Contains(a, "] event ") {
+		t.Errorf("frozen recorder carries no journal events:\n%s", a)
 	}
 }
 
 // TestFreezeFirstWins checks freeze idempotence: the first trigger is
-// pinned, and later spans/polls no longer mutate the box.
+// pinned, and later spans/polls no longer change what it reports.
 func TestFreezeFirstWins(t *testing.T) {
 	clk := vclock.New()
 	clk.Run(func() {
@@ -252,7 +253,7 @@ func TestFreezeFirstWins(t *testing.T) {
 		if !rec.Frozen() {
 			t.Fatal("not frozen after Freeze")
 		}
-		before := rec.Snapshot()
+		before := report(t, rec)
 
 		rec.Freeze(&Trigger{Kind: TrigSlowIO, Detail: "second"})
 		ctr.Add(10)
@@ -260,14 +261,12 @@ func TestFreezeFirstWins(t *testing.T) {
 		rec.Poll()
 		feedSpan(clk, tr, 7, time.Millisecond, errSpanFailed)
 
-		after := rec.Snapshot()
-		if after.Trigger.Detail != "first" {
-			t.Fatalf("trigger = %q, want the first freeze to win", after.Trigger.Detail)
+		rec.Incident(Trigger{Kind: TrigSlowIO, Detail: "third"})
+		if d := rec.Trigger().Detail; d != "first" {
+			t.Fatalf("trigger = %q, want the first freeze to win", d)
 		}
-		ab, _ := json.Marshal(after)
-		bb, _ := json.Marshal(before)
-		if !bytes.Equal(ab, bb) {
-			t.Fatal("frozen box mutated by post-freeze spans/polls")
+		if after := report(t, rec); after != before {
+			t.Fatalf("frozen report changed by post-freeze spans/polls:\n%s\n---\n%s", before, after)
 		}
 	})
 }
@@ -299,12 +298,21 @@ func TestIncidentReport(t *testing.T) {
 		ch.End(errSpanFailed)
 		sp.End(errSpanFailed)
 
-		inc := rec.Incident(Trigger{Kind: TrigSlowIO, Detail: "unit trigger", Dev: 2, Zone: -1})
-		var sb strings.Builder
-		if err := inc.WriteReport(&sb); err != nil {
-			t.Fatalf("WriteReport: %v", err)
+		// A snapshot is a frozen copy with no trigger; the live
+		// recorder runs on.
+		snap := rec.Snapshot()
+		if !snap.Frozen() || snap.Trigger() != nil || rec.Frozen() {
+			t.Fatalf("Snapshot: copy frozen=%v trigger=%v, live frozen=%v; want a frozen untriggered copy of a live recorder",
+				snap.Frozen(), snap.Trigger(), rec.Frozen())
 		}
-		rep := sb.String()
+		snapAt := clk.Now()
+		clk.Sleep(time.Millisecond)
+
+		inc := rec.Incident(Trigger{Kind: TrigSlowIO, Detail: "unit trigger", Dev: 2, Zone: -1})
+		if inc != rec || !rec.Frozen() {
+			t.Fatal("Incident did not freeze the recorder it was called on")
+		}
+		rep := report(t, inc)
 		for _, want := range []string{
 			"slow-io", "unit trigger", // trigger
 			"dev 2",              // suspect ranking seeded by trigger + err child
@@ -317,26 +325,54 @@ func TestIncidentReport(t *testing.T) {
 			}
 		}
 
-		// Round-trip through the JSON form: FromBox keeps the pinned
-		// trigger and renders the same evidence.
-		data, err := json.Marshal(inc.Box)
-		if err != nil {
-			t.Fatalf("Marshal: %v", err)
+		// The snapshot adopts the first trigger it is filed under,
+		// stamped with its freeze instant, and keeps it.
+		snap.Incident(Trigger{Kind: TrigOracle, Detail: "adopted", TNs: 1, Dev: -1, Zone: 4})
+		snap.Incident(Trigger{Kind: TrigSlowIO, Detail: "should not replace"})
+		if trig := snap.Trigger(); trig == nil || trig.Detail != "adopted" || trig.TNs != int64(snapAt) {
+			t.Fatalf("snapshot trigger = %+v, want the adopted trigger at %v", trig, snapAt)
 		}
-		var box BlackBox
-		if err := json.Unmarshal(data, &box); err != nil {
-			t.Fatalf("Unmarshal: %v", err)
+		srep := report(t, snap)
+		for _, want := range []string{
+			"frozen at: " + snapAt.String(),
+			"trigger: oracle-violation at " + snapAt.String() + ": adopted",
+			"zone 4   score 1005", "zone-reset", "dev 2",
+		} {
+			if !strings.Contains(srep, want) {
+				t.Errorf("snapshot report missing %q:\n%s", want, srep)
+			}
 		}
-		inc2 := FromBox(&box, &Trigger{Kind: TrigOracle, Detail: "should not replace"})
-		if inc2.Box.Trigger.Detail != "unit trigger" {
-			t.Fatalf("FromBox replaced a pinned trigger: %q", inc2.Box.Trigger.Detail)
+	})
+}
+
+// TestSnapshotReadsNoGauge: a Snapshot of a live recorder, and the
+// incident filed on it, evaluate no GaugeFunc. The chaos harness
+// snapshots from a crash hook, which can fire under a lock that one of
+// the component's own gauges takes.
+func TestSnapshotReadsNoGauge(t *testing.T) {
+	clk := vclock.New()
+	clk.Run(func() {
+		reg := obs.NewRegistry()
+		armed := false
+		reg.GaugeFunc("raizn_locked_gauge", func() int64 {
+			if armed {
+				t.Error("Snapshot read a gauge")
+			}
+			return 1
+		})
+		rec := New(Config{Clock: clk, Registry: reg})
+		rec.Poll()
+		clk.Sleep(5 * time.Millisecond) // a sample boundary is due
+		armed = true
+		snap := rec.Snapshot()
+		snap.Incident(Trigger{Kind: TrigDeviceHealth, Dev: -1, Zone: -1})
+		if err := snap.WriteReport(io.Discard); err != nil {
+			t.Fatalf("WriteReport: %v", err)
 		}
-		var sb2 strings.Builder
-		if err := inc2.WriteReport(&sb2); err != nil {
-			t.Fatalf("WriteReport (recovered): %v", err)
-		}
-		if sb2.String() != rep {
-			t.Error("recovered box renders a different report than the live incident")
+		armed = false
+		rec.Poll()
+		if got := rec.series["raizn_locked_gauge"].total; got != 2 {
+			t.Fatalf("live recorder sampled the gauge %d times, want 2 (it runs on)", got)
 		}
 	})
 }

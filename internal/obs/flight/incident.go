@@ -5,36 +5,72 @@ import (
 	"io"
 	"sort"
 	"time"
+
+	"raizn/internal/obs"
 )
 
-// Incident is a frozen black box plus the trigger that froze it. The
-// report renderer works purely from the BlackBox, so an incident built
-// from a snapshot taken at a crash renders exactly like one built from
-// the frozen recorder.
-type Incident struct {
-	Box *BlackBox
+// TriggerKind classifies what froze the recorder.
+type TriggerKind int
+
+const (
+	// TrigSlowIO: the tail sampler kept requests far above the
+	// running p99.
+	TrigSlowIO TriggerKind = iota
+	// TrigSLOBreach: a tenant's latency SLO alarm fired.
+	TrigSLOBreach
+	// TrigDeviceHealth: a device health transition (suspect/failed).
+	TrigDeviceHealth
+	// TrigOracle: the chaos recovery oracle found a contract violation.
+	TrigOracle
+)
+
+var trigNames = [...]string{"slow-io", "slo-breach", "device-health", "oracle-violation"}
+
+func (k TriggerKind) String() string {
+	if int(k) < len(trigNames) {
+		return trigNames[k]
+	}
+	return "trigger?"
 }
 
-// Incident freezes the recorder with the trigger (stamping the trigger
-// time if unset) and returns the incident. Calling it on an
-// already-frozen recorder keeps the first trigger and returns the
-// frozen state.
-func (r *Recorder) Incident(trig Trigger) *Incident {
-	if trig.TNs == 0 {
-		trig.TNs = int64(r.cfg.Clock.Now())
-	}
-	r.Freeze(&trig)
-	return &Incident{Box: r.Snapshot()}
+// Trigger describes the incident that froze the recorder.
+type Trigger struct {
+	Kind   TriggerKind
+	TNs    int64
+	Detail string
+	// Dev/Zone are the trigger's own suspect coordinates when it has
+	// them (a slow-IO trigger knows the slowed device, the oracle knows
+	// the violated zone); -1 when unknown. They seed the suspect ranking.
+	Dev  int
+	Zone int
+	// Tenant/Array attribute a volmgr SLO breach.
+	Tenant string
+	Array  string
+	// ReplaySeed reproduces the incident when running under chaos.
+	ReplaySeed string
 }
 
-// FromBox wraps a black box snapshot as an incident. When the box
-// carries no trigger (a bare crash capture) and trig is non-nil, trig
-// is adopted.
-func FromBox(b *BlackBox, trig *Trigger) *Incident {
-	if b.Trigger == nil && trig != nil {
-		b.Trigger = trig
+// Incident freezes the recorder and files trig as its trigger, stamped
+// with the freeze instant, and returns the frozen recorder, whose
+// WriteReport renders the incident. A recorder frozen without a trigger
+// (a Snapshot, a bare Freeze) adopts trig; one frozen with a trigger
+// keeps the first.
+func (r *Recorder) Incident(trig Trigger) *Recorder {
+	r.Freeze(nil)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.trigger == nil {
+		trig.TNs = int64(r.frozenAt)
+		r.trigger = &trig
 	}
-	return &Incident{Box: b}
+	return r
+}
+
+// Trigger returns the trigger pinned at freeze time, or nil.
+func (r *Recorder) Trigger() *Trigger {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.trigger
 }
 
 // timelineEntry is one merged line: a span or a journal event.
@@ -54,29 +90,32 @@ type suspectScore struct {
 	events    int
 }
 
-// WriteReport renders the deterministic incident report: trigger,
-// per-device and per-zone suspect ranking, the merged timeline of spans
-// and journal events, and the metric deltas across the retained window
-// up to the freeze instant. Two black boxes with equal content render
-// byte-identically.
-func (inc *Incident) WriteReport(w io.Writer) error {
-	b := inc.Box
+// WriteReport renders the frozen recorder as the deterministic incident
+// report: trigger, per-device and per-zone suspect ranking, the merged
+// timeline of spans and journal events, and the metric deltas across
+// the retained window up to the freeze instant. Two recorders frozen
+// with equal content render byte-identically. A live recorder renders
+// what it holds, with no journal tail; render its Snapshot instead.
+func (r *Recorder) WriteReport(w io.Writer) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	spans := r.spansLocked()
 	pf := func(format string, args ...interface{}) error {
 		_, err := fmt.Fprintf(w, format, args...)
 		return err
 	}
-	if err := pf("=== incident report (%s) ===\n", b.Schema); err != nil {
+	if err := pf("=== incident report (raizn-blackbox/v1) ===\n"); err != nil {
 		return err
 	}
-	if b.Label != "" {
-		if err := pf("label: %s\n", b.Label); err != nil {
+	if r.cfg.Label != "" {
+		if err := pf("label: %s\n", r.cfg.Label); err != nil {
 			return err
 		}
 	}
-	if err := pf("frozen at: %v\n", time.Duration(b.FrozenAtNs)); err != nil {
+	if err := pf("frozen at: %v\n", r.frozenAt); err != nil {
 		return err
 	}
-	if trig := b.Trigger; trig != nil {
+	if trig := r.trigger; trig != nil {
 		if err := pf("trigger: %s at %v: %s\n",
 			trig.Kind, time.Duration(trig.TNs), trig.Detail); err != nil {
 			return err
@@ -97,7 +136,7 @@ func (inc *Incident) WriteReport(w io.Writer) error {
 		}
 	}
 
-	devs, zones := b.suspects()
+	devs, zones := suspects(spans, r.events, r.trigger)
 	if err := writeSuspects(w, "suspect devices", "dev", devs); err != nil {
 		return err
 	}
@@ -106,33 +145,32 @@ func (inc *Incident) WriteReport(w io.Writer) error {
 	}
 
 	if err := pf("-- timeline (%d spans, %d journal events) --\n",
-		len(b.Spans), len(b.Events)); err != nil {
+		len(spans), len(r.events)); err != nil {
 		return err
 	}
-	for _, e := range b.timeline() {
+	for _, e := range timeline(spans, r.events) {
 		if err := pf("  [%12v] %s\n", time.Duration(e.t), e.text); err != nil {
 			return err
 		}
 	}
 
-	deltas := b.metricDeltas()
 	if err := pf("-- metric deltas (retained window -> freeze) --\n"); err != nil {
 		return err
 	}
-	for _, d := range deltas {
+	for _, d := range r.metricDeltasLocked() {
 		if err := pf("  %-44s %+d\n", d.name, d.delta); err != nil {
 			return err
 		}
 	}
 	return pf("-- retention: %d/%d spans kept, %d journal events dropped --\n",
-		len(b.Spans), b.SpansTotal, b.EventsDropped)
+		len(spans), r.spanTot, r.evDrop)
 }
 
 // suspects ranks devices and zones by accumulated evidence: erroring
 // device sub-spans weigh heaviest, then the slowest sub-span of each
 // retained tree, then state-transition journal events. The trigger's
 // own coordinates pin their suspect to the top.
-func (b *BlackBox) suspects() (devs, zones []suspectScore) {
+func suspects(spans []*obs.Span, events []obs.Event, trig *Trigger) (devs, zones []suspectScore) {
 	dm := map[int]*suspectScore{}
 	zm := map[int]*suspectScore{}
 	get := func(m map[int]*suspectScore, id int) *suspectScore {
@@ -144,18 +182,17 @@ func (b *BlackBox) suspects() (devs, zones []suspectScore) {
 		return s
 	}
 
-	var walk func(sd *SpanDump)
-	walk = func(sd *SpanDump) {
+	var walk func(sp *obs.Span)
+	walk = func(sp *obs.Span) {
 		// Charge the slowest device child of each node and any erroring
 		// device child.
-		slowest, slowestDur := -1, int64(-1)
-		for i := range sd.Children {
-			c := &sd.Children[i]
+		slowest, slowestDur := -1, time.Duration(-1)
+		for _, c := range sp.Children() {
 			if c.Dev >= 0 {
-				if d := c.EndNs - c.StartNs; d > slowestDur {
+				if d := spanDur(c); d > slowestDur {
 					slowest, slowestDur = c.Dev, d
 				}
-				if c.Err != "" {
+				if c.Err() != nil {
 					s := get(dm, c.Dev)
 					s.errSpans++
 					s.score += 100
@@ -169,37 +206,37 @@ func (b *BlackBox) suspects() (devs, zones []suspectScore) {
 			s.score += 10
 		}
 	}
-	for i := range b.Spans {
-		walk(&b.Spans[i])
+	for _, sp := range spans {
+		walk(sp)
 	}
 
-	for _, e := range b.Events {
+	for _, e := range events {
 		var wgt int64
 		switch e.Type {
-		case "degraded":
+		case obs.EvDegraded:
 			wgt = 100
-		case "relocation":
+		case obs.EvRelocation:
 			wgt = 20
-		case "zone-reset":
+		case obs.EvZoneReset:
 			wgt = 5
-		case "gc":
+		case obs.EvGC:
 			wgt = 1
 		default:
 			continue
 		}
 		if e.Src >= 0 {
-			s := get(dm, e.Src)
+			s := get(dm, int(e.Src))
 			s.events++
 			s.score += wgt
 		}
 		if e.Zone >= 0 {
-			s := get(zm, e.Zone)
+			s := get(zm, int(e.Zone))
 			s.events++
 			s.score += wgt
 		}
 	}
 
-	if t := b.Trigger; t != nil {
+	if t := trig; t != nil {
 		if t.Dev >= 0 {
 			get(dm, t.Dev).score += 1000
 		}
@@ -248,17 +285,16 @@ func writeSuspects(w io.Writer, title, unit string, list []suspectScore) error {
 // timeline merges the retained spans and journal events into one
 // chronological stream. Ties sort events before spans, then by journal
 // sequence / span start order — all total, so the rendering is stable.
-func (b *BlackBox) timeline() []timelineEntry {
-	out := make([]timelineEntry, 0, len(b.Spans)+len(b.Events))
-	for _, e := range b.Events {
+func timeline(spans []*obs.Span, events []obs.Event) []timelineEntry {
+	out := make([]timelineEntry, 0, len(spans)+len(events))
+	for _, e := range events {
 		out = append(out, timelineEntry{
-			t: e.TNs, kind: 0, seq: e.Seq, text: formatEvent(e),
+			t: int64(e.T), kind: 0, seq: e.Seq, text: formatEvent(e),
 		})
 	}
-	for i := range b.Spans {
-		sd := &b.Spans[i]
+	for i, sp := range spans {
 		out = append(out, timelineEntry{
-			t: sd.StartNs, kind: 1, seq: uint64(i), text: formatSpan(sd),
+			t: int64(sp.Start()), kind: 1, seq: uint64(i), text: formatSpan(sp),
 		})
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -274,7 +310,7 @@ func (b *BlackBox) timeline() []timelineEntry {
 	return out
 }
 
-func formatEvent(e EventDump) string {
+func formatEvent(e obs.Event) string {
 	src := "logical"
 	if e.Src >= 0 {
 		src = fmt.Sprintf("dev %d", e.Src)
@@ -286,16 +322,23 @@ func formatEvent(e EventDump) string {
 	return s + fmt.Sprintf(" a=%d b=%d c=%d d=%d", e.A, e.B, e.C, e.D)
 }
 
-func formatSpan(sd *SpanDump) string {
+func formatSpan(sp *obs.Span) string {
 	s := fmt.Sprintf("span  %-14s lba=%d bytes=%d dur=%v",
-		sd.Op, sd.LBA, sd.Bytes, time.Duration(sd.EndNs-sd.StartNs))
-	if sd.Err != "" {
-		s += " err=" + sd.Err
+		sp.Op, sp.LBA, sp.Bytes, spanDur(sp))
+	if err := sp.Err(); err != nil {
+		s += " err=" + err.Error()
 	}
-	if n := len(sd.Children); n > 0 {
+	if n := len(sp.Children()); n > 0 {
 		s += fmt.Sprintf(" subs=%d", n)
 	}
 	return s
+}
+
+// spanDur is a span's end minus its start; an unended span counts its
+// end as 0.
+func spanDur(sp *obs.Span) time.Duration {
+	end, _ := sp.EndTime()
+	return end - sp.Start()
 }
 
 // metricDelta is one series' change across the retained window.
@@ -304,21 +347,25 @@ type metricDelta struct {
 	delta int64
 }
 
-// metricDeltas computes, for every retained series, last-sample minus
-// first-sample — the change across the window the ring still covers,
-// which ends at the freeze instant. Zero deltas are elided; order is by
-// name (series are already name-sorted in the box).
-func (b *BlackBox) metricDeltas() []metricDelta {
+// metricDeltasLocked computes, for every retained series, last-sample
+// minus first-sample — the change across the window the ring still
+// covers, which ends at the freeze instant. Zero deltas are elided;
+// order is by name.
+func (r *Recorder) metricDeltasLocked() []metricDelta {
+	names := make([]string, 0, len(r.series))
+	for k := range r.series {
+		names = append(names, k)
+	}
+	sort.Strings(names)
 	var out []metricDelta
-	for _, s := range b.Series {
-		if len(s.Samples) == 0 {
+	for _, k := range names {
+		s := retained(r.series[k])
+		if len(s) == 0 {
 			continue
 		}
-		d := s.Samples[len(s.Samples)-1].V - s.Samples[0].V
-		if d == 0 {
-			continue
+		if d := s[len(s)-1].V - s[0].V; d != 0 {
+			out = append(out, metricDelta{name: k, delta: d})
 		}
-		out = append(out, metricDelta{name: s.Name, delta: d})
 	}
 	return out
 }

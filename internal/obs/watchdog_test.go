@@ -19,7 +19,7 @@ func TestWatchdogFlagsOutliers(t *testing.T) {
 	clk.Run(func() {
 		tr := obs.NewTracer(clk, obs.Config{})
 		tr.Enable()
-		rec := flight.New(flight.Config{Clock: clk, Multiple: 3, MinSamples: 10, SpanCapacity: 4})
+		rec := flight.New(flight.Config{Clock: clk, Multiple: 3, MinSamples: 10})
 		tr.SetObserver(rec)
 		end := func(d time.Duration) {
 			sp := tr.Begin(obs.OpWrite, 0, 4096)
@@ -39,22 +39,18 @@ func TestWatchdogFlagsOutliers(t *testing.T) {
 		if kept[0].Duration() != 100*time.Millisecond {
 			t.Fatalf("flagged wrong span: %v", kept[0].Duration())
 		}
-		// The kept spans are bounded; the newest SpanCapacity stay. Each
-		// outlier must outrun the p99 the previous one dragged up, so
-		// escalate geometrically.
+		// Each outlier must outrun the p99 the previous one dragged up,
+		// so escalate geometrically: every one is flagged.
 		for i := 0; i < 10; i++ {
 			end(time.Second << uint(2*i))
 		}
-		if total := rec.Snapshot().SpansTotal; total != 11 {
-			t.Fatalf("flagged %d spans in all, want 11", total)
-		}
 		kept = rec.Spans()
-		if len(kept) != 4 {
-			t.Fatalf("retained %d spans, want SpanCapacity=4", len(kept))
+		if len(kept) != 11 {
+			t.Fatalf("flagged %d spans in all, want 11", len(kept))
 		}
-		for i, sp := range kept {
-			if want := time.Second << uint(2*(6+i)); sp.Duration() != want {
-				t.Fatalf("retained[%d] = %v, want %v (newest, oldest first)", i, sp.Duration(), want)
+		for i, sp := range kept[1:] {
+			if want := time.Second << uint(2*i); sp.Duration() != want {
+				t.Fatalf("retained[%d] = %v, want %v (oldest first)", i+1, sp.Duration(), want)
 			}
 		}
 	})

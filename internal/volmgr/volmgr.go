@@ -278,9 +278,10 @@ func (m *Manager) AttachRecorder(arrayID string, rec *flight.Recorder) {
 // order and breaches arrive worst-first, so the incident list is
 // deterministic; at most one incident is filed per array per sweep (a
 // second breach implicating an already-frozen array adds no evidence —
-// freeze is first-wins).
-func (m *Manager) CheckIncidents() []*flight.Incident {
-	var out []*flight.Incident
+// freeze is first-wins). It returns the recorders it froze, one per
+// incident; each renders its report with WriteReport.
+func (m *Manager) CheckIncidents() []*flight.Recorder {
+	var out []*flight.Recorder
 	for _, v := range m.Volumes() {
 		for _, br := range v.Alarm().Check() {
 			attr := v.TenantArrayAttribution(br.Tenant)
@@ -296,7 +297,6 @@ func (m *Manager) CheckIncidents() []*flight.Incident {
 			}
 			out = append(out, rec.Incident(flight.Trigger{
 				Kind: flight.TrigSLOBreach,
-				TNs:  int64(m.clk.Now()),
 				Detail: fmt.Sprintf("volume %s tenant %s p99 %v > bar %v over %d samples",
 					v.Name(), br.Tenant, br.P99, br.Bar, br.Samples),
 				Dev:    -1,

@@ -733,7 +733,7 @@ func TestCheckIncidentsFreezesAttributedArray(t *testing.T) {
 		if len(incidents) != 1 {
 			t.Fatalf("CheckIncidents filed %d incidents, want 1: %+v", len(incidents), incidents)
 		}
-		trig := incidents[0].Box.Trigger
+		trig := incidents[0].Trigger()
 		if trig == nil || trig.Kind != flight.TrigSLOBreach {
 			t.Fatalf("trigger = %+v, want an SLO-breach trigger", trig)
 		}
