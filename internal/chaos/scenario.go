@@ -299,8 +299,12 @@ func (m *Model) clone() *Model {
 // never pass a content check for the current generation.
 func fillPattern(buf []byte, lba int64, gen int, ss int) {
 	g := byte(gen*131 + 17)
-	for i := range buf {
-		sec := lba + int64(i/ss)
-		buf[i] = byte(sec) ^ byte(sec>>8) ^ byte(i%ss) ^ g
+	for sec := lba; len(buf) > 0; sec++ {
+		k := byte(sec) ^ byte(sec>>8) ^ g
+		n := min(ss, len(buf))
+		for j := range buf[:n] {
+			buf[j] = k ^ byte(j)
+		}
+		buf = buf[n:]
 	}
 }
