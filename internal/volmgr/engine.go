@@ -181,7 +181,6 @@ func (e *engine) addTenant(cfg TenantConfig) error {
 	t := &tenant{
 		cfg:     cfg,
 		bytesTB: newBucket(cfg.RateSectorsPerSec, cfg.BurstSectors, now),
-		iopsTB:  newBucket(cfg.IOPS, cfg.IOPSBurst, now),
 
 		accepted:       e.v.reg.Counter(n("volmgr_requests_accepted_total")),
 		shed:           e.v.reg.Counter(n("volmgr_requests_shed_total")),

@@ -145,7 +145,7 @@ func TestIdleSubmitIssuesInline(t *testing.T) {
 }
 
 // TestBackloggedSubmitQueues: while one tenant has a request queued (here
-// waiting for its IOPS bucket, the dispatcher parked until the refill),
+// waiting for its token bucket, the dispatcher parked until the refill),
 // another tenant's submit is queued too although the window has room and
 // its own buckets are unlimited. It wakes the dispatcher, which issues it
 // at once, ahead of the token-blocked backlog, and the backlog follows at
@@ -157,7 +157,7 @@ func TestBackloggedSubmitQueues(t *testing.T) {
 		v, err := m.CreateVolume("vol", VolumeSpec{
 			Zones: 2,
 			Tenants: []TenantConfig{
-				{ID: "t0", IOPS: 1000, IOPSBurst: 1},
+				{ID: "t0", RateSectorsPerSec: 4000, BurstSectors: 4},
 				{ID: "t1"},
 			},
 		})
@@ -232,7 +232,7 @@ func TestMidBatchSubmitQueues(t *testing.T) {
 		v, err := m.CreateVolume("vol", VolumeSpec{
 			Zones: 2,
 			Tenants: []TenantConfig{
-				{ID: "t0", IOPS: 1000, IOPSBurst: 1},
+				{ID: "t0", RateSectorsPerSec: 4000, BurstSectors: 4},
 				{ID: "t1"},
 			},
 		})
@@ -313,7 +313,7 @@ func TestInlineAndQueuedKeepZoneOrder(t *testing.T) {
 		for i := 0; i < tenants; i++ {
 			tc := TenantConfig{ID: fmt.Sprintf("t%d", i)}
 			if i == 0 {
-				tc.IOPS, tc.IOPSBurst = 20000, 2 // token waits, too
+				tc.RateSectorsPerSec, tc.BurstSectors = 80000, 8 // token waits, too
 			}
 			tcs = append(tcs, tc)
 		}

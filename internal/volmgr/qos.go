@@ -20,11 +20,6 @@ type TenantConfig struct {
 	// BurstSectors is the bucket capacity. Zero picks one second of
 	// rate (or nothing when unlimited).
 	BurstSectors int64
-	// IOPS is a request-rate ceiling. Zero means unlimited.
-	IOPS int64
-	// IOPSBurst is the request bucket's capacity. Zero picks one second
-	// of IOPS.
-	IOPSBurst int64
 }
 
 func (c TenantConfig) withDefaults() TenantConfig {
@@ -33,9 +28,6 @@ func (c TenantConfig) withDefaults() TenantConfig {
 	}
 	if c.BurstSectors == 0 {
 		c.BurstSectors = c.RateSectorsPerSec
-	}
-	if c.IOPSBurst == 0 {
-		c.IOPSBurst = c.IOPS
 	}
 	return c
 }
@@ -96,14 +88,13 @@ func (b *tokenBucket) take(n float64, now time.Duration) {
 }
 
 // tenant is the engine-side state of one tenant: its FIFO queue, DRR
-// deficit, token buckets, and metric handles. All mutable fields are
+// deficit, token bucket, and metric handles. All mutable fields are
 // guarded by the engine mutex.
 type tenant struct {
 	cfg     TenantConfig
 	q       []*request
 	deficit int64
 	bytesTB tokenBucket
-	iopsTB  tokenBucket
 
 	accepted       *obs.Counter
 	shed           *obs.Counter
@@ -126,18 +117,13 @@ type arrayAgg struct {
 	latSum time.Duration
 }
 
-// tokenETA returns how long until the tenant's buckets admit r.
+// tokenETA returns how long until the tenant's bucket admits r.
 func (t *tenant) tokenETA(r *request, now time.Duration) time.Duration {
-	w := t.bytesTB.eta(float64(r.sectors), now)
-	if iw := t.iopsTB.eta(1, now); iw > w {
-		w = iw
-	}
-	return w
+	return t.bytesTB.eta(float64(r.sectors), now)
 }
 
 func (t *tenant) takeTokens(r *request, now time.Duration) {
 	t.bytesTB.take(float64(r.sectors), now)
-	t.iopsTB.take(1, now)
 }
 
 // TenantStats is a snapshot of one tenant's lifetime counters.

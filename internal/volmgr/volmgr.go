@@ -20,7 +20,7 @@
 //     per-request futures on the virtual clock and feed per-tenant
 //     latency accounting.
 //   - Per-tenant QoS: deficit-round-robin weighted fair scheduling at
-//     dequeue, token-bucket throughput/IOPS limits, and admission
+//     dequeue, a token-bucket throughput limit, and admission
 //     control that sheds load with a typed ErrThrottled once a tenant's
 //     queue is full instead of queueing without bound.
 //

@@ -867,8 +867,9 @@ func TestSLOAlarmReadsTenantLatencies(t *testing.T) {
 }
 
 // TestThrottledTenantDoesNotStallOthers keeps one tenant backlogged
-// behind a 50-IOPS bucket (burst 1) while three unlimited tenants write
-// and read their own zones, one request a millisecond. The throttled
+// behind a 50-sector/s bucket (burst 1, one-sector writes) while three
+// unlimited tenants write and read their own zones, one request a
+// millisecond. The throttled
 // tenant's next refill is up to 20 ms away; the others' requests must
 // not wait for it. They write whole stripes, which log no partial
 // parity, so no metadata roll-over lands in their service times.
@@ -879,7 +880,7 @@ func TestThrottledTenantDoesNotStallOthers(t *testing.T) {
 		v, err := m.CreateVolume("vol", VolumeSpec{
 			Zones: 4,
 			Tenants: []TenantConfig{
-				{ID: "slow", IOPS: 50, IOPSBurst: 1},
+				{ID: "slow", RateSectorsPerSec: 50, BurstSectors: 1},
 				{ID: "u0"}, {ID: "u1"}, {ID: "u2"},
 			},
 		})
