@@ -58,15 +58,15 @@ type Config struct {
 	MinSamples uint64
 }
 
-// Sample is one point of a metric time series.
-type Sample struct {
+// sample is one point of a metric time series.
+type sample struct {
 	TNs int64
 	V   int64
 }
 
 // series is one metric's bounded sample ring.
 type series struct {
-	ring  []Sample
+	ring  []sample
 	pos   int
 	total uint64
 }
@@ -216,22 +216,18 @@ func (r *Recorder) sampleLocked(t time.Duration) {
 func (r *Recorder) appendLocked(name string, t time.Duration, v int64) {
 	se := r.series[name]
 	if se == nil {
-		se = &series{ring: make([]Sample, seriesCapacity)}
+		se = &series{ring: make([]sample, seriesCapacity)}
 		r.series[name] = se
 	}
-	se.ring[se.pos] = Sample{TNs: int64(t), V: v}
+	se.ring[se.pos] = sample{TNs: int64(t), V: v}
 	se.pos = (se.pos + 1) % len(se.ring)
 	se.total++
 }
 
-// Freeze stops the recorder at the current virtual time: a final metric
-// sample is taken, the journal tail is copied, and the trigger (may be
-// nil for a bare crash capture) is pinned. Idempotent — the first
+// freeze stops the recorder at the current virtual time: a final metric
+// sample is taken and the journal tail is copied. Idempotent — the first
 // freeze wins; later spans and polls are ignored.
-func (r *Recorder) Freeze(trig *Trigger) {
-	if r == nil {
-		return
-	}
+func (r *Recorder) freeze() {
 	now := r.cfg.Clock.Now()
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -246,7 +242,6 @@ func (r *Recorder) Freeze(trig *Trigger) {
 	}
 	r.frozen = true
 	r.frozenAt = now
-	r.trigger = trig
 	r.events, r.evDrop = r.journalTail()
 }
 
@@ -298,15 +293,15 @@ func (r *Recorder) Snapshot() *Recorder {
 		cp.events, cp.evDrop = r.journalTail()
 	}
 	for k, se := range r.series {
-		cp.series[k] = &series{ring: append([]Sample(nil), se.ring...), pos: se.pos, total: se.total}
+		cp.series[k] = &series{ring: append([]sample(nil), se.ring...), pos: se.pos, total: se.total}
 	}
 	return cp
 }
 
 // retained returns a series ring's samples oldest-first.
-func retained(se *series) []Sample {
+func retained(se *series) []sample {
 	if se.total < uint64(len(se.ring)) {
 		return se.ring[:se.total]
 	}
-	return append(append([]Sample(nil), se.ring[se.pos:]...), se.ring[:se.pos]...)
+	return append(append([]sample(nil), se.ring[se.pos:]...), se.ring[:se.pos]...)
 }

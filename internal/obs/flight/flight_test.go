@@ -204,7 +204,7 @@ func runScripted(t *testing.T) string {
 			jrn.Record(obs.EvZoneState, i%5, i, int64(i), 0, 0, 0)
 			feedSpan(clk, tr, int64(i), l*time.Millisecond, nil)
 		}
-		rec.Freeze(&Trigger{Kind: TrigSlowIO, Detail: "scripted", Dev: 2, Zone: -1})
+		rec.Incident(Trigger{Kind: TrigSlowIO, Detail: "scripted", Dev: 2, Zone: -1})
 		out = report(t, rec)
 	})
 	return out
@@ -249,13 +249,13 @@ func TestFreezeFirstWins(t *testing.T) {
 		tr.SetObserver(rec)
 
 		ctr.Inc()
-		rec.Freeze(&Trigger{Kind: TrigOracle, Detail: "first"})
+		rec.Incident(Trigger{Kind: TrigOracle, Detail: "first"})
 		if !rec.Frozen() {
-			t.Fatal("not frozen after Freeze")
+			t.Fatal("not frozen after Incident")
 		}
 		before := report(t, rec)
 
-		rec.Freeze(&Trigger{Kind: TrigSlowIO, Detail: "second"})
+		rec.freeze()
 		ctr.Add(10)
 		clk.Sleep(5 * time.Millisecond)
 		rec.Poll()

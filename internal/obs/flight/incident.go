@@ -50,13 +50,14 @@ type Trigger struct {
 	ReplaySeed string
 }
 
-// Incident freezes the recorder and files trig as its trigger, stamped
-// with the freeze instant, and returns the frozen recorder, whose
-// WriteReport renders the incident. A recorder frozen without a trigger
-// (a Snapshot, a bare Freeze) adopts trig; one frozen with a trigger
-// keeps the first.
+// Incident freezes the recorder (a final metric sample, the journal
+// tail copied; later spans and polls are ignored) and files trig as its
+// trigger, stamped with the freeze instant. It returns the frozen
+// recorder, whose WriteReport renders the incident. A recorder frozen
+// without a trigger, such as a Snapshot, adopts trig; one already filed
+// keeps its first trigger.
 func (r *Recorder) Incident(trig Trigger) *Recorder {
-	r.Freeze(nil)
+	r.freeze()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.trigger == nil {
@@ -66,7 +67,7 @@ func (r *Recorder) Incident(trig Trigger) *Recorder {
 	return r
 }
 
-// Trigger returns the trigger pinned at freeze time, or nil.
+// Trigger returns the trigger the recorder was filed under, or nil.
 func (r *Recorder) Trigger() *Trigger {
 	r.mu.Lock()
 	defer r.mu.Unlock()
