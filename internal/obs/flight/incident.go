@@ -36,7 +36,7 @@ func (k TriggerKind) String() string {
 // Trigger describes the incident that froze the recorder.
 type Trigger struct {
 	Kind   TriggerKind
-	TNs    int64
+	TNs    int64 // the freeze instant; Incident sets it
 	Detail string
 	// Dev/Zone are the trigger's own suspect coordinates when it has
 	// them (a slow-IO trigger knows the slowed device, the oracle knows
