@@ -179,9 +179,7 @@ func newMdraid(clk *vclock.Clock, sc scale, discard bool, chunk int64) (*mdraid.
 		devs[i] = blockdev.NewDevice(clk, blockConfig(sc, discard))
 		devs[i].RegisterMetrics(runRegistry, fmt.Sprintf("blockdev_dev%d", i))
 	}
-	mcfg := mdraid.DefaultConfig()
-	mcfg.ChunkSectors = chunk
-	v, err := mdraid.New(clk, devs, mcfg)
+	v, err := mdraid.New(clk, devs, chunk)
 	return v, devs, err
 }
 

@@ -163,8 +163,7 @@ func runScrubCoverage(w io.Writer, quick bool) error {
 			if err != nil {
 				panic(err)
 			}
-			fillPattern(func(lba int64, d []byte) error { return v.Write(lba, d, 0) },
-				v.SectorSize(), v.NumSectors())
+			fillPattern(v.Write, v.SectorSize(), v.NumSectors())
 			if err := v.Flush(); err != nil {
 				panic(err)
 			}

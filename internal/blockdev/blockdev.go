@@ -19,15 +19,11 @@ import (
 	"raizn/internal/vclock"
 )
 
-// Flag carries per-IO cache-control semantics (REQ_FUA / REQ_PREFLUSH).
+// Flag carries per-IO cache-control semantics (REQ_FUA).
 type Flag uint8
 
-const (
-	// FUA persists the written data before completion.
-	FUA Flag = 1 << iota
-	// Preflush flushes the volatile cache before the write executes.
-	Preflush
-)
+// FUA persists the written data before completion.
+const FUA Flag = 1
 
 // Errors returned by device operations.
 var (
@@ -50,16 +46,6 @@ type Config struct {
 	NumSectors int64 // advertised logical capacity, in sectors
 
 	PagesPerBlock int // flash pages per erase block
-	// Overprovision is the fraction of extra physical capacity beyond
-	// the logical capacity (0.07 = 7%, typical for consumer drives; the
-	// paper's enterprise drives behave like a GC'd drive once spare
-	// blocks are exhausted either way).
-	Overprovision float64
-
-	// GCLowWater triggers garbage collection when the free block count
-	// drops to it; GCHighWater is the target to collect back up to.
-	GCLowWater  int
-	GCHighWater int
 
 	WriteBandwidth  float64       // bytes/second
 	ReadBandwidth   float64       // bytes/second
@@ -73,19 +59,29 @@ type Config struct {
 	DiscardData bool // drop payloads; reads return zeroes
 }
 
+// The FTL's fixed geometry and garbage-collection policy.
+const (
+	// overprovision is the fraction of extra physical capacity beyond
+	// the logical capacity: the spare area, whose exhaustion triggers GC
+	// (the paper's enterprise drives behave like a GC'd drive once spare
+	// blocks are exhausted either way).
+	overprovision = 0.11
+	// gcLowWater triggers garbage collection when the free block count
+	// drops to it; gcHighWater is the target to collect back up to.
+	gcLowWater  = 2
+	gcHighWater = 4
+)
+
 // DefaultConfig returns a scaled-down model of the conventional SSDs in
 // the paper's testbed: same hardware platform as the ZNS drives but with
-// an FTL, ~2% higher write and ~4% higher read bandwidth (§6.1), and 7%
-// overprovisioning. The default logical capacity matches the default ZNS
-// device's writable capacity (64 zones x 4 MiB).
+// an FTL and ~2% higher write and ~4% higher read bandwidth (§6.1). The
+// default logical capacity matches the default ZNS device's writable
+// capacity (64 zones x 4 MiB).
 func DefaultConfig() Config {
 	return Config{
 		SectorSize:      4096,
 		NumSectors:      64 * 1024, // 256 MiB
 		PagesPerBlock:   256,       // 1 MiB erase blocks
-		Overprovision:   0.11,      // spare area; exhausted spare triggers GC
-		GCLowWater:      2,
-		GCHighWater:     4,
 		WriteBandwidth:  1073 * (1 << 20),
 		ReadBandwidth:   3401 * (1 << 20),
 		WriteOpOverhead: 2 * time.Microsecond,
@@ -108,16 +104,8 @@ func (c *Config) validate() error {
 		// the open host/GC blocks can exceed the spare area and wedge
 		// the FTL; real drives have the same floor, just far away.
 		return errors.New("blockdev: logical capacity must be at least 8 erase blocks")
-	case c.Overprovision < 0:
-		return errors.New("blockdev: negative overprovision")
 	case c.WriteBandwidth <= 0 || c.ReadBandwidth <= 0:
 		return errors.New("blockdev: bandwidths must be positive")
-	}
-	if c.GCLowWater <= 0 {
-		c.GCLowWater = 2
-	}
-	if c.GCHighWater <= c.GCLowWater {
-		c.GCHighWater = c.GCLowWater + 2
 	}
 	return nil
 }
@@ -164,8 +152,6 @@ type Device struct {
 	writeBusy time.Duration
 	readBusy  time.Duration
 
-	slowFactor float64 // injected service-time multiplier; <=1 means none
-
 	unflushed map[int64]struct{} // logical pages written since last flush
 
 	// Fault injection (faults.go).
@@ -193,14 +179,14 @@ func NewDevice(clk *vclock.Clock, cfg Config) *Device {
 		panic(err)
 	}
 	logicalPages := cfg.NumSectors
-	physPages := int64(float64(logicalPages) * (1 + cfg.Overprovision))
+	physPages := int64(float64(logicalPages) * (1 + overprovision))
 	numBlocks := int((physPages + int64(cfg.PagesPerBlock) - 1) / int64(cfg.PagesPerBlock))
 	// The spare area must cover the GC high-water mark plus the two open
 	// blocks (host + GC relocation), or a fully-utilized device can
 	// strand its free pages in open blocks and wedge; small configs hit
 	// this long before the percentage-based overprovision does.
 	logicalBlocks := int((logicalPages + int64(cfg.PagesPerBlock) - 1) / int64(cfg.PagesPerBlock))
-	if min := logicalBlocks + cfg.GCHighWater + 2; numBlocks < min {
+	if min := logicalBlocks + gcHighWater + 2; numBlocks < min {
 		numBlocks = min
 	}
 	d := &Device{
@@ -269,50 +255,7 @@ func (d *Device) Fail() {
 	d.mu.Unlock()
 }
 
-// Failed reports whether the device has been failed.
-func (d *Device) Failed() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.failed
-}
-
 func (d *Device) fail(err error) *vclock.Future { return d.clk.Completed(err) }
-
-// failSpan ends the span with an immediate submission error and returns
-// a pre-completed future carrying it.
-func (d *Device) failSpan(sp *obs.Span, err error) *vclock.Future {
-	sp.End(err)
-	return d.fail(err)
-}
-
-// SetSlowdown injects a service-time multiplier on every subsequent
-// command (see zns.Device.SetSlowdown). factor <= 1 restores normal
-// speed.
-func (d *Device) SetSlowdown(factor float64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.slowFactor = factor
-}
-
-func (d *Device) slowLocked(occ time.Duration) time.Duration {
-	if d.slowFactor > 1 {
-		occ = time.Duration(float64(occ) * d.slowFactor)
-	}
-	return occ
-}
-
-// markPipe records when a command will reach the head of a pipe whose
-// busy-until is busy (see the zns twin).
-func markPipe(sp *obs.Span, busy, now time.Duration) {
-	if sp == nil {
-		return
-	}
-	start := now
-	if busy > start {
-		start = busy
-	}
-	sp.MarkAt(obs.PhaseQueue, start)
-}
 
 // RegisterMetrics publishes the device's lifetime counters into the
 // registry as pull-style gauges under the given prefix (conventionally
@@ -362,9 +305,8 @@ func reservePipe(busy *time.Duration, now, occupancy time.Duration) time.Duratio
 	return *busy
 }
 
-func (d *Device) schedule(sp *obs.Span, fut *vclock.Future, at time.Duration, epoch uint64, err error, effect func()) {
-	now := d.clk.Now()
-	d.clk.AfterFunc(at-now, func() {
+func (d *Device) schedule(fut *vclock.Future, at time.Duration, epoch uint64, err error, effect func()) {
+	d.clk.AfterFunc(at-d.clk.Now(), func() {
 		d.mu.Lock()
 		stale := d.epoch != epoch
 		if !stale && effect != nil {
@@ -372,11 +314,8 @@ func (d *Device) schedule(sp *obs.Span, fut *vclock.Future, at time.Duration, ep
 		}
 		d.mu.Unlock()
 		if stale {
-			sp.EndAt(at, ErrPowerLoss)
-			fut.Complete(ErrPowerLoss)
-			return
+			err = ErrPowerLoss
 		}
-		sp.EndAt(at, err)
 		fut.Complete(err)
 	})
 }
@@ -427,7 +366,7 @@ func (d *Device) programLocked(lp int64, active *int) int64 {
 func (d *Device) gcLocked() time.Duration {
 	var cost time.Duration
 	pageBytes := d.cfg.SectorSize
-	for len(d.free) < d.cfg.GCHighWater {
+	for len(d.free) < gcHighWater {
 		victim := d.pickVictimLocked()
 		if victim == -1 {
 			break
@@ -493,31 +432,25 @@ func (d *Device) pageData(pp int64) []byte {
 // permitted anywhere in the logical address space. The returned future
 // completes when the transfer (including any garbage collection it
 // triggered) finishes. The payload is copied into device memory before the
-// call returns (Writev likewise), so data is the caller's again at once.
+// call returns, so data is the caller's again at once.
 func (d *Device) Write(sector int64, data []byte, flags Flag) *vclock.Future {
-	return d.WriteSpan(nil, sector, data, flags)
-}
-
-// WriteSpan is Write with a tracing span: the device marks the span's
-// queue and media phases and ends it when the command completes.
-func (d *Device) WriteSpan(sp *obs.Span, sector int64, data []byte, flags Flag) *vclock.Future {
 	if len(data) == 0 || len(data)%d.cfg.SectorSize != 0 {
-		return d.failSpan(sp, ErrUnaligned)
+		return d.fail(ErrUnaligned)
 	}
 	nPages := int64(len(data) / d.cfg.SectorSize)
 	if sector < 0 || sector+nPages > d.cfg.NumSectors {
-		return d.failSpan(sp, ErrOutOfRange)
+		return d.fail(ErrOutOfRange)
 	}
 
 	d.mu.Lock()
 	if d.failed {
 		d.mu.Unlock()
-		return d.failSpan(sp, ErrDeviceFailed)
+		return d.fail(ErrDeviceFailed)
 	}
 	var gcCost time.Duration
 	for i := int64(0); i < nPages; i++ {
 		lp := sector + i
-		if len(d.free) <= d.cfg.GCLowWater {
+		if len(d.free) <= gcLowWater {
 			gcCost += d.gcLocked()
 		}
 		pp := d.programLocked(lp, &d.hostActive)
@@ -533,23 +466,14 @@ func (d *Device) WriteSpan(sp *obs.Span, sector int64, data []byte, flags Flag) 
 	}
 	d.hostWriteBytes += nPages * int64(d.cfg.SectorSize)
 
-	now := d.clk.Now()
-	occ := d.slowLocked(gcCost + d.cfg.WriteOpOverhead + d.xferTime(len(data), d.cfg.WriteBandwidth))
-	if flags&Preflush != 0 {
-		occ += d.cfg.FlushLatency
-	}
-	sp.SetSegs(1)
-	markPipe(sp, d.writeBusy, now)
-	media := reservePipe(&d.writeBusy, now, occ)
-	sp.MarkAt(obs.PhaseMedia, media)
-	done := media + d.cfg.WriteLatency
+	occ := gcCost + d.cfg.WriteOpOverhead + d.xferTime(len(data), d.cfg.WriteBandwidth)
+	done := reservePipe(&d.writeBusy, d.clk.Now(), occ) + d.cfg.WriteLatency
 	epoch := d.epoch
-	fua := flags&(FUA|Preflush) != 0
 	d.mu.Unlock()
 
 	fut := d.clk.NewFuture()
-	d.schedule(sp, fut, done, epoch, nil, func() {
-		if fua {
+	d.schedule(fut, done, epoch, nil, func() {
+		if flags&FUA != 0 {
 			// Persisting precisely the affected pages is enough for the
 			// tests built on this device; a full-cache flush model is
 			// not needed at the mdraid layer.
@@ -561,104 +485,21 @@ func (d *Device) WriteSpan(sp *obs.Span, sector int64, data []byte, flags Flag) 
 	return fut
 }
 
-// Writev submits one write command whose payload is gathered from segs
-// (a scatter list). Like zns.Device.Writev it pays WriteOpOverhead once
-// and occupies the write pipe for a single transfer of the combined
-// length; semantics match Write of the concatenated payload.
-func (d *Device) Writev(sector int64, segs [][]byte, flags Flag) *vclock.Future {
-	return d.WritevSpan(nil, sector, segs, flags)
-}
-
-// WritevSpan is Writev with a tracing span; the span additionally
-// records the scatter-list segment count.
-func (d *Device) WritevSpan(sp *obs.Span, sector int64, segs [][]byte, flags Flag) *vclock.Future {
-	if len(segs) == 0 {
-		return d.failSpan(sp, ErrUnaligned)
-	}
-	if len(segs) == 1 {
-		return d.WriteSpan(sp, sector, segs[0], flags)
-	}
-	var nPages int64
-	for _, s := range segs {
-		if len(s) == 0 || len(s)%d.cfg.SectorSize != 0 {
-			return d.failSpan(sp, ErrUnaligned)
-		}
-		nPages += int64(len(s) / d.cfg.SectorSize)
-	}
-	if sector < 0 || sector+nPages > d.cfg.NumSectors {
-		return d.failSpan(sp, ErrOutOfRange)
-	}
-
-	d.mu.Lock()
-	if d.failed {
-		d.mu.Unlock()
-		return d.failSpan(sp, ErrDeviceFailed)
-	}
-	ss := int64(d.cfg.SectorSize)
-	var gcCost time.Duration
-	lp := sector
-	for _, seg := range segs {
-		for i := int64(0); i < int64(len(seg))/ss; i, lp = i+1, lp+1 {
-			if len(d.free) <= d.cfg.GCLowWater {
-				gcCost += d.gcLocked()
-			}
-			pp := d.programLocked(lp, &d.hostActive)
-			if d.data != nil {
-				copy(d.pageData(pp), seg[i*ss:(i+1)*ss])
-			}
-			if d.latentErrs[lp] {
-				delete(d.latentErrs, lp)
-			}
-			d.unflushed[lp] = struct{}{}
-		}
-	}
-	d.hostWriteBytes += nPages * ss
-
-	now := d.clk.Now()
-	occ := d.slowLocked(gcCost + d.cfg.WriteOpOverhead + d.xferTime(int(nPages*ss), d.cfg.WriteBandwidth))
-	if flags&Preflush != 0 {
-		occ += d.cfg.FlushLatency
-	}
-	sp.SetSegs(len(segs))
-	markPipe(sp, d.writeBusy, now)
-	media := reservePipe(&d.writeBusy, now, occ)
-	sp.MarkAt(obs.PhaseMedia, media)
-	done := media + d.cfg.WriteLatency
-	epoch := d.epoch
-	fua := flags&(FUA|Preflush) != 0
-	d.mu.Unlock()
-
-	fut := d.clk.NewFuture()
-	d.schedule(sp, fut, done, epoch, nil, func() {
-		if fua {
-			for i := int64(0); i < nPages; i++ {
-				delete(d.unflushed, sector+i)
-			}
-		}
-	})
-	return fut
-}
-
-// Read fills buf starting at the absolute sector. Unwritten (trimmed)
-// sectors read as zeroes.
+// Read fills buf starting at the absolute sector. Unwritten sectors read
+// as zeroes.
 func (d *Device) Read(sector int64, buf []byte) *vclock.Future {
-	return d.ReadSpan(nil, sector, buf)
-}
-
-// ReadSpan is Read with a tracing span.
-func (d *Device) ReadSpan(sp *obs.Span, sector int64, buf []byte) *vclock.Future {
 	if len(buf) == 0 || len(buf)%d.cfg.SectorSize != 0 {
-		return d.failSpan(sp, ErrUnaligned)
+		return d.fail(ErrUnaligned)
 	}
 	nPages := int64(len(buf) / d.cfg.SectorSize)
 	if sector < 0 || sector+nPages > d.cfg.NumSectors {
-		return d.failSpan(sp, ErrOutOfRange)
+		return d.fail(ErrOutOfRange)
 	}
 
 	d.mu.Lock()
 	if d.failed {
 		d.mu.Unlock()
-		return d.failSpan(sp, ErrDeviceFailed)
+		return d.fail(ErrDeviceFailed)
 	}
 	ss := int64(d.cfg.SectorSize)
 	for i := int64(0); i < nPages; i++ {
@@ -676,73 +517,39 @@ func (d *Device) ReadSpan(sp *obs.Span, sector int64, buf []byte) *vclock.Future
 
 	rerr := d.readFaultLocked(sector, nPages)
 
-	now := d.clk.Now()
-	occ := d.slowLocked(d.cfg.ReadOpOverhead + d.xferTime(len(buf), d.cfg.ReadBandwidth))
-	markPipe(sp, d.readBusy, now)
-	media := reservePipe(&d.readBusy, now, occ)
-	sp.MarkAt(obs.PhaseMedia, media)
-	done := media + d.cfg.ReadLatency
+	occ := d.cfg.ReadOpOverhead + d.xferTime(len(buf), d.cfg.ReadBandwidth)
+	done := reservePipe(&d.readBusy, d.clk.Now(), occ) + d.cfg.ReadLatency
 	epoch := d.epoch
 	d.mu.Unlock()
 
 	fut := d.clk.NewFuture()
-	d.schedule(sp, fut, done, epoch, rerr, nil)
+	d.schedule(fut, done, epoch, rerr, nil)
 	return fut
 }
 
 // Flush persists the volatile write cache.
 func (d *Device) Flush() *vclock.Future {
-	return d.FlushSpan(nil)
-}
-
-// FlushSpan is Flush with a tracing span.
-func (d *Device) FlushSpan(sp *obs.Span) *vclock.Future {
 	d.mu.Lock()
 	if d.failed {
 		d.mu.Unlock()
-		return d.failSpan(sp, ErrDeviceFailed)
+		return d.fail(ErrDeviceFailed)
 	}
 	snap := make([]int64, 0, len(d.unflushed))
 	for lp := range d.unflushed {
 		snap = append(snap, lp)
 	}
-	now := d.clk.Now()
-	markPipe(sp, d.writeBusy, now)
-	done := reservePipe(&d.writeBusy, now, d.cfg.FlushLatency)
-	sp.MarkAt(obs.PhaseMedia, done)
+	done := reservePipe(&d.writeBusy, d.clk.Now(), d.cfg.FlushLatency)
 	epoch := d.epoch
 	d.flushCount++
 	d.mu.Unlock()
 
 	fut := d.clk.NewFuture()
-	d.schedule(sp, fut, done, epoch, nil, func() {
+	d.schedule(fut, done, epoch, nil, func() {
 		for _, lp := range snap {
 			delete(d.unflushed, lp)
 		}
 	})
 	return fut
-}
-
-// Trim deallocates the logical range, releasing the mapped flash pages.
-func (d *Device) Trim(sector, nSectors int64) error {
-	if sector < 0 || nSectors < 0 || sector+nSectors > d.cfg.NumSectors {
-		return ErrOutOfRange
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.failed {
-		return ErrDeviceFailed
-	}
-	for i := int64(0); i < nSectors; i++ {
-		lp := sector + i
-		if pp := d.l2p[lp]; pp != unmapped {
-			d.blocks[pp/int64(d.cfg.PagesPerBlock)].valid--
-			d.p2l[pp] = unmapped
-			d.l2p[lp] = unmapped
-		}
-		delete(d.unflushed, lp)
-	}
-	return nil
 }
 
 // PowerLoss drops all unflushed data (pessimistically: no partial

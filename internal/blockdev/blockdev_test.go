@@ -237,27 +237,6 @@ func TestWriteAmplificationAccounting(t *testing.T) {
 	})
 }
 
-func TestTrimReleasesSpace(t *testing.T) {
-	cfg := testConfig()
-	run(t, cfg, func(c *vclock.Clock, d *Device) {
-		fillDevice(t, d, 1)
-		if err := d.Trim(0, cfg.NumSectors); err != nil {
-			t.Fatal(err)
-		}
-		if got := mustRead(t, d, 0, 4); !bytes.Equal(got, make([]byte, 4*cfg.SectorSize)) {
-			t.Error("trimmed sectors should read zero")
-		}
-		// A second fill over trimmed space needs little GC (only the
-		// erases of the now fully-invalid blocks).
-		_, _, gcBefore, _ := d.Counters()
-		fillDevice(t, d, 2)
-		_, _, gcAfter, _ := d.Counters()
-		if copied := gcAfter - gcBefore; copied > int64(cfg.PagesPerBlock) {
-			t.Errorf("GC copied %d pages after trim, want ~0", copied)
-		}
-	})
-}
-
 func TestPowerLossDropsUnflushed(t *testing.T) {
 	cfg := testConfig()
 	run(t, cfg, func(c *vclock.Clock, d *Device) {
@@ -299,9 +278,6 @@ func TestDeviceFail(t *testing.T) {
 		}
 		if err := d.Read(0, make([]byte, cfg.SectorSize)).Wait(); err != ErrDeviceFailed {
 			t.Errorf("read error = %v", err)
-		}
-		if err := d.Trim(0, 1); err != ErrDeviceFailed {
-			t.Errorf("trim error = %v", err)
 		}
 	})
 }

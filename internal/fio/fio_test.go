@@ -99,7 +99,7 @@ func TestRandReadOnMdraid(t *testing.T) {
 		for i := range devs {
 			devs[i] = blockdev.NewDevice(c, bcfg)
 		}
-		v, err := mdraid.New(c, devs, mdraid.DefaultConfig())
+		v, err := mdraid.New(c, devs, 16)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,7 +205,7 @@ func TestAdapterSurfaces(t *testing.T) {
 		for i := range bdevs {
 			bdevs[i] = blockdev.NewDevice(c, bcfg)
 		}
-		mv, err := mdraid.New(c, bdevs, mdraid.DefaultConfig())
+		mv, err := mdraid.New(c, bdevs, 16)
 		if err != nil {
 			t.Fatal(err)
 		}

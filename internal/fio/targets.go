@@ -58,7 +58,7 @@ func (t MdraidTarget) NumSectors() int64 { return t.V.NumSectors() }
 
 // SubmitWrite implements Target.
 func (t MdraidTarget) SubmitWrite(lba int64, data []byte) *vclock.Future {
-	return t.V.SubmitWrite(lba, data, 0)
+	return t.V.SubmitWrite(lba, data)
 }
 
 // SubmitRead implements Target.

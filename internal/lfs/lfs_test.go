@@ -44,7 +44,7 @@ func newBlockDevice(t *testing.T, c *vclock.Clock) Device {
 	for i := range devs {
 		devs[i] = blockdev.NewDevice(c, bcfg)
 	}
-	v, err := mdraid.New(c, devs, mdraid.DefaultConfig())
+	v, err := mdraid.New(c, devs, 16)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,7 +83,7 @@ func (v *Volume) CheckStripe(s int64, repair bool) (CheckResult, error) {
 		v.cond.Broadcast()
 		v.mu.Unlock()
 		if redo {
-			v.kickHandle(s, 0)
+			v.kickHandle(s)
 		}
 	}()
 

@@ -137,7 +137,7 @@ func TestCheckSkipsDirtyStripes(t *testing.T) {
 	runVol(t, func(c *vclock.Clock, v *Volume, devs []*blockdev.Device) {
 		// Sub-stripe write parks dirty data in the cache (handle timer
 		// has not fired yet at virtual-now).
-		done := v.SubmitWrite(0, lbaPattern(v, 0, 4), 0)
+		done := v.SubmitWrite(0, lbaPattern(v, 0, 4))
 		res, err := v.CheckStripe(0, false)
 		if err != nil {
 			t.Fatalf("CheckStripe: %v", err)

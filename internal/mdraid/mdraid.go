@@ -26,28 +26,16 @@ var (
 	ErrInconsistent  = errors.New("mdraid: double failure")
 )
 
-// Config holds array parameters.
-type Config struct {
-	// ChunkSectors is the chunk ("stripe unit") size in sectors.
-	ChunkSectors int64
-	// StripeCacheBytes bounds the stripe cache (mdraid's maximum, used
+// The stripe cache's fixed policy, the paper's mdraid setup scaled down.
+const (
+	// stripeCacheBytes bounds the stripe cache (mdraid's maximum, used
 	// in the paper, is 128 MiB).
-	StripeCacheBytes int64
-	// HandleDelay is how long an incomplete stripe may wait for more
+	stripeCacheBytes = 8 << 20
+	// handleDelay is how long an incomplete stripe may wait for more
 	// data before it is handled with a read-modify-write. It models
 	// md's plugging/batching.
-	HandleDelay time.Duration
-}
-
-// DefaultConfig mirrors the paper's mdraid setup scaled down: 64 KiB
-// chunks and a generous stripe cache.
-func DefaultConfig() Config {
-	return Config{
-		ChunkSectors:     16,
-		StripeCacheBytes: 8 << 20,
-		HandleDelay:      50 * time.Microsecond,
-	}
-}
+	handleDelay = 50 * time.Microsecond
+)
 
 // stripeLine is one cached stripe: data plus dirty tracking.
 type stripeLine struct {
@@ -66,7 +54,6 @@ type stripeLine struct {
 // Volume is an md-style RAID-5 logical volume over block devices.
 type Volume struct {
 	clk *vclock.Clock
-	cfg Config
 
 	mu       sync.Mutex
 	devs     []*blockdev.Device // nil = failed slot
@@ -87,19 +74,15 @@ type Volume struct {
 	journal *journal // optional write journal (closes the write hole)
 }
 
-// New assembles a RAID-5 volume over the devices (>= 3, identical).
-func New(clk *vclock.Clock, devs []*blockdev.Device, cfg Config) (*Volume, error) {
+// New assembles a RAID-5 volume over the devices (>= 3, identical) with
+// chunks ("stripe units") of chunkSectors sectors; the paper's setup,
+// scaled down, uses 16 (64 KiB).
+func New(clk *vclock.Clock, devs []*blockdev.Device, chunkSectors int64) (*Volume, error) {
 	if len(devs) < 3 {
 		return nil, ErrNotEnoughDevs
 	}
-	if cfg.ChunkSectors <= 0 {
-		cfg.ChunkSectors = 16
-	}
-	if cfg.StripeCacheBytes <= 0 {
-		cfg.StripeCacheBytes = 8 << 20
-	}
-	if cfg.HandleDelay <= 0 {
-		cfg.HandleDelay = 200 * time.Microsecond
+	if chunkSectors <= 0 {
+		return nil, errors.New("mdraid: chunk size must be positive")
 	}
 	ref := devs[0].Config()
 	for _, d := range devs {
@@ -110,18 +93,17 @@ func New(clk *vclock.Clock, devs []*blockdev.Device, cfg Config) (*Volume, error
 	}
 	v := &Volume{
 		clk:      clk,
-		cfg:      cfg,
 		devs:     append([]*blockdev.Device(nil), devs...),
 		n:        len(devs),
 		d:        len(devs) - 1,
-		chunk:    cfg.ChunkSectors,
-		perDev:   ref.NumSectors / cfg.ChunkSectors,
+		chunk:    chunkSectors,
+		perDev:   ref.NumSectors / chunkSectors,
 		degraded: -1,
 		lines:    make(map[int64]*stripeLine),
 	}
 	v.cond = clk.NewCond(&v.mu)
 	lineBytes := v.stripeSectors() * int64(ref.SectorSize)
-	v.maxLines = int(cfg.StripeCacheBytes / lineBytes)
+	v.maxLines = int(stripeCacheBytes / lineBytes)
 	if v.maxLines < 4 {
 		v.maxLines = 4
 	}
@@ -283,7 +265,7 @@ func (v *Volume) lruTouchLocked(l *stripeLine) {
 // SubmitWrite buffers the write in the stripe cache and returns a future
 // that completes when the data and its parity have reached the member
 // devices (md completes a bio after the stripe write finishes).
-func (v *Volume) SubmitWrite(lba int64, data []byte, flags blockdev.Flag) *vclock.Future {
+func (v *Volume) SubmitWrite(lba int64, data []byte) *vclock.Future {
 	ss := int64(v.sectorSize())
 	if len(data) == 0 || int64(len(data))%ss != 0 {
 		return v.clk.Completed(ErrUnaligned)
@@ -318,7 +300,7 @@ func (v *Volume) SubmitWrite(lba int64, data []byte, flags blockdev.Flag) *vcloc
 		remaining++
 		pos += cnt
 		rest = rest[cnt*ss:]
-		if allSet(l.dirty) || flags&(blockdev.FUA|blockdev.Preflush) != 0 {
+		if allSet(l.dirty) {
 			toHandle = append(toHandle, s)
 		} else if !l.timerSet && !l.handling {
 			l.timerSet = true
@@ -344,11 +326,11 @@ func (v *Volume) SubmitWrite(lba int64, data []byte, flags blockdev.Flag) *vcloc
 	v.mu.Unlock()
 
 	for _, s := range toHandle {
-		v.kickHandle(s, flags)
+		v.kickHandle(s)
 	}
 	for _, s := range toTimer {
 		s := s
-		v.clk.AfterFunc(v.cfg.HandleDelay, func() {
+		v.clk.AfterFunc(handleDelay, func() {
 			v.mu.Lock()
 			l, ok := v.lines[s]
 			if ok {
@@ -356,7 +338,7 @@ func (v *Volume) SubmitWrite(lba int64, data []byte, flags blockdev.Flag) *vcloc
 			}
 			v.mu.Unlock()
 			if ok {
-				v.kickHandle(s, 0)
+				v.kickHandle(s)
 			}
 		})
 	}
@@ -394,7 +376,7 @@ func wrapCountdown(clk *vclock.Clock, c *countdown) *vclock.Future {
 }
 
 // kickHandle starts a handler for stripe s unless one is running.
-func (v *Volume) kickHandle(s int64, flags blockdev.Flag) {
+func (v *Volume) kickHandle(s int64) {
 	v.mu.Lock()
 	l, ok := v.lines[s]
 	if !ok || l.handling || !anySet(l.dirty) {
@@ -411,7 +393,7 @@ func (v *Volume) kickHandle(s int64, flags blockdev.Flag) {
 	v.mu.Unlock()
 
 	v.clk.Go(func() {
-		err := v.handleStripe(s, l, flags)
+		err := v.handleStripe(s, l)
 		v.mu.Lock()
 		l.handling = false
 		waiters := l.inflWait
@@ -426,7 +408,7 @@ func (v *Volume) kickHandle(s int64, flags blockdev.Flag) {
 			w.Complete(err)
 		}
 		if redo {
-			v.kickHandle(s, 0)
+			v.kickHandle(s)
 		}
 	})
 }
@@ -434,7 +416,7 @@ func (v *Volume) kickHandle(s int64, flags blockdev.Flag) {
 // handleStripe writes the in-flight dirty sectors of stripe s plus
 // updated parity, choosing between a full-stripe write, a
 // reconstruct-write (read the missing minority), or a read-modify-write.
-func (v *Volume) handleStripe(s int64, l *stripeLine, flags blockdev.Flag) error {
+func (v *Volume) handleStripe(s int64, l *stripeLine) error {
 	ss := int64(v.sectorSize())
 	stripeSec := v.stripeSectors()
 	covered := 0
@@ -510,12 +492,12 @@ func (v *Volume) handleStripe(s int64, l *stripeLine, flags blockdev.Flag) error
 			for hi < v.chunk && l.inflight[base+hi] {
 				hi++
 			}
-			futs = append(futs, d.Write(v.devPBA(s, lo), l.data[(base+lo)*ss:(base+hi)*ss], flags))
+			futs = append(futs, d.Write(v.devPBA(s, lo), l.data[(base+lo)*ss:(base+hi)*ss], 0))
 			lo = hi
 		}
 	}
 	if d := v.devForStripe(pdev, s); d != nil && newParity != nil {
-		futs = append(futs, d.Write(v.devPBA(s, 0), newParity, flags))
+		futs = append(futs, d.Write(v.devPBA(s, 0), newParity, 0))
 	}
 	for _, f := range futs {
 		if err := f.Wait(); err != nil && devErr == nil {
@@ -757,7 +739,7 @@ func (v *Volume) SubmitFlush() *vclock.Future {
 	result := v.clk.NewFuture()
 	v.clk.Go(func() {
 		for _, s := range dirty {
-			v.kickHandle(s, 0)
+			v.kickHandle(s)
 		}
 		// Wait for all handlers to drain.
 		for {
@@ -787,8 +769,8 @@ func (v *Volume) SubmitFlush() *vclock.Future {
 }
 
 // Write, Read, Flush are blocking wrappers.
-func (v *Volume) Write(lba int64, data []byte, flags blockdev.Flag) error {
-	return v.SubmitWrite(lba, data, flags).Wait()
+func (v *Volume) Write(lba int64, data []byte) error {
+	return v.SubmitWrite(lba, data).Wait()
 }
 
 func (v *Volume) Read(lba int64, buf []byte) error {
@@ -879,7 +861,7 @@ func (v *Volume) Resync(newDev *blockdev.Device) (ResyncStats, error) {
 			return stats, err
 		}
 		if redo {
-			v.kickHandle(s, 0)
+			v.kickHandle(s)
 		}
 		stats.BytesWritten += chunkBytes
 	}

@@ -24,7 +24,7 @@ func runVol(t *testing.T, fn func(c *vclock.Clock, v *Volume, devs []*blockdev.D
 		for i := range devs {
 			devs[i] = blockdev.NewDevice(c, testDevConfig())
 		}
-		v, err := New(c, devs, DefaultConfig())
+		v, err := New(c, devs, 16)
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
@@ -46,7 +46,7 @@ func lbaPattern(v *Volume, lba int64, nSectors int) []byte {
 
 func mustWriteV(t *testing.T, v *Volume, lba int64, n int) {
 	t.Helper()
-	if err := v.Write(lba, lbaPattern(v, lba, n), 0); err != nil {
+	if err := v.Write(lba, lbaPattern(v, lba, n)); err != nil {
 		t.Fatalf("Write(%d, %d): %v", lba, n, err)
 	}
 }
@@ -82,7 +82,7 @@ func TestSubStripeWriteRMW(t *testing.T) {
 	runVol(t, func(c *vclock.Clock, v *Volume, devs []*blockdev.Device) {
 		mustWriteV(t, v, 0, 64) // establish a stripe
 		// Small overwrite inside it (mdraid allows overwrites).
-		if err := v.Write(10, lbaPattern(v, 1000, 4), 0); err != nil {
+		if err := v.Write(10, lbaPattern(v, 1000, 4)); err != nil {
 			t.Fatal(err)
 		}
 		buf := make([]byte, 4*v.SectorSize())
@@ -105,7 +105,7 @@ func TestRandomOverwritesConsistent(t *testing.T) {
 			lba := rng.Int63n(v.NumSectors() - int64(n) + 1)
 			data := make([]byte, n*ss)
 			rng.Read(data)
-			if err := v.Write(lba, data, 0); err != nil {
+			if err := v.Write(lba, data); err != nil {
 				t.Fatal(err)
 			}
 			copy(shadow[lba*int64(ss):], data)
@@ -176,8 +176,8 @@ func TestDegradedWrite(t *testing.T) {
 		mustWriteV(t, v, 0, 128)
 		v.Flush()
 		v.FailDevice(1)
-		mustWriteV(t, v, 128, 64)                                  // full stripe degraded
-		if err := v.Write(5, lbaPattern(v, 5, 3), 0); err != nil { // sub-stripe degraded
+		mustWriteV(t, v, 128, 64)                               // full stripe degraded
+		if err := v.Write(5, lbaPattern(v, 5, 3)); err != nil { // sub-stripe degraded
 			t.Fatal(err)
 		}
 		v.Flush()
@@ -218,7 +218,7 @@ func TestResyncTimeConstantRegardlessOfData(t *testing.T) {
 			for i := range devs {
 				devs[i] = blockdev.NewDevice(c, testDevConfig())
 			}
-			v, err := New(c, devs, DefaultConfig())
+			v, err := New(c, devs, 16)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -256,7 +256,7 @@ func TestFullStripeAvoidsReads(t *testing.T) {
 			t.Errorf("full-stripe write performed %d bytes of reads", readBefore)
 		}
 		// A 4 KiB update is an RMW: needs reads.
-		if err := v.Write(3, lbaPattern(v, 3, 1), 0); err != nil {
+		if err := v.Write(3, lbaPattern(v, 3, 1)); err != nil {
 			t.Fatal(err)
 		}
 		v.Flush()
@@ -273,10 +273,10 @@ func TestFullStripeAvoidsReads(t *testing.T) {
 
 func TestOutOfRangeAndUnaligned(t *testing.T) {
 	runVol(t, func(c *vclock.Clock, v *Volume, devs []*blockdev.Device) {
-		if err := v.Write(v.NumSectors(), lbaPattern(v, 0, 1), 0); err != ErrOutOfRange {
+		if err := v.Write(v.NumSectors(), lbaPattern(v, 0, 1)); err != ErrOutOfRange {
 			t.Errorf("oob write error = %v", err)
 		}
-		if err := v.Write(0, make([]byte, 5), 0); err != ErrUnaligned {
+		if err := v.Write(0, make([]byte, 5)); err != ErrUnaligned {
 			t.Errorf("unaligned write error = %v", err)
 		}
 	})
@@ -288,7 +288,7 @@ func TestReadDirtyCacheOverlay(t *testing.T) {
 		v.Flush()
 		// Dirty a few sectors without flushing; read a range that mixes
 		// dirty and clean sectors.
-		fut := v.SubmitWrite(4, lbaPattern(v, 500, 2), 0)
+		fut := v.SubmitWrite(4, lbaPattern(v, 500, 2))
 		buf := make([]byte, 8*v.SectorSize())
 		if err := v.Read(0, buf); err != nil {
 			t.Fatal(err)
@@ -364,7 +364,7 @@ func TestJournalClosesWriteHole(t *testing.T) {
 		v.AttachJournal(jdev)
 
 		mustWriteV(t, v, 0, 256)
-		if err := v.Write(7, lbaPattern(v, 900, 3), 0); err != nil { // RMW path
+		if err := v.Write(7, lbaPattern(v, 900, 3)); err != nil { // RMW path
 			t.Fatal(err)
 		}
 		v.Flush()
@@ -410,7 +410,7 @@ func TestJournalCostMeasurable(t *testing.T) {
 			for i := range devs {
 				devs[i] = blockdev.NewDevice(c, testDevConfig())
 			}
-			v, err := New(c, devs, DefaultConfig())
+			v, err := New(c, devs, 16)
 			if err != nil {
 				t.Fatal(err)
 			}
