@@ -192,17 +192,15 @@ func main() {
 				z, pos, vol.StripesPerZone(), vol.ChecksumCoverage(z))
 		}
 
-		mon := scrub.NewMonitor(scrub.MonitorConfig{
-			Clock: clk, Volume: vol,
-			SuspectThreshold: 1, FailThreshold: 100,
-		})
-		mon.Poll()
 		fmt.Println("\ndevice health:")
 		for i := range devs {
 			re, corr := vol.DeviceErrorCounters(i)
-			state := mon.State(i).String()
-			if vol.Degraded() == i {
+			state := "healthy"
+			switch {
+			case vol.Degraded() == i:
 				state = "failed (removed)"
+			case re+corr > 0:
+				state = "suspect"
 			}
 			fmt.Printf("  dev%d: %-16s read-errors=%-4d corruptions=%d\n", i, state, re, corr)
 		}

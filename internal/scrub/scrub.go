@@ -1,9 +1,7 @@
-// Package scrub implements the background scrub and device-health
-// subsystem: a rate-limited scrubber that walks a volume stripe by
-// stripe verifying (and optionally repairing) data/parity consistency,
-// and a health monitor that turns accumulated read-error and corruption
-// counts into a healthy → suspect → failed state machine with an
-// auto-rebuild hook.
+// Package scrub implements the background scrub: a rate-limited
+// scrubber that walks a volume stripe by stripe verifying (and
+// optionally repairing) data/parity consistency. The errors it meets
+// accumulate in the volume's per-device counters (DeviceErrorCounters).
 //
 // The scrubber walks a RAIZN volume's logical zones stripe by stripe
 // through the volume's checksum-aware ScrubStripe. Rate limiting is a

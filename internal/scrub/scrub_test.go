@@ -278,152 +278,3 @@ func TestBackgroundScrubStartStop(t *testing.T) {
 		s.Stop()
 	})
 }
-
-func TestMonitorStateMachine(t *testing.T) {
-	c := vclock.New()
-	c.Run(func() {
-		v, devs := newVol(t, c)
-		mustWrite(t, v, 0, int(v.ZoneSectors()))
-
-		m := NewMonitor(MonitorConfig{
-			Clock: c, Volume: v,
-			SuspectThreshold: 2, FailThreshold: 5,
-		})
-		if m.State(1) != Healthy {
-			t.Fatalf("initial state = %v, want healthy", m.State(1))
-		}
-
-		// Latent read errors on device of unit 0, stripe 0: each
-		// foreground read of that range fails (and is read-repaired),
-		// incrementing the device's error counter.
-		dev, pba := dataSector(0, 0, 0, 0)
-		if err := devs[dev].InjectReadError(pba); err != nil {
-			t.Fatalf("InjectReadError: %v", err)
-		}
-		buf := make([]byte, 16*v.SectorSize())
-		read := func() {
-			if err := v.Read(0, buf); err != nil {
-				t.Fatalf("Read: %v", err)
-			}
-		}
-
-		read()
-		read()
-		m.Poll()
-		if m.State(dev) != Suspect {
-			re, corr := v.DeviceErrorCounters(dev)
-			t.Fatalf("after 2 errors (re=%d corr=%d): state = %v, want suspect", re, corr, m.State(dev))
-		}
-
-		for i := 0; i < 3; i++ {
-			read()
-		}
-		m.Poll()
-		if m.State(dev) != Failed {
-			t.Fatalf("after 5 errors: state = %v, want failed", m.State(dev))
-		}
-		if v.Degraded() != dev {
-			t.Fatalf("Degraded() = %d, want %d (auto-fail)", v.Degraded(), dev)
-		}
-		// Reads still work, served degraded.
-		checkRead(t, v, 0, int(v.ZoneSectors()))
-	})
-}
-
-func TestMonitorAutoRebuild(t *testing.T) {
-	c := vclock.New()
-	c.Run(func() {
-		v, devs := newVol(t, c)
-		mustWrite(t, v, 0, int(v.ZoneSectors()))
-
-		rebuilt := c.NewFuture()
-		var m *Monitor
-		m = NewMonitor(MonitorConfig{
-			Clock: c, Volume: v,
-			SuspectThreshold: 1, FailThreshold: 3,
-			Interval: 10 * time.Millisecond,
-			OnFail: func(dev int) {
-				nd := zns.NewDevice(c, testDevConfig())
-				if _, err := v.ReplaceDevice(nd); err != nil {
-					rebuilt.Complete(err)
-					return
-				}
-				m.MarkReplaced(dev)
-				rebuilt.Complete(nil)
-			},
-		})
-
-		dev, pba := dataSector(0, 1, 2, 5)
-		if err := devs[dev].InjectReadError(pba); err != nil {
-			t.Fatalf("InjectReadError: %v", err)
-		}
-		// Drive the device's error counter over the fail threshold with
-		// repeated foreground reads of the latent unit (the sector stays
-		// latent: foreground read-repair reconstructs but does not
-		// relocate). At the first error the device is only suspect.
-		buf := make([]byte, 16*v.SectorSize())
-		lba := int64(1)*v.StripeSectors() + int64(2)*testSU // LBA of the latent unit
-		for i := 0; i < 3; i++ {
-			if err := v.Read(lba, buf); err != nil {
-				t.Fatalf("Read: %v", err)
-			}
-			if i == 0 {
-				m.Poll()
-				if m.State(dev) != Suspect || v.Degraded() >= 0 {
-					t.Fatalf("after 1 error: state %v, Degraded() %d, want suspect on a whole array", m.State(dev), v.Degraded())
-				}
-			}
-		}
-
-		m.Start()
-		if err := rebuilt.Wait(); err != nil {
-			t.Fatalf("auto-rebuild: %v", err)
-		}
-		m.Stop()
-
-		if v.Degraded() >= 0 {
-			t.Fatalf("array still degraded after rebuild: %d", v.Degraded())
-		}
-		if m.State(dev) != Healthy {
-			t.Errorf("state after MarkReplaced = %v, want healthy", m.State(dev))
-		}
-		checkRead(t, v, 0, int(v.ZoneSectors()))
-	})
-}
-
-func TestMonitorHoldsSecondFailure(t *testing.T) {
-	c := vclock.New()
-	c.Run(func() {
-		v, devs := newVol(t, c)
-		mustWrite(t, v, 0, int(v.ZoneSectors()))
-
-		m := NewMonitor(MonitorConfig{
-			Clock: c, Volume: v,
-			SuspectThreshold: 1, FailThreshold: 2,
-		})
-
-		// Fail one device administratively.
-		if err := v.FailDevice(0); err != nil {
-			t.Fatalf("FailDevice: %v", err)
-		}
-		// Push a second device over the fail threshold.
-		dev, pba := dataSector(0, 0, 0, 0)
-		if dev == 0 {
-			dev, pba = dataSector(0, 0, 1, 0)
-		}
-		if err := devs[dev].InjectReadError(pba); err != nil {
-			t.Fatalf("InjectReadError: %v", err)
-		}
-		buf := make([]byte, v.SectorSize())
-		for i := 0; i < 3; i++ {
-			_ = v.Read(0, buf)
-		}
-		m.Poll()
-		if m.State(dev) == Failed {
-			t.Fatal("monitor failed a second device on a degraded array")
-		}
-		if v.Degraded() != 0 {
-			t.Fatalf("Degraded() = %d, want 0 (only the admin failure)", v.Degraded())
-		}
-	})
-}
