@@ -150,7 +150,7 @@ func main() {
 		}
 
 		if *doScrub {
-			sb := scrub.New(scrub.Config{Clock: clk, Volume: vol, Repair: true})
+			sb := scrub.New(scrub.Config{Clock: clk, Volume: vol})
 			stats, err := sb.RunPass()
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "scrub:", err)

@@ -60,8 +60,7 @@ func runScrubInterference(w io.Writer, quick bool) error {
 			var s *scrub.Scrubber
 			if m.on {
 				s = scrub.New(scrub.Config{
-					Clock: clk, Volume: v,
-					Repair: true, RateLimit: m.rate,
+					Clock: clk, Volume: v, RateLimit: m.rate,
 					PassInterval: time.Millisecond,
 				})
 				s.RegisterMetrics(runRegistry)
@@ -141,7 +140,7 @@ func runScrubCoverage(w io.Writer, quick bool) error {
 				}
 			}
 
-			sb := scrub.New(scrub.Config{Clock: clk, Volume: v, Repair: true})
+			sb := scrub.New(scrub.Config{Clock: clk, Volume: v})
 			sb.RegisterMetrics(runRegistry)
 			stats, err := sb.RunPass()
 			if err != nil {

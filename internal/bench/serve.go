@@ -140,7 +140,7 @@ func runServe(w io.Writer, quick bool) error {
 		open.aggMiB, open.shedPct, open.jain, breach)
 
 	fmt.Fprintf(w, "\nphase 4 — single-tenant engine overhead:\n")
-	fmt.Fprintf(w, "through engine %.1f MiB/s, direct array %.1f MiB/s, overhead %.1f%% (negative = engine coalescing wins)\n",
+	fmt.Fprintf(w, "through engine %.1f MiB/s, direct array %.1f MiB/s, overhead %.1f%% (positive = what the engine costs)\n",
 		engMiB, dirMiB, (1-engMiB/dirMiB)*100)
 	return nil
 }
@@ -225,7 +225,6 @@ func runFairPhase(clk *vclock.Clock, m *volmgr.Manager, sv serveScale, name stri
 		Zones: sv.tenants,
 		Engine: volmgr.EngineConfig{
 			MaxInflight:    16,
-			BatchSize:      8,
 			QuantumSectors: sv.chunk,
 		},
 		Tenants: tcs,
@@ -405,7 +404,6 @@ func runOpenLoopPhase(clk *vclock.Clock, m *volmgr.Manager, sv serveScale, fair 
 		Engine: volmgr.EngineConfig{
 			QueueDepth:     16, // small queues: overload must shed, not buffer
 			MaxInflight:    32,
-			BatchSize:      8,
 			QuantumSectors: sv.chunk,
 		},
 		Tenants: tcs,
@@ -479,7 +477,7 @@ func runOpenLoopPhase(clk *vclock.Clock, m *volmgr.Manager, sv serveScale, fair 
 func runOverheadPhase(clk *vclock.Clock, m *volmgr.Manager, sv serveScale, sc scale, dcfg zns.Config) (engMiB, dirMiB float64) {
 	v, err := m.CreateVolume("solo", volmgr.VolumeSpec{
 		Zones:   1,
-		Engine:  volmgr.EngineConfig{MaxInflight: 16, BatchSize: 8, QuantumSectors: sv.chunk},
+		Engine:  volmgr.EngineConfig{MaxInflight: 16, QuantumSectors: sv.chunk},
 		Tenants: []volmgr.TenantConfig{{ID: "solo"}},
 	})
 	if err != nil {

@@ -425,7 +425,7 @@ func (rc *runCtx) applyOp(op Op) {
 			if rc.stopped() {
 				return
 			}
-			if _, err := rc.vol.ScrubStripe(op.Zone, st, true); err != nil {
+			if _, err := rc.vol.ScrubStripe(op.Zone, st); err != nil {
 				rc.mu.Lock()
 				rc.setErrLocked(fmt.Errorf("chaos: %s stripe %d: %w", op, st, err))
 				rc.mu.Unlock()

@@ -92,7 +92,7 @@ func TestVolmgrCrashMidBurst(t *testing.T) {
 		}
 		v, err := m.CreateVolume("vol", volmgr.VolumeSpec{
 			Zones:   tenants,
-			Engine:  volmgr.EngineConfig{QueueDepth: 16, MaxInflight: 16, BatchSize: 4},
+			Engine:  volmgr.EngineConfig{QueueDepth: 16, MaxInflight: 16},
 			Tenants: tcs,
 		})
 		if err != nil {

@@ -20,15 +20,13 @@ func newRaiznDevice(t *testing.T, c *vclock.Clock) (Device, []*zns.Device) {
 	cfg.NumZones = 16
 	cfg.ZoneSize = 160
 	cfg.ZoneCap = 128
-	cfg.MaxOpenZones = 12
+	cfg.MaxOpenZones = 8 // 5 open logical zones beside the 3 metadata zones
 	cfg.MaxActiveZones = 16
 	devs := make([]*zns.Device, 5)
 	for i := range devs {
 		devs[i] = zns.NewDevice(c, cfg)
 	}
-	rcfg := raizn.DefaultConfig()
-	rcfg.MaxOpenZones = 5
-	v, err := raizn.Create(c, devs, rcfg)
+	v, err := raizn.Create(c, devs, raizn.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,7 +90,7 @@ func TestScrubTriggeredDegradeUnderLoad(t *testing.T) {
 		// Scrub zone 0; apply the fail-threshold policy the monitor
 		// would: 3 attributed errors fail the device.
 		for s := int64(0); s < v.StripesPerZone() && v.Degraded() < 0; s++ {
-			if _, err := v.ScrubStripe(0, s, true); err != nil {
+			if _, err := v.ScrubStripe(0, s); err != nil {
 				t.Fatalf("ScrubStripe(0, %d): %v", s, err)
 			}
 			re, corr := v.DeviceErrorCounters(target)

@@ -461,10 +461,7 @@ func TestMaintainZeroedCountersSurviveRemount(t *testing.T) {
 func TestOpenZoneAccounting(t *testing.T) {
 	c := vclock.New()
 	c.Run(func() {
-		devs := newTestDevices(c, 5)
-		cfg := DefaultConfig()
-		cfg.MaxOpenZones = 3
-		v, err := Create(c, devs, cfg)
+		v, err := Create(c, newOpenLimitedDevices(c, 5, 3), DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -497,10 +494,7 @@ func TestOpenZoneAccounting(t *testing.T) {
 func TestExplicitOpenReservesSlot(t *testing.T) {
 	c := vclock.New()
 	c.Run(func() {
-		devs := newTestDevices(c, 5)
-		cfg := DefaultConfig()
-		cfg.MaxOpenZones = 2
-		v, err := Create(c, devs, cfg)
+		v, err := Create(c, newOpenLimitedDevices(c, 5, 2), DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}

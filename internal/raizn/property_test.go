@@ -62,7 +62,7 @@ func scrubScenarioHolds(t *testing.T, seed int64) bool {
 		scrubAll := func(vol *Volume) bool {
 			for z := 0; z < nZones; z++ {
 				for s := int64(0); s < vol.StripesPerZone(); s++ {
-					res, err := vol.ScrubStripe(z, s, true)
+					res, err := vol.ScrubStripe(z, s)
 					if err != nil {
 						t.Errorf("seed %d: ScrubStripe(%d,%d): %v", seed, z, s, err)
 						return false

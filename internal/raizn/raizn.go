@@ -57,9 +57,6 @@ type Config struct {
 	// StripeUnitSectors is the stripe unit ("chunk") size in sectors.
 	// The paper settles on 64 KiB (16 sectors) as optimal (§6.1).
 	StripeUnitSectors int64
-	// MaxOpenZones bounds simultaneously open logical zones. Zero means
-	// the device limit minus the reserved metadata zones.
-	MaxOpenZones int
 	// ParityEngine selects how partial parity is persisted (see
 	// internal/ppengine): EngineLogged (default) appends it to the
 	// metadata zones as log records (§5.1); EngineZRAID overwrites it in
@@ -456,14 +453,12 @@ func newVolume(clk *vclock.Clock, devs []*zns.Device, cfg Config) (*Volume, erro
 		mdZones:      metadataZones,
 		ppZones:      ppZones,
 	}
-	maxOpen := cfg.MaxOpenZones
-	if maxOpen == 0 {
-		maxOpen = dc.MaxOpenZones - metadataZones
-		// The zraid engine keeps its PP zone open on every device.
-		maxOpen -= ppZones
-		if maxOpen < 1 {
-			maxOpen = 1
-		}
+	// Open logical zones are bounded by the devices' open-zone limit less
+	// the metadata zones and, on the zraid engine, the PP zone every
+	// device keeps open.
+	maxOpen := dc.MaxOpenZones - metadataZones - ppZones
+	if maxOpen < 1 {
+		maxOpen = 1
 	}
 	// A metadata zone must be able to hold a full checkpoint (one
 	// partial-parity record of up to 1+SU sectors per open logical zone,

@@ -79,11 +79,11 @@ func (v *Volume) setScrubPos(z int, s int64) {
 	v.scrubMu.Unlock()
 }
 
-// ScrubStripe verifies (and, when repair is set, repairs) stripe s of
-// logical zone z. It returns an error only for environmental failures
-// (dead device mid-scrub, IO beyond the fault model); verification
-// outcomes are reported in the result.
-func (v *Volume) ScrubStripe(z int, s int64, repair bool) (StripeScrubResult, error) {
+// ScrubStripe verifies and repairs stripe s of logical zone z. It
+// returns an error only for environmental failures (dead device
+// mid-scrub, IO beyond the fault model); verification outcomes are
+// reported in the result.
+func (v *Volume) ScrubStripe(z int, s int64) (StripeScrubResult, error) {
 	var res StripeScrubResult
 	if z < 0 || z >= v.lt.numZones || s < 0 || s >= v.lt.stripesPerZone() {
 		return res, ErrOutOfRange
@@ -141,9 +141,9 @@ func (v *Volume) ScrubStripe(z int, s int64, repair bool) (StripeScrubResult, er
 	crcs := v.StripeChecksums(z, s)
 	switch len(unreadable) {
 	case 0:
-		v.verifyStripeImages(z, s, gen0, imgs, crcs, repair, &res)
+		v.verifyStripeImages(z, s, gen0, imgs, crcs, &res)
 	case 1:
-		v.repairUnreadableUnit(z, s, unreadable[0], imgs, repair, &res)
+		v.repairUnreadableUnit(z, s, unreadable[0], imgs, &res)
 	default:
 		// Multiple unreadable units: beyond single-parity redundancy.
 		v.scrubFlag(&res, true, true)
@@ -161,7 +161,7 @@ func (v *Volume) ScrubStripe(z int, s int64, repair bool) (StripeScrubResult, er
 
 // verifyStripeImages checks a fully readable stripe and repairs at most
 // one CRC-attributed bad unit.
-func (v *Volume) verifyStripeImages(z int, s int64, gen uint64, imgs [][]byte, crcs []uint32, repair bool, res *StripeScrubResult) {
+func (v *Volume) verifyStripeImages(z int, s int64, gen uint64, imgs [][]byte, crcs []uint32, res *StripeScrubResult) {
 	// One fused pass over the stripe (parity.XORCRCInto): XOR-accumulate
 	// every unit image into acc while computing each unit's CRC32-C with
 	// the block still cache-hot. XOR consistency = acc all-zero; the
@@ -201,13 +201,13 @@ func (v *Volume) verifyStripeImages(z int, s int64, gen uint64, imgs [][]byte, c
 	default:
 		v.scrubFlag(res, true, false)
 		v.noteCorruption(v.unitDevice(z, s, bad[0]))
-		v.repairUnit(z, s, bad[0], imgs, repair, res)
+		v.repairUnit(z, s, bad[0], imgs, res)
 	}
 }
 
 // repairUnreadableUnit reconstructs the single unit that failed with a
 // latent read error from the surviving units.
-func (v *Volume) repairUnreadableUnit(z int, s int64, u int, imgs [][]byte, repair bool, res *StripeScrubResult) {
+func (v *Volume) repairUnreadableUnit(z int, s int64, u int, imgs [][]byte, res *StripeScrubResult) {
 	v.noteCorruption(v.unitDevice(z, s, u))
 	// Verify the survivors first: silent rot in a survivor would poison
 	// the reconstruction.
@@ -217,24 +217,21 @@ func (v *Volume) repairUnreadableUnit(z int, s int64, u int, imgs [][]byte, repa
 			return
 		}
 	}
-	v.repairUnit(z, s, u, imgs, repair, res)
+	v.repairUnit(z, s, u, imgs, res)
 }
 
 // repairUnit reconstructs unit u from the other units into u's own image
 // buffer (its bytes, rotten or unread, are not needed again) and checks it
 // against its recorded CRC, if the stripe has a row: a reconstruction that
 // contradicts it means more than one unit is wrong in a way the CRCs
-// cannot pin down. With repair set, the unit is then relocated and the
-// repair counted.
-func (v *Volume) repairUnit(z int, s int64, u int, imgs [][]byte, repair bool, res *StripeScrubResult) {
+// cannot pin down. Otherwise the unit is relocated and the repair
+// counted.
+func (v *Volume) repairUnit(z int, s int64, u int, imgs [][]byte, res *StripeScrubResult) {
 	var buf [8][]byte
 	want := imgs[u]
 	parity.EncodeInto(want, append(append(buf[:0], imgs[:u]...), imgs[u+1:]...)...)
 	if v.checkUnit(z, s, u, want) != nil {
 		v.scrubFlag(res, !res.Mismatch, true) // a read error's first mismatch
-		return
-	}
-	if !repair {
 		return
 	}
 	if err := v.relocateRepairedUnit(z, s, u, want); err != nil {

@@ -19,7 +19,7 @@ func TestScrubVerifiesCleanStripes(t *testing.T) {
 	runVol(t, func(c *vclock.Clock, v *Volume, devs []*zns.Device) {
 		mustWriteV(t, v, 0, 128, 0) // two full stripes in zone 0
 		for s := int64(0); s < 2; s++ {
-			res, err := v.ScrubStripe(0, s, true)
+			res, err := v.ScrubStripe(0, s)
 			if err != nil {
 				t.Fatalf("ScrubStripe(0, %d): %v", s, err)
 			}
@@ -29,7 +29,7 @@ func TestScrubVerifiesCleanStripes(t *testing.T) {
 		}
 		// Partial tail stripe and unwritten stripes are skipped.
 		mustWriteV(t, v, 128, 8, 0)
-		res, err := v.ScrubStripe(0, 2, true)
+		res, err := v.ScrubStripe(0, 2)
 		if err != nil {
 			t.Fatalf("ScrubStripe(0, 2): %v", err)
 		}
@@ -52,7 +52,7 @@ func TestScrubRepairsDataRot(t *testing.T) {
 		if err := devs[dev].CorruptSector(pba); err != nil {
 			t.Fatalf("CorruptSector: %v", err)
 		}
-		res, err := v.ScrubStripe(0, 0, true)
+		res, err := v.ScrubStripe(0, 0)
 		if err != nil {
 			t.Fatalf("ScrubStripe: %v", err)
 		}
@@ -71,7 +71,7 @@ func TestScrubRepairsDataRot(t *testing.T) {
 			t.Errorf("corruptions = %d, want 1", corr)
 		}
 		// A second pass sees a clean stripe.
-		res, err = v.ScrubStripe(0, 0, true)
+		res, err = v.ScrubStripe(0, 0)
 		if err != nil {
 			t.Fatalf("ScrubStripe (2nd): %v", err)
 		}
@@ -88,7 +88,7 @@ func TestScrubRepairsParityRot(t *testing.T) {
 		if err := devs[dev].CorruptSector(pba); err != nil {
 			t.Fatalf("CorruptSector: %v", err)
 		}
-		res, err := v.ScrubStripe(0, 0, true)
+		res, err := v.ScrubStripe(0, 0)
 		if err != nil {
 			t.Fatalf("ScrubStripe: %v", err)
 		}
@@ -111,7 +111,7 @@ func TestScrubRepairsLatentReadError(t *testing.T) {
 		if err := devs[dev].InjectReadError(pba); err != nil {
 			t.Fatalf("InjectReadError: %v", err)
 		}
-		res, err := v.ScrubStripe(0, 0, true)
+		res, err := v.ScrubStripe(0, 0)
 		if err != nil {
 			t.Fatalf("ScrubStripe: %v", err)
 		}
@@ -140,7 +140,7 @@ func TestScrubNeverRepairsUnattributable(t *testing.T) {
 		if err := devs[d2].CorruptSector(p2); err != nil {
 			t.Fatalf("CorruptSector: %v", err)
 		}
-		res, err := v.ScrubStripe(0, 0, true)
+		res, err := v.ScrubStripe(0, 0)
 		if err != nil {
 			t.Fatalf("ScrubStripe: %v", err)
 		}
@@ -201,7 +201,7 @@ func TestChecksumsSurviveRemount(t *testing.T) {
 		if err := devs[dev].CorruptSector(pba); err != nil {
 			t.Fatalf("CorruptSector: %v", err)
 		}
-		res, err := v2.ScrubStripe(0, 1, true)
+		res, err := v2.ScrubStripe(0, 1)
 		if err != nil {
 			t.Fatalf("ScrubStripe: %v", err)
 		}
@@ -217,7 +217,7 @@ func TestScrubAdoptsUncoveredStripes(t *testing.T) {
 		mustWriteV(t, v, 0, 64, 0)
 		// Simulate a pre-checksum stripe by dropping the table row.
 		v.clearZoneChecksums(0)
-		res, err := v.ScrubStripe(0, 0, true)
+		res, err := v.ScrubStripe(0, 0)
 		if err != nil {
 			t.Fatalf("ScrubStripe: %v", err)
 		}
@@ -232,7 +232,7 @@ func TestScrubAdoptsUncoveredStripes(t *testing.T) {
 		if err := devs[dev].CorruptSector(pba); err != nil {
 			t.Fatalf("CorruptSector: %v", err)
 		}
-		res, err = v.ScrubStripe(0, 0, true)
+		res, err = v.ScrubStripe(0, 0)
 		if err != nil {
 			t.Fatalf("ScrubStripe: %v", err)
 		}
@@ -246,7 +246,7 @@ func TestScrubProgressTracking(t *testing.T) {
 	runVol(t, func(c *vclock.Clock, v *Volume, devs []*zns.Device) {
 		mustWriteV(t, v, 0, 192, 0)
 		for s := int64(0); s < 3; s++ {
-			if _, err := v.ScrubStripe(0, s, true); err != nil {
+			if _, err := v.ScrubStripe(0, s); err != nil {
 				t.Fatalf("ScrubStripe: %v", err)
 			}
 		}
@@ -266,7 +266,7 @@ func TestScrubSkipsAfterZoneReset(t *testing.T) {
 		if err := v.ResetZone(0); err != nil {
 			t.Fatalf("ResetZone: %v", err)
 		}
-		res, err := v.ScrubStripe(0, 0, true)
+		res, err := v.ScrubStripe(0, 0)
 		if err != nil {
 			t.Fatalf("ScrubStripe: %v", err)
 		}

@@ -29,6 +29,19 @@ func newTestDevices(clk *vclock.Clock, n int) []*zns.Device {
 	return devs
 }
 
+// newOpenLimitedDevices returns test devices whose open-zone limit leaves
+// the logged engine exactly open logical zones: the array derives its
+// limit from the devices' less the metadata zones.
+func newOpenLimitedDevices(clk *vclock.Clock, n, open int) []*zns.Device {
+	cfg := testDevConfig()
+	cfg.MaxOpenZones = open + metadataZones
+	devs := make([]*zns.Device, n)
+	for i := range devs {
+		devs[i] = zns.NewDevice(clk, cfg)
+	}
+	return devs
+}
+
 // runVol creates a 5-device volume and runs fn inside a simulation.
 func runVol(t *testing.T, fn func(c *vclock.Clock, v *Volume, devs []*zns.Device)) {
 	t.Helper()
@@ -272,10 +285,7 @@ func TestFinishZone(t *testing.T) {
 func TestMaxOpenZonesEnforced(t *testing.T) {
 	c := vclock.New()
 	c.Run(func() {
-		devs := newTestDevices(c, 5)
-		cfg := DefaultConfig()
-		cfg.MaxOpenZones = 2
-		v, err := Create(c, devs, cfg)
+		v, err := Create(c, newOpenLimitedDevices(c, 5, 2), DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -167,7 +167,7 @@ func TestWritePathDifferentialDegradedAndScrub(t *testing.T) {
 		verified := 0
 		wp := v.Zone(0).WP
 		for s := int64(0); (s+1)*v.StripeSectors() <= wp; s++ {
-			res, err := v.ScrubStripe(0, s, true)
+			res, err := v.ScrubStripe(0, s)
 			if err != nil {
 				t.Fatalf("ScrubStripe(0, %d): %v", s, err)
 			}

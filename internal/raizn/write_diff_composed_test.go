@@ -48,7 +48,7 @@ func TestWritePathDifferentialComposedChaos(t *testing.T) {
 		if err := devs[1].CorruptSector(5); err != nil {
 			t.Fatalf("corrupt: %v", err)
 		}
-		res, err := v.ScrubStripe(0, 0, true)
+		res, err := v.ScrubStripe(0, 0)
 		if err != nil {
 			t.Fatalf("ScrubStripe: %v", err)
 		}

@@ -1,7 +1,7 @@
 // Package scrub implements the background scrub: a rate-limited
-// scrubber that walks a volume stripe by stripe verifying (and
-// optionally repairing) data/parity consistency. The errors it meets
-// accumulate in the volume's per-device counters (DeviceErrorCounters).
+// scrubber that walks a volume stripe by stripe verifying and repairing
+// data/parity consistency. The errors it meets accumulate in the
+// volume's per-device counters (DeviceErrorCounters).
 //
 // The scrubber walks a RAIZN volume's logical zones stripe by stripe
 // through the volume's checksum-aware ScrubStripe. Rate limiting is a
@@ -23,8 +23,6 @@ import (
 type Config struct {
 	Clock  *vclock.Clock
 	Volume *raizn.Volume
-	// Repair makes scrub fix what it can attribute; off = verify only.
-	Repair bool
 	// RateLimit bounds scrub reads in bytes per (virtual) second;
 	// 0 means unthrottled.
 	RateLimit int64
@@ -145,7 +143,7 @@ func (s *Scrubber) RunPass() (PassStats, error) {
 				stats.Elapsed = s.clk.Now() - start
 				return stats, ErrStopped
 			}
-			res, err := v.ScrubStripe(z, st, s.cfg.Repair)
+			res, err := v.ScrubStripe(z, st)
 			if err != nil {
 				stats.Elapsed = s.clk.Now() - start
 				return stats, err

@@ -121,7 +121,7 @@ func TestPassRepairsAllInjectedRot(t *testing.T) {
 				}
 			}
 
-			s := New(Config{Clock: c, Volume: v, Repair: true})
+			s := New(Config{Clock: c, Volume: v})
 			stats, err := s.RunPass()
 			if err != nil {
 				t.Fatalf("RunPass: %v", err)
@@ -184,7 +184,7 @@ func TestPassJournaled(t *testing.T) {
 			}
 		}
 
-		stats, err := New(Config{Clock: c, Volume: v, Repair: true}).RunPass()
+		stats, err := New(Config{Clock: c, Volume: v}).RunPass()
 		if err != nil {
 			t.Fatalf("RunPass: %v", err)
 		}
@@ -215,7 +215,7 @@ func TestRateLimitBoundsScrubRate(t *testing.T) {
 		mustWrite(t, v, 0, int(v.ZoneSectors()))
 
 		// Unthrottled baseline.
-		fast := New(Config{Clock: c, Volume: v, Repair: true})
+		fast := New(Config{Clock: c, Volume: v})
 		fstats, err := fast.RunPass()
 		if err != nil {
 			t.Fatalf("RunPass: %v", err)
@@ -227,7 +227,7 @@ func TestRateLimitBoundsScrubRate(t *testing.T) {
 		// Throttled: elapsed must be at least BytesRead/rate (minus the
 		// one-second initial burst allowance).
 		rate := int64(1 << 20) // 1 MiB/s
-		slow := New(Config{Clock: c, Volume: v, Repair: true, RateLimit: rate})
+		slow := New(Config{Clock: c, Volume: v, RateLimit: rate})
 		sstats, err := slow.RunPass()
 		if err != nil {
 			t.Fatalf("RunPass (limited): %v", err)
@@ -254,7 +254,7 @@ func TestBackgroundScrubStartStop(t *testing.T) {
 		}
 
 		s := New(Config{
-			Clock: c, Volume: v, Repair: true,
+			Clock: c, Volume: v,
 			PassInterval: 10 * time.Millisecond,
 		})
 		s.Start()

@@ -32,7 +32,7 @@ func completionInstants(t *testing.T) [][]time.Duration {
 		}
 		v, err := m.CreateVolume("vol", VolumeSpec{
 			Zones:   tenants,
-			Engine:  EngineConfig{QueueDepth: 8, MaxInflight: 8, BatchSize: 4},
+			Engine:  EngineConfig{QueueDepth: 8, MaxInflight: 8},
 			Tenants: tcs,
 		})
 		if err != nil {

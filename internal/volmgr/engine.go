@@ -20,11 +20,8 @@ type EngineConfig struct {
 	// MaxInflight bounds requests issued to the arrays but not yet
 	// completed. Default 64.
 	MaxInflight int
-	// BatchSize bounds how many requests one scheduling round dequeues
-	// before issuing. Default 16.
-	BatchSize int
 	// QuantumSectors is the deficit-round-robin quantum credited per
-	// unit of tenant weight each scheduling round. Default 64.
+	// unit of tenant weight at the start of each turn. Default 64.
 	QuantumSectors int64
 	// SLO configures the volume's per-tenant SLO alarm.
 	SLO obs.SLOConfig
@@ -36,9 +33,6 @@ func (c EngineConfig) withDefaults() EngineConfig {
 	}
 	if c.MaxInflight <= 0 {
 		c.MaxInflight = 64
-	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 16
 	}
 	if c.QuantumSectors <= 0 {
 		c.QuantumSectors = 64
@@ -53,12 +47,12 @@ const (
 	opRead
 )
 
-// request is one client IO. sectors is redundant with len(data) but sits
-// on every scheduling decision, so it is computed once. A submitted
-// request's fut points at its own done, and a request issued alone hands
-// arr to its array to complete, so request and both futures are one
-// allocation. A request is never reused: the array may keep a durable
-// write's arr after it completes (raizn.Volume.SubmitWriteTo).
+// request is one client IO, issued to its array as one command.
+// sectors is redundant with len(data) but sits on every scheduling
+// decision, so it is computed once. The client waits on done and the
+// array completes arr, so request and both futures are one allocation.
+// A request is never reused: the array may keep a durable write's arr
+// after it completes (raizn.Volume.SubmitWriteTo).
 type request struct {
 	tn      *tenant
 	kind    opKind
@@ -67,37 +61,35 @@ type request struct {
 	flags   zns.Flag
 	sectors int64
 	submitT time.Duration
-	fut     *vclock.Future
-	done    vclock.Future
-	arr     vclock.Future // the array's completion of a run of one
+	done    vclock.Future // the client's future
+	arr     vclock.Future // the array's completion of the command
 
-	// Set at issue, for Notify: the request completes itself when it ran
-	// alone, so a single request needs no closure and no run slice.
+	// Set at issue, for Notify: the request completes itself, so it
+	// needs no closure.
 	e       *engine
 	arrayID string
 }
 
-// Notify completes a request that was issued as a run of one
+// Notify completes the request when its array command completes
 // (vclock.Notifier).
-func (r *request) Notify(err error) {
-	run := [1]*request{r}
-	r.e.completeRun(run[:], r.arrayID, err)
-}
+func (r *request) Notify(err error) { r.e.complete(r, err) }
 
 // engine is one volume's submission engine: per-tenant FIFO queues in
 // front, a dispatcher goroutine in the middle, the volume's extent map
 // and arrays behind. An idle volume issues a request on the submitting
 // goroutine; anything that has to wait — behind a backlog, for the
 // in-flight window or for tokens — is queued, and the single dispatcher
-// decides its scheduling, coalescing and issue order. That is what lets
+// decides its scheduling and issue order. Either way each request is
+// one array command: the arrays merge sequential writes themselves, in
+// their stripe buffers and per-device sub-IOs. That is what lets
 // thousands of client goroutines share the arrays' write path, which
 // issues one zone's writes one at a time, without per-client lock
 // convoys, and it keeps per-zone write
 // order deterministic: a submit is issued inline only when all four of
 //
 //   - no tenant has anything queued (queued == 0),
-//   - the dispatcher is not between dequeuing a batch and handing it to
-//     the arrays (!issuing),
+//   - the dispatcher is not between dequeuing a request and handing it
+//     to its array (!issuing),
 //   - the in-flight window has room, and
 //   - the tenant's token buckets admit it now,
 //
@@ -118,7 +110,7 @@ type engine struct {
 	turn     bool          // the flow at ring has an open (quantum-credited) turn
 	queued   int           // requests in tenant queues
 	inflight int           // requests issued to arrays, not yet completed
-	issuing  bool          // the dispatcher is issuing a dequeued batch
+	issuing  bool          // the dispatcher is issuing a dequeued request
 	refillAt time.Duration // deadline of the last refill timer armed; pending while ahead of now
 	refill   func()        // the refill timer's callback: wakes the dispatcher
 	started  bool
@@ -126,8 +118,7 @@ type engine struct {
 	done     bool
 
 	dispatched *obs.Counter // requests issued to arrays
-	batches    *obs.Counter // scheduling rounds that issued at least one request
-	coalesced  *obs.Counter // requests merged into a preceding array command
+	batches    *obs.Counter // array commands issued: one per request, so equal to dispatched
 	inlined    *obs.Counter // requests issued on the submitting goroutine
 	wakes      *obs.Counter // times the dispatcher woke from its Cond
 }
@@ -147,7 +138,6 @@ func newEngine(v *Volume, cfg EngineConfig) *engine {
 	n := func(name string) string { return obs.LabeledName(name, "volume", v.name) }
 	e.dispatched = v.reg.Counter(n("volmgr_dispatched_total"))
 	e.batches = v.reg.Counter(n("volmgr_batches_total"))
-	e.coalesced = v.reg.Counter(n("volmgr_coalesced_requests_total"))
 	e.inlined = v.reg.Counter(n("volmgr_inline_requests_total"))
 	e.wakes = v.reg.Counter(n("volmgr_dispatcher_wakes_total"))
 	v.reg.GaugeFunc(n("volmgr_queued"), func() int64 {
@@ -163,18 +153,13 @@ func newEngine(v *Volume, cfg EngineConfig) *engine {
 	return e
 }
 
-// addTenant registers a tenant and its metric series.
-func (e *engine) addTenant(cfg TenantConfig) error {
-	if cfg.ID == "" {
-		return fmt.Errorf("volmgr: tenant needs an id")
-	}
+// addTenant registers a tenant and its metric series. CreateVolume has
+// checked that its ID is non-empty and new.
+func (e *engine) addTenant(cfg TenantConfig) {
 	cfg = cfg.withDefaults()
 	now := e.v.clk.Now()
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if _, ok := e.tenants[cfg.ID]; ok {
-		return fmt.Errorf("volmgr: tenant %q already registered", cfg.ID)
-	}
 	n := func(name string) string {
 		return obs.LabeledName(name, "tenant", cfg.ID, "volume", e.v.name)
 	}
@@ -193,7 +178,6 @@ func (e *engine) addTenant(cfg TenantConfig) error {
 	}
 	e.tenants[cfg.ID] = t
 	e.order = append(e.order, cfg.ID)
-	return nil
 }
 
 // latencies returns each tenant's request-latency histogram, the series
@@ -263,7 +247,6 @@ func (e *engine) submit(tid string, kind opKind, lba int64, data []byte, flags z
 		submitT: e.v.clk.Now(),
 	}
 	e.v.clk.InitFuture(&r.done)
-	r.fut = &r.done
 	t.accepted.Inc()
 	if e.queued == 0 && !e.issuing && e.inflight < e.cfg.MaxInflight && t.tokenETA(r, r.submitT) == 0 {
 		t.takeTokens(r, r.submitT)
@@ -274,31 +257,32 @@ func (e *engine) submit(tid string, kind opKind, lba int64, data []byte, flags z
 		e.mu.Unlock()
 		t.queueDelay.Record(0)
 		e.issueOne(r)
-		return r.fut, nil
+		return &r.done, nil
 	}
 	t.q = append(t.q, r)
 	e.queued++
 	e.mu.Unlock()
 	e.work.Signal()
-	return r.fut, nil
+	return &r.done, nil
 }
 
 // dispatcherLoop is the engine's single scheduling goroutine. Each
-// iteration either issues a batch or parks until a queued submit, a
+// iteration either issues one request or parks until a queued submit, a
 // completion with work queued, or the earliest token-bucket refill
 // changes the picture.
 func (e *engine) dispatcherLoop() {
 	e.mu.Lock()
 	for {
 		if e.inflight < e.cfg.MaxInflight {
-			batch, wait := e.scheduleLocked()
-			if len(batch) > 0 {
-				e.inflight += len(batch)
+			r, wait := e.scheduleLocked()
+			if r != nil {
+				e.inflight++
 				e.batches.Inc()
-				e.dispatched.Add(int64(len(batch)))
+				e.dispatched.Inc()
 				e.issuing = true
 				e.mu.Unlock()
-				e.issue(batch)
+				r.tn.queueDelay.Record(e.v.clk.Now() - r.submitT)
+				e.issueOne(r)
 				e.mu.Lock()
 				e.issuing = false
 				continue
@@ -326,7 +310,7 @@ func (e *engine) dispatcherLoop() {
 }
 
 // scheduleLocked runs deficit round robin over the tenant ring and
-// returns the next batch to issue. When every backlogged tenant is
+// dequeues the next request to issue. When every backlogged tenant is
 // blocked on a token bucket it instead returns the shortest refill
 // wait. Caller holds e.mu.
 //
@@ -334,22 +318,16 @@ func (e *engine) dispatcherLoop() {
 // across scheduleLocked calls, surviving in-flight-window interruptions
 // — until its deficit no longer covers its head request; only then does
 // the ring advance. Rotating (or re-crediting) per call instead would
-// collapse to one-request-per-tenant alternation whenever the window
-// frees slots one at a time, erasing the weights.
-func (e *engine) scheduleLocked() ([]*request, time.Duration) {
+// collapse to one-request-per-tenant alternation, erasing the weights.
+func (e *engine) scheduleLocked() (*request, time.Duration) {
 	if e.queued == 0 || len(e.order) == 0 {
 		return nil, 0
 	}
 	now := e.v.clk.Now()
-	limit := e.cfg.BatchSize
-	if w := e.cfg.MaxInflight - e.inflight; w < limit {
-		limit = w
-	}
-	var batch []*request
 	minWait := time.Duration(-1)
-	// fruitless counts consecutive ended turns that served nothing and
-	// were not deficit-blocked; a full ring of those means every
-	// backlogged flow is token-limited (or nothing is queued).
+	// fruitless counts consecutive turns that ended on an empty or a
+	// token-blocked flow; a full ring of those means every backlogged
+	// flow is token-limited (or nothing is queued).
 	for fruitless := 0; fruitless < len(e.order); {
 		t := e.tenants[e.order[e.ring%len(e.order)]]
 		if len(t.q) == 0 {
@@ -369,49 +347,29 @@ func (e *engine) scheduleLocked() ([]*request, time.Duration) {
 			}
 			e.turn = true
 		}
-		served := false
-		tokenBlocked := false
-		for len(t.q) > 0 && len(batch) < limit {
-			r := t.q[0]
-			if r.sectors > t.deficit {
-				break
-			}
-			if w := t.tokenETA(r, now); w > 0 {
-				if minWait < 0 || w < minWait {
-					minWait = w
-				}
-				tokenBlocked = true
-				break
-			}
-			t.takeTokens(r, now)
-			t.deficit -= r.sectors
-			t.q = t.q[1:]
-			e.queued--
-			batch = append(batch, r)
-			served = true
-		}
-		if len(batch) >= limit {
-			return batch, 0 // turn stays open; resume this flow next call
-		}
-		// The flow could not fill the batch: its turn is over.
-		if len(t.q) == 0 {
-			t.deficit = 0
-		}
-		e.ring++
-		e.turn = false
-		switch {
-		case served:
+		r := t.q[0]
+		if r.sectors > t.deficit {
+			// Deficit-blocked: the next turn credits another quantum, so
+			// progress is guaranteed; keep cycling.
+			e.ring++
+			e.turn = false
 			fruitless = 0
-		case tokenBlocked:
+			continue
+		}
+		if w := t.tokenETA(r, now); w > 0 {
+			if minWait < 0 || w < minWait {
+				minWait = w
+			}
+			e.ring++
+			e.turn = false
 			fruitless++
-		default:
-			// Deficit-blocked: the next arrival credits another quantum,
-			// so progress is guaranteed; keep cycling.
-			fruitless = 0
+			continue
 		}
-	}
-	if len(batch) > 0 {
-		return batch, 0
+		t.takeTokens(r, now)
+		t.deficit -= r.sectors
+		t.q = t.q[1:]
+		e.queued--
+		return r, 0 // the turn stays open; the next call resumes this flow
 	}
 	if minWait < 0 {
 		minWait = 0
@@ -419,67 +377,12 @@ func (e *engine) scheduleLocked() ([]*request, time.Duration) {
 	return nil, minWait
 }
 
-// issue translates a batch through the extent map and submits it to the
-// arrays in batch order, merging runs of physically contiguous writes
-// from the same tenant with identical flags into one array command.
-// Issue order is the only writer of each zone's write pointer, so
-// per-tenant FIFO submission keeps per-zone sequential semantics.
-func (e *engine) issue(batch []*request) {
-	now := e.v.clk.Now()
-	for _, r := range batch {
-		r.tn.queueDelay.Record(now - r.submitT)
-	}
-	for i := 0; i < len(batch); {
-		r := batch[i]
-		run := batch[i : i+1]
-		if r.kind == opWrite {
-			end := r.lba + r.sectors
-			for j := i + 1; j < len(batch); j++ {
-				nx := batch[j]
-				if nx.kind != opWrite || nx.tn != r.tn || nx.flags != r.flags ||
-					nx.lba != end || nx.lba/e.v.zoneSectors != r.lba/e.v.zoneSectors {
-					break
-				}
-				end = nx.lba + nx.sectors
-				run = batch[i : j+1]
-			}
-		}
-		e.issueRun(run)
-		i += len(run)
-	}
-}
-
-// issueRun submits one run (a single request, or coalesced contiguous
-// writes) and subscribes run completion onto the array future — no
-// waiter goroutine per run; the completion callback rides whichever
-// goroutine resolves the future (a device's timer callback, mostly).
-func (e *engine) issueRun(run []*request) {
-	if len(run) == 1 {
-		e.issueOne(run[0])
-		return
-	}
-	r0 := run[0]
-	ext, arrLBA, err := e.v.locate(r0.lba, r0.sectors) // revalidated at submit; cannot fail
-	if err != nil {
-		e.completeRun(run, "", err)
-		return
-	}
-	total := 0
-	for _, r := range run {
-		total += len(r.data)
-	}
-	buf := make([]byte, 0, total)
-	for _, r := range run {
-		buf = append(buf, r.data...)
-	}
-	fut := ext.arr.vol.SubmitWrite(arrLBA, buf, r0.flags)
-	e.coalesced.Add(int64(len(run) - 1))
-	fut.Subscribe(func(err error) {
-		e.completeRun(run, ext.arr.id, err)
-	})
-}
-
-// issueOne submits a run of one request, which completes itself (Notify).
+// issueOne translates a request through the extent map, submits it to
+// its array as one command, and subscribes the request itself to the
+// command's completion: no waiter goroutine and no closure; Notify rides
+// whichever goroutine resolves the future (a device's timer callback,
+// mostly). Issue order is the only writer of each zone's write pointer,
+// so per-tenant FIFO submission keeps per-zone sequential semantics.
 func (e *engine) issueOne(r *request) {
 	r.e = e
 	ext, arrLBA, err := e.v.locate(r.lba, r.sectors) // revalidated at submit; cannot fail
@@ -497,39 +400,34 @@ func (e *engine) issueOne(r *request) {
 	r.arr.SubscribeNotifier(r)
 }
 
-// completeRun resolves a run's futures, feeds latency and per-array
-// attribution accounting, and returns the run's slots to the in-flight
-// window. arrayID names the array the run was issued against ("" when
-// the run never reached an array).
-func (e *engine) completeRun(run []*request, arrayID string, err error) {
+// complete resolves a request's future, feeds latency and per-array
+// attribution accounting, and returns its slot to the in-flight window.
+// r.arrayID names the array it was issued against ("" when it never
+// reached one).
+func (e *engine) complete(r *request, err error) {
 	now := e.v.clk.Now()
-	ss := int64(e.v.sectorSize)
-	for _, r := range run {
-		r.tn.lat.Record(now - r.submitT)
-		if err != nil {
-			r.tn.errored.Inc()
-		} else {
-			r.tn.completedOps.Inc()
-			r.tn.completedBytes.Add(r.sectors * ss)
-		}
-		r.fut.Complete(err)
+	r.tn.lat.Record(now - r.submitT)
+	if err != nil {
+		r.tn.errored.Inc()
+	} else {
+		r.tn.completedOps.Inc()
+		r.tn.completedBytes.Add(r.sectors * int64(e.v.sectorSize))
 	}
+	r.done.Complete(err)
 	e.mu.Lock()
-	if arrayID != "" {
-		for _, r := range run {
-			ag := r.tn.perArray[arrayID]
-			if ag == nil {
-				ag = &arrayAgg{}
-				r.tn.perArray[arrayID] = ag
-			}
-			ag.ops++
-			ag.latSum += now - r.submitT
-			if err != nil {
-				ag.errs++
-			}
+	if r.arrayID != "" {
+		ag := r.tn.perArray[r.arrayID]
+		if ag == nil {
+			ag = &arrayAgg{}
+			r.tn.perArray[r.arrayID] = ag
+		}
+		ag.ops++
+		ag.latSum += now - r.submitT
+		if err != nil {
+			ag.errs++
 		}
 	}
-	e.inflight -= len(run)
+	e.inflight--
 	idle := e.inflight == 0
 	// Only queued work (or a close) needs the dispatcher: an idle volume's
 	// completions leave it parked.

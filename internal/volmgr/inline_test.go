@@ -221,10 +221,10 @@ func TestBackloggedSubmitQueues(t *testing.T) {
 	})
 }
 
-// TestMidBatchSubmitQueues: a submit that arrives while the dispatcher is
-// handing a dequeued batch to the arrays — here from inside raizn's plan
-// of that batch's request, with nothing queued and the window open — is
-// queued, not inlined, and is issued after the batch.
+// TestMidBatchSubmitQueues: a submit that arrives between the
+// dispatcher's dequeue and issue of a request — here from inside raizn's
+// plan of that request, with nothing queued and the window open — is
+// queued, not inlined, and is issued after it.
 func TestMidBatchSubmitQueues(t *testing.T) {
 	clk := vclock.New()
 	clk.Run(func() {
@@ -252,18 +252,18 @@ func TestMidBatchSubmitQueues(t *testing.T) {
 			issuing, queued := e.issuing, e.queued
 			e.mu.Unlock()
 			if !issuing || queued != 0 {
-				t.Errorf("in the batch's plan: issuing=%v queued=%d, want true and 0", issuing, queued)
+				t.Errorf("in the dequeued request's plan: issuing=%v queued=%d, want true and 0", issuing, queued)
 			}
 			fut, err := v.SubmitWrite("t1", zs, pattern("t1", zs, 4, ss), 0)
 			if err != nil {
-				t.Errorf("mid-batch SubmitWrite: %v", err)
+				t.Errorf("SubmitWrite between dequeue and issue: %v", err)
 				return
 			}
 			e.mu.Lock()
 			queued = e.queued
 			e.mu.Unlock()
 			if queued != 1 {
-				t.Errorf("mid-batch submit: %d requests queued, want 1 (it must not be issued inline)", queued)
+				t.Errorf("submit between dequeue and issue: %d requests queued, want 1 (it must not be issued inline)", queued)
 			}
 			midFut.Store(fut)
 		}
@@ -319,7 +319,7 @@ func TestInlineAndQueuedKeepZoneOrder(t *testing.T) {
 		}
 		v, err := m.CreateVolume("vol", VolumeSpec{
 			Zones:   tenants,
-			Engine:  EngineConfig{QueueDepth: 8, MaxInflight: 3, BatchSize: 2},
+			Engine:  EngineConfig{QueueDepth: 8, MaxInflight: 3},
 			Tenants: tcs,
 		})
 		if err != nil {

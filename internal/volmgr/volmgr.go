@@ -14,11 +14,11 @@
 //   - Async request engine: an idle volume issues a request to its array
 //     on the submitting goroutine; otherwise it waits in a per-volume
 //     bounded submission queue (one FIFO per tenant) for a single
-//     dispatcher goroutine that dequeues in batches, coalesces physically
-//     contiguous writes into one array command, and issues against the
-//     arrays under a bounded in-flight window. Completions resolve
-//     per-request futures on the virtual clock and feed per-tenant
-//     latency accounting.
+//     dispatcher goroutine that dequeues one request at a time and issues
+//     it against its array under a bounded in-flight window. Each request
+//     is one array command; the arrays merge sequential writes themselves.
+//     Completions resolve per-request futures on the virtual clock and
+//     feed per-tenant latency accounting.
 //   - Per-tenant QoS: deficit-round-robin weighted fair scheduling at
 //     dequeue, a token-bucket throughput limit, and admission
 //     control that sheds load with a typed ErrThrottled once a tenant's
@@ -192,8 +192,8 @@ type VolumeSpec struct {
 	Zones int
 	// Engine tunes the volume's submission engine.
 	Engine EngineConfig
-	// Tenants pre-registers the tenant population; more can be added
-	// later with Volume.AddTenant.
+	// Tenants is the volume's tenant population. Each needs a distinct,
+	// non-empty ID.
 	Tenants []TenantConfig
 }
 
@@ -214,6 +214,19 @@ func (m *Manager) CreateVolume(name string, spec VolumeSpec) (*Volume, error) {
 	}
 	if _, ok := m.vols[name]; ok {
 		return nil, ErrExists
+	}
+	// Reject a bad tenant list before anything is placed or registered:
+	// a failed call must leave the arrays' zones and the registry as
+	// they were.
+	ids := make(map[string]bool, len(spec.Tenants))
+	for _, tc := range spec.Tenants {
+		if tc.ID == "" {
+			return nil, errors.New("volmgr: tenant needs an id")
+		}
+		if ids[tc.ID] {
+			return nil, fmt.Errorf("volmgr: tenant %q listed twice", tc.ID)
+		}
+		ids[tc.ID] = true
 	}
 	free := 0
 	for _, a := range m.arrays {
@@ -243,9 +256,7 @@ func (m *Manager) CreateVolume(name string, spec VolumeSpec) (*Volume, error) {
 	}
 	v.eng = newEngine(v, spec.Engine)
 	for _, tc := range spec.Tenants {
-		if err := v.eng.addTenant(tc); err != nil {
-			return nil, err
-		}
+		v.eng.addTenant(tc)
 	}
 	v.eng.start()
 	m.vols[name] = v
@@ -407,11 +418,6 @@ func (v *Volume) locate(lba, sectors int64) (extent, int64, error) {
 // latency, then traffic volume. The order is deterministic run to run.
 func (v *Volume) TenantArrayAttribution(tenant string) []ArrayAttribution {
 	return v.eng.tenantArrayAttribution(tenant)
-}
-
-// AddTenant registers a tenant with the volume's engine.
-func (v *Volume) AddTenant(cfg TenantConfig) error {
-	return v.eng.addTenant(cfg)
 }
 
 // SubmitWrite issues or queues a write of data at lba on behalf of tenant

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -179,6 +180,10 @@ func TestValidationErrors(t *testing.T) {
 		if _, err := m.CreateVolume("vol", VolumeSpec{Zones: 1}); !errors.Is(err, ErrExists) {
 			t.Errorf("duplicate volume: err = %v, want ErrExists", err)
 		}
+		dup := []TenantConfig{{ID: "t0"}, {ID: "t0"}}
+		if _, err := m.CreateVolume("dup", VolumeSpec{Zones: 1, Tenants: dup}); err == nil {
+			t.Errorf("duplicate tenant registration succeeded")
+		}
 		ss := v.SectorSize()
 		zs := v.ZoneSectors()
 		if _, err := v.SubmitWrite("t0", 0, make([]byte, ss-1), 0); !errors.Is(err, ErrUnaligned) {
@@ -192,9 +197,6 @@ func TestValidationErrors(t *testing.T) {
 		}
 		if _, err := v.SubmitWrite("nobody", 0, make([]byte, ss), 0); !errors.Is(err, ErrUnknownTenant) {
 			t.Errorf("unknown tenant: err = %v, want ErrUnknownTenant", err)
-		}
-		if err := v.AddTenant(TenantConfig{ID: "t0"}); err == nil {
-			t.Errorf("duplicate tenant registration succeeded")
 		}
 		if err := v.Close(); err != nil {
 			t.Fatalf("Close: %v", err)
@@ -217,7 +219,7 @@ func TestAdmissionControlSheds(t *testing.T) {
 		m := newTestManager(t, clk, 1)
 		v, err := m.CreateVolume("vol", VolumeSpec{
 			Zones:  1,
-			Engine: EngineConfig{QueueDepth: 4, MaxInflight: 1, BatchSize: 1},
+			Engine: EngineConfig{QueueDepth: 4, MaxInflight: 1},
 			Tenants: []TenantConfig{
 				// A tight rate limit keeps the queue from draining under us.
 				{ID: "t0", RateSectorsPerSec: 16, BurstSectors: 1},
@@ -322,7 +324,7 @@ func TestWeightedFairness(t *testing.T) {
 		}
 		v, err := m.CreateVolume("vol", VolumeSpec{
 			Zones:  4,
-			Engine: EngineConfig{QueueDepth: 32, MaxInflight: 4, BatchSize: 4, QuantumSectors: 16},
+			Engine: EngineConfig{QueueDepth: 32, MaxInflight: 4, QuantumSectors: 16},
 			Tenants: []TenantConfig{
 				{ID: "heavy", Weight: 2},
 				{ID: "light", Weight: 1},
@@ -402,94 +404,67 @@ func TestWeightedFairness(t *testing.T) {
 	})
 }
 
-// TestCoalesceRule tests the merge rule where it is a function of its
-// input: engine.issue on a hand-built batch. Contiguous writes of one
-// tenant with equal flags become one array command; a flag change, a read,
-// a gap and another tenant each end a run. (Whether a burst of client
-// submissions reaches issue as one batch depends on when the dispatcher
-// goroutine runs, which is why this is not asserted end to end.)
-func TestCoalesceRule(t *testing.T) {
+// TestBackloggedBurstIssuesOneCommandPerRequest: a burst of contiguous
+// same-tenant writes that reaches the dispatcher as a backlog (queued
+// behind another tenant's token-blocked request) goes to the array as one
+// write command per request, in submission order, and reads back intact.
+// Merging sequential writes is the array's job (its stripe buffers and
+// per-device sub-IOs), not the engine's.
+func TestBackloggedBurstIssuesOneCommandPerRequest(t *testing.T) {
 	clk := vclock.New()
 	clk.Run(func() {
-		m := newTestManager(t, clk, 1)
+		m, _ := newOneArrayManager(t, clk)
 		v, err := m.CreateVolume("vol", VolumeSpec{
-			Zones:   2,
-			Tenants: []TenantConfig{{ID: "t0"}, {ID: "t1"}},
+			Zones: 2,
+			Tenants: []TenantConfig{
+				{ID: "t0", RateSectorsPerSec: 4000, BurstSectors: 4},
+				{ID: "t1"},
+			},
 		})
 		if err != nil {
 			t.Fatalf("CreateVolume: %v", err)
 		}
+		var order planOrder
+		order.attach(v.extents[0].arr.vol)
 		ss := v.SectorSize()
+		zs := v.ZoneSectors()
+		submit := func(tid string, lba int64) *vclock.Future {
+			fut, err := v.SubmitWrite(tid, lba, pattern(tid, lba, 4, ss), 0)
+			if err != nil {
+				t.Fatalf("SubmitWrite(%s, %d): %v", tid, lba, err)
+			}
+			return fut
+		}
+		futs := []*vclock.Future{submit("t0", 0), submit("t0", 4)} // the second waits for a token
+		clk.Sleep(0)                                               // the dispatcher parks until the refill
+		const n = 8
+		for i := int64(0); i < n; i++ {
+			futs = append(futs, submit("t1", zs+4*i))
+		}
+		if q := v.TenantStats()[1]; q.Accepted != n || v.eng.inlined.Load() != 1 {
+			t.Fatalf("t1 accepted %d, %d inline, want %d queued behind t0's backlog", q.Accepted, v.eng.inlined.Load(), n)
+		}
+		if err := vclock.WaitAll(futs...); err != nil {
+			t.Fatalf("writes failed: %v", err)
+		}
+		want := "[z0+0"
+		for i := int64(0); i < n; i++ {
+			want += fmt.Sprintf(" z1+%d", 4*i)
+		}
+		want += " z0+4]"
+		if order.String() != want {
+			t.Errorf("array write commands %v, want %s: one per request", order.String(), want)
+		}
 		e := v.eng
-		type cmd struct{ start, end int64 }
-		var cmds []cmd
-		v.extents[0].arr.vol.AttachHook(func(p obs.HookPoint) {
-			switch p.Name {
-			case "raizn.write.plan":
-				cmds = append(cmds, cmd{start: p.Arg})
-			case "raizn.write.submit":
-				cmds[len(cmds)-1].end = p.Arg
-			}
-		})
-		req := func(tid string, kind opKind, lba, n int64, flags zns.Flag) *request {
-			data := pattern("t0", lba, int(n), ss)
-			if kind == opRead {
-				data = make([]byte, int(n)*ss)
-			}
-			return &request{tn: e.tenants[tid], kind: kind, lba: lba, data: data,
-				flags: flags, sectors: n, submitT: clk.Now(), fut: clk.NewFuture()}
+		if d, b := e.dispatched.Load(), e.batches.Load(); d != n+2 || b != d {
+			t.Errorf("dispatched=%d batches=%d, want %d each", d, b, n+2)
 		}
-		batch := []*request{
-			req("t0", opWrite, 0, 4, 0),
-			req("t0", opWrite, 4, 4, 0),
-			req("t0", opWrite, 8, 4, 0),        // run of three
-			req("t0", opWrite, 12, 4, zns.FUA), // flags differ
-			req("t0", opRead, 0, 4, 0),         // a read never merges
-			req("t0", opWrite, 16, 4, 0),
-			req("t0", opWrite, 20, 4, 0), // run of two
-			req("t1", opWrite, 24, 4, 0), // another tenant
-			req("t1", opWrite, 28, 2, 0), // run of two
-		}
-		e.mu.Lock()
-		e.inflight += len(batch) // as dispatcherLoop does before issue
-		e.mu.Unlock()
-		e.issue(batch)
-		for i, r := range batch {
-			if err := r.fut.Wait(); err != nil {
-				t.Fatalf("request %d: %v", i, err)
-			}
-		}
-		if co := e.coalesced.Load(); co != 4 {
-			t.Errorf("coalesced requests = %d, want 4 (2 + 1 + 1)", co)
-		}
-		want := []cmd{{0, 12}, {12, 16}, {16, 24}, {24, 30}}
-		if fmt.Sprint(cmds) != fmt.Sprint(want) {
-			t.Errorf("array write commands = %v, want %v", cmds, want)
-		}
-		if !bytes.Equal(batch[4].data, pattern("t0", 0, 4, ss)) {
-			t.Error("the read between the runs returned the wrong data")
-		}
-		buf := make([]byte, 30*ss)
-		if err := v.Read("t0", 0, buf); err != nil {
+		buf := make([]byte, n*4*ss)
+		if err := v.Read("t1", zs, buf); err != nil {
 			t.Fatalf("Read: %v", err)
 		}
-		if !bytes.Equal(buf, pattern("t0", 0, 30, ss)) {
-			t.Error("data mismatch after coalesced writes")
-		}
-
-		// A same-tenant pair with a gap between them (the second at the
-		// start of the volume's next zone) stays two commands.
-		cmds = nil
-		batch = []*request{req("t0", opWrite, 30, 4, 0), req("t0", opWrite, e.v.zoneSectors, 4, 0)}
-		e.mu.Lock()
-		e.inflight += len(batch)
-		e.mu.Unlock()
-		e.issue(batch)
-		if err := vclock.WaitAll(batch[0].fut, batch[1].fut); err != nil {
-			t.Fatal(err)
-		}
-		if len(cmds) != 2 || e.coalesced.Load() != 4 {
-			t.Errorf("non-contiguous pair: %d array commands, coalesced = %d, want 2 and still 4", len(cmds), e.coalesced.Load())
+		if !bytes.Equal(buf, pattern("t1", zs, n*4, ss)) {
+			t.Error("data mismatch after the burst")
 		}
 		if err := m.Close(); err != nil {
 			t.Fatalf("Close: %v", err)
@@ -497,39 +472,37 @@ func TestCoalesceRule(t *testing.T) {
 	})
 }
 
-// TestCoalescing is the end-to-end half: a burst of contiguous writes,
-// merged or not as the dispatcher happens to find them, reads back intact.
-func TestCoalescing(t *testing.T) {
+// TestRejectedCreateVolumeClaimsNothing: a tenant list with an empty or a
+// repeated ID fails CreateVolume before any extent is placed, so the
+// array keeps every zone and a whole-array volume still fits, and the
+// rejected volume registers no metric series.
+func TestRejectedCreateVolumeClaimsNothing(t *testing.T) {
 	clk := vclock.New()
 	clk.Run(func() {
 		m := newTestManager(t, clk, 1)
-		v, err := m.CreateVolume("vol", VolumeSpec{
-			Zones:   1,
-			Engine:  EngineConfig{BatchSize: 8, MaxInflight: 8},
-			Tenants: []TenantConfig{{ID: "t0"}},
-		})
-		if err != nil {
-			t.Fatalf("CreateVolume: %v", err)
-		}
-		ss := v.SectorSize()
-		var futs []*vclock.Future
-		const n = 32
-		for i := int64(0); i < n; i++ {
-			fut, err := v.SubmitWrite("t0", i*4, pattern("t0", i*4, 4, ss), 0)
-			if err != nil {
-				t.Fatalf("SubmitWrite %d: %v", i, err)
+		arr := m.Arrays()[0]
+		free := arr.FreeZones()
+		for _, tcs := range [][]TenantConfig{
+			{{ID: "t0"}, {ID: "t0"}},
+			{{ID: "t0"}, {}},
+		} {
+			if _, err := m.CreateVolume("bad", VolumeSpec{Zones: 2, Tenants: tcs}); err == nil {
+				t.Fatalf("CreateVolume with tenants %v succeeded", tcs)
 			}
-			futs = append(futs, fut)
+			if got := arr.FreeZones(); got != free {
+				t.Errorf("rejected CreateVolume left %d free zones, want %d", got, free)
+			}
 		}
-		if err := vclock.WaitAll(futs...); err != nil {
-			t.Fatalf("writes failed: %v", err)
+		snap := m.Metrics().Snapshot()
+		for _, series := range []map[string]int64{snap.Counters, snap.Gauges} {
+			for name := range series {
+				if strings.Contains(name, `volume="bad"`) {
+					t.Errorf("rejected volume registered %s", name)
+				}
+			}
 		}
-		buf := make([]byte, n*4*ss)
-		if err := v.Read("t0", 0, buf); err != nil {
-			t.Fatalf("Read: %v", err)
-		}
-		if !bytes.Equal(buf, pattern("t0", 0, n*4, ss)) {
-			t.Fatal("data mismatch after the burst")
+		if _, err := m.CreateVolume("whole", VolumeSpec{Zones: free, Tenants: []TenantConfig{{ID: "t0"}}}); err != nil {
+			t.Fatalf("whole-array volume after the rejections: %v", err)
 		}
 		if err := m.Close(); err != nil {
 			t.Fatalf("Close: %v", err)
@@ -551,7 +524,7 @@ func TestManyTenantsConcurrent(t *testing.T) {
 		}
 		v, err := m.CreateVolume("vol", VolumeSpec{
 			Zones:   tenants,
-			Engine:  EngineConfig{QueueDepth: 16, MaxInflight: 32, BatchSize: 8},
+			Engine:  EngineConfig{QueueDepth: 16, MaxInflight: 32},
 			Tenants: tcs,
 		})
 		if err != nil {
