@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -397,6 +398,160 @@ func TestWeightedFairness(t *testing.T) {
 		if ratio < 1.8 || ratio > 2.2 {
 			t.Errorf("2:1 weights produced byte ratio %.3f (heavy=%d light=%d), want within 10%% of 2",
 				ratio, heavy, light)
+		}
+		if err := m.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	})
+}
+
+// TestCoalesceRule tests the engine's issue rule where it is a function of
+// its input: engine.issueOne on hand-built requests. The engine merges
+// nothing: contiguous same-tenant writes with equal flags, a flag change,
+// a read, a gap and another tenant's writes each reach the array as one
+// command, in issue order, and read back intact.
+func TestCoalesceRule(t *testing.T) {
+	clk := vclock.New()
+	clk.Run(func() {
+		m := newTestManager(t, clk, 1)
+		v, err := m.CreateVolume("vol", VolumeSpec{
+			Zones:   2,
+			Tenants: []TenantConfig{{ID: "t0"}, {ID: "t1"}},
+		})
+		if err != nil {
+			t.Fatalf("CreateVolume: %v", err)
+		}
+		ss := v.SectorSize()
+		e := v.eng
+		type cmd struct{ start, end int64 }
+		var (
+			mu   sync.Mutex
+			cmds []cmd
+		)
+		v.extents[0].arr.vol.AttachHook(func(p obs.HookPoint) {
+			mu.Lock()
+			defer mu.Unlock()
+			switch p.Name {
+			case "raizn.write.plan":
+				cmds = append(cmds, cmd{start: p.Arg})
+			case "raizn.write.submit":
+				cmds[len(cmds)-1].end = p.Arg
+			}
+		})
+		req := func(tid string, kind opKind, lba, n int64, flags zns.Flag) *request {
+			data := pattern("t0", lba, int(n), ss)
+			if kind == opRead {
+				data = make([]byte, int(n)*ss)
+			}
+			r := &request{tn: e.tenants[tid], kind: kind, lba: lba, data: data,
+				flags: flags, sectors: n, submitT: clk.Now()}
+			clk.InitFuture(&r.done)
+			return r
+		}
+		issue := func(reqs []*request) {
+			e.mu.Lock()
+			e.inflight += len(reqs) // as dispatcherLoop does before issueOne
+			e.mu.Unlock()
+			for _, r := range reqs {
+				e.issueOne(r)
+			}
+			for i, r := range reqs {
+				if err := r.done.Wait(); err != nil {
+					t.Fatalf("request %d: %v", i, err)
+				}
+			}
+		}
+		reqs := []*request{
+			req("t0", opWrite, 0, 4, 0),
+			req("t0", opWrite, 4, 4, 0),
+			req("t0", opWrite, 8, 4, 0),        // contiguous, equal flags
+			req("t0", opWrite, 12, 4, zns.FUA), // flags differ
+			req("t0", opRead, 0, 4, 0),
+			req("t0", opWrite, 16, 4, 0),
+			req("t0", opWrite, 20, 4, 0),
+			req("t1", opWrite, 24, 4, 0), // another tenant
+			req("t1", opWrite, 28, 2, 0),
+		}
+		issue(reqs)
+		want := []cmd{{0, 4}, {4, 8}, {8, 12}, {12, 16}, {16, 20}, {20, 24}, {24, 28}, {28, 30}}
+		mu.Lock()
+		got := fmt.Sprint(cmds)
+		mu.Unlock()
+		if got != fmt.Sprint(want) {
+			t.Errorf("array write commands = %v, want %v: one per write request", got, want)
+		}
+		if !bytes.Equal(reqs[4].data, pattern("t0", 0, 4, ss)) {
+			t.Error("the read between the writes returned the wrong data")
+		}
+		buf := make([]byte, 30*ss)
+		if err := v.Read("t0", 0, buf); err != nil {
+			t.Fatalf("Read: %v", err)
+		}
+		if !bytes.Equal(buf, pattern("t0", 0, 30, ss)) {
+			t.Error("data mismatch after the writes")
+		}
+
+		// A same-tenant pair with a gap between them (the second at the
+		// start of the volume's next zone) is two commands as well.
+		mu.Lock()
+		cmds = nil
+		mu.Unlock()
+		issue([]*request{req("t0", opWrite, 30, 4, 0), req("t0", opWrite, e.v.zoneSectors, 4, 0)})
+		mu.Lock()
+		n := len(cmds)
+		mu.Unlock()
+		if n != 2 {
+			t.Errorf("non-contiguous pair: %d array commands, want 2", n)
+		}
+		if err := m.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	})
+}
+
+// TestCoalescing: a burst of 32 contiguous same-tenant writes submitted
+// back to back reaches the array as 32 write commands (the engine merges
+// nothing; the array's stripe buffers gather sequential writes) and reads
+// back intact.
+func TestCoalescing(t *testing.T) {
+	clk := vclock.New()
+	clk.Run(func() {
+		m := newTestManager(t, clk, 1)
+		v, err := m.CreateVolume("vol", VolumeSpec{
+			Zones:   1,
+			Engine:  EngineConfig{MaxInflight: 8},
+			Tenants: []TenantConfig{{ID: "t0"}},
+		})
+		if err != nil {
+			t.Fatalf("CreateVolume: %v", err)
+		}
+		var order planOrder
+		order.attach(v.extents[0].arr.vol)
+		ss := v.SectorSize()
+		var futs []*vclock.Future
+		const n = 32
+		for i := int64(0); i < n; i++ {
+			fut, err := v.SubmitWrite("t0", i*4, pattern("t0", i*4, 4, ss), 0)
+			if err != nil {
+				t.Fatalf("SubmitWrite %d: %v", i, err)
+			}
+			futs = append(futs, fut)
+		}
+		if err := vclock.WaitAll(futs...); err != nil {
+			t.Fatalf("writes failed: %v", err)
+		}
+		order.mu.Lock()
+		got := len(order.seen)
+		order.mu.Unlock()
+		if got != n {
+			t.Errorf("%d array write commands for %d requests, want one per request", got, n)
+		}
+		buf := make([]byte, n*4*ss)
+		if err := v.Read("t0", 0, buf); err != nil {
+			t.Fatalf("Read: %v", err)
+		}
+		if !bytes.Equal(buf, pattern("t0", 0, n*4, ss)) {
+			t.Fatal("data mismatch after the burst")
 		}
 		if err := m.Close(); err != nil {
 			t.Fatalf("Close: %v", err)
