@@ -128,8 +128,7 @@ func sabotage(s *Scenario, cap *capture) {
 		cfg := c.Config()
 		for z := 0; z < dataZones; z++ {
 			zd := c.Zone(z)
-			switch zd.State {
-			case zns.ZoneFull, zns.ZoneReadOnly, zns.ZoneOffline:
+			if zd.State == zns.ZoneFull {
 				continue
 			}
 			rel := zd.WP - c.ZoneStart(z)

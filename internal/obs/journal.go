@@ -55,7 +55,7 @@ const (
 	// EvDevWrite: a device accepted a write/append command — payload
 	// applied and write pointer advanced; durability still pending a
 	// flush or FUA completion. A=zone-relative start sector, B=sectors,
-	// C=write pointer after, D=flag bits (1=FUA, 2=Preflush).
+	// C=write pointer after, D=1 for a FUA write, else 0.
 	EvDevWrite
 	// EvDevFlush: a device flush was submitted; the write-pointer
 	// snapshot taken here becomes durable when the flush completes.

@@ -15,13 +15,11 @@ const (
 	ZoneStateOpen
 	ZoneStateClosed
 	ZoneStateFull
-	ZoneStateReadOnly
-	ZoneStateOffline
 	NumZoneStates
 )
 
 var zoneStateNames = [NumZoneStates]string{
-	"empty", "open", "closed", "full", "read-only", "offline",
+	"empty", "open", "closed", "full",
 }
 
 // ZoneStateName returns the canonical name of a zone-state ordinal.
@@ -71,10 +69,6 @@ func heatCell(z ZoneInfo) byte {
 		return 'c'
 	case ZoneStateFull:
 		return 'F'
-	case ZoneStateReadOnly:
-		return 'R'
-	case ZoneStateOffline:
-		return 'X'
 	}
 	// Open: shade by fill. 1..9 covers (0,90%]; '=' is >90% but unsealed.
 	if z.Cap <= 0 || z.WP <= 0 {
@@ -92,9 +86,10 @@ func heatCell(z ZoneInfo) byte {
 }
 
 // WriteZoneHeatmap renders a compact state/write-pointer grid: one row
-// per label, one column per zone. Empty '.', closed 'c', full 'F',
-// read-only 'R', offline 'X'; open zones show their fill decile 0-9
-// ('=' when over 90% but not yet sealed).
+// per label, one column per zone. Empty '.', closed 'c', full 'F'; open
+// zones show their fill decile 0-9 ('=' when over 90% but not yet
+// sealed); reserved zones in any other state their role letter, 'm'
+// metadata and 'p' partial parity.
 func WriteZoneHeatmap(w io.Writer, rows []ZoneRow) {
 	if len(rows) == 0 {
 		return
@@ -123,7 +118,7 @@ func WriteZoneHeatmap(w io.Writer, rows []ZoneRow) {
 		}
 		fmt.Fprintf(w, "%-*s  %s\n", labelW, r.Label, cells)
 	}
-	fmt.Fprintf(w, "%*s  (. empty  1-9 open fill decile  = open >90%%  c closed  F full  R read-only  X offline  m metadata  p partial-parity)\n",
+	fmt.Fprintf(w, "%*s  (. empty  1-9 open fill decile  = open >90%%  c closed  F full  m metadata  p partial-parity)\n",
 		labelW, "")
 }
 

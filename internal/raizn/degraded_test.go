@@ -571,3 +571,52 @@ func TestReconstructionCheckedAgainstRow(t *testing.T) {
 		}
 	})
 }
+
+// TestRejectedReadWaitsForIssuedReads: a read rejected while it is planned
+// has already issued device reads into the caller's buffer. Here a read
+// past full zone 0 into empty zone 1 fails with ErrReadBeyondWP after zone
+// 0's piece is issued. Its future completes only after that device read
+// has, with zone 0's bytes in the buffer; its join goes back to the pool;
+// and it is not counted as a logical read.
+func TestRejectedReadWaitsForIssuedReads(t *testing.T) {
+	runVol(t, func(c *vclock.Clock, v *Volume, devs []*zns.Device) {
+		poolLen := func() int {
+			v.readPool.mu.Lock()
+			defer v.readPool.mu.Unlock()
+			return len(v.readPool.items)
+		}
+		zoneReads := func() (n int64) {
+			for _, d := range devs {
+				n += d.ZoneReads(0)
+			}
+			return n
+		}
+		zs := v.ZoneSectors()
+		mustWriteV(t, v, 0, int(zs), 0)
+		if err := v.Read(0, make([]byte, 8*v.SectorSize())); err != nil {
+			t.Fatal(err)
+		}
+		pool, reads, readBytes := poolLen(), zoneReads(), v.Stats().LogicalReadBytes
+
+		buf := make([]byte, 8*v.SectorSize())
+		fut := v.SubmitRead(zs-4, buf)
+		if zoneReads() == reads {
+			t.Fatal("no zone-0 device read issued: the case tests nothing")
+		}
+		if fut.Done() {
+			t.Error("rejected read completed at submit, before the device read it issued")
+		}
+		if err := fut.Wait(); err != ErrReadBeyondWP {
+			t.Fatalf("read error = %v, want ErrReadBeyondWP", err)
+		}
+		if !bytes.Equal(buf[:4*v.SectorSize()], lbaPattern(v, zs-4, 4)) {
+			t.Error("zone 0's device read had not filled the buffer at completion")
+		}
+		if got := poolLen(); got != pool {
+			t.Errorf("read joins pooled after the read = %d, want %d", got, pool)
+		}
+		if got := v.Stats().LogicalReadBytes; got != readBytes {
+			t.Errorf("logical read bytes moved by %d on a rejected read", got-readBytes)
+		}
+	})
+}

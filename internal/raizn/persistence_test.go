@@ -456,8 +456,8 @@ func TestMaintainZeroedCountersSurviveRemount(t *testing.T) {
 	})
 }
 
-// TestOpenZoneAccounting drives open/close/reset/finish transitions and
-// checks the open-slot count never leaks.
+// TestOpenZoneAccounting drives open, fill, finish and reset transitions
+// and checks the open-slot count never leaks.
 func TestOpenZoneAccounting(t *testing.T) {
 	c := vclock.New()
 	c.Run(func() {
@@ -486,35 +486,6 @@ func TestOpenZoneAccounting(t *testing.T) {
 		// All slots used again: 3, 4, 2 are open.
 		if err := v.Write(0, lbaPattern(v, 0, 1), 0); err != ErrZoneFull && err != ErrNotSequential {
 			t.Errorf("full zone write error = %v", err)
-		}
-	})
-}
-
-// TestExplicitOpenReservesSlot covers OpenZone/CloseZone.
-func TestExplicitOpenReservesSlot(t *testing.T) {
-	c := vclock.New()
-	c.Run(func() {
-		v, err := Create(c, newOpenLimitedDevices(c, 5, 2), DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := v.OpenZone(0); err != nil {
-			t.Fatal(err)
-		}
-		if err := v.OpenZone(1); err != nil {
-			t.Fatal(err)
-		}
-		if err := v.OpenZone(2); err != ErrTooManyOpen {
-			t.Errorf("3rd open error = %v", err)
-		}
-		if err := v.CloseZone(0); err != nil { // nothing written: back to empty
-			t.Fatal(err)
-		}
-		if st := v.Zone(0).State; st != zns.ZoneEmpty {
-			t.Errorf("state = %v, want empty", st)
-		}
-		if err := v.OpenZone(2); err != nil {
-			t.Errorf("open after close: %v", err)
 		}
 	})
 }

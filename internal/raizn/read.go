@@ -17,9 +17,13 @@ func (v *Volume) SubmitRead(lba int64, buf []byte) *vclock.Future {
 }
 
 // SubmitReadTo is SubmitRead completing fut, an incomplete future the
-// caller owns (nil: a new one), and returning it; a rejected read
-// completes fut with the error before returning. Once fut has completed,
-// the caller may re-arm it for its next read.
+// caller owns (nil: a new one), and returning it. A read rejected before
+// anything is issued (unaligned, out of range) completes fut with the
+// error before returning; one rejected while it is planned zone by zone
+// (past a later zone's write pointer) completes fut with the error once
+// the device reads already issued for it have, since they fill buf. Only
+// accepted reads count as logical read bytes. Once fut has completed, the
+// caller may re-arm it for its next read.
 func (v *Volume) SubmitReadTo(fut *vclock.Future, lba int64, buf []byte) *vclock.Future {
 	if fut == nil {
 		fut = v.clk.NewFuture()
@@ -32,7 +36,6 @@ func (v *Volume) SubmitReadTo(fut *vclock.Future, lba int64, buf []byte) *vclock
 		return completed(fut, ErrOutOfRange)
 	}
 
-	v.stats.logicalReadBytes.Add(int64(len(buf)))
 	// Root span of the request; nil (and free) while tracing is disabled.
 	sp := v.tracer.Begin(obs.OpRead, lba, int64(len(buf)))
 	r := v.newReadJoin(sp, fut)
@@ -47,12 +50,13 @@ func (v *Volume) SubmitReadTo(fut *vclock.Future, lba int64, buf []byte) *vclock
 			n = avail
 		}
 		if err := v.readZonePortion(sp, z, pos, out[:n*ss], r); err != nil {
-			sp.End(err)
-			return completed(fut, err)
+			r.err = err
+			return r.start()
 		}
 		pos += n
 		out = out[n*ss:]
 	}
+	v.stats.logicalReadBytes.Add(int64(len(buf)))
 	sp.Mark(obs.PhaseSubmit)
 
 	return r.start()
@@ -61,10 +65,12 @@ func (v *Volume) SubmitReadTo(fut *vclock.Future, lba int64, buf []byte) *vclock
 // readJoin completes a read — or one reconstructed piece, whose device
 // reads XOR into its target as xr's job — once its sub-reads have
 // (subJoin): in the completion callback of the last one, unless one
-// failed. Joins are pooled (readPool) and go back before the result
-// completes, and a reconstructed piece completes one of its read's own
-// futures: a read of up to four pieces, degraded or not, allocates nothing
-// when its caller supplies the result future (SubmitReadTo).
+// failed. A read whose planning failed part way (err) completes with that
+// error, still only once the sub-reads it issued have. Joins are pooled
+// (readPool) and go back before the result completes, and a reconstructed
+// piece completes one of its read's own futures: a read of up to four
+// pieces, degraded or not, allocates nothing when its caller supplies the
+// result future (SubmitReadTo).
 type readJoin struct {
 	v *Volume
 	subReads
@@ -75,6 +81,7 @@ type readJoin struct {
 	rebuilt repairCtx // a reconstructed piece's unit and range (checkRebuilt)
 	fills   []int64   // a reconstruction's unit fills (openParity)
 	xr      zns.XORRead
+	err     error // the planning error of a rejected read
 	result  *vclock.Future
 	join    subJoin
 }
@@ -99,7 +106,7 @@ func (v *Volume) putReadJoin(r *readJoin) {
 	clear(r.futs)
 	r.futs, r.nOwn = r.futs[:0], 0
 	r.repair, r.repairs, r.rebuilt = repairCtx{}, 0, repairCtx{}
-	r.sp, r.result = nil, nil
+	r.sp, r.result, r.err = nil, nil, nil
 	v.readPool.put(r)
 }
 
@@ -154,7 +161,10 @@ func (r *readJoin) start() *vclock.Future {
 }
 
 func (r *readJoin) finish() {
-	err := r.v.awaitReads(r.futs) // none pending: parks only to repair
+	err := r.err
+	if err == nil {
+		err = r.v.awaitReads(r.futs) // none pending: parks only to repair
+	}
 	if c := &r.rebuilt; err == nil && c.dst != nil {
 		err = r.v.checkRebuilt(c.z, c.s, c.u, c.a, c.b, c.dst)
 	}

@@ -247,7 +247,7 @@ func (v *Volume) FinishZone(z int) error {
 			v.noteSubIO(lz, i, d.ZoneStart(z)+v.lt.physZoneCap, true)
 		}
 	}
-	v.closeZoneSlot(lz, zns.ZoneFull)
+	v.closeZoneSlot(lz)
 	persisted := lz.wp
 	if v.jrn.Enabled() {
 		v.mu.Lock()
@@ -273,43 +273,6 @@ func (v *Volume) FinishZone(z int) error {
 		return err
 	}
 	v.fireHook("raizn.finish.done", obs.SrcLogical, z, persisted)
-	return nil
-}
-
-// OpenZone explicitly opens a logical zone, reserving an open slot.
-func (v *Volume) OpenZone(z int) error {
-	if z < 0 || z >= v.lt.numZones {
-		return ErrOutOfRange
-	}
-	lz := v.zones[z]
-	lz.mu.Lock()
-	defer lz.mu.Unlock()
-	if lz.state == zns.ZoneOpen {
-		return nil
-	}
-	if lz.state == zns.ZoneFull {
-		return ErrZoneFull
-	}
-	return v.openZoneSlot(lz)
-}
-
-// CloseZone transitions an open logical zone to closed (or back to empty
-// when nothing has been written), freeing its open slot.
-func (v *Volume) CloseZone(z int) error {
-	if z < 0 || z >= v.lt.numZones {
-		return ErrOutOfRange
-	}
-	lz := v.zones[z]
-	lz.mu.Lock()
-	defer lz.mu.Unlock()
-	if lz.state != zns.ZoneOpen {
-		return nil
-	}
-	to := zns.ZoneClosed
-	if lz.wp == 0 {
-		to = zns.ZoneEmpty
-	}
-	v.closeZoneSlot(lz, to)
 	return nil
 }
 

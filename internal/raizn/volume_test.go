@@ -295,14 +295,22 @@ func TestMaxOpenZonesEnforced(t *testing.T) {
 		if err := v.Write(2*zs, lbaPattern(v, 2*zs, 4), 0); err != ErrTooManyOpen {
 			t.Errorf("3rd open error = %v", err)
 		}
-		if err := v.CloseZone(0); err != nil {
+		// Finishing one frees its slot for the third zone.
+		if err := v.FinishZone(0); err != nil {
 			t.Fatal(err)
 		}
 		mustWriteV(t, v, 2*zs, 4, 0)
-		// Reopening the closed zone needs a free slot.
-		if err := v.Write(4, lbaPattern(v, 4, 4), 0); err != ErrTooManyOpen {
+		// Reopening a reset zone needs a free slot.
+		if err := v.ResetZone(0); err != nil {
+			t.Fatal(err)
+		}
+		if err := v.Write(0, lbaPattern(v, 0, 4), 0); err != ErrTooManyOpen {
 			t.Errorf("reopen error = %v", err)
 		}
+		if err := v.ResetZone(1); err != nil {
+			t.Fatal(err)
+		}
+		mustWriteV(t, v, 0, 4, 0)
 	})
 }
 

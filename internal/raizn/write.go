@@ -617,7 +617,7 @@ func (v *Volume) submitWriteLocked(ws *writeState, lz *logicalZone) {
 	if ws.full {
 		// Every stripe of the zone is complete: sweep all PP state.
 		v.slots.ZoneReset(z)
-		v.closeZoneSlot(lz, zns.ZoneFull)
+		v.closeZoneSlot(lz)
 	}
 }
 
@@ -932,16 +932,16 @@ func (v *Volume) openZoneSlot(lz *logicalZone) error {
 	return nil
 }
 
-// closeZoneSlot releases the open slot when a zone leaves the open state.
-// Caller holds lz.mu.
-func (v *Volume) closeZoneSlot(lz *logicalZone, to zns.ZoneState) {
+// closeZoneSlot makes a filled or finished zone full, releasing its open
+// slot if it held one. Caller holds lz.mu.
+func (v *Volume) closeZoneSlot(lz *logicalZone) {
 	v.mu.Lock()
 	if lz.state == zns.ZoneOpen {
 		v.openCount--
 	}
-	lz.state = to
+	lz.state = zns.ZoneFull
 	v.jrn.Record(obs.EvZoneState, obs.SrcLogical, lz.idx,
-		int64(to), lz.wp, int64(v.openCount), int64(v.openCount))
+		int64(zns.ZoneFull), lz.wp, int64(v.openCount), int64(v.openCount))
 	v.mu.Unlock()
 }
 

@@ -1,10 +1,10 @@
 // Package ring is an io_uring-style submission/completion ring in front of
-// the simulated ZNS devices. A caller stages typed SQEs (write, writev,
-// read, append, flush, reset, finish) for each device of an array, the
-// device drains the whole group per scheduling decision (one lock
-// acquisition, one future slab — see zns.PrepareBatch), and every group of
-// the batch shares ONE completion-walker goroutine that reaps the CQ
-// through the vclock.Future machinery. Simulated per-command timing is
+// the simulated ZNS devices. A caller stages write SQEs (zns.CmdWrite, the
+// one batched command) for each device of an array, the device drains the
+// whole group per scheduling decision (one lock acquisition, one future
+// slab — see zns.PrepareBatch), and every group of the batch shares ONE
+// completion-walker goroutine that reaps the CQ through the vclock.Future
+// machinery. Simulated per-command timing is
 // identical to individual submission; only host-side fixed costs change.
 // No layer of the stack submits through it: in paired runs of the canonical
 // benchmark it cost more host time per op than direct device calls on
@@ -94,7 +94,7 @@ func (b *Batch) Pending() bool { return b.start < len(b.cmds) }
 // Flush drains the current device group into d (slot is d's position in
 // the array, for the depth gauge): the device applies the whole group
 // under one lock acquisition. It returns the drained SQEs with their
-// outputs (futures, assigned sectors) filled in; the
+// outputs (futures, completion times) filled in; the
 // returned slice is valid until Submit. Commands rejected at submit have
 // Err set and a pre-completed future.
 func (b *Batch) Flush(d *zns.Device, slot int) []zns.Cmd {

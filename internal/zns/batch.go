@@ -3,50 +3,38 @@ package zns
 import (
 	"time"
 
-	"raizn/internal/obs"
 	"raizn/internal/vclock"
 )
 
 // This file is the device side of the submission/completion ring
-// (internal/ring): a caller hands the device a whole batch of typed
+// (internal/ring): a caller hands the device a whole batch of write
 // commands at once. The batch is validated and applied under ONE device
 // lock acquisition, completion futures come from ONE slab allocation,
 // and all completions are delivered by ONE walker goroutine instead of
-// one timer goroutine per command — the per-command fixed costs the ring
+// one timer event per command — the per-command fixed costs the ring
 // amortizes. Per-command simulated timing (pipe occupancy, latencies) is
-// identical to the equivalent sequence of individual submissions. No
-// layer of the stack submits through the ring; the canonical benchmark's
-// ring probe measures what a batch costs the host.
+// identical to the equivalent sequence of individual writes. No layer of
+// the stack submits through the ring; the canonical benchmark's ring
+// probe, which pushes only writes, measures what a batch costs the host.
 
 // CmdOp is the submission-queue entry type.
 type CmdOp uint8
 
-const (
-	CmdWrite  CmdOp = iota // sequential write of Data at Sector
-	CmdWritev              // gathered write of Segs at Sector
-	CmdRead                // read into Data from Sector
-	CmdAppend              // zone append of Data to Zone (Sector is output)
-	CmdFlush               // flush the volatile write cache
-	CmdReset               // reset Zone
-	CmdFinish              // finish Zone
-)
+// CmdWrite, a sequential write of Data at Sector without flags, is the one
+// batched command.
+const CmdWrite CmdOp = 0
 
-// Cmd is one submission-queue entry. Input fields depend on Op (see the
-// CmdOp constants); PrepareBatch fills the output fields:
+// Cmd is one submission-queue entry: Op, Sector and Data are its input;
+// PrepareBatch fills the output fields:
 //
 //   - Fut: the completion future (pre-completed when Err is set).
 //   - Err: the submit-time error, if the command was rejected.
 //   - Done: the absolute virtual completion time (SQ-to-CQ latency is
 //     Done minus the submit instant).
-//   - Sector (CmdAppend): the device-assigned write position.
 type Cmd struct {
 	Op     CmdOp
 	Sector int64
-	Zone   int
 	Data   []byte
-	Segs   [][]byte
-	Flags  Flag
-	Span   *obs.Span
 
 	Fut  *vclock.Future
 	Err  error
@@ -59,7 +47,6 @@ type Cmd struct {
 // RunCompletions call (one walker goroutine reaps the whole CQ).
 type Completion struct {
 	dev   *Device
-	sp    *obs.Span
 	fut   *vclock.Future
 	epoch uint64
 	pio   pendingIO
@@ -70,12 +57,12 @@ func (c *Completion) At() time.Duration { return c.pio.at }
 
 // PrepareBatch validates and applies every command in cmds under a
 // single device-lock acquisition, appends their pending completions to
-// comps and returns it. State (write pointers, snapshots) is applied at
-// submit exactly as in the individual command methods; payloads, unlike
-// theirs, are copied at submit too (a batch has no command records to
-// carry a copy job), so a batch's buffers are the caller's at return; crash-
-// point hooks fire per command, after the whole batch is applied, plus
-// one "zns.ring.drain" crossing carrying the accepted-command count.
+// comps and returns it. State is applied at submit exactly as by Write;
+// payloads, unlike Write's, are copied at submit too (a batch has no
+// command records to carry a copy job), so a batch's buffers are the
+// caller's at return; crash-point hooks fire per command, after the whole
+// batch is applied, plus one "zns.ring.drain" crossing carrying the
+// accepted-command count.
 //
 // The caller must deliver the returned completions with RunCompletions
 // (they complete rejected commands' futures itself). Commands' simulated
@@ -88,6 +75,7 @@ func (d *Device) PrepareBatch(cmds []Cmd, comps []Completion) []Completion {
 	slab := d.clk.NewFutureSlab(len(cmds))
 	var hooks []func()
 	accepted := 0
+	ss := d.cfg.SectorSize
 
 	d.mu.Lock()
 	epoch := d.epoch
@@ -95,110 +83,27 @@ func (d *Device) PrepareBatch(cmds []Cmd, comps []Completion) []Completion {
 		c := &cmds[i]
 		c.Fut = &slab[i]
 		var pio pendingIO
+		var dst []byte
 		var err error
-		var hook string
-		hookZone, hookArg := -1, int64(0)
-		ss := d.cfg.SectorSize
-
-		switch c.Op {
-		case CmdWrite:
-			if len(c.Data) == 0 || len(c.Data)%ss != 0 {
-				err = ErrUnaligned
-				break
-			}
-			n := int64(len(c.Data) / ss)
-			var dst []byte
-			if pio, dst, err = d.writeApplyLocked(c.Span, c.Sector, n, nil, c.Flags); err == nil {
-				dmaCopy(dst, c.Data)
-			}
-			hook, hookZone, hookArg = "zns.cmd.write", d.ZoneOf(c.Sector), c.Sector
-		case CmdWritev:
-			if len(c.Segs) == 0 {
-				err = ErrUnaligned
-				break
-			}
-			if len(c.Segs) == 1 {
-				// Mirror WritevSpan's single-segment devolution to Write.
-				if len(c.Segs[0]) == 0 || len(c.Segs[0])%ss != 0 {
-					err = ErrUnaligned
-					break
-				}
-				n := int64(len(c.Segs[0]) / ss)
-				var dst []byte
-				if pio, dst, err = d.writeApplyLocked(c.Span, c.Sector, n, nil, c.Flags); err == nil {
-					dmaCopy(dst, c.Segs[0])
-				}
-				hook, hookZone, hookArg = "zns.cmd.write", d.ZoneOf(c.Sector), c.Sector
-				break
-			}
-			var n int64
-			for _, s := range c.Segs {
-				if len(s) == 0 || len(s)%ss != 0 {
-					err = ErrUnaligned
-					break
-				}
-				n += int64(len(s) / ss)
-			}
-			if err != nil {
-				break
-			}
-			var dst []byte
-			if pio, dst, err = d.writeApplyLocked(c.Span, c.Sector, n, c.Segs, c.Flags); err == nil {
-				fill(dst, c.Segs, 0, len(dst), true)
-			}
-			hook, hookZone, hookArg = "zns.cmd.write", d.ZoneOf(c.Sector), c.Sector
-		case CmdAppend:
-			if len(c.Data) == 0 || len(c.Data)%ss != 0 {
-				err = ErrUnaligned
-				break
-			}
-			if c.Zone < 0 || c.Zone >= d.cfg.NumZones {
-				err = ErrOutOfRange
-				break
-			}
-			n := int64(len(c.Data) / ss)
-			sector := d.ZoneStart(c.Zone) + d.zones[c.Zone].wp
-			var dst []byte
-			if pio, dst, err = d.writeApplyLocked(c.Span, sector, n, nil, c.Flags); err == nil {
-				dmaCopy(dst, c.Data)
-				c.Sector = sector
-			}
-			hook, hookZone, hookArg = "zns.cmd.append", c.Zone, sector
-		case CmdRead:
-			if len(c.Data) == 0 || len(c.Data)%ss != 0 {
-				err = ErrUnaligned
-				break
-			}
-			n := int64(len(c.Data) / ss)
-			var src []byte
-			if pio, src, err = d.readApplyLocked(c.Span, c.Sector, n); err == nil {
-				fill(c.Data, [][]byte{src}, 0, len(c.Data), false)
-			}
-		case CmdFlush:
-			pio, err = d.flushApplyLocked(c.Span)
-			hook, hookZone, hookArg = "zns.cmd.flush", -1, d.flushCount
-		case CmdReset:
-			pio, hookArg, err = d.resetApplyLocked(c.Span, c.Zone)
-			hook, hookZone = "zns.zone.reset", c.Zone
-		case CmdFinish:
-			pio, hookArg, err = d.finishApplyLocked(c.Span, c.Zone)
-			hook, hookZone = "zns.zone.finish", c.Zone
-		default:
+		switch {
+		case c.Op != CmdWrite:
 			err = ErrOutOfRange
+		case len(c.Data) == 0 || len(c.Data)%ss != 0:
+			err = ErrUnaligned
+		default:
+			pio, dst, err = d.writeApplyLocked(nil, c.Sector, int64(len(c.Data)/ss), nil, 0)
 		}
-
 		if err != nil {
 			c.Err = err
 			continue
 		}
+		dmaCopy(dst, c.Data)
 		accepted++
 		c.Done = pio.at
-		if hook != "" {
-			if hf := d.hookLocked(hook, hookZone, hookArg); hf != nil {
-				hooks = append(hooks, hf)
-			}
+		if hf := d.hookLocked("zns.cmd.write", d.ZoneOf(c.Sector), c.Sector); hf != nil {
+			hooks = append(hooks, hf)
 		}
-		comps = append(comps, Completion{dev: d, sp: c.Span, fut: c.Fut, epoch: epoch, pio: pio})
+		comps = append(comps, Completion{dev: d, fut: c.Fut, epoch: epoch, pio: pio})
 	}
 	var drain func()
 	if accepted > 0 {
@@ -206,11 +111,9 @@ func (d *Device) PrepareBatch(cmds []Cmd, comps []Completion) []Completion {
 	}
 	d.mu.Unlock()
 
-	// Rejected commands complete synchronously, like the individual
-	// methods' failSpan path.
+	// Rejected commands complete synchronously, like Write's.
 	for i := range cmds {
 		if c := &cmds[i]; c.Err != nil {
-			c.Span.End(c.Err)
 			c.Fut.Complete(c.Err)
 		}
 	}
@@ -262,18 +165,10 @@ func RunCompletions(clk *vclock.Clock, comps []Completion, onDone func()) {
 			if stale {
 				err = ErrPowerLoss
 			}
-			c.sp.EndAt(c.pio.at, err)
 			c.fut.Complete(err)
 		}
 		if onDone != nil {
 			onDone()
 		}
 	})
-}
-
-// SubmitBatch prepares and delivers a batch on this device alone; see
-// PrepareBatch and RunCompletions for the split callers use to reap
-// several devices' batches with one walker.
-func (d *Device) SubmitBatch(cmds []Cmd) {
-	RunCompletions(d.clk, d.PrepareBatch(cmds, nil), nil)
 }

@@ -9,7 +9,12 @@ import (
 	"raizn/internal/vclock"
 )
 
-// await waits for every command's future and returns the first error.
+// submitBatch prepares cmds on d alone and delivers their completions.
+func submitBatch(d *Device, cmds []Cmd) {
+	RunCompletions(d.Clock(), d.PrepareBatch(cmds, nil), nil)
+}
+
+// awaitBatch waits for every command's future and returns the first error.
 func awaitBatch(cmds []Cmd) error {
 	var first error
 	for i := range cmds {
@@ -70,44 +75,35 @@ func compareDevSnapshots(t *testing.T, batched, direct devSnapshot) {
 	}
 }
 
-// TestBatchEquivalence submits one batch covering every command type and
-// checks the device ends in exactly the state an equivalent sequence of
-// individual submissions produces: same zone states, same payloads, same
-// counters, same virtual completion time: a batch changes host cost only.
+// TestBatchEquivalence submits one batch of writes — one continuing
+// another in the same zone, one filling a zone, one opening another — and
+// checks the device ends in exactly the state the same writes submitted one
+// at a time produce: same zone states, same payloads, same counters, same
+// virtual completion time: a batch changes host cost only.
 func TestBatchEquivalence(t *testing.T) {
 	cfg := testConfig()
 
-	w0 := pattern(cfg, 4, 0x11)
-	w1a, w1b := pattern(cfg, 2, 0x22), pattern(cfg, 3, 0x33)
-	ap := pattern(cfg, 2, 0x44)
+	w0, w1 := pattern(cfg, 4, 0x11), pattern(cfg, 5, 0x22)
+	full := pattern(cfg, int(cfg.ZoneCap), 0x33)
+	w2 := pattern(cfg, 2, 0x44)
+	writes := func(d *Device) []Cmd {
+		return []Cmd{
+			{Op: CmdWrite, Sector: 0, Data: w0},
+			{Op: CmdWrite, Sector: 4, Data: w1},
+			{Op: CmdWrite, Sector: d.ZoneStart(1), Data: full},
+			{Op: CmdWrite, Sector: d.ZoneStart(2), Data: w2},
+		}
+	}
 
 	// Batched run.
 	bc := vclock.New()
 	bd := NewDevice(bc, cfg)
 	var batched devSnapshot
 	bc.Run(func() {
-		// Seed zone 3 so the batch can reset something non-empty.
-		mustWrite(t, bd, bd.ZoneStart(3), pattern(cfg, 2, 0x55), 0)
-		rbuf := make([]byte, 4*cfg.SectorSize)
-		cmds := []Cmd{
-			{Op: CmdWrite, Sector: 0, Data: w0},
-			{Op: CmdWritev, Sector: 4, Segs: [][]byte{w1a, w1b}},
-			{Op: CmdAppend, Zone: 1, Data: ap},
-			{Op: CmdFlush},
-			{Op: CmdRead, Sector: 0, Data: rbuf},
-			{Op: CmdReset, Zone: 3},
-			{Op: CmdFinish, Zone: 2},
-		}
-		bd.SubmitBatch(cmds)
+		cmds := writes(bd)
+		submitBatch(bd, cmds)
 		if err := awaitBatch(cmds); err != nil {
 			t.Fatalf("batch: %v", err)
-		}
-		if got := cmds[2].Sector; got != bd.ZoneStart(1) {
-			t.Errorf("append sector = %d, want zone-1 start %d", got, bd.ZoneStart(1))
-		}
-		want := append(append([]byte(nil), w0...), append(w1a, w1b...)...)[:len(rbuf)]
-		if !bytes.Equal(rbuf, want) {
-			t.Error("batched read returned wrong payload")
 		}
 		batched = snapshotDev(bd)
 	})
@@ -118,26 +114,22 @@ func TestBatchEquivalence(t *testing.T) {
 	dd := NewDevice(dc, cfg)
 	var direct devSnapshot
 	dc.Run(func() {
-		mustWrite(t, dd, dd.ZoneStart(3), pattern(cfg, 2, 0x55), 0)
-		rbuf := make([]byte, 4*cfg.SectorSize)
-		futs := []*vclock.Future{
-			dd.Write(0, w0, 0),
-			dd.Writev(4, [][]byte{w1a, w1b}, 0),
+		var futs []*vclock.Future
+		for _, c := range writes(dd) {
+			futs = append(futs, dd.Write(c.Sector, c.Data, 0))
 		}
-		sec, fut := dd.Append(1, ap, 0)
-		futs = append(futs, fut, dd.Flush(), dd.Read(0, rbuf), dd.ResetZone(3), dd.FinishZone(2))
 		for _, f := range futs {
 			if err := f.Wait(); err != nil {
 				t.Fatalf("direct: %v", err)
 			}
 		}
-		if sec != dd.ZoneStart(1) {
-			t.Errorf("direct append sector = %d, want %d", sec, dd.ZoneStart(1))
-		}
 		direct = snapshotDev(dd)
 	})
 
 	compareDevSnapshots(t, batched, direct)
+	if st := batched.zones[1].State; st != ZoneFull {
+		t.Errorf("zone 1 after a batched fill = %v, want full", st)
+	}
 }
 
 // TestBatchRejection checks the submit-time error contract: a rejected
@@ -157,16 +149,14 @@ func TestBatchRejection(t *testing.T) {
 		good := pattern(cfg, 2, 0x66)
 		cmds := []Cmd{
 			{Op: CmdWrite, Sector: 0, Data: good},
-			{Op: CmdWrite, Sector: 0, Data: good[:cfg.SectorSize-1]},                  // unaligned
-			{Op: CmdWrite, Sector: d.NumSectors() + 64, Data: good},                   // out of range
-			{Op: CmdWrite, Sector: d.ZoneStart(1) + 7, Data: good},                    // gap: not sequential
-			{Op: CmdAppend, Zone: cfg.NumZones + 3, Data: good},                       // bad zone
-			{Op: CmdWrite, Sector: 2, Data: pattern(cfg, 1, 0x77)},                    // accepted, continues zone 0
-			{Op: CmdRead, Sector: d.ZoneStart(2), Data: make([]byte, cfg.SectorSize)}, // beyond WP of an empty zone
+			{Op: CmdWrite, Sector: 0, Data: good[:cfg.SectorSize-1]}, // unaligned
+			{Op: CmdWrite, Sector: d.NumSectors() + 64, Data: good},  // out of range
+			{Op: CmdWrite, Sector: d.ZoneStart(1) + 7, Data: good},   // gap: not sequential
+			{Op: CmdWrite, Sector: 2, Data: pattern(cfg, 1, 0x77)},   // accepted, continues zone 0
 		}
-		d.SubmitBatch(cmds)
+		submitBatch(d, cmds)
 
-		wantErr := []error{nil, ErrUnaligned, ErrOutOfRange, ErrNotSequential, ErrOutOfRange, nil, ErrReadBeyondWP}
+		wantErr := []error{nil, ErrUnaligned, ErrOutOfRange, ErrNotSequential, nil}
 		for i, want := range wantErr {
 			if cmds[i].Err != want {
 				t.Errorf("cmd %d: Err = %v, want %v", i, cmds[i].Err, want)
@@ -188,32 +178,6 @@ func TestBatchRejection(t *testing.T) {
 	})
 }
 
-// TestBatchAppendChain checks consecutive appends in one batch see each
-// other's write-pointer advance: state applies at submit, in order, so
-// the second append's assigned sector follows the first.
-func TestBatchAppendChain(t *testing.T) {
-	cfg := testConfig()
-	run(t, cfg, func(c *vclock.Clock, d *Device) {
-		a, b := pattern(cfg, 2, 0x01), pattern(cfg, 3, 0x02)
-		cmds := []Cmd{
-			{Op: CmdAppend, Zone: 2, Data: a},
-			{Op: CmdAppend, Zone: 2, Data: b},
-		}
-		d.SubmitBatch(cmds)
-		if err := awaitBatch(cmds); err != nil {
-			t.Fatal(err)
-		}
-		start := d.ZoneStart(2)
-		if cmds[0].Sector != start || cmds[1].Sector != start+2 {
-			t.Errorf("append sectors = %d,%d, want %d,%d", cmds[0].Sector, cmds[1].Sector, start, start+2)
-		}
-		got := mustRead(t, d, start, 5)
-		if !bytes.Equal(got, append(append([]byte(nil), a...), b...)) {
-			t.Error("chained appends produced wrong payload")
-		}
-	})
-}
-
 // TestBatchPowerLossCompletions checks in-flight batched completions
 // observe a device power cut: effects submitted before the cut but not
 // yet delivered complete with ErrPowerLoss, mirroring the per-command
@@ -222,7 +186,7 @@ func TestBatchPowerLossCompletions(t *testing.T) {
 	cfg := testConfig()
 	run(t, cfg, func(c *vclock.Clock, d *Device) {
 		cmds := []Cmd{{Op: CmdWrite, Sector: 0, Data: pattern(cfg, 4, 0x3C)}}
-		d.SubmitBatch(cmds)
+		submitBatch(d, cmds)
 		d.PowerLossAt(nil) // cut before the walker delivers the completion
 		if err := cmds[0].Fut.Wait(); err != ErrPowerLoss {
 			t.Errorf("write completion after power loss = %v, want ErrPowerLoss", err)

@@ -133,7 +133,7 @@ func TestCommandRecordAcrossPowerLoss(t *testing.T) {
 		// New unflushed data where the lost FUA would persist, written
 		// through the batch path so that it takes no record.
 		cmds := []Cmd{{Op: CmdWrite, Sector: start, Data: data}}
-		d.SubmitBatch(cmds)
+		submitBatch(d, cmds)
 		if err := lost.Wait(); !errors.Is(err, ErrPowerLoss) {
 			t.Fatalf("command in flight at the cut: %v, want ErrPowerLoss", err)
 		}

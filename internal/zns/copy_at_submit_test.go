@@ -105,9 +105,9 @@ func TestPayloadCopiedAtSubmit(t *testing.T) {
 			h := len(src) / 2
 			cmds := []Cmd{
 				{Op: CmdWrite, Sector: 0, Data: src[:h]},
-				{Op: CmdAppend, Zone: 0, Data: src[h:]},
+				{Op: CmdWrite, Sector: int64(h / cfg.SectorSize), Data: src[h:]},
 			}
-			d.SubmitBatch(cmds)
+			submitBatch(d, cmds)
 			return cmds[1].Fut
 		}},
 	}

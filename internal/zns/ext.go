@@ -19,7 +19,7 @@ import "errors"
 // to the copy job, the zraid engine's slot writes cost smallsync_zraid
 // about half again as much host CPU per op, most likely because a slot
 // write of more than one chunk wakes the parked copier (the wake rule,
-// readcopy.go). It pays Preflush like any write.
+// readcopy.go).
 // Crash semantics simplification: an unflushed in-place overwrite that is
 // lost to power failure reverts to nothing (the zone prefix cut), not to
 // the previous version of the block.

@@ -102,7 +102,7 @@ func (c *command) Notify(error) {
 type pendingIO struct {
 	at     time.Duration // absolute completion time
 	err    error         // completion-time error (e.g. ErrReadMedium)
-	snap   []zoneWP      // flush/preflush WP snapshot to persist, or nil
+	snap   []zoneWP      // flush WP snapshot to persist, or nil
 	fuaZ   int           // zone to persist through fuaEnd, or -1
 	fuaEnd int64
 }
@@ -188,9 +188,9 @@ func (d *Device) checkSpan(sector int64, nSectors int64) (z int, off int64, err 
 // write must start exactly at the zone's write pointer, or with the ZRWA
 // flag inside the zone's random write area (ext.go). Its state (write
 // pointer, durability bookkeeping) is applied at submit; the returned
-// future completes when the transfer is done. With Preflush, the device
-// cache is flushed first; with FUA, the write and all data before it in the
-// same zone are persistent once the future completes.
+// future completes when the transfer is done. With FUA, the write and all
+// data before it in the same zone are persistent once the future completes;
+// a write with Preflush, the array's flag, fails with ErrPreflush.
 //
 // Fill by completion: what the zone holds from the write's submit instant
 // on is data, but the bytes move into zone memory — the modelled DMA —
@@ -331,16 +331,16 @@ func (d *Device) writeApplyLocked(sp *obs.Span, sector, nSectors int64, segs [][
 	if d.failed {
 		return pendingIO{}, nil, ErrDeviceFailed
 	}
+	if flags&Preflush != 0 {
+		return pendingIO{}, nil, ErrPreflush
+	}
 	z, off, err := d.checkSpan(sector, nSectors)
 	if err != nil {
 		return pendingIO{}, nil, err
 	}
 	zo := &d.zones[z]
-	switch zo.state {
-	case ZoneFull:
+	if zo.state == ZoneFull {
 		return pendingIO{}, nil, ErrZoneFull
-	case ZoneReadOnly, ZoneOffline:
-		return pendingIO{}, nil, ErrZoneUnavailable
 	}
 	switch {
 	case flags&ZRWA == 0:
@@ -354,14 +354,6 @@ func (d *Device) writeApplyLocked(sp *obs.Span, sector, nSectors int64, segs [][
 	}
 	if err := d.transitionToOpenLocked(z); err != nil {
 		return pendingIO{}, nil, err
-	}
-
-	// A preflush acts on everything written before this command, so the
-	// snapshot is taken before the command's own extent exists; FUA
-	// handling below covers the write itself if requested.
-	var flushSnap []zoneWP
-	if flags&Preflush != 0 {
-		flushSnap = d.snapshotWPsLocked()
 	}
 
 	// Advance the write pointer at submit time; from now until the zone is
@@ -385,14 +377,10 @@ func (d *Device) writeApplyLocked(sp *obs.Span, sector, nSectors int64, segs [][
 	d.programLocked(z)
 	d.hostWriteBytes += nSectors * int64(d.cfg.SectorSize)
 	d.writeCmds++
-	d.jrn.Record(obs.EvDevWrite, d.jslot, z, off, nSectors, zo.wp, int64(flags&(FUA|Preflush)))
+	d.jrn.Record(obs.EvDevWrite, d.jslot, z, off, nSectors, zo.wp, int64(flags&FUA))
 
 	now := d.clk.Now()
-	occ := d.cfg.WriteOpOverhead + d.xferTime(int(nSectors)*d.cfg.SectorSize, d.cfg.WriteBandwidth)
-	if flags&Preflush != 0 {
-		occ += d.cfg.FlushLatency
-	}
-	occ = d.slowLocked(occ)
+	occ := d.slowLocked(d.cfg.WriteOpOverhead + d.xferTime(int(nSectors)*d.cfg.SectorSize, d.cfg.WriteBandwidth))
 	if sp != nil {
 		nseg := 1
 		if segs != nil {
@@ -405,7 +393,7 @@ func (d *Device) writeApplyLocked(sp *obs.Span, sector, nSectors int64, segs [][
 	sp.MarkAt(obs.PhaseMedia, media)
 	done := media + d.cfg.WriteLatency
 
-	pio := pendingIO{at: done, snap: flushSnap, fuaZ: -1}
+	pio := pendingIO{at: done, fuaZ: -1}
 	if flags&FUA != 0 {
 		pio.fuaZ, pio.fuaEnd = z, end
 	}
@@ -497,9 +485,6 @@ func (d *Device) readApplyLocked(sp *obs.Span, sector, nSectors int64) (pendingI
 		return pendingIO{}, nil, err
 	}
 	zo := &d.zones[z]
-	if zo.state == ZoneOffline {
-		return pendingIO{}, nil, ErrZoneUnavailable
-	}
 	if off+nSectors > zo.wp && zo.state != ZoneFull {
 		return pendingIO{}, nil, ErrReadBeyondWP
 	}
@@ -677,9 +662,6 @@ func (d *Device) resetApplyLocked(sp *obs.Span, z int) (pendingIO, int64, error)
 		return pendingIO{}, 0, ErrOutOfRange
 	}
 	zo := &d.zones[z]
-	if zo.state == ZoneReadOnly || zo.state == ZoneOffline {
-		return pendingIO{}, 0, ErrZoneUnavailable
-	}
 	d.drainCopiesLocked(z) // the buffer goes to the free list, for any zone's next write
 	switch zo.state {
 	case ZoneOpen:
@@ -745,9 +727,6 @@ func (d *Device) finishApplyLocked(sp *obs.Span, z int) (pendingIO, int64, error
 		return pendingIO{}, 0, ErrOutOfRange
 	}
 	zo := &d.zones[z]
-	if zo.state == ZoneReadOnly || zo.state == ZoneOffline {
-		return pendingIO{}, 0, ErrZoneUnavailable
-	}
 	switch zo.state {
 	case ZoneOpen:
 		d.nOpen--

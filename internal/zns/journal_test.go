@@ -19,8 +19,6 @@ func TestZoneStateOrdinals(t *testing.T) {
 		{ZoneOpen, obs.ZoneStateOpen},
 		{ZoneClosed, obs.ZoneStateClosed},
 		{ZoneFull, obs.ZoneStateFull},
-		{ZoneReadOnly, obs.ZoneStateReadOnly},
-		{ZoneOffline, obs.ZoneStateOffline},
 	}
 	for _, p := range pairs {
 		if int(p.zns) != p.obs {
@@ -30,8 +28,8 @@ func TestZoneStateOrdinals(t *testing.T) {
 			t.Errorf("name mismatch for ordinal %d: obs %q, zns %q", p.obs, got, p.zns.String())
 		}
 	}
-	if obs.NumZoneStates != int(ZoneOffline)+1 {
-		t.Errorf("obs.NumZoneStates = %d, zns has %d states", obs.NumZoneStates, int(ZoneOffline)+1)
+	if obs.NumZoneStates != int(ZoneFull)+1 {
+		t.Errorf("obs.NumZoneStates = %d, zns has %d states", obs.NumZoneStates, int(ZoneFull)+1)
 	}
 }
 

@@ -27,10 +27,11 @@ func (d *Device) Failed() bool {
 //
 //   - Flushed data (each zone's persisted prefix) always survives.
 //   - Unflushed writes survive as a per-zone prefix: within each zone the
-//     device picks a cut point at an unflushed-write or atomic-write-
-//     granularity boundary; data before the cut survives, data after is
-//     lost. This models the ZNS guarantee that data at an LBA is never
-//     persisted before data at preceding LBAs of the same zone.
+//     device picks a cut point at a sector boundary inside or at the end of
+//     an unflushed write (the device-atomic write unit is one sector, paper
+//     §3 "torn writes"); data before the cut survives, data after is lost.
+//     This models the ZNS guarantee that data at an LBA is never persisted
+//     before data at preceding LBAs of the same zone.
 //   - In-flight operations complete with ErrPowerLoss.
 //   - All open zones transition to closed (empty if nothing written),
 //     as on a real power cycle.
@@ -100,8 +101,8 @@ func (d *Device) CrashClone(clk *vclock.Clock, rng *rand.Rand, cuts map[int]int6
 
 // powerCycleLocked is the one power-cut rule. Each zone, in zone order,
 // keeps the prefix up to its cut: an entry in cuts, clamped to [pwp, wp];
-// else a draw from rng among the persisted prefix, the end of each
-// unflushed write and the atomic-granularity boundaries inside one; else
+// else a draw from rng among the persisted prefix and every sector boundary
+// inside or at the end of an unflushed write (a one-sector atomic unit); else
 // the persisted prefix only (the most pessimistic legal outcome). Pulling
 // the write pointer back is the whole discard: the lost bytes stay in the
 // backing buffer, unreadable above the write pointer like any recycled
@@ -118,10 +119,9 @@ func (d *Device) powerCycleLocked(rng *rand.Rand, cuts map[int]int64) {
 		} else if rng != nil {
 			candidates := []int64{zo.pwp}
 			for _, e := range zo.unflushed {
-				for b := e.start + d.cfg.AtomicWriteSectors; b < e.end; b += d.cfg.AtomicWriteSectors {
+				for b := e.start + 1; b <= e.end; b++ {
 					candidates = append(candidates, b)
 				}
-				candidates = append(candidates, e.end)
 			}
 			cut = candidates[rng.Intn(len(candidates))]
 		}
@@ -134,8 +134,6 @@ func (d *Device) powerCycleLocked(rng *rand.Rand, cuts map[int]int64) {
 		// programmed pointer cannot exceed its surviving contents.
 		zo.wp, zo.pwp, zo.unflushed, zo.prog = cut, cut, zo.unflushed[:0], min(zo.prog, cut)
 		switch {
-		case zo.state == ZoneReadOnly || zo.state == ZoneOffline:
-			// media failure states survive power cycles
 		case zo.finished || zo.wp >= d.cfg.ZoneCap:
 			zo.state = ZoneFull
 		case zo.wp == 0:

@@ -11,8 +11,8 @@ import (
 
 // TestPowerLossAtEdges tables the corner cases of the deterministic
 // power-loss primitive: cut clamping against the flushed prefix and the
-// write pointer, zones absent from the cut map, finished and media-failed
-// zones, fullness durability, and open-zone accounting across the cycle.
+// write pointer, zones absent from the cut map, finished zones, fullness
+// durability, and open-zone accounting across the cycle.
 func TestPowerLossAtEdges(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -119,22 +119,6 @@ func TestPowerLossAtEdges(t *testing.T) {
 			},
 		},
 		{
-			name: "read-only and offline zones survive the cycle",
-			setup: func(t *testing.T, d *Device) {
-				d.SetZoneState(1, ZoneReadOnly)
-				d.SetZoneState(2, ZoneOffline)
-			},
-			cuts: map[int]int64{1: 0, 2: 0},
-			verify: func(t *testing.T, d *Device) {
-				if st := d.Zone(1).State; st != ZoneReadOnly {
-					t.Errorf("zone1 state = %v, want read-only", st)
-				}
-				if st := d.Zone(2).State; st != ZoneOffline {
-					t.Errorf("zone2 state = %v, want offline", st)
-				}
-			},
-		},
-		{
 			name: "open zones close and the open count drops to zero",
 			setup: func(t *testing.T, d *Device) {
 				mustWrite(t, d, 0, pattern(testConfig(), 2, 1), 0)
@@ -197,12 +181,10 @@ func TestPowerLossAtEdges(t *testing.T) {
 // PowerLossAt(cuts) as CrashClone(nil, nil, cuts) does — the same write
 // pointer, persisted write pointer and state in every zone, and the same
 // bytes below each write pointer. The state mixes flushed, FUA, unflushed,
-// in-flight, ZRWA-overwritten, full, finished and empty zones, with an
-// atomic write unit of two sectors.
+// in-flight, ZRWA-overwritten, full, finished and empty zones.
 func TestPowerCutEntryPointsAgree(t *testing.T) {
 	cfg := extTestConfig()
 	cfg.MaxOpenZones, cfg.MaxActiveZones = 8, 8
-	cfg.AtomicWriteSectors = 2
 	build := func(t *testing.T, d *Device, s int64) {
 		t.Helper()
 		rng := rand.New(rand.NewSource(s))

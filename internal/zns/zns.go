@@ -1,11 +1,15 @@
 // Package zns simulates an NVMe Zoned Namespace SSD.
 //
-// The simulator reproduces the ZNS semantics RAIZN depends on — the zone
-// state machine, sequential-write-only zones, write pointers, zone append,
-// reset/finish, open/active zone limits, and a volatile write cache with
-// flush/FUA prefix persistence — plus a bandwidth/latency performance model
-// so IO completes in virtual time, and failure injection (device death,
-// power loss with partial persistence) for crash-consistency testing.
+// The simulator reproduces the ZNS semantics RAIZN depends on and nothing
+// more — the zone state machine (empty, open, closed, full), sequential-
+// write-only zones, write pointers, zone append, reset/finish, open/active
+// zone limits, and a volatile write cache with flush/FUA prefix persistence
+// in units of one sector — plus a bandwidth/latency performance model so
+// IO completes in virtual time, and failure injection (device death, power
+// loss with partial persistence, latent sector errors) for crash-
+// consistency testing. A zone opens implicitly on its first write and
+// leaves the open state by filling, finish or reset; only a power cut
+// closes it.
 //
 // All IO methods are asynchronous: they validate and apply the state
 // transition synchronously (the device serializes command submission, as
@@ -25,9 +29,10 @@ import (
 )
 
 // ZoneState is the state of a zone per the ZNS state machine (NVMe ZNS
-// Command Set spec §2.1). Implicitly and explicitly opened zones are
-// merged into Open; the distinction does not affect any behaviour RAIZN
-// relies on.
+// Command Set spec §2.1), restricted to the states RAIZN meets: zones
+// open implicitly, and a power cut closes every open zone that keeps
+// data. The spec's read-only and offline media-failure states are not
+// modelled; a whole-device failure is (Fail).
 type ZoneState int
 
 const (
@@ -35,8 +40,6 @@ const (
 	ZoneOpen
 	ZoneClosed
 	ZoneFull
-	ZoneReadOnly
-	ZoneOffline
 )
 
 func (s ZoneState) String() string {
@@ -49,17 +52,15 @@ func (s ZoneState) String() string {
 		return "closed"
 	case ZoneFull:
 		return "full"
-	case ZoneReadOnly:
-		return "read-only"
-	case ZoneOffline:
-		return "offline"
 	default:
 		return fmt.Sprintf("ZoneState(%d)", int(s))
 	}
 }
 
 // Flag carries per-IO cache-control semantics, mirroring the kernel block
-// layer's REQ_FUA / REQ_PREFLUSH.
+// layer's REQ_FUA / REQ_PREFLUSH. A device write takes FUA and ZRWA;
+// Preflush is the array's flag (raizn), and a device write carrying it
+// fails at submit with ErrPreflush.
 type Flag uint8
 
 const (
@@ -67,8 +68,9 @@ const (
 	// guarantee, everything before it in the same zone) to media before
 	// the write completes.
 	FUA Flag = 1 << iota
-	// Preflush flushes the device's volatile cache before the write is
-	// executed.
+	// Preflush makes an array write durable together with everything
+	// written to the array before it (raizn's REQ_PREFLUSH). Devices
+	// reject it.
 	Preflush
 	// ZRWA writes through the zone's random write area (ext.go): the
 	// write may start anywhere in [wp-ZRWASectors, wp] and overwrite the
@@ -78,17 +80,17 @@ const (
 
 // Errors returned by device operations (as future completions).
 var (
-	ErrNotSequential   = errors.New("zns: write not at zone write pointer")
-	ErrZoneBoundary    = errors.New("zns: IO crosses a zone boundary")
-	ErrZoneFull        = errors.New("zns: zone is full")
-	ErrTooManyOpen     = errors.New("zns: max open zones exceeded")
-	ErrTooManyActive   = errors.New("zns: max active zones exceeded")
-	ErrDeviceFailed    = errors.New("zns: device failed")
-	ErrReadBeyondWP    = errors.New("zns: read beyond write pointer")
-	ErrZoneUnavailable = errors.New("zns: zone is read-only or offline")
-	ErrPowerLoss       = errors.New("zns: IO lost to power failure")
-	ErrOutOfRange      = errors.New("zns: address out of range")
-	ErrUnaligned       = errors.New("zns: IO not sector aligned")
+	ErrNotSequential = errors.New("zns: write not at zone write pointer")
+	ErrZoneBoundary  = errors.New("zns: IO crosses a zone boundary")
+	ErrZoneFull      = errors.New("zns: zone is full")
+	ErrTooManyOpen   = errors.New("zns: max open zones exceeded")
+	ErrTooManyActive = errors.New("zns: max active zones exceeded")
+	ErrDeviceFailed  = errors.New("zns: device failed")
+	ErrReadBeyondWP  = errors.New("zns: read beyond write pointer")
+	ErrPowerLoss     = errors.New("zns: IO lost to power failure")
+	ErrOutOfRange    = errors.New("zns: address out of range")
+	ErrUnaligned     = errors.New("zns: IO not sector aligned")
+	ErrPreflush      = errors.New("zns: Preflush is an array flag, not a device write's")
 	// ErrReadMedium is an unrecoverable (latent) media error on a read:
 	// the sector is unreadable but the device is otherwise healthy,
 	// unlike ErrDeviceFailed.
@@ -109,11 +111,6 @@ type Config struct {
 
 	MaxOpenZones   int // simultaneous open zones (14 on the paper's ZN540s)
 	MaxActiveZones int // simultaneous open+closed zones (0 = same as MaxOpenZones)
-
-	// AtomicWriteSectors is the device-atomic write granularity: on power
-	// loss, unflushed data survives only in multiples of this many
-	// sectors (paper §3, "torn writes").
-	AtomicWriteSectors int64
 
 	// Performance model. A read and a write pipe each serialize their
 	// transfers at the configured bandwidth; every op additionally
@@ -150,22 +147,21 @@ type Config struct {
 // experiments fit in memory.
 func DefaultConfig() Config {
 	return Config{
-		SectorSize:         4096,
-		NumZones:           64,
-		ZoneSize:           1280, // 5 MiB stride
-		ZoneCap:            1024, // 4 MiB writable, mirroring cap < size on the ZN540
-		MaxOpenZones:       14,
-		MaxActiveZones:     28,
-		AtomicWriteSectors: 1,
-		WriteBandwidth:     1052 * (1 << 20),
-		ReadBandwidth:      3265 * (1 << 20),
-		WriteOpOverhead:    2 * time.Microsecond,
-		ReadOpOverhead:     1 * time.Microsecond,
-		WriteLatency:       12 * time.Microsecond,
-		ReadLatency:        65 * time.Microsecond,
-		ResetLatency:       2 * time.Millisecond,
-		FinishLatency:      1 * time.Millisecond,
-		FlushLatency:       300 * time.Microsecond,
+		SectorSize:      4096,
+		NumZones:        64,
+		ZoneSize:        1280, // 5 MiB stride
+		ZoneCap:         1024, // 4 MiB writable, mirroring cap < size on the ZN540
+		MaxOpenZones:    14,
+		MaxActiveZones:  28,
+		WriteBandwidth:  1052 * (1 << 20),
+		ReadBandwidth:   3265 * (1 << 20),
+		WriteOpOverhead: 2 * time.Microsecond,
+		ReadOpOverhead:  1 * time.Microsecond,
+		WriteLatency:    12 * time.Microsecond,
+		ReadLatency:     65 * time.Microsecond,
+		ResetLatency:    2 * time.Millisecond,
+		FinishLatency:   1 * time.Millisecond,
+		FlushLatency:    300 * time.Microsecond,
 	}
 }
 
@@ -187,9 +183,6 @@ func (c *Config) validate() error {
 	}
 	if c.MaxActiveZones < c.MaxOpenZones {
 		return errors.New("zns: MaxActiveZones < MaxOpenZones")
-	}
-	if c.AtomicWriteSectors <= 0 {
-		c.AtomicWriteSectors = 1
 	}
 	return nil
 }
@@ -434,7 +427,7 @@ func (d *Device) jStateLocked(z int) {
 		int64(zo.state), zo.wp, int64(d.nOpen), int64(d.nActive))
 }
 
-// transitionToOpenLocked moves zone z toward the open state, enforcing the
+// transitionToOpenLocked opens zone z for a write, enforcing the
 // open/active limits.
 func (d *Device) transitionToOpenLocked(z int) error {
 	zo := &d.zones[z]
@@ -461,10 +454,8 @@ func (d *Device) transitionToOpenLocked(z int) error {
 		d.nOpen++
 		d.jStateLocked(z)
 		return nil
-	case ZoneFull:
-		return ErrZoneFull
 	default:
-		return ErrZoneUnavailable
+		return ErrZoneFull
 	}
 }
 
@@ -477,48 +468,6 @@ func (d *Device) finalizeFullLocked(z int) {
 		d.nActive--
 		d.jStateLocked(z)
 	}
-}
-
-// CloseZone explicitly transitions an open zone to closed (freeing an open
-// slot while keeping it active). Closing an empty or closed zone is a
-// no-op, matching the NVMe spec's handling.
-func (d *Device) CloseZone(z int) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.failed {
-		return ErrDeviceFailed
-	}
-	if z < 0 || z >= len(d.zones) {
-		return ErrOutOfRange
-	}
-	zo := &d.zones[z]
-	if zo.state == ZoneOpen {
-		// A zone with no written data returns to empty on close per
-		// spec; one with data becomes closed.
-		if zo.wp == 0 {
-			zo.state = ZoneEmpty
-			d.nActive--
-		} else {
-			zo.state = ZoneClosed
-		}
-		d.nOpen--
-		d.jStateLocked(z)
-	}
-	return nil
-}
-
-// OpenZone explicitly opens a zone, reserving an open slot before any
-// write arrives.
-func (d *Device) OpenZone(z int) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.failed {
-		return ErrDeviceFailed
-	}
-	if z < 0 || z >= len(d.zones) {
-		return ErrOutOfRange
-	}
-	return d.transitionToOpenLocked(z)
 }
 
 // SetSlowdown injects a service-time multiplier: every subsequent

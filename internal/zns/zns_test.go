@@ -140,14 +140,14 @@ func TestZoneStateMachine(t *testing.T) {
 		if st := d.Zone(0).State; st != ZoneOpen {
 			t.Errorf("after write state = %v, want open", st)
 		}
-		if err := d.CloseZone(0); err != nil {
-			t.Fatal(err)
-		}
+		// Only a power cut closes a zone: it keeps the FUA-persisted sector.
+		mustWrite(t, d, 1, pattern(cfg, 1, 2), FUA)
+		d.PowerLoss(nil)
 		if st := d.Zone(0).State; st != ZoneClosed {
-			t.Errorf("after close state = %v, want closed", st)
+			t.Errorf("after power cut state = %v, want closed", st)
 		}
 		// Writing reopens.
-		mustWrite(t, d, 1, pattern(cfg, int(cfg.ZoneCap)-1, 2), 0)
+		mustWrite(t, d, 2, pattern(cfg, int(cfg.ZoneCap)-2, 2), 0)
 		if st := d.Zone(0).State; st != ZoneFull {
 			t.Errorf("after filling state = %v, want full", st)
 		}
@@ -182,8 +182,8 @@ func TestMaxOpenZones(t *testing.T) {
 		if err := d.Write(d.ZoneStart(3), pattern(cfg, 1, 9), 0).Wait(); err != ErrTooManyOpen {
 			t.Errorf("4th open error = %v, want ErrTooManyOpen", err)
 		}
-		// Closing one frees a slot.
-		if err := d.CloseZone(0); err != nil {
+		// Finishing one frees a slot.
+		if err := d.FinishZone(0).Wait(); err != nil {
 			t.Fatal(err)
 		}
 		mustWrite(t, d, d.ZoneStart(3), pattern(cfg, 1, 9), 0)
@@ -194,13 +194,15 @@ func TestMaxOpenZones(t *testing.T) {
 }
 
 func TestMaxActiveZones(t *testing.T) {
-	cfg := testConfig() // MaxActive = 5
+	cfg := testConfig() // MaxOpen = 3, MaxActive = 5
 	run(t, cfg, func(c *vclock.Clock, d *Device) {
-		for z := 0; z < 5; z++ {
+		// Three zones closed by a power cut stay active; two more open.
+		for z := 0; z < 3; z++ {
+			mustWrite(t, d, d.ZoneStart(z), pattern(cfg, 1, byte(z)), FUA)
+		}
+		d.PowerLoss(nil)
+		for z := 3; z < 5; z++ {
 			mustWrite(t, d, d.ZoneStart(z), pattern(cfg, 1, byte(z)), 0)
-			if err := d.CloseZone(z); err != nil {
-				t.Fatal(err)
-			}
 		}
 		if err := d.Write(d.ZoneStart(5), pattern(cfg, 1, 9), 0).Wait(); err != ErrTooManyActive {
 			t.Errorf("6th active error = %v, want ErrTooManyActive", err)
@@ -384,18 +386,34 @@ func TestFUAWritePersists(t *testing.T) {
 	})
 }
 
-func TestPreflushPersistsOtherZones(t *testing.T) {
+// TestDeviceRejectsPreflush: Preflush is the array's flag. A device write,
+// gathered write or append carrying it fails at submit and changes
+// nothing: no write pointer moves, no command is counted, nothing persists.
+func TestDeviceRejectsPreflush(t *testing.T) {
 	cfg := testConfig()
 	run(t, cfg, func(c *vclock.Clock, d *Device) {
 		mustWrite(t, d, d.ZoneStart(1), pattern(cfg, 3, 1), 0) // volatile, other zone
-		mustWrite(t, d, 0, pattern(cfg, 1, 2), Preflush)       // flushes zone 1's data
-		d.PowerLoss(nil)
-		if wp := d.Zone(1).WP; wp != d.ZoneStart(1)+3 {
-			t.Errorf("zone1 WP = %d, want %d", wp, d.ZoneStart(1)+3)
+		for _, fl := range []Flag{Preflush, Preflush | FUA} {
+			if err := d.Write(0, pattern(cfg, 1, 2), fl).Wait(); err != ErrPreflush {
+				t.Errorf("write with %b: %v, want ErrPreflush", fl, err)
+			}
+			segs := [][]byte{pattern(cfg, 1, 3), pattern(cfg, 1, 4)}
+			if err := d.Writev(0, segs, fl).Wait(); err != ErrPreflush {
+				t.Errorf("writev with %b: %v, want ErrPreflush", fl, err)
+			}
+			if s, fut := d.Append(0, pattern(cfg, 1, 5), fl); s != -1 || fut.Wait() != ErrPreflush {
+				t.Errorf("append with %b: sector %d, %v, want -1, ErrPreflush", fl, s, fut.Wait())
+			}
 		}
-		// The preflush write itself was NOT persisted (no FUA).
-		if wp := d.Zone(0).WP; wp != 0 {
-			t.Errorf("zone0 WP = %d, want 0 (write itself volatile)", wp)
+		if n := d.WriteCommands(); n != 1 {
+			t.Errorf("write commands = %d, want 1", n)
+		}
+		if zd := d.Zone(0); zd.State != ZoneEmpty || zd.WP != 0 {
+			t.Errorf("zone 0 = %+v, want empty", zd)
+		}
+		d.PowerLoss(nil)
+		if wp := d.Zone(1).WP; wp != d.ZoneStart(1) {
+			t.Errorf("zone 1 WP = %d, want %d: something flushed it", wp, d.ZoneStart(1))
 		}
 	})
 }
@@ -448,37 +466,6 @@ func TestDeviceFail(t *testing.T) {
 		}
 		if err := d.ResetZone(0).Wait(); err != ErrDeviceFailed {
 			t.Errorf("reset error = %v", err)
-		}
-	})
-}
-
-func TestOfflineZone(t *testing.T) {
-	cfg := testConfig()
-	run(t, cfg, func(c *vclock.Clock, d *Device) {
-		d.SetZoneState(1, ZoneOffline)
-		if err := d.Write(d.ZoneStart(1), pattern(cfg, 1, 1), 0).Wait(); err != ErrZoneUnavailable {
-			t.Errorf("write error = %v", err)
-		}
-		if err := d.Read(d.ZoneStart(1), make([]byte, cfg.SectorSize)).Wait(); err != ErrZoneUnavailable {
-			t.Errorf("read error = %v", err)
-		}
-		if err := d.ResetZone(1).Wait(); err != ErrZoneUnavailable {
-			t.Errorf("reset error = %v", err)
-		}
-	})
-}
-
-func TestReadOnlyZoneAllowsReads(t *testing.T) {
-	cfg := testConfig()
-	run(t, cfg, func(c *vclock.Clock, d *Device) {
-		mustWrite(t, d, 0, pattern(cfg, 2, 1), 0)
-		d.SetZoneState(0, ZoneReadOnly)
-		got := mustRead(t, d, 0, 2)
-		if !bytes.Equal(got, pattern(cfg, 2, 1)) {
-			t.Error("read-only zone data mismatch")
-		}
-		if err := d.Write(2, pattern(cfg, 1, 1), 0).Wait(); err != ErrZoneUnavailable {
-			t.Errorf("write error = %v", err)
 		}
 	})
 }
@@ -614,24 +601,6 @@ func TestReportZones(t *testing.T) {
 	})
 }
 
-func TestCloseEmptyOpenZoneReturnsToEmpty(t *testing.T) {
-	cfg := testConfig()
-	run(t, cfg, func(c *vclock.Clock, d *Device) {
-		if err := d.OpenZone(4); err != nil {
-			t.Fatal(err)
-		}
-		if st := d.Zone(4).State; st != ZoneOpen {
-			t.Fatalf("state = %v", st)
-		}
-		if err := d.CloseZone(4); err != nil {
-			t.Fatal(err)
-		}
-		if st := d.Zone(4).State; st != ZoneEmpty {
-			t.Errorf("state = %v, want empty (nothing written)", st)
-		}
-	})
-}
-
 func TestResetEmptyZoneIsNoop(t *testing.T) {
 	cfg := testConfig()
 	run(t, cfg, func(c *vclock.Clock, d *Device) {
@@ -691,21 +660,4 @@ func TestFlushSnapshotsOnlyDirtyZones(t *testing.T) {
 			}
 		}
 	})
-}
-
-// SetZoneState force-sets a zone's failure state (read-only / offline) for
-// fault-injection tests. It is not part of the device's normal command
-// set.
-func (d *Device) SetZoneState(z int, s ZoneState) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	zo := &d.zones[z]
-	if zo.state == ZoneOpen {
-		d.nOpen--
-		d.nActive--
-	} else if zo.state == ZoneClosed {
-		d.nActive--
-	}
-	zo.state = s
-	d.jStateLocked(z)
 }
